@@ -8,7 +8,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use ispn_bench::micro;
-use ispn_experiments::{config::PaperConfig, support::DisciplineKind, table1};
+use ispn_experiments::{config::PaperConfig, table1};
+use ispn_scenario::DisciplineSpec;
 use ispn_sim::SimTime;
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -34,10 +35,10 @@ fn bench_table1_scenario(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1_scenario_5s");
     group.sample_size(10);
     group.bench_function("fifo", |b| {
-        b.iter(|| black_box(table1::run_single_link(&cfg, DisciplineKind::Fifo)))
+        b.iter(|| black_box(table1::run_single_link(&cfg, DisciplineSpec::Fifo)))
     });
     group.bench_function("wfq", |b| {
-        b.iter(|| black_box(table1::run_single_link(&cfg, DisciplineKind::Wfq)))
+        b.iter(|| black_box(table1::run_single_link(&cfg, DisciplineSpec::Wfq)))
     });
     group.finish();
 }

@@ -1,30 +1,19 @@
 //! Regenerates Table 2 of CSZ'92 at full length (harness = false).
 //!
-//! `ISPN_BENCH_WORKERS=N` fans the regeneration across N worker
-//! subprocesses (this binary re-invoked with `--sweep-worker`); the
-//! rendered table is byte-identical to the serial run.
+//! Takes the sweep bins' flags after `--` (see `ispn_experiments::cli`):
+//! `cargo bench -p ispn-bench --bench table2 -- --workers 2` fans the
+//! regeneration across two worker subprocesses, byte-identically, and
+//! `--telemetry` prints the per-point wall-time summary.
 
-use ispn_bench::{bench_config, bench_exec, is_sweep_worker};
-use ispn_experiments::{report, table2};
-use ispn_scenario::NullObserver;
+use ispn_bench::bench_config;
+use ispn_experiments::{cli, table2};
 
 fn main() {
-    let cfg = bench_config();
-    if is_sweep_worker() {
-        table2::serve_worker(&cfg).expect("sweep worker I/O");
-        return;
-    }
-    let exec = bench_exec();
-    // Bench harness wall-clock (clippy.toml disallows it for sim-visible
-    // code only).
-    #[allow(clippy::disallowed_methods)]
-    let start = std::time::Instant::now();
-    let reports = table2::exec_reports(&cfg, &exec, &NullObserver);
-    println!("{}", report::render_table2(&reports));
-    println!(
-        "[table2 bench] simulated {}s per discipline in {:.1}s wall-clock ({})",
-        cfg.duration.as_secs_f64(),
-        start.elapsed().as_secs_f64(),
-        exec.description(),
+    let args: Vec<String> = std::env::args().collect();
+    cli::main(
+        &table2::Sweep {
+            cfg: bench_config(),
+        },
+        &args,
     );
 }

@@ -7,7 +7,8 @@
 //!   `ispn-experiments` scenario at the paper's full ten-minute simulated
 //!   duration and print the regenerated table next to the published values.
 //!   `cargo bench --workspace` therefore regenerates every table and figure
-//!   of the paper in one go.
+//!   of the paper in one go.  `table1` and `table2` are sweeps and take the
+//!   sweep bins' flags (`cargo bench --bench table1 -- --workers 2`).
 //! * **micro-benchmarks** (`sched_micro`, `engine_micro`) — Criterion
 //!   benchmarks of the per-packet cost of each scheduling discipline and of
 //!   the event queue, supporting the paper's Section-3 requirement that the
@@ -20,7 +21,7 @@
 //! the same code.  This library also holds small shared helpers for the
 //! bench targets; every environment-reading helper has a `*_from` twin
 //! taking the environment value as a parameter, so unit tests stay hermetic
-//! under any ambient `ISPN_BENCH_*` setting.
+//! under any ambient `ISPN_BENCH_FAST` setting.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -60,71 +61,9 @@ pub fn extensions_config() -> PaperConfig {
     extensions_config_from(std::env::var("ISPN_BENCH_FAST").ok().as_deref())
 }
 
-/// `true` when this bench invocation is a `--sweep-worker` child of a
-/// distributed table regeneration (check **before** printing anything to
-/// stdout — it belongs to the frame stream in that mode).  Same detection
-/// as the experiment bins, via [`ispn_experiments::cli`].
-pub fn is_sweep_worker() -> bool {
-    let args: Vec<String> = std::env::args().collect();
-    ispn_experiments::cli::is_sweep_worker(&args)
-}
-
-/// [`bench_exec`] with the environment injected: `workers` is the value of
-/// `ISPN_BENCH_WORKERS`, if set.
-pub fn bench_exec_from(workers: Option<&str>) -> ispn_scenario::SweepExec {
-    match workers {
-        None => ispn_scenario::SweepExec::InProcess(ispn_scenario::SweepRunner::serial()),
-        Some(v) => match v.parse::<usize>() {
-            // A malformed or zero value fails loudly (like the bins'
-            // `--workers`): a typo must not silently benchmark the wrong
-            // execution level.
-            Ok(n) if n >= 1 => {
-                ispn_scenario::SweepExec::Distributed(ispn_scenario::DistRunner::new(
-                    n,
-                    ispn_scenario::WorkerCommand::current_exe().arg(ispn_scenario::WORKER_FLAG),
-                ))
-            }
-            _ => panic!("ISPN_BENCH_WORKERS needs a positive integer, got {v:?}"),
-        },
-    }
-}
-
-/// Choose the sweep execution level for a table-regeneration bench from
-/// the environment: `ISPN_BENCH_WORKERS=N` fans the sweep across `N`
-/// worker subprocesses (the bench binary re-invoked with
-/// `--sweep-worker`, inheriting `ISPN_BENCH_FAST`); otherwise the sweep
-/// runs serially in-process, as the harness always has.
-pub fn bench_exec() -> ispn_scenario::SweepExec {
-    bench_exec_from(std::env::var("ISPN_BENCH_WORKERS").ok().as_deref())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_exec_defaults_to_serial_in_process() {
-        // The unset-environment shape, independent of the ambient
-        // `ISPN_BENCH_WORKERS` value.
-        match bench_exec_from(None) {
-            ispn_scenario::SweepExec::InProcess(runner) => assert_eq!(runner.threads(), 1),
-            other => panic!("expected in-process exec, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn worker_count_fans_the_bench_out() {
-        match bench_exec_from(Some("3")) {
-            ispn_scenario::SweepExec::Distributed(_) => {}
-            other => panic!("expected distributed exec, got {other:?}"),
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "ISPN_BENCH_WORKERS")]
-    fn malformed_worker_count_fails_loudly() {
-        let _ = bench_exec_from(Some("zero"));
-    }
 
     #[test]
     fn default_config_is_the_papers() {

@@ -1,79 +1,24 @@
 //! Regenerates the flow-churn experiment: dynamic signaling with Poisson
 //! arrivals and exponential holding times on the Figure-1 topology, swept
-//! over offered load.  `ISPN_FAST=1` runs a shortened sweep; `--stream`
-//! prints one stderr progress line per completed point; `--workers N`
-//! fans the sweep across N worker subprocesses (this binary re-invoked
-//! with `--sweep-worker`; the `ISPN_FAST` configuration is inherited);
-//! `--hosts LIST` fans it across already-listening `--serve` workers over
-//! TCP instead (`--batch N` pipelines requests in either mode);
-//! `--serve ADDR` turns this invocation into such a TCP worker (set the
-//! same `ISPN_FAST` on both sides); `--telemetry[=FILE]` renders the
-//! sweep's per-point wall-time summary to stderr (or JSON to FILE).
-//! Stdout stays byte-identical to a batch in-process run in every mode —
+//! over offered load.  `ISPN_FAST=1` runs a shortened sweep (workers
+//! inherit it, a `--serve` listener needs it set like its parent); the
+//! sweep flags are the ones every sweep bin shares (see
+//! `ispn_experiments::cli`).  Stdout is byte-identical in every mode —
 //! including the accept/reject decision sequence behind the table.
 
-use ispn_experiments::config::PaperConfig;
-use ispn_experiments::{churn, cli, report};
-use ispn_scenario::{NullObserver, ProgressObserver, SweepObserver, TelemetryCollector};
+use ispn_experiments::{churn, cli, PaperConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let fast = std::env::var("ISPN_FAST")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    let stream = args.iter().any(|a| a == "--stream");
-    let telemetry = cli::parse_telemetry(&args);
-    let paper = if fast {
+    let paper = if std::env::var("ISPN_FAST").is_ok_and(|v| v == "1") {
         PaperConfig::fast()
     } else {
         PaperConfig::medium()
     };
-    let holding_secs = 15.0;
-    let arrival_rates = [0.2, 0.5, 1.0, 2.0, 4.0];
-    if cli::is_sweep_worker(&args) {
-        churn::serve_worker(&paper, &arrival_rates, holding_secs).expect("sweep worker I/O");
-        return;
-    }
-    if let Some(addr) = cli::parse_serve(&args) {
-        churn::serve_listener(&paper, &arrival_rates, holding_secs, &addr)
-            .expect("sweep listener I/O");
-        return;
-    }
-    let exec = cli::sweep_exec(&args, &[]);
-    eprintln!(
-        "running {} churn scenarios of {}s simulated time each on {} …",
-        arrival_rates.len(),
-        paper.duration.as_secs_f64(),
-        exec.description()
-    );
-    let progress = ProgressObserver::new();
-    let base: &dyn SweepObserver<churn::ChurnOutcome> =
-        if stream { &progress } else { &NullObserver };
-    let collector = TelemetryCollector::new(base);
-    let observer: &dyn SweepObserver<churn::ChurnOutcome> = if telemetry.is_some() {
-        &collector
-    } else {
-        base
+    let sweep = churn::Sweep {
+        paper,
+        rates: vec![0.2, 0.5, 1.0, 2.0, 4.0],
+        holding: 15.0,
     };
-    let reports = churn::sweep_exec(&paper, &arrival_rates, holding_secs, &exec, observer);
-    println!("{}", report::render_churn(&reports));
-    if let Some(sink) = &telemetry {
-        // The footprint block (flow-table bytes, queue-pool counters) comes
-        // from one representative churn run probed with run telemetry on —
-        // the same probe the bench snapshot records.
-        let run = churn::telemetry_probe(&paper);
-        cli::emit_telemetry_with_run(sink, &collector.summary(), &run);
-    }
-    let failures = ispn_scenario::failed_points(&reports);
-    if failures > 0 {
-        eprintln!("{failures} sweep point(s) failed - see the report above");
-        std::process::exit(1);
-    }
-    for o in reports.iter().filter_map(|r| r.result.as_ref().ok()) {
-        assert_eq!(
-            o.residual_reserved_bps, 0.0,
-            "a finished run must leave no reservation state behind"
-        );
-    }
-    println!("residual reservations after drain: 0 bps on every link (checked)");
+    cli::main(&sweep, &args);
 }

@@ -1,71 +1,20 @@
 //! Run the heterogeneous-mix sweep: per-class delay and jitter versus
 //! offered load for a CBR + on/off + Poisson mix under FIFO, FIFO+, WFQ
 //! and the unified scheduler.  `ISPN_FAST=1` runs a shortened sweep (the
-//! CI smoke configuration); `--stream` prints one stderr progress line per
-//! completed point; `--workers N` fans the sweep across N worker
-//! subprocesses (this binary re-invoked with `--sweep-worker`; the
-//! `ISPN_FAST` configuration is inherited); `--hosts LIST` fans it across
-//! already-listening `--serve` workers over TCP instead (`--batch N`
-//! pipelines requests in either mode); `--serve ADDR` turns this
-//! invocation into such a TCP worker (set the same `ISPN_FAST` on both
-//! sides); `--telemetry[=FILE]` renders the sweep's per-point wall-time
-//! summary to stderr (or JSON to FILE).
-//! Stdout stays byte-identical to a batch in-process run in every mode.
+//! CI smoke configuration; workers inherit it, a `--serve` listener needs
+//! it set like its parent); the sweep flags are the ones every sweep bin
+//! shares (see `ispn_experiments::cli`).
 
-use ispn_experiments::config::PaperConfig;
-use ispn_experiments::{cli, hetmix, report};
-use ispn_scenario::{NullObserver, ProgressObserver, SweepObserver, TelemetryCollector};
+use ispn_experiments::{cli, hetmix, PaperConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let fast = std::env::var("ISPN_FAST")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    let stream = args.iter().any(|a| a == "--stream");
-    let telemetry = cli::parse_telemetry(&args);
-    let (cfg, levels): (PaperConfig, &[usize]) = if fast {
-        (
-            PaperConfig {
-                duration: ispn_sim::SimTime::from_secs(20),
-                ..PaperConfig::paper()
-            },
-            &[1, 3],
-        )
+    let (cfg, levels) = if std::env::var("ISPN_FAST").is_ok_and(|v| v == "1") {
+        let duration = ispn_sim::SimTime::from_secs(20);
+        let paper = PaperConfig::paper();
+        (PaperConfig { duration, ..paper }, vec![1, 3])
     } else {
-        (PaperConfig::medium(), &[1, 2, 3])
+        (PaperConfig::medium(), vec![1, 2, 3])
     };
-    if cli::is_sweep_worker(&args) {
-        hetmix::serve_worker(&cfg, levels).expect("sweep worker I/O");
-        return;
-    }
-    if let Some(addr) = cli::parse_serve(&args) {
-        hetmix::serve_listener(&cfg, levels, &addr).expect("sweep listener I/O");
-        return;
-    }
-    let exec = cli::sweep_exec(&args, &[]);
-    eprintln!(
-        "running {} heterogeneous-mix points of {} simulated seconds each on {} …",
-        4 * levels.len(),
-        cfg.duration.as_secs_f64(),
-        exec.description()
-    );
-    let progress = ProgressObserver::new();
-    let base: &dyn SweepObserver<hetmix::HetMixPoint> =
-        if stream { &progress } else { &NullObserver };
-    let collector = TelemetryCollector::new(base);
-    let observer: &dyn SweepObserver<hetmix::HetMixPoint> = if telemetry.is_some() {
-        &collector
-    } else {
-        base
-    };
-    let reports = hetmix::sweep_exec(&cfg, levels, &exec, observer);
-    println!("{}", report::render_hetmix(&reports));
-    if let Some(sink) = &telemetry {
-        cli::emit_telemetry(sink, &collector.summary());
-    }
-    let failures = ispn_scenario::failed_points(&reports);
-    if failures > 0 {
-        eprintln!("{failures} sweep point(s) failed - see the report above");
-        std::process::exit(1);
-    }
+    cli::main(&hetmix::Sweep { cfg, levels }, &args);
 }

@@ -1,78 +1,20 @@
 //! Run the mesh cross-traffic study: guaranteed + predicted + datagram
 //! flows competing on the shared interior links of a 3×3 grid, swept over
 //! the Predicted-Low cross-traffic level.  `ISPN_FAST=1` runs a shortened
-//! sweep (the CI smoke configuration); `--stream` prints one stderr
-//! progress line per completed point; `--workers N` fans the sweep across
-//! N worker subprocesses (this binary re-invoked with `--sweep-worker`;
-//! the `ISPN_FAST` configuration is inherited); `--hosts LIST` fans it
-//! across already-listening `--serve` workers over TCP instead
-//! (`--batch N` pipelines requests in either mode); `--serve ADDR` turns
-//! this invocation into such a TCP worker (set the same `ISPN_FAST` on
-//! both sides); `--telemetry[=FILE]` renders the sweep's per-point
-//! wall-time summary to stderr (or JSON to FILE).  Stdout stays
-//! byte-identical to a batch in-process run in every mode.
+//! sweep (the CI smoke configuration; workers inherit it, a `--serve`
+//! listener needs it set like its parent); the sweep flags are the ones
+//! every sweep bin shares (see `ispn_experiments::cli`).
 
-use ispn_experiments::config::PaperConfig;
-use ispn_experiments::{cli, mesh, report};
-use ispn_scenario::{NullObserver, ProgressObserver, SweepObserver, TelemetryCollector};
+use ispn_experiments::{cli, mesh, PaperConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let fast = std::env::var("ISPN_FAST")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    let stream = args.iter().any(|a| a == "--stream");
-    let telemetry = cli::parse_telemetry(&args);
-    let (cfg, levels): (PaperConfig, &[usize]) = if fast {
-        (
-            PaperConfig {
-                duration: ispn_sim::SimTime::from_secs(20),
-                ..PaperConfig::paper()
-            },
-            &[1, 4],
-        )
+    let (cfg, levels) = if std::env::var("ISPN_FAST").is_ok_and(|v| v == "1") {
+        let duration = ispn_sim::SimTime::from_secs(20);
+        let paper = PaperConfig::paper();
+        (PaperConfig { duration, ..paper }, vec![1, 4])
     } else {
-        (PaperConfig::medium(), &[1, 3, 6])
+        (PaperConfig::medium(), vec![1, 3, 6])
     };
-    if cli::is_sweep_worker(&args) {
-        mesh::serve_worker(&cfg, levels).expect("sweep worker I/O");
-        return;
-    }
-    if let Some(addr) = cli::parse_serve(&args) {
-        mesh::serve_listener(&cfg, levels, &addr).expect("sweep listener I/O");
-        return;
-    }
-    let exec = cli::sweep_exec(&args, &[]);
-    eprintln!(
-        "running {} mesh scenarios of {} simulated seconds each on {} …",
-        levels.len(),
-        cfg.duration.as_secs_f64(),
-        exec.description()
-    );
-    let progress = ProgressObserver::new();
-    let base: &dyn SweepObserver<mesh::MeshOutcome> =
-        if stream { &progress } else { &NullObserver };
-    let collector = TelemetryCollector::new(base);
-    let observer: &dyn SweepObserver<mesh::MeshOutcome> = if telemetry.is_some() {
-        &collector
-    } else {
-        base
-    };
-    let reports = mesh::sweep_exec(&cfg, levels, &exec, observer);
-    println!("{}", report::render_mesh(&reports));
-    if let Some(sink) = &telemetry {
-        cli::emit_telemetry(sink, &collector.summary());
-    }
-    let failures = ispn_scenario::failed_points(&reports);
-    if failures > 0 {
-        eprintln!("{failures} sweep point(s) failed - see the report above");
-        std::process::exit(1);
-    }
-    for o in reports.iter().filter_map(|r| r.result.as_ref().ok()) {
-        assert_eq!(
-            o.classes[0].loss_rate, 0.0,
-            "guaranteed flows must never lose a packet to a buffer"
-        );
-    }
-    println!("guaranteed loss: 0 packets at every cross-traffic level (checked)");
+    cli::main(&mesh::Sweep { cfg, levels }, &args);
 }

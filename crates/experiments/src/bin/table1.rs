@@ -1,65 +1,16 @@
 //! Regenerate Table 1 of CSZ'92 (WFQ vs FIFO on a single shared link).
 //!
-//! Usage: `cargo run --release -p ispn-experiments --bin table1 [--fast] [--stream] [--workers N | --hosts LIST] [--batch N] [--serve ADDR] [--telemetry[=FILE]]`
-//!
-//! `--stream` prints one stderr progress line per completed sweep point;
-//! `--workers N` fans the sweep across N worker subprocesses (this binary
-//! re-invoked with `--sweep-worker`); `--hosts LIST` fans it across
-//! already-listening `--serve` workers over TCP instead (`--batch N`
-//! pipelines requests in either mode); `--serve ADDR` turns this
-//! invocation into such a TCP worker; `--telemetry[=FILE]` renders the
-//! sweep's per-point wall-time summary to stderr (or JSON to FILE).
-//! Stdout (the final table) is byte-identical to a batch in-process run in
-//! every mode.
+//! Usage: `cargo run --release -p ispn-experiments --bin table1 [--fast]`
+//! plus the sweep flags every sweep bin shares (see `ispn_experiments::cli`).
 
-use ispn_experiments::{cli, config::PaperConfig, report, table1};
-use ispn_scenario::{NullObserver, ProgressObserver, SweepObserver, TelemetryCollector};
+use ispn_experiments::{cli, table1, PaperConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let stream = args.iter().any(|a| a == "--stream");
-    let telemetry = cli::parse_telemetry(&args);
-    let cfg = if fast {
+    let cfg = if args.iter().any(|a| a == "--fast") {
         PaperConfig::fast()
     } else {
         PaperConfig::paper()
     };
-    if cli::is_sweep_worker(&args) {
-        table1::serve_worker(&cfg).expect("sweep worker I/O");
-        return;
-    }
-    if let Some(addr) = cli::parse_serve(&args) {
-        table1::serve_listener(&cfg, &addr).expect("sweep listener I/O");
-        return;
-    }
-    let mut worker_args = Vec::new();
-    if fast {
-        worker_args.push("--fast".to_string());
-    }
-    let exec = cli::sweep_exec(&args, &worker_args);
-    eprintln!(
-        "running Table 1 ({} simulated seconds per discipline, {})...",
-        cfg.duration.as_secs_f64(),
-        exec.description()
-    );
-    let progress = ProgressObserver::new();
-    let base: &dyn SweepObserver<table1::Table1Row> =
-        if stream { &progress } else { &NullObserver };
-    let collector = TelemetryCollector::new(base);
-    let observer: &dyn SweepObserver<table1::Table1Row> = if telemetry.is_some() {
-        &collector
-    } else {
-        base
-    };
-    let reports = table1::exec_reports(&cfg, &exec, observer);
-    println!("{}", report::render_table1(&reports));
-    if let Some(sink) = &telemetry {
-        cli::emit_telemetry(sink, &collector.summary());
-    }
-    let failures = ispn_scenario::failed_points(&reports);
-    if failures > 0 {
-        eprintln!("{failures} sweep point(s) failed - see the report above");
-        std::process::exit(1);
-    }
+    cli::main(&table1::Sweep { cfg }, &args);
 }

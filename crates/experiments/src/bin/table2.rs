@@ -1,65 +1,16 @@
 //! Regenerate Table 2 of CSZ'92 (WFQ vs FIFO vs FIFO+ on the Figure-1 chain).
 //!
-//! Usage: `cargo run --release -p ispn-experiments --bin table2 [--fast] [--stream] [--workers N | --hosts LIST] [--batch N] [--serve ADDR] [--telemetry[=FILE]]`
-//!
-//! `--stream` prints one stderr progress line per completed sweep point;
-//! `--workers N` fans the sweep across N worker subprocesses (this binary
-//! re-invoked with `--sweep-worker`); `--hosts LIST` fans it across
-//! already-listening `--serve` workers over TCP instead (`--batch N`
-//! pipelines requests in either mode); `--serve ADDR` turns this
-//! invocation into such a TCP worker; `--telemetry[=FILE]` renders the
-//! sweep's per-point wall-time summary to stderr (or JSON to FILE).
-//! Stdout (the final table) is byte-identical to a batch in-process run in
-//! every mode.
+//! Usage: `cargo run --release -p ispn-experiments --bin table2 [--fast]`
+//! plus the sweep flags every sweep bin shares (see `ispn_experiments::cli`).
 
-use ispn_experiments::{cli, config::PaperConfig, report, table2};
-use ispn_scenario::{NullObserver, ProgressObserver, SweepObserver, TelemetryCollector};
+use ispn_experiments::{cli, table2, PaperConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let stream = args.iter().any(|a| a == "--stream");
-    let telemetry = cli::parse_telemetry(&args);
-    let cfg = if fast {
+    let cfg = if args.iter().any(|a| a == "--fast") {
         PaperConfig::fast()
     } else {
         PaperConfig::paper()
     };
-    if cli::is_sweep_worker(&args) {
-        table2::serve_worker(&cfg).expect("sweep worker I/O");
-        return;
-    }
-    if let Some(addr) = cli::parse_serve(&args) {
-        table2::serve_listener(&cfg, &addr).expect("sweep listener I/O");
-        return;
-    }
-    let mut worker_args = Vec::new();
-    if fast {
-        worker_args.push("--fast".to_string());
-    }
-    let exec = cli::sweep_exec(&args, &worker_args);
-    eprintln!(
-        "running Table 2 ({} simulated seconds per discipline, {})...",
-        cfg.duration.as_secs_f64(),
-        exec.description()
-    );
-    let progress = ProgressObserver::new();
-    let base: &dyn SweepObserver<table2::Table2Point> =
-        if stream { &progress } else { &NullObserver };
-    let collector = TelemetryCollector::new(base);
-    let observer: &dyn SweepObserver<table2::Table2Point> = if telemetry.is_some() {
-        &collector
-    } else {
-        base
-    };
-    let reports = table2::exec_reports(&cfg, &exec, observer);
-    println!("{}", report::render_table2(&reports));
-    if let Some(sink) = &telemetry {
-        cli::emit_telemetry(sink, &collector.summary());
-    }
-    let failures = ispn_scenario::failed_points(&reports);
-    if failures > 0 {
-        eprintln!("{failures} sweep point(s) failed - see the report above");
-        std::process::exit(1);
-    }
+    cli::main(&table2::Sweep { cfg }, &args);
 }

@@ -1,97 +1,43 @@
 //! Regenerate Table 3 of CSZ'92 (the unified scheduler carrying guaranteed,
 //! predicted and datagram traffic on the Figure-1 chain).
 //!
-//! Usage: `cargo run --release -p ispn-experiments --bin table3 [--fast] [--seeds N] [--stream] [--workers N | --hosts LIST] [--batch N] [--serve ADDR]`
+//! Usage: `cargo run --release -p ispn-experiments --bin table3 [--fast] [--seeds N]`
+//! plus the sweep flags every sweep bin shares (see `ispn_experiments::cli`).
 //!
-//! `--seeds N` replicates the table across `N` derived seeds (a seed-axis
-//! sweep fanned across threads) and prints each replication — the paper
-//! reports one random run; the sweep shows how much the sample rows move.
-//! `--stream` prints one stderr progress line per completed replication;
-//! `--workers N` fans the seed sweep across N worker subprocesses (this
-//! binary re-invoked with `--sweep-worker --seeds N`); `--hosts LIST`
-//! fans it across already-listening `--serve` workers over TCP instead
-//! (`--batch N` pipelines requests in either mode); `--serve ADDR` turns
-//! this invocation into such a TCP worker (pass the same `--seeds N` to
-//! listener and parent so both build the same axis);
-//! `--telemetry[=FILE]` renders the seed sweep's per-point wall-time
-//! summary to stderr (or JSON to FILE).  Stdout is byte-identical to a
-//! batch in-process run in every mode.
+//! `--seeds N` replicates the table across `N` derived seeds — a seed-axis
+//! sweep, one printed table per seed: the paper reports one random run;
+//! the sweep shows how much the sample rows move.  Without it the run is
+//! the paper's single table, in-process (the sweep flags have nothing to
+//! fan out).  A `--serve` listener needs the same `--seeds N` as its
+//! parent so both build the same axis.
 
-use ispn_experiments::{cli, config::PaperConfig, report, table3};
-use ispn_scenario::{NullObserver, ProgressObserver, SweepObserver, TelemetryCollector};
+use ispn_experiments::{cli, report, table3, PaperConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let stream = args.iter().any(|a| a == "--stream");
-    let telemetry = cli::parse_telemetry(&args);
-    let cfg = if fast {
+    let cfg = if args.iter().any(|a| a == "--fast") {
         PaperConfig::fast()
     } else {
         PaperConfig::paper()
     };
-    let seeds = match args.iter().position(|a| a == "--seeds") {
-        None => 1,
-        Some(i) => match args.get(i + 1).map(|n| n.parse::<u64>()) {
-            Some(Ok(n)) if n >= 1 => n,
-            _ => {
-                eprintln!("--seeds needs a positive integer, e.g. `table3 --seeds 5`");
-                std::process::exit(2);
-            }
-        },
-    };
-    let seed_axis: Vec<u64> = (0..seeds).map(|i| cfg.seed.wrapping_add(i)).collect();
-    if cli::is_sweep_worker(&args) {
-        table3::serve_worker(&cfg, &seed_axis).expect("sweep worker I/O");
-        return;
-    }
-    if let Some(addr) = cli::parse_serve(&args) {
-        table3::serve_listener(&cfg, &seed_axis, &addr).expect("sweep listener I/O");
-        return;
-    }
-    if seeds <= 1 {
-        if cli::parse_workers(&args).is_some() {
+    let seeds = cli::parse_count(&args, "--seeds").unwrap_or(1);
+    let serving = cli::is_sweep_worker(&args) || cli::parse_serve(&args).is_some();
+    if seeds == 1 && !serving {
+        if cli::parse_count(&args, "--workers").is_some() {
             eprintln!("--workers applies to the seed sweep; a single-seed run stays in-process");
         }
-        if telemetry.is_some() {
+        if cli::parse_telemetry(&args).is_some() {
             eprintln!("--telemetry applies to the seed sweep; pass `--seeds N` with N > 1");
         }
         eprintln!(
             "running Table 3 ({} simulated seconds)...",
             cfg.duration.as_secs_f64()
         );
-        let t = table3::run(&cfg);
-        println!("{}", report::render_table3(&t));
+        println!("{}", report::render_table3(&table3::run(&cfg)));
         return;
     }
-    let mut worker_args = vec!["--seeds".to_string(), seeds.to_string()];
-    if fast {
-        worker_args.push("--fast".to_string());
-    }
-    let exec = cli::sweep_exec(&args, &worker_args);
-    eprintln!(
-        "running Table 3 across {} seeds ({} simulated seconds each, {})...",
-        seeds,
-        cfg.duration.as_secs_f64(),
-        exec.description()
-    );
-    let progress = ProgressObserver::new();
-    let base: &dyn SweepObserver<(u64, table3::Table3)> =
-        if stream { &progress } else { &NullObserver };
-    let collector = TelemetryCollector::new(base);
-    let observer: &dyn SweepObserver<(u64, table3::Table3)> = if telemetry.is_some() {
-        &collector
-    } else {
-        base
-    };
-    let reports = table3::run_seeds_exec(&cfg, &seed_axis, &exec, observer);
-    print!("{}", report::render_table3_seeds(&reports));
-    if let Some(sink) = &telemetry {
-        cli::emit_telemetry(sink, &collector.summary());
-    }
-    let failures = ispn_scenario::failed_points(&reports);
-    if failures > 0 {
-        eprintln!("{failures} sweep point(s) failed - see the report above");
-        std::process::exit(1);
-    }
+    let seeds = (0..seeds as u64)
+        .map(|i| cfg.seed.wrapping_add(i))
+        .collect();
+    cli::main(&table3::Sweep { cfg, seeds }, &args);
 }

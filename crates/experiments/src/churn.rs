@@ -16,21 +16,21 @@
 //! first-class [`WorkloadSpec::Churn`] workload of `ispn-scenario`, so this
 //! module only declares the scenario (topology, disciplines, admission,
 //! churn parameters), runs it, and summarizes — and the offered-load sweep
-//! is a [`ScenarioSet`] fanned across a [`SweepRunner`].  The promoted
-//! driver reproduces the pre-promotion decision sequence bit-exactly
-//! (pinned in `tests/tests/scenario.rs`).
+//! is the [`Sweep`] experiment.  The promoted driver reproduces the
+//! pre-promotion decision sequence bit-exactly (pinned in
+//! `tests/tests/scenario.rs`).
 
 use ispn_net::{LinkId, PoliceAction};
 use ispn_scenario::{
     wire_f64, AdmissionSpec, ChurnClass, ChurnSourceSpec, ChurnWorkload, DisciplineMatrix,
-    DisciplineSpec, JsonValue, MeasurementPlan, NullObserver, PointResult, RunTelemetry,
-    ScenarioBuilder, ScenarioSet, Sim, SweepExec, SweepObserver, SweepReport, SweepRunner,
-    TopologySpec, WireError, WireResult, WorkloadSpec,
+    DisciplineSpec, JsonValue, MeasurementPlan, PointResult, RunTelemetry, ScenarioBuilder,
+    ScenarioSet, Sim, SweepReport, TopologySpec, WireError, WireResult, WorkloadSpec,
 };
 use ispn_sched::Averaging;
 use ispn_sim::SimTime;
 
 use crate::config::PaperConfig;
+use crate::experiment::Experiment;
 use crate::extensions::admission::{HIGH_TARGET_PKT, LOW_TARGET_PKT};
 use crate::fig1::{Fig1Network, NUM_LINKS};
 
@@ -328,107 +328,51 @@ pub fn telemetry_probe(paper: &PaperConfig) -> RunTelemetry {
         .expect("run telemetry was requested")
 }
 
-/// Run the offered-load sweep through the given runner, streaming each
-/// load point's outcome to `observer` as it completes; the checked,
-/// axis-tagged reports feed [`crate::report::render_churn`].
-pub fn sweep_reports(
-    paper: &PaperConfig,
-    arrival_rates: &[f64],
-    mean_holding_secs: f64,
-    runner: &SweepRunner,
-    observer: &dyn SweepObserver<ChurnOutcome>,
-) -> Vec<SweepReport<PointResult<ChurnOutcome>>> {
-    sweep_exec(
-        paper,
-        arrival_rates,
-        mean_holding_secs,
-        &SweepExec::InProcess(*runner),
-        observer,
-    )
+/// The offered-load sweep: the same holding time at a rising arrival
+/// rate, each load point a self-contained scenario — byte-identical at
+/// every execution level, down to the accept/reject decision sequence.
+#[derive(Debug, Clone)]
+pub struct Sweep {
+    /// The Appendix constants and the run length.
+    pub paper: PaperConfig,
+    /// Poisson arrival rates λ (setups per second), one load point each.
+    pub rates: Vec<f64>,
+    /// Mean exponential holding time 1/μ of an admitted flow, seconds.
+    pub holding: f64,
 }
 
-/// The offered-load axis of the churn sweep.
-pub fn scenario_set(arrival_rates: &[f64]) -> ScenarioSet<(f64,)> {
-    ScenarioSet::over("load", arrival_rates.to_vec())
-}
+impl Experiment for Sweep {
+    type Params = (f64,);
+    type Row = ChurnOutcome;
 
-/// [`sweep_reports`] generalized over the execution level: in-process
-/// threads or distributed worker subprocesses — byte-identical either
-/// way, down to the accept/reject decision sequence.
-pub fn sweep_exec(
-    paper: &PaperConfig,
-    arrival_rates: &[f64],
-    mean_holding_secs: f64,
-    exec: &SweepExec,
-    observer: &dyn SweepObserver<ChurnOutcome>,
-) -> Vec<SweepReport<PointResult<ChurnOutcome>>> {
-    exec.run_streaming(
-        &scenario_set(arrival_rates),
-        |&(lambda,)| run(&ChurnConfig::new(paper.clone(), lambda, mean_holding_secs)),
-        observer,
-    )
-}
+    fn set(&self) -> ScenarioSet<(f64,)> {
+        ScenarioSet::over("load", self.rates.clone())
+    }
 
-/// Serve churn sweep points to a distributed parent over stdin/stdout
-/// (the `churn` bin's `--sweep-worker` mode).
-pub fn serve_worker(
-    paper: &PaperConfig,
-    arrival_rates: &[f64],
-    mean_holding_secs: f64,
-) -> std::io::Result<()> {
-    ispn_scenario::serve_worker(&scenario_set(arrival_rates), |&(lambda,)| {
-        run(&ChurnConfig::new(paper.clone(), lambda, mean_holding_secs))
-    })
-}
+    fn point(&self, &(lambda,): &(f64,)) -> ChurnOutcome {
+        run(&ChurnConfig::new(self.paper.clone(), lambda, self.holding))
+    }
 
-/// Serve churn sweep points over a TCP listener bound to `addr` (the
-/// `churn` bin's `--serve` mode).
-pub fn serve_listener(
-    paper: &PaperConfig,
-    arrival_rates: &[f64],
-    mean_holding_secs: f64,
-    addr: &str,
-) -> std::io::Result<()> {
-    ispn_scenario::serve_listener(addr, &scenario_set(arrival_rates), |&(lambda,)| {
-        run(&ChurnConfig::new(paper.clone(), lambda, mean_holding_secs))
-    })
-}
+    fn render(&self, reports: &[SweepReport<PointResult<ChurnOutcome>>]) -> String {
+        crate::report::render_churn(reports)
+    }
 
-/// Run the experiment at several offered loads (same holding time, rising
-/// arrival rate) through the given runner — each load point is a
-/// self-contained scenario, so the sweep parallelizes freely and returns
-/// its outcomes in load order whatever the thread count.
-pub fn sweep_with(
-    paper: &PaperConfig,
-    arrival_rates: &[f64],
-    mean_holding_secs: f64,
-    runner: &SweepRunner,
-) -> Vec<ChurnOutcome> {
-    sweep_reports(
-        paper,
-        arrival_rates,
-        mean_holding_secs,
-        runner,
-        &NullObserver,
-    )
-    .into_iter()
-    .map(|r| r.expect_ok().result)
-    .collect()
-}
+    fn check(&self, rows: &[&ChurnOutcome]) -> Option<String> {
+        for o in rows {
+            assert_eq!(
+                o.residual_reserved_bps, 0.0,
+                "a finished run must leave no reservation state behind"
+            );
+        }
+        Some("residual reservations after drain: 0 bps on every link (checked)".to_string())
+    }
 
-/// Run the offered-load sweep serially (the historical entry point; the
-/// `churn` binary fans it across threads).
-pub fn sweep(
-    paper: &PaperConfig,
-    arrival_rates: &[f64],
-    mean_holding_secs: f64,
-) -> Vec<ChurnOutcome> {
-    sweep_with(
-        paper,
-        arrival_rates,
-        mean_holding_secs,
-        &SweepRunner::serial(),
-    )
+    /// Bounded flow-table growth under slot reclamation is the interesting
+    /// part of a churn run: report the same probe the bench snapshot
+    /// records.
+    fn footprint(&self) -> Option<RunTelemetry> {
+        Some(telemetry_probe(&self.paper))
+    }
 }
 
 #[cfg(test)]
@@ -486,15 +430,22 @@ mod tests {
 
     #[test]
     fn parallel_sweep_equals_serial_sweep() {
-        let paper = PaperConfig {
-            duration: SimTime::from_secs(20),
-            ..PaperConfig::fast()
+        use crate::experiment::{rows, run};
+        use ispn_scenario::{NullObserver, SweepExec, SweepRunner};
+        let sweep = Sweep {
+            paper: PaperConfig {
+                duration: SimTime::from_secs(20),
+                ..PaperConfig::fast()
+            },
+            rates: vec![0.5, 1.0],
+            holding: 15.0,
         };
-        let rates = [0.5, 1.0];
-        let serial = sweep_with(&paper, &rates, 15.0, &SweepRunner::serial());
-        let parallel = sweep_with(&paper, &rates, 15.0, &SweepRunner::parallel(2));
+        let serial = rows(&sweep);
+        let threads = SweepExec::InProcess(SweepRunner::parallel(2));
+        let parallel = run(&sweep, &threads, &NullObserver);
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
+            let p = p.result.as_ref().expect("no point panicked");
             assert_eq!(s.decisions, p.decisions);
             assert_eq!(s.mean_utilization, p.mean_utilization);
             assert_eq!(s.worst_bound_fraction, p.worst_bound_fraction);

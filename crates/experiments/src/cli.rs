@@ -1,46 +1,93 @@
-//! Shared command-line plumbing for the experiment bins.
+//! The one command line every sweep bin shares: [`main`] turns an
+//! [`Experiment`] plus `std::env::args()` into a whole run.
 //!
-//! Every sweep-shaped bin understands the same execution flags:
+//! Execution flags (pick at most one of `--workers` / `--hosts`):
 //!
 //! * *(none)* — fan sweep points across in-process threads
 //!   ([`SweepRunner::max_parallel`]);
 //! * `--workers N` — fan sweep points across `N` supervised worker
 //!   subprocesses ([`DistRunner`]), each the same binary re-invoked with
-//!   `--sweep-worker` plus the run's configuration flags.  Stdout stays
-//!   byte-identical to the in-process run;
+//!   `--sweep-worker` plus every argument of the parent run except the
+//!   parent-only ones (`--workers N`, `--hosts LIST`, `--batch N`,
+//!   `--stream`, `--telemetry[=FILE]`), so a bin's own configuration
+//!   flags reach its workers without the bin listing them;
 //! * `--hosts LIST` — fan sweep points across already-listening worker
 //!   hosts over TCP ([`DistRunner::over_hosts`]); `LIST` is
-//!   comma-separated `host:port[=limit]` entries ([`HostSpec`]).
-//!   Mutually exclusive with `--workers`.  `--batch N` (either mode)
-//!   lets the parent pipeline up to `N` point requests per worker
-//!   dispatch;
+//!   comma-separated `host:port[=limit]` entries ([`HostSpec`]);
+//! * `--batch N` (with either) — pipeline up to `N` point requests per
+//!   worker dispatch;
 //! * `--sweep-worker` — serve sweep points over stdin/stdout for a
-//!   distributed parent (checked by the bin **before anything prints to
-//!   stdout**, which belongs to the frame stream in this mode);
+//!   distributed parent; nothing else is written to stdout, which belongs
+//!   to the frame stream in this mode;
 //! * `--serve ADDR` — bind a TCP listener on `ADDR` and serve sweep
-//!   points over accepted connections forever
-//!   ([`serve_listener`](ispn_scenario::serve_listener)), for a parent
-//!   run elsewhere with `--hosts`.  Like `--sweep-worker`, checked
-//!   before anything else prints to stdout (the listener owns stdout for
-//!   its discovery banner).
+//!   points over accepted connections until killed, for a parent run
+//!   elsewhere with `--hosts`; stdout carries only the listener's
+//!   discovery banner.
 //!
-//! Sweep-shaped bins additionally understand `--telemetry[=FILE]`: collect
-//! the sweep's per-point wall-time stream (worker-measured in distributed
-//! runs) and render the [`SweepTelemetry`] summary to stderr, or write its
-//! JSON to `FILE`.  Stdout is untouched either way, so telemetry never
-//! breaks table byte-identity; the flag is also **not** forwarded to
-//! workers (it selects parent-side aggregation, not sweep shape).
+//! Reporting flags, parent side only and never forwarded to workers:
 //!
-//! This module only parses the flags and assembles the
-//! [`SweepExec`]; the per-experiment worker loops live next to their
-//! sweeps in the experiment modules.
+//! * `--stream` — one stderr progress line per completed point;
+//! * `--telemetry[=FILE]` — collect the sweep's per-point wall-time stream
+//!   (worker-measured in distributed runs) and render the
+//!   [`SweepTelemetry`] summary to stderr, or write its JSON to `FILE`.
+//!
+//! Stdout is the rendered table — byte-identical in every mode — followed
+//! by the experiment's check line, if it has one.  Exit status: 0, 1 when
+//! a point failed (the table still prints, with the failure in place), 2
+//! on a malformed flag.
 
 use std::path::PathBuf;
 
 use ispn_scenario::{
-    DistRunner, HostSpec, RunTelemetry, SweepExec, SweepRunner, SweepTelemetry, WorkerCommand,
-    WORKER_FLAG,
+    failed_points, DistRunner, HostSpec, NullObserver, ProgressObserver, RunTelemetry, SweepExec,
+    SweepObserver, SweepRunner, SweepTelemetry, TelemetryCollector, WorkerCommand, WORKER_FLAG,
 };
+
+use crate::experiment::{run, serve, Experiment, Serve};
+
+/// Run `e` as the command line `args` (the whole of `std::env::args()`)
+/// asks: serve it as a worker or listener, or sweep it on the selected
+/// execution level and print its table.  See the [module docs](self) for
+/// the flags, the output contract and the exit codes.
+pub fn main<E: Experiment>(e: &E, args: &[String]) {
+    // Worker and listener modes come first: stdout is theirs.
+    if is_sweep_worker(args) {
+        serve(e, Serve::Stdio).expect("sweep worker I/O");
+        return;
+    }
+    if let Some(addr) = parse_serve(args) {
+        serve(e, Serve::Listen(&addr)).expect("sweep listener I/O");
+        return;
+    }
+    let telemetry = parse_telemetry(args);
+    let exec = sweep_exec(args);
+    let points = e.set().len();
+    eprintln!("running {points} sweep points on {} …", exec.description());
+    let progress = ProgressObserver::new();
+    let base: &dyn SweepObserver<E::Row> = if args.iter().any(|a| a == "--stream") {
+        &progress
+    } else {
+        &NullObserver
+    };
+    let collector = TelemetryCollector::new(base);
+    let reports = run(e, &exec, &collector);
+    println!("{}", e.render(&reports));
+    if let Some(sink) = &telemetry {
+        emit_telemetry(sink, &collector.summary(), e.footprint().as_ref());
+    }
+    let failures = failed_points(&reports);
+    if failures > 0 {
+        eprintln!("{failures} sweep point(s) failed - see the report above");
+        std::process::exit(1);
+    }
+    let rows: Vec<&E::Row> = reports
+        .iter()
+        .filter_map(|r| r.result.as_ref().ok())
+        .collect();
+    if let Some(line) = e.check(&rows) {
+        println!("{line}");
+    }
+}
 
 /// Whether this invocation is a `--sweep-worker` child.
 pub fn is_sweep_worker(args: &[String]) -> bool {
@@ -63,16 +110,17 @@ pub fn parse_serve(args: &[String]) -> Option<String> {
     }
 }
 
-/// The `--workers N` flag, if present.
+/// The value of a positive-integer flag (`--workers N`, `--batch N`, a
+/// bin's own `--seeds N`), if present.
 ///
 /// Exits with status 2 on a malformed value — the same convention the
 /// bins' other flags use.
-pub fn parse_workers(args: &[String]) -> Option<usize> {
-    let i = args.iter().position(|a| a == "--workers")?;
+pub fn parse_count(args: &[String], flag: &str) -> Option<usize> {
+    let i = args.iter().position(|a| a == flag)?;
     match args.get(i + 1).map(|n| n.parse::<usize>()) {
         Some(Ok(n)) if n >= 1 => Some(n),
         _ => {
-            eprintln!("--workers needs a positive integer, e.g. `--workers 4`");
+            eprintln!("{flag} needs a positive integer, e.g. `{flag} 4`");
             std::process::exit(2);
         }
     }
@@ -83,7 +131,7 @@ pub fn parse_workers(args: &[String]) -> Option<usize> {
 ///
 /// Exits with status 2 on a malformed list — the same convention the
 /// bins' other flags use.
-pub fn parse_hosts(args: &[String]) -> Option<Vec<HostSpec>> {
+fn parse_hosts(args: &[String]) -> Option<Vec<HostSpec>> {
     let i = args.iter().position(|a| a == "--hosts")?;
     let Some(list) = args.get(i + 1) else {
         eprintln!("--hosts needs a host list, e.g. `--hosts hostA:7600=4,hostB:7600=8`");
@@ -98,40 +146,43 @@ pub fn parse_hosts(args: &[String]) -> Option<Vec<HostSpec>> {
     }
 }
 
-/// The `--batch N` flag, if present: pipeline up to `N` point requests
-/// per worker dispatch (distributed modes only; harmless otherwise).
-///
-/// Exits with status 2 on a malformed value — the same convention the
-/// bins' other flags use.
-pub fn parse_batch(args: &[String]) -> Option<usize> {
-    let i = args.iter().position(|a| a == "--batch")?;
-    match args.get(i + 1).map(|n| n.parse::<usize>()) {
-        Some(Ok(n)) if n >= 1 => Some(n),
-        _ => {
-            eprintln!("--batch needs a positive integer, e.g. `--batch 4`");
-            std::process::exit(2);
+/// The arguments a `--workers` parent hands its worker subprocesses:
+/// everything it was given itself except the flags that only concern the
+/// parent — how to dispatch (`--workers N`, `--hosts LIST`, `--batch N`)
+/// and what to report (`--stream`, `--telemetry[=FILE]`).
+fn worker_args(args: &[String]) -> Vec<String> {
+    let mut forwarded = Vec::new();
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--workers" | "--hosts" | "--batch" => {
+                rest.next();
+            }
+            "--stream" | "--telemetry" => {}
+            flag if flag.starts_with("--telemetry=") => {}
+            _ => forwarded.push(arg.clone()),
         }
     }
+    forwarded
 }
 
 /// Choose the sweep execution level from the command line: `--workers N`
 /// selects a distributed run whose workers re-invoke the current
-/// executable with `--sweep-worker` plus `worker_args` (the configuration
-/// flags the parent run received, so both sides build the same sweep);
-/// `--hosts LIST` connects to already-listening `--serve` workers over
-/// TCP instead; otherwise points fan across in-process threads.
-/// `--batch N` applies to either distributed mode.
+/// executable with `--sweep-worker` plus `worker_args` (so both sides
+/// build the same sweep); `--hosts LIST` connects to already-listening
+/// `--serve` workers over TCP instead; otherwise points fan across
+/// in-process threads.  `--batch N` applies to either distributed mode.
 ///
 /// `--workers` and `--hosts` are mutually exclusive (exit 2): one names
 /// subprocesses to spawn, the other machines that already run.
-pub fn sweep_exec(args: &[String], worker_args: &[String]) -> SweepExec {
-    let workers = parse_workers(args);
+fn sweep_exec(args: &[String]) -> SweepExec {
+    let workers = parse_count(args, "--workers");
     let hosts = parse_hosts(args);
     if workers.is_some() && hosts.is_some() {
         eprintln!("--workers and --hosts are mutually exclusive: pick subprocesses or sockets");
         std::process::exit(2);
     }
-    let batch = parse_batch(args).unwrap_or(1);
+    let batch = parse_count(args, "--batch").unwrap_or(1);
     if let Some(hosts) = hosts {
         return SweepExec::Distributed(DistRunner::over_hosts(&hosts).batch(batch));
     }
@@ -139,7 +190,7 @@ pub fn sweep_exec(args: &[String], worker_args: &[String]) -> SweepExec {
         Some(n) => {
             let command = WorkerCommand::current_exe()
                 .arg(WORKER_FLAG)
-                .args(worker_args.iter().cloned());
+                .args(worker_args(args));
             SweepExec::Distributed(DistRunner::new(n, command).batch(batch))
         }
         None => SweepExec::InProcess(SweepRunner::max_parallel()),
@@ -175,42 +226,35 @@ pub fn parse_telemetry(args: &[String]) -> Option<TelemetrySink> {
     None
 }
 
-/// Deliver a finished sweep's telemetry summary to its sink.  Writes only
-/// to stderr or the named file — never stdout, which belongs to the
-/// byte-identical table.
-pub fn emit_telemetry(sink: &TelemetrySink, summary: &SweepTelemetry) {
+/// Deliver a finished sweep's telemetry summary to its sink, with a
+/// representative run's [`RunTelemetry`] block (engine counters and memory
+/// footprint) appended when the experiment supplies one: the JSON gains a
+/// `"run"` key next to the summary's fields, the stderr rendering one
+/// extra line.  Writes only to stderr or the named file — never stdout,
+/// which belongs to the byte-identical table.
+fn emit_telemetry(sink: &TelemetrySink, summary: &SweepTelemetry, run: Option<&RunTelemetry>) {
     match sink {
-        TelemetrySink::Stderr => eprintln!("{}", summary.render()),
-        TelemetrySink::File(path) => {
-            if let Err(e) = std::fs::write(path, format!("{}\n", summary.to_json())) {
-                eprintln!("could not write telemetry to {}: {e}", path.display());
-                std::process::exit(1);
+        TelemetrySink::Stderr => {
+            eprintln!("{}", summary.render());
+            if let Some(run) = run {
+                eprintln!(
+                    "run telemetry: flow table {} B, reservations {} B, \
+                     queue pools {} grows / {} segs peak",
+                    run.flow_table_bytes,
+                    run.reservation_state_bytes,
+                    run.sched_pool_grow_events,
+                    run.sched_pool_segments_high_water
+                );
             }
-            eprintln!("sweep telemetry written to {}", path.display());
         }
-    }
-}
-
-/// Like [`emit_telemetry`], with a representative run's [`RunTelemetry`]
-/// block (engine counters and memory footprint) appended: the JSON gains a
-/// `"run"` key next to the sweep summary's fields, the stderr rendering
-/// one extra line.  Used by bins whose footprint is the interesting part
-/// (churn: bounded flow-table growth under slot reclamation).
-pub fn emit_telemetry_with_run(sink: &TelemetrySink, summary: &SweepTelemetry, run: &RunTelemetry) {
-    let sweep = summary.to_json();
-    // Splice the run block into the summary object: {...,"run":{...}}.
-    let json = format!("{},\"run\":{}}}", &sweep[..sweep.len() - 1], run.to_json());
-    let line = format!(
-        "run telemetry: flow table {} B, reservations {} B, \
-         queue pools {} grows / {} segs peak",
-        run.flow_table_bytes,
-        run.reservation_state_bytes,
-        run.sched_pool_grow_events,
-        run.sched_pool_segments_high_water
-    );
-    match sink {
-        TelemetrySink::Stderr => eprintln!("{}\n{line}", summary.render()),
         TelemetrySink::File(path) => {
+            let mut json = summary.to_json();
+            if let Some(run) = run {
+                // Splice the run block into the summary object:
+                // {...,"run":{...}}.
+                json.pop();
+                json.push_str(&format!(",\"run\":{}}}", run.to_json()));
+            }
             if let Err(e) = std::fs::write(path, format!("{json}\n")) {
                 eprintln!("could not write telemetry to {}: {e}", path.display());
                 std::process::exit(1);
@@ -224,46 +268,53 @@ pub fn emit_telemetry_with_run(sink: &TelemetrySink, summary: &SweepTelemetry, r
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
     }
 
     #[test]
     fn worker_flag_is_detected() {
-        assert!(is_sweep_worker(&args(&["bin", "--sweep-worker"])));
-        assert!(!is_sweep_worker(&args(&["bin", "--stream"])));
+        assert!(is_sweep_worker(&args("bin --sweep-worker")));
+        assert!(!is_sweep_worker(&args("bin --stream")));
     }
 
     #[test]
     fn workers_flag_parses() {
-        assert_eq!(parse_workers(&args(&["bin"])), None);
-        assert_eq!(parse_workers(&args(&["bin", "--workers", "3"])), Some(3));
+        assert_eq!(parse_count(&args("bin"), "--workers"), None);
+        assert_eq!(parse_count(&args("bin --workers 3"), "--workers"), Some(3));
     }
 
     #[test]
     fn telemetry_flag_parses_both_shapes() {
-        assert_eq!(parse_telemetry(&args(&["bin"])), None);
+        assert_eq!(parse_telemetry(&args("bin")), None);
         assert_eq!(
-            parse_telemetry(&args(&["bin", "--telemetry"])),
+            parse_telemetry(&args("bin --telemetry")),
             Some(TelemetrySink::Stderr)
         );
         assert_eq!(
-            parse_telemetry(&args(&["bin", "--telemetry=sweep.json"])),
+            parse_telemetry(&args("bin --telemetry=sweep.json")),
             Some(TelemetrySink::File(PathBuf::from("sweep.json")))
         );
     }
 
     #[test]
+    fn workers_are_forwarded_everything_but_the_parent_only_flags() {
+        let parent = "bin --fast --workers 2 --seeds 3 --stream --telemetry=x --batch 4";
+        assert_eq!(worker_args(&args(parent)), args("--fast --seeds 3"));
+        assert!(worker_args(&args("bin --telemetry --hosts a:1")).is_empty());
+    }
+
+    #[test]
     fn exec_levels_follow_the_flags() {
-        match sweep_exec(&args(&["bin"]), &[]) {
+        match sweep_exec(&args("bin")) {
             SweepExec::InProcess(_) => {}
             other => panic!("expected in-process exec, got {other:?}"),
         }
-        match sweep_exec(&args(&["bin", "--workers", "2"]), &args(&["--fast"])) {
+        match sweep_exec(&args("bin --fast --workers 2")) {
             SweepExec::Distributed(d) => assert_eq!(d.workers(), 2),
             other => panic!("expected distributed exec, got {other:?}"),
         }
-        match sweep_exec(&args(&["bin", "--hosts", "a:1=2,b:1", "--batch", "4"]), &[]) {
+        match sweep_exec(&args("bin --hosts a:1=2,b:1 --batch 4")) {
             SweepExec::Distributed(d) => {
                 assert_eq!(d.workers(), 3, "one slot per host connection");
                 assert_eq!(d.batch_size(), 4);
@@ -274,17 +325,17 @@ mod tests {
 
     #[test]
     fn serve_and_hosts_and_batch_flags_parse() {
-        assert_eq!(parse_serve(&args(&["bin"])), None);
+        assert_eq!(parse_serve(&args("bin")), None);
         assert_eq!(
-            parse_serve(&args(&["bin", "--serve", "127.0.0.1:0"])),
+            parse_serve(&args("bin --serve 127.0.0.1:0")),
             Some("127.0.0.1:0".to_string())
         );
-        assert_eq!(parse_hosts(&args(&["bin"])), None);
+        assert_eq!(parse_hosts(&args("bin")), None);
         assert_eq!(
-            parse_hosts(&args(&["bin", "--hosts", "a:1=2"])),
+            parse_hosts(&args("bin --hosts a:1=2")),
             Some(vec![HostSpec::new("a:1", 2)])
         );
-        assert_eq!(parse_batch(&args(&["bin"])), None);
-        assert_eq!(parse_batch(&args(&["bin", "--batch", "8"])), Some(8));
+        assert_eq!(parse_count(&args("bin"), "--batch"), None);
+        assert_eq!(parse_count(&args("bin --batch 8"), "--batch"), Some(8));
     }
 }

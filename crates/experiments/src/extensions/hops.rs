@@ -13,10 +13,11 @@
 
 use ispn_core::FlowSpec;
 use ispn_net::{FlowConfig, Network, Topology};
+use ispn_scenario::DisciplineSpec;
 use ispn_sim::SimTime;
 
 use crate::config::PaperConfig;
-use crate::support::{attach_onoff, realtime_class, DisciplineKind};
+use crate::support::{attach_onoff, realtime_class, table2_set};
 
 /// Flows sharing each link (matches the paper's evaluation).
 pub const FLOWS_PER_LINK: usize = 10;
@@ -37,7 +38,7 @@ pub struct HopsPoint {
 }
 
 /// Run one chain length under one discipline.
-pub fn run_chain(cfg: &PaperConfig, discipline: DisciplineKind, hops: usize) -> HopsPoint {
+pub fn run_chain(cfg: &PaperConfig, discipline: DisciplineSpec, hops: usize) -> HopsPoint {
     assert!(hops >= 1);
     let (topo, _nodes, links) = Topology::chain(
         hops + 1,
@@ -47,7 +48,8 @@ pub fn run_chain(cfg: &PaperConfig, discipline: DisciplineKind, hops: usize) -> 
     );
     let mut net = Network::new(topo);
     for &l in &links {
-        net.set_discipline(l, discipline.build(cfg, FLOWS_PER_LINK));
+        let queue = discipline.build(net.topology().link(l), FLOWS_PER_LINK, &[]);
+        net.set_discipline(l, queue);
     }
     let mut seed = 0u32;
     let add_flow = |net: &mut Network, route: Vec<_>, seed: &mut u32| {
@@ -87,7 +89,7 @@ pub fn run_chain(cfg: &PaperConfig, discipline: DisciplineKind, hops: usize) -> 
 pub fn run_sweep(cfg: &PaperConfig, hop_counts: &[usize]) -> Vec<HopsPoint> {
     let mut out = Vec::new();
     for &h in hop_counts {
-        for d in DisciplineKind::table2_set() {
+        for d in table2_set() {
             out.push(run_chain(cfg, d, h));
         }
     }

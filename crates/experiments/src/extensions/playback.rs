@@ -15,10 +15,11 @@
 use ispn_core::playback::{AdaptivePlayback, RigidPlayback};
 use ispn_core::FlowSpec;
 use ispn_net::{FlowConfig, Network, Topology};
+use ispn_sched::{Averaging, FifoPlus};
 use ispn_sim::SimTime;
 
 use crate::config::PaperConfig;
-use crate::support::{attach_onoff, realtime_class, DisciplineKind};
+use crate::support::{attach_onoff, realtime_class};
 
 /// Results of the comparison, in packet times / fractions.
 #[derive(Debug, Clone)]
@@ -59,7 +60,7 @@ pub fn run(cfg: &PaperConfig) -> PlaybackComparison {
     let (topo, _nodes, links) =
         Topology::chain(2, cfg.link_rate_bps, SimTime::ZERO, cfg.buffer_packets);
     let mut net = Network::new(topo);
-    net.set_discipline(links[0], DisciplineKind::FifoPlus.build(cfg, 10));
+    net.set_discipline(links[0], FifoPlus::new(Averaging::RunningMean));
     let mut flows = Vec::new();
     for i in 0..10 {
         let f = net.add_flow(FlowConfig {

@@ -8,10 +8,11 @@
 
 use ispn_core::FlowSpec;
 use ispn_net::{FlowConfig, Network, Topology};
+use ispn_scenario::DisciplineSpec;
 use ispn_sim::SimTime;
 
 use crate::config::PaperConfig;
-use crate::support::{attach_onoff, realtime_class, DisciplineKind};
+use crate::support::{attach_onoff, realtime_class};
 
 /// One point of the sweep (delays in packet times).
 #[derive(Debug, Clone)]
@@ -29,11 +30,12 @@ pub struct UtilizationPoint {
 }
 
 /// Run one point.
-pub fn run_point(cfg: &PaperConfig, discipline: DisciplineKind, flows: usize) -> UtilizationPoint {
+pub fn run_point(cfg: &PaperConfig, discipline: DisciplineSpec, flows: usize) -> UtilizationPoint {
     let (topo, _nodes, links) =
         Topology::chain(2, cfg.link_rate_bps, SimTime::ZERO, cfg.buffer_packets);
     let mut net = Network::new(topo);
-    net.set_discipline(links[0], discipline.build(cfg, flows));
+    let queue = discipline.build(net.topology().link(links[0]), flows, &[]);
+    net.set_discipline(links[0], queue);
     let mut ids = Vec::new();
     for i in 0..flows {
         let f = net.add_flow(FlowConfig {
@@ -62,7 +64,7 @@ pub fn run_point(cfg: &PaperConfig, discipline: DisciplineKind, flows: usize) ->
 pub fn run_sweep(cfg: &PaperConfig, flow_counts: &[usize]) -> Vec<UtilizationPoint> {
     let mut out = Vec::new();
     for &n in flow_counts {
-        for d in [DisciplineKind::Fifo, DisciplineKind::Wfq] {
+        for d in [DisciplineSpec::Fifo, DisciplineSpec::Wfq] {
             out.push(run_point(cfg, d, n));
         }
     }

@@ -15,13 +15,14 @@
 use ispn_core::TokenBucketSpec;
 use ispn_net::PoliceAction;
 use ispn_scenario::{
-    json_escape, wire_f64, DisciplineSpec, FlowDef, JsonValue, MeasurementPlan, NullObserver,
-    PointResult, RouteSpec, RunTelemetry, ScenarioBuilder, ScenarioSet, ServiceSpec, Sim,
-    SourceSpec, SweepExec, SweepObserver, SweepReport, SweepRunner, WireError, WireResult,
+    json_escape, wire_f64, DisciplineSpec, FlowDef, JsonValue, MeasurementPlan, PointResult,
+    RouteSpec, RunTelemetry, ScenarioBuilder, ScenarioSet, ServiceSpec, Sim, SourceSpec,
+    SweepReport, WireError, WireResult,
 };
 use ispn_sched::Averaging;
 
 use crate::config::PaperConfig;
+use crate::experiment::Experiment;
 use crate::mesh::{aggregate_class, ClassStats};
 use crate::support::intern_discipline_label;
 use crate::table3::{HIGH_PRIORITY_TARGET_PKT, LOW_PRIORITY_TARGET_PKT};
@@ -179,70 +180,32 @@ pub fn telemetry_probe(cfg: &PaperConfig) -> RunTelemetry {
         .expect("run telemetry was requested")
 }
 
-/// The cartesian (discipline × level) axis set of the sweep.
-pub fn scenario_set(levels: &[usize]) -> ScenarioSet<(DisciplineSpec, usize)> {
-    ScenarioSet::over("discipline", discipline_set()).by("level", levels.to_vec())
+/// The heterogeneous-mix sweep: every discipline of [`discipline_set`] at
+/// every load level (discipline outer, level inner), each point a
+/// self-contained scenario.
+#[derive(Debug, Clone)]
+pub struct Sweep {
+    /// The Appendix constants and the run length.
+    pub cfg: PaperConfig,
+    /// Flows per class, one sweep level each.
+    pub levels: Vec<usize>,
 }
 
-/// The full sweep through the given runner, streaming each point's report
-/// to `observer` as it completes; the checked, axis-tagged reports feed
-/// [`crate::report::render_hetmix`].
-pub fn sweep_reports(
-    cfg: &PaperConfig,
-    levels: &[usize],
-    runner: &SweepRunner,
-    observer: &dyn SweepObserver<HetMixPoint>,
-) -> Vec<SweepReport<PointResult<HetMixPoint>>> {
-    sweep_exec(cfg, levels, &SweepExec::InProcess(*runner), observer)
-}
+impl Experiment for Sweep {
+    type Params = (DisciplineSpec, usize);
+    type Row = HetMixPoint;
 
-/// [`sweep_reports`] generalized over the execution level: in-process
-/// threads or distributed worker subprocesses, byte-identical either way.
-pub fn sweep_exec(
-    cfg: &PaperConfig,
-    levels: &[usize],
-    exec: &SweepExec,
-    observer: &dyn SweepObserver<HetMixPoint>,
-) -> Vec<SweepReport<PointResult<HetMixPoint>>> {
-    exec.run_streaming(
-        &scenario_set(levels),
-        |&(spec, level)| run_point(cfg, spec, level),
-        observer,
-    )
-}
+    fn set(&self) -> ScenarioSet<(DisciplineSpec, usize)> {
+        ScenarioSet::over("discipline", discipline_set()).by("level", self.levels.clone())
+    }
 
-/// Serve heterogeneous-mix sweep points to a distributed parent over
-/// stdin/stdout (the `hetmix` bin's `--sweep-worker` mode; the load levels
-/// travel through the shared `ISPN_FAST` configuration).
-pub fn serve_worker(cfg: &PaperConfig, levels: &[usize]) -> std::io::Result<()> {
-    ispn_scenario::serve_worker(&scenario_set(levels), |&(spec, level)| {
-        run_point(cfg, spec, level)
-    })
-}
+    fn point(&self, &(spec, level): &(DisciplineSpec, usize)) -> HetMixPoint {
+        run_point(&self.cfg, spec, level)
+    }
 
-/// Serve heterogeneous-mix sweep points over a TCP listener bound to
-/// `addr` (the `hetmix` bin's `--serve` mode; the load levels travel
-/// through the shared `ISPN_FAST` configuration).
-pub fn serve_listener(cfg: &PaperConfig, levels: &[usize], addr: &str) -> std::io::Result<()> {
-    ispn_scenario::serve_listener(addr, &scenario_set(levels), |&(spec, level)| {
-        run_point(cfg, spec, level)
-    })
-}
-
-/// The full sweep through the given runner: every discipline at every load
-/// level (discipline outer, level inner), each point a self-contained
-/// scenario fanned across the runner's threads.
-pub fn sweep_with(cfg: &PaperConfig, levels: &[usize], runner: &SweepRunner) -> Vec<HetMixPoint> {
-    sweep_reports(cfg, levels, runner, &NullObserver)
-        .into_iter()
-        .map(|r| r.expect_ok().result)
-        .collect()
-}
-
-/// The full sweep, run serially (the historical entry point; the `hetmix`
-/// binary fans it across threads).
-pub fn sweep(cfg: &PaperConfig, levels: &[usize]) -> Vec<HetMixPoint> {
-    sweep_with(cfg, levels, &SweepRunner::serial())
+    fn render(&self, reports: &[SweepReport<PointResult<HetMixPoint>>]) -> String {
+        crate::report::render_hetmix(reports)
+    }
 }
 
 #[cfg(test)]
@@ -297,11 +260,13 @@ mod tests {
 
     #[test]
     fn sweep_covers_every_discipline_and_level() {
-        let cfg = PaperConfig {
-            duration: SimTime::from_secs(5),
-            ..PaperConfig::paper()
-        };
-        let points = sweep(&cfg, &[1, 2]);
+        let points = crate::experiment::rows(&Sweep {
+            cfg: PaperConfig {
+                duration: SimTime::from_secs(5),
+                ..PaperConfig::paper()
+            },
+            levels: vec![1, 2],
+        });
         assert_eq!(points.len(), 8);
         let schedulers: std::collections::BTreeSet<&str> =
             points.iter().map(|p| p.scheduler).collect();

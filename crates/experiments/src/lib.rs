@@ -23,9 +23,15 @@
 //!   heterogeneous CBR / on-off / Poisson mix across all four disciplines
 //!   (scenario-API study),
 //! * [`report`] — text rendering next to the paper's published numbers,
-//! * [`support`] — shared plumbing (discipline factory, source wiring),
-//! * [`cli`] — the shared `--workers N` / `--sweep-worker` flags every
-//!   sweep-shaped bin understands (distributed execution).
+//! * [`support`] — shared plumbing (source wiring, label interning),
+//! * [`experiment`] — the [`Experiment`] descriptor the six sweep-shaped
+//!   studies implement (`table1::Sweep`, `table2::Sweep`, `table3::Sweep`,
+//!   `hetmix::Sweep`, `mesh::Sweep`, `churn::Sweep`) and the one driver
+//!   that executes it: [`rows`] serially, [`run`] on threads, worker
+//!   subprocesses or TCP hosts, [`serve`] as the worker side,
+//! * [`cli`] — [`cli::main`], the whole command line of a sweep bin
+//!   (`--workers N` / `--hosts LIST` / `--serve ADDR` / `--stream` /
+//!   `--telemetry[=FILE]` …) over any [`Experiment`].
 //!
 //! Every experiment takes a [`config::PaperConfig`] so tests can run
 //! shortened versions while the bench harness runs the full ten simulated
@@ -37,6 +43,7 @@
 pub mod churn;
 pub mod cli;
 pub mod config;
+pub mod experiment;
 pub mod extensions;
 pub mod fig1;
 pub mod hetmix;
@@ -48,5 +55,5 @@ pub mod table2;
 pub mod table3;
 
 pub use config::PaperConfig;
+pub use experiment::{rows, run, serve, Experiment, Serve};
 pub use fig1::{Fig1Network, FlowKind, FlowPlacement};
-pub use support::DisciplineKind;

@@ -15,14 +15,14 @@ use ispn_core::TokenBucketSpec;
 use ispn_net::PoliceAction;
 use ispn_net::{LinkId, NodeId};
 use ispn_scenario::{
-    json_escape, wire_f64, DisciplineSpec, FlowDef, JsonValue, MeasurementPlan, NullObserver,
-    PointResult, RouteSpec, RunTelemetry, ScenarioBuilder, ScenarioReport, ScenarioSet,
-    ServiceSpec, Sim, SourceSpec, SweepExec, SweepObserver, SweepReport, SweepRunner, WireError,
-    WireResult,
+    json_escape, wire_f64, DisciplineSpec, FlowDef, JsonValue, MeasurementPlan, PointResult,
+    RouteSpec, RunTelemetry, ScenarioBuilder, ScenarioReport, ScenarioSet, ServiceSpec, Sim,
+    SourceSpec, SweepReport, WireError, WireResult,
 };
 use ispn_sched::Averaging;
 
 use crate::config::PaperConfig;
+use crate::experiment::Experiment;
 use crate::table3::{HIGH_PRIORITY_TARGET_PKT, LOW_PRIORITY_TARGET_PKT};
 
 /// Grid side length (3×3: one genuine interior switch).
@@ -328,58 +328,41 @@ pub fn telemetry_probe(cfg: &PaperConfig) -> RunTelemetry {
         .expect("run telemetry was requested")
 }
 
-/// Sweep the Predicted-Low cross-traffic level through the given runner,
-/// streaming each outcome to `observer` as it completes; the checked,
-/// axis-tagged reports feed [`crate::report::render_mesh`].
-pub fn sweep_reports(
-    cfg: &PaperConfig,
-    levels: &[usize],
-    runner: &SweepRunner,
-    observer: &dyn SweepObserver<MeshOutcome>,
-) -> Vec<SweepReport<PointResult<MeshOutcome>>> {
-    sweep_exec(cfg, levels, &SweepExec::InProcess(*runner), observer)
+/// The mesh sweep: the grid at each Predicted-Low cross-traffic level,
+/// each level a self-contained scenario point.
+#[derive(Debug, Clone)]
+pub struct Sweep {
+    /// The Appendix constants and the run length.
+    pub cfg: PaperConfig,
+    /// Predicted-Low flows per row, one sweep level each.
+    pub levels: Vec<usize>,
 }
 
-/// The cross-traffic axis of the mesh sweep.
-pub fn scenario_set(levels: &[usize]) -> ScenarioSet<(usize,)> {
-    ScenarioSet::over("cross", levels.to_vec())
-}
+impl Experiment for Sweep {
+    type Params = (usize,);
+    type Row = MeshOutcome;
 
-/// [`sweep_reports`] generalized over the execution level: in-process
-/// threads or distributed worker subprocesses, byte-identical either way.
-pub fn sweep_exec(
-    cfg: &PaperConfig,
-    levels: &[usize],
-    exec: &SweepExec,
-    observer: &dyn SweepObserver<MeshOutcome>,
-) -> Vec<SweepReport<PointResult<MeshOutcome>>> {
-    exec.run_streaming(&scenario_set(levels), |&(level,)| run(cfg, level), observer)
-}
+    fn set(&self) -> ScenarioSet<(usize,)> {
+        ScenarioSet::over("cross", self.levels.clone())
+    }
 
-/// Serve mesh sweep points to a distributed parent over stdin/stdout (the
-/// `mesh` bin's `--sweep-worker` mode).
-pub fn serve_worker(cfg: &PaperConfig, levels: &[usize]) -> std::io::Result<()> {
-    ispn_scenario::serve_worker(&scenario_set(levels), |&(level,)| run(cfg, level))
-}
+    fn point(&self, &(level,): &(usize,)) -> MeshOutcome {
+        run(&self.cfg, level)
+    }
 
-/// Serve mesh sweep points over a TCP listener bound to `addr` (the
-/// `mesh` bin's `--serve` mode).
-pub fn serve_listener(cfg: &PaperConfig, levels: &[usize], addr: &str) -> std::io::Result<()> {
-    ispn_scenario::serve_listener(addr, &scenario_set(levels), |&(level,)| run(cfg, level))
-}
+    fn render(&self, reports: &[SweepReport<PointResult<MeshOutcome>>]) -> String {
+        crate::report::render_mesh(reports)
+    }
 
-/// Sweep the Predicted-Low cross-traffic level through the given runner.
-pub fn sweep_with(cfg: &PaperConfig, levels: &[usize], runner: &SweepRunner) -> Vec<MeshOutcome> {
-    sweep_reports(cfg, levels, runner, &NullObserver)
-        .into_iter()
-        .map(|r| r.expect_ok().result)
-        .collect()
-}
-
-/// Sweep the Predicted-Low cross-traffic level serially (the `mesh`
-/// binary fans it across threads).
-pub fn sweep(cfg: &PaperConfig, levels: &[usize]) -> Vec<MeshOutcome> {
-    sweep_with(cfg, levels, &SweepRunner::serial())
+    fn check(&self, rows: &[&MeshOutcome]) -> Option<String> {
+        for o in rows {
+            assert_eq!(
+                o.classes[0].loss_rate, 0.0,
+                "guaranteed flows must never lose a packet to a buffer"
+            );
+        }
+        Some("guaranteed loss: 0 packets at every cross-traffic level (checked)".to_string())
+    }
 }
 
 #[cfg(test)]

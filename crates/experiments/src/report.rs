@@ -188,25 +188,21 @@ pub fn render_table3(t: &Table3) -> String {
 }
 
 /// Render a Table-3 seed-axis replication: one full table per seed, in
-/// seed order; a panicked replication reports its failure in place
-/// without suppressing the other seeds.
+/// seed order, one line apart; a panicked replication reports its failure
+/// in place without suppressing the other seeds.
 pub fn render_table3_seeds(reports: &[SweepReport<PointResult<(u64, Table3)>>]) -> String {
-    let mut out = String::new();
-    for report in reports {
-        match &report.result {
-            Ok((seed, t)) => {
-                out.push_str(&format!("seed {seed:#x}:\n{}\n", render_table3(t)));
-            }
-            Err(e) => {
-                out.push_str(&format!(
-                    "seed {}: panicked: {}\n",
-                    report.tag("seed").unwrap_or("?"),
-                    e.payload
-                ));
-            }
-        }
-    }
-    out
+    let blocks: Vec<String> = reports
+        .iter()
+        .map(|report| match &report.result {
+            Ok((seed, t)) => format!("seed {seed:#x}:\n{}", render_table3(t)),
+            Err(e) => format!(
+                "seed {}: panicked: {}",
+                report.tag("seed").unwrap_or("?"),
+                e.payload
+            ),
+        })
+        .collect();
+    blocks.join("\n")
 }
 
 /// Render the hop-count sweep.

@@ -2,83 +2,19 @@
 
 use ispn_core::{FlowId, ServiceClass};
 use ispn_net::Network;
-use ispn_sched::{Averaging, Discipline, Fifo, FifoPlus, VirtualClock, Wfq};
+use ispn_scenario::DisciplineSpec;
+use ispn_sched::Averaging;
 use ispn_traffic::{OnOffConfig, OnOffSource, SharedSourceStats};
 
 use crate::config::PaperConfig;
 
-/// The disciplines Tables 1 and 2 compare (plus VirtualClock for the
-/// ablation benches).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DisciplineKind {
-    /// Plain FIFO.
-    Fifo,
-    /// Weighted Fair Queueing with equal clock rates.
-    Wfq,
-    /// FIFO+ (running-mean class average).
-    FifoPlus,
-    /// FIFO+ with an EWMA class average (ablation).
-    FifoPlusEwma,
-    /// VirtualClock with equal rates (ablation).
-    VirtualClock,
-}
-
-impl ispn_scenario::AxisValue for DisciplineKind {
-    /// Discipline axes tag sweep points with the printed label.
-    fn axis_label(&self) -> String {
-        self.label().to_string()
-    }
-}
-
-impl DisciplineKind {
-    /// The label used in experiment output (matches the paper's tables for
-    /// the three disciplines it names).
-    pub fn label(self) -> &'static str {
-        match self {
-            DisciplineKind::Fifo => "FIFO",
-            DisciplineKind::Wfq => "WFQ",
-            DisciplineKind::FifoPlus => "FIFO+",
-            DisciplineKind::FifoPlusEwma => "FIFO+ (EWMA)",
-            DisciplineKind::VirtualClock => "VirtualClock",
-        }
-    }
-
-    /// The scenario-API recipe for this discipline (the declarative
-    /// counterpart of [`build`](DisciplineKind::build); the builder fills
-    /// in per-link context like the equal-share flow count).
-    pub fn spec(self) -> ispn_scenario::DisciplineSpec {
-        use ispn_scenario::DisciplineSpec;
-        match self {
-            DisciplineKind::Fifo => DisciplineSpec::Fifo,
-            DisciplineKind::Wfq => DisciplineSpec::Wfq,
-            DisciplineKind::FifoPlus => DisciplineSpec::FifoPlus(Averaging::RunningMean),
-            DisciplineKind::FifoPlusEwma => DisciplineSpec::FifoPlus(Averaging::Ewma(1.0 / 16.0)),
-            DisciplineKind::VirtualClock => DisciplineSpec::VirtualClock,
-        }
-    }
-
-    /// Construct a fresh discipline instance for one link shared by
-    /// `flows_on_link` equal flows.
-    pub fn build(self, cfg: &PaperConfig, flows_on_link: usize) -> Discipline {
-        match self {
-            DisciplineKind::Fifo => Fifo::new().into(),
-            DisciplineKind::Wfq => Wfq::equal_share(cfg.link_rate_bps, flows_on_link).into(),
-            DisciplineKind::FifoPlus => FifoPlus::new(Averaging::RunningMean).into(),
-            DisciplineKind::FifoPlusEwma => FifoPlus::new(Averaging::Ewma(1.0 / 16.0)).into(),
-            DisciplineKind::VirtualClock => {
-                VirtualClock::new(cfg.link_rate_bps / flows_on_link.max(1) as f64).into()
-            }
-        }
-    }
-
-    /// The three disciplines Table 2 compares, in the paper's order.
-    pub fn table2_set() -> [DisciplineKind; 3] {
-        [
-            DisciplineKind::Wfq,
-            DisciplineKind::Fifo,
-            DisciplineKind::FifoPlus,
-        ]
-    }
+/// The three disciplines Table 2 compares, in the paper's order.
+pub fn table2_set() -> [DisciplineSpec; 3] {
+    [
+        DisciplineSpec::Wfq,
+        DisciplineSpec::Fifo,
+        DisciplineSpec::FifoPlus(Averaging::RunningMean),
+    ]
 }
 
 /// Attach the Appendix's on/off source (rate A, peak 2A, burst 5, `(A, 50)`
@@ -107,9 +43,8 @@ pub fn realtime_class() -> ServiceClass {
     ServiceClass::Predicted { priority: 0 }
 }
 
-/// Every scheduler label an experiment row can carry (the union of
-/// [`DisciplineKind::label`] and
-/// [`DisciplineSpec::label`](ispn_scenario::DisciplineSpec::label)).
+/// Every scheduler label an experiment row can carry: the range of
+/// [`DisciplineSpec::label`].
 const DISCIPLINE_LABELS: &[&str] = &[
     "FIFO",
     "WFQ",
@@ -144,39 +79,13 @@ pub fn intern_discipline_label(label: &str) -> Result<&'static str, ispn_scenari
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ispn_sched::QueueDiscipline;
-
-    #[test]
-    fn labels_cover_every_kind() {
-        for k in [
-            DisciplineKind::Fifo,
-            DisciplineKind::Wfq,
-            DisciplineKind::FifoPlus,
-            DisciplineKind::FifoPlusEwma,
-            DisciplineKind::VirtualClock,
-        ] {
-            assert!(!k.label().is_empty());
-            let d = k.build(&PaperConfig::paper(), 10);
-            assert!(d.is_empty());
-        }
-    }
 
     /// Drift guard: every label the experiments can emit — every
-    /// [`DisciplineKind`] and every `DisciplineSpec` variant — must
-    /// intern, or distributed runs would poison points with "unknown
-    /// discipline label" at decode while in-process runs keep working.
+    /// `DisciplineSpec` variant — must intern, or distributed runs would
+    /// poison points with "unknown discipline label" at decode while
+    /// in-process runs keep working.
     #[test]
     fn discipline_pool_covers_every_emittable_label() {
-        for k in [
-            DisciplineKind::Fifo,
-            DisciplineKind::Wfq,
-            DisciplineKind::FifoPlus,
-            DisciplineKind::FifoPlusEwma,
-            DisciplineKind::VirtualClock,
-        ] {
-            assert_eq!(intern_discipline_label(k.label()), Ok(k.label()));
-        }
-        use ispn_scenario::DisciplineSpec;
         for spec in [
             DisciplineSpec::Fifo,
             DisciplineSpec::FifoPlus(Averaging::RunningMean),
@@ -196,7 +105,7 @@ mod tests {
 
     #[test]
     fn table2_set_is_the_papers_three() {
-        let set = DisciplineKind::table2_set();
+        let set = table2_set();
         assert_eq!(set[0].label(), "WFQ");
         assert_eq!(set[1].label(), "FIFO");
         assert_eq!(set[2].label(), "FIFO+");

@@ -9,14 +9,15 @@
 //! the FIFO algorithm."  The link runs at 83.5 % utilization.
 
 use ispn_scenario::{
-    json_escape, wire_f64, FlowDef, JsonValue, LinkProfile, MeasurementPlan, NullObserver,
-    PointResult, RunTelemetry, ScenarioBuilder, ScenarioSet, Sim, SourceSpec, SweepExec,
-    SweepObserver, SweepReport, SweepRunner, WireError, WireResult,
+    json_escape, wire_f64, DisciplineSpec, FlowDef, JsonValue, LinkProfile, MeasurementPlan,
+    PointResult, RunTelemetry, ScenarioBuilder, ScenarioSet, Sim, SourceSpec, SweepReport,
+    WireError, WireResult,
 };
 use ispn_sim::SimTime;
 
 use crate::config::PaperConfig;
-use crate::support::{intern_discipline_label, DisciplineKind};
+use crate::experiment::Experiment;
+use crate::support::intern_discipline_label;
 
 /// Number of flows sharing the single link.
 pub const NUM_FLOWS: usize = 10;
@@ -65,24 +66,17 @@ impl WireResult for Table1Row {
     }
 }
 
-/// Result of the Table-1 experiment.
-#[derive(Debug, Clone)]
-pub struct Table1 {
-    /// One row per scheduling discipline.
-    pub rows: Vec<Table1Row>,
-}
-
 /// Build the single-link scenario under one discipline — a two-switch
 /// chain with ten identically distributed on/off flows, declared through
 /// the scenario API.
-fn build_single_link(cfg: &PaperConfig, discipline: DisciplineKind) -> Sim {
+fn build_single_link(cfg: &PaperConfig, discipline: DisciplineSpec) -> Sim {
     ScenarioBuilder::chain(2)
         .link_profile(LinkProfile {
             rate_bps: cfg.link_rate_bps,
             propagation: SimTime::ZERO,
             buffer_packets: cfg.buffer_packets,
         })
-        .discipline(discipline.spec())
+        .discipline(discipline)
         .flows((0..NUM_FLOWS).map(|i| {
             FlowDef::best_effort_realtime(0, 1).source(SourceSpec::onoff_paper(
                 cfg.avg_rate_pps,
@@ -95,7 +89,7 @@ fn build_single_link(cfg: &PaperConfig, discipline: DisciplineKind) -> Sim {
 
 /// Run the single-link scenario under one discipline and summarize the
 /// sample flow's delays into a table row.
-pub fn run_single_link(cfg: &PaperConfig, discipline: DisciplineKind) -> Table1Row {
+pub fn run_single_link(cfg: &PaperConfig, discipline: DisciplineSpec) -> Table1Row {
     let mut sim = build_single_link(cfg, discipline);
 
     sim.run_until(cfg.duration);
@@ -125,95 +119,53 @@ pub fn run_single_link(cfg: &PaperConfig, discipline: DisciplineKind) -> Table1R
 /// the engine's counters (the probe behind the `ispn-bench` snapshot
 /// harness).
 pub fn telemetry_probe(cfg: &PaperConfig) -> RunTelemetry {
-    let mut sim = build_single_link(cfg, DisciplineKind::Wfq);
+    let mut sim = build_single_link(cfg, DisciplineSpec::Wfq);
     sim.run_until(cfg.duration);
     sim.report(&MeasurementPlan::default().with_run_telemetry())
         .telemetry
         .expect("run telemetry was requested")
 }
 
-/// The discipline axis of the Table-1 sweep (WFQ and FIFO, in the paper's
-/// order).
-pub fn scenario_set() -> ScenarioSet<(DisciplineKind,)> {
-    ScenarioSet::over("discipline", [DisciplineKind::Wfq, DisciplineKind::Fifo])
+/// The Table-1 sweep: the single shared link under WFQ and under FIFO (the
+/// paper's order), one self-contained scenario point per discipline.
+#[derive(Debug, Clone)]
+pub struct Sweep {
+    /// The Appendix constants and the run length.
+    pub cfg: PaperConfig,
 }
 
-/// Run the Table-1 discipline sweep through the given runner, streaming
-/// each point's report to `observer` the moment it completes; the checked,
-/// axis-tagged reports feed [`crate::report::render_table1`], and a
-/// panicking point surfaces as its point's `Err` instead of aborting the
-/// sweep.
-pub fn run_reports(
-    cfg: &PaperConfig,
-    runner: &SweepRunner,
-    observer: &dyn SweepObserver<Table1Row>,
-) -> Vec<SweepReport<PointResult<Table1Row>>> {
-    exec_reports(cfg, &SweepExec::InProcess(*runner), observer)
-}
+impl Experiment for Sweep {
+    type Params = (DisciplineSpec,);
+    type Row = Table1Row;
 
-/// [`run_reports`] generalized over the execution level: in-process
-/// threads or distributed worker subprocesses, byte-identical either way.
-pub fn exec_reports(
-    cfg: &PaperConfig,
-    exec: &SweepExec,
-    observer: &dyn SweepObserver<Table1Row>,
-) -> Vec<SweepReport<PointResult<Table1Row>>> {
-    exec.run_streaming(
-        &scenario_set(),
-        |&(discipline,)| run_single_link(cfg, discipline),
-        observer,
-    )
-}
-
-/// Serve Table-1 sweep points to a distributed parent over stdin/stdout
-/// (the `table1` bin's `--sweep-worker` mode; the parent passes the same
-/// configuration flags so both sides build the same sweep).
-pub fn serve_worker(cfg: &PaperConfig) -> std::io::Result<()> {
-    ispn_scenario::serve_worker(&scenario_set(), |&(discipline,)| {
-        run_single_link(cfg, discipline)
-    })
-}
-
-/// Serve Table-1 sweep points over a TCP listener bound to `addr` (the
-/// `table1` bin's `--serve` mode; one session per accepted connection,
-/// serving until the process is killed).
-pub fn serve_listener(cfg: &PaperConfig, addr: &str) -> std::io::Result<()> {
-    ispn_scenario::serve_listener(addr, &scenario_set(), |&(discipline,)| {
-        run_single_link(cfg, discipline)
-    })
-}
-
-/// Run the full Table-1 comparison through the given sweep runner; each
-/// discipline is a self-contained scenario point, so the two runs
-/// parallelize and the rows come back in the paper's order regardless of
-/// thread count.
-pub fn run_with(cfg: &PaperConfig, runner: &SweepRunner) -> Table1 {
-    Table1 {
-        rows: run_reports(cfg, runner, &NullObserver)
-            .into_iter()
-            .map(|r| r.expect_ok().result)
-            .collect(),
+    fn set(&self) -> ScenarioSet<(DisciplineSpec,)> {
+        ScenarioSet::over("discipline", [DisciplineSpec::Wfq, DisciplineSpec::Fifo])
     }
-}
 
-/// Run the full Table-1 comparison serially.
-pub fn run(cfg: &PaperConfig) -> Table1 {
-    run_with(cfg, &SweepRunner::serial())
+    fn point(&self, &(discipline,): &(DisciplineSpec,)) -> Table1Row {
+        run_single_link(&self.cfg, discipline)
+    }
+
+    fn render(&self, reports: &[SweepReport<PointResult<Table1Row>>]) -> String {
+        crate::report::render_table1(reports)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::rows;
 
     #[test]
     fn shortened_run_reproduces_the_tables_shape() {
         // 40 simulated seconds are enough for the qualitative claims: the
         // means are comparable and FIFO's tail is no worse than WFQ's.
-        let cfg = PaperConfig::fast();
-        let t = run(&cfg);
-        assert_eq!(t.rows.len(), 2);
-        let wfq = &t.rows[0];
-        let fifo = &t.rows[1];
+        let t = rows(&Sweep {
+            cfg: PaperConfig::fast(),
+        });
+        assert_eq!(t.len(), 2);
+        let wfq = &t[0];
+        let fifo = &t[1];
         assert_eq!(wfq.scheduler, "WFQ");
         assert_eq!(fifo.scheduler, "FIFO");
         // The link really is loaded at roughly 83.5 %.
@@ -223,7 +175,7 @@ mod tests {
             wfq.utilization
         );
         // Delays are positive and the tail exceeds the mean.
-        for row in &t.rows {
+        for row in &t {
             assert!(row.mean > 0.5, "{row:?}");
             assert!(row.p999 > row.mean, "{row:?}");
         }
@@ -263,8 +215,8 @@ mod tests {
             duration: SimTime::from_secs(20),
             ..PaperConfig::paper()
         };
-        let a = run_single_link(&cfg, DisciplineKind::Fifo);
-        let b = run_single_link(&cfg, DisciplineKind::Fifo);
+        let a = run_single_link(&cfg, DisciplineSpec::Fifo);
+        let b = run_single_link(&cfg, DisciplineSpec::Fifo);
         assert_eq!(a.mean, b.mean);
         assert_eq!(a.p999, b.p999);
         assert_eq!(a.utilization, b.utilization);

@@ -10,14 +10,15 @@
 
 use ispn_core::FlowId;
 use ispn_scenario::{
-    json_escape, wire_f64, FlowDef, JsonValue, MeasurementPlan, NullObserver, PointResult,
-    RunTelemetry, ScenarioBuilder, ScenarioSet, Sim, SourceSpec, SweepExec, SweepObserver,
-    SweepReport, SweepRunner, TopologySpec, WireError, WireResult,
+    json_escape, wire_f64, DisciplineSpec, FlowDef, JsonValue, MeasurementPlan, PointResult,
+    RunTelemetry, ScenarioBuilder, ScenarioSet, Sim, SourceSpec, SweepReport, TopologySpec,
+    WireError, WireResult,
 };
 
 use crate::config::PaperConfig;
+use crate::experiment::Experiment;
 use crate::fig1::{self, Fig1Network, FlowPlacement};
-use crate::support::{intern_discipline_label, DisciplineKind};
+use crate::support::{intern_discipline_label, table2_set};
 
 /// One cell group of Table 2: the sample flow of one path length under one
 /// discipline (delays in packet transmission times).
@@ -54,8 +55,9 @@ impl WireResult for Table2Cell {
     }
 }
 
-/// The full Table-2 result: cells for every (discipline, path length) pair
-/// plus the measured per-link utilizations for the last discipline run.
+/// The full Table-2 result, folded from the sweep's [`Table2Point`]s:
+/// cells for every (discipline, path length) pair plus each discipline's
+/// measured mean link utilization.
 #[derive(Debug, Clone)]
 pub struct Table2 {
     /// All cells, ordered by discipline then path length.
@@ -95,6 +97,19 @@ impl WireResult for Table2Point {
     }
 }
 
+impl FromIterator<Table2Point> for Table2 {
+    /// Fold the sweep's points, in the paper's discipline order.
+    fn from_iter<I: IntoIterator<Item = Table2Point>>(points: I) -> Self {
+        let mut cells = Vec::new();
+        let mut utilization = Vec::new();
+        for point in points {
+            cells.extend(point.cells);
+            utilization.push((point.scheduler, point.utilization));
+        }
+        Table2 { cells, utilization }
+    }
+}
+
 impl Table2 {
     /// Look up a cell.
     pub fn cell(&self, scheduler: &str, path_length: usize) -> Option<&Table2Cell> {
@@ -110,12 +125,12 @@ impl Table2 {
 /// alongside the placed flows.
 pub fn run_chain(
     cfg: &PaperConfig,
-    discipline: DisciplineKind,
+    discipline: DisciplineSpec,
 ) -> (Sim, Vec<(FlowPlacement, FlowId)>) {
     let placements = fig1::placement();
     let mut builder = ScenarioBuilder::new(TopologySpec::chain_duplex(5))
         .link_profile(Fig1Network::link_profile(cfg))
-        .discipline(discipline.spec());
+        .discipline(discipline);
     for (i, p) in placements.iter().enumerate() {
         builder = builder.flow(FlowDef::best_effort_realtime(p.first_link, p.hops).source(
             SourceSpec::onoff_paper(cfg.avg_rate_pps, cfg.flow_seed(i as u32)),
@@ -141,7 +156,7 @@ fn sample_flow(flows: &[(FlowPlacement, FlowId)], path_length: usize) -> FlowId 
 
 /// Run one Table-2 sweep point: the Figure-1 chain under one discipline,
 /// summarized into the discipline's four path-length cells.
-pub fn run_point(cfg: &PaperConfig, discipline: DisciplineKind) -> Table2Point {
+pub fn run_point(cfg: &PaperConfig, discipline: DisciplineSpec) -> Table2Point {
     let (mut sim, flows) = run_chain(cfg, discipline);
     let net = sim.network_mut();
     let pt = cfg.packet_time().as_secs_f64();
@@ -171,84 +186,49 @@ pub fn run_point(cfg: &PaperConfig, discipline: DisciplineKind) -> Table2Point {
 /// Run the WFQ Figure-1 chain with run telemetry enabled and return the
 /// engine's counters (the probe behind the `ispn-bench` snapshot harness).
 pub fn telemetry_probe(cfg: &PaperConfig) -> RunTelemetry {
-    let (mut sim, _flows) = run_chain(cfg, DisciplineKind::Wfq);
+    let (mut sim, _flows) = run_chain(cfg, DisciplineSpec::Wfq);
     sim.report(&MeasurementPlan::default().with_run_telemetry())
         .telemetry
         .expect("run telemetry was requested")
 }
 
-/// The discipline axis of the Table-2 sweep (WFQ, FIFO, FIFO+ in the
-/// paper's order).
-pub fn scenario_set() -> ScenarioSet<(DisciplineKind,)> {
-    ScenarioSet::over("discipline", DisciplineKind::table2_set())
+/// The Table-2 sweep: the Figure-1 chain under WFQ, FIFO and FIFO+ (the
+/// paper's order), one self-contained scenario point per discipline.
+#[derive(Debug, Clone)]
+pub struct Sweep {
+    /// The Appendix constants and the run length.
+    pub cfg: PaperConfig,
 }
 
-/// Run the Table-2 discipline sweep through the given runner, streaming
-/// each point's report to `observer` as it completes; the checked,
-/// axis-tagged reports feed [`crate::report::render_table2`].
-pub fn run_reports(
-    cfg: &PaperConfig,
-    runner: &SweepRunner,
-    observer: &dyn SweepObserver<Table2Point>,
-) -> Vec<SweepReport<PointResult<Table2Point>>> {
-    exec_reports(cfg, &SweepExec::InProcess(*runner), observer)
-}
+impl Experiment for Sweep {
+    type Params = (DisciplineSpec,);
+    type Row = Table2Point;
 
-/// [`run_reports`] generalized over the execution level: in-process
-/// threads or distributed worker subprocesses, byte-identical either way.
-pub fn exec_reports(
-    cfg: &PaperConfig,
-    exec: &SweepExec,
-    observer: &dyn SweepObserver<Table2Point>,
-) -> Vec<SweepReport<PointResult<Table2Point>>> {
-    exec.run_streaming(
-        &scenario_set(),
-        |&(discipline,)| run_point(cfg, discipline),
-        observer,
-    )
-}
-
-/// Serve Table-2 sweep points to a distributed parent over stdin/stdout
-/// (the `table2` bin's `--sweep-worker` mode).
-pub fn serve_worker(cfg: &PaperConfig) -> std::io::Result<()> {
-    ispn_scenario::serve_worker(&scenario_set(), |&(discipline,)| run_point(cfg, discipline))
-}
-
-/// Serve Table-2 sweep points over a TCP listener bound to `addr` (the
-/// `table2` bin's `--serve` mode).
-pub fn serve_listener(cfg: &PaperConfig, addr: &str) -> std::io::Result<()> {
-    ispn_scenario::serve_listener(addr, &scenario_set(), |&(discipline,)| {
-        run_point(cfg, discipline)
-    })
-}
-
-/// Run the full Table-2 comparison through the given sweep runner: one
-/// scenario point per discipline, fanned across threads, folded back in
-/// the paper's discipline order.
-pub fn run_with(cfg: &PaperConfig, runner: &SweepRunner) -> Table2 {
-    let mut cells = Vec::new();
-    let mut utilization = Vec::new();
-    for report in run_reports(cfg, runner, &NullObserver) {
-        let point = report.expect_ok().result;
-        cells.extend(point.cells);
-        utilization.push((point.scheduler, point.utilization));
+    fn set(&self) -> ScenarioSet<(DisciplineSpec,)> {
+        ScenarioSet::over("discipline", table2_set())
     }
-    Table2 { cells, utilization }
-}
 
-/// Run the full Table-2 comparison serially.
-pub fn run(cfg: &PaperConfig) -> Table2 {
-    run_with(cfg, &SweepRunner::serial())
+    fn point(&self, &(discipline,): &(DisciplineSpec,)) -> Table2Point {
+        run_point(&self.cfg, discipline)
+    }
+
+    fn render(&self, reports: &[SweepReport<PointResult<Table2Point>>]) -> String {
+        crate::report::render_table2(reports)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::rows;
 
     #[test]
     fn shortened_run_reproduces_the_tables_shape() {
-        let cfg = PaperConfig::fast();
-        let t = run(&cfg);
+        let t: Table2 = rows(&Sweep {
+            cfg: PaperConfig::fast(),
+        })
+        .into_iter()
+        .collect();
         assert_eq!(t.cells.len(), 12);
         // Every discipline ran at roughly 83.5 % utilization.
         for (name, util) in &t.utilization {

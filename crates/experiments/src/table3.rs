@@ -16,13 +16,15 @@ use ispn_core::bounds::pg_queueing_bound;
 use ispn_core::{FlowId, TokenBucketSpec};
 use ispn_net::{LinkId, PoliceAction};
 use ispn_scenario::{
-    DisciplineMatrix, DisciplineSpec, FlowDef, MeasurementPlan, RouteSpec, RunTelemetry,
-    ScenarioBuilder, ServiceSpec, Sim, SourceSpec, TcpDef, TopologySpec,
+    DisciplineMatrix, DisciplineSpec, FlowDef, MeasurementPlan, PointResult, RouteSpec,
+    RunTelemetry, ScenarioBuilder, ScenarioSet, ServiceSpec, Sim, SourceSpec, SweepReport, TcpDef,
+    TopologySpec,
 };
 use ispn_sched::Averaging;
 use ispn_transport::SharedTcpStats;
 
 use crate::config::PaperConfig;
+use crate::experiment::Experiment;
 use crate::fig1::{self, Fig1Network, FlowKind, FlowPlacement};
 
 /// Per-hop delay targets for the two predicted classes (the paper asks for
@@ -277,81 +279,37 @@ pub fn telemetry_probe(cfg: &PaperConfig) -> RunTelemetry {
         .expect("run telemetry was requested")
 }
 
-/// Replicate Table 3 across a seed axis through the given runner,
-/// streaming each replication to `observer` as it completes; the checked,
-/// seed-tagged reports feed [`crate::report::render_table3_seeds`], and a
-/// panicking replication surfaces as its point's `Err` instead of
-/// aborting the others.
-pub fn run_seeds_reports(
-    cfg: &PaperConfig,
-    seeds: &[u64],
-    runner: &ispn_scenario::SweepRunner,
-    observer: &dyn ispn_scenario::SweepObserver<(u64, Table3)>,
-) -> Vec<ispn_scenario::SweepReport<ispn_scenario::PointResult<(u64, Table3)>>> {
-    run_seeds_exec(
-        cfg,
-        seeds,
-        &ispn_scenario::SweepExec::InProcess(*runner),
-        observer,
-    )
+/// The Table-3 seed replication: the paper reports one random run; a seed
+/// axis turns it into a replication study (how much do the sample rows
+/// move between runs?).  Each seed is a self-contained scenario point.
+#[derive(Debug, Clone)]
+pub struct Sweep {
+    /// The Appendix constants and the run length (its own seed is
+    /// overridden per point).
+    pub cfg: PaperConfig,
+    /// The seed axis, in print order.
+    pub seeds: Vec<u64>,
 }
 
-/// The seed axis of the Table-3 replication sweep.
-pub fn seed_set(seeds: &[u64]) -> ispn_scenario::ScenarioSet<(u64,)> {
-    ispn_scenario::ScenarioSet::over("seed", seeds.to_vec())
-}
+impl Experiment for Sweep {
+    type Params = (u64,);
+    type Row = (u64, Table3);
 
-/// [`run_seeds_reports`] generalized over the execution level: in-process
-/// threads or distributed worker subprocesses, byte-identical either way.
-pub fn run_seeds_exec(
-    cfg: &PaperConfig,
-    seeds: &[u64],
-    exec: &ispn_scenario::SweepExec,
-    observer: &dyn ispn_scenario::SweepObserver<(u64, Table3)>,
-) -> Vec<ispn_scenario::SweepReport<ispn_scenario::PointResult<(u64, Table3)>>> {
-    exec.run_streaming(
-        &seed_set(seeds),
-        |&(seed,)| run_seed_point(cfg, seed),
-        observer,
-    )
-}
+    fn set(&self) -> ScenarioSet<(u64,)> {
+        ScenarioSet::over("seed", self.seeds.clone())
+    }
 
-/// Run one seed-replication point.
-fn run_seed_point(cfg: &PaperConfig, seed: u64) -> (u64, Table3) {
-    let cfg = PaperConfig {
-        seed,
-        ..cfg.clone()
-    };
-    (seed, run(&cfg))
-}
+    fn point(&self, &(seed,): &(u64,)) -> (u64, Table3) {
+        let cfg = PaperConfig {
+            seed,
+            ..self.cfg.clone()
+        };
+        (seed, run(&cfg))
+    }
 
-/// Serve Table-3 seed-replication points to a distributed parent over
-/// stdin/stdout (the `table3` bin's `--sweep-worker` mode; the parent
-/// passes the same `--seeds N` so both sides build the same axis).
-pub fn serve_worker(cfg: &PaperConfig, seeds: &[u64]) -> std::io::Result<()> {
-    ispn_scenario::serve_worker(&seed_set(seeds), |&(seed,)| run_seed_point(cfg, seed))
-}
-
-/// Serve Table-3 seed-replication points over a TCP listener bound to
-/// `addr` (the `table3` bin's `--serve` mode; the parent passes the same
-/// `--seeds N` so both sides build the same axis).
-pub fn serve_listener(cfg: &PaperConfig, seeds: &[u64], addr: &str) -> std::io::Result<()> {
-    ispn_scenario::serve_listener(addr, &seed_set(seeds), |&(seed,)| run_seed_point(cfg, seed))
-}
-
-/// Replicate Table 3 across seeds — the paper reports one random run; a
-/// seed axis turns it into a replication study (how much do the sample
-/// rows move between runs?).  Each seed is a self-contained scenario
-/// point, fanned across the runner's threads, returned in seed order.
-pub fn run_seeds(
-    cfg: &PaperConfig,
-    seeds: &[u64],
-    runner: &ispn_scenario::SweepRunner,
-) -> Vec<(u64, Table3)> {
-    run_seeds_reports(cfg, seeds, runner, &ispn_scenario::NullObserver)
-        .into_iter()
-        .map(|r| r.expect_ok().result)
-        .collect()
+    fn render(&self, reports: &[SweepReport<PointResult<(u64, Table3)>>]) -> String {
+        crate::report::render_table3_seeds(reports)
+    }
 }
 
 /// Summarize an already-run scenario.

@@ -1,0 +1,73 @@
+//! The sweep bins' command line, driven through the real binaries: what
+//! `cli::main` promises about stdout, telemetry, worker mode and exit
+//! codes must hold for a flag-configured bin (`table1 --fast`) and an
+//! environment-configured one (`ISPN_FAST=1 hetmix`) alike.
+
+use std::process::{Command, Output, Stdio};
+
+/// The two bins; each ignores the other's way of asking for a short run.
+const BINS: [&str; 2] = [env!("CARGO_BIN_EXE_table1"), env!("CARGO_BIN_EXE_hetmix")];
+
+/// Run `bin` in its short configuration plus `flags`, stdin closed.
+fn run(bin: &str, flags: &[&str]) -> Output {
+    Command::new(bin)
+        .arg("--fast")
+        .env("ISPN_FAST", "1")
+        .args(flags)
+        .stdin(Stdio::null())
+        .output()
+        .expect("spawn sweep bin")
+}
+
+/// The table a successful run prints.
+fn table(bin: &str, flags: &[&str]) -> String {
+    let out = run(bin, flags);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{bin} {flags:?} failed: {stderr}");
+    String::from_utf8(out.stdout).expect("tables are UTF-8")
+}
+
+#[test]
+fn stdout_is_byte_identical_in_every_mode() {
+    for bin in BINS {
+        let batch = table(bin, &[]);
+        assert!(batch.lines().count() > 3, "a table was printed: {batch:?}");
+        assert_eq!(table(bin, &["--stream"]), batch, "--stream");
+        assert_eq!(table(bin, &["--workers", "2"]), batch, "--workers 2");
+    }
+}
+
+#[test]
+fn telemetry_file_leaves_stdout_alone_and_holds_the_summary() {
+    for (i, bin) in BINS.into_iter().enumerate() {
+        let file = std::env::temp_dir().join(format!("ispn-cli-{}-{i}.json", std::process::id()));
+        let flag = format!("--telemetry={}", file.display());
+        assert_eq!(table(bin, &["--workers", "2", &flag]), table(bin, &[]));
+        let json = std::fs::read_to_string(&file).expect("telemetry file was written");
+        let _ = std::fs::remove_file(&file);
+        assert!(json.contains("\"points\":"), "{json}");
+    }
+}
+
+#[test]
+fn a_worker_with_no_requests_says_hello_and_exits_cleanly() {
+    for bin in BINS {
+        let out = run(bin, &["--sweep-worker"]);
+        assert!(out.status.success(), "{:?}", out.status);
+        let stdout = String::from_utf8(out.stdout).expect("frames are UTF-8");
+        assert_eq!(stdout.lines().count(), 1, "exactly one frame: {stdout:?}");
+        assert!(
+            stdout.starts_with("{\"hello\":{\"protocol\":"),
+            "{stdout:?}"
+        );
+    }
+}
+
+#[test]
+fn conflicting_dispatch_flags_exit_2_without_a_table() {
+    for bin in BINS {
+        let out = run(bin, &["--workers", "2", "--hosts", "x:1"]);
+        assert_eq!(out.status.code(), Some(2));
+        assert!(out.stdout.is_empty(), "no table on a usage error");
+    }
+}

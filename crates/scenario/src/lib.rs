@@ -98,8 +98,8 @@ pub use sweep::wire::{wire_f64, JsonValue, WireError, WireResult};
 pub use sweep::worker::{serve_connection, serve_worker, SessionInfo, WORKER_FLAG};
 pub use sweep::{
     failed_points, sweep_to_json, sweep_to_json_checked, AxisValue, NullObserver, PointResult,
-    PointTelemetry, ProgressObserver, ScenarioSet, SweepChannel, SweepError, SweepObserver,
-    SweepPoint, SweepReport, SweepRunner, SweepTelemetry, TelemetryCollector,
+    PointTelemetry, ProgressObserver, ScenarioSet, SweepError, SweepObserver, SweepPoint,
+    SweepReport, SweepRunner, SweepTelemetry, TelemetryCollector,
 };
 pub use topology::{BuiltTopology, LinkProfile, TopologySpec};
 pub use workload::{

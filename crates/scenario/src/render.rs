@@ -14,10 +14,9 @@
 //! still prints everything it measured.
 //!
 //! The JSON side of the same idea lives in
-//! [`sweep_to_json_checked`](crate::sweep::sweep_to_json_checked) and
-//! [`SweepReport::to_json_checked_with`]: arrays of points keyed by their
-//! axis tags, with `"report"` bodies for results and `"error"` bodies for
-//! panics.
+//! [`sweep_to_json_checked`](crate::sweep::sweep_to_json_checked): arrays
+//! of points keyed by their axis tags, with `"report"` bodies for results
+//! and `"error"` bodies for panics.
 //!
 //! ```
 //! use ispn_scenario::{ScenarioSet, SweepRunner, SweepTable};

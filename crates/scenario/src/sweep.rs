@@ -25,8 +25,9 @@
 //!   across supervised **worker subprocesses** speaking the line-framed
 //!   JSON protocol of [`wire`], byte-identical to the in-thread runners.
 //!   [`worker::serve_worker`] is the loop each experiment bin runs under
-//!   `--sweep-worker`, and [`testing::FaultPlan`] injects worker faults
-//!   for the supervision tests.
+//!   `--sweep-worker` ([`net::serve_listener`] under `--serve ADDR`), and
+//!   [`testing::FaultPlan`] injects worker faults for the supervision
+//!   tests.
 //!
 //! # Streaming and fault isolation
 //!
@@ -34,9 +35,9 @@
 //! wrap: it emits every point's report to a [`SweepObserver`] the moment
 //! the point completes (completion order, from whichever worker thread
 //! finished it) while still returning the full `Vec` in point order.
-//! Observers are ordinary `Sync` values — a closure, the stderr
-//! [`ProgressObserver`], or a [`SweepChannel`] that forwards completions
-//! into an `mpsc` receiver.
+//! Observers are ordinary `Sync` values — the stderr
+//! [`ProgressObserver`], or any closure (one that sends each report into
+//! an `mpsc` channel turns the stream into a receiver).
 //!
 //! Every point runs under [`std::panic::catch_unwind`], so one exploding
 //! scenario no longer takes the whole sweep down: the point's slot carries
@@ -80,7 +81,7 @@ pub mod worker;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 
 use ispn_sim::SimTime;
 
@@ -194,17 +195,6 @@ pub struct ScenarioSet<P> {
 }
 
 impl ScenarioSet<()> {
-    /// A set with a single unparameterized point (useful to run one
-    /// scenario through the same machinery as a sweep).
-    pub fn single() -> Self {
-        ScenarioSet {
-            points: vec![SweepPoint {
-                tags: Vec::new(),
-                params: (),
-            }],
-        }
-    }
-
     /// Open the first axis: one point per value.
     pub fn over<A: AxisValue>(
         name: impl Into<String>,
@@ -393,31 +383,9 @@ impl<R> SweepReport<R> {
             .find(|(name, _)| name == axis)
             .map(|(_, label)| label.as_str())
     }
-
-    /// Serialize with a caller-supplied serializer for the result payload
-    /// (`body` must emit valid JSON).
-    pub fn to_json_with(&self, body: impl Fn(&R) -> String) -> String {
-        point_json(self.index, &self.tags, "report", &body(&self.result))
-    }
 }
 
 impl<R> SweepReport<PointResult<R>> {
-    /// Serialize a checked report: successful points carry `"report"`
-    /// (byte-identical to [`to_json_with`](SweepReport::to_json_with) on an
-    /// unchecked report), panicked points carry `"error"` with the panic
-    /// payload.
-    pub fn to_json_checked_with(&self, body: impl Fn(&R) -> String) -> String {
-        match &self.result {
-            Ok(result) => point_json(self.index, &self.tags, "report", &body(result)),
-            Err(e) => point_json(
-                self.index,
-                &self.tags,
-                "error",
-                &format!("\"{}\"", json_escape(&e.payload)),
-            ),
-        }
-    }
-
     /// Unwrap a checked report into the historical infallible shape.
     ///
     /// # Panics
@@ -438,15 +406,24 @@ impl<R> SweepReport<PointResult<R>> {
 impl SweepReport<ScenarioReport> {
     /// Serialize the point: index, axis tags and the scenario report.
     pub fn to_json(&self) -> String {
-        self.to_json_with(ScenarioReport::to_json)
+        point_json(self.index, &self.tags, "report", &self.result.to_json())
     }
 }
 
 impl SweepReport<PointResult<ScenarioReport>> {
     /// Serialize the checked point: index, axis tags and the scenario
-    /// report — or the panic payload under `"error"`.
+    /// report (byte-identical to the unchecked report's JSON) — or the
+    /// panic payload under `"error"`.
     pub fn to_json(&self) -> String {
-        self.to_json_checked_with(ScenarioReport::to_json)
+        match &self.result {
+            Ok(report) => point_json(self.index, &self.tags, "report", &report.to_json()),
+            Err(e) => point_json(
+                self.index,
+                &self.tags,
+                "error",
+                &format!("\"{}\"", json_escape(&e.payload)),
+            ),
+        }
     }
 }
 
@@ -819,35 +796,6 @@ impl<R> SweepObserver<R> for TelemetryCollector<'_, R> {
     }
 }
 
-/// The channel flavor of streaming: an observer that clones each completed
-/// report into an [`mpsc`] channel, so a consumer thread can render or
-/// persist points while the sweep is still running.  The receiver sees
-/// completion order; the runner's return value stays in point order.
-#[derive(Debug)]
-pub struct SweepChannel<R> {
-    tx: Mutex<mpsc::Sender<SweepReport<PointResult<R>>>>,
-}
-
-impl<R> SweepChannel<R> {
-    /// A connected observer/receiver pair.
-    pub fn new() -> (Self, mpsc::Receiver<SweepReport<PointResult<R>>>) {
-        let (tx, rx) = mpsc::channel();
-        (SweepChannel { tx: Mutex::new(tx) }, rx)
-    }
-}
-
-impl<R: Clone + Send> SweepObserver<R> for SweepChannel<R> {
-    fn point_completed(&self, report: &SweepReport<PointResult<R>>) {
-        // A dropped receiver just means nobody is listening any more; the
-        // sweep itself must not care.
-        let _ = self
-            .tx
-            .lock()
-            .expect("sweep channel poisoned")
-            .send(report.clone());
-    }
-}
-
 /// Fans the points of a [`ScenarioSet`] across a thread pool.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepRunner {
@@ -1078,11 +1026,11 @@ mod tests {
 
     #[test]
     fn single_point_sets_run_through_the_same_machinery() {
-        let set = ScenarioSet::single();
-        let out = SweepRunner::serial().run(&set, |_| 42);
+        let set = ScenarioSet::over("only", [7usize]);
+        let out = SweepRunner::parallel(4).run(&set, |&(x,)| x * 6);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].result, 42);
-        assert!(out[0].tags.is_empty());
+        assert_eq!(out[0].tag("only"), Some("7"));
     }
 
     #[test]
@@ -1198,11 +1146,16 @@ mod tests {
         }
     }
 
+    /// Streaming into a channel needs no dedicated observer type: a
+    /// closure that sends each report is one.
     #[test]
     fn channel_observer_streams_completions() {
         let set = ScenarioSet::over("x", [1u64, 2, 3]);
-        let (tx, rx) = SweepChannel::new();
-        let reports = SweepRunner::parallel(2).run_streaming(&set, |&(x,)| x * x, &tx);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let observer = |report: &SweepReport<PointResult<u64>>| {
+            let _ = tx.send(report.clone());
+        };
+        let reports = SweepRunner::parallel(2).run_streaming(&set, |&(x,)| x * x, &observer);
         drop(tx);
         let mut streamed: Vec<u64> = rx
             .into_iter()

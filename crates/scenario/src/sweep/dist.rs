@@ -61,11 +61,9 @@
 //! # Batching
 //!
 //! [`batch`](DistRunner::batch) makes each claim a contiguous chunk of
-//! points dispatched as one revision-3 `{"batch":[…]}` request,
-//! amortizing per-point round-trips on high-latency links.  The dialect
-//! is negotiated per worker from its hello: a revision-2 worker is fed
-//! single-point requests regardless of the batch setting.  Faults still
-//! poison only the in-flight point — the unanswered remainder of a claim
+//! points dispatched as one `{"batch":[…]}` request, amortizing
+//! per-point round-trips on high-latency links.  Faults still poison
+//! only the in-flight point — the unanswered remainder of a claim
 //! is re-dispatched to the slot's replacement worker, which cannot
 //! double-run anything because an unanswered point never completed
 //! anywhere.
@@ -327,13 +325,6 @@ impl WorkerTransport for ChildTransport {
     }
 }
 
-/// One live worker behind a supervisor slot: its transport plus the
-/// protocol revision it announced in the hello (which gates batching).
-struct LiveWorker {
-    transport: Box<dyn WorkerTransport>,
-    protocol: u64,
-}
-
 /// Consecutive spawn/connect/handshake failures after which a supervisor
 /// stops retrying and fails its remaining claims with the memoized
 /// payload.
@@ -347,7 +338,7 @@ pub const DEFAULT_HELLO_DEADLINE: Duration = Duration::from_secs(30);
 /// that turns a *deterministic* spawn/handshake failure into a fast
 /// structured failure instead of one spawn cycle per remaining point.
 struct Supervisor {
-    live: Option<LiveWorker>,
+    live: Option<Box<dyn WorkerTransport>>,
     consecutive_spawn_failures: u32,
     fatal: Option<String>,
 }
@@ -433,11 +424,9 @@ impl DistRunner {
 
     /// Dispatch claims as batches of up to `points` requests per wire
     /// round-trip (default 1).  Batching amortizes request/response
-    /// latency on real networks; it needs a protocol-revision-3 worker and
-    /// silently degrades to single-point requests for older workers.
-    /// Larger batches also coarsen work stealing — a claim is
-    /// redistributed only as a whole — so keep the batch small relative to
-    /// `points / workers`.
+    /// latency on real networks.  Larger batches also coarsen work
+    /// stealing — a claim is redistributed only as a whole — so keep the
+    /// batch small relative to `points / workers`.
     pub fn batch(mut self, points: usize) -> Self {
         self.batch = points.max(1);
         self
@@ -573,7 +562,7 @@ impl DistRunner {
                         }
                     }
                     if let Some(mut worker) = sup.live.take() {
-                        worker.transport.shutdown();
+                        worker.shutdown();
                     }
                 });
             }
@@ -590,11 +579,11 @@ impl DistRunner {
 
     /// Run every point of one claim on the supervisor's worker, filling
     /// the result slots and streaming completions as they land.  The
-    /// claim is dispatched as a single batched request when the worker's
-    /// protocol allows it; a fault poisons only the in-flight point, and
-    /// the unanswered remainder is re-dispatched to the slot's
-    /// replacement worker (points are pure and an unanswered point never
-    /// ran to completion anywhere, so the retry cannot double-run work).
+    /// claim is dispatched as a single batched request; a fault poisons
+    /// only the in-flight point, and the unanswered remainder is
+    /// re-dispatched to the slot's replacement worker (points are pure and
+    /// an unanswered point never ran to completion anywhere, so the retry
+    /// cannot double-run work).
     fn run_claim<P, R, O>(
         &self,
         sup: &mut Supervisor,
@@ -725,29 +714,24 @@ impl DistRunner {
             }
             self.ensure_worker(sup, worker_id, total_points)?;
             let worker = sup.live.as_mut().expect("worker just ensured");
-            // Batched dispatch needs a revision-3 worker; older workers
-            // get one point per request, exactly as before.
-            let (request, covered) =
-                if worker.protocol >= wire::BATCH_PROTOCOL_VERSION && claim.len() > 1 {
-                    let items: Vec<(usize, &[(String, String)])> = claim
-                        .iter()
-                        .map(|&i| (i, set.points()[i].tags.as_slice()))
-                        .collect();
-                    (wire::encode_batch_request(&items), claim.len())
-                } else {
-                    let &index = claim.front().expect("claim is non-empty");
-                    (wire::encode_request(index, &set.points()[index].tags), 1)
-                };
-            match worker.transport.send_line(&request) {
-                Ok(()) => return Ok(covered),
+            let items: Vec<(usize, &[(String, String)])> = claim
+                .iter()
+                .map(|&i| (i, set.points()[i].tags.as_slice()))
+                .collect();
+            let request = match items.as_slice() {
+                [(index, tags)] => wire::encode_request(*index, tags),
+                _ => wire::encode_batch_request(&items),
+            };
+            match worker.send_line(&request) {
+                Ok(()) => return Ok(claim.len()),
                 Err(_) if attempt == 0 => {
                     // Died between points: replace and retry the send.
                     let mut worker = sup.live.take().expect("worker present");
-                    let _ = worker.transport.terminate();
+                    let _ = worker.terminate();
                 }
                 Err(_) => {
                     let mut worker = sup.live.take().expect("worker present");
-                    let status = worker.transport.terminate();
+                    let status = worker.terminate();
                     return Err(format!(
                         "worker exited ({status}) before accepting the point"
                     ));
@@ -770,10 +754,10 @@ impl DistRunner {
         let live = &mut sup.live;
         loop {
             let worker = live.as_mut().expect("request was accepted");
-            match worker.transport.recv_line(self.deadline) {
+            match worker.recv_line(self.deadline) {
                 Await::TimedOut => {
                     let deadline = self.deadline.expect("timeout implies a deadline");
-                    let status = live.take().expect("worker present").transport.terminate();
+                    let status = live.take().expect("worker present").terminate();
                     return Err(format!(
                         // ispn-lint: allow(float-wire) -- human-facing poison payload, not a round-tripped value
                         "worker exceeded the {:.3}s point deadline (killed: {status})",
@@ -781,12 +765,12 @@ impl DistRunner {
                     ));
                 }
                 Await::Eof => {
-                    let status = live.take().expect("worker present").transport.finish();
+                    let status = live.take().expect("worker present").finish();
                     return Err(format!("worker exited ({status}) while running the point"));
                 }
                 Await::Line(line) => match wire::parse_worker_frame(&line) {
                     Err(e) => {
-                        let status = live.take().expect("worker present").transport.terminate();
+                        let status = live.take().expect("worker present").terminate();
                         return Err(format!(
                             "malformed frame from worker ({e}; killed: {status}): {}",
                             truncate_for_log(&line)
@@ -802,8 +786,7 @@ impl DistRunner {
                         return match R::from_wire_json(&body) {
                             Ok(result) => Ok(result),
                             Err(e) => {
-                                let status =
-                                    live.take().expect("worker present").transport.terminate();
+                                let status = live.take().expect("worker present").terminate();
                                 Err(format!(
                                     "undecodable report body from worker ({e}; killed: {status})"
                                 ))
@@ -811,7 +794,7 @@ impl DistRunner {
                         };
                     }
                     Ok(frame) => {
-                        let status = live.take().expect("worker present").transport.terminate();
+                        let status = live.take().expect("worker present").terminate();
                         return Err(format!(
                             "protocol violation: worker answered {frame:?} while point {index} \
                              was in flight (killed: {status})"
@@ -824,7 +807,11 @@ impl DistRunner {
 
     /// Launch one worker over the configured transport and complete the
     /// hello handshake — always bounded by the handshake deadline.
-    fn launch_worker(&self, worker_id: usize, total_points: usize) -> Result<LiveWorker, String> {
+    fn launch_worker(
+        &self,
+        worker_id: usize,
+        total_points: usize,
+    ) -> Result<Box<dyn WorkerTransport>, String> {
         let hello_wait = self.hello_wait();
         let mut transport: Box<dyn WorkerTransport> = match &self.launch {
             Launch::Spawn(command) => Box::new(ChildTransport::spawn(command, worker_id)?),
@@ -849,10 +836,7 @@ impl DistRunner {
             Await::Line(line) => match wire::parse_worker_frame(&line) {
                 Ok(WorkerFrame::Hello { protocol, points }) => {
                     match check_hello(protocol, points, total_points) {
-                        Ok(()) => Ok(LiveWorker {
-                            transport,
-                            protocol,
-                        }),
+                        Ok(()) => Ok(transport),
                         Err(mismatch) => {
                             let status = transport.terminate();
                             Err(format!("{mismatch}; killed: {status}"))
@@ -885,18 +869,17 @@ impl DistRunner {
     }
 }
 
-/// Validate a hello frame against the parent's expectations: a protocol
-/// revision in the parent's supported range and a matching point count.
+/// Validate a hello frame against the parent's expectations: the parent's
+/// own protocol revision (both sides are the same build) and a matching
+/// point count.
 fn check_hello(protocol: u64, points: usize, total_points: usize) -> Result<(), String> {
-    let supported = wire::MIN_PROTOCOL_VERSION..=wire::PROTOCOL_VERSION;
-    if supported.contains(&protocol) && points == total_points {
+    if protocol == wire::PROTOCOL_VERSION && points == total_points {
         Ok(())
     } else {
         Err(format!(
             "worker handshake mismatch: worker speaks protocol {protocol} with \
-             {points} points, parent expects protocol {}..={} with {total_points} points \
+             {points} points, parent expects protocol {} with {total_points} points \
              (parent/worker configuration mismatch)",
-            wire::MIN_PROTOCOL_VERSION,
             wire::PROTOCOL_VERSION
         ))
     }
@@ -998,15 +981,21 @@ mod tests {
         assert_eq!(single.description(), "1 socket workers across 1 host");
     }
 
+    /// The supported revisions are exactly one: the build's own.
     #[test]
     fn hello_acceptance_spans_the_supported_revisions() {
-        // The current and the compatibility revision both pass…
         assert!(check_hello(wire::PROTOCOL_VERSION, 8, 8).is_ok());
-        assert!(check_hello(wire::MIN_PROTOCOL_VERSION, 8, 8).is_ok());
-        // …anything outside the range is refused…
-        assert!(check_hello(wire::MIN_PROTOCOL_VERSION - 1, 8, 8).is_err());
-        assert!(check_hello(wire::PROTOCOL_VERSION + 1, 8, 8).is_err());
-        // …as is a point-count skew, whatever the revision.
+        // The neighbouring revisions are refused, naming both sides…
+        for skewed in [wire::PROTOCOL_VERSION - 1, wire::PROTOCOL_VERSION + 1] {
+            let err = check_hello(skewed, 8, 8).unwrap_err();
+            assert!(err.contains("handshake mismatch"), "{err}");
+            assert!(err.contains(&format!("speaks protocol {skewed} ")), "{err}");
+            assert!(
+                err.contains(&format!("expects protocol {} ", wire::PROTOCOL_VERSION)),
+                "{err}"
+            );
+        }
+        // …as is a point-count skew at the right revision.
         let err = check_hello(wire::PROTOCOL_VERSION, 5, 8).unwrap_err();
         assert!(err.contains("handshake mismatch"), "{err}");
         assert!(err.contains("5 points"), "{err}");

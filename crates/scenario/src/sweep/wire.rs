@@ -11,13 +11,11 @@
 //!   The worker rebuilds the same [`ScenarioSet`](super::ScenarioSet) from
 //!   its own command line, so the request carries only the point's index;
 //!   the axis tags ride along so the worker can *verify* both sides built
-//!   the same sweep before running anything.  A revision-3 parent may
-//!   batch several requests into one line — `{"batch":[{"point":3,…},
+//!   the same sweep before running anything.  The parent may batch
+//!   several requests into one line — `{"batch":[{"point":3,…},
 //!   {"point":4,…}]}` — which the worker answers point by point, in
 //!   order, exactly as if the requests had arrived on separate lines.
-//!   Batching amortizes per-point round-trips on high-latency links; it
-//!   is negotiated in the hello (see below) so revision-2 workers only
-//!   ever see single-point requests.
+//!   Batching amortizes per-point round-trips on high-latency links.
 //! * worker → parent: a [`WorkerFrame`] — a `{"hello":{"protocol":3,
 //!   "points":8}}` handshake on startup, then per point a
 //!   `{"point":3,"telemetry":{"wall_s":1.25}}` stats frame followed by
@@ -66,26 +64,12 @@ use crate::report::{
 };
 
 /// The wire protocol revision announced in the worker's hello frame.
-/// Revision 2 added the per-point telemetry frame (and the optional
-/// `telemetry` key on report bodies).  Revision 3 added batched
-/// `{"batch":[…]}` requests for socket transports.
-///
-/// Unlike the pre-3 era, where parents and workers always shipped
-/// together and any skew failed the handshake, a multi-machine sweep can
-/// legitimately pair a newer parent with an older worker binary; the
-/// parent therefore accepts any hello in
-/// [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`] and restricts itself
-/// to that worker's dialect (no batching below revision 3).
+/// Parent and worker are always the same build — the worker is the
+/// parent's own binary re-invoked, or the same binary started with
+/// `--serve` — so the parent accepts exactly this revision and refuses
+/// any other hello as a configuration mismatch instead of negotiating a
+/// dialect.
 pub const PROTOCOL_VERSION: u64 = 3;
-
-/// The oldest worker protocol revision a parent still speaks.  Revision 2
-/// workers answer single-point requests with telemetry + report/error
-/// frames — everything a parent needs except batching.
-pub const MIN_PROTOCOL_VERSION: u64 = 2;
-
-/// The first protocol revision that understands batched
-/// `{"batch":[…]}` requests.
-pub const BATCH_PROTOCOL_VERSION: u64 = 3;
 
 /// A malformed or schema-violating wire document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -627,8 +611,7 @@ impl WireResult for ScenarioReport {
                     Some(decode_signaling(s)?)
                 }
             },
-            // Absent on telemetry-off reports (and every pre-revision-2
-            // frame): `get`, not `field`.
+            // Absent on telemetry-off reports: `get`, not `field`.
             telemetry: v.get("telemetry").map(decode_telemetry).transpose()?,
         })
     }
@@ -768,9 +751,8 @@ pub fn encode_request(index: usize, tags: &[(String, String)]) -> String {
 }
 
 /// Encode several point requests as one batched line-framed document
-/// (no newline).  Only send this to a worker whose hello announced
-/// protocol ≥ [`BATCH_PROTOCOL_VERSION`]; the worker answers the points
-/// in order, exactly as if each had arrived on its own line.
+/// (no newline); the worker answers the points in order, exactly as if
+/// each had arrived on its own line.
 pub fn encode_batch_request(items: &[(usize, &[(String, String)])]) -> String {
     let body: Vec<String> = items
         .iter()
@@ -779,15 +761,10 @@ pub fn encode_batch_request(items: &[(usize, &[(String, String)])]) -> String {
     format!("{{\"batch\":[{}]}}", body.join(","))
 }
 
-/// Parse a single point request line (revision-2 dialect: no batches).
-pub fn parse_request(line: &str) -> Result<PointRequest, WireError> {
-    request_from_value(&JsonValue::parse(line)?)
-}
-
-/// Parse a request line in the revision-3 dialect: either one
-/// [`PointRequest`] or a `{"batch":[…]}` of several.  A single request
-/// comes back as a one-element vector; an empty batch is a schema error
-/// (a parent with nothing to ask must not send anything).
+/// Parse a request line: either one [`PointRequest`] or a
+/// `{"batch":[…]}` of several.  A single request comes back as a
+/// one-element vector; an empty batch is a schema error (a parent with
+/// nothing to ask must not send anything).
 pub fn parse_requests(line: &str) -> Result<Vec<PointRequest>, WireError> {
     let v = JsonValue::parse(line)?;
     match v.get("batch") {
@@ -1029,8 +1006,8 @@ mod tests {
             ("load".to_string(), "1.0".to_string()),
             ("disc\"ipline".to_string(), "WFQ\n".to_string()),
         ];
-        let req = parse_request(&encode_request(3, &tags)).unwrap();
-        assert_eq!(req, PointRequest { index: 3, tags });
+        let req = parse_requests(&encode_request(3, &tags)).unwrap();
+        assert_eq!(req, vec![PointRequest { index: 3, tags }]);
 
         assert_eq!(
             parse_worker_frame(&encode_hello(8)).unwrap(),
@@ -1063,7 +1040,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_requests_round_trip_and_singletons_stay_rev2_parsable() {
+    fn batch_requests_round_trip() {
         let tags_a = vec![("load".to_string(), "1.0".to_string())];
         let tags_b = vec![("load".to_string(), "2.0".to_string())];
         let line = encode_batch_request(&[(3, &tags_a), (4, &tags_b)]);
@@ -1082,12 +1059,9 @@ mod tests {
                 },
             ]
         );
-        // The rev-3 parser accepts a plain single request too…
+        // A plain single request parses as a one-element batch.
         let single = encode_request(7, &tags_a);
         assert_eq!(parse_requests(&single).unwrap().len(), 1);
-        // …while the rev-2 parser refuses batches (a rev-2 worker fed a
-        // batch must fail loudly, not run the wrong point).
-        assert!(parse_request(&line).is_err());
         // An empty batch is a schema error, not an empty answer.
         assert!(parse_requests("{\"batch\":[]}").is_err());
     }
@@ -1098,7 +1072,6 @@ mod tests {
     fn frames_tolerate_crlf_terminators() {
         let tags = vec![("load".to_string(), "1.0".to_string())];
         let req = format!("{}\r", encode_request(3, &tags));
-        assert_eq!(parse_request(&req).unwrap().index, 3);
         assert_eq!(parse_requests(&req).unwrap()[0].index, 3);
         let hello = format!("{}\r", encode_hello(8));
         assert!(matches!(
@@ -1220,9 +1193,8 @@ mod tests {
         ) {
             let line = encode_request(index, &tags);
             prop_assert!(!line.contains('\n'), "frames must stay one line: {line:?}");
-            let parsed = parse_request(&line).expect("encoded request must parse");
-            prop_assert_eq!(parsed.index, index);
-            prop_assert_eq!(parsed.tags, tags);
+            let parsed = parse_requests(&line).expect("encoded request must parse");
+            prop_assert_eq!(parsed, vec![PointRequest { index, tags }]);
         }
 
         /// `SweepError` payloads survive the error frame, whatever bytes

@@ -14,9 +14,9 @@
 //! protocol over any buffered reader/writer pair.  [`serve_worker`] is the
 //! stdio binding the `--sweep-worker` flag uses; the socket listener in
 //! [`net`](super::net) runs the same function once per accepted
-//! connection.  A revision-3 parent may batch several requests into one
-//! line; the worker answers them in order, frame by frame, exactly as if
-//! they had arrived separately.
+//! connection.  The parent may batch several requests into one line; the
+//! worker answers them in order, frame by frame, exactly as if they had
+//! arrived separately.
 //!
 //! Safety properties mirror the in-process runner:
 //!
@@ -101,8 +101,8 @@ where
 /// This is the single protocol implementation every transport shares —
 /// [`serve_worker`] binds it to stdin/stdout, the TCP listener in
 /// [`net`](super::net) runs it once per accepted connection.  Requests
-/// may be batched (revision 3); the points of a batch are answered in
-/// order, each with its own frames, flushed as they complete.
+/// may be batched; the points of a batch are answered in order, each
+/// with its own frames, flushed as they complete.
 pub fn serve_connection<P, R, F, In, Out>(
     set: &ScenarioSet<P>,
     run_point: &F,

@@ -5,21 +5,19 @@
 //! binary through `CARGO_BIN_EXE_dist_worker` and point a `DistRunner`'s
 //! `WorkerCommand` (stdio) or `HostSpec` list (TCP) at it.
 
+use ispn_experiments::Serve;
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let suite = args
         .get(1)
         .expect("usage: dist_worker <suite> [--serve ADDR]");
-    match args.iter().position(|a| a == "--serve") {
-        Some(i) => {
-            let addr = args
-                .get(i + 1)
-                .expect("usage: dist_worker <suite> --serve ADDR");
-            ispn_integration_tests::dist_fixtures::serve_suite_listener(suite, addr)
-                .expect("sweep listener I/O");
-        }
-        None => {
-            ispn_integration_tests::dist_fixtures::serve_suite(suite).expect("sweep worker I/O");
-        }
-    }
+    let transport = match args.iter().position(|a| a == "--serve") {
+        Some(i) => Serve::Listen(
+            args.get(i + 1)
+                .expect("usage: dist_worker <suite> --serve ADDR"),
+        ),
+        None => Serve::Stdio,
+    };
+    ispn_integration_tests::dist_fixtures::serve_suite(suite, transport).expect("sweep worker I/O");
 }

@@ -1,4 +1,4 @@
-//! Shared fixtures for the distributed-sweep test harness.
+//! Shared fixtures for the sweep test harnesses.
 //!
 //! A distributed sweep needs the parent and its workers to build the
 //! **same** `ScenarioSet` from the same configuration.  In the integration
@@ -9,11 +9,17 @@
 //! `ScenarioReport` sweep, and the instant `square` sweep the
 //! fault-injection tests use (its points cost microseconds, so a test can
 //! kill, wedge and garbage workers without waiting on simulations).
+//!
+//! [`assert_exec_matches_serial`] is the one byte-identity check every
+//! execution level of every experiment goes through.
 
-use ispn_experiments::{churn, hetmix, mesh, table1, table2, table3, PaperConfig};
+use ispn_experiments::{
+    churn, hetmix, mesh, run, serve, table1, table2, table3, Experiment, PaperConfig, Serve,
+};
 use ispn_scenario::{
-    DisciplineSpec, FlowDef, HistogramSpec, MeasurementPlan, ScenarioBuilder, ScenarioReport,
-    ScenarioSet, SourceSpec,
+    DisciplineSpec, FlowDef, HistogramSpec, MeasurementPlan, NullObserver, PointResult,
+    ScenarioBuilder, ScenarioReport, ScenarioSet, SourceSpec, SweepExec, SweepReport, SweepRunner,
+    WireResult,
 };
 use ispn_sim::SimTime;
 
@@ -25,56 +31,98 @@ pub fn short(secs: u64) -> PaperConfig {
     }
 }
 
-/// Table-1 suite configuration.
-pub fn table1_cfg() -> PaperConfig {
-    short(5)
+/// The Table-1 suite.
+pub fn table1() -> table1::Sweep {
+    table1::Sweep { cfg: short(5) }
 }
 
-/// Table-2 suite configuration.
-pub fn table2_cfg() -> PaperConfig {
-    short(5)
+/// The Table-2 suite.
+pub fn table2() -> table2::Sweep {
+    table2::Sweep { cfg: short(5) }
 }
 
-/// Table-3 seed-replication suite configuration.
-pub fn table3_cfg() -> PaperConfig {
-    short(5)
+/// The Table-3 seed-replication suite (two seeds).
+pub fn table3() -> table3::Sweep {
+    let cfg = short(5);
+    let seeds = vec![cfg.seed, cfg.seed.wrapping_add(1)];
+    table3::Sweep { cfg, seeds }
 }
 
-/// The Table-3 suite's seed axis.
-pub fn table3_seeds(cfg: &PaperConfig) -> Vec<u64> {
-    vec![cfg.seed, cfg.seed.wrapping_add(1)]
-}
-
-/// Heterogeneous-mix suite configuration.
-pub fn hetmix_cfg() -> PaperConfig {
-    short(4)
-}
-
-/// Heterogeneous-mix suite load levels (4 disciplines × 1 level = 4 points).
-pub const HETMIX_LEVELS: &[usize] = &[1];
-
-/// Mesh suite configuration.
-pub fn mesh_cfg() -> PaperConfig {
-    short(4)
-}
-
-/// Mesh suite cross-traffic levels.
-pub const MESH_LEVELS: &[usize] = &[1, 2];
-
-/// Churn suite configuration (long enough for accepts *and* rejects, so
-/// the decision sequence is worth comparing).
-pub fn churn_cfg() -> PaperConfig {
-    PaperConfig {
-        duration: SimTime::from_secs(20),
-        ..PaperConfig::fast()
+/// The heterogeneous-mix suite (4 disciplines × 1 level = 4 points).
+pub fn hetmix() -> hetmix::Sweep {
+    hetmix::Sweep {
+        cfg: short(4),
+        levels: vec![1],
     }
 }
 
-/// Churn suite arrival rates.
-pub const CHURN_RATES: &[f64] = &[0.6, 1.2];
+/// The mesh suite.
+pub fn mesh() -> mesh::Sweep {
+    mesh::Sweep {
+        cfg: short(4),
+        levels: vec![1, 2],
+    }
+}
 
-/// Churn suite mean holding time, seconds.
-pub const CHURN_HOLD: f64 = 15.0;
+/// The churn suite (long enough for accepts *and* rejects, so the
+/// decision sequence is worth comparing).
+pub fn churn() -> churn::Sweep {
+    churn::Sweep {
+        paper: PaperConfig {
+            duration: SimTime::from_secs(20),
+            ..PaperConfig::fast()
+        },
+        rates: vec![0.6, 1.2],
+        holding: 15.0,
+    }
+}
+
+/// The byte-identity contract of every execution level: `exec` must
+/// reproduce the serial in-process sweep exactly — same point order, same
+/// axis tags, the same wire encoding of every row, the same rendered
+/// table.  Returns the `(serial, exec)` rows so callers can assert what the
+/// sweep itself must show (distinct seeds differ, churn drains clean, …).
+pub fn assert_exec_matches_serial<E: Experiment>(
+    e: &E,
+    exec: &SweepExec,
+) -> (Vec<E::Row>, Vec<E::Row>) {
+    let in_process = SweepExec::InProcess(SweepRunner::serial());
+    let serial = run(e, &in_process, &NullObserver);
+    let other = run(e, exec, &NullObserver);
+    assert_eq!(serial.len(), other.len(), "same point count");
+    for (s, o) in serial.iter().zip(&other) {
+        assert_eq!(s.index, o.index, "point order must match");
+        assert_eq!(s.tags, o.tags, "axis tags must match");
+        let index = s.index;
+        let s = s.result.as_ref().expect("serial point succeeded");
+        let o = o.result.as_ref().expect("exec point succeeded");
+        assert_eq!(
+            s.to_wire_json(),
+            o.to_wire_json(),
+            "point {index} diverged from the serial run on {}",
+            exec.description()
+        );
+    }
+    assert_eq!(e.render(&serial), e.render(&other), "rendered tables match");
+    let unwrap = |reports: Vec<SweepReport<PointResult<E::Row>>>| {
+        reports.into_iter().map(|r| r.expect_ok().result).collect()
+    };
+    (unwrap(serial), unwrap(other))
+}
+
+/// [`assert_exec_matches_serial`] over the churn suite, plus the
+/// experiment's own determinism surface: the accept/reject decision
+/// sequence survives the execution level decision for decision, and every
+/// run drains to zero residual reservations.
+pub fn assert_churn_matches_serial(exec: &SweepExec) {
+    let (serial, other) = assert_exec_matches_serial(&churn(), exec);
+    for (s, o) in serial.iter().zip(&other) {
+        assert_eq!(s.decisions, o.decisions);
+        assert!(s.offered > 0, "a silent empty run would prove nothing");
+        assert_eq!(s.residual_reserved_bps, 0.0);
+        assert_eq!(o.residual_reserved_bps, 0.0);
+    }
+}
 
 /// Points in the default `square` suite.
 pub const SQUARE_POINTS: usize = 8;
@@ -113,101 +161,27 @@ pub fn scenario_point(&(level,): &(usize,)) -> ScenarioReport {
     sim.report(&MeasurementPlan::default().with_histogram(HistogramSpec::up_to(0.2, 16)))
 }
 
-/// Serve one named suite over stdin/stdout (the `dist_worker` bin's whole
-/// job).  Parent tests must build their sets from the **same** fixtures.
-pub fn serve_suite(suite: &str) -> std::io::Result<()> {
+/// Serve one named suite over stdin/stdout or a TCP listener (the
+/// `dist_worker` bin's whole job).  Parent tests must build their sweeps
+/// from the **same** fixtures.
+pub fn serve_suite(suite: &str, transport: Serve<'_>) -> std::io::Result<()> {
     match suite {
-        "table1" => table1::serve_worker(&table1_cfg()),
-        "table2" => table2::serve_worker(&table2_cfg()),
-        "table3" => {
-            let cfg = table3_cfg();
-            let seeds = table3_seeds(&cfg);
-            table3::serve_worker(&cfg, &seeds)
-        }
-        "hetmix" => hetmix::serve_worker(&hetmix_cfg(), HETMIX_LEVELS),
-        "mesh" => mesh::serve_worker(&mesh_cfg(), MESH_LEVELS),
-        "churn" => churn::serve_worker(&churn_cfg(), CHURN_RATES, CHURN_HOLD),
-        "square" => ispn_scenario::serve_worker(&square_set(SQUARE_POINTS), square_point),
+        "table1" => serve(&table1(), transport),
+        "table2" => serve(&table2(), transport),
+        "table3" => serve(&table3(), transport),
+        "hetmix" => serve(&hetmix(), transport),
+        "mesh" => serve(&mesh(), transport),
+        "churn" => serve(&churn(), transport),
+        "square" => transport.serve_set(&square_set(SQUARE_POINTS), square_point),
         // A deliberately mismatched sweep (5 points where the parent
         // expects 8) for the configuration-skew test.
-        "square5" => ispn_scenario::serve_worker(&square_set(5), square_point),
-        // A revision-2 worker, for the batch-negotiation fallback test.
-        "square-rev2" => serve_square_rev2(),
+        "square5" => transport.serve_set(&square_set(5), square_point),
         // A worker wedged before its hello, for the handshake-deadline
         // test: the parent must cut this slot loose on its own clock.
         "hang-hello" => loop {
             std::thread::sleep(std::time::Duration::from_millis(50));
         },
-        "scenario" => ispn_scenario::serve_worker(&scenario_set(), scenario_point),
+        "scenario" => transport.serve_set(&scenario_set(), scenario_point),
         other => panic!("unknown dist suite {other:?}"),
     }
-}
-
-/// Serve one named suite over a TCP listener bound to `addr` (the
-/// `dist_worker` bin's `--serve` mode).  Only returns on bind failure.
-pub fn serve_suite_listener(suite: &str, addr: &str) -> std::io::Result<()> {
-    match suite {
-        "table1" => table1::serve_listener(&table1_cfg(), addr),
-        "table2" => table2::serve_listener(&table2_cfg(), addr),
-        "table3" => {
-            let cfg = table3_cfg();
-            let seeds = table3_seeds(&cfg);
-            table3::serve_listener(&cfg, &seeds, addr)
-        }
-        "hetmix" => hetmix::serve_listener(&hetmix_cfg(), HETMIX_LEVELS, addr),
-        "mesh" => mesh::serve_listener(&mesh_cfg(), MESH_LEVELS, addr),
-        "churn" => churn::serve_listener(&churn_cfg(), CHURN_RATES, CHURN_HOLD, addr),
-        "square" => ispn_scenario::serve_listener(addr, &square_set(SQUARE_POINTS), square_point),
-        "square5" => ispn_scenario::serve_listener(addr, &square_set(5), square_point),
-        "scenario" => ispn_scenario::serve_listener(addr, &scenario_set(), scenario_point),
-        other => panic!("unknown dist listener suite {other:?}"),
-    }
-}
-
-/// A hand-rolled **revision 2** stdio worker over the `square` sweep: says
-/// hello with `"protocol":2` and understands only single-point request
-/// lines — a batch line is a hard error, exactly what a real pre-batching
-/// worker binary would do.  The batch-negotiation test points a batching
-/// parent at this worker and expects byte-identical output (the parent
-/// must fall back to one-request-per-line for rev-2 sessions).
-pub fn serve_square_rev2() -> std::io::Result<()> {
-    use ispn_scenario::sweep::wire;
-    use ispn_scenario::WireResult;
-    use std::io::{BufRead, Write};
-
-    let set = square_set(SQUARE_POINTS);
-    let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout().lock();
-    writeln!(
-        stdout,
-        "{{\"hello\":{{\"protocol\":2,\"points\":{}}}}}",
-        set.len()
-    )?;
-    stdout.flush()?;
-    for line in stdin.lock().lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let request = wire::parse_request(&line)
-            .expect("a revision-2 worker understands only single-point requests");
-        let index = request.index;
-        // ispn-lint: allow(wall-clock) -- fixture worker's telemetry frame
-        // mirrors the real worker's out-of-band wall clock.
-        #[allow(clippy::disallowed_methods)]
-        let started = std::time::Instant::now();
-        let result = square_point(&set.points()[index].params);
-        writeln!(
-            stdout,
-            "{}",
-            wire::encode_telemetry_frame(index, started.elapsed().as_secs_f64())
-        )?;
-        writeln!(
-            stdout,
-            "{}",
-            wire::encode_report_frame(index, &result.to_wire_json())
-        )?;
-        stdout.flush()?;
-    }
-    Ok(())
 }

@@ -4,10 +4,11 @@
 //! The contract under test has two halves:
 //!
 //! * **Byte identity** — a sweep fanned across worker subprocesses must
-//!   produce results byte-identical to `SweepRunner::run` in this
-//!   process: same point order, same tags, same wire JSON for every
-//!   result, same rendered tables — for all six experiments, for worker
-//!   counts 1..=4, including the churn accept/reject decision sequence.
+//!   produce results byte-identical to the serial run in this process:
+//!   same point order, same tags, same wire JSON for every result, same
+//!   rendered tables (`fx::assert_exec_matches_serial`) — for all six
+//!   experiments, for worker counts 1..=4, including the churn
+//!   accept/reject decision sequence.
 //! * **Supervision** — a worker that panics, exits, emits garbage or
 //!   hangs poisons exactly its in-flight point (a structured `SweepError`
 //!   naming the point's tags) while every sibling point completes on the
@@ -21,9 +22,7 @@
 //! tests add the socket-only failure modes (mid-point disconnect,
 //! pre-hello hang, stream garbage), each poisoning exactly one point
 //! while its siblings survive on a reconnected session.  Batched
-//! dispatch (protocol revision 3) is proven byte-identical too, including
-//! the fallback to one-request-per-line when the worker only speaks
-//! revision 2.
+//! dispatch is proven byte-identical too.
 //!
 //! The workers are the `dist_worker` bin of this package; the suites it
 //! serves are pinned in `ispn_integration_tests::dist_fixtures`, which
@@ -34,12 +33,11 @@ use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use ispn_experiments::{churn, hetmix, mesh, report, table1, table2, table3};
 use ispn_integration_tests::dist_fixtures as fx;
 use ispn_scenario::{
     failed_points, sweep_to_json, sweep_to_json_checked, DistRunner, FaultPlan, HostSpec,
     NullObserver, PointResult, ProgressObserver, SweepExec, SweepReport, SweepRunner,
-    TelemetryCollector, WireResult, WorkerCommand, LISTENING_BANNER,
+    TelemetryCollector, WorkerCommand, LISTENING_BANNER,
 };
 
 /// The worker command serving one fixture suite.
@@ -93,6 +91,11 @@ impl Listener {
     fn hosts(&self, limit: usize) -> Vec<HostSpec> {
         vec![HostSpec::new(self.addr.clone(), limit)]
     }
+
+    /// A socket `SweepExec` opening `limit` connections to this listener.
+    fn exec(&self, limit: usize) -> SweepExec {
+        SweepExec::Distributed(DistRunner::over_hosts(&self.hosts(limit)))
+    }
 }
 
 impl Drop for Listener {
@@ -112,112 +115,34 @@ fn dist_exec(suite: &str, workers: usize) -> SweepExec {
     SweepExec::Distributed(dist(suite, workers))
 }
 
-/// Byte identity of two checked report lists: same order, same tags, and
-/// the same wire encoding for every result.
-fn assert_identical<R: WireResult>(
-    serial: &[SweepReport<PointResult<R>>],
-    dist: &[SweepReport<PointResult<R>>],
-) {
-    assert_eq!(serial.len(), dist.len(), "same point count");
-    for (s, d) in serial.iter().zip(dist) {
-        assert_eq!(s.index, d.index, "point order must match");
-        assert_eq!(s.tags, d.tags, "axis tags must match");
-        let idx = s.index;
-        let s = s.result.as_ref().expect("serial point succeeded");
-        let d = d.result.as_ref().expect("distributed point succeeded");
-        assert_eq!(
-            s.to_wire_json(),
-            d.to_wire_json(),
-            "point {idx} diverged across the process boundary"
-        );
-    }
-}
-
 #[test]
 fn table1_distributed_is_byte_identical_to_in_process() {
-    let cfg = fx::table1_cfg();
-    let serial = table1::run_reports(&cfg, &SweepRunner::serial(), &NullObserver);
-    let dist = table1::exec_reports(&cfg, &dist_exec("table1", 2), &NullObserver);
-    assert_identical(&serial, &dist);
-    assert_eq!(report::render_table1(&serial), report::render_table1(&dist));
+    fx::assert_exec_matches_serial(&fx::table1(), &dist_exec("table1", 2));
 }
 
 #[test]
 fn table2_distributed_is_byte_identical_to_in_process() {
-    let cfg = fx::table2_cfg();
-    let serial = table2::run_reports(&cfg, &SweepRunner::serial(), &NullObserver);
-    let dist = table2::exec_reports(&cfg, &dist_exec("table2", 3), &NullObserver);
-    assert_identical(&serial, &dist);
-    assert_eq!(report::render_table2(&serial), report::render_table2(&dist));
+    fx::assert_exec_matches_serial(&fx::table2(), &dist_exec("table2", 3));
 }
 
 #[test]
 fn table3_seed_replication_distributed_is_byte_identical() {
-    let cfg = fx::table3_cfg();
-    let seeds = fx::table3_seeds(&cfg);
-    let serial = table3::run_seeds_reports(&cfg, &seeds, &SweepRunner::serial(), &NullObserver);
-    let dist = table3::run_seeds_exec(&cfg, &seeds, &dist_exec("table3", 2), &NullObserver);
-    assert_identical(&serial, &dist);
-    assert_eq!(
-        report::render_table3_seeds(&serial),
-        report::render_table3_seeds(&dist)
-    );
+    fx::assert_exec_matches_serial(&fx::table3(), &dist_exec("table3", 2));
 }
 
 #[test]
 fn hetmix_distributed_is_byte_identical_to_in_process() {
-    let cfg = fx::hetmix_cfg();
-    let serial = hetmix::sweep_reports(
-        &cfg,
-        fx::HETMIX_LEVELS,
-        &SweepRunner::serial(),
-        &NullObserver,
-    );
-    let dist = hetmix::sweep_exec(
-        &cfg,
-        fx::HETMIX_LEVELS,
-        &dist_exec("hetmix", 4),
-        &NullObserver,
-    );
-    assert_identical(&serial, &dist);
-    assert_eq!(report::render_hetmix(&serial), report::render_hetmix(&dist));
+    fx::assert_exec_matches_serial(&fx::hetmix(), &dist_exec("hetmix", 4));
 }
 
 #[test]
 fn mesh_distributed_is_byte_identical_to_in_process() {
-    let cfg = fx::mesh_cfg();
-    let serial = mesh::sweep_reports(&cfg, fx::MESH_LEVELS, &SweepRunner::serial(), &NullObserver);
-    let dist = mesh::sweep_exec(&cfg, fx::MESH_LEVELS, &dist_exec("mesh", 2), &NullObserver);
-    assert_identical(&serial, &dist);
-    assert_eq!(report::render_mesh(&serial), report::render_mesh(&dist));
+    fx::assert_exec_matches_serial(&fx::mesh(), &dist_exec("mesh", 2));
 }
 
 #[test]
 fn churn_distributed_reproduces_the_decision_sequence() {
-    let cfg = fx::churn_cfg();
-    let serial = churn::sweep_reports(
-        &cfg,
-        fx::CHURN_RATES,
-        fx::CHURN_HOLD,
-        &SweepRunner::serial(),
-        &NullObserver,
-    );
-    let dist = churn::sweep_exec(
-        &cfg,
-        fx::CHURN_RATES,
-        fx::CHURN_HOLD,
-        &dist_exec("churn", 2),
-        &NullObserver,
-    );
-    assert_identical(&serial, &dist);
-    // The decision sequence — the churn experiment's determinism surface —
-    // survives the process boundary decision for decision.
-    for (s, d) in serial.iter().zip(&dist) {
-        let s = s.result.as_ref().unwrap();
-        let d = d.result.as_ref().unwrap();
-        assert_eq!(s.decisions, d.decisions);
-        assert!(s.offered > 0, "a silent empty run would prove nothing");
-    }
+    fx::assert_churn_matches_serial(&dist_exec("churn", 2));
 }
 
 /// The generic `ScenarioReport` sweep is byte-identical to the serial
@@ -415,88 +340,32 @@ fn pre_hello_hang_trips_the_handshake_deadline() {
 
 #[test]
 fn tcp_table1_is_byte_identical_to_in_process() {
-    let cfg = fx::table1_cfg();
-    let listener = Listener::spawn("table1");
-    let serial = table1::run_reports(&cfg, &SweepRunner::serial(), &NullObserver);
-    let exec = SweepExec::Distributed(DistRunner::over_hosts(&listener.hosts(2)));
-    let dist = table1::exec_reports(&cfg, &exec, &NullObserver);
-    assert_identical(&serial, &dist);
-    assert_eq!(report::render_table1(&serial), report::render_table1(&dist));
+    fx::assert_exec_matches_serial(&fx::table1(), &Listener::spawn("table1").exec(2));
 }
 
 #[test]
 fn tcp_table2_is_byte_identical_to_in_process() {
-    let cfg = fx::table2_cfg();
-    let listener = Listener::spawn("table2");
-    let serial = table2::run_reports(&cfg, &SweepRunner::serial(), &NullObserver);
-    let exec = SweepExec::Distributed(DistRunner::over_hosts(&listener.hosts(3)));
-    let dist = table2::exec_reports(&cfg, &exec, &NullObserver);
-    assert_identical(&serial, &dist);
-    assert_eq!(report::render_table2(&serial), report::render_table2(&dist));
+    fx::assert_exec_matches_serial(&fx::table2(), &Listener::spawn("table2").exec(3));
 }
 
 #[test]
 fn tcp_table3_seed_replication_is_byte_identical() {
-    let cfg = fx::table3_cfg();
-    let seeds = fx::table3_seeds(&cfg);
-    let listener = Listener::spawn("table3");
-    let serial = table3::run_seeds_reports(&cfg, &seeds, &SweepRunner::serial(), &NullObserver);
-    let exec = SweepExec::Distributed(DistRunner::over_hosts(&listener.hosts(2)));
-    let dist = table3::run_seeds_exec(&cfg, &seeds, &exec, &NullObserver);
-    assert_identical(&serial, &dist);
-    assert_eq!(
-        report::render_table3_seeds(&serial),
-        report::render_table3_seeds(&dist)
-    );
+    fx::assert_exec_matches_serial(&fx::table3(), &Listener::spawn("table3").exec(2));
 }
 
 #[test]
 fn tcp_hetmix_is_byte_identical_to_in_process() {
-    let cfg = fx::hetmix_cfg();
-    let listener = Listener::spawn("hetmix");
-    let serial = hetmix::sweep_reports(
-        &cfg,
-        fx::HETMIX_LEVELS,
-        &SweepRunner::serial(),
-        &NullObserver,
-    );
-    let exec = SweepExec::Distributed(DistRunner::over_hosts(&listener.hosts(4)));
-    let dist = hetmix::sweep_exec(&cfg, fx::HETMIX_LEVELS, &exec, &NullObserver);
-    assert_identical(&serial, &dist);
-    assert_eq!(report::render_hetmix(&serial), report::render_hetmix(&dist));
+    fx::assert_exec_matches_serial(&fx::hetmix(), &Listener::spawn("hetmix").exec(4));
 }
 
 #[test]
 fn tcp_mesh_is_byte_identical_to_in_process() {
-    let cfg = fx::mesh_cfg();
-    let listener = Listener::spawn("mesh");
-    let serial = mesh::sweep_reports(&cfg, fx::MESH_LEVELS, &SweepRunner::serial(), &NullObserver);
-    let exec = SweepExec::Distributed(DistRunner::over_hosts(&listener.hosts(2)));
-    let dist = mesh::sweep_exec(&cfg, fx::MESH_LEVELS, &exec, &NullObserver);
-    assert_identical(&serial, &dist);
-    assert_eq!(report::render_mesh(&serial), report::render_mesh(&dist));
+    fx::assert_exec_matches_serial(&fx::mesh(), &Listener::spawn("mesh").exec(2));
 }
 
 #[test]
 fn tcp_churn_reproduces_the_decision_sequence() {
-    let cfg = fx::churn_cfg();
-    let listener = Listener::spawn("churn");
-    let serial = churn::sweep_reports(
-        &cfg,
-        fx::CHURN_RATES,
-        fx::CHURN_HOLD,
-        &SweepRunner::serial(),
-        &NullObserver,
-    );
-    let exec = SweepExec::Distributed(DistRunner::over_hosts(&listener.hosts(2)));
-    let dist = churn::sweep_exec(&cfg, fx::CHURN_RATES, fx::CHURN_HOLD, &exec, &NullObserver);
-    assert_identical(&serial, &dist);
-    for (s, d) in serial.iter().zip(&dist) {
-        let s = s.result.as_ref().unwrap();
-        let d = d.result.as_ref().unwrap();
-        assert_eq!(s.decisions, d.decisions);
-        assert!(s.offered > 0, "a silent empty run would prove nothing");
-    }
+    fx::assert_churn_matches_serial(&Listener::spawn("churn").exec(2));
 }
 
 /// The full `ScenarioReport` schema crosses TCP losslessly too, and the
@@ -529,32 +398,13 @@ fn tcp_scenario_json_is_byte_identical_and_measures_round_trips() {
     );
 }
 
-/// Batched dispatch (protocol revision 3) is byte-identical to unbatched:
-/// the same sweep, claimed four points at a time over TCP, produces the
-/// serial JSON.
+/// Batched dispatch is byte-identical to unbatched: the same sweep,
+/// claimed four points at a time over TCP, produces the serial results.
 #[test]
 fn tcp_batched_sweep_is_byte_identical() {
     let set = fx::square_set(fx::SQUARE_POINTS);
     let listener = Listener::spawn("square");
     let runner = DistRunner::over_hosts(&listener.hosts(2)).batch(4);
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.try_run(&set);
-    assert_eq!(failed_points(&reports), 0);
-    assert_eq!(reports.len(), fx::SQUARE_POINTS);
-    for (i, r) in reports.iter().enumerate() {
-        assert_eq!(r.index, i, "point order must match");
-        assert_eq!(r.tags, vec![("i".to_string(), i.to_string())]);
-        assert_eq!(r.result, Ok((i * i) as u64));
-    }
-}
-
-/// Batch negotiation: a parent configured to batch falls back to
-/// one-request-per-line when the hello says the worker only speaks
-/// revision 2 — the sweep still completes byte-identically instead of
-/// feeding the old worker a frame it cannot parse.
-#[test]
-fn batching_parent_falls_back_for_rev2_workers() {
-    let set = fx::square_set(fx::SQUARE_POINTS);
-    let runner = DistRunner::new(2, worker("square-rev2")).batch(4);
     let reports: Vec<SweepReport<PointResult<u64>>> = runner.try_run(&set);
     assert_eq!(failed_points(&reports), 0);
     assert_eq!(reports.len(), fx::SQUARE_POINTS);

@@ -18,7 +18,7 @@
 //!    outcomes must be independent of how coarsely the driver steps
 //!    `run_until` — the property the old manual interleave violated.
 
-use ispn_experiments::{churn, fig1, table1, table2, table3, PaperConfig};
+use ispn_experiments::{churn, fig1, rows, table1, table2, table3, PaperConfig};
 use ispn_net::FlowConfig;
 use ispn_scenario::{AdmissionSpec, DisciplineSpec, ScenarioBuilder, Sim};
 use ispn_sched::Averaging;
@@ -31,7 +31,9 @@ use ispn_sim::SimTime;
 
 #[test]
 fn table1_reproduces_pre_migration_outputs_bit_identically() {
-    let t = table1::run(&PaperConfig::fast());
+    let t = rows(&table1::Sweep {
+        cfg: PaperConfig::fast(),
+    });
     // (scheduler, mean, p999, all_flows_mean, worst_p999, utilization)
     let golden = [
         (
@@ -51,8 +53,8 @@ fn table1_reproduces_pre_migration_outputs_bit_identically() {
             0.824838748725185,
         ),
     ];
-    assert_eq!(t.rows.len(), golden.len());
-    for (row, g) in t.rows.iter().zip(golden) {
+    assert_eq!(t.len(), golden.len());
+    for (row, g) in t.iter().zip(golden) {
         assert_eq!(row.scheduler, g.0);
         assert_eq!(row.mean, g.1, "{} mean", g.0);
         assert_eq!(row.p999, g.2, "{} p999", g.0);
@@ -64,7 +66,11 @@ fn table1_reproduces_pre_migration_outputs_bit_identically() {
 
 #[test]
 fn table2_reproduces_pre_migration_outputs_bit_identically() {
-    let t = table2::run(&PaperConfig::fast());
+    let t: table2::Table2 = rows(&table2::Sweep {
+        cfg: PaperConfig::fast(),
+    })
+    .into_iter()
+    .collect();
     // (scheduler, path, mean, p999)
     let golden = [
         ("WFQ", 1, 3.0057837605462834, 35.6406106580001),

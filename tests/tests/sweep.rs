@@ -3,19 +3,22 @@
 //!
 //! The acceptance surface: a sweep of ≥ 8 scenario points run with
 //! `threads = N > 1` must produce **byte-identical** `SweepReport` JSON to
-//! the serial run, and the experiments that migrated onto the sweep API
-//! (tables 1–3, hetmix, churn, mesh) must produce the same outputs through
-//! a parallel runner as through the serial one — completion order must
-//! never leak into results.
+//! the serial run, and the six experiments (tables 1–3, hetmix, mesh,
+//! churn) must produce the same rows and the same rendered tables through
+//! a parallel runner as through the serial one
+//! (`fx::assert_exec_matches_serial`) — completion order must never leak
+//! into results.
 
 use std::sync::Mutex;
 
-use ispn_experiments::{churn, hetmix, table1, table2, table3, DisciplineKind, PaperConfig};
+use ispn_experiments::Experiment;
+use ispn_integration_tests::dist_fixtures as fx;
 use ispn_net::PoliceAction;
 use ispn_scenario::{
     sweep_to_json, sweep_to_json_checked, AdmissionSpec, ChurnClass, ChurnSourceSpec,
     ChurnWorkload, DisciplineSpec, FlowDef, HistogramSpec, MeasurementPlan, PointResult,
-    ScenarioBuilder, ScenarioSet, SourceSpec, SweepReport, SweepRunner, TopologySpec, WorkloadSpec,
+    ScenarioBuilder, ScenarioSet, SourceSpec, SweepExec, SweepReport, SweepRunner, TopologySpec,
+    WorkloadSpec,
 };
 use ispn_sched::Averaging;
 use ispn_sim::SimTime;
@@ -89,95 +92,40 @@ fn oversubscribed_thread_pool_changes_nothing() {
     assert_eq!(serial, wide);
 }
 
+/// Three threads: more than Table 1 has points, fewer than hetmix has.
+fn threads() -> SweepExec {
+    SweepExec::InProcess(SweepRunner::parallel(3))
+}
+
 #[test]
 fn table1_and_table2_parallel_runs_match_serial() {
-    let cfg = PaperConfig {
-        duration: SimTime::from_secs(15),
-        ..PaperConfig::paper()
-    };
-    let s1 = table1::run(&cfg);
-    let p1 = table1::run_with(&cfg, &SweepRunner::parallel(2));
-    assert_eq!(s1.rows.len(), p1.rows.len());
-    for (s, p) in s1.rows.iter().zip(&p1.rows) {
-        assert_eq!(s.scheduler, p.scheduler);
-        assert_eq!(s.mean, p.mean);
-        assert_eq!(s.p999, p.p999);
-        assert_eq!(s.utilization, p.utilization);
-    }
-
-    let s2 = table2::run(&cfg);
-    let p2 = table2::run_with(&cfg, &SweepRunner::parallel(3));
-    assert_eq!(s2.cells.len(), p2.cells.len());
-    for (s, p) in s2.cells.iter().zip(&p2.cells) {
-        assert_eq!((s.scheduler, s.path_length), (p.scheduler, p.path_length));
-        assert_eq!(s.mean, p.mean);
-        assert_eq!(s.p999, p.p999);
-    }
-    assert_eq!(s2.utilization, p2.utilization);
+    fx::assert_exec_matches_serial(&fx::table1(), &threads());
+    fx::assert_exec_matches_serial(&fx::table2(), &threads());
 }
 
 #[test]
 fn table3_seed_axis_replicates_deterministically() {
-    let cfg = PaperConfig {
-        duration: SimTime::from_secs(10),
-        ..PaperConfig::paper()
-    };
-    let seeds = [cfg.seed, cfg.seed + 1];
-    let serial = table3::run_seeds(&cfg, &seeds, &SweepRunner::serial());
-    let parallel = table3::run_seeds(&cfg, &seeds, &SweepRunner::parallel(2));
+    let (serial, _) = fx::assert_exec_matches_serial(&fx::table3(), &threads());
     assert_eq!(serial.len(), 2);
-    for ((ss, st), (ps, pt)) in serial.iter().zip(&parallel) {
-        assert_eq!(ss, ps);
-        assert_eq!(st.rows.len(), pt.rows.len());
-        for (a, b) in st.rows.iter().zip(&pt.rows) {
-            assert_eq!(a.mean, b.mean);
-            assert_eq!(a.p999, b.p999);
-            assert_eq!(a.max, b.max);
-        }
-        assert_eq!(st.mean_utilization, pt.mean_utilization);
-    }
     // Distinct seeds genuinely re-randomize the run.
+    assert_ne!(serial[0].0, serial[1].0);
     assert_ne!(serial[0].1.rows[0].mean, serial[1].1.rows[0].mean);
 }
 
 #[test]
 fn hetmix_parallel_sweep_matches_serial() {
-    let cfg = PaperConfig {
-        duration: SimTime::from_secs(8),
-        ..PaperConfig::paper()
-    };
-    let levels = [1usize, 2];
-    let serial = hetmix::sweep(&cfg, &levels);
-    let parallel = hetmix::sweep_with(&cfg, &levels, &SweepRunner::parallel(4));
-    assert_eq!(serial.len(), 8, "4 disciplines × 2 levels");
-    assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!((s.scheduler, s.level), (p.scheduler, p.level));
-        assert_eq!(s.utilization, p.utilization);
-        for (cs, cp) in s.classes.iter().zip(&p.classes) {
-            assert_eq!(cs.class, cp.class);
-            assert_eq!(cs.mean, cp.mean);
-            assert_eq!(cs.jitter, cp.jitter);
-        }
-    }
+    let (serial, _) = fx::assert_exec_matches_serial(&fx::hetmix(), &threads());
+    assert_eq!(serial.len(), 4, "4 disciplines × 1 level");
+}
+
+#[test]
+fn mesh_parallel_sweep_matches_serial() {
+    fx::assert_exec_matches_serial(&fx::mesh(), &threads());
 }
 
 #[test]
 fn churn_parallel_sweep_matches_serial_decisions() {
-    let paper = PaperConfig {
-        duration: SimTime::from_secs(25),
-        ..PaperConfig::fast()
-    };
-    let rates = [0.6, 1.2, 2.4];
-    let serial = churn::sweep(&paper, &rates, 15.0);
-    let parallel = churn::sweep_with(&paper, &rates, 15.0, &SweepRunner::parallel(3));
-    assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.decisions, p.decisions);
-        assert_eq!(s.mean_utilization, p.mean_utilization);
-        assert_eq!(s.residual_reserved_bps, 0.0);
-        assert_eq!(p.residual_reserved_bps, 0.0);
-    }
+    fx::assert_churn_matches_serial(&threads());
 }
 
 #[test]
@@ -538,12 +486,16 @@ fn edge_shaped_sweeps_match_serial_json() {
     );
 }
 
+/// The discipline axes tag their points with the labels the tables print.
 #[test]
 fn discipline_kind_axis_labels_match_experiment_output() {
     use ispn_scenario::AxisValue;
-    assert_eq!(DisciplineKind::Wfq.axis_label(), "WFQ");
-    assert_eq!(DisciplineKind::FifoPlus.axis_label(), "FIFO+");
-    let set = table1::scenario_set();
+    assert_eq!(DisciplineSpec::Wfq.axis_label(), "WFQ");
+    assert_eq!(
+        DisciplineSpec::FifoPlus(Averaging::RunningMean).axis_label(),
+        "FIFO+"
+    );
+    let set = fx::table1().set();
     assert_eq!(set.len(), 2);
     assert_eq!(set.points()[0].tags[0].1, "WFQ");
     assert_eq!(set.points()[1].tags[0].1, "FIFO");

@@ -5,7 +5,8 @@
 
 use ispn_experiments::config::PaperConfig;
 use ispn_experiments::fig1::FlowKind;
-use ispn_experiments::{table1, table3, DisciplineKind};
+use ispn_experiments::{table1, table3};
+use ispn_scenario::DisciplineSpec;
 use ispn_sim::SimTime;
 
 fn fast() -> PaperConfig {
@@ -88,8 +89,8 @@ fn whole_stack_is_deterministic_for_a_fixed_seed() {
 fn different_seeds_change_the_numbers_but_not_the_shape() {
     let cfg_a = fast();
     let cfg_b = PaperConfig { seed: 7, ..fast() };
-    let a = table1::run_single_link(&cfg_a, DisciplineKind::Fifo);
-    let b = table1::run_single_link(&cfg_b, DisciplineKind::Fifo);
+    let a = table1::run_single_link(&cfg_a, DisciplineSpec::Fifo);
+    let b = table1::run_single_link(&cfg_b, DisciplineSpec::Fifo);
     assert_ne!(a.mean, b.mean, "different seeds give different samples");
     // But both land in the same regime (83.5% load FIFO queueing).
     for r in [&a, &b] {
