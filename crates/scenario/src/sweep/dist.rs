@@ -313,17 +313,43 @@ impl WorkerTransport for ChildTransport {
 
     fn shutdown(&mut self) {
         drop(self.stdin.take());
-        for _ in 0..40 {
+        // ispn-lint: allow(wall-clock) -- shutdown grace timer, after the
+        // last point's result was recorded.
+        #[allow(clippy::disallowed_methods)]
+        let started = Instant::now();
+        let left = || SHUTDOWN_GRACE.saturating_sub(started.elapsed());
+        // A worker that honours EOF closes its stdout on the way out, which
+        // the reader thread turns into a disconnected channel: block on
+        // that instead of polling, so a clean shutdown costs the worker's
+        // own exit time rather than a sleep tick.  Late frame lines are
+        // discarded.
+        let stdout_closed = loop {
+            match self.lines.recv_timeout(left()) {
+                Ok(_) => continue,
+                Err(mpsc::RecvTimeoutError::Disconnected) => break true,
+                Err(mpsc::RecvTimeoutError::Timeout) => break false,
+            }
+        };
+        // Stdout closes an instant before the process is reapable; back
+        // off from 100 µs so that window is not rounded up to a tick.
+        let mut pause = Duration::from_micros(100);
+        while stdout_closed && !left().is_zero() {
             match self.child.try_wait() {
                 Ok(Some(_)) => return,
-                Ok(None) => std::thread::sleep(Duration::from_millis(50)),
+                Ok(None) => std::thread::sleep(pause),
                 Err(_) => break,
             }
+            pause = (pause * 2).min(Duration::from_millis(20));
         }
+        // Ignored EOF, or closed stdout and lingered: escalate.
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
 }
+
+/// How long [`ChildTransport::shutdown`] lets a worker take to exit after
+/// its stdin closed before killing it.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
 
 /// Consecutive spawn/connect/handshake failures after which a supervisor
 /// stops retrying and fails its remaining claims with the memoized
@@ -1008,6 +1034,42 @@ mod tests {
         assert!(clipped.contains("… (400 bytes)"));
         assert!(clipped.len() < long.len());
         assert_eq!(truncate_for_log("short"), "short");
+    }
+
+    /// A worker that exits at stdin's end of file is reaped with its own
+    /// (successful) status, without waiting out a poll tick or the grace.
+    #[cfg(unix)]
+    #[test]
+    fn shutdown_reaps_a_worker_that_exits_on_eof() {
+        let mut t = ChildTransport::spawn(&WorkerCommand::new("cat"), 0).expect("cat spawns");
+        t.send_line("late frame").expect("cat reads stdin");
+        // Times the harness's own shutdown path, nothing simulated.
+        #[allow(clippy::disallowed_methods)]
+        let started = Instant::now();
+        t.shutdown();
+        assert!(started.elapsed() < SHUTDOWN_GRACE, "waited out the grace");
+        // `shutdown` already reaped the child: this reads the cached status.
+        let status = t.child.try_wait().expect("waitable").expect("reaped");
+        assert!(status.success(), "cat was killed, not reaped: {status}");
+    }
+
+    /// A worker that ignores EOF is killed once the grace runs out.
+    #[cfg(unix)]
+    #[test]
+    fn shutdown_kills_a_worker_that_ignores_eof() {
+        use std::os::unix::process::ExitStatusExt;
+        let command = WorkerCommand::new("sleep").arg("30");
+        let mut t = ChildTransport::spawn(&command, 0).expect("sleep spawns");
+        // Times the harness's own shutdown path, nothing simulated.
+        #[allow(clippy::disallowed_methods)]
+        let started = Instant::now();
+        t.shutdown();
+        assert!(
+            started.elapsed() >= SHUTDOWN_GRACE,
+            "killed before the grace"
+        );
+        let status = t.child.try_wait().expect("waitable").expect("reaped");
+        assert_eq!(status.signal(), Some(9), "{status}");
     }
 
     /// An unspawnable worker command degrades to one structured error per
