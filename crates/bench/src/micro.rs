@@ -14,6 +14,7 @@ use ispn_sched::{
     VirtualClock, Wfq,
 };
 use ispn_sim::{EventQueue, Pcg64, SimTime};
+use std::sync::OnceLock;
 
 const MBIT: f64 = 1_000_000.0;
 const FLOWS: u32 = 10;
@@ -51,8 +52,126 @@ pub fn churn<D: QueueDiscipline>(disc: &mut D, n: u64) -> u64 {
     served
 }
 
+/// One call of the paced stream: `Some(flow)` enqueues a packet of that
+/// flow, `None` dequeues.
+pub type PacedOp = (SimTime, Option<FlowId>);
+
+/// Packets in the cached paced stream (`paced` replays a prefix of it).
+pub const PACED_PKTS: u64 = 16_384;
+
+/// The call stream one output port sees under the paper's Table-1 load:
+/// ten two-state Markov on/off flows at `(A, 2A, 5)` with `A` = 85
+/// packets/s of 1000 bits on a 1 Mbit/s link (≈ 85 % load), enqueued at
+/// their arrival instants and dequeued as `Network` would — on arrival at
+/// an idle port, and at every transmission completion that leaves packets
+/// queued.  Unlike [`churn`], flows empty and refill, so a GPS clock under
+/// it runs its iterated deletion.  Covers `pkts` enqueues and their
+/// dequeues; deterministic.
+pub fn paced_stream(pkts: u64) -> Vec<PacedOp> {
+    const AVG_PPS: f64 = 85.0;
+    const MEAN_BURST: f64 = 5.0;
+    let peak_gap = 1.0 / (2.0 * AVG_PPS);
+    let mean_idle = MEAN_BURST * (1.0 / AVG_PPS - peak_gap);
+    let tx = SimTime::from_secs_f64(1000.0 / MBIT);
+
+    // Per-flow next arrival, remaining packets of the burst, and RNG.
+    let mut sources: Vec<(SimTime, u64, Pcg64)> = (0..FLOWS as u64)
+        .map(|f| {
+            let mut rng = Pcg64::new(0xACED + f);
+            let offset = rng.next_f64() * MEAN_BURST / AVG_PPS;
+            (SimTime::from_secs_f64(offset), 0, rng)
+        })
+        .collect();
+    let mut ops = Vec::with_capacity(2 * pkts as usize);
+    let (mut queued, mut port_free_at) = (0u64, None::<SimTime>);
+    for _ in 0..pkts {
+        let flow = (0..sources.len())
+            .min_by_key(|&f| sources[f].0)
+            .expect("at least one flow");
+        let (at, left, rng) = &mut sources[flow];
+        let now = *at;
+        if *left == 0 {
+            *left = rng.geometric(MEAN_BURST);
+        }
+        *left -= 1;
+        let idle = if *left == 0 {
+            rng.exponential(mean_idle)
+        } else {
+            0.0
+        };
+        *at = now + SimTime::from_secs_f64(peak_gap + idle);
+
+        // Transmission completions up to (and at) this arrival come first.
+        while let Some(done) = port_free_at.filter(|&done| done <= now) {
+            if queued == 0 {
+                port_free_at = None;
+            } else {
+                ops.push((done, None));
+                queued -= 1;
+                port_free_at = Some(done + tx);
+            }
+        }
+        ops.push((now, Some(FlowId(flow as u32))));
+        queued += 1;
+        if port_free_at.is_none() {
+            ops.push((now, None));
+            queued -= 1;
+            port_free_at = Some(now + tx);
+        }
+    }
+    while let Some(done) = port_free_at.filter(|_| queued > 0) {
+        ops.push((done, None));
+        queued -= 1;
+        port_free_at = Some(done + tx);
+    }
+    ops
+}
+
+/// Replay the first `n` packets of the cached [`paced_stream`] (and the
+/// dequeues among them) through `disc`, then drain it.  Returns the same
+/// checksum as [`churn`].
+///
+/// # Panics
+/// Panics if `n` exceeds [`PACED_PKTS`].
+pub fn paced<D: QueueDiscipline>(disc: &mut D, n: u64) -> u64 {
+    static STREAM: OnceLock<Vec<PacedOp>> = OnceLock::new();
+    assert!(
+        n <= PACED_PKTS,
+        "the paced stream holds {PACED_PKTS} packets"
+    );
+    let mut served = 0;
+    let mut now = SimTime::ZERO;
+    let mut seq = 0;
+    for &(at, op) in STREAM.get_or_init(|| paced_stream(PACED_PKTS)) {
+        match op {
+            Some(_) if seq == n => break,
+            Some(flow) => {
+                // Flows 0–2 are the guaranteed flows `sched/unified`
+                // installs; the rest spread over the shared classes.
+                let class = match flow.0 {
+                    0..=2 => ServiceClass::Guaranteed,
+                    3..=5 => ServiceClass::Predicted { priority: 0 },
+                    6..=8 => ServiceClass::Predicted { priority: 1 },
+                    _ => ServiceClass::Datagram,
+                };
+                let pkt = Packet::data(flow, seq, 1000, at);
+                disc.enqueue(at, pkt, SchedContext::new(class, at));
+                seq += 1;
+            }
+            None => served += disc.dequeue(at).map_or(0, |d| d.packet.seq),
+        }
+        now = at;
+    }
+    while let Some(d) = disc.dequeue(now) {
+        served += d.packet.seq;
+    }
+    served
+}
+
 /// The per-packet scheduling workloads: one `(label, workload)` pair per
-/// discipline, each running `n` packets through a fresh queue.
+/// discipline, each running `n` packets through a fresh queue.  The
+/// `_paced` pair drives the two GPS-clocked disciplines with
+/// [`paced_stream`] instead of [`churn`]'s standing backlog.
 pub fn sched_workloads() -> Vec<(&'static str, Workload)> {
     vec![
         ("sched/fifo", |n| churn(&mut Fifo::new(), n)),
@@ -78,6 +197,16 @@ pub fn sched_workloads() -> Vec<(&'static str, Workload)> {
                 d.add_guaranteed_flow(FlowId(f), 100_000.0);
             }
             churn(&mut d, n)
+        }),
+        ("sched/wfq_paced", |n| {
+            paced(&mut Wfq::equal_share(MBIT, FLOWS as usize), n)
+        }),
+        ("sched/unified_paced", |n| {
+            let mut d = Unified::new(MBIT, 2, Averaging::RunningMean);
+            for f in 0..3u32 {
+                d.add_guaranteed_flow(FlowId(f), 100_000.0);
+            }
+            paced(&mut d, n)
         }),
     ]
 }
@@ -136,6 +265,46 @@ mod tests {
         for (name, work) in engine_workloads() {
             assert_eq!(work(2_000), work(2_000), "{name}");
         }
+    }
+
+    #[test]
+    fn paced_stream_is_the_port_a_network_would_drive() {
+        let ops = paced_stream(4_000);
+        let enqueues = ops.iter().filter(|(_, op)| op.is_some()).count();
+        assert_eq!(enqueues, 4_000);
+        assert_eq!(ops.len(), 8_000, "every packet is dequeued once");
+        assert!(
+            ops.windows(2).all(|w| w[0].0 <= w[1].0),
+            "time runs forward"
+        );
+        // Work conserving, never dequeuing from an empty queue, and
+        // transmissions are one packet time apart or later.
+        let (mut depth, mut last_dequeue) = (0i64, None::<SimTime>);
+        let mut emptied = 0;
+        for &(at, op) in &ops {
+            if op.is_some() {
+                depth += 1;
+            } else {
+                assert!(depth > 0, "dequeue from an empty port at {at:?}");
+                depth -= 1;
+                emptied += u32::from(depth == 0);
+                if let Some(prev) = last_dequeue {
+                    assert!(at >= prev + SimTime::MILLISECOND);
+                }
+                last_dequeue = Some(at);
+            }
+        }
+        // ≈ 85 % load: the port empties often but is mostly busy.
+        let load = 4_000.0 * 0.001 / ops.last().unwrap().0.as_secs_f64();
+        assert!((0.75..0.95).contains(&load), "load {load}");
+        assert!(emptied > 100, "the port emptied only {emptied} times");
+        // Every packet served exactly once through a real discipline.
+        let n = 3_000u64;
+        assert_eq!(paced(&mut Fifo::new(), n), n * (n - 1) / 2);
+        assert_eq!(
+            paced(&mut Wfq::equal_share(MBIT, FLOWS as usize), n),
+            n * (n - 1) / 2
+        );
     }
 
     #[test]

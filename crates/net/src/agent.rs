@@ -33,22 +33,17 @@ pub struct Delivery {
 }
 
 /// The command buffer an agent fills during a callback.
+///
+/// The network drains the four lists in place when the callback returns
+/// and keeps the emptied buffer for the next callback, so a warmed-up run
+/// dispatches agents without allocating.
 #[derive(Debug, Default)]
 pub struct AgentApi {
-    now: SimTime,
-    outbox: Vec<Packet>,
-    timers: Vec<(SimTime, u64)>,
-    setups: Vec<(FlowConfig, u64)>,
-    releases: Vec<FlowId>,
-}
-
-/// Everything an agent asked for during one callback.
-#[derive(Debug, Default)]
-pub(crate) struct AgentCommands {
-    pub packets: Vec<Packet>,
-    pub timers: Vec<(SimTime, u64)>,
-    pub setups: Vec<(FlowConfig, u64)>,
-    pub releases: Vec<FlowId>,
+    pub(crate) now: SimTime,
+    pub(crate) outbox: Vec<Packet>,
+    pub(crate) timers: Vec<(SimTime, u64)>,
+    pub(crate) setups: Vec<(FlowConfig, u64)>,
+    pub(crate) releases: Vec<FlowId>,
 }
 
 impl AgentApi {
@@ -103,15 +98,6 @@ impl AgentApi {
     pub fn pending_sends(&self) -> usize {
         self.outbox.len()
     }
-
-    pub(crate) fn into_commands(self) -> AgentCommands {
-        AgentCommands {
-            packets: self.outbox,
-            timers: self.timers,
-            setups: self.setups,
-            releases: self.releases,
-        }
-    }
 }
 
 /// An endpoint attached to the network.
@@ -152,11 +138,10 @@ mod tests {
         api.set_timer(SimTime::from_millis(10), 42);
         api.release_flow(FlowId(3));
         assert_eq!(api.pending_sends(), 1);
-        let cmds = api.into_commands();
-        assert_eq!(cmds.packets.len(), 1);
-        assert_eq!(cmds.timers, vec![(SimTime::from_millis(10), 42)]);
-        assert_eq!(cmds.releases, vec![FlowId(3)]);
-        assert!(cmds.setups.is_empty());
+        assert_eq!(api.outbox.len(), 1);
+        assert_eq!(api.timers, vec![(SimTime::from_millis(10), 42)]);
+        assert_eq!(api.releases, vec![FlowId(3)]);
+        assert!(api.setups.is_empty());
     }
 
     #[test]

@@ -220,6 +220,11 @@ pub struct Network {
     /// staged for the driver to snapshot (final reports) and recycle.
     drained: Vec<FlowId>,
     agents: Vec<Box<dyn Agent>>,
+    /// Emptied command buffers awaiting the next callback.  A stack rather
+    /// than one slot so that a callback dispatched while another agent's
+    /// commands are still being applied takes a buffer of its own; its
+    /// depth never exceeds that nesting depth.
+    api_pool: Vec<AgentApi>,
     monitor: Monitor,
     telemetry: NetTelemetry,
     queue: EventQueue<NetEvent>,
@@ -260,6 +265,7 @@ impl Network {
             free_flow_slots: Vec::new(),
             drained: Vec::new(),
             agents: Vec::new(),
+            api_pool: Vec::new(),
             monitor: Monitor::new(0, num_links),
             telemetry: NetTelemetry::new(num_links),
             queue: EventQueue::new(),
@@ -900,7 +906,7 @@ impl Network {
         while self.started_agents < self.agents.len() {
             let next = AgentId(self.started_agents);
             self.started_agents += 1;
-            self.dispatch_start(next);
+            self.dispatch(next, |agent, api| agent.start(api));
         }
         while let Some(t) = self.queue.peek_time() {
             if t > horizon || (t == horizon && !inclusive) {
@@ -910,7 +916,9 @@ impl Network {
             debug_assert!(t >= self.now, "event from the past");
             self.now = t;
             match ev {
-                NetEvent::Timer { agent, token } => self.dispatch_timer(agent, token),
+                NetEvent::Timer { agent, token } => {
+                    self.dispatch(agent, |a, api| a.on_timer(token, api))
+                }
                 NetEvent::TxComplete { link } => self.on_tx_complete(link),
                 NetEvent::Arrival { packet } => self.forward(packet),
                 NetEvent::TxArrival { link, packet } => self.on_tx_arrival(link, packet),
@@ -919,7 +927,7 @@ impl Network {
                     agent,
                     token,
                     result,
-                } => self.dispatch_setup(agent, token, result),
+                } => self.dispatch(agent, |a, api| a.on_setup(token, result, api)),
             }
         }
         self.now = horizon;
@@ -928,19 +936,21 @@ impl Network {
 
     // ----- agent dispatch -------------------------------------------------
 
-    fn apply_commands(&mut self, agent: AgentId, api: AgentApi) {
-        let commands = api.into_commands();
-        for p in commands.packets {
+    /// Apply what `agent` asked for — packets, then timers, releases and
+    /// setups, each in the order requested — and return the emptied buffer
+    /// to the pool.
+    fn apply_commands(&mut self, agent: AgentId, mut api: AgentApi) {
+        for p in api.outbox.drain(..) {
             self.inject(p);
         }
-        for (delay, token) in commands.timers {
+        for (delay, token) in api.timers.drain(..) {
             self.queue
                 .push(self.now + delay, NetEvent::Timer { agent, token });
         }
-        for flow in commands.releases {
+        for flow in api.releases.drain(..) {
             self.release_flow(flow);
         }
-        for (config, token) in commands.setups {
+        for (config, token) in api.setups.drain(..) {
             let result = self.request_flow(config);
             self.queue.push(
                 self.now,
@@ -951,36 +961,16 @@ impl Network {
                 },
             );
         }
+        self.api_pool.push(api);
     }
 
-    fn dispatch_start(&mut self, id: AgentId) {
-        let mut api = AgentApi::new(self.now);
+    /// Run one callback of agent `id` against a pooled command buffer and
+    /// apply the commands it queued.
+    fn dispatch(&mut self, id: AgentId, callback: impl FnOnce(&mut dyn Agent, &mut AgentApi)) {
+        let mut api = self.api_pool.pop().unwrap_or_default();
+        api.now = self.now;
         let mut agent = std::mem::replace(&mut self.agents[id.0], Box::new(NoopAgent));
-        agent.start(&mut api);
-        self.agents[id.0] = agent;
-        self.apply_commands(id, api);
-    }
-
-    fn dispatch_timer(&mut self, id: AgentId, token: u64) {
-        let mut api = AgentApi::new(self.now);
-        let mut agent = std::mem::replace(&mut self.agents[id.0], Box::new(NoopAgent));
-        agent.on_timer(token, &mut api);
-        self.agents[id.0] = agent;
-        self.apply_commands(id, api);
-    }
-
-    fn dispatch_setup(&mut self, id: AgentId, token: u64, result: Result<FlowId, SetupError>) {
-        let mut api = AgentApi::new(self.now);
-        let mut agent = std::mem::replace(&mut self.agents[id.0], Box::new(NoopAgent));
-        agent.on_setup(token, result, &mut api);
-        self.agents[id.0] = agent;
-        self.apply_commands(id, api);
-    }
-
-    fn dispatch_delivery(&mut self, id: AgentId, delivery: Delivery) {
-        let mut api = AgentApi::new(self.now);
-        let mut agent = std::mem::replace(&mut self.agents[id.0], Box::new(NoopAgent));
-        agent.on_packet(delivery, &mut api);
+        callback(agent.as_mut(), &mut api);
         self.agents[id.0] = agent;
         self.apply_commands(id, api);
     }
@@ -1174,14 +1164,12 @@ impl Network {
             .record_delivery(packet.flow, queueing_delay, self.now);
         self.packet_died(packet.flow);
         if let Some(sink) = self.flows[flow_idx].config.sink {
-            self.dispatch_delivery(
-                sink,
-                Delivery {
-                    packet,
-                    queueing_delay,
-                    total_delay,
-                },
-            );
+            let delivery = Delivery {
+                packet,
+                queueing_delay,
+                total_delay,
+            };
+            self.dispatch(sink, |agent, api| agent.on_packet(delivery, api));
         }
     }
 }
@@ -1635,6 +1623,68 @@ mod tests {
         // The agent released it inside on_setup.
         assert!(!net.flow_active(flow));
         assert_eq!(net.admission(link).unwrap().reserved_guaranteed_bps(), 0.0);
+    }
+
+    #[test]
+    fn chained_callbacks_apply_commands_in_order_from_one_pooled_buffer() {
+        type Log = std::rc::Rc<std::cell::RefCell<Vec<(&'static str, SimTime)>>>;
+        /// Logs each delivery; relays it onto `next` if set, arming a timer
+        /// for the instant the relayed packet will arrive.
+        struct Relay {
+            name: &'static str,
+            next: Option<FlowId>,
+            log: Log,
+        }
+        impl Agent for Relay {
+            fn on_packet(&mut self, delivery: Delivery, api: &mut AgentApi) {
+                self.log.borrow_mut().push((self.name, api.now()));
+                if let Some(next) = self.next {
+                    // Queued timer first, packet second: the network applies
+                    // packets first whatever the order of the calls.
+                    api.set_timer(SimTime::MILLISECOND, 0);
+                    api.send(Packet::data(next, delivery.packet.seq, PKT, api.now()));
+                }
+            }
+            fn on_timer(&mut self, _token: u64, api: &mut AgentApi) {
+                self.log.borrow_mut().push(("timer", api.now()));
+            }
+        }
+        let (mut net, link) = two_switch_net();
+        let log = Log::default();
+        // A relay agent and the flow that delivers to it.
+        let hop = |net: &mut Network, name, next| {
+            let log = log.clone();
+            let agent = net.add_agent(Box::new(Relay { name, next, log }));
+            net.add_flow(FlowConfig::datagram(vec![link]).with_sink(agent))
+        };
+        let to_c = hop(&mut net, "c", None);
+        let to_b = hop(&mut net, "b", Some(to_c));
+        let to_a = hop(&mut net, "a", Some(to_b));
+        let t0 = SimTime::MILLISECOND;
+        net.add_agent(Box::new(ScheduledSender::new(to_a, vec![t0])));
+        net.run_until(SimTime::from_millis(10));
+
+        // One packet time per relay.  Each relayed packet was put on the
+        // idle link before the relay's timer was pushed, so at the shared
+        // instant its delivery is dispatched ahead of that timer.
+        let ms = SimTime::from_millis;
+        assert_eq!(
+            *log.borrow(),
+            vec![
+                ("a", ms(2)),
+                ("b", ms(3)),
+                ("timer", ms(3)),
+                ("c", ms(4)),
+                ("timer", ms(4)),
+            ]
+        );
+        // Starts, timers and deliveries: no callback was dispatched from
+        // inside another's command application, so they all shared one
+        // buffer, handed back empty with its capacity.
+        assert_eq!(net.api_pool.len(), 1);
+        let api = &net.api_pool[0];
+        assert!(api.outbox.is_empty() && api.timers.is_empty());
+        assert!(api.outbox.capacity() >= 1 && api.timers.capacity() >= 1);
     }
 
     #[test]

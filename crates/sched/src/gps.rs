@@ -13,6 +13,34 @@
 //! The same clock is shared by [`crate::Wfq`] (every flow is its own GPS
 //! flow) and [`crate::Unified`] (guaranteed flows are GPS flows; all
 //! predicted and datagram traffic is aggregated into pseudo-flow 0).
+//!
+//! # The backlogged list
+//!
+//! Each deletion step needs `Σ rβ` and the smallest last finish over the
+//! flows still backlogged in the fluid system, i.e. those with
+//! `last_finish > V + 1e-15`.  Only [`GpsClock::stamp`] can make that
+//! predicate true for a flow (it is the only writer of `last_finish`), and
+//! because `V` never decreases, a flow that has failed it keeps failing it
+//! until its next stamp.  So the clock keeps the positions of the flows
+//! that *may* still be backlogged in a list — entered by `stamp`, dropped
+//! lazily by the first `advance` step that sees the predicate fail — and a
+//! step costs O(backlogged) instead of O(registered): on a port with
+//! hundreds of mostly idle reservations the clock touches only the few
+//! that have fluid backlog.
+//!
+//! Two things are pinned, because the virtual time feeds the byte-identity
+//! goldens and floating-point addition is not associative:
+//!
+//! * **the sum order** — the list is kept ascending by position in the
+//!   key-sorted flow table, so `Σ rβ` accumulates in ascending key order,
+//!   exactly as a scan of the whole table would;
+//! * **the call sequence** — `advance(t₁); advance(t₂)` does not in general
+//!   land on the same bits as `advance(t₂)` alone (each call rounds
+//!   `remaining · slope` once), so callers must keep advancing at the same
+//!   instants: the schedulers' dequeue-side `advance` is not redundant.
+//!
+//! The all-flows scan survives as the test suite's reference clock; a
+//! differential property test holds the two to the same bits step for step.
 
 use ispn_sim::SimTime;
 
@@ -45,6 +73,12 @@ pub struct GpsClock {
     last_update: SimTime,
     /// Sorted ascending by key (binary-searched; insertion keeps order).
     flows: Vec<(GpsFlowKey, GpsFlow)>,
+    /// Positions in `flows`, ascending, of every flow that may still be
+    /// backlogged in the fluid system: a superset of the flows with
+    /// `last_finish > V + 1e-15` (see the module docs).  Transient backlog
+    /// state bounded by `flows.len()` entries, not reservation state, so
+    /// [`state_bytes`](GpsClock::state_bytes) does not count it.
+    backlogged: Vec<u32>,
 }
 
 impl GpsClock {
@@ -60,6 +94,7 @@ impl GpsClock {
             virtual_time: 0.0,
             last_update: SimTime::ZERO,
             flows: Vec::new(),
+            backlogged: Vec::new(),
         }
     }
 
@@ -77,16 +112,22 @@ impl GpsClock {
         assert!(rate_bps > 0.0, "clock rate must be positive");
         match self.find(key) {
             Ok(i) => self.flows[i].1.rate_bps = rate_bps,
-            Err(i) => self.flows.insert(
-                i,
-                (
-                    key,
-                    GpsFlow {
-                        rate_bps,
-                        last_finish: 0.0,
-                    },
-                ),
-            ),
+            Err(i) => self.insert(i, key, rate_bps),
+        }
+    }
+
+    /// Insert a new (idle) flow at position `i` of the sorted table and
+    /// re-base the backlogged positions at or above it.
+    fn insert(&mut self, i: usize, key: GpsFlowKey, rate_bps: f64) {
+        let flow = GpsFlow {
+            rate_bps,
+            last_finish: 0.0,
+        };
+        self.flows.insert(i, (key, flow));
+        for p in &mut self.backlogged {
+            if *p as usize >= i {
+                *p += 1;
+            }
         }
     }
 
@@ -102,7 +143,15 @@ impl GpsClock {
     /// the fluid system, which makes the remaining flows' service strictly
     /// better — never worse — so existing guarantees still hold).
     pub fn remove(&mut self, key: GpsFlowKey) -> Option<f64> {
-        self.find(key).ok().map(|i| self.flows.remove(i).1.rate_bps)
+        let i = self.find(key).ok()?;
+        self.backlogged.retain_mut(|p| {
+            let at = *p as usize;
+            if at > i {
+                *p -= 1;
+            }
+            at != i
+        });
+        Some(self.flows.remove(i).1.rate_bps)
     }
 
     /// Sum of the clock rates of all registered flows.
@@ -136,9 +185,9 @@ impl GpsClock {
 
     /// `true` if the fluid system currently has backlog.
     pub fn busy(&self) -> bool {
-        self.flows
+        self.backlogged
             .iter()
-            .any(|(_, f)| f.last_finish > self.virtual_time + 1e-15)
+            .any(|&p| self.flows[p as usize].1.last_finish > self.virtual_time + 1e-15)
     }
 
     /// Advance the virtual time to real time `now`, performing iterated
@@ -151,17 +200,25 @@ impl GpsClock {
         self.last_update = now;
 
         loop {
-            // Flows still backlogged in the fluid system.
+            // Flows still backlogged in the fluid system, summed in
+            // ascending key order; the ones that have emptied leave the
+            // list here.
             let mut active_rate = 0.0;
             let mut next_finish = f64::INFINITY;
-            for (_, f) in &self.flows {
+            let mut kept = 0;
+            for at in 0..self.backlogged.len() {
+                let p = self.backlogged[at];
+                let f = &self.flows[p as usize].1;
                 if f.last_finish > self.virtual_time + 1e-15 {
                     active_rate += f.rate_bps;
                     if f.last_finish < next_finish {
                         next_finish = f.last_finish;
                     }
+                    self.backlogged[kept] = p;
+                    kept += 1;
                 }
             }
+            self.backlogged.truncate(kept);
             if active_rate == 0.0 {
                 // Fluid system idle: virtual time does not need to advance
                 // (new arrivals start from max(V, last_finish) anyway).
@@ -196,14 +253,50 @@ impl GpsClock {
     /// [`set_rate`]: GpsClock::set_rate
     pub fn stamp(&mut self, key: GpsFlowKey, size_bits: u64, now: SimTime) -> f64 {
         self.advance(now);
-        let v = self.virtual_time;
         let i = self
             .find(key)
             .expect("flow must be registered with set_rate before stamping");
+        self.stamp_at(i, size_bits)
+    }
+
+    /// [`stamp`](GpsClock::stamp) for callers whose policy is to admit
+    /// unknown flows: a flow that is not registered is first registered at
+    /// `default_rate_bps`, with the same single key lookup.
+    pub fn stamp_or_register(
+        &mut self,
+        key: GpsFlowKey,
+        size_bits: u64,
+        now: SimTime,
+        default_rate_bps: f64,
+    ) -> f64 {
+        self.advance(now);
+        let i = match self.find(key) {
+            Ok(i) => i,
+            Err(i) => {
+                assert!(default_rate_bps > 0.0, "clock rate must be positive");
+                self.insert(i, key, default_rate_bps);
+                i
+            }
+        };
+        self.stamp_at(i, size_bits)
+    }
+
+    /// Stamp the flow at position `i` against the current virtual time and
+    /// enter it in the backlogged list.
+    fn stamp_at(&mut self, i: usize, size_bits: u64) -> f64 {
+        let v = self.virtual_time;
         let flow = &mut self.flows[i].1;
-        let start = v.max(flow.last_finish);
-        let finish = start + size_bits as f64 / flow.rate_bps;
+        // A flow that is still backlogged is listed already; an idle one
+        // may be (not yet pruned), so look before inserting.
+        let listed = flow.last_finish > v + 1e-15;
+        let finish = v.max(flow.last_finish) + size_bits as f64 / flow.rate_bps;
         flow.last_finish = finish;
+        if !listed {
+            let at = self.backlogged.partition_point(|&p| (p as usize) < i);
+            if self.backlogged.get(at) != Some(&(i as u32)) {
+                self.backlogged.insert(at, i as u32);
+            }
+        }
         finish
     }
 
@@ -211,17 +304,254 @@ impl GpsClock {
     pub fn reset(&mut self) {
         self.virtual_time = 0.0;
         self.last_update = SimTime::ZERO;
+        self.backlogged.clear();
         for (_, f) in &mut self.flows {
             f.last_finish = 0.0;
         }
     }
 }
 
+/// The same clock with no backlogged list: every deletion step scans every
+/// registered flow.  The oracle the list-based clock is held to, bit for
+/// bit.
+#[cfg(test)]
+mod reference {
+    use super::{GpsFlow, GpsFlowKey, SimTime};
+
+    pub struct ScanClock {
+        link_rate_bps: f64,
+        pub virtual_time: f64,
+        last_update: SimTime,
+        flows: Vec<(GpsFlowKey, GpsFlow)>,
+    }
+
+    impl ScanClock {
+        pub fn new(link_rate_bps: f64) -> Self {
+            ScanClock {
+                link_rate_bps,
+                virtual_time: 0.0,
+                last_update: SimTime::ZERO,
+                flows: Vec::new(),
+            }
+        }
+
+        fn find(&self, key: GpsFlowKey) -> Result<usize, usize> {
+            self.flows.binary_search_by_key(&key, |(k, _)| *k)
+        }
+
+        pub fn set_rate(&mut self, key: GpsFlowKey, rate_bps: f64) {
+            match self.find(key) {
+                Ok(i) => self.flows[i].1.rate_bps = rate_bps,
+                Err(i) => {
+                    let flow = GpsFlow {
+                        rate_bps,
+                        last_finish: 0.0,
+                    };
+                    self.flows.insert(i, (key, flow));
+                }
+            }
+        }
+
+        pub fn rate(&self, key: GpsFlowKey) -> Option<f64> {
+            self.find(key).ok().map(|i| self.flows[i].1.rate_bps)
+        }
+
+        pub fn remove(&mut self, key: GpsFlowKey) -> Option<f64> {
+            self.find(key).ok().map(|i| self.flows.remove(i).1.rate_bps)
+        }
+
+        pub fn num_flows(&self) -> usize {
+            self.flows.len()
+        }
+
+        fn backlogged(&self, f: &GpsFlow) -> bool {
+            f.last_finish > self.virtual_time + 1e-15
+        }
+
+        pub fn busy(&self) -> bool {
+            self.flows.iter().any(|(_, f)| self.backlogged(f))
+        }
+
+        pub fn advance(&mut self, now: SimTime) {
+            if now <= self.last_update {
+                return;
+            }
+            let mut remaining = (now - self.last_update).as_secs_f64();
+            self.last_update = now;
+            loop {
+                let mut active_rate = 0.0;
+                let mut next_finish = f64::INFINITY;
+                for (_, f) in &self.flows {
+                    if self.backlogged(f) {
+                        active_rate += f.rate_bps;
+                        if f.last_finish < next_finish {
+                            next_finish = f.last_finish;
+                        }
+                    }
+                }
+                if active_rate == 0.0 {
+                    return;
+                }
+                let slope = self.link_rate_bps / active_rate;
+                let dt_to_next = (next_finish - self.virtual_time) / slope;
+                if dt_to_next <= remaining {
+                    self.virtual_time = next_finish;
+                    remaining -= dt_to_next;
+                    if remaining <= 0.0 {
+                        return;
+                    }
+                } else {
+                    self.virtual_time += remaining * slope;
+                    return;
+                }
+            }
+        }
+
+        pub fn stamp(&mut self, key: GpsFlowKey, size_bits: u64, now: SimTime) -> f64 {
+            self.advance(now);
+            let v = self.virtual_time;
+            let i = self.find(key).expect("registered");
+            let flow = &mut self.flows[i].1;
+            let finish = v.max(flow.last_finish) + size_bits as f64 / flow.rate_bps;
+            flow.last_finish = finish;
+            finish
+        }
+
+        pub fn reset(&mut self) {
+            self.virtual_time = 0.0;
+            self.last_update = SimTime::ZERO;
+            for (_, f) in &mut self.flows {
+                f.last_finish = 0.0;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::ScanClock;
     use super::*;
+    use proptest::prelude::*;
 
     const MBIT: f64 = 1_000_000.0;
+
+    /// The listed positions are ascending and cover every flow that is
+    /// backlogged in the fluid system.
+    fn assert_list_invariant(gps: &GpsClock) {
+        assert!(gps.backlogged.windows(2).all(|w| w[0] < w[1]));
+        for (i, (key, f)) in gps.flows.iter().enumerate() {
+            if f.last_finish > gps.virtual_time + 1e-15 {
+                assert!(
+                    gps.backlogged.contains(&(i as u32)),
+                    "backlogged flow {key} is not listed"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        /// Random interleavings of every mutating call, with time gaps from
+        /// zero to seconds: the list-based clock and the all-flows scan
+        /// agree on every observable, bit for bit, after every step.
+        #[test]
+        fn list_clock_matches_the_full_scan_bit_for_bit(
+            ops in proptest::collection::vec(
+                (0u8..16, 0u64..8, 0u64..1_000_000, 0.0f64..1.0),
+                1..160,
+            ),
+        ) {
+            let mut gps = GpsClock::new(MBIT);
+            let mut oracle = ScanClock::new(MBIT);
+            let mut now = SimTime::ZERO;
+            for (step, &(op, selector, m, unit)) in ops.iter().enumerate() {
+                let key = if selector == 7 { GpsClock::PSEUDO_FLOW } else { selector * 3 };
+                let rate = 10_000.0 + unit * MBIT;
+                now += SimTime::from_nanos(match m % 4 {
+                    0 => 0,
+                    1 => m % 1_000,
+                    2 => m,
+                    _ => m * 5_000,
+                });
+                let size_bits = if m % 97 == 0 { 0 } else { 1 + m % 12_000 };
+                match op {
+                    0..=5 if oracle.rate(key).is_some() => {
+                        let got = gps.stamp(key, size_bits, now);
+                        let want = oracle.stamp(key, size_bits, now);
+                        prop_assert_eq!(got.to_bits(), want.to_bits(), "stamp at step {}", step);
+                    }
+                    // An unregistered key: the enqueue-side policy of `Wfq`.
+                    0..=6 => {
+                        let got = gps.stamp_or_register(key, size_bits, now, rate);
+                        if oracle.rate(key).is_none() {
+                            oracle.set_rate(key, rate);
+                        }
+                        let want = oracle.stamp(key, size_bits, now);
+                        prop_assert_eq!(got.to_bits(), want.to_bits(), "stamp at step {}", step);
+                    }
+                    7..=9 => {
+                        gps.advance(now);
+                        oracle.advance(now);
+                    }
+                    10..=12 => {
+                        gps.set_rate(key, rate);
+                        oracle.set_rate(key, rate);
+                    }
+                    13..=14 => prop_assert_eq!(gps.remove(key), oracle.remove(key)),
+                    _ => {
+                        gps.reset();
+                        oracle.reset();
+                        now = SimTime::ZERO;
+                    }
+                }
+                prop_assert_eq!(
+                    gps.virtual_time().to_bits(),
+                    oracle.virtual_time.to_bits(),
+                    "virtual time after step {} ({:?})", step, ops[step]
+                );
+                prop_assert_eq!(gps.busy(), oracle.busy(), "busy after step {}", step);
+                prop_assert_eq!(gps.rate(key), oracle.rate(key));
+                prop_assert_eq!(gps.num_flows(), oracle.num_flows());
+                assert_list_invariant(&gps);
+            }
+        }
+    }
+
+    #[test]
+    fn list_tracks_the_backlogged_flows_not_the_registered_ones() {
+        let mut gps = GpsClock::new(MBIT);
+        let mut oracle = ScanClock::new(MBIT);
+        for key in 0..200 {
+            gps.set_rate(key, MBIT / 200.0);
+            oracle.set_rate(key, MBIT / 200.0);
+        }
+        // Three senders among two hundred reservations, each sending a
+        // packet every 3 ms and emptying in between.
+        let senders = [7, 90, 198];
+        let mut now = SimTime::ZERO;
+        for round in 0..400u64 {
+            now += SimTime::MILLISECOND;
+            let key = senders[(round % 3) as usize];
+            let got = gps.stamp(key, 1000, now);
+            assert_eq!(got.to_bits(), oracle.stamp(key, 1000, now).to_bits());
+            // Listed: the flows backlogged now, plus those that emptied
+            // during this step's last deletion and leave at the next.
+            assert!(gps.backlogged.len() <= senders.len(), "round {round}");
+            assert_list_invariant(&gps);
+            // Registering and removing neighbours re-bases the positions.
+            if round % 50 == 49 {
+                assert_eq!(gps.remove(round), oracle.remove(round));
+                gps.set_rate(1_000 + round, 5_000.0);
+                oracle.set_rate(1_000 + round, 5_000.0);
+                assert_list_invariant(&gps);
+            }
+        }
+        now += SimTime::from_secs(1);
+        gps.advance(now);
+        oracle.advance(now);
+        assert_eq!(gps.virtual_time().to_bits(), oracle.virtual_time.to_bits());
+        assert!(!gps.busy());
+        assert!(gps.backlogged.is_empty(), "{:?}", gps.backlogged);
+    }
 
     #[test]
     fn single_flow_finish_times_accumulate_at_flow_rate() {

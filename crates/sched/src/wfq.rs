@@ -39,6 +39,10 @@ struct Lane {
     /// Meaningless (stale) while the queue is empty — refreshed on
     /// push-to-empty and after every pop.
     front_finish: f64,
+    /// The flow's clock rate was removed while this lane was backlogged:
+    /// free the lane when it drains.  Cleared when the flow is registered
+    /// again (by `set_rate` or a fresh enqueue) before that.
+    rate_removed: bool,
 }
 
 /// Packetized Weighted Fair Queueing.
@@ -53,13 +57,16 @@ pub struct Wfq {
     /// teardown perform no allocations after warm-up.
     pool: SegmentPool<(Packet, SchedContext, f64)>,
     /// Dense per-flow lanes, indexed by the slot in `slot_of` — the
-    /// data-path table (O(1) lookup on enqueue, linear scan of lane heads
-    /// on dequeue).  Lanes whose queue is empty are skipped by the scan.
+    /// data-path table (O(1) lookup on enqueue; dequeue compares the heads
+    /// of the lanes listed in `busy`).
     /// A lane is recycled through `free_lanes` when its flow's rate is
     /// removed: immediately if the queue is empty, otherwise as soon as
     /// the backlog drains (the deferred-teardown path in `dequeue`), so
     /// freed lanes always return their storage to the pool.
     lanes: Vec<Lane>,
+    /// The slots of the lanes whose queue is non-empty, in no particular
+    /// order: the only lanes `dequeue` has to look at.
+    busy: Vec<u32>,
     /// `slot_of[flow.0]` is the flow's lane index, or `NO_SLOT`.
     slot_of: Vec<u32>,
     /// Recycled lane slots.
@@ -99,6 +106,7 @@ impl Wfq {
             default_rate_bps,
             pool: SegmentPool::new(),
             lanes: Vec::new(),
+            busy: Vec::new(),
             slot_of: Vec::new(),
             free_lanes: Vec::new(),
             guaranteed: BTreeMap::new(),
@@ -120,6 +128,9 @@ impl Wfq {
     /// this flow is entitled to").
     pub fn set_rate(&mut self, flow: FlowId, rate_bps: f64) {
         self.gps.set_rate(flow.0 as u64, rate_bps);
+        if let Some(slot) = self.slot(flow) {
+            self.lanes[slot].rate_removed = false;
+        }
     }
 
     /// The clock rate currently assigned to `flow`, if registered.
@@ -139,10 +150,12 @@ impl Wfq {
         if let Some(slot) = self.slot(flow) {
             if self.lanes[slot].queue.is_empty() {
                 self.free_lane(slot);
+            } else {
+                // A backlogged lane keeps serving its queued packets at
+                // their existing stamps; `dequeue` frees it (and returns
+                // its segments to the pool) once the backlog drains.
+                self.lanes[slot].rate_removed = true;
             }
-            // A backlogged lane keeps serving its queued packets at their
-            // existing stamps; `dequeue` frees it (and returns its
-            // segments to the pool) once the backlog drains.
         }
         self.gps.remove(flow.0 as u64)
     }
@@ -159,12 +172,6 @@ impl Wfq {
     /// reference comparison).
     pub fn gps(&self) -> &GpsClock {
         &self.gps
-    }
-
-    fn ensure_registered(&mut self, flow: FlowId) {
-        if self.gps.rate(flow.0 as u64).is_none() {
-            self.gps.set_rate(flow.0 as u64, self.default_rate_bps);
-        }
     }
 
     /// The flow's lane slot, if it has one.
@@ -193,6 +200,7 @@ impl Wfq {
                     flow,
                     queue: SegQueue::new(),
                     front_finish: 0.0,
+                    rate_removed: false,
                 });
                 self.lanes.len() - 1
             }
@@ -204,14 +212,21 @@ impl Wfq {
 
 impl QueueDiscipline for Wfq {
     fn enqueue(&mut self, now: SimTime, packet: Packet, ctx: SchedContext) {
-        self.ensure_registered(packet.flow);
-        let finish = self.gps.stamp(packet.flow.0 as u64, packet.size_bits, now);
+        let finish = self.gps.stamp_or_register(
+            packet.flow.0 as u64,
+            packet.size_bits,
+            now,
+            self.default_rate_bps,
+        );
         let slot = self.slot_or_insert(packet.flow);
-        if self.lanes[slot].queue.is_empty() {
-            self.lanes[slot].front_finish = finish;
+        let lane = &mut self.lanes[slot];
+        // The stamp registered the flow if a teardown had removed it.
+        lane.rate_removed = false;
+        if lane.queue.is_empty() {
+            lane.front_finish = finish;
+            self.busy.push(slot as u32);
         }
-        self.pool
-            .push_back(&mut self.lanes[slot].queue, (packet, ctx, finish));
+        self.pool.push_back(&mut lane.queue, (packet, ctx, finish));
         self.len += 1;
         self.stamp_seq += 1;
     }
@@ -226,10 +241,8 @@ impl QueueDiscipline for Wfq {
         // old ascending-map scan with a strict `<` produced, but computable
         // in any lane order.
         let mut best: Option<(f64, FlowId, usize)> = None;
-        for (slot, lane) in self.lanes.iter().enumerate() {
-            if lane.queue.is_empty() {
-                continue;
-            }
+        for (at, &slot) in self.busy.iter().enumerate() {
+            let lane = &self.lanes[slot as usize];
             let finish = lane.front_finish;
             let better = match best {
                 None => true,
@@ -238,23 +251,25 @@ impl QueueDiscipline for Wfq {
                 }
             };
             if better {
-                best = Some((finish, lane.flow, slot));
+                best = Some((finish, lane.flow, at));
             }
         }
-        let (_, flow, slot) = best?;
+        let (_, _, at) = best?;
+        let slot = self.busy[at] as usize;
         let (packet, ctx, _) = self
             .pool
             .pop_front(&mut self.lanes[slot].queue)
-            .expect("selected lane has a head packet");
+            .expect("busy lane has a head packet");
         self.len -= 1;
         if let Some(&(_, _, finish)) = self.pool.front(&self.lanes[slot].queue) {
             self.lanes[slot].front_finish = finish;
-        } else if self.gps.rate(flow.0 as u64).is_none() {
-            // Deferred teardown: a lane whose flow was removed while
-            // backlogged is recycled once its last queued packet leaves
-            // (`ensure_registered` gives every enqueueing flow a rate, so a
-            // rate-less flow here can only mean `remove_flow_rate` ran).
-            self.free_lane(slot);
+        } else {
+            self.busy.swap_remove(at);
+            if self.lanes[slot].rate_removed {
+                // Deferred teardown: a lane whose flow was removed while
+                // backlogged is recycled once its last queued packet leaves.
+                self.free_lane(slot);
+            }
         }
         Some(Dequeued {
             packet,
@@ -467,6 +482,77 @@ mod tests {
         q.enqueue(SimTime::ZERO, pkt(3, 0), ctx(SimTime::ZERO));
         q.remove_flow_rate(FlowId(3));
         assert_eq!(q.dequeue(SimTime::ZERO).unwrap().packet.flow, FlowId(3));
+    }
+
+    /// Enqueue `n` packets of `flow` at t = 0.
+    fn backlog(q: &mut Wfq, flow: u32, n: u64) {
+        for seq in 0..n {
+            q.enqueue(SimTime::ZERO, pkt(flow, seq), ctx(SimTime::ZERO));
+        }
+    }
+
+    fn drain(q: &mut Wfq) -> Vec<u32> {
+        std::iter::from_fn(|| q.dequeue(SimTime::ZERO))
+            .map(|d| d.packet.flow.0)
+            .collect()
+    }
+
+    #[test]
+    fn lane_removed_while_backlogged_is_freed_when_it_drains() {
+        let mut q = Wfq::equal_share(MBIT, 2);
+        backlog(&mut q, 1, 3);
+        backlog(&mut q, 2, 3);
+        assert_eq!(q.pool.free_segments(), 0);
+        assert_eq!(q.remove_flow_rate(FlowId(1)), Some(MBIT / 2.0));
+        // Still holding its lane and storage: the backlog is served.
+        assert_eq!(q.slot(FlowId(1)), Some(0));
+        assert!(q.free_lanes.is_empty());
+        // A second removal finds no rate and must not disturb the lane.
+        assert_eq!(q.remove_flow_rate(FlowId(1)), None);
+        assert_eq!(q.slot(FlowId(1)), Some(0));
+        assert_eq!(drain(&mut q), vec![1, 2, 1, 2, 1, 2]);
+        // Drained: the removed flow's lane and segment went back; the
+        // registered flow keeps both.
+        assert_eq!(q.slot(FlowId(1)), None);
+        assert_eq!(q.free_lanes, vec![0]);
+        assert_eq!(q.pool.free_segments(), 1);
+        assert_eq!(q.slot(FlowId(2)), Some(1));
+        assert!(q.busy.is_empty());
+        // The freed lane is recycled, storage and all, without growing.
+        let grown = q.pool_grow_events();
+        backlog(&mut q, 7, 1);
+        assert_eq!(q.slot(FlowId(7)), Some(0));
+        assert_eq!(q.pool_grow_events(), grown);
+    }
+
+    #[test]
+    fn lane_reregistered_while_backlogged_survives_the_drain() {
+        type Register = fn(&mut Wfq, FlowId);
+        let ways: [(&str, Register); 3] = [
+            ("set_rate", |q, f| q.set_rate(f, 300_000.0)),
+            ("install_guaranteed", |q, f| {
+                assert_eq!(
+                    q.install_guaranteed(f, 300_000.0),
+                    GuaranteedInstall::Installed
+                );
+            }),
+            ("fresh enqueue", |q, f| {
+                q.enqueue(SimTime::ZERO, pkt(f.0, 9), ctx(SimTime::ZERO));
+            }),
+        ];
+        for (way, register) in ways {
+            let mut q = Wfq::equal_share(MBIT, 2);
+            backlog(&mut q, 1, 2);
+            assert!(q.remove_flow_rate(FlowId(1)).is_some());
+            register(&mut q, FlowId(1));
+            assert!(q.rate(FlowId(1)).is_some(), "{way}");
+            assert!(drain(&mut q).iter().all(|&f| f == 1), "{way}");
+            // The flow has a rate again, so the drain must not have torn
+            // its lane down.
+            assert_eq!(q.slot(FlowId(1)), Some(0), "{way}");
+            assert!(q.free_lanes.is_empty(), "{way}");
+            assert_eq!(q.pool.free_segments(), 0, "{way}");
+        }
     }
 
     #[test]
