@@ -16,6 +16,9 @@ fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_push_pop_10k", |b| {
         b.iter(|| black_box(micro::event_queue_push_pop(10_000)))
     });
+    c.bench_function("event_queue_paced_10k", |b| {
+        b.iter(|| black_box(micro::event_queue_paced(10_000)))
+    });
 }
 
 fn bench_rng(c: &mut Criterion) {

@@ -232,6 +232,52 @@ pub fn event_queue_push_pop(n: u64) -> u64 {
     sink
 }
 
+/// `n` holds (pop the earliest event, push its successor) under the
+/// pending-event pattern one Fig-1 chain produces: each of four busy links
+/// re-arms one packet time (1000 bits at 1 Mbit/s) ahead, each of 24
+/// sources re-arms an exponential gap ahead (mean 1/85 s, the paper's
+/// average packet rate) — 28 pending events, six or seven due in each
+/// 2^20 ns calendar day.  The payload is 16 bytes, the size of a network
+/// event, so the queue moves entries the size the engine's are;
+/// [`event_queue_push_pop`] spreads bare `u64`s uniformly over a second and
+/// sees neither the pacing nor the entry size.  Returns a checksum of the
+/// popped payloads.
+pub fn event_queue_paced(n: u64) -> u64 {
+    const LINKS: u64 = 4;
+    const SOURCES: u64 = 24;
+    const GAPS: usize = 1024;
+    // Drawn once, so the loop times the queue and not `ln`.
+    static SOURCE_GAPS: OnceLock<Vec<SimTime>> = OnceLock::new();
+    let gaps = SOURCE_GAPS.get_or_init(|| {
+        let mut rng = Pcg64::new(14);
+        (0..GAPS)
+            .map(|_| SimTime::from_secs_f64(rng.exponential(1.0 / 85.0)))
+            .collect()
+    });
+    let packet_time = SimTime::from_secs_f64(1000.0 / MBIT);
+
+    // The payload: (who re-arms, how many times it has).
+    let mut q: EventQueue<(u64, u64)> = EventQueue::with_capacity(64);
+    for link in 0..LINKS {
+        q.push(SimTime::from_micros(250 * link), (link, 0));
+    }
+    for source in 0..SOURCES {
+        q.push(gaps[source as usize], (LINKS + source, 0));
+    }
+    let mut sink = 0u64;
+    for i in 0..n {
+        let (now, (who, fired)) = q.pop().expect("every pop is followed by a push");
+        sink = sink.wrapping_add(who ^ fired);
+        let hold = if who < LINKS {
+            packet_time
+        } else {
+            gaps[i as usize % GAPS]
+        };
+        q.push(now + hold, (who, fired + 1));
+    }
+    sink
+}
+
 /// Draw `n` exponential inter-arrival samples from the PCG generator and
 /// return the bit pattern of their sum as a checksum.
 pub fn pcg_exponential(n: u64) -> u64 {
@@ -243,11 +289,13 @@ pub fn pcg_exponential(n: u64) -> u64 {
     acc.to_bits()
 }
 
-/// The simulation-substrate workloads: event-queue throughput and the
-/// random-number generator.
+/// The simulation-substrate workloads: event-queue throughput (uniform
+/// spread and the engine's paced hold pattern) and the random-number
+/// generator.
 pub fn engine_workloads() -> Vec<(&'static str, Workload)> {
     vec![
         ("engine/event_queue_push_pop", event_queue_push_pop),
+        ("engine/event_queue_paced", event_queue_paced),
         ("engine/pcg64_exponential", pcg_exponential),
     ]
 }

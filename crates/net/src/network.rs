@@ -8,7 +8,7 @@
 //! full) and, whenever the link goes idle, asking the discipline for the
 //! next packet to transmit.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use ispn_core::admission::{AdmissionController, AdmissionDecision};
 use ispn_core::{
@@ -164,18 +164,35 @@ struct Port {
     discipline: Probed<Discipline>,
     busy: bool,
     admission: Option<AdmissionState>,
+    /// The packets this port has put on its link that have not yet reached
+    /// the far end, in transmission order (the one being serialized
+    /// included).  The events that complete their journey
+    /// ([`NetEvent::Arrival`], [`NetEvent::TxArrival`]) only name the link
+    /// and take the front: a link's propagation delay is a constant and
+    /// its transmissions complete one after another, so arrival times are
+    /// non-decreasing in transmission order, and equal `(time, seq)`
+    /// timestamps pop in push order — the packet an arrival event was
+    /// pushed for is always the oldest one still on the wire.
+    wire: VecDeque<Packet>,
 }
 
+/// What the event queue holds: 16-byte notices that name an agent or a
+/// link, never a packet — an in-flight packet waits on its port's
+/// [`wire`](Port::wire), so the pending-event set moves and compares small
+/// entries however many packets are in flight.  Agent and link indices are
+/// stored as `u32`, narrowed with a check where they are minted
+/// ([`Network::add_agent`], [`Network::new`]).
 enum NetEvent {
     Timer {
-        agent: AgentId,
+        agent: u32,
         token: u64,
     },
     TxComplete {
-        link: LinkId,
+        link: u32,
     },
+    /// The oldest packet on `link`'s wire reaches the far end.
     Arrival {
-        packet: Packet,
+        link: u32,
     },
     /// A transmission completing on a zero-propagation link: the tail of
     /// the packet leaves the port at the instant its head reaches the next
@@ -183,23 +200,34 @@ enum NetEvent {
     /// popped) back-to-back at the same timestamp.  Merging them halves
     /// the event traffic on the paper's zero-delay topologies.  The
     /// handler replays the exact two-event order: free the port (possibly
-    /// starting the next transmission), then forward the packet.
+    /// starting the next transmission), then forward the packet — the
+    /// wire's front, which on such a link is its only entry.
     TxArrival {
-        link: LinkId,
-        packet: Packet,
+        link: u32,
     },
     AdmissionSample {
-        link: LinkId,
+        link: u32,
     },
     /// Outcome of an agent-requested flow setup, delivered through the
     /// event queue (same timestamp, next dispatch) rather than by direct
     /// recursion — an agent that retries from `on_setup` must not be able
-    /// to grow the call stack.
-    SetupResult {
-        agent: AgentId,
-        token: u64,
-        result: Result<FlowId, SetupError>,
-    },
+    /// to grow the call stack.  Boxed: it is the one payload that does not
+    /// fit a notice, and it exists only for agent-requested setups.
+    SetupResult(Box<SetupOutcome>),
+}
+
+struct SetupOutcome {
+    agent: AgentId,
+    token: u64,
+    result: Result<FlowId, SetupError>,
+}
+
+/// The `u32` a [`NetEvent`] stores for agent or link index `index`.
+///
+/// # Panics
+/// Panics if the index does not fit: events could no longer name it.
+fn event_index(index: usize, what: &str) -> u32 {
+    u32::try_from(index).unwrap_or_else(|_| panic!("{what} index {index} does not fit a u32"))
 }
 
 /// A no-op agent used as a placeholder while a real agent is borrowed for a
@@ -224,7 +252,14 @@ pub struct Network {
     /// than one slot so that a callback dispatched while another agent's
     /// commands are still being applied takes a buffer of its own; its
     /// depth never exceeds that nesting depth.
-    api_pool: Vec<AgentApi>,
+    ///
+    /// Boxed so a callback hands over a pointer: the buffer itself (four
+    /// `Vec` headers and the clock, 104 bytes) stays where it was
+    /// allocated instead of being moved pool → callback → pool.
+    // The indirection clippy objects to is the point: what is popped and
+    // pushed per callback is the element, not the `Vec`.
+    #[allow(clippy::vec_box)]
+    api_pool: Vec<Box<AgentApi>>,
     monitor: Monitor,
     telemetry: NetTelemetry,
     queue: EventQueue<NetEvent>,
@@ -250,14 +285,17 @@ impl Network {
     ///
     /// [`set_discipline`]: Network::set_discipline
     pub fn new(topology: Topology) -> Self {
-        let ports = (0..topology.num_links())
+        let num_links = topology.num_links();
+        // Events name links by `u32`: check once that every link fits.
+        event_index(num_links, "link");
+        let ports = (0..num_links)
             .map(|_| Port {
                 discipline: Probed::new(Discipline::from(Fifo::new())),
                 busy: false,
                 admission: None,
+                wire: VecDeque::new(),
             })
             .collect();
-        let num_links = topology.num_links();
         Network {
             topo: topology,
             ports,
@@ -435,6 +473,8 @@ impl Network {
     /// Register an agent and return its id.
     pub fn add_agent(&mut self, agent: Box<dyn Agent>) -> AgentId {
         let id = AgentId(self.agents.len());
+        // Events name agents by `u32`: check here, where the id is minted.
+        event_index(id.0, "agent");
         self.agents.push(agent);
         id
     }
@@ -552,6 +592,7 @@ impl Network {
             last_sample: self.now,
             last_rt_bits: self.monitor.link_realtime_bits_sent(link.index()),
         });
+        let link = event_index(link.index(), "link");
         self.queue.push(
             self.now + sample_interval,
             NetEvent::AdmissionSample { link },
@@ -884,7 +925,9 @@ impl Network {
     }
 
     /// Run the simulation until `horizon` (exclusive).  May be called
-    /// repeatedly with increasing horizons.
+    /// repeatedly with increasing horizons; a horizon at or before
+    /// [`now`](Network::now) runs nothing and leaves the clock where it is
+    /// (simulated time never moves backwards).
     pub fn run_until(&mut self, horizon: SimTime) {
         self.run_events(horizon, false);
     }
@@ -917,21 +960,54 @@ impl Network {
             self.now = t;
             match ev {
                 NetEvent::Timer { agent, token } => {
-                    self.dispatch(agent, |a, api| a.on_timer(token, api))
+                    self.dispatch(AgentId(agent as usize), |a, api| a.on_timer(token, api))
                 }
-                NetEvent::TxComplete { link } => self.on_tx_complete(link),
-                NetEvent::Arrival { packet } => self.forward(packet),
-                NetEvent::TxArrival { link, packet } => self.on_tx_arrival(link, packet),
-                NetEvent::AdmissionSample { link } => self.on_admission_sample(link),
-                NetEvent::SetupResult {
-                    agent,
-                    token,
-                    result,
-                } => self.dispatch(agent, |a, api| a.on_setup(token, result, api)),
+                NetEvent::TxComplete { link } => self.on_tx_complete(LinkId(link as usize)),
+                NetEvent::Arrival { link } => {
+                    let packet = self.take_off_wire(LinkId(link as usize));
+                    self.forward(packet)
+                }
+                NetEvent::TxArrival { link } => self.on_tx_arrival(LinkId(link as usize)),
+                NetEvent::AdmissionSample { link } => {
+                    self.on_admission_sample(LinkId(link as usize))
+                }
+                NetEvent::SetupResult(outcome) => {
+                    let SetupOutcome {
+                        agent,
+                        token,
+                        result,
+                    } = *outcome;
+                    self.dispatch(agent, |a, api| a.on_setup(token, result, api))
+                }
             }
         }
-        self.now = horizon;
+        // An earlier horizon than a previous call's ran nothing above and
+        // must not rewind the clock: timers armed afterwards would land in
+        // the already-simulated past.
+        self.now = self.now.max(horizon);
         self.monitor.advance_horizon(horizon);
+        debug_assert_eq!(
+            self.packets_in_flight(),
+            self.packets_held(),
+            "packet conservation: every in-flight packet is queued or on a wire"
+        );
+    }
+
+    /// Σ over flows of the packets injected but not yet delivered or
+    /// dropped.
+    fn packets_in_flight(&self) -> u64 {
+        self.flows.iter().map(|f| u64::from(f.in_flight)).sum()
+    }
+
+    /// Σ over ports of the packets queued in the discipline or on the wire.
+    /// Equal to [`packets_in_flight`](Network::packets_in_flight) whenever
+    /// no event is being handled: a packet inside the network is in exactly
+    /// one of those two places.
+    fn packets_held(&self) -> u64 {
+        self.ports
+            .iter()
+            .map(|p| (p.discipline.len() + p.wire.len()) as u64)
+            .sum()
     }
 
     // ----- agent dispatch -------------------------------------------------
@@ -939,11 +1015,12 @@ impl Network {
     /// Apply what `agent` asked for — packets, then timers, releases and
     /// setups, each in the order requested — and return the emptied buffer
     /// to the pool.
-    fn apply_commands(&mut self, agent: AgentId, mut api: AgentApi) {
+    fn apply_commands(&mut self, agent: AgentId, mut api: Box<AgentApi>) {
         for p in api.outbox.drain(..) {
             self.inject(p);
         }
         for (delay, token) in api.timers.drain(..) {
+            let agent = event_index(agent.0, "agent");
             self.queue
                 .push(self.now + delay, NetEvent::Timer { agent, token });
         }
@@ -952,14 +1029,13 @@ impl Network {
         }
         for (config, token) in api.setups.drain(..) {
             let result = self.request_flow(config);
-            self.queue.push(
-                self.now,
-                NetEvent::SetupResult {
-                    agent,
-                    token,
-                    result,
-                },
-            );
+            let outcome = SetupOutcome {
+                agent,
+                token,
+                result,
+            };
+            self.queue
+                .push(self.now, NetEvent::SetupResult(Box::new(outcome)));
         }
         self.api_pool.push(api);
     }
@@ -1051,6 +1127,7 @@ impl Network {
     /// `self.now`.
     fn start_transmission(&mut self, link: LinkId, may_batch: bool) {
         let params = *self.topo.link(link);
+        let notice = event_index(link.index(), "link");
         loop {
             let port = &mut self.ports[link.index()];
             debug_assert!(!port.busy);
@@ -1083,6 +1160,7 @@ impl Network {
             // route entry.
             let mut packet = d.packet;
             packet.hop += 1;
+            port.wire.push_back(packet);
             let done = self.now + tx_time;
             // Elide the TxComplete when (a) the completion is inside the
             // current run's horizon (otherwise it must stay pending for a
@@ -1094,8 +1172,10 @@ impl Network {
                 done < self.run_horizon || (self.run_inclusive && done == self.run_horizon);
             let quiet = self.queue.peek_time().is_none_or(|t| t > done);
             if may_batch && within && quiet {
-                self.queue
-                    .push(done + params.propagation, NetEvent::Arrival { packet });
+                self.queue.push(
+                    done + params.propagation,
+                    NetEvent::Arrival { link: notice },
+                );
                 self.now = done;
                 let port = &mut self.ports[link.index()];
                 port.busy = false;
@@ -1105,11 +1185,13 @@ impl Network {
                 continue;
             }
             if params.propagation == SimTime::ZERO {
-                self.queue.push(done, NetEvent::TxArrival { link, packet });
+                self.queue.push(done, NetEvent::TxArrival { link: notice });
             } else {
-                self.queue.push(done, NetEvent::TxComplete { link });
-                self.queue
-                    .push(done + params.propagation, NetEvent::Arrival { packet });
+                self.queue.push(done, NetEvent::TxComplete { link: notice });
+                self.queue.push(
+                    done + params.propagation,
+                    NetEvent::Arrival { link: notice },
+                );
             }
             return;
         }
@@ -1129,6 +1211,7 @@ impl Network {
         ad.last_rt_bits = rt_bits;
         ad.last_sample = now;
         let next = now + ad.sample_interval;
+        let link = event_index(link.index(), "link");
         self.queue.push(next, NetEvent::AdmissionSample { link });
     }
 
@@ -1142,11 +1225,22 @@ impl Network {
         }
     }
 
-    fn on_tx_arrival(&mut self, link: LinkId, packet: Packet) {
+    /// The packet the arrival event just popped was pushed for: the oldest
+    /// one on `link`'s wire (see [`Port::wire`]).
+    fn take_off_wire(&mut self, link: LinkId) -> Packet {
+        self.ports[link.index()]
+            .wire
+            .pop_front()
+            .expect("an arrival event implies a packet on the wire")
+    }
+
+    fn on_tx_arrival(&mut self, link: LinkId) {
         // Replays the exact order of the unmerged pair: the TxComplete
         // half first (free the port, start the next transmission), then
         // the Arrival half (forward the packet).  `may_batch` must be
         // false — the forward below still has to run at this timestamp.
+        // The packet comes off the wire before the next one goes on.
+        let packet = self.take_off_wire(link);
         let port = &mut self.ports[link.index()];
         port.busy = false;
         if !port.discipline.is_empty() {
@@ -1685,6 +1779,211 @@ mod tests {
         let api = &net.api_pool[0];
         assert!(api.outbox.is_empty() && api.timers.is_empty());
         assert!(api.outbox.capacity() >= 1 && api.timers.capacity() >= 1);
+    }
+
+    #[test]
+    fn events_are_sixteen_byte_notices() {
+        // The layout the event queue's cost rests on: a notice names an
+        // agent or a link and never carries a packet by value.
+        assert!(std::mem::size_of::<NetEvent>() <= 16);
+    }
+
+    #[test]
+    fn an_earlier_horizon_never_rewinds_the_clock() {
+        /// Records the instant it was started and the instant its one
+        /// timer (armed 1 s after the start) fired.
+        struct Stamp(std::rc::Rc<std::cell::RefCell<Vec<SimTime>>>);
+        impl Agent for Stamp {
+            fn start(&mut self, api: &mut AgentApi) {
+                self.0.borrow_mut().push(api.now());
+                api.set_timer(SimTime::SECOND, 0);
+            }
+            fn on_timer(&mut self, _token: u64, api: &mut AgentApi) {
+                self.0.borrow_mut().push(api.now());
+            }
+        }
+        let rewinds: [fn(&mut Network, SimTime); 2] = [Network::run_until, Network::run_through];
+        for rewind in rewinds {
+            let (mut net, _link) = two_switch_net();
+            net.run_until(SimTime::from_secs(5));
+            rewind(&mut net, SimTime::from_secs(3));
+            assert_eq!(net.now(), SimTime::from_secs(5));
+            // An agent added now starts at 5 s and its timer fires at 6 s,
+            // not in the already-simulated past.
+            let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+            net.add_agent(Box::new(Stamp(seen.clone())));
+            net.run_until(SimTime::from_secs(10));
+            assert_eq!(
+                *seen.borrow(),
+                vec![SimTime::from_secs(5), SimTime::from_secs(6)]
+            );
+        }
+    }
+
+    /// What a [`ScriptedSender`] sends: `(instant, flow index, size in
+    /// bits)` in non-decreasing time order; a packet's `seq` is its
+    /// position in the script.
+    type Script = Vec<(SimTime, usize, u64)>;
+
+    /// Sends a [`Script`] over several flows, one packet per timer.
+    struct ScriptedSender {
+        flows: Vec<FlowId>,
+        script: Script,
+        next: usize,
+    }
+
+    impl ScriptedSender {
+        fn arm(&mut self, api: &mut AgentApi) {
+            if let Some(&(at, _, _)) = self.script.get(self.next) {
+                api.set_timer(at.saturating_sub(api.now()), 0);
+            }
+        }
+    }
+
+    impl Agent for ScriptedSender {
+        fn start(&mut self, api: &mut AgentApi) {
+            self.arm(api);
+        }
+        fn on_timer(&mut self, _token: u64, api: &mut AgentApi) {
+            let (_, flow, bits) = self.script[self.next];
+            let seq = self.next as u64;
+            api.send(Packet::data(self.flows[flow], seq, bits, api.now()));
+            self.next += 1;
+            self.arm(api);
+        }
+    }
+
+    /// Run `script` over a FIFO chain of `hops` 1 Mbit/s links with the
+    /// given propagation, two flows sharing the whole route and one sink,
+    /// stepping through `horizons`.  Packet conservation — Σ per-flow
+    /// in-flight = Σ per-port queued + on the wire — is checked at every
+    /// stop.  Returns the network and the deliveries in arrival order.
+    fn run_script(
+        hops: usize,
+        propagation: SimTime,
+        script: &Script,
+        horizons: &[SimTime],
+    ) -> (Network, Vec<Delivery>) {
+        let (topo, _nodes, links) = Topology::chain(hops + 1, MBIT, propagation, 200);
+        let mut net = Network::new(topo);
+        let delivered = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let sink = net.add_agent(Box::new(RecordingSink {
+            delivered: delivered.clone(),
+        }));
+        let flows = (0..2)
+            .map(|_| net.add_flow(FlowConfig::datagram(links.clone()).with_sink(sink)))
+            .collect();
+        net.add_agent(Box::new(ScriptedSender {
+            flows,
+            script: script.clone(),
+            next: 0,
+        }));
+        let mut wire_high_water = 0;
+        for &h in horizons {
+            net.run_until(h);
+            assert_eq!(net.packets_in_flight(), net.packets_held(), "at {h}");
+            wire_high_water = wire_high_water.max(net.ports[0].wire.len());
+        }
+        assert_eq!(net.packets_held(), 0, "the script drained");
+        if propagation > SimTime::ZERO && horizons.len() > 1 {
+            assert!(
+                wire_high_water > 1,
+                "a stop should catch several packets mid-propagation"
+            );
+        }
+        let deliveries = delivered.borrow().clone();
+        (net, deliveries)
+    }
+
+    /// Every packet of `script` was delivered in transmission order — on a
+    /// FIFO chain, script order — carrying its own `seq`, `size_bits` and
+    /// final `hop`, at the instant store-and-forward FIFO service puts it
+    /// there.
+    fn assert_fifo_deliveries(
+        deliveries: &[Delivery],
+        script: &Script,
+        hops: usize,
+        propagation: SimTime,
+    ) {
+        assert_eq!(deliveries.len(), script.len());
+        // `free[h]`: when link h finishes its previous transmission.
+        let mut free = vec![SimTime::ZERO; hops];
+        for (i, (d, &(sent, flow, bits))) in deliveries.iter().zip(script).enumerate() {
+            let mut at = sent;
+            for link_free in &mut free {
+                let done = at.max(*link_free) + ispn_sim::time::transmission_time(bits, MBIT);
+                *link_free = done;
+                at = done + propagation;
+            }
+            assert_eq!(d.packet.seq, i as u64, "delivery {i}");
+            assert_eq!(d.packet.flow, FlowId(flow as u32), "delivery {i}");
+            assert_eq!(d.packet.size_bits, bits, "delivery {i}");
+            assert_eq!(d.packet.hop as usize, hops, "delivery {i}");
+            assert_eq!(d.packet.created_at, sent, "delivery {i}");
+            assert_eq!(d.total_delay, at - sent, "delivery {i}");
+        }
+    }
+
+    /// Two flows, sizes from 200 to 2000 bits, sent faster than the link
+    /// serves them for a while: with a 10 ms propagation up to a dozen
+    /// packets are on the wire at once.
+    fn mixed_script() -> Script {
+        let sizes = [1000, 200, 2000, 500, 1500, 300, 800];
+        (0..40u64)
+            .map(|i| {
+                let at = SimTime::from_micros(700 * i + 50 * (i % 3));
+                (at, (i % 3 == 1) as usize, sizes[i as usize % sizes.len()])
+            })
+            .collect()
+    }
+
+    const LONG_WIRE: SimTime = SimTime::from_millis(10);
+
+    /// A horizon every 3.3 ms until well after [`mixed_script`] drains:
+    /// each stop catches packets queued, being serialized and propagating.
+    fn frequent_stops() -> Vec<SimTime> {
+        (1..=40).map(|k| SimTime::from_micros(3_300 * k)).collect()
+    }
+
+    #[test]
+    fn wire_delivers_in_transmission_order_on_a_long_link() {
+        let script = mixed_script();
+        for hops in [1, 2] {
+            let (_, deliveries) = run_script(hops, LONG_WIRE, &script, &[SimTime::SECOND]);
+            assert_fifo_deliveries(&deliveries, &script, hops, LONG_WIRE);
+        }
+    }
+
+    #[test]
+    fn wire_survives_runs_split_mid_propagation() {
+        let script = mixed_script();
+        let (_, deliveries) = run_script(2, LONG_WIRE, &script, &frequent_stops());
+        assert_fifo_deliveries(&deliveries, &script, 2, LONG_WIRE);
+    }
+
+    #[test]
+    fn wire_holds_a_tx_complete_driven_burst() {
+        // Eight packets at one instant: the first is put on the link by
+        // `forward`, the other seven by the first's `TxComplete` handler,
+        // which steps through their completions inline (nothing else is
+        // due before the first arrival, 10 ms out) — the batch-elision
+        // path pushes onto the same wire.
+        let t0 = SimTime::from_millis(2);
+        let script: Script = (0..8).map(|i| (t0, i % 2, [1000, 400][i % 2])).collect();
+        let (net, deliveries) = run_script(1, LONG_WIRE, &script, &[SimTime::SECOND]);
+        assert_fifo_deliveries(&deliveries, &script, 1, LONG_WIRE);
+        // 8 timers + 1 queued TxComplete + 8 arrivals: the seven elided
+        // completions never went through the event queue.
+        assert_eq!(net.events_processed(), 17);
+    }
+
+    #[test]
+    fn wire_feeds_merged_tx_arrivals_on_a_zero_propagation_link() {
+        let script = mixed_script();
+        for hops in [1, 2] {
+            let (_, deliveries) = run_script(hops, SimTime::ZERO, &script, &frequent_stops());
+            assert_fifo_deliveries(&deliveries, &script, hops, SimTime::ZERO);
+        }
     }
 
     #[test]

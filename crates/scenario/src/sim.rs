@@ -835,6 +835,22 @@ mod tests {
     }
 
     #[test]
+    fn an_earlier_horizon_never_rewinds_the_clock() {
+        let mut sim = simple_sim();
+        sim.run_until(SimTime::from_secs(5));
+        assert!(sim.run_until(SimTime::from_secs(3)).is_empty());
+        assert_eq!(sim.now(), SimTime::from_secs(5));
+        // "One second from now" is 6 s, not a point in the simulated past.
+        let ran: Rc<RefCell<Vec<SimTime>>> = Rc::default();
+        let seen = ran.clone();
+        sim.schedule_in(SimTime::SECOND, move |sim| {
+            seen.borrow_mut().push(sim.now())
+        });
+        sim.run_until(SimTime::from_secs(10));
+        assert_eq!(*ran.borrow(), vec![SimTime::from_secs(6)]);
+    }
+
+    #[test]
     fn handler_can_deregister_itself_from_inside_the_callback() {
         let mut sim = simple_sim();
         let links = sim.built().forward.clone();

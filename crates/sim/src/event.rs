@@ -15,11 +15,28 @@
 //!   both operations.  This queue is instead a *calendar queue* (Brown,
 //!   CACM 1988): time is divided into fixed-width "days", each day hashes
 //!   to a bucket of a power-of-two wheel, and a push into the current
-//!   window is an `O(1)` append.  Only the day actually being drained
-//!   lives in a (binary-heap) ordered structure, and days are short enough
-//!   (≈1 ms, about one packet time) that the heap holds a handful of
-//!   entries at a time.  Events beyond the wheel's horizon go to a
+//!   window is an `O(1)` append.  Events beyond the wheel's horizon go to a
 //!   spillover heap, which is only consulted when the wheel runs dry.
+//!
+//! # The day being drained: a sorted run plus a `late` heap
+//!
+//! When a day starts, its bucket is swapped out of the wheel whole, sorted
+//! once by `(time, seq)` — entries were appended in push order, which is
+//! close to time order, so the sort sees a nearly sorted slice — and laid
+//! out latest-first, so the earliest entry pops off the end of the `Vec`
+//! without moving anything.  The emptied run's allocation goes back into
+//! the wheel in the same swap.  Nothing is sifted: a popped entry is moved
+//! once, whatever its size.
+//!
+//! A push whose day has already been promoted cannot join the run without
+//! an `O(n)` insert, so it goes to a small min-heap, `late`.  Every entry
+//! of the run and of `late` belongs to a day before `base_day` and every
+//! entry still in the wheel or the spillover to a later one, so the global
+//! minimum is the smaller of two heads: the run's last element and
+//! `late`'s top.  Both are compared on the full `(time, seq)` key, and
+//! `seq` is unique, so the order events pop in is exactly the order one
+//! heap over everything would produce — which is what the
+//! `matches_a_reference_heap` property test checks operation by operation.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -43,18 +60,22 @@ fn day(t: SimTime) -> u64 {
 /// Events with equal timestamps are returned in the order they were pushed.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// The near-term set: every event of days before `base_day`, kept in
-    /// a small min-heap.  Every entry here sorts before every entry still
-    /// in the wheel or the spillover (their days are `>= base_day`, ours
-    /// is earlier), so the global minimum is always `ready`'s minimum.
-    /// Days are promoted into `ready` only on the pop side — a push never
-    /// advances the wheel — and a push into an already-drained day is an
-    /// `O(log r)` heap insert where `r` stays around one day's worth of
-    /// events, not the whole queue.
-    ready: BinaryHeap<Reverse<Entry<E>>>,
+    /// The most recently promoted day, sorted *descending* by
+    /// `(time, seq)` so the earliest entry is `run.last()` and a pop is
+    /// `Vec::pop`.  Days are promoted only on the pop side — a push never
+    /// advances the wheel — and only when `run` and `late` are both empty.
+    run: Vec<Entry<E>>,
+    /// Pushes that landed in a day already promoted (`day < base_day`):
+    /// typically a hold shorter than what is left of the current day.
+    /// Together with `run` this is the near-term set; every entry of
+    /// either sorts before every entry still in the wheel or the
+    /// spillover (their days are `>= base_day`), so the global minimum is
+    /// the smaller of `run.last()` and `late.peek()`.
+    late: BinaryHeap<Reverse<Entry<E>>>,
     /// The wheel: `buckets[d & (NUM_BUCKETS-1)]` holds exactly the events
     /// of day `d`, for `d` in `[base_day, base_day + NUM_BUCKETS)`.
-    /// Buckets are unsorted; a bucket is sorted once, when its day starts.
+    /// Buckets are unsorted (push order); a bucket is sorted once, when
+    /// its day starts and it becomes `run`.
     buckets: Vec<Vec<Entry<E>>>,
     /// One bit per bucket, set iff the bucket is non-empty, so advancing
     /// to the next occupied day is a word scan rather than a walk over
@@ -62,8 +83,8 @@ pub struct EventQueue<E> {
     occupied: [u64; (NUM_BUCKETS / 64) as usize],
     /// Number of entries across all wheel buckets.
     wheel_len: usize,
-    /// First day still in the wheel; days before it have been drained into
-    /// `ready` (or were never occupied).
+    /// First day still in the wheel; days before it have been promoted
+    /// into `run` (or were never occupied).
     base_day: u64,
     /// Events scheduled beyond the wheel's horizon
     /// (`day >= base_day + NUM_BUCKETS`), kept in a heap and migrated into
@@ -108,7 +129,8 @@ impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            ready: BinaryHeap::new(),
+            run: Vec::new(),
+            late: BinaryHeap::new(),
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
             occupied: [0; (NUM_BUCKETS / 64) as usize],
             wheel_len: 0,
@@ -123,7 +145,7 @@ impl<E> EventQueue<E> {
     /// Create an empty queue with pre-allocated capacity.
     pub fn with_capacity(cap: usize) -> Self {
         let mut q = Self::new();
-        q.ready.reserve(cap);
+        q.run.reserve(cap);
         q
     }
 
@@ -135,10 +157,9 @@ impl<E> EventQueue<E> {
         let d = day(time);
         if d < self.base_day {
             // The entry belongs to a day already being drained (or one the
-            // wheel has moved past): merge it into the near-term heap.
-            // `seq` is fresh and part of the order, so it lands after
-            // existing ties.
-            self.ready.push(Reverse(entry));
+            // wheel has moved past).  `seq` is fresh and part of the order,
+            // so it pops after any tie already in the sorted run.
+            self.late.push(Reverse(entry));
         } else if d < self.base_day + NUM_BUCKETS {
             let idx = (d & (NUM_BUCKETS - 1)) as usize;
             self.buckets[idx].push(entry);
@@ -155,12 +176,20 @@ impl<E> EventQueue<E> {
 
     /// Remove and return the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.ready.is_empty() {
+        if self.near_term_is_empty() {
             self.refill();
         }
-        let Reverse(e) = self.ready.pop()?;
+        let late_first = match (self.run.last(), self.late.peek()) {
+            (Some(r), Some(Reverse(l))) => l < r,
+            (r, _) => r.is_none(),
+        };
+        let e = if late_first {
+            self.late.pop().map(|Reverse(e)| e)
+        } else {
+            self.run.pop()
+        }?;
         self.popped += 1;
-        if self.ready.is_empty() {
+        if self.near_term_is_empty() {
             // Promote the next day eagerly so the engine's peek-then-pop
             // loop sees an `O(1)` `peek_time` on its hot path.
             self.refill();
@@ -168,14 +197,16 @@ impl<E> EventQueue<E> {
         Some((e.time, e.event))
     }
 
-    /// Promote the next occupied day into `ready`: advance `base_day` to
-    /// it, migrate spillover events that the advance brought inside the
-    /// wheel's horizon, and merge that day's bucket into the near-term
-    /// heap.  No-op when `ready` still has events or the queue is empty.
+    fn near_term_is_empty(&self) -> bool {
+        self.run.is_empty() && self.late.is_empty()
+    }
+
+    /// Promote the next occupied day into `run`: advance `base_day` to it,
+    /// migrate spillover events that the advance brought inside the
+    /// wheel's horizon, and swap that day's bucket in as the sorted run.
+    /// Only called with the near-term set empty; no-op on an empty queue.
     fn refill(&mut self) {
-        if !self.ready.is_empty() {
-            return;
-        }
+        debug_assert!(self.near_term_is_empty());
         if self.wheel_len == 0 {
             // The wheel is dry: jump straight to the spillover's first day
             // (no point stepping the wheel across an empty span).
@@ -197,13 +228,17 @@ impl<E> EventQueue<E> {
             .expect("wheel_len > 0 implies an occupied bucket");
         let delta = (idx + NUM_BUCKETS as usize - base_idx) & (NUM_BUCKETS as usize - 1);
         self.base_day += delta as u64;
-        // Drain (not take) the bucket so its allocation is recycled the
-        // next time that day comes around, instead of churning the
-        // allocator once per day.
-        let promoted = self.buckets[idx].len();
-        self.ready.extend(self.buckets[idx].drain(..).map(Reverse));
+        // Swap (not copy) the bucket in: the emptied run's allocation is
+        // what that day's bucket appends into the next time it comes
+        // around, so allocations circulate instead of churning.
+        std::mem::swap(&mut self.run, &mut self.buckets[idx]);
+        // Ascending first — push order is nearly time order, the sort's
+        // best case — then flipped so the earliest entry is at the end.
+        // Keys are unique (`seq`), so an unstable sort is deterministic.
+        self.run.sort_unstable();
+        self.run.reverse();
         self.occupied[idx >> 6] &= !(1 << (idx & 63));
-        self.wheel_len -= promoted;
+        self.wheel_len -= self.run.len();
         self.base_day += 1;
         self.drain_overflow();
     }
@@ -250,13 +285,20 @@ impl<E> EventQueue<E> {
 
     /// The timestamp of the earliest pending event.
     ///
-    /// `O(1)` whenever `ready` is non-empty (always, right after a pop);
-    /// after a push into an empty `ready` it scans the next occupied
-    /// day's bucket without promoting it.
+    /// `O(1)` whenever the near-term set is non-empty (always, right after
+    /// a pop): the earlier of the sorted run's and `late`'s heads.  After a
+    /// push into an empty near-term set it scans the next occupied day's
+    /// bucket without promoting it.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(Reverse(e)) = self.ready.peek() {
-            return Some(e.time);
+        let run = self.run.last().map(|e| e.time);
+        let late = self.late.peek().map(|Reverse(e)| e.time);
+        let near_term = match (run, late) {
+            (Some(r), Some(l)) => Some(r.min(l)),
+            (r, l) => r.or(l),
+        };
+        if near_term.is_some() {
+            return near_term;
         }
         if self.wheel_len > 0 {
             let base_idx = (self.base_day & (NUM_BUCKETS - 1)) as usize;
@@ -272,12 +314,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.ready.len() + self.wheel_len + self.overflow.len()
+        self.run.len() + self.late.len() + self.wheel_len + self.overflow.len()
     }
 
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.ready.is_empty() && self.wheel_len == 0 && self.overflow.is_empty()
+        self.near_term_is_empty() && self.wheel_len == 0 && self.overflow.is_empty()
     }
 
     /// Total number of events ever scheduled on this queue.
@@ -298,7 +340,8 @@ impl<E> EventQueue<E> {
 
     /// Drop every pending event.
     pub fn clear(&mut self) {
-        self.ready.clear();
+        self.run.clear();
+        self.late.clear();
         for b in &mut self.buckets {
             b.clear();
         }
@@ -403,7 +446,7 @@ mod tests {
     #[test]
     fn pushes_into_the_day_being_drained_merge_in_order() {
         // Two events in one day; pop one, then push an event between the
-        // popped one and the remaining one.  The push lands in `ready`
+        // popped one and the remaining one.  The push lands in `late`
         // (its day is already being drained) and must merge in order.
         let mut q = EventQueue::new();
         q.push(SimTime::from_micros(10), "a");
@@ -421,7 +464,7 @@ mod tests {
         q.push(SimTime::from_micros(10), 0u32);
         q.push(t, 1);
         assert_eq!(q.pop().unwrap().1, 0);
-        // Same timestamp as the entry already sorted into `ready`: the
+        // Same timestamp as the entry already in the sorted run: the
         // earlier push must still pop first.
         q.push(t, 2);
         assert_eq!(q.pop(), Some((t, 1)));
@@ -475,51 +518,109 @@ mod proptests {
         }
 
         /// The calendar queue and a plain `(time, seq)` binary heap agree
-        /// on every pop, under interleaved pushes and pops with heavy
+        /// after every operation — on the popped event, on `peek_time()`
+        /// and on `len()` — under interleaved pushes and pops with heavy
         /// timestamp ties and the occasional far-future (spillover) push.
         /// Times are drawn from a few coarse scales so runs hit the
-        /// ready-merge, in-window, and overflow paths in one sequence.
+        /// late-merge, in-window, and overflow paths in one sequence;
+        /// class 4 packs hundreds of events into one 2^20 ns day and keeps
+        /// pushing into it while it drains, so `late` entries tie exactly
+        /// with entries already in the sorted run.
         #[test]
         fn matches_a_reference_heap(
             ops in proptest::collection::vec(
                 // (is_push, time_class, time_raw): pop when !is_push.
-                (any::<bool>(), 0u8..4, 0u64..1_000),
+                (any::<bool>(), 0u8..5, 0u64..1_000),
                 1..400,
             )
         ) {
-            let mut q = EventQueue::new();
-            let mut reference: std::collections::BinaryHeap<
-                std::cmp::Reverse<(SimTime, u64, usize)>,
-            > = std::collections::BinaryHeap::new();
-            let mut seq = 0u64;
-            let mut id = 0usize;
+            let mut model = Model::default();
             for (is_push, class, raw) in ops {
-                if is_push {
-                    // Coarse quantization produces many exact ties; class 3
-                    // lands beyond the 1024-day wheel horizon.
-                    let t = match class {
-                        0 => SimTime::from_millis(raw / 100),      // heavy ties
-                        1 => SimTime::from_millis(raw),            // in-window
-                        2 => SimTime::from_micros(raw * 37),       // sub-day spread
-                        _ => SimTime::from_secs(2 + raw),          // spillover
-                    };
-                    q.push(t, id);
-                    reference.push(std::cmp::Reverse((t, seq, id)));
-                    seq += 1;
-                    id += 1;
-                } else {
-                    let got = q.pop();
-                    let want = reference
-                        .pop()
-                        .map(|std::cmp::Reverse((t, _, i))| (t, i));
-                    prop_assert_eq!(got, want);
+                if !is_push {
+                    model.pop();
+                    continue;
+                }
+                // Coarse quantization produces many exact ties; class 3
+                // lands beyond the 1024-day wheel horizon.
+                match class {
+                    0 => model.push(SimTime::from_millis(raw / 100)), // heavy ties
+                    1 => model.push(SimTime::from_millis(raw)),       // in-window
+                    2 => model.push(SimTime::from_micros(raw * 37)),  // sub-day spread
+                    3 => model.push(SimTime::from_secs(2 + raw)),     // spillover
+                    _ => {
+                        // A dense day: a burst into day 3 on a 64 ns grid
+                        // (16 distinct stamps), one pop to promote it if
+                        // it was not already, then more of the same stamps.
+                        let stamp = |k: u64| SimTime::from_nanos((3 << DAY_SHIFT) + (k % 16) * 64);
+                        for k in 0..raw / 4 {
+                            model.push(stamp(raw + k));
+                        }
+                        model.pop();
+                        for k in 0..raw / 16 {
+                            model.push(stamp(raw + 7 * k));
+                        }
+                    }
                 }
             }
-            // Drain both to the end.
-            while let Some(std::cmp::Reverse((t, _, i))) = reference.pop() {
-                prop_assert_eq!(q.pop(), Some((t, i)));
+            model.drain();
+        }
+
+        /// Drain to empty, then push earlier than anything popped so far:
+        /// the wheel has moved past that day, so the entry goes to `late`
+        /// and must still come out first.
+        #[test]
+        fn push_earlier_after_draining_to_empty(
+            first in proptest::collection::vec(0u64..5_000, 1..40),
+            second in proptest::collection::vec(0u64..5_000, 1..40),
+        ) {
+            let mut model = Model::default();
+            for t in first {
+                model.push(SimTime::from_micros(5_000 + t));
             }
-            prop_assert_eq!(q.pop(), None);
+            model.drain();
+            for t in second {
+                model.push(SimTime::from_micros(t));
+                model.push(SimTime::from_micros(5_000 + t));
+            }
+            model.drain();
+        }
+    }
+
+    /// The queue under test beside the reference it must track: one
+    /// `BinaryHeap` over `(time, seq)`, the payload being `seq` itself.
+    #[derive(Default)]
+    struct Model {
+        q: EventQueue<u64>,
+        reference: BinaryHeap<Reverse<(SimTime, u64)>>,
+        next: u64,
+    }
+
+    impl Model {
+        fn agree(&self) {
+            let want = self.reference.peek().map(|Reverse((t, _))| *t);
+            prop_assert_eq!(self.q.peek_time(), want);
+            prop_assert_eq!(self.q.len(), self.reference.len());
+            prop_assert_eq!(self.q.is_empty(), self.reference.is_empty());
+        }
+
+        fn push(&mut self, t: SimTime) {
+            self.q.push(t, self.next);
+            self.reference.push(Reverse((t, self.next)));
+            self.next += 1;
+            self.agree();
+        }
+
+        fn pop(&mut self) {
+            let want = self.reference.pop().map(|Reverse(entry)| entry);
+            prop_assert_eq!(self.q.pop(), want);
+            self.agree();
+        }
+
+        fn drain(&mut self) {
+            while !self.reference.is_empty() {
+                self.pop();
+            }
+            self.pop()
         }
     }
 }
