@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks of the simulation substrate: event-queue
-//! throughput, the PCG generator, and an end-to-end events-per-second figure
-//! for the Table-1 scenario (how much simulated traffic the simulator pushes
-//! per wall-clock second).  The queue and RNG workload cores live in
-//! `ispn_bench::micro` so the `snapshot` harness measures the same code.
+//! throughput, the PCG generator, a setup request's whole life under churn,
+//! and an end-to-end events-per-second figure for the Table-1 scenario (how
+//! much simulated traffic the simulator pushes per wall-clock second).  The
+//! queue, RNG and churn workload cores live in `ispn_bench::micro` so the
+//! `snapshot` harness measures the same code.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -27,6 +28,15 @@ fn bench_rng(c: &mut Criterion) {
     });
 }
 
+fn bench_churn_request(c: &mut Criterion) {
+    let mut group = c.benchmark_group("signal");
+    group.sample_size(10);
+    group.bench_function("churn_request_4k", |b| {
+        b.iter(|| black_box(micro::churn_request(4_000)))
+    });
+    group.finish();
+}
+
 fn bench_table1_scenario(c: &mut Criterion) {
     // Short simulated duration so one iteration stays around tens of
     // milliseconds; the interesting number is simulated-seconds per
@@ -46,5 +56,11 @@ fn bench_table1_scenario(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_event_queue, bench_rng, bench_table1_scenario);
+criterion_group!(
+    benches,
+    bench_event_queue,
+    bench_rng,
+    bench_churn_request,
+    bench_table1_scenario
+);
 criterion_main!(benches);

@@ -6,11 +6,11 @@
 //! ISPN_BENCH_FAST=1 cargo run --release -p ispn-bench --bin snapshot
 //! ```
 //!
-//! Measures the per-packet scheduling and engine micro-workloads
-//! (ns/op), runs one representative scenario per experiment with run
-//! telemetry enabled (events/sec, peak queue depth, memory footprint),
-//! and writes the structured snapshot to `BENCH_14.json` — override with
-//! `--out FILE`.  `--check FILE` validates an existing snapshot against
+//! Measures the per-packet scheduling, engine and per-request signaling
+//! micro-workloads (ns/op), runs one representative scenario per
+//! experiment with run telemetry enabled (events/sec, peak queue depth,
+//! memory footprint), and writes the structured snapshot to
+//! `BENCH_15.json` — override with `--out FILE`.  `--check FILE` validates an existing snapshot against
 //! the schema instead (the CI smoke job), and `--diff OLD [NEW]`
 //! prints the per-workload ns/op movement between two recorded
 //! snapshots (`NEW` defaults to the current default output file).
@@ -19,12 +19,14 @@
 
 use ispn_bench::{bench_config, micro, snapshot};
 
-const DEFAULT_OUT: &str = "BENCH_14.json";
+const DEFAULT_OUT: &str = "BENCH_15.json";
 
 /// Packets per call for the scheduling workloads.
 const SCHED_OPS: u64 = 10_000;
 /// Events per call for the event-queue workload, draws for the RNG.
 const ENGINE_OPS: u64 = 10_000;
+/// Setup requests per call for the churn workload (20 simulated seconds).
+const SIGNAL_OPS: u64 = 4_000;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -93,6 +95,10 @@ fn main() {
     for (name, work) in micro::engine_workloads() {
         eprintln!("measuring {name} …");
         micro_results.push(snapshot::measure_micro(name, work, ENGINE_OPS, fast));
+    }
+    for (name, work) in micro::signal_workloads() {
+        eprintln!("measuring {name} …");
+        micro_results.push(snapshot::measure_micro(name, work, SIGNAL_OPS, fast));
     }
 
     type Probe = fn(&ispn_experiments::config::PaperConfig) -> ispn_scenario::RunTelemetry;

@@ -4,11 +4,14 @@
 //! Section 3 of the paper: the packet scheduling behaviour "must be
 //! executed for every packet [so] it must not be so complex as to effect
 //! overall network performance".  The workloads here exercise exactly the
-//! per-packet and per-event hot paths that claim rests on, so both the
-//! interactive Criterion runs and the recorded `BENCH_*.json` trajectory
-//! measure the same code.
+//! per-packet and per-event hot paths that claim rests on — and, for the
+//! Sections 8–9 control plane, one setup request's whole life — so both
+//! the interactive Criterion runs and the recorded `BENCH_*.json`
+//! trajectory measure the same code.
 
 use ispn_core::{FlowId, Packet, ServiceClass};
+use ispn_experiments::churn::{build_sim, ChurnConfig};
+use ispn_experiments::config::PaperConfig;
 use ispn_sched::{
     Averaging, Fifo, FifoPlus, QueueDiscipline, SchedContext, StrictPriority, Unified,
     VirtualClock, Wfq,
@@ -300,12 +303,68 @@ pub fn engine_workloads() -> Vec<(&'static str, Workload)> {
     ]
 }
 
+/// The whole lives of `n` setup requests, in situ: the churn experiment's
+/// scenario (Fig-1 chain, unified scheduler, Section-9 admission on every
+/// forward link) offered 200 requests a second holding 75 ms on average
+/// — the mix at which about two requests in five are refused — for `n / 200`
+/// simulated seconds, then drained.  Each request is submitted, decided
+/// hop by hop, confirmed or rolled back; an admitted one gets its on/off
+/// source, sends for its holding time, departs, is torn down hop by hop
+/// and hands its flow and agent slots back.  Unlike a replay of the
+/// signaling engine alone this bills a request everything it costs the
+/// run, allocator traffic included.  Returns the number of decisions made
+/// (≈ `n`: arrivals are Poisson).
+pub fn churn_request(n: u64) -> u64 {
+    const ARRIVALS_PER_SEC: f64 = 200.0;
+    const MEAN_HOLDING_SECS: f64 = 0.075;
+    let paper = PaperConfig {
+        duration: SimTime::from_secs_f64(n as f64 / ARRIVALS_PER_SEC),
+        ..PaperConfig::paper()
+    };
+    let horizon = paper.duration;
+    let mut sim = build_sim(&ChurnConfig::new(
+        paper,
+        ARRIVALS_PER_SEC,
+        MEAN_HOLDING_SECS,
+    ));
+    sim.run_until(horizon);
+    sim.drain_churn();
+    sim.run_until(horizon + SimTime::SECOND);
+    sim.signaling().decision_log().len() as u64
+}
+
+/// The control-plane workloads: a setup request's whole life.
+pub fn signal_workloads() -> Vec<(&'static str, Workload)> {
+    vec![("signal/churn_request", churn_request)]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
+    fn churn_request_decides_about_n_requests_and_refuses_two_in_five() {
+        let n = 4_000;
+        let decided = churn_request(n);
+        assert!(decided.abs_diff(n) < n / 10, "{decided} decisions for {n}");
+        // The refusal share is what makes the workload the churn mix: count
+        // it on the same scenario.
+        let paper = PaperConfig {
+            duration: SimTime::from_secs(20),
+            ..PaperConfig::paper()
+        };
+        let outcome = ispn_experiments::churn::run(&ChurnConfig::new(paper, 200.0, 0.075));
+        assert_eq!(outcome.offered as u64, decided);
+        let refused = outcome.blocking_probability();
+        assert!((0.3..0.5).contains(&refused), "refusal share {refused}");
+        assert_eq!(outcome.residual_reserved_bps, 0.0);
+    }
+
+    #[test]
     fn every_workload_serves_all_packets_deterministically() {
+        for (name, work) in signal_workloads() {
+            assert_eq!(work(500), work(500), "{name}");
+        }
         for (name, work) in sched_workloads() {
             // Same checksum on repeat runs: the workload is deterministic.
             assert_eq!(work(2_000), work(2_000), "{name}");

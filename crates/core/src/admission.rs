@@ -26,15 +26,135 @@ use ispn_stats::{WindowedMax, WindowedMean};
 
 use crate::token_bucket::TokenBucketSpec;
 
+/// Which criterion refused a request, with the numbers it compared.
+///
+/// A refusal is made on every hop of every blocked setup and is usually only
+/// counted, so the reason is a `Copy` value that costs nothing to produce;
+/// the text is rendered by [`Display`](std::fmt::Display) when (and only
+/// when) someone prints it.  That text is, character for character, the
+/// sentence the controller used to `format!` into a `String` at decision
+/// time — logs, examples and tests that match on it read the same — while
+/// code that wants the numbers matches on the variant instead of parsing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RejectReason {
+    /// The worst-case guaranteed check: `reserved_bps + requested_bps`
+    /// would exceed `quota_bps` (the real-time quota × link speed).
+    GuaranteedQuota {
+        /// Σ guaranteed clock rates already reserved on the link.
+        reserved_bps: f64,
+        /// The clock rate (or renegotiated increase) asked for.
+        requested_bps: f64,
+        /// The real-time quota of the link in bits per second.
+        quota_bps: f64,
+    },
+    /// The request named a predicted priority the link has no class for.
+    UnknownPriority {
+        /// The priority asked for.
+        priority: u8,
+        /// How many predicted classes the link is configured with.
+        classes: usize,
+    },
+    /// Criterion 1 failed: `rate_bps + util_bps ≥ quota_bps`.
+    RateCheck {
+        /// The declared token rate `r`.
+        rate_bps: f64,
+        /// The measured real-time utilization ν̂.
+        util_bps: f64,
+        /// The real-time quota of the link in bits per second.
+        quota_bps: f64,
+    },
+    /// Criterion 2 failed before any burst was considered: class `class`
+    /// is measured at (or over) its delay target, `Dⱼ − d̂ⱼ ≤ 0`.
+    ClassAtTarget {
+        /// The class `j` with no headroom left.
+        class: usize,
+        /// Its measured maximal delay d̂ⱼ.
+        measured: SimTime,
+        /// Its delay target Dⱼ.
+        target: SimTime,
+    },
+    /// Criterion 2 failed: `depth_bits ≥ headroom_secs × capacity_bps`
+    /// for class `class`.
+    BurstCheck {
+        /// The class `j` whose bound the burst would break.
+        class: usize,
+        /// The declared bucket depth `b`.
+        depth_bits: f64,
+        /// The delay headroom `Dⱼ − d̂ⱼ` in seconds.
+        headroom_secs: f64,
+        /// The capacity headroom `μ − ν̂ − r` in bits per second.
+        capacity_bps: f64,
+    },
+    /// The controller (if any) agreed, but the link's scheduler could not
+    /// hold a per-flow reservation of `rate_bps`.
+    SchedulerRefused {
+        /// The guaranteed clock rate the scheduler was asked to install.
+        rate_bps: f64,
+    },
+}
+
+impl std::fmt::Display for RejectReason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            RejectReason::GuaranteedQuota {
+                reserved_bps,
+                requested_bps,
+                quota_bps,
+            } => write!(
+                f,
+                "guaranteed reservation {reserved_bps:.0} + requested {requested_bps:.0} bps \
+                 exceeds quota {quota_bps:.0} bps"
+            ),
+            RejectReason::UnknownPriority { priority, classes } => write!(
+                f,
+                "priority {priority} does not exist (only {classes} classes configured)"
+            ),
+            RejectReason::RateCheck {
+                rate_bps,
+                util_bps,
+                quota_bps,
+            } => write!(
+                f,
+                "rate check failed: r + ν̂ = {rate_bps:.0} + {util_bps:.0} ≥ {quota_bps:.0} bps \
+                 (quota)"
+            ),
+            RejectReason::ClassAtTarget {
+                class,
+                measured,
+                target,
+            } => write!(
+                f,
+                "class {class} already at its delay target \
+                 ({measured} measured vs {target} target)"
+            ),
+            RejectReason::BurstCheck {
+                class,
+                depth_bits,
+                headroom_secs,
+                capacity_bps,
+            } => write!(
+                f,
+                "burst check failed for class {class}: b = {depth_bits:.0} bits ≥ \
+                 ({headroom_secs:.4} s)({capacity_bps:.0} bps)"
+            ),
+            RejectReason::SchedulerRefused { rate_bps } => write!(
+                f,
+                "scheduler refused guaranteed rate {rate_bps:.0} bps \
+                 (per-flow reservations exhausted)"
+            ),
+        }
+    }
+}
+
 /// Result of an admission request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdmissionDecision {
     /// The flow may be admitted.
     Accept,
     /// The flow must be refused, with the failed criterion spelled out.
     Reject {
-        /// Human-readable description of which criterion failed.
-        reason: String,
+        /// Which criterion failed and the numbers it compared.
+        reason: RejectReason,
     },
 }
 
@@ -147,15 +267,15 @@ impl AdmissionController {
         }
     }
 
-    /// The current conservative measurement snapshot.
+    /// The current conservative measurement snapshot — the inspectable
+    /// form of what [`request_predicted`](Self::request_predicted) reads.
     ///
     /// If no utilization samples have been observed recently the estimate
     /// falls back to the sum of guaranteed reservations (the only traffic we
     /// can be sure about); measured delays default to zero.
     pub fn measurement(&mut self, now: SimTime) -> LinkMeasurement {
         let t = now.as_secs_f64();
-        let measured = self.util_estimate.current(t, 0.0) * self.util_safety_factor;
-        let realtime_util_bps = measured.max(self.reserved_guaranteed_bps);
+        let realtime_util_bps = self.realtime_util_bps(t);
         let class_delay = self
             .delay_estimates
             .iter_mut()
@@ -165,6 +285,13 @@ impl AdmissionController {
             realtime_util_bps,
             class_delay,
         }
+    }
+
+    /// ν̂ at time `t` (seconds): the windowed mean times the safety factor,
+    /// floored by the guaranteed reservations.
+    fn realtime_util_bps(&mut self, t: f64) -> f64 {
+        let measured = self.util_estimate.current(t, 0.0) * self.util_safety_factor;
+        measured.max(self.reserved_guaranteed_bps)
     }
 
     /// Number of requests accepted so far.
@@ -198,10 +325,11 @@ impl AdmissionController {
         } else {
             self.rejected += 1;
             AdmissionDecision::Reject {
-                reason: format!(
-                    "guaranteed reservation {:.0} + requested {:.0} bps exceeds quota {:.0} bps",
-                    self.reserved_guaranteed_bps, rate_bps, quota
-                ),
+                reason: RejectReason::GuaranteedQuota {
+                    reserved_bps: self.reserved_guaranteed_bps,
+                    requested_bps: rate_bps,
+                    quota_bps: quota,
+                },
             }
         }
     }
@@ -214,15 +342,24 @@ impl AdmissionController {
     /// Request admission of a predicted flow declaring token bucket `bucket`
     /// at priority `priority`, using the Section 9 example criterion against
     /// the current measurements.
+    ///
+    /// No [`LinkMeasurement`] is built: the criterion reads ν̂ and each d̂ⱼ
+    /// straight from the controller's windows — the same reads, in the same
+    /// order and with the same rounding as [`measurement`](Self::measurement),
+    /// which remains the way to *look at* what a decision saw — so a
+    /// decision allocates nothing.
     pub fn request_predicted(
         &mut self,
         now: SimTime,
         bucket: TokenBucketSpec,
         priority: u8,
     ) -> AdmissionDecision {
-        let meas = self.measurement(now);
-        let decision = admit_predicted(&self.config, &meas, bucket, priority);
-        match &decision {
+        let t = now.as_secs_f64();
+        let nu = self.realtime_util_bps(t);
+        let estimates = &mut self.delay_estimates;
+        let class_delay = |j: usize| SimTime::from_secs_f64(estimates[j].current(t, 0.0));
+        let decision = section9(&self.config, nu, class_delay, bucket, priority);
+        match decision {
             AdmissionDecision::Accept => self.accepted += 1,
             AdmissionDecision::Reject { .. } => self.rejected += 1,
         }
@@ -238,67 +375,78 @@ pub fn admit_predicted(
     bucket: TokenBucketSpec,
     priority: u8,
 ) -> AdmissionDecision {
+    let class_delay = |j: usize| meas.class_delay.get(j).copied().unwrap_or(SimTime::ZERO);
+    section9(
+        config,
+        meas.realtime_util_bps,
+        class_delay,
+        bucket,
+        priority,
+    )
+}
+
+/// The Section-9 criterion over ν̂ = `nu` and d̂ⱼ = `class_delay(j)`.
+///
+/// `class_delay` is called once for every configured class, in priority
+/// order, whatever the verdict: reading a controller's window also expires
+/// its old samples, and a decision must leave every window as a full
+/// [`AdmissionController::measurement`] would.
+fn section9(
+    config: &AdmissionConfig,
+    nu: f64,
+    mut class_delay: impl FnMut(usize) -> SimTime,
+    bucket: TokenBucketSpec,
+    priority: u8,
+) -> AdmissionDecision {
     let mu = config.link_rate_bps;
-    let nu = meas.realtime_util_bps;
     let r = bucket.rate_bps;
     let b = bucket.depth_bits;
-
-    if priority as usize >= config.class_targets.len() {
-        return AdmissionDecision::Reject {
-            reason: format!(
-                "priority {} does not exist (only {} classes configured)",
-                priority,
-                config.class_targets.len()
-            ),
-        };
-    }
+    let classes = config.class_targets.len();
 
     // Criterion 1: r + ν̂ < quota · μ
     let quota = config.realtime_quota * mu;
-    if r + nu >= quota {
-        return AdmissionDecision::Reject {
-            reason: format!(
-                "rate check failed: r + ν̂ = {:.0} + {:.0} ≥ {:.0} bps (quota)",
-                r, nu, quota
-            ),
-        };
-    }
+    let mut refused = if priority as usize >= classes {
+        Some(RejectReason::UnknownPriority { priority, classes })
+    } else if r + nu >= quota {
+        Some(RejectReason::RateCheck {
+            rate_bps: r,
+            util_bps: nu,
+            quota_bps: quota,
+        })
+    } else {
+        None
+    };
 
     // Criterion 2: b < (Dⱼ − d̂ⱼ)(μ − ν̂ − r) for every class j at or below
-    // priority i (larger j = lower priority).
+    // priority i (larger j = lower priority); strictly higher-priority
+    // classes are unaffected.
     for (j, &target) in config.class_targets.iter().enumerate() {
-        if j < priority as usize {
-            continue; // strictly higher-priority classes are unaffected
+        let d_hat = class_delay(j).as_secs_f64();
+        if refused.is_some() || j < priority as usize {
+            continue;
         }
-        let d_hat = meas
-            .class_delay
-            .get(j)
-            .copied()
-            .unwrap_or(SimTime::ZERO)
-            .as_secs_f64();
         let headroom_secs = target.as_secs_f64() - d_hat;
-        if headroom_secs <= 0.0 {
-            return AdmissionDecision::Reject {
-                reason: format!(
-                    "class {} already at its delay target ({} measured vs {} target)",
-                    j,
-                    SimTime::from_secs_f64(d_hat),
-                    target
-                ),
-            };
-        }
         let capacity_headroom = mu - nu - r;
-        if capacity_headroom <= 0.0 || b >= headroom_secs * capacity_headroom {
-            return AdmissionDecision::Reject {
-                reason: format!(
-                    "burst check failed for class {}: b = {:.0} bits ≥ ({:.4} s)({:.0} bps)",
-                    j, b, headroom_secs, capacity_headroom
-                ),
-            };
+        if headroom_secs <= 0.0 {
+            refused = Some(RejectReason::ClassAtTarget {
+                class: j,
+                measured: SimTime::from_secs_f64(d_hat),
+                target,
+            });
+        } else if capacity_headroom <= 0.0 || b >= headroom_secs * capacity_headroom {
+            refused = Some(RejectReason::BurstCheck {
+                class: j,
+                depth_bits: b,
+                headroom_secs,
+                capacity_bps: capacity_headroom,
+            });
         }
     }
 
-    AdmissionDecision::Accept
+    match refused {
+        Some(reason) => AdmissionDecision::Reject { reason },
+        None => AdmissionDecision::Accept,
+    }
 }
 
 #[cfg(test)]
@@ -322,6 +470,14 @@ mod tests {
         }
     }
 
+    /// The text of a refusal, through the public decision functions.
+    fn refusal(d: AdmissionDecision) -> String {
+        match d {
+            AdmissionDecision::Reject { reason } => reason.to_string(),
+            AdmissionDecision::Accept => panic!("expected a refusal"),
+        }
+    }
+
     #[test]
     fn empty_link_accepts_reasonable_flow() {
         let bucket = TokenBucketSpec::per_packets(85.0, 5.0, 1000);
@@ -335,11 +491,7 @@ mod tests {
         meas.realtime_util_bps = 850_000.0;
         let bucket = TokenBucketSpec::new(100_000.0, 5_000.0);
         let d = admit_predicted(&config(), &meas, bucket, 0);
-        assert!(!d.is_accept());
-        match d {
-            AdmissionDecision::Reject { reason } => assert!(reason.contains("rate check")),
-            _ => panic!(),
-        }
+        assert!(refusal(d).contains("rate check"));
     }
 
     #[test]
@@ -464,13 +616,8 @@ mod tests {
         let mut meas = idle_measurement();
         meas.class_delay[1] = SimTime::from_millis(100);
         let tiny = TokenBucketSpec::new(1_000.0, 1.0);
-        let d = admit_predicted(&config(), &meas, tiny, 1);
-        match d {
-            AdmissionDecision::Reject { reason } => {
-                assert!(reason.contains("delay target"), "{reason}");
-            }
-            AdmissionDecision::Accept => panic!("zero headroom must reject"),
-        }
+        let reason = refusal(admit_predicted(&config(), &meas, tiny, 1));
+        assert!(reason.contains("delay target"), "{reason}");
         // The same holds when the measured delay *exceeds* the target.
         meas.class_delay[1] = SimTime::from_millis(150);
         assert!(!admit_predicted(&config(), &meas, tiny, 1).is_accept());
@@ -530,6 +677,61 @@ mod tests {
         let d = ac.request_predicted(SimTime::from_secs(1), bucket, 0);
         assert!(!d.is_accept(), "{d:?}");
     }
+
+    /// Each variant renders, character for character, the sentence the
+    /// controller `format!`ted into a `String` before reasons were typed
+    /// (precisions and the `ν̂`/`≥` glyphs included): logs and tests that
+    /// match on the text must not notice the change.
+    #[test]
+    fn reject_reasons_render_the_sentences_the_controller_used_to_format() {
+        let mut ac = AdmissionController::new(config(), 30.0);
+        assert!(ac.request_guaranteed(800_000.0).is_accept());
+        assert_eq!(
+            refusal(ac.request_guaranteed(200_000.4)),
+            "guaranteed reservation 800000 + requested 200000 bps exceeds quota 900000 bps"
+        );
+
+        let bucket = TokenBucketSpec::new(85_000.0, 50_000.0);
+        assert_eq!(
+            refusal(admit_predicted(&config(), &idle_measurement(), bucket, 5)),
+            "priority 5 does not exist (only 2 classes configured)"
+        );
+
+        let mut meas = idle_measurement();
+        meas.realtime_util_bps = 850_000.6;
+        assert_eq!(
+            refusal(admit_predicted(&config(), &meas, bucket, 0)),
+            "rate check failed: r + ν̂ = 85000 + 850001 ≥ 900000 bps (quota)"
+        );
+
+        let mut meas = idle_measurement();
+        meas.class_delay[1] = SimTime::from_micros(100_250);
+        assert_eq!(
+            refusal(admit_predicted(&config(), &meas, bucket, 1)),
+            "class 1 already at its delay target (0.100250s measured vs 0.100000s target)"
+        );
+
+        let mut meas = idle_measurement();
+        meas.realtime_util_bps = 300_000.0;
+        meas.class_delay[0] = SimTime::from_micros(8_700);
+        assert_eq!(
+            refusal(admit_predicted(&config(), &meas, bucket, 0)),
+            "burst check failed for class 0: b = 50000 bits ≥ (0.0013 s)(615000 bps)"
+        );
+
+        assert_eq!(
+            RejectReason::SchedulerRefused { rate_bps: 1e6 }.to_string(),
+            "scheduler refused guaranteed rate 1000000 bps (per-flow reservations exhausted)"
+        );
+    }
+
+    /// A refusal is produced on every hop of every blocked setup and
+    /// carried in every `Rejected` event: it must stay a few words.
+    #[test]
+    fn a_reject_reason_is_at_most_forty_bytes() {
+        assert!(std::mem::size_of::<RejectReason>() <= 40);
+        assert!(std::mem::size_of::<AdmissionDecision>() <= 40);
+    }
 }
 
 #[cfg(test)]
@@ -568,6 +770,48 @@ mod proptests {
                     }
                 }
             }
+        }
+
+        /// `request_predicted` builds no snapshot, yet decides exactly what
+        /// the criterion decides on `measurement()` — reason and numbers
+        /// included — and leaves the windows as that snapshot would, so a
+        /// twin controller driven through the snapshot stays in step
+        /// request after request.
+        #[test]
+        fn request_predicted_decides_what_its_snapshot_would(
+            steps in proptest::collection::vec(
+                (
+                    (0.0f64..4.0, 0.0f64..1_200_000.0),
+                    (0.0f64..0.15, 0u8..3),
+                    (1_000.0f64..400_000.0, 1_000.0f64..80_000.0),
+                ),
+                1..40,
+            ),
+        ) {
+            let config = AdmissionConfig::new(
+                1_000_000.0,
+                0.9,
+                vec![SimTime::from_millis(10), SimTime::from_millis(100)],
+            );
+            let mut direct = AdmissionController::new(config.clone(), 5.0);
+            let mut twin = AdmissionController::new(config.clone(), 5.0);
+            let mut now = SimTime::ZERO;
+            for ((gap, util), (delay, pri), (r, b)) in steps {
+                now += SimTime::from_secs_f64(gap);
+                for ac in [&mut direct, &mut twin] {
+                    ac.observe_utilization(now, util);
+                    ac.observe_class_delay(now, pri % 2, SimTime::from_secs_f64(delay));
+                }
+                let bucket = TokenBucketSpec::new(r, b);
+                let meas = twin.measurement(now);
+                prop_assert_eq!(
+                    direct.request_predicted(now, bucket, pri),
+                    admit_predicted(&config, &meas, bucket, pri)
+                );
+            }
+            let (direct, twin) = (direct.measurement(now), twin.measurement(now));
+            prop_assert_eq!(direct.realtime_util_bps, twin.realtime_util_bps);
+            prop_assert_eq!(direct.class_delay, twin.class_delay);
         }
     }
 }

@@ -32,7 +32,7 @@ pub mod packet;
 pub mod playback;
 pub mod token_bucket;
 
-pub use admission::{AdmissionController, AdmissionDecision, LinkMeasurement};
+pub use admission::{AdmissionController, AdmissionDecision, LinkMeasurement, RejectReason};
 pub use arena::{SegQueue, SegmentPool};
 pub use flow::{FlowSpec, ServiceClass};
 pub use packet::{Conformance, FlowId, Packet, PacketKind};

@@ -205,7 +205,7 @@ fn bucket_for(paper: &PaperConfig, priority: u8) -> ispn_core::TokenBucketSpec {
 /// Build the churn scenario: the Figure-1 duplex chain with the unified
 /// scheduler and a stiffened Section-9 admission controller on every
 /// forward link, carrying the declarative churn workload.
-fn build_sim(cfg: &ChurnConfig) -> Sim {
+pub fn build_sim(cfg: &ChurnConfig) -> Sim {
     let paper = &cfg.paper;
     let pt = paper.packet_time();
     let forward: Vec<LinkId> = (0..NUM_LINKS).map(LinkId).collect();

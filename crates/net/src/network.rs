@@ -8,9 +8,9 @@
 //! full) and, whenever the link goes idle, asking the discipline for the
 //! next packet to transmit.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use ispn_core::admission::{AdmissionController, AdmissionDecision};
+use ispn_core::admission::{AdmissionController, AdmissionDecision, RejectReason};
 use ispn_core::{
     Conformance, FlowId, FlowSpec, Packet, ServiceClass, TokenBucket, TokenBucketSpec,
 };
@@ -110,8 +110,9 @@ pub struct SetupError {
     pub hop: usize,
     /// The link whose admission controller refused the flow.
     pub link: LinkId,
-    /// The failed criterion, as reported by the controller.
-    pub reason: String,
+    /// The failed criterion, as reported by the controller (or by the
+    /// scheduler's veto); rendered only when printed.
+    pub reason: RejectReason,
 }
 
 impl std::fmt::Display for SetupError {
@@ -230,10 +231,22 @@ fn event_index(index: usize, what: &str) -> u32 {
     u32::try_from(index).unwrap_or_else(|_| panic!("{what} index {index} does not fit a u32"))
 }
 
-/// A no-op agent used as a placeholder while a real agent is borrowed for a
-/// callback.
+/// A no-op agent: the placeholder while a real agent is borrowed for a
+/// callback, and what a retired slot answers with.
 struct NoopAgent;
 impl Agent for NoopAgent {}
+
+/// One entry of the agent table (lifecycle: [`Network::retire_agent`]).
+struct AgentSlot {
+    /// The agent [`Network::add_agent`] put here; the no-op once retired.
+    agent: Box<dyn Agent>,
+    /// What still names this slot: events in the queue (timers and
+    /// `SetupResult`s, bumped at push and pop) plus registered flows whose
+    /// sink it is.  A retired slot is reused only when this is zero.
+    refs: u32,
+    /// Cleared by [`Network::retire_agent`].
+    live: bool,
+}
 
 /// The simulated packet network.
 pub struct Network {
@@ -247,7 +260,14 @@ pub struct Network {
     /// Retired flows whose last in-flight packet has left the network,
     /// staged for the driver to snapshot (final reports) and recycle.
     drained: Vec<FlowId>,
-    agents: Vec<Box<dyn Agent>>,
+    agents: Vec<AgentSlot>,
+    /// Agent slots freed by [`retire_agent`](Network::retire_agent), reused
+    /// by the next [`add_agent`](Network::add_agent).
+    free_agent_slots: Vec<AgentId>,
+    /// Agents whose `start` callback has not run yet, in the order they were
+    /// added (agents may be added mid-run, e.g. flows admitted by admission
+    /// control; they are started at the next `run_until`).
+    unstarted: VecDeque<AgentId>,
     /// Emptied command buffers awaiting the next callback.  A stack rather
     /// than one slot so that a callback dispatched while another agent's
     /// commands are still being applied takes a buffer of its own; its
@@ -273,10 +293,6 @@ pub struct Network {
     run_horizon: SimTime,
     run_inclusive: bool,
     started: bool,
-    /// Number of agents whose `start` callback has already run (agents may
-    /// be added mid-run, e.g. flows admitted by admission control; they are
-    /// started at the next `run_until`).
-    started_agents: usize,
 }
 
 impl Network {
@@ -303,6 +319,8 @@ impl Network {
             free_flow_slots: Vec::new(),
             drained: Vec::new(),
             agents: Vec::new(),
+            free_agent_slots: Vec::new(),
+            unstarted: VecDeque::new(),
             api_pool: Vec::new(),
             monitor: Monitor::new(0, num_links),
             telemetry: NetTelemetry::new(num_links),
@@ -311,7 +329,6 @@ impl Network {
             run_horizon: SimTime::ZERO,
             run_inclusive: false,
             started: false,
-            started_agents: 0,
         }
     }
 
@@ -470,13 +487,92 @@ impl Network {
         self.ports[link.index()].discipline.name()
     }
 
-    /// Register an agent and return its id.
+    /// Register an agent and return its id — a slot freed by
+    /// [`retire_agent`](Network::retire_agent) if there is one, a new one
+    /// otherwise.  Agents are started in the order they were added,
+    /// whichever kind of slot they got.
     pub fn add_agent(&mut self, agent: Box<dyn Agent>) -> AgentId {
-        let id = AgentId(self.agents.len());
-        // Events name agents by `u32`: check here, where the id is minted.
-        event_index(id.0, "agent");
-        self.agents.push(agent);
+        let id = match self.free_agent_slots.pop() {
+            Some(id) => {
+                let slot = &mut self.agents[id.0];
+                slot.agent = agent;
+                slot.live = true;
+                id
+            }
+            None => {
+                let id = AgentId(self.agents.len());
+                // Events name agents by `u32`: check here, where the id is
+                // minted.
+                event_index(id.0, "agent");
+                self.agents.push(AgentSlot {
+                    agent,
+                    refs: 0,
+                    live: true,
+                });
+                id
+            }
+        };
+        self.unstarted.push_back(id);
         id
+    }
+
+    /// Number of agent slots in the table (live, retired and free).
+    pub fn num_agents(&self) -> usize {
+        self.agents.len()
+    }
+
+    // ----- agent-slot reclamation -----------------------------------------
+    //
+    // The flow-slot lifecycle (further down), for agents: retire → drain of
+    // what still names the slot → free list → reuse by `add_agent`.
+
+    /// Remove an agent from the network.  The agent is dropped at once:
+    /// from now on its slot answers every callback with a no-op, so events
+    /// already queued for it — a source's one outstanding timer, a
+    /// `SetupResult` — still fire (and still count in
+    /// [`events_processed`](Network::events_processed)) but reach nothing.
+    /// An agent retired before it was started is never started.
+    ///
+    /// The slot joins the free list, for the next
+    /// [`add_agent`](Network::add_agent) to reuse, once nothing names it
+    /// any more: the last pending event for it has fired and no registered
+    /// flow has it as sink (a flow stops being registered when
+    /// [`recycle_flow_slot`](Network::recycle_flow_slot) takes its slot).
+    /// So a stale timer never reaches the slot's next occupant, and long
+    /// churn runs keep an agent table bounded by the *concurrent*
+    /// population.  Retiring twice is a no-op; never retiring is always
+    /// safe — the table then grows by one per agent.
+    pub fn retire_agent(&mut self, id: AgentId) {
+        let slot = &mut self.agents[id.0];
+        if !slot.live {
+            return;
+        }
+        slot.live = false;
+        slot.agent = Box::new(NoopAgent);
+        if slot.refs == 0 {
+            self.free_agent_slots.push(id);
+        }
+        self.unstarted.retain(|&unstarted| unstarted != id);
+    }
+
+    /// A registered flow now names `sink`.
+    fn hold_agent(&mut self, sink: AgentId) {
+        let slot = self
+            .agents
+            .get_mut(sink.0)
+            .unwrap_or_else(|| panic!("unknown agent {sink:?}"));
+        assert!(slot.live, "{sink:?} has been retired");
+        slot.refs += 1;
+    }
+
+    /// Something that named agent slot `id` — a popped event, a recycled
+    /// flow — is gone; a retired slot joins the free list with the last.
+    fn unhold_agent(&mut self, id: AgentId) {
+        let slot = &mut self.agents[id.0];
+        slot.refs -= 1;
+        if slot.refs == 0 && !slot.live {
+            self.free_agent_slots.push(id);
+        }
     }
 
     /// Register a flow and return its id.  The flow is immediately active
@@ -508,19 +604,21 @@ impl Network {
         // route), so no per-node table is kept — but a route that visited a
         // switch twice would have been ambiguous under node-keyed
         // forwarding, and rejecting it keeps the two models equivalent.
-        let mut seen_nodes = BTreeMap::new();
+        // Routes are a handful of hops: comparing each hop's switch with
+        // the ones before it needs no container.
         let mut secs_per_bit = 0.0;
         let mut total_propagation = SimTime::ZERO;
         for (i, link) in config.route.iter().enumerate() {
             let params = self.topo.link(*link);
-            let prev = seen_nodes.insert(params.from.0, i);
-            assert!(
-                prev.is_none(),
-                "route visits switch {:?} twice",
-                params.from
-            );
+            let revisited = config.route[..i]
+                .iter()
+                .any(|earlier| self.topo.link(*earlier).from == params.from);
+            assert!(!revisited, "route visits switch {:?} twice", params.from);
             secs_per_bit += 1.0 / params.rate_bps;
             total_propagation += params.propagation;
+        }
+        if let Some(sink) = config.sink {
+            self.hold_agent(sink);
         }
         let policer = config.edge_policer.map(|(spec, _)| TokenBucket::new(spec));
         let state = FlowState {
@@ -535,7 +633,11 @@ impl Network {
         };
         let id = match self.free_flow_slots.pop() {
             Some(id) => {
-                self.flows[id.index()] = state;
+                // The slot's `installed_links` buffer outlives its tenant.
+                let slot = &mut self.flows[id.index()];
+                let installed_links = std::mem::replace(slot, state).installed_links;
+                debug_assert!(installed_links.is_empty());
+                slot.installed_links = installed_links;
                 id
             }
             None => {
@@ -559,8 +661,10 @@ impl Network {
     /// create their flows first, then their endpoint agents, then wire the
     /// delivery callbacks up with this call.
     pub fn set_flow_sink(&mut self, flow: FlowId, sink: AgentId) {
-        assert!(sink.0 < self.agents.len(), "unknown agent {sink:?}");
-        self.flows[flow.index()].config.sink = Some(sink);
+        self.hold_agent(sink);
+        if let Some(old) = self.flows[flow.index()].config.sink.replace(sink) {
+            self.unhold_agent(old);
+        }
     }
 
     /// Number of registered flows.
@@ -704,10 +808,7 @@ impl Network {
                 ad.controller.release_guaranteed(controller_release_bps);
             }
             return AdmissionDecision::Reject {
-                reason: format!(
-                    "scheduler refused guaranteed rate {rate_bps:.0} bps \
-                     (per-flow reservations exhausted)"
-                ),
+                reason: RejectReason::SchedulerRefused { rate_bps },
             };
         }
         AdmissionDecision::Accept
@@ -800,6 +901,18 @@ impl Network {
         std::mem::take(&mut self.drained)
     }
 
+    /// Hand the buffer [`take_drained_flows`](Network::take_drained_flows)
+    /// returned back once it has been gone through, so a driver that polls
+    /// on every arrival does not make the network allocate a new one per
+    /// retired flow.  Optional: a buffer that is not handed back is simply
+    /// replaced.
+    pub fn reuse_drained_buffer(&mut self, mut buffer: Vec<FlowId>) {
+        if self.drained.capacity() == 0 {
+            buffer.clear();
+            self.drained = buffer;
+        }
+    }
+
     /// Packets of this flow currently inside the network.
     pub fn flow_in_flight(&self, flow: FlowId) -> u32 {
         self.flows[flow.index()].in_flight
@@ -821,6 +934,10 @@ impl Network {
         }
         self.monitor.reset_flow(flow);
         self.free_flow_slots.push(flow);
+        // No longer a registered flow: it stops holding its sink's slot.
+        if let Some(sink) = self.flows[flow.index()].config.sink.take() {
+            self.unhold_agent(sink);
+        }
     }
 
     /// One of `flow`'s packets left the network (delivered or dropped).
@@ -946,9 +1063,7 @@ impl Network {
         self.run_horizon = horizon;
         self.run_inclusive = inclusive;
         self.started = true;
-        while self.started_agents < self.agents.len() {
-            let next = AgentId(self.started_agents);
-            self.started_agents += 1;
+        while let Some(next) = self.unstarted.pop_front() {
             self.dispatch(next, |agent, api| agent.start(api));
         }
         while let Some(t) = self.queue.peek_time() {
@@ -960,7 +1075,9 @@ impl Network {
             self.now = t;
             match ev {
                 NetEvent::Timer { agent, token } => {
-                    self.dispatch(AgentId(agent as usize), |a, api| a.on_timer(token, api))
+                    let agent = AgentId(agent as usize);
+                    self.dispatch(agent, |a, api| a.on_timer(token, api));
+                    self.unhold_agent(agent);
                 }
                 NetEvent::TxComplete { link } => self.on_tx_complete(LinkId(link as usize)),
                 NetEvent::Arrival { link } => {
@@ -977,7 +1094,8 @@ impl Network {
                         token,
                         result,
                     } = *outcome;
-                    self.dispatch(agent, |a, api| a.on_setup(token, result, api))
+                    self.dispatch(agent, |a, api| a.on_setup(token, result, api));
+                    self.unhold_agent(agent);
                 }
             }
         }
@@ -1020,6 +1138,7 @@ impl Network {
             self.inject(p);
         }
         for (delay, token) in api.timers.drain(..) {
+            self.agents[agent.0].refs += 1;
             let agent = event_index(agent.0, "agent");
             self.queue
                 .push(self.now + delay, NetEvent::Timer { agent, token });
@@ -1034,6 +1153,7 @@ impl Network {
                 token,
                 result,
             };
+            self.agents[agent.0].refs += 1;
             self.queue
                 .push(self.now, NetEvent::SetupResult(Box::new(outcome)));
         }
@@ -1045,9 +1165,9 @@ impl Network {
     fn dispatch(&mut self, id: AgentId, callback: impl FnOnce(&mut dyn Agent, &mut AgentApi)) {
         let mut api = self.api_pool.pop().unwrap_or_default();
         api.now = self.now;
-        let mut agent = std::mem::replace(&mut self.agents[id.0], Box::new(NoopAgent));
+        let mut agent = std::mem::replace(&mut self.agents[id.0].agent, Box::new(NoopAgent));
         callback(agent.as_mut(), &mut api);
-        self.agents[id.0] = agent;
+        self.agents[id.0].agent = agent;
         self.apply_commands(id, api);
     }
 
@@ -1613,7 +1733,7 @@ mod tests {
             .expect_err("second link is full");
         assert_eq!(err.hop, 1);
         assert_eq!(err.link, links[1]);
-        assert!(err.reason.contains("quota"));
+        assert!(err.reason.to_string().contains("quota"));
         // The first link's partial reservation was rolled back.
         assert_eq!(
             net.admission(links[0]).unwrap().reserved_guaranteed_bps(),
@@ -1818,6 +1938,201 @@ mod tests {
                 vec![SimTime::from_secs(5), SimTime::from_secs(6)]
             );
         }
+    }
+
+    // ----- agent-slot lifecycle --------------------------------------------
+
+    type ProbeLog = std::rc::Rc<std::cell::RefCell<Vec<(&'static str, &'static str)>>>;
+
+    /// Logs its start and its timers; arms one timer (token = `token`) at
+    /// start if `timer` is set, and panics on a token it did not arm — a
+    /// stale timer reaching a slot's next occupant.
+    struct Probe {
+        name: &'static str,
+        token: u64,
+        timer: Option<SimTime>,
+        log: ProbeLog,
+    }
+
+    impl Agent for Probe {
+        fn start(&mut self, api: &mut AgentApi) {
+            self.log.borrow_mut().push((self.name, "start"));
+            if let Some(delay) = self.timer {
+                api.set_timer(delay, self.token);
+            }
+        }
+        fn on_timer(&mut self, token: u64, _api: &mut AgentApi) {
+            assert_eq!(token, self.token, "{} got someone else's timer", self.name);
+            self.log.borrow_mut().push((self.name, "timer"));
+        }
+        fn on_setup(&mut self, _: u64, _: Result<FlowId, SetupError>, _: &mut AgentApi) {
+            panic!("{} got someone else's setup result", self.name);
+        }
+    }
+
+    fn probe(
+        net: &mut Network,
+        log: &ProbeLog,
+        name: &'static str,
+        token: u64,
+        timer_ms: Option<u64>,
+    ) -> AgentId {
+        net.add_agent(Box::new(Probe {
+            name,
+            token,
+            timer: timer_ms.map(SimTime::from_millis),
+            log: log.clone(),
+        }))
+    }
+
+    #[test]
+    fn a_retired_agents_pending_timer_fires_into_nothing_and_is_still_counted() {
+        let (mut net, _link) = two_switch_net();
+        let log = ProbeLog::default();
+        let a = probe(&mut net, &log, "a", 1, Some(10));
+        net.run_until(SimTime::MILLISECOND);
+        let before = net.events_processed();
+        net.retire_agent(a);
+        net.run_until(SimTime::from_millis(20));
+        assert_eq!(*log.borrow(), vec![("a", "start")]);
+        assert_eq!(net.events_processed(), before + 1);
+    }
+
+    #[test]
+    fn a_retired_slot_is_reused_only_after_its_last_timer_fired() {
+        let (mut net, _link) = two_switch_net();
+        let log = ProbeLog::default();
+        let a = probe(&mut net, &log, "a", 1, Some(10));
+        net.run_until(SimTime::MILLISECOND);
+        net.retire_agent(a);
+        // a's timer still names the slot: the newcomer gets a fresh one and
+        // (it would panic otherwise) never sees that timer.
+        let b = probe(&mut net, &log, "b", 2, Some(15));
+        assert_ne!(b, a);
+        assert_eq!(net.num_agents(), 2);
+        net.run_until(SimTime::from_millis(20));
+        let c = probe(&mut net, &log, "c", 3, Some(5));
+        assert_eq!(c, a, "the drained slot is reused");
+        assert_eq!(net.num_agents(), 2);
+        net.run_until(SimTime::from_millis(30));
+        assert_eq!(
+            *log.borrow(),
+            vec![
+                ("a", "start"),
+                ("b", "start"),
+                ("b", "timer"),
+                ("c", "start"),
+                ("c", "timer")
+            ]
+        );
+    }
+
+    #[test]
+    fn an_agent_retired_before_it_started_is_never_started_nor_its_successor_twice() {
+        let (mut net, _link) = two_switch_net();
+        let log = ProbeLog::default();
+        let a = probe(&mut net, &log, "a", 1, Some(1));
+        net.retire_agent(a);
+        // Nothing names the slot: it is free at once, and its next occupant
+        // is started once, for itself — not a second time for `a`.
+        let b = probe(&mut net, &log, "b", 2, Some(1));
+        assert_eq!(b, a);
+        net.run_until(SimTime::from_millis(5));
+        assert_eq!(*log.borrow(), vec![("b", "start"), ("b", "timer")]);
+    }
+
+    #[test]
+    fn agents_added_in_one_instant_start_in_add_order_on_fresh_and_recycled_slots() {
+        let (mut net, _link) = two_switch_net();
+        let log = ProbeLog::default();
+        let first = probe(&mut net, &log, "p", 0, None);
+        probe(&mut net, &log, "q", 0, None);
+        let third = probe(&mut net, &log, "r", 0, None);
+        net.run_until(SimTime::MILLISECOND);
+        net.retire_agent(first);
+        net.retire_agent(third);
+        log.borrow_mut().clear();
+        // Two recycled slots (handed out highest first) and a fresh one.
+        let x = probe(&mut net, &log, "x", 0, None);
+        let y = probe(&mut net, &log, "y", 0, None);
+        let z = probe(&mut net, &log, "z", 0, None);
+        assert_eq!((x, y, z), (third, first, AgentId(3)));
+        net.run_until(SimTime::from_millis(2));
+        assert_eq!(
+            *log.borrow(),
+            vec![("x", "start"), ("y", "start"), ("z", "start")]
+        );
+    }
+
+    #[test]
+    fn a_slot_named_as_a_registered_flows_sink_is_not_recycled() {
+        let (mut net, link) = two_switch_net();
+        let log = ProbeLog::default();
+        let sink = probe(&mut net, &log, "sink", 0, None);
+        let flow = net.add_flow(FlowConfig::datagram(vec![link]).with_sink(sink));
+        net.add_agent(Box::new(ScheduledSender::new(
+            flow,
+            vec![SimTime::from_millis(5)],
+        )));
+        net.run_until(SimTime::MILLISECOND);
+        net.retire_agent(sink);
+        // The flow still delivers to that slot (into nothing, now): a
+        // newcomer must not inherit its packets.
+        let other = probe(&mut net, &log, "other", 0, None);
+        assert_ne!(other, sink);
+        net.run_until(SimTime::from_millis(10));
+        assert_eq!(net.monitor_mut().flow_report(flow).delivered, 1);
+        // Once the flow's slot is recycled nothing names the agent slot.
+        net.deactivate_flow(flow);
+        net.retire_flow(flow);
+        assert_eq!(net.take_drained_flows(), vec![flow]);
+        net.recycle_flow_slot(flow);
+        assert_eq!(probe(&mut net, &log, "next", 0, None), sink);
+    }
+
+    #[test]
+    fn a_slot_named_by_a_pending_setup_result_is_not_recycled() {
+        /// Asks for a flow the moment it is started.
+        struct Asker(LinkId);
+        impl Agent for Asker {
+            fn start(&mut self, api: &mut AgentApi) {
+                api.request_flow(FlowConfig::datagram(vec![self.0]), 9);
+            }
+        }
+        let (mut net, link) = two_switch_net();
+        let log = ProbeLog::default();
+        let asker = net.add_agent(Box::new(Asker(link)));
+        // Starts the agent; its `SetupResult`, due at t = 0, stays queued.
+        net.run_until(SimTime::ZERO);
+        net.retire_agent(asker);
+        // A newcomer in that slot would be handed the result (and panic).
+        let other = probe(&mut net, &log, "other", 0, None);
+        assert_ne!(other, asker);
+        let before = net.events_processed();
+        net.run_until(SimTime::MILLISECOND);
+        assert_eq!(net.events_processed(), before + 1);
+        assert_eq!(probe(&mut net, &log, "next", 0, None), asker);
+    }
+
+    #[test]
+    fn retiring_an_agent_twice_is_a_no_op() {
+        let (mut net, _link) = two_switch_net();
+        let log = ProbeLog::default();
+        let a = probe(&mut net, &log, "a", 1, Some(10));
+        net.run_until(SimTime::MILLISECOND);
+        net.retire_agent(a);
+        net.retire_agent(a); // draining
+        net.run_until(SimTime::from_millis(20));
+        net.retire_agent(a); // free
+        let b = probe(&mut net, &log, "b", 2, None);
+        let c = probe(&mut net, &log, "c", 3, None);
+        assert_eq!(b, a);
+        assert_ne!(c, a, "the slot was on the free list once");
+        // Retiring the slot again retires its new occupant, once.
+        net.retire_agent(b);
+        net.retire_agent(b);
+        assert_eq!(probe(&mut net, &log, "d", 4, None), a);
+        assert_eq!(net.num_agents(), 2);
     }
 
     /// What a [`ScriptedSender`] sends: `(instant, flow index, size in

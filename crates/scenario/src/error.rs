@@ -125,9 +125,13 @@ mod tests {
             flow: ispn_core::FlowId(0),
             hop: 1,
             link: ispn_net::LinkId(2),
-            reason: "quota".into(),
+            reason: ispn_core::RejectReason::SchedulerRefused { rate_bps: 1e6 },
         };
         takes_error(&err);
-        assert!(err.to_string().contains("hop 1"));
+        assert_eq!(
+            err.to_string(),
+            "flow0 refused at hop 1 (LinkId(2)): scheduler refused guaranteed rate \
+             1000000 bps (per-flow reservations exhausted)"
+        );
     }
 }

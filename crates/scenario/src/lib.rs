@@ -19,8 +19,9 @@
 //!   admission controller,
 //! * [`WorkloadSpec`] — dynamic workloads on top of the declared flows:
 //!   [`WorkloadSpec::Churn`] runs Poisson arrivals with exponential
-//!   holding times entirely inside the facade (leased sources attached at
-//!   the exact accept instants, teardown on departure,
+//!   holding times entirely inside the facade (sources attached at the
+//!   exact accept instants; on departure the source's agent slot is
+//!   retired and the flow torn down, both slots recycling once drained;
 //!   [`Sim::drain_churn`] at the end),
 //! * [`MeasurementPlan`] / [`ScenarioReport`] — select the statistics to
 //!   collect and get them back as a structured, serializable report:

@@ -471,6 +471,16 @@ impl ScenarioReport {
             Vec::new()
         };
         let class_summaries = if plan.class_stats {
+            if !plan.flow_stats {
+                // A flow report's quantile sorts the flow's samples in
+                // place, and the class pool's jitter sums in the order it
+                // reads them: the flow section above leaves every declared
+                // flow sorted, so a plan that skips it must too, or the
+                // class summaries would depend on what else was selected.
+                for &f in flows {
+                    net.monitor_mut().flow_report(f);
+                }
+            }
             Self::collect_classes(plan, net)
         } else {
             Vec::new()
@@ -1084,6 +1094,40 @@ mod tests {
         }
         .is_valid());
         assert!(HistogramSpec::up_to(0.1, 4).is_valid());
+    }
+
+    /// The pooled class jitter sums in the order it is fed, and a flow's
+    /// samples are sorted by the first report that takes a quantile of
+    /// them: the class section pools before it asks for that report, so it
+    /// used to see a declared flow's samples sorted only when the flow
+    /// section had run first (`jitter_s` 0.005662284476872525 against
+    /// 0.0056622844768725224 on this very run).
+    #[test]
+    fn class_summaries_do_not_depend_on_the_flow_section() {
+        use crate::{DisciplineSpec, FlowDef, ScenarioBuilder, SourceSpec};
+        use ispn_sim::SimTime;
+        let classes_block = |plan: &MeasurementPlan| {
+            let mut sim = ScenarioBuilder::chain(2)
+                .discipline(DisciplineSpec::Wfq)
+                .flows((0..10).map(|i| {
+                    FlowDef::best_effort_realtime(0, 1)
+                        .source(SourceSpec::onoff_paper(85.0, 0x1992 + i))
+                }))
+                .build()
+                .expect("valid scenario");
+            sim.run_until(SimTime::from_secs(30));
+            let json = sim.report(plan).to_json();
+            let start = json.find("\"classes\":[").expect("a classes block");
+            let end = json.find("\"disciplines\":[").expect("a disciplines block");
+            json[start..end].to_string()
+        };
+        let with_flows = classes_block(&MeasurementPlan::default());
+        let without_flows = classes_block(&MeasurementPlan {
+            flow_stats: false,
+            ..MeasurementPlan::default()
+        });
+        assert!(with_flows.contains("\"jitter_s\":0.00"), "{with_flows}");
+        assert_eq!(with_flows, without_flows);
     }
 
     #[test]

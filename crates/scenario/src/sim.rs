@@ -24,8 +24,8 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use ispn_core::{FlowId, TokenBucketSpec};
-use ispn_net::{FlowConfig, FlowReport, Network};
-use ispn_signal::{Lease, LeasedSource, RequestId, SignalEvent, Signaling};
+use ispn_net::{AgentId, FlowConfig, FlowReport, Network};
+use ispn_signal::{RequestId, SignalEvent, Signaling};
 use ispn_sim::{EventQueue, Pcg64, SimTime};
 use ispn_traffic::{OnOffConfig, OnOffSource};
 use ispn_transport::TcpHandles;
@@ -73,14 +73,16 @@ pub struct ChurnFlowReport {
     pub report: FlowReport,
 }
 
-/// Per-flow churn bookkeeping (the lease silences the source on departure).
+/// Per-flow churn bookkeeping (retiring the source's agent slot silences it
+/// on departure).
 struct ChurnEntry {
     /// Admission index (0, 1, 2, …) — the stable identity of this admission
     /// even after its flow id is recycled and reused.
     order: u32,
     priority: Option<u8>,
     hops: usize,
-    lease: Option<Lease>,
+    /// The flow's on/off source, until departure (or the drain) retires it.
+    source: Option<AgentId>,
 }
 
 /// A departed churn flow's measurement snapshot, taken the instant its id
@@ -182,7 +184,8 @@ impl ChurnDriver {
     /// after the id is reused by a later arrival.  Recycling changes no RNG
     /// draw and no packet timing, so the decision sequence is unaffected.
     fn reclaim_finished(handle: &ChurnHandle, sim: &mut Sim) {
-        for flow in sim.network_mut().take_drained_flows() {
+        let drained = sim.network_mut().take_drained_flows();
+        for &flow in &drained {
             let entry = handle.borrow_mut().admitted.remove(&flow);
             if let Some(entry) = entry {
                 let report = sim.network_mut().monitor_mut().flow_report(flow);
@@ -195,24 +198,26 @@ impl ChurnDriver {
             }
             sim.network_mut().recycle_flow_slot(flow);
         }
+        sim.network_mut().reuse_drained_buffer(drained);
     }
 
-    /// The departure of one admitted flow: revoke its source's lease and
-    /// begin the hop-by-hop teardown.
+    /// The departure of one admitted flow: retire its source (the agent is
+    /// dropped at once, its slot recycles when its last timer has fired)
+    /// and begin the hop-by-hop teardown.
     fn departure(handle: ChurnHandle, flow: FlowId, sim: &mut Sim) {
-        let lease = handle
+        let source = handle
             .borrow_mut()
             .admitted
             .get_mut(&flow)
-            .and_then(|entry| entry.lease.take());
-        if let Some(lease) = lease {
-            lease.revoke();
+            .and_then(|entry| entry.source.take());
+        if let Some(source) = source {
+            sim.network_mut().retire_agent(source);
             sim.teardown(flow);
         }
     }
 
     /// Observe a completed signaling transaction: an accepted setup gets
-    /// its leased source the instant the confirmation lands, plus a
+    /// its on/off source the instant the confirmation lands, plus a
     /// scheduled departure.
     fn on_signal(handle: &ChurnHandle, event: &SignalEvent, sim: &mut Sim) {
         if handle.borrow().draining {
@@ -220,7 +225,7 @@ impl ChurnDriver {
         }
         match event {
             SignalEvent::Accepted { flow, at, .. } => {
-                let (leased, hold) = {
+                let hold = {
                     let mut d = handle.borrow_mut();
                     // Completions for flows the driver did not submit (a
                     // caller using `Sim::submit` next to the churn
@@ -238,21 +243,20 @@ impl ChurnDriver {
                         OnOffConfig::paper(d.spec.source.avg_rate_pps, seed),
                     );
                     d.source_seq += 1;
-                    let (leased, lease) = LeasedSource::new(source);
                     let mean_holding_secs = d.spec.mean_holding_secs;
                     let hold = SimTime::from_secs_f64(d.rng.exponential(mean_holding_secs));
+                    let source = sim.network_mut().add_agent(Box::new(source));
                     d.admitted.insert(
                         *flow,
                         ChurnEntry {
                             order,
                             priority,
                             hops,
-                            lease: Some(lease),
+                            source: Some(source),
                         },
                     );
-                    (leased, hold)
+                    hold
                 };
-                sim.network_mut().add_agent(Box::new(leased));
                 let h = handle.clone();
                 let flow = *flow;
                 sim.schedule_at(*at + hold, move |sim| ChurnDriver::departure(h, flow, sim));
@@ -424,7 +428,7 @@ impl Sim {
 
     /// Drain the churn workload: stop the arrival process (this cancels
     /// **every** scheduled action, like
-    /// [`cancel_scheduled`](Sim::cancel_scheduled)), silence each admitted
+    /// [`cancel_scheduled`](Sim::cancel_scheduled)), retire each admitted
     /// flow's source and begin its teardown, in flow-id order.  Run the
     /// simulation a little longer afterwards to let the release waves
     /// finish; no reservation state survives a drained run.
@@ -434,18 +438,18 @@ impl Sim {
         };
         churn.borrow_mut().draining = true;
         self.cancel_scheduled();
-        let to_tear: Vec<(FlowId, Lease)> = {
+        let to_tear: Vec<(FlowId, AgentId)> = {
             let mut d = churn.borrow_mut();
             // Teardown order does not affect the outcome, but `admitted`
             // being a `BTreeMap` makes the drain flow-id-ordered — and so
             // reproducible — by construction.
             d.admitted
                 .iter_mut()
-                .filter_map(|(&flow, entry)| entry.lease.take().map(|l| (flow, l)))
-                .collect::<Vec<(FlowId, Lease)>>()
+                .filter_map(|(&flow, entry)| entry.source.take().map(|a| (flow, a)))
+                .collect()
         };
-        for (flow, lease) in to_tear {
-            lease.revoke();
+        for (flow, source) in to_tear {
+            self.net.retire_agent(source);
             self.teardown(flow);
         }
     }
@@ -544,8 +548,8 @@ impl Sim {
             .renegotiate_clock_rate(&mut self.net, flow, new_rate_bps)
     }
 
-    fn dispatch(&mut self, events: Vec<SignalEvent>) {
-        for event in events {
+    fn dispatch(&mut self, mut events: Vec<SignalEvent>) {
+        for event in events.drain(..) {
             // The churn driver observes completions before any user
             // handler: sources come alive at their exact accept instants
             // whether or not the caller also watches events.
@@ -563,6 +567,7 @@ impl Sim {
             }
             self.collected.push(event);
         }
+        self.sig.reuse_event_buffer(events);
     }
 
     /// Advance the simulation to `horizon`, stepping data-plane events,

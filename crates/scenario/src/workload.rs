@@ -280,8 +280,9 @@ impl ChurnSourceSpec {
 /// one private RNG stream drives, in arrival order, the span choice, the
 /// service mix, the inter-arrival gap and (on acceptance) the holding
 /// time.  Admitted flows get the Appendix's on/off source attached at the
-/// exact instant their confirmation lands, wrapped in a
-/// [`LeasedSource`](ispn_signal::LeasedSource) so departure silences it.
+/// exact instant their confirmation lands; departure retires the source's
+/// agent slot ([`Network::retire_agent`](ispn_net::Network::retire_agent)),
+/// which silences it at once and lets the slot be reused.
 #[derive(Debug, Clone)]
 pub struct ChurnWorkload {
     /// Poisson flow-arrival rate λ (setup requests per second).

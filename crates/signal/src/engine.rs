@@ -7,6 +7,14 @@
 //! deterministic event queue of in-flight control messages and interleaves
 //! them with the network's data-plane events, so admission decisions at
 //! each hop see exactly the measurement state of that simulated instant.
+//!
+//! A transaction in flight is a flow id and a few flags; its route is read
+//! in place from the network's flow table (`net.flow_config(flow).route`)
+//! by each message as it is handled — a registered flow's route never
+//! changes, so nothing is copied per request or per hop — and a refusal
+//! carries the controller's typed
+//! [`RejectReason`](ispn_core::admission::RejectReason), which nobody
+//! formats unless a driver prints it.
 
 use std::collections::BTreeMap;
 
@@ -38,7 +46,7 @@ impl Default for SignalConfig {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum RenegKind {
     /// Re-run the Section-9 criterion for a new `(r, b)` declaration.
     Predicted { new_bucket: TokenBucketSpec },
@@ -48,10 +56,9 @@ enum RenegKind {
     Guaranteed { old_rate: f64, new_rate: f64 },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct PendingSetup {
     flow: FlowId,
-    route: Vec<LinkId>,
     /// Set when a teardown arrives while the setup is still in flight: the
     /// setup stops installing further hops and its confirmation must not
     /// activate the flow (the teardown wave, always behind the setup wave,
@@ -59,10 +66,9 @@ struct PendingSetup {
     cancelled: bool,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct PendingReneg {
     flow: FlowId,
-    route: Vec<LinkId>,
     priority: u8,
     kind: RenegKind,
     /// Hops on which a guaranteed rate *increase* has been reserved so far
@@ -146,14 +152,12 @@ impl Signaling {
     /// [`process_until`](Signaling::process_until).
     pub fn submit(&mut self, net: &mut Network, config: FlowConfig) -> (RequestId, FlowId) {
         let req = self.fresh_id();
-        let route = config.route.clone();
-        assert!(!route.is_empty(), "a setup needs a route");
+        assert!(!config.route.is_empty(), "a setup needs a route");
         let flow = net.add_flow_inactive(config);
         self.setups.insert(
             req,
             PendingSetup {
                 flow,
-                route,
                 cancelled: false,
             },
         );
@@ -194,7 +198,8 @@ impl Signaling {
             if let RenegKind::Guaranteed { old_rate, new_rate } = r.kind {
                 let delta = new_rate - old_rate;
                 if delta > 0.0 {
-                    for &link in &r.route[..r.applied_hops] {
+                    for hop in 0..r.applied_hops {
+                        let link = route_link(net, flow, hop);
                         if let Some(ctl) = net.admission_mut(link) {
                             ctl.release_guaranteed(delta);
                         }
@@ -229,7 +234,6 @@ impl Signaling {
         let req = self.fresh_id();
         let pending = PendingReneg {
             flow,
-            route: config.route.clone(),
             priority: config.class.priority().unwrap_or(0),
             kind: RenegKind::Predicted { new_bucket },
             applied_hops: 0,
@@ -264,7 +268,6 @@ impl Signaling {
         let req = self.fresh_id();
         let pending = PendingReneg {
             flow,
-            route: config.route.clone(),
             priority: 0,
             kind: RenegKind::Guaranteed {
                 old_rate: clock_rate_bps,
@@ -331,20 +334,31 @@ impl Signaling {
         std::mem::take(&mut self.events)
     }
 
+    /// Hand the buffer [`process_next`](Signaling::process_next) or
+    /// [`process_until`](Signaling::process_until) returned back once its
+    /// events have been consumed, so the engine fills it again instead of
+    /// allocating a new one per completed transaction.  Optional: a buffer
+    /// that is not handed back is simply replaced.
+    pub fn reuse_event_buffer(&mut self, mut buffer: Vec<SignalEvent>) {
+        if self.events.capacity() == 0 {
+            buffer.clear();
+            self.events = buffer;
+        }
+    }
+
     fn handle(&mut self, net: &mut Network, at: SimTime, ev: ControlEvent) {
         match ev {
             ControlEvent::Setup { req, hop } => {
-                let (flow, link, last_hop) = {
-                    let s = &self.setups[&req];
-                    if s.cancelled {
-                        // Withdrawn mid-setup: stop here; the teardown wave
-                        // (always behind this message) releases the hops
-                        // already installed.
-                        self.setups.remove(&req);
-                        return;
-                    }
-                    (s.flow, s.route[hop], hop + 1 == s.route.len())
-                };
+                let PendingSetup { flow, cancelled } = self.setups[&req];
+                if cancelled {
+                    // Withdrawn mid-setup: stop here; the teardown wave
+                    // (always behind this message) releases the hops
+                    // already installed.
+                    self.setups.remove(&req);
+                    return;
+                }
+                let route = &net.flow_config(flow).route;
+                let (link, last_hop) = (route[hop], hop + 1 == route.len());
                 match net.admit_flow_on_link(flow, link) {
                     AdmissionDecision::Accept => {
                         let next_at = at + self.hop_delay(net, link);
@@ -368,7 +382,7 @@ impl Signaling {
                         if hop > 0 {
                             // The rejection travels back over the upstream
                             // link, releasing reservations as it goes.
-                            let back = self.setups[&req].route[hop - 1];
+                            let back = route_link(net, flow, hop - 1);
                             self.queue.push(
                                 at + self.hop_delay(net, back),
                                 ControlEvent::Rollback { req, hop: hop - 1 },
@@ -384,13 +398,10 @@ impl Signaling {
                 }
             }
             ControlEvent::Rollback { req, hop } => {
-                let (flow, link) = {
-                    let s = &self.setups[&req];
-                    (s.flow, s.route[hop])
-                };
-                net.release_flow_on_link(flow, link);
+                let flow = self.setups[&req].flow;
+                net.release_flow_on_link(flow, route_link(net, flow, hop));
                 if hop > 0 {
-                    let back = self.setups[&req].route[hop - 1];
+                    let back = route_link(net, flow, hop - 1);
                     self.queue.push(
                         at + self.hop_delay(net, back),
                         ControlEvent::Rollback { req, hop: hop - 1 },
@@ -422,10 +433,10 @@ impl Signaling {
                 });
             }
             ControlEvent::Teardown { flow, hop } => {
-                let route = net.flow_config(flow).route.clone();
-                let link = route[hop];
+                let route = &net.flow_config(flow).route;
+                let (link, last_hop) = (route[hop], hop + 1 == route.len());
                 net.release_flow_on_link(flow, link);
-                if hop + 1 < route.len() {
+                if !last_hop {
                     self.queue.push(
                         at + self.hop_delay(net, link),
                         ControlEvent::Teardown { flow, hop: hop + 1 },
@@ -443,11 +454,15 @@ impl Signaling {
             }
             ControlEvent::Renegotiate { req, hop } => self.reneg_at(net, at, req, hop),
             ControlEvent::RenegotiateRollback { req, hop } => {
-                let Some(r) = self.renegs.get(&req) else {
+                let Some(r) = self.renegs.get_mut(&req) else {
                     return; // cancelled by a teardown
                 };
-                let link = r.route[hop];
+                // Hops ≥ `hop` are rolled back below; keep the applied count
+                // in step so a teardown that cancels the rest of this
+                // rollback does not release the same hops again.
+                r.applied_hops = hop;
                 let flow = r.flow;
+                let link = route_link(net, flow, hop);
                 if let RenegKind::Guaranteed { old_rate, new_rate } = r.kind {
                     let delta = new_rate - old_rate;
                     if delta > 0.0 {
@@ -457,15 +472,8 @@ impl Signaling {
                         net.install_guaranteed_rate(link, flow, old_rate);
                     }
                 }
-                // Hops ≥ `hop` are now rolled back; keep the applied count
-                // in step so a teardown that cancels the rest of this
-                // rollback does not release the same hops again.
-                self.renegs
-                    .get_mut(&req)
-                    .expect("pending reneg exists while its rollback is in flight")
-                    .applied_hops = hop;
                 if hop > 0 {
-                    let back = self.renegs[&req].route[hop - 1];
+                    let back = route_link(net, flow, hop - 1);
                     self.queue.push(
                         at + self.hop_delay(net, back),
                         ControlEvent::RenegotiateRollback { req, hop: hop - 1 },
@@ -486,7 +494,8 @@ impl Signaling {
                         // Commit deferred decreases (increases were already
                         // installed on the way out).
                         if new_rate < old_rate {
-                            for &link in &r.route {
+                            for hop in 0..net.flow_config(r.flow).route.len() {
+                                let link = route_link(net, r.flow, hop);
                                 if let Some(ctl) = net.admission_mut(link) {
                                     ctl.release_guaranteed(old_rate - new_rate);
                                 }
@@ -506,18 +515,17 @@ impl Signaling {
     }
 
     fn reneg_at(&mut self, net: &mut Network, at: SimTime, req: RequestId, hop: usize) {
-        let (flow, link, last_hop, priority, kind) = {
-            let Some(r) = self.renegs.get(&req) else {
-                return; // cancelled by a teardown
-            };
-            (
-                r.flow,
-                r.route[hop],
-                hop + 1 == r.route.len(),
-                r.priority,
-                r.kind.clone(),
-            )
+        let Some(&PendingReneg {
+            flow,
+            priority,
+            kind,
+            ..
+        }) = self.renegs.get(&req)
+        else {
+            return; // cancelled by a teardown
         };
+        let route = &net.flow_config(flow).route;
+        let (link, last_hop) = (route[hop], hop + 1 == route.len());
         let decision = match kind {
             RenegKind::Predicted { new_bucket } => match net.admission_mut(link) {
                 // The new declaration faces the same criterion a fresh
@@ -572,7 +580,7 @@ impl Signaling {
                     at,
                 });
                 if hop > 0 {
-                    let back = self.renegs[&req].route[hop - 1];
+                    let back = route_link(net, flow, hop - 1);
                     self.queue.push(
                         at + self.hop_delay(net, back),
                         ControlEvent::RenegotiateRollback { req, hop: hop - 1 },
@@ -583,6 +591,11 @@ impl Signaling {
             }
         }
     }
+}
+
+/// `route[hop]` of a registered flow, read in place.
+fn route_link(net: &Network, flow: FlowId, hop: usize) -> LinkId {
+    net.flow_config(flow).route[hop]
 }
 
 #[cfg(test)]
@@ -1007,7 +1020,10 @@ mod tests {
         let err = net
             .request_flow(FlowConfig::guaranteed(vec![links[0]], MBIT))
             .expect_err("the scheduler cannot hold a full-link reservation");
-        assert!(err.reason.contains("scheduler refused"), "{err:?}");
+        assert!(
+            err.reason.to_string().contains("scheduler refused"),
+            "{err:?}"
+        );
         assert!(!net.flow_active(err.flow));
         // A sane rate still goes through.
         assert!(net
@@ -1031,5 +1047,390 @@ mod tests {
         assert!(net.flow_active(fa));
         assert!(!net.flow_active(fb));
         let _ = rb;
+    }
+}
+
+/// The first slice of ROADMAP's model-based control-plane test: random
+/// interleavings of the whole request lifecycle — submit, teardown (also
+/// mid-setup), source/sink attach, agent retirement, slot reclamation —
+/// driven the way the churn driver drives them, against agents that panic
+/// on anything that was not meant for them.
+#[cfg(test)]
+mod proptests {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    use super::*;
+    use ispn_core::admission::{AdmissionConfig, AdmissionController};
+    use ispn_core::Packet;
+    use ispn_net::{Agent, AgentApi, AgentId, Delivery, PoliceAction, SetupError, Topology};
+    use ispn_sched::{Averaging, Unified};
+    use proptest::prelude::*;
+
+    const MBIT: f64 = 1_000_000.0;
+    const PERIOD: SimTime = SimTime::from_millis(2);
+
+    /// Sends a packet on `flow` every [`PERIOD`], always with one timer
+    /// pending — which must never reach anyone but this agent.
+    struct Source {
+        flow: FlowId,
+        token: u64,
+    }
+
+    impl Agent for Source {
+        fn start(&mut self, api: &mut AgentApi) {
+            api.set_timer(PERIOD, self.token);
+        }
+        fn on_timer(&mut self, token: u64, api: &mut AgentApi) {
+            assert_eq!(
+                token, self.token,
+                "a stale timer reached a slot's next occupant"
+            );
+            api.send(Packet::data(self.flow, 0, 1000, api.now()));
+            api.set_timer(PERIOD, self.token);
+        }
+        fn on_packet(&mut self, _: Delivery, _: &mut AgentApi) {
+            panic!("a source was handed a packet");
+        }
+        fn on_setup(&mut self, _: u64, _: Result<FlowId, SetupError>, _: &mut AgentApi) {
+            panic!("a source was handed a setup result");
+        }
+    }
+
+    /// The sink of one flow (told which once the flow has its id).
+    struct Sink {
+        flow: Rc<Cell<Option<FlowId>>>,
+    }
+
+    impl Agent for Sink {
+        fn on_timer(&mut self, _: u64, _: &mut AgentApi) {
+            panic!("a sink was handed a timer");
+        }
+        fn on_packet(&mut self, delivery: Delivery, _: &mut AgentApi) {
+            assert_eq!(
+                Some(delivery.packet.flow),
+                self.flow.get(),
+                "someone else's packet"
+            );
+        }
+        fn on_setup(&mut self, _: u64, _: Result<FlowId, SetupError>, _: &mut AgentApi) {
+            panic!("a sink was handed a setup result");
+        }
+    }
+
+    /// Asks, when started, for a reservation no link can hold (so nothing is
+    /// left installed whether or not the answer finds it at home), and
+    /// expects exactly that answer.
+    struct Asker {
+        link: LinkId,
+        token: u64,
+    }
+
+    impl Agent for Asker {
+        fn start(&mut self, api: &mut AgentApi) {
+            api.request_flow(
+                FlowConfig::guaranteed(vec![self.link], 0.95 * MBIT),
+                self.token,
+            );
+        }
+        fn on_timer(&mut self, _: u64, _: &mut AgentApi) {
+            panic!("an asker was handed a timer");
+        }
+        fn on_setup(&mut self, token: u64, result: Result<FlowId, SetupError>, _: &mut AgentApi) {
+            assert_eq!(token, self.token, "someone else's setup result");
+            assert!(result.is_err());
+        }
+    }
+
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum State {
+        Pending,
+        Accepted,
+        Rejected,
+        Leaving,
+        Recycled,
+    }
+
+    struct Rec {
+        flow: FlowId,
+        state: State,
+        source: Option<AgentId>,
+        sink: Option<AgentId>,
+    }
+
+    struct Driver {
+        net: Network,
+        sig: Signaling,
+        links: Vec<LinkId>,
+        recs: Vec<Rec>,
+        live: Vec<AgentId>,
+        next_token: u64,
+    }
+
+    impl Driver {
+        fn new() -> Driver {
+            let (topo, _nodes, links) = Topology::chain(4, MBIT, SimTime::MILLISECOND, 200);
+            let mut net = Network::new(topo);
+            for &l in &links {
+                net.set_discipline(l, Unified::new(MBIT, 2, Averaging::RunningMean));
+                let targets = vec![SimTime::from_millis(30), SimTime::from_millis(300)];
+                net.enable_admission(
+                    l,
+                    AdmissionController::new(AdmissionConfig::new(MBIT, 0.9, targets), 10.0),
+                    SimTime::from_millis(100),
+                );
+            }
+            Driver {
+                net,
+                sig: Signaling::default(),
+                links,
+                recs: Vec::new(),
+                live: Vec::new(),
+                next_token: 0,
+            }
+        }
+
+        fn token(&mut self) -> u64 {
+            self.next_token += 1;
+            self.next_token
+        }
+
+        fn add_agent(&mut self, agent: Box<dyn Agent>) -> AgentId {
+            let id = self.net.add_agent(agent);
+            assert!(
+                !self.live.contains(&id),
+                "a live agent's slot was handed out again"
+            );
+            self.live.push(id);
+            id
+        }
+
+        /// Every retirement goes through here, so no record keeps a retired
+        /// (soon to be reused) id.
+        fn retire(&mut self, id: AgentId) {
+            self.net.retire_agent(id);
+            self.live.retain(|&a| a != id);
+            for rec in &mut self.recs {
+                if rec.source == Some(id) {
+                    rec.source = None;
+                }
+                if rec.sink == Some(id) {
+                    rec.sink = None;
+                }
+            }
+        }
+
+        /// The record currently registered under `flow`.
+        fn rec(&mut self, flow: FlowId) -> &mut Rec {
+            self.recs
+                .iter_mut()
+                .rev()
+                .find(|r| r.flow == flow && r.state != State::Recycled)
+                .expect("an event for a flow nobody submitted")
+        }
+
+        /// The `pick`-th record in one of `states`, if any.
+        fn pick(&self, states: &[State], pick: usize) -> Option<usize> {
+            let found: Vec<usize> = (0..self.recs.len())
+                .filter(|&i| states.contains(&self.recs[i].state))
+                .collect();
+            (!found.is_empty()).then(|| found[pick % found.len()])
+        }
+
+        fn submit(&mut self, a: usize, b: u64) {
+            let first = a % 3;
+            let hops = 1 + (a / 3) % (3 - first);
+            let route = self.links[first..first + hops].to_vec();
+            let mut config = match b % 4 {
+                0 => FlowConfig::predicted(
+                    route,
+                    (b / 4 % 2) as u8,
+                    TokenBucketSpec::per_packets(85.0, 50.0, 1000),
+                    SimTime::from_millis(300),
+                    0.001,
+                    PoliceAction::Drop,
+                ),
+                k => FlowConfig::guaranteed(route, 150_000.0 * k as f64),
+            };
+            let sink = b.is_multiple_of(3).then(|| {
+                let flow = Rc::new(Cell::new(None));
+                let sink = self.add_agent(Box::new(Sink { flow: flow.clone() }));
+                config.sink = Some(sink);
+                (sink, flow)
+            });
+            let (_req, flow) = self.sig.submit(&mut self.net, config);
+            if let Some((_, cell)) = &sink {
+                cell.set(Some(flow));
+            }
+            self.recs.push(Rec {
+                flow,
+                state: State::Pending,
+                source: None,
+                sink: sink.map(|(id, _)| id),
+            });
+        }
+
+        fn teardown(&mut self, i: usize, retire_source: bool) {
+            self.recs[i].state = State::Leaving;
+            let Rec { flow, source, .. } = self.recs[i];
+            if let (true, Some(source)) = (retire_source, source) {
+                self.retire(source);
+            }
+            self.sig.teardown(&mut self.net, flow);
+        }
+
+        fn reclaim(&mut self) {
+            for flow in self.net.take_drained_flows() {
+                let rec = self.rec(flow);
+                assert!(
+                    matches!(rec.state, State::Rejected | State::Leaving),
+                    "{flow} drained while {:?}",
+                    rec.state
+                );
+                rec.state = State::Recycled;
+                self.net.recycle_flow_slot(flow);
+            }
+        }
+
+        fn advance(&mut self, dt: SimTime) {
+            let horizon = self.net.now() + dt;
+            for event in self.sig.process_until(&mut self.net, horizon) {
+                match event {
+                    SignalEvent::Accepted { flow, .. } => {
+                        let rec = self.rec(flow);
+                        assert_eq!(rec.state, State::Pending);
+                        rec.state = State::Accepted;
+                    }
+                    SignalEvent::Rejected { flow, .. } => {
+                        let rec = self.rec(flow);
+                        assert_eq!(rec.state, State::Pending);
+                        rec.state = State::Rejected;
+                    }
+                    SignalEvent::TornDown { flow, .. } => {
+                        assert_eq!(self.rec(flow).state, State::Leaving);
+                    }
+                    other => panic!("nobody renegotiates here: {other:?}"),
+                }
+            }
+            for &l in &self.links {
+                let reserved = self.net.admission(l).unwrap().reserved_guaranteed_bps();
+                assert!(
+                    reserved <= 0.9 * MBIT + 1e-6,
+                    "{l:?} oversubscribed: {reserved}"
+                );
+            }
+        }
+
+        fn apply(&mut self, (op, a, b): (u8, usize, u64)) {
+            match op {
+                0..=2 => self.submit(a, b),
+                3 => {
+                    if let Some(i) = self.pick(&[State::Accepted], a) {
+                        if self.recs[i].source.is_none() {
+                            let (flow, token) = (self.recs[i].flow, self.token());
+                            self.recs[i].source =
+                                Some(self.add_agent(Box::new(Source { flow, token })));
+                        }
+                    }
+                }
+                4 => {
+                    if let Some(i) = self.pick(&[State::Pending, State::Accepted], a) {
+                        self.teardown(i, b.is_multiple_of(2));
+                    }
+                }
+                5 => {
+                    if !self.live.is_empty() {
+                        let id = self.live[a % self.live.len()];
+                        self.retire(id);
+                        if b.is_multiple_of(2) {
+                            self.net.retire_agent(id);
+                        }
+                    }
+                }
+                6 => {
+                    let (link, token) = (self.links[a % 3], self.token());
+                    self.add_agent(Box::new(Asker { link, token }));
+                }
+                7 => self.reclaim(),
+                8 => {
+                    // A flow changes sinks; the old one leaves.
+                    if let Some(i) = self.pick(&[State::Pending, State::Accepted], a) {
+                        let flow = self.recs[i].flow;
+                        let cell = Rc::new(Cell::new(Some(flow)));
+                        let new = self.add_agent(Box::new(Sink { flow: cell }));
+                        self.net.set_flow_sink(flow, new);
+                        if let Some(old) = self.recs[i].sink.replace(new) {
+                            self.retire(old);
+                        }
+                    }
+                }
+                _ => self.advance(SimTime::from_micros([0, 300, 1000, 2500][b as usize % 4])),
+            }
+        }
+
+        /// Tear everything down, let it drain, and check nothing is left.
+        fn drain(&mut self) {
+            while let Some(i) = self.pick(&[State::Pending, State::Accepted], 0) {
+                self.teardown(i, true);
+            }
+            for id in self.live.clone() {
+                self.retire(id);
+            }
+            self.advance(SimTime::SECOND);
+            self.reclaim();
+            assert_eq!(self.sig.pending(), 0);
+            assert!(
+                self.recs.iter().all(|r| r.state == State::Recycled),
+                "every submitted flow drains and is recycled"
+            );
+            for &l in &self.links {
+                assert_eq!(
+                    self.net.admission(l).unwrap().reserved_guaranteed_bps(),
+                    0.0
+                );
+            }
+            for flow in (0..self.net.num_flows()).map(|i| FlowId(i as u32)) {
+                assert!(
+                    self.net.installed_links(flow).is_empty(),
+                    "{flow} left state"
+                );
+                assert_eq!(self.net.flow_in_flight(flow), 0);
+            }
+            // Nothing names any agent slot any more: refilling the table
+            // does not grow it.
+            let slots = self.net.num_agents();
+            for _ in 0..slots {
+                let (link, token) = (self.links[0], self.token());
+                self.net.add_agent(Box::new(Asker { link, token }));
+            }
+            assert_eq!(self.net.num_agents(), slots, "an agent slot leaked");
+        }
+    }
+
+    /// Run one interleaving to the end; what two same-seed runs must agree
+    /// on.
+    fn run(ops: &[(u8, usize, u64)]) -> (Vec<(RequestId, bool)>, u64, usize, usize) {
+        let mut d = Driver::new();
+        for &op in ops {
+            d.apply(op);
+        }
+        d.drain();
+        (
+            d.sig.decision_log().to_vec(),
+            d.net.events_processed(),
+            d.net.num_flows(),
+            d.net.num_agents(),
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn request_lifecycle_leaks_nothing_and_misdelivers_nothing(
+            ops in proptest::collection::vec((0u8..14, 0usize..64, 0u64..1000), 10..120),
+        ) {
+            let first = run(&ops);
+            prop_assert!(first.2 <= ops.len() + 1 && first.3 <= 2 * ops.len());
+            prop_assert_eq!(first, run(&ops));
+        }
     }
 }

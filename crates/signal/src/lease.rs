@@ -7,6 +7,12 @@
 //! callbacks — so no further packets are generated and no further timers
 //! are scheduled (the agent goes quiet after at most one already-pending
 //! timer fires).
+//!
+//! A lease keeps the agent: its state stays inspectable and its slot stays
+//! occupied.  A driver that is done with a source altogether — the churn
+//! workload, thousands of times a run — retires it instead
+//! ([`Network::retire_agent`](ispn_net::Network::retire_agent)), which
+//! drops the agent and recycles its slot.
 
 use std::cell::Cell;
 use std::rc::Rc;

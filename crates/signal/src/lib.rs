@@ -26,8 +26,9 @@
 //!   failure; decreases commit only once the whole path has agreed, so a
 //!   failed renegotiation always leaves the old reservation intact).
 //! * [`LeasedSource`] — an agent wrapper tying a traffic source's lifetime
-//!   to its reservation, so churn workloads can stop a source the moment
-//!   its flow is torn down.
+//!   to its reservation, so a caller can stop a source it wants to keep the
+//!   moment its flow is torn down (a source nobody needs afterwards is
+//!   retired instead: `Network::retire_agent`).
 //!
 //! Everything is deterministic: outcomes are a pure function of the
 //! simulation seed, which the churn experiments rely on.

@@ -1,6 +1,7 @@
 //! The vocabulary of the signaling protocol: request identities and the
 //! events the engine reports back to its driver.
 
+use ispn_core::admission::RejectReason;
 use ispn_core::FlowId;
 use ispn_net::LinkId;
 use ispn_sim::SimTime;
@@ -40,8 +41,9 @@ pub enum SignalEvent {
         hop: usize,
         /// The link whose controller refused.
         link: LinkId,
-        /// The failed admission criterion.
-        reason: String,
+        /// The failed admission criterion, typed; its `Display` is the
+        /// sentence the controller would have logged.
+        reason: RejectReason,
         /// When the refusing hop made its decision.
         at: SimTime,
     },
@@ -71,8 +73,9 @@ pub enum SignalEvent {
         flow: FlowId,
         /// Index of the refusing hop along the route.
         hop: usize,
-        /// The failed admission criterion.
-        reason: String,
+        /// The failed admission criterion, typed; its `Display` is the
+        /// sentence the controller would have logged.
+        reason: RejectReason,
         /// When the refusing hop made its decision.
         at: SimTime,
     },
@@ -99,5 +102,18 @@ impl SignalEvent {
             | SignalEvent::Renegotiated { at, .. }
             | SignalEvent::RenegotiationRejected { at, .. } => *at,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Completed transactions are buffered by the thousand in a churn run;
+    /// a typed reason keeps the largest variant (`Rejected`) at ten words,
+    /// where a `String` reason cost a heap allocation on top.
+    #[test]
+    fn a_signal_event_is_at_most_eighty_bytes() {
+        assert!(std::mem::size_of::<SignalEvent>() <= 80);
     }
 }

@@ -194,13 +194,9 @@ fn churn_reproduces_the_pre_migration_decision_sequence() {
     assert_eq!(out.residual_reserved_bps, 0.0);
 }
 
-/// The flow-slot reclamation regression: under sustained churn the flow
-/// table (slots × per-flow state, scheduler lane state included) must track
-/// the **concurrent** population, not the total number of requests ever
-/// made — departed and rejected flows hand their id slots back through
-/// `take_drained_flows`/`recycle_flow_slot`, and the driver reuses them.
-#[test]
-fn churn_flow_table_is_bounded_by_concurrent_flows_not_total_requests() {
+/// Two guaranteed setups a second for a mean of four: ~180 requests in
+/// 90 s, a handful of them holding at any one time.
+fn slow_churn_sim() -> Sim {
     use ispn_scenario::{
         ChurnSourceSpec, ChurnWorkload, DisciplineMatrix, TopologySpec, WorkloadSpec,
     };
@@ -218,7 +214,7 @@ fn churn_flow_table_is_bounded_by_concurrent_flows_not_total_requests() {
             seed_base: 0x1992,
         },
     };
-    let mut sim = ScenarioBuilder::new(TopologySpec::chain_duplex(5))
+    ScenarioBuilder::new(TopologySpec::chain_duplex(5))
         .disciplines(DisciplineMatrix::default().with_links(
             &forward,
             DisciplineSpec::Unified {
@@ -238,7 +234,17 @@ fn churn_flow_table_is_bounded_by_concurrent_flows_not_total_requests() {
         )
         .workload(WorkloadSpec::Churn(workload))
         .build()
-        .expect("valid churn scenario");
+        .expect("valid churn scenario")
+}
+
+/// The flow-slot reclamation regression: under sustained churn the flow
+/// table (slots × per-flow state, scheduler lane state included) must track
+/// the **concurrent** population, not the total number of requests ever
+/// made — departed and rejected flows hand their id slots back through
+/// `take_drained_flows`/`recycle_flow_slot`, and the driver reuses them.
+#[test]
+fn churn_flow_table_is_bounded_by_concurrent_flows_not_total_requests() {
+    let mut sim = slow_churn_sim();
     let mut peak_concurrent = 0usize;
     for s in 1..=90u64 {
         sim.run_until(SimTime::from_secs(s));
@@ -272,6 +278,43 @@ fn churn_flow_table_is_bounded_by_concurrent_flows_not_total_requests() {
     let reports = sim.churn_flow_reports();
     assert_eq!(reports.len(), accepted);
     assert!(reports.iter().all(|r| r.hops >= 1 && r.hops <= 4));
+}
+
+/// The agent-slot counterpart: every admitted flow gets a source agent,
+/// and a departed source's slot is reused once its last timer has fired —
+/// the agent table tracks the **concurrent** population, not the number of
+/// admissions ever made (it used to grow by one boxed source per admission
+/// until exit).
+#[test]
+fn churn_agent_table_is_bounded_by_concurrent_sources_not_total_admissions() {
+    let mut sim = slow_churn_sim();
+    let mut peak_concurrent = 0usize;
+    for s in 1..=90u64 {
+        sim.run_until(SimTime::from_secs(s));
+        peak_concurrent = peak_concurrent.max(sim.churn_admitted().len());
+    }
+    let log = sim.signaling().decision_log();
+    let accepted = log.iter().filter(|&&(_, a)| a).count();
+    let slots = sim.network().num_agents();
+    assert!(accepted >= 30, "90 s at 2/s must admit plenty: {accepted}");
+    // `churn_admitted` also counts departed flows whose teardown is still
+    // in flight, so it bounds the sources alive at any instant; a retired
+    // slot waits at most one source timer before it is free again.
+    assert!(
+        slots <= peak_concurrent + 4,
+        "agent table ({slots} slots) not bounded by the concurrent population \
+         ({peak_concurrent}) after {accepted} admissions"
+    );
+    // The drain retires the rest: a second later nothing is left running.
+    sim.drain_churn();
+    let events = sim.network().events_processed();
+    sim.run_until(SimTime::from_secs(95));
+    let settled = sim.network().events_processed();
+    sim.run_until(SimTime::from_secs(100));
+    // Only the four admission samplers still tick (one event a second
+    // each): no source survived the drain.
+    assert!(settled > events);
+    assert_eq!(sim.network().events_processed() - settled, 4 * 5);
 }
 
 #[test]
