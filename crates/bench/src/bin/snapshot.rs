@@ -10,7 +10,7 @@
 //! micro-workloads (ns/op), runs one representative scenario per
 //! experiment with run telemetry enabled (events/sec, peak queue depth,
 //! memory footprint), and writes the structured snapshot to
-//! `BENCH_15.json` — override with `--out FILE`.  `--check FILE` validates an existing snapshot against
+//! `BENCH_16.json` — override with `--out FILE`.  `--check FILE` validates an existing snapshot against
 //! the schema instead (the CI smoke job), and `--diff OLD [NEW]`
 //! prints the per-workload ns/op movement between two recorded
 //! snapshots (`NEW` defaults to the current default output file).
@@ -19,7 +19,7 @@
 
 use ispn_bench::{bench_config, micro, snapshot};
 
-const DEFAULT_OUT: &str = "BENCH_15.json";
+const DEFAULT_OUT: &str = "BENCH_16.json";
 
 /// Packets per call for the scheduling workloads.
 const SCHED_OPS: u64 = 10_000;

@@ -36,7 +36,7 @@ pub use agent::{Agent, AgentApi, AgentId, Delivery};
 // Part of `Network`'s public surface (`install_guaranteed_rate` returns it),
 // re-exported so callers need not depend on `ispn-sched` directly.
 pub use ispn_sched::GuaranteedInstall;
-pub use monitor::{FlowReport, LinkReport, Monitor};
+pub use monitor::{FlowCounters, FlowReport, LinkReport, Monitor};
 pub use network::{FlowConfig, Network, PoliceAction, SetupError};
 pub use telemetry::NetTelemetry;
 pub use topology::{LinkId, LinkParams, NodeId, Topology};

@@ -4,24 +4,38 @@
 //! delivered packet, "measured in the unit of per packet transmission time",
 //! over a ten-minute run.  The monitor therefore keeps, per flow, every
 //! end-to-end queueing-delay sample (so the 99.9th percentile is exact) plus
-//! streaming statistics, and per link the busy time, per-class waiting
-//! times, and drop counters that the admission-control experiments need.
+//! packet counters, and per link the busy time, the bits sent and the drop
+//! counters that the admission-control experiments need.
 
 use ispn_core::{FlowId, ServiceClass};
 use ispn_sim::SimTime;
-use ispn_stats::{SampleSet, StreamingStats};
+use ispn_stats::SampleSet;
 
 /// Per-flow measurement state.
 #[derive(Debug, Default)]
 struct FlowStats {
     /// End-to-end queueing delays, in seconds.
     delays: SampleSet,
-    generated: u64,
-    delivered: u64,
-    dropped_at_source: u64,
-    dropped_at_edge: u64,
-    dropped_buffer: u64,
-    dropped_inactive: u64,
+    counters: FlowCounters,
+}
+
+/// One flow's packet counters, readable through
+/// [`Monitor::flow_counters`] without touching the flow's delay samples.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FlowCounters {
+    /// Packets generated by the source (after any source-side policing).
+    pub generated: u64,
+    /// Packets delivered to the destination.
+    pub delivered: u64,
+    /// Packets dropped by the source's own policer.
+    pub dropped_at_source: u64,
+    /// Packets dropped by edge policing at the first switch.
+    pub dropped_at_edge: u64,
+    /// Packets dropped to full buffers inside the network.
+    pub dropped_buffer: u64,
+    /// Packets submitted while the flow had no active reservation and
+    /// discarded at the entry switch.
+    pub dropped_inactive: u64,
 }
 
 /// Per-link measurement state.
@@ -30,8 +44,6 @@ struct LinkStats {
     busy: SimTime,
     bits_sent: u64,
     realtime_bits_sent: u64,
-    /// Per-hop waiting times (seconds), all classes combined.
-    waiting: StreamingStats,
     drops: u64,
 }
 
@@ -81,9 +93,6 @@ pub struct LinkReport {
     /// Fraction of the measured interval the link spent on real-time
     /// (guaranteed or predicted) traffic.
     pub realtime_utilization: f64,
-    /// Mean per-hop waiting time (seconds) over all packets that crossed
-    /// the link.
-    pub mean_waiting: f64,
     /// Packets dropped at this link's output buffer.
     pub drops: u64,
     /// Total packets transmitted.
@@ -137,7 +146,7 @@ impl Monitor {
     pub fn record_generated(&mut self, flow: FlowId, now: SimTime) {
         self.note_time(now);
         if now >= self.warmup {
-            self.flows[flow.index()].generated += 1;
+            self.flows[flow.index()].counters.generated += 1;
         }
     }
 
@@ -145,7 +154,7 @@ impl Monitor {
     pub fn record_source_drop(&mut self, flow: FlowId, now: SimTime) {
         self.note_time(now);
         if now >= self.warmup {
-            self.flows[flow.index()].dropped_at_source += 1;
+            self.flows[flow.index()].counters.dropped_at_source += 1;
         }
     }
 
@@ -153,7 +162,7 @@ impl Monitor {
     pub fn record_edge_drop(&mut self, flow: FlowId, now: SimTime) {
         self.note_time(now);
         if now >= self.warmup {
-            self.flows[flow.index()].dropped_at_edge += 1;
+            self.flows[flow.index()].counters.dropped_at_edge += 1;
         }
     }
 
@@ -162,7 +171,7 @@ impl Monitor {
     pub fn record_inactive_drop(&mut self, flow: FlowId, now: SimTime) {
         self.note_time(now);
         if now >= self.warmup {
-            self.flows[flow.index()].dropped_inactive += 1;
+            self.flows[flow.index()].counters.dropped_inactive += 1;
         }
     }
 
@@ -170,7 +179,7 @@ impl Monitor {
     pub fn record_buffer_drop(&mut self, flow: FlowId, link: usize, now: SimTime) {
         self.note_time(now);
         if now >= self.warmup {
-            self.flows[flow.index()].dropped_buffer += 1;
+            self.flows[flow.index()].counters.dropped_buffer += 1;
             self.links[link].drops += 1;
         }
     }
@@ -180,19 +189,20 @@ impl Monitor {
         self.note_time(now);
         if now >= self.warmup {
             let f = &mut self.flows[flow.index()];
-            f.delivered += 1;
+            f.counters.delivered += 1;
             f.delays.record(queueing_delay.as_secs_f64());
         }
     }
 
-    /// Record one packet transmission on a link: how long the link was busy,
-    /// how long the packet waited at this hop, and whether it was real-time
-    /// traffic.
+    /// Record one packet transmission on a link: how long the link was busy
+    /// and whether it was real-time traffic.  (How long the packet waited at
+    /// this hop is passed too, but no report reads a per-link waiting time,
+    /// so it is not recorded.)
     pub fn record_transmission(
         &mut self,
         link: usize,
         class: ServiceClass,
-        waiting: SimTime,
+        _waiting: SimTime,
         tx_time: SimTime,
         bits: u64,
         now: SimTime,
@@ -202,7 +212,6 @@ impl Monitor {
             let l = &mut self.links[link];
             l.busy += tx_time;
             l.bits_sent += bits;
-            l.waiting.record(waiting.as_secs_f64());
             if class.is_realtime() {
                 l.realtime_bits_sent += bits;
             }
@@ -232,21 +241,49 @@ impl Monitor {
     /// Per-flow summary.
     ///
     /// Delay statistics are reported in seconds; experiments convert to the
-    /// paper's packet-time unit.
+    /// paper's packet-time unit.  The flow's samples are read twice: one
+    /// pass in stored order gives the mean (`sum / n`) and the Welford
+    /// jitter, then the set is sorted in place for the percentile and the
+    /// maximum — so the first report of a run sums in record order and
+    /// leaves the samples ascending.
     pub fn flow_report(&mut self, flow: FlowId) -> FlowReport {
+        self.flow_report_with_jitter(flow).0
+    }
+
+    /// [`flow_report`](Monitor::flow_report) and, from its stored-order
+    /// pass, the flow's delay jitter in seconds: the sample (`n − 1`)
+    /// standard deviation of the end-to-end queueing delays.  (Beside the
+    /// report rather than in it: the churn driver keeps a `FlowReport` for
+    /// every flow it ever admitted.)
+    pub fn flow_report_with_jitter(&mut self, flow: FlowId) -> (FlowReport, f64) {
         let f = &mut self.flows[flow.index()];
-        FlowReport {
+        let (mean_delay, jitter) = f.delays.mean_and_std_dev();
+        let c = f.counters;
+        let report = FlowReport {
             flow,
-            mean_delay: f.delays.mean(),
+            mean_delay,
             p999_delay: f.delays.quantile(0.999),
             max_delay: f.delays.max(),
-            generated: f.generated,
-            delivered: f.delivered,
-            dropped_at_source: f.dropped_at_source,
-            dropped_at_edge: f.dropped_at_edge,
-            dropped_buffer: f.dropped_buffer,
-            dropped_inactive: f.dropped_inactive,
-        }
+            generated: c.generated,
+            delivered: c.delivered,
+            dropped_at_source: c.dropped_at_source,
+            dropped_at_edge: c.dropped_at_edge,
+            dropped_buffer: c.dropped_buffer,
+            dropped_inactive: c.dropped_inactive,
+        };
+        (report, jitter)
+    }
+
+    /// A flow's packet counters alone.
+    pub fn flow_counters(&self, flow: FlowId) -> FlowCounters {
+        self.flows[flow.index()].counters
+    }
+
+    /// Sort a flow's delay samples in place, ascending — what the first
+    /// [`flow_report`](Monitor::flow_report) does to them, without the
+    /// report.
+    pub fn sort_flow_delays(&mut self, flow: FlowId) {
+        self.flows[flow.index()].delays.sort();
     }
 
     /// Direct access to a flow's raw delay samples (seconds), e.g. for
@@ -273,7 +310,6 @@ impl Monitor {
         LinkReport {
             utilization,
             realtime_utilization,
-            mean_waiting: l.waiting.mean(),
             drops: l.drops,
             packets_sent: self.link_packets[link],
         }
@@ -382,6 +418,6 @@ mod tests {
         let m = Monitor::new(0, 1);
         let r = m.link_report(0);
         assert_eq!(r.utilization, 0.0);
-        assert_eq!(r.mean_waiting, 0.0);
+        assert_eq!(r.packets_sent, 0);
     }
 }

@@ -14,11 +14,29 @@
 //! just per-flow means.  Links can likewise be grouped by the queueing
 //! discipline they run ([`DisciplineSummary`]), which is what discipline-
 //! axis sweeps read out.
+//!
+//! # What collecting costs, and what pins its bytes
+//!
+//! A report reads each stored delay sample twice and sorts it once.  Per
+//! flow, [`Monitor::flow_report_with_jitter`](ispn_net::Monitor::flow_report_with_jitter)
+//! takes the mean and the jitter from one pass in stored order and then
+//! sorts the flow in place for its percentile and maximum.  Per class, one Welford
+//! accumulator is fed from each flow's samples where they lie and the
+//! mean and quantiles come from a k-way merge over the per-flow sorted runs
+//! ([`merged_mean_and_quantiles`]) — a class's samples are never pooled
+//! into a copy.  Floating-point sums depend on their order, so the orders
+//! are part of the format: a flow's mean and jitter run in the order the
+//! samples stand in when the flow is first reported (record order, for a
+//! run's first report); the class jitter runs over the class's flows by
+//! rising id, declared flows already sorted, the others in record order
+//! and sorted only afterwards; the class mean is the ascending-order sum.
+//! The `reference` module among this file's tests is the older, many-pass
+//! formulation, held to the same JSON bytes by a property test.
 
 use ispn_core::{FlowId, ServiceClass};
-use ispn_net::Network;
+use ispn_net::{FlowCounters, Network};
 use ispn_signal::Signaling;
-use ispn_stats::{Histogram, SampleSet, TextTable};
+use ispn_stats::{merged_mean_and_quantiles, Histogram, StreamingStats, TextTable};
 
 /// A fixed-bin histogram selection for per-class delay distributions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -428,16 +446,17 @@ impl ScenarioReport {
         flows: &[FlowId],
     ) -> ScenarioReport {
         let horizon_s = net.monitor().horizon().as_secs_f64();
-        let flow_summaries = if plan.flow_stats {
-            flows
-                .iter()
-                .map(|&f| {
-                    // Jitter = sample standard deviation of the flow's
-                    // delay samples (the shared Welford implementation in
-                    // `ispn-stats`).
-                    let jitter_s = net.monitor().flow_delays(f).sample_std_dev();
-                    let r = net.monitor_mut().flow_report(f);
-                    FlowSummary {
+        // A flow report reads the flow's samples in record order (mean,
+        // jitter) and then sorts them in place, and the class section below
+        // sums in the order it finds them: every declared flow is reported
+        // here — kept or not — so the class summaries do not depend on what
+        // else was selected.
+        let mut flow_summaries = Vec::new();
+        if plan.flow_stats || plan.class_stats {
+            for &f in flows {
+                let (r, jitter_s) = net.monitor_mut().flow_report_with_jitter(f);
+                if plan.flow_stats {
+                    flow_summaries.push(FlowSummary {
                         flow: f.0,
                         generated: r.generated,
                         delivered: r.delivered,
@@ -448,12 +467,10 @@ impl ScenarioReport {
                         p999_delay_s: r.p999_delay,
                         max_delay_s: r.max_delay,
                         jitter_s,
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+                    });
+                }
+            }
+        }
         let link_summaries = if plan.link_stats {
             (0..net.monitor().num_links())
                 .map(|i| {
@@ -471,16 +488,6 @@ impl ScenarioReport {
             Vec::new()
         };
         let class_summaries = if plan.class_stats {
-            if !plan.flow_stats {
-                // A flow report's quantile sorts the flow's samples in
-                // place, and the class pool's jitter sums in the order it
-                // reads them: the flow section above leaves every declared
-                // flow sorted, so a plan that skips it must too, or the
-                // class summaries would depend on what else was selected.
-                for &f in flows {
-                    net.monitor_mut().flow_report(f);
-                }
-            }
             Self::collect_classes(plan, net)
         } else {
             Vec::new()
@@ -513,9 +520,9 @@ impl ScenarioReport {
         }
     }
 
-    /// Pool every registered flow's delay samples by service class.
-    fn collect_classes(plan: &MeasurementPlan, net: &mut Network) -> Vec<ClassSummary> {
-        // Group flow ids by class, in deterministic class order.
+    /// Every registered flow's id, grouped by service class in report
+    /// order.
+    fn flows_by_class(net: &Network) -> Vec<(ServiceClass, Vec<FlowId>)> {
         let mut groups: Vec<(ServiceClass, Vec<FlowId>)> = Vec::new();
         for i in 0..net.num_flows() {
             let flow = FlowId(i as u32);
@@ -526,49 +533,62 @@ impl ScenarioReport {
             }
         }
         groups.sort_by_key(|(c, _)| class_order(*c));
-
         groups
+    }
+
+    /// Summarise every registered flow's delay samples by service class.
+    fn collect_classes(plan: &MeasurementPlan, net: &mut Network) -> Vec<ClassSummary> {
+        Self::flows_by_class(net)
             .into_iter()
             .map(|(class, flows)| {
-                let mut pooled = SampleSet::new();
                 let mut histogram = plan
                     .delay_histogram
                     .filter(HistogramSpec::is_valid)
                     .map(|spec| (spec, Histogram::new(spec.lo_s, spec.hi_s, spec.bins)));
-                let mut generated = 0u64;
-                let mut delivered = 0u64;
-                let mut dropped_buffer = 0u64;
-                let mut dropped_at_edge = 0u64;
+                let mut counters = FlowCounters::default();
+                // Class jitter: flows in id order, each as it stands when
+                // read — declared ones ascending (`collect` reported them),
+                // the others in record order, sorted only afterwards.
+                let mut spread = StreamingStats::new();
+                let monitor = net.monitor_mut();
                 for &flow in &flows {
-                    for &d in net.monitor().flow_delays(flow).samples() {
-                        pooled.record(d);
+                    for &d in monitor.flow_delays(flow).samples() {
+                        spread.record(d);
                         if let Some((_, h)) = histogram.as_mut() {
                             h.record(d);
                         }
                     }
-                    let r = net.monitor_mut().flow_report(flow);
-                    generated += r.generated;
-                    delivered += r.delivered;
-                    dropped_buffer += r.dropped_buffer;
-                    dropped_at_edge += r.dropped_at_edge;
+                    monitor.sort_flow_delays(flow);
+                    let c = monitor.flow_counters(flow);
+                    counters.generated += c.generated;
+                    counters.delivered += c.delivered;
+                    counters.dropped_buffer += c.dropped_buffer;
+                    counters.dropped_at_edge += c.dropped_at_edge;
                 }
-                let jitter_s = pooled.sample_std_dev();
-                let quantiles = plan
-                    .class_quantiles
+                // Mean and quantiles read the class in ascending order: a
+                // merge over the per-flow sorted runs, not a pooled copy.
+                let runs: Vec<&[f64]> = flows
                     .iter()
-                    .map(|&q| (q, pooled.quantile(q)))
+                    .map(|&flow| monitor.flow_delays(flow).samples())
                     .collect();
+                let (mean_delay_s, values) =
+                    merged_mean_and_quantiles(&runs, &plan.class_quantiles);
+                let max_delay_s = runs
+                    .iter()
+                    .filter_map(|run| run.last().copied())
+                    .max_by(f64::total_cmp)
+                    .unwrap_or(0.0);
                 ClassSummary {
                     class: class_label(class),
                     flows: flows.len(),
-                    generated,
-                    delivered,
-                    dropped_buffer,
-                    dropped_at_edge,
-                    mean_delay_s: pooled.mean(),
-                    max_delay_s: pooled.max(),
-                    jitter_s,
-                    quantiles,
+                    generated: counters.generated,
+                    delivered: counters.delivered,
+                    dropped_buffer: counters.dropped_buffer,
+                    dropped_at_edge: counters.dropped_at_edge,
+                    mean_delay_s,
+                    max_delay_s,
+                    jitter_s: spread.sample_std_dev(),
+                    quantiles: plan.class_quantiles.iter().copied().zip(values).collect(),
                     histogram: histogram.map(|(spec, h)| HistogramSummary {
                         lo_s: spec.lo_s,
                         hi_s: spec.hi_s,
@@ -1128,6 +1148,231 @@ mod tests {
         });
         assert!(with_flows.contains("\"jitter_s\":0.00"), "{with_flows}");
         assert_eq!(with_flows, without_flows);
+    }
+
+    /// The flow and class sections as they stood while a report still
+    /// walked a declared flow's samples nine times: per flow a jitter pass,
+    /// a mean pass, a sort and a max pass; per class a pooled copy with its
+    /// own Welford pass, re-sort, mean and max.  Kept as the oracle the
+    /// two-pass report is compared against, byte for byte.
+    mod reference {
+        use super::super::*;
+        use ispn_stats::SampleSet;
+
+        /// The old `Monitor::flow_report`, plus the jitter the flow section
+        /// took before calling it; leaves the flow sorted, as its quantile
+        /// did.
+        fn flow_summary(net: &mut Network, f: FlowId) -> FlowSummary {
+            let delays = net.monitor().flow_delays(f);
+            let jitter_s = delays.sample_std_dev();
+            let mean_delay_s = delays.mean();
+            let mut sorted = delays.clone();
+            let p999_delay_s = sorted.quantile(0.999);
+            let c = net.monitor().flow_counters(f);
+            net.monitor_mut().sort_flow_delays(f);
+            FlowSummary {
+                flow: f.0,
+                generated: c.generated,
+                delivered: c.delivered,
+                dropped_buffer: c.dropped_buffer,
+                dropped_at_edge: c.dropped_at_edge,
+                dropped_inactive: c.dropped_inactive,
+                mean_delay_s,
+                p999_delay_s,
+                max_delay_s: sorted.max(),
+                jitter_s,
+            }
+        }
+
+        pub fn flows_and_classes(
+            plan: &MeasurementPlan,
+            net: &mut Network,
+            flows: &[FlowId],
+        ) -> (Vec<FlowSummary>, Vec<ClassSummary>) {
+            let flow_summaries = if plan.flow_stats {
+                flows.iter().map(|&f| flow_summary(net, f)).collect()
+            } else {
+                Vec::new()
+            };
+            if !plan.class_stats {
+                return (flow_summaries, Vec::new());
+            }
+            if !plan.flow_stats {
+                for &f in flows {
+                    flow_summary(net, f);
+                }
+            }
+            let classes = ScenarioReport::flows_by_class(net)
+                .into_iter()
+                .map(|(class, flows)| {
+                    let mut pooled = SampleSet::new();
+                    let mut histogram = plan
+                        .delay_histogram
+                        .filter(HistogramSpec::is_valid)
+                        .map(|spec| (spec, Histogram::new(spec.lo_s, spec.hi_s, spec.bins)));
+                    let mut generated = 0u64;
+                    let mut delivered = 0u64;
+                    let mut dropped_buffer = 0u64;
+                    let mut dropped_at_edge = 0u64;
+                    for &flow in &flows {
+                        for &d in net.monitor().flow_delays(flow).samples() {
+                            pooled.record(d);
+                            if let Some((_, h)) = histogram.as_mut() {
+                                h.record(d);
+                            }
+                        }
+                        let r = flow_summary(net, flow);
+                        generated += r.generated;
+                        delivered += r.delivered;
+                        dropped_buffer += r.dropped_buffer;
+                        dropped_at_edge += r.dropped_at_edge;
+                    }
+                    let jitter_s = pooled.sample_std_dev();
+                    let quantiles = plan
+                        .class_quantiles
+                        .iter()
+                        .map(|&q| (q, pooled.quantile(q)))
+                        .collect();
+                    ClassSummary {
+                        class: class_label(class),
+                        flows: flows.len(),
+                        generated,
+                        delivered,
+                        dropped_buffer,
+                        dropped_at_edge,
+                        mean_delay_s: pooled.mean(),
+                        max_delay_s: pooled.max(),
+                        jitter_s,
+                        quantiles,
+                        histogram: histogram.map(|(spec, h)| HistogramSummary {
+                            lo_s: spec.lo_s,
+                            hi_s: spec.hi_s,
+                            counts: h.bins().to_vec(),
+                            underflow: h.underflow(),
+                            overflow: h.overflow(),
+                        }),
+                    }
+                })
+                .collect();
+            (flow_summaries, classes)
+        }
+    }
+
+    /// A network nobody simulated: 1–6 flows over 1–3 classes on one link,
+    /// their delays and counters recorded straight into the monitor, a
+    /// random subset declared, and a plan to report them under.  Delays sit
+    /// on a coarse grid with zero the likeliest value, so flows tie within
+    /// and across each other, and flows with no sample or one are common.
+    /// (A delay enters a monitor as a `SimTime`, so it is never negative and
+    /// never `-0.0`; the merge's own tests in `ispn-stats` cover those.)
+    fn random_run(seed: u64) -> (Network, Vec<FlowId>, MeasurementPlan) {
+        use ispn_net::{FlowConfig, Topology};
+        use ispn_sim::SimTime;
+        let mut rng = proptest::TestRng::new(seed);
+        let mut below = |n: u64| rng.below(n);
+        let (topo, _nodes, links) = Topology::chain(2, 1e6, SimTime::MILLISECOND, 200);
+        let mut net = Network::new(topo);
+        let palette = [
+            ServiceClass::Datagram,
+            ServiceClass::Predicted { priority: 1 },
+            ServiceClass::Guaranteed,
+            ServiceClass::Predicted { priority: 0 },
+        ];
+        let first_class = below(4) as usize;
+        let classes = 1 + below(3) as usize;
+        let mut declared = Vec::new();
+        for _ in 0..1 + below(6) {
+            let class = palette[(first_class + below(classes as u64) as usize) % 4];
+            let flow = net.add_flow(FlowConfig {
+                class,
+                ..FlowConfig::datagram(links.clone())
+            });
+            if below(3) > 0 {
+                declared.push(flow);
+            }
+            let samples = [0, 0, 1, 1, 2, 3, 7, 40][below(8) as usize];
+            let spread = [1, 3, 12][below(3) as usize];
+            let monitor = net.monitor_mut();
+            for i in 0..samples {
+                let now = SimTime::from_millis(i);
+                monitor.record_generated(flow, now);
+                let delay = SimTime::from_micros(700 * below(spread).saturating_sub(below(2)));
+                monitor.record_delivery(flow, delay, now);
+            }
+            for _ in 0..below(3) {
+                monitor.record_generated(flow, SimTime::SECOND);
+                monitor.record_buffer_drop(flow, 0, SimTime::SECOND);
+            }
+            for _ in 0..below(2) {
+                monitor.record_edge_drop(flow, SimTime::SECOND);
+                monitor.record_inactive_drop(flow, SimTime::SECOND);
+            }
+        }
+        let selectable = [0.999, 0.5, 0.0, 1.0, 0.9, 0.5, 0.25, -0.5, 1.5, 0.99];
+        let plan = MeasurementPlan {
+            flow_stats: below(3) > 0,
+            class_stats: below(8) > 0,
+            class_quantiles: (0..1 + below(6))
+                .map(|_| selectable[below(10) as usize])
+                .collect(),
+            delay_histogram: (below(2) == 1).then(|| HistogramSpec::up_to(0.005, 4)),
+            ..MeasurementPlan::flows_only()
+        };
+        (net, declared, plan)
+    }
+
+    proptest::proptest! {
+        /// The two-pass report is the nine-pass report: the same JSON to
+        /// the byte, and every flow's samples left in the same order.
+        ///
+        /// Fails (checked by hand) when the class Welford is fed after the
+        /// flow is sorted instead of before, and when the merge drops a
+        /// run's last element on a tie with another run's head.
+        #[test]
+        fn report_matches_the_nine_pass_reference(seed in proptest::any::<u64>()) {
+            let sig = Signaling::new(ispn_signal::SignalConfig::default());
+            let (mut net, flows, plan) = random_run(seed);
+            let report = ScenarioReport::collect(&plan, &mut net, &sig, &flows);
+            let (mut reference_net, ..) = random_run(seed);
+            let (flow_summaries, classes) =
+                reference::flows_and_classes(&plan, &mut reference_net, &flows);
+            let expected = ScenarioReport {
+                flows: flow_summaries,
+                classes,
+                ..report.clone()
+            };
+            assert_eq!(report.to_json(), expected.to_json(), "{plan:?}");
+            for i in 0..net.num_flows() {
+                let bits = |net: &Network| -> Vec<u64> {
+                    let delays = net.monitor().flow_delays(FlowId(i as u32));
+                    delays.samples().iter().map(|d| d.to_bits()).collect()
+                };
+                assert_eq!(bits(&net), bits(&reference_net), "flow {i} under {plan:?}");
+            }
+        }
+    }
+
+    /// The class mean is the ascending-order sum whatever else the plan
+    /// selects.  (The pooled copy summed in the order it was filled until a
+    /// quantile sorted it, so a plan with no quantiles saw another last
+    /// digit.)
+    #[test]
+    fn class_mean_does_not_depend_on_the_quantile_selection() {
+        let sig = Signaling::new(ispn_signal::SignalConfig::default());
+        let means = |quantiles: &[f64]| -> Vec<u64> {
+            (0..64)
+                .flat_map(|seed| {
+                    let (mut net, flows, plan) = random_run(seed);
+                    let plan = MeasurementPlan {
+                        class_stats: true,
+                        ..plan.with_quantiles(quantiles)
+                    };
+                    ScenarioReport::collect(&plan, &mut net, &sig, &flows).classes
+                })
+                .map(|class| class.mean_delay_s.to_bits())
+                .collect()
+        };
+        assert_eq!(means(&[]), means(&[0.5, 0.999]));
     }
 
     #[test]

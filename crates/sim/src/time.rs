@@ -60,13 +60,21 @@ impl SimTime {
     }
 
     /// Construct from fractional seconds, rounding to the nearest
-    /// nanosecond.  Negative and non-finite inputs clamp to zero.
+    /// nanosecond (halves away from zero).  Negative and non-finite inputs
+    /// clamp to zero, overlarge ones to [`SimTime::MAX`].
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         if !s.is_finite() || s <= 0.0 {
             return SimTime::ZERO;
         }
-        SimTime((s * 1e9).round().min(u64::MAX as f64) as u64)
+        // `(s * 1e9).round() as u64` without the call into libm, which is
+        // out of line on baseline x86-64 and sits on every hop's path:
+        // truncate, then add one when the dropped fraction reaches a half.
+        // `x - trunc(x)` is exact below 2⁵³, `x` is already an integer
+        // above, and `as u64` saturates.
+        let x = s * 1e9;
+        let t = x as u64;
+        SimTime(t.saturating_add(u64::from(x - t as f64 >= 0.5)))
     }
 
     /// Raw nanosecond count.
@@ -258,5 +266,74 @@ mod tests {
     fn ordering_is_numeric() {
         assert!(SimTime::from_nanos(1) < SimTime::from_nanos(2));
         assert!(SimTime::MAX > SimTime::from_secs(1_000_000));
+    }
+
+    /// What `from_secs_f64` computed while it still called `f64::round`.
+    fn from_secs_f64_by_libm_round(s: f64) -> SimTime {
+        if !s.is_finite() || s <= 0.0 {
+            return SimTime::ZERO;
+        }
+        SimTime((s * 1e9).round().min(u64::MAX as f64) as u64)
+    }
+
+    #[test]
+    fn from_secs_f64_rounds_half_away_at_every_edge() {
+        for (secs, nanos) in [
+            (4.999_999_999_999_999e-10, 0),
+            (0.5e-9, 1),
+            (2.5e-9, 3),
+            (1.8446744073709552e10, u64::MAX),
+            (1e300, u64::MAX),
+            (5e-324, 0),
+            (f64::NAN, 0),
+            (-1.0, 0),
+            (f64::INFINITY, 0),
+            (f64::NEG_INFINITY, 0),
+        ] {
+            assert_eq!(SimTime::from_secs_f64(secs), SimTime(nanos), "{secs:e}");
+        }
+        // Where a half is the last bit a product still carries (2⁵² ns), and
+        // where products are integers already (2⁵³ ns): as seconds, and as
+        // the quotient that multiplies back to the tie itself.
+        let (two52, two53) = ((1u64 << 52) as f64, (1u64 << 53) as f64);
+        for x in [
+            0.49999999999999994,
+            0.5,
+            1.5,
+            two52 - 0.5,
+            two52 + 0.5,
+            two53 + 1.0,
+            f64::MAX,
+        ] {
+            for secs in [x * 1e-9, x / 1e9] {
+                assert_eq!(
+                    SimTime::from_secs_f64(secs),
+                    from_secs_f64_by_libm_round(secs),
+                    "{secs:e}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The libm-free rounding is the old `round()` expression on every
+        /// bit pattern (NaNs, infinities and negatives included), on
+        /// ordinary durations, and around the half-nanosecond ties.
+        #[test]
+        fn from_secs_f64_matches_libm_round(
+            bits in proptest::any::<u64>(),
+            secs in 0.0f64..1e4,
+            nanos in 0u64..(1 << 54),
+            nudge in 0u64..5,
+        ) {
+            let near_tie = f64::from_bits(((nanos as f64 + 0.5) / 1e9).to_bits() + nudge - 2);
+            for s in [f64::from_bits(bits), secs, secs * 1e-6, near_tie] {
+                assert_eq!(
+                    SimTime::from_secs_f64(s),
+                    from_secs_f64_by_libm_round(s),
+                    "{s:e}"
+                );
+            }
+        }
     }
 }

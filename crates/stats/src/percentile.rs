@@ -7,6 +7,57 @@
 //! network (e.g. the measurement module feeding admission control) cannot
 //! store every sample, so [`P2Quantile`] provides the classic Jain &
 //! Chlamtac P² estimator as a constant-memory alternative.
+//!
+//! # What a report costs
+//!
+//! A scenario report reads each stored sample twice and sorts it once.
+//! [`SampleSet::mean_and_std_dev`] is the one pass in stored order (sum,
+//! Welford spread); [`SampleSet::sort`] then orders the set in place on the
+//! integer image of its floats — [`f64::total_cmp`]'s order exactly, so the
+//! same sequence to the bit, but compared as plain `i64`s; and
+//! [`merged_mean_and_quantiles`] takes a class's mean and quantiles from a
+//! k-way merge over the per-flow sorted runs, so the union of a class's
+//! samples is never copied or re-sorted.
+
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
+/// The order-preserving integer image of a float's bit pattern: the images
+/// of two floats compare as `i64` exactly as [`f64::total_cmp`] compares
+/// the floats (−∞ < negatives < −0.0 < +0.0 < positives < +∞).  It flips
+/// the magnitude bits of negative patterns and leaves the sign bit alone,
+/// so it is its own inverse.
+fn total_order_image(bits: u64) -> u64 {
+    bits ^ ((((bits as i64) >> 63) as u64) >> 1)
+}
+
+/// Replace every float by the float whose bits are its integer image (and,
+/// applied again, put the originals back).  Plain moves of an `f64` keep
+/// its bits, NaN patterns included, so the images survive the sort.
+fn swap_with_images(samples: &mut [f64]) {
+    for x in samples {
+        *x = f64::from_bits(total_order_image(x.to_bits()));
+    }
+}
+
+/// Where the `q`-quantile of `n ≥ 1` ascending samples sits: the ranks of
+/// the two order statistics it interpolates between and the weight of the
+/// upper one.
+fn quantile_span(q: f64, n: usize) -> (usize, usize, f64) {
+    let pos = q.clamp(0.0, 1.0) * (n - 1) as f64;
+    let lo = pos.floor() as usize;
+    (lo, pos.ceil() as usize, pos - lo as f64)
+}
+
+/// Linear interpolation between the two order statistics a
+/// [`quantile_span`] names, `at(rank)` being the sample of that rank.
+fn interpolate((lo, hi, frac): (usize, usize, f64), at: impl Fn(usize) -> f64) -> f64 {
+    if lo == hi {
+        at(lo)
+    } else {
+        at(lo) * (1.0 - frac) + at(hi) * frac
+    }
+}
 
 /// A bag of stored samples with exact order statistics.
 #[derive(Debug, Clone, Default)]
@@ -58,57 +109,57 @@ impl SampleSet {
         self.samples.is_empty()
     }
 
-    /// Arithmetic mean, or 0.0 if empty.
+    /// Arithmetic mean, or 0.0 if empty: the samples summed in stored
+    /// order from `+0.0`, the same fold [`StreamingStats::sum`] keeps, so
+    /// this and [`mean_and_std_dev`](SampleSet::mean_and_std_dev) agree to
+    /// the bit.
+    ///
+    /// [`StreamingStats::sum`]: crate::StreamingStats::sum
     pub fn mean(&self) -> f64 {
         if self.samples.is_empty() {
             0.0
         } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
+            self.samples.iter().fold(0.0, |sum, x| sum + x) / self.samples.len() as f64
         }
     }
 
-    /// Largest sample, or 0.0 if empty.
+    /// Largest sample under [`f64::total_cmp`]'s order (so `+0.0` beats
+    /// `-0.0`), or 0.0 if empty.  O(1) once the set is sorted.
     pub fn max(&self) -> f64 {
-        self.samples
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-            .max(0.0)
+        let max = if self.sorted {
+            self.samples.last().copied()
+        } else {
+            self.samples.iter().copied().max_by(f64::total_cmp)
+        };
+        max.unwrap_or(0.0)
     }
 
-    fn ensure_sorted(&mut self) {
+    /// Sort the stored samples in place, ascending in
+    /// [`f64::total_cmp`]'s order (`record` rejects NaN, so that is the
+    /// numeric order plus `-0.0 < +0.0`).  The sort compares the floats'
+    /// integer images, which is the same order — hence the same sequence —
+    /// without a float comparison in the loop.
+    pub fn sort(&mut self) {
         if !self.sorted {
-            // `record` rejects NaN, so `total_cmp` orders exactly like the
-            // old `partial_cmp` — but totally, so a NaN that slipped in
-            // through a future code path sorts instead of panicking.
-            self.samples.sort_unstable_by(f64::total_cmp);
+            swap_with_images(&mut self.samples);
+            self.samples.sort_unstable_by_key(|x| x.to_bits() as i64);
+            swap_with_images(&mut self.samples);
             self.sorted = true;
         }
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1) using linear interpolation between order
-    /// statistics; 0.0 if the set is empty.
+    /// statistics; 0.0 if the set is empty.  Sorts the set in place.
     ///
     /// `quantile(0.999)` is the "99.9 %ile" column of the paper's tables.
     pub fn quantile(&mut self, q: f64) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
         }
-        let q = q.clamp(0.0, 1.0);
-        self.ensure_sorted();
-        let n = self.samples.len();
-        if n == 1 {
-            return self.samples[0];
-        }
-        let pos = q * (n - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        if lo == hi {
-            self.samples[lo]
-        } else {
-            let frac = pos - lo as f64;
-            self.samples[lo] * (1.0 - frac) + self.samples[hi] * frac
-        }
+        self.sort();
+        interpolate(quantile_span(q, self.samples.len()), |rank| {
+            self.samples[rank]
+        })
     }
 
     /// Convenience: the 99.9th percentile.
@@ -121,18 +172,27 @@ impl SampleSet {
         self.quantile(0.5)
     }
 
-    /// Sample (`n − 1`) standard deviation of the stored samples — the
-    /// "jitter" statistic of the scenario reports.  Computed by feeding the
-    /// samples through the Welford accumulator of
-    /// [`StreamingStats`](crate::StreamingStats) (one shared variance
-    /// implementation, numerically stable for long runs of near-identical
-    /// delays); 0.0 for fewer than two samples.
-    pub fn sample_std_dev(&self) -> f64 {
+    /// Mean and sample (`n − 1`) standard deviation — the "jitter"
+    /// statistic of the scenario reports — from one pass in stored order
+    /// through a [`StreamingStats`](crate::StreamingStats): the mean is its
+    /// running sum over the count (the same bits as
+    /// [`mean`](SampleSet::mean)), the deviation its Welford spread (one
+    /// shared variance implementation, numerically stable for long runs of
+    /// near-identical delays).  `(0.0, 0.0)` if empty, and a deviation of
+    /// 0.0 for fewer than two samples.  A report takes both from a flow
+    /// before it sorts the flow.
+    pub fn mean_and_std_dev(&self) -> (f64, f64) {
         let mut acc = crate::StreamingStats::new();
         for &x in &self.samples {
             acc.record(x);
         }
-        acc.sample_std_dev()
+        let n = self.samples.len().max(1) as f64;
+        (acc.sum() / n, acc.sample_std_dev())
+    }
+
+    /// The deviation half of [`mean_and_std_dev`](SampleSet::mean_and_std_dev).
+    pub fn sample_std_dev(&self) -> f64 {
+        self.mean_and_std_dev().1
     }
 
     /// Fraction of samples strictly greater than `threshold` — the
@@ -150,6 +210,61 @@ impl SampleSet {
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
+}
+
+/// The mean and the `quantiles` of the union of `runs`, each run ascending
+/// (a sorted [`SampleSet::samples`]), from one k-way merge that never
+/// materialises the union.
+///
+/// Returns `(mean, values)`, `values[i]` being the `quantiles[i]`-quantile:
+/// bit for bit what recording every run into one [`SampleSet`], sorting it
+/// and asking it for its mean and those quantiles gives.  The mean is the sum in
+/// ascending order over the count (samples that tie under the total order
+/// are the same bits, so the tie-break between runs cannot show), and the
+/// quantiles interpolate the same ranks.  An empty union reports 0.0
+/// throughout.
+pub fn merged_mean_and_quantiles(runs: &[&[f64]], quantiles: &[f64]) -> (f64, Vec<f64>) {
+    let n: usize = runs.iter().map(|run| run.len()).sum();
+    if n == 0 {
+        return (0.0, vec![0.0; quantiles.len()]);
+    }
+    let spans: Vec<_> = quantiles.iter().map(|&q| quantile_span(q, n)).collect();
+    // The ranks some quantile reads, ascending, and the samples found there.
+    let mut wanted: Vec<usize> = spans.iter().flat_map(|&(lo, hi, _)| [lo, hi]).collect();
+    wanted.sort_unstable();
+    wanted.dedup();
+    let mut found = Vec::with_capacity(wanted.len());
+
+    let key = |x: f64| total_order_image(x.to_bits()) as i64;
+    // Every non-empty run's smallest unread sample, least on top.
+    let mut heads: BinaryHeap<_> = runs
+        .iter()
+        .enumerate()
+        .filter_map(|(r, run)| run.first().map(|&x| Reverse((key(x), r))))
+        .collect();
+    let mut unread = vec![1usize; runs.len()];
+    let mut sum = 0.0;
+    for rank in 0..n {
+        let mut head = heads.peek_mut().expect("a run holds each unread rank");
+        let Reverse((image, r)) = *head;
+        let x = f64::from_bits(total_order_image(image as u64));
+        sum += x;
+        if wanted.get(found.len()) == Some(&rank) {
+            found.push(x);
+        }
+        match runs[r].get(unread[r]) {
+            Some(&next) => {
+                *head = Reverse((key(next), r));
+                unread[r] += 1;
+            }
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+    }
+    let at = |rank: usize| found[wanted.partition_point(|&w| w < rank)];
+    let values = spans.iter().map(|&span| interpolate(span, at)).collect();
+    (sum / n as f64, values)
 }
 
 /// The P² (piecewise-parabolic) streaming quantile estimator of Jain &
@@ -339,9 +454,9 @@ mod tests {
     fn sample_std_dev_degenerate_cases_are_zero() {
         // n = 0 and n = 1 are pinned to 0.0 — never NaN from a 0/0 divisor.
         let mut s = SampleSet::new();
-        assert_eq!(s.sample_std_dev(), 0.0);
+        assert_eq!(s.mean_and_std_dev(), (0.0, 0.0));
         s.record(42.0);
-        assert_eq!(s.sample_std_dev(), 0.0);
+        assert_eq!(s.mean_and_std_dev(), (42.0, 0.0));
         // n = 2: matches the textbook two-pass value exactly enough.
         s.record(44.0);
         assert!((s.sample_std_dev() - std::f64::consts::SQRT_2).abs() < 1e-12);
@@ -361,6 +476,9 @@ mod tests {
             / (xs.len() - 1) as f64)
             .sqrt();
         assert!((s.sample_std_dev() - two_pass).abs() < 1e-9);
+        // The same pass's mean is `mean()`'s running sum, not Welford's
+        // running mean: equal bits, not merely close.
+        assert_eq!(s.mean_and_std_dev().0.to_bits(), s.mean().to_bits());
     }
 
     #[test]
@@ -402,6 +520,170 @@ mod tests {
         s.record(f64::INFINITY);
         assert_eq!(s.len(), 3);
         assert_eq!(s.quantile(1.0), f64::INFINITY);
+    }
+
+    #[test]
+    fn max_is_the_true_maximum_and_zero_only_when_empty() {
+        // Used to be clamped at 0.0 from below: `{-3, -1}` reported 0.0.
+        let mut s = SampleSet::new();
+        assert_eq!(s.max(), 0.0);
+        s.record(-3.0);
+        s.record(-1.0);
+        s.record(-2.0);
+        assert_eq!(s.max(), -1.0, "unsorted");
+        s.sort();
+        assert_eq!(s.max(), -1.0, "sorted");
+        // The total order breaks the one tie floats have.
+        let mut zeros = SampleSet::new();
+        zeros.record(0.0);
+        zeros.record(-0.0);
+        assert_eq!(zeros.max().to_bits(), 0.0f64.to_bits());
+        zeros.sort();
+        assert_eq!(zeros.max().to_bits(), 0.0f64.to_bits());
+    }
+
+    /// One of every kind of float `record` keeps, in ascending total order.
+    const LADDER: [f64; 11] = [
+        f64::NEG_INFINITY,
+        -1e300,
+        -1.5,
+        -5e-324,
+        -0.0,
+        0.0,
+        5e-324,
+        2.2250738585072014e-308,
+        1.5,
+        1e300,
+        f64::INFINITY,
+    ];
+
+    #[test]
+    fn integer_image_orders_like_total_cmp_and_round_trips() {
+        let images: Vec<i64> = LADDER
+            .iter()
+            .map(|x| total_order_image(x.to_bits()) as i64)
+            .collect();
+        assert!(images.windows(2).all(|w| w[0] < w[1]), "{images:?}");
+        for bits in LADDER.iter().map(|x| x.to_bits()).chain([
+            f64::NAN.to_bits(),
+            u64::MAX,
+            0x7ff0_0000_0000_0001,
+            1 << 63,
+        ]) {
+            assert_eq!(total_order_image(total_order_image(bits)), bits);
+        }
+    }
+
+    #[test]
+    fn sort_is_the_total_cmp_sort_bit_for_bit() {
+        // Every ladder rung three times over, dealt out of order.
+        let dealt: Vec<f64> = (0..33).map(|i| LADDER[(i * 7) % LADDER.len()]).collect();
+        let mut expected = dealt.clone();
+        expected.sort_by(f64::total_cmp);
+        let mut s = SampleSet::new();
+        for &x in &dealt {
+            s.record(x);
+        }
+        s.sort();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(s.samples()), bits(&expected));
+        assert_eq!(s.quantile(0.0), f64::NEG_INFINITY);
+        assert_eq!(s.quantile(1.0), f64::INFINITY);
+    }
+
+    /// What the merge replaces: pool every run into one set, sort it, and
+    /// ask that for the quantiles and the mean.
+    fn pooled(runs: &[&[f64]], quantiles: &[f64]) -> (f64, Vec<f64>) {
+        let mut pool = SampleSet::new();
+        for &x in runs.iter().copied().flatten() {
+            pool.record(x);
+        }
+        pool.sort();
+        let values = quantiles.iter().map(|&q| pool.quantile(q)).collect();
+        (pool.mean(), values)
+    }
+
+    fn assert_merge_is_the_pool(runs: &[&[f64]], quantiles: &[f64]) {
+        let bits = |(mean, values): (f64, Vec<f64>)| {
+            (
+                mean.to_bits(),
+                values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            )
+        };
+        assert_eq!(
+            bits(merged_mean_and_quantiles(runs, quantiles)),
+            bits(pooled(runs, quantiles)),
+            "{runs:?} at {quantiles:?}"
+        );
+    }
+
+    #[test]
+    fn merge_of_one_run_is_that_run() {
+        let qs = [0.0, 0.25, 0.5, 0.999, 1.0];
+        assert_merge_is_the_pool(&[&[0.1, 0.2, 0.2, 0.7, 1.9]], &qs);
+        let (mean, values) = merged_mean_and_quantiles(&[&[1.0, 2.0, 3.0]], &[0.5, 0.75]);
+        assert_eq!((mean, values), (2.0, vec![2.0, 2.5]));
+    }
+
+    #[test]
+    fn merge_skips_empty_runs_and_reads_every_last_element() {
+        let qs = [0.5, 0.9, 0.99, 0.999, 1.0];
+        let (a, b, c) = ([0.1, 0.4, 0.9, 0.9], [0.4, 0.4, 2.5, 2.5], [0.3]);
+        assert_merge_is_the_pool(&[&a, &[], &b, &[], &c], &qs);
+        // The union's maximum is the last element of the middle run, then
+        // of the first: a merge that drops a run's tail loses it.
+        assert_merge_is_the_pool(&[&b, &a], &[1.0]);
+        assert_merge_is_the_pool(&[&a, &b], &[1.0]);
+        assert_eq!(merged_mean_and_quantiles(&[&a, &b], &[1.0]).1, [2.5]);
+    }
+
+    #[test]
+    fn merge_of_nothing_is_zero() {
+        for runs in [&[][..], &[&[][..], &[][..]][..]] {
+            assert_eq!(
+                merged_mean_and_quantiles(runs, &[0.5, 1.0]),
+                (0.0, vec![0.0, 0.0])
+            );
+            assert_eq!(merged_mean_and_quantiles(runs, &[]), (0.0, vec![]));
+        }
+    }
+
+    #[test]
+    fn merge_of_a_single_sample_reports_it_at_every_quantile() {
+        let runs: [&[f64]; 3] = [&[], &[0.042], &[]];
+        assert_merge_is_the_pool(&runs, &[0.0, 0.1, 0.999, 1.0, f64::NAN]);
+        assert_eq!(
+            merged_mean_and_quantiles(&runs, &[0.3]),
+            (0.042, vec![0.042])
+        );
+    }
+
+    #[test]
+    fn merge_serves_a_rank_to_every_quantile_that_reads_it() {
+        // Five samples: 0.5 and 0.75 both read rank 2 or 3, 0.5 is asked
+        // for twice, and the selection is out of order and out of range.
+        let (a, b) = ([1.0, 3.0, 5.0], [2.0, 4.0]);
+        let qs = [0.75, 0.5, 1.0, 0.5, 0.0, 0.625, -1.0, 7.0];
+        assert_merge_is_the_pool(&[&a, &b], &qs);
+        assert_eq!(
+            merged_mean_and_quantiles(&[&a, &b], &qs).1,
+            [4.0, 3.0, 5.0, 3.0, 1.0, 3.5, 1.0, 5.0]
+        );
+    }
+
+    #[test]
+    fn merge_sums_in_ascending_order_across_signed_zeros_and_infinities() {
+        let sorted = |xs: &[f64]| {
+            let mut xs = xs.to_vec();
+            xs.sort_by(f64::total_cmp);
+            xs
+        };
+        let a = sorted(&[0.0, -0.0, 1e-3, -2.5, 1e16, 0.1]);
+        let b = sorted(&[-0.0, 0.0, 0.1, 0.1, -1e16, 0.3]);
+        assert_merge_is_the_pool(&[&a, &b], &[0.0, 0.5, 0.9, 1.0]);
+        assert_merge_is_the_pool(&[&[-0.0], &[-0.0]], &[0.5]);
+        let c = [f64::NEG_INFINITY, 1.0];
+        assert_merge_is_the_pool(&[&c, &a], &[0.0, 0.5, 1.0]);
     }
 
     #[test]
@@ -477,6 +759,32 @@ mod proptests {
             prop_assert!(q50 <= q99 + 1e-9);
             prop_assert!(q25 >= min - 1e-9);
             prop_assert!(q99 <= max + 1e-9);
+        }
+
+        /// Merging sorted runs gives the pooled set's mean and quantiles to
+        /// the bit, ties and all (samples on a coarse grid, so runs share
+        /// values), whatever the quantile selection.
+        #[test]
+        fn merge_matches_the_pooled_set(
+            runs in proptest::collection::vec(proptest::collection::vec(0u32..40, 0..30), 1..7),
+            qs in proptest::collection::vec(-0.1f64..1.1, 0..6),
+        ) {
+            let runs: Vec<Vec<f64>> = runs
+                .iter()
+                .map(|run| {
+                    let mut run: Vec<f64> = run.iter().map(|&g| f64::from(g) * 0.7e-3 - 5e-3).collect();
+                    run.sort_by(f64::total_cmp);
+                    run
+                })
+                .collect();
+            let runs: Vec<&[f64]> = runs.iter().map(Vec::as_slice).collect();
+            let mut pool = SampleSet::new();
+            for &x in runs.iter().copied().flatten() { pool.record(x); }
+            pool.sort();
+            let expected: Vec<u64> = qs.iter().map(|&q| pool.quantile(q).to_bits()).collect();
+            let (mean, values) = merged_mean_and_quantiles(&runs, &qs);
+            prop_assert_eq!(values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), expected);
+            prop_assert_eq!(mean.to_bits(), pool.mean().to_bits());
         }
 
         /// The P² estimate always stays within the observed range.

@@ -86,6 +86,10 @@ pub struct OnOffSource {
     config: OnOffConfig,
     rng: Pcg64,
     policer: Option<TokenBucket>,
+    /// The peak-rate packet spacing, `1 / P` to the nanosecond.
+    peak_gap: SimTime,
+    /// [`OnOffConfig::mean_idle_secs`], computed once.
+    mean_idle_secs: f64,
     /// Packets remaining in the current burst (0 = idle).
     remaining_in_burst: u64,
     seq: u64,
@@ -101,6 +105,8 @@ impl OnOffSource {
             flow,
             rng: Pcg64::new(config.seed),
             policer,
+            peak_gap: SimTime::from_secs_f64(1.0 / config.peak_rate_pps),
+            mean_idle_secs: config.mean_idle_secs(),
             config,
             remaining_in_burst: 0,
             seq: 0,
@@ -157,13 +163,12 @@ impl Agent for OnOffSource {
         }
         self.emit_one(api);
         self.remaining_in_burst -= 1;
-        let peak_gap = SimTime::from_secs_f64(1.0 / self.config.peak_rate_pps);
         let next = if self.remaining_in_burst > 0 {
-            peak_gap
+            self.peak_gap
         } else {
             // The burst is over: idle for an exponential period (measured
             // after the last packet's peak-rate slot).
-            peak_gap + SimTime::from_secs_f64(self.rng.exponential(self.config.mean_idle_secs()))
+            self.peak_gap + SimTime::from_secs_f64(self.rng.exponential(self.mean_idle_secs))
         };
         api.set_timer(next, 0);
     }
