@@ -1,0 +1,117 @@
+//! Pins what the three per-flow stamped-queue disciplines do over seeded
+//! random op streams: an FNV-1a digest of the served order and, after
+//! every call, of `len`, `state_bytes`, `reservation_bytes` and both pool
+//! counters.  The streams tear lanes down while backlogged and register
+//! them again before the drain, so lane lifecycle is covered as well as
+//! service order.  `VirtualClock` is run by no benchmark workload and no
+//! golden; this digest is its byte-identity evidence.  A change that moves
+//! a constant changed behaviour — say so, don't re-bless silently.
+
+use ispn_core::{FlowId, Packet, ServiceClass};
+use ispn_sched::{
+    Averaging, GuaranteedInstall, QueueDiscipline, SchedContext, Unified, VirtualClock, Wfq,
+};
+use ispn_sim::{Pcg64, SimTime};
+
+const MBIT: f64 = 1_000_000.0;
+const SEEDS: u64 = 100;
+const OPS: usize = 400;
+
+fn fold(h: &mut u64, v: u64) {
+    for b in v.to_le_bytes() {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+fn fold_served(h: &mut u64, q: &mut impl QueueDiscipline, now: SimTime) -> bool {
+    let Some(d) = q.dequeue(now) else {
+        fold(h, u64::MAX);
+        return false;
+    };
+    fold(h, u64::from(d.packet.flow.0));
+    fold(h, d.packet.seq);
+    fold(h, d.arrival.as_nanos());
+    fold(h, u64::from(d.class == ServiceClass::Guaranteed));
+    true
+}
+
+/// Digest of `SEEDS` op streams over a discipline built by `make`;
+/// `install` is the discipline's way of registering a flow at a rate.
+fn digest<D: QueueDiscipline>(make: fn() -> D, install: fn(&mut D, FlowId, f64) -> u64) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for seed in 0..SEEDS {
+        let mut q = make();
+        let mut rng = Pcg64::new(seed);
+        let mut now = SimTime::ZERO;
+        for seq in 0..OPS as u64 {
+            now += SimTime::from_micros(rng.next_below(1500));
+            let flow = FlowId(1 + rng.next_below(12) as u32);
+            match rng.next_below(10) {
+                0..=3 => {
+                    let class = match rng.next_below(8) {
+                        0 => ServiceClass::Datagram,
+                        1 => ServiceClass::Predicted { priority: 0 },
+                        _ => ServiceClass::Guaranteed,
+                    };
+                    let bits = 400 + rng.next_below(1200);
+                    let packet = Packet::data(flow, seq, bits, now);
+                    q.enqueue(now, packet, SchedContext::new(class, now));
+                }
+                4..=7 => {
+                    fold_served(&mut h, &mut q, now);
+                }
+                8 => {
+                    let rate = 50_000.0 * (1 + rng.next_below(6)) as f64;
+                    fold(&mut h, install(&mut q, flow, rate));
+                }
+                _ => fold(&mut h, u64::from(q.remove_flow(now, flow))),
+            }
+            fold(&mut h, q.len() as u64);
+            fold(&mut h, q.state_bytes());
+            fold(&mut h, q.reservation_bytes());
+            fold(&mut h, q.pool_grow_events());
+            fold(&mut h, q.pool_segments_high_water());
+        }
+        while fold_served(&mut h, &mut q, now) {}
+        fold(&mut h, q.state_bytes());
+        fold(&mut h, q.reservation_bytes());
+    }
+    h
+}
+
+fn install_guaranteed<D: QueueDiscipline>(q: &mut D, flow: FlowId, rate_bps: f64) -> u64 {
+    match q.install_guaranteed(flow, rate_bps) {
+        GuaranteedInstall::Installed => 1,
+        GuaranteedInstall::Unsupported => 2,
+        GuaranteedInstall::Refused => 3,
+    }
+}
+
+#[test]
+fn wfq_op_streams_keep_their_digest() {
+    let h = digest(|| Wfq::new(MBIT, 100_000.0), install_guaranteed);
+    assert_eq!(h, 0xf326_ad7b_c484_3c72, "{h:#018x}");
+}
+
+#[test]
+fn virtual_clock_op_streams_keep_their_digest() {
+    // VirtualClock registers rates through `set_rate` only.
+    let h = digest(
+        || VirtualClock::new(100_000.0),
+        |q, flow, rate_bps| {
+            q.set_rate(flow, rate_bps);
+            1
+        },
+    );
+    assert_eq!(h, 0xc183_75ff_0242_a5f8, "{h:#018x}");
+}
+
+#[test]
+fn unified_op_streams_keep_their_digest() {
+    let h = digest(
+        || Unified::new(MBIT, 2, Averaging::RunningMean),
+        install_guaranteed,
+    );
+    assert_eq!(h, 0xd957_b55a_a1f2_4e33, "{h:#018x}");
+}
