@@ -22,6 +22,16 @@
 //! | [`StrictPriority`] | jitter shifting between predicted classes (Sections 5, 7) |
 //! | [`Unified`] | the full Section-7 scheduler: WFQ isolation around priority + FIFO+ sharing with datagram traffic underneath |
 //!
+//! [`Wfq`], [`VirtualClock`] and [`Unified`] are the paper's time-stamp
+//! schemes — one FIFO of stamped packets per flow, smallest head stamp
+//! first — and share that structure as one crate-private lane table
+//! (`lanes`).  The table owns the pooled queue storage, the flow → slot
+//! map and the list of backlogged lanes; it frees a lane when its flow's
+//! registration goes (at once if empty, else when the backlog has been
+//! served), and because its choice does not depend on the order lanes are
+//! met in, every discipline's dequeue looks at backlogged lanes only.  A
+//! discipline adds how it stamps a packet and its own per-flow state.
+//!
 //! All disciplines implement [`QueueDiscipline`], are work-conserving, and
 //! are exercised by a shared conformance test-suite
 //! ([`conformance`](crate::conformance) — also usable by downstream crates
@@ -36,6 +46,7 @@ pub mod dispatch;
 pub mod fifo;
 pub mod fifo_plus;
 pub mod gps;
+mod lanes;
 pub mod priority;
 pub mod probe;
 pub mod unified;

@@ -21,7 +21,6 @@
 
 use std::collections::VecDeque;
 
-use ispn_core::arena::{SegQueue, SegmentPool};
 use ispn_core::{FlowId, Packet, ServiceClass};
 use ispn_sim::SimTime;
 
@@ -29,25 +28,8 @@ use crate::disc::{Dequeued, GuaranteedInstall, QueueDiscipline, SchedContext};
 use crate::fifo::Fifo;
 use crate::fifo_plus::{Averaging, FifoPlus};
 use crate::gps::GpsClock;
+use crate::lanes::LaneTable;
 use crate::priority::StrictPriority;
-
-/// The sentinel in `slot_of` for flows with no guaranteed lane.
-const NO_SLOT: u32 = u32::MAX;
-
-/// One guaranteed flow's queue, held in a dense lane slot.  Lane occupancy
-/// *is* the registration: a lane is created by
-/// [`Unified::add_guaranteed_flow`] and freed by
-/// [`Unified::remove_guaranteed_flow`].
-#[derive(Debug)]
-struct GuaranteedLane {
-    flow: FlowId,
-    queue: SegQueue<(Packet, SchedContext, f64)>,
-    /// Virtual finish time of the queue's head packet, mirrored out of
-    /// the pool so the per-dequeue scan reads only lane-local data.
-    /// Meaningless (stale) while the queue is empty — refreshed on
-    /// push-to-empty and after every pop.
-    front_finish: f64,
-}
 
 /// The unified scheduler: WFQ isolation around priority + FIFO+ sharing.
 pub struct Unified {
@@ -55,16 +37,10 @@ pub struct Unified {
     link_rate_bps: f64,
     /// Sum of guaranteed clock rates; flow 0 gets the remainder.
     guaranteed_rate_sum: f64,
-    /// Shared pooled storage for the guaranteed lanes' packet queues;
-    /// lane teardown returns its segments here.
-    pool: SegmentPool<(Packet, SchedContext, f64)>,
-    /// Dense guaranteed-flow lanes (O(1) membership and queue lookup via
-    /// `slot_of`; freed lanes are recycled through `free_lanes`).
-    lanes: Vec<GuaranteedLane>,
-    /// `slot_of[flow.0]` is the flow's lane index, or `NO_SLOT`.
-    slot_of: Vec<u32>,
-    /// Recycled lane slots.
-    free_lanes: Vec<u32>,
+    /// One lane per guaranteed flow.  Lane occupancy *is* the
+    /// registration: [`Unified::add_guaranteed_flow`] creates the lane and
+    /// [`Unified::remove_guaranteed_flow`] evicts it.
+    lanes: LaneTable<()>,
     /// Virtual finish stamps of flow-0 packets, in arrival order.
     flow0_stamps: VecDeque<f64>,
     /// The inner sharing structure of flow 0.
@@ -154,10 +130,7 @@ impl Unified {
             gps,
             link_rate_bps,
             guaranteed_rate_sum: 0.0,
-            pool: SegmentPool::new(),
-            lanes: Vec::new(),
-            slot_of: Vec::new(),
-            free_lanes: Vec::new(),
+            lanes: LaneTable::new(),
             flow0_stamps: VecDeque::new(),
             flow0: StrictPriority::from_parts(levels, FifoPlusOrFifo::Plain(Fifo::new())),
             len: 0,
@@ -165,7 +138,9 @@ impl Unified {
     }
 
     /// Register a guaranteed flow with clock rate `rate_bps`, shrinking the
-    /// pseudo-flow-0 rate accordingly (r₀ = μ − Σ rα).
+    /// pseudo-flow-0 rate accordingly (r₀ = μ − Σ rα).  A flow that is
+    /// already registered is re-rated, as by
+    /// [`set_guaranteed_rate`](Unified::set_guaranteed_rate).
     ///
     /// # Panics
     /// Panics if the guaranteed reservations would exceed the link rate —
@@ -174,59 +149,20 @@ impl Unified {
     pub fn add_guaranteed_flow(&mut self, flow: FlowId, rate_bps: f64) {
         assert!(rate_bps > 0.0);
         assert!(
-            self.guaranteed_rate_sum + rate_bps < self.link_rate_bps,
+            self.reserve(flow, rate_bps),
             "guaranteed reservations ({} + {} bps) exceed the link rate {}",
             self.guaranteed_rate_sum,
             rate_bps,
             self.link_rate_bps
         );
-        self.guaranteed_rate_sum += rate_bps;
-        self.gps.set_rate(flow.0 as u64, rate_bps);
-        self.gps.set_rate(
-            GpsClock::PSEUDO_FLOW,
-            self.link_rate_bps - self.guaranteed_rate_sum,
-        );
-        if self.slot(flow).is_none() {
-            if self.slot_of.len() <= flow.index() {
-                self.slot_of.resize(flow.index() + 1, NO_SLOT);
-            }
-            let slot = match self.free_lanes.pop() {
-                Some(s) => {
-                    self.lanes[s as usize].flow = flow;
-                    s as usize
-                }
-                None => {
-                    self.lanes.push(GuaranteedLane {
-                        flow,
-                        queue: SegQueue::new(),
-                        front_finish: 0.0,
-                    });
-                    self.lanes.len() - 1
-                }
-            };
-            self.slot_of[flow.index()] = slot as u32;
-        }
     }
 
-    /// The guaranteed lane slot of `flow`, if registered.
-    fn slot(&self, flow: FlowId) -> Option<usize> {
-        match self.slot_of.get(flow.index()) {
-            Some(&s) if s != NO_SLOT => Some(s as usize),
-            _ => None,
-        }
-    }
-
-    /// Change the clock rate of an already-registered guaranteed flow (the
-    /// Section-8 renegotiation path: "the client can request the network to
-    /// change the reservation").
-    ///
-    /// Returns `false` (leaving the old rate in force) if the new total
-    /// would reach the link rate; admission control normally prevents that.
-    pub fn set_guaranteed_rate(&mut self, flow: FlowId, rate_bps: f64) -> bool {
-        assert!(rate_bps > 0.0);
-        let Some(old) = self.guaranteed_rate(flow) else {
-            return false;
-        };
+    /// Give `flow` the clock rate `rate_bps` and flow 0 the remainder,
+    /// registering the flow if it is new and returning its old rate to the
+    /// sum if it is not.  Returns `false`, with nothing changed, if the
+    /// guaranteed rates would then reach the link rate.
+    fn reserve(&mut self, flow: FlowId, rate_bps: f64) -> bool {
+        let old = self.guaranteed_rate(flow).unwrap_or(0.0);
         let new_sum = self.guaranteed_rate_sum - old + rate_bps;
         if new_sum >= self.link_rate_bps {
             return false;
@@ -235,7 +171,20 @@ impl Unified {
         self.gps.set_rate(flow.0 as u64, rate_bps);
         self.gps
             .set_rate(GpsClock::PSEUDO_FLOW, self.link_rate_bps - new_sum);
+        self.lanes.slot_or_insert(flow, ());
         true
+    }
+
+    /// Change the clock rate of an already-registered guaranteed flow (the
+    /// Section-8 renegotiation path: "the client can request the network to
+    /// change the reservation").
+    ///
+    /// Returns `false` (leaving the old rate in force) if the flow is not
+    /// registered or the new total would reach the link rate; admission
+    /// control normally prevents that.
+    pub fn set_guaranteed_rate(&mut self, flow: FlowId, rate_bps: f64) -> bool {
+        assert!(rate_bps > 0.0);
+        self.lanes.slot(flow).is_some() && self.reserve(flow, rate_bps)
     }
 
     /// Tear down a guaranteed flow's reservation, returning its pseudo-flow-0
@@ -246,11 +195,9 @@ impl Unified {
     /// without a matching reservation, in the datagram class).  Returns
     /// `false` if the flow was not registered.
     pub fn remove_guaranteed_flow(&mut self, flow: FlowId, now: SimTime) -> bool {
-        let Some(slot) = self.slot(flow) else {
+        let Some(slot) = self.lanes.slot(flow) else {
             return false;
         };
-        self.slot_of[flow.index()] = NO_SLOT;
-        self.free_lanes.push(slot as u32);
         let rate = self
             .gps
             .remove(flow.0 as u64)
@@ -260,7 +207,7 @@ impl Unified {
             GpsClock::PSEUDO_FLOW,
             self.link_rate_bps - self.guaranteed_rate_sum,
         );
-        while let Some((packet, ctx, _)) = self.pool.pop_front(&mut self.lanes[slot].queue) {
+        self.lanes.evict(slot, |packet, ctx| {
             // Demote to flow 0; the packet keeps its original arrival time
             // but is stamped (and therefore served) like a fresh datagram
             // arrival, matching its now-unreserved status.
@@ -268,9 +215,7 @@ impl Unified {
             self.flow0_stamps.push_back(finish);
             let demoted = SchedContext::new(ServiceClass::Datagram, ctx.arrival);
             self.flow0.enqueue(now, packet, demoted);
-        }
-        // The drained lane's last resident segment goes back to the pool.
-        self.pool.release(&mut self.lanes[slot].queue);
+        });
         true
     }
 
@@ -281,11 +226,8 @@ impl Unified {
 
     /// The clock rate of a registered guaranteed flow.
     pub fn guaranteed_rate(&self, flow: FlowId) -> Option<f64> {
-        if self.slot(flow).is_some() {
-            self.gps.rate(flow.0 as u64)
-        } else {
-            None
-        }
+        self.lanes.slot(flow)?;
+        self.gps.rate(flow.0 as u64)
     }
 
     /// Number of predicted priority classes.
@@ -308,17 +250,13 @@ impl QueueDiscipline for Unified {
     fn enqueue(&mut self, now: SimTime, packet: Packet, ctx: SchedContext) {
         self.len += 1;
         let guaranteed_slot = if ctx.class == ServiceClass::Guaranteed {
-            self.slot(packet.flow)
+            self.lanes.slot(packet.flow)
         } else {
             None
         };
         if let Some(slot) = guaranteed_slot {
             let finish = self.gps.stamp(packet.flow.0 as u64, packet.size_bits, now);
-            if self.lanes[slot].queue.is_empty() {
-                self.lanes[slot].front_finish = finish;
-            }
-            self.pool
-                .push_back(&mut self.lanes[slot].queue, (packet, ctx, finish));
+            self.lanes.push(slot, packet, ctx, finish);
         } else {
             // Predicted, datagram, and any guaranteed-class packet whose
             // flow was never registered all share pseudo-flow 0.
@@ -334,63 +272,26 @@ impl QueueDiscipline for Unified {
         }
         self.gps.advance(now);
 
-        // Find the guaranteed flow whose head packet carries the smallest
-        // virtual finish stamp, ties to the lowest flow id (the winner the
-        // old ascending-map scan produced, computed in any lane order).
-        let mut best: Option<(f64, FlowId, usize)> = None;
-        for (slot, lane) in self.lanes.iter().enumerate() {
-            if lane.queue.is_empty() {
-                continue;
-            }
-            let finish = lane.front_finish;
-            let better = match best {
-                None => true,
-                Some((best_finish, best_flow, _)) => {
-                    finish < best_finish || (finish == best_finish && lane.flow < best_flow)
-                }
-            };
-            if better {
-                best = Some((finish, lane.flow, slot));
-            }
-        }
-        // Compare against the oldest flow-0 stamp (flow 0 is stamped in
-        // aggregate FIFO order, so its front stamp is its smallest); on an
-        // exact tie the guaranteed flow wins, as before.
-        let mut winner = best.map(|(_, _, slot)| Some(slot));
-        if !self.flow0.is_empty() {
+        // The guaranteed flow whose head packet carries the smallest
+        // virtual finish stamp, against the oldest flow-0 stamp (flow 0 is
+        // stamped in aggregate FIFO order, so its front stamp is its
+        // smallest); on an exact tie the guaranteed flow wins.
+        let best = self.lanes.min();
+        let flow0_wins = !self.flow0.is_empty() && {
             let finish = *self
                 .flow0_stamps
                 .front()
                 .expect("flow0 stamps track flow0 occupancy");
-            match best {
-                None => winner = Some(None),
-                Some((b, _, _)) if finish < b => winner = Some(None),
-                _ => {}
-            }
+            best.is_none_or(|(_, b)| finish < b)
+        };
+        if flow0_wins {
+            self.len -= 1;
+            self.flow0_stamps.pop_front();
+            return self.flow0.dequeue(now);
         }
-
-        let winner = winner?;
+        let (at, _) = best?;
         self.len -= 1;
-        match winner {
-            Some(slot) => {
-                let (packet, ctx, _) = self
-                    .pool
-                    .pop_front(&mut self.lanes[slot].queue)
-                    .expect("winner has a head packet");
-                if let Some(&(_, _, finish)) = self.pool.front(&self.lanes[slot].queue) {
-                    self.lanes[slot].front_finish = finish;
-                }
-                Some(Dequeued {
-                    packet,
-                    arrival: ctx.arrival,
-                    class: ctx.class,
-                })
-            }
-            None => {
-                self.flow0_stamps.pop_front();
-                self.flow0.dequeue(now)
-            }
-        }
+        Some(self.lanes.pop(at))
     }
 
     fn len(&self) -> usize {
@@ -405,18 +306,11 @@ impl QueueDiscipline for Unified {
         if rate_bps <= 0.0 {
             return GuaranteedInstall::Refused;
         }
-        if self.slot(flow).is_some() {
-            return if self.set_guaranteed_rate(flow, rate_bps) {
-                GuaranteedInstall::Installed
-            } else {
-                GuaranteedInstall::Refused
-            };
+        if self.reserve(flow, rate_bps) {
+            GuaranteedInstall::Installed
+        } else {
+            GuaranteedInstall::Refused
         }
-        if self.guaranteed_rate_sum + rate_bps >= self.link_rate_bps {
-            return GuaranteedInstall::Refused;
-        }
-        self.add_guaranteed_flow(flow, rate_bps);
-        GuaranteedInstall::Installed
     }
 
     fn remove_flow(&mut self, now: SimTime, flow: FlowId) -> bool {
@@ -424,10 +318,8 @@ impl QueueDiscipline for Unified {
     }
 
     fn state_bytes(&self) -> u64 {
-        (self.slot_of.len() * std::mem::size_of::<u32>()
-            + self.lanes.len() * std::mem::size_of::<GuaranteedLane>()
-            + self.flow0_stamps.len() * std::mem::size_of::<f64>()) as u64
-            + self.pool.bytes()
+        self.lanes.state_bytes()
+            + (self.flow0_stamps.len() * std::mem::size_of::<f64>()) as u64
             + self.flow0.state_bytes()
     }
 
@@ -436,11 +328,11 @@ impl QueueDiscipline for Unified {
     }
 
     fn pool_grow_events(&self) -> u64 {
-        self.pool.grow_events() + self.flow0.pool_grow_events()
+        self.lanes.grow_events() + self.flow0.pool_grow_events()
     }
 
     fn pool_segments_high_water(&self) -> u64 {
-        self.pool.segments_high_water() + self.flow0.pool_segments_high_water()
+        self.lanes.segments_high_water() + self.flow0.pool_segments_high_water()
     }
 }
 
@@ -608,6 +500,17 @@ mod tests {
         assert_eq!(u.guaranteed_rate(FlowId(1)), None);
         // Removing again is a no-op.
         assert!(!u.remove_guaranteed_flow(FlowId(1), SimTime::ZERO));
+    }
+
+    #[test]
+    fn adding_a_registered_flow_again_replaces_its_rate() {
+        let mut u = Unified::new(MBIT, 1, Averaging::RunningMean);
+        u.add_guaranteed_flow(FlowId(1), 100_000.0);
+        u.add_guaranteed_flow(FlowId(1), 200_000.0);
+        assert_eq!(u.guaranteed_rate(FlowId(1)), Some(200_000.0));
+        assert_eq!(u.flow0_rate_bps(), 800_000.0);
+        assert!(u.remove_guaranteed_flow(FlowId(1), SimTime::ZERO));
+        assert_eq!(u.flow0_rate_bps(), MBIT);
     }
 
     #[test]

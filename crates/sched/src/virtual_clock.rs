@@ -15,50 +15,32 @@
 //! preallocated-rate time-stamp scheme of the era) and to support the
 //! related-work comparison in EXPERIMENTS.md.
 
-use ispn_core::arena::{SegQueue, SegmentPool};
 use ispn_core::{FlowId, Packet};
 use ispn_sim::SimTime;
 
 use crate::disc::{Dequeued, QueueDiscipline, SchedContext};
+use crate::lanes::LaneTable;
 
-/// The sentinel in `slot_of` for flows with no lane.
-const NO_SLOT: u32 = u32::MAX;
-
-#[derive(Debug)]
+/// What VirtualClock keeps per flow beside the lane's queue.
+#[derive(Debug, Clone, Copy)]
 struct VcFlow {
-    flow: FlowId,
     rate_bps: f64,
     /// The auxiliary VirtualClock, in seconds.
     aux_clock: f64,
-    /// Set by [`remove_flow`](QueueDiscipline::remove_flow) while the lane
-    /// still has a backlog; `dequeue` frees the lane when it drains.
-    retired: bool,
-    queue: SegQueue<(Packet, SchedContext, f64)>,
-    /// Stamp of the queue's head packet, mirrored out of the pool so the
-    /// per-dequeue scan reads only lane-local data.  Meaningless (stale)
-    /// while the queue is empty — refreshed on push-to-empty and after
-    /// every pop.
-    front_stamp: f64,
 }
 
 /// The VirtualClock scheduler.
 #[derive(Debug)]
 pub struct VirtualClock {
     default_rate_bps: f64,
-    /// Shared pooled storage for every lane's packet queue.
-    pool: SegmentPool<(Packet, SchedContext, f64)>,
-    /// Dense per-flow lanes.  A lane of an *active* flow is never freed on
-    /// idle — its auxiliary clock must survive idle periods — but explicit
-    /// reservation teardown ([`remove_flow`](QueueDiscipline::remove_flow))
-    /// recycles the lane (immediately if empty, else once the backlog
-    /// drains), discarding the auxiliary clock: a flow that returns after
-    /// teardown starts from a fresh clock, which is exactly the semantics
-    /// of a new reservation.
-    lanes: Vec<VcFlow>,
-    /// `slot_of[flow.0]` is the flow's lane index, or `NO_SLOT`.
-    slot_of: Vec<u32>,
-    /// Recycled lane slots.
-    free_lanes: Vec<u32>,
+    /// One lane per flow seen or registered.  A lane of an *active* flow
+    /// is never freed on idle — its auxiliary clock must survive idle
+    /// periods — but explicit reservation teardown
+    /// ([`remove_flow`](QueueDiscipline::remove_flow)) retires it,
+    /// discarding the auxiliary clock: a flow that returns after teardown
+    /// starts from a fresh clock, which is exactly the semantics of a new
+    /// reservation.
+    lanes: LaneTable<VcFlow>,
     len: usize,
 }
 
@@ -69,125 +51,50 @@ impl VirtualClock {
         assert!(default_rate_bps > 0.0);
         VirtualClock {
             default_rate_bps,
-            pool: SegmentPool::new(),
-            lanes: Vec::new(),
-            slot_of: Vec::new(),
-            free_lanes: Vec::new(),
+            lanes: LaneTable::new(),
             len: 0,
         }
     }
 
-    /// The flow's lane slot, allocating one (recycled or fresh) at the
-    /// default rate if needed.
+    /// The flow's lane slot; a new lane starts at the default rate with a
+    /// fresh auxiliary clock.
     fn slot_or_insert(&mut self, flow: FlowId) -> usize {
-        if self.slot_of.len() <= flow.index() {
-            self.slot_of.resize(flow.index() + 1, NO_SLOT);
-        }
-        if self.slot_of[flow.index()] == NO_SLOT {
-            let slot = match self.free_lanes.pop() {
-                Some(s) => {
-                    let lane = &mut self.lanes[s as usize];
-                    lane.flow = flow;
-                    lane.rate_bps = self.default_rate_bps;
-                    lane.aux_clock = 0.0;
-                    lane.retired = false;
-                    s as usize
-                }
-                None => {
-                    self.lanes.push(VcFlow {
-                        flow,
-                        rate_bps: self.default_rate_bps,
-                        aux_clock: 0.0,
-                        retired: false,
-                        queue: SegQueue::new(),
-                        front_stamp: 0.0,
-                    });
-                    self.lanes.len() - 1
-                }
-            };
-            self.slot_of[flow.index()] = slot as u32;
-        }
-        self.slot_of[flow.index()] as usize
-    }
-
-    /// Return `slot`'s storage to the pool and recycle the lane.
-    fn free_lane(&mut self, slot: usize) {
-        let flow = self.lanes[slot].flow;
-        self.pool.release(&mut self.lanes[slot].queue);
-        self.slot_of[flow.index()] = NO_SLOT;
-        self.free_lanes.push(slot as u32);
+        let fresh = VcFlow {
+            rate_bps: self.default_rate_bps,
+            aux_clock: 0.0,
+        };
+        self.lanes.slot_or_insert(flow, fresh)
     }
 
     /// Assign a flow its reserved average rate.
     pub fn set_rate(&mut self, flow: FlowId, rate_bps: f64) {
         assert!(rate_bps > 0.0);
         let slot = self.slot_or_insert(flow);
-        self.lanes[slot].rate_bps = rate_bps;
+        self.lanes.state_mut(slot).rate_bps = rate_bps;
     }
 
     /// The rate assigned to a flow, if it has been seen or registered.
     pub fn rate(&self, flow: FlowId) -> Option<f64> {
-        match self.slot_of.get(flow.index()) {
-            Some(&s) if s != NO_SLOT => Some(self.lanes[s as usize].rate_bps),
-            _ => None,
-        }
+        let slot = self.lanes.slot(flow)?;
+        Some(self.lanes.state(slot).rate_bps)
     }
 }
 
 impl QueueDiscipline for VirtualClock {
     fn enqueue(&mut self, now: SimTime, packet: Packet, ctx: SchedContext) {
         let slot = self.slot_or_insert(packet.flow);
-        let lane = &mut self.lanes[slot];
-        // A retired lane that receives fresh traffic before draining goes
-        // back into service (the flow has evidently returned).
-        lane.retired = false;
+        let vc = self.lanes.state_mut(slot);
         // auxVC = max(now, auxVC) + L / r
-        lane.aux_clock =
-            lane.aux_clock.max(now.as_secs_f64()) + packet.size_bits as f64 / lane.rate_bps;
-        let stamp = lane.aux_clock;
-        if lane.queue.is_empty() {
-            lane.front_stamp = stamp;
-        }
-        self.pool
-            .push_back(&mut self.lanes[slot].queue, (packet, ctx, stamp));
+        vc.aux_clock = vc.aux_clock.max(now.as_secs_f64()) + packet.size_bits as f64 / vc.rate_bps;
+        let stamp = vc.aux_clock;
+        self.lanes.push(slot, packet, ctx, stamp);
         self.len += 1;
     }
 
     fn dequeue(&mut self, _now: SimTime) -> Option<Dequeued> {
-        if self.len == 0 {
-            return None;
-        }
-        // Smallest stamp wins; exact ties go to the lowest flow id (the
-        // winner the old ascending-map scan produced).
-        let mut best: Option<(f64, FlowId, usize)> = None;
-        for (slot, lane) in self.lanes.iter().enumerate() {
-            if lane.queue.is_empty() {
-                continue;
-            }
-            let stamp = lane.front_stamp;
-            let better = match best {
-                None => true,
-                Some((best_stamp, best_flow, _)) => {
-                    stamp < best_stamp || (stamp == best_stamp && lane.flow < best_flow)
-                }
-            };
-            if better {
-                best = Some((stamp, lane.flow, slot));
-            }
-        }
-        let (_, _, slot) = best?;
-        let (packet, ctx, _) = self.pool.pop_front(&mut self.lanes[slot].queue)?;
+        let (at, _) = self.lanes.min()?;
         self.len -= 1;
-        if let Some(&(_, _, stamp)) = self.pool.front(&self.lanes[slot].queue) {
-            self.lanes[slot].front_stamp = stamp;
-        } else if self.lanes[slot].retired {
-            self.free_lane(slot);
-        }
-        Some(Dequeued {
-            packet,
-            arrival: ctx.arrival,
-            class: ctx.class,
-        })
+        Some(self.lanes.pop(at))
     }
 
     fn len(&self) -> usize {
@@ -199,39 +106,24 @@ impl QueueDiscipline for VirtualClock {
     }
 
     fn remove_flow(&mut self, _now: SimTime, flow: FlowId) -> bool {
-        match self.slot_of.get(flow.index()) {
-            Some(&s) if s != NO_SLOT => {
-                let slot = s as usize;
-                if self.lanes[slot].queue.is_empty() {
-                    self.free_lane(slot);
-                } else {
-                    // Queued packets keep their existing stamps; the lane is
-                    // recycled by `dequeue` once the backlog drains.
-                    self.lanes[slot].retired = true;
-                }
-                true
-            }
-            _ => false,
-        }
+        self.lanes.retire(flow)
     }
 
     fn state_bytes(&self) -> u64 {
-        (self.slot_of.len() * std::mem::size_of::<u32>()
-            + self.lanes.len() * std::mem::size_of::<VcFlow>()) as u64
-            + self.pool.bytes()
+        self.lanes.state_bytes()
     }
 
     fn reservation_bytes(&self) -> u64 {
         // Per-flow rate + auxiliary clock live inside the lane table.
-        (self.lanes.len() * std::mem::size_of::<(f64, f64)>()) as u64
+        (self.lanes.slots() * std::mem::size_of::<VcFlow>()) as u64
     }
 
     fn pool_grow_events(&self) -> u64 {
-        self.pool.grow_events()
+        self.lanes.grow_events()
     }
 
     fn pool_segments_high_water(&self) -> u64 {
-        self.pool.segments_high_water()
+        self.lanes.segments_high_water()
     }
 }
 
@@ -323,31 +215,37 @@ mod tests {
     #[test]
     fn remove_flow_recycles_lane_and_resets_clock() {
         let mut q = VirtualClock::new(100_000.0);
+        let t = SimTime::ZERO;
         q.set_rate(FlowId(1), 400_000.0);
-        assert!(q.remove_flow(SimTime::ZERO, FlowId(1)));
+        // Ten packets push flow 1's auxiliary clock 25 ms ahead.
+        for s in 0..10 {
+            q.enqueue(t, pkt(1, s), ctx(t));
+        }
+        while q.dequeue(t).is_some() {}
+        assert!(q.remove_flow(t, FlowId(1)));
         assert_eq!(q.rate(FlowId(1)), None);
-        assert!(!q.remove_flow(SimTime::ZERO, FlowId(1)));
-        // The freed lane is reused by the next flow that appears.
-        q.enqueue(SimTime::ZERO, pkt(2, 0), ctx(SimTime::ZERO));
-        assert_eq!(q.rate(FlowId(2)), Some(100_000.0));
-        assert_eq!(q.dequeue(SimTime::ZERO).unwrap().packet.flow, FlowId(2));
+        assert!(!q.remove_flow(t, FlowId(1)));
+        // Back after teardown: the default rate and a fresh clock, so its
+        // 10 ms stamp ties with newcomer flow 2's instead of trailing it.
+        q.enqueue(t, pkt(1, 10), ctx(t));
+        q.enqueue(t, pkt(2, 0), ctx(t));
+        assert_eq!(q.rate(FlowId(1)), Some(100_000.0));
+        assert_eq!(q.dequeue(t).unwrap().packet.flow, FlowId(1));
     }
 
     #[test]
     fn remove_backlogged_flow_drains_then_frees() {
         let mut q = VirtualClock::new(100_000.0);
         let t = SimTime::ZERO;
+        q.set_rate(FlowId(1), 400_000.0);
         q.enqueue(t, pkt(1, 0), ctx(t));
         q.enqueue(t, pkt(1, 1), ctx(t));
         assert!(q.remove_flow(t, FlowId(1)));
-        // Still drains in order at the original stamps…
+        // Still drains in order at the original stamps and rate…
         assert_eq!(q.dequeue(t).unwrap().packet.seq, 0);
-        assert_eq!(q.rate(FlowId(1)), Some(100_000.0)); // lane still live
+        assert_eq!(q.rate(FlowId(1)), Some(400_000.0));
         assert_eq!(q.dequeue(t).unwrap().packet.seq, 1);
-        // …and the lane is gone once the backlog is served.
+        // …and the registration is gone once the backlog is served.
         assert_eq!(q.rate(FlowId(1)), None);
-        // A fresh packet re-registers from a clean auxiliary clock.
-        q.enqueue(t, pkt(1, 2), ctx(t));
-        assert_eq!(q.rate(FlowId(1)), Some(100_000.0));
     }
 }

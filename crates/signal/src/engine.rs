@@ -64,6 +64,10 @@ struct PendingSetup {
     /// activate the flow (the teardown wave, always behind the setup wave,
     /// releases whatever was installed).
     cancelled: bool,
+    /// Set when a hop past the first rejects the setup: a rollback wave is
+    /// releasing the hops behind the rejection and retires the flow when
+    /// it reaches the first.
+    rolling_back: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -159,6 +163,7 @@ impl Signaling {
             PendingSetup {
                 flow,
                 cancelled: false,
+                rolling_back: false,
             },
         );
         // The source's host-to-switch link is infinitely fast (Appendix), so
@@ -172,7 +177,8 @@ impl Signaling {
 
     /// Begin a teardown: the source is silenced immediately (its packets
     /// stop entering the network) and each hop's reservation is released
-    /// when the release message reaches it.
+    /// when the release message reaches it — or, if the flow's setup was
+    /// rejected and is still rolling back, by that rollback alone.
     pub fn teardown(&mut self, net: &mut Network, flow: FlowId) {
         net.deactivate_flow(flow);
         // Cancel any setup still in flight for this flow: it stops
@@ -181,6 +187,13 @@ impl Signaling {
         // withdrew it before the network finished answering.)
         for setup in self.setups.values_mut() {
             if setup.flow == flow {
+                if setup.rolling_back {
+                    // Already rejected: the rollback in flight releases
+                    // every installed hop and retires the flow.  A release
+                    // wave of our own would retire it a second time — by
+                    // then, possibly, the slot's next occupant.
+                    return;
+                }
                 setup.cancelled = true;
             }
         }
@@ -349,7 +362,9 @@ impl Signaling {
     fn handle(&mut self, net: &mut Network, at: SimTime, ev: ControlEvent) {
         match ev {
             ControlEvent::Setup { req, hop } => {
-                let PendingSetup { flow, cancelled } = self.setups[&req];
+                let PendingSetup {
+                    flow, cancelled, ..
+                } = self.setups[&req];
                 if cancelled {
                     // Withdrawn mid-setup: stop here; the teardown wave
                     // (always behind this message) releases the hops
@@ -387,6 +402,7 @@ impl Signaling {
                                 at + self.hop_delay(net, back),
                                 ControlEvent::Rollback { req, hop: hop - 1 },
                             );
+                            self.setups.get_mut(&req).expect("read above").rolling_back = true;
                         } else {
                             self.setups.remove(&req);
                             // Rejected at the very first hop: nothing was
@@ -714,6 +730,32 @@ mod tests {
             0.0
         );
         assert!(!net.flow_active(flow));
+    }
+
+    #[test]
+    fn teardown_during_a_rollback_folds_into_it() {
+        let (mut net, links) = net();
+        net.request_flow(FlowConfig::guaranteed(vec![links[1]], 800_000.0))
+            .unwrap();
+        let mut sig = Signaling::default();
+        let (_req, flow) = sig.submit(&mut net, FlowConfig::guaranteed(links.clone(), 200_000.0));
+        // Rejected at hop 1 (t = 2 ms); the release lands upstream at 4 ms.
+        let events = sig.process_until(&mut net, SimTime::from_micros(2500));
+        assert!(matches!(events[..], [SignalEvent::Rejected { .. }]));
+        sig.teardown(&mut net, flow);
+        let events = sig.process_until(&mut net, SimTime::from_micros(4100));
+        assert!(events.is_empty());
+        assert_eq!(sig.pending(), 0);
+        // The rollback retired the flow; the driver recycles its slot and a
+        // flow with a shorter route takes it.
+        assert_eq!(net.take_drained_flows(), vec![flow]);
+        net.recycle_flow_slot(flow);
+        let next = net.add_flow_inactive(FlowConfig::guaranteed(vec![links[0]], 100_000.0));
+        assert_eq!(next, flow);
+        // A release wave of the teardown's own would now walk the newcomer's
+        // one-hop route past its end, and retire it.
+        assert_eq!(sig.process_until(&mut net, SimTime::from_secs(1)).len(), 0);
+        assert!(net.take_drained_flows().is_empty());
     }
 
     #[test]
@@ -1229,10 +1271,16 @@ mod proptests {
                 .expect("an event for a flow nobody submitted")
         }
 
-        /// The `pick`-th record in one of `states`, if any.
+        /// The `pick`-th record in one of `states`, if any.  A rejected
+        /// request counts as `Pending` until its rollback has come home
+        /// (until then it holds the hops before the rejection).
         fn pick(&self, states: &[State], pick: usize) -> Option<usize> {
+            let state = |r: &Rec| match r.state {
+                State::Rejected if !self.net.installed_links(r.flow).is_empty() => State::Pending,
+                state => state,
+            };
             let found: Vec<usize> = (0..self.recs.len())
-                .filter(|&i| states.contains(&self.recs[i].state))
+                .filter(|&i| states.contains(&state(&self.recs[i])))
                 .collect();
             (!found.is_empty()).then(|| found[pick % found.len()])
         }
