@@ -2,7 +2,7 @@
 //! `benches/` and the [`crate::snapshot`] harness.
 //!
 //! Section 3 of the paper: the packet scheduling behaviour "must be
-//! executed for every packet [so] it must not be so complex as to effect
+//! executed for every packet \[so\] it must not be so complex as to effect
 //! overall network performance".  The workloads here exercise exactly the
 //! per-packet and per-event hot paths that claim rests on — and, for the
 //! Sections 8–9 control plane, one setup request's whole life — so both

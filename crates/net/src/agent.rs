@@ -8,12 +8,12 @@
 //! packets and new timers on the [`AgentApi`], which the network applies
 //! after the call returns (a command pattern — agents never hold a mutable
 //! reference to the network, which keeps re-entrancy impossible by
-//! construction).
+//! construction).  Packets and timers are all an agent can ask for: flows
+//! are set up and torn down by the control plane (`ispn-signal`), and a
+//! source ends when its driver calls `Network::retire_agent`.
 
-use ispn_core::{FlowId, Packet};
+use ispn_core::Packet;
 use ispn_sim::SimTime;
-
-use crate::network::{FlowConfig, SetupError};
 
 /// Identifier of an agent registered with a network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,7 +34,7 @@ pub struct Delivery {
 
 /// The command buffer an agent fills during a callback.
 ///
-/// The network drains the four lists in place when the callback returns
+/// The network drains the two lists in place when the callback returns
 /// and keeps the emptied buffer for the next callback, so a warmed-up run
 /// dispatches agents without allocating.
 #[derive(Debug, Default)]
@@ -42,8 +42,6 @@ pub struct AgentApi {
     pub(crate) now: SimTime,
     pub(crate) outbox: Vec<Packet>,
     pub(crate) timers: Vec<(SimTime, u64)>,
-    pub(crate) setups: Vec<(FlowConfig, u64)>,
-    pub(crate) releases: Vec<FlowId>,
 }
 
 impl AgentApi {
@@ -57,8 +55,6 @@ impl AgentApi {
             now,
             outbox: Vec::new(),
             timers: Vec::new(),
-            setups: Vec::new(),
-            releases: Vec::new(),
         }
     }
 
@@ -78,19 +74,6 @@ impl AgentApi {
     /// the given token.
     pub fn set_timer(&mut self, delay: SimTime, token: u64) {
         self.timers.push((delay, token));
-    }
-
-    /// Ask the network to set up a new flow at the current event time
-    /// (hop-by-hop admission control runs when the callback returns).  The
-    /// outcome arrives through [`Agent::on_setup`] with the same token.
-    pub fn request_flow(&mut self, config: FlowConfig, token: u64) {
-        self.setups.push((config, token));
-    }
-
-    /// Ask the network to tear down a flow's reservations when the callback
-    /// returns.
-    pub fn release_flow(&mut self, flow: FlowId) {
-        self.releases.push(flow);
     }
 
     /// Number of packets queued for sending in this callback (used by
@@ -117,12 +100,6 @@ pub trait Agent {
     fn on_packet(&mut self, delivery: Delivery, api: &mut AgentApi) {
         let _ = (delivery, api);
     }
-
-    /// Called with the outcome of a flow setup this agent requested through
-    /// [`AgentApi::request_flow`], echoing the request's token.
-    fn on_setup(&mut self, token: u64, result: Result<FlowId, SetupError>, api: &mut AgentApi) {
-        let _ = (token, result, api);
-    }
 }
 
 #[cfg(test)]
@@ -136,12 +113,11 @@ mod tests {
         assert_eq!(api.now(), SimTime::from_millis(5));
         api.send(Packet::data(FlowId(1), 0, 1000, api.now()));
         api.set_timer(SimTime::from_millis(10), 42);
-        api.release_flow(FlowId(3));
         assert_eq!(api.pending_sends(), 1);
         assert_eq!(api.outbox.len(), 1);
         assert_eq!(api.timers, vec![(SimTime::from_millis(10), 42)]);
-        assert_eq!(api.releases, vec![FlowId(3)]);
-        assert!(api.setups.is_empty());
+        // Two `Vec` headers and the clock: what a callback is handed.
+        assert_eq!(std::mem::size_of::<AgentApi>(), 56);
     }
 
     #[test]

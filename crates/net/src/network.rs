@@ -99,34 +99,6 @@ impl FlowConfig {
     }
 }
 
-/// Why a dynamic flow-setup request failed (one hop's admission verdict).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SetupError {
-    /// The flow id allocated to the request; it stays registered but
-    /// inactive, so the caller may retry the setup later with
-    /// [`Network::admit_flow_on_link`] / [`Network::activate_flow`].
-    pub flow: FlowId,
-    /// Index into the route of the hop that refused the flow.
-    pub hop: usize,
-    /// The link whose admission controller refused the flow.
-    pub link: LinkId,
-    /// The failed criterion, as reported by the controller (or by the
-    /// scheduler's veto); rendered only when printed.
-    pub reason: RejectReason,
-}
-
-impl std::fmt::Display for SetupError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} refused at hop {} ({:?}): {}",
-            self.flow, self.hop, self.link, self.reason
-        )
-    }
-}
-
-impl std::error::Error for SetupError {}
-
 struct FlowState {
     config: FlowConfig,
     policer: Option<TokenBucket>,
@@ -209,18 +181,6 @@ enum NetEvent {
     AdmissionSample {
         link: u32,
     },
-    /// Outcome of an agent-requested flow setup, delivered through the
-    /// event queue (same timestamp, next dispatch) rather than by direct
-    /// recursion — an agent that retries from `on_setup` must not be able
-    /// to grow the call stack.  Boxed: it is the one payload that does not
-    /// fit a notice, and it exists only for agent-requested setups.
-    SetupResult(Box<SetupOutcome>),
-}
-
-struct SetupOutcome {
-    agent: AgentId,
-    token: u64,
-    result: Result<FlowId, SetupError>,
 }
 
 /// The `u32` a [`NetEvent`] stores for agent or link index `index`.
@@ -240,9 +200,9 @@ impl Agent for NoopAgent {}
 struct AgentSlot {
     /// The agent [`Network::add_agent`] put here; the no-op once retired.
     agent: Box<dyn Agent>,
-    /// What still names this slot: events in the queue (timers and
-    /// `SetupResult`s, bumped at push and pop) plus registered flows whose
-    /// sink it is.  A retired slot is reused only when this is zero.
+    /// What still names this slot: timers in the event queue (bumped at
+    /// push and pop) plus registered flows whose sink it is.  A retired
+    /// slot is reused only when this is zero.
     refs: u32,
     /// Cleared by [`Network::retire_agent`].
     live: bool,
@@ -268,13 +228,13 @@ pub struct Network {
     /// added (agents may be added mid-run, e.g. flows admitted by admission
     /// control; they are started at the next `run_until`).
     unstarted: VecDeque<AgentId>,
-    /// Emptied command buffers awaiting the next callback.  A stack rather
-    /// than one slot so that a callback dispatched while another agent's
-    /// commands are still being applied takes a buffer of its own; its
-    /// depth never exceeds that nesting depth.
+    /// The emptied command buffer awaiting the next callback.  Commands
+    /// only queue packets and push timers, so no callback is dispatched
+    /// while another's are being applied: callbacks never nest and the
+    /// pool never holds more than one buffer.
     ///
-    /// Boxed so a callback hands over a pointer: the buffer itself (four
-    /// `Vec` headers and the clock, 104 bytes) stays where it was
+    /// Boxed so a callback hands over a pointer: the buffer itself (two
+    /// `Vec` headers and the clock, 56 bytes) stays where it was
     /// allocated instead of being moved pool → callback → pool.
     // The indirection clippy objects to is the point: what is popped and
     // pushed per callback is the element, not the `Vec`.
@@ -284,14 +244,6 @@ pub struct Network {
     telemetry: NetTelemetry,
     queue: EventQueue<NetEvent>,
     now: SimTime,
-    /// Horizon of the `run_events` call in progress, mirrored into fields
-    /// so the tx-complete elision in [`start_transmission`] can tell
-    /// whether a completion may be processed inline or must stay queued
-    /// for a later run.
-    ///
-    /// [`start_transmission`]: Network::start_transmission
-    run_horizon: SimTime,
-    run_inclusive: bool,
     started: bool,
 }
 
@@ -326,8 +278,6 @@ impl Network {
             telemetry: NetTelemetry::new(num_links),
             queue: EventQueue::new(),
             now: SimTime::ZERO,
-            run_horizon: SimTime::ZERO,
-            run_inclusive: false,
             started: false,
         }
     }
@@ -440,27 +390,6 @@ impl Network {
             .sum()
     }
 
-    /// Snapshot every engine counter into a named-metric registry (event
-    /// loop, per-port probes, drops, admission verdicts).
-    pub fn telemetry_registry(&self) -> ispn_telemetry::Registry {
-        let probes: Vec<&ProbeStats> = self.ports.iter().map(|p| p.discipline.stats()).collect();
-        let mut reg = ispn_telemetry::Registry::new();
-        reg.record("events.processed", self.events_processed());
-        reg.record("events.queue_high_water", self.event_queue_high_water());
-        reg.record("ports.peak_depth", self.peak_port_depth());
-        reg.record("flows.table_bytes", self.flow_table_bytes());
-        reg.record("reservations.state_bytes", self.reservation_state_bytes());
-        reg.record("sched.pool_grow_events", self.sched_pool_grow_events());
-        reg.record(
-            "sched.pool_segments_high_water",
-            self.sched_pool_segments_high_water(),
-        );
-        for (name, value) in self.telemetry.registry(&probes).entries() {
-            reg.record(name.clone(), *value);
-        }
-        reg
-    }
-
     /// Replace the queueing discipline of a link's output port.  Accepts
     /// any of the built-in disciplines directly (they convert into
     /// [`Discipline`] variants dispatched by `match` on the hot path), a
@@ -528,8 +457,8 @@ impl Network {
 
     /// Remove an agent from the network.  The agent is dropped at once:
     /// from now on its slot answers every callback with a no-op, so events
-    /// already queued for it — a source's one outstanding timer, a
-    /// `SetupResult` — still fire (and still count in
+    /// already queued for it — a source's one outstanding timer — still
+    /// fire (and still count in
     /// [`events_processed`](Network::events_processed)) but reach nothing.
     /// An agent retired before it was started is never started.
     ///
@@ -834,51 +763,6 @@ impl Network {
         true
     }
 
-    /// Set up a flow end to end at the current simulated time: register it,
-    /// run hop-by-hop admission along its route, and activate it.
-    ///
-    /// On the first rejection every reservation installed so far is rolled
-    /// back and the flow is left registered but inactive (its id is in the
-    /// returned [`SetupError`], so a caller may re-try later).  This is the
-    /// synchronous setup path; `ispn-signal` layers per-hop control-packet
-    /// latency on top of the same per-link primitives.
-    pub fn request_flow(&mut self, config: FlowConfig) -> Result<FlowId, SetupError> {
-        let flow = self.add_flow_inactive(config);
-        let route = self.flows[flow.index()].config.route.clone();
-        for (hop, &link) in route.iter().enumerate() {
-            match self.admit_flow_on_link(flow, link) {
-                AdmissionDecision::Accept => {}
-                AdmissionDecision::Reject { reason } => {
-                    for &installed in route[..hop].iter() {
-                        self.release_flow_on_link(flow, installed);
-                    }
-                    return Err(SetupError {
-                        flow,
-                        hop,
-                        link,
-                        reason,
-                    });
-                }
-            }
-        }
-        self.activate_flow(flow);
-        Ok(flow)
-    }
-
-    /// Tear down a flow at the current simulated time: release every
-    /// reservation it holds and deactivate it.  Packets of the flow already
-    /// inside the network are still delivered; new injections are discarded.
-    pub fn release_flow(&mut self, flow: FlowId) {
-        let links = std::mem::take(&mut self.flows[flow.index()].installed_links);
-        for link in links {
-            // Re-insert so release_flow_on_link's bookkeeping stays in one
-            // place, then release.
-            self.flows[flow.index()].installed_links.push(link);
-            self.release_flow_on_link(flow, link);
-        }
-        self.deactivate_flow(flow);
-    }
-
     // ----- flow-slot reclamation ------------------------------------------
 
     /// Mark a torn-down flow's id slot for reclamation.  The flow must
@@ -920,7 +804,7 @@ impl Network {
 
     /// Return a drained flow's id slot to the free list for reuse by a
     /// future [`add_flow`](Network::add_flow) /
-    /// [`request_flow`](Network::request_flow).  The flow's monitor
+    /// [`add_flow_inactive`](Network::add_flow_inactive).  The flow's monitor
     /// statistics are reset, so callers that need its final report must
     /// snapshot it first.  A no-op if the flow came back to life (active,
     /// packets in flight, or reservations re-installed) since it drained.
@@ -1060,8 +944,6 @@ impl Network {
     }
 
     fn run_events(&mut self, horizon: SimTime, inclusive: bool) {
-        self.run_horizon = horizon;
-        self.run_inclusive = inclusive;
         self.started = true;
         while let Some(next) = self.unstarted.pop_front() {
             self.dispatch(next, |agent, api| agent.start(api));
@@ -1087,15 +969,6 @@ impl Network {
                 NetEvent::TxArrival { link } => self.on_tx_arrival(LinkId(link as usize)),
                 NetEvent::AdmissionSample { link } => {
                     self.on_admission_sample(LinkId(link as usize))
-                }
-                NetEvent::SetupResult(outcome) => {
-                    let SetupOutcome {
-                        agent,
-                        token,
-                        result,
-                    } = *outcome;
-                    self.dispatch(agent, |a, api| a.on_setup(token, result, api));
-                    self.unhold_agent(agent);
                 }
             }
         }
@@ -1130,9 +1003,8 @@ impl Network {
 
     // ----- agent dispatch -------------------------------------------------
 
-    /// Apply what `agent` asked for — packets, then timers, releases and
-    /// setups, each in the order requested — and return the emptied buffer
-    /// to the pool.
+    /// Apply what `agent` asked for — packets, then timers, each in the
+    /// order requested — and return the emptied buffer to the pool.
     fn apply_commands(&mut self, agent: AgentId, mut api: Box<AgentApi>) {
         for p in api.outbox.drain(..) {
             self.inject(p);
@@ -1142,20 +1014,6 @@ impl Network {
             let agent = event_index(agent.0, "agent");
             self.queue
                 .push(self.now + delay, NetEvent::Timer { agent, token });
-        }
-        for flow in api.releases.drain(..) {
-            self.release_flow(flow);
-        }
-        for (config, token) in api.setups.drain(..) {
-            let result = self.request_flow(config);
-            let outcome = SetupOutcome {
-                agent,
-                token,
-                result,
-            };
-            self.agents[agent.0].refs += 1;
-            self.queue
-                .push(self.now, NetEvent::SetupResult(Box::new(outcome)));
         }
         self.api_pool.push(api);
     }
@@ -1229,91 +1087,55 @@ impl Network {
         port.discipline
             .enqueue(self.now, packet, SchedContext::new(class, self.now));
         if !port.busy {
-            self.start_transmission(link, false);
+            self.start_transmission(link);
         }
     }
 
     /// Put the head of `link`'s queue on the wire.
-    ///
-    /// `may_batch` allows the *tx-complete elision*: when the caller is a
-    /// `TxComplete` handler (nothing runs after it for that event) and no
-    /// other event is pending at or before this transmission's completion,
-    /// the completion is processed inline — the clock jumps forward, the
-    /// port frees, and the next queued packet starts immediately — instead
-    /// of round-tripping a `TxComplete` through the event queue.  A busy
-    /// port then drains its whole back-to-back burst in one loop.  Callers
-    /// with work remaining at the current timestamp (packet forwarding,
-    /// agent command application) must pass `false`: the elision advances
-    /// `self.now`.
-    fn start_transmission(&mut self, link: LinkId, may_batch: bool) {
+    fn start_transmission(&mut self, link: LinkId) {
         let params = *self.topo.link(link);
         let notice = event_index(link.index(), "link");
-        loop {
-            let port = &mut self.ports[link.index()];
-            debug_assert!(!port.busy);
-            let d = port
-                .discipline
-                .dequeue(self.now)
-                .expect("start_transmission called with a non-empty queue");
-            port.busy = true;
-            let waiting = d.queueing_delay(self.now);
-            let tx_time = ispn_sim::time::transmission_time(d.packet.size_bits, params.rate_bps);
-            // Live measurement feedback: a transmitted predicted-class packet
-            // reports its per-hop queueing delay to this link's admission
-            // controller (the d̂ⱼ of Section 9).
-            if let Some(ad) = port.admission.as_mut() {
-                if let ServiceClass::Predicted { priority } = d.class {
-                    ad.controller
-                        .observe_class_delay(self.now, priority, waiting);
-                }
+        let port = &mut self.ports[link.index()];
+        debug_assert!(!port.busy);
+        let d = port
+            .discipline
+            .dequeue(self.now)
+            .expect("start_transmission called with a non-empty queue");
+        port.busy = true;
+        let waiting = d.queueing_delay(self.now);
+        let tx_time = ispn_sim::time::transmission_time(d.packet.size_bits, params.rate_bps);
+        // Live measurement feedback: a transmitted predicted-class packet
+        // reports its per-hop queueing delay to this link's admission
+        // controller (the d̂ⱼ of Section 9).
+        if let Some(ad) = port.admission.as_mut() {
+            if let ServiceClass::Predicted { priority } = d.class {
+                ad.controller
+                    .observe_class_delay(self.now, priority, waiting);
             }
-            self.monitor.record_transmission(
-                link.index(),
-                d.class,
-                waiting,
-                tx_time,
-                d.packet.size_bits,
-                self.now,
+        }
+        self.monitor.record_transmission(
+            link.index(),
+            d.class,
+            waiting,
+            tx_time,
+            d.packet.size_bits,
+            self.now,
+        );
+        // The packet is now committed to this link: advance its hop
+        // index so the arrival at the far end forwards onto the next
+        // route entry.
+        let mut packet = d.packet;
+        packet.hop += 1;
+        port.wire.push_back(packet);
+        let done = self.now + tx_time;
+        if params.propagation == SimTime::ZERO {
+            self.queue.push(done, NetEvent::TxArrival { link: notice });
+        } else {
+            self.queue.push(done, NetEvent::TxComplete { link: notice });
+            self.queue.push(
+                done + params.propagation,
+                NetEvent::Arrival { link: notice },
             );
-            // The packet is now committed to this link: advance its hop
-            // index so the arrival at the far end forwards onto the next
-            // route entry.
-            let mut packet = d.packet;
-            packet.hop += 1;
-            port.wire.push_back(packet);
-            let done = self.now + tx_time;
-            // Elide the TxComplete when (a) the completion is inside the
-            // current run's horizon (otherwise it must stay pending for a
-            // later `run_until`) and (b) no other event would fire at or
-            // before it — both conditions together mean the queued
-            // `TxComplete` would be the very next event popped, so
-            // processing it here is order-identical.
-            let within =
-                done < self.run_horizon || (self.run_inclusive && done == self.run_horizon);
-            let quiet = self.queue.peek_time().is_none_or(|t| t > done);
-            if may_batch && within && quiet {
-                self.queue.push(
-                    done + params.propagation,
-                    NetEvent::Arrival { link: notice },
-                );
-                self.now = done;
-                let port = &mut self.ports[link.index()];
-                port.busy = false;
-                if port.discipline.is_empty() {
-                    return;
-                }
-                continue;
-            }
-            if params.propagation == SimTime::ZERO {
-                self.queue.push(done, NetEvent::TxArrival { link: notice });
-            } else {
-                self.queue.push(done, NetEvent::TxComplete { link: notice });
-                self.queue.push(
-                    done + params.propagation,
-                    NetEvent::Arrival { link: notice },
-                );
-            }
-            return;
         }
     }
 
@@ -1339,9 +1161,7 @@ impl Network {
         let port = &mut self.ports[link.index()];
         port.busy = false;
         if !port.discipline.is_empty() {
-            // Nothing runs after this handler for the popped event, so the
-            // next transmission may batch-step through its completion.
-            self.start_transmission(link, true);
+            self.start_transmission(link);
         }
     }
 
@@ -1357,14 +1177,13 @@ impl Network {
     fn on_tx_arrival(&mut self, link: LinkId) {
         // Replays the exact order of the unmerged pair: the TxComplete
         // half first (free the port, start the next transmission), then
-        // the Arrival half (forward the packet).  `may_batch` must be
-        // false — the forward below still has to run at this timestamp.
-        // The packet comes off the wire before the next one goes on.
+        // the Arrival half (forward the packet).  The packet comes off the
+        // wire before the next one goes on.
         let packet = self.take_off_wire(link);
         let port = &mut self.ports[link.index()];
         port.busy = false;
         if !port.discipline.is_empty() {
-            self.start_transmission(link, false);
+            self.start_transmission(link);
         }
         self.forward(packet);
     }
@@ -1692,16 +1511,18 @@ mod tests {
     }
 
     #[test]
-    fn request_flow_reserves_and_release_frees() {
+    fn per_link_admission_reserves_and_release_frees() {
         let (topo, _nodes, links) = Topology::chain(3, MBIT, SimTime::ZERO, 200);
         let mut net = Network::new(topo);
         for &l in &links {
             net.set_discipline(l, Unified::new(MBIT, 1, Averaging::RunningMean));
             net.enable_admission(l, controller(MBIT), SimTime::SECOND);
         }
-        let flow = net
-            .request_flow(FlowConfig::guaranteed(links.clone(), 400_000.0))
-            .expect("empty network admits");
+        let flow = net.add_flow_inactive(FlowConfig::guaranteed(links.clone(), 400_000.0));
+        for &l in &links {
+            assert!(net.admit_flow_on_link(flow, l).is_accept(), "empty network");
+        }
+        net.activate_flow(flow);
         assert!(net.flow_active(flow));
         assert_eq!(net.installed_links(flow).len(), 2);
         for &l in &links {
@@ -1709,39 +1530,15 @@ mod tests {
             assert!((ad.reserved_guaranteed_bps() - 400_000.0).abs() < 1e-6);
             assert_eq!(ad.accepted(), 1);
         }
-        net.release_flow(flow);
+        for &l in &links {
+            assert!(net.release_flow_on_link(flow, l));
+        }
+        net.deactivate_flow(flow);
         assert!(!net.flow_active(flow));
         assert!(net.installed_links(flow).is_empty());
         for &l in &links {
             assert_eq!(net.admission(l).unwrap().reserved_guaranteed_bps(), 0.0);
         }
-    }
-
-    #[test]
-    fn rejected_setup_rolls_back_upstream_reservations() {
-        let (topo, _nodes, links) = Topology::chain(3, MBIT, SimTime::ZERO, 200);
-        let mut net = Network::new(topo);
-        for &l in &links {
-            net.enable_admission(l, controller(MBIT), SimTime::SECOND);
-        }
-        // Saturate the second link so multi-hop setups fail at hop 1.
-        let hog = net
-            .request_flow(FlowConfig::guaranteed(vec![links[1]], 800_000.0))
-            .unwrap();
-        let err = net
-            .request_flow(FlowConfig::guaranteed(links.clone(), 200_000.0))
-            .expect_err("second link is full");
-        assert_eq!(err.hop, 1);
-        assert_eq!(err.link, links[1]);
-        assert!(err.reason.to_string().contains("quota"));
-        // The first link's partial reservation was rolled back.
-        assert_eq!(
-            net.admission(links[0]).unwrap().reserved_guaranteed_bps(),
-            0.0
-        );
-        assert!(!net.flow_active(err.flow));
-        assert!(net.installed_links(err.flow).is_empty());
-        let _ = hog;
     }
 
     #[test]
@@ -1795,48 +1592,6 @@ mod tests {
         );
         // Per-hop waiting times of the predicted class reached d̂ⱼ.
         assert!(meas.class_delay[0] > SimTime::ZERO);
-    }
-
-    #[test]
-    fn agent_driven_setup_and_release_at_event_time() {
-        struct Requester {
-            link: LinkId,
-            got: std::rc::Rc<std::cell::RefCell<Vec<Result<FlowId, SetupError>>>>,
-        }
-        impl Agent for Requester {
-            fn start(&mut self, api: &mut AgentApi) {
-                api.set_timer(SimTime::from_millis(5), 0);
-            }
-            fn on_timer(&mut self, _token: u64, api: &mut AgentApi) {
-                api.request_flow(FlowConfig::guaranteed(vec![self.link], 500_000.0), 7);
-            }
-            fn on_setup(
-                &mut self,
-                token: u64,
-                result: Result<FlowId, SetupError>,
-                api: &mut AgentApi,
-            ) {
-                assert_eq!(token, 7);
-                if let Ok(flow) = &result {
-                    api.release_flow(*flow);
-                }
-                self.got.borrow_mut().push(result);
-            }
-        }
-        let (mut net, link) = two_switch_net();
-        net.enable_admission(link, controller(MBIT), SimTime::SECOND);
-        let got = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        net.add_agent(Box::new(Requester {
-            link,
-            got: got.clone(),
-        }));
-        net.run_until(SimTime::from_millis(50));
-        let got = got.borrow();
-        assert_eq!(got.len(), 1);
-        let flow = *got[0].as_ref().expect("admitted");
-        // The agent released it inside on_setup.
-        assert!(!net.flow_active(flow));
-        assert_eq!(net.admission(link).unwrap().reserved_guaranteed_bps(), 0.0);
     }
 
     #[test]
@@ -1965,9 +1720,6 @@ mod tests {
             assert_eq!(token, self.token, "{} got someone else's timer", self.name);
             self.log.borrow_mut().push((self.name, "timer"));
         }
-        fn on_setup(&mut self, _: u64, _: Result<FlowId, SetupError>, _: &mut AgentApi) {
-            panic!("{} got someone else's setup result", self.name);
-        }
     }
 
     fn probe(
@@ -2088,30 +1840,6 @@ mod tests {
         assert_eq!(net.take_drained_flows(), vec![flow]);
         net.recycle_flow_slot(flow);
         assert_eq!(probe(&mut net, &log, "next", 0, None), sink);
-    }
-
-    #[test]
-    fn a_slot_named_by_a_pending_setup_result_is_not_recycled() {
-        /// Asks for a flow the moment it is started.
-        struct Asker(LinkId);
-        impl Agent for Asker {
-            fn start(&mut self, api: &mut AgentApi) {
-                api.request_flow(FlowConfig::datagram(vec![self.0]), 9);
-            }
-        }
-        let (mut net, link) = two_switch_net();
-        let log = ProbeLog::default();
-        let asker = net.add_agent(Box::new(Asker(link)));
-        // Starts the agent; its `SetupResult`, due at t = 0, stays queued.
-        net.run_until(SimTime::ZERO);
-        net.retire_agent(asker);
-        // A newcomer in that slot would be handed the result (and panic).
-        let other = probe(&mut net, &log, "other", 0, None);
-        assert_ne!(other, asker);
-        let before = net.events_processed();
-        net.run_until(SimTime::MILLISECOND);
-        assert_eq!(net.events_processed(), before + 1);
-        assert_eq!(probe(&mut net, &log, "next", 0, None), asker);
     }
 
     #[test]
@@ -2279,17 +2007,15 @@ mod tests {
     #[test]
     fn wire_holds_a_tx_complete_driven_burst() {
         // Eight packets at one instant: the first is put on the link by
-        // `forward`, the other seven by the first's `TxComplete` handler,
-        // which steps through their completions inline (nothing else is
-        // due before the first arrival, 10 ms out) — the batch-elision
-        // path pushes onto the same wire.
+        // `forward`, each of the other seven by its predecessor's
+        // `TxComplete` handler, all onto the same wire before the first
+        // arrival, 10 ms out.
         let t0 = SimTime::from_millis(2);
         let script: Script = (0..8).map(|i| (t0, i % 2, [1000, 400][i % 2])).collect();
         let (net, deliveries) = run_script(1, LONG_WIRE, &script, &[SimTime::SECOND]);
         assert_fifo_deliveries(&deliveries, &script, 1, LONG_WIRE);
-        // 8 timers + 1 queued TxComplete + 8 arrivals: the seven elided
-        // completions never went through the event queue.
-        assert_eq!(net.events_processed(), 17);
+        // 8 timers + 8 completions + 8 arrivals.
+        assert_eq!(net.events_processed(), 24);
     }
 
     #[test]
@@ -2312,9 +2038,8 @@ mod tests {
         net.set_discipline(link, Wfq::new(MBIT, 100_000.0));
         let table_before = net.flow_table_bytes();
         let resv_before = net.reservation_state_bytes();
-        let flow = net
-            .request_flow(FlowConfig::guaranteed(vec![link], 300_000.0))
-            .expect("uncontended link admits");
+        let flow = net.add_flow_inactive(FlowConfig::guaranteed(vec![link], 300_000.0));
+        assert!(net.admit_flow_on_link(flow, link).is_accept());
         assert!(
             net.flow_table_bytes() > table_before,
             "flow table footprint must grow when a flow is installed"
@@ -2324,7 +2049,7 @@ mod tests {
             "reservation footprint must include the scheduler's per-flow entries"
         );
         // Releasing returns the scheduler's reservation entry.
-        net.release_flow(flow);
+        net.release_flow_on_link(flow, link);
         assert_eq!(net.reservation_state_bytes(), resv_before);
     }
 
@@ -2337,7 +2062,7 @@ mod tests {
         net.run_until(SimTime::from_millis(2));
         // Packets are still on the wire: retiring now must not report the
         // flow as drained yet.
-        net.release_flow(flow);
+        net.deactivate_flow(flow);
         net.retire_flow(flow);
         assert!(net.flow_in_flight(flow) > 0);
         assert!(net.take_drained_flows().is_empty());
@@ -2363,7 +2088,7 @@ mod tests {
     fn revived_flow_is_not_recycled() {
         let (mut net, link) = two_switch_net();
         let flow = net.add_flow(FlowConfig::datagram(vec![link]));
-        net.release_flow(flow);
+        net.deactivate_flow(flow);
         net.retire_flow(flow);
         // The retire drains immediately (nothing in flight) …
         assert_eq!(net.take_drained_flows(), vec![flow]);

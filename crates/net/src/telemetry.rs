@@ -9,8 +9,7 @@
 //! Every value is a deterministic function of the simulated event sequence
 //! (no wall-clock input), so two same-seed runs report identical numbers.
 
-use ispn_sched::ProbeStats;
-use ispn_telemetry::{Counter, PerClass, Registry, CLASS_LABELS, NUM_CLASS_BUCKETS};
+use ispn_telemetry::{Counter, PerClass};
 
 /// Per-run engine counters owned by [`Network`](crate::Network).
 ///
@@ -77,37 +76,6 @@ impl NetTelemetry {
     pub fn admission_rejected(&self) -> u64 {
         self.admission_rejected.get()
     }
-
-    /// Render this struct's counters plus the per-port `probes` into a
-    /// named-metric [`Registry`] (one entry per non-zero per-link counter,
-    /// totals always present).
-    pub fn registry(&self, probes: &[&ProbeStats]) -> Registry {
-        let mut reg = Registry::new();
-        reg.record("admission.accepted", self.admission_accepted());
-        reg.record("admission.rejected", self.admission_rejected());
-        reg.record("drops.total", self.total_drops());
-        for (i, (drops, probe)) in self.link_drops.iter().zip(probes).enumerate() {
-            reg.record(
-                format!("link.{i}.depth_high_water"),
-                probe.depth_high_water.get(),
-            );
-            for (bucket, label) in CLASS_LABELS.iter().enumerate().take(NUM_CLASS_BUCKETS) {
-                let enq = probe.enqueued.bucket(bucket).get();
-                let deq = probe.dequeued.bucket(bucket).get();
-                let drop = drops.bucket(bucket).get();
-                if enq > 0 {
-                    reg.record(format!("link.{i}.enqueued.{label}"), enq);
-                }
-                if deq > 0 {
-                    reg.record(format!("link.{i}.dequeued.{label}"), deq);
-                }
-                if drop > 0 {
-                    reg.record(format!("link.{i}.drops.{label}"), drop);
-                }
-            }
-        }
-        reg
-    }
 }
 
 #[cfg(test)]
@@ -130,18 +98,5 @@ mod tests {
         );
         assert_eq!(t.admission_accepted(), 1);
         assert_eq!(t.admission_rejected(), 2);
-    }
-
-    #[test]
-    fn registry_names_totals_and_nonzero_links() {
-        let mut t = NetTelemetry::new(1);
-        t.record_link_drop(0, ispn_telemetry::CLASS_DATAGRAM);
-        let probe = ProbeStats::default();
-        let reg = t.registry(&[&probe]);
-        assert_eq!(reg.get("drops.total"), Some(1));
-        assert_eq!(reg.get("admission.accepted"), Some(0));
-        assert_eq!(reg.get("link.0.drops.datagram"), Some(1));
-        // Zero-valued per-class counters are elided.
-        assert_eq!(reg.get("link.0.enqueued.datagram"), None);
     }
 }

@@ -2,9 +2,7 @@
 //!
 //! Everything here implements [`std::error::Error`] and [`Display`], so
 //! scenario code composes with `?` and `anyhow`-style reporting instead of
-//! ad-hoc matching (the same goes for
-//! [`SetupError`](ispn_net::SetupError), which gained its `Error` impl
-//! alongside this crate).
+//! ad-hoc matching.
 //!
 //! [`Display`]: std::fmt::Display
 
@@ -114,24 +112,5 @@ mod tests {
             available: 4,
         };
         assert!(e.to_string().contains("runs off"));
-    }
-
-    #[test]
-    fn setup_error_is_a_std_error_too() {
-        // The satellite requirement: ispn-net's SetupError usable behind
-        // `Box<dyn Error>`.
-        fn takes_error(_: &dyn std::error::Error) {}
-        let err = ispn_net::SetupError {
-            flow: ispn_core::FlowId(0),
-            hop: 1,
-            link: ispn_net::LinkId(2),
-            reason: ispn_core::RejectReason::SchedulerRefused { rate_bps: 1e6 },
-        };
-        takes_error(&err);
-        assert_eq!(
-            err.to_string(),
-            "flow0 refused at hop 1 (LinkId(2)): scheduler refused guaranteed rate \
-             1000000 bps (per-flow reservations exhausted)"
-        );
     }
 }

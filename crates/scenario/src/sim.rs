@@ -19,9 +19,7 @@
 //! user-scheduled actions run last — an action observing the simulation at
 //! its own instant sees a fully settled network.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use ispn_core::{FlowId, TokenBucketSpec};
 use ispn_net::{AgentId, FlowConfig, FlowReport, Network};
@@ -111,71 +109,7 @@ struct ChurnDriver {
     draining: bool,
 }
 
-type ChurnHandle = Rc<RefCell<ChurnDriver>>;
-
 impl ChurnDriver {
-    /// The self-rescheduling arrival: pick a uniformly random forward span,
-    /// draw the service mix, submit, schedule the next arrival.  The RNG
-    /// draw order (span, span length, mix, inter-arrival gap) is part of
-    /// the workload's reproducibility contract — do not reorder.
-    fn arrival(handle: ChurnHandle, sim: &mut Sim) {
-        if handle.borrow().draining {
-            return;
-        }
-        // Before admitting more work, reclaim the id slots of flows that
-        // finished since the last arrival — this is what keeps the flow
-        // table bounded by the *concurrent* population instead of growing
-        // with every request ever made.
-        Self::reclaim_finished(&handle, sim);
-        let (config, priority, hops, gap) = {
-            let mut d = handle.borrow_mut();
-            let nlinks = sim.built().forward.len() as u64;
-            let first = d.rng.next_below(nlinks) as usize;
-            let hops = 1 + d.rng.next_below(nlinks - first as u64) as usize;
-            let route = sim
-                .built()
-                .span(first, hops)
-                .expect("arrival spans stay inside the preset");
-            let guaranteed_fraction = d.spec.guaranteed_fraction;
-            let guaranteed_rate_bps = d.spec.guaranteed_rate_bps;
-            let nclasses = d.spec.classes.len();
-            let (config, priority) = if d.rng.bernoulli(guaranteed_fraction) {
-                (FlowConfig::guaranteed(route, guaranteed_rate_bps), None)
-            } else {
-                // A fair coin for the two-class mix (the dominant case,
-                // and the draw the pre-promotion churn driver made — kept
-                // so migrated runs reproduce bit-exactly); a uniform index
-                // for any other class count.
-                let idx = if nclasses == 2 {
-                    usize::from(d.rng.bernoulli(0.5))
-                } else {
-                    d.rng.next_below(nclasses as u64) as usize
-                };
-                let class = d.spec.classes[idx].clone();
-                let bound = class.per_hop_target.mul_f64(hops as f64);
-                (
-                    FlowConfig::predicted(
-                        route,
-                        class.priority,
-                        class.bucket,
-                        bound,
-                        class.loss_rate,
-                        class.police,
-                    ),
-                    Some(class.priority),
-                )
-            };
-            let arrivals_per_sec = d.spec.arrivals_per_sec;
-            let gap = SimTime::from_secs_f64(d.rng.exponential(1.0 / arrivals_per_sec));
-            (config, priority, hops, gap)
-        };
-        let (_req, flow) = sim.submit(config);
-        handle.borrow_mut().requested.insert(flow, (priority, hops));
-        let next = sim.now() + gap;
-        let h = handle.clone();
-        sim.schedule_at(next, move |sim| ChurnDriver::arrival(h, sim));
-    }
-
     /// Reclaim the id slots of flows the network reports drained: rejected
     /// setups and departed flows whose teardown wave finished and whose
     /// last in-flight packet left the network.  An admitted flow's
@@ -183,89 +117,21 @@ impl ChurnDriver {
     /// monitor row, so bound-compliance checks keep the full history even
     /// after the id is reused by a later arrival.  Recycling changes no RNG
     /// draw and no packet timing, so the decision sequence is unaffected.
-    fn reclaim_finished(handle: &ChurnHandle, sim: &mut Sim) {
-        let drained = sim.network_mut().take_drained_flows();
+    fn reclaim_finished(&mut self, net: &mut Network) {
+        let drained = net.take_drained_flows();
         for &flow in &drained {
-            let entry = handle.borrow_mut().admitted.remove(&flow);
-            if let Some(entry) = entry {
-                let report = sim.network_mut().monitor_mut().flow_report(flow);
-                handle.borrow_mut().completed.push(CompletedChurnFlow {
+            if let Some(entry) = self.admitted.remove(&flow) {
+                let report = net.monitor_mut().flow_report(flow);
+                self.completed.push(CompletedChurnFlow {
                     order: entry.order,
                     priority: entry.priority,
                     hops: entry.hops,
                     report,
                 });
             }
-            sim.network_mut().recycle_flow_slot(flow);
+            net.recycle_flow_slot(flow);
         }
-        sim.network_mut().reuse_drained_buffer(drained);
-    }
-
-    /// The departure of one admitted flow: retire its source (the agent is
-    /// dropped at once, its slot recycles when its last timer has fired)
-    /// and begin the hop-by-hop teardown.
-    fn departure(handle: ChurnHandle, flow: FlowId, sim: &mut Sim) {
-        let source = handle
-            .borrow_mut()
-            .admitted
-            .get_mut(&flow)
-            .and_then(|entry| entry.source.take());
-        if let Some(source) = source {
-            sim.network_mut().retire_agent(source);
-            sim.teardown(flow);
-        }
-    }
-
-    /// Observe a completed signaling transaction: an accepted setup gets
-    /// its on/off source the instant the confirmation lands, plus a
-    /// scheduled departure.
-    fn on_signal(handle: &ChurnHandle, event: &SignalEvent, sim: &mut Sim) {
-        if handle.borrow().draining {
-            return;
-        }
-        match event {
-            SignalEvent::Accepted { flow, at, .. } => {
-                let hold = {
-                    let mut d = handle.borrow_mut();
-                    // Completions for flows the driver did not submit (a
-                    // caller using `Sim::submit` next to the churn
-                    // workload) are not the driver's business.
-                    let Some((priority, hops)) = d.requested.remove(flow) else {
-                        return;
-                    };
-                    // The source-seed index counts admissions, so it doubles
-                    // as the admission index — the stable identity of this
-                    // admission once flow ids start being reused.
-                    let order = d.source_seq;
-                    let seed = d.spec.source.seed_for(d.source_seq);
-                    let source = OnOffSource::new(
-                        *flow,
-                        OnOffConfig::paper(d.spec.source.avg_rate_pps, seed),
-                    );
-                    d.source_seq += 1;
-                    let mean_holding_secs = d.spec.mean_holding_secs;
-                    let hold = SimTime::from_secs_f64(d.rng.exponential(mean_holding_secs));
-                    let source = sim.network_mut().add_agent(Box::new(source));
-                    d.admitted.insert(
-                        *flow,
-                        ChurnEntry {
-                            order,
-                            priority,
-                            hops,
-                            source: Some(source),
-                        },
-                    );
-                    hold
-                };
-                let h = handle.clone();
-                let flow = *flow;
-                sim.schedule_at(*at + hold, move |sim| ChurnDriver::departure(h, flow, sim));
-            }
-            SignalEvent::Rejected { flow, .. } => {
-                handle.borrow_mut().requested.remove(flow);
-            }
-            _ => {}
-        }
+        net.reuse_drained_buffer(drained);
     }
 }
 
@@ -289,7 +155,7 @@ pub struct Sim {
     tcp: Vec<TcpHandles>,
     built: BuiltTopology,
     /// The churn workload driver, when the builder declared one.
-    churn: Option<ChurnHandle>,
+    churn: Option<ChurnDriver>,
     /// Wall-clock time spent inside [`run_until`](Sim::run_until), summed
     /// over calls.  Feeds only the opt-in [`RunTelemetry`] block — it never
     /// enters the default report, so measured output stays byte-identical
@@ -341,7 +207,7 @@ impl Sim {
     pub(crate) fn install_churn(&mut self, spec: ChurnWorkload) {
         let mut rng = Pcg64::new(spec.seed);
         let gap = SimTime::from_secs_f64(rng.exponential(1.0 / spec.arrivals_per_sec));
-        let driver = Rc::new(RefCell::new(ChurnDriver {
+        self.churn = Some(ChurnDriver {
             spec,
             rng,
             admitted: BTreeMap::new(),
@@ -349,9 +215,124 @@ impl Sim {
             source_seq: 0,
             completed: Vec::new(),
             draining: false,
-        }));
-        self.churn = Some(driver.clone());
-        self.schedule_at(gap, move |sim| ChurnDriver::arrival(driver, sim));
+        });
+        self.schedule_at(gap, Sim::churn_arrival);
+    }
+
+    /// The self-rescheduling arrival: pick a uniformly random forward span,
+    /// draw the service mix, submit, schedule the next arrival.  The RNG
+    /// draw order (span, span length, mix, inter-arrival gap) is part of
+    /// the workload's reproducibility contract — do not reorder.
+    fn churn_arrival(&mut self) {
+        let Some(d) = self.churn.as_mut() else {
+            return;
+        };
+        if d.draining {
+            return;
+        }
+        // Before admitting more work, reclaim the id slots of flows that
+        // finished since the last arrival — this is what keeps the flow
+        // table bounded by the *concurrent* population instead of growing
+        // with every request ever made.
+        d.reclaim_finished(&mut self.net);
+        let nlinks = self.built.forward.len() as u64;
+        let first = d.rng.next_below(nlinks) as usize;
+        let hops = 1 + d.rng.next_below(nlinks - first as u64) as usize;
+        let route = self
+            .built
+            .span(first, hops)
+            .expect("arrival spans stay inside the preset");
+        let (config, priority) = if d.rng.bernoulli(d.spec.guaranteed_fraction) {
+            (
+                FlowConfig::guaranteed(route, d.spec.guaranteed_rate_bps),
+                None,
+            )
+        } else {
+            // A fair coin for the two-class mix (the dominant case, and the
+            // draw the pre-promotion churn driver made — kept so migrated
+            // runs reproduce bit-exactly); a uniform index for any other
+            // class count.
+            let nclasses = d.spec.classes.len();
+            let idx = if nclasses == 2 {
+                usize::from(d.rng.bernoulli(0.5))
+            } else {
+                d.rng.next_below(nclasses as u64) as usize
+            };
+            let class = &d.spec.classes[idx];
+            let bound = class.per_hop_target.mul_f64(hops as f64);
+            (
+                FlowConfig::predicted(
+                    route,
+                    class.priority,
+                    class.bucket,
+                    bound,
+                    class.loss_rate,
+                    class.police,
+                ),
+                Some(class.priority),
+            )
+        };
+        let gap = SimTime::from_secs_f64(d.rng.exponential(1.0 / d.spec.arrivals_per_sec));
+        let (_req, flow) = self.sig.submit(&mut self.net, config);
+        d.requested.insert(flow, (priority, hops));
+        self.schedule_in(gap, Sim::churn_arrival);
+    }
+
+    /// The departure of one admitted flow: retire its source (the agent is
+    /// dropped at once, its slot recycles when its last timer has fired)
+    /// and begin the hop-by-hop teardown.
+    fn churn_departure(&mut self, flow: FlowId) {
+        let entry = self.churn.as_mut().and_then(|d| d.admitted.get_mut(&flow));
+        if let Some(source) = entry.and_then(|entry| entry.source.take()) {
+            self.net.retire_agent(source);
+            self.teardown(flow);
+        }
+    }
+
+    /// The churn driver's view of a completed signaling transaction: an
+    /// accepted setup gets its on/off source the instant the confirmation
+    /// lands, plus a scheduled departure.
+    fn churn_on_signal(&mut self, event: &SignalEvent) {
+        let Some(d) = self.churn.as_mut() else {
+            return;
+        };
+        if d.draining {
+            return;
+        }
+        match *event {
+            SignalEvent::Accepted { flow, at, .. } => {
+                // Completions for flows the driver did not submit (a caller
+                // using `Sim::submit` next to the churn workload) are not
+                // the driver's business.
+                let Some((priority, hops)) = d.requested.remove(&flow) else {
+                    return;
+                };
+                // The source-seed index counts admissions, so it doubles as
+                // the admission index — the stable identity of this
+                // admission once flow ids start being reused.
+                let order = d.source_seq;
+                let seed = d.spec.source.seed_for(order);
+                let source =
+                    OnOffSource::new(flow, OnOffConfig::paper(d.spec.source.avg_rate_pps, seed));
+                d.source_seq += 1;
+                let hold = SimTime::from_secs_f64(d.rng.exponential(d.spec.mean_holding_secs));
+                let source = self.net.add_agent(Box::new(source));
+                d.admitted.insert(
+                    flow,
+                    ChurnEntry {
+                        order,
+                        priority,
+                        hops,
+                        source: Some(source),
+                    },
+                );
+                self.schedule_at(at + hold, move |sim| sim.churn_departure(flow));
+            }
+            SignalEvent::Rejected { flow, .. } => {
+                d.requested.remove(&flow);
+            }
+            _ => {}
+        }
     }
 
     /// Whether this simulation carries a churn workload.
@@ -365,10 +346,9 @@ impl Sim {
     /// history — departed-and-recycled flows included — use
     /// [`churn_flow_reports`](Sim::churn_flow_reports).
     pub fn churn_admitted(&self) -> Vec<ChurnFlowRecord> {
-        let Some(churn) = &self.churn else {
+        let Some(d) = &self.churn else {
             return Vec::new();
         };
-        let d = churn.borrow();
         // `admitted` is a `BTreeMap`, so iteration is already in flow-id
         // order — sorted by construction, no post-sort needed.
         d.admitted
@@ -388,37 +368,29 @@ impl Sim {
     /// packet left the network), flows still live are queried from the
     /// monitor now.  Empty without a churn workload.
     pub fn churn_flow_reports(&mut self) -> Vec<ChurnFlowReport> {
-        let Some(churn) = self.churn.clone() else {
+        let Some(d) = &self.churn else {
             return Vec::new();
         };
         let mut rows: Vec<(u32, ChurnFlowReport)> = Vec::new();
-        let live: Vec<(u32, FlowId, Option<u8>, usize)> = {
-            let d = churn.borrow();
-            for c in &d.completed {
-                rows.push((
-                    c.order,
-                    ChurnFlowReport {
-                        flow: c.report.flow,
-                        priority: c.priority,
-                        hops: c.hops,
-                        report: c.report.clone(),
-                    },
-                ));
-            }
-            d.admitted
-                .iter()
-                .map(|(&flow, e)| (e.order, flow, e.priority, e.hops))
-                .collect()
-        };
-        for (order, flow, priority, hops) in live {
-            let report = self.net.monitor_mut().flow_report(flow);
+        for c in &d.completed {
             rows.push((
-                order,
+                c.order,
+                ChurnFlowReport {
+                    flow: c.report.flow,
+                    priority: c.priority,
+                    hops: c.hops,
+                    report: c.report.clone(),
+                },
+            ));
+        }
+        for (&flow, e) in &d.admitted {
+            rows.push((
+                e.order,
                 ChurnFlowReport {
                     flow,
-                    priority,
-                    hops,
-                    report,
+                    priority: e.priority,
+                    hops: e.hops,
+                    report: self.net.monitor_mut().flow_report(flow),
                 },
             ));
         }
@@ -433,24 +405,19 @@ impl Sim {
     /// simulation a little longer afterwards to let the release waves
     /// finish; no reservation state survives a drained run.
     pub fn drain_churn(&mut self) {
-        let Some(churn) = self.churn.clone() else {
+        let Some(d) = self.churn.as_mut() else {
             return;
         };
-        churn.borrow_mut().draining = true;
-        self.cancel_scheduled();
-        let to_tear: Vec<(FlowId, AgentId)> = {
-            let mut d = churn.borrow_mut();
-            // Teardown order does not affect the outcome, but `admitted`
-            // being a `BTreeMap` makes the drain flow-id-ordered — and so
-            // reproducible — by construction.
-            d.admitted
-                .iter_mut()
-                .filter_map(|(&flow, entry)| entry.source.take().map(|a| (flow, a)))
-                .collect()
-        };
-        for (flow, source) in to_tear {
-            self.net.retire_agent(source);
-            self.teardown(flow);
+        d.draining = true;
+        self.actions.clear();
+        // Teardown order does not affect the outcome, but `admitted` being
+        // a `BTreeMap` makes the drain flow-id-ordered — and so
+        // reproducible — by construction.
+        for (&flow, entry) in &mut d.admitted {
+            if let Some(source) = entry.source.take() {
+                self.net.retire_agent(source);
+                self.sig.teardown(&mut self.net, flow);
+            }
         }
     }
 
@@ -553,9 +520,7 @@ impl Sim {
             // The churn driver observes completions before any user
             // handler: sources come alive at their exact accept instants
             // whether or not the caller also watches events.
-            if let Some(churn) = self.churn.clone() {
-                ChurnDriver::on_signal(&churn, &event, self);
-            }
+            self.churn_on_signal(&event);
             if let Some(mut handler) = self.handler.take() {
                 self.handler_cleared = false;
                 handler(&event, self);

@@ -71,6 +71,7 @@ impl VirtualClock {
         assert!(rate_bps > 0.0);
         let slot = self.slot_or_insert(flow);
         self.lanes.state_mut(slot).rate_bps = rate_bps;
+        self.lanes.revive(flow);
     }
 
     /// The rate assigned to a flow, if it has been seen or registered.
@@ -247,5 +248,18 @@ mod tests {
         assert_eq!(q.dequeue(t).unwrap().packet.seq, 1);
         // …and the registration is gone once the backlog is served.
         assert_eq!(q.rate(FlowId(1)), None);
+    }
+
+    #[test]
+    fn set_rate_on_a_draining_flow_keeps_the_new_rate() {
+        let mut q = VirtualClock::new(100_000.0);
+        let t = SimTime::ZERO;
+        q.set_rate(FlowId(1), 500_000.0);
+        q.enqueue(t, pkt(1, 0), ctx(t));
+        assert!(q.remove_flow(t, FlowId(1)));
+        // Registered again before the backlog drained: the retire is off.
+        q.set_rate(FlowId(1), 300_000.0);
+        assert!(q.dequeue(t).is_some());
+        assert_eq!(q.rate(FlowId(1)), Some(300_000.0));
     }
 }

@@ -104,7 +104,7 @@ fn virtual_clock_op_streams_keep_their_digest() {
             1
         },
     );
-    assert_eq!(h, 0xc183_75ff_0242_a5f8, "{h:#018x}");
+    assert_eq!(h, 0x0e0b_9d8d_cc91_e5c5, "{h:#018x}");
 }
 
 #[test]

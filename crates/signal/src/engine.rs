@@ -642,6 +642,15 @@ mod tests {
         (net, links)
     }
 
+    /// Reserve `rate` on `link` at once, through the per-link primitives:
+    /// the fixture for "this link is already this full".
+    fn hog(net: &mut Network, link: LinkId, rate: f64) -> FlowId {
+        let flow = net.add_flow_inactive(FlowConfig::guaranteed(vec![link], rate));
+        assert!(net.admit_flow_on_link(flow, link).is_accept());
+        net.activate_flow(flow);
+        flow
+    }
+
     #[test]
     fn setup_confirms_with_per_hop_latency() {
         let (mut net, links) = net();
@@ -678,9 +687,7 @@ mod tests {
     fn rejection_rolls_back_upstream_reservations() {
         let (mut net, links) = net();
         // Fill the second link almost to quota so a wide setup fails there.
-        let hog = net
-            .request_flow(FlowConfig::guaranteed(vec![links[1]], 800_000.0))
-            .unwrap();
+        hog(&mut net, links[1], 800_000.0);
         let mut sig = Signaling::default();
         let (req, flow) = sig.submit(&mut net, FlowConfig::guaranteed(links.clone(), 200_000.0));
         let events = sig.process_until(&mut net, SimTime::from_secs(1));
@@ -707,14 +714,12 @@ mod tests {
         );
         assert!(!net.flow_active(flow));
         assert!(net.installed_links(flow).is_empty());
-        let _ = hog;
     }
 
     #[test]
     fn rollback_takes_time_to_travel_upstream() {
         let (mut net, links) = net();
-        net.request_flow(FlowConfig::guaranteed(vec![links[1]], 800_000.0))
-            .unwrap();
+        hog(&mut net, links[1], 800_000.0);
         let mut sig = Signaling::default();
         let (_req, flow) = sig.submit(&mut net, FlowConfig::guaranteed(links.clone(), 200_000.0));
         // The rejection happens at hop 1 (t = 2 ms) but the upstream release
@@ -735,8 +740,7 @@ mod tests {
     #[test]
     fn teardown_during_a_rollback_folds_into_it() {
         let (mut net, links) = net();
-        net.request_flow(FlowConfig::guaranteed(vec![links[1]], 800_000.0))
-            .unwrap();
+        hog(&mut net, links[1], 800_000.0);
         let mut sig = Signaling::default();
         let (_req, flow) = sig.submit(&mut net, FlowConfig::guaranteed(links.clone(), 200_000.0));
         // Rejected at hop 1 (t = 2 ms); the release lands upstream at 4 ms.
@@ -871,8 +875,7 @@ mod tests {
     fn failed_guaranteed_increase_restores_old_rate() {
         let (mut net, links) = net();
         // Leave only a sliver of quota on link 1.
-        net.request_flow(FlowConfig::guaranteed(vec![links[1]], 600_000.0))
-            .unwrap();
+        hog(&mut net, links[1], 600_000.0);
         let mut sig = Signaling::default();
         let (_r, flow) = sig.submit(&mut net, FlowConfig::guaranteed(links.clone(), 200_000.0));
         sig.process_until(&mut net, SimTime::from_secs(1));
@@ -1059,18 +1062,18 @@ mod tests {
         let (topo, _nodes, links) = Topology::chain(2, MBIT, SimTime::ZERO, 200);
         let mut net = Network::new(topo);
         net.set_discipline(links[0], Unified::new(MBIT, 1, Averaging::RunningMean));
-        let err = net
-            .request_flow(FlowConfig::guaranteed(vec![links[0]], MBIT))
-            .expect_err("the scheduler cannot hold a full-link reservation");
-        assert!(
-            err.reason.to_string().contains("scheduler refused"),
-            "{err:?}"
-        );
-        assert!(!net.flow_active(err.flow));
+        let flow = net.add_flow_inactive(FlowConfig::guaranteed(vec![links[0]], MBIT));
+        match net.admit_flow_on_link(flow, links[0]) {
+            AdmissionDecision::Reject { reason } => {
+                assert!(reason.to_string().contains("scheduler refused"), "{reason}")
+            }
+            AdmissionDecision::Accept => {
+                panic!("the scheduler cannot hold a full-link reservation")
+            }
+        }
+        assert!(net.installed_links(flow).is_empty());
         // A sane rate still goes through.
-        assert!(net
-            .request_flow(FlowConfig::guaranteed(vec![links[0]], 500_000.0))
-            .is_ok());
+        hog(&mut net, links[0], 500_000.0);
     }
 
     #[test]
@@ -1105,7 +1108,7 @@ mod proptests {
     use super::*;
     use ispn_core::admission::{AdmissionConfig, AdmissionController};
     use ispn_core::Packet;
-    use ispn_net::{Agent, AgentApi, AgentId, Delivery, PoliceAction, SetupError, Topology};
+    use ispn_net::{Agent, AgentApi, AgentId, Delivery, PoliceAction, Topology};
     use ispn_sched::{Averaging, Unified};
     use proptest::prelude::*;
 
@@ -1134,9 +1137,6 @@ mod proptests {
         fn on_packet(&mut self, _: Delivery, _: &mut AgentApi) {
             panic!("a source was handed a packet");
         }
-        fn on_setup(&mut self, _: u64, _: Result<FlowId, SetupError>, _: &mut AgentApi) {
-            panic!("a source was handed a setup result");
-        }
     }
 
     /// The sink of one flow (told which once the flow has its id).
@@ -1155,32 +1155,23 @@ mod proptests {
                 "someone else's packet"
             );
         }
-        fn on_setup(&mut self, _: u64, _: Result<FlowId, SetupError>, _: &mut AgentApi) {
-            panic!("a sink was handed a setup result");
-        }
     }
 
-    /// Asks, when started, for a reservation no link can hold (so nothing is
-    /// left installed whether or not the answer finds it at home), and
-    /// expects exactly that answer.
-    struct Asker {
-        link: LinkId,
+    /// Arms one timer when started and expects exactly that one back: a
+    /// pending event that names the slot of an agent with no flow.
+    struct Ticker {
         token: u64,
     }
 
-    impl Agent for Asker {
+    impl Agent for Ticker {
         fn start(&mut self, api: &mut AgentApi) {
-            api.request_flow(
-                FlowConfig::guaranteed(vec![self.link], 0.95 * MBIT),
-                self.token,
-            );
+            api.set_timer(PERIOD, self.token);
         }
-        fn on_timer(&mut self, _: u64, _: &mut AgentApi) {
-            panic!("an asker was handed a timer");
+        fn on_timer(&mut self, token: u64, _: &mut AgentApi) {
+            assert_eq!(token, self.token, "someone else's timer");
         }
-        fn on_setup(&mut self, token: u64, result: Result<FlowId, SetupError>, _: &mut AgentApi) {
-            assert_eq!(token, self.token, "someone else's setup result");
-            assert!(result.is_err());
+        fn on_packet(&mut self, _: Delivery, _: &mut AgentApi) {
+            panic!("a ticker was handed a packet");
         }
     }
 
@@ -1396,8 +1387,8 @@ mod proptests {
                     }
                 }
                 6 => {
-                    let (link, token) = (self.links[a % 3], self.token());
-                    self.add_agent(Box::new(Asker { link, token }));
+                    let token = self.token();
+                    self.add_agent(Box::new(Ticker { token }));
                 }
                 7 => self.reclaim(),
                 8 => {
@@ -1448,8 +1439,8 @@ mod proptests {
             // does not grow it.
             let slots = self.net.num_agents();
             for _ in 0..slots {
-                let (link, token) = (self.links[0], self.token());
-                self.net.add_agent(Box::new(Asker { link, token }));
+                let token = self.token();
+                self.net.add_agent(Box::new(Ticker { token }));
             }
             assert_eq!(self.net.num_agents(), slots, "an agent slot leaked");
         }

@@ -25,10 +25,11 @@
 //!   reservation (increases are admitted hop by hop and rolled back on
 //!   failure; decreases commit only once the whole path has agreed, so a
 //!   failed renegotiation always leaves the old reservation intact).
-//! * [`LeasedSource`] — an agent wrapper tying a traffic source's lifetime
-//!   to its reservation, so a caller can stop a source it wants to keep the
-//!   moment its flow is torn down (a source nobody needs afterwards is
-//!   retired instead: `Network::retire_agent`).
+//!
+//! This is the only way a reservation is set up or torn down; `ispn-net`
+//! keeps just the per-link primitives the engine drives.  A torn-down
+//! flow's source is ended by its driver with `Network::retire_agent`,
+//! which drops the agent and recycles its slot.
 //!
 //! Everything is deterministic: outcomes are a pure function of the
 //! simulation seed, which the churn experiments rely on.
@@ -58,9 +59,7 @@
 #![forbid(unsafe_code)]
 
 pub mod engine;
-pub mod lease;
 pub mod messages;
 
 pub use engine::{SignalConfig, Signaling};
-pub use lease::{Lease, LeasedSource};
 pub use messages::{RequestId, SignalEvent};

@@ -1,10 +1,8 @@
 //! # ispn-telemetry — engine instrumentation primitives
 //!
-//! Allocation-free counters, gauges and high-water marks the simulation
-//! engine updates on its hot paths (`ispn-sim`'s event queue, `ispn-sched`'s
-//! probed disciplines, `ispn-net`'s forwarding and admission code), plus a
-//! tiny named-metric [`Registry`] for turning a snapshot of those values
-//! into human- or JSON-readable output.
+//! Allocation-free counters and high-water marks the simulation engine
+//! updates on its hot paths (`ispn-sim`'s event queue, `ispn-sched`'s
+//! probed disciplines, `ispn-net`'s forwarding and admission code).
 //!
 //! Two properties are load-bearing:
 //!
@@ -16,8 +14,7 @@
 //!   layer, and never feed back into it.
 //! * **Hot-path cost.**  The mutating operations are single integer
 //!   updates on plain fields (`#[inline]`, no atomics — the engine is
-//!   single-threaded per simulation); allocation happens only at snapshot
-//!   time, never per event.
+//!   single-threaded per simulation) and nothing here allocates.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -45,29 +42,6 @@ impl Counter {
     }
 
     /// The current count.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-/// An instantaneous level (queue depth, reserved rate, …).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Gauge(u64);
-
-impl Gauge {
-    /// A gauge at zero.
-    pub const fn new() -> Self {
-        Gauge(0)
-    }
-
-    /// Set the current level.
-    #[inline]
-    pub fn set(&mut self, v: u64) {
-        self.0 = v;
-    }
-
-    /// The current level.
     #[inline]
     pub fn get(&self) -> u64 {
         self.0
@@ -150,66 +124,6 @@ impl PerClass<Counter> {
     }
 }
 
-/// An ordered snapshot of named metric values, built by the engine's
-/// `snapshot()` methods at reporting time (never on the hot path).
-///
-/// Names use a `dotted.path` convention (`"queue.depth_high_water"`,
-/// `"link.3.drops.datagram"`); iteration and rendering preserve insertion
-/// order, so snapshots of the same engine are diffable line by line.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Registry {
-    entries: Vec<(String, u64)>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Record one named value.
-    pub fn record(&mut self, name: impl Into<String>, value: u64) {
-        self.entries.push((name.into(), value));
-    }
-
-    /// The recorded `(name, value)` pairs in insertion order.
-    pub fn entries(&self) -> &[(String, u64)] {
-        &self.entries
-    }
-
-    /// Look up one value by exact name.
-    pub fn get(&self, name: &str) -> Option<u64> {
-        self.entries
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-    }
-
-    /// Render as a JSON object (insertion order preserved; names are
-    /// escaped, values are plain integers).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, value)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            for c in name.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push_str("\":");
-            out.push_str(&value.to_string());
-        }
-        out.push('}');
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,15 +135,6 @@ mod tests {
         c.incr();
         c.add(41);
         assert_eq!(c.get(), 42);
-    }
-
-    #[test]
-    fn gauge_tracks_level() {
-        let mut g = Gauge::new();
-        g.set(7);
-        assert_eq!(g.get(), 7);
-        g.set(3);
-        assert_eq!(g.get(), 3);
     }
 
     #[test]
@@ -250,17 +155,6 @@ mod tests {
         assert_eq!(pc.bucket(CLASS_PREDICTED).get(), 0);
         assert_eq!(pc.bucket(CLASS_DATAGRAM).get(), 1);
         assert_eq!(pc.total(), 3);
-    }
-
-    #[test]
-    fn registry_preserves_order_and_escapes() {
-        let mut r = Registry::new();
-        r.record("b.first", 1);
-        r.record("a.second", 2);
-        r.record("odd\"name", 3);
-        assert_eq!(r.get("a.second"), Some(2));
-        assert_eq!(r.get("missing"), None);
-        assert_eq!(r.to_json(), r#"{"b.first":1,"a.second":2,"odd\"name":3}"#);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use ispn_core::TokenBucketSpec;
 use ispn_net::{FlowConfig, PoliceAction};
 use ispn_scenario::{AdmissionSpec, DisciplineSpec, ScenarioBuilder, Sim};
 use ispn_sched::Averaging;
-use ispn_signal::{LeasedSource, SignalEvent};
+use ispn_signal::SignalEvent;
 use ispn_sim::SimTime;
 use ispn_traffic::{OnOffConfig, OnOffSource};
 
@@ -55,13 +55,20 @@ fn main() {
         PoliceAction::Drop,
     ));
 
-    // t = 100 ms: both setups have confirmed; attach the leased sources.
+    // t = 100 ms: both setups have confirmed; attach the sources.
     sim.schedule_at(SimTime::from_millis(100), move |sim: &mut Sim| {
-        for (flow, seed, rate) in [(video, 1u64, 170.0), (voice, 2, 40.0)] {
-            let (source, _lease) =
-                LeasedSource::new(OnOffSource::new(flow, OnOffConfig::paper(rate, seed)));
-            sim.network_mut().add_agent(Box::new(source));
-        }
+        let mut attach = |flow, seed, rate| {
+            let source = OnOffSource::new(flow, OnOffConfig::paper(rate, seed));
+            sim.network_mut().add_agent(Box::new(source))
+        };
+        let video_source = attach(video, 1, 170.0);
+        attach(voice, 2, 40.0);
+        // t = 20 s: the video flow hangs up — its source ends and its
+        // capacity is free again.
+        sim.schedule_at(SimTime::from_secs(20), move |sim: &mut Sim| {
+            sim.network_mut().retire_agent(video_source);
+            sim.teardown(video);
+        });
     });
 
     // t = 5 s: the adaptive voice client widens its declaration to the
@@ -77,11 +84,6 @@ fn main() {
     let greedy_route = links.clone();
     sim.schedule_at(SimTime::from_secs(10), move |sim: &mut Sim| {
         let (_r3, _greedy) = sim.submit(FlowConfig::guaranteed(greedy_route, 600_000.0));
-    });
-
-    // t = 20 s: the video flow hangs up; its capacity is free again.
-    sim.schedule_at(SimTime::from_secs(20), move |sim: &mut Sim| {
-        sim.teardown(video);
     });
 
     sim.run_until(SimTime::from_secs(30));

@@ -14,7 +14,7 @@ use ispn_experiments::PaperConfig;
 use ispn_integration_tests::{chain, LINK_RATE};
 use ispn_net::{FlowConfig, Network, PoliceAction};
 use ispn_sched::{Averaging, Unified};
-use ispn_signal::{LeasedSource, SignalEvent, Signaling};
+use ispn_signal::{SignalEvent, Signaling};
 use ispn_sim::SimTime;
 use ispn_traffic::{OnOffConfig, OnOffSource};
 
@@ -43,7 +43,7 @@ fn admission_controlled_chain(switches: usize) -> (Network, Vec<ispn_net::LinkId
 /// reservation is gone, the source is silent, and the link still serves
 /// later arrivals.
 #[test]
-fn signalled_flow_lives_and_dies_with_its_lease() {
+fn signalled_flow_lives_and_dies_with_its_reservation() {
     let (mut net, links) = admission_controlled_chain(3);
     let mut sig = Signaling::default();
 
@@ -51,14 +51,15 @@ fn signalled_flow_lives_and_dies_with_its_lease() {
     let events = sig.process_until(&mut net, SimTime::from_millis(100));
     assert!(matches!(events[0], SignalEvent::Accepted { .. }));
 
-    let source = OnOffSource::new(flow, OnOffConfig::paper(85.0, 7));
-    let (leased, lease) = LeasedSource::new(source);
-    net.add_agent(Box::new(leased));
+    let source = net.add_agent(Box::new(OnOffSource::new(
+        flow,
+        OnOffConfig::paper(85.0, 7),
+    )));
     sig.process_until(&mut net, SimTime::from_secs(20));
     let mid_run = net.monitor_mut().flow_report(flow);
     assert!(mid_run.delivered > 1000, "{mid_run:?}");
 
-    lease.revoke();
+    net.retire_agent(source);
     sig.teardown(&mut net, flow);
     let events = sig.process_until(&mut net, SimTime::from_secs(21));
     assert!(events
@@ -75,9 +76,13 @@ fn signalled_flow_lives_and_dies_with_its_lease() {
     let settled = net.monitor_mut().flow_report(flow);
     assert_eq!(settled.generated, after_teardown.generated);
     // A later arrival finds the freed capacity.
-    let replacement = net
-        .request_flow(FlowConfig::guaranteed(links.clone(), 800_000.0))
-        .expect("released capacity is reusable");
+    let (_req, replacement) =
+        sig.submit(&mut net, FlowConfig::guaranteed(links.clone(), 800_000.0));
+    let events = sig.process_until(&mut net, SimTime::from_secs(31));
+    assert!(
+        matches!(events[..], [SignalEvent::Accepted { .. }]),
+        "released capacity is reusable: {events:?}"
+    );
     assert!(net.flow_active(replacement));
 }
 
@@ -93,9 +98,10 @@ fn rejections_under_live_traffic_leave_no_residue() {
     for i in 0..3 {
         let (_r, f) = sig.submit(&mut net, FlowConfig::guaranteed(vec![links[1]], 200_000.0));
         admitted.push(f);
-        let source = OnOffSource::new(f, OnOffConfig::paper(85.0, 100 + i));
-        let (leased, _lease) = LeasedSource::new(source);
-        net.add_agent(Box::new(leased));
+        net.add_agent(Box::new(OnOffSource::new(
+            f,
+            OnOffConfig::paper(85.0, 100 + i),
+        )));
     }
     sig.process_until(&mut net, SimTime::from_secs(1));
 
@@ -166,9 +172,10 @@ fn renegotiation_switches_the_edge_policer() {
 
     // With the roomier profile the paper's source now fits through the
     // edge: run it and observe essentially loss-free policing.
-    let source = OnOffSource::new(flow, OnOffConfig::paper(85.0, 11));
-    let (leased, _lease) = LeasedSource::new(source);
-    net.add_agent(Box::new(leased));
+    net.add_agent(Box::new(OnOffSource::new(
+        flow,
+        OnOffConfig::paper(85.0, 11),
+    )));
     sig.process_until(&mut net, SimTime::from_secs(30));
     let report = net.monitor_mut().flow_report(flow);
     assert!(report.delivered > 1000, "{report:?}");
