@@ -402,6 +402,22 @@ mod tests {
     }
 
     #[test]
+    fn a_setup_still_in_flight_at_the_drain_leaves_no_reservation() {
+        // 200 setups/s with 75 ms holds: at each of these seeds a guaranteed
+        // setup has installed hops but not yet confirmed when the 5 s drain
+        // begins, and the drain must withdraw it like any admitted flow.
+        for seed in [28, 30, 36, 37, 38] {
+            let paper = PaperConfig {
+                seed,
+                duration: SimTime::from_secs(5),
+                ..PaperConfig::paper()
+            };
+            let out = run(&ChurnConfig::new(paper, 200.0, 0.075));
+            assert_eq!(out.residual_reserved_bps, 0.0, "seed {seed}");
+        }
+    }
+
+    #[test]
     fn admitted_predicted_flows_meet_their_bounds() {
         let out = run(&fast(0.6));
         assert_eq!(out.violations, 0, "{out:?}");

@@ -401,9 +401,11 @@ impl Sim {
     /// Drain the churn workload: stop the arrival process (this cancels
     /// **every** scheduled action, like
     /// [`cancel_scheduled`](Sim::cancel_scheduled)), retire each admitted
-    /// flow's source and begin its teardown, in flow-id order.  Run the
-    /// simulation a little longer afterwards to let the release waves
-    /// finish; no reservation state survives a drained run.
+    /// flow's source and begin its teardown, and withdraw every setup still
+    /// in flight (its confirmation would land after the drain, where nobody
+    /// is left to tear it down), in flow-id order.  Run the simulation a
+    /// little longer afterwards to let the release waves finish; no
+    /// reservation state survives a drained run.
     pub fn drain_churn(&mut self) {
         let Some(d) = self.churn.as_mut() else {
             return;
@@ -418,6 +420,9 @@ impl Sim {
                 self.net.retire_agent(source);
                 self.sig.teardown(&mut self.net, flow);
             }
+        }
+        for (flow, _) in std::mem::take(&mut d.requested) {
+            self.sig.teardown(&mut self.net, flow);
         }
     }
 
