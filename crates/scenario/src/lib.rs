@@ -22,7 +22,8 @@
 //!   holding times entirely inside the facade (sources attached at the
 //!   exact accept instants; on departure the source's agent slot is
 //!   retired and the flow torn down, both slots recycling once drained;
-//!   [`Sim::drain_churn`] at the end),
+//!   [`Sim::drain_churn`] at the end withdraws what is left, setups still
+//!   in flight included),
 //! * [`MeasurementPlan`] / [`ScenarioReport`] — select the statistics to
 //!   collect and get them back as a structured, serializable report:
 //!   per-flow and per-link summaries, plus per-service-class pooled delay
@@ -54,7 +55,8 @@
 //!   data-plane events, control messages and user-scheduled actions in
 //!   **global event-time order** (ties resolve data ≺ control ≺ action),
 //!   eliminating the coarse `process_until`/`run_until` interleave every
-//!   dynamic caller used to reimplement.
+//!   dynamic caller used to reimplement.  Completed transactions go to the
+//!   [`Sim::on_signal`] handler at their instants; nothing else keeps them.
 //!
 //! ```
 //! use ispn_scenario::{DisciplineSpec, FlowDef, ScenarioBuilder, SourceSpec};

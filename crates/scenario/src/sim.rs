@@ -1,16 +1,12 @@
 //! The `Sim` facade: one object owning data plane, control plane and
 //! scheduled driver actions, stepped in global event-time order.
 //!
-//! Before this facade existed, every dynamic caller interleaved
-//! [`Signaling::process_until`] with [`Network::run_until`] by hand —
-//! typically in fixed-size slices, which meant completed signaling
-//! transactions were only *observed* at slice boundaries: a source admitted
-//! at `t` came alive at the next multiple of the slice, and the results
-//! depended on the slice width.  `Sim` removes that wart: control messages,
-//! data-plane events and user-scheduled actions are merged into one global
-//! timeline, handlers run at the exact simulated instant their event
-//! completes, and stepping granularity (`run_until` called once or a
-//! thousand times) cannot change any outcome.
+//! Control messages, data-plane events and user-scheduled actions are
+//! merged into one global timeline, handlers run at the exact simulated
+//! instant their event completes, and stepping granularity (`run_until`
+//! called once or a thousand times) cannot change any outcome, whereas
+//! interleaving [`Signaling::process_until`] with [`Network::run_until`] by
+//! hand, in slices, observes completions at slice boundaries only.
 //!
 //! Ordering at equal timestamps is deterministic and documented:
 //! **data ≺ control ≺ action**.  Data-plane events settle first (so
@@ -18,13 +14,14 @@
 //! at `t`), control messages due at that instant complete next, and
 //! user-scheduled actions run last — an action observing the simulation at
 //! its own instant sees a fully settled network.
-
-use std::collections::BTreeMap;
+//!
+//! Completed signaling transactions are *delivered*, at their instants, to
+//! the churn driver and the [`on_signal`](Sim::on_signal) handler, not kept.
 
 use ispn_core::{FlowId, TokenBucketSpec};
 use ispn_net::{AgentId, FlowConfig, FlowReport, Network};
 use ispn_signal::{RequestId, SignalEvent, Signaling};
-use ispn_sim::{EventQueue, Pcg64, SimTime};
+use ispn_sim::{HeapQueue, Pcg64, SimTime};
 use ispn_traffic::{OnOffConfig, OnOffSource};
 use ispn_transport::TcpHandles;
 
@@ -92,14 +89,25 @@ struct CompletedChurnFlow {
     report: FlowReport,
 }
 
+/// What the churn driver holds for one flow id.
+enum ChurnSlot {
+    /// Not the driver's flow, or reclaimed.
+    Vacant,
+    /// Submitted; the network has not answered yet.
+    Requested { priority: Option<u8>, hops: usize },
+    /// Admitted and not yet reclaimed.
+    Admitted(ChurnEntry),
+}
+
 /// The facade-owned churn driver: one private RNG stream drives arrivals,
 /// mixes, gaps and holding times; completions are observed through the same
 /// dispatch path as user handlers (driver first).
 struct ChurnDriver {
     spec: ChurnWorkload,
     rng: Pcg64,
-    admitted: BTreeMap<FlowId, ChurnEntry>,
-    requested: BTreeMap<FlowId, (Option<u8>, usize)>,
+    /// Indexed by `FlowId::index()`, so in flow-id order; `reclaim_finished`
+    /// vacates a slot before the network hands its id out again.
+    slots: Vec<ChurnSlot>,
     source_seq: u32,
     /// Snapshots of flows whose id slots were reclaimed, in no particular
     /// order (sorted by admission index on read-out).
@@ -120,7 +128,9 @@ impl ChurnDriver {
     fn reclaim_finished(&mut self, net: &mut Network) {
         let drained = net.take_drained_flows();
         for &flow in &drained {
-            if let Some(entry) = self.admitted.remove(&flow) {
+            let slot = self.slots.get_mut(flow.index());
+            let slot = slot.map(|slot| std::mem::replace(slot, ChurnSlot::Vacant));
+            if let Some(ChurnSlot::Admitted(entry)) = slot {
                 let report = net.monitor_mut().flow_report(flow);
                 self.completed.push(CompletedChurnFlow {
                     order: entry.order,
@@ -133,6 +143,15 @@ impl ChurnDriver {
         }
         net.reuse_drained_buffer(drained);
     }
+
+    /// The flows admitted and not yet reclaimed, in flow-id order.
+    fn admitted(&self) -> impl Iterator<Item = (FlowId, &ChurnEntry)> {
+        let slots = self.slots.iter().enumerate();
+        slots.filter_map(|(i, slot)| match slot {
+            ChurnSlot::Admitted(entry) => Some((FlowId(i as u32), entry)),
+            _ => None,
+        })
+    }
 }
 
 /// The scenario simulation: network, signaling engine, scheduled actions
@@ -140,7 +159,7 @@ impl ChurnDriver {
 pub struct Sim {
     net: Network,
     sig: Signaling,
-    actions: EventQueue<Action>,
+    actions: HeapQueue<Action>,
     handler: Option<SignalHandler>,
     /// Set by [`clear_signal_handler`](Sim::clear_signal_handler) so a
     /// clear issued *from inside* the handler (whose box is temporarily
@@ -150,7 +169,6 @@ pub struct Sim {
     /// Reentrancy guard: [`run_until`](Sim::run_until) must not be called
     /// from inside a scheduled action or signal handler.
     running: bool,
-    collected: Vec<SignalEvent>,
     flows: Vec<FlowId>,
     tcp: Vec<TcpHandles>,
     built: BuiltTopology,
@@ -188,11 +206,10 @@ impl Sim {
         Sim {
             net,
             sig,
-            actions: EventQueue::new(),
+            actions: HeapQueue::new(),
             handler: None,
             handler_cleared: false,
             running: false,
-            collected: Vec::new(),
             flows,
             tcp,
             built,
@@ -210,8 +227,7 @@ impl Sim {
         self.churn = Some(ChurnDriver {
             spec,
             rng,
-            admitted: BTreeMap::new(),
-            requested: BTreeMap::new(),
+            slots: Vec::new(),
             source_seq: 0,
             completed: Vec::new(),
             draining: false,
@@ -274,7 +290,10 @@ impl Sim {
         };
         let gap = SimTime::from_secs_f64(d.rng.exponential(1.0 / d.spec.arrivals_per_sec));
         let (_req, flow) = self.sig.submit(&mut self.net, config);
-        d.requested.insert(flow, (priority, hops));
+        if d.slots.len() <= flow.index() {
+            d.slots.resize_with(flow.index() + 1, || ChurnSlot::Vacant);
+        }
+        d.slots[flow.index()] = ChurnSlot::Requested { priority, hops };
         self.schedule_in(gap, Sim::churn_arrival);
     }
 
@@ -282,10 +301,12 @@ impl Sim {
     /// dropped at once, its slot recycles when its last timer has fired)
     /// and begin the hop-by-hop teardown.
     fn churn_departure(&mut self, flow: FlowId) {
-        let entry = self.churn.as_mut().and_then(|d| d.admitted.get_mut(&flow));
-        if let Some(source) = entry.and_then(|entry| entry.source.take()) {
-            self.net.retire_agent(source);
-            self.teardown(flow);
+        let slots = self.churn.as_mut().map(|d| &mut d.slots);
+        if let Some(ChurnSlot::Admitted(entry)) = slots.and_then(|s| s.get_mut(flow.index())) {
+            if let Some(source) = entry.source.take() {
+                self.net.retire_agent(source);
+                self.teardown(flow);
+            }
         }
     }
 
@@ -304,7 +325,8 @@ impl Sim {
                 // Completions for flows the driver did not submit (a caller
                 // using `Sim::submit` next to the churn workload) are not
                 // the driver's business.
-                let Some((priority, hops)) = d.requested.remove(&flow) else {
+                let Some(&ChurnSlot::Requested { priority, hops }) = d.slots.get(flow.index())
+                else {
                     return;
                 };
                 // The source-seed index counts admissions, so it doubles as
@@ -317,19 +339,18 @@ impl Sim {
                 d.source_seq += 1;
                 let hold = SimTime::from_secs_f64(d.rng.exponential(d.spec.mean_holding_secs));
                 let source = self.net.add_agent(Box::new(source));
-                d.admitted.insert(
-                    flow,
-                    ChurnEntry {
-                        order,
-                        priority,
-                        hops,
-                        source: Some(source),
-                    },
-                );
+                d.slots[flow.index()] = ChurnSlot::Admitted(ChurnEntry {
+                    order,
+                    priority,
+                    hops,
+                    source: Some(source),
+                });
                 self.schedule_at(at + hold, move |sim| sim.churn_departure(flow));
             }
             SignalEvent::Rejected { flow, .. } => {
-                d.requested.remove(&flow);
+                if let Some(slot @ ChurnSlot::Requested { .. }) = d.slots.get_mut(flow.index()) {
+                    *slot = ChurnSlot::Vacant;
+                }
             }
             _ => {}
         }
@@ -349,11 +370,8 @@ impl Sim {
         let Some(d) = &self.churn else {
             return Vec::new();
         };
-        // `admitted` is a `BTreeMap`, so iteration is already in flow-id
-        // order — sorted by construction, no post-sort needed.
-        d.admitted
-            .iter()
-            .map(|(&flow, entry)| ChurnFlowRecord {
+        d.admitted()
+            .map(|(flow, entry)| ChurnFlowRecord {
                 flow,
                 priority: entry.priority,
                 hops: entry.hops,
@@ -383,7 +401,7 @@ impl Sim {
                 },
             ));
         }
-        for (&flow, e) in &d.admitted {
+        for (flow, e) in d.admitted() {
             rows.push((
                 e.order,
                 ChurnFlowReport {
@@ -402,27 +420,33 @@ impl Sim {
     /// **every** scheduled action, like
     /// [`cancel_scheduled`](Sim::cancel_scheduled)), retire each admitted
     /// flow's source and begin its teardown, and withdraw every setup still
-    /// in flight (its confirmation would land after the drain, where nobody
-    /// is left to tear it down), in flow-id order.  Run the simulation a
-    /// little longer afterwards to let the release waves finish; no
-    /// reservation state survives a drained run.
+    /// in flight (confirmed after the drain, it would never be torn down),
+    /// in flow-id order.  Run the simulation a little longer afterwards to
+    /// let the release waves finish; no reservation state survives a drained
+    /// run.
     pub fn drain_churn(&mut self) {
         let Some(d) = self.churn.as_mut() else {
             return;
         };
         d.draining = true;
         self.actions.clear();
-        // Teardown order does not affect the outcome, but `admitted` being
-        // a `BTreeMap` makes the drain flow-id-ordered — and so
-        // reproducible — by construction.
-        for (&flow, entry) in &mut d.admitted {
-            if let Some(source) = entry.source.take() {
-                self.net.retire_agent(source);
-                self.sig.teardown(&mut self.net, flow);
+        // Teardown order does not affect the outcome, but index order makes
+        // the drain flow-id-ordered — and so reproducible — by construction.
+        for (i, slot) in d.slots.iter_mut().enumerate() {
+            let flow = FlowId(i as u32);
+            match slot {
+                ChurnSlot::Vacant => {}
+                ChurnSlot::Requested { .. } => {
+                    *slot = ChurnSlot::Vacant;
+                    self.sig.teardown(&mut self.net, flow);
+                }
+                ChurnSlot::Admitted(entry) => {
+                    if let Some(source) = entry.source.take() {
+                        self.net.retire_agent(source);
+                        self.sig.teardown(&mut self.net, flow);
+                    }
+                }
             }
-        }
-        for (flow, _) in std::mem::take(&mut d.requested) {
-            self.sig.teardown(&mut self.net, flow);
         }
     }
 
@@ -467,15 +491,16 @@ impl Sim {
     /// access to the simulation (add agents, schedule actions, submit or
     /// tear down flows) — except [`run_until`](Sim::run_until), which must
     /// not be re-entered.  Installing a handler replaces the previous one.
+    /// Nothing keeps a completion once the handler has returned: a caller
+    /// that wants a list pushes into its own from here.
     pub fn on_signal(&mut self, handler: impl FnMut(&SignalEvent, &mut Sim) + 'static) {
         self.handler = Some(Box::new(handler));
         self.handler_cleared = false;
     }
 
-    /// Remove the signal-event handler (completed transactions are then
-    /// only collected and returned by [`run_until`](Sim::run_until)).
-    /// Also effective when called from inside the handler itself — a
-    /// one-shot handler may deregister on its first event.
+    /// Remove the signal-event handler (completed transactions then reach
+    /// the churn driver only).  Also effective when called from inside the
+    /// handler itself — a one-shot handler may deregister on its first event.
     pub fn clear_signal_handler(&mut self) {
         self.handler = None;
         self.handler_cleared = true;
@@ -535,17 +560,17 @@ impl Sim {
                     self.handler = Some(handler);
                 }
             }
-            self.collected.push(event);
         }
         self.sig.reuse_event_buffer(events);
     }
 
     /// Advance the simulation to `horizon`, stepping data-plane events,
     /// control messages and scheduled actions in global event-time order.
-    /// Returns every signaling transaction that completed in the window,
-    /// in completion order (they were also delivered to the handler at
-    /// their exact times).  May be called repeatedly with increasing
-    /// horizons; the stepping granularity does not affect any outcome.
+    /// Signaling transactions that complete in the window are delivered to
+    /// the [`on_signal`](Sim::on_signal) handler at their exact times, in
+    /// completion order, and not returned.  May be called repeatedly with
+    /// increasing horizons; the stepping granularity does not affect any
+    /// outcome.
     ///
     /// Events due at exactly `horizon` wait for the next call — except at
     /// the end of time itself: `run_until(SimTime::MAX)` also runs actions
@@ -566,10 +591,10 @@ impl Sim {
     /// # Panics
     /// Panics if called from inside a scheduled action or signal handler:
     /// those run *within* a `run_until` step, and a nested call would
-    /// steal the outer call's collected events and bypass the handler.
+    /// deliver its completions past the handler that is mid-call.
     /// The simulation keeps advancing after the callback returns — there
     /// is never a reason to pump it from inside one.
-    pub fn run_until(&mut self, horizon: SimTime) -> Vec<SignalEvent> {
+    pub fn run_until(&mut self, horizon: SimTime) {
         assert!(
             !self.running,
             "Sim::run_until must not be re-entered from a scheduled action \
@@ -622,7 +647,6 @@ impl Sim {
         }
         self.running = false;
         self.wall += started.elapsed();
-        std::mem::take(&mut self.collected)
     }
 
     /// Collect a structured report of the statistics the plan selects.
@@ -812,8 +836,9 @@ mod tests {
     #[test]
     fn an_earlier_horizon_never_rewinds_the_clock() {
         let mut sim = simple_sim();
+        sim.on_signal(|event, _| panic!("nothing was submitted: {event:?}"));
         sim.run_until(SimTime::from_secs(5));
-        assert!(sim.run_until(SimTime::from_secs(3)).is_empty());
+        sim.run_until(SimTime::from_secs(3));
         assert_eq!(sim.now(), SimTime::from_secs(5));
         // "One second from now" is 6 s, not a point in the simulated past.
         let ran: Rc<RefCell<Vec<SimTime>>> = Rc::default();
@@ -839,8 +864,8 @@ mod tests {
         // the first.
         sim.submit(FlowConfig::guaranteed(vec![links[0]], 200_000.0));
         sim.submit(FlowConfig::guaranteed(vec![links[1]], 200_000.0));
-        let events = sim.run_until(SimTime::from_secs(1));
-        assert_eq!(events.len(), 2, "both completions are still returned");
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.signaling().decision_log().len(), 2, "both completed");
         assert_eq!(
             *calls.borrow(),
             1,
@@ -859,13 +884,22 @@ mod tests {
     }
 
     #[test]
-    fn run_until_returns_the_events_the_handler_saw() {
+    fn the_handler_sees_every_completion_once_in_completion_order() {
         let mut sim = simple_sim();
         let links = sim.built().forward.clone();
-        let (req, flow) = sim.submit(FlowConfig::guaranteed(links, 300_000.0));
-        let events = sim.run_until(SimTime::from_secs(1));
-        assert_eq!(events.len(), 1);
-        assert!(matches!(&events[0], SignalEvent::Accepted { request, .. } if *request == req));
+        let seen: Rc<RefCell<Vec<RequestId>>> = Rc::default();
+        let list = seen.clone();
+        sim.on_signal(move |event, _| match event {
+            SignalEvent::Accepted { request, .. } => list.borrow_mut().push(*request),
+            other => panic!("unexpected {other:?}"),
+        });
+        // Confirmed at 4 ms and at 2 ms: one delivery in each call.
+        let (slow, flow) = sim.submit(FlowConfig::guaranteed(links.clone(), 300_000.0));
+        let (fast, _) = sim.submit(FlowConfig::guaranteed(vec![links[0]], 300_000.0));
+        sim.run_until(SimTime::from_millis(3));
+        assert_eq!(*seen.borrow(), vec![fast]);
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(*seen.borrow(), vec![fast, slow]);
         assert!(sim.network().flow_active(flow));
     }
 }

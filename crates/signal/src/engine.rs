@@ -7,8 +7,13 @@
 //! deterministic event queue of in-flight control messages and interleaves
 //! them with the network's data-plane events, so admission decisions at
 //! each hop see exactly the measurement state of that simulated instant.
+//! That queue is a [`HeapQueue`], not a calendar wheel: a transaction has
+//! one message in flight, so even 200 setups a second keep it a handful deep.
 //!
-//! A transaction in flight is a flow id and a few flags; its route is read
+//! A setup in flight is a request id and a few flags in the slot its flow
+//! id indexes: a flow has one setup in flight at most, its messages follow
+//! one another, and the entry is vacated before the flow is retired, so a
+//! message always finds its own entry.  The route is read
 //! in place from the network's flow table (`net.flow_config(flow).route`)
 //! by each message as it is handled — a registered flow's route never
 //! changes, so nothing is copied per request or per hop — and a refusal
@@ -21,7 +26,7 @@ use std::collections::BTreeMap;
 use ispn_core::admission::AdmissionDecision;
 use ispn_core::{FlowId, FlowSpec, TokenBucketSpec};
 use ispn_net::{FlowConfig, LinkId, Network};
-use ispn_sim::{EventQueue, SimTime};
+use ispn_sim::{HeapQueue, SimTime};
 
 use crate::messages::{RequestId, SignalEvent};
 
@@ -58,7 +63,7 @@ enum RenegKind {
 
 #[derive(Debug, Clone, Copy)]
 struct PendingSetup {
-    flow: FlowId,
+    req: RequestId,
     /// Set when a teardown arrives while the setup is still in flight: the
     /// setup stops installing further hops and its confirmation must not
     /// activate the flow (the teardown wave, always behind the setup wave,
@@ -68,6 +73,11 @@ struct PendingSetup {
     /// releasing the hops behind the rejection and retires the flow when
     /// it reaches the first.
     rolling_back: bool,
+    /// Set when the cancelling teardown's release wave finishes while the
+    /// confirmation is still on the last link (the wave trails every `Setup`
+    /// but, on one hop, not the `Confirm`): that confirmation then retires
+    /// the flow, so the slot is vacant before the id is handed out again.
+    released: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -83,11 +93,11 @@ struct PendingReneg {
 
 enum ControlEvent {
     /// A setup message arrives at the switch feeding `route[hop]`.
-    Setup { req: RequestId, hop: usize },
+    Setup { flow: FlowId, hop: usize },
     /// A rejection travels upstream, releasing `route[hop]`.
-    Rollback { req: RequestId, hop: usize },
+    Rollback { flow: FlowId, hop: usize },
     /// The setup message reached the destination: activate.
-    Confirm { req: RequestId },
+    Confirm { flow: FlowId },
     /// A release message arrives at the switch feeding `route[hop]`.
     Teardown { flow: FlowId, hop: usize },
     /// A renegotiate message arrives at the switch feeding `route[hop]`.
@@ -108,8 +118,11 @@ enum ControlEvent {
 #[derive(Default)]
 pub struct Signaling {
     cfg: SignalConfig,
-    queue: EventQueue<ControlEvent>,
-    setups: BTreeMap<RequestId, PendingSetup>,
+    queue: HeapQueue<ControlEvent>,
+    /// The setup in flight for each flow, indexed by `FlowId::index()`.
+    setups: Vec<Option<PendingSetup>>,
+    /// Occupied entries of `setups`.
+    setups_pending: usize,
     renegs: BTreeMap<RequestId, PendingReneg>,
     events: Vec<SignalEvent>,
     /// Chronological accept/reject record of every completed setup, kept
@@ -142,7 +155,7 @@ impl Signaling {
 
     /// Number of signaling transactions still in flight.
     pub fn pending(&self) -> usize {
-        self.setups.len() + self.renegs.len()
+        self.setups_pending + self.renegs.len()
     }
 
     /// The chronological accept/reject record of completed setups.
@@ -158,19 +171,22 @@ impl Signaling {
         let req = self.fresh_id();
         assert!(!config.route.is_empty(), "a setup needs a route");
         let flow = net.add_flow_inactive(config);
-        self.setups.insert(
+        if self.setups.len() <= flow.index() {
+            self.setups.resize(flow.index() + 1, None);
+        }
+        let stale = self.setups[flow.index()].replace(PendingSetup {
             req,
-            PendingSetup {
-                flow,
-                cancelled: false,
-                rolling_back: false,
-            },
-        );
+            cancelled: false,
+            rolling_back: false,
+            released: false,
+        });
+        debug_assert!(stale.is_none(), "{flow} recycled with a setup pending");
+        self.setups_pending += 1;
         // The source's host-to-switch link is infinitely fast (Appendix), so
         // the setup message reaches the first switch after processing only.
         self.queue.push(
             net.now() + self.cfg.hop_processing,
-            ControlEvent::Setup { req, hop: 0 },
+            ControlEvent::Setup { flow, hop: 0 },
         );
         (req, flow)
     }
@@ -185,17 +201,15 @@ impl Signaling {
         // installing further hops and its confirmation will not activate.
         // (Such a setup never reaches the decision log — the caller
         // withdrew it before the network finished answering.)
-        for setup in self.setups.values_mut() {
-            if setup.flow == flow {
-                if setup.rolling_back {
-                    // Already rejected: the rollback in flight releases
-                    // every installed hop and retires the flow.  A release
-                    // wave of our own would retire it a second time — by
-                    // then, possibly, the slot's next occupant.
-                    return;
-                }
-                setup.cancelled = true;
+        if let Some(Some(setup)) = self.setups.get_mut(flow.index()) {
+            if setup.rolling_back {
+                // Already rejected: the rollback in flight releases every
+                // installed hop and retires the flow.  A release wave of
+                // our own would retire it a second time — by then,
+                // possibly, the slot's next occupant.
+                return;
             }
+            setup.cancelled = true;
         }
         // Cancel in-flight renegotiations, returning any rate increases
         // they had already reserved (the teardown wave releases the *old*
@@ -361,15 +375,14 @@ impl Signaling {
 
     fn handle(&mut self, net: &mut Network, at: SimTime, ev: ControlEvent) {
         match ev {
-            ControlEvent::Setup { req, hop } => {
-                let PendingSetup {
-                    flow, cancelled, ..
-                } = self.setups[&req];
+            ControlEvent::Setup { flow, hop } => {
+                let PendingSetup { req, cancelled, .. } =
+                    self.setups[flow.index()].expect("a setup message finds its entry");
                 if cancelled {
                     // Withdrawn mid-setup: stop here; the teardown wave
                     // (always behind this message) releases the hops
                     // already installed.
-                    self.setups.remove(&req);
+                    self.vacate(flow);
                     return;
                 }
                 let route = &net.flow_config(flow).route;
@@ -378,9 +391,9 @@ impl Signaling {
                     AdmissionDecision::Accept => {
                         let next_at = at + self.hop_delay(net, link);
                         let next = if last_hop {
-                            ControlEvent::Confirm { req }
+                            ControlEvent::Confirm { flow }
                         } else {
-                            ControlEvent::Setup { req, hop: hop + 1 }
+                            ControlEvent::Setup { flow, hop: hop + 1 }
                         };
                         self.queue.push(next_at, next);
                     }
@@ -400,11 +413,14 @@ impl Signaling {
                             let back = route_link(net, flow, hop - 1);
                             self.queue.push(
                                 at + self.hop_delay(net, back),
-                                ControlEvent::Rollback { req, hop: hop - 1 },
+                                ControlEvent::Rollback { flow, hop: hop - 1 },
                             );
-                            self.setups.get_mut(&req).expect("read above").rolling_back = true;
+                            self.setups[flow.index()]
+                                .as_mut()
+                                .expect("read above")
+                                .rolling_back = true;
                         } else {
-                            self.setups.remove(&req);
+                            self.vacate(flow);
                             // Rejected at the very first hop: nothing was
                             // installed, so the flow's id slot can be
                             // reclaimed (a retry would re-activate it).
@@ -413,38 +429,37 @@ impl Signaling {
                     }
                 }
             }
-            ControlEvent::Rollback { req, hop } => {
-                let flow = self.setups[&req].flow;
+            ControlEvent::Rollback { flow, hop } => {
                 net.release_flow_on_link(flow, route_link(net, flow, hop));
                 if hop > 0 {
                     let back = route_link(net, flow, hop - 1);
                     self.queue.push(
                         at + self.hop_delay(net, back),
-                        ControlEvent::Rollback { req, hop: hop - 1 },
+                        ControlEvent::Rollback { flow, hop: hop - 1 },
                     );
                 } else {
-                    self.setups.remove(&req);
+                    self.vacate(flow);
                     // The rollback reached the first hop: every installed
                     // reservation is released, the slot can be reclaimed.
                     net.retire_flow(flow);
                 }
             }
-            ControlEvent::Confirm { req } => {
-                let s = self
-                    .setups
-                    .remove(&req)
-                    .expect("pending setup confirms once");
+            ControlEvent::Confirm { flow } => {
+                let s = self.vacate(flow);
                 if s.cancelled {
-                    // Withdrawn mid-setup: the teardown wave (always behind
-                    // this message) releases whatever was installed, and the
-                    // flow must not come back to life.
+                    // Withdrawn mid-setup: the teardown wave releases
+                    // whatever was installed, and the flow must not come
+                    // back to life; a wave already done left retiring it here.
+                    if s.released {
+                        net.retire_flow(flow);
+                    }
                     return;
                 }
-                net.activate_flow(s.flow);
-                self.decision_log.push((req, true));
+                net.activate_flow(flow);
+                self.decision_log.push((s.req, true));
                 self.events.push(SignalEvent::Accepted {
-                    request: req,
-                    flow: s.flow,
+                    request: s.req,
+                    flow,
                     at,
                 });
             }
@@ -464,8 +479,12 @@ impl Signaling {
                     // Confirm messages release nothing themselves — the
                     // teardown wave behind them does, and it always ends
                     // here).  The flow is reported drained once its last
-                    // in-flight packet leaves the network.
-                    net.retire_flow(flow);
+                    // in-flight packet leaves the network — and once the
+                    // withdrawn setup's confirmation, if still in flight, lands.
+                    match self.setups.get_mut(flow.index()) {
+                        Some(Some(setup)) => setup.released = true,
+                        _ => net.retire_flow(flow),
+                    }
                 }
             }
             ControlEvent::Renegotiate { req, hop } => self.reneg_at(net, at, req, hop),
@@ -528,6 +547,13 @@ impl Signaling {
                 });
             }
         }
+    }
+
+    /// Take `flow`'s finished setup out of its slot.
+    fn vacate(&mut self, flow: FlowId) -> PendingSetup {
+        self.setups_pending -= 1;
+        let setup = self.setups[flow.index()].take();
+        setup.expect("a setup message finds its entry")
     }
 
     fn reneg_at(&mut self, net: &mut Network, at: SimTime, req: RequestId, hop: usize) {
@@ -943,6 +969,38 @@ mod tests {
         }
         assert_eq!(sig.pending(), 0);
         assert!(sig.decision_log().is_empty());
+    }
+
+    #[test]
+    fn teardown_cancels_its_own_setup_and_the_recycled_slot_starts_clean() {
+        let (mut net, links) = net();
+        let mut sig = Signaling::default();
+        let two_hops = || FlowConfig::guaranteed(links.clone(), 100_000.0);
+        let (ra, _) = sig.submit(&mut net, two_hops());
+        let (_, fb) = sig.submit(&mut net, FlowConfig::guaranteed(vec![links[0]], 100_000.0));
+        let (rc, _) = sig.submit(&mut net, two_hops());
+        // Admitted at hop 0; confirmations due at 4, 2 and 4 ms.
+        sig.process_until(&mut net, SimTime::MILLISECOND);
+        assert_eq!(sig.pending(), 3);
+        sig.teardown(&mut net, fb);
+        // The release wave is done at once, ahead of the confirmation on the
+        // link: the flow keeps its id until that has landed.
+        let events = sig.process_until(&mut net, SimTime::from_micros(1500));
+        assert!(matches!(events[..], [SignalEvent::TornDown { flow, .. }] if flow == fb));
+        assert_eq!((sig.pending(), net.take_drained_flows()), (3, vec![]));
+        // The confirmation is swallowed: one transaction fewer, no verdict.
+        assert!(sig
+            .process_until(&mut net, SimTime::from_micros(2500))
+            .is_empty());
+        assert_eq!((sig.pending(), net.take_drained_flows()), (2, vec![fb]));
+        net.recycle_flow_slot(fb);
+        // The slot's next occupant is an ordinary setup; nobody else noticed.
+        let (rd, fd) = sig.submit(&mut net, FlowConfig::guaranteed(vec![links[1]], 100_000.0));
+        assert_eq!((fd, sig.pending()), (fb, 3));
+        sig.process_until(&mut net, SimTime::from_secs(1));
+        assert_eq!(sig.decision_log(), &[(ra, true), (rc, true), (rd, true)]);
+        assert_eq!(sig.pending(), 0);
+        assert!(net.flow_active(fd));
     }
 
     #[test]

@@ -322,39 +322,95 @@ impl<E> EventQueue<E> {
         self.near_term_is_empty() && self.wheel_len == 0 && self.overflow.is_empty()
     }
 
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_count(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Total number of events ever dispatched (popped) from this queue.
     pub fn dispatched_count(&self) -> u64 {
         self.popped
     }
 
     /// The largest number of events that were ever pending at once (a
-    /// deterministic function of the event sequence; survives `clear`).
+    /// deterministic function of the event sequence).
     pub fn depth_high_water(&self) -> u64 {
         self.depth_high_water
+    }
+}
+
+/// A deterministic min-priority queue for a sparse timeline: one binary
+/// heap on `(time, seq)`, with [`EventQueue`]'s contract — events with equal
+/// timestamps are returned in the order they were pushed — and no wheel.
+/// A handful of entries spread over seconds (in-flight control messages, a
+/// driver's scheduled actions) would promote a one-entry day per pop and
+/// push into a cold bucket every time; this is the queue for those, and the
+/// reference the property test holds the calendar to.
+#[derive(Debug)]
+pub struct HeapQueue<E> {
+    heap: BinaryHeap<Reverse<Entry<E>>>,
+    next_seq: u64,
+}
+
+impl<E> Default for HeapQueue<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<E> HeapQueue<E> {
+    /// Create an empty queue.
+    pub fn new() -> Self {
+        HeapQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+        }
+    }
+
+    /// Schedule `event` to fire at absolute simulated time `time`.
+    pub fn push(&mut self, time: SimTime, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse(Entry { time, seq, event }));
+    }
+
+    /// Remove and return the earliest event, if any.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.heap.pop().map(|Reverse(e)| (e.time, e.event))
+    }
+
+    /// The timestamp of the earliest pending event.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(e)| e.time)
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// `true` if no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
     }
 
     /// Drop every pending event.
     pub fn clear(&mut self) {
-        self.run.clear();
-        self.late.clear();
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.occupied = [0; (NUM_BUCKETS / 64) as usize];
-        self.wheel_len = 0;
-        self.base_day = 0;
-        self.overflow.clear();
+        self.heap.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn heap_queue_keeps_fifo_on_ties_and_clears() {
+        let (mut q, [a, b]) = (HeapQueue::new(), [1, 7].map(SimTime::from_millis));
+        for (at, i) in [(b, 0), (b, 1), (a, 2), (b, 3)] {
+            q.push(at, i);
+        }
+        assert_eq!((q.len(), q.peek_time()), (4, Some(a)));
+        let popped = [q.pop(), q.pop(), q.pop()];
+        assert_eq!(popped, [(a, 2), (b, 0), (b, 1)].map(Some));
+        q.clear();
+        assert!(q.is_empty() && q.pop().is_none());
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -389,13 +445,8 @@ mod tests {
         q.push(SimTime::from_secs(2), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
         assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_count(), 2);
         q.pop();
         assert_eq!(q.dispatched_count(), 1);
-        q.clear();
-        assert!(q.is_empty());
-        // counters survive a clear
-        assert_eq!(q.scheduled_count(), 2);
         assert_eq!(q.depth_high_water(), 2);
     }
 
@@ -517,10 +568,10 @@ mod proptests {
             }
         }
 
-        /// The calendar queue and a plain `(time, seq)` binary heap agree
-        /// after every operation — on the popped event, on `peek_time()`
-        /// and on `len()` — under interleaved pushes and pops with heavy
-        /// timestamp ties and the occasional far-future (spillover) push.
+        /// The calendar queue and [`HeapQueue`], the plain `(time, seq)` binary
+        /// heap, agree after every operation — on the popped event, on
+        /// `peek_time()` and on `len()` — under interleaved pushes and pops with
+        /// heavy timestamp ties and the occasional far-future (spillover) push.
         /// Times are drawn from a few coarse scales so runs hit the
         /// late-merge, in-window, and overflow paths in one sequence;
         /// class 4 packs hundreds of events into one 2^20 ns day and keeps
@@ -586,33 +637,31 @@ mod proptests {
         }
     }
 
-    /// The queue under test beside the reference it must track: one
-    /// `BinaryHeap` over `(time, seq)`, the payload being `seq` itself.
+    /// The calendar beside the reference it must track, [`HeapQueue`]; the
+    /// payload is the push's ordinal.
     #[derive(Default)]
     struct Model {
         q: EventQueue<u64>,
-        reference: BinaryHeap<Reverse<(SimTime, u64)>>,
+        reference: HeapQueue<u64>,
         next: u64,
     }
 
     impl Model {
         fn agree(&self) {
-            let want = self.reference.peek().map(|Reverse((t, _))| *t);
-            prop_assert_eq!(self.q.peek_time(), want);
+            prop_assert_eq!(self.q.peek_time(), self.reference.peek_time());
             prop_assert_eq!(self.q.len(), self.reference.len());
             prop_assert_eq!(self.q.is_empty(), self.reference.is_empty());
         }
 
         fn push(&mut self, t: SimTime) {
             self.q.push(t, self.next);
-            self.reference.push(Reverse((t, self.next)));
+            self.reference.push(t, self.next);
             self.next += 1;
             self.agree();
         }
 
         fn pop(&mut self) {
-            let want = self.reference.pop().map(|Reverse(entry)| entry);
-            prop_assert_eq!(self.q.pop(), want);
+            prop_assert_eq!(self.q.pop(), self.reference.pop());
             self.agree();
         }
 

@@ -9,9 +9,10 @@
 //!
 //! * [`SimTime`] — integer-nanosecond simulated time (no floating point in
 //!   event ordering, so runs are exactly reproducible),
-//! * [`EventQueue`] — a deterministic pending-event set with FIFO
-//!   tie-breaking for simultaneous events,
-//! * [`World`] and [`run`] — a minimal executor loop,
+//! * [`EventQueue`] and [`HeapQueue`] — deterministic pending-event sets
+//!   with FIFO tie-breaking for simultaneous events: a calendar wheel for
+//!   the data plane's dense timeline, a binary heap for the sparse ones
+//!   beside it,
 //! * [`rng`] — a small, self-contained PCG-64 random number generator plus
 //!   the inverse-CDF samplers (exponential, geometric, …) needed by the
 //!   paper's two-state Markov traffic sources.
@@ -24,12 +25,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod engine;
 pub mod event;
 pub mod rng;
 pub mod time;
 
-pub use engine::{run, run_until, StepResult, World};
-pub use event::EventQueue;
+pub use event::{EventQueue, HeapQueue};
 pub use rng::{Pcg64, SplitMix64};
 pub use time::SimTime;
