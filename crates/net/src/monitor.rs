@@ -207,7 +207,7 @@ impl Monitor {
         bits: u64,
         now: SimTime,
     ) {
-        self.note_time(now + tx_time);
+        self.note_time(now.saturating_add(tx_time));
         if now >= self.warmup {
             let l = &mut self.links[link];
             l.busy += tx_time;

@@ -627,7 +627,7 @@ impl Network {
         });
         let link = event_index(link.index(), "link");
         self.queue.push(
-            self.now + sample_interval,
+            self.now.saturating_add(sample_interval),
             NetEvent::AdmissionSample { link },
         );
     }
@@ -1012,8 +1012,12 @@ impl Network {
         for (delay, token) in api.timers.drain(..) {
             self.agents[agent.0].refs += 1;
             let agent = event_index(agent.0, "agent");
-            self.queue
-                .push(self.now + delay, NetEvent::Timer { agent, token });
+            // Saturating, like every sum that mints an event time: past
+            // `SimTime::MAX` a wrapped stamp would pop "from the past".
+            self.queue.push(
+                self.now.saturating_add(delay),
+                NetEvent::Timer { agent, token },
+            );
         }
         self.api_pool.push(api);
     }
@@ -1127,13 +1131,13 @@ impl Network {
         let mut packet = d.packet;
         packet.hop += 1;
         port.wire.push_back(packet);
-        let done = self.now + tx_time;
+        let done = self.now.saturating_add(tx_time);
         if params.propagation == SimTime::ZERO {
             self.queue.push(done, NetEvent::TxArrival { link: notice });
         } else {
             self.queue.push(done, NetEvent::TxComplete { link: notice });
             self.queue.push(
-                done + params.propagation,
+                done.saturating_add(params.propagation),
                 NetEvent::Arrival { link: notice },
             );
         }
@@ -1152,7 +1156,7 @@ impl Network {
         }
         ad.last_rt_bits = rt_bits;
         ad.last_sample = now;
-        let next = now + ad.sample_interval;
+        let next = now.saturating_add(ad.sample_interval);
         let link = event_index(link.index(), "link");
         self.queue.push(next, NetEvent::AdmissionSample { link });
     }
@@ -1692,6 +1696,39 @@ mod tests {
                 *seen.borrow(),
                 vec![SimTime::from_secs(5), SimTime::from_secs(6)]
             );
+        }
+    }
+
+    #[test]
+    fn event_times_saturate_at_the_end_of_time() {
+        /// Sends one packet at its start and arms one timer 1 ms out;
+        /// records the clock at the start and at the timer.
+        struct Late(FlowId, std::rc::Rc<std::cell::RefCell<Vec<SimTime>>>);
+        impl Agent for Late {
+            fn start(&mut self, api: &mut AgentApi) {
+                self.1.borrow_mut().push(api.now());
+                api.set_timer(SimTime::MILLISECOND, 0);
+                api.send(Packet::data(self.0, 0, PKT, api.now()));
+            }
+            fn on_timer(&mut self, _token: u64, api: &mut AgentApi) {
+                self.1.borrow_mut().push(api.now());
+            }
+        }
+        for propagation in [SimTime::ZERO, SimTime::from_millis(7)] {
+            let (topo, _nodes, links) = Topology::chain(2, MBIT, propagation, 200);
+            let mut net = Network::new(topo);
+            let flow = net.add_flow(FlowConfig::datagram(links));
+            net.run_until(SimTime::MAX);
+            assert_eq!(net.now(), SimTime::MAX);
+            // `now + delay` has nowhere to go: the timer, the completion and
+            // the arrival are all due at the end of time, not 1 ms after a
+            // wrapped clock's zero.
+            let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+            net.add_agent(Box::new(Late(flow, seen.clone())));
+            net.run_through(SimTime::MAX);
+            assert_eq!(*seen.borrow(), vec![SimTime::MAX, SimTime::MAX]);
+            assert_eq!(net.now(), SimTime::MAX);
+            assert_eq!(net.monitor_mut().flow_report(flow).delivered, 1);
         }
     }
 
