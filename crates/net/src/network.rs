@@ -18,7 +18,7 @@ use ispn_sched::{
     class_bucket, Discipline, Fifo, GuaranteedInstall, ProbeStats, Probed, QueueDiscipline,
     SchedContext,
 };
-use ispn_sim::{EventQueue, SimTime};
+use ispn_sim::{EventQueue, HeapQueue, SimTime};
 
 use crate::agent::{Agent, AgentApi, AgentId, Delivery};
 use crate::monitor::Monitor;
@@ -135,47 +135,42 @@ struct AdmissionState {
 
 struct Port {
     discipline: Probed<Discipline>,
+    /// A packet is being serialized onto the link.  Set by
+    /// [`Network::start_transmission`], which pushes the one completion
+    /// that clears it: a port never has two completions pending, which is
+    /// what bounds [`Network::completions`] at one entry per port.
     busy: bool,
     admission: Option<AdmissionState>,
     /// The packets this port has put on its link that have not yet reached
     /// the far end, in transmission order (the one being serialized
-    /// included).  The events that complete their journey
-    /// ([`NetEvent::Arrival`], [`NetEvent::TxArrival`]) only name the link
-    /// and take the front: a link's propagation delay is a constant and
-    /// its transmissions complete one after another, so arrival times are
-    /// non-decreasing in transmission order, and equal `(time, seq)`
-    /// timestamps pop in push order — the packet an arrival event was
-    /// pushed for is always the oldest one still on the wire.
+    /// included).  The events that complete their journey (a
+    /// [`NetEvent::Arrival`], or the completion itself on a
+    /// zero-propagation link) only name the link and take the front: a
+    /// link's propagation delay is a constant and its transmissions
+    /// complete one after another, so arrival times are non-decreasing in
+    /// transmission order, and equal `(time, seq)` timestamps pop in push
+    /// order — the packet an arrival event was pushed for is always the
+    /// oldest one still on the wire.
     wire: VecDeque<Packet>,
 }
 
-/// What the event queue holds: 16-byte notices that name an agent or a
+/// What the calendar holds: 16-byte notices that name an agent or a
 /// link, never a packet — an in-flight packet waits on its port's
 /// [`wire`](Port::wire), so the pending-event set moves and compares small
 /// entries however many packets are in flight.  Agent and link indices are
 /// stored as `u32`, narrowed with a check where they are minted
 /// ([`Network::add_agent`], [`Network::new`]).
+///
+/// A transmission completing is not one of them: it rides the link
+/// timeline, [`Network::completions`].
 enum NetEvent {
     Timer {
         agent: u32,
         token: u64,
     },
-    TxComplete {
-        link: u32,
-    },
-    /// The oldest packet on `link`'s wire reaches the far end.
+    /// The oldest packet on `link`'s wire reaches the far end of a
+    /// propagating link.
     Arrival {
-        link: u32,
-    },
-    /// A transmission completing on a zero-propagation link: the tail of
-    /// the packet leaves the port at the instant its head reaches the next
-    /// switch, so `TxComplete` and `Arrival` would always be pushed (and
-    /// popped) back-to-back at the same timestamp.  Merging them halves
-    /// the event traffic on the paper's zero-delay topologies.  The
-    /// handler replays the exact two-event order: free the port (possibly
-    /// starting the next transmission), then forward the packet — the
-    /// wire's front, which on such a link is its only entry.
-    TxArrival {
         link: u32,
     },
     AdmissionSample {
@@ -242,7 +237,27 @@ pub struct Network {
     api_pool: Vec<Box<AgentApi>>,
     monitor: Monitor,
     telemetry: NetTelemetry,
+    /// Agent timers, arrivals on propagating links and admission samples:
+    /// hundreds pending, tens to hundreds of milliseconds out — the
+    /// calendar's timeline.
     queue: EventQueue<NetEvent>,
+    /// The link timeline: for each transmitting port, the instant its
+    /// packet's tail leaves it, naming the link.  Links are non-preemptive
+    /// and carry one packet at a time, so a port has at most one entry here
+    /// ([`Port::busy`]) — one on a single-link run, eight on the Fig-1
+    /// chain — and a completion about one packet time out costs a sift
+    /// through that handful instead of a calendar day's append, sort and
+    /// promotion.
+    completions: HeapQueue<u32>,
+    /// The one sequence both timelines draw from, at the program points a
+    /// single queue would: [`run_events`](Network::run_events) pops the
+    /// smaller `(time, seq)` head, so events dispatch in exactly the order
+    /// one queue holding them all would give.
+    next_seq: u64,
+    /// Events dispatched from either timeline.
+    dispatched: u64,
+    /// The most events ever pending on the two timelines together.
+    pending_high_water: u64,
     now: SimTime,
     started: bool,
 }
@@ -277,6 +292,10 @@ impl Network {
             monitor: Monitor::new(0, num_links),
             telemetry: NetTelemetry::new(num_links),
             queue: EventQueue::new(),
+            completions: HeapQueue::new(),
+            next_seq: 0,
+            dispatched: 0,
+            pending_high_water: 0,
             now: SimTime::ZERO,
             started: false,
         }
@@ -318,12 +337,13 @@ impl Network {
 
     /// Total events dispatched by the event loop so far.
     pub fn events_processed(&self) -> u64 {
-        self.queue.dispatched_count()
+        self.dispatched
     }
 
-    /// The deepest the pending-event set ever was.
+    /// The deepest the pending-event set — calendar and link timeline
+    /// together — ever was.
     pub fn event_queue_high_water(&self) -> u64 {
-        self.queue.depth_high_water()
+        self.pending_high_water
     }
 
     /// The deepest any output-port queue ever was (in packets).
@@ -626,7 +646,7 @@ impl Network {
             last_rt_bits: self.monitor.link_realtime_bits_sent(link.index()),
         });
         let link = event_index(link.index(), "link");
-        self.queue.push(
+        self.schedule(
             self.now.saturating_add(sample_interval),
             NetEvent::AdmissionSample { link },
         );
@@ -948,25 +968,38 @@ impl Network {
         while let Some(next) = self.unstarted.pop_front() {
             self.dispatch(next, |agent, api| agent.start(api));
         }
-        while let Some(t) = self.queue.peek_time() {
+        loop {
+            // Both heads are compared on the full key: `seq` is what makes
+            // a timer and a completion due on the same nanosecond dispatch
+            // in the order they were pushed.
+            let (link_first, t) = match (self.completions.peek_key(), self.queue.peek_key()) {
+                (Some(c), Some(q)) if c < q => (true, c.0),
+                (Some(c), None) => (true, c.0),
+                (_, Some(q)) => (false, q.0),
+                (None, None) => break,
+            };
             if t > horizon || (t == horizon && !inclusive) {
                 break;
             }
-            let (t, ev) = self.queue.pop().expect("peeked event exists");
             debug_assert!(t >= self.now, "event from the past");
             self.now = t;
-            match ev {
+            self.dispatched += 1;
+            if link_first {
+                let (_, link) = self.completions.pop().expect("peeked event exists");
+                self.on_tx_done(LinkId(link as usize));
+                continue;
+            }
+            let (_, event) = self.queue.pop().expect("peeked event exists");
+            match event {
                 NetEvent::Timer { agent, token } => {
                     let agent = AgentId(agent as usize);
                     self.dispatch(agent, |a, api| a.on_timer(token, api));
                     self.unhold_agent(agent);
                 }
-                NetEvent::TxComplete { link } => self.on_tx_complete(LinkId(link as usize)),
                 NetEvent::Arrival { link } => {
                     let packet = self.take_off_wire(LinkId(link as usize));
                     self.forward(packet)
                 }
-                NetEvent::TxArrival { link } => self.on_tx_arrival(LinkId(link as usize)),
                 NetEvent::AdmissionSample { link } => {
                     self.on_admission_sample(LinkId(link as usize))
                 }
@@ -1001,6 +1034,29 @@ impl Network {
             .sum()
     }
 
+    // ----- the two timelines ----------------------------------------------
+
+    /// Put `event` on the calendar.
+    fn schedule(&mut self, at: SimTime, event: NetEvent) {
+        self.queue.push_with_seq(at, self.next_seq, event);
+        self.pushed();
+    }
+
+    /// Put `link`'s one pending completion on the link timeline.
+    fn schedule_completion(&mut self, at: SimTime, link: LinkId) {
+        let link = event_index(link.index(), "link");
+        self.completions.push_with_seq(at, self.next_seq, link);
+        self.pushed();
+    }
+
+    /// After a push to either timeline: the shared sequence moves on and
+    /// the pending set's high-water mark is taken.
+    fn pushed(&mut self) {
+        self.next_seq += 1;
+        let pending = (self.queue.len() + self.completions.len()) as u64;
+        self.pending_high_water = self.pending_high_water.max(pending);
+    }
+
     // ----- agent dispatch -------------------------------------------------
 
     /// Apply what `agent` asked for — packets, then timers, each in the
@@ -1014,7 +1070,7 @@ impl Network {
             let agent = event_index(agent.0, "agent");
             // Saturating, like every sum that mints an event time: past
             // `SimTime::MAX` a wrapped stamp would pop "from the past".
-            self.queue.push(
+            self.schedule(
                 self.now.saturating_add(delay),
                 NetEvent::Timer { agent, token },
             );
@@ -1098,7 +1154,6 @@ impl Network {
     /// Put the head of `link`'s queue on the wire.
     fn start_transmission(&mut self, link: LinkId) {
         let params = *self.topo.link(link);
-        let notice = event_index(link.index(), "link");
         let port = &mut self.ports[link.index()];
         debug_assert!(!port.busy);
         let d = port
@@ -1132,13 +1187,12 @@ impl Network {
         packet.hop += 1;
         port.wire.push_back(packet);
         let done = self.now.saturating_add(tx_time);
-        if params.propagation == SimTime::ZERO {
-            self.queue.push(done, NetEvent::TxArrival { link: notice });
-        } else {
-            self.queue.push(done, NetEvent::TxComplete { link: notice });
-            self.queue.push(
+        self.schedule_completion(done, link);
+        if params.propagation > SimTime::ZERO {
+            let link = event_index(link.index(), "link");
+            self.schedule(
                 done.saturating_add(params.propagation),
-                NetEvent::Arrival { link: notice },
+                NetEvent::Arrival { link },
             );
         }
     }
@@ -1158,15 +1212,7 @@ impl Network {
         ad.last_sample = now;
         let next = now.saturating_add(ad.sample_interval);
         let link = event_index(link.index(), "link");
-        self.queue.push(next, NetEvent::AdmissionSample { link });
-    }
-
-    fn on_tx_complete(&mut self, link: LinkId) {
-        let port = &mut self.ports[link.index()];
-        port.busy = false;
-        if !port.discipline.is_empty() {
-            self.start_transmission(link);
-        }
+        self.schedule(next, NetEvent::AdmissionSample { link });
     }
 
     /// The packet the arrival event just popped was pushed for: the oldest
@@ -1178,18 +1224,26 @@ impl Network {
             .expect("an arrival event implies a packet on the wire")
     }
 
-    fn on_tx_arrival(&mut self, link: LinkId) {
-        // Replays the exact order of the unmerged pair: the TxComplete
-        // half first (free the port, start the next transmission), then
-        // the Arrival half (forward the packet).  The packet comes off the
-        // wire before the next one goes on.
-        let packet = self.take_off_wire(link);
+    /// The tail of the packet `link` was serializing leaves the port: free
+    /// it and start the next transmission, if one is waiting.  On a
+    /// zero-propagation link that is also the instant the packet's head
+    /// reaches the next switch, so the completion doubles as the arrival —
+    /// no [`NetEvent::Arrival`] was pushed for it, which halves the event
+    /// traffic on the paper's zero-delay topologies — and replays the order
+    /// the pair would have had: free the port first, then forward the
+    /// packet, which comes off the wire (its only entry, on such a link)
+    /// before the next one goes on.
+    fn on_tx_done(&mut self, link: LinkId) {
+        let arrived =
+            (self.topo.link(link).propagation == SimTime::ZERO).then(|| self.take_off_wire(link));
         let port = &mut self.ports[link.index()];
         port.busy = false;
         if !port.discipline.is_empty() {
             self.start_transmission(link);
         }
-        self.forward(packet);
+        if let Some(packet) = arrived {
+            self.forward(packet);
+        }
     }
 
     fn deliver(&mut self, packet: Packet) {
@@ -1494,15 +1548,108 @@ mod tests {
         };
         let (mut a, fa) = build();
         a.run_until(SimTime::from_secs(1));
-        let (mut b, fb) = build();
-        for k in 1..=10 {
-            b.run_until(SimTime::from_millis(100 * k));
-        }
         let ra = a.monitor_mut().flow_report(fa);
-        let rb = b.monitor_mut().flow_report(fb);
-        assert_eq!(ra.delivered, rb.delivered);
-        assert_eq!(ra.mean_delay, rb.mean_delay);
-        assert_eq!(ra.max_delay, rb.max_delay);
+        // Every 100 ms, and at every instant a transmission completes
+        // (packet i is sent at 3i ms and leaves the link 1 ms later).
+        let coarse = (1..=10).map(|k| SimTime::from_millis(100 * k));
+        let on_completions = (0..50).map(|i| SimTime::from_millis(3 * i + 1));
+        for stops in [coarse.collect::<Vec<_>>(), on_completions.collect()] {
+            let (mut b, fb) = build();
+            for stop in stops {
+                b.run_until(stop);
+            }
+            b.run_until(SimTime::from_secs(1));
+            let rb = b.monitor_mut().flow_report(fb);
+            assert_eq!(ra.delivered, rb.delivered);
+            assert_eq!(ra.mean_delay, rb.mean_delay);
+            assert_eq!(ra.max_delay, rb.max_delay);
+            assert_eq!(a.events_processed(), b.events_processed());
+        }
+    }
+
+    #[test]
+    fn a_horizon_on_a_completion_instant_is_exclusive_for_run_until_only() {
+        let (mut net, link) = two_switch_net();
+        let flow = net.add_flow(FlowConfig::datagram(vec![link]));
+        let sent = SimTime::MILLISECOND;
+        net.add_agent(Box::new(ScheduledSender::new(flow, vec![sent])));
+        let done = sent + SimTime::MILLISECOND;
+        net.run_until(done);
+        // The timer ran; the completion due at the horizon waits.
+        assert_eq!((net.now(), net.events_processed()), (done, 1));
+        assert_eq!(net.monitor_mut().flow_report(flow).delivered, 0);
+        net.run_through(done);
+        assert_eq!((net.now(), net.events_processed()), (done, 2));
+        assert_eq!(net.monitor_mut().flow_report(flow).delivered, 1);
+    }
+
+    #[test]
+    fn a_timer_and_a_completion_due_together_dispatch_in_push_order() {
+        type Log = std::rc::Rc<std::cell::RefCell<Vec<(&'static str, SimTime)>>>;
+        /// Logs its timers (armed `delay` apart, `left` of them) and its
+        /// deliveries; sends one packet per timer if it has a flow.
+        struct Beat {
+            name: &'static str,
+            delay: SimTime,
+            left: u32,
+            flow: Option<FlowId>,
+            log: Log,
+        }
+        impl Beat {
+            fn arm(&mut self, api: &mut AgentApi) {
+                if self.left > 0 {
+                    self.left -= 1;
+                    api.set_timer(self.delay, 0);
+                }
+            }
+        }
+        impl Agent for Beat {
+            fn start(&mut self, api: &mut AgentApi) {
+                self.arm(api);
+            }
+            fn on_timer(&mut self, _token: u64, api: &mut AgentApi) {
+                self.log.borrow_mut().push((self.name, api.now()));
+                if let Some(flow) = self.flow {
+                    api.send(Packet::data(flow, 0, PKT, api.now()));
+                }
+                self.arm(api);
+            }
+            fn on_packet(&mut self, _delivery: Delivery, api: &mut AgentApi) {
+                self.log.borrow_mut().push(("delivery", api.now()));
+            }
+        }
+        let (mut net, link) = two_switch_net();
+        let log = Log::default();
+        let ms = SimTime::from_millis;
+        let beat = |name, delay, left, flow| {
+            let log = log.clone();
+            Box::new(Beat {
+                name,
+                delay,
+                left,
+                flow,
+                log,
+            })
+        };
+        // `early` arms its 2 ms timer at the start; `sender` fires at 1 ms,
+        // puts a packet on the link (completion due at 2 ms) and then
+        // re-arms for 2 ms.  Three events on one nanosecond, two structures:
+        // the timer pushed before the completion, the completion, and the
+        // timer pushed after it.
+        let sink = net.add_agent(beat("sink", ms(0), 0, None));
+        let flow = net.add_flow(FlowConfig::datagram(vec![link]).with_sink(sink));
+        net.add_agent(beat("early", ms(2), 1, None));
+        net.add_agent(beat("sender", ms(1), 2, Some(flow)));
+        net.run_until(ms(3));
+        assert_eq!(
+            *log.borrow(),
+            vec![
+                ("sender", ms(1)),
+                ("early", ms(2)),
+                ("delivery", ms(2)),
+                ("sender", ms(2)),
+            ]
+        );
     }
 
     use ispn_core::admission::{AdmissionConfig, AdmissionController};
@@ -1933,18 +2080,21 @@ mod tests {
         }
     }
 
-    /// Run `script` over a FIFO chain of `hops` 1 Mbit/s links with the
-    /// given propagation, two flows sharing the whole route and one sink,
+    /// Run `script` over a FIFO chain of 1 Mbit/s links, one per entry of
+    /// `propagation`, two flows sharing the whole route and one sink,
     /// stepping through `horizons`.  Packet conservation — Σ per-flow
     /// in-flight = Σ per-port queued + on the wire — is checked at every
     /// stop.  Returns the network and the deliveries in arrival order.
     fn run_script(
-        hops: usize,
-        propagation: SimTime,
+        propagation: &[SimTime],
         script: &Script,
         horizons: &[SimTime],
     ) -> (Network, Vec<Delivery>) {
-        let (topo, _nodes, links) = Topology::chain(hops + 1, MBIT, propagation, 200);
+        let mut topo = Topology::new();
+        let nodes = topo.add_nodes(propagation.len() + 1);
+        let links: Vec<LinkId> = (propagation.iter().zip(nodes.windows(2)))
+            .map(|(&p, ends)| topo.add_link(ends[0], ends[1], MBIT, p, 200))
+            .collect();
         let mut net = Network::new(topo);
         let delivered = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         let sink = net.add_agent(Box::new(RecordingSink {
@@ -1962,10 +2112,11 @@ mod tests {
         for &h in horizons {
             net.run_until(h);
             assert_eq!(net.packets_in_flight(), net.packets_held(), "at {h}");
-            wire_high_water = wire_high_water.max(net.ports[0].wire.len());
+            let longest = net.ports.iter().map(|p| p.wire.len()).max();
+            wire_high_water = wire_high_water.max(longest.expect("a chain has a port"));
         }
         assert_eq!(net.packets_held(), 0, "the script drained");
-        if propagation > SimTime::ZERO && horizons.len() > 1 {
+        if propagation.iter().any(|&p| p > SimTime::ZERO) && horizons.len() > 1 {
             assert!(
                 wire_high_water > 1,
                 "a stop should catch several packets mid-propagation"
@@ -1979,21 +2130,17 @@ mod tests {
     /// FIFO chain, script order — carrying its own `seq`, `size_bits` and
     /// final `hop`, at the instant store-and-forward FIFO service puts it
     /// there.
-    fn assert_fifo_deliveries(
-        deliveries: &[Delivery],
-        script: &Script,
-        hops: usize,
-        propagation: SimTime,
-    ) {
+    fn assert_fifo_deliveries(deliveries: &[Delivery], script: &Script, propagation: &[SimTime]) {
+        let hops = propagation.len();
         assert_eq!(deliveries.len(), script.len());
         // `free[h]`: when link h finishes its previous transmission.
         let mut free = vec![SimTime::ZERO; hops];
         for (i, (d, &(sent, flow, bits))) in deliveries.iter().zip(script).enumerate() {
             let mut at = sent;
-            for link_free in &mut free {
+            for (link_free, &wire) in free.iter_mut().zip(propagation) {
                 let done = at.max(*link_free) + ispn_sim::time::transmission_time(bits, MBIT);
                 *link_free = done;
-                at = done + propagation;
+                at = done + wire;
             }
             assert_eq!(d.packet.seq, i as u64, "delivery {i}");
             assert_eq!(d.packet.flow, FlowId(flow as u32), "delivery {i}");
@@ -2028,29 +2175,29 @@ mod tests {
     #[test]
     fn wire_delivers_in_transmission_order_on_a_long_link() {
         let script = mixed_script();
-        for hops in [1, 2] {
-            let (_, deliveries) = run_script(hops, LONG_WIRE, &script, &[SimTime::SECOND]);
-            assert_fifo_deliveries(&deliveries, &script, hops, LONG_WIRE);
+        for wires in [&[LONG_WIRE; 2][..1], &[LONG_WIRE; 2]] {
+            let (_, deliveries) = run_script(wires, &script, &[SimTime::SECOND]);
+            assert_fifo_deliveries(&deliveries, &script, wires);
         }
     }
 
     #[test]
     fn wire_survives_runs_split_mid_propagation() {
         let script = mixed_script();
-        let (_, deliveries) = run_script(2, LONG_WIRE, &script, &frequent_stops());
-        assert_fifo_deliveries(&deliveries, &script, 2, LONG_WIRE);
+        let (_, deliveries) = run_script(&[LONG_WIRE; 2], &script, &frequent_stops());
+        assert_fifo_deliveries(&deliveries, &script, &[LONG_WIRE; 2]);
     }
 
     #[test]
     fn wire_holds_a_tx_complete_driven_burst() {
         // Eight packets at one instant: the first is put on the link by
         // `forward`, each of the other seven by its predecessor's
-        // `TxComplete` handler, all onto the same wire before the first
-        // arrival, 10 ms out.
+        // completion, all onto the same wire before the first arrival,
+        // 10 ms out.
         let t0 = SimTime::from_millis(2);
         let script: Script = (0..8).map(|i| (t0, i % 2, [1000, 400][i % 2])).collect();
-        let (net, deliveries) = run_script(1, LONG_WIRE, &script, &[SimTime::SECOND]);
-        assert_fifo_deliveries(&deliveries, &script, 1, LONG_WIRE);
+        let (net, deliveries) = run_script(&[LONG_WIRE], &script, &[SimTime::SECOND]);
+        assert_fifo_deliveries(&deliveries, &script, &[LONG_WIRE]);
         // 8 timers + 8 completions + 8 arrivals.
         assert_eq!(net.events_processed(), 24);
     }
@@ -2058,9 +2205,32 @@ mod tests {
     #[test]
     fn wire_feeds_merged_tx_arrivals_on_a_zero_propagation_link() {
         let script = mixed_script();
-        for hops in [1, 2] {
-            let (_, deliveries) = run_script(hops, SimTime::ZERO, &script, &frequent_stops());
-            assert_fifo_deliveries(&deliveries, &script, hops, SimTime::ZERO);
+        for wires in [&[SimTime::ZERO; 2][..1], &[SimTime::ZERO; 2]] {
+            let (_, deliveries) = run_script(wires, &script, &frequent_stops());
+            assert_fifo_deliveries(&deliveries, &script, wires);
+        }
+    }
+
+    #[test]
+    fn both_timelines_count_as_one_pending_event_set() {
+        // 40 timers, plus per packet one completion on a zero-propagation
+        // hop and a completion and an arrival on a propagating one; the
+        // high-water mark is the calendar's and the link heap's lengths
+        // summed at every push to either.  The numbers are the ones the
+        // single-queue engine gave, however the run is sliced.
+        let script = mixed_script();
+        for (wires, events, high_water) in [
+            (&[SimTime::ZERO; 2][..], 120, 3),
+            (&[LONG_WIRE; 2], 200, 29),
+            (&[SimTime::ZERO, LONG_WIRE], 160, 16),
+            (&[LONG_WIRE, SimTime::ZERO], 160, 16),
+        ] {
+            for stops in [vec![SimTime::SECOND], frequent_stops()] {
+                let (net, deliveries) = run_script(wires, &script, &stops);
+                assert_fifo_deliveries(&deliveries, &script, wires);
+                assert_eq!(net.events_processed(), events, "{wires:?}");
+                assert_eq!(net.event_queue_high_water(), high_water, "{wires:?}");
+            }
         }
     }
 

@@ -37,6 +37,20 @@
 //! `seq` is unique, so the order events pop in is exactly the order one
 //! heap over everything would produce — which is what the
 //! `matches_a_reference_heap` property test checks operation by operation.
+//!
+//! # Several timelines, one order
+//!
+//! Not every timeline is dense.  [`HeapQueue`] is the same contract on one
+//! binary heap, for the sparse ones, and a caller can run two queues as one
+//! pending-event set: it draws every `seq` from a single counter of its own
+//! (`push_with_seq` on either type) and pops whichever head has the smaller
+//! `(time, seq)` ([`EventQueue::peek_key`], [`HeapQueue::peek_key`]).  `seq`
+//! is unique across both, so the dispatch order is the one a single queue
+//! holding everything would give — the packet network keeps each
+//! transmitting link's one pending completion in a heap this way, beside
+//! the calendar that holds its timers, and
+//! `two_queues_under_one_sequence_match_a_reference_heap` checks the merge
+//! operation by operation.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -153,6 +167,18 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.push_with_seq(time, seq, event);
+    }
+
+    /// Schedule `event` at `time` under a sequence number the caller drew
+    /// from a counter it shares between this queue and others, so that the
+    /// `(time, seq)` order runs across all of them (see [`peek_key`]).  Each
+    /// `seq` must be used once; a queue fed this way is never also fed
+    /// through [`push`], which draws from the queue's own counter.
+    ///
+    /// [`peek_key`]: EventQueue::peek_key
+    /// [`push`]: EventQueue::push
+    pub fn push_with_seq(&mut self, time: SimTime, seq: u64, event: E) {
         let entry = Entry { time, seq, event };
         let d = day(time);
         if d < self.base_day {
@@ -284,32 +310,38 @@ impl<E> EventQueue<E> {
     }
 
     /// The timestamp of the earliest pending event.
+    #[inline]
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.peek_key().map(|(time, _)| time)
+    }
+
+    /// The `(time, seq)` key of the event [`pop`](EventQueue::pop) would
+    /// return: what a caller merging this queue with another under one
+    /// sequence compares, so that ties in `time` still resolve in push order.
     ///
     /// `O(1)` whenever the near-term set is non-empty (always, right after
     /// a pop): the earlier of the sorted run's and `late`'s heads.  After a
     /// push into an empty near-term set it scans the next occupied day's
     /// bucket without promoting it.
     #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let run = self.run.last().map(|e| e.time);
-        let late = self.late.peek().map(|Reverse(e)| e.time);
-        let near_term = match (run, late) {
-            (Some(r), Some(l)) => Some(r.min(l)),
-            (r, l) => r.or(l),
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        let first = match (self.run.last(), self.late.peek()) {
+            (Some(r), Some(Reverse(l))) => Some(r.min(l)),
+            (r, l) => r.or(l.map(|Reverse(l)| l)),
         };
-        if near_term.is_some() {
-            return near_term;
-        }
-        if self.wheel_len > 0 {
+        let first = first.or_else(|| {
+            if self.wheel_len == 0 {
+                return self.overflow.peek().map(|Reverse(e)| e);
+            }
             let base_idx = (self.base_day & (NUM_BUCKETS - 1)) as usize;
             let idx = self
                 .next_occupied(base_idx)
                 .expect("wheel_len > 0 implies an occupied bucket");
             // The wheel's earliest day beats every spillover entry (their
             // days are beyond the window), so the bucket minimum decides.
-            return self.buckets[idx].iter().map(|e| e.time).min();
-        }
-        self.overflow.peek().map(|Reverse(e)| e.time)
+            self.buckets[idx].iter().min()
+        });
+        first.map(|e| (e.time, e.seq))
     }
 
     /// Number of pending events.
@@ -334,13 +366,16 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// A deterministic min-priority queue for a sparse timeline: one binary
-/// heap on `(time, seq)`, with [`EventQueue`]'s contract — events with equal
-/// timestamps are returned in the order they were pushed — and no wheel.
-/// A handful of entries spread over seconds (in-flight control messages, a
-/// driver's scheduled actions) would promote a one-entry day per pop and
-/// push into a cold bucket every time; this is the queue for those, and the
-/// reference the property test holds the calendar to.
+/// A deterministic min-priority queue for a timeline that is sparse or
+/// small: one binary heap on `(time, seq)`, with [`EventQueue`]'s contract —
+/// events with equal timestamps are returned in the order they were pushed —
+/// and no wheel.  It has three users.  In-flight control messages and a
+/// driver's scheduled actions are a handful of entries spread over seconds,
+/// which on the calendar would promote a one-entry day per pop and push into
+/// a cold bucket every time.  A network's pending link completions are at
+/// most one per port, each about a packet time out, merged with the
+/// calendar's timers under one sequence ([`HeapQueue::push_with_seq`]).  It
+/// is also the reference the property tests hold the calendar to.
 #[derive(Debug)]
 pub struct HeapQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
@@ -366,6 +401,13 @@ impl<E> HeapQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.push_with_seq(time, seq, event);
+    }
+
+    /// Schedule `event` at `time` under a sequence number drawn from a
+    /// counter shared with other queues: [`EventQueue::push_with_seq`]'s
+    /// contract.
+    pub fn push_with_seq(&mut self, time: SimTime, seq: u64, event: E) {
         self.heap.push(Reverse(Entry { time, seq, event }));
     }
 
@@ -376,7 +418,14 @@ impl<E> HeapQueue<E> {
 
     /// The timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        self.peek_key().map(|(time, _)| time)
+    }
+
+    /// The `(time, seq)` key of the event [`pop`](HeapQueue::pop) would
+    /// return (see [`EventQueue::peek_key`]).
+    #[inline]
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.heap.peek().map(|Reverse(e)| (e.time, e.seq))
     }
 
     /// Number of pending events.
@@ -571,12 +620,8 @@ mod proptests {
         /// The calendar queue and [`HeapQueue`], the plain `(time, seq)` binary
         /// heap, agree after every operation — on the popped event, on
         /// `peek_time()` and on `len()` — under interleaved pushes and pops with
-        /// heavy timestamp ties and the occasional far-future (spillover) push.
-        /// Times are drawn from a few coarse scales so runs hit the
-        /// late-merge, in-window, and overflow paths in one sequence;
-        /// class 4 packs hundreds of events into one 2^20 ns day and keeps
-        /// pushing into it while it drains, so `late` entries tie exactly
-        /// with entries already in the sorted run.
+        /// heavy timestamp ties and the occasional far-future (spillover) push
+        /// (the op stream is [`Model::run`]'s).
         #[test]
         fn matches_a_reference_heap(
             ops in proptest::collection::vec(
@@ -585,35 +630,26 @@ mod proptests {
                 1..400,
             )
         ) {
-            let mut model = Model::default();
-            for (is_push, class, raw) in ops {
-                if !is_push {
-                    model.pop();
-                    continue;
-                }
-                // Coarse quantization produces many exact ties; class 3
-                // lands beyond the 1024-day wheel horizon.
-                match class {
-                    0 => model.push(SimTime::from_millis(raw / 100)), // heavy ties
-                    1 => model.push(SimTime::from_millis(raw)),       // in-window
-                    2 => model.push(SimTime::from_micros(raw * 37)),  // sub-day spread
-                    3 => model.push(SimTime::from_secs(2 + raw)),     // spillover
-                    _ => {
-                        // A dense day: a burst into day 3 on a 64 ns grid
-                        // (16 distinct stamps), one pop to promote it if
-                        // it was not already, then more of the same stamps.
-                        let stamp = |k: u64| SimTime::from_nanos((3 << DAY_SHIFT) + (k % 16) * 64);
-                        for k in 0..raw / 4 {
-                            model.push(stamp(raw + k));
-                        }
-                        model.pop();
-                        for k in 0..raw / 16 {
-                            model.push(stamp(raw + 7 * k));
-                        }
-                    }
-                }
-            }
-            model.drain();
+            // Every push goes to the calendar.
+            Model::run(ops.into_iter().map(|(is_push, class, raw)| (is_push, class, raw, 0)));
+        }
+
+        /// Two timelines under one order: a calendar and a second heap that
+        /// draw `seq` from one counter, popped by the smaller `(time, seq)`
+        /// head, dispatch exactly as the single reference heap holding
+        /// everything does — the same op stream, with `route`'s bits
+        /// choosing the structure each push of the op goes to.  Ties in
+        /// `time` across the two structures are what the heavy-ties and
+        /// dense-day classes are for.
+        #[test]
+        fn two_queues_under_one_sequence_match_a_reference_heap(
+            ops in proptest::collection::vec(
+                // (is_push, time_class, time_raw, route).
+                (any::<bool>(), 0u8..5, 0u64..1_000, any::<u64>()),
+                1..400,
+            )
+        ) {
+            Model::run(ops);
         }
 
         /// Drain to empty, then push earlier than anything popped so far:
@@ -626,42 +662,108 @@ mod proptests {
         ) {
             let mut model = Model::default();
             for t in first {
-                model.push(SimTime::from_micros(5_000 + t));
+                model.push(SimTime::from_micros(5_000 + t), false);
             }
             model.drain();
             for t in second {
-                model.push(SimTime::from_micros(t));
-                model.push(SimTime::from_micros(5_000 + t));
+                model.push(SimTime::from_micros(t), false);
+                model.push(SimTime::from_micros(5_000 + t), false);
             }
             model.drain();
         }
     }
 
-    /// The calendar beside the reference it must track, [`HeapQueue`]; the
-    /// payload is the push's ordinal.
+    /// The calendar, and beside it a second heap fed from the same sequence,
+    /// against the reference the pair must track: one [`HeapQueue`] that is
+    /// pushed everything.  The payload is the push's ordinal, which is also
+    /// its `seq` in all three.
     #[derive(Default)]
     struct Model {
         q: EventQueue<u64>,
+        beside: HeapQueue<u64>,
         reference: HeapQueue<u64>,
         next: u64,
     }
 
     impl Model {
-        fn agree(&self) {
-            prop_assert_eq!(self.q.peek_time(), self.reference.peek_time());
-            prop_assert_eq!(self.q.len(), self.reference.len());
-            prop_assert_eq!(self.q.is_empty(), self.reference.is_empty());
+        /// Drive `(is_push, time_class, time_raw, route)` ops, then drain.
+        /// Times are drawn from a few coarse scales so runs hit the
+        /// late-merge, in-window, and overflow paths in one sequence;
+        /// class 4 packs hundreds of events into one 2^20 ns day and keeps
+        /// pushing into it while it drains, so `late` entries tie exactly
+        /// with entries already in the sorted run.  Push `i` of an op goes
+        /// to the second heap iff bit `i % 64` of `route` is set.
+        fn run(ops: impl IntoIterator<Item = (bool, u8, u64, u64)>) {
+            let mut model = Model::default();
+            for (is_push, class, raw, route) in ops {
+                if !is_push {
+                    model.pop();
+                    continue;
+                }
+                let beside = |i: u64| route >> (i % 64) & 1 == 1;
+                // Coarse quantization produces many exact ties; class 3
+                // lands beyond the 1024-day wheel horizon.
+                match class {
+                    0 => model.push(SimTime::from_millis(raw / 100), beside(0)), // heavy ties
+                    1 => model.push(SimTime::from_millis(raw), beside(0)),       // in-window
+                    2 => model.push(SimTime::from_micros(raw * 37), beside(0)),  // sub-day spread
+                    3 => model.push(SimTime::from_secs(2 + raw), beside(0)),     // spillover
+                    _ => {
+                        // A dense day: a burst into day 3 on a 64 ns grid
+                        // (16 distinct stamps), one pop to promote it if
+                        // it was not already, then more of the same stamps.
+                        let stamp = |k: u64| SimTime::from_nanos((3 << DAY_SHIFT) + (k % 16) * 64);
+                        for k in 0..raw / 4 {
+                            model.push(stamp(raw + k), beside(k));
+                        }
+                        model.pop();
+                        for k in 0..raw / 16 {
+                            model.push(stamp(raw + 7 * k), beside(raw / 4 + k));
+                        }
+                    }
+                }
+            }
+            model.drain();
         }
 
-        fn push(&mut self, t: SimTime) {
-            self.q.push(t, self.next);
+        /// Which structure holds the earliest event: the smaller head on the
+        /// full `(time, seq)` key.
+        fn beside_first(&self) -> bool {
+            match (self.beside.peek_key(), self.q.peek_key()) {
+                (Some(b), Some(q)) => b < q,
+                (b, _) => b.is_some(),
+            }
+        }
+
+        fn agree(&self) {
+            let heads = [self.q.peek_time(), self.beside.peek_time()];
+            let earliest = heads.into_iter().flatten().min();
+            prop_assert_eq!(earliest, self.reference.peek_time());
+            prop_assert_eq!(self.q.len() + self.beside.len(), self.reference.len());
+            prop_assert_eq!(
+                self.q.is_empty() && self.beside.is_empty(),
+                self.reference.is_empty()
+            );
+        }
+
+        fn push(&mut self, t: SimTime, beside: bool) {
+            if beside {
+                self.beside.push_with_seq(t, self.next, self.next);
+            } else {
+                self.q.push_with_seq(t, self.next, self.next);
+            }
             self.reference.push(t, self.next);
             self.next += 1;
             self.agree();
         }
 
         fn pop(&mut self) {
-            prop_assert_eq!(self.q.pop(), self.reference.pop());
+            let popped = if self.beside_first() {
+                self.beside.pop()
+            } else {
+                self.q.pop()
+            };
+            prop_assert_eq!(popped, self.reference.pop());
             self.agree();
         }
 
