@@ -378,6 +378,7 @@ impl Experiment for Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ispn_scenario::assert_wire_codec;
 
     fn fast(arrivals_per_sec: f64) -> ChurnConfig {
         ChurnConfig::new(PaperConfig::fast(), arrivals_per_sec, 15.0)
@@ -458,5 +459,30 @@ mod tests {
             assert_eq!(s.mean_utilization, p.mean_utilization);
             assert_eq!(s.worst_bound_fraction, p.worst_bound_fraction);
         }
+    }
+
+    #[test]
+    fn outcomes_round_trip_the_wire() {
+        let outcome = ChurnOutcome {
+            offered_erlangs: 3.0,
+            offered: 4,
+            accepted: 3,
+            rejected: 1,
+            decisions: vec![true, true, false, true],
+            mean_utilization: 0.5,
+            worst_utilization: 0.75,
+            violations: 0,
+            worst_bound_fraction: f64::NAN,
+            residual_reserved_bps: 0.0,
+        };
+        let json = "{\"offered_erlangs\":3.0,\"offered\":4,\"accepted\":3,\"rejected\":1,\
+            \"decisions\":[true,true,false,true],\"mean_utilization\":0.5,\
+            \"worst_utilization\":0.75,\"violations\":0,\"worst_bound_fraction\":null,\
+            \"residual_reserved_bps\":0.0}";
+        assert_wire_codec(
+            &outcome,
+            json,
+            &[&json.replace("\"offered\":4", "\"offered\":4.5")],
+        );
     }
 }

@@ -211,6 +211,7 @@ impl Experiment for Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ispn_scenario::assert_wire_codec;
     use ispn_sim::SimTime;
 
     fn short() -> PaperConfig {
@@ -271,5 +272,34 @@ mod tests {
         let schedulers: std::collections::BTreeSet<&str> =
             points.iter().map(|p| p.scheduler).collect();
         assert_eq!(schedulers.len(), 4);
+    }
+
+    #[test]
+    fn points_round_trip_the_wire() {
+        let point = HetMixPoint {
+            scheduler: "Unified",
+            level: 2,
+            utilization: f64::NAN,
+            classes: vec![ClassStats {
+                class: "Guaranteed-CBR",
+                flows: 2,
+                mean: 0.5,
+                worst_p999: 1.0,
+                worst_max: 1.25,
+                jitter: 0.1,
+                loss_rate: 0.0,
+            }],
+        };
+        let json = "{\"scheduler\":\"Unified\",\"level\":2,\"utilization\":null,\
+            \"classes\":[{\"class\":\"Guaranteed-CBR\",\"flows\":2,\"mean\":0.5,\
+            \"worst_p999\":1.0,\"worst_max\":1.25,\"jitter\":0.1,\"loss_rate\":0.0}]}";
+        assert_wire_codec(
+            &point,
+            json,
+            &[
+                &json.replace("Unified", "EvilSched"),
+                &json.replace("Guaranteed-CBR", "Best-Effort-Maybe"),
+            ],
+        );
     }
 }

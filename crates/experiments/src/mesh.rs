@@ -368,6 +368,7 @@ impl Experiment for Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ispn_scenario::assert_wire_codec;
 
     /// Drift guard: every class label mesh and hetmix hand to
     /// [`aggregate_class`] must intern, or distributed runs would poison
@@ -446,5 +447,52 @@ mod tests {
         let a = run(&cfg, 2);
         let b = run(&cfg, 2);
         assert_eq!(a.report.to_json(), b.report.to_json());
+    }
+
+    #[test]
+    fn class_rows_and_outcomes_round_trip_the_wire() {
+        let class = ClassStats {
+            class: "Predicted-Low",
+            flows: 4,
+            mean: 1.5,
+            worst_p999: 20.0,
+            worst_max: f64::NAN,
+            jitter: 0.25,
+            loss_rate: 0.0,
+        };
+        let class_json = "{\"class\":\"Predicted-Low\",\"flows\":4,\"mean\":1.5,\
+            \"worst_p999\":20.0,\"worst_max\":null,\"jitter\":0.25,\"loss_rate\":0.0}";
+        assert_wire_codec(
+            &class,
+            class_json,
+            &[&class_json.replace("Predicted-Low", "Best-Effort-Maybe")],
+        );
+        let outcome = MeshOutcome {
+            cross_flows_per_row: 2,
+            classes: vec![class],
+            interior_utilization: 0.9,
+            edge_utilization: 0.4,
+            interior_drops: 7,
+            report: ScenarioReport {
+                horizon_s: 20.0,
+                flows: Vec::new(),
+                links: Vec::new(),
+                classes: Vec::new(),
+                disciplines: Vec::new(),
+                signaling: None,
+                telemetry: None,
+            },
+        };
+        let outcome_json = format!(
+            "{{\"cross_flows_per_row\":2,\"classes\":[{class_json}],\
+             \"interior_utilization\":0.9,\"edge_utilization\":0.4,\"interior_drops\":7,\
+             \"report\":{{\"horizon_s\":20.0,\"flows\":[],\"links\":[],\"classes\":[],\
+             \"disciplines\":[],\"signaling\":null}}}}"
+        );
+        assert_wire_codec(
+            &outcome,
+            &outcome_json,
+            &[&outcome_json.replace("\"interior_drops\":7", "\"interior_drops\":-7")],
+        );
     }
 }

@@ -155,6 +155,7 @@ impl Experiment for Sweep {
 mod tests {
     use super::*;
     use crate::experiment::rows;
+    use ispn_scenario::assert_wire_codec;
 
     #[test]
     fn shortened_run_reproduces_the_tables_shape() {
@@ -196,17 +197,14 @@ mod tests {
             mean: 3.16,
             p999: 53.86,
             all_flows_mean: 1.0 / 3.0,
-            all_flows_worst_p999: 60.0,
+            all_flows_worst_p999: f64::NAN,
             utilization: 0.835,
         };
-        let json = row.to_wire_json();
-        let back = Table1Row::from_wire_json(&JsonValue::parse(&json).unwrap()).unwrap();
-        assert_eq!(back.to_wire_json(), json);
-        assert_eq!(back.scheduler, "WFQ");
-        assert_eq!(back.all_flows_mean, row.all_flows_mean);
+        let json = "{\"scheduler\":\"WFQ\",\"mean\":3.16,\"p999\":53.86,\
+            \"all_flows_mean\":0.3333333333333333,\"all_flows_worst_p999\":null,\
+            \"utilization\":0.835}";
         // Unknown scheduler labels are schema errors, not panics.
-        let hostile = json.replace("WFQ", "EvilSched");
-        assert!(Table1Row::from_wire_json(&JsonValue::parse(&hostile).unwrap()).is_err());
+        assert_wire_codec(&row, json, &[&json.replace("WFQ", "EvilSched")]);
     }
 
     #[test]

@@ -221,6 +221,7 @@ impl Experiment for Sweep {
 mod tests {
     use super::*;
     use crate::experiment::rows;
+    use ispn_scenario::assert_wire_codec;
 
     #[test]
     fn shortened_run_reproduces_the_tables_shape() {
@@ -265,5 +266,34 @@ mod tests {
             let (p, _) = flows.iter().find(|(_, id)| *id == f).unwrap();
             assert_eq!(p.hops, h);
         }
+    }
+
+    #[test]
+    fn cells_and_points_round_trip_the_wire() {
+        let cell = Table2Cell {
+            scheduler: "FIFO+",
+            path_length: 3,
+            mean: 1.0 / 3.0,
+            p999: f64::NAN,
+        };
+        let cell_json =
+            "{\"scheduler\":\"FIFO+\",\"path_length\":3,\"mean\":0.3333333333333333,\"p999\":null}";
+        assert_wire_codec(
+            &cell,
+            cell_json,
+            &[&cell_json.replace("FIFO+", "EvilSched")],
+        );
+        let point = Table2Point {
+            scheduler: "WFQ",
+            cells: vec![cell],
+            utilization: 0.835,
+        };
+        let point_json =
+            format!("{{\"scheduler\":\"WFQ\",\"cells\":[{cell_json}],\"utilization\":0.835}}");
+        assert_wire_codec(
+            &point,
+            &point_json,
+            &[&point_json.replace("WFQ", "EvilSched")],
+        );
     }
 }

@@ -395,6 +395,7 @@ pub fn summarize(cfg: &PaperConfig, scenario: &mut Table3Scenario) -> Table3 {
 mod tests {
     use super::*;
     use ispn_core::ServiceClass;
+    use ispn_scenario::assert_wire_codec;
 
     #[test]
     fn clock_rates_and_buckets_match_the_paper() {
@@ -508,6 +509,53 @@ mod tests {
             t.tcp_goodput_pps.iter().all(|&g| g > 10.0),
             "{:?}",
             t.tcp_goodput_pps
+        );
+    }
+
+    #[test]
+    fn rows_and_tables_round_trip_the_wire() {
+        let bounded = Table3Row {
+            kind: FlowKind::GuaranteedPeak,
+            path_length: 4,
+            mean: 2.5,
+            p999: f64::NAN,
+            max: 30.25,
+            pg_bound: Some(77.0),
+        };
+        let bounded_json = "{\"kind\":\"Guaranteed-Peak\",\"path_length\":4,\"mean\":2.5,\
+            \"p999\":null,\"max\":30.25,\"pg_bound\":77.0}";
+        assert_wire_codec(
+            &bounded,
+            bounded_json,
+            &[&bounded_json.replace("Guaranteed-Peak", "Best-Effort-Maybe")],
+        );
+        let unbounded = Table3Row {
+            kind: FlowKind::PredictedLow,
+            path_length: 1,
+            mean: 0.1,
+            p999: 9.0,
+            max: 11.0,
+            pg_bound: None,
+        };
+        let unbounded_json = "{\"kind\":\"Predicted-Low\",\"path_length\":1,\"mean\":0.1,\
+            \"p999\":9.0,\"max\":11.0,\"pg_bound\":null}";
+        assert_wire_codec(&unbounded, unbounded_json, &[]);
+        let table = Table3 {
+            rows: vec![bounded, unbounded],
+            datagram_drop_rate: 0.001,
+            mean_utilization: 0.99,
+            realtime_utilization: 0.835,
+            tcp_goodput_pps: vec![12.5, 13.0],
+        };
+        let table_json = format!(
+            "{{\"rows\":[{bounded_json},{unbounded_json}],\"datagram_drop_rate\":0.001,\
+             \"mean_utilization\":0.99,\"realtime_utilization\":0.835,\
+             \"tcp_goodput_pps\":[12.5,13.0]}}"
+        );
+        assert_wire_codec(
+            &table,
+            &table_json,
+            &[&table_json.replace("Predicted-Low", "Best-Effort-Maybe")],
         );
     }
 }

@@ -96,7 +96,7 @@ pub use report::{
 pub use sim::{ChurnFlowRecord, ChurnFlowReport, Sim};
 pub use sweep::dist::{Await, DistRunner, SweepExec, WorkerCommand, WorkerTransport};
 pub use sweep::net::{serve_listener, HostSpec, LISTENING_BANNER};
-pub use sweep::testing::{FaultMode, FaultPlan};
+pub use sweep::testing::{assert_wire_codec, FaultMode, FaultPlan};
 pub use sweep::wire::{wire_f64, JsonValue, WireError, WireResult};
 pub use sweep::worker::{serve_connection, serve_worker, SessionInfo, WORKER_FLAG};
 pub use sweep::{

@@ -1007,6 +1007,50 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
+    /// The report's bytes, pinned here and not only by the benchmark
+    /// goldens: key order, `{:?}` floats, `null` for an absent histogram
+    /// or signaling block, and no `telemetry` key at all when there is none.
+    #[test]
+    fn json_is_pinned_byte_for_byte_in_every_shape() {
+        const HEAD: &str = "{\"horizon_s\":40.0,\"flows\":[{\"flow\":0,\"generated\":100,\
+            \"delivered\":98,\"dropped_buffer\":2,\"dropped_at_edge\":0,\"dropped_inactive\":0,\
+            \"mean_delay_s\":0.003,\"p999_delay_s\":0.05,\"max_delay_s\":0.06,\
+            \"jitter_s\":0.004}],\"links\":[{\"link\":0,\"utilization\":0.83,\
+            \"realtime_utilization\":0.8,\"drops\":2,\"packets_sent\":98}],\
+            \"classes\":[{\"class\":\"predicted-0\",\"flows\":1,\"generated\":100,\
+            \"delivered\":98,\"dropped_buffer\":2,\"dropped_at_edge\":0,\"mean_delay_s\":0.003,\
+            \"max_delay_s\":0.06,\"jitter_s\":0.004,\"quantiles\":[[0.5,0.002],[0.999,0.05]],\
+            \"histogram\":";
+        const HISTOGRAM: &str = "{\"lo_s\":0.0,\"hi_s\":0.1,\"counts\":[90,8],\
+            \"underflow\":0,\"overflow\":0}";
+        const MIDDLE: &str = "}],\"disciplines\":[{\"discipline\":\"WFQ\",\"links\":1,\
+            \"mean_utilization\":0.83,\"mean_realtime_utilization\":0.8,\"drops\":2,\
+            \"packets_sent\":98}],\"signaling\":";
+        const SIGNALING: &str = "{\"accepted\":3,\"rejected\":1,\"pending\":0,\
+            \"decisions\":[true,true,false,true]}";
+        const TELEMETRY: &str = ",\"telemetry\":{\"events_processed\":1234,\
+            \"event_queue_high_water\":17,\"peak_queue_depth\":9,\"admission_accepted\":3,\
+            \"admission_rejected\":1,\"flow_table_bytes\":2048,\"reservation_state_bytes\":512,\
+            \"sched_pool_grow_events\":7,\"sched_pool_segments_high_water\":5,\"wall_s\":0.25,\
+            \"events_per_sec\":4936.0}";
+
+        let full = sample_report();
+        assert_eq!(
+            full.to_json(),
+            [HEAD, HISTOGRAM, MIDDLE, SIGNALING, "}"].concat()
+        );
+        let mut bare = sample_report();
+        bare.classes[0].histogram = None;
+        bare.signaling = None;
+        assert_eq!(bare.to_json(), [HEAD, "null", MIDDLE, "null", "}"].concat());
+        let mut measured = sample_report();
+        measured.telemetry = Some(sample_telemetry());
+        assert_eq!(
+            measured.to_json(),
+            [HEAD, HISTOGRAM, MIDDLE, SIGNALING, TELEMETRY, "}"].concat()
+        );
+    }
+
     #[test]
     fn telemetry_off_emits_no_key_telemetry_on_appends_one() {
         let off = sample_report().to_json();

@@ -36,8 +36,14 @@
 //! [`FaultMode::HelloHang`], the session ordinal) and a poisoned point is
 //! never re-dispatched, a respawned replacement worker does not re-trigger
 //! the fault — each plan fires at most once per matching worker.
+//!
+//! [`assert_wire_codec`] is the other thing tests on both sides of the
+//! crate boundary share: the one statement of what a record's wire codec
+//! must do.
 
 use std::time::Duration;
+
+use super::wire::{JsonValue, WireResult};
 
 /// How a designated worker misbehaves at the chosen point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,6 +251,28 @@ impl FaultPlan {
         self.mode == FaultMode::HelloHang
             && self.point == session
             && self.worker.map(|w| w == worker).unwrap_or(true)
+    }
+}
+
+/// The contract every [`WireResult`] record's tests hold it to: `value`
+/// encodes to exactly `expected` (give a float field NaN and the literal
+/// shows it travelling as `null`), the encoding parses and decodes, the
+/// decoded value re-encodes to the same bytes, and every document in
+/// `rejected` — `expected` with a label no pool knows, say — fails to
+/// decode with a [`WireError`](super::wire::WireError) instead of
+/// panicking.
+///
+/// # Panics
+/// Panics when the record breaks the contract.
+pub fn assert_wire_codec<T: WireResult>(value: &T, expected: &str, rejected: &[&str]) {
+    let json = value.to_wire_json();
+    assert_eq!(json, expected);
+    let parsed = JsonValue::parse(&json).expect("a record's own encoding parses");
+    let back = T::from_wire_json(&parsed).expect("a record's own encoding decodes");
+    assert_eq!(back.to_wire_json(), json, "decode → encode moved bytes");
+    for doc in rejected {
+        let parsed = JsonValue::parse(doc).expect("a rejected document is still JSON");
+        assert!(T::from_wire_json(&parsed).is_err(), "{doc} decoded");
     }
 }
 
