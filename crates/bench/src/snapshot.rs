@@ -13,7 +13,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use ispn_scenario::{json_escape, JsonValue, RunTelemetry};
+use ispn_scenario::{json_escape, JsonValue, RunTelemetry, WireResult};
 
 /// One measured micro-benchmark workload.
 #[derive(Debug, Clone)]
@@ -99,14 +99,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
     None
 }
 
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Serialize a full snapshot as the `BENCH_*.json` document.
 pub fn render(
     config_label: &str,
@@ -120,7 +112,7 @@ pub fn render(
             format!(
                 "    {{\"name\":\"{}\",\"ns_per_op\":{},\"ops\":{}}}",
                 json_escape(m.name),
-                json_f64(m.ns_per_op),
+                m.ns_per_op.to_wire_json(),
                 m.ops
             )
         })
@@ -131,7 +123,7 @@ pub fn render(
             format!(
                 "    {{\"name\":\"{}\",\"telemetry\":{}}}",
                 json_escape(e.name),
-                e.telemetry.to_json()
+                e.telemetry.to_wire_json()
             )
         })
         .collect();
@@ -183,7 +175,7 @@ pub fn validate(text: &str) -> Result<(), String> {
             .map_err(|e| format!("micro entry name: {e:?}"))?;
         let ns = m
             .field("ns_per_op")
-            .and_then(|n| n.as_f64_or_nan())
+            .and_then(f64::from_wire_json)
             .map_err(|e| format!("micro {name:?} ns_per_op: {e:?}"))?;
         if ns.is_nan() || ns <= 0.0 {
             return err(format!("micro {name:?} has non-positive ns_per_op {ns}"));
@@ -237,7 +229,7 @@ fn micro_costs(v: &JsonValue) -> Result<Vec<(String, f64)>, String> {
             .map_err(|e| format!("micro entry name: {e:?}"))?;
         let ns = m
             .field("ns_per_op")
-            .and_then(|n| n.as_f64_or_nan())
+            .and_then(f64::from_wire_json)
             .map_err(|e| format!("micro {name:?} ns_per_op: {e:?}"))?;
         out.push((name.to_string(), ns));
     }

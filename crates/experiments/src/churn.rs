@@ -22,9 +22,9 @@
 
 use ispn_net::{LinkId, PoliceAction};
 use ispn_scenario::{
-    wire_f64, AdmissionSpec, ChurnClass, ChurnSourceSpec, ChurnWorkload, DisciplineMatrix,
-    DisciplineSpec, JsonValue, MeasurementPlan, PointResult, RunTelemetry, ScenarioBuilder,
-    ScenarioSet, Sim, SweepReport, TopologySpec, WireError, WireResult, WorkloadSpec,
+    wire_record, AdmissionSpec, ChurnClass, ChurnSourceSpec, ChurnWorkload, DisciplineMatrix,
+    DisciplineSpec, MeasurementPlan, PointResult, RunTelemetry, ScenarioBuilder, ScenarioSet, Sim,
+    SweepReport, TopologySpec, WorkloadSpec,
 };
 use ispn_sched::Averaging;
 use ispn_sim::SimTime;
@@ -138,40 +138,10 @@ pub struct ChurnOutcome {
     pub residual_reserved_bps: f64,
 }
 
-impl WireResult for ChurnOutcome {
-    fn to_wire_json(&self) -> String {
-        format!(
-            "{{\"offered_erlangs\":{},\"offered\":{},\"accepted\":{},\"rejected\":{},\
-             \"decisions\":{},\"mean_utilization\":{},\"worst_utilization\":{},\
-             \"violations\":{},\"worst_bound_fraction\":{},\"residual_reserved_bps\":{}}}",
-            wire_f64(self.offered_erlangs),
-            self.offered,
-            self.accepted,
-            self.rejected,
-            self.decisions.to_wire_json(),
-            wire_f64(self.mean_utilization),
-            wire_f64(self.worst_utilization),
-            self.violations,
-            wire_f64(self.worst_bound_fraction),
-            wire_f64(self.residual_reserved_bps),
-        )
-    }
-
-    fn from_wire_json(v: &JsonValue) -> Result<Self, WireError> {
-        Ok(ChurnOutcome {
-            offered_erlangs: v.field("offered_erlangs")?.as_f64_or_nan()?,
-            offered: v.field("offered")?.as_usize()?,
-            accepted: v.field("accepted")?.as_usize()?,
-            rejected: v.field("rejected")?.as_usize()?,
-            decisions: Vec::from_wire_json(v.field("decisions")?)?,
-            mean_utilization: v.field("mean_utilization")?.as_f64_or_nan()?,
-            worst_utilization: v.field("worst_utilization")?.as_f64_or_nan()?,
-            violations: v.field("violations")?.as_usize()?,
-            worst_bound_fraction: v.field("worst_bound_fraction")?.as_f64_or_nan()?,
-            residual_reserved_bps: v.field("residual_reserved_bps")?.as_f64_or_nan()?,
-        })
-    }
-}
+wire_record! { ChurnOutcome {
+    offered_erlangs, offered, accepted, rejected, decisions, mean_utilization, worst_utilization,
+    violations, worst_bound_fraction, residual_reserved_bps,
+} }
 
 impl ChurnOutcome {
     /// Fraction of setup requests refused.

@@ -248,14 +248,7 @@ fn emit_telemetry(sink: &TelemetrySink, summary: &SweepTelemetry, run: Option<&R
             }
         }
         TelemetrySink::File(path) => {
-            let mut json = summary.to_json();
-            if let Some(run) = run {
-                // Splice the run block into the summary object:
-                // {...,"run":{...}}.
-                json.pop();
-                json.push_str(&format!(",\"run\":{}}}", run.to_json()));
-            }
-            if let Err(e) = std::fs::write(path, format!("{json}\n")) {
+            if let Err(e) = std::fs::write(path, format!("{}\n", summary.to_json(run))) {
                 eprintln!("could not write telemetry to {}: {e}", path.display());
                 std::process::exit(1);
             }

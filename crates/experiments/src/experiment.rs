@@ -12,7 +12,9 @@
 //! command line.  All of them are byte-identical in what they compute,
 //! because all of them call the same `point`.
 //!
-//! Adding a study is one `impl` plus a three-line bin:
+//! Adding a study is one `impl` plus one
+//! [`wire_record!`](ispn_scenario::wire_record) line — the row's field
+//! list, which is its whole wire codec — and a three-line bin:
 //! [`table1::Sweep`](crate::table1::Sweep) is the smallest implementation,
 //! and `src/bin/table1.rs` — pick the configuration, build the struct, call
 //! [`cli::main`](crate::cli::main) — is all a sweep bin's `main` holds.

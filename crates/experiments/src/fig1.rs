@@ -14,7 +14,8 @@
 //! and the tests in this module verify it.
 
 use ispn_net::{LinkId, NodeId, Topology};
-use ispn_scenario::{LinkProfile, TopologySpec};
+use ispn_scenario::sweep::wire;
+use ispn_scenario::{JsonValue, LinkProfile, TopologySpec, WireError, WireResult};
 use ispn_sim::SimTime;
 
 use crate::config::PaperConfig;
@@ -54,10 +55,17 @@ impl FlowKind {
     pub fn is_guaranteed(self) -> bool {
         matches!(self, FlowKind::GuaranteedPeak | FlowKind::GuaranteedAverage)
     }
+}
 
-    /// The kind carrying the given printed label (the inverse of
-    /// [`label`](FlowKind::label), used by the Table-3 wire decoder).
-    pub fn from_label(label: &str) -> Option<FlowKind> {
+/// A kind crosses the wire as its printed label; a label no kind prints
+/// is a schema error.
+impl WireResult for FlowKind {
+    fn write_wire(&self, out: &mut String) {
+        wire::write_str(self.label(), out);
+    }
+
+    fn from_wire_json(value: &JsonValue) -> Result<Self, WireError> {
+        let label = value.as_str()?;
         [
             FlowKind::GuaranteedPeak,
             FlowKind::GuaranteedAverage,
@@ -65,7 +73,8 @@ impl FlowKind {
             FlowKind::PredictedLow,
         ]
         .into_iter()
-        .find(|k| k.label() == label)
+        .find(|kind| kind.label() == label)
+        .ok_or_else(|| WireError::new(format!("unknown flow kind {label:?}")))
     }
 }
 
@@ -217,9 +226,9 @@ pub fn per_link_census(
 mod tests {
     use super::*;
 
-    /// Drift guard for the wire decoder: `from_label` must invert
-    /// `label` for every kind, or distributed Table-3 runs would poison
-    /// rows of a newly added kind at decode.
+    /// Drift guard for the wire decoder: it must invert `label` for every
+    /// kind, or distributed Table-3 runs would poison rows of a newly
+    /// added kind at decode.
     #[test]
     fn from_label_inverts_label_for_every_kind() {
         for kind in [
@@ -228,9 +237,11 @@ mod tests {
             FlowKind::PredictedHigh,
             FlowKind::PredictedLow,
         ] {
-            assert_eq!(FlowKind::from_label(kind.label()), Some(kind));
+            let label = JsonValue::Str(kind.label().to_string());
+            assert_eq!(FlowKind::from_wire_json(&label), Ok(kind));
         }
-        assert_eq!(FlowKind::from_label("Best-Effort-Maybe"), None);
+        let unknown = JsonValue::Str("Best-Effort-Maybe".to_string());
+        assert!(FlowKind::from_wire_json(&unknown).is_err());
     }
 
     #[test]

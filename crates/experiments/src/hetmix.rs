@@ -15,16 +15,15 @@
 use ispn_core::TokenBucketSpec;
 use ispn_net::PoliceAction;
 use ispn_scenario::{
-    json_escape, wire_f64, DisciplineSpec, FlowDef, JsonValue, MeasurementPlan, PointResult,
-    RouteSpec, RunTelemetry, ScenarioBuilder, ScenarioSet, ServiceSpec, Sim, SourceSpec,
-    SweepReport, WireError, WireResult,
+    wire_record, DisciplineSpec, FlowDef, MeasurementPlan, PointResult, RouteSpec, RunTelemetry,
+    ScenarioBuilder, ScenarioSet, ServiceSpec, Sim, SourceSpec, SweepReport,
 };
 use ispn_sched::Averaging;
 
 use crate::config::PaperConfig;
 use crate::experiment::Experiment;
 use crate::mesh::{aggregate_class, ClassStats};
-use crate::support::intern_discipline_label;
+use crate::support::DISCIPLINE_LABELS;
 use crate::table3::{HIGH_PRIORITY_TARGET_PKT, LOW_PRIORITY_TARGET_PKT};
 
 /// The four disciplines the sweep compares.
@@ -54,26 +53,7 @@ pub struct HetMixPoint {
     pub classes: Vec<ClassStats>,
 }
 
-impl WireResult for HetMixPoint {
-    fn to_wire_json(&self) -> String {
-        format!(
-            "{{\"scheduler\":\"{}\",\"level\":{},\"utilization\":{},\"classes\":{}}}",
-            json_escape(self.scheduler),
-            self.level,
-            wire_f64(self.utilization),
-            self.classes.to_wire_json(),
-        )
-    }
-
-    fn from_wire_json(v: &JsonValue) -> Result<Self, WireError> {
-        Ok(HetMixPoint {
-            scheduler: intern_discipline_label(v.field("scheduler")?.as_str()?)?,
-            level: v.field("level")?.as_usize()?,
-            utilization: v.field("utilization")?.as_f64_or_nan()?,
-            classes: Vec::from_wire_json(v.field("classes")?)?,
-        })
-    }
-}
+wire_record! { HetMixPoint { scheduler: label(DISCIPLINE_LABELS), level, utilization, classes } }
 
 /// Build one (discipline, level) scenario: a single shared link carrying
 /// `level` flows of each real-time class plus the datagram background.

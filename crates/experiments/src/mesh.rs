@@ -15,9 +15,8 @@ use ispn_core::TokenBucketSpec;
 use ispn_net::PoliceAction;
 use ispn_net::{LinkId, NodeId};
 use ispn_scenario::{
-    json_escape, wire_f64, DisciplineSpec, FlowDef, JsonValue, MeasurementPlan, PointResult,
-    RouteSpec, RunTelemetry, ScenarioBuilder, ScenarioReport, ScenarioSet, ServiceSpec, Sim,
-    SourceSpec, SweepReport, WireError, WireResult,
+    wire_record, DisciplineSpec, FlowDef, MeasurementPlan, PointResult, RouteSpec, RunTelemetry,
+    ScenarioBuilder, ScenarioReport, ScenarioSet, ServiceSpec, Sim, SourceSpec, SweepReport,
 };
 use ispn_sched::Averaging;
 
@@ -60,38 +59,9 @@ const CLASS_LABELS: &[&str] = &[
     "Datagram",
 ];
 
-/// Map a decoded class label back to its `&'static` experiment label.
-fn intern_class_label(label: &str) -> Result<&'static str, WireError> {
-    crate::support::intern_label(label, CLASS_LABELS, "class")
-}
-
-impl WireResult for ClassStats {
-    fn to_wire_json(&self) -> String {
-        format!(
-            "{{\"class\":\"{}\",\"flows\":{},\"mean\":{},\"worst_p999\":{},\"worst_max\":{},\
-             \"jitter\":{},\"loss_rate\":{}}}",
-            json_escape(self.class),
-            self.flows,
-            wire_f64(self.mean),
-            wire_f64(self.worst_p999),
-            wire_f64(self.worst_max),
-            wire_f64(self.jitter),
-            wire_f64(self.loss_rate),
-        )
-    }
-
-    fn from_wire_json(v: &JsonValue) -> Result<Self, WireError> {
-        Ok(ClassStats {
-            class: intern_class_label(v.field("class")?.as_str()?)?,
-            flows: v.field("flows")?.as_usize()?,
-            mean: v.field("mean")?.as_f64_or_nan()?,
-            worst_p999: v.field("worst_p999")?.as_f64_or_nan()?,
-            worst_max: v.field("worst_max")?.as_f64_or_nan()?,
-            jitter: v.field("jitter")?.as_f64_or_nan()?,
-            loss_rate: v.field("loss_rate")?.as_f64_or_nan()?,
-        })
-    }
-}
+wire_record! { ClassStats {
+    class: label(CLASS_LABELS), flows, mean, worst_p999, worst_max, jitter, loss_rate,
+} }
 
 /// Outcome of one mesh run.
 #[derive(Debug, Clone)]
@@ -111,31 +81,9 @@ pub struct MeshOutcome {
     pub report: ScenarioReport,
 }
 
-impl WireResult for MeshOutcome {
-    fn to_wire_json(&self) -> String {
-        format!(
-            "{{\"cross_flows_per_row\":{},\"classes\":{},\"interior_utilization\":{},\
-             \"edge_utilization\":{},\"interior_drops\":{},\"report\":{}}}",
-            self.cross_flows_per_row,
-            self.classes.to_wire_json(),
-            wire_f64(self.interior_utilization),
-            wire_f64(self.edge_utilization),
-            self.interior_drops,
-            self.report.to_wire_json(),
-        )
-    }
-
-    fn from_wire_json(v: &JsonValue) -> Result<Self, WireError> {
-        Ok(MeshOutcome {
-            cross_flows_per_row: v.field("cross_flows_per_row")?.as_usize()?,
-            classes: Vec::from_wire_json(v.field("classes")?)?,
-            interior_utilization: v.field("interior_utilization")?.as_f64_or_nan()?,
-            edge_utilization: v.field("edge_utilization")?.as_f64_or_nan()?,
-            interior_drops: v.field("interior_drops")?.as_u64()?,
-            report: ScenarioReport::from_wire_json(v.field("report")?)?,
-        })
-    }
-}
+wire_record! { MeshOutcome {
+    cross_flows_per_row, classes, interior_utilization, edge_utilization, interior_drops, report,
+} }
 
 /// Fold a class's per-flow summaries into one [`ClassStats`] row, with
 /// delays converted to the configuration's packet-time unit.  Shared by
@@ -382,9 +330,8 @@ mod tests {
             "Predicted-Low",
             "Datagram",
         ] {
-            assert_eq!(intern_class_label(label), Ok(label));
+            assert!(CLASS_LABELS.contains(&label), "{label}");
         }
-        assert!(intern_class_label("Best-Effort-Maybe").is_err());
     }
 
     #[test]

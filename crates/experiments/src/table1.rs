@@ -9,15 +9,14 @@
 //! the FIFO algorithm."  The link runs at 83.5 % utilization.
 
 use ispn_scenario::{
-    json_escape, wire_f64, DisciplineSpec, FlowDef, JsonValue, LinkProfile, MeasurementPlan,
-    PointResult, RunTelemetry, ScenarioBuilder, ScenarioSet, Sim, SourceSpec, SweepReport,
-    WireError, WireResult,
+    wire_record, DisciplineSpec, FlowDef, LinkProfile, MeasurementPlan, PointResult, RunTelemetry,
+    ScenarioBuilder, ScenarioSet, Sim, SourceSpec, SweepReport,
 };
 use ispn_sim::SimTime;
 
 use crate::config::PaperConfig;
 use crate::experiment::Experiment;
-use crate::support::intern_discipline_label;
+use crate::support::DISCIPLINE_LABELS;
 
 /// Number of flows sharing the single link.
 pub const NUM_FLOWS: usize = 10;
@@ -40,31 +39,10 @@ pub struct Table1Row {
     pub utilization: f64,
 }
 
-impl WireResult for Table1Row {
-    fn to_wire_json(&self) -> String {
-        format!(
-            "{{\"scheduler\":\"{}\",\"mean\":{},\"p999\":{},\"all_flows_mean\":{},\
-             \"all_flows_worst_p999\":{},\"utilization\":{}}}",
-            json_escape(self.scheduler),
-            wire_f64(self.mean),
-            wire_f64(self.p999),
-            wire_f64(self.all_flows_mean),
-            wire_f64(self.all_flows_worst_p999),
-            wire_f64(self.utilization),
-        )
-    }
-
-    fn from_wire_json(v: &JsonValue) -> Result<Self, WireError> {
-        Ok(Table1Row {
-            scheduler: intern_discipline_label(v.field("scheduler")?.as_str()?)?,
-            mean: v.field("mean")?.as_f64_or_nan()?,
-            p999: v.field("p999")?.as_f64_or_nan()?,
-            all_flows_mean: v.field("all_flows_mean")?.as_f64_or_nan()?,
-            all_flows_worst_p999: v.field("all_flows_worst_p999")?.as_f64_or_nan()?,
-            utilization: v.field("utilization")?.as_f64_or_nan()?,
-        })
-    }
-}
+wire_record! { Table1Row {
+    scheduler: label(DISCIPLINE_LABELS), mean, p999, all_flows_mean, all_flows_worst_p999,
+    utilization,
+} }
 
 /// Build the single-link scenario under one discipline — a two-switch
 /// chain with ten identically distributed on/off flows, declared through

@@ -10,15 +10,14 @@
 
 use ispn_core::FlowId;
 use ispn_scenario::{
-    json_escape, wire_f64, DisciplineSpec, FlowDef, JsonValue, MeasurementPlan, PointResult,
-    RunTelemetry, ScenarioBuilder, ScenarioSet, Sim, SourceSpec, SweepReport, TopologySpec,
-    WireError, WireResult,
+    wire_record, DisciplineSpec, FlowDef, MeasurementPlan, PointResult, RunTelemetry,
+    ScenarioBuilder, ScenarioSet, Sim, SourceSpec, SweepReport, TopologySpec,
 };
 
 use crate::config::PaperConfig;
 use crate::experiment::Experiment;
 use crate::fig1::{self, Fig1Network, FlowPlacement};
-use crate::support::{intern_discipline_label, table2_set};
+use crate::support::{table2_set, DISCIPLINE_LABELS};
 
 /// One cell group of Table 2: the sample flow of one path length under one
 /// discipline (delays in packet transmission times).
@@ -34,26 +33,7 @@ pub struct Table2Cell {
     pub p999: f64,
 }
 
-impl WireResult for Table2Cell {
-    fn to_wire_json(&self) -> String {
-        format!(
-            "{{\"scheduler\":\"{}\",\"path_length\":{},\"mean\":{},\"p999\":{}}}",
-            json_escape(self.scheduler),
-            self.path_length,
-            wire_f64(self.mean),
-            wire_f64(self.p999),
-        )
-    }
-
-    fn from_wire_json(v: &JsonValue) -> Result<Self, WireError> {
-        Ok(Table2Cell {
-            scheduler: intern_discipline_label(v.field("scheduler")?.as_str()?)?,
-            path_length: v.field("path_length")?.as_usize()?,
-            mean: v.field("mean")?.as_f64_or_nan()?,
-            p999: v.field("p999")?.as_f64_or_nan()?,
-        })
-    }
-}
+wire_record! { Table2Cell { scheduler: label(DISCIPLINE_LABELS), path_length, mean, p999 } }
 
 /// The full Table-2 result, folded from the sweep's [`Table2Point`]s:
 /// cells for every (discipline, path length) pair plus each discipline's
@@ -78,24 +58,7 @@ pub struct Table2Point {
     pub utilization: f64,
 }
 
-impl WireResult for Table2Point {
-    fn to_wire_json(&self) -> String {
-        format!(
-            "{{\"scheduler\":\"{}\",\"cells\":{},\"utilization\":{}}}",
-            json_escape(self.scheduler),
-            self.cells.to_wire_json(),
-            wire_f64(self.utilization),
-        )
-    }
-
-    fn from_wire_json(v: &JsonValue) -> Result<Self, WireError> {
-        Ok(Table2Point {
-            scheduler: intern_discipline_label(v.field("scheduler")?.as_str()?)?,
-            cells: Vec::from_wire_json(v.field("cells")?)?,
-            utilization: v.field("utilization")?.as_f64_or_nan()?,
-        })
-    }
-}
+wire_record! { Table2Point { scheduler: label(DISCIPLINE_LABELS), cells, utilization } }
 
 impl FromIterator<Table2Point> for Table2 {
     /// Fold the sweep's points, in the paper's discipline order.

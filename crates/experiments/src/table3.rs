@@ -16,9 +16,9 @@ use ispn_core::bounds::pg_queueing_bound;
 use ispn_core::{FlowId, TokenBucketSpec};
 use ispn_net::{LinkId, PoliceAction};
 use ispn_scenario::{
-    DisciplineMatrix, DisciplineSpec, FlowDef, MeasurementPlan, PointResult, RouteSpec,
-    RunTelemetry, ScenarioBuilder, ScenarioSet, ServiceSpec, Sim, SourceSpec, SweepReport, TcpDef,
-    TopologySpec,
+    wire_record, DisciplineMatrix, DisciplineSpec, FlowDef, MeasurementPlan, PointResult,
+    RouteSpec, RunTelemetry, ScenarioBuilder, ScenarioSet, ServiceSpec, Sim, SourceSpec,
+    SweepReport, TcpDef, TopologySpec,
 };
 use ispn_sched::Averaging;
 use ispn_transport::SharedTcpStats;
@@ -75,70 +75,13 @@ impl Table3 {
     }
 }
 
-impl ispn_scenario::WireResult for Table3Row {
-    fn to_wire_json(&self) -> String {
-        use ispn_scenario::{json_escape, wire_f64};
-        format!(
-            "{{\"kind\":\"{}\",\"path_length\":{},\"mean\":{},\"p999\":{},\"max\":{},\
-             \"pg_bound\":{}}}",
-            json_escape(self.kind.label()),
-            self.path_length,
-            wire_f64(self.mean),
-            wire_f64(self.p999),
-            wire_f64(self.max),
-            match self.pg_bound {
-                Some(b) => wire_f64(b),
-                None => "null".to_string(),
-            },
-        )
-    }
+// A guaranteed row's bound is always finite, so its `null` can only mean
+// "no bound".
+wire_record! { Table3Row { kind, path_length, mean, p999, max, pg_bound } }
 
-    fn from_wire_json(v: &ispn_scenario::JsonValue) -> Result<Self, ispn_scenario::WireError> {
-        let label = v.field("kind")?.as_str()?;
-        let kind = FlowKind::from_label(label)
-            .ok_or_else(|| ispn_scenario::WireError::new(format!("unknown flow kind {label:?}")))?;
-        let pg_bound = v.field("pg_bound")?;
-        Ok(Table3Row {
-            kind,
-            path_length: v.field("path_length")?.as_usize()?,
-            mean: v.field("mean")?.as_f64_or_nan()?,
-            p999: v.field("p999")?.as_f64_or_nan()?,
-            max: v.field("max")?.as_f64_or_nan()?,
-            // A guaranteed row's bound is always finite, so `null` can
-            // only mean "no bound" here.
-            pg_bound: if pg_bound.is_null() {
-                None
-            } else {
-                Some(pg_bound.as_f64()?)
-            },
-        })
-    }
-}
-
-impl ispn_scenario::WireResult for Table3 {
-    fn to_wire_json(&self) -> String {
-        use ispn_scenario::wire_f64;
-        format!(
-            "{{\"rows\":{},\"datagram_drop_rate\":{},\"mean_utilization\":{},\
-             \"realtime_utilization\":{},\"tcp_goodput_pps\":{}}}",
-            self.rows.to_wire_json(),
-            wire_f64(self.datagram_drop_rate),
-            wire_f64(self.mean_utilization),
-            wire_f64(self.realtime_utilization),
-            self.tcp_goodput_pps.to_wire_json(),
-        )
-    }
-
-    fn from_wire_json(v: &ispn_scenario::JsonValue) -> Result<Self, ispn_scenario::WireError> {
-        Ok(Table3 {
-            rows: Vec::from_wire_json(v.field("rows")?)?,
-            datagram_drop_rate: v.field("datagram_drop_rate")?.as_f64_or_nan()?,
-            mean_utilization: v.field("mean_utilization")?.as_f64_or_nan()?,
-            realtime_utilization: v.field("realtime_utilization")?.as_f64_or_nan()?,
-            tcp_goodput_pps: Vec::from_wire_json(v.field("tcp_goodput_pps")?)?,
-        })
-    }
-}
+wire_record! { Table3 {
+    rows, datagram_drop_rate, mean_utilization, realtime_utilization, tcp_goodput_pps,
+} }
 
 /// The WFQ clock rate (bits/s) each guaranteed kind reserves.
 pub fn clock_rate_bps(cfg: &PaperConfig, kind: FlowKind) -> f64 {

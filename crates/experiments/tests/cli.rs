@@ -1,17 +1,28 @@
 //! The sweep bins' command line, driven through the real binaries: what
 //! `cli::main` promises about stdout, telemetry, worker mode and exit
-//! codes must hold for a flag-configured bin (`table1 --fast`) and an
-//! environment-configured one (`ISPN_FAST=1 hetmix`) alike.
+//! codes must hold for every one of the six, flag-configured
+//! (`table1 --fast`) and environment-configured (`ISPN_FAST=1 hetmix`)
+//! alike.  Between them their rows exercise every wire codec.
 
 use std::process::{Command, Output, Stdio};
 
-/// The two bins; each ignores the other's way of asking for a short run.
-const BINS: [&str; 2] = [env!("CARGO_BIN_EXE_table1"), env!("CARGO_BIN_EXE_hetmix")];
+/// The six sweep bins; each ignores the others' way of asking for a short
+/// run.
+const BINS: [&str; 6] = [
+    env!("CARGO_BIN_EXE_table1"),
+    env!("CARGO_BIN_EXE_table2"),
+    env!("CARGO_BIN_EXE_table3"),
+    env!("CARGO_BIN_EXE_hetmix"),
+    env!("CARGO_BIN_EXE_mesh"),
+    env!("CARGO_BIN_EXE_churn"),
+];
 
 /// Run `bin` in its short configuration plus `flags`, stdin closed.
+/// `--seeds 2` makes `table3` the seed sweep (one seed is a plain
+/// in-process table that never reaches `cli::main`); the rest ignore it.
 fn run(bin: &str, flags: &[&str]) -> Output {
     Command::new(bin)
-        .arg("--fast")
+        .args(["--fast", "--seeds", "2"])
         .env("ISPN_FAST", "1")
         .args(flags)
         .stdin(Stdio::null())

@@ -90,14 +90,14 @@ pub use discipline::{DisciplineMatrix, DisciplineSpec};
 pub use error::BuildError;
 pub use render::{axis_names, SweepTable};
 pub use report::{
-    json_escape, ClassSummary, DisciplineSummary, FlowSummary, HistogramSpec, HistogramSummary,
-    LinkSummary, MeasurementPlan, RunTelemetry, ScenarioReport, SignalingSummary,
+    ClassSummary, DisciplineSummary, FlowSummary, HistogramSpec, HistogramSummary, LinkSummary,
+    MeasurementPlan, RunTelemetry, ScenarioReport, SignalingSummary,
 };
 pub use sim::{ChurnFlowRecord, ChurnFlowReport, Sim};
 pub use sweep::dist::{Await, DistRunner, SweepExec, WorkerCommand, WorkerTransport};
 pub use sweep::net::{serve_listener, HostSpec, LISTENING_BANNER};
 pub use sweep::testing::{assert_wire_codec, FaultMode, FaultPlan};
-pub use sweep::wire::{wire_f64, JsonValue, WireError, WireResult};
+pub use sweep::wire::{json_escape, JsonValue, WireError, WireResult};
 pub use sweep::worker::{serve_connection, serve_worker, SessionInfo, WORKER_FLAG};
 pub use sweep::{
     failed_points, sweep_to_json, sweep_to_json_checked, AxisValue, NullObserver, PointResult,

@@ -38,6 +38,9 @@ use ispn_net::{FlowCounters, Network};
 use ispn_signal::Signaling;
 use ispn_stats::{merged_mean_and_quantiles, Histogram, StreamingStats, TextTable};
 
+use crate::sweep::wire::WireResult;
+use crate::wire_record;
+
 /// A fixed-bin histogram selection for per-class delay distributions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramSpec {
@@ -181,6 +184,11 @@ pub struct FlowSummary {
     pub jitter_s: f64,
 }
 
+wire_record! { FlowSummary {
+    flow, generated, delivered, dropped_buffer, dropped_at_edge, dropped_inactive, mean_delay_s,
+    p999_delay_s, max_delay_s, jitter_s,
+} }
+
 /// Per-link summary.
 #[derive(Debug, Clone)]
 pub struct LinkSummary {
@@ -195,6 +203,8 @@ pub struct LinkSummary {
     /// Packets transmitted.
     pub packets_sent: u64,
 }
+
+wire_record! { LinkSummary { link, utilization, realtime_utilization, drops, packets_sent } }
 
 /// A recorded per-class delay histogram (bin edges are uniform over
 /// `[lo_s, hi_s)`).
@@ -211,6 +221,8 @@ pub struct HistogramSummary {
     /// Samples at or above `hi_s`.
     pub overflow: u64,
 }
+
+wire_record! { HistogramSummary { lo_s, hi_s, counts, underflow, overflow } }
 
 /// Aggregate statistics of one service class, pooled over every registered
 /// flow of that class (delays in seconds).
@@ -242,6 +254,11 @@ pub struct ClassSummary {
     pub histogram: Option<HistogramSummary>,
 }
 
+wire_record! { ClassSummary {
+    class, flows, generated, delivered, dropped_buffer, dropped_at_edge, mean_delay_s, max_delay_s,
+    jitter_s, quantiles, histogram,
+} }
+
 /// Aggregate statistics of every link running one queueing discipline.
 #[derive(Debug, Clone)]
 pub struct DisciplineSummary {
@@ -260,6 +277,10 @@ pub struct DisciplineSummary {
     pub packets_sent: u64,
 }
 
+wire_record! { DisciplineSummary {
+    discipline, links, mean_utilization, mean_realtime_utilization, drops, packets_sent,
+} }
+
 /// Signaling summary: the decision record of completed setups.
 #[derive(Debug, Clone)]
 pub struct SignalingSummary {
@@ -272,6 +293,9 @@ pub struct SignalingSummary {
     /// Transactions still in flight when the report was taken.
     pub pending: usize,
 }
+
+// The wire's key order, not the struct's: `pending` precedes `decisions`.
+wire_record! { SignalingSummary { accepted, rejected, pending, decisions } }
 
 /// Engine telemetry of one scenario run: what the event loop, ports and
 /// admission machinery actually did, plus the run's memory footprint and
@@ -311,6 +335,12 @@ pub struct RunTelemetry {
     pub events_per_sec: f64,
 }
 
+wire_record! { RunTelemetry {
+    events_processed, event_queue_high_water, peak_queue_depth, admission_accepted,
+    admission_rejected, flow_table_bytes, reservation_state_bytes, sched_pool_grow_events,
+    sched_pool_segments_high_water, wall_s, events_per_sec,
+} }
+
 impl RunTelemetry {
     /// Snapshot the deterministic counters from a run network; the caller
     /// (the `Sim` facade) supplies the wall-clock seconds it accumulated
@@ -335,29 +365,6 @@ impl RunTelemetry {
             wall_s,
             events_per_sec,
         }
-    }
-
-    /// Serialize as a JSON object (the `telemetry` value in a report).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"events_processed\":{},\"event_queue_high_water\":{},\
-             \"peak_queue_depth\":{},\"admission_accepted\":{},\
-             \"admission_rejected\":{},\"flow_table_bytes\":{},\
-             \"reservation_state_bytes\":{},\"sched_pool_grow_events\":{},\
-             \"sched_pool_segments_high_water\":{},\"wall_s\":{},\
-             \"events_per_sec\":{}}}",
-            self.events_processed,
-            self.event_queue_high_water,
-            self.peak_queue_depth,
-            self.admission_accepted,
-            self.admission_rejected,
-            self.flow_table_bytes,
-            self.reservation_state_bytes,
-            self.sched_pool_grow_events,
-            self.sched_pool_segments_high_water,
-            json_f64(self.wall_s),
-            json_f64(self.events_per_sec),
-        )
     }
 }
 
@@ -387,27 +394,9 @@ pub struct ScenarioReport {
     pub telemetry: Option<RunTelemetry>,
 }
 
-/// Escape a string for embedding inside a JSON string literal: `"`, `\`
-/// and every control character below U+0020 are escaped, so hostile or
-/// merely unlucky labels (a discipline name with a quote, a class label
-/// with a newline) can never produce malformed JSON.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+wire_record! { ScenarioReport {
+    horizon_s, flows, links, classes, disciplines, signaling, telemetry: optional,
+} }
 
 /// The canonical report label of a service class.
 fn class_label(class: ServiceClass) -> String {
@@ -425,14 +414,6 @@ fn class_order(class: ServiceClass) -> (u8, u8) {
         ServiceClass::Guaranteed => (0, 0),
         ServiceClass::Predicted { priority } => (1, priority),
         ServiceClass::Datagram => (2, 0),
-    }
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -638,133 +619,9 @@ impl ScenarioReport {
             .collect()
     }
 
-    /// Serialize the report as JSON.
+    /// Serialize the report as JSON: its [`WireResult`] encoding.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str(&format!("{{\"horizon_s\":{},", json_f64(self.horizon_s)));
-        out.push_str("\"flows\":[");
-        for (i, f) in self.flows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"flow\":{},\"generated\":{},\"delivered\":{},\
-                 \"dropped_buffer\":{},\"dropped_at_edge\":{},\"dropped_inactive\":{},\
-                 \"mean_delay_s\":{},\"p999_delay_s\":{},\"max_delay_s\":{},\"jitter_s\":{}}}",
-                f.flow,
-                f.generated,
-                f.delivered,
-                f.dropped_buffer,
-                f.dropped_at_edge,
-                f.dropped_inactive,
-                json_f64(f.mean_delay_s),
-                json_f64(f.p999_delay_s),
-                json_f64(f.max_delay_s),
-                json_f64(f.jitter_s),
-            ));
-        }
-        out.push_str("],\"links\":[");
-        for (i, l) in self.links.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"link\":{},\"utilization\":{},\"realtime_utilization\":{},\
-                 \"drops\":{},\"packets_sent\":{}}}",
-                l.link,
-                json_f64(l.utilization),
-                json_f64(l.realtime_utilization),
-                l.drops,
-                l.packets_sent,
-            ));
-        }
-        out.push_str("],\"classes\":[");
-        for (i, c) in self.classes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let quantiles: String = c
-                .quantiles
-                .iter()
-                .map(|&(q, v)| format!("[{},{}]", json_f64(q), json_f64(v)))
-                .collect::<Vec<_>>()
-                .join(",");
-            out.push_str(&format!(
-                "{{\"class\":\"{}\",\"flows\":{},\"generated\":{},\"delivered\":{},\
-                 \"dropped_buffer\":{},\"dropped_at_edge\":{},\
-                 \"mean_delay_s\":{},\"max_delay_s\":{},\"jitter_s\":{},\
-                 \"quantiles\":[{quantiles}]",
-                json_escape(&c.class),
-                c.flows,
-                c.generated,
-                c.delivered,
-                c.dropped_buffer,
-                c.dropped_at_edge,
-                json_f64(c.mean_delay_s),
-                json_f64(c.max_delay_s),
-                json_f64(c.jitter_s),
-            ));
-            match &c.histogram {
-                Some(h) => {
-                    let counts: String = h
-                        .counts
-                        .iter()
-                        .map(u64::to_string)
-                        .collect::<Vec<_>>()
-                        .join(",");
-                    out.push_str(&format!(
-                        ",\"histogram\":{{\"lo_s\":{},\"hi_s\":{},\"counts\":[{counts}],\
-                         \"underflow\":{},\"overflow\":{}}}}}",
-                        json_f64(h.lo_s),
-                        json_f64(h.hi_s),
-                        h.underflow,
-                        h.overflow,
-                    ));
-                }
-                None => out.push_str(",\"histogram\":null}"),
-            }
-        }
-        out.push_str("],\"disciplines\":[");
-        for (i, d) in self.disciplines.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"discipline\":\"{}\",\"links\":{},\"mean_utilization\":{},\
-                 \"mean_realtime_utilization\":{},\"drops\":{},\"packets_sent\":{}}}",
-                json_escape(&d.discipline),
-                d.links,
-                json_f64(d.mean_utilization),
-                json_f64(d.mean_realtime_utilization),
-                d.drops,
-                d.packets_sent,
-            ));
-        }
-        out.push(']');
-        match &self.signaling {
-            Some(s) => {
-                let decisions: String = s
-                    .decisions
-                    .iter()
-                    .map(|&a| if a { "true" } else { "false" })
-                    .collect::<Vec<_>>()
-                    .join(",");
-                out.push_str(&format!(
-                    ",\"signaling\":{{\"accepted\":{},\"rejected\":{},\
-                     \"pending\":{},\"decisions\":[{decisions}]}}",
-                    s.accepted, s.rejected, s.pending,
-                ));
-            }
-            None => out.push_str(",\"signaling\":null"),
-        }
-        // Emitted only when present: a telemetry-off report's JSON is
-        // byte-identical to the pre-telemetry format.
-        if let Some(t) = &self.telemetry {
-            out.push_str(",\"telemetry\":");
-            out.push_str(&t.to_json());
-        }
-        out.push('}');
-        out
+        self.to_wire_json()
     }
 
     /// Render the report as a text table (for bins and quick inspection).
@@ -1421,6 +1278,7 @@ mod tests {
 
     #[test]
     fn json_escape_passes_clean_strings_through() {
+        use crate::json_escape;
         assert_eq!(json_escape("FIFO+"), "FIFO+");
         assert_eq!(json_escape("predicted-1"), "predicted-1");
         assert_eq!(json_escape("a\"b"), "a\\\"b");

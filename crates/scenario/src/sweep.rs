@@ -19,8 +19,8 @@
 //!   builds and runs its own self-contained [`Sim`](crate::Sim) inside its
 //!   worker thread.
 //! * [`SweepReport`] — one point's result, tagged with the point's index
-//!   and axis labels, serializable to JSON (strings escaped through
-//!   [`json_escape`](crate::report::json_escape)).
+//!   and axis labels, serializable to JSON through the one writer in
+//!   [`wire`].
 //! * [`dist::DistRunner`] — the process-level flavor: fan the same points
 //!   across supervised **worker subprocesses** speaking the line-framed
 //!   JSON protocol of [`wire`], byte-identical to the in-thread runners.
@@ -86,7 +86,8 @@ use std::sync::Mutex;
 use ispn_sim::SimTime;
 
 use crate::discipline::DisciplineSpec;
-use crate::report::{json_escape, ScenarioReport};
+use crate::report::{RunTelemetry, ScenarioReport};
+use wire::ObjectWriter;
 
 /// A value usable on a sweep axis: cloneable across threads and able to
 /// label itself for axis tags.
@@ -366,13 +367,20 @@ pub struct SweepReport<R> {
 /// The shared point serializer: `index`, `axes`, then one keyed body —
 /// `"report"` for results, `"error"` for panics — so the checked and
 /// unchecked JSON surfaces are byte-identical wherever both succeed.
-fn point_json(index: usize, tags: &[(String, String)], key: &str, body: &str) -> String {
-    let axes: String = tags
-        .iter()
-        .map(|(name, label)| format!("[\"{}\",\"{}\"]", json_escape(name), json_escape(label)))
-        .collect::<Vec<_>>()
-        .join(",");
-    format!("{{\"index\":{index},\"axes\":[{axes}],\"{key}\":{body}}}")
+fn write_point<R>(
+    point: &SweepReport<R>,
+    body: Result<&ScenarioReport, &SweepError>,
+    out: &mut String,
+) {
+    let mut object = ObjectWriter::new(out);
+    object
+        .member("index", &point.index)
+        .member("axes", &point.tags);
+    match body {
+        Ok(report) => object.member("report", report),
+        Err(e) => object.member("error", &e.payload),
+    };
+    object.end();
 }
 
 impl<R> SweepReport<R> {
@@ -403,38 +411,10 @@ impl<R> SweepReport<PointResult<R>> {
     }
 }
 
-impl SweepReport<ScenarioReport> {
-    /// Serialize the point: index, axis tags and the scenario report.
-    pub fn to_json(&self) -> String {
-        point_json(self.index, &self.tags, "report", &self.result.to_json())
-    }
-}
-
-impl SweepReport<PointResult<ScenarioReport>> {
-    /// Serialize the checked point: index, axis tags and the scenario
-    /// report (byte-identical to the unchecked report's JSON) — or the
-    /// panic payload under `"error"`.
-    pub fn to_json(&self) -> String {
-        match &self.result {
-            Ok(report) => point_json(self.index, &self.tags, "report", &report.to_json()),
-            Err(e) => point_json(
-                self.index,
-                &self.tags,
-                "error",
-                &format!("\"{}\"", json_escape(&e.payload)),
-            ),
-        }
-    }
-}
-
 /// Serialize a whole sweep of scenario reports as one JSON array — the
 /// byte-identity surface the serial-vs-parallel acceptance check diffs.
 pub fn sweep_to_json(reports: &[SweepReport<ScenarioReport>]) -> String {
-    let body: Vec<String> = reports
-        .iter()
-        .map(|r: &SweepReport<ScenarioReport>| r.to_json())
-        .collect();
-    format!("[{}]", body.join(","))
+    wire::encoded(|out| wire::write_seq(reports, out, |r, out| write_point(r, Ok(&r.result), out)))
 }
 
 /// Serialize a checked sweep ([`SweepRunner::try_run`] /
@@ -442,11 +422,11 @@ pub fn sweep_to_json(reports: &[SweepReport<ScenarioReport>]) -> String {
 /// succeeded the output is byte-identical to [`sweep_to_json`] on the
 /// unchecked reports.
 pub fn sweep_to_json_checked(reports: &[SweepReport<PointResult<ScenarioReport>>]) -> String {
-    let body: Vec<String> = reports
-        .iter()
-        .map(|r: &SweepReport<PointResult<ScenarioReport>>| r.to_json())
-        .collect();
-    format!("[{}]", body.join(","))
+    wire::encoded(|out| {
+        wire::write_seq(reports, out, |r, out| {
+            write_point(r, r.result.as_ref(), out)
+        })
+    })
 }
 
 /// Number of panicked points in a checked sweep — the exit-status check
@@ -721,24 +701,26 @@ impl SweepTelemetry {
         }
     }
 
-    /// Serialize as one JSON object (the `--telemetry=FILE` payload).
-    pub fn to_json(&self) -> String {
-        let slowest = match self.slowest() {
-            Some((index, _)) => index.to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"points\":{},\"total_wall_s\":{},\"mean_wall_s\":{},\
-             \"max_wall_s\":{},\"max_index\":{slowest},\"rtt_points\":{},\
-             \"total_overhead_s\":{},\"mean_overhead_s\":{}}}",
-            self.points,
-            wire::wire_f64(self.total_wall_s),
-            wire::wire_f64(self.mean_wall_s()),
-            wire::wire_f64(self.max_wall_s),
-            self.rtt_points,
-            wire::wire_f64(self.total_overhead_s),
-            wire::wire_f64(self.mean_overhead_s())
-        )
+    /// Serialize as one JSON object (the `--telemetry=FILE` payload),
+    /// with a representative run's engine counters under a `"run"` key
+    /// when the caller has them.
+    pub fn to_json(&self, run: Option<&RunTelemetry>) -> String {
+        wire::encoded(|out| {
+            let mut object = ObjectWriter::new(out);
+            object
+                .member("points", &self.points)
+                .member("total_wall_s", &self.total_wall_s)
+                .member("mean_wall_s", &self.mean_wall_s())
+                .member("max_wall_s", &self.max_wall_s)
+                .member("max_index", &self.slowest().map(|(index, _)| index))
+                .member("rtt_points", &self.rtt_points)
+                .member("total_overhead_s", &self.total_overhead_s)
+                .member("mean_overhead_s", &self.mean_overhead_s());
+            if let Some(run) = run {
+                object.member("run", run);
+            }
+            object.end();
+        })
     }
 }
 
@@ -1192,7 +1174,7 @@ mod tests {
                 payload: "evil \"quote\"".to_string(),
             }),
         };
-        let json = poisoned.to_json();
+        let json = sweep_to_json_checked(&[poisoned]);
         assert!(json.contains("\"error\":\"evil \\\"quote\\\"\""), "{json}");
         assert!(!json.contains("\"report\""), "{json}");
     }
@@ -1266,7 +1248,7 @@ mod tests {
             agg.render()
         );
         assert_eq!(
-            agg.to_json(),
+            agg.to_json(None),
             "{\"points\":3,\"total_wall_s\":6.0,\"mean_wall_s\":2.0,\
              \"max_wall_s\":4.0,\"max_index\":3,\"rtt_points\":2,\
              \"total_overhead_s\":0.5,\"mean_overhead_s\":0.25}"
@@ -1290,7 +1272,7 @@ mod tests {
         let agg = SweepTelemetry::new();
         assert!(agg.render().contains("no points reported"));
         assert_eq!(
-            agg.to_json(),
+            agg.to_json(None),
             "{\"points\":0,\"total_wall_s\":0.0,\"mean_wall_s\":0.0,\
              \"max_wall_s\":0.0,\"max_index\":null,\"rtt_points\":0,\
              \"total_overhead_s\":0.0,\"mean_overhead_s\":0.0}"

@@ -36,10 +36,6 @@
 //! [`FaultMode::HelloHang`], the session ordinal) and a poisoned point is
 //! never re-dispatched, a respawned replacement worker does not re-trigger
 //! the fault — each plan fires at most once per matching worker.
-//!
-//! [`assert_wire_codec`] is the other thing tests on both sides of the
-//! crate boundary share: the one statement of what a record's wire codec
-//! must do.
 
 use std::time::Duration;
 
@@ -255,12 +251,10 @@ impl FaultPlan {
 }
 
 /// The contract every [`WireResult`] record's tests hold it to: `value`
-/// encodes to exactly `expected` (give a float field NaN and the literal
-/// shows it travelling as `null`), the encoding parses and decodes, the
-/// decoded value re-encodes to the same bytes, and every document in
-/// `rejected` — `expected` with a label no pool knows, say — fails to
-/// decode with a [`WireError`](super::wire::WireError) instead of
-/// panicking.
+/// encodes to exactly `expected` (a NaN field shows there as `null`),
+/// that decodes, the decoded value re-encodes to the same bytes, and each
+/// document in `rejected` — `expected` with a label no pool knows, say —
+/// fails to decode instead of panicking.
 ///
 /// # Panics
 /// Panics when the record breaks the contract.

@@ -37,15 +37,25 @@
 //! [`JsonValue::parse`] itself treats `\r` as insignificant whitespace.
 //! Blank lines (after stripping) are ignored by the worker.  A JSON
 //! document never spans lines and never *contains* a raw newline:
-//! [`json_escape`](crate::report::json_escape) encodes `\n` and `\r`
-//! inside strings as escapes, which the property tests pin.
+//! [`write_str`] encodes `\n` and `\r` inside strings as escapes, which
+//! the property tests pin.
 //!
-//! Everything is hand-rolled (this workspace builds offline, no serde):
-//! [`json_escape`](crate::report::json_escape) on the way out and the
-//! small recursive-descent [`JsonValue`] parser on the way in.  The codec
-//! is pinned by property tests: arbitrary axis tags — quotes, newlines,
-//! control characters, non-ASCII — and arbitrary error payloads round-trip
-//! losslessly.
+//! Everything is hand-rolled (this workspace builds offline, no serde),
+//! and all of it is here: this module is the only one that knows how a
+//! result becomes JSON and comes back.  Outbound, [`ObjectWriter`],
+//! [`write_seq`] and [`write_str`] produce every brace, comma and escape
+//! into one buffer; inbound, the small recursive-descent [`JsonValue`]
+//! parser.  The codec is pinned by property tests: arbitrary axis tags —
+//! quotes, newlines, control characters, non-ASCII — and arbitrary error
+//! payloads round-trip losslessly.
+//!
+//! # One field list per record
+//!
+//! A record's field names are written once: [`wire_record!`](crate::wire_record)
+//! takes the list and yields both directions of [`WireResult`].  Every
+//! section of a [`ScenarioReport`](crate::ScenarioReport), both frame
+//! bodies below and every experiment row are declared that way, so adding
+//! a result type is one `wire_record!` line beside the struct.
 //!
 //! # Float fidelity
 //!
@@ -53,15 +63,12 @@
 //! `f64` round-trips: results are encoded with `{:?}` (Rust's shortest
 //! representation that parses back to the same bits) and decoded with
 //! `str::parse::<f64>` (correctly rounded), so every finite value crosses
-//! the pipe exactly.  Non-finite values follow the report convention and
-//! serialize as `null`, decoding to NaN.
+//! the pipe exactly.  Non-finite values serialize as `null`, decoding to
+//! NaN; the parser in turn refuses a literal that is not a JSON-grammar
+//! number or that overflows to infinity (`1e999`), so no frame can hand a
+//! reader a value the writer could not have sent.
 
-use std::fmt;
-
-use crate::report::{
-    json_escape, ClassSummary, DisciplineSummary, FlowSummary, HistogramSummary, LinkSummary,
-    RunTelemetry, ScenarioReport, SignalingSummary,
-};
+use std::fmt::{self, Write as _};
 
 /// The wire protocol revision announced in the worker's hello frame.
 /// Parent and worker are always the same build — the worker is the
@@ -177,24 +184,14 @@ impl JsonValue {
         }
     }
 
-    /// The number as `f64` (finite literals only; see
-    /// [`as_f64_or_nan`](JsonValue::as_f64_or_nan) for the report
-    /// convention where `null` stands in for non-finite values).
+    /// The number as `f64`.  (`f64`'s [`WireResult`] decoder also takes
+    /// `null`, as NaN: what the writer sends for a non-finite value.)
     pub fn as_f64(&self) -> Result<f64, WireError> {
         match self {
             JsonValue::Number(raw) => raw
                 .parse::<f64>()
                 .map_err(|e| WireError::new(format!("bad number literal {raw:?}: {e}"))),
             other => Err(WireError::new(format!("expected number, got {other:?}"))),
-        }
-    }
-
-    /// The number as `f64`, with `null` decoding to NaN (the inverse of
-    /// the report serializer, which emits `null` for non-finite floats).
-    pub fn as_f64_or_nan(&self) -> Result<f64, WireError> {
-        match self {
-            JsonValue::Null => Ok(f64::NAN),
-            other => other.as_f64(),
         }
     }
 
@@ -206,20 +203,6 @@ impl JsonValue {
                 .map_err(|e| WireError::new(format!("bad u64 literal {raw:?}: {e}"))),
             other => Err(WireError::new(format!("expected integer, got {other:?}"))),
         }
-    }
-
-    /// The number as `usize`.
-    pub fn as_usize(&self) -> Result<usize, WireError> {
-        self.as_u64().and_then(|n| {
-            usize::try_from(n).map_err(|_| WireError::new(format!("{n} overflows usize")))
-        })
-    }
-
-    /// The number as `u32`.
-    pub fn as_u32(&self) -> Result<u32, WireError> {
-        self.as_u64().and_then(|n| {
-            u32::try_from(n).map_err(|_| WireError::new(format!("{n} overflows u32")))
-        })
     }
 }
 
@@ -314,83 +297,105 @@ impl Parser<'_> {
         Ok(value)
     }
 
-    fn object(&mut self) -> Result<JsonValue, WireError> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
+    /// The comma-separated items of a container, from its opening bracket
+    /// (where `self.pos` stands) through `close`, each parsed by `item`.
+    fn items(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        self.pos += 1;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(JsonValue::Object(members));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
+                Some(b) if b == close => {
                     self.pos += 1;
-                    return Ok(JsonValue::Object(members));
+                    return Ok(());
                 }
                 _ => {
                     return Err(WireError::new(format!(
-                        "expected ',' or '}}' at offset {}",
-                        self.pos
+                        "expected ',' or {:?} at offset {}",
+                        close as char, self.pos
                     )))
                 }
             }
         }
+    }
+
+    fn object(&mut self) -> Result<JsonValue, WireError> {
+        let mut members = Vec::new();
+        self.items(b'}', |p| {
+            let key = p.string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            members.push((key, p.value()?));
+            Ok(())
+        })?;
+        Ok(JsonValue::Object(members))
     }
 
     fn array(&mut self) -> Result<JsonValue, WireError> {
-        self.expect(b'[')?;
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
+        self.items(b']', |p| {
+            items.push(p.value()?);
+            Ok(())
+        })?;
+        Ok(JsonValue::Array(items))
+    }
+
+    /// One number of the JSON grammar, `-?(0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)?`,
+    /// and a finite one: `1e999` fits the grammar but parses to `+inf`,
+    /// which the writer never emits (non-finite values travel as `null`),
+    /// and `str::parse::<f64>` alone would also wave `1.` and `-.5` through.
+    fn number(&mut self) -> Result<JsonValue, WireError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
             self.pos += 1;
-            return Ok(JsonValue::Array(items));
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => {
-                    return Err(WireError::new(format!(
-                        "expected ',' or ']' at offset {}",
-                        self.pos
-                    )))
-                }
+        let integer = self.pos;
+        let mut well_formed = match self.digits() {
+            0 => false,
+            1 => true,
+            _ => self.bytes[integer] != b'0',
+        };
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            well_formed &= self.digits() > 0;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
             }
+            well_formed &= self.digits() > 0;
+        }
+        let raw =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number literals are ASCII");
+        if well_formed && raw.parse::<f64>().is_ok_and(f64::is_finite) {
+            Ok(JsonValue::Number(raw.to_string()))
+        } else {
+            Err(WireError::new(format!(
+                "bad number literal {raw:?} at offset {start}"
+            )))
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, WireError> {
+    /// Skip a run of ASCII digits and return how many there were.
+    fn digits(&mut self) -> usize {
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number literals are ASCII")
-            .to_string();
-        // Validate the literal now so schema code can trust the raw text.
-        raw.parse::<f64>()
-            .map_err(|e| WireError::new(format!("bad number literal {raw:?}: {e}")))?;
-        Ok(JsonValue::Number(raw))
+        self.pos - start
     }
 
     fn string(&mut self) -> Result<String, WireError> {
@@ -476,13 +481,102 @@ impl Parser<'_> {
     }
 }
 
-/// Serialize a finite `f64` as its exact shortest literal, and non-finite
-/// values as `null` (the same convention the scenario report uses).
-pub fn wire_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "null".to_string()
+/// `write!` into a `String`: the one place its `fmt::Result` is dropped.
+fn push_fmt(out: &mut String, args: fmt::Arguments<'_>) {
+    out.write_fmt(args)
+        .expect("String's fmt::Write never fails");
+}
+
+/// Append `s` with `"`, `\` and every control character below U+0020
+/// escaped.
+fn escape_into(s: &str, out: &mut String) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => push_fmt(out, format_args!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+}
+
+/// Escape a string for embedding inside a JSON string literal: `"`, `\`
+/// and every control character below U+0020 are escaped, so hostile or
+/// merely unlucky labels (a discipline name with a quote, a class label
+/// with a newline) can never produce malformed JSON.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_into(s, &mut out);
+    out
+}
+
+/// The string `write` fills.
+pub(crate) fn encoded(write: impl FnOnce(&mut String)) -> String {
+    let mut out = String::new();
+    write(&mut out);
+    out
+}
+
+/// Append `s` as a JSON string literal, quoted and escaped.
+pub fn write_str(s: &str, out: &mut String) {
+    out.push('"');
+    escape_into(s, out);
+    out.push('"');
+}
+
+/// Append `[a,b,…]`, each item written by `each`.
+pub fn write_seq<I: IntoIterator>(
+    items: I,
+    out: &mut String,
+    mut each: impl FnMut(I::Item, &mut String),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        each(item, out);
+    }
+    out.push(']');
+}
+
+/// Writes one JSON object into a buffer, member by member, in call order.
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    /// What precedes the next key: the opening brace, then commas.
+    lead: char,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Open an object at the end of `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        ObjectWriter { out, lead: '{' }
+    }
+
+    /// Append `"key":` and whatever `value` writes.
+    pub fn member_with(&mut self, key: &str, value: impl FnOnce(&mut String)) -> &mut Self {
+        self.out.push(self.lead);
+        self.lead = ',';
+        write_str(key, self.out);
+        self.out.push(':');
+        value(self.out);
+        self
+    }
+
+    /// Append `"key":value`.
+    pub fn member<T: WireResult>(&mut self, key: &str, value: &T) -> &mut Self {
+        self.member_with(key, |out| value.write_wire(out))
+    }
+
+    /// Close the object.
+    pub fn end(&mut self) {
+        if self.lead == '{' {
+            self.out.push('{');
+        }
+        self.out.push('}');
     }
 }
 
@@ -490,23 +584,116 @@ pub fn wire_f64(x: f64) -> String {
 /// JSON body and decode back **losslessly**, so a distributed sweep's
 /// decoded results render byte-identically to an in-process run's.
 ///
-/// Implementations exist for the primitives, `String`, pairs, `Vec` and
-/// [`ScenarioReport`]; each experiment implements it for its own row type.
+/// Implementations exist for the primitives, `String`, `Option`, pairs and
+/// `Vec`; a record — every report section, every experiment row — gets
+/// both directions from one [`wire_record!`](crate::wire_record) list.
 pub trait WireResult: Sized {
-    /// Encode as one JSON value.
-    fn to_wire_json(&self) -> String;
+    /// Append this value's JSON encoding to `out`.
+    fn write_wire(&self, out: &mut String);
+
     /// Decode from a parsed JSON value.
     fn from_wire_json(value: &JsonValue) -> Result<Self, WireError>;
+
+    /// Encode as one JSON value.
+    fn to_wire_json(&self) -> String {
+        encoded(|out| self.write_wire(out))
+    }
+}
+
+/// Give a struct its [`WireResult`] codec from one list of its fields: the
+/// JSON object whose keys are the field names, in list order, and the
+/// decoder that reads it back.  A field goes through its own type's
+/// [`WireResult`] unless marked `field: label(POOL)` — an interned
+/// `&'static str`, written as a string and read back through [`intern`],
+/// so a label outside `POOL: &[&str]` is a [`WireError`] — or
+/// `field: optional` — an `Option` whose key is absent, not `null`, when
+/// it is `None`.
+///
+/// ```
+/// use ispn_scenario::{wire_record, JsonValue, WireResult};
+///
+/// const SCHEDULERS: &[&str] = &["FIFO", "WFQ"];
+///
+/// struct Row {
+///     scheduler: &'static str,
+///     mean: f64,
+///     bound: Option<f64>,
+/// }
+///
+/// // Braces keep rustfmt from laying the list out one name per line.
+/// wire_record! { Row { scheduler: label(SCHEDULERS), mean, bound } }
+///
+/// let json = Row { scheduler: "WFQ", mean: 3.16, bound: None }.to_wire_json();
+/// assert_eq!(json, r#"{"scheduler":"WFQ","mean":3.16,"bound":null}"#);
+/// let evil = JsonValue::parse(&json.replace("WFQ", "EvilSched")).unwrap();
+/// assert!(Row::from_wire_json(&evil).is_err());
+/// ```
+#[macro_export]
+macro_rules! wire_record {
+    ($record:ident { $($field:ident $(: $how:ident $(($pool:path))?)?),+ $(,)? }) => {
+        impl $crate::sweep::wire::WireResult for $record {
+            fn write_wire(&self, out: &mut String) {
+                let mut object = $crate::sweep::wire::ObjectWriter::new(out);
+                $($crate::wire_record!(@write object, self.$field $(, $how $(($pool))?)?);)+
+                object.end();
+            }
+
+            fn from_wire_json(
+                value: &$crate::sweep::wire::JsonValue,
+            ) -> Result<Self, $crate::sweep::wire::WireError> {
+                Ok($record {
+                    $($field: $crate::wire_record!(@read value, $field $(, $how $(($pool))?)?),)+
+                })
+            }
+        }
+    };
+    (@write $object:ident, $this:ident.$field:ident) => {
+        $object.member(stringify!($field), &$this.$field)
+    };
+    (@write $object:ident, $this:ident.$field:ident, label($pool:path)) => {
+        $object.member_with(stringify!($field), |out| {
+            $crate::sweep::wire::write_str($this.$field, out)
+        })
+    };
+    (@write $object:ident, $this:ident.$field:ident, optional) => {
+        if let Some(present) = &$this.$field {
+            $object.member(stringify!($field), present);
+        }
+    };
+    (@read $value:ident, $field:ident) => {
+        $crate::sweep::wire::WireResult::from_wire_json($value.field(stringify!($field))?)?
+    };
+    (@read $value:ident, $field:ident, label($pool:path)) => {
+        $crate::sweep::wire::intern($value.field(stringify!($field))?, $pool)?
+    };
+    (@read $value:ident, $field:ident, optional) => {
+        $value
+            .get(stringify!($field))
+            .map($crate::sweep::wire::WireResult::from_wire_json)
+            .transpose()?
+    };
+}
+
+/// The member of `pool` a JSON string names.  Experiment rows store their
+/// labels as `&'static str`, so decoding maps the text back to the pool's
+/// own copy; a label the pool does not hold is a schema error, not a
+/// panic — a worker from a different build must not crash the parent.
+pub fn intern(value: &JsonValue, pool: &'static [&'static str]) -> Result<&'static str, WireError> {
+    let label = value.as_str()?;
+    pool.iter()
+        .copied()
+        .find(|known| *known == label)
+        .ok_or_else(|| WireError::new(format!("unknown label {label:?}: not one of {pool:?}")))
 }
 
 macro_rules! wire_uint {
-    ($($t:ty => $as:ident),*) => {$(
+    ($($t:ty),*) => {$(
         impl WireResult for $t {
-            fn to_wire_json(&self) -> String {
-                self.to_string()
+            fn write_wire(&self, out: &mut String) {
+                push_fmt(out, format_args!("{self}"));
             }
             fn from_wire_json(value: &JsonValue) -> Result<Self, WireError> {
-                value.$as().and_then(|n| {
+                value.as_u64().and_then(|n| {
                     <$t>::try_from(n)
                         .map_err(|_| WireError::new(format!("{n} out of range")))
                 })
@@ -515,20 +702,30 @@ macro_rules! wire_uint {
     )*};
 }
 
-wire_uint!(u64 => as_u64, u32 => as_u64, usize => as_u64);
+wire_uint!(u64, u32, usize);
 
 impl WireResult for f64 {
-    fn to_wire_json(&self) -> String {
-        wire_f64(*self)
+    /// A finite value as its exact shortest literal, anything else as
+    /// `null`.
+    fn write_wire(&self, out: &mut String) {
+        if self.is_finite() {
+            push_fmt(out, format_args!("{self:?}"));
+        } else {
+            out.push_str("null");
+        }
     }
     fn from_wire_json(value: &JsonValue) -> Result<Self, WireError> {
-        value.as_f64_or_nan()
+        if value.is_null() {
+            Ok(f64::NAN)
+        } else {
+            value.as_f64()
+        }
     }
 }
 
 impl WireResult for bool {
-    fn to_wire_json(&self) -> String {
-        self.to_string()
+    fn write_wire(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
     fn from_wire_json(value: &JsonValue) -> Result<Self, WireError> {
         value.as_bool()
@@ -536,198 +733,58 @@ impl WireResult for bool {
 }
 
 impl WireResult for String {
-    fn to_wire_json(&self) -> String {
-        format!("\"{}\"", json_escape(self))
+    fn write_wire(&self, out: &mut String) {
+        write_str(self, out);
     }
     fn from_wire_json(value: &JsonValue) -> Result<Self, WireError> {
         value.as_str().map(str::to_string)
     }
 }
 
-impl<A: WireResult, B: WireResult> WireResult for (A, B) {
-    fn to_wire_json(&self) -> String {
-        format!("[{},{}]", self.0.to_wire_json(), self.1.to_wire_json())
+/// `None` is `null`.  An `Option<f64>` therefore cannot tell `None` from
+/// a non-finite `Some`: both travel as `null` and come back `None`.
+impl<T: WireResult> WireResult for Option<T> {
+    fn write_wire(&self, out: &mut String) {
+        match self {
+            Some(present) => present.write_wire(out),
+            None => out.push_str("null"),
+        }
     }
     fn from_wire_json(value: &JsonValue) -> Result<Self, WireError> {
-        let items = value.as_array()?;
-        if items.len() != 2 {
-            return Err(WireError::new(format!(
+        if value.is_null() {
+            Ok(None)
+        } else {
+            T::from_wire_json(value).map(Some)
+        }
+    }
+}
+
+impl<A: WireResult, B: WireResult> WireResult for (A, B) {
+    fn write_wire(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_wire(out);
+        out.push(',');
+        self.1.write_wire(out);
+        out.push(']');
+    }
+    fn from_wire_json(value: &JsonValue) -> Result<Self, WireError> {
+        match value.as_array()? {
+            [a, b] => Ok((A::from_wire_json(a)?, B::from_wire_json(b)?)),
+            items => Err(WireError::new(format!(
                 "expected a pair, got {} elements",
                 items.len()
-            )));
+            ))),
         }
-        Ok((A::from_wire_json(&items[0])?, B::from_wire_json(&items[1])?))
     }
 }
 
 impl<T: WireResult> WireResult for Vec<T> {
-    fn to_wire_json(&self) -> String {
-        let body: Vec<String> = self.iter().map(WireResult::to_wire_json).collect();
-        format!("[{}]", body.join(","))
+    fn write_wire(&self, out: &mut String) {
+        write_seq(self, out, T::write_wire);
     }
     fn from_wire_json(value: &JsonValue) -> Result<Self, WireError> {
         value.as_array()?.iter().map(T::from_wire_json).collect()
     }
-}
-
-impl WireResult for ScenarioReport {
-    /// The report's existing JSON serialization is the wire body.
-    fn to_wire_json(&self) -> String {
-        self.to_json()
-    }
-
-    fn from_wire_json(v: &JsonValue) -> Result<Self, WireError> {
-        Ok(ScenarioReport {
-            horizon_s: v.field("horizon_s")?.as_f64_or_nan()?,
-            flows: v
-                .field("flows")?
-                .as_array()?
-                .iter()
-                .map(decode_flow)
-                .collect::<Result<_, _>>()?,
-            links: v
-                .field("links")?
-                .as_array()?
-                .iter()
-                .map(decode_link)
-                .collect::<Result<_, _>>()?,
-            classes: v
-                .field("classes")?
-                .as_array()?
-                .iter()
-                .map(decode_class)
-                .collect::<Result<_, _>>()?,
-            disciplines: v
-                .field("disciplines")?
-                .as_array()?
-                .iter()
-                .map(decode_discipline)
-                .collect::<Result<_, _>>()?,
-            signaling: {
-                let s = v.field("signaling")?;
-                if s.is_null() {
-                    None
-                } else {
-                    Some(decode_signaling(s)?)
-                }
-            },
-            // Absent on telemetry-off reports: `get`, not `field`.
-            telemetry: v.get("telemetry").map(decode_telemetry).transpose()?,
-        })
-    }
-}
-
-fn decode_flow(v: &JsonValue) -> Result<FlowSummary, WireError> {
-    Ok(FlowSummary {
-        flow: v.field("flow")?.as_u32()?,
-        generated: v.field("generated")?.as_u64()?,
-        delivered: v.field("delivered")?.as_u64()?,
-        dropped_buffer: v.field("dropped_buffer")?.as_u64()?,
-        dropped_at_edge: v.field("dropped_at_edge")?.as_u64()?,
-        dropped_inactive: v.field("dropped_inactive")?.as_u64()?,
-        mean_delay_s: v.field("mean_delay_s")?.as_f64_or_nan()?,
-        p999_delay_s: v.field("p999_delay_s")?.as_f64_or_nan()?,
-        max_delay_s: v.field("max_delay_s")?.as_f64_or_nan()?,
-        jitter_s: v.field("jitter_s")?.as_f64_or_nan()?,
-    })
-}
-
-fn decode_link(v: &JsonValue) -> Result<LinkSummary, WireError> {
-    Ok(LinkSummary {
-        link: v.field("link")?.as_usize()?,
-        utilization: v.field("utilization")?.as_f64_or_nan()?,
-        realtime_utilization: v.field("realtime_utilization")?.as_f64_or_nan()?,
-        drops: v.field("drops")?.as_u64()?,
-        packets_sent: v.field("packets_sent")?.as_u64()?,
-    })
-}
-
-fn decode_class(v: &JsonValue) -> Result<ClassSummary, WireError> {
-    let quantiles = v
-        .field("quantiles")?
-        .as_array()?
-        .iter()
-        .map(|pair| {
-            let items = pair.as_array()?;
-            if items.len() != 2 {
-                return Err(WireError::new("quantile entries are [q, delay] pairs"));
-            }
-            Ok((items[0].as_f64_or_nan()?, items[1].as_f64_or_nan()?))
-        })
-        .collect::<Result<_, _>>()?;
-    let histogram = {
-        let h = v.field("histogram")?;
-        if h.is_null() {
-            None
-        } else {
-            Some(HistogramSummary {
-                lo_s: h.field("lo_s")?.as_f64_or_nan()?,
-                hi_s: h.field("hi_s")?.as_f64_or_nan()?,
-                counts: h
-                    .field("counts")?
-                    .as_array()?
-                    .iter()
-                    .map(JsonValue::as_u64)
-                    .collect::<Result<_, _>>()?,
-                underflow: h.field("underflow")?.as_u64()?,
-                overflow: h.field("overflow")?.as_u64()?,
-            })
-        }
-    };
-    Ok(ClassSummary {
-        class: v.field("class")?.as_str()?.to_string(),
-        flows: v.field("flows")?.as_usize()?,
-        generated: v.field("generated")?.as_u64()?,
-        delivered: v.field("delivered")?.as_u64()?,
-        dropped_buffer: v.field("dropped_buffer")?.as_u64()?,
-        dropped_at_edge: v.field("dropped_at_edge")?.as_u64()?,
-        mean_delay_s: v.field("mean_delay_s")?.as_f64_or_nan()?,
-        max_delay_s: v.field("max_delay_s")?.as_f64_or_nan()?,
-        jitter_s: v.field("jitter_s")?.as_f64_or_nan()?,
-        quantiles,
-        histogram,
-    })
-}
-
-fn decode_discipline(v: &JsonValue) -> Result<DisciplineSummary, WireError> {
-    Ok(DisciplineSummary {
-        discipline: v.field("discipline")?.as_str()?.to_string(),
-        links: v.field("links")?.as_usize()?,
-        mean_utilization: v.field("mean_utilization")?.as_f64_or_nan()?,
-        mean_realtime_utilization: v.field("mean_realtime_utilization")?.as_f64_or_nan()?,
-        drops: v.field("drops")?.as_u64()?,
-        packets_sent: v.field("packets_sent")?.as_u64()?,
-    })
-}
-
-fn decode_telemetry(v: &JsonValue) -> Result<RunTelemetry, WireError> {
-    Ok(RunTelemetry {
-        events_processed: v.field("events_processed")?.as_u64()?,
-        event_queue_high_water: v.field("event_queue_high_water")?.as_u64()?,
-        peak_queue_depth: v.field("peak_queue_depth")?.as_u64()?,
-        admission_accepted: v.field("admission_accepted")?.as_u64()?,
-        admission_rejected: v.field("admission_rejected")?.as_u64()?,
-        flow_table_bytes: v.field("flow_table_bytes")?.as_u64()?,
-        reservation_state_bytes: v.field("reservation_state_bytes")?.as_u64()?,
-        sched_pool_grow_events: v.field("sched_pool_grow_events")?.as_u64()?,
-        sched_pool_segments_high_water: v.field("sched_pool_segments_high_water")?.as_u64()?,
-        wall_s: v.field("wall_s")?.as_f64_or_nan()?,
-        events_per_sec: v.field("events_per_sec")?.as_f64_or_nan()?,
-    })
-}
-
-fn decode_signaling(v: &JsonValue) -> Result<SignalingSummary, WireError> {
-    Ok(SignalingSummary {
-        accepted: v.field("accepted")?.as_usize()?,
-        rejected: v.field("rejected")?.as_usize()?,
-        decisions: v
-            .field("decisions")?
-            .as_array()?
-            .iter()
-            .map(JsonValue::as_bool)
-            .collect::<Result<_, _>>()?,
-        pending: v.field("pending")?.as_usize()?,
-    })
 }
 
 /// The parent's per-point request: which point to run, plus the axis tags
@@ -741,24 +798,32 @@ pub struct PointRequest {
     pub tags: Vec<(String, String)>,
 }
 
+/// Append one request object, `{"point":3,"axes":[["load","1.0"],…]}`.
+fn write_request(index: usize, tags: &[(String, String)], out: &mut String) {
+    ObjectWriter::new(out)
+        .member("point", &index)
+        .member_with("axes", |out| write_seq(tags, out, WireResult::write_wire))
+        .end();
+}
+
 /// Encode a point request as one line-framed JSON document (no newline).
 pub fn encode_request(index: usize, tags: &[(String, String)]) -> String {
-    let axes: Vec<String> = tags
-        .iter()
-        .map(|(name, label)| format!("[\"{}\",\"{}\"]", json_escape(name), json_escape(label)))
-        .collect();
-    format!("{{\"point\":{index},\"axes\":[{}]}}", axes.join(","))
+    encoded(|out| write_request(index, tags, out))
 }
 
 /// Encode several point requests as one batched line-framed document
 /// (no newline); the worker answers the points in order, exactly as if
 /// each had arrived on its own line.
 pub fn encode_batch_request(items: &[(usize, &[(String, String)])]) -> String {
-    let body: Vec<String> = items
-        .iter()
-        .map(|&(index, tags)| encode_request(index, tags))
-        .collect();
-    format!("{{\"batch\":[{}]}}", body.join(","))
+    encoded(|out| {
+        ObjectWriter::new(out)
+            .member_with("batch", |out| {
+                write_seq(items, out, |&(index, tags), out| {
+                    write_request(index, tags, out)
+                })
+            })
+            .end()
+    })
 }
 
 /// Parse a request line: either one [`PointRequest`] or a
@@ -782,23 +847,10 @@ pub fn parse_requests(line: &str) -> Result<Vec<PointRequest>, WireError> {
 /// Decode one request object (the body of a single request line or one
 /// element of a batch).
 fn request_from_value(v: &JsonValue) -> Result<PointRequest, WireError> {
-    let index = v.field("point")?.as_usize()?;
-    let tags = v
-        .field("axes")?
-        .as_array()?
-        .iter()
-        .map(|pair| {
-            let items = pair.as_array()?;
-            if items.len() != 2 {
-                return Err(WireError::new("axis entries are [name, label] pairs"));
-            }
-            Ok((
-                items[0].as_str()?.to_string(),
-                items[1].as_str()?.to_string(),
-            ))
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(PointRequest { index, tags })
+    Ok(PointRequest {
+        index: usize::from_wire_json(v.field("point")?)?,
+        tags: Vec::from_wire_json(v.field("axes")?)?,
+    })
 }
 
 /// One parsed worker → parent frame.
@@ -837,54 +889,74 @@ pub enum WorkerFrame {
     },
 }
 
-/// Encode the worker's hello frame.
-pub fn encode_hello(points: usize) -> String {
-    format!("{{\"hello\":{{\"protocol\":{PROTOCOL_VERSION},\"points\":{points}}}}}")
+/// The body of a hello frame.
+struct Hello {
+    protocol: u64,
+    points: usize,
 }
 
-/// Encode a completed point's frame (`body` must already be valid JSON —
-/// the output of [`WireResult::to_wire_json`]).
-pub fn encode_report_frame(index: usize, body: &str) -> String {
-    format!("{{\"point\":{index},\"report\":{body}}}")
+wire_record! { Hello { protocol, points } }
+
+/// The body of a telemetry frame.
+struct PointStats {
+    wall_s: f64,
+}
+
+wire_record! { PointStats { wall_s } }
+
+/// Encode the worker's hello frame.
+pub fn encode_hello(points: usize) -> String {
+    let hello = Hello {
+        protocol: PROTOCOL_VERSION,
+        points,
+    };
+    encoded(|out| ObjectWriter::new(out).member("hello", &hello).end())
+}
+
+/// A per-point frame: `{"point":3,"<key>":<body>}`.
+fn point_frame(index: usize, key: &str, body: impl FnOnce(&mut String)) -> String {
+    encoded(|out| {
+        ObjectWriter::new(out)
+            .member("point", &index)
+            .member_with(key, body)
+            .end()
+    })
+}
+
+/// Encode a completed point's frame around its result.
+pub fn encode_report_frame(index: usize, result: &impl WireResult) -> String {
+    point_frame(index, "report", |out| result.write_wire(out))
 }
 
 /// Encode a panicked point's frame.
 pub fn encode_error_frame(index: usize, payload: &str) -> String {
-    format!(
-        "{{\"point\":{index},\"error\":\"{}\"}}",
-        json_escape(payload)
-    )
+    point_frame(index, "error", |out| write_str(payload, out))
 }
 
 /// Encode a point's out-of-band stats frame.
 pub fn encode_telemetry_frame(index: usize, wall_s: f64) -> String {
-    format!(
-        "{{\"point\":{index},\"telemetry\":{{\"wall_s\":{}}}}}",
-        wire_f64(wall_s)
-    )
+    point_frame(index, "telemetry", |out| {
+        PointStats { wall_s }.write_wire(out)
+    })
 }
 
 /// Parse one worker → parent line.
 pub fn parse_worker_frame(line: &str) -> Result<WorkerFrame, WireError> {
     let v = JsonValue::parse(line)?;
     if let Some(hello) = v.get("hello") {
-        return Ok(WorkerFrame::Hello {
-            protocol: hello.field("protocol")?.as_u64()?,
-            points: hello.field("points")?.as_usize()?,
-        });
+        let Hello { protocol, points } = Hello::from_wire_json(hello)?;
+        return Ok(WorkerFrame::Hello { protocol, points });
     }
-    let index = v.field("point")?.as_usize()?;
+    let index = usize::from_wire_json(v.field("point")?)?;
     if let Some(payload) = v.get("error") {
         return Ok(WorkerFrame::Error {
             index,
-            payload: payload.as_str()?.to_string(),
+            payload: String::from_wire_json(payload)?,
         });
     }
     if let Some(stats) = v.get("telemetry") {
-        return Ok(WorkerFrame::Telemetry {
-            index,
-            wall_s: stats.field("wall_s")?.as_f64_or_nan()?,
-        });
+        let PointStats { wall_s } = PointStats::from_wire_json(stats)?;
+        return Ok(WorkerFrame::Telemetry { index, wall_s });
     }
     // Move the report body out of the owned document: this is the hot
     // per-point decode path, and the body can embed a whole report tree.
@@ -905,6 +977,11 @@ pub fn parse_worker_frame(line: &str) -> Result<WorkerFrame, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{
+        ClassSummary, DisciplineSummary, FlowSummary, HistogramSummary, LinkSummary, RunTelemetry,
+        ScenarioReport, SignalingSummary,
+    };
+    use crate::sweep::testing::assert_wire_codec;
     use proptest::prelude::*;
 
     #[test]
@@ -944,6 +1021,35 @@ mod tests {
         ] {
             assert!(JsonValue::parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    /// `str::parse::<f64>` is laxer than JSON and knows infinity; the
+    /// writer emits neither, so the parser takes neither.
+    #[test]
+    fn rejects_numbers_outside_the_json_grammar_or_the_finite_range() {
+        for bad in [
+            "1e999", "-1e999", "+1", ".5", "-.5", "1.", "1.e3", "01", "-01.5", "1e", "1e+", "-",
+            "--1", "1.5.3", "1e5e5", "inf", "NaN",
+        ] {
+            assert!(JsonValue::parse(bad).is_err(), "{bad:?} should not parse");
+        }
+        for good in [
+            "0",
+            "-0.0",
+            "10",
+            "1e21",
+            "1E-7",
+            "5e-324",
+            "1.7976931348623157e308",
+        ] {
+            let v = JsonValue::parse(good).unwrap_or_else(|e| panic!("{good:?}: {e}"));
+            assert!(v.as_f64().unwrap().is_finite(), "{good:?}");
+        }
+        // What the bug looked like from the supervisor's side: a frame that
+        // handed `+inf` to the telemetry stream.
+        let frame = "{\"point\":3,\"telemetry\":{\"wall_s\":1e999}}";
+        let err = parse_worker_frame(frame).expect_err("an infinite wall time is not a frame");
+        assert!(err.detail.contains("bad number literal \"1e999\""), "{err}");
     }
 
     #[test]
@@ -990,12 +1096,12 @@ mod tests {
         assert_eq!(v.as_u64().unwrap(), u64::MAX);
         // Shortest-f64 literals round-trip to the same bits.
         for x in [0.1, 1.0 / 3.0, 83.5e-9, f64::MIN_POSITIVE, -0.0] {
-            let v = JsonValue::parse(&wire_f64(x)).unwrap();
+            let v = JsonValue::parse(&x.to_wire_json()).unwrap();
             assert_eq!(v.as_f64().unwrap().to_bits(), x.to_bits());
         }
-        assert!(JsonValue::parse(&wire_f64(f64::NAN))
+        assert!(JsonValue::parse(&f64::NAN.to_wire_json())
+            .map(|v| f64::from_wire_json(&v))
             .unwrap()
-            .as_f64_or_nan()
             .unwrap()
             .is_nan());
     }
@@ -1016,10 +1122,10 @@ mod tests {
                 points: 8
             }
         );
-        match parse_worker_frame(&encode_report_frame(2, "{\"x\":1}")).unwrap() {
+        match parse_worker_frame(&encode_report_frame(2, &(1u64, true))).unwrap() {
             WorkerFrame::Report { index, body } => {
                 assert_eq!(index, 2);
-                assert_eq!(body.field("x").unwrap().as_u64().unwrap(), 1);
+                assert_eq!(<(u64, bool)>::from_wire_json(&body), Ok((1, true)));
             }
             other => panic!("unexpected frame {other:?}"),
         }
@@ -1078,108 +1184,202 @@ mod tests {
             parse_worker_frame(&hello).unwrap(),
             WorkerFrame::Hello { .. }
         ));
-        let report = format!("{}\r", encode_report_frame(2, "{\"x\":1}"));
+        let report = format!("{}\r", encode_report_frame(2, &1u64));
         assert!(matches!(
             parse_worker_frame(&report).unwrap(),
             WorkerFrame::Report { index: 2, .. }
         ));
     }
 
+    /// Every report record through the shared codec contract, each on its
+    /// own and then nested in the report that carries them.
     #[test]
     fn scenario_reports_round_trip_byte_identically() {
+        let flow = FlowSummary {
+            flow: 7,
+            generated: 100,
+            delivered: 98,
+            dropped_buffer: 2,
+            dropped_at_edge: 0,
+            dropped_inactive: 0,
+            mean_delay_s: 0.1 + 0.2, // a classically non-round float
+            p999_delay_s: f64::NAN,  // travels as null
+            max_delay_s: 0.06,
+            jitter_s: 1.0 / 3.0,
+        };
+        let flow_json = "{\"flow\":7,\"generated\":100,\"delivered\":98,\"dropped_buffer\":2,\
+            \"dropped_at_edge\":0,\"dropped_inactive\":0,\"mean_delay_s\":0.30000000000000004,\
+            \"p999_delay_s\":null,\"max_delay_s\":0.06,\"jitter_s\":0.3333333333333333}";
+        assert_wire_codec(
+            &flow,
+            flow_json,
+            &[
+                &flow_json.replace("\"flow\":7", "\"flow\":4294967296"),
+                &flow_json.replace(",\"jitter_s\":0.3333333333333333", ""),
+            ],
+        );
+
+        let link = LinkSummary {
+            link: 0,
+            utilization: 0.835,
+            realtime_utilization: f64::INFINITY,
+            drops: 2,
+            packets_sent: 98,
+        };
+        let link_json = "{\"link\":0,\"utilization\":0.835,\"realtime_utilization\":null,\
+            \"drops\":2,\"packets_sent\":98}";
+        assert_wire_codec(
+            &link,
+            link_json,
+            &[&link_json.replace("\"drops\":2", "\"drops\":\"2\"")],
+        );
+
+        let histogram = HistogramSummary {
+            lo_s: 0.0,
+            hi_s: 0.1,
+            counts: vec![90, 8],
+            underflow: 0,
+            overflow: 0,
+        };
+        let histogram_json =
+            "{\"lo_s\":0.0,\"hi_s\":0.1,\"counts\":[90,8],\"underflow\":0,\"overflow\":0}";
+        assert_wire_codec(
+            &histogram,
+            histogram_json,
+            &[&histogram_json.replace("[90,8]", "[90,-8]")],
+        );
+
+        let class = ClassSummary {
+            class: "predicted-0".to_string(),
+            flows: 1,
+            generated: 100,
+            delivered: 98,
+            dropped_buffer: 2,
+            dropped_at_edge: 0,
+            mean_delay_s: 0.003,
+            max_delay_s: 0.06,
+            jitter_s: f64::NAN,
+            quantiles: vec![(0.5, 0.002), (0.999, 0.05)],
+            histogram: Some(histogram),
+        };
+        let class_json = format!(
+            "{{\"class\":\"predicted-0\",\"flows\":1,\"generated\":100,\"delivered\":98,\
+             \"dropped_buffer\":2,\"dropped_at_edge\":0,\"mean_delay_s\":0.003,\
+             \"max_delay_s\":0.06,\"jitter_s\":null,\"quantiles\":[[0.5,0.002],[0.999,0.05]],\
+             \"histogram\":{histogram_json}}}"
+        );
+        assert_wire_codec(
+            &class,
+            &class_json,
+            &[&class_json.replace("[0.5,0.002]", "[0.5,0.002,0.1]")],
+        );
+        let plain_class = ClassSummary {
+            histogram: None,
+            ..class.clone()
+        };
+        assert_wire_codec(
+            &plain_class,
+            &class_json.replace(histogram_json, "null"),
+            &[],
+        );
+
+        let discipline = DisciplineSummary {
+            discipline: "WFQ\"evil".to_string(),
+            links: 1,
+            mean_utilization: 0.83,
+            mean_realtime_utilization: f64::NAN,
+            drops: 2,
+            packets_sent: 98,
+        };
+        let discipline_json = "{\"discipline\":\"WFQ\\\"evil\",\"links\":1,\
+            \"mean_utilization\":0.83,\"mean_realtime_utilization\":null,\"drops\":2,\
+            \"packets_sent\":98}";
+        assert_wire_codec(
+            &discipline,
+            discipline_json,
+            &[&discipline_json.replace("\"WFQ\\\"evil\"", "7")],
+        );
+
+        let signaling = SignalingSummary {
+            accepted: 3,
+            rejected: 1,
+            decisions: vec![true, true, false, true],
+            pending: 0,
+        };
+        let signaling_json = "{\"accepted\":3,\"rejected\":1,\"pending\":0,\
+            \"decisions\":[true,true,false,true]}";
+        assert_wire_codec(
+            &signaling,
+            signaling_json,
+            &[&signaling_json.replace("false", "0")],
+        );
+
+        let telemetry = RunTelemetry {
+            events_processed: 1234,
+            event_queue_high_water: 17,
+            peak_queue_depth: 9,
+            admission_accepted: 3,
+            admission_rejected: 1,
+            flow_table_bytes: 2048,
+            reservation_state_bytes: 512,
+            sched_pool_grow_events: 7,
+            sched_pool_segments_high_water: 5,
+            wall_s: 0.25,
+            events_per_sec: f64::NAN,
+        };
+        let telemetry_json = "{\"events_processed\":1234,\"event_queue_high_water\":17,\
+            \"peak_queue_depth\":9,\"admission_accepted\":3,\"admission_rejected\":1,\
+            \"flow_table_bytes\":2048,\"reservation_state_bytes\":512,\
+            \"sched_pool_grow_events\":7,\"sched_pool_segments_high_water\":5,\"wall_s\":0.25,\
+            \"events_per_sec\":null}";
+        assert_wire_codec(
+            &telemetry,
+            telemetry_json,
+            &[&telemetry_json.replace("\"wall_s\":0.25", "\"wall_s\":true")],
+        );
+
         let report = ScenarioReport {
             horizon_s: 40.0,
-            flows: vec![FlowSummary {
-                flow: 7,
-                generated: 100,
-                delivered: 98,
-                dropped_buffer: 2,
-                dropped_at_edge: 0,
-                dropped_inactive: 0,
-                mean_delay_s: 0.1 + 0.2, // a classically non-round float
-                p999_delay_s: f64::NAN,  // serializes as null
-                max_delay_s: 0.06,
-                jitter_s: 1.0 / 3.0,
-            }],
-            links: vec![LinkSummary {
-                link: 0,
-                utilization: 0.835,
-                realtime_utilization: 0.8,
-                drops: 2,
-                packets_sent: 98,
-            }],
-            classes: vec![ClassSummary {
-                class: "predicted-0".to_string(),
-                flows: 1,
-                generated: 100,
-                delivered: 98,
-                dropped_buffer: 2,
-                dropped_at_edge: 0,
-                mean_delay_s: 0.003,
-                max_delay_s: 0.06,
-                jitter_s: 0.004,
-                quantiles: vec![(0.5, 0.002), (0.999, 0.05)],
-                histogram: Some(HistogramSummary {
-                    lo_s: 0.0,
-                    hi_s: 0.1,
-                    counts: vec![90, 8],
-                    underflow: 0,
-                    overflow: 0,
-                }),
-            }],
-            disciplines: vec![DisciplineSummary {
-                discipline: "WFQ\"evil".to_string(),
-                links: 1,
-                mean_utilization: 0.83,
-                mean_realtime_utilization: 0.8,
-                drops: 2,
-                packets_sent: 98,
-            }],
-            signaling: Some(SignalingSummary {
-                accepted: 3,
-                rejected: 1,
-                decisions: vec![true, true, false, true],
-                pending: 0,
-            }),
+            flows: vec![flow],
+            links: vec![link],
+            classes: vec![class],
+            disciplines: vec![discipline],
+            signaling: Some(signaling),
             telemetry: None,
         };
-        let json = report.to_wire_json();
-        let decoded = ScenarioReport::from_wire_json(&JsonValue::parse(&json).unwrap()).unwrap();
-        // The byte-identity surface: re-encoding the decoded report
-        // reproduces the original document exactly (NaN → null → NaN).
-        assert_eq!(decoded.to_wire_json(), json);
+        let report_json = format!(
+            "{{\"horizon_s\":40.0,\"flows\":[{flow_json}],\"links\":[{link_json}],\
+             \"classes\":[{class_json}],\"disciplines\":[{discipline_json}],\
+             \"signaling\":{signaling_json}}}"
+        );
+        assert_wire_codec(
+            &report,
+            &report_json,
+            &[&report_json.replace(",\"signaling\":", ",\"signalling\":")],
+        );
 
-        // A telemetry-bearing report round-trips the block too.
-        let with_telemetry = ScenarioReport {
-            telemetry: Some(RunTelemetry {
-                events_processed: 1234,
-                event_queue_high_water: 17,
-                peak_queue_depth: 9,
-                admission_accepted: 3,
-                admission_rejected: 1,
-                flow_table_bytes: 2048,
-                reservation_state_bytes: 512,
-                sched_pool_grow_events: 7,
-                sched_pool_segments_high_water: 5,
-                wall_s: 0.25,
-                events_per_sec: 4936.0,
-            }),
+        // A telemetry-bearing report carries the block as one more key…
+        let measured = ScenarioReport {
+            telemetry: Some(telemetry),
             ..report.clone()
         };
-        let json = with_telemetry.to_wire_json();
-        let decoded = ScenarioReport::from_wire_json(&JsonValue::parse(&json).unwrap()).unwrap();
-        assert_eq!(decoded.to_wire_json(), json);
-        assert_eq!(decoded.telemetry, with_telemetry.telemetry);
+        let measured_json = format!(
+            "{},\"telemetry\":{telemetry_json}}}",
+            &report_json[..report_json.len() - 1]
+        );
+        assert_wire_codec(&measured, &measured_json, &[]);
 
-        // And a signaling-free report keeps its null.
+        // …and a signaling-free report keeps its null.
         let bare = ScenarioReport {
             signaling: None,
             classes: Vec::new(),
             ..report
         };
-        let json = bare.to_wire_json();
-        let decoded = ScenarioReport::from_wire_json(&JsonValue::parse(&json).unwrap()).unwrap();
-        assert_eq!(decoded.to_wire_json(), json);
+        let bare_json = format!(
+            "{{\"horizon_s\":40.0,\"flows\":[{flow_json}],\"links\":[{link_json}],\
+             \"classes\":[],\"disciplines\":[{discipline_json}],\"signaling\":null}}"
+        );
+        assert_wire_codec(&bare, &bare_json, &[]);
     }
 
     proptest! {

@@ -221,7 +221,7 @@ where
                     wire::encode_telemetry_frame(index, started.elapsed().as_secs_f64())
                 )?;
                 match result {
-                    Ok(r) => wire::encode_report_frame(index, &r.to_wire_json()),
+                    Ok(r) => wire::encode_report_frame(index, &r),
                     Err(payload) => {
                         wire::encode_error_frame(index, &panic_payload_text(payload.as_ref()))
                     }

@@ -14,8 +14,6 @@
 //! * [`SampleSet`] — stored samples with exact percentiles (used for the
 //!   99.9th-percentile columns), and [`merged_mean_and_quantiles`] over
 //!   several sorted sets without pooling them,
-//! * [`P2Quantile`] — the P² streaming quantile estimator, for long-running
-//!   monitors that cannot afford to store every sample,
 //! * [`Histogram`] — fixed-width bins for delay distributions,
 //! * [`WindowedMax`] / [`WindowedMean`] — sliding-time-window estimators
 //!   that yield the conservative measurements the admission controller uses,
@@ -32,7 +30,7 @@ pub mod table;
 pub mod window;
 
 pub use histogram::Histogram;
-pub use percentile::{merged_mean_and_quantiles, P2Quantile, SampleSet};
+pub use percentile::{merged_mean_and_quantiles, SampleSet};
 pub use summary::StreamingStats;
 pub use table::TextTable;
 pub use window::{WindowedMax, WindowedMean};

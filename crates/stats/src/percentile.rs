@@ -1,12 +1,9 @@
-//! Percentiles: exact (stored samples) and streaming (P² estimator).
+//! Exact percentiles over stored samples.
 //!
 //! The paper's headline jitter metric is the 99.9th-percentile queueing
 //! delay of a flow over a ten-minute run — a deep-tail quantile, so the
 //! table-generating experiments store every end-to-end delay sample and
-//! compute it exactly with [`SampleSet`].  Long-running monitors inside the
-//! network (e.g. the measurement module feeding admission control) cannot
-//! store every sample, so [`P2Quantile`] provides the classic Jain &
-//! Chlamtac P² estimator as a constant-memory alternative.
+//! compute it exactly with [`SampleSet`].
 //!
 //! # What a report costs
 //!
@@ -265,144 +262,6 @@ pub fn merged_mean_and_quantiles(runs: &[&[f64]], quantiles: &[f64]) -> (f64, Ve
     let at = |rank: usize| found[wanted.partition_point(|&w| w < rank)];
     let values = spans.iter().map(|&span| interpolate(span, at)).collect();
     (sum / n as f64, values)
-}
-
-/// The P² (piecewise-parabolic) streaming quantile estimator of Jain &
-/// Chlamtac (1985): tracks a single quantile with five markers and no
-/// stored samples.
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights.
-    heights: [f64; 5],
-    /// Marker positions (1-based sample counts).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired position increments.
-    increments: [f64; 5],
-    count: usize,
-    initial: Vec<f64>,
-}
-
-impl P2Quantile {
-    /// Create an estimator for quantile `q` (e.g. 0.999).
-    pub fn new(q: f64) -> Self {
-        let q = q.clamp(0.0, 1.0);
-        P2Quantile {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-            initial: Vec::with_capacity(5),
-        }
-    }
-
-    /// Add one sample.  NaN samples are ignored (same policy as
-    /// [`SampleSet::record`]) and do not advance
-    /// [`count`](P2Quantile::count).
-    pub fn record(&mut self, x: f64) {
-        if x.is_nan() {
-            return;
-        }
-        self.count += 1;
-        if self.initial.len() < 5 {
-            self.initial.push(x);
-            if self.initial.len() == 5 {
-                self.initial.sort_unstable_by(f64::total_cmp);
-                for i in 0..5 {
-                    self.heights[i] = self.initial[i];
-                }
-            }
-            return;
-        }
-
-        // Find the cell k such that heights[k] <= x < heights[k+1].
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            for i in 0..4 {
-                if self.heights[i] <= x && x < self.heights[i + 1] {
-                    k = i;
-                    break;
-                }
-            }
-            k
-        };
-
-        for p in self.positions.iter_mut().skip(k + 1) {
-            *p += 1.0;
-        }
-        for i in 0..5 {
-            self.desired[i] += self.increments[i];
-        }
-
-        // Adjust interior markers.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            if (d >= 1.0 && self.positions[i + 1] - self.positions[i] > 1.0)
-                || (d <= -1.0 && self.positions[i - 1] - self.positions[i] < -1.0)
-            {
-                let d = d.signum();
-                let candidate = self.parabolic(i, d);
-                if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                    self.heights[i] = candidate;
-                } else {
-                    self.heights[i] = self.linear(i, d);
-                }
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let p = &self.positions;
-        let h = &self.heights;
-        h[i] + d / (p[i + 1] - p[i - 1])
-            * ((p[i] - p[i - 1] + d) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-                + (p[i + 1] - p[i] - d) * (h[i] - h[i - 1]) / (p[i] - p[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let p = &self.positions;
-        let h = &self.heights;
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        h[i] + d * (h[j] - h[i]) / (p[j] - p[i])
-    }
-
-    /// Current estimate of the tracked quantile.
-    ///
-    /// With fewer than five samples the estimate falls back to the exact
-    /// quantile of what has been seen.
-    pub fn estimate(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        if self.initial.len() < 5 {
-            let mut v = self.initial.clone();
-            v.sort_unstable_by(f64::total_cmp);
-            let pos = (self.q * (v.len() - 1) as f64).round() as usize;
-            return v[pos.min(v.len() - 1)];
-        }
-        self.heights[2]
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// The quantile this estimator tracks.
-    pub fn quantile(&self) -> f64 {
-        self.q
-    }
 }
 
 #[cfg(test)]
@@ -685,58 +544,6 @@ mod tests {
         let c = [f64::NEG_INFINITY, 1.0];
         assert_merge_is_the_pool(&[&c, &a], &[0.0, 0.5, 1.0]);
     }
-
-    #[test]
-    fn p2_ignores_nan_samples() {
-        let mut p2 = P2Quantile::new(0.5);
-        for x in [1.0, f64::NAN, 2.0, 3.0, f64::NAN, 4.0, 5.0, 6.0, 7.0] {
-            p2.record(x);
-        }
-        assert_eq!(p2.count(), 7, "NaN must not advance the count");
-        let e = p2.estimate();
-        assert!((1.0..=7.0).contains(&e), "estimate {e}");
-    }
-
-    #[test]
-    fn p2_tracks_median_of_uniform() {
-        let mut p2 = P2Quantile::new(0.5);
-        // deterministic pseudo-uniform ramp
-        for i in 0..10_000 {
-            let x = (i * 37 % 1000) as f64 / 1000.0;
-            p2.record(x);
-        }
-        assert!((p2.estimate() - 0.5).abs() < 0.05, "{}", p2.estimate());
-        assert_eq!(p2.count(), 10_000);
-        assert_eq!(p2.quantile(), 0.5);
-    }
-
-    #[test]
-    fn p2_tracks_high_quantile_against_exact() {
-        let mut p2 = P2Quantile::new(0.95);
-        let mut exact = SampleSet::new();
-        // A mildly skewed sequence.
-        for i in 0..20_000u32 {
-            let x = ((i * 7919 % 10007) as f64 / 10007.0).powi(2) * 100.0;
-            p2.record(x);
-            exact.record(x);
-        }
-        let e = exact.quantile(0.95);
-        assert!(
-            (p2.estimate() - e).abs() / e < 0.05,
-            "p2 {} exact {}",
-            p2.estimate(),
-            e
-        );
-    }
-
-    #[test]
-    fn p2_few_samples_fall_back_to_exact() {
-        let mut p2 = P2Quantile::new(0.9);
-        assert_eq!(p2.estimate(), 0.0);
-        p2.record(3.0);
-        p2.record(1.0);
-        assert!(p2.estimate() >= 1.0);
-    }
 }
 
 #[cfg(test)]
@@ -785,17 +592,6 @@ mod proptests {
             let (mean, values) = merged_mean_and_quantiles(&runs, &qs);
             prop_assert_eq!(values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), expected);
             prop_assert_eq!(mean.to_bits(), pool.mean().to_bits());
-        }
-
-        /// The P² estimate always stays within the observed range.
-        #[test]
-        fn p2_within_range(xs in proptest::collection::vec(0.0f64..1e3, 5..500), q in 0.01f64..0.99) {
-            let mut p2 = P2Quantile::new(q);
-            for &x in &xs { p2.record(x); }
-            let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-            let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!(p2.estimate() >= min - 1e-9);
-            prop_assert!(p2.estimate() <= max + 1e-9);
         }
     }
 }
