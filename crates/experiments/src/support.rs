@@ -46,7 +46,7 @@ pub fn realtime_class() -> ServiceClass {
 /// Every scheduler label an experiment row can carry: the range of
 /// [`DisciplineSpec::label`], and the pool a row's wire decoder interns its
 /// `scheduler` field against.
-pub const DISCIPLINE_LABELS: &[&str] = &[
+pub(crate) const DISCIPLINE_LABELS: &[&str] = &[
     "FIFO",
     "WFQ",
     "FIFO+",

@@ -42,10 +42,10 @@
 //!
 //! Everything is hand-rolled (this workspace builds offline, no serde),
 //! and all of it is here: this module is the only one that knows how a
-//! result becomes JSON and comes back.  Outbound, [`ObjectWriter`],
-//! [`write_seq`] and [`write_str`] produce every brace, comma and escape
-//! into one buffer; inbound, the small recursive-descent [`JsonValue`]
-//! parser.  The codec is pinned by property tests: arbitrary axis tags —
+//! result becomes JSON and comes back.  Outbound, [`ObjectWriter`] and
+//! [`write_str`] (and their array sibling) produce every brace, comma and
+//! escape into one buffer; inbound, the small recursive-descent
+//! [`JsonValue`] parser.  The codec is pinned by property tests: arbitrary axis tags —
 //! quotes, newlines, control characters, non-ASCII — and arbitrary error
 //! payloads round-trip losslessly.
 //!
@@ -528,7 +528,7 @@ pub fn write_str(s: &str, out: &mut String) {
 }
 
 /// Append `[a,b,…]`, each item written by `each`.
-pub fn write_seq<I: IntoIterator>(
+pub(crate) fn write_seq<I: IntoIterator>(
     items: I,
     out: &mut String,
     mut each: impl FnMut(I::Item, &mut String),
