@@ -286,18 +286,6 @@ pub fn run(cfg: &ChurnConfig) -> ChurnOutcome {
     }
 }
 
-/// Run a representative churn point (one arrival per second, 15-second
-/// mean holding time) with run telemetry enabled and return the engine's
-/// counters (the probe behind the `ispn-bench` snapshot harness).
-pub fn telemetry_probe(paper: &PaperConfig) -> RunTelemetry {
-    let cfg = ChurnConfig::new(paper.clone(), 1.0, 15.0);
-    let mut sim = build_sim(&cfg);
-    sim.run_until(paper.duration);
-    sim.report(&MeasurementPlan::default().with_run_telemetry())
-        .telemetry
-        .expect("run telemetry was requested")
-}
-
 /// The offered-load sweep: the same holding time at a rising arrival
 /// rate, each load point a self-contained scenario — byte-identical at
 /// every execution level, down to the accept/reject decision sequence.
@@ -338,10 +326,14 @@ impl Experiment for Sweep {
     }
 
     /// Bounded flow-table growth under slot reclamation is the interesting
-    /// part of a churn run: report the same probe the bench snapshot
-    /// records.
+    /// part of a churn run: the engine's counters after a representative
+    /// point (one arrival per second, 15-second mean holding time).
     fn footprint(&self) -> Option<RunTelemetry> {
-        Some(telemetry_probe(&self.paper))
+        let cfg = ChurnConfig::new(self.paper.clone(), 1.0, 15.0);
+        let mut sim = build_sim(&cfg);
+        sim.run_until(self.paper.duration);
+        sim.report(&MeasurementPlan::default().with_run_telemetry())
+            .telemetry
     }
 }
 

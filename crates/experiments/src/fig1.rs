@@ -191,13 +191,6 @@ impl Fig1Network {
         p.link_indices().map(|i| self.links[i]).collect()
     }
 
-    /// The forward route for a `(first_link, hops)` pair.
-    pub fn route_span(&self, first_link: usize, hops: usize) -> Vec<LinkId> {
-        (first_link..first_link + hops)
-            .map(|i| self.links[i])
-            .collect()
-    }
-
     /// The reverse route matching a forward `(first_link, hops)` span (used
     /// by TCP acknowledgements).
     pub fn reverse_route_span(&self, first_link: usize, hops: usize) -> Vec<LinkId> {

@@ -15,8 +15,8 @@
 use ispn_core::TokenBucketSpec;
 use ispn_net::PoliceAction;
 use ispn_scenario::{
-    wire_record, DisciplineSpec, FlowDef, MeasurementPlan, PointResult, RouteSpec, RunTelemetry,
-    ScenarioBuilder, ScenarioSet, ServiceSpec, Sim, SourceSpec, SweepReport,
+    wire_record, DisciplineSpec, FlowDef, MeasurementPlan, PointResult, RouteSpec, ScenarioBuilder,
+    ScenarioSet, ServiceSpec, Sim, SourceSpec, SweepReport,
 };
 use ispn_sched::Averaging;
 
@@ -146,18 +146,6 @@ pub fn run_point(cfg: &PaperConfig, spec: DisciplineSpec, level: usize) -> HetMi
         utilization: report.links[0].utilization,
         classes,
     }
-}
-
-/// Run the unified-scheduler mix at level 1 with run telemetry enabled
-/// and return the engine's counters (the probe behind the `ispn-bench`
-/// snapshot harness).
-pub fn telemetry_probe(cfg: &PaperConfig) -> RunTelemetry {
-    let unified = discipline_set()[3];
-    let mut sim = build_point(cfg, unified, 1);
-    sim.run_until(cfg.duration);
-    sim.report(&MeasurementPlan::default().with_run_telemetry())
-        .telemetry
-        .expect("run telemetry was requested")
 }
 
 /// The heterogeneous-mix sweep: every discipline of [`discipline_set`] at

@@ -15,8 +15,8 @@ use ispn_core::TokenBucketSpec;
 use ispn_net::PoliceAction;
 use ispn_net::{LinkId, NodeId};
 use ispn_scenario::{
-    wire_record, DisciplineSpec, FlowDef, MeasurementPlan, PointResult, RouteSpec, RunTelemetry,
-    ScenarioBuilder, ScenarioReport, ScenarioSet, ServiceSpec, Sim, SourceSpec, SweepReport,
+    wire_record, DisciplineSpec, FlowDef, MeasurementPlan, PointResult, RouteSpec, ScenarioBuilder,
+    ScenarioReport, ScenarioSet, ServiceSpec, Sim, SourceSpec, SweepReport,
 };
 use ispn_sched::Averaging;
 
@@ -263,17 +263,6 @@ pub fn run(cfg: &PaperConfig, cross_flows_per_row: usize) -> MeshOutcome {
         interior_drops,
         report,
     }
-}
-
-/// Run the mesh at one cross-traffic flow per row with run telemetry
-/// enabled and return the engine's counters (the probe behind the
-/// `ispn-bench` snapshot harness).
-pub fn telemetry_probe(cfg: &PaperConfig) -> RunTelemetry {
-    let mut sim = build_mesh(cfg, 1);
-    sim.run_until(cfg.duration);
-    sim.report(&MeasurementPlan::default().with_run_telemetry())
-        .telemetry
-        .expect("run telemetry was requested")
 }
 
 /// The mesh sweep: the grid at each Predicted-Low cross-traffic level,

@@ -9,8 +9,8 @@
 //! the FIFO algorithm."  The link runs at 83.5 % utilization.
 
 use ispn_scenario::{
-    wire_record, DisciplineSpec, FlowDef, LinkProfile, MeasurementPlan, PointResult, RunTelemetry,
-    ScenarioBuilder, ScenarioSet, Sim, SourceSpec, SweepReport,
+    wire_record, DisciplineSpec, FlowDef, LinkProfile, PointResult, ScenarioBuilder, ScenarioSet,
+    Sim, SourceSpec, SweepReport,
 };
 use ispn_sim::SimTime;
 
@@ -91,17 +91,6 @@ pub fn run_single_link(cfg: &PaperConfig, discipline: DisciplineSpec) -> Table1R
         all_flows_worst_p999: worst_p999 / pt,
         utilization: net.monitor().link_report(0).utilization,
     }
-}
-
-/// Run the WFQ single-link scenario with run telemetry enabled and return
-/// the engine's counters (the probe behind the `ispn-bench` snapshot
-/// harness).
-pub fn telemetry_probe(cfg: &PaperConfig) -> RunTelemetry {
-    let mut sim = build_single_link(cfg, DisciplineSpec::Wfq);
-    sim.run_until(cfg.duration);
-    sim.report(&MeasurementPlan::default().with_run_telemetry())
-        .telemetry
-        .expect("run telemetry was requested")
 }
 
 /// The Table-1 sweep: the single shared link under WFQ and under FIFO (the

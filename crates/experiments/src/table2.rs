@@ -10,8 +10,8 @@
 
 use ispn_core::FlowId;
 use ispn_scenario::{
-    wire_record, DisciplineSpec, FlowDef, MeasurementPlan, PointResult, RunTelemetry,
-    ScenarioBuilder, ScenarioSet, Sim, SourceSpec, SweepReport, TopologySpec,
+    wire_record, DisciplineSpec, FlowDef, PointResult, ScenarioBuilder, ScenarioSet, Sim,
+    SourceSpec, SweepReport, TopologySpec,
 };
 
 use crate::config::PaperConfig;
@@ -144,15 +144,6 @@ pub fn run_point(cfg: &PaperConfig, discipline: DisciplineSpec) -> Table2Point {
         cells,
         utilization,
     }
-}
-
-/// Run the WFQ Figure-1 chain with run telemetry enabled and return the
-/// engine's counters (the probe behind the `ispn-bench` snapshot harness).
-pub fn telemetry_probe(cfg: &PaperConfig) -> RunTelemetry {
-    let (mut sim, _flows) = run_chain(cfg, DisciplineSpec::Wfq);
-    sim.report(&MeasurementPlan::default().with_run_telemetry())
-        .telemetry
-        .expect("run telemetry was requested")
 }
 
 /// The Table-2 sweep: the Figure-1 chain under WFQ, FIFO and FIFO+ (the

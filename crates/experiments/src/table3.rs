@@ -16,9 +16,8 @@ use ispn_core::bounds::pg_queueing_bound;
 use ispn_core::{FlowId, TokenBucketSpec};
 use ispn_net::{LinkId, PoliceAction};
 use ispn_scenario::{
-    wire_record, DisciplineMatrix, DisciplineSpec, FlowDef, MeasurementPlan, PointResult,
-    RouteSpec, RunTelemetry, ScenarioBuilder, ScenarioSet, ServiceSpec, Sim, SourceSpec,
-    SweepReport, TcpDef, TopologySpec,
+    wire_record, DisciplineMatrix, DisciplineSpec, FlowDef, PointResult, RouteSpec,
+    ScenarioBuilder, ScenarioSet, ServiceSpec, Sim, SourceSpec, SweepReport, TcpDef, TopologySpec,
 };
 use ispn_sched::Averaging;
 use ispn_transport::SharedTcpStats;
@@ -208,18 +207,6 @@ pub fn run(cfg: &PaperConfig) -> Table3 {
     let mut scenario = build(cfg);
     scenario.sim.run_until(cfg.duration);
     summarize(cfg, &mut scenario)
-}
-
-/// Run the Table-3 scenario with run telemetry enabled and return the
-/// engine's counters (the probe behind the `ispn-bench` snapshot harness).
-pub fn telemetry_probe(cfg: &PaperConfig) -> RunTelemetry {
-    let mut scenario = build(cfg);
-    scenario.sim.run_until(cfg.duration);
-    scenario
-        .sim
-        .report(&MeasurementPlan::default().with_run_telemetry())
-        .telemetry
-        .expect("run telemetry was requested")
 }
 
 /// The Table-3 seed replication: the paper reports one random run; a seed

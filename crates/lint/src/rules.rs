@@ -86,12 +86,12 @@ pub const RULES: &[Rule] = &[
               byte-identity across runs, workers and hosts. Simulated time comes from \
               `ispn_sim::SimTime`; wall-clock reads are legitimate only in telemetry (events/sec \
               measurement, progress pacing, round-trip overhead), and every such site carries an \
-              inline waiver naming why its value never reaches a report body. The timing \
-              harnesses (`crates/bench`, `crates/shims`) exist to measure wall time and are \
+              inline waiver naming why its value never reaches a report body. The offline \
+              stand-ins for third-party crates (`crates/shims`) are never sim-visible and are \
               exempt by scope.",
         scope: Scope {
             include: &[],
-            exclude: &["crates/bench/", "crates/shims/"],
+            exclude: &["crates/shims/"],
             skip_tests: true,
         },
     },
@@ -539,7 +539,7 @@ mod tests {
     fn scope_prefix_and_exact_file_matching() {
         let wall = rule("wall-clock").unwrap();
         assert!(applies(wall, "crates/net/src/network.rs"));
-        assert!(!applies(wall, "crates/bench/src/snapshot.rs"));
+        assert!(!applies(wall, "crates/shims/proptest/src/lib.rs"));
         let panic = rule("panic-path").unwrap();
         assert!(applies(panic, "crates/scenario/src/sweep/dist.rs"));
         assert!(!applies(panic, "crates/scenario/src/sweep/wire.rs"));

@@ -40,9 +40,9 @@ fn wall_clock_fixture_pair() {
     let good = lint_fixture("wall_clock_good.rs", "crates/sim/src/fixture.rs");
     assert!(good.is_empty(), "{good:?}");
 
-    // The same bad source is clean inside the scope-exempt timing harness.
-    let bench = lint_fixture("wall_clock_bad.rs", "crates/bench/src/fixture.rs");
-    assert!(bench.is_empty(), "{bench:?}");
+    // The same bad source is clean inside the scope-exempt shims.
+    let shim = lint_fixture("wall_clock_bad.rs", "crates/shims/proptest/src/fixture.rs");
+    assert!(shim.is_empty(), "{shim:?}");
 }
 
 #[test]

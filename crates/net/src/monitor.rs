@@ -27,8 +27,6 @@ pub struct FlowCounters {
     pub generated: u64,
     /// Packets delivered to the destination.
     pub delivered: u64,
-    /// Packets dropped by the source's own policer.
-    pub dropped_at_source: u64,
     /// Packets dropped by edge policing at the first switch.
     pub dropped_at_edge: u64,
     /// Packets dropped to full buffers inside the network.
@@ -62,8 +60,6 @@ pub struct FlowReport {
     pub generated: u64,
     /// Packets delivered to the destination.
     pub delivered: u64,
-    /// Packets dropped by the source's own policer.
-    pub dropped_at_source: u64,
     /// Packets dropped by edge policing at the first switch.
     pub dropped_at_edge: u64,
     /// Packets dropped to full buffers inside the network.
@@ -147,14 +143,6 @@ impl Monitor {
         self.note_time(now);
         if now >= self.warmup {
             self.flows[flow.index()].counters.generated += 1;
-        }
-    }
-
-    /// Record a packet dropped by the source's own policer.
-    pub fn record_source_drop(&mut self, flow: FlowId, now: SimTime) {
-        self.note_time(now);
-        if now >= self.warmup {
-            self.flows[flow.index()].counters.dropped_at_source += 1;
         }
     }
 
@@ -266,7 +254,6 @@ impl Monitor {
             max_delay: f.delays.max(),
             generated: c.generated,
             delivered: c.delivered,
-            dropped_at_source: c.dropped_at_source,
             dropped_at_edge: c.dropped_at_edge,
             dropped_buffer: c.dropped_buffer,
             dropped_inactive: c.dropped_inactive,
@@ -313,11 +300,6 @@ impl Monitor {
             drops: l.drops,
             packets_sent: self.link_packets[link],
         }
-    }
-
-    /// Cumulative bits transmitted on a link (all classes).
-    pub fn link_bits_sent(&self, link: usize) -> u64 {
-        self.links[link].bits_sent
     }
 
     /// Cumulative bits of real-time (guaranteed or predicted) traffic

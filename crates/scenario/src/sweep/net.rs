@@ -49,6 +49,11 @@ use super::ScenarioSet;
 /// port.
 pub const LISTENING_BANNER: &str = "ispn sweep worker listening on ";
 
+/// The most connections one [`HostSpec`] may ask for: one client address
+/// cannot hold more than 65 535 to a single `host:port`, and every allowed
+/// connection costs a supervisor slot before the point count is known.
+const MAX_HOST_LIMIT: usize = 65_535;
+
 /// One worker host a sweep may connect to: an address and how many
 /// concurrent connections (= supervisor slots) it contributes.
 ///
@@ -60,16 +65,18 @@ pub struct HostSpec {
     /// The listener's address, as given (`host:port`; resolved at connect
     /// time).
     pub addr: String,
-    /// Maximum concurrent connections to open against this host (≥ 1).
+    /// Maximum concurrent connections to open against this host (1 to
+    /// 65 535).
     pub limit: usize,
 }
 
 impl HostSpec {
-    /// A host contributing up to `limit` connections (clamped to ≥ 1).
+    /// A host contributing up to `limit` connections (clamped to
+    /// 1 ..= 65 535).
     pub fn new(addr: impl Into<String>, limit: usize) -> Self {
         HostSpec {
             addr: addr.into(),
-            limit: limit.max(1),
+            limit: limit.clamp(1, MAX_HOST_LIMIT),
         }
     }
 
@@ -84,8 +91,10 @@ impl HostSpec {
                     .map_err(|e| format!("bad connection limit {limit:?} in {spec:?}: {e}"))?,
             ),
         };
-        if limit == 0 {
-            return Err(format!("connection limit in {spec:?} must be at least 1"));
+        if !(1..=MAX_HOST_LIMIT).contains(&limit) {
+            return Err(format!(
+                "connection limit in {spec:?} must be 1 to {MAX_HOST_LIMIT}"
+            ));
         }
         // A loose shape check only — names resolve at connect time.
         let (host, port) = addr
@@ -326,5 +335,16 @@ mod tests {
     #[test]
     fn new_clamps_zero_limits() {
         assert_eq!(HostSpec::new("a:1", 0).limit, 1);
+    }
+
+    #[test]
+    fn a_limit_no_client_could_open_never_reaches_slot_expansion() {
+        assert_eq!(HostSpec::new("a:1", usize::MAX).limit, MAX_HOST_LIMIT);
+        assert_eq!(HostSpec::parse("h:7600=65535").unwrap().limit, 65_535);
+        for spec in ["h:7600=65536", "h:7600=99999999999"] {
+            let why = HostSpec::parse(spec).unwrap_err();
+            assert!(why.contains("must be 1 to 65535"), "{why}");
+            assert_eq!(HostSpec::parse_list(&format!("a:1=2,{spec}")), Err(why));
+        }
     }
 }

@@ -6,8 +6,10 @@
 //! 0 of the unified scheduler: K predicted-service priority levels (each
 //! running FIFO+) stacked above the datagram class.
 //!
-//! This type is generic over the inner discipline so it can also express
-//! simpler schemes (e.g. priority-over-FIFO) for the ablation benchmarks.
+//! This type is generic over the inner disciplines — the levels' and, where
+//! it differs (flow 0 runs FIFO+ above a plain FIFO), the datagram queue's —
+//! so it can also express simpler schemes (e.g. priority-over-FIFO) for
+//! the ablation benchmarks.
 
 use ispn_core::{Packet, ServiceClass};
 use ispn_sim::SimTime;
@@ -20,9 +22,9 @@ use crate::disc::{Dequeued, QueueDiscipline, SchedContext};
 /// A packet's level is chosen from its [`SchedContext::class`]:
 /// `Predicted { priority: p }` goes to level `p` (clamped to the configured
 /// number of levels), everything else goes to the datagram queue.
-pub struct StrictPriority<D> {
+pub struct StrictPriority<D, L = D> {
     levels: Vec<D>,
-    datagram: D,
+    datagram: L,
     len: usize,
 }
 
@@ -38,9 +40,9 @@ impl<D: QueueDiscipline + Default> StrictPriority<D> {
     }
 }
 
-impl<D: QueueDiscipline> StrictPriority<D> {
+impl<D: QueueDiscipline, L: QueueDiscipline> StrictPriority<D, L> {
     /// Create a scheduler from explicitly constructed inner disciplines.
-    pub fn from_parts(levels: Vec<D>, datagram: D) -> Self {
+    pub fn from_parts(levels: Vec<D>, datagram: L) -> Self {
         StrictPriority {
             levels,
             datagram,
@@ -59,13 +61,8 @@ impl<D: QueueDiscipline> StrictPriority<D> {
         self.levels.get(p)
     }
 
-    /// Mutably borrow the inner discipline of a priority level.
-    pub fn level_mut(&mut self, p: usize) -> Option<&mut D> {
-        self.levels.get_mut(p)
-    }
-
     /// Borrow the datagram queue.
-    pub fn datagram(&self) -> &D {
+    pub fn datagram(&self) -> &L {
         &self.datagram
     }
 
@@ -79,7 +76,7 @@ impl<D: QueueDiscipline> StrictPriority<D> {
     }
 }
 
-impl<D: QueueDiscipline> QueueDiscipline for StrictPriority<D> {
+impl<D: QueueDiscipline, L: QueueDiscipline> QueueDiscipline for StrictPriority<D, L> {
     fn enqueue(&mut self, now: SimTime, packet: Packet, ctx: SchedContext) {
         self.len += 1;
         match self.level_for(ctx.class) {

@@ -63,11 +63,6 @@ impl<D: QueueDiscipline> Probed<D> {
     pub fn inner(&self) -> &D {
         &self.inner
     }
-
-    /// Mutable access to the wrapped discipline.
-    pub fn inner_mut(&mut self) -> &mut D {
-        &mut self.inner
-    }
 }
 
 impl<D: QueueDiscipline> QueueDiscipline for Probed<D> {

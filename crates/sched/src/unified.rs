@@ -43,74 +43,11 @@ pub struct Unified {
     lanes: LaneTable<()>,
     /// Virtual finish stamps of flow-0 packets, in arrival order.
     flow0_stamps: VecDeque<f64>,
-    /// The inner sharing structure of flow 0.
-    flow0: StrictPriority<FifoPlusOrFifo>,
+    /// The inner sharing structure of flow 0: FIFO+ for the predicted
+    /// classes above a plain FIFO for the datagram class (offsets are
+    /// meaningless for best-effort traffic).
+    flow0: StrictPriority<FifoPlus, Fifo>,
     len: usize,
-}
-
-/// Inner discipline used by the priority levels of flow 0: FIFO+ for the
-/// predicted classes and plain FIFO for the datagram class (offsets are
-/// meaningless for best-effort traffic).
-enum FifoPlusOrFifo {
-    Plus(FifoPlus),
-    Plain(Fifo),
-}
-
-impl Default for FifoPlusOrFifo {
-    fn default() -> Self {
-        FifoPlusOrFifo::Plus(FifoPlus::new(Averaging::RunningMean))
-    }
-}
-
-impl QueueDiscipline for FifoPlusOrFifo {
-    fn enqueue(&mut self, now: SimTime, packet: Packet, ctx: SchedContext) {
-        match self {
-            FifoPlusOrFifo::Plus(q) => q.enqueue(now, packet, ctx),
-            FifoPlusOrFifo::Plain(q) => q.enqueue(now, packet, ctx),
-        }
-    }
-    fn dequeue(&mut self, now: SimTime) -> Option<Dequeued> {
-        match self {
-            FifoPlusOrFifo::Plus(q) => q.dequeue(now),
-            FifoPlusOrFifo::Plain(q) => q.dequeue(now),
-        }
-    }
-    fn len(&self) -> usize {
-        match self {
-            FifoPlusOrFifo::Plus(q) => q.len(),
-            FifoPlusOrFifo::Plain(q) => q.len(),
-        }
-    }
-    fn name(&self) -> &'static str {
-        match self {
-            FifoPlusOrFifo::Plus(q) => q.name(),
-            FifoPlusOrFifo::Plain(q) => q.name(),
-        }
-    }
-    fn state_bytes(&self) -> u64 {
-        match self {
-            FifoPlusOrFifo::Plus(q) => q.state_bytes(),
-            FifoPlusOrFifo::Plain(q) => q.state_bytes(),
-        }
-    }
-    fn reservation_bytes(&self) -> u64 {
-        match self {
-            FifoPlusOrFifo::Plus(q) => q.reservation_bytes(),
-            FifoPlusOrFifo::Plain(q) => q.reservation_bytes(),
-        }
-    }
-    fn pool_grow_events(&self) -> u64 {
-        match self {
-            FifoPlusOrFifo::Plus(q) => q.pool_grow_events(),
-            FifoPlusOrFifo::Plain(q) => q.pool_grow_events(),
-        }
-    }
-    fn pool_segments_high_water(&self) -> u64 {
-        match self {
-            FifoPlusOrFifo::Plus(q) => q.pool_segments_high_water(),
-            FifoPlusOrFifo::Plain(q) => q.pool_segments_high_water(),
-        }
-    }
 }
 
 impl Unified {
@@ -124,7 +61,7 @@ impl Unified {
         // Flow 0 initially owns the whole link.
         gps.set_rate(GpsClock::PSEUDO_FLOW, link_rate_bps);
         let levels = (0..num_priorities)
-            .map(|_| FifoPlusOrFifo::Plus(FifoPlus::new(averaging)))
+            .map(|_| FifoPlus::new(averaging))
             .collect();
         Unified {
             gps,
@@ -132,7 +69,7 @@ impl Unified {
             guaranteed_rate_sum: 0.0,
             lanes: LaneTable::new(),
             flow0_stamps: VecDeque::new(),
-            flow0: StrictPriority::from_parts(levels, FifoPlusOrFifo::Plain(Fifo::new())),
+            flow0: StrictPriority::from_parts(levels, Fifo::new()),
             len: 0,
         }
     }
@@ -239,10 +176,7 @@ impl Unified {
     /// priority level at this hop (used by measurement-based admission
     /// control).
     pub fn class_average_delay(&self, priority: usize) -> Option<SimTime> {
-        match self.flow0.level(priority) {
-            Some(FifoPlusOrFifo::Plus(q)) => Some(q.average_delay()),
-            _ => None,
-        }
+        self.flow0.level(priority).map(FifoPlus::average_delay)
     }
 }
 

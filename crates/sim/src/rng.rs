@@ -111,12 +111,6 @@ impl Pcg64 {
         lo + self.next_below(hi - lo + 1)
     }
 
-    /// Uniform `f64` in `[lo, hi)`.
-    pub fn next_f64_range(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo <= hi);
-        lo + (hi - lo) * self.next_f64()
-    }
-
     /// Bernoulli trial with success probability `p` (clamped to `[0,1]`).
     pub fn bernoulli(&mut self, p: f64) -> bool {
         self.next_f64() < p.clamp(0.0, 1.0)

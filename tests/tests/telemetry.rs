@@ -3,8 +3,9 @@
 //! report except the one appended `telemetry` key — the golden tables
 //! cannot move.
 
+use ispn_experiments::churn::{self, ChurnConfig};
 use ispn_experiments::config::PaperConfig;
-use ispn_experiments::{churn, table1, table3};
+use ispn_experiments::table3;
 use ispn_scenario::{
     FlowDef, LinkProfile, MeasurementPlan, RunTelemetry, ScenarioBuilder, Sim, SourceSpec,
 };
@@ -21,37 +22,6 @@ fn assert_deterministic_counters_match(a: &RunTelemetry, b: &RunTelemetry) {
     assert_eq!(a.reservation_state_bytes, b.reservation_state_bytes);
 }
 
-#[test]
-fn same_seed_runs_report_identical_counters() {
-    let cfg = PaperConfig::fast();
-    let a = table1::telemetry_probe(&cfg);
-    let b = table1::telemetry_probe(&cfg);
-    assert_deterministic_counters_match(&a, &b);
-    assert!(a.events_processed > 0);
-    assert!(a.peak_queue_depth > 0);
-    assert!(a.flow_table_bytes > 0);
-}
-
-#[test]
-fn table3_probe_counts_the_full_unified_scenario() {
-    let cfg = PaperConfig::fast();
-    let a = table3::telemetry_probe(&cfg);
-    let b = table3::telemetry_probe(&cfg);
-    assert_deterministic_counters_match(&a, &b);
-    // 22 classed flows plus TCP: a busier event loop than Table 1.
-    assert!(a.events_processed > table1::telemetry_probe(&cfg).events_processed);
-}
-
-#[test]
-fn churn_probe_sees_admission_verdicts_and_reservation_state() {
-    let cfg = PaperConfig::fast();
-    let t = churn::telemetry_probe(&cfg);
-    // Churn is the one experiment with live signaling: the admission
-    // counters and the reservation footprint must be visible.
-    assert!(t.admission_accepted > 0, "{t:?}");
-    assert_deterministic_counters_match(&t, &churn::telemetry_probe(&cfg));
-}
-
 fn small_sim() -> Sim {
     ScenarioBuilder::chain(2)
         .link_profile(LinkProfile {
@@ -64,6 +34,46 @@ fn small_sim() -> Sim {
         }))
         .build()
         .expect("the scenario is valid")
+}
+
+/// Run `sim` to `horizon` and return the engine's counters.
+fn telemetry_of(mut sim: Sim, horizon: SimTime) -> RunTelemetry {
+    sim.run_until(horizon);
+    sim.report(&MeasurementPlan::default().with_run_telemetry())
+        .telemetry
+        .expect("run telemetry was requested")
+}
+
+#[test]
+fn same_seed_runs_report_identical_counters() {
+    let horizon = PaperConfig::fast().duration;
+    let a = telemetry_of(small_sim(), horizon);
+    let b = telemetry_of(small_sim(), horizon);
+    assert_deterministic_counters_match(&a, &b);
+    assert!(a.events_processed > 0);
+    assert!(a.peak_queue_depth > 0);
+    assert!(a.flow_table_bytes > 0);
+}
+
+#[test]
+fn table3_probe_counts_the_full_unified_scenario() {
+    let cfg = PaperConfig::fast();
+    let a = telemetry_of(table3::build(&cfg).sim, cfg.duration);
+    let b = telemetry_of(table3::build(&cfg).sim, cfg.duration);
+    assert_deterministic_counters_match(&a, &b);
+    // 22 classed flows plus TCP: a busier event loop than the single link.
+    assert!(a.events_processed > telemetry_of(small_sim(), cfg.duration).events_processed);
+}
+
+#[test]
+fn churn_probe_sees_admission_verdicts_and_reservation_state() {
+    let paper = PaperConfig::fast();
+    let churn_sim = || churn::build_sim(&ChurnConfig::new(paper.clone(), 1.0, 15.0));
+    let t = telemetry_of(churn_sim(), paper.duration);
+    // Churn is the one experiment with live signaling: the admission
+    // counters and the reservation footprint must be visible.
+    assert!(t.admission_accepted > 0, "{t:?}");
+    assert_deterministic_counters_match(&t, &telemetry_of(churn_sim(), paper.duration));
 }
 
 #[test]
