@@ -258,15 +258,18 @@ mod tests {
         let mut t = LaneTable::new();
         push(&mut t, 1, 0, 1.0);
         assert_eq!(pop(&mut t), Some((1, 0)));
-        // Idle but registered: the lane keeps its ring.
-        assert_eq!(t.pool.free_segments(), 0);
+        let grown = t.grow_events();
+        // Idle but registered: the lane keeps its slot and its storage.
+        assert!(t.free.is_empty());
+        push(&mut t, 1, 1, 2.0);
+        assert_eq!(pop(&mut t), Some((1, 1)));
+        assert_eq!(t.grow_events(), grown);
         t.retire(FlowId(1));
         assert_eq!(slot(&t, 1), None);
-        assert_eq!((t.free.as_slice(), t.pool.free_segments()), (&[0][..], 1));
-        let grown = t.grow_events();
+        assert_eq!(t.free.as_slice(), &[0]);
         push(&mut t, 7, 0, 1.0);
         assert_eq!(slot(&t, 7), Some(0));
-        assert_eq!((t.slots(), t.pool.free_segments()), (1, 0));
+        assert_eq!((t.slots(), t.free.as_slice()), (1, &[][..]));
         assert_eq!(t.grow_events(), grown);
     }
 
@@ -282,10 +285,9 @@ mod tests {
         assert!(t.free.is_empty());
         assert_eq!(pop(&mut t), Some((2, 0)));
         assert_eq!(pop(&mut t), Some((1, 1)));
-        // Drained: the retired lane went back, ring and all; the
-        // registered one keeps both.
+        // Drained: the retired lane went back; the registered one stays.
         assert_eq!((slot(&t, 1), slot(&t, 2)), (None, Some(1)));
-        assert_eq!((t.free.as_slice(), t.pool.free_segments()), (&[0][..], 1));
+        assert_eq!(t.free.as_slice(), &[0]);
         assert!(t.busy.is_empty());
     }
 
@@ -302,7 +304,7 @@ mod tests {
             }
             while pop(&mut t).is_some() {}
             assert_eq!(slot(&t, 1), Some(0), "fresh_push {fresh_push}");
-            assert_eq!(t.pool.free_segments(), 0, "fresh_push {fresh_push}");
+            assert!(t.free.is_empty(), "fresh_push {fresh_push}");
         }
     }
 
@@ -318,9 +320,12 @@ mod tests {
         assert_eq!(seen, vec![0, 1, 2]);
         assert_eq!(slot(&t, 2), None);
         assert_eq!((t.busy.as_slice(), t.free.as_slice()), (&[0][..], &[1][..]));
-        assert_eq!(t.pool.free_segments(), 1);
         assert_eq!(pop(&mut t), Some((1, 0)));
         assert_eq!(pop(&mut t), None);
+        // The evicted lane's storage serves the slot's next flow.
+        let grown = t.grow_events();
+        push(&mut t, 3, 0, 1.0);
+        assert_eq!((slot(&t, 3), t.grow_events()), (Some(1), grown));
     }
 
     #[test]

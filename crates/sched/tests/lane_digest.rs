@@ -1,11 +1,17 @@
 //! Pins what the three per-flow stamped-queue disciplines do over seeded
-//! random op streams: an FNV-1a digest of the served order and, after
-//! every call, of `len`, `state_bytes`, `reservation_bytes` and both pool
-//! counters.  The streams tear lanes down while backlogged and register
-//! them again before the drain, so lane lifecycle is covered as well as
-//! service order.  `VirtualClock` is run by no benchmark workload and no
-//! golden; this digest is its byte-identity evidence.  A change that moves
-//! a constant changed behaviour — say so, don't re-bless silently.
+//! random op streams: an FNV-1a digest of the *service* — the served order,
+//! every install / remove result and, after every call, `len` and
+//! `reservation_bytes`.  The streams tear lanes down while backlogged and
+//! register them again before the drain, so lane lifecycle is covered as
+//! well as service order.  `VirtualClock` is run by no benchmark workload
+//! and no golden; this digest is its byte-identity evidence.  A change that
+//! moves a constant changed behaviour — say so, don't re-bless silently.
+//!
+//! Queue *storage* is checked on the same streams as properties, never as
+//! pinned bytes (how much a queue reserves is its container's business):
+//! `pool_grow_events` never decreases, `state_bytes` covers every queued
+//! element, and a burst that is drained and offered again finds both
+//! counters where the first pass left them.
 
 use ispn_core::{FlowId, Packet, ServiceClass};
 use ispn_sched::{
@@ -16,6 +22,8 @@ use ispn_sim::{Pcg64, SimTime};
 const MBIT: f64 = 1_000_000.0;
 const SEEDS: u64 = 100;
 const OPS: usize = 400;
+/// The least any discipline stores per queued packet.
+const QUEUED: u64 = std::mem::size_of::<(Packet, SchedContext)>() as u64;
 
 fn fold(h: &mut u64, v: u64) {
     for b in v.to_le_bytes() {
@@ -36,14 +44,41 @@ fn fold_served(h: &mut u64, q: &mut impl QueueDiscipline, now: SimTime) -> bool 
     true
 }
 
-/// Digest of `SEEDS` op streams over a discipline built by `make`;
-/// `install` is the discipline's way of registering a flow at a rate.
+/// `(pool_grow_events, state_bytes, pool_segments_high_water)`.
+fn storage(q: &impl QueueDiscipline) -> (u64, u64, u64) {
+    (
+        q.pool_grow_events(),
+        q.state_bytes(),
+        q.pool_segments_high_water(),
+    )
+}
+
+/// Offer every flow a 40-packet burst in all three classes, then drain.
+fn burst_and_drain(q: &mut impl QueueDiscipline, now: SimTime) {
+    for seq in 0..40 {
+        for flow in 1..=12 {
+            let class = match (flow + seq) % 3 {
+                0 => ServiceClass::Datagram,
+                1 => ServiceClass::Predicted { priority: 0 },
+                _ => ServiceClass::Guaranteed,
+            };
+            let packet = Packet::data(FlowId(flow), u64::from(seq), 1000, now);
+            q.enqueue(now, packet, SchedContext::new(class, now));
+        }
+    }
+    while q.dequeue(now).is_some() {}
+}
+
+/// Service digest of `SEEDS` op streams over a discipline built by `make`,
+/// asserting the storage properties on the way; `install` is the
+/// discipline's way of registering a flow at a rate.
 fn digest<D: QueueDiscipline>(make: fn() -> D, install: fn(&mut D, FlowId, f64) -> u64) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325;
     for seed in 0..SEEDS {
         let mut q = make();
         let mut rng = Pcg64::new(seed);
         let mut now = SimTime::ZERO;
+        let mut grown = 0;
         for seq in 0..OPS as u64 {
             now += SimTime::from_micros(rng.next_below(1500));
             let flow = FlowId(1 + rng.next_below(12) as u32);
@@ -68,14 +103,22 @@ fn digest<D: QueueDiscipline>(make: fn() -> D, install: fn(&mut D, FlowId, f64) 
                 _ => fold(&mut h, u64::from(q.remove_flow(now, flow))),
             }
             fold(&mut h, q.len() as u64);
-            fold(&mut h, q.state_bytes());
             fold(&mut h, q.reservation_bytes());
-            fold(&mut h, q.pool_grow_events());
-            fold(&mut h, q.pool_segments_high_water());
+            let grown_before = grown;
+            grown = q.pool_grow_events();
+            assert!(grown >= grown_before, "seed {seed} op {seq}");
+            assert!(
+                q.state_bytes() >= q.len() as u64 * QUEUED,
+                "seed {seed} op {seq}"
+            );
         }
         while fold_served(&mut h, &mut q, now) {}
-        fold(&mut h, q.state_bytes());
         fold(&mut h, q.reservation_bytes());
+        // The first pass warms whatever the stream left cold.
+        burst_and_drain(&mut q, now);
+        let warm = storage(&q);
+        burst_and_drain(&mut q, now);
+        assert_eq!(storage(&q), warm, "seed {seed}");
     }
     h
 }
@@ -91,7 +134,7 @@ fn install_guaranteed<D: QueueDiscipline>(q: &mut D, flow: FlowId, rate_bps: f64
 #[test]
 fn wfq_op_streams_keep_their_digest() {
     let h = digest(|| Wfq::new(MBIT, 100_000.0), install_guaranteed);
-    assert_eq!(h, 0xf326_ad7b_c484_3c72, "{h:#018x}");
+    assert_eq!(h, 0x6639_3dbf_475e_5a47, "{h:#018x}");
 }
 
 #[test]
@@ -104,7 +147,7 @@ fn virtual_clock_op_streams_keep_their_digest() {
             1
         },
     );
-    assert_eq!(h, 0x0e0b_9d8d_cc91_e5c5, "{h:#018x}");
+    assert_eq!(h, 0x4692_34be_afa8_a16f, "{h:#018x}");
 }
 
 #[test]
@@ -113,5 +156,5 @@ fn unified_op_streams_keep_their_digest() {
         || Unified::new(MBIT, 2, Averaging::RunningMean),
         install_guaranteed,
     );
-    assert_eq!(h, 0xd957_b55a_a1f2_4e33, "{h:#018x}");
+    assert_eq!(h, 0x96e6_17d3_3cf4_dfc9, "{h:#018x}");
 }
