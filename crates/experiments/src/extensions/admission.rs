@@ -12,7 +12,7 @@
 use ispn_core::admission::{AdmissionConfig, AdmissionController};
 use ispn_core::{FlowSpec, ServiceClass, TokenBucketSpec};
 use ispn_net::{FlowConfig, Network, Topology};
-use ispn_sched::{Discipline, FifoPlus, StrictPriority};
+use ispn_sched::{Averaging, Unified};
 use ispn_sim::SimTime;
 
 use crate::config::PaperConfig;
@@ -49,7 +49,12 @@ pub fn run(cfg: &PaperConfig, controlled: bool, offered_flows: usize) -> Admissi
         Topology::chain(2, cfg.link_rate_bps, SimTime::ZERO, cfg.buffer_packets);
     let link = links[0];
     let mut net = Network::new(topo);
-    net.set_discipline(link, Discipline::custom(StrictPriority::<FifoPlus>::new(2)));
+    // No guaranteed flow is ever installed, so this is flow 0 alone: two
+    // FIFO+ priority classes above the datagram queue.
+    net.set_discipline(
+        link,
+        Unified::new(cfg.link_rate_bps, 2, Averaging::RunningMean),
+    );
 
     let pt = cfg.packet_time();
     let targets = vec![pt.mul_f64(HIGH_TARGET_PKT), pt.mul_f64(LOW_TARGET_PKT)];

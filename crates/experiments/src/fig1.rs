@@ -7,7 +7,7 @@
 //! inter-switch links, 4 traverse three inter-switch links, and 2 traverse
 //! all four inter-switch links."
 //!
-//! The paper does not publish the exact placement, so DESIGN.md derives one
+//! The paper does not publish the exact placement, so [`placement`] fixes one
 //! that satisfies every stated constraint — including, for Table 3, the
 //! per-link mix of 2 Guaranteed-Peak, 1 Guaranteed-Average, 3 Predicted-High
 //! and 4 Predicted-Low real-time flows plus one datagram TCP connection —
@@ -97,7 +97,7 @@ impl FlowPlacement {
     }
 }
 
-/// The fixed placement of the 22 real-time flows (see DESIGN.md §6).
+/// The fixed placement of the 22 real-time flows (the module docs list the constraints it meets).
 pub fn placement() -> Vec<FlowPlacement> {
     use FlowKind::*;
     let mut flows = Vec::with_capacity(NUM_FLOWS);

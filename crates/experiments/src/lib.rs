@@ -1,7 +1,7 @@
 //! # ispn-experiments — reproducing the CSZ'92 evaluation
 //!
 //! One module per table or figure of the paper, plus the extension
-//! experiments listed in DESIGN.md:
+//! experiments ([`extensions`]) and the scenario-API studies:
 //!
 //! * [`config`] — the Appendix constants (1 Mbit/s links, 1000-bit packets,
 //!   200-packet buffers, 600-second runs, A = 85 pkt/s on/off sources),

@@ -15,8 +15,7 @@ use ispn_core::{
     Conformance, FlowId, FlowSpec, Packet, ServiceClass, TokenBucket, TokenBucketSpec,
 };
 use ispn_sched::{
-    class_bucket, Discipline, Fifo, GuaranteedInstall, ProbeStats, Probed, QueueDiscipline,
-    SchedContext,
+    class_bucket, Discipline, Fifo, GuaranteedInstall, ProbeStats, QueueDiscipline, SchedContext,
 };
 use ispn_sim::{EventQueue, HeapQueue, SimTime};
 
@@ -134,7 +133,9 @@ struct AdmissionState {
 }
 
 struct Port {
-    discipline: Probed<Discipline>,
+    discipline: Discipline,
+    /// What has passed through `discipline` (see [`Network::link_probe`]).
+    probe: ProbeStats,
     /// A packet is being serialized onto the link.  Set by
     /// [`Network::start_transmission`], which pushes the one completion
     /// that clears it: a port never has two completions pending, which is
@@ -273,7 +274,8 @@ impl Network {
         event_index(num_links, "link");
         let ports = (0..num_links)
             .map(|_| Port {
-                discipline: Probed::new(Discipline::from(Fifo::new())),
+                discipline: Discipline::from(Fifo::new()),
+                probe: ProbeStats::default(),
                 busy: false,
                 admission: None,
                 wire: VecDeque::new(),
@@ -332,7 +334,7 @@ impl Network {
     /// The probe counters of one link's output port: enqueues and dequeues
     /// per class bucket, plus the port's peak queue depth.
     pub fn link_probe(&self, link: LinkId) -> &ProbeStats {
-        self.ports[link.index()].discipline.stats()
+        &self.ports[link.index()].probe
     }
 
     /// Total events dispatched by the event loop so far.
@@ -350,7 +352,7 @@ impl Network {
     pub fn peak_port_depth(&self) -> u64 {
         self.ports
             .iter()
-            .map(|p| p.discipline.stats().depth_high_water.get())
+            .map(|p| p.probe.depth_high_water.get())
             .max()
             .unwrap_or(0)
     }
@@ -358,7 +360,7 @@ impl Network {
     /// Structural size of the flow table in bytes: the per-flow state
     /// records plus their route and installed-link storage, plus the
     /// per-flow state the schedulers hold on every port (lane tables,
-    /// slot maps, pooled queue segments).  A deterministic length-based
+    /// slot maps, every queue at its capacity).  A deterministic
     /// estimate (element counts × element sizes), not an allocator
     /// measurement — so two same-seed runs agree and growth is
     /// attributable to flow count, not allocator policy.
@@ -391,9 +393,9 @@ impl Network {
                 .sum::<u64>()
     }
 
-    /// Total segment-pool growth events across every port's scheduler: how
-    /// many times pooled queue storage had to allocate a fresh segment.
-    /// Flat between two samples ⇒ the interval ran allocation-free.
+    /// Total queue-storage growth events across every port's scheduler:
+    /// pushes that found a queue at its capacity.  Flat between two
+    /// samples ⇒ the schedulers' queues allocated nothing in between.
     pub fn sched_pool_grow_events(&self) -> u64 {
         self.ports
             .iter()
@@ -401,8 +403,8 @@ impl Network {
             .sum()
     }
 
-    /// Total segment-pool high-water mark (in segments) across every port's
-    /// scheduler.
+    /// Queue capacity held across every port's scheduler, in 32-slot
+    /// units; queues never shrink, so this is also the high-water mark.
     pub fn sched_pool_segments_high_water(&self) -> u64 {
         self.ports
             .iter()
@@ -424,11 +426,13 @@ impl Network {
             !self.started,
             "cannot swap disciplines after the run started"
         );
+        let port = &mut self.ports[link.index()];
         assert!(
-            self.ports[link.index()].discipline.is_empty(),
+            port.discipline.is_empty(),
             "cannot swap a non-empty discipline"
         );
-        self.ports[link.index()].discipline = Probed::new(discipline.into());
+        port.discipline = discipline.into();
+        port.probe = ProbeStats::default();
     }
 
     /// The name of the discipline installed on a link (for reports).
@@ -1144,8 +1148,12 @@ impl Network {
             self.packet_died(packet.flow);
             return;
         }
+        port.probe.enqueued.bucket_mut(class_bucket(class)).incr();
         port.discipline
             .enqueue(self.now, packet, SchedContext::new(class, self.now));
+        port.probe
+            .depth_high_water
+            .observe(port.discipline.len() as u64);
         if !port.busy {
             self.start_transmission(link);
         }
@@ -1160,6 +1168,7 @@ impl Network {
             .discipline
             .dequeue(self.now)
             .expect("start_transmission called with a non-empty queue");
+        port.probe.dequeued.bucket_mut(class_bucket(d.class)).incr();
         port.busy = true;
         let waiting = d.queueing_delay(self.now);
         let tx_time = ispn_sim::time::transmission_time(d.packet.size_bits, params.rate_bps);
@@ -1502,6 +1511,39 @@ mod tests {
         assert_eq!(lr.packets_sent, 100);
         // Datagram traffic is not real-time.
         assert_eq!(lr.realtime_utilization, 0.0);
+    }
+
+    #[test]
+    fn probe_counts_per_class_and_tracks_depth() {
+        use ispn_telemetry::{CLASS_DATAGRAM, CLASS_GUARANTEED, CLASS_PREDICTED};
+        let (mut net, link) = two_switch_net();
+        let t = SimTime::from_millis(1);
+        for class in [
+            ServiceClass::Guaranteed,
+            ServiceClass::Predicted { priority: 0 },
+            ServiceClass::Predicted { priority: 2 },
+            ServiceClass::Datagram,
+        ] {
+            let flow = net.add_flow(FlowConfig {
+                class,
+                ..FlowConfig::datagram(vec![link])
+            });
+            net.add_agent(Box::new(ScheduledSender::new(flow, vec![t])));
+        }
+        net.run_through(t);
+        let s = net.link_probe(link);
+        assert_eq!(s.enqueued.bucket(CLASS_GUARANTEED).get(), 1);
+        assert_eq!(s.enqueued.bucket(CLASS_PREDICTED).get(), 2);
+        assert_eq!(s.enqueued.bucket(CLASS_DATAGRAM).get(), 1);
+        // The first packet went straight onto the link; three wait.
+        assert_eq!(s.dequeued.total(), 1);
+        assert_eq!(s.depth_high_water.get(), 3);
+        net.run_until(SimTime::SECOND);
+        let s = net.link_probe(link);
+        assert_eq!(s.dequeued.total(), 4);
+        // Draining does not lower the peak.
+        assert_eq!(s.depth_high_water.get(), 3);
+        assert_eq!(net.peak_port_depth(), 3);
     }
 
     #[test]

@@ -14,10 +14,10 @@ use ispn_telemetry::{Counter, PerClass};
 /// Per-run engine counters owned by [`Network`](crate::Network).
 ///
 /// The per-link enqueue/dequeue counts and depth high-water marks live in
-/// the [`Probed`](ispn_sched::Probed) wrapper around each port's
-/// discipline; this struct holds what the switch itself observes (drops
-/// happen *before* a packet reaches the discipline, admission verdicts
-/// never reach it at all).
+/// each port's [`ProbeStats`](ispn_sched::ProbeStats)
+/// ([`Network::link_probe`](crate::Network::link_probe)); this struct holds
+/// what happens short of the discipline (drops happen *before* a packet
+/// reaches it, admission verdicts never reach it at all).
 #[derive(Debug, Default)]
 pub struct NetTelemetry {
     /// Buffer-overflow drops at each link's output port, per class bucket.

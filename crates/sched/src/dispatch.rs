@@ -1,8 +1,8 @@
 //! Enum dispatch over the built-in disciplines.
 //!
-//! The per-hop hot path used to reach the scheduler through
-//! `Probed<Box<dyn QueueDiscipline>>` — two pointer indirections and a
-//! vtable call per enqueue/dequeue.  [`Discipline`] flattens that into a
+//! The per-hop hot path used to reach the scheduler through a
+//! `Box<dyn QueueDiscipline>` — a pointer indirection and a vtable call
+//! per enqueue/dequeue.  [`Discipline`] flattens that into a
 //! concrete enum the compiler can match on (and inline through), while the
 //! [`Discipline::Custom`] variant keeps the trait-object escape hatch for
 //! downstream disciplines the enum does not know about.

@@ -132,11 +132,6 @@ pub struct FifoPlus {
     free_slots: Vec<u32>,
     seq: u64,
     average: DelayAverage,
-    /// Whether to write the `delay − average` difference back into the
-    /// packet header.  Disabling this (while keeping expected-arrival
-    /// ordering) degrades FIFO+ to plain FIFO semantics for downstream hops
-    /// and is used by the ablation experiments.
-    update_offsets: bool,
 }
 
 impl Default for FifoPlus {
@@ -154,23 +149,12 @@ impl FifoPlus {
             free_slots: Vec::new(),
             seq: 0,
             average: DelayAverage::new(averaging),
-            update_offsets: true,
         }
-    }
-
-    /// Enable or disable writing jitter offsets into departing packets.
-    pub fn set_update_offsets(&mut self, update: bool) {
-        self.update_offsets = update;
     }
 
     /// The current estimate of the class-average queueing delay at this hop.
     pub fn average_delay(&self) -> SimTime {
         SimTime::from_secs_f64(self.average.current().max(0.0))
-    }
-
-    /// Number of packets whose delay has been folded into the average.
-    pub fn measured_count(&self) -> u64 {
-        self.average.count
     }
 }
 
@@ -205,10 +189,8 @@ impl QueueDiscipline for FifoPlus {
         let delay_secs = now.saturating_sub(arrival).as_secs_f64();
         let avg_before = self.average.current();
         self.average.update(delay_secs);
-        if self.update_offsets {
-            let diff_ns = ((delay_secs - avg_before) * 1e9).round() as i64;
-            packet.accumulate_offset(diff_ns);
-        }
+        let diff_ns = ((delay_secs - avg_before) * 1e9).round() as i64;
+        packet.accumulate_offset(diff_ns);
         Some(Dequeued {
             packet,
             arrival,
@@ -305,7 +287,6 @@ mod tests {
         q.enqueue(t, pkt(1, 1), ctx(t));
         let d = q.dequeue(SimTime::from_millis(11)).unwrap();
         assert_eq!(d.packet.jitter_offset_ns, -3_000_000);
-        assert_eq!(q.measured_count(), 2);
         // Running mean of 4 ms and 1 ms.
         assert!((q.average_delay().as_millis_f64() - 2.5).abs() < 1e-9);
     }
@@ -324,16 +305,6 @@ mod tests {
         q.enqueue(t, pkt(0, 9), ctx(t));
         let _ = q.dequeue(t + SimTime::from_millis(8)).unwrap();
         assert!((q.average_delay().as_millis_f64() - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn disabling_offset_updates_keeps_headers_clean() {
-        let mut q = FifoPlus::default();
-        q.set_update_offsets(false);
-        let t = SimTime::ZERO;
-        q.enqueue(t, pkt(1, 0), ctx(t));
-        let d = q.dequeue(SimTime::from_millis(7)).unwrap();
-        assert_eq!(d.packet.jitter_offset_ns, 0);
     }
 
     #[test]

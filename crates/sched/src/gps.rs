@@ -154,11 +154,6 @@ impl GpsClock {
         Some(self.flows.remove(i).1.rate_bps)
     }
 
-    /// Sum of the clock rates of all registered flows.
-    pub fn total_rate(&self) -> f64 {
-        self.flows.iter().map(|(_, f)| f.rate_bps).sum()
-    }
-
     /// Number of registered flows (pseudo-flows included).
     pub fn num_flows(&self) -> usize {
         self.flows.len()
@@ -640,11 +635,10 @@ mod tests {
     }
 
     #[test]
-    fn total_rate_and_accessors() {
+    fn rate_accessors() {
         let mut gps = GpsClock::new(MBIT);
         gps.set_rate(1, 100_000.0);
         gps.set_rate(2, 200_000.0);
-        assert_eq!(gps.total_rate(), 300_000.0);
         assert_eq!(gps.rate(1), Some(100_000.0));
         assert_eq!(gps.rate(9), None);
         assert_eq!(gps.link_rate_bps(), MBIT);

@@ -59,7 +59,7 @@ pub use fifo::Fifo;
 pub use fifo_plus::{Averaging, FifoPlus};
 pub use gps::GpsClock;
 pub use priority::StrictPriority;
-pub use probe::{class_bucket, ProbeStats, Probed};
+pub use probe::{class_bucket, ProbeStats};
 pub use unified::Unified;
 pub use virtual_clock::VirtualClock;
 pub use wfq::Wfq;

@@ -209,8 +209,9 @@ mod tests {
         q.enqueue(t, pkt(2, 0), predicted(1, t));
         let first = q.dequeue(SimTime::from_millis(2)).unwrap();
         assert_eq!(first.packet.flow, FlowId(1));
-        assert_eq!(q.level(0).unwrap().measured_count(), 1);
-        assert_eq!(q.level(1).unwrap().measured_count(), 0);
+        // Only level 0 has measured a delay.
+        assert_eq!(q.level(0).unwrap().average_delay(), SimTime::from_millis(1));
+        assert_eq!(q.level(1).unwrap().average_delay(), SimTime::ZERO);
         assert!(q.level(5).is_none());
         assert_eq!(q.num_levels(), 2);
         assert!(q.datagram().is_empty());

@@ -11,13 +11,13 @@
 //! priority classes, and within each priority class we operate the FIFO+
 //! algorithm."  Datagram traffic sits in the lowest priority class.
 //!
-//! Design note (also recorded in DESIGN.md): pseudo-flow-0 packets receive
-//! their WFQ virtual time stamps on arrival in aggregate-FIFO order; those
-//! stamps decide *when* flow 0 gets service relative to the guaranteed
-//! flows, while the inner priority/FIFO+ structure decides *which* flow-0
-//! packet is transmitted when flow 0 wins.  Guaranteed flows' own stamps are
-//! untouched, so the Parekh–Gallager isolation argument for them is
-//! unaffected by any reordering inside flow 0.
+//! Design note: pseudo-flow-0 packets receive their WFQ virtual time
+//! stamps on arrival in aggregate-FIFO order; those stamps decide *when*
+//! flow 0 gets service relative to the guaranteed flows, while the inner
+//! priority/FIFO+ structure decides *which* flow-0 packet is transmitted
+//! when flow 0 wins.  Guaranteed flows' own stamps are untouched, so the
+//! Parekh–Gallager isolation argument for them is unaffected by any
+//! reordering inside flow 0.
 
 use std::collections::VecDeque;
 
@@ -170,13 +170,6 @@ impl Unified {
     /// Number of predicted priority classes.
     pub fn num_priorities(&self) -> usize {
         self.flow0.num_levels()
-    }
-
-    /// The FIFO+ class-average delay currently measured for a predicted
-    /// priority level at this hop (used by measurement-based admission
-    /// control).
-    pub fn class_average_delay(&self, priority: usize) -> Option<SimTime> {
-        self.flow0.level(priority).map(FifoPlus::average_delay)
     }
 }
 
@@ -410,19 +403,6 @@ mod tests {
         // Flow 1 has twice the rate, so roughly 10-of-15 vs 5-of-15.
         assert!(first_fifteen[1] >= 9, "{first_fifteen:?}");
         assert!(first_fifteen[2] >= 4, "{first_fifteen:?}");
-    }
-
-    #[test]
-    fn class_average_delay_exposed_for_admission_control() {
-        let mut u = make();
-        let t0 = SimTime::ZERO;
-        u.enqueue(t0, pkt(30, 0), predicted(0, t0));
-        let _ = u.dequeue(SimTime::from_millis(3)).unwrap();
-        let avg = u.class_average_delay(0).unwrap();
-        assert!((avg.as_millis_f64() - 3.0).abs() < 1e-9);
-        // The datagram queue has no FIFO+ average.
-        assert_eq!(u.class_average_delay(5), None);
-        assert_eq!(u.name(), "Unified");
     }
 
     #[test]

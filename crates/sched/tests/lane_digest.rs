@@ -44,15 +44,6 @@ fn fold_served(h: &mut u64, q: &mut impl QueueDiscipline, now: SimTime) -> bool 
     true
 }
 
-/// `(pool_grow_events, state_bytes, pool_segments_high_water)`.
-fn storage(q: &impl QueueDiscipline) -> (u64, u64, u64) {
-    (
-        q.pool_grow_events(),
-        q.state_bytes(),
-        q.pool_segments_high_water(),
-    )
-}
-
 /// Offer every flow a 40-packet burst in all three classes, then drain.
 fn burst_and_drain(q: &mut impl QueueDiscipline, now: SimTime) {
     for seq in 0..40 {
@@ -115,6 +106,7 @@ fn digest<D: QueueDiscipline>(make: fn() -> D, install: fn(&mut D, FlowId, f64) 
         while fold_served(&mut h, &mut q, now) {}
         fold(&mut h, q.reservation_bytes());
         // The first pass warms whatever the stream left cold.
+        let storage = |q: &D| (q.pool_grow_events(), q.state_bytes());
         burst_and_drain(&mut q, now);
         let warm = storage(&q);
         burst_and_drain(&mut q, now);
