@@ -25,7 +25,6 @@
 #![forbid(unsafe_code)]
 
 pub mod admission;
-pub mod arena;
 pub mod bounds;
 pub mod flow;
 pub mod packet;
@@ -33,7 +32,6 @@ pub mod playback;
 pub mod token_bucket;
 
 pub use admission::{AdmissionController, AdmissionDecision, LinkMeasurement, RejectReason};
-pub use arena::{SegQueue, SegmentPool};
 pub use flow::{FlowSpec, ServiceClass};
 pub use packet::{Conformance, FlowId, Packet, PacketKind};
 pub use token_bucket::{TokenBucket, TokenBucketSpec};

@@ -5,6 +5,8 @@
 //! The switch (in `ispn-net`) handles everything else: routing, buffer
 //! limits, starting transmissions, and measurement.
 
+use std::collections::VecDeque;
+
 use ispn_core::{Packet, ServiceClass};
 use ispn_sim::SimTime;
 
@@ -128,11 +130,11 @@ pub trait QueueDiscipline {
 
     /// Structural size, in bytes, of the per-flow scheduler state this
     /// discipline holds: slot tables, dense lane records, and queue
-    /// storage (pooled segments at their full capacity, or heap entries
-    /// by length).  A deterministic length-based estimate — element
-    /// counts × element sizes, never allocator measurements — matching
-    /// the accounting rules of `Network::flow_table_bytes`, which sums
-    /// this over every port.  Stateless disciplines report 0.
+    /// storage (every queue at its full capacity).  A deterministic
+    /// estimate — element counts × element sizes, never allocator
+    /// measurements — matching the accounting rules of
+    /// `Network::flow_table_bytes`, which sums this over every port.
+    /// Stateless disciplines report 0.
     fn state_bytes(&self) -> u64 {
         0
     }
@@ -147,20 +149,35 @@ pub trait QueueDiscipline {
         0
     }
 
-    /// Cumulative count of queue-pool growth events — times the backing
-    /// segment pool allocated a brand-new segment.  Flat between two
-    /// instants means the discipline performed zero queue-storage
-    /// allocations in between; disciplines without pooled storage
-    /// report 0.
+    /// Cumulative count of queue-storage growth events — pushes that found
+    /// a queue at its capacity, every queue the discipline owns included.
+    /// Flat between two instants means the discipline performed zero
+    /// queue-storage allocations in between; disciplines that own no
+    /// queue report 0.
     fn pool_grow_events(&self) -> u64 {
         0
     }
 
-    /// High-water segment count of the backing queue pool (0 for
-    /// disciplines without pooled storage).
+    /// Queue storage held, in 32-slot units: each queue's capacity, rounded
+    /// up.  Queues keep their capacity when they drain, so this is also
+    /// the high-water mark (0 for disciplines that own no queue).
     fn pool_segments_high_water(&self) -> u64 {
         0
     }
+}
+
+/// `queue.push_back(item)`, counting a push that finds the queue full in
+/// `grown` — what [`QueueDiscipline::pool_grow_events`] counts.
+#[inline]
+pub(crate) fn push_counted<T>(queue: &mut VecDeque<T>, grown: &mut u64, item: T) {
+    *grown += u64::from(queue.len() == queue.capacity());
+    queue.push_back(item);
+}
+
+/// A queue capacity in the units of
+/// [`QueueDiscipline::pool_segments_high_water`].
+pub(crate) fn segments(capacity: usize) -> u64 {
+    capacity.div_ceil(32) as u64
 }
 
 #[cfg(test)]

@@ -9,43 +9,41 @@
 //! called a multiplexing of bursts, the post facto jitter bounds are smaller
 //! than when the sources are isolated from each other as in WFQ."
 
-use ispn_core::arena::{SegQueue, SegmentPool};
+use std::collections::VecDeque;
+
 use ispn_core::Packet;
 use ispn_sim::SimTime;
 
-use crate::disc::{Dequeued, QueueDiscipline, SchedContext};
+use crate::disc::{push_counted, segments, Dequeued, QueueDiscipline, SchedContext};
 
-/// A plain FIFO queue, backed by pooled segment storage so steady-state
-/// enqueue/dequeue traffic performs no allocations after warm-up.
+/// A plain FIFO queue.  The `VecDeque` keeps its capacity when it drains,
+/// so steady-state traffic allocates nothing after warm-up.
 #[derive(Debug, Default)]
 pub struct Fifo {
-    pool: SegmentPool<(Packet, SchedContext)>,
-    queue: SegQueue<(Packet, SchedContext)>,
+    queue: VecDeque<(Packet, SchedContext)>,
+    /// Pushes that found the queue full (see
+    /// [`QueueDiscipline::pool_grow_events`]).
+    grown: u64,
 }
 
 impl Fifo {
     /// Create an empty FIFO queue.
     pub fn new() -> Self {
-        Fifo {
-            pool: SegmentPool::new(),
-            queue: SegQueue::new(),
-        }
+        Fifo::default()
     }
 }
 
 impl QueueDiscipline for Fifo {
     fn enqueue(&mut self, _now: SimTime, packet: Packet, ctx: SchedContext) {
-        self.pool.push_back(&mut self.queue, (packet, ctx));
+        push_counted(&mut self.queue, &mut self.grown, (packet, ctx));
     }
 
     fn dequeue(&mut self, _now: SimTime) -> Option<Dequeued> {
-        self.pool
-            .pop_front(&mut self.queue)
-            .map(|(packet, ctx)| Dequeued {
-                packet,
-                arrival: ctx.arrival,
-                class: ctx.class,
-            })
+        self.queue.pop_front().map(|(packet, ctx)| Dequeued {
+            packet,
+            arrival: ctx.arrival,
+            class: ctx.class,
+        })
     }
 
     fn len(&self) -> usize {
@@ -57,15 +55,15 @@ impl QueueDiscipline for Fifo {
     }
 
     fn state_bytes(&self) -> u64 {
-        self.pool.bytes()
+        (self.queue.capacity() * std::mem::size_of::<(Packet, SchedContext)>()) as u64
     }
 
     fn pool_grow_events(&self) -> u64 {
-        self.pool.grow_events()
+        self.grown
     }
 
     fn pool_segments_high_water(&self) -> u64 {
-        self.pool.segments_high_water()
+        segments(self.queue.capacity())
     }
 }
 

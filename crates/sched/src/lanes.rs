@@ -10,10 +10,11 @@
 //! does not depend on the order it meets them in, so a dequeue costs
 //! O(backlogged) under every discipline and no lane order is observable.
 
-use ispn_core::arena::{SegQueue, SegmentPool};
+use std::collections::VecDeque;
+
 use ispn_core::{FlowId, Packet};
 
-use crate::disc::{Dequeued, SchedContext};
+use crate::disc::{push_counted, segments, Dequeued, SchedContext};
 
 /// The sentinel in `slot_of` for flows with no lane.
 const NO_SLOT: u32 = u32::MAX;
@@ -24,10 +25,12 @@ type Stamped = (Packet, SchedContext, f64);
 #[derive(Debug)]
 struct Lane<X> {
     flow: FlowId,
-    /// A handle into the table's pool: lanes own no heap storage.
-    queue: SegQueue<Stamped>,
-    /// Stamp of the queue's head packet, mirrored out of the pool so
-    /// `min` reads only lane-local data.  Stale while the queue is empty.
+    /// Keeps its capacity when it drains and when the slot is recycled,
+    /// so steady-state traffic and lane teardown allocate nothing after
+    /// warm-up.
+    queue: VecDeque<Stamped>,
+    /// Stamp of the queue's head packet, mirrored beside the queue so
+    /// `min` reads only the lane record.  Stale while the queue is empty.
     head: f64,
     /// `retire` found a backlog: free the lane when it drains.
     retiring: bool,
@@ -38,26 +41,26 @@ struct Lane<X> {
 /// per-flow state.
 #[derive(Debug)]
 pub(crate) struct LaneTable<X> {
-    /// Fixed-capacity segments with a free list, so steady-state traffic
-    /// and lane teardown allocate nothing after warm-up.
-    pool: SegmentPool<Stamped>,
     lanes: Vec<Lane<X>>,
     /// Slots of the lanes whose queue is non-empty, in no particular order.
     busy: Vec<u32>,
     /// `slot_of[flow.0]` is the flow's lane index, or `NO_SLOT`.
     slot_of: Vec<u32>,
-    /// Recycled lane slots.
+    /// Recycled lane slots; each keeps its emptied queue for the slot's
+    /// next flow.
     free: Vec<u32>,
+    /// Pushes that found a lane's queue full.
+    grown: u64,
 }
 
 impl<X> LaneTable<X> {
     pub(crate) fn new() -> Self {
         LaneTable {
-            pool: SegmentPool::new(),
             lanes: Vec::new(),
             busy: Vec::new(),
             slot_of: Vec::new(),
             free: Vec::new(),
+            grown: 0,
         }
     }
 
@@ -79,20 +82,22 @@ impl<X> LaneTable<X> {
         if self.slot_of.len() <= flow.index() {
             self.slot_of.resize(flow.index() + 1, NO_SLOT);
         }
-        let lane = Lane {
-            flow,
-            queue: SegQueue::new(),
-            head: 0.0,
-            retiring: false,
-            state,
-        };
         let slot = match self.free.pop() {
             Some(s) => {
-                self.lanes[s as usize] = lane;
+                let lane = &mut self.lanes[s as usize];
+                lane.flow = flow;
+                lane.retiring = false;
+                lane.state = state;
                 s as usize
             }
             None => {
-                self.lanes.push(lane);
+                self.lanes.push(Lane {
+                    flow,
+                    queue: VecDeque::new(),
+                    head: 0.0,
+                    retiring: false,
+                    state,
+                });
                 self.lanes.len() - 1
             }
         };
@@ -119,7 +124,7 @@ impl<X> LaneTable<X> {
             lane.head = stamp;
             self.busy.push(slot as u32);
         }
-        self.pool.push_back(&mut lane.queue, (packet, ctx, stamp));
+        push_counted(&mut lane.queue, &mut self.grown, (packet, ctx, stamp));
     }
 
     /// The backlogged lane to serve next — smallest head stamp, exact ties
@@ -130,14 +135,13 @@ impl<X> LaneTable<X> {
         let mut best: Option<(usize, f64, FlowId)> = None;
         for (at, &slot) in self.busy.iter().enumerate() {
             let lane = &self.lanes[slot as usize];
+            let head = lane.head;
             let better = match best {
                 None => true,
-                Some((_, stamp, flow)) => {
-                    lane.head < stamp || (lane.head == stamp && lane.flow < flow)
-                }
+                Some((_, stamp, flow)) => head < stamp || (head == stamp && lane.flow < flow),
             };
             if better {
-                best = Some((at, lane.head, lane.flow));
+                best = Some((at, head, lane.flow));
             }
         }
         best.map(|(at, stamp, _)| (at, stamp))
@@ -198,11 +202,9 @@ impl<X> LaneTable<X> {
         self.free_lane(slot);
     }
 
-    /// Return `slot`'s storage to the pool and recycle the slot.
+    /// Recycle `slot`, whose queue is empty.
     fn free_lane(&mut self, slot: usize) {
-        let lane = &mut self.lanes[slot];
-        self.pool.release(&mut lane.queue);
-        self.slot_of[lane.flow.index()] = NO_SLOT;
+        self.slot_of[self.lanes[slot].flow.index()] = NO_SLOT;
         self.free.push(slot as u32);
     }
 
@@ -211,20 +213,24 @@ impl<X> LaneTable<X> {
         self.lanes.len()
     }
 
-    /// Slot map + lane records + pooled segments at full capacity (the
+    /// Slot map + lane records + every lane's queue at full capacity (the
     /// `QueueDiscipline::state_bytes` rules).
     pub(crate) fn state_bytes(&self) -> u64 {
+        let queued: usize = self.lanes.iter().map(|l| l.queue.capacity()).sum();
         (self.slot_of.len() * std::mem::size_of::<u32>()
-            + self.lanes.len() * std::mem::size_of::<Lane<X>>()) as u64
-            + self.pool.bytes()
+            + self.lanes.len() * std::mem::size_of::<Lane<X>>()
+            + queued * std::mem::size_of::<Stamped>()) as u64
     }
 
     pub(crate) fn grow_events(&self) -> u64 {
-        self.pool.grow_events()
+        self.grown
     }
 
     pub(crate) fn segments_high_water(&self) -> u64 {
-        self.pool.segments_high_water()
+        self.lanes
+            .iter()
+            .map(|l| segments(l.queue.capacity()))
+            .sum()
     }
 }
 

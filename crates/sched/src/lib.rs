@@ -25,7 +25,8 @@
 //! [`Wfq`], [`VirtualClock`] and [`Unified`] are the paper's time-stamp
 //! schemes — one FIFO of stamped packets per flow, smallest head stamp
 //! first — and share that structure as one crate-private lane table
-//! (`lanes`).  The table owns the pooled queue storage, the flow → slot
+//! (`lanes`).  The table owns the lanes (each a `VecDeque` that keeps its
+//! capacity when it drains and when its slot is recycled), the flow → slot
 //! map and the list of backlogged lanes; it frees a lane when its flow's
 //! registration goes (at once if empty, else when the backlog has been
 //! served), and because its choice does not depend on the order lanes are
