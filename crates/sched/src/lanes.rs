@@ -29,9 +29,6 @@ struct Lane<X> {
     /// so steady-state traffic and lane teardown allocate nothing after
     /// warm-up.
     queue: VecDeque<Stamped>,
-    /// Stamp of the queue's head packet, mirrored beside the queue so
-    /// `min` reads only the lane record.  Stale while the queue is empty.
-    head: f64,
     /// `retire` found a backlog: free the lane when it drains.
     retiring: bool,
     state: X,
@@ -94,7 +91,6 @@ impl<X> LaneTable<X> {
                 self.lanes.push(Lane {
                     flow,
                     queue: VecDeque::new(),
-                    head: 0.0,
                     retiring: false,
                     state,
                 });
@@ -121,7 +117,6 @@ impl<X> LaneTable<X> {
         let lane = &mut self.lanes[slot];
         lane.retiring = false;
         if lane.queue.is_empty() {
-            lane.head = stamp;
             self.busy.push(slot as u32);
         }
         push_counted(&mut lane.queue, &mut self.grown, (packet, ctx, stamp));
@@ -135,7 +130,7 @@ impl<X> LaneTable<X> {
         let mut best: Option<(usize, f64, FlowId)> = None;
         for (at, &slot) in self.busy.iter().enumerate() {
             let lane = &self.lanes[slot as usize];
-            let head = lane.head;
+            let &(_, _, head) = lane.queue.front().expect("busy lane has a head packet");
             let better = match best {
                 None => true,
                 Some((_, stamp, flow)) => head < stamp || (head == stamp && lane.flow < flow),
@@ -153,13 +148,10 @@ impl<X> LaneTable<X> {
         let slot = self.busy[at] as usize;
         let lane = &mut self.lanes[slot];
         let (packet, ctx, _) = lane.queue.pop_front().expect("busy lane has a head packet");
-        match lane.queue.front() {
-            Some(&(_, _, stamp)) => lane.head = stamp,
-            None => {
-                self.busy.swap_remove(at);
-                if lane.retiring {
-                    self.free_lane(slot);
-                }
+        if lane.queue.is_empty() {
+            self.busy.swap_remove(at);
+            if lane.retiring {
+                self.free_lane(slot);
             }
         }
         Dequeued {
