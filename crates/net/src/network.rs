@@ -2374,6 +2374,38 @@ mod tests {
             "steady-state traffic must be allocation-free after warm-up"
         );
         assert_eq!(net.sched_pool_segments_high_water(), high_mid);
+
+        // The predicted classes' storage is counted too.  Every queue above
+        // has held 39 packets (a burst less the one in service), so a
+        // predicted class's first 40-packet burst can grow only its FIFO+
+        // heap, and 39 per class at once only the flow-0 stamp queue: the
+        // footprint shows each step grew something, the count must see it.
+        let sender = |net: &mut Network, class, at_ms: &[u64], burst: usize| {
+            let flow = net.add_flow(FlowConfig {
+                class,
+                ..FlowConfig::datagram(vec![link])
+            });
+            let times = at_ms
+                .iter()
+                .flat_map(|&ms| (0..burst).map(move |_| SimTime::from_millis(ms)))
+                .collect();
+            net.add_agent(Box::new(ScheduledSender::new(flow, times)));
+        };
+        let high = ServiceClass::Predicted { priority: 0 };
+        let low = ServiceClass::Predicted { priority: 1 };
+        sender(&mut net, high, &[420], 40);
+        sender(&mut net, low, &[480], 40);
+        for class in [high, low, ServiceClass::Datagram] {
+            sender(&mut net, class, &[540, 700], 39);
+        }
+        let mut seen = (net.sched_pool_grow_events(), net.flow_table_bytes());
+        for (until_ms, grows) in [(480, true), (540, true), (700, true), (900, false)] {
+            net.run_until(SimTime::from_millis(until_ms));
+            let now = (net.sched_pool_grow_events(), net.flow_table_bytes());
+            assert_eq!(now.0 > seen.0, grows, "grow events by {until_ms} ms");
+            assert_eq!(now.1 > seen.1, grows, "footprint by {until_ms} ms");
+            seen = now;
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::collections::BinaryHeap;
 use ispn_core::Packet;
 use ispn_sim::SimTime;
 
-use crate::disc::{Dequeued, QueueDiscipline, SchedContext};
+use crate::disc::{segments, Dequeued, QueueDiscipline, SchedContext};
 
 /// How the per-hop class-average delay is estimated.
 ///
@@ -115,14 +115,12 @@ impl Ord for HeapKey {
 
 /// The FIFO+ discipline for a single class at a single hop.
 ///
-/// Storage note: unlike the per-lane FIFO disciplines, FIFO+ keeps a
-/// `BinaryHeap` rather than drawing from the shared segment pool — its
-/// order is a priority order over *all* queued packets, not per-lane
-/// FIFO, so pooled FIFO rings buy nothing here.  The heap sifts compact
-/// [`HeapKey`]s while the packets sit still in a slot slab, and both
-/// backing `Vec`s retain their high-water capacity across pops, which
-/// gives the same zero-steady-state-allocation property the pool
-/// provides elsewhere.
+/// Its order is a priority order over *all* queued packets, so the queue is
+/// a `BinaryHeap`.  The heap sifts compact [`HeapKey`]s while the 80-byte
+/// packets sit still in a slot slab: a heap of whole packets measured
+/// +3.5 % on the `chain-unified` benchmark workload (0 of 10 pairs lower).
+/// All three `Vec`s keep their capacity, so steady-state traffic allocates
+/// nothing after warm-up.
 #[derive(Debug)]
 pub struct FifoPlus {
     heap: BinaryHeap<HeapKey>,
@@ -130,6 +128,9 @@ pub struct FifoPlus {
     payloads: Vec<(Packet, SchedContext)>,
     /// Recycled payload slots.
     free_slots: Vec<u32>,
+    /// Pushes that found `heap`, `payloads` or `free_slots` full (see
+    /// [`QueueDiscipline::pool_grow_events`]).
+    grown: u64,
     seq: u64,
     average: DelayAverage,
 }
@@ -147,6 +148,7 @@ impl FifoPlus {
             heap: BinaryHeap::new(),
             payloads: Vec::new(),
             free_slots: Vec::new(),
+            grown: 0,
             seq: 0,
             average: DelayAverage::new(averaging),
         }
@@ -167,10 +169,12 @@ impl QueueDiscipline for FifoPlus {
                 s
             }
             None => {
+                self.grown += u64::from(self.payloads.len() == self.payloads.capacity());
                 self.payloads.push((packet, ctx));
                 (self.payloads.len() - 1) as u32
             }
         };
+        self.grown += u64::from(self.heap.len() == self.heap.capacity());
         self.heap.push(HeapKey {
             expected_arrival,
             seq: self.seq,
@@ -182,6 +186,7 @@ impl QueueDiscipline for FifoPlus {
     fn dequeue(&mut self, now: SimTime) -> Option<Dequeued> {
         let key = self.heap.pop()?;
         let (mut packet, ctx) = self.payloads[key.slot as usize];
+        self.grown += u64::from(self.free_slots.len() == self.free_slots.capacity());
         self.free_slots.push(key.slot);
         let arrival = ctx.arrival;
         // Queueing delay experienced at this hop (waiting time before the
@@ -207,9 +212,17 @@ impl QueueDiscipline for FifoPlus {
     }
 
     fn state_bytes(&self) -> u64 {
-        (self.heap.len() * std::mem::size_of::<HeapKey>()
-            + self.payloads.len() * std::mem::size_of::<(Packet, SchedContext)>()
-            + self.free_slots.len() * std::mem::size_of::<u32>()) as u64
+        (self.heap.capacity() * std::mem::size_of::<HeapKey>()
+            + self.payloads.capacity() * std::mem::size_of::<(Packet, SchedContext)>()
+            + self.free_slots.capacity() * std::mem::size_of::<u32>()) as u64
+    }
+
+    fn pool_grow_events(&self) -> u64 {
+        self.grown
+    }
+
+    fn pool_segments_high_water(&self) -> u64 {
+        segments(self.payloads.capacity())
     }
 }
 

@@ -24,7 +24,9 @@ use std::collections::VecDeque;
 use ispn_core::{FlowId, Packet, ServiceClass};
 use ispn_sim::SimTime;
 
-use crate::disc::{Dequeued, GuaranteedInstall, QueueDiscipline, SchedContext};
+use crate::disc::{
+    push_counted, segments, Dequeued, GuaranteedInstall, QueueDiscipline, SchedContext,
+};
 use crate::fifo::Fifo;
 use crate::fifo_plus::{Averaging, FifoPlus};
 use crate::gps::GpsClock;
@@ -43,6 +45,8 @@ pub struct Unified {
     lanes: LaneTable<()>,
     /// Virtual finish stamps of flow-0 packets, in arrival order.
     flow0_stamps: VecDeque<f64>,
+    /// Pushes that found `flow0_stamps` full.
+    flow0_stamps_grown: u64,
     /// The inner sharing structure of flow 0: FIFO+ for the predicted
     /// classes above a plain FIFO for the datagram class (offsets are
     /// meaningless for best-effort traffic).
@@ -69,6 +73,7 @@ impl Unified {
             guaranteed_rate_sum: 0.0,
             lanes: LaneTable::new(),
             flow0_stamps: VecDeque::new(),
+            flow0_stamps_grown: 0,
             flow0: StrictPriority::from_parts(levels, Fifo::new()),
             len: 0,
         }
@@ -149,7 +154,7 @@ impl Unified {
             // but is stamped (and therefore served) like a fresh datagram
             // arrival, matching its now-unreserved status.
             let finish = self.gps.stamp(GpsClock::PSEUDO_FLOW, packet.size_bits, now);
-            self.flow0_stamps.push_back(finish);
+            push_counted(&mut self.flow0_stamps, &mut self.flow0_stamps_grown, finish);
             let demoted = SchedContext::new(ServiceClass::Datagram, ctx.arrival);
             self.flow0.enqueue(now, packet, demoted);
         });
@@ -188,7 +193,7 @@ impl QueueDiscipline for Unified {
             // Predicted, datagram, and any guaranteed-class packet whose
             // flow was never registered all share pseudo-flow 0.
             let finish = self.gps.stamp(GpsClock::PSEUDO_FLOW, packet.size_bits, now);
-            self.flow0_stamps.push_back(finish);
+            push_counted(&mut self.flow0_stamps, &mut self.flow0_stamps_grown, finish);
             self.flow0.enqueue(now, packet, ctx);
         }
     }
@@ -246,7 +251,7 @@ impl QueueDiscipline for Unified {
 
     fn state_bytes(&self) -> u64 {
         self.lanes.state_bytes()
-            + (self.flow0_stamps.len() * std::mem::size_of::<f64>()) as u64
+            + (self.flow0_stamps.capacity() * std::mem::size_of::<f64>()) as u64
             + self.flow0.state_bytes()
     }
 
@@ -255,11 +260,13 @@ impl QueueDiscipline for Unified {
     }
 
     fn pool_grow_events(&self) -> u64 {
-        self.lanes.grow_events() + self.flow0.pool_grow_events()
+        self.lanes.grow_events() + self.flow0_stamps_grown + self.flow0.pool_grow_events()
     }
 
     fn pool_segments_high_water(&self) -> u64 {
-        self.lanes.segments_high_water() + self.flow0.pool_segments_high_water()
+        self.lanes.segments_high_water()
+            + segments(self.flow0_stamps.capacity())
+            + self.flow0.pool_segments_high_water()
     }
 }
 
