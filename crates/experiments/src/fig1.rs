@@ -97,7 +97,8 @@ impl FlowPlacement {
     }
 }
 
-/// The fixed placement of the 22 real-time flows (the module docs list the constraints it meets).
+/// The fixed placement of the 22 real-time flows (the module docs list the
+/// constraints it meets).
 pub fn placement() -> Vec<FlowPlacement> {
     use FlowKind::*;
     let mut flows = Vec::with_capacity(NUM_FLOWS);

@@ -322,12 +322,12 @@ pub struct RunTelemetry {
     pub flow_table_bytes: u64,
     /// Structural size of the per-link reservation state, in bytes.
     pub reservation_state_bytes: u64,
-    /// Segment allocations made by the schedulers' packet-queue pools,
-    /// summed over every port.  Grows only while some queue reaches a new
-    /// depth — flat after warm-up is the zero-steady-state-allocation
-    /// property.
+    /// Pushes that found a scheduler queue at its capacity, summed over
+    /// every port.  Grows only while some queue reaches a new depth — flat
+    /// after warm-up is the zero-steady-state-allocation property.
     pub sched_pool_grow_events: u64,
-    /// Peak pooled-segment count, summed over every port's scheduler.
+    /// Scheduler queue capacity in 32-slot units, summed over every port
+    /// (queues never shrink, so this is the peak).
     pub sched_pool_segments_high_water: u64,
     /// Wall-clock seconds spent inside `run_until` (not simulated time).
     pub wall_s: f64,
