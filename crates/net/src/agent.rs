@@ -3,14 +3,14 @@
 //! Traffic sources (`ispn-traffic`), the simplified TCP endpoints
 //! (`ispn-transport`) and play-back receivers all attach to the network as
 //! *agents*.  The network calls an agent when the simulation starts, when
-//! one of the agent's timers fires, and when a packet addressed to one of
-//! the agent's flows is delivered; the agent responds by queueing outbound
-//! packets and new timers on the [`AgentApi`], which the network applies
-//! after the call returns (a command pattern — agents never hold a mutable
-//! reference to the network, which keeps re-entrancy impossible by
-//! construction).  Packets and timers are all an agent can ask for: flows
-//! are set up and torn down by the control plane (`ispn-signal`), and a
-//! source ends when its driver calls `Network::retire_agent`.
+//! the agent's timer fires, and when a packet addressed to one of the
+//! agent's flows is delivered; the agent responds by queueing outbound
+//! packets and arming its one timer on the [`AgentApi`], which the network
+//! applies after the call returns (a command pattern — agents never hold a
+//! mutable reference to the network, which keeps re-entrancy impossible by
+//! construction).  Packets and the timer are all an agent can ask for:
+//! flows are set up and torn down by the control plane (`ispn-signal`), and
+//! a source ends when its driver calls `Network::retire_agent`.
 
 use ispn_core::Packet;
 use ispn_sim::SimTime;
@@ -34,14 +34,15 @@ pub struct Delivery {
 
 /// The command buffer an agent fills during a callback.
 ///
-/// The network drains the two lists in place when the callback returns
-/// and keeps the emptied buffer for the next callback, so a warmed-up run
-/// dispatches agents without allocating.
+/// The network drains the outbox in place and takes the timer when the
+/// callback returns, and keeps the emptied buffer for the next callback, so
+/// a warmed-up run dispatches agents without allocating.
 #[derive(Debug, Default)]
 pub struct AgentApi {
     pub(crate) now: SimTime,
     pub(crate) outbox: Vec<Packet>,
-    pub(crate) timers: Vec<(SimTime, u64)>,
+    /// `(delay, token)` of the last [`set_timer`](AgentApi::set_timer).
+    pub(crate) timer: Option<(SimTime, u64)>,
 }
 
 impl AgentApi {
@@ -54,7 +55,7 @@ impl AgentApi {
         AgentApi {
             now,
             outbox: Vec::new(),
-            timers: Vec::new(),
+            timer: None,
         }
     }
 
@@ -72,8 +73,12 @@ impl AgentApi {
 
     /// Arrange for [`Agent::on_timer`] to be called `delay` from now with
     /// the given token.
+    ///
+    /// An agent has one timer.  Arming it while it is pending — from an
+    /// earlier callback, or earlier in this one — moves it: the previous
+    /// deadline and token are forgotten and only the new ones fire.
     pub fn set_timer(&mut self, delay: SimTime, token: u64) {
-        self.timers.push((delay, token));
+        self.timer = Some((delay, token));
     }
 
     /// Number of packets queued for sending in this callback (used by
@@ -90,7 +95,9 @@ pub trait Agent {
         let _ = api;
     }
 
-    /// Called when a timer set through [`AgentApi::set_timer`] fires.
+    /// Called when the agent's timer fires: once per deadline that was not
+    /// replaced by a later [`AgentApi::set_timer`], with the token of the
+    /// arming that set it.
     fn on_timer(&mut self, token: u64, api: &mut AgentApi) {
         let _ = (token, api);
     }
@@ -115,8 +122,12 @@ mod tests {
         api.set_timer(SimTime::from_millis(10), 42);
         assert_eq!(api.pending_sends(), 1);
         assert_eq!(api.outbox.len(), 1);
-        assert_eq!(api.timers, vec![(SimTime::from_millis(10), 42)]);
-        // Two `Vec` headers and the clock: what a callback is handed.
+        assert_eq!(api.timer, Some((SimTime::from_millis(10), 42)));
+        // A second arming replaces the first.
+        api.set_timer(SimTime::from_millis(3), 43);
+        assert_eq!(api.timer, Some((SimTime::from_millis(3), 43)));
+        // The clock, one `Vec` header and the timer: what a callback is
+        // handed.
         assert_eq!(std::mem::size_of::<AgentApi>(), 56);
     }
 

@@ -17,7 +17,7 @@ use ispn_core::{
 use ispn_sched::{
     class_bucket, Discipline, Fifo, GuaranteedInstall, ProbeStats, QueueDiscipline, SchedContext,
 };
-use ispn_sim::{EventQueue, HeapQueue, SimTime};
+use ispn_sim::{EventQueue, SimTime};
 
 use crate::agent::{Agent, AgentApi, AgentId, Delivery};
 use crate::monitor::Monitor;
@@ -155,7 +155,7 @@ struct Port {
     wire: VecDeque<Packet>,
 }
 
-/// What the calendar holds: 16-byte notices that name an agent or a
+/// What [`Network::queue`] holds: 16-byte notices that name an agent or a
 /// link, never a packet — an in-flight packet waits on its port's
 /// [`wire`](Port::wire), so the pending-event set moves and compares small
 /// entries however many packets are in flight.  Agent and link indices are
@@ -165,9 +165,12 @@ struct Port {
 /// A transmission completing is not one of them: it rides the link
 /// timeline, [`Network::completions`].
 enum NetEvent {
+    /// A carrier for `agent`'s timer slot, queued under `seq`: it does
+    /// something only if it is still the slot's carrier
+    /// ([`ArmedTimer::carrier_seq`]) when it pops.
     Timer {
         agent: u32,
-        token: u64,
+        seq: u64,
     },
     /// The oldest packet on `link`'s wire reaches the far end of a
     /// propagating link.
@@ -192,16 +195,38 @@ fn event_index(index: usize, what: &str) -> u32 {
 struct NoopAgent;
 impl Agent for NoopAgent {}
 
+/// An agent's armed timer: the deadline `on_timer` is due at, and the
+/// queued event that will get it there.
+///
+/// Arming draws the deadline's `seq` where a push would, but pushes only if
+/// no carrier is already on its way: a carrier that pops short of the
+/// deadline re-pushes itself *at* the deadline under the deadline's own
+/// `seq`.  So `on_timer` runs at exactly the `(time, seq)` it would have if
+/// every arming pushed, and a sender that re-arms on every ACK keeps one
+/// event pending instead of one per ACK.
+struct ArmedTimer {
+    at: SimTime,
+    seq: u64,
+    token: u64,
+    /// The key of the one queued [`NetEvent::Timer`] that acts for this
+    /// slot, at or before `(at, seq)`.  Any other still queued for the
+    /// agent was superseded by an earlier re-arm and pops into nothing.
+    carrier_at: SimTime,
+    carrier_seq: u64,
+}
+
 /// One entry of the agent table (lifecycle: [`Network::retire_agent`]).
 struct AgentSlot {
     /// The agent [`Network::add_agent`] put here; the no-op once retired.
     agent: Box<dyn Agent>,
-    /// What still names this slot: timers in the event queue (bumped at
-    /// push and pop) plus registered flows whose sink it is.  A retired
-    /// slot is reused only when this is zero.
+    /// What still names this slot: timer events in the queue, live or
+    /// superseded (bumped at push and pop), plus registered flows whose
+    /// sink it is.  A retired slot is reused only when this is zero.
     refs: u32,
     /// Cleared by [`Network::retire_agent`].
     live: bool,
+    /// The agent's one timer, while it is armed.
+    timer: Option<ArmedTimer>,
 }
 
 /// The simulated packet network.
@@ -229,8 +254,8 @@ pub struct Network {
     /// while another's are being applied: callbacks never nest and the
     /// pool never holds more than one buffer.
     ///
-    /// Boxed so a callback hands over a pointer: the buffer itself (two
-    /// `Vec` headers and the clock, 56 bytes) stays where it was
+    /// Boxed so a callback hands over a pointer: the buffer itself (the
+    /// clock, a `Vec` header and the timer, 56 bytes) stays where it was
     /// allocated instead of being moved pool → callback → pool.
     // The indirection clippy objects to is the point: what is popped and
     // pushed per callback is the element, not the `Vec`.
@@ -238,18 +263,18 @@ pub struct Network {
     api_pool: Vec<Box<AgentApi>>,
     monitor: Monitor,
     telemetry: NetTelemetry,
-    /// Agent timers, arrivals on propagating links and admission samples:
-    /// hundreds pending, tens to hundreds of milliseconds out — the
-    /// calendar's timeline.
+    /// Agent timers, arrivals on propagating links and admission samples,
+    /// tens to hundreds of milliseconds out: one entry per armed agent
+    /// ([`ArmedTimer`]) and per packet on a propagating wire.
     queue: EventQueue<NetEvent>,
     /// The link timeline: for each transmitting port, the instant its
     /// packet's tail leaves it, naming the link.  Links are non-preemptive
     /// and carry one packet at a time, so a port has at most one entry here
     /// ([`Port::busy`]) — one on a single-link run, eight on the Fig-1
-    /// chain — and a completion about one packet time out costs a sift
-    /// through that handful instead of a calendar day's append, sort and
-    /// promotion.
-    completions: HeapQueue<u32>,
+    /// chain — and a completion about one packet time out, two events in
+    /// three on that chain, sifts through that handful instead of through
+    /// every armed timer (one heap for both measured +15 %).
+    completions: EventQueue<u32>,
     /// The one sequence both timelines draw from, at the program points a
     /// single queue would: [`run_events`](Network::run_events) pops the
     /// smaller `(time, seq)` head, so events dispatch in exactly the order
@@ -294,7 +319,7 @@ impl Network {
             monitor: Monitor::new(0, num_links),
             telemetry: NetTelemetry::new(num_links),
             queue: EventQueue::new(),
-            completions: HeapQueue::new(),
+            completions: EventQueue::new(),
             next_seq: 0,
             dispatched: 0,
             pending_high_water: 0,
@@ -342,8 +367,8 @@ impl Network {
         self.dispatched
     }
 
-    /// The deepest the pending-event set — calendar and link timeline
-    /// together — ever was.
+    /// The deepest the pending-event set — both timelines together — ever
+    /// was.
     pub fn event_queue_high_water(&self) -> u64 {
         self.pending_high_water
     }
@@ -461,6 +486,7 @@ impl Network {
                     agent,
                     refs: 0,
                     live: true,
+                    timer: None,
                 });
                 id
             }
@@ -479,10 +505,10 @@ impl Network {
     // The flow-slot lifecycle (further down), for agents: retire → drain of
     // what still names the slot → free list → reuse by `add_agent`.
 
-    /// Remove an agent from the network.  The agent is dropped at once:
-    /// from now on its slot answers every callback with a no-op, so events
-    /// already queued for it — a source's one outstanding timer — still
-    /// fire (and still count in
+    /// Remove an agent from the network.  The agent is dropped at once and
+    /// its timer disarmed: from now on its slot answers every callback with
+    /// a no-op, so events already queued for it — a source's one
+    /// outstanding timer — still pop (and still count in
     /// [`events_processed`](Network::events_processed)) but reach nothing.
     /// An agent retired before it was started is never started.
     ///
@@ -502,6 +528,7 @@ impl Network {
         }
         slot.live = false;
         slot.agent = Box::new(NoopAgent);
+        slot.timer = None;
         if slot.refs == 0 {
             self.free_agent_slots.push(id);
         }
@@ -995,11 +1022,7 @@ impl Network {
             }
             let (_, event) = self.queue.pop().expect("peeked event exists");
             match event {
-                NetEvent::Timer { agent, token } => {
-                    let agent = AgentId(agent as usize);
-                    self.dispatch(agent, |a, api| a.on_timer(token, api));
-                    self.unhold_agent(agent);
-                }
+                NetEvent::Timer { agent, seq } => self.on_timer_event(agent, seq),
                 NetEvent::Arrival { link } => {
                     let packet = self.take_off_wire(LinkId(link as usize));
                     self.forward(packet)
@@ -1040,44 +1063,103 @@ impl Network {
 
     // ----- the two timelines ----------------------------------------------
 
-    /// Put `event` on the calendar.
+    /// Put `event` on the timer-and-arrival timeline.
     fn schedule(&mut self, at: SimTime, event: NetEvent) {
-        self.queue.push_with_seq(at, self.next_seq, event);
+        let seq = self.draw_seq();
+        self.queue.push_with_seq(at, seq, event);
         self.pushed();
     }
 
     /// Put `link`'s one pending completion on the link timeline.
     fn schedule_completion(&mut self, at: SimTime, link: LinkId) {
         let link = event_index(link.index(), "link");
-        self.completions.push_with_seq(at, self.next_seq, link);
+        let seq = self.draw_seq();
+        self.completions.push_with_seq(at, seq, link);
         self.pushed();
     }
 
-    /// After a push to either timeline: the shared sequence moves on and
-    /// the pending set's high-water mark is taken.
-    fn pushed(&mut self) {
+    /// The next number of the shared sequence: drawn at every program point
+    /// a single queue would push at, whether or not something is pushed.
+    fn draw_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// After a push to either timeline: the pending set's high-water mark
+    /// is taken.
+    fn pushed(&mut self) {
         let pending = (self.queue.len() + self.completions.len()) as u64;
         self.pending_high_water = self.pending_high_water.max(pending);
     }
 
+    // ----- agent timers ---------------------------------------------------
+
+    /// (Re-)arm `agent`'s timer for `at` (see [`ArmedTimer`]).
+    fn arm_timer(&mut self, agent: AgentId, at: SimTime, token: u64) {
+        let seq = self.draw_seq();
+        let slot = &mut self.agents[agent.0];
+        match &mut slot.timer {
+            // The carrier pops no later than the new deadline and will hop
+            // to it: nothing to push.
+            Some(t) if t.carrier_at <= at => (t.at, t.seq, t.token) = (at, seq, token),
+            // Idle, or re-armed for earlier than its carrier: this arming
+            // is its own carrier, and supersedes any other.
+            timer => {
+                *timer = Some(ArmedTimer {
+                    at,
+                    seq,
+                    token,
+                    carrier_at: at,
+                    carrier_seq: seq,
+                });
+                slot.refs += 1;
+                let agent = event_index(agent.0, "agent");
+                self.queue
+                    .push_with_seq(at, seq, NetEvent::Timer { agent, seq });
+                self.pushed();
+            }
+        }
+    }
+
+    /// The timer event queued for `agent` under `seq` popped.
+    fn on_timer_event(&mut self, agent: u32, seq: u64) {
+        let id = AgentId(agent as usize);
+        let slot = &mut self.agents[id.0];
+        match &mut slot.timer {
+            Some(t) if t.carrier_seq == seq && t.seq == seq => {
+                let token = t.token;
+                slot.timer = None;
+                self.dispatch(id, |a, api| a.on_timer(token, api));
+            }
+            Some(t) if t.carrier_seq == seq => {
+                // Short of a deadline that moved on after this carrier was
+                // pushed: hop to it, under the key its arming drew.  The
+                // event still names the slot, so `refs` stands.
+                let (at, seq) = (t.at, t.seq);
+                (t.carrier_at, t.carrier_seq) = (at, seq);
+                self.queue
+                    .push_with_seq(at, seq, NetEvent::Timer { agent, seq });
+                return;
+            }
+            // Superseded by an earlier re-arm, or the agent was retired.
+            _ => {}
+        }
+        self.unhold_agent(id);
+    }
+
     // ----- agent dispatch -------------------------------------------------
 
-    /// Apply what `agent` asked for — packets, then timers, each in the
-    /// order requested — and return the emptied buffer to the pool.
+    /// Apply what `agent` asked for — packets in the order requested, then
+    /// the timer — and return the emptied buffer to the pool.
     fn apply_commands(&mut self, agent: AgentId, mut api: Box<AgentApi>) {
         for p in api.outbox.drain(..) {
             self.inject(p);
         }
-        for (delay, token) in api.timers.drain(..) {
-            self.agents[agent.0].refs += 1;
-            let agent = event_index(agent.0, "agent");
+        if let Some((delay, token)) = api.timer.take() {
             // Saturating, like every sum that mints an event time: past
             // `SimTime::MAX` a wrapped stamp would pop "from the past".
-            self.schedule(
-                self.now.saturating_add(delay),
-                NetEvent::Timer { agent, token },
-            );
+            self.arm_timer(agent, self.now.saturating_add(delay), token);
         }
         self.api_pool.push(api);
     }
@@ -1845,8 +1927,8 @@ mod tests {
         // buffer, handed back empty with its capacity.
         assert_eq!(net.api_pool.len(), 1);
         let api = &net.api_pool[0];
-        assert!(api.outbox.is_empty() && api.timers.is_empty());
-        assert!(api.outbox.capacity() >= 1 && api.timers.capacity() >= 1);
+        assert!(api.outbox.is_empty() && api.timer.is_none());
+        assert!(api.outbox.capacity() >= 1);
     }
 
     #[test]
@@ -1982,6 +2064,9 @@ mod tests {
         let log = ProbeLog::default();
         let a = probe(&mut net, &log, "a", 1, Some(10));
         net.run_until(SimTime::MILLISECOND);
+        // Re-armed for 20 ms, then retired: the 10 ms event is all that
+        // names the slot, and pops without hopping to the dropped deadline.
+        arm(&mut net, a, &[(19, 1)]);
         net.retire_agent(a);
         // a's timer still names the slot: the newcomer gets a fresh one and
         // (it would panic otherwise) never sees that timer.
@@ -2087,6 +2172,173 @@ mod tests {
         net.retire_agent(b);
         assert_eq!(probe(&mut net, &log, "d", 4, None), a);
         assert_eq!(net.num_agents(), 2);
+    }
+
+    // ----- the timer slot --------------------------------------------------
+
+    /// `(instant, agent name, token)` of every `on_timer`, in call order.
+    type Transcript = Vec<(SimTime, usize, u64)>;
+
+    /// Logs its timers; the tests arm it from outside, with [`arm`].
+    struct Ticker(usize, std::rc::Rc<std::cell::RefCell<Transcript>>);
+
+    impl Agent for Ticker {
+        fn on_timer(&mut self, token: u64, api: &mut AgentApi) {
+            self.1.borrow_mut().push((api.now(), self.0, token));
+        }
+    }
+
+    /// A callback of `agent` at the current instant that arms its timer
+    /// once per `(delay in ms, token)`.
+    fn arm(net: &mut Network, agent: AgentId, armings: &[(u64, u64)]) {
+        net.dispatch(agent, |_, api| {
+            for &(delay_ms, token) in armings {
+                api.set_timer(SimTime::from_millis(delay_ms), token);
+            }
+        });
+    }
+
+    const MS: fn(u64) -> SimTime = SimTime::from_millis;
+
+    /// The engine before slots, for three agents: every arming pushed into
+    /// one queue as `(agent, generation, token)`, and an agent-side
+    /// generation check dropping all but the latest.
+    #[derive(Default)]
+    struct PushEveryArming {
+        queue: EventQueue<(usize, u64, u64)>,
+        generation: [u64; 3],
+        retired: [bool; 3],
+        pushes: u64,
+        transcript: Transcript,
+    }
+
+    impl PushEveryArming {
+        fn run_until(&mut self, horizon: SimTime) {
+            while self.queue.peek_time().is_some_and(|t| t < horizon) {
+                let (t, (agent, armed_as, token)) = self.queue.pop().expect("peeked");
+                if !self.retired[agent] && armed_as == self.generation[agent] {
+                    self.transcript.push((t, agent, token));
+                }
+            }
+        }
+    }
+
+    /// Steps of `(ms to run first, agent, Some(delay in ms) to arm it with
+    /// the step's index as token | None to retire it)`.
+    type TimerScript = [(u64, usize, Option<u64>)];
+
+    /// Run `script` over three tickers, then on to 1 s, beside
+    /// [`PushEveryArming`].  The `on_timer`
+    /// transcript — instants, order across agents on a tie, tokens — must
+    /// be the model's, from no more events than the model pushed, and in
+    /// the end nothing may name a slot: the retired ones are all free.
+    fn run_timer_script(script: &TimerScript) -> (Network, Transcript) {
+        let (mut net, _link) = two_switch_net();
+        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let agents: Vec<AgentId> = (0..3)
+            .map(|name| net.add_agent(Box::new(Ticker(name, log.clone()))))
+            .collect();
+        let mut model = PushEveryArming::default();
+        for (token, &(step_ms, agent, order)) in script.iter().enumerate() {
+            let now = net.now() + MS(step_ms);
+            net.run_until(now);
+            model.run_until(now);
+            match order {
+                _ if model.retired[agent] => {}
+                None => {
+                    net.retire_agent(agents[agent]);
+                    model.retired[agent] = true;
+                }
+                Some(delay_ms) => {
+                    arm(&mut net, agents[agent], &[(delay_ms, token as u64)]);
+                    model.generation[agent] += 1;
+                    let event = (agent, model.generation[agent], token as u64);
+                    model.queue.push(now + MS(delay_ms), event);
+                    model.pushes += 1;
+                }
+            }
+        }
+        net.run_until(SimTime::SECOND);
+        model.run_until(SimTime::SECOND);
+        assert_eq!(*log.borrow(), model.transcript);
+        assert!(net.queue.is_empty() && net.events_processed() <= model.pushes);
+        assert!(net.agents.iter().all(|slot| slot.refs == 0));
+        let retired = model.retired.iter().filter(|&&r| r).count();
+        assert_eq!(net.free_agent_slots.len(), retired);
+        (net, model.transcript)
+    }
+
+    #[test]
+    fn of_two_armings_in_one_callback_only_the_second_fires() {
+        let (mut net, _link) = two_switch_net();
+        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let a = net.add_agent(Box::new(Ticker(0, log.clone())));
+        arm(&mut net, a, &[(5, 1), (9, 2)]);
+        net.run_until(MS(20));
+        assert_eq!(*log.borrow(), vec![(MS(9), 0, 2)]);
+        assert_eq!(net.events_processed(), 1);
+    }
+
+    #[test]
+    fn a_re_armed_timer_fires_once_at_its_last_deadline() {
+        let cases: [(&TimerScript, Transcript, u64, u64); 4] = [
+            // Later, twice, while the 10 ms event is pending: neither
+            // arming pushes, the event hops once to 20 ms.
+            (
+                &[(0, 0, Some(10)), (4, 0, Some(16)), (2, 0, Some(14))],
+                vec![(MS(20), 0, 2)],
+                2,
+                1,
+            ),
+            // Earlier: fires at 5 ms.  Armed again at 7 ms, while the
+            // superseded 10 ms event is still queued: that event is not
+            // the new arming's carrier and reaches nothing.
+            (
+                &[(0, 0, Some(10)), (2, 0, Some(3)), (5, 0, Some(13))],
+                vec![(MS(5), 0, 1), (MS(20), 0, 2)],
+                3,
+                2,
+            ),
+            // For the pending instant itself: one hop to the newer `seq`,
+            // so the timer `b` armed in between still runs first.
+            (
+                &[(0, 0, Some(10)), (1, 1, Some(9)), (1, 0, Some(8))],
+                vec![(MS(10), 1, 1), (MS(10), 0, 2)],
+                3,
+                2,
+            ),
+            // Retired after a re-arm for later: the 10 ms event pops into
+            // nothing and does not hop.
+            (
+                &[(0, 0, Some(10)), (1, 0, Some(19)), (0, 0, None)],
+                vec![],
+                1,
+                1,
+            ),
+        ];
+        for (script, fired, events, high_water) in cases {
+            let (net, transcript) = run_timer_script(script);
+            assert_eq!(transcript, fired, "{script:?}");
+            assert_eq!(net.events_processed(), events, "{script:?}");
+            assert_eq!(net.event_queue_high_water(), high_water, "{script:?}");
+        }
+    }
+
+    proptest::proptest! {
+        /// [`run_timer_script`] on random scripts.  Delays and steps share
+        /// a 1 ms grid, so re-armings land earlier than, later than and
+        /// exactly on the pending deadline, and on the current instant.
+        #[test]
+        fn timer_slots_fire_as_if_every_arming_had_been_pushed(
+            // (ms to run first, agent, 0 = retire / else arm, delay in ms).
+            script in proptest::collection::vec((0u64..4, 0usize..3, 0u8..10, 0u64..6), 1..150)
+        ) {
+            let script: Vec<_> = script
+                .iter()
+                .map(|&(step_ms, agent, kind, delay_ms)| (step_ms, agent, (kind > 0).then_some(delay_ms)))
+                .collect();
+            run_timer_script(&script);
+        }
     }
 
     /// What a [`ScriptedSender`] sends: `(instant, flow index, size in
@@ -2257,8 +2509,8 @@ mod tests {
     fn both_timelines_count_as_one_pending_event_set() {
         // 40 timers, plus per packet one completion on a zero-propagation
         // hop and a completion and an arrival on a propagating one; the
-        // high-water mark is the calendar's and the link heap's lengths
-        // summed at every push to either.  The numbers are the ones the
+        // high-water mark is the two queues' lengths summed at every push
+        // to either.  The numbers are the ones the
         // single-queue engine gave, however the run is sliced.
         let script = mixed_script();
         for (wires, events, high_water) in [

@@ -21,7 +21,7 @@
 use ispn_core::{FlowId, TokenBucketSpec};
 use ispn_net::{AgentId, FlowConfig, FlowReport, Network};
 use ispn_signal::{RequestId, SignalEvent, Signaling};
-use ispn_sim::{HeapQueue, Pcg64, SimTime};
+use ispn_sim::{EventQueue, Pcg64, SimTime};
 use ispn_traffic::{OnOffConfig, OnOffSource};
 use ispn_transport::TcpHandles;
 
@@ -159,7 +159,7 @@ impl ChurnDriver {
 pub struct Sim {
     net: Network,
     sig: Signaling,
-    actions: HeapQueue<Action>,
+    actions: EventQueue<Action>,
     handler: Option<SignalHandler>,
     /// Set by [`clear_signal_handler`](Sim::clear_signal_handler) so a
     /// clear issued *from inside* the handler (whose box is temporarily
@@ -206,7 +206,7 @@ impl Sim {
         Sim {
             net,
             sig,
-            actions: HeapQueue::new(),
+            actions: EventQueue::new(),
             handler: None,
             handler_cleared: false,
             running: false,

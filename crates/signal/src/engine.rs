@@ -7,8 +7,8 @@
 //! deterministic event queue of in-flight control messages and interleaves
 //! them with the network's data-plane events, so admission decisions at
 //! each hop see exactly the measurement state of that simulated instant.
-//! That queue is a [`HeapQueue`], not a calendar wheel: a transaction has
-//! one message in flight, so even 200 setups a second keep it a handful deep.
+//! That queue is an [`EventQueue`] of its own: a transaction has one message
+//! in flight, so even 200 setups a second keep it a handful deep.
 //!
 //! A setup in flight is a request id and a few flags in the slot its flow
 //! id indexes: a flow has one setup in flight at most, its messages follow
@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use ispn_core::admission::AdmissionDecision;
 use ispn_core::{FlowId, FlowSpec, TokenBucketSpec};
 use ispn_net::{FlowConfig, LinkId, Network};
-use ispn_sim::{HeapQueue, SimTime};
+use ispn_sim::{EventQueue, SimTime};
 
 use crate::messages::{RequestId, SignalEvent};
 
@@ -118,7 +118,7 @@ enum ControlEvent {
 #[derive(Default)]
 pub struct Signaling {
     cfg: SignalConfig,
-    queue: HeapQueue<ControlEvent>,
+    queue: EventQueue<ControlEvent>,
     /// The setup in flight for each flow, indexed by `FlowId::index()`.
     setups: Vec<Option<PendingSetup>>,
     /// Occupied entries of `setups`.

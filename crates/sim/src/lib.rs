@@ -9,13 +9,10 @@
 //!
 //! * [`SimTime`] — integer-nanosecond simulated time (no floating point in
 //!   event ordering, so runs are exactly reproducible),
-//! * [`EventQueue`] and [`HeapQueue`] — deterministic pending-event sets
-//!   with FIFO tie-breaking for simultaneous events: a calendar wheel for
-//!   the data plane's dense timer timeline, a binary heap for the sparse or
-//!   bounded ones beside it (control messages, scheduled actions, one
-//!   pending completion per transmitting link), and a shared-sequence
-//!   `push_with_seq` / `peek_key` pair on both so two queues can be popped
-//!   as one `(time, seq)` order,
+//! * [`EventQueue`] — the deterministic pending-event set: one binary heap
+//!   on `(time, seq)` with FIFO tie-breaking for simultaneous events, and a
+//!   shared-sequence `push_with_seq` / `peek_key` pair so two queues can be
+//!   popped as one `(time, seq)` order,
 //! * [`rng`] — a small, self-contained PCG-64 random number generator plus
 //!   the inverse-CDF samplers (exponential, geometric, …) needed by the
 //!   paper's two-state Markov traffic sources.
@@ -32,6 +29,6 @@ pub mod event;
 pub mod rng;
 pub mod time;
 
-pub use event::{EventQueue, HeapQueue};
+pub use event::EventQueue;
 pub use rng::{Pcg64, SplitMix64};
 pub use time::SimTime;

@@ -111,9 +111,6 @@ pub struct TcpSender {
     /// Send times of segments eligible for RTT sampling (removed when
     /// retransmitted — Karn's rule).
     send_times: BTreeMap<u64, SimTime>,
-    /// Incremented every time the RTO is re-armed so stale timer events can
-    /// be recognized and ignored.
-    rto_generation: u64,
     stats: SharedTcpStats,
 }
 
@@ -134,7 +131,6 @@ impl TcpSender {
             rttvar: 0.0,
             rto,
             send_times: BTreeMap::new(),
-            rto_generation: 0,
             stats: Rc::new(RefCell::new(TcpStats::default())),
             config,
         }
@@ -179,9 +175,10 @@ impl TcpSender {
         }
     }
 
+    /// (Re-)start the retransmission timer: the agent's one timer, so an
+    /// arming replaces whatever was pending.
     fn arm_rto(&mut self, api: &mut AgentApi) {
-        self.rto_generation += 1;
-        api.set_timer(self.rto, self.rto_generation);
+        api.set_timer(self.rto, 0);
     }
 
     fn rto_from_estimator(&self) -> SimTime {
@@ -211,15 +208,11 @@ impl TcpSender {
         let newly_acked = ack - self.snd_una;
         // RTT sample from the highest newly acked, never-retransmitted
         // segment (Karn's rule is enforced by removal on retransmission).
-        let sampled: Vec<u64> = self.send_times.range(..ack).map(|(&s, _)| s).collect();
-        if let Some(&last) = sampled.last() {
-            let sent = self.send_times[&last];
-            let sample = api.now().saturating_sub(sent).as_secs_f64();
-            self.update_rtt(sample);
+        let unacked = self.send_times.split_off(&ack);
+        if let Some((_, &sent)) = self.send_times.last_key_value() {
+            self.update_rtt(api.now().saturating_sub(sent).as_secs_f64());
         }
-        for s in sampled {
-            self.send_times.remove(&s);
-        }
+        self.send_times = unacked;
         self.snd_una = ack;
         self.dup_acks = 0;
         self.stats.borrow_mut().acked = ack;
@@ -279,10 +272,7 @@ impl Agent for TcpSender {
         self.arm_rto(api);
     }
 
-    fn on_timer(&mut self, token: u64, api: &mut AgentApi) {
-        if token != self.rto_generation {
-            return; // stale timer from an earlier arming
-        }
+    fn on_timer(&mut self, _token: u64, api: &mut AgentApi) {
         if self.flight() == 0 {
             return;
         }
