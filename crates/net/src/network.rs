@@ -1066,6 +1066,11 @@ impl Network {
     /// Put `event` on the timer-and-arrival timeline.
     fn schedule(&mut self, at: SimTime, event: NetEvent) {
         let seq = self.draw_seq();
+        self.schedule_as(at, seq, event);
+    }
+
+    /// [`schedule`](Network::schedule) under a `seq` already drawn.
+    fn schedule_as(&mut self, at: SimTime, seq: u64, event: NetEvent) {
         self.queue.push_with_seq(at, seq, event);
         self.pushed();
     }
@@ -1115,9 +1120,7 @@ impl Network {
                 });
                 slot.refs += 1;
                 let agent = event_index(agent.0, "agent");
-                self.queue
-                    .push_with_seq(at, seq, NetEvent::Timer { agent, seq });
-                self.pushed();
+                self.schedule_as(at, seq, NetEvent::Timer { agent, seq });
             }
         }
     }
@@ -1138,8 +1141,7 @@ impl Network {
                 // event still names the slot, so `refs` stands.
                 let (at, seq) = (t.at, t.seq);
                 (t.carrier_at, t.carrier_seq) = (at, seq);
-                self.queue
-                    .push_with_seq(at, seq, NetEvent::Timer { agent, seq });
+                self.schedule_as(at, seq, NetEvent::Timer { agent, seq });
                 return;
             }
             // Superseded by an earlier re-arm, or the agent was retired.
@@ -2179,8 +2181,10 @@ mod tests {
     /// `(instant, agent name, token)` of every `on_timer`, in call order.
     type Transcript = Vec<(SimTime, usize, u64)>;
 
+    type TimerLog = std::rc::Rc<std::cell::RefCell<Transcript>>;
+
     /// Logs its timers; the tests arm it from outside, with [`arm`].
-    struct Ticker(usize, std::rc::Rc<std::cell::RefCell<Transcript>>);
+    struct Ticker(usize, TimerLog);
 
     impl Agent for Ticker {
         fn on_timer(&mut self, token: u64, api: &mut AgentApi) {
@@ -2228,13 +2232,13 @@ mod tests {
     type TimerScript = [(u64, usize, Option<u64>)];
 
     /// Run `script` over three tickers, then on to 1 s, beside
-    /// [`PushEveryArming`].  The `on_timer`
-    /// transcript — instants, order across agents on a tie, tokens — must
-    /// be the model's, from no more events than the model pushed, and in
-    /// the end nothing may name a slot: the retired ones are all free.
+    /// [`PushEveryArming`].  The `on_timer` transcript — instants, order
+    /// across agents on a tie, tokens — must be the model's, from no more
+    /// events than the model pushed, and in the end nothing may name a
+    /// slot: the retired ones are all free.
     fn run_timer_script(script: &TimerScript) -> (Network, Transcript) {
         let (mut net, _link) = two_switch_net();
-        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let log = TimerLog::default();
         let agents: Vec<AgentId> = (0..3)
             .map(|name| net.add_agent(Box::new(Ticker(name, log.clone()))))
             .collect();
@@ -2271,7 +2275,7 @@ mod tests {
     #[test]
     fn of_two_armings_in_one_callback_only_the_second_fires() {
         let (mut net, _link) = two_switch_net();
-        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let log = TimerLog::default();
         let a = net.add_agent(Box::new(Ticker(0, log.clone())));
         arm(&mut net, a, &[(5, 1), (9, 2)]);
         net.run_until(MS(20));
