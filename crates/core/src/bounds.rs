@@ -65,22 +65,6 @@ pub fn pg_total_bound(
     queueing + SimTime::from_secs_f64(tx)
 }
 
-/// The single-link fluid bound `b/r` — the delay of a maximal burst drained
-/// at the clock rate, i.e. the intuition behind the P-G result ("all of the
-/// queueing delay would occur in the leaky bucket filter").
-pub fn fluid_single_link_bound(bucket: TokenBucketSpec, clock_rate_bps: f64) -> SimTime {
-    assert!(clock_rate_bps > 0.0);
-    SimTime::from_secs_f64(bucket.depth_bits / clock_rate_bps)
-}
-
-/// Check whether a set of guaranteed clock rates is admissible on a link of
-/// `link_rate_bps`: the P-G result requires `Σ rα ≤ μ` (the paper
-/// additionally keeps 10 % headroom for datagram traffic — that stricter
-/// check lives in [`crate::admission`]).
-pub fn rates_feasible(clock_rates_bps: &[f64], link_rate_bps: f64) -> bool {
-    clock_rates_bps.iter().sum::<f64>() <= link_rate_bps + 1e-9
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,19 +126,22 @@ mod tests {
 
     #[test]
     fn fluid_bound_is_b_over_r() {
+        // One hop leaves only the fluid term b/r: 50 000 bits at 10 kb/s.
         let bucket = TokenBucketSpec::new(10_000.0, 50_000.0);
         assert_eq!(
-            fluid_single_link_bound(bucket, 10_000.0),
+            pg_queueing_bound(bucket, 10_000.0, 1, PKT),
             SimTime::from_secs(5)
         );
     }
 
     #[test]
     fn single_hop_bound_equals_fluid_bound() {
+        // Whatever the packet size: the store-and-forward term needs a
+        // second hop.
         let bucket = TokenBucketSpec::new(10_000.0, 50_000.0);
         assert_eq!(
-            pg_queueing_bound(bucket, 10_000.0, 1, PKT),
-            fluid_single_link_bound(bucket, 10_000.0)
+            pg_queueing_bound(bucket, 10_000.0, 1, 1),
+            pg_queueing_bound(bucket, 10_000.0, 1, 12_000)
         );
     }
 
@@ -167,13 +154,6 @@ mod tests {
         let short = pg_queueing_bound(bucket, 10_000.0, 1, PKT);
         let long = pg_queueing_bound(bucket, 10_000.0, 5, PKT);
         assert!(long > short);
-    }
-
-    #[test]
-    fn feasibility_check() {
-        assert!(rates_feasible(&[300_000.0, 300_000.0, 400_000.0], LINK));
-        assert!(!rates_feasible(&[600_000.0, 600_000.0], LINK));
-        assert!(rates_feasible(&[], LINK));
     }
 
     #[test]

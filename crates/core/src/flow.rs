@@ -120,44 +120,6 @@ impl FlowSpec {
     }
 }
 
-/// The delay bound the network advertises to a flow when its reservation is
-/// accepted (Section 7).
-///
-/// For a guaranteed flow this is the Parekh–Gallager bound; for a predicted
-/// flow it is the sum of the per-hop class targets Dᵢ along the path
-/// ("the a priori delay bound advertised to a predicted service flow is the
-/// sum of the appropriate Dᵢ along the path"); a datagram flow gets none.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdvertisedBound {
-    /// No bound is advertised (datagram service).
-    None,
-    /// An a-priori upper bound on queueing delay.
-    Bound(SimTime),
-}
-
-impl AdvertisedBound {
-    /// The bound as an option.
-    pub fn as_option(self) -> Option<SimTime> {
-        match self {
-            AdvertisedBound::None => None,
-            AdvertisedBound::Bound(t) => Some(t),
-        }
-    }
-}
-
-/// Sum the per-hop predicted-service class targets along a path to produce
-/// the advertised a-priori bound (Section 7).
-pub fn predicted_path_bound(per_hop_targets: &[SimTime]) -> AdvertisedBound {
-    if per_hop_targets.is_empty() {
-        return AdvertisedBound::None;
-    }
-    let mut total = SimTime::ZERO;
-    for &t in per_hop_targets {
-        total += t;
-    }
-    AdvertisedBound::Bound(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,24 +166,5 @@ mod tests {
     #[should_panic]
     fn silly_loss_rate_rejected() {
         let _ = FlowSpec::predicted(TokenBucketSpec::new(1.0, 1.0), SimTime::from_millis(1), 1.5);
-    }
-
-    #[test]
-    fn path_bound_is_sum_of_hop_targets() {
-        let hops = [
-            SimTime::from_millis(10),
-            SimTime::from_millis(10),
-            SimTime::from_millis(30),
-        ];
-        assert_eq!(
-            predicted_path_bound(&hops),
-            AdvertisedBound::Bound(SimTime::from_millis(50))
-        );
-        assert_eq!(predicted_path_bound(&[]), AdvertisedBound::None);
-        assert_eq!(
-            predicted_path_bound(&hops).as_option(),
-            Some(SimTime::from_millis(50))
-        );
-        assert_eq!(AdvertisedBound::None.as_option(), None);
     }
 }

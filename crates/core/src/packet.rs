@@ -115,11 +115,6 @@ impl Packet {
         }
     }
 
-    /// `true` if the edge policer tagged this packet as non-conforming.
-    pub fn is_tagged(self) -> bool {
-        self.tag == Conformance::Tagged
-    }
-
     /// Add `delta` (may be negative) to the FIFO+ jitter offset.
     ///
     /// The offset accumulates, at each hop, the difference between the
@@ -127,11 +122,6 @@ impl Packet {
     /// of its class at that hop (Section 6).
     pub fn accumulate_offset(&mut self, delta_ns: i64) {
         self.jitter_offset_ns = self.jitter_offset_ns.saturating_add(delta_ns);
-    }
-
-    /// The FIFO+ jitter offset as a signed duration in seconds.
-    pub fn jitter_offset_secs(&self) -> f64 {
-        self.jitter_offset_ns as f64 / 1e9
     }
 
     /// The "expected arrival time" at a switch for FIFO+ ordering: the
@@ -161,7 +151,7 @@ mod tests {
         assert_eq!(p.seq, 7);
         assert_eq!(p.size_bits, 1000);
         assert_eq!(p.jitter_offset_ns, 0);
-        assert!(!p.is_tagged());
+        assert_eq!(p.tag, Conformance::Conforming);
         assert_eq!(p.kind, PacketKind::Data);
     }
 
@@ -177,7 +167,6 @@ mod tests {
         p.accumulate_offset(500);
         p.accumulate_offset(-200);
         assert_eq!(p.jitter_offset_ns, 300);
-        assert!((p.jitter_offset_secs() - 3e-7).abs() < 1e-15);
     }
 
     #[test]
@@ -209,8 +198,13 @@ mod tests {
 
     #[test]
     fn tagging() {
+        // The edge policer's mark changes nothing a scheduler orders by.
         let mut p = Packet::data(FlowId(0), 0, 1000, SimTime::ZERO);
+        p.accumulate_offset(2_000_000);
+        let untagged = p;
         p.tag = Conformance::Tagged;
-        assert!(p.is_tagged());
+        assert_ne!(p.tag, untagged.tag);
+        let at = SimTime::from_millis(10);
+        assert_eq!(p.expected_arrival(at), untagged.expected_arrival(at));
     }
 }

@@ -134,9 +134,6 @@ pub struct AdaptivePlayback {
     margin: f64,
     /// The play-back point currently in force.
     current_point: SimTime,
-    /// Lower bound on the play-back point (e.g. one packet time), so the
-    /// point cannot collapse to zero during an idle period.
-    floor: SimTime,
     stats: PlaybackStats,
     readjustments: u64,
 }
@@ -166,15 +163,9 @@ impl AdaptivePlayback {
             target_quantile,
             margin,
             current_point: initial_point,
-            floor: SimTime::MILLISECOND,
             stats: PlaybackStats::default(),
             readjustments: 0,
         }
-    }
-
-    /// Set the minimum play-back point (default: one millisecond).
-    pub fn set_floor(&mut self, floor: SimTime) {
-        self.floor = floor;
     }
 
     /// The play-back point currently in force.
@@ -214,7 +205,9 @@ impl AdaptivePlayback {
         delays.sort_unstable();
         let pos = (self.target_quantile * (delays.len() - 1) as f64).round() as usize;
         let q = delays[pos.min(delays.len() - 1)];
-        let new_point = q.mul_f64(self.margin).max(self.floor);
+        // One packet time floors the point, so it cannot collapse to zero
+        // during an idle period.
+        let new_point = q.mul_f64(self.margin).max(SimTime::MILLISECOND);
         if new_point != self.current_point {
             self.readjustments += 1;
             self.current_point = new_point;
@@ -246,7 +239,7 @@ mod tests {
         assert!((app.stats().loss_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(app.playback_point(), SimTime::from_millis(100));
         // The play-back point series is constant.
-        assert_eq!(app.stats().playback_point().std_dev(), 0.0);
+        assert_eq!(app.stats().playback_point().sample_variance(), 0.0);
     }
 
     #[test]
@@ -293,11 +286,10 @@ mod tests {
     #[test]
     fn adaptive_respects_floor() {
         let mut app = AdaptivePlayback::new(SimTime::from_millis(100), 5, 0.9, 1.0);
-        app.set_floor(SimTime::from_millis(4));
         for _ in 0..50 {
             app.on_packet(SimTime::from_micros(100));
         }
-        assert_eq!(app.playback_point(), SimTime::from_millis(4));
+        assert_eq!(app.playback_point(), SimTime::MILLISECOND);
     }
 
     #[test]

@@ -50,12 +50,6 @@ impl TokenBucketSpec {
             depth_pkts * packet_bits as f64,
         )
     }
-
-    /// The worst-case duration of a maximal burst drained at exactly the
-    /// token rate: `b / r` — the heart of the Parekh–Gallager bound.
-    pub fn burst_drain_time(&self) -> SimTime {
-        SimTime::from_secs_f64(self.depth_bits / self.rate_bps)
-    }
 }
 
 /// The stateful filter: tracks the token level against simulated time.
@@ -68,9 +62,6 @@ pub struct TokenBucket {
     tokens: f64,
     /// Last time the token level was updated.
     last_update: SimTime,
-    /// Counters for observability.
-    conforming: u64,
-    nonconforming: u64,
 }
 
 impl TokenBucket {
@@ -80,8 +71,6 @@ impl TokenBucket {
             spec,
             tokens: spec.depth_bits,
             last_update: SimTime::ZERO,
-            conforming: 0,
-            nonconforming: 0,
         }
     }
 
@@ -133,47 +122,9 @@ impl TokenBucket {
     pub fn offer(&mut self, now: SimTime, size_bits: u64) -> bool {
         if self.conforms(now, size_bits) {
             self.tokens -= size_bits as f64;
-            self.conforming += 1;
             true
         } else {
-            self.nonconforming += 1;
             false
-        }
-    }
-
-    /// Consume tokens for a packet regardless of conformance (the token
-    /// level may go negative).  Used when violations are *tagged* rather
-    /// than dropped, so that subsequent packets still see the debt.
-    ///
-    /// Returns `true` if the packet conformed.
-    pub fn offer_tagging(&mut self, now: SimTime, size_bits: u64) -> bool {
-        let ok = self.conforms(now, size_bits);
-        self.tokens -= size_bits as f64;
-        if ok {
-            self.conforming += 1;
-        } else {
-            self.nonconforming += 1;
-        }
-        ok
-    }
-
-    /// Number of conforming packets seen so far.
-    pub fn conforming_count(&self) -> u64 {
-        self.conforming
-    }
-
-    /// Number of non-conforming packets seen so far.
-    pub fn nonconforming_count(&self) -> u64 {
-        self.nonconforming
-    }
-
-    /// Fraction of offered packets that did not conform.
-    pub fn violation_rate(&self) -> f64 {
-        let total = self.conforming + self.nonconforming;
-        if total == 0 {
-            0.0
-        } else {
-            self.nonconforming as f64 / total as f64
         }
     }
 }
@@ -262,14 +213,6 @@ impl LeakyBucketShaper {
         self.busy_until = start + drain;
         self.busy_until
     }
-
-    /// The delay a packet submitted at `now` would experience (without
-    /// actually submitting it).
-    pub fn delay_if_submitted(&self, now: SimTime, size_bits: u64) -> SimTime {
-        let start = self.busy_until.max(now);
-        let drain = SimTime::from_secs_f64(size_bits as f64 / self.rate_bps);
-        (start + drain).saturating_sub(now)
-    }
 }
 
 #[cfg(test)]
@@ -283,8 +226,6 @@ mod tests {
         let s = TokenBucketSpec::per_packets(85.0, 50.0, PKT);
         assert_eq!(s.rate_bps, 85_000.0);
         assert_eq!(s.depth_bits, 50_000.0);
-        let drain = s.burst_drain_time().as_secs_f64();
-        assert!((drain - 50.0 / 85.0).abs() < 1e-9);
     }
 
     #[test]
@@ -321,9 +262,6 @@ mod tests {
             assert!(tb.offer(t, PKT));
         }
         assert!(!tb.offer(t, PKT));
-        assert_eq!(tb.conforming_count(), 5);
-        assert_eq!(tb.nonconforming_count(), 1);
-        assert!((tb.violation_rate() - 1.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -353,18 +291,6 @@ mod tests {
             assert!(tb.offer(t, PKT));
             t += SimTime::from_millis(10); // 100 packets/sec
         }
-        assert_eq!(tb.nonconforming_count(), 0);
-    }
-
-    #[test]
-    fn offer_tagging_tracks_debt() {
-        let mut tb = TokenBucket::new(TokenBucketSpec::new(1000.0, 1000.0));
-        assert!(tb.offer_tagging(SimTime::ZERO, 1000));
-        assert!(!tb.offer_tagging(SimTime::ZERO, 1000));
-        // Debt: -1000 bits; after one second level is back to 0, still not
-        // enough for a packet, so the next offer is also non-conforming.
-        assert!(!tb.offer_tagging(SimTime::from_secs(1), 1000));
-        assert_eq!(tb.nonconforming_count(), 2);
     }
 
     #[test]
@@ -436,10 +362,6 @@ mod tests {
         // drain time.
         let d3 = sh.submit(SimTime::from_secs(10), 1000);
         assert_eq!(d3, SimTime::from_secs(11));
-        assert_eq!(
-            sh.delay_if_submitted(SimTime::from_secs(11), 1000),
-            SimTime::from_secs(1)
-        );
     }
 }
 

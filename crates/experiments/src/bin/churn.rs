@@ -10,7 +10,7 @@ use ispn_experiments::{churn, cli, PaperConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let paper = if std::env::var("ISPN_FAST").is_ok_and(|v| v == "1") {
+    let paper = if cli::fast() {
         PaperConfig::fast()
     } else {
         PaperConfig::medium()

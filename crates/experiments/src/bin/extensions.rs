@@ -1,15 +1,16 @@
 //! Run the extension experiments (hop sweep, playback, admission control,
 //! utilization sweep).
 //!
-//! Usage: `cargo run --release -p ispn-experiments --bin extensions [--fast]`
+//! Usage: `cargo run --release -p ispn-experiments --bin extensions`;
+//! `ISPN_FAST=1` runs the short configuration.
 
+use ispn_experiments::cli;
 use ispn_experiments::config::PaperConfig;
 use ispn_experiments::extensions::{admission, hops, playback, utilization};
 use ispn_experiments::report;
 
 fn main() {
-    let fast = std::env::args().any(|a| a == "--fast");
-    let cfg = if fast {
+    let cfg = if cli::fast() {
         PaperConfig::fast()
     } else {
         PaperConfig::medium()

@@ -9,7 +9,7 @@ use ispn_experiments::{cli, mesh, PaperConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let (cfg, levels) = if std::env::var("ISPN_FAST").is_ok_and(|v| v == "1") {
+    let (cfg, levels) = if cli::fast() {
         let duration = ispn_sim::SimTime::from_secs(20);
         let paper = PaperConfig::paper();
         (PaperConfig { duration, ..paper }, vec![1, 4])

@@ -1,8 +1,9 @@
 //! Regenerate Table 3 of CSZ'92 (the unified scheduler carrying guaranteed,
 //! predicted and datagram traffic on the Figure-1 chain).
 //!
-//! Usage: `cargo run --release -p ispn-experiments --bin table3 [--fast] [--seeds N]`
-//! plus the sweep flags every sweep bin shares (see `ispn_experiments::cli`).
+//! Usage: `cargo run --release -p ispn-experiments --bin table3 [--seeds N]`
+//! plus the sweep flags every sweep bin shares (see `ispn_experiments::cli`);
+//! `ISPN_FAST=1` runs the short configuration.
 //!
 //! `--seeds N` replicates the table across `N` derived seeds — a seed-axis
 //! sweep, one printed table per seed: the paper reports one random run;
@@ -15,7 +16,7 @@ use ispn_experiments::{cli, report, table3, PaperConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let cfg = if args.iter().any(|a| a == "--fast") {
+    let cfg = if cli::fast() {
         PaperConfig::fast()
     } else {
         PaperConfig::paper()

@@ -3,8 +3,8 @@
 //!
 //! Execution flags (pick at most one of `--workers` / `--hosts`):
 //!
-//! * *(none)* — fan sweep points across in-process threads
-//!   ([`SweepRunner::max_parallel`]);
+//! * *(none)* — fan sweep points across one in-process thread per core
+//!   ([`SweepRunner::parallel`]);
 //! * `--workers N` — fan sweep points across `N` supervised worker
 //!   subprocesses ([`DistRunner`]), each the same binary re-invoked with
 //!   `--sweep-worker` plus every argument of the parent run except the
@@ -87,6 +87,12 @@ pub fn main<E: Experiment>(e: &E, args: &[String]) {
     if let Some(line) = e.check(&rows) {
         println!("{line}");
     }
+}
+
+/// Whether `ISPN_FAST=1` asks for the short configuration — the one fast
+/// switch of every bin and example (workers inherit the environment).
+pub fn fast() -> bool {
+    std::env::var("ISPN_FAST").is_ok_and(|v| v == "1")
 }
 
 /// Whether this invocation is a `--sweep-worker` child.
@@ -193,7 +199,10 @@ fn sweep_exec(args: &[String]) -> SweepExec {
                 .args(worker_args(args));
             SweepExec::Distributed(DistRunner::new(n, command).batch(batch))
         }
-        None => SweepExec::InProcess(SweepRunner::max_parallel()),
+        None => {
+            let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+            SweepExec::InProcess(SweepRunner::parallel(cores))
+        }
     }
 }
 
@@ -292,8 +301,8 @@ mod tests {
 
     #[test]
     fn workers_are_forwarded_everything_but_the_parent_only_flags() {
-        let parent = "bin --fast --workers 2 --seeds 3 --stream --telemetry=x --batch 4";
-        assert_eq!(worker_args(&args(parent)), args("--fast --seeds 3"));
+        let parent = "bin --workers 2 --seeds 3 --stream --telemetry=x --batch 4";
+        assert_eq!(worker_args(&args(parent)), args("--seeds 3"));
         assert!(worker_args(&args("bin --telemetry --hosts a:1")).is_empty());
     }
 
@@ -303,15 +312,12 @@ mod tests {
             SweepExec::InProcess(_) => {}
             other => panic!("expected in-process exec, got {other:?}"),
         }
-        match sweep_exec(&args("bin --fast --workers 2")) {
+        match sweep_exec(&args("bin --workers 2")) {
             SweepExec::Distributed(d) => assert_eq!(d.workers(), 2),
             other => panic!("expected distributed exec, got {other:?}"),
         }
         match sweep_exec(&args("bin --hosts a:1=2,b:1 --batch 4")) {
-            SweepExec::Distributed(d) => {
-                assert_eq!(d.workers(), 3, "one slot per host connection");
-                assert_eq!(d.batch_size(), 4);
-            }
+            SweepExec::Distributed(d) => assert_eq!(d.workers(), 3, "one slot per host connection"),
             other => panic!("expected socket exec, got {other:?}"),
         }
     }

@@ -62,21 +62,11 @@ impl PaperConfig {
         ispn_sim::time::transmission_time(self.packet_bits, self.link_rate_bps)
     }
 
-    /// Convert a delay in seconds to the paper's packet-time unit.
-    pub fn to_packet_times(&self, delay_secs: f64) -> f64 {
-        delay_secs / self.packet_time().as_secs_f64()
-    }
-
     /// The per-flow seed for flow number `i`.
     pub fn flow_seed(&self, i: u32) -> u64 {
         self.seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(i as u64 + 1)
-    }
-
-    /// The link capacity in packets per second.
-    pub fn link_rate_pps(&self) -> f64 {
-        self.link_rate_bps / self.packet_bits as f64
     }
 }
 
@@ -93,13 +83,15 @@ mod tests {
         assert_eq!(c.duration, SimTime::from_secs(600));
         assert_eq!(c.avg_rate_pps, 85.0);
         assert_eq!(c.packet_time(), SimTime::MILLISECOND);
-        assert_eq!(c.link_rate_pps(), 1000.0);
     }
 
     #[test]
     fn packet_time_conversion() {
-        let c = PaperConfig::paper();
-        assert!((c.to_packet_times(0.005) - 5.0).abs() < 1e-9);
+        let c = PaperConfig {
+            packet_bits: 500,
+            ..PaperConfig::paper()
+        };
+        assert_eq!(c.packet_time(), SimTime::from_micros(500));
     }
 
     #[test]

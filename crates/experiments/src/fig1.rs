@@ -186,20 +186,6 @@ impl Fig1Network {
             reverse_links: built.reverse,
         }
     }
-
-    /// The forward route (list of links) for a placement.
-    pub fn route_for(&self, p: &FlowPlacement) -> Vec<LinkId> {
-        p.link_indices().map(|i| self.links[i]).collect()
-    }
-
-    /// The reverse route matching a forward `(first_link, hops)` span (used
-    /// by TCP acknowledgements).
-    pub fn reverse_route_span(&self, first_link: usize, hops: usize) -> Vec<LinkId> {
-        (first_link..first_link + hops)
-            .rev()
-            .map(|i| self.reverse_links[i])
-            .collect()
-    }
 }
 
 /// Census of the placement: per-link flow counts by kind, used by the tests
@@ -318,16 +304,6 @@ mod tests {
             assert_eq!(p.rate_bps, 1_000_000.0);
             assert_eq!(p.buffer_packets, 200);
         }
-        // Routes derived from placements are valid contiguous paths.
-        for f in placement() {
-            assert!(net.topology.validate_route(&net.route_for(&f)));
-        }
-        // Reverse routes are valid too.
-        for (first, hops) in tcp_placement() {
-            assert!(net
-                .topology
-                .validate_route(&net.reverse_route_span(first, hops)));
-        }
     }
 
     #[test]
@@ -342,7 +318,7 @@ mod tests {
         // 10 flows per link at ~0.98·85 pkt/s each over a 1000 pkt/s link.
         let cfg = PaperConfig::paper();
         let per_link_pps = FLOWS_PER_LINK as f64 * 0.98 * cfg.avg_rate_pps;
-        let util = per_link_pps / cfg.link_rate_pps();
+        let util = per_link_pps * cfg.packet_bits as f64 / cfg.link_rate_bps;
         assert!((util - 0.835).abs() < 0.01, "offered load {util}");
     }
 }

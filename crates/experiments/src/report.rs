@@ -13,6 +13,7 @@
 //! instead of suppressing the rest of the sweep.
 
 use ispn_scenario::{PointResult, SweepReport, SweepTable};
+use ispn_stats::table::fmt2;
 use ispn_stats::TextTable;
 
 use crate::churn::ChurnOutcome;
@@ -62,10 +63,6 @@ pub const PAPER_TABLE3: [PaperTable3Row; 8] = [
     ("Predicted-Low", 1, 7.43, 79.57, 108.56, None),
 ];
 
-fn f2(x: f64) -> String {
-    format!("{x:.2}")
-}
-
 /// The paper's published value for a Table-2 cell.
 pub fn paper_table2_value(scheduler: &str, path_length: usize) -> Option<(f64, f64)> {
     PAPER_TABLE2
@@ -99,10 +96,10 @@ pub fn render_table1(reports: &[SweepReport<PointResult<Table1Row>>]) -> String 
     .render(reports, |row| {
         let paper = PAPER_TABLE1.iter().find(|(s, _, _)| *s == row.scheduler);
         vec![vec![
-            f2(row.mean),
-            f2(row.p999),
-            paper.map(|p| f2(p.1)).unwrap_or_default(),
-            paper.map(|p| f2(p.2)).unwrap_or_default(),
+            fmt2(row.mean),
+            fmt2(row.p999),
+            paper.map(|p| fmt2(p.1)).unwrap_or_default(),
+            paper.map(|p| fmt2(p.2)).unwrap_or_default(),
             format!("{:.1}%", row.utilization * 100.0),
         ]]
     })
@@ -125,10 +122,10 @@ pub fn render_table2(reports: &[SweepReport<PointResult<Table2Point>>]) -> Strin
                 let paper = paper_table2_value(cell.scheduler, cell.path_length);
                 vec![
                     cell.path_length.to_string(),
-                    f2(cell.mean),
-                    f2(cell.p999),
-                    paper.map(|p| f2(p.0)).unwrap_or_default(),
-                    paper.map(|p| f2(p.1)).unwrap_or_default(),
+                    fmt2(cell.mean),
+                    fmt2(cell.p999),
+                    paper.map(|p| fmt2(p.0)).unwrap_or_default(),
+                    paper.map(|p| fmt2(p.1)).unwrap_or_default(),
                 ]
             })
             .collect()
@@ -163,12 +160,12 @@ pub fn render_table3(t: &Table3) -> String {
         table.row([
             row.kind.label().to_string(),
             row.path_length.to_string(),
-            f2(row.mean),
-            f2(row.p999),
-            f2(row.max),
-            row.pg_bound.map(f2).unwrap_or_default(),
-            paper.map(|p| f2(p.0)).unwrap_or_default(),
-            paper.map(|p| f2(p.2)).unwrap_or_default(),
+            fmt2(row.mean),
+            fmt2(row.p999),
+            fmt2(row.max),
+            row.pg_bound.map(fmt2).unwrap_or_default(),
+            paper.map(|p| fmt2(p.0)).unwrap_or_default(),
+            paper.map(|p| fmt2(p.2)).unwrap_or_default(),
         ]);
     }
     format!(
@@ -215,8 +212,8 @@ pub fn render_hops(points: &[HopsPoint]) -> String {
         table.row([
             p.scheduler.to_string(),
             p.hops.to_string(),
-            f2(p.mean),
-            f2(p.p999),
+            fmt2(p.mean),
+            fmt2(p.p999),
         ]);
     }
     table.render()
@@ -230,12 +227,12 @@ pub fn render_playback(c: &PlaybackComparison) -> String {
     .header(["client", "effective latency", "loss rate"]);
     table.row([
         "rigid (a-priori bound)".to_string(),
-        f2(c.rigid_latency),
+        fmt2(c.rigid_latency),
         format!("{:.3}%", c.rigid_loss * 100.0),
     ]);
     table.row([
         "adaptive".to_string(),
-        f2(c.adaptive_latency),
+        fmt2(c.adaptive_latency),
         format!("{:.3}%", c.adaptive_loss * 100.0),
     ]);
     format!(
@@ -271,8 +268,8 @@ pub fn render_admission(controlled: &AdmissionOutcome, uncontrolled: &AdmissionO
             o.accepted.to_string(),
             o.rejected.to_string(),
             format!("{:.1}%", o.utilization * 100.0),
-            f2(o.worst_high_delay),
-            f2(o.worst_low_delay),
+            fmt2(o.worst_high_delay),
+            fmt2(o.worst_low_delay),
             o.violations.to_string(),
         ]);
     }
@@ -335,10 +332,10 @@ pub fn render_mesh(reports: &[SweepReport<PointResult<MeshOutcome>>]) -> String 
                 vec![
                     c.class.to_string(),
                     c.flows.to_string(),
-                    f2(c.mean),
-                    f2(c.worst_p999),
-                    f2(c.worst_max),
-                    f2(c.jitter),
+                    fmt2(c.mean),
+                    fmt2(c.worst_p999),
+                    fmt2(c.worst_max),
+                    fmt2(c.jitter),
                     format!("{:.3}%", c.loss_rate * 100.0),
                 ]
             })
@@ -378,9 +375,9 @@ pub fn render_hetmix(reports: &[SweepReport<PointResult<HetMixPoint>>]) -> Strin
                 vec![
                     format!("{:.1}%", p.utilization * 100.0),
                     c.class.to_string(),
-                    f2(c.mean),
-                    f2(c.worst_p999),
-                    f2(c.jitter),
+                    fmt2(c.mean),
+                    fmt2(c.worst_p999),
+                    fmt2(c.jitter),
                     format!("{:.3}%", c.loss_rate * 100.0),
                 ]
             })
@@ -398,8 +395,8 @@ pub fn render_utilization(points: &[UtilizationPoint]) -> String {
             p.scheduler.to_string(),
             p.flows.to_string(),
             format!("{:.1}%", p.utilization * 100.0),
-            f2(p.mean),
-            f2(p.p999),
+            fmt2(p.mean),
+            fmt2(p.p999),
         ]);
     }
     table.render()

@@ -50,7 +50,6 @@ pub(crate) const DISCIPLINE_LABELS: &[&str] = &[
     "FIFO",
     "WFQ",
     "FIFO+",
-    "FIFO+ (EWMA)",
     "VirtualClock",
     "StrictPriority",
     "Unified",
@@ -69,7 +68,6 @@ mod tests {
         for spec in [
             DisciplineSpec::Fifo,
             DisciplineSpec::FifoPlus(Averaging::RunningMean),
-            DisciplineSpec::FifoPlus(Averaging::Ewma(0.1)),
             DisciplineSpec::Wfq,
             DisciplineSpec::VirtualClock,
             DisciplineSpec::StrictPriority { classes: 2 },

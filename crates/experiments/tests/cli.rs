@@ -1,13 +1,11 @@
 //! The sweep bins' command line, driven through the real binaries: what
 //! `cli::main` promises about stdout, telemetry, worker mode and exit
-//! codes must hold for every one of the six, flag-configured
-//! (`table1 --fast`) and environment-configured (`ISPN_FAST=1 hetmix`)
-//! alike.  Between them their rows exercise every wire codec.
+//! codes must hold for every one of the six, each in its `ISPN_FAST=1`
+//! configuration.  Between them their rows exercise every wire codec.
 
 use std::process::{Command, Output, Stdio};
 
-/// The six sweep bins; each ignores the others' way of asking for a short
-/// run.
+/// The six sweep bins.
 const BINS: [&str; 6] = [
     env!("CARGO_BIN_EXE_table1"),
     env!("CARGO_BIN_EXE_table2"),
@@ -22,7 +20,7 @@ const BINS: [&str; 6] = [
 /// in-process table that never reaches `cli::main`); the rest ignore it.
 fn run(bin: &str, flags: &[&str]) -> Output {
     Command::new(bin)
-        .args(["--fast", "--seeds", "2"])
+        .args(["--seeds", "2"])
         .env("ISPN_FAST", "1")
         .args(flags)
         .stdin(Stdio::null())

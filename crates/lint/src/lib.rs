@@ -74,23 +74,20 @@ impl Report {
 /// Analysis of a single file: findings after inline-waiver filtering, plus
 /// the bookkeeping the engine needs for baseline matching.
 #[derive(Debug, Default)]
-pub struct FileAnalysis {
+struct FileAnalysis {
     /// Findings not suppressed by an inline waiver (baseline not yet
     /// applied), plus `bad-waiver`/`stale-waiver` meta-findings.
-    pub findings: Vec<Finding>,
+    findings: Vec<Finding>,
     /// Findings suppressed by inline waivers.
-    pub waived: usize,
+    waived: usize,
 }
 
-/// Lint one file's source as if it lived at workspace-relative `path`.
-///
-/// This is the per-file core of [`run_workspace`], exposed so the fixture
-/// tests can feed known-bad sources under pretend paths (rule scoping is
-/// path-based).
-pub fn analyze_source(path: &str, src: &str) -> FileAnalysis {
-    let lex = lexer::tokenize(src);
-    let hits = rules::check_file(path, &lex);
-    let waivers = waiver::collect(&lex);
+/// Lint one lexed file as if it lived at workspace-relative `path`: the
+/// per-file rules' hits plus `hits` from the workspace-wide ones, filtered
+/// through the file's inline waivers.
+fn analyze(path: &str, src: &str, lex: &lexer::LexFile, mut hits: Vec<rules::Hit>) -> FileAnalysis {
+    hits.extend(rules::check_file(path, lex));
+    let waivers = waiver::collect(lex);
     let lines: Vec<&str> = src.lines().collect();
     let snippet = |line: u32| {
         lines
@@ -212,6 +209,28 @@ pub fn run_files(
     files: &[PathBuf],
     baseline: &[BaselineEntry],
 ) -> Result<Report, String> {
+    let mut sources = Vec::with_capacity(files.len());
+    for file in files {
+        let src =
+            fs::read_to_string(root.join(file)).map_err(|e| format!("reading {file:?}: {e}"))?;
+        sources.push((rel_str(Path::new(""), file), src));
+    }
+    Ok(run_sources(&sources, baseline))
+}
+
+/// Lint a workspace given as `(workspace-relative path, source)` pairs —
+/// the in-memory core of [`run_files`], which the workspace-wide
+/// `unreached-pub` rule needs whole.  Tests feed it known-bad sources
+/// under pretend paths (rule scoping is path-based).
+pub fn run_sources(sources: &[(String, String)], baseline: &[BaselineEntry]) -> Report {
+    let lexed: Vec<_> = sources.iter().map(|(_, s)| lexer::tokenize(s)).collect();
+    let files: Vec<_> = sources
+        .iter()
+        .map(|(p, _)| p.as_str())
+        .zip(&lexed)
+        .collect();
+    let cross = rules::check_unreached(&files);
+
     // Index baseline entries by (path, rule, line) for exact matching.  A
     // site with several findings of one rule on one line (say, indexing and
     // an `expect` in one expression) is one entry; it covers them all.
@@ -225,11 +244,8 @@ pub fn run_files(
     let mut entry_used = vec![false; baseline.len()];
 
     let mut report = Report::default();
-    for file in files {
-        let rel = rel_str(Path::new(""), file);
-        let src =
-            fs::read_to_string(root.join(file)).map_err(|e| format!("reading {file:?}: {e}"))?;
-        let analysis = analyze_source(&rel, &src);
+    for (((path, src), lex), hits) in sources.iter().zip(&lexed).zip(cross) {
+        let analysis = analyze(path, src, lex, hits);
         report.files += 1;
         report.waived += analysis.waived;
         for f in analysis.findings {
@@ -265,7 +281,7 @@ pub fn run_files(
     report
         .findings
         .sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
-    Ok(report)
+    report
 }
 
 /// Render findings as `path:line:col: [rule] message` diagnostics.

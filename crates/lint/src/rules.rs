@@ -163,6 +163,27 @@ pub const RULES: &[Rule] = &[
         },
     },
     Rule {
+        id: "unreached-pub",
+        summary: "`pub` item that no experiment, example or benchmark workload names",
+        doc: "Aim 2 scores fewer public entry points: an item only tests call is an interface \
+              nothing acts on. Workspace-wide and by name: a `pub`/`pub(crate)` fn, type, trait, \
+              const or static declared outside test code in `crates/*/src` is flagged when its \
+              name appears as an identifier in no other non-test code of `crates/*/src`, \
+              `examples/` or `benchmark/src` (comments, `#[cfg(test)]` regions and `pub use` \
+              lists do not count). Delete it with the tests that exercise only it, or baseline \
+              it as a test oracle for an invariant production maintains, or with the ROADMAP \
+              item that will call it. A name match is not a call, so this is a lower bound.",
+        scope: Scope {
+            include: &["crates/"],
+            exclude: &[
+                "crates/shims/",
+                "crates/sched/src/conformance.rs",
+                "crates/scenario/src/sweep/testing.rs",
+            ],
+            skip_tests: true,
+        },
+    },
+    Rule {
         id: "bad-waiver",
         summary: "malformed waiver comment (missing rule list or `-- reason`)",
         doc: "A waiver must read `// ispn-lint: allow(<rule>[, <rule>…]) -- <reason>`. The \
@@ -295,7 +316,7 @@ fn in_regions(regions: &[(u32, u32)], line: u32) -> bool {
 }
 
 /// A raw hit before waiver/baseline filtering: `(rule, line, col, message)`.
-type Hit = (&'static str, u32, u32, String);
+pub type Hit = (&'static str, u32, u32, String);
 
 /// Run every applicable rule over one lexed file.
 pub fn check_file(path: &str, lex: &LexFile) -> Vec<Hit> {
@@ -321,6 +342,113 @@ pub fn check_file(path: &str, lex: &LexFile) -> Vec<Hit> {
     }
     hits.sort_by_key(|h| (h.1, h.2, h.0));
     hits
+}
+
+/// Item keywords whose next identifier is a declaration, not a use.
+const ITEM_KEYWORDS: &[&str] = &[
+    "fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod",
+];
+
+/// Does `unreached-pub` read `path` — as a declaring file (`crates/*/src`)
+/// and, with `examples/` and `benchmark/src`, as a caller?
+fn unreached_scope(path: &str) -> (bool, bool) {
+    let rule = rule("unreached-pub").expect("registered");
+    let in_src = path.split('/').nth(2) == Some("src") && applies(rule, path);
+    let caller = in_src || path.starts_with("examples/") || path.starts_with("benchmark/src/");
+    (in_src, caller)
+}
+
+/// The workspace-wide `unreached-pub` check over every lexed file of the
+/// workspace (workspace-relative paths); returns each file's hits, in the
+/// order given.
+pub fn check_unreached(files: &[(&str, &LexFile)]) -> Vec<Vec<Hit>> {
+    let mut used = std::collections::BTreeSet::new();
+    let mut decls = Vec::new();
+    for (k, &(path, lex)) in files.iter().enumerate() {
+        let (declares, calls) = unreached_scope(path);
+        if !calls {
+            continue;
+        }
+        let regions = test_regions(lex);
+        let toks = &lex.tokens;
+        let mut i = 0;
+        while i < toks.len() {
+            let t = &toks[i];
+            if in_regions(&regions, t.line) {
+                i += 1;
+                continue;
+            }
+            if t.is_ident("pub") {
+                let (kind, at) = item_after_pub(toks, i + 1);
+                if kind == "use" {
+                    // A re-export list names items without calling them.
+                    while i < toks.len() && !toks[i].is_punct(';') {
+                        i += 1;
+                    }
+                    continue;
+                }
+                if declares && kind != "mod" {
+                    if let Some(name) = toks.get(at).filter(|n| n.kind == TokKind::Ident) {
+                        decls.push((k, kind, name));
+                    }
+                }
+            } else if t.kind == TokKind::Ident {
+                let declared = i > 0 && ITEM_KEYWORDS.iter().any(|kw| toks[i - 1].is_ident(kw));
+                if !declared {
+                    used.insert(t.text.as_str());
+                }
+            }
+            i += 1;
+        }
+    }
+    let mut hits = vec![Vec::new(); files.len()];
+    for (k, kind, name) in decls {
+        if !used.contains(name.text.as_str()) {
+            hits[k].push((
+                "unreached-pub",
+                name.line,
+                name.col,
+                format!(
+                    "`pub {kind} {}` is named by no non-test code in crates/*/src, examples/ \
+                     or benchmark/src: delete it with the tests that exercise only it, or \
+                     baseline it as a test oracle or with the ROADMAP item that will call it",
+                    name.text
+                ),
+            ));
+        }
+    }
+    hits
+}
+
+/// After `pub` at token `i`: skip a `(crate)`-style restriction and the
+/// `const`/`async`/`unsafe`/`extern "C"` qualifiers of a fn (and the `mut`
+/// of a static), and return the item keyword (`""` for a field) with the
+/// index of the token after it.
+fn item_after_pub(toks: &[Token], mut i: usize) -> (&'static str, usize) {
+    if toks.get(i).is_some_and(|t| t.is_punct('(')) {
+        while i < toks.len() && !toks[i].is_punct(')') {
+            i += 1;
+        }
+        i += 1;
+    }
+    let any_of = |t: &Token, words: &[&str]| words.iter().any(|w| t.is_ident(w));
+    while let Some(t) = toks.get(i) {
+        // `pub const fn` is a qualified fn, `pub const N` a const item.
+        let const_fn = t.is_ident("const")
+            && toks
+                .get(i + 1)
+                .is_some_and(|n| any_of(n, &["fn", "async", "unsafe", "extern"]));
+        if !(const_fn || t.kind == TokKind::Str || any_of(t, &["async", "unsafe", "extern", "mut"]))
+        {
+            let kind = ITEM_KEYWORDS
+                .iter()
+                .chain(&["use"])
+                .find(|kw| t.is_ident(kw));
+            return (kind.copied().unwrap_or(""), i + 1);
+        }
+        i += 1;
+    }
+    ("", i)
 }
 
 fn check_wall_clock(lex: &LexFile) -> Vec<Hit> {

@@ -1,5 +1,6 @@
 //! End-to-end tests for `ispn-lint`: the fixture corpus (one known-bad and
-//! one known-good source per rule), waiver round-trips, the baseline drift
+//! one known-good source per rule), the workspace-wide `unreached-pub` rule
+//! over small in-memory workspaces, waiver round-trips, the baseline drift
 //! guard, a seeded-violation run over a temp workspace tree, and a
 //! self-check that the real workspace is clean under the committed baseline.
 
@@ -7,7 +8,7 @@ use std::path::{Path, PathBuf};
 
 use ispn_lint::rules::Finding;
 use ispn_lint::waiver::BaselineEntry;
-use ispn_lint::{analyze_source, run_files, run_workspace};
+use ispn_lint::{run_files, run_sources, run_workspace, Report};
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -16,8 +17,23 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path:?}: {e}"))
 }
 
-/// Lint fixture `name` as if it lived at workspace-relative `path` (rule
-/// scoping is path-based) and return the unwaived findings.
+/// Lint a workspace of `(path, source)` files against an empty baseline.
+fn lint(files: &[(&str, &str)]) -> Report {
+    let files: Vec<_> = files
+        .iter()
+        .map(|&(path, src)| (path.to_string(), src.to_string()))
+        .collect();
+    run_sources(&files, &[])
+}
+
+/// Lint one source as if it lived at workspace-relative `path` (rule
+/// scoping is path-based).
+fn analyze_source(path: &str, src: &str) -> Report {
+    lint(&[(path, src)])
+}
+
+/// Lint fixture `name` as if it lived at workspace-relative `path` and
+/// return the unwaived findings.
 fn lint_fixture(name: &str, path: &str) -> Vec<Finding> {
     analyze_source(path, &fixture(name)).findings
 }
@@ -127,6 +143,143 @@ fn panic_path_slot_table_fixture_pair() {
     assert!(engine.is_empty(), "{engine:?}");
 }
 
+// ----------------------------------------------------------- unreached-pub
+
+/// The `(name, path)` of every `unreached-pub` finding.
+fn unreached(report: &Report) -> Vec<(String, &str)> {
+    let name = |f: &Finding| f.message.split('`').nth(1).unwrap_or("").to_string();
+    report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "unreached-pub")
+        .map(|f| (name(f), f.path.as_str()))
+        .collect()
+}
+
+const LIB: &str = "crates/core/src/lib.rs";
+
+#[test]
+fn items_only_tests_name_are_unreached() {
+    let lib = "\
+pub fn tested_only() {}
+pub struct Fixture;
+pub(crate) const unsafe fn qualified() {}
+pub(crate) const LIMIT: u32 = 3;
+pub fn called() {}
+pub(crate) fn helper() -> u32 { LIMIT }
+fn private_is_never_reported() {}
+#[cfg(test)]
+mod tests {
+    pub fn test_helper() {}
+    #[test]
+    fn t() { super::tested_only(); test_helper(); }
+}
+";
+    let report = lint(&[
+        (LIB, lib),
+        (
+            "crates/core/tests/it.rs",
+            "fn t() { let _ = ispn_core::Fixture; }",
+        ),
+        (
+            "tests/tests/flows.rs",
+            "fn t() { ispn_core::tested_only(); }",
+        ),
+        (
+            "crates/net/src/lib.rs",
+            "// called() in a comment is no call\nfn f() { called(); helper(); }",
+        ),
+    ]);
+    assert_eq!(
+        unreached(&report),
+        [
+            ("pub fn tested_only".to_string(), LIB),
+            ("pub struct Fixture".to_string(), LIB),
+            ("pub fn qualified".to_string(), LIB),
+        ]
+    );
+    assert_eq!(report.findings[0].line, 1);
+}
+
+#[test]
+fn examples_and_the_benchmark_are_callers() {
+    let lib = "pub fn for_examples() {}\npub fn for_the_benchmark() {}\npub fn for_nobody() {}\n";
+    let report = lint(&[
+        (LIB, lib),
+        (
+            "examples/quickstart.rs",
+            "fn main() { ispn_core::for_examples(); }",
+        ),
+        (
+            "benchmark/src/main.rs",
+            "fn main() { ispn_core::for_the_benchmark(); }",
+        ),
+    ]);
+    assert_eq!(unreached(&report), [("pub fn for_nobody".to_string(), LIB)]);
+    // Out of scope: the shims and the two test-harness modules declare
+    // nothing the rule reports.
+    let harness = "pub fn check_discipline() {}\n";
+    for path in [
+        "crates/shims/proptest/src/lib.rs",
+        "crates/sched/src/conformance.rs",
+        "crates/scenario/src/sweep/testing.rs",
+    ] {
+        assert!(unreached(&lint(&[(path, harness)])).is_empty(), "{path}");
+    }
+}
+
+#[test]
+fn a_re_export_is_not_a_caller() {
+    let module = "pub struct Exported;\npub fn also_exported() {}\n";
+    let lib = "pub mod m;\npub use m::{also_exported, Exported};\n";
+    let report = lint(&[("crates/core/src/m.rs", module), (LIB, lib)]);
+    assert_eq!(unreached(&report).len(), 2, "{:?}", report.findings);
+    // A plain `use` is an import some code acts on, so it counts.
+    let user = "use ispn_core::Exported;\nfn f() { ispn_core::also_exported(); }\n";
+    let report = lint(&[
+        ("crates/core/src/m.rs", module),
+        (LIB, lib),
+        ("crates/net/src/lib.rs", user),
+    ]);
+    assert!(unreached(&report).is_empty(), "{:?}", report.findings);
+}
+
+#[test]
+fn an_unreached_baseline_entry_goes_stale_once_called_or_deleted() {
+    let baseline = [BaselineEntry {
+        rule: "unreached-pub".to_string(),
+        path: LIB.to_string(),
+        line: 2,
+        reason: "test oracle for the drift test".to_string(),
+        src_line: 7,
+    }];
+    let lib = "pub fn called() {}\npub fn oracle() -> u32 { 0 }\n";
+    let caller = "fn f() { ispn_core::called(); }";
+    let run = |files: &[(&str, &str)]| {
+        let files: Vec<_> = files
+            .iter()
+            .map(|&(p, s)| (p.to_string(), s.to_string()))
+            .collect();
+        run_sources(&files, &baseline)
+    };
+    let report = run(&[(LIB, lib), ("crates/net/src/lib.rs", caller)]);
+    assert!(report.is_clean(), "{:?}", report.findings);
+    assert_eq!(report.baselined, 1);
+
+    // The oracle gains a production caller: the entry goes stale.
+    let called = "fn f() { ispn_core::called(); ispn_core::oracle(); }";
+    let report = run(&[(LIB, lib), ("crates/net/src/lib.rs", called)]);
+    assert_eq!(rules_hit(&report.findings), ["stale-baseline"]);
+    assert_eq!(report.findings[0].line, 7);
+
+    // The oracle is deleted: stale again.
+    let report = run(&[
+        (LIB, "pub fn called() {}\n"),
+        ("crates/net/src/lib.rs", caller),
+    ]);
+    assert_eq!(rules_hit(&report.findings), ["stale-baseline"]);
+}
+
 // ----------------------------------------------------------------- waivers
 
 #[test]
@@ -180,7 +333,7 @@ fn baseline_entry_suppresses_exact_site_and_goes_stale_on_drift() {
     std::fs::create_dir_all(file.parent().unwrap()).unwrap();
     std::fs::write(
         &file,
-        "use std::collections::HashMap;\npub type T = HashMap<u8, u8>;\n",
+        "use std::collections::HashMap;\ntype T = HashMap<u8, u8>;\n",
     )
     .unwrap();
     let files = vec![PathBuf::from("crates/net/src/table.rs")];
@@ -226,7 +379,7 @@ fn seeded_violation_fails_with_rule_file_and_line() {
     std::fs::create_dir_all(file.parent().unwrap()).unwrap();
     std::fs::write(
         &file,
-        "pub fn tick() -> std::time::Instant {\n    std::time::Instant::now()\n}\n",
+        "fn tick() -> std::time::Instant {\n    std::time::Instant::now()\n}\n",
     )
     .unwrap();
 

@@ -101,8 +101,6 @@ pub struct Monitor {
     flows: Vec<FlowStats>,
     links: Vec<LinkStats>,
     link_packets: Vec<u64>,
-    /// Samples recorded before this time are ignored (warm-up).
-    warmup: SimTime,
     /// End of the measured interval (last event seen).
     last_event: SimTime,
 }
@@ -114,14 +112,8 @@ impl Monitor {
             flows: (0..num_flows).map(|_| FlowStats::default()).collect(),
             links: (0..num_links).map(|_| LinkStats::default()).collect(),
             link_packets: vec![0; num_links],
-            warmup: SimTime::ZERO,
             last_event: SimTime::ZERO,
         }
-    }
-
-    /// Ignore samples recorded before `warmup`.
-    pub fn set_warmup(&mut self, warmup: SimTime) {
-        self.warmup = warmup;
     }
 
     /// Ensure the monitor covers at least `n` flows (flows may be added to a
@@ -141,45 +133,35 @@ impl Monitor {
     /// Record that a source generated (and actually submitted) a packet.
     pub fn record_generated(&mut self, flow: FlowId, now: SimTime) {
         self.note_time(now);
-        if now >= self.warmup {
-            self.flows[flow.index()].counters.generated += 1;
-        }
+        self.flows[flow.index()].counters.generated += 1;
     }
 
     /// Record a packet dropped by edge policing.
     pub fn record_edge_drop(&mut self, flow: FlowId, now: SimTime) {
         self.note_time(now);
-        if now >= self.warmup {
-            self.flows[flow.index()].counters.dropped_at_edge += 1;
-        }
+        self.flows[flow.index()].counters.dropped_at_edge += 1;
     }
 
     /// Record a packet submitted to an inactive (torn-down or never
     /// activated) flow and discarded at the entry switch.
     pub fn record_inactive_drop(&mut self, flow: FlowId, now: SimTime) {
         self.note_time(now);
-        if now >= self.warmup {
-            self.flows[flow.index()].counters.dropped_inactive += 1;
-        }
+        self.flows[flow.index()].counters.dropped_inactive += 1;
     }
 
     /// Record a packet dropped because an output buffer was full.
     pub fn record_buffer_drop(&mut self, flow: FlowId, link: usize, now: SimTime) {
         self.note_time(now);
-        if now >= self.warmup {
-            self.flows[flow.index()].counters.dropped_buffer += 1;
-            self.links[link].drops += 1;
-        }
+        self.flows[flow.index()].counters.dropped_buffer += 1;
+        self.links[link].drops += 1;
     }
 
     /// Record a delivered packet and its end-to-end queueing delay.
     pub fn record_delivery(&mut self, flow: FlowId, queueing_delay: SimTime, now: SimTime) {
         self.note_time(now);
-        if now >= self.warmup {
-            let f = &mut self.flows[flow.index()];
-            f.counters.delivered += 1;
-            f.delays.record(queueing_delay.as_secs_f64());
-        }
+        let f = &mut self.flows[flow.index()];
+        f.counters.delivered += 1;
+        f.delays.record(queueing_delay.as_secs_f64());
     }
 
     /// Record one packet transmission on a link: how long the link was busy
@@ -196,15 +178,13 @@ impl Monitor {
         now: SimTime,
     ) {
         self.note_time(now.saturating_add(tx_time));
-        if now >= self.warmup {
-            let l = &mut self.links[link];
-            l.busy += tx_time;
-            l.bits_sent += bits;
-            if class.is_realtime() {
-                l.realtime_bits_sent += bits;
-            }
-            self.link_packets[link] += 1;
+        let l = &mut self.links[link];
+        l.busy += tx_time;
+        l.bits_sent += bits;
+        if class.is_realtime() {
+            l.realtime_bits_sent += bits;
         }
+        self.link_packets[link] += 1;
     }
 
     /// The end of the measured interval (time of the last recorded event).
@@ -282,7 +262,7 @@ impl Monitor {
     /// Per-link summary over the measured interval.
     pub fn link_report(&self, link: usize) -> LinkReport {
         let l = &self.links[link];
-        let span = self.last_event.saturating_sub(self.warmup).as_secs_f64();
+        let span = self.last_event.as_secs_f64();
         let (utilization, realtime_utilization) = if span > 0.0 {
             let busy = l.busy.as_secs_f64() / span;
             let rt = if l.bits_sent > 0 {
@@ -344,17 +324,6 @@ mod tests {
         let r1 = m.flow_report(FlowId(1));
         assert_eq!(r1.generated, 0);
         assert_eq!(r1.loss_rate(), 0.0);
-    }
-
-    #[test]
-    fn warmup_excludes_early_samples() {
-        let mut m = Monitor::new(1, 1);
-        m.set_warmup(SimTime::from_secs(10));
-        m.record_delivery(FlowId(0), SimTime::from_millis(99), SimTime::from_secs(5));
-        m.record_delivery(FlowId(0), SimTime::from_millis(1), SimTime::from_secs(15));
-        let r = m.flow_report(FlowId(0));
-        assert_eq!(r.delivered, 1);
-        assert!((r.mean_delay - 0.001).abs() < 1e-12);
     }
 
     #[test]

@@ -112,16 +112,6 @@ impl Topology {
         &self.links
     }
 
-    /// The links whose upstream node is `node` (that node's output ports).
-    pub fn outgoing(&self, node: NodeId) -> Vec<LinkId> {
-        self.links
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.from == node)
-            .map(|(i, _)| LinkId(i))
-            .collect()
-    }
-
     /// Shortest path (fewest hops) from `src` to `dst` as a list of link
     /// ids, found by breadth-first search; `None` if unreachable.  Ties are
     /// broken toward lower link ids so routing is deterministic.
@@ -214,8 +204,6 @@ mod tests {
         assert_eq!(t.num_links(), 1);
         assert_eq!(t.link(l).from, a);
         assert_eq!(t.link(l).to, b);
-        assert_eq!(t.outgoing(a), vec![l]);
-        assert!(t.outgoing(b).is_empty());
     }
 
     #[test]

@@ -3,8 +3,6 @@
 
 use ispn_core::admission::{AdmissionConfig, AdmissionController};
 use ispn_net::{LinkId, Network};
-use ispn_signal::{SignalConfig, Signaling};
-use ispn_sim::SimTime;
 use ispn_traffic::{CbrSource, OnOffSource, PoissonSource, TraceSource};
 use ispn_transport::install_tcp;
 
@@ -30,8 +28,6 @@ pub struct ScenarioBuilder {
     flows: Vec<FlowDef>,
     tcps: Vec<TcpDef>,
     admission: Vec<(AdmissionTarget, AdmissionSpec)>,
-    warmup: Option<SimTime>,
-    signal_config: SignalConfig,
     workload: WorkloadSpec,
 }
 
@@ -45,8 +41,6 @@ impl ScenarioBuilder {
             flows: Vec::new(),
             tcps: Vec::new(),
             admission: Vec::new(),
-            warmup: None,
-            signal_config: SignalConfig::default(),
             workload: WorkloadSpec::Static,
         }
     }
@@ -121,18 +115,6 @@ impl ScenarioBuilder {
     /// Put specific links under measurement-based admission control.
     pub fn admission_on(mut self, links: Vec<LinkId>, spec: AdmissionSpec) -> Self {
         self.admission.push((AdmissionTarget::Links(links), spec));
-        self
-    }
-
-    /// Ignore measurements recorded before `warmup`.
-    pub fn warmup(mut self, warmup: SimTime) -> Self {
-        self.warmup = Some(warmup);
-        self
-    }
-
-    /// Control-plane timing for dynamic scenarios.
-    pub fn signaling(mut self, config: SignalConfig) -> Self {
-        self.signal_config = config;
         self
     }
 
@@ -302,17 +284,7 @@ impl ScenarioBuilder {
             }
         }
 
-        if let Some(warmup) = self.warmup {
-            net.monitor_mut().set_warmup(warmup);
-        }
-
-        let mut sim = Sim::from_parts(
-            net,
-            Signaling::new(self.signal_config),
-            flow_ids,
-            tcp,
-            built,
-        );
+        let mut sim = Sim::from_parts(net, flow_ids, tcp, built);
 
         // 6. Attach the dynamic workload.
         if let WorkloadSpec::Churn(churn) = self.workload {
@@ -345,6 +317,7 @@ mod tests {
     use crate::report::MeasurementPlan;
     use crate::workload::{ServiceSpec, SourceSpec};
     use ispn_net::NodeId;
+    use ispn_sim::SimTime;
 
     #[test]
     fn minimal_scenario_runs_and_reports() {
@@ -403,7 +376,10 @@ mod tests {
             .unwrap();
         assert_eq!(sim.network().discipline_name(LinkId(0)), "Unified");
         sim.run_until(SimTime::from_secs(2));
-        let r = sim.report(&MeasurementPlan::flows_only());
+        let r = sim.report(&MeasurementPlan {
+            link_stats: false,
+            ..MeasurementPlan::default()
+        });
         assert!(r.flows[0].delivered > 80);
         assert!(r.links.is_empty(), "plan skipped link stats");
     }
@@ -411,7 +387,7 @@ mod tests {
     #[test]
     fn per_link_matrix_overrides_apply() {
         let matrix = DisciplineMatrix::global(DisciplineSpec::Fifo)
-            .with_link(LinkId(1), DisciplineSpec::Wfq);
+            .with_links(&[LinkId(1)], DisciplineSpec::Wfq);
         let sim = ScenarioBuilder::chain(3)
             .disciplines(matrix)
             .flow(FlowDef::datagram(0, 2))
@@ -436,7 +412,14 @@ mod tests {
             .build()
             .unwrap();
         sim.run_until(SimTime::from_secs(5));
-        let plan = MeasurementPlan::default().with_histogram(HistogramSpec::up_to(0.1, 10));
+        let plan = MeasurementPlan {
+            delay_histogram: Some(HistogramSpec {
+                lo_s: 0.0,
+                hi_s: 0.1,
+                bins: 10,
+            }),
+            ..MeasurementPlan::default()
+        };
         let r = sim.report(&plan);
         // Deterministic class order: guaranteed, predicted-0, datagram.
         let labels: Vec<&str> = r.classes.iter().map(|c| c.class.as_str()).collect();

@@ -53,21 +53,6 @@ pub struct HistogramSpec {
 }
 
 impl HistogramSpec {
-    /// A histogram over `[0, hi_s)` seconds with `bins` uniform bins.
-    ///
-    /// # Panics
-    /// Panics if `hi_s <= 0` or `bins == 0` — better now than after the
-    /// simulation has run.
-    pub fn up_to(hi_s: f64, bins: usize) -> Self {
-        let spec = HistogramSpec {
-            lo_s: 0.0,
-            hi_s,
-            bins,
-        };
-        assert!(spec.is_valid(), "histogram needs hi_s > lo_s and bins > 0");
-        spec
-    }
-
     /// Whether the selection can actually be recorded (`hi_s > lo_s` and at
     /// least one bin).  Invalid specs are skipped at collection time — the
     /// report carries no histogram rather than panicking after the run.
@@ -121,37 +106,6 @@ impl Default for MeasurementPlan {
 }
 
 impl MeasurementPlan {
-    /// Only per-flow statistics.
-    pub fn flows_only() -> Self {
-        MeasurementPlan {
-            flow_stats: true,
-            link_stats: false,
-            signaling_stats: false,
-            class_stats: false,
-            discipline_stats: false,
-            class_quantiles: Vec::new(),
-            delay_histogram: None,
-            run_telemetry: false,
-        }
-    }
-
-    /// Select a per-class delay histogram (builder style).
-    ///
-    /// # Panics
-    /// Panics on an invalid selection (`hi_s <= lo_s` or `bins == 0`) —
-    /// better when the plan is built than after the simulation has run.
-    pub fn with_histogram(mut self, spec: HistogramSpec) -> Self {
-        assert!(spec.is_valid(), "histogram needs hi_s > lo_s and bins > 0");
-        self.delay_histogram = Some(spec);
-        self
-    }
-
-    /// Replace the per-class quantile selection (builder style).
-    pub fn with_quantiles(mut self, quantiles: impl Into<Vec<f64>>) -> Self {
-        self.class_quantiles = quantiles.into();
-        self
-    }
-
     /// Attach run telemetry to the report (builder style).
     pub fn with_run_telemetry(mut self) -> Self {
         self.run_telemetry = true;
@@ -943,7 +897,6 @@ mod tests {
     #[test]
     fn run_telemetry_plan_flag_defaults_off() {
         assert!(!MeasurementPlan::default().run_telemetry);
-        assert!(!MeasurementPlan::flows_only().run_telemetry);
         assert!(
             MeasurementPlan::default()
                 .with_run_telemetry()
@@ -997,24 +950,11 @@ mod tests {
 
     #[test]
     fn invalid_histogram_specs_fail_fast_or_are_skipped() {
-        // The builder paths refuse invalid selections up front…
-        assert!(std::panic::catch_unwind(|| HistogramSpec::up_to(0.0, 4)).is_err());
-        assert!(std::panic::catch_unwind(|| {
-            MeasurementPlan::default().with_histogram(HistogramSpec {
-                lo_s: 0.0,
-                hi_s: 0.1,
-                bins: 0,
-            })
-        })
-        .is_err());
-        // …and a hand-constructed invalid spec is simply not recordable.
-        assert!(!HistogramSpec {
-            lo_s: 0.2,
-            hi_s: 0.1,
-            bins: 4,
-        }
-        .is_valid());
-        assert!(HistogramSpec::up_to(0.1, 4).is_valid());
+        // An invalid selection is not recordable: collection skips it.
+        let spec = |lo_s, hi_s, bins| HistogramSpec { lo_s, hi_s, bins };
+        assert!(!spec(0.0, 0.1, 0).is_valid());
+        assert!(!spec(0.2, 0.1, 4).is_valid());
+        assert!(spec(0.0, 0.1, 4).is_valid());
     }
 
     /// The pooled class jitter sums in the order it is fed, and a flow's
@@ -1216,8 +1156,15 @@ mod tests {
             class_quantiles: (0..1 + below(6))
                 .map(|_| selectable[below(10) as usize])
                 .collect(),
-            delay_histogram: (below(2) == 1).then(|| HistogramSpec::up_to(0.005, 4)),
-            ..MeasurementPlan::flows_only()
+            delay_histogram: (below(2) == 1).then_some(HistogramSpec {
+                lo_s: 0.0,
+                hi_s: 0.005,
+                bins: 4,
+            }),
+            link_stats: false,
+            signaling_stats: false,
+            discipline_stats: false,
+            ..MeasurementPlan::default()
         };
         (net, declared, plan)
     }
@@ -1231,7 +1178,7 @@ mod tests {
         /// run's last element on a tie with another run's head.
         #[test]
         fn report_matches_the_nine_pass_reference(seed in proptest::any::<u64>()) {
-            let sig = Signaling::new(ispn_signal::SignalConfig::default());
+            let sig = Signaling::default();
             let (mut net, flows, plan) = random_run(seed);
             let report = ScenarioReport::collect(&plan, &mut net, &sig, &flows);
             let (mut reference_net, ..) = random_run(seed);
@@ -1259,14 +1206,15 @@ mod tests {
     /// digit.)
     #[test]
     fn class_mean_does_not_depend_on_the_quantile_selection() {
-        let sig = Signaling::new(ispn_signal::SignalConfig::default());
+        let sig = Signaling::default();
         let means = |quantiles: &[f64]| -> Vec<u64> {
             (0..64)
                 .flat_map(|seed| {
                     let (mut net, flows, plan) = random_run(seed);
                     let plan = MeasurementPlan {
                         class_stats: true,
-                        ..plan.with_quantiles(quantiles)
+                        class_quantiles: quantiles.to_vec(),
+                        ..plan
                     };
                     ScenarioReport::collect(&plan, &mut net, &sig, &flows).classes
                 })

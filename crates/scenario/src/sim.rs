@@ -161,11 +161,6 @@ pub struct Sim {
     sig: Signaling,
     actions: EventQueue<Action>,
     handler: Option<SignalHandler>,
-    /// Set by [`clear_signal_handler`](Sim::clear_signal_handler) so a
-    /// clear issued *from inside* the handler (whose box is temporarily
-    /// taken out of `handler` during dispatch) is not undone by the
-    /// restore.
-    handler_cleared: bool,
     /// Reentrancy guard: [`run_until`](Sim::run_until) must not be called
     /// from inside a scheduled action or signal handler.
     running: bool,
@@ -198,17 +193,15 @@ impl Sim {
     /// prefer [`ScenarioBuilder`](crate::ScenarioBuilder)).
     pub fn from_parts(
         net: Network,
-        sig: Signaling,
         flows: Vec<FlowId>,
         tcp: Vec<TcpHandles>,
         built: BuiltTopology,
     ) -> Self {
         Sim {
             net,
-            sig,
+            sig: Signaling::default(),
             actions: EventQueue::new(),
             handler: None,
-            handler_cleared: false,
             running: false,
             flows,
             tcp,
@@ -345,7 +338,9 @@ impl Sim {
                     hops,
                     source: Some(source),
                 });
-                self.schedule_at(at + hold, move |sim| sim.churn_departure(flow));
+                self.schedule_at(at.saturating_add(hold), move |sim| {
+                    sim.churn_departure(flow)
+                });
             }
             SignalEvent::Rejected { flow, .. } => {
                 if let Some(slot @ ChurnSlot::Requested { .. }) = d.slots.get_mut(flow.index()) {
@@ -417,8 +412,7 @@ impl Sim {
     }
 
     /// Drain the churn workload: stop the arrival process (this cancels
-    /// **every** scheduled action, like
-    /// [`cancel_scheduled`](Sim::cancel_scheduled)), retire each admitted
+    /// **every** scheduled action), retire each admitted
     /// flow's source and begin its teardown, and withdraw every setup still
     /// in flight (confirmed after the drain, it would never be torn down),
     /// in flow-id order.  Run the simulation a little longer afterwards to
@@ -495,15 +489,6 @@ impl Sim {
     /// that wants a list pushes into its own from here.
     pub fn on_signal(&mut self, handler: impl FnMut(&SignalEvent, &mut Sim) + 'static) {
         self.handler = Some(Box::new(handler));
-        self.handler_cleared = false;
-    }
-
-    /// Remove the signal-event handler (completed transactions then reach
-    /// the churn driver only).  Also effective when called from inside the
-    /// handler itself — a one-shot handler may deregister on its first event.
-    pub fn clear_signal_handler(&mut self) {
-        self.handler = None;
-        self.handler_cleared = true;
     }
 
     /// Schedule an action at absolute simulated time `at` (clamped to the
@@ -513,15 +498,10 @@ impl Sim {
         self.actions.push(at, Box::new(action));
     }
 
-    /// Schedule an action `delay` from now.
+    /// Schedule an action `delay` from now (`SimTime::MAX` saturates: the
+    /// end of time, never a wrapped instant in the past).
     pub fn schedule_in(&mut self, delay: SimTime, action: impl FnOnce(&mut Sim) + 'static) {
-        self.schedule_at(self.now() + delay, action);
-    }
-
-    /// Drop every scheduled action that has not yet run (e.g. to stop an
-    /// arrival process before draining a churn scenario).
-    pub fn cancel_scheduled(&mut self) {
-        self.actions.clear();
+        self.schedule_at(self.now().saturating_add(delay), action);
     }
 
     /// Begin a hop-by-hop flow setup (see [`Signaling::submit`]).
@@ -552,11 +532,9 @@ impl Sim {
             // whether or not the caller also watches events.
             self.churn_on_signal(&event);
             if let Some(mut handler) = self.handler.take() {
-                self.handler_cleared = false;
                 handler(&event, self);
-                // Keep the handler unless the callback installed a new one
-                // or explicitly deregistered.
-                if self.handler.is_none() && !self.handler_cleared {
+                // Keep the handler unless the callback installed a new one.
+                if self.handler.is_none() {
                     self.handler = Some(handler);
                 }
             }
@@ -671,7 +649,6 @@ mod tests {
     use ispn_core::admission::{AdmissionConfig, AdmissionController};
     use ispn_net::Topology;
     use ispn_sched::{Averaging, Unified};
-    use ispn_signal::SignalConfig;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -694,13 +671,7 @@ mod tests {
                 SimTime::SECOND,
             );
         }
-        Sim::from_parts(
-            net,
-            Signaling::new(SignalConfig::default()),
-            Vec::new(),
-            Vec::new(),
-            built,
-        )
+        Sim::from_parts(net, Vec::new(), Vec::new(), built)
     }
 
     #[test]
@@ -804,6 +775,21 @@ mod tests {
     }
 
     #[test]
+    fn schedule_in_forever_saturates_at_the_end_of_time() {
+        let mut sim = simple_sim();
+        sim.run_until(SimTime::SECOND);
+        let ran: Rc<RefCell<bool>> = Rc::default();
+        let r = ran.clone();
+        // `now + MAX` overflowed: a panic in debug, and in release a wrapped
+        // instant in the past that ran the "never" action at once.
+        sim.schedule_in(SimTime::MAX, move |_| *r.borrow_mut() = true);
+        sim.run_until(SimTime::from_secs(1000));
+        assert!(!*ran.borrow());
+        sim.run_until(SimTime::MAX);
+        assert!(*ran.borrow());
+    }
+
+    #[test]
     fn scheduled_actions_fire_in_order_and_can_reschedule() {
         let mut sim = simple_sim();
         let ticks: Rc<RefCell<Vec<SimTime>>> = Rc::default();
@@ -827,10 +813,9 @@ mod tests {
             ]
         );
         // The last rescheduled tick (t = 35 ms) is beyond the horizon and
-        // still pending; cancel_scheduled drops it.
-        sim.cancel_scheduled();
+        // still pending.
         sim.run_until(SimTime::from_secs(1));
-        assert_eq!(ticks.borrow().len(), 3);
+        assert_eq!(ticks.borrow().len(), 4);
     }
 
     #[test]
@@ -858,7 +843,9 @@ mod tests {
         let calls2 = calls.clone();
         sim.on_signal(move |_, sim| {
             *calls2.borrow_mut() += 1;
-            sim.clear_signal_handler();
+            // Replacing itself with a no-op is how a one-shot handler
+            // deregisters: dispatch keeps what the callback installed.
+            sim.on_signal(|_, _| {});
         });
         // Two setups, two completions: a one-shot handler must only see
         // the first.
@@ -869,7 +856,7 @@ mod tests {
         assert_eq!(
             *calls.borrow(),
             1,
-            "the cleared handler must not fire again"
+            "the replaced handler must not fire again"
         );
     }
 

@@ -14,7 +14,7 @@
 //!   point also carries `(axis name, value label)` tags for reports.
 //! * [`SweepRunner`] — runs every point through a caller-supplied closure,
 //!   either serially ([`SweepRunner::serial`]) or fanned across `N`
-//!   OS threads ([`SweepRunner::parallel`], [`SweepRunner::max_parallel`];
+//!   OS threads ([`SweepRunner::parallel`];
 //!   `std::thread::scope`, no pool retained between runs).  Each point
 //!   builds and runs its own self-contained [`Sim`](crate::Sim) inside its
 //!   worker thread.
@@ -797,16 +797,6 @@ impl SweepRunner {
         }
     }
 
-    /// One thread per core the host offers (falls back to serial when the
-    /// parallelism cannot be determined).
-    pub fn max_parallel() -> Self {
-        SweepRunner {
-            threads: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        }
-    }
-
     /// The configured thread count.
     pub fn threads(&self) -> usize {
         self.threads
@@ -1062,7 +1052,6 @@ mod tests {
         assert_eq!(SweepRunner::serial().threads(), 1);
         assert_eq!(SweepRunner::parallel(0).threads(), 1);
         assert_eq!(SweepRunner::parallel(6).threads(), 6);
-        assert!(SweepRunner::max_parallel().threads() >= 1);
     }
 
     #[test]

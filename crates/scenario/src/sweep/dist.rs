@@ -104,7 +104,7 @@ use super::{
 ///
 /// ```no_run
 /// use ispn_scenario::WorkerCommand;
-/// let cmd = WorkerCommand::current_exe().arg("--sweep-worker").arg("--fast");
+/// let cmd = WorkerCommand::current_exe().arg("--sweep-worker").arg("--seeds").arg("2");
 /// ```
 #[derive(Debug, Clone)]
 pub struct WorkerCommand {
@@ -461,11 +461,6 @@ impl DistRunner {
     /// The configured worker count (subprocesses or socket connections).
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The configured batch size (points per dispatched claim).
-    pub fn batch_size(&self) -> usize {
-        self.batch
     }
 
     /// A human-readable description of the execution level for progress
@@ -989,9 +984,9 @@ mod tests {
     #[test]
     fn batch_sizes_clamp_to_one() {
         let runner = DistRunner::new(2, WorkerCommand::new("w"));
-        assert_eq!(runner.batch_size(), 1);
-        assert_eq!(runner.clone().batch(0).batch_size(), 1);
-        assert_eq!(runner.batch(16).batch_size(), 16);
+        assert_eq!(runner.batch, 1);
+        assert_eq!(runner.clone().batch(0).batch, 1);
+        assert_eq!(runner.batch(16).batch, 16);
     }
 
     #[test]

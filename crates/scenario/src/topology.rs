@@ -289,12 +289,6 @@ impl BuiltTopology {
     pub fn route(&self, from: NodeId, to: NodeId) -> Option<Vec<LinkId>> {
         self.topology.shortest_path(from, to)
     }
-
-    /// The switch at grid position `(row, col)` of a mesh preset built with
-    /// `cols` columns.
-    pub fn mesh_node(&self, row: usize, col: usize, cols: usize) -> NodeId {
-        self.nodes[row * cols + col]
-    }
 }
 
 #[cfg(test)]
@@ -362,14 +356,11 @@ mod tests {
         assert_eq!(built.nodes.len(), 9);
         // 2 directed links per grid edge: 12 edges in a 3×3 grid.
         assert_eq!(built.topology.num_links(), 24);
-        // Row route and diagonal route share the centre's east-bound link.
-        let row = built
-            .route(built.mesh_node(1, 0, 3), built.mesh_node(1, 2, 3))
-            .unwrap();
+        // Row route and diagonal route share the centre's east-bound link
+        // (nodes are numbered row-major).
+        let row = built.route(built.nodes[3], built.nodes[5]).unwrap();
         assert_eq!(row.len(), 2);
-        let diag = built
-            .route(built.mesh_node(0, 0, 3), built.mesh_node(2, 2, 3))
-            .unwrap();
+        let diag = built.route(built.nodes[0], built.nodes[8]).unwrap();
         assert_eq!(diag.len(), 4);
         assert!(built.topology.validate_route(&row));
         assert!(built.topology.validate_route(&diag));

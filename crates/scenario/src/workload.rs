@@ -403,12 +403,6 @@ impl AdmissionSpec {
             sample_interval: SimTime::SECOND,
         }
     }
-
-    /// Override the utilization safety factor (builder style).
-    pub fn with_util_safety_factor(mut self, factor: f64) -> Self {
-        self.util_safety_factor = Some(factor);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -472,9 +466,5 @@ mod tests {
         assert_eq!(spec.realtime_quota, 0.9);
         assert_eq!(spec.sample_interval, SimTime::SECOND);
         assert!(spec.util_safety_factor.is_none());
-        assert_eq!(
-            spec.with_util_safety_factor(1.6).util_safety_factor,
-            Some(1.6)
-        );
     }
 }

@@ -158,7 +158,6 @@ mod tests {
     #[test]
     fn fifo_plus_conforms() {
         check_discipline(FifoPlus::new(Averaging::RunningMean));
-        check_discipline(FifoPlus::new(Averaging::Ewma(1.0 / 16.0)));
     }
 
     #[test]

@@ -30,37 +30,22 @@ use crate::disc::{segments, Dequeued, QueueDiscipline, SchedContext};
 /// How the per-hop class-average delay is estimated.
 ///
 /// The paper just says "we measure the average delay seen by packets in
-/// each priority class at that switch"; both a running mean over the whole
-/// run and an exponentially weighted moving average are reasonable
-/// readings, and the ablation benchmarks compare them.
+/// each priority class at that switch": a running mean over the whole run.
+/// One variant, kept because the benchmark workloads name it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Averaging {
     /// Running mean over every packet the class has sent at this hop.
     RunningMean,
-    /// Exponentially weighted moving average with the given gain in (0, 1]
-    /// (e.g. 1/16); adapts faster when conditions change.
-    Ewma(f64),
 }
 
-#[derive(Debug, Clone)]
+/// The running mean of a class's queueing delay at this hop.
+#[derive(Debug, Clone, Default)]
 struct DelayAverage {
-    kind: Averaging,
     value_secs: f64,
     count: u64,
 }
 
 impl DelayAverage {
-    fn new(kind: Averaging) -> Self {
-        if let Averaging::Ewma(g) = kind {
-            assert!(g > 0.0 && g <= 1.0, "EWMA gain must be in (0, 1]");
-        }
-        DelayAverage {
-            kind,
-            value_secs: 0.0,
-            count: 0,
-        }
-    }
-
     /// Current estimate of the class-average delay (seconds).
     fn current(&self) -> f64 {
         self.value_secs
@@ -68,18 +53,7 @@ impl DelayAverage {
 
     fn update(&mut self, delay_secs: f64) {
         self.count += 1;
-        match self.kind {
-            Averaging::RunningMean => {
-                self.value_secs += (delay_secs - self.value_secs) / self.count as f64;
-            }
-            Averaging::Ewma(g) => {
-                if self.count == 1 {
-                    self.value_secs = delay_secs;
-                } else {
-                    self.value_secs += g * (delay_secs - self.value_secs);
-                }
-            }
-        }
+        self.value_secs += (delay_secs - self.value_secs) / self.count as f64;
     }
 }
 
@@ -144,19 +118,15 @@ impl Default for FifoPlus {
 impl FifoPlus {
     /// Create a FIFO+ queue with the chosen averaging method.
     pub fn new(averaging: Averaging) -> Self {
+        let Averaging::RunningMean = averaging;
         FifoPlus {
             heap: BinaryHeap::new(),
             payloads: Vec::new(),
             free_slots: Vec::new(),
             grown: 0,
             seq: 0,
-            average: DelayAverage::new(averaging),
+            average: DelayAverage::default(),
         }
-    }
-
-    /// The current estimate of the class-average queueing delay at this hop.
-    pub fn average_delay(&self) -> SimTime {
-        SimTime::from_secs_f64(self.average.current().max(0.0))
     }
 }
 
@@ -301,29 +271,7 @@ mod tests {
         let d = q.dequeue(SimTime::from_millis(11)).unwrap();
         assert_eq!(d.packet.jitter_offset_ns, -3_000_000);
         // Running mean of 4 ms and 1 ms.
-        assert!((q.average_delay().as_millis_f64() - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ewma_tracks_recent_delays() {
-        let mut q = FifoPlus::new(Averaging::Ewma(0.5));
-        for i in 0..4u64 {
-            let t = SimTime::from_millis(10 * i);
-            q.enqueue(t, pkt(0, i), ctx(t));
-            let _ = q.dequeue(t + SimTime::from_millis(4)).unwrap();
-        }
-        assert!((q.average_delay().as_millis_f64() - 4.0).abs() < 1e-9);
-        // A sudden change moves the EWMA halfway.
-        let t = SimTime::from_millis(100);
-        q.enqueue(t, pkt(0, 9), ctx(t));
-        let _ = q.dequeue(t + SimTime::from_millis(8)).unwrap();
-        assert!((q.average_delay().as_millis_f64() - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic]
-    fn bad_ewma_gain_rejected() {
-        let _ = FifoPlus::new(Averaging::Ewma(0.0));
+        assert!((q.average.current() - 2.5e-3).abs() < 1e-12);
     }
 
     #[test]

@@ -294,16 +294,6 @@ impl GpsClock {
         }
         finish
     }
-
-    /// Forget all per-flow backlog state but keep rates (used by tests).
-    pub fn reset(&mut self) {
-        self.virtual_time = 0.0;
-        self.last_update = SimTime::ZERO;
-        self.backlogged.clear();
-        for (_, f) in &mut self.flows {
-            f.last_finish = 0.0;
-        }
-    }
 }
 
 /// The same clock with no backlogged list: every deletion step scans every
@@ -411,14 +401,6 @@ mod reference {
             flow.last_finish = finish;
             finish
         }
-
-        pub fn reset(&mut self) {
-            self.virtual_time = 0.0;
-            self.last_update = SimTime::ZERO;
-            for (_, f) in &mut self.flows {
-                f.last_finish = 0.0;
-            }
-        }
     }
 }
 
@@ -451,7 +433,7 @@ mod tests {
         #[test]
         fn list_clock_matches_the_full_scan_bit_for_bit(
             ops in proptest::collection::vec(
-                (0u8..16, 0u64..8, 0u64..1_000_000, 0.0f64..1.0),
+                (0u8..15, 0u64..8, 0u64..1_000_000, 0.0f64..1.0),
                 1..160,
             ),
         ) {
@@ -491,12 +473,7 @@ mod tests {
                         gps.set_rate(key, rate);
                         oracle.set_rate(key, rate);
                     }
-                    13..=14 => prop_assert_eq!(gps.remove(key), oracle.remove(key)),
-                    _ => {
-                        gps.reset();
-                        oracle.reset();
-                        now = SimTime::ZERO;
-                    }
+                    _ => prop_assert_eq!(gps.remove(key), oracle.remove(key)),
                 }
                 prop_assert_eq!(
                     gps.virtual_time().to_bits(),
@@ -644,17 +621,5 @@ mod tests {
         assert_eq!(gps.link_rate_bps(), MBIT);
         gps.set_rate(1, 150_000.0);
         assert_eq!(gps.rate(1), Some(150_000.0));
-    }
-
-    #[test]
-    fn reset_clears_backlog() {
-        let mut gps = GpsClock::new(MBIT);
-        gps.set_rate(1, MBIT);
-        gps.stamp(1, 1000, SimTime::ZERO);
-        assert!(gps.busy());
-        gps.reset();
-        assert!(!gps.busy());
-        assert_eq!(gps.virtual_time(), 0.0);
-        assert_eq!(gps.rate(1), Some(MBIT));
     }
 }

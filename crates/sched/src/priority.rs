@@ -56,16 +56,6 @@ impl<D: QueueDiscipline, L: QueueDiscipline> StrictPriority<D, L> {
         self.levels.len()
     }
 
-    /// Borrow the inner discipline of a priority level.
-    pub fn level(&self, p: usize) -> Option<&D> {
-        self.levels.get(p)
-    }
-
-    /// Borrow the datagram queue.
-    pub fn datagram(&self) -> &L {
-        &self.datagram
-    }
-
     fn level_for(&self, class: ServiceClass) -> Option<usize> {
         match class {
             ServiceClass::Predicted { priority } if !self.levels.is_empty() => {
@@ -209,12 +199,7 @@ mod tests {
         q.enqueue(t, pkt(2, 0), predicted(1, t));
         let first = q.dequeue(SimTime::from_millis(2)).unwrap();
         assert_eq!(first.packet.flow, FlowId(1));
-        // Only level 0 has measured a delay.
-        assert_eq!(q.level(0).unwrap().average_delay(), SimTime::from_millis(1));
-        assert_eq!(q.level(1).unwrap().average_delay(), SimTime::ZERO);
-        assert!(q.level(5).is_none());
         assert_eq!(q.num_levels(), 2);
-        assert!(q.datagram().is_empty());
         assert_eq!(q.name(), "Priority");
     }
 

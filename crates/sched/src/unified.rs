@@ -81,8 +81,7 @@ impl Unified {
 
     /// Register a guaranteed flow with clock rate `rate_bps`, shrinking the
     /// pseudo-flow-0 rate accordingly (r₀ = μ − Σ rα).  A flow that is
-    /// already registered is re-rated, as by
-    /// [`set_guaranteed_rate`](Unified::set_guaranteed_rate).
+    /// already registered is re-rated (the Section-8 renegotiation path).
     ///
     /// # Panics
     /// Panics if the guaranteed reservations would exceed the link rate —
@@ -117,18 +116,6 @@ impl Unified {
         true
     }
 
-    /// Change the clock rate of an already-registered guaranteed flow (the
-    /// Section-8 renegotiation path: "the client can request the network to
-    /// change the reservation").
-    ///
-    /// Returns `false` (leaving the old rate in force) if the flow is not
-    /// registered or the new total would reach the link rate; admission
-    /// control normally prevents that.
-    pub fn set_guaranteed_rate(&mut self, flow: FlowId, rate_bps: f64) -> bool {
-        assert!(rate_bps > 0.0);
-        self.lanes.slot(flow).is_some() && self.reserve(flow, rate_bps)
-    }
-
     /// Tear down a guaranteed flow's reservation, returning its pseudo-flow-0
     /// rate to the shared pool (r₀ = μ − Σ rα).
     ///
@@ -159,11 +146,6 @@ impl Unified {
             self.flow0.enqueue(now, packet, demoted);
         });
         true
-    }
-
-    /// The clock rate currently assigned to pseudo-flow 0.
-    pub fn flow0_rate_bps(&self) -> f64 {
-        self.link_rate_bps - self.guaranteed_rate_sum
     }
 
     /// The clock rate of a registered guaranteed flow.
@@ -289,6 +271,11 @@ mod tests {
         SchedContext::new(ServiceClass::Predicted { priority: p }, t)
     }
 
+    /// The clock rate pseudo-flow 0 holds in the GPS clock (r₀ = μ − Σ rα).
+    fn flow0_rate(u: &Unified) -> f64 {
+        u.gps.rate(GpsClock::PSEUDO_FLOW).unwrap()
+    }
+
     fn make() -> Unified {
         let mut u = Unified::new(MBIT, 2, Averaging::RunningMean);
         u.add_guaranteed_flow(FlowId(1), 170_000.0);
@@ -299,7 +286,7 @@ mod tests {
     #[test]
     fn flow0_rate_is_link_minus_guaranteed_reservations() {
         let u = make();
-        assert!((u.flow0_rate_bps() - 745_000.0).abs() < 1e-6);
+        assert!((flow0_rate(&u) - 745_000.0).abs() < 1e-6);
         assert_eq!(u.guaranteed_rate(FlowId(1)), Some(170_000.0));
         assert_eq!(u.guaranteed_rate(FlowId(2)), Some(85_000.0));
         assert_eq!(u.guaranteed_rate(FlowId(9)), None);
@@ -415,9 +402,9 @@ mod tests {
     #[test]
     fn remove_guaranteed_flow_returns_rate_to_flow0() {
         let mut u = make();
-        assert!((u.flow0_rate_bps() - 745_000.0).abs() < 1e-6);
+        assert!((flow0_rate(&u) - 745_000.0).abs() < 1e-6);
         assert!(u.remove_guaranteed_flow(FlowId(1), SimTime::ZERO));
-        assert!((u.flow0_rate_bps() - 915_000.0).abs() < 1e-6);
+        assert!((flow0_rate(&u) - 915_000.0).abs() < 1e-6);
         assert_eq!(u.guaranteed_rate(FlowId(1)), None);
         // Removing again is a no-op.
         assert!(!u.remove_guaranteed_flow(FlowId(1), SimTime::ZERO));
@@ -429,9 +416,9 @@ mod tests {
         u.add_guaranteed_flow(FlowId(1), 100_000.0);
         u.add_guaranteed_flow(FlowId(1), 200_000.0);
         assert_eq!(u.guaranteed_rate(FlowId(1)), Some(200_000.0));
-        assert_eq!(u.flow0_rate_bps(), 800_000.0);
+        assert_eq!(flow0_rate(&u), 800_000.0);
         assert!(u.remove_guaranteed_flow(FlowId(1), SimTime::ZERO));
-        assert_eq!(u.flow0_rate_bps(), MBIT);
+        assert_eq!(flow0_rate(&u), MBIT);
     }
 
     #[test]
@@ -454,12 +441,12 @@ mod tests {
     #[test]
     fn set_guaranteed_rate_adjusts_the_split() {
         let mut u = make();
-        assert!(u.set_guaranteed_rate(FlowId(1), 300_000.0));
+        let re_rate = |u: &mut Unified, rate| u.install_guaranteed(FlowId(1), rate);
+        assert_eq!(re_rate(&mut u, 300_000.0), GuaranteedInstall::Installed);
         assert_eq!(u.guaranteed_rate(FlowId(1)), Some(300_000.0));
-        assert!((u.flow0_rate_bps() - 615_000.0).abs() < 1e-6);
-        // Unknown flow or an over-reservation is refused.
-        assert!(!u.set_guaranteed_rate(FlowId(9), 100_000.0));
-        assert!(!u.set_guaranteed_rate(FlowId(1), 1_000_000.0));
+        assert!((flow0_rate(&u) - 615_000.0).abs() < 1e-6);
+        // An over-reservation is refused and leaves the old rate in force.
+        assert_eq!(re_rate(&mut u, 1_000_000.0), GuaranteedInstall::Refused);
         assert_eq!(u.guaranteed_rate(FlowId(1)), Some(300_000.0));
     }
 

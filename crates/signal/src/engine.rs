@@ -2,11 +2,11 @@
 //!
 //! Control traffic is modelled the way the Appendix models data traffic: a
 //! setup, release or renegotiate message crossing a link costs one
-//! control-packet transmission time plus the link's propagation delay (plus
-//! an optional per-switch processing time).  The engine keeps its own
-//! deterministic event queue of in-flight control messages and interleaves
-//! them with the network's data-plane events, so admission decisions at
-//! each hop see exactly the measurement state of that simulated instant.
+//! control-packet transmission time plus the link's propagation delay.  The
+//! engine keeps its own deterministic event queue of in-flight control
+//! messages and interleaves them with the network's data-plane events, so
+//! admission decisions at each hop see exactly the measurement state of that
+//! simulated instant.
 //! That queue is an [`EventQueue`] of its own: a transaction has one message
 //! in flight, so even 200 setups a second keep it a handful deep.
 //!
@@ -30,26 +30,9 @@ use ispn_sim::{EventQueue, SimTime};
 
 use crate::messages::{RequestId, SignalEvent};
 
-/// Timing parameters of the control plane.
-#[derive(Debug, Clone, Copy)]
-pub struct SignalConfig {
-    /// Size of a control packet in bits (setup/release/renegotiate all use
-    /// the same size; the paper's data packets are 1000 bits and control
-    /// messages are comparable).
-    pub control_packet_bits: u64,
-    /// Extra processing time a switch spends on a control message before
-    /// forwarding it.
-    pub hop_processing: SimTime,
-}
-
-impl Default for SignalConfig {
-    fn default() -> Self {
-        SignalConfig {
-            control_packet_bits: 1000,
-            hop_processing: SimTime::ZERO,
-        }
-    }
-}
+/// Size of a control packet in bits: setup, release and renegotiate all
+/// use it, and the paper's data packets are 1000 bits too.
+const CONTROL_PACKET_BITS: u64 = 1000;
 
 #[derive(Debug, Clone, Copy)]
 enum RenegKind {
@@ -117,7 +100,6 @@ enum ControlEvent {
 /// static scenarios.
 #[derive(Default)]
 pub struct Signaling {
-    cfg: SignalConfig,
     queue: EventQueue<ControlEvent>,
     /// The setup in flight for each flow, indexed by `FlowId::index()`.
     setups: Vec<Option<PendingSetup>>,
@@ -132,14 +114,6 @@ pub struct Signaling {
 }
 
 impl Signaling {
-    /// An engine with explicit control-plane timing.
-    pub fn new(cfg: SignalConfig) -> Self {
-        Signaling {
-            cfg,
-            ..Signaling::default()
-        }
-    }
-
     fn fresh_id(&mut self) -> RequestId {
         self.next_id += 1;
         RequestId(self.next_id)
@@ -148,9 +122,7 @@ impl Signaling {
     /// One hop's control-message latency across `link`.
     fn hop_delay(&self, net: &Network, link: LinkId) -> SimTime {
         let params = net.topology().link(link);
-        ispn_sim::time::transmission_time(self.cfg.control_packet_bits, params.rate_bps)
-            + params.propagation
-            + self.cfg.hop_processing
+        ispn_sim::time::transmission_time(CONTROL_PACKET_BITS, params.rate_bps) + params.propagation
     }
 
     /// Number of signaling transactions still in flight.
@@ -183,11 +155,9 @@ impl Signaling {
         debug_assert!(stale.is_none(), "{flow} recycled with a setup pending");
         self.setups_pending += 1;
         // The source's host-to-switch link is infinitely fast (Appendix), so
-        // the setup message reaches the first switch after processing only.
-        self.queue.push(
-            net.now() + self.cfg.hop_processing,
-            ControlEvent::Setup { flow, hop: 0 },
-        );
+        // the setup message is at the first switch at once.
+        self.queue
+            .push(net.now(), ControlEvent::Setup { flow, hop: 0 });
         (req, flow)
     }
 
@@ -234,10 +204,8 @@ impl Signaling {
                 }
             }
         }
-        self.queue.push(
-            net.now() + self.cfg.hop_processing,
-            ControlEvent::Teardown { flow, hop: 0 },
-        );
+        self.queue
+            .push(net.now(), ControlEvent::Teardown { flow, hop: 0 });
     }
 
     /// Begin renegotiating a predicted flow's declared `(r, b)` token
@@ -266,10 +234,8 @@ impl Signaling {
             applied_hops: 0,
         };
         self.renegs.insert(req, pending);
-        self.queue.push(
-            net.now() + self.cfg.hop_processing,
-            ControlEvent::Renegotiate { req, hop: 0 },
-        );
+        self.queue
+            .push(net.now(), ControlEvent::Renegotiate { req, hop: 0 });
         req
     }
 
@@ -303,10 +269,8 @@ impl Signaling {
             applied_hops: 0,
         };
         self.renegs.insert(req, pending);
-        self.queue.push(
-            net.now() + self.cfg.hop_processing,
-            ControlEvent::Renegotiate { req, hop: 0 },
-        );
+        self.queue
+            .push(net.now(), ControlEvent::Renegotiate { req, hop: 0 });
         req
     }
 
@@ -389,7 +353,7 @@ impl Signaling {
                 let (link, last_hop) = (route[hop], hop + 1 == route.len());
                 match net.admit_flow_on_link(flow, link) {
                     AdmissionDecision::Accept => {
-                        let next_at = at + self.hop_delay(net, link);
+                        let next_at = at.saturating_add(self.hop_delay(net, link));
                         let next = if last_hop {
                             ControlEvent::Confirm { flow }
                         } else {
@@ -412,7 +376,7 @@ impl Signaling {
                             // link, releasing reservations as it goes.
                             let back = route_link(net, flow, hop - 1);
                             self.queue.push(
-                                at + self.hop_delay(net, back),
+                                at.saturating_add(self.hop_delay(net, back)),
                                 ControlEvent::Rollback { flow, hop: hop - 1 },
                             );
                             self.setups[flow.index()]
@@ -434,7 +398,7 @@ impl Signaling {
                 if hop > 0 {
                     let back = route_link(net, flow, hop - 1);
                     self.queue.push(
-                        at + self.hop_delay(net, back),
+                        at.saturating_add(self.hop_delay(net, back)),
                         ControlEvent::Rollback { flow, hop: hop - 1 },
                     );
                 } else {
@@ -469,7 +433,7 @@ impl Signaling {
                 net.release_flow_on_link(flow, link);
                 if !last_hop {
                     self.queue.push(
-                        at + self.hop_delay(net, link),
+                        at.saturating_add(self.hop_delay(net, link)),
                         ControlEvent::Teardown { flow, hop: hop + 1 },
                     );
                 } else {
@@ -510,7 +474,7 @@ impl Signaling {
                 if hop > 0 {
                     let back = route_link(net, flow, hop - 1);
                     self.queue.push(
-                        at + self.hop_delay(net, back),
+                        at.saturating_add(self.hop_delay(net, back)),
                         ControlEvent::RenegotiateRollback { req, hop: hop - 1 },
                     );
                 } else {
@@ -605,7 +569,7 @@ impl Signaling {
         };
         match decision {
             AdmissionDecision::Accept => {
-                let next_at = at + self.hop_delay(net, link);
+                let next_at = at.saturating_add(self.hop_delay(net, link));
                 let next = if last_hop {
                     ControlEvent::RenegotiateCommit { req }
                 } else {
@@ -624,7 +588,7 @@ impl Signaling {
                 if hop > 0 {
                     let back = route_link(net, flow, hop - 1);
                     self.queue.push(
-                        at + self.hop_delay(net, back),
+                        at.saturating_add(self.hop_delay(net, back)),
                         ControlEvent::RenegotiateRollback { req, hop: hop - 1 },
                     );
                 } else {

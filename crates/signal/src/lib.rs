@@ -9,8 +9,8 @@
 //!
 //! * [`Signaling`] — the hop-by-hop setup engine.  A [`Signaling::submit`]
 //!   walks a `SetupRequest`'s route as a simulated control packet (one
-//!   control-packet transmission plus propagation per hop, see
-//!   [`SignalConfig`]); each switch consults the link's
+//!   1000-bit control-packet transmission plus propagation per hop); each
+//!   switch consults the link's
 //!   [`AdmissionController`](ispn_core::AdmissionController) — fed live by
 //!   the network's measurement plumbing — and installs reservation state on
 //!   acceptance.  A rejection travels back *upstream*, rolling back every
@@ -61,5 +61,5 @@
 pub mod engine;
 pub mod messages;
 
-pub use engine::{SignalConfig, Signaling};
+pub use engine::Signaling;
 pub use messages::{RequestId, SignalEvent};

@@ -63,12 +63,6 @@ impl Pcg64 {
         rng
     }
 
-    /// Derive a new, statistically independent generator (e.g. one per
-    /// traffic source) from this one.
-    pub fn fork(&mut self) -> Pcg64 {
-        Pcg64::new(self.next_u64())
-    }
-
     /// Next 64 uniformly random bits.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
@@ -100,15 +94,6 @@ impl Pcg64 {
                 return (m >> 64) as u64;
             }
         }
-    }
-
-    /// Uniform integer in the inclusive range `[lo, hi]`.
-    pub fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range");
-        if lo == hi {
-            return lo;
-        }
-        lo + self.next_below(hi - lo + 1)
     }
 
     /// Bernoulli trial with success probability `p` (clamped to `[0,1]`).
@@ -146,26 +131,6 @@ impl Pcg64 {
             1
         } else {
             k as u64
-        }
-    }
-
-    /// Pareto-distributed variate with shape `alpha` and scale `xm`
-    /// (minimum value).  Used by extension experiments for heavy-tailed
-    /// burst sizes; not needed for the paper's tables.
-    pub fn pareto(&mut self, shape: f64, scale: f64) -> f64 {
-        assert!(shape > 0.0 && scale > 0.0);
-        scale / self.next_f64_open().powf(1.0 / shape)
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        let n = slice.len();
-        if n < 2 {
-            return;
-        }
-        for i in (1..n).rev() {
-            let j = self.next_below((i + 1) as u64) as usize;
-            slice.swap(i, j);
         }
     }
 }
@@ -254,45 +219,6 @@ mod tests {
         for &c in &counts {
             assert!((c as f64 - 10_000.0).abs() < 600.0, "count {c}");
         }
-    }
-
-    #[test]
-    fn next_range_inclusive_bounds() {
-        let mut rng = Pcg64::new(19);
-        let mut saw_lo = false;
-        let mut saw_hi = false;
-        for _ in 0..10_000 {
-            let x = rng.next_range(3, 5);
-            assert!((3..=5).contains(&x));
-            saw_lo |= x == 3;
-            saw_hi |= x == 5;
-        }
-        assert!(saw_lo && saw_hi);
-        assert_eq!(rng.next_range(9, 9), 9);
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut rng = Pcg64::new(23);
-        assert!((0..10_000).all(|_| rng.pareto(1.5, 2.0) >= 2.0));
-    }
-
-    #[test]
-    fn fork_produces_distinct_stream() {
-        let mut a = Pcg64::new(29);
-        let mut b = a.fork();
-        let same = (0..100).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert!(same < 3);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = Pcg64::new(31);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

@@ -24,10 +24,6 @@ impl SimTime {
     /// The largest representable time (used as an "infinite" horizon).
     pub const MAX: SimTime = SimTime(u64::MAX);
 
-    /// One nanosecond.
-    pub const NANOSECOND: SimTime = SimTime(1);
-    /// One microsecond.
-    pub const MICROSECOND: SimTime = SimTime(1_000);
     /// One millisecond — the per-packet transmission time of the paper's
     /// evaluation (1000-bit packets over 1 Mbit/s links) and therefore the
     /// unit in which all of the paper's delay tables are expressed.

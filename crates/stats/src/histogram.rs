@@ -74,30 +74,6 @@ impl Histogram {
         let width = (self.hi - self.lo) / self.bins.len() as f64;
         (self.lo + i as f64 * width, self.lo + (i + 1) as f64 * width)
     }
-
-    /// Fraction of in-range samples at or below the upper edge of bin `i`
-    /// (an empirical CDF evaluated at bin boundaries).
-    pub fn cdf_at_bin(&self, i: usize) -> f64 {
-        let in_range: u64 = self.bins.iter().sum();
-        if in_range == 0 {
-            return 0.0;
-        }
-        let cum: u64 = self.bins[..=i].iter().sum();
-        cum as f64 / in_range as f64
-    }
-
-    /// Render a small ASCII bar chart (one line per bin), useful in example
-    /// binaries.
-    pub fn ascii(&self, max_width: usize) -> String {
-        let peak = self.bins.iter().copied().max().unwrap_or(0).max(1);
-        let mut out = String::new();
-        for (i, &c) in self.bins.iter().enumerate() {
-            let (lo, hi) = self.bin_bounds(i);
-            let w = (c as f64 / peak as f64 * max_width as f64).round() as usize;
-            out.push_str(&format!("[{lo:8.2},{hi:8.2}) {c:8} {}\n", "#".repeat(w)));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -125,21 +101,6 @@ mod tests {
         let h = Histogram::new(2.0, 12.0, 5);
         assert_eq!(h.bin_bounds(0), (2.0, 4.0));
         assert_eq!(h.bin_bounds(4), (10.0, 12.0));
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_reaches_one() {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        for i in 0..100 {
-            h.record(i as f64);
-        }
-        let mut last = 0.0;
-        for i in 0..10 {
-            let c = h.cdf_at_bin(i);
-            assert!(c >= last);
-            last = c;
-        }
-        assert!((last - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -188,16 +149,6 @@ mod tests {
         let total = h.underflow() + h.overflow() + h.bins().iter().sum::<u64>();
         assert_eq!(total, h.count());
         assert_eq!(h.count(), 8);
-    }
-
-    #[test]
-    fn ascii_has_one_line_per_bin() {
-        let mut h = Histogram::new(0.0, 4.0, 4);
-        h.record(1.0);
-        h.record(1.2);
-        h.record(3.0);
-        let art = h.ascii(20);
-        assert_eq!(art.lines().count(), 4);
     }
 
     #[test]

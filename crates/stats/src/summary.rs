@@ -44,27 +44,6 @@ impl StreamingStats {
         }
     }
 
-    /// Merge another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &StreamingStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -82,20 +61,6 @@ impl StreamingStats {
         } else {
             self.mean
         }
-    }
-
-    /// Population variance, or 0.0 for fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Sample (Bessel-corrected, `n − 1` divisor) variance, or 0.0 for
@@ -147,7 +112,6 @@ mod tests {
         let s = StreamingStats::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
         assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.sample_std_dev(), 0.0);
         assert_eq!(s.min(), None);
@@ -162,13 +126,12 @@ mod tests {
         s.record(3.5);
         assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.sample_std_dev(), 0.0);
-        // n = 2: sample variance of {1, 3} is 2 (vs population variance 1).
+        // n = 2: sample variance of {1, 3} is 2.
         let mut t = StreamingStats::new();
         t.record(1.0);
         t.record(3.0);
         assert!((t.sample_variance() - 2.0).abs() < 1e-12);
         assert!((t.sample_std_dev() - std::f64::consts::SQRT_2).abs() < 1e-12);
-        assert!((t.variance() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -179,8 +142,7 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
+        assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
         assert!((s.sum() - 40.0).abs() < 1e-12);
@@ -191,48 +153,9 @@ mod tests {
         let mut s = StreamingStats::new();
         s.record(3.5);
         assert_eq!(s.mean(), 3.5);
-        assert_eq!(s.variance(), 0.0);
+        assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.min(), Some(3.5));
         assert_eq!(s.max(), Some(3.5));
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..1000).map(|i| (i as f64).sin() * 10.0 + 3.0).collect();
-        let mut all = StreamingStats::new();
-        for &x in &xs {
-            all.record(x);
-        }
-        let mut a = StreamingStats::new();
-        let mut b = StreamingStats::new();
-        for &x in &xs[..400] {
-            a.record(x);
-        }
-        for &x in &xs[400..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = StreamingStats::new();
-        a.record(1.0);
-        a.record(2.0);
-        let before_mean = a.mean();
-        a.merge(&StreamingStats::new());
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), before_mean);
-
-        let mut empty = StreamingStats::new();
-        empty.merge(&a);
-        assert_eq!(empty.count(), 2);
-        assert_eq!(empty.mean(), before_mean);
     }
 }
 
@@ -250,25 +173,7 @@ mod proptests {
             }
             prop_assert!(s.mean() >= s.min().unwrap() - 1e-9);
             prop_assert!(s.mean() <= s.max().unwrap() + 1e-9);
-            prop_assert!(s.variance() >= -1e-9);
-        }
-
-        #[test]
-        fn merge_matches_sequential(
-            xs in proptest::collection::vec(-1e3f64..1e3, 1..100),
-            ys in proptest::collection::vec(-1e3f64..1e3, 1..100),
-        ) {
-            let mut seq = StreamingStats::new();
-            for &x in xs.iter().chain(ys.iter()) {
-                seq.record(x);
-            }
-            let mut a = StreamingStats::new();
-            for &x in &xs { a.record(x); }
-            let mut b = StreamingStats::new();
-            for &y in &ys { b.record(y); }
-            a.merge(&b);
-            prop_assert!((a.mean() - seq.mean()).abs() < 1e-6);
-            prop_assert!((a.variance() - seq.variance()).abs() < 1e-5);
+            prop_assert!(s.sample_variance() >= -1e-9);
         }
     }
 }

@@ -35,11 +35,6 @@ impl TraceSource {
         }
     }
 
-    /// Convenience: a schedule of uniformly sized packets at given times.
-    pub fn uniform(flow: FlowId, times: Vec<SimTime>, packet_bits: u64) -> Self {
-        TraceSource::new(flow, times.into_iter().map(|t| (t, packet_bits)).collect())
-    }
-
     /// Shared counter handle.
     pub fn stats(&self) -> SharedSourceStats {
         self.stats.clone()
@@ -87,11 +82,11 @@ mod tests {
         let mut net = Network::new(topo);
         let flow = net.add_flow(FlowConfig::datagram(vec![links[0]]));
         let times = vec![
-            SimTime::from_millis(1),
-            SimTime::from_millis(1),
-            SimTime::from_millis(50),
+            (SimTime::from_millis(1), 1000),
+            (SimTime::from_millis(1), 1000),
+            (SimTime::from_millis(50), 1000),
         ];
-        let src = TraceSource::uniform(flow, times, 1000);
+        let src = TraceSource::new(flow, times);
         let stats = src.stats();
         net.add_agent(Box::new(src));
         net.run_until(SimTime::from_secs(1));
@@ -120,10 +115,12 @@ mod tests {
     #[test]
     #[should_panic]
     fn unsorted_trace_rejected() {
-        let _ = TraceSource::uniform(
+        let _ = TraceSource::new(
             FlowId(0),
-            vec![SimTime::from_millis(5), SimTime::from_millis(1)],
-            1000,
+            vec![
+                (SimTime::from_millis(5), 1000),
+                (SimTime::from_millis(1), 1000),
+            ],
         );
     }
 }

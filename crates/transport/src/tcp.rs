@@ -71,15 +71,6 @@ impl TcpStats {
             self.acked as f64 / secs
         }
     }
-
-    /// Fraction of transmitted segments that were retransmissions.
-    pub fn retransmission_rate(&self) -> f64 {
-        if self.segments_sent == 0 {
-            0.0
-        } else {
-            self.retransmissions as f64 / self.segments_sent as f64
-        }
-    }
 }
 
 /// Shared handle to a connection's counters.
@@ -502,12 +493,8 @@ mod tests {
     fn stats_helpers() {
         let mut s = TcpStats::default();
         assert_eq!(s.goodput_pps(10.0), 0.0);
-        assert_eq!(s.retransmission_rate(), 0.0);
         s.acked = 500;
-        s.segments_sent = 550;
-        s.retransmissions = 11;
         assert!((s.goodput_pps(10.0) - 50.0).abs() < 1e-12);
-        assert!((s.retransmission_rate() - 0.02).abs() < 1e-12);
         assert_eq!(s.goodput_pps(0.0), 0.0);
     }
 

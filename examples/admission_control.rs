@@ -7,9 +7,11 @@
 //! accept-everything policy.
 //!
 //! Run with: `cargo run --release -p ispn-examples --bin admission_control`
+//! (`ISPN_FAST=1` shortens the dynamic experiment).
 
 use ispn_core::admission::{AdmissionConfig, AdmissionController};
 use ispn_core::TokenBucketSpec;
+use ispn_experiments::cli;
 use ispn_experiments::config::PaperConfig;
 use ispn_experiments::extensions::admission;
 use ispn_experiments::report;
@@ -53,7 +55,7 @@ fn main() {
     );
 
     println!("== Dynamic experiment: Section-9 criterion vs accept-everything ==\n");
-    let cfg = if std::env::args().any(|a| a == "--fast") {
+    let cfg = if cli::fast() {
         PaperConfig::fast()
     } else {
         PaperConfig::medium()

@@ -158,7 +158,14 @@ pub fn scenario_point(&(level,): &(usize,)) -> ScenarioReport {
     }
     let mut sim = builder.build().expect("valid scenario suite point");
     sim.run_until(SimTime::from_secs(3));
-    sim.report(&MeasurementPlan::default().with_histogram(HistogramSpec::up_to(0.2, 16)))
+    sim.report(&MeasurementPlan {
+        delay_histogram: Some(HistogramSpec {
+            lo_s: 0.0,
+            hi_s: 0.2,
+            bins: 16,
+        }),
+        ..MeasurementPlan::default()
+    })
 }
 
 /// Serve one named suite over stdin/stdout or a TCP listener (the

@@ -137,13 +137,11 @@ fn guaranteed_flows_share_between_themselves_by_clock_rate() {
     u.add_guaranteed_flow(fast, 600_000.0);
     u.add_guaranteed_flow(slow, 300_000.0);
     net.set_discipline(links[0], u);
-    let schedule: Vec<SimTime> = (0..90u64).map(|i| SimTime::from_nanos(10 * i)).collect();
-    net.add_agent(Box::new(TraceSource::uniform(
-        fast,
-        schedule.clone(),
-        PACKET_BITS,
-    )));
-    net.add_agent(Box::new(TraceSource::uniform(slow, schedule, PACKET_BITS)));
+    let schedule: Vec<(SimTime, u64)> = (0..90u64)
+        .map(|i| (SimTime::from_nanos(10 * i), PACKET_BITS))
+        .collect();
+    net.add_agent(Box::new(TraceSource::new(fast, schedule.clone())));
+    net.add_agent(Box::new(TraceSource::new(slow, schedule)));
     net.run_until(SimTime::from_secs(5));
     let rf = net.monitor_mut().flow_report(fast);
     let rs = net.monitor_mut().flow_report(slow);

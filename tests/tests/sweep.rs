@@ -52,7 +52,14 @@ fn run_point(spec: DisciplineSpec, level: usize) -> ispn_scenario::ScenarioRepor
     }
     let mut sim = builder.build().expect("valid sweep point");
     sim.run_until(SimTime::from_secs(5));
-    sim.report(&MeasurementPlan::default().with_histogram(HistogramSpec::up_to(0.2, 16)))
+    sim.report(&MeasurementPlan {
+        delay_histogram: Some(HistogramSpec {
+            lo_s: 0.0,
+            hi_s: 0.2,
+            bins: 16,
+        }),
+        ..MeasurementPlan::default()
+    })
 }
 
 #[test]
@@ -141,7 +148,7 @@ fn zipped_axes_drive_paired_parameters() {
             .build()
             .expect("valid zipped point");
         sim.run_until(SimTime::from_secs(3));
-        sim.report(&MeasurementPlan::flows_only()).flows[0].delivered
+        sim.report(&MeasurementPlan::default()).flows[0].delivered
     });
     // Faster sources deliver more, and the tags identify each pairing.
     assert!(reports[0].result < reports[2].result);
