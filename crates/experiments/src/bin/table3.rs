@@ -14,6 +14,11 @@
 
 use ispn_experiments::{cli, report, table3, PaperConfig};
 
+/// The most seeds `--seeds N` may ask for.  Each is a whole Table-3 run,
+/// and the axis is built before the first point runs, so a larger count
+/// is a typo, not a sweep.
+const MAX_SEEDS: usize = 100_000;
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let cfg = if cli::fast() {
@@ -22,6 +27,10 @@ fn main() {
         PaperConfig::paper()
     };
     let seeds = cli::parse_count(&args, "--seeds").unwrap_or(1);
+    if seeds > MAX_SEEDS {
+        eprintln!("--seeds takes at most {MAX_SEEDS} seeds, got {seeds}");
+        std::process::exit(2);
+    }
     let serving = cli::is_sweep_worker(&args) || cli::parse_serve(&args).is_some();
     if seeds == 1 && !serving {
         if cli::parse_count(&args, "--workers").is_some() {

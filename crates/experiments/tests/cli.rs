@@ -80,3 +80,19 @@ fn conflicting_dispatch_flags_exit_2_without_a_table() {
         assert!(out.stdout.is_empty(), "no table on a usage error");
     }
 }
+
+/// A seed count too large to build is a usage error: `table3` used to
+/// build the seed list before any check and die in the allocation
+/// ("capacity overflow", exit 101, at this count).
+#[test]
+fn an_oversized_seed_count_exits_2_without_a_table() {
+    let out = Command::new(env!("CARGO_BIN_EXE_table3"))
+        .args(["--seeds", &u64::MAX.to_string()])
+        .env("ISPN_FAST", "1")
+        .stdin(Stdio::null())
+        .output()
+        .expect("spawn table3");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(out.stdout.is_empty(), "no table on a usage error");
+}

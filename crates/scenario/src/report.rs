@@ -20,23 +20,26 @@
 //! A report reads each stored delay sample twice and sorts it once.  Per
 //! flow, [`Monitor::flow_report_with_jitter`](ispn_net::Monitor::flow_report_with_jitter)
 //! takes the mean and the jitter from one pass in stored order and then
-//! sorts the flow in place for its percentile and maximum.  Per class, one Welford
-//! accumulator is fed from each flow's samples where they lie and the
-//! mean and quantiles come from a k-way merge over the per-flow sorted runs
-//! ([`merged_mean_and_quantiles`]) — a class's samples are never pooled
-//! into a copy.  Floating-point sums depend on their order, so the orders
-//! are part of the format: a flow's mean and jitter run in the order the
-//! samples stand in when the flow is first reported (record order, for a
-//! run's first report); the class jitter runs over the class's flows by
-//! rising id, declared flows already sorted, the others in record order
-//! and sorted only afterwards; the class mean is the ascending-order sum.
+//! sorts the flow in place for its percentile and maximum.  Per class, the
+//! mean and quantiles come from a tournament merge over the per-flow sorted
+//! runs ([`merge_runs`]) — a class's samples are never pooled into a copy —
+//! and one Welford accumulator, the class jitter, is fed from each flow's
+//! samples where they lie: the flows after the class's last one not yet
+//! ascending inside the merge loop, one sample beside each pop, and the
+//! rest in a pass of their own just before they are sorted.  Floating-point
+//! sums depend on their order, so the orders are part of the format: a
+//! flow's mean and jitter run in the order the samples stand in when the
+//! flow is first reported (record order, for a run's first report); the
+//! class jitter runs over the class's flows by rising id, declared flows
+//! already sorted, the others in record order and sorted only afterwards;
+//! the class mean is the ascending-order sum.
 //! The `reference` module among this file's tests is the older, many-pass
 //! formulation, held to the same JSON bytes by a property test.
 
 use ispn_core::{FlowId, ServiceClass};
 use ispn_net::{FlowCounters, Network};
 use ispn_signal::Signaling;
-use ispn_stats::{merged_mean_and_quantiles, Histogram, StreamingStats, TextTable};
+use ispn_stats::{merge_runs, Histogram, StreamingStats, TextTable};
 
 use crate::sweep::wire::WireResult;
 use crate::wire_record;
@@ -483,13 +486,24 @@ impl ScenarioReport {
                 let mut counters = FlowCounters::default();
                 // Class jitter: flows in id order, each as it stands when
                 // read — declared ones ascending (`collect` reported them),
-                // the others in record order, sorted only afterwards.
+                // the others in record order, sorted only afterwards.  So
+                // the flows up to the last one not yet ascending are read
+                // here before their sort, and the rest inside the merge.
                 let mut spread = StreamingStats::new();
                 let monitor = net.monitor_mut();
-                for &flow in &flows {
-                    for &d in monitor.flow_delays(flow).samples() {
-                        spread.record(d);
-                        if let Some((_, h)) = histogram.as_mut() {
+                let split = flows
+                    .iter()
+                    .rposition(|&flow| !monitor.flow_delays(flow).is_sorted())
+                    .map_or(0, |last| last + 1);
+                for (i, &flow) in flows.iter().enumerate() {
+                    let delays = monitor.flow_delays(flow).samples();
+                    if i < split {
+                        for &d in delays {
+                            spread.record(d);
+                        }
+                    }
+                    if let Some((_, h)) = histogram.as_mut() {
+                        for &d in delays {
                             h.record(d);
                         }
                     }
@@ -507,7 +521,7 @@ impl ScenarioReport {
                     .map(|&flow| monitor.flow_delays(flow).samples())
                     .collect();
                 let (mean_delay_s, values) =
-                    merged_mean_and_quantiles(&runs, &plan.class_quantiles);
+                    merge_runs(&runs, &plan.class_quantiles, split, &mut spread);
                 let max_delay_s = runs
                     .iter()
                     .filter_map(|run| run.last().copied())
@@ -1099,11 +1113,14 @@ mod tests {
         }
     }
 
-    /// A network nobody simulated: 1–6 flows over 1–3 classes on one link,
+    /// A network nobody simulated: 1–24 flows over 1–3 classes on one link,
     /// their delays and counters recorded straight into the monitor, a
-    /// random subset declared, and a plan to report them under.  Delays sit
-    /// on a coarse grid with zero the likeliest value, so flows tie within
-    /// and across each other, and flows with no sample or one are common.
+    /// random subset declared, and a plan to report them under — enough
+    /// flows for a five-level merge tree and for classes whose undeclared
+    /// flows (still in record order) sit before, between and after declared
+    /// ones.  Delays sit on a coarse grid with zero the likeliest value, so
+    /// flows tie within and across each other, and flows with no sample or
+    /// one are common.
     /// (A delay enters a monitor as a `SimTime`, so it is never negative and
     /// never `-0.0`; the merge's own tests in `ispn-stats` cover those.)
     fn random_run(seed: u64) -> (Network, Vec<FlowId>, MeasurementPlan) {
@@ -1122,7 +1139,7 @@ mod tests {
         let first_class = below(4) as usize;
         let classes = 1 + below(3) as usize;
         let mut declared = Vec::new();
-        for _ in 0..1 + below(6) {
+        for _ in 0..1 + below(24) {
             let class = palette[(first_class + below(classes as u64) as usize) % 4];
             let flow = net.add_flow(FlowConfig {
                 class,

@@ -12,8 +12,9 @@
 //! * [`StreamingStats`] — count / mean / variance / min / max without
 //!   storing samples (Welford's algorithm),
 //! * [`SampleSet`] — stored samples with exact percentiles (used for the
-//!   99.9th-percentile columns), and [`merged_mean_and_quantiles`] over
-//!   several sorted sets without pooling them,
+//!   99.9th-percentile columns), and [`merge_runs`], a tournament merge
+//!   over several sorted sets that takes their pooled mean and quantiles
+//!   without pooling them and folds a Welford spread in the same loop,
 //! * [`Histogram`] — fixed-width bins for delay distributions,
 //! * [`WindowedMax`] / [`WindowedMean`] — sliding-time-window estimators
 //!   that yield the conservative measurements the admission controller uses,
@@ -30,7 +31,7 @@ pub mod table;
 pub mod window;
 
 pub use histogram::Histogram;
-pub use percentile::{merged_mean_and_quantiles, SampleSet};
+pub use percentile::{merge_runs, SampleSet};
 pub use summary::StreamingStats;
 pub use table::TextTable;
 pub use window::{WindowedMax, WindowedMean};
