@@ -174,6 +174,82 @@ fn table3_reproduces_pre_migration_outputs_bit_identically() {
 }
 
 #[test]
+fn extension_studies_reproduce_their_outputs_bit_identically() {
+    use ispn_experiments::extensions::{admission, hops, playback, utilization};
+    let cfg = PaperConfig::fast();
+    let got: Vec<_> = hops::run_sweep(&cfg, &[1, 2, 3])
+        .into_iter()
+        .map(|p| (p.scheduler, p.hops, p.mean, p.p999))
+        .collect();
+    // (scheduler, hops, mean, p999)
+    let golden = [
+        ("WFQ", 1, 3.3355440597150543, 47.47733819399906),
+        ("FIFO", 1, 3.463461610488011, 33.67439565799994),
+        ("FIFO+", 1, 3.463461610488011, 33.67439565799994),
+        ("WFQ", 2, 6.005904627462867, 47.709204543999235),
+        ("FIFO", 2, 6.5458719245225865, 38.10820494199992),
+        ("FIFO+", 2, 6.989642764170959, 34.292553749999854),
+        ("WFQ", 3, 8.789060590661013, 61.63173429599999),
+        ("FIFO", 3, 9.573833696877838, 56.84585658199992),
+        ("FIFO+", 3, 10.350405122461382, 45.63573230399993),
+    ];
+    assert_eq!(got, golden);
+
+    let pb = playback::run(&cfg);
+    let got = (pb.rigid_loss, pb.rigid_latency, pb.adaptive_loss);
+    assert_eq!(got, (0.0, 60.0, 0.002121855107608366));
+    assert_eq!((pb.adaptive_latency, pb.samples), (24.47804491633824, 3299));
+
+    let (c, u) = admission::run_comparison(&cfg, 20);
+    let row = |o: &admission::AdmissionOutcome| {
+        let delays = (o.worst_high_delay, o.worst_low_delay);
+        (o.accepted, o.rejected, o.utilization, delays, o.violations)
+    };
+    assert_eq!(row(&c), (10, 10, 0.6229867067408009, (0.0, 22.042125), 0));
+    assert_eq!(
+        row(&u),
+        (20, 0, 0.8578066578848023, (4.177521, 482.279943), 10)
+    );
+
+    let got: Vec<_> = utilization::run_sweep(&cfg, &[6, 10])
+        .into_iter()
+        .map(|p| (p.scheduler, p.flows, p.utilization, p.mean, p.p999))
+        .collect();
+    // (scheduler, flows, utilization, mean, p999)
+    let golden = [
+        (
+            "FIFO",
+            6,
+            0.5009480748565484,
+            0.3213904637988486,
+            2.4970953999999974,
+        ),
+        (
+            "WFQ",
+            6,
+            0.5009480748565484,
+            0.3213904637988486,
+            2.4970953999999974,
+        ),
+        (
+            "FIFO",
+            10,
+            0.824838748725185,
+            3.463461610488011,
+            33.67439565799994,
+        ),
+        (
+            "WFQ",
+            10,
+            0.824838748725185,
+            3.3355440597150543,
+            47.47733819399906,
+        ),
+    ];
+    assert_eq!(got, golden);
+}
+
+#[test]
 fn churn_reproduces_the_pre_migration_decision_sequence() {
     let out = churn::run(&churn::ChurnConfig::new(PaperConfig::fast(), 1.0, 15.0));
     // Captured from the pre-migration slice-stepped driver: same seed,
