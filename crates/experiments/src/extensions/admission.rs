@@ -2,21 +2,29 @@
 //!
 //! Predicted-service flows arrive one after another, each declaring the
 //! `(A, 50-packet)` token bucket and asking for one of two priority classes
-//! with widely spaced per-hop delay targets.  One run uses the Section-9
-//! example criterion driven by measured utilization and per-class delays;
-//! the control run accepts every request.  The controlled network should
-//! keep every class below its target (and leave the datagram quota free)
-//! while the uncontrolled one overloads the link and blows through the
-//! bounds.
+//! with widely spaced per-hop delay targets.  One run puts the link under
+//! the Section-9 example criterion ([`AdmissionSpec::paper`]), which the
+//! network itself feeds with measured utilization and per-class delays; the
+//! control run declares no controller, so the link accepts every request.
+//! The controlled network should keep every class below its target (and
+//! leave the datagram quota free) while the uncontrolled one overloads the
+//! link and blows through the bounds.
+//!
+//! Requests are scheduled actions calling [`Sim::submit`](ispn_scenario::Sim::submit);
+//! an accepted flow gets its on/off source the instant its confirmation
+//! lands.  Requests are offered on a one-second grid: request `i` at
+//! `i × arrival_gap` rounded up to the whole second.
 
-use ispn_core::admission::{AdmissionConfig, AdmissionController};
-use ispn_core::{FlowSpec, ServiceClass, TokenBucketSpec};
-use ispn_net::{FlowConfig, Network, Topology};
-use ispn_sched::{Averaging, Unified};
+use ispn_core::{FlowId, FlowSpec, ServiceClass, TokenBucketSpec};
+use ispn_net::{FlowConfig, LinkId};
+use ispn_scenario::{AdmissionSpec, DisciplineSpec, ScenarioBuilder};
+use ispn_sched::Averaging;
+use ispn_signal::SignalEvent;
 use ispn_sim::SimTime;
+use ispn_traffic::{OnOffConfig, OnOffSource};
 
 use crate::config::PaperConfig;
-use crate::support::attach_onoff;
+use crate::fig1::Fig1Network;
 
 /// Per-hop target of the high-priority predicted class, in packet times.
 pub const HIGH_TARGET_PKT: f64 = 30.0;
@@ -45,104 +53,76 @@ pub struct AdmissionOutcome {
 
 /// The dynamic-arrival experiment.
 pub fn run(cfg: &PaperConfig, controlled: bool, offered_flows: usize) -> AdmissionOutcome {
-    let (topo, _nodes, links) =
-        Topology::chain(2, cfg.link_rate_bps, SimTime::ZERO, cfg.buffer_packets);
-    let link = links[0];
-    let mut net = Network::new(topo);
-    // No guaranteed flow is ever installed, so this is flow 0 alone: two
-    // FIFO+ priority classes above the datagram queue.
-    net.set_discipline(
-        link,
-        Unified::new(cfg.link_rate_bps, 2, Averaging::RunningMean),
-    );
-
     let pt = cfg.packet_time();
-    let targets = vec![pt.mul_f64(HIGH_TARGET_PKT), pt.mul_f64(LOW_TARGET_PKT)];
-    let mut controller = AdmissionController::new(
-        AdmissionConfig::new(cfg.link_rate_bps, 0.9, targets.clone()),
-        10.0,
-    );
+    let targets_pkt = [HIGH_TARGET_PKT, LOW_TARGET_PKT];
+    let targets = targets_pkt.map(|t| pt.mul_f64(t));
+    // No guaranteed flow is ever installed: two FIFO+ priority classes
+    // above the datagram queue.
+    let mut builder = ScenarioBuilder::chain(2)
+        .link_profile(Fig1Network::link_profile(cfg))
+        .discipline(DisciplineSpec::Unified {
+            priority_classes: 2,
+            averaging: Averaging::RunningMean,
+        });
+    if controlled {
+        builder = builder.admission(AdmissionSpec::paper(targets.to_vec()));
+    }
+    let mut sim = builder.build().expect("the admission scenario is valid");
 
     let bucket = TokenBucketSpec::per_packets(cfg.avg_rate_pps, 50.0, cfg.packet_bits);
     // Spread the requests over the first half of the run so the second half
     // measures the steady state.
     let arrival_gap = cfg.duration.mul_f64(0.5 / offered_flows.max(1) as f64);
-    let step = SimTime::SECOND;
-
-    let mut admitted: Vec<(ispn_core::FlowId, u8)> = Vec::new();
-    let mut accepted = 0;
-    let mut rejected = 0;
-    let mut next_arrival = SimTime::ZERO;
-    let mut offered = 0usize;
-    let mut now = SimTime::ZERO;
-    let mut last_rt_bits = 0u64;
-
-    while now < cfg.duration {
-        // Offer new flows that are due.
-        while offered < offered_flows && next_arrival <= now {
-            let priority = (offered % 2) as u8;
-            let accept = if controlled {
-                controller
-                    .request_predicted(now, bucket, priority)
-                    .is_accept()
-            } else {
-                true
-            };
-            if accept {
-                let flow = net.add_flow(FlowConfig {
-                    route: vec![link],
-                    spec: FlowSpec::predicted(bucket, targets[priority as usize], 0.001),
-                    class: ServiceClass::Predicted { priority },
-                    edge_policer: None,
-                    sink: None,
-                });
-                attach_onoff(&mut net, flow, cfg, 1000 + offered as u32);
-                admitted.push((flow, priority));
-                accepted += 1;
-            } else {
-                rejected += 1;
-            }
-            offered += 1;
-            next_arrival += arrival_gap;
-        }
-
-        now += step;
-        net.run_until(now);
-
-        // Feed the controller its conservative measurements: real-time
-        // throughput over the last second and the per-class worst delays
-        // observed so far.
-        let rt_bits = net.monitor().link_realtime_bits_sent(link.index());
-        let rt_bps = (rt_bits - last_rt_bits) as f64 / step.as_secs_f64();
-        last_rt_bits = rt_bits;
-        controller.observe_utilization(now, rt_bps);
-        for &(flow, priority) in &admitted {
-            let max = net.monitor_mut().flow_report(flow).max_delay;
-            controller.observe_class_delay(now, priority, SimTime::from_secs_f64(max));
-        }
-    }
-
-    let pt_secs = pt.as_secs_f64();
-    let mut worst = [0.0f64; 2];
-    let mut violations = 0;
-    for &(flow, priority) in &admitted {
-        let max = net.monitor_mut().flow_report(flow).max_delay / pt_secs;
-        worst[priority as usize] = worst[priority as usize].max(max);
-        let target = if priority == 0 {
-            HIGH_TARGET_PKT
-        } else {
-            LOW_TARGET_PKT
+    for i in 0..offered_flows {
+        let priority = (i % 2) as u8;
+        let config = FlowConfig {
+            route: vec![LinkId(0)],
+            spec: FlowSpec::predicted(bucket, targets[i % 2], 0.001),
+            class: ServiceClass::Predicted { priority },
+            edge_policer: None,
+            sink: None,
         };
-        if max > target {
-            violations += 1;
+        let due = arrival_gap.saturating_mul(i as u64).as_nanos();
+        let at = SimTime::from_secs(due.div_ceil(SimTime::SECOND.as_nanos()));
+        sim.schedule_at(at, move |sim| {
+            // No declared flows and no recycled ids: request `i` is flow `i`,
+            // which is how the handler and the tally below find its class
+            // and seed.
+            let (_, flow) = sim.submit(config);
+            debug_assert_eq!(flow.index(), i);
+        });
+    }
+    let source_cfg = cfg.clone();
+    sim.on_signal(move |event, sim| {
+        if let SignalEvent::Accepted { flow, .. } = *event {
+            let seed = source_cfg.flow_seed(1000 + flow.index() as u32);
+            let config = OnOffConfig::paper(source_cfg.avg_rate_pps, seed);
+            sim.network_mut()
+                .add_agent(Box::new(OnOffSource::new(flow, config)));
         }
+    });
+    sim.run_until(cfg.duration);
+
+    let decisions = sim.signaling().decision_log();
+    let accepted = decisions.iter().filter(|&&(_, accepted)| accepted).count();
+    let rejected = decisions.len() - accepted;
+    let (mut violations, mut worst) = (0, [0.0f64; 2]);
+    let net = sim.network_mut();
+    for flow in (0..offered_flows as u32).map(FlowId) {
+        if !net.flow_active(flow) {
+            continue;
+        }
+        let class = flow.index() % 2;
+        let max = net.monitor_mut().flow_report(flow).max_delay / pt.as_secs_f64();
+        worst[class] = worst[class].max(max);
+        violations += usize::from(max > targets_pkt[class]);
     }
 
     AdmissionOutcome {
         controlled,
         accepted,
         rejected,
-        utilization: net.monitor().link_report(link.index()).utilization,
+        utilization: net.monitor().link_report(0).utilization,
         worst_high_delay: worst[0],
         worst_low_delay: worst[1],
         violations,

@@ -9,15 +9,14 @@
 //! The scenario generalizes Figure 1: a chain of `n` links, each 83.5 %
 //! utilized by ten flows — two flows that traverse the whole chain plus
 //! eight one-hop flows per link — and we track the end-to-end jitter of a
-//! full-path flow as `n` grows.
+//! full-path flow as `n` grows.  Each point is one `ScenarioBuilder` chain;
+//! flow `i` in declaration order (long flows first) draws seed `i`.
 
-use ispn_core::FlowSpec;
-use ispn_net::{FlowConfig, Network, Topology};
-use ispn_scenario::DisciplineSpec;
-use ispn_sim::SimTime;
+use ispn_scenario::{DisciplineSpec, FlowDef, ScenarioBuilder, SourceSpec};
 
 use crate::config::PaperConfig;
-use crate::support::{attach_onoff, realtime_class, table2_set};
+use crate::fig1::Fig1Network;
+use crate::support::table2_set;
 
 /// Flows sharing each link (matches the paper's evaluation).
 pub const FLOWS_PER_LINK: usize = 10;
@@ -39,44 +38,27 @@ pub struct HopsPoint {
 
 /// Run one chain length under one discipline.
 pub fn run_chain(cfg: &PaperConfig, discipline: DisciplineSpec, hops: usize) -> HopsPoint {
-    assert!(hops >= 1);
-    let (topo, _nodes, links) = Topology::chain(
-        hops + 1,
-        cfg.link_rate_bps,
-        SimTime::ZERO,
-        cfg.buffer_packets,
-    );
-    let mut net = Network::new(topo);
-    for &l in &links {
-        let queue = discipline.build(net.topology().link(l), FLOWS_PER_LINK, &[]);
-        net.set_discipline(l, queue);
-    }
-    let mut seed = 0u32;
-    let add_flow = |net: &mut Network, route: Vec<_>, seed: &mut u32| {
-        let f = net.add_flow(FlowConfig {
-            route,
-            spec: FlowSpec::Datagram,
-            class: realtime_class(),
-            edge_policer: None,
-            sink: None,
-        });
-        attach_onoff(net, f, cfg, *seed);
-        *seed += 1;
-        f
-    };
-    // The measured long flows.
-    let long: Vec<_> = (0..LONG_FLOWS)
-        .map(|_| add_flow(&mut net, links.clone(), &mut seed))
-        .collect();
-    // Fill every link to FLOWS_PER_LINK with one-hop cross traffic.
-    for &l in &links {
-        for _ in 0..(FLOWS_PER_LINK - LONG_FLOWS) {
-            add_flow(&mut net, vec![l], &mut seed);
-        }
-    }
-    net.run_until(cfg.duration);
+    // The measured long flows, then one-hop cross traffic filling every
+    // link to FLOWS_PER_LINK.
+    let long = (0..LONG_FLOWS).map(|_| FlowDef::best_effort_realtime(0, hops));
+    let cross = (0..hops).flat_map(|l| {
+        (0..FLOWS_PER_LINK - LONG_FLOWS).map(move |_| FlowDef::best_effort_realtime(l, 1))
+    });
+    let mut sim = ScenarioBuilder::chain(hops + 1)
+        .link_profile(Fig1Network::link_profile(cfg))
+        .discipline(discipline)
+        .flows(long.chain(cross).enumerate().map(|(i, def)| {
+            def.source(SourceSpec::onoff_paper(
+                cfg.avg_rate_pps,
+                cfg.flow_seed(i as u32),
+            ))
+        }))
+        .build()
+        .expect("a chain of at least one hop is a valid scenario");
+    sim.run_until(cfg.duration);
     let pt = cfg.packet_time().as_secs_f64();
-    let r = net.monitor_mut().flow_report(long[0]);
+    let sample = sim.flows()[0];
+    let r = sim.network_mut().monitor_mut().flow_report(sample);
     HopsPoint {
         scheduler: discipline.label(),
         hops,

@@ -11,6 +11,12 @@
 //!   criterion in a dynamic setting, compared against accepting everything,
 //! * [`utilization`] — delay versus offered load on a single shared link
 //!   (the sharing-versus-isolation trade-off as the link saturates).
+//!
+//! Every run is a `ScenarioBuilder` declaration on the Figure-1 link
+//! profile; `playback` and `utilization` reuse Table 1's single-link
+//! scenario, and `admission` submits its requests to the network's own
+//! controller.  The studies are not `Experiment` sweeps (that needs a wire
+//! codec per row); the `extensions` bin runs them serially.
 
 pub mod admission;
 pub mod hops;

@@ -5,21 +5,21 @@
 //! performance (because the play-back points will be at the de facto
 //! bounds, not the a priori worst-case bounds)."
 //!
-//! The experiment runs the Table-1 single-link scenario under FIFO+, takes
-//! the delivered delay sequence of one flow, and feeds it to a rigid client
-//! (play-back point fixed at the advertised a-priori bound) and to an
-//! adaptive client (play-back point tracking a high quantile of recent
-//! delays).  The comparison reports each client's effective latency — the
-//! average play-back point — and its loss rate against that point.
+//! The experiment runs the Table-1 single-link scenario
+//! (`table1::single_link`, ten flows) under FIFO+, takes the delivered
+//! delay sequence of one flow, and feeds it to a rigid client (play-back
+//! point fixed at the advertised a-priori bound) and to an adaptive client
+//! (play-back point tracking a high quantile of recent delays).  The
+//! comparison reports each client's effective latency — the average
+//! play-back point — and its loss rate against that point.
 
 use ispn_core::playback::{AdaptivePlayback, RigidPlayback};
-use ispn_core::FlowSpec;
-use ispn_net::{FlowConfig, Network, Topology};
-use ispn_sched::{Averaging, FifoPlus};
+use ispn_scenario::DisciplineSpec;
+use ispn_sched::Averaging;
 use ispn_sim::SimTime;
 
 use crate::config::PaperConfig;
-use crate::support::{attach_onoff, realtime_class};
+use crate::table1::{single_link, NUM_FLOWS};
 
 /// Results of the comparison, in packet times / fractions.
 #[derive(Debug, Clone)]
@@ -56,31 +56,17 @@ pub const ADVERTISED_PER_HOP_PKT: f64 = 60.0;
 
 /// Run the comparison.
 pub fn run(cfg: &PaperConfig) -> PlaybackComparison {
-    // Table-1 style single link, FIFO+ discipline.
-    let (topo, _nodes, links) =
-        Topology::chain(2, cfg.link_rate_bps, SimTime::ZERO, cfg.buffer_packets);
-    let mut net = Network::new(topo);
-    net.set_discipline(links[0], FifoPlus::new(Averaging::RunningMean));
-    let mut flows = Vec::new();
-    for i in 0..10 {
-        let f = net.add_flow(FlowConfig {
-            route: vec![links[0]],
-            spec: FlowSpec::Datagram,
-            class: realtime_class(),
-            edge_policer: None,
-            sink: None,
-        });
-        attach_onoff(&mut net, f, cfg, i as u32);
-        flows.push(f);
-    }
-    net.run_until(cfg.duration);
+    let fifo_plus = DisciplineSpec::FifoPlus(Averaging::RunningMean);
+    let mut sim = single_link(cfg, fifo_plus, NUM_FLOWS);
+    sim.run_until(cfg.duration);
 
     let pt = cfg.packet_time();
     let advertised = pt.mul_f64(ADVERTISED_PER_HOP_PKT);
     let mut rigid = RigidPlayback::new(advertised);
     let mut adaptive = AdaptivePlayback::new(advertised, 200, 0.999, 1.3);
-    let samples = net.monitor().flow_delays(flows[0]).samples().to_vec();
-    for &d in &samples {
+    let sample = sim.flows()[0];
+    let samples = sim.network().monitor().flow_delays(sample).samples();
+    for &d in samples {
         let delay = SimTime::from_secs_f64(d);
         rigid.on_packet(delay);
         adaptive.on_packet(delay);

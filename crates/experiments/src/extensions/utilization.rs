@@ -4,15 +4,13 @@
 //! caps real-time utilization near 50 %, which motivates predicted service;
 //! this sweep quantifies how the mean and tail delays of a shared FIFO /
 //! WFQ link grow as the number of identical on/off sources rises toward the
-//! link capacity.
+//! link capacity.  Each point is Table 1's single-link scenario
+//! (`table1::single_link`) with a different flow count.
 
-use ispn_core::FlowSpec;
-use ispn_net::{FlowConfig, Network, Topology};
 use ispn_scenario::DisciplineSpec;
-use ispn_sim::SimTime;
 
 use crate::config::PaperConfig;
-use crate::support::{attach_onoff, realtime_class};
+use crate::table1::single_link;
 
 /// One point of the sweep (delays in packet times).
 #[derive(Debug, Clone)]
@@ -31,26 +29,12 @@ pub struct UtilizationPoint {
 
 /// Run one point.
 pub fn run_point(cfg: &PaperConfig, discipline: DisciplineSpec, flows: usize) -> UtilizationPoint {
-    let (topo, _nodes, links) =
-        Topology::chain(2, cfg.link_rate_bps, SimTime::ZERO, cfg.buffer_packets);
-    let mut net = Network::new(topo);
-    let queue = discipline.build(net.topology().link(links[0]), flows, &[]);
-    net.set_discipline(links[0], queue);
-    let mut ids = Vec::new();
-    for i in 0..flows {
-        let f = net.add_flow(FlowConfig {
-            route: vec![links[0]],
-            spec: FlowSpec::Datagram,
-            class: realtime_class(),
-            edge_policer: None,
-            sink: None,
-        });
-        attach_onoff(&mut net, f, cfg, i as u32);
-        ids.push(f);
-    }
-    net.run_until(cfg.duration);
+    let mut sim = single_link(cfg, discipline, flows);
+    sim.run_until(cfg.duration);
     let pt = cfg.packet_time().as_secs_f64();
-    let r = net.monitor_mut().flow_report(ids[0]);
+    let sample = sim.flows()[0];
+    let net = sim.network_mut();
+    let r = net.monitor_mut().flow_report(sample);
     UtilizationPoint {
         scheduler: discipline.label(),
         flows,

@@ -23,7 +23,8 @@
 //!   heterogeneous CBR / on-off / Poisson mix across all four disciplines
 //!   (scenario-API study),
 //! * [`report`] — text rendering next to the paper's published numbers,
-//! * [`support`] — shared plumbing (source wiring, label interning),
+//! * [`support`] — shared plumbing (the Table-2 discipline set, label
+//!   interning),
 //! * [`experiment`] — the [`Experiment`] descriptor the six sweep-shaped
 //!   studies implement (`table1::Sweep`, `table2::Sweep`, `table3::Sweep`,
 //!   `hetmix::Sweep`, `mesh::Sweep`, `churn::Sweep`) and the one driver

@@ -1,12 +1,8 @@
-//! Shared plumbing for the experiment scenarios.
+//! Shared plumbing for the experiment scenarios: the Table-2 discipline set
+//! and the scheduler-label pool the row codecs intern against.
 
-use ispn_core::{FlowId, ServiceClass};
-use ispn_net::Network;
 use ispn_scenario::DisciplineSpec;
 use ispn_sched::Averaging;
-use ispn_traffic::{OnOffConfig, OnOffSource, SharedSourceStats};
-
-use crate::config::PaperConfig;
 
 /// The three disciplines Table 2 compares, in the paper's order.
 pub fn table2_set() -> [DisciplineSpec; 3] {
@@ -15,32 +11,6 @@ pub fn table2_set() -> [DisciplineSpec; 3] {
         DisciplineSpec::Fifo,
         DisciplineSpec::FifoPlus(Averaging::RunningMean),
     ]
-}
-
-/// Attach the Appendix's on/off source (rate A, peak 2A, burst 5, `(A, 50)`
-/// source policer) to an already-registered flow; returns the source's
-/// shared counters.
-pub fn attach_onoff(
-    net: &mut Network,
-    flow: FlowId,
-    cfg: &PaperConfig,
-    seed_index: u32,
-) -> SharedSourceStats {
-    let source = OnOffSource::new(
-        flow,
-        OnOffConfig::paper(cfg.avg_rate_pps, cfg.flow_seed(seed_index)),
-    );
-    let stats = source.stats();
-    net.add_agent(Box::new(source));
-    stats
-}
-
-/// The service class Tables 1 and 2 use for their undifferentiated
-/// real-time flows: a single predicted class (priority 0).  The choice only
-/// affects real-time-utilization bookkeeping — FIFO, WFQ and FIFO+ do not
-/// look at the class.
-pub fn realtime_class() -> ServiceClass {
-    ServiceClass::Predicted { priority: 0 }
 }
 
 /// Every scheduler label an experiment row can carry: the range of

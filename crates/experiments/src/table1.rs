@@ -9,13 +9,13 @@
 //! the FIFO algorithm."  The link runs at 83.5 % utilization.
 
 use ispn_scenario::{
-    wire_record, DisciplineSpec, FlowDef, LinkProfile, PointResult, ScenarioBuilder, ScenarioSet,
-    Sim, SourceSpec, SweepReport,
+    wire_record, DisciplineSpec, FlowDef, PointResult, ScenarioBuilder, ScenarioSet, Sim,
+    SourceSpec, SweepReport,
 };
-use ispn_sim::SimTime;
 
 use crate::config::PaperConfig;
 use crate::experiment::Experiment;
+use crate::fig1::Fig1Network;
 use crate::support::DISCIPLINE_LABELS;
 
 /// Number of flows sharing the single link.
@@ -44,31 +44,27 @@ wire_record! { Table1Row {
     utilization,
 } }
 
-/// Build the single-link scenario under one discipline — a two-switch
-/// chain with ten identically distributed on/off flows, declared through
-/// the scenario API.
-fn build_single_link(cfg: &PaperConfig, discipline: DisciplineSpec) -> Sim {
+/// The single-link scenario under one discipline — a two-switch chain
+/// with `flows` identically distributed on/off flows (seeds `0..flows`).
+/// Table 1 runs it with ten; the utilization and playback studies reuse it.
+pub(crate) fn single_link(cfg: &PaperConfig, discipline: DisciplineSpec, flows: usize) -> Sim {
     ScenarioBuilder::chain(2)
-        .link_profile(LinkProfile {
-            rate_bps: cfg.link_rate_bps,
-            propagation: SimTime::ZERO,
-            buffer_packets: cfg.buffer_packets,
-        })
+        .link_profile(Fig1Network::link_profile(cfg))
         .discipline(discipline)
-        .flows((0..NUM_FLOWS).map(|i| {
+        .flows((0..flows).map(|i| {
             FlowDef::best_effort_realtime(0, 1).source(SourceSpec::onoff_paper(
                 cfg.avg_rate_pps,
                 cfg.flow_seed(i as u32),
             ))
         }))
         .build()
-        .expect("the Table-1 scenario is valid")
+        .expect("the single-link scenario is valid")
 }
 
 /// Run the single-link scenario under one discipline and summarize the
 /// sample flow's delays into a table row.
 pub fn run_single_link(cfg: &PaperConfig, discipline: DisciplineSpec) -> Table1Row {
-    let mut sim = build_single_link(cfg, discipline);
+    let mut sim = single_link(cfg, discipline, NUM_FLOWS);
 
     sim.run_until(cfg.duration);
 
@@ -123,6 +119,7 @@ mod tests {
     use super::*;
     use crate::experiment::rows;
     use ispn_scenario::assert_wire_codec;
+    use ispn_sim::SimTime;
 
     #[test]
     fn shortened_run_reproduces_the_tables_shape() {

@@ -365,6 +365,22 @@ mod tests {
     }
 
     #[test]
+    fn unbuildable_link_profiles_are_errors_not_panics() {
+        // `Topology::add_link` panicked on each of these.
+        for (rate_bps, buffer_packets) in [(0.0, 200), (-1e6, 200), (f64::NAN, 200), (1e6, 0)] {
+            let propagation = SimTime::ZERO;
+            let profile = LinkProfile {
+                rate_bps,
+                propagation,
+                buffer_packets,
+            };
+            let built = ScenarioBuilder::chain(2).link_profile(profile).build();
+            let err = built.unwrap_err();
+            assert!(matches!(err, BuildError::BadTopology { .. }), "{err}");
+        }
+    }
+
+    #[test]
     fn guaranteed_flows_are_installed_into_the_unified_scheduler() {
         let mut sim = ScenarioBuilder::chain(2)
             .discipline(DisciplineSpec::Unified {

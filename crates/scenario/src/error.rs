@@ -12,8 +12,8 @@ use ispn_net::NodeId;
 /// scenario description.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BuildError {
-    /// A topology preset was given a size it cannot build (e.g. a chain of
-    /// fewer than two switches).
+    /// A topology preset was given a size or link profile it cannot build
+    /// (e.g. a chain of fewer than two switches, or a zero link rate).
     BadTopology {
         /// What was wrong with the requested preset.
         reason: String,

@@ -101,6 +101,17 @@ impl TopologySpec {
 
     /// Build the topology with the given link profile.
     pub fn build(&self, profile: &LinkProfile) -> Result<BuiltTopology, BuildError> {
+        // Presets wire every link from the profile: refuse the values
+        // `Topology::add_link` would panic on (`!(r > 0)` also catches NaN).
+        let preset = !matches!(self, TopologySpec::Custom(_));
+        if preset && !(profile.rate_bps > 0.0 && profile.buffer_packets > 0) {
+            return Err(BuildError::BadTopology {
+                reason: format!(
+                    "preset links need a positive rate and buffer, got {} bit/s and {} packets",
+                    profile.rate_bps, profile.buffer_packets
+                ),
+            });
+        }
         match self {
             TopologySpec::Chain { nodes, duplex } => {
                 if *nodes < 2 {

@@ -9,7 +9,11 @@
 //! point (lower conversational latency) at a tiny loss rate — exactly the
 //! trade the paper argues tolerant, adaptive clients will make.
 //!
-//! Run with: `cargo run -p ispn-examples --bin adaptive_voice`
+//! The one example wired by hand rather than through `ScenarioBuilder`, on
+//! purpose: it needs a custom sink agent ([`PlaybackSink`]) and a CBR start
+//! offset, and a scenario declaration grows neither for one example.
+//!
+//! Run with: `cargo run -p ispn-examples --example adaptive_voice`
 
 use ispn_core::FlowSpec;
 use ispn_core::ServiceClass;

@@ -8,20 +8,20 @@
 //!    (the Parekh–Gallager bound is `b(r)/r` + per-hop terms),
 //! 3. reserve that rate across a three-hop path under the unified scheduler,
 //! 4. verify that the measured worst-case delay honours the bound even while
-//!    an unpoliced, misbehaving source floods the same links.
+//!    an unpoliced, misbehaving source floods the same links — and exit 1
+//!    if it does not.
 //!
-//! Run with: `cargo run -p ispn-examples --bin guaranteed_video`
+//! Run with: `cargo run -p ispn-examples --example guaranteed_video`
 
 use ispn_core::bounds::pg_queueing_bound;
 use ispn_core::token_bucket::minimal_depth_for_rate;
 use ispn_core::TokenBucketSpec;
-use ispn_net::{FlowConfig, Network, Topology};
-use ispn_sched::{Averaging, Unified};
+use ispn_scenario::{DisciplineSpec, FlowDef, ScenarioBuilder, SourceSpec};
+use ispn_sched::Averaging;
 use ispn_sim::{Pcg64, SimTime};
-use ispn_traffic::{OnOffConfig, OnOffSource, PoissonSource};
+use ispn_traffic::OnOffConfig;
 
 const PKT: u64 = 1000;
-const LINK: f64 = 1_000_000.0;
 
 fn main() {
     // --- 1. Record a sample of the video source and characterize it. ------
@@ -57,40 +57,33 @@ fn main() {
         bound.as_millis_f64()
     );
 
-    // --- 2. Build a 3-hop path and reserve the rate at every switch. -------
-    let (topo, _nodes, links) = Topology::chain(4, LINK, SimTime::ZERO, 200);
-    let mut net = Network::new(topo);
-    let video = net.add_flow(FlowConfig::guaranteed(links.clone(), clock_rate));
-    // A well-behaved background flow plus a misbehaving flood on every link.
-    let mut background = Vec::new();
-    for &l in &links {
-        background.push(net.add_flow(FlowConfig::datagram(vec![l])));
-        background.push(net.add_flow(FlowConfig::datagram(vec![l])));
-    }
-    for &l in &links {
-        let mut u = Unified::new(LINK, 2, Averaging::RunningMean);
-        u.add_guaranteed_flow(video, clock_rate);
-        net.set_discipline(l, u);
-    }
+    // --- 2. Reserve the rate at every switch of a 3-hop path. --------------
+    // The video flow crosses the whole chain; each link also carries a
+    // polite on/off flow and a misbehaving unpoliced flood at 85% of the
+    // link rate.
+    let background = (0..3).flat_map(|l| {
+        let i = 2 * l as u64;
+        [
+            FlowDef::datagram(l, 1).source(SourceSpec::onoff_paper(85.0, 1000 + i)),
+            FlowDef::datagram(l, 1).source(SourceSpec::poisson(850.0, PKT, 2001 + i)),
+        ]
+    });
+    let mut sim = ScenarioBuilder::chain(4)
+        .discipline(DisciplineSpec::Unified {
+            priority_classes: 2,
+            averaging: Averaging::RunningMean,
+        })
+        .flow(FlowDef::guaranteed(0, 3, clock_rate).source(SourceSpec::OnOff(video_config(42))))
+        .flows(background)
+        .build()
+        .expect("a valid scenario");
 
-    // --- 3. Traffic: the video source plus the background. ----------------
-    net.add_agent(Box::new(OnOffSource::new(video, video_config(42))));
-    for (i, &f) in background.iter().enumerate() {
-        if i % 2 == 0 {
-            // A polite on/off source…
-            net.add_agent(Box::new(OnOffSource::new(
-                f,
-                OnOffConfig::paper(85.0, 1000 + i as u64),
-            )));
-        } else {
-            // …and a misbehaving unpoliced flood at 85% of the link rate.
-            net.add_agent(Box::new(PoissonSource::new(f, 850.0, PKT, 2000 + i as u64)));
-        }
-    }
-
-    net.run_until(SimTime::from_secs(300));
+    // --- 3. Run the video source against the background. ------------------
+    sim.run_until(SimTime::from_secs(300));
 
     // --- 4. Check the commitment. ------------------------------------------
+    let video = sim.flows()[0];
+    let net = sim.network_mut();
     let r = net.monitor_mut().flow_report(video);
     println!("video flow over 3 congested hops (each flooded by a misbehaving source):");
     println!(
@@ -100,16 +93,17 @@ fn main() {
         r.p999_delay * 1e3,
         r.max_delay * 1e3
     );
+    let honoured = r.max_delay <= bound.as_secs_f64();
     println!(
         "   Parekh-Gallager bound {:.2} ms — {}",
         bound.as_millis_f64(),
-        if r.max_delay <= bound.as_secs_f64() {
+        if honoured {
             "honoured despite the flood (isolation works)"
         } else {
             "VIOLATED (this should not happen)"
         }
     );
-    for (i, _) in links.iter().enumerate() {
+    for i in 0..3 {
         let lr = net.monitor().link_report(i);
         println!(
             "   link {}: utilization {:5.1}%, {} drops",
@@ -117,6 +111,9 @@ fn main() {
             lr.utilization * 100.0,
             lr.drops
         );
+    }
+    if !honoured {
+        std::process::exit(1);
     }
 }
 

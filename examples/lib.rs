@@ -1,10 +1,13 @@
 //! Shared helpers for the runnable examples.
 //!
 //! The examples exercise the public API of the ISPN crates the way a
-//! downstream application would; the only piece they share is a sink agent
-//! that feeds delivered packets into a play-back application
-//! ([`PlaybackSink`]), which is also a useful template for integrating your
-//! own receivers.
+//! downstream application would, declaring their runs through
+//! `ispn_scenario::ScenarioBuilder` (directly, or through an
+//! `ispn-experiments` study).  `adaptive_voice` is the one low-level
+//! example: it wires `Network` by hand because it registers a custom sink
+//! agent — the [`PlaybackSink`] below, which feeds delivered packets into a
+//! play-back application — and a scenario declaration has no sink agents.
+//! The sink is also a useful template for integrating your own receivers.
 
 use std::cell::RefCell;
 use std::rc::Rc;
