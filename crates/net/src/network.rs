@@ -2509,6 +2509,66 @@ mod tests {
         }
     }
 
+    /// Every port and flow of the benchmark workloads carries one packet
+    /// size; here none does.  Flow 0 alternates 500, 1000 and 1500-bit
+    /// packets over a three-hop WFQ chain (2 ms of propagation on the
+    /// middle link), and flow 1's 700-bit packets share its first port.
+    /// The per-packet transcript — flow, seq, delivery ns, queueing delay
+    /// ns, in delivery order — is pinned as an FNV-1a digest.
+    #[test]
+    fn packet_sizes_that_change_packet_to_packet_keep_their_transcript() {
+        let mut topo = Topology::new();
+        let nodes = topo.add_nodes(4);
+        let wires = [SimTime::ZERO, SimTime::from_millis(2), SimTime::ZERO];
+        let links: Vec<LinkId> = (wires.iter().zip(nodes.windows(2)))
+            .map(|(&p, ends)| topo.add_link(ends[0], ends[1], MBIT, p, 200))
+            .collect();
+        let mut net = Network::new(topo);
+        let delivered = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let sink = net.add_agent(Box::new(RecordingSink {
+            delivered: delivered.clone(),
+        }));
+        let trace = net.add_flow(FlowConfig::datagram(links.clone()).with_sink(sink));
+        let cross = net.add_flow(FlowConfig::datagram(links[..1].to_vec()).with_sink(sink));
+        for &link in &links {
+            let mut wfq = Wfq::new(MBIT, MBIT / 4.0);
+            wfq.set_rate(trace, 600_000.0);
+            net.set_discipline(link, wfq);
+        }
+        let script: Script = (0..150u64)
+            .map(|i| {
+                let at = SimTime::from_micros(650 * i + 90 * (i % 7));
+                match i % 4 {
+                    3 => (at, 1, 700),
+                    _ => (at, 0, [500, 1000, 1500][i as usize % 3]),
+                }
+            })
+            .collect();
+        net.add_agent(Box::new(ScriptedSender {
+            flows: vec![trace, cross],
+            script,
+            next: 0,
+        }));
+        net.run_until(SimTime::SECOND);
+        let deliveries = delivered.borrow();
+        assert_eq!(deliveries.len(), 150);
+        assert!(deliveries.iter().any(|d| d.queueing_delay > SimTime::ZERO));
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for d in deliveries.iter() {
+            let at = d.packet.created_at + d.total_delay;
+            let words = [
+                u64::from(d.packet.flow.0),
+                d.packet.seq,
+                at.as_nanos(),
+                d.queueing_delay.as_nanos(),
+            ];
+            for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(digest, 0xc2f7_b42d_efd4_b89d, "transcript digest");
+    }
+
     #[test]
     fn both_timelines_count_as_one_pending_event_set() {
         // 40 timers, plus per packet one completion on a zero-propagation
