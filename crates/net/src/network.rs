@@ -17,6 +17,7 @@ use ispn_core::{
 use ispn_sched::{
     class_bucket, Discipline, Fifo, GuaranteedInstall, ProbeStats, QueueDiscipline, SchedContext,
 };
+use ispn_sim::time::transmission_time;
 use ispn_sim::{EventQueue, SimTime};
 
 use crate::agent::{Agent, AgentApi, AgentId, Delivery};
@@ -105,6 +106,12 @@ struct FlowState {
     secs_per_bit: f64,
     /// Σ propagation over the route.
     total_propagation: SimTime,
+    /// The last `(size_bits, fixed_delay)` [`Network::deliver`] computed:
+    /// a flow's packets are usually all one size, and the route and its
+    /// rates never change, so the next delivery of that size reuses the
+    /// delay.  `(0, total_propagation)` at registration, which is what
+    /// [`Network::fixed_delay`] returns for zero bits.
+    last_fixed: (u64, SimTime),
     /// Whether the flow may currently inject packets.  Statically
     /// provisioned flows are born active; dynamically signalled flows stay
     /// inactive until every hop has admitted them, and return to inactive
@@ -153,6 +160,11 @@ struct Port {
     /// order — the packet an arrival event was pushed for is always the
     /// oldest one still on the wire.
     wire: VecDeque<Packet>,
+    /// The last `(size_bits, transmission time)` this port put on its
+    /// link: the link's rate never changes, so the next packet of that
+    /// size reuses the time.  `(0, ZERO)` to start, which is what zero
+    /// bits take at any positive rate.
+    last_tx: (u64, SimTime),
 }
 
 /// What [`Network::queue`] holds: 16-byte notices that name an agent or a
@@ -304,6 +316,7 @@ impl Network {
                 busy: false,
                 admission: None,
                 wire: VecDeque::new(),
+                last_tx: (0, SimTime::ZERO),
             })
             .collect();
         Network {
@@ -606,6 +619,7 @@ impl Network {
             policer,
             secs_per_bit,
             total_propagation,
+            last_fixed: (0, total_propagation),
             active,
             retired: false,
             in_flight: 0,
@@ -1255,7 +1269,18 @@ impl Network {
         port.probe.dequeued.bucket_mut(class_bucket(d.class)).incr();
         port.busy = true;
         let waiting = d.queueing_delay(self.now);
-        let tx_time = ispn_sim::time::transmission_time(d.packet.size_bits, params.rate_bps);
+        let bits = d.packet.size_bits;
+        let tx_time = match port.last_tx {
+            (last, tx_time) if last == bits => {
+                debug_assert_eq!(tx_time, transmission_time(bits, params.rate_bps));
+                tx_time
+            }
+            _ => {
+                let tx_time = transmission_time(bits, params.rate_bps);
+                port.last_tx = (bits, tx_time);
+                tx_time
+            }
+        };
         // Live measurement feedback: a transmitted predicted-class packet
         // reports its per-hop queueing delay to this link's admission
         // controller (the d̂ⱼ of Section 9).
@@ -1342,7 +1367,18 @@ impl Network {
     fn deliver(&mut self, packet: Packet) {
         let flow_idx = packet.flow.index();
         let total_delay = self.now.saturating_sub(packet.created_at);
-        let fixed = self.fixed_delay(packet.flow, packet.size_bits);
+        let bits = packet.size_bits;
+        let fixed = match self.flows[flow_idx].last_fixed {
+            (last, fixed) if last == bits => {
+                debug_assert_eq!(fixed, self.fixed_delay(packet.flow, bits));
+                fixed
+            }
+            _ => {
+                let fixed = self.fixed_delay(packet.flow, bits);
+                self.flows[flow_idx].last_fixed = (bits, fixed);
+                fixed
+            }
+        };
         let queueing_delay = total_delay.saturating_sub(fixed);
         self.monitor
             .record_delivery(packet.flow, queueing_delay, self.now);

@@ -68,9 +68,18 @@ struct HeapKey {
     slot: u32,
 }
 
+impl HeapKey {
+    /// `(expected_arrival, seq)` as one integer, so a sift compares once
+    /// instead of branching per field; the order is the pair's.
+    #[inline]
+    fn key(&self) -> u128 {
+        (u128::from(self.expected_arrival.as_nanos()) << 64) | u128::from(self.seq)
+    }
+}
+
 impl PartialEq for HeapKey {
     fn eq(&self, other: &Self) -> bool {
-        self.expected_arrival == other.expected_arrival && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl Eq for HeapKey {}
@@ -83,7 +92,7 @@ impl Ord for HeapKey {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // BinaryHeap is a max-heap; reverse so the earliest expected arrival
         // (then earliest insertion) is popped first.
-        (other.expected_arrival, other.seq).cmp(&(self.expected_arrival, self.seq))
+        other.key().cmp(&self.key())
     }
 }
 

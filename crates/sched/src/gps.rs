@@ -28,7 +28,7 @@
 //! hundreds of mostly idle reservations the clock touches only the few
 //! that have fluid backlog.
 //!
-//! Two things are pinned, because the virtual time feeds the byte-identity
+//! Three things are pinned, because the virtual time feeds the byte-identity
 //! goldens and floating-point addition is not associative:
 //!
 //! * **the sum order** — the list is kept ascending by position in the
@@ -37,7 +37,23 @@
 //! * **the call sequence** — `advance(t₁); advance(t₂)` does not in general
 //!   land on the same bits as `advance(t₂)` alone (each call rounds
 //!   `remaining · slope` once), so callers must keep advancing at the same
-//!   instants: the schedulers' dequeue-side `advance` is not redundant.
+//!   instants: the schedulers' dequeue-side `advance` is not redundant;
+//! * **the held step** — a scan's smallest last finish `m` and slope `s`
+//!   are kept and reused while `m > V + 1e-15`.  The list then holds
+//!   exactly the flows that scan kept (only a scan shrinks it, and the
+//!   stamp of an idle flow that grows it drops the step), each with a last
+//!   finish ≥ `m`, so a new scan would keep them all and sum the same rates
+//!   in the same order: the same bits.  `set_rate` and `remove` drop the
+//!   step; a stamp of a flow still backlogged changes neither the set nor
+//!   its rates and recomputes `m` only if that flow held it; a deletion
+//!   jump sets `V = m`, which fails the guard by construction.  A step
+//!   also skips its division where the division could not delete: with
+//!   `r` the remaining real time, `d = m − V` and `u = 2⁻⁵³`,
+//!   `fl(r·s) < fl(d·(1 − 2⁻⁵⁰))` implies `r < (d/s)(1 − 6u)`, so
+//!   `fl(d/s) ≥ (d/s)(1 − u) > r` and the `d/s ≤ r` test is false — the
+//!   step is `V += r·s`, the product already in hand.  Otherwise it divides
+//!   and decides as before.  Debug builds check every reused step against
+//!   a fresh scan and every skip against the division.
 //!
 //! The all-flows scan survives as the test suite's reference clock; a
 //! differential property test holds the two to the same bits step for step.
@@ -79,7 +95,24 @@ pub struct GpsClock {
     /// state bounded by `flows.len()` entries, not reservation state, so
     /// [`state_bytes`](GpsClock::state_bytes) does not count it.
     backlogged: Vec<u32>,
+    /// The last `scan`'s answer, reused while a new scan would return the
+    /// same bits (module docs); transient, like `backlogged`, and not
+    /// counted either.
+    step: Option<Step>,
 }
+
+/// What a deletion step needs from a scan of the backlogged list.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Step {
+    /// The smallest `last_finish` among the listed flows.
+    next_finish: f64,
+    /// `μ / Σ rβ` over the listed flows, summed in list order.
+    slope: f64,
+}
+
+/// `remaining · slope < (next_finish − V) · NO_DELETION` proves that the
+/// step ends short of `next_finish` without dividing (module docs).
+const NO_DELETION: f64 = 1.0 - 4.0 * f64::EPSILON;
 
 impl GpsClock {
     /// The flow key the unified scheduler uses for the predicted/datagram
@@ -95,6 +128,7 @@ impl GpsClock {
             last_update: SimTime::ZERO,
             flows: Vec::new(),
             backlogged: Vec::new(),
+            step: None,
         }
     }
 
@@ -114,6 +148,7 @@ impl GpsClock {
             Ok(i) => self.flows[i].1.rate_bps = rate_bps,
             Err(i) => self.insert(i, key, rate_bps),
         }
+        self.step = None;
     }
 
     /// Insert a new (idle) flow at position `i` of the sorted table and
@@ -144,6 +179,7 @@ impl GpsClock {
     /// better — never worse — so existing guarantees still hold).
     pub fn remove(&mut self, key: GpsFlowKey) -> Option<f64> {
         let i = self.find(key).ok()?;
+        self.step = None;
         self.backlogged.retain_mut(|p| {
             let at = *p as usize;
             if at > i {
@@ -195,46 +231,73 @@ impl GpsClock {
         self.last_update = now;
 
         loop {
-            // Flows still backlogged in the fluid system, summed in
-            // ascending key order; the ones that have emptied leave the
-            // list here.
-            let mut active_rate = 0.0;
-            let mut next_finish = f64::INFINITY;
-            let mut kept = 0;
-            for at in 0..self.backlogged.len() {
-                let p = self.backlogged[at];
-                let f = &self.flows[p as usize].1;
-                if f.last_finish > self.virtual_time + 1e-15 {
-                    active_rate += f.rate_bps;
-                    if f.last_finish < next_finish {
-                        next_finish = f.last_finish;
-                    }
-                    self.backlogged[kept] = p;
-                    kept += 1;
+            let step = match self.step {
+                // Every listed flow is still backlogged: a scan would keep
+                // them all and return the held step (module docs).
+                Some(held) if held.next_finish > self.virtual_time + 1e-15 => {
+                    debug_assert_eq!(self.scan(), Some(held), "a held step is the scan");
+                    held
                 }
-            }
-            self.backlogged.truncate(kept);
-            if active_rate == 0.0 {
-                // Fluid system idle: virtual time does not need to advance
-                // (new arrivals start from max(V, last_finish) anyway).
+                _ => match self.scan() {
+                    Some(step) => step,
+                    // Fluid system idle: virtual time does not need to
+                    // advance (new arrivals start from max(V, last_finish)
+                    // anyway).
+                    None => return,
+                },
+            };
+            let dv_to_next = step.next_finish - self.virtual_time;
+            let dv = remaining * step.slope;
+            if dv < dv_to_next * NO_DELETION {
+                // Short of the finish by more than the rounding of either
+                // test: the division below would say so too (module docs).
+                debug_assert!(dv_to_next / step.slope > remaining);
+                self.virtual_time += dv;
                 return;
             }
-            let slope = self.link_rate_bps / active_rate;
-            let dv_to_next = next_finish - self.virtual_time;
-            let dt_to_next = dv_to_next / slope;
+            let dt_to_next = dv_to_next / step.slope;
             if dt_to_next <= remaining {
                 // The nearest flow empties within the interval; jump there
-                // and re-evaluate the active set.
-                self.virtual_time = next_finish;
+                // and re-evaluate the active set.  The held step's minimum
+                // is now `V` itself, so the next pass scans.
+                self.virtual_time = step.next_finish;
                 remaining -= dt_to_next;
                 if remaining <= 0.0 {
                     return;
                 }
             } else {
-                self.virtual_time += remaining * slope;
+                self.virtual_time += dv;
                 return;
             }
         }
+    }
+
+    /// Sum the rates of the flows still backlogged in the fluid system, in
+    /// ascending key order, and find their smallest last finish; the flows
+    /// that have emptied leave the list here.  The result is held as
+    /// `step` (`None`: the fluid system is idle).
+    fn scan(&mut self) -> Option<Step> {
+        let mut active_rate = 0.0;
+        let mut next_finish = f64::INFINITY;
+        let mut kept = 0;
+        for at in 0..self.backlogged.len() {
+            let p = self.backlogged[at];
+            let f = &self.flows[p as usize].1;
+            if f.last_finish > self.virtual_time + 1e-15 {
+                active_rate += f.rate_bps;
+                if f.last_finish < next_finish {
+                    next_finish = f.last_finish;
+                }
+                self.backlogged[kept] = p;
+                kept += 1;
+            }
+        }
+        self.backlogged.truncate(kept);
+        self.step = (active_rate != 0.0).then(|| Step {
+            next_finish,
+            slope: self.link_rate_bps / active_rate,
+        });
+        self.step
     }
 
     /// Record the arrival of `size_bits` of flow `key` at real time `now`
@@ -284,13 +347,21 @@ impl GpsClock {
         // A flow that is still backlogged is listed already; an idle one
         // may be (not yet pruned), so look before inserting.
         let listed = flow.last_finish > v + 1e-15;
-        let finish = v.max(flow.last_finish) + size_bits as f64 / flow.rate_bps;
+        let previous = flow.last_finish;
+        let finish = v.max(previous) + size_bits as f64 / flow.rate_bps;
         flow.last_finish = finish;
         if !listed {
+            // A newly backlogged flow joins the set a held step summed.
+            self.step = None;
             let at = self.backlogged.partition_point(|&p| (p as usize) < i);
             if self.backlogged.get(at) != Some(&(i as u32)) {
                 self.backlogged.insert(at, i as u32);
             }
+        } else if let Some(held) = self.step.as_mut().filter(|s| s.next_finish == previous) {
+            // Same set, same rates, same slope; only the minimum moved.
+            held.next_finish = (self.backlogged.iter())
+                .map(|&p| self.flows[p as usize].1.last_finish)
+                .fold(f64::INFINITY, f64::min);
         }
         finish
     }
@@ -593,10 +664,13 @@ mod tests {
         }
         // 16.5 kbit of fluid backlog drains in 16.5 ms: three deletions
         // inside 500 advances of 37 µs each.
+        let mut reused = 0;
         for k in 1..=500 {
+            reused += u32::from(gps.step.is_some_and(|s| s.next_finish > gps.virtual_time));
             advance_both(&mut gps, &mut oracle, SimTime::from_micros(37 * k));
         }
         assert!(!gps.busy());
+        assert!(reused > 400, "{reused} advances reused a held step");
     }
 
     #[test]
@@ -609,13 +683,16 @@ mod tests {
         // Flow 1 is served 75 bits per 300 µs; topping it up by 60–90
         // bits each round keeps its finish ~4 ms ahead of V, the nearest
         // until flow 3's fixed 8 ms comes closer.
+        let mut held = 0;
         for round in 1..=60 {
             let now = SimTime::from_micros(300 * round);
             advance_both(&mut gps, &mut oracle, now);
+            held += u32::from(gps.step.is_some());
             stamp_both(&mut gps, &mut oracle, 1, 60 + 30 * (round % 2), now);
         }
         advance_both(&mut gps, &mut oracle, SimTime::from_millis(30));
         assert!(!gps.busy());
+        assert!(held >= 30, "{held} stamps under a held step");
     }
 
     #[test]
@@ -627,6 +704,7 @@ mod tests {
             }
             let held = SimTime::from_micros(1_500);
             advance_both(&mut gps, &mut oracle, held);
+            assert!(gps.step.is_some());
             match change {
                 // A backlogged flow's rate changes.
                 0 => {

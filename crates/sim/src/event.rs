@@ -47,6 +47,8 @@ use crate::time::SimTime;
 /// Events with equal timestamps are returned in the order they were pushed.
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// A min-heap (through `Reverse`) on each entry's `(time, seq)`, packed
+    /// into one `u128` for the comparison.
     heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
 }
@@ -58,9 +60,18 @@ struct Entry<E> {
     event: E,
 }
 
+impl<E> Entry<E> {
+    /// `(time, seq)` as one integer, so a sift compares once instead of
+    /// branching per field; the order is the pair's.
+    #[inline]
+    fn key(&self) -> u128 {
+        (u128::from(self.time.as_nanos()) << 64) | u128::from(self.seq)
+    }
+}
+
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -71,7 +82,7 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
