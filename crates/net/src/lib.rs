@@ -37,6 +37,6 @@ pub use agent::{Agent, AgentApi, AgentId, Delivery};
 // re-exported so callers need not depend on `ispn-sched` directly.
 pub use ispn_sched::GuaranteedInstall;
 pub use monitor::{FlowCounters, FlowReport, LinkReport, Monitor};
-pub use network::{FlowConfig, Network, PoliceAction};
+pub use network::{FlowConfig, Network, PoliceAction, SinkError};
 pub use telemetry::NetTelemetry;
 pub use topology::{LinkId, LinkParams, NodeId, Topology};

@@ -194,6 +194,26 @@ enum NetEvent {
     },
 }
 
+/// Why a flow cannot deliver to an agent ([`Network::set_flow_sink`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SinkError {
+    /// No agent was ever added under this id.
+    Unknown(AgentId),
+    /// The agent has been retired ([`Network::retire_agent`]).
+    Retired(AgentId),
+}
+
+impl std::fmt::Display for SinkError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SinkError::Unknown(id) => write!(f, "unknown agent {id:?}"),
+            SinkError::Retired(id) => write!(f, "{id:?} has been retired"),
+        }
+    }
+}
+
+impl std::error::Error for SinkError {}
+
 /// The `u32` a [`NetEvent`] stores for agent or link index `index`.
 ///
 /// # Panics
@@ -548,14 +568,17 @@ impl Network {
         self.unstarted.retain(|&unstarted| unstarted != id);
     }
 
-    /// A registered flow now names `sink`.
-    fn hold_agent(&mut self, sink: AgentId) {
+    /// A registered flow now names `sink`, which must be a live agent.
+    fn hold_agent(&mut self, sink: AgentId) -> Result<(), SinkError> {
         let slot = self
             .agents
             .get_mut(sink.0)
-            .unwrap_or_else(|| panic!("unknown agent {sink:?}"));
-        assert!(slot.live, "{sink:?} has been retired");
+            .ok_or(SinkError::Unknown(sink))?;
+        if !slot.live {
+            return Err(SinkError::Retired(sink));
+        }
         slot.refs += 1;
+        Ok(())
     }
 
     /// Something that named agent slot `id` — a popped event, a recycled
@@ -572,7 +595,8 @@ impl Network {
     /// (static provisioning — no admission control is consulted).
     ///
     /// # Panics
-    /// Panics if the route is not a contiguous path in the topology.
+    /// Panics if the route is not a contiguous path in the topology, or if
+    /// the configured sink is not a live agent ([`SinkError`]).
     pub fn add_flow(&mut self, config: FlowConfig) -> FlowId {
         self.register_flow(config, true)
     }
@@ -611,7 +635,7 @@ impl Network {
             total_propagation += params.propagation;
         }
         if let Some(sink) = config.sink {
-            self.hold_agent(sink);
+            self.hold_agent(sink).unwrap_or_else(|e| panic!("{e}"));
         }
         let policer = config.edge_policer.map(|(spec, _)| TokenBucket::new(spec));
         let state = FlowState {
@@ -654,11 +678,16 @@ impl Network {
     /// Needed because flows and agents reference each other: transports
     /// create their flows first, then their endpoint agents, then wire the
     /// delivery callbacks up with this call.
-    pub fn set_flow_sink(&mut self, flow: FlowId, sink: AgentId) {
-        self.hold_agent(sink);
+    ///
+    /// # Errors
+    /// [`SinkError`] if `sink` was never added or has been retired; the
+    /// flow keeps the sink it had.
+    pub fn set_flow_sink(&mut self, flow: FlowId, sink: AgentId) -> Result<(), SinkError> {
+        self.hold_agent(sink)?;
         if let Some(old) = self.flows[flow.index()].config.sink.replace(sink) {
             self.unhold_agent(old);
         }
+        Ok(())
     }
 
     /// Number of registered flows.
@@ -2189,6 +2218,32 @@ mod tests {
         assert_eq!(net.take_drained_flows(), vec![flow]);
         net.recycle_flow_slot(flow);
         assert_eq!(probe(&mut net, &log, "next", 0, None), sink);
+    }
+
+    #[test]
+    fn set_flow_sink_refuses_an_unknown_or_retired_agent_and_keeps_the_old_sink() {
+        let (mut net, link) = two_switch_net();
+        let log = ProbeLog::default();
+        let sink = probe(&mut net, &log, "sink", 0, None);
+        let retired = probe(&mut net, &log, "retired", 0, None);
+        net.retire_agent(retired);
+        let flow = net.add_flow(FlowConfig::datagram(vec![link]));
+        assert_eq!(net.set_flow_sink(flow, sink), Ok(()));
+        let unknown = AgentId(9);
+        assert_eq!(
+            net.set_flow_sink(flow, unknown),
+            Err(SinkError::Unknown(unknown))
+        );
+        assert_eq!(
+            net.set_flow_sink(flow, retired),
+            Err(SinkError::Retired(retired))
+        );
+        assert_eq!(net.flow_config(flow).sink, Some(sink));
+        // The refusals held nothing: the retired slot is free for the next
+        // agent, and the sink's slot is held by the flow alone.
+        assert_eq!(probe(&mut net, &log, "next", 0, None), retired);
+        net.retire_agent(sink);
+        assert_ne!(probe(&mut net, &log, "later", 0, None), sink);
     }
 
     #[test]

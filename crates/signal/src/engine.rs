@@ -1419,7 +1419,9 @@ mod proptests {
                         let flow = self.recs[i].flow;
                         let cell = Rc::new(Cell::new(Some(flow)));
                         let new = self.add_agent(Box::new(Sink { flow: cell }));
-                        self.net.set_flow_sink(flow, new);
+                        self.net
+                            .set_flow_sink(flow, new)
+                            .expect("a sink just added");
                         if let Some(old) = self.recs[i].sink.replace(new) {
                             self.retire(old);
                         }

@@ -387,8 +387,10 @@ pub fn install_tcp(
     let receiver = TcpReceiver::new(ack_flow, config.ack_bits, stats.clone());
     let sender_id = net.add_agent(Box::new(sender));
     let receiver_id = net.add_agent(Box::new(receiver));
-    net.set_flow_sink(data_flow, receiver_id);
-    net.set_flow_sink(ack_flow, sender_id);
+    for (flow, sink) in [(data_flow, receiver_id), (ack_flow, sender_id)] {
+        net.set_flow_sink(flow, sink)
+            .expect("the endpoint agents were added just above");
+    }
     TcpHandles {
         data_flow,
         ack_flow,
