@@ -183,38 +183,6 @@ pub fn minimal_depth_for_rate(packets: &[(SimTime, u64)], rate_bps: f64) -> f64 
     worst
 }
 
-/// A fluid leaky-bucket shaper of rate `r`: bits drain at a constant rate
-/// and any excess is queued (footnote 6 of the paper).  Used in tests and
-/// examples to reason about the "all the queueing happens in the shaper"
-/// intuition behind the Parekh–Gallager bound.
-#[derive(Debug, Clone)]
-pub struct LeakyBucketShaper {
-    rate_bps: f64,
-    /// Time at which the shaper will have finished draining everything
-    /// submitted so far.
-    busy_until: SimTime,
-}
-
-impl LeakyBucketShaper {
-    /// Create a shaper that drains at `rate_bps`.
-    pub fn new(rate_bps: f64) -> Self {
-        assert!(rate_bps > 0.0);
-        LeakyBucketShaper {
-            rate_bps,
-            busy_until: SimTime::ZERO,
-        }
-    }
-
-    /// Submit `size_bits` at time `now`; returns the time at which the last
-    /// bit of this packet leaves the shaper.
-    pub fn submit(&mut self, now: SimTime, size_bits: u64) -> SimTime {
-        let start = self.busy_until.max(now);
-        let drain = SimTime::from_secs_f64(size_bits as f64 / self.rate_bps);
-        self.busy_until = start + drain;
-        self.busy_until
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,19 +317,6 @@ mod tests {
             &pkts,
             TokenBucketSpec::new(rate, b.max(1.0))
         ));
-    }
-
-    #[test]
-    fn leaky_bucket_shaper_delays_excess() {
-        let mut sh = LeakyBucketShaper::new(1000.0); // 1 packet/sec for 1000-bit packets
-        let d1 = sh.submit(SimTime::ZERO, 1000);
-        assert_eq!(d1, SimTime::from_secs(1));
-        let d2 = sh.submit(SimTime::ZERO, 1000);
-        assert_eq!(d2, SimTime::from_secs(2));
-        // A later submission that finds the shaper idle sees only its own
-        // drain time.
-        let d3 = sh.submit(SimTime::from_secs(10), 1000);
-        assert_eq!(d3, SimTime::from_secs(11));
     }
 }
 

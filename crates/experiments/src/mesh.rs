@@ -415,7 +415,7 @@ mod tests {
                 links: Vec::new(),
                 classes: Vec::new(),
                 disciplines: Vec::new(),
-                signaling: None,
+                signaling: Default::default(),
                 telemetry: None,
             },
         };
@@ -423,7 +423,8 @@ mod tests {
             "{{\"cross_flows_per_row\":2,\"classes\":[{class_json}],\
              \"interior_utilization\":0.9,\"edge_utilization\":0.4,\"interior_drops\":7,\
              \"report\":{{\"horizon_s\":20.0,\"flows\":[],\"links\":[],\"classes\":[],\
-             \"disciplines\":[],\"signaling\":null}}}}"
+             \"disciplines\":[],\"signaling\":{{\"accepted\":0,\"rejected\":0,\"pending\":0,\
+             \"decisions\":[]}}}}}}"
         );
         assert_wire_codec(
             &outcome,

@@ -178,11 +178,14 @@ impl Monitor {
         now: SimTime,
     ) {
         self.note_time(now.saturating_add(tx_time));
+        // Saturating, like the event times: a packet of `u64::MAX` bits,
+        // or one on a link too slow to send it before `SimTime::MAX`, is
+        // legal input.
         let l = &mut self.links[link];
-        l.busy += tx_time;
-        l.bits_sent += bits;
+        l.busy = l.busy.saturating_add(tx_time);
+        l.bits_sent = l.bits_sent.saturating_add(bits);
         if class.is_realtime() {
-            l.realtime_bits_sent += bits;
+            l.realtime_bits_sent = l.realtime_bits_sent.saturating_add(bits);
         }
         self.link_packets[link] += 1;
     }

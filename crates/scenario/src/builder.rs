@@ -50,24 +50,9 @@ impl ScenarioBuilder {
         ScenarioBuilder::new(TopologySpec::chain(nodes))
     }
 
-    /// A duplex chain of `nodes` switches (the Figure-1 shape).
-    pub fn chain_duplex(nodes: usize) -> Self {
-        ScenarioBuilder::new(TopologySpec::chain_duplex(nodes))
-    }
-
-    /// A star of `leaves` access switches around a hub.
-    pub fn star(leaves: usize) -> Self {
-        ScenarioBuilder::new(TopologySpec::star(leaves))
-    }
-
     /// A `rows × cols` duplex grid mesh.
     pub fn mesh(rows: usize, cols: usize) -> Self {
         ScenarioBuilder::new(TopologySpec::mesh(rows, cols))
-    }
-
-    /// A custom topology passthrough.
-    pub fn custom(topology: ispn_net::Topology) -> Self {
-        ScenarioBuilder::new(TopologySpec::custom(topology))
     }
 
     /// Set the link parameters every preset link is built with.
@@ -175,6 +160,11 @@ impl ScenarioBuilder {
     /// always produce identical simulations — flow ids, agent ids and
     /// event-queue seeding included.
     pub fn build(self) -> Result<Sim, BuildError> {
+        // Numbers first: the constructors below assert what these check.
+        for (flow, def) in self.flows.iter().enumerate() {
+            def.validate()
+                .map_err(|reason| BuildError::BadFlow { flow, reason })?;
+        }
         let built = self.topology.build(&self.profile)?;
 
         // Resolve every route first so errors surface before any wiring.
@@ -210,16 +200,31 @@ impl ScenarioBuilder {
                 .filter(|(_, r)| r.contains(&link))
                 .map(|(i, _)| i)
                 .collect();
-            let guaranteed: Vec<(ispn_core::FlowId, f64)> = crossing
+            let guaranteed: Vec<(usize, f64)> = crossing
                 .iter()
-                .filter_map(|&i| {
-                    self.flows[i]
-                        .service
-                        .clock_rate_bps()
-                        .map(|rate| (flow_ids[i], rate))
-                })
+                .filter_map(|&i| self.flows[i].service.clock_rate_bps().map(|rate| (i, rate)))
                 .collect();
             let params = *built.topology.link(link);
+            // `Unified` asserts its guaranteed rates stay below the link's.
+            if let DisciplineSpec::Unified { .. } = spec {
+                let mut sum = 0.0;
+                for &(flow, rate) in &guaranteed {
+                    sum += rate;
+                    if sum >= params.rate_bps {
+                        return Err(BuildError::BadFlow {
+                            flow,
+                            reason: format!(
+                                "guaranteed clock rates on link {link_idx} reach its rate of {} bit/s",
+                                params.rate_bps
+                            ),
+                        });
+                    }
+                }
+            }
+            let guaranteed: Vec<(ispn_core::FlowId, f64)> = guaranteed
+                .into_iter()
+                .map(|(i, rate)| (flow_ids[i], rate))
+                .collect();
             net.set_discipline(link, spec.build(&params, crossing.len(), &guaranteed));
         }
 
@@ -293,9 +298,8 @@ impl ScenarioBuilder {
                 .map_err(|reason| BuildError::BadWorkload { reason })?;
             // Churn arrivals request uniformly random spans of the
             // preset's forward links, so those links must form one
-            // contiguous path (a chain preset, or a custom chain): on a
-            // star or mesh the forward set is not a path and a multi-hop
-            // request would be invalid.
+            // contiguous path: on a mesh the forward set is not a path and
+            // a multi-hop request would be invalid.
             if !sim.built().topology.validate_route(&sim.built().forward) {
                 return Err(BuildError::BadWorkload {
                     reason: "a churn workload needs a chain topology (its arrivals \
@@ -331,7 +335,7 @@ mod tests {
         assert_eq!(report.flows.len(), 1);
         assert!(report.flows[0].delivered > 450);
         assert!(report.links[0].utilization > 0.05);
-        assert!(report.signaling.is_some());
+        assert_eq!(report.signaling.decisions, Vec::<bool>::new());
     }
 
     #[test]
@@ -392,12 +396,8 @@ mod tests {
             .unwrap();
         assert_eq!(sim.network().discipline_name(LinkId(0)), "Unified");
         sim.run_until(SimTime::from_secs(2));
-        let r = sim.report(&MeasurementPlan {
-            link_stats: false,
-            ..MeasurementPlan::default()
-        });
+        let r = sim.report(&MeasurementPlan::default());
         assert!(r.flows[0].delivered > 80);
-        assert!(r.links.is_empty(), "plan skipped link stats");
     }
 
     #[test]
@@ -415,7 +415,6 @@ mod tests {
 
     #[test]
     fn per_class_aggregation_pools_flows_and_histograms() {
-        use crate::report::HistogramSpec;
         let mut sim = ScenarioBuilder::chain(2)
             .discipline(DisciplineSpec::Unified {
                 priority_classes: 2,
@@ -428,15 +427,7 @@ mod tests {
             .build()
             .unwrap();
         sim.run_until(SimTime::from_secs(5));
-        let plan = MeasurementPlan {
-            delay_histogram: Some(HistogramSpec {
-                lo_s: 0.0,
-                hi_s: 0.1,
-                bins: 10,
-            }),
-            ..MeasurementPlan::default()
-        };
-        let r = sim.report(&plan);
+        let r = sim.report(&MeasurementPlan::default());
         // Deterministic class order: guaranteed, predicted-0, datagram.
         let labels: Vec<&str> = r.classes.iter().map(|c| c.class.as_str()).collect();
         assert_eq!(labels, vec!["guaranteed", "predicted-0", "datagram"]);
@@ -444,24 +435,214 @@ mod tests {
         // The pooled class counts equal the sum of the per-flow counts.
         let guaranteed_delivered: u64 = r.flows[0].delivered + r.flows[1].delivered;
         assert_eq!(r.classes[0].delivered, guaranteed_delivered);
-        // Quantiles come back in plan order and are monotone.
+        // Quantiles come back median first and are monotone.
         let qs = &r.classes[0].quantiles;
         assert_eq!(qs.len(), 4);
         assert!(qs.windows(2).all(|w| w[0].1 <= w[1].1 + 1e-12));
-        // The histogram accounts for every pooled delivery.
-        let h = r.classes[0].histogram.as_ref().unwrap();
-        let total = h.underflow + h.overflow + h.counts.iter().sum::<u64>();
-        assert_eq!(total, guaranteed_delivered);
+        // Every class still carries the histogram key, with nothing in it.
+        let json = r.to_json();
+        assert_eq!(json.matches("\"histogram\":null").count(), 3, "{json}");
         // The discipline group covers the single link.
         assert_eq!(r.disciplines.len(), 1);
         assert_eq!(r.disciplines[0].discipline, "Unified");
         assert_eq!(r.disciplines[0].links, 1);
     }
 
+    /// `SourceSpec::cbr(f64::INFINITY, 1000)` used to build and then hang
+    /// `run_until` (its 0 ns gap re-armed the source at one instant
+    /// forever, as any rate above 2·10⁹ did), and a zero, negative or NaN
+    /// rate panicked in `CbrSource::new` inside `build`.
+    #[test]
+    fn source_numbers_a_run_cannot_use_are_build_errors() {
+        let sources = [
+            SourceSpec::cbr(f64::INFINITY, 1000),
+            SourceSpec::cbr(3e9, 1000),
+            SourceSpec::cbr(0.0, 1000),
+            SourceSpec::cbr(-1.0, 1000),
+            SourceSpec::cbr(f64::NAN, 1000),
+            SourceSpec::cbr(100.0, 0),
+            SourceSpec::poisson(f64::NAN, 1000, 1),
+            SourceSpec::OnOff(ispn_traffic::OnOffConfig {
+                peak_rate_pps: 50.0,
+                ..ispn_traffic::OnOffConfig::paper(85.0, 1)
+            }),
+            SourceSpec::OnOff(ispn_traffic::OnOffConfig {
+                policer: Some(ispn_core::TokenBucketSpec {
+                    rate_bps: 0.0,
+                    depth_bits: 50_000.0,
+                }),
+                ..ispn_traffic::OnOffConfig::paper(85.0, 1)
+            }),
+            SourceSpec::Trace {
+                schedule: vec![(SimTime::from_millis(2), 1000), (SimTime::ZERO, 1000)],
+            },
+        ];
+        for source in sources {
+            let built = ScenarioBuilder::chain(2)
+                .flow(FlowDef::datagram(0, 1))
+                .flow(FlowDef::datagram(0, 1).source(source.clone()))
+                .build();
+            let err = built.err().unwrap_or_else(|| panic!("{source:?} built"));
+            assert!(matches!(err, BuildError::BadFlow { flow: 1, .. }), "{err}");
+        }
+    }
+
+    /// A guaranteed clock rate of 0, −1 or NaN panicked in
+    /// `FlowSpec::guaranteed` inside `build`; +∞ built and ran.
+    #[test]
+    fn guaranteed_clock_rates_must_be_positive_and_finite() {
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = ScenarioBuilder::chain(2)
+                .discipline(DisciplineSpec::Wfq)
+                .flow(FlowDef::guaranteed(0, 1, rate).source(SourceSpec::cbr(50.0, 1000)))
+                .build()
+                .err()
+                .unwrap_or_else(|| panic!("clock rate {rate} built"));
+            assert!(matches!(err, BuildError::BadFlow { flow: 0, .. }), "{err}");
+            assert!(err.to_string().contains("clock rate"), "{err}");
+        }
+    }
+
+    /// One scenario drawn from `seed`: one to three flows on a two- or
+    /// three-switch chain, every number drawn half the time from a hostile
+    /// palette (NaN, ±∞, zero, negative, tiny, huge) and half the time
+    /// from a workable value.
+    fn hostile_scenario(seed: u64) -> ScenarioBuilder {
+        use ispn_core::TokenBucketSpec;
+        use ispn_traffic::OnOffConfig;
+        const HOSTILE: [f64; 10] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -1.0,
+            5e-324,
+            1e-300,
+            3e9,
+            1e300,
+            f64::MAX,
+        ];
+        let mut rng = proptest::TestRng::new(seed);
+        let mut number = |workable: f64| match rng.below(2 * HOSTILE.len() as u64) as usize {
+            i if i < HOSTILE.len() => HOSTILE[i],
+            _ => workable,
+        };
+        let mut rng = proptest::TestRng::new(seed ^ 0x5EED);
+        let mut below = |n: u64| rng.below(n);
+        let size = |i: u64| [0, 1, 1000, 12_000, u64::MAX][i as usize];
+        let nodes = 2 + below(2) as usize;
+        let discipline = [
+            DisciplineSpec::Fifo,
+            DisciplineSpec::FifoPlus(ispn_sched::Averaging::RunningMean),
+            DisciplineSpec::Wfq,
+            DisciplineSpec::VirtualClock,
+            DisciplineSpec::Unified {
+                priority_classes: 2,
+                averaging: ispn_sched::Averaging::RunningMean,
+            },
+        ][below(5) as usize];
+        let mut builder = ScenarioBuilder::chain(nodes)
+            .link_profile(LinkProfile {
+                rate_bps: number(1e6),
+                propagation: SimTime::from_micros(below(2) * 500),
+                buffer_packets: [1, 200][below(2) as usize],
+            })
+            .discipline(discipline);
+        for _ in 0..1 + below(3) {
+            let hops = 1 + below(nodes as u64 - 1) as usize;
+            let service = match below(4) {
+                0 => ServiceSpec::Datagram,
+                1 => ServiceSpec::RealtimeBestEffort {
+                    priority: below(2) as u8,
+                },
+                2 => ServiceSpec::Predicted {
+                    priority: below(2) as u8,
+                    bucket: TokenBucketSpec {
+                        rate_bps: number(85_000.0),
+                        depth_bits: number(50_000.0),
+                    },
+                    target_delay: SimTime::from_millis(100),
+                    loss_rate: number(0.001),
+                    police: ispn_net::PoliceAction::Drop,
+                },
+                _ => ServiceSpec::Guaranteed {
+                    clock_rate_bps: number(170_000.0),
+                },
+            };
+            let source = match below(5) {
+                0 => SourceSpec::None,
+                1 => SourceSpec::cbr(number(85.0), size(below(5))),
+                2 => SourceSpec::poisson(number(85.0), size(below(5)), below(1 << 20)),
+                3 => SourceSpec::OnOff(OnOffConfig {
+                    avg_rate_pps: number(85.0),
+                    peak_rate_pps: number(170.0),
+                    mean_burst_pkts: number(5.0),
+                    packet_bits: size(below(5)),
+                    policer: (below(2) == 0).then(|| TokenBucketSpec {
+                        rate_bps: number(85_000.0),
+                        depth_bits: number(50_000.0),
+                    }),
+                    start_offset: SimTime::from_micros(below(1000)),
+                    seed: below(1 << 20),
+                }),
+                _ => SourceSpec::Trace {
+                    schedule: (0..below(4))
+                        .map(|_| (SimTime::from_millis(below(60)), size(below(5))))
+                        .collect(),
+                },
+            };
+            builder = builder
+                .flow(FlowDef::new(RouteSpec::Span { first: 0, hops }, service).source(source));
+        }
+        builder
+    }
+
+    /// `build` turns every drawn number into a scenario or a typed error —
+    /// never a panic — and every scenario it accepts runs 50 simulated
+    /// milliseconds on a thread that finishes within ten seconds.
+    #[test]
+    fn build_never_panics_and_what_it_accepts_runs() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let mut accepted = 0;
+        for seed in 0..10_000u64 {
+            let (done, finished) = mpsc::channel();
+            let worker = std::thread::spawn(move || {
+                let built = catch_unwind(AssertUnwindSafe(|| hostile_scenario(seed).build()));
+                let ok = match built {
+                    Err(_) => Err("build panicked"),
+                    Ok(Err(_)) => Ok(false),
+                    Ok(Ok(mut sim)) => {
+                        sim.run_until(SimTime::from_millis(50));
+                        Ok(true)
+                    }
+                };
+                let _ = done.send(ok);
+            });
+            match finished.recv_timeout(Duration::from_secs(10)) {
+                Ok(Ok(ran)) => accepted += usize::from(ran),
+                Ok(Err(why)) => panic!("seed {seed}: {why}"),
+                Err(mpsc::RecvTimeoutError::Timeout) => panic!("seed {seed}: the run hung"),
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    panic!("seed {seed}: the run panicked")
+                }
+            }
+            worker
+                .join()
+                .expect("the case thread reported before it ended");
+        }
+        // The palette must leave enough scenarios standing to exercise runs.
+        assert!(
+            accepted > 1_000,
+            "only {accepted} of 10 000 scenarios built"
+        );
+    }
+
     #[test]
     fn admission_is_enabled_on_the_selected_links() {
         let spec = AdmissionSpec::paper(vec![SimTime::from_millis(100)]);
-        let sim = ScenarioBuilder::chain_duplex(3)
+        let sim = ScenarioBuilder::new(TopologySpec::chain_duplex(3))
             .admission_on(vec![LinkId(0), LinkId(1)], spec)
             .build()
             .unwrap();

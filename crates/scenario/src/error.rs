@@ -18,6 +18,16 @@ pub enum BuildError {
         /// What was wrong with the requested preset.
         reason: String,
     },
+    /// A flow declared a number its service or source cannot run with: a
+    /// rate that is zero, negative, NaN or infinite, a source too fast to
+    /// pace at nanosecond resolution, an empty packet, a non-positive token
+    /// bucket, a loss rate outside `[0, 1]` or an unsorted trace.
+    BadFlow {
+        /// Index of the offending flow in declaration order.
+        flow: usize,
+        /// What was wrong with the flow's numbers.
+        reason: String,
+    },
     /// A flow declared an empty route.
     EmptyRoute {
         /// Index of the offending flow in declaration order.
@@ -64,6 +74,7 @@ impl std::fmt::Display for BuildError {
         match self {
             BuildError::BadTopology { reason } => write!(f, "bad topology: {reason}"),
             BuildError::BadWorkload { reason } => write!(f, "bad workload: {reason}"),
+            BuildError::BadFlow { flow, reason } => write!(f, "flow #{flow}: {reason}"),
             BuildError::EmptyRoute { flow } => write!(f, "flow #{flow} has an empty route"),
             BuildError::InvalidRoute { flow } => {
                 write!(f, "flow #{flow}'s route is not a contiguous path")

@@ -7,9 +7,8 @@
 //! interleaving the control plane ([`Signaling`](ispn_signal::Signaling))
 //! with the data plane ([`Network`](ispn_net::Network)):
 //!
-//! * [`TopologySpec`] — topology presets ([`chain`](TopologySpec::chain),
-//!   [`star`](TopologySpec::star), [`mesh`](TopologySpec::mesh)) plus a
-//!   custom [`Topology`](ispn_net::Topology) passthrough,
+//! * [`TopologySpec`] — topology presets: a [`chain`](TopologySpec::chain)
+//!   (optionally duplex) and a [`mesh`](TopologySpec::mesh),
 //! * [`DisciplineMatrix`] — assign FIFO / FIFO+ / WFQ / Unified (and the
 //!   ablation disciplines) per link or globally,
 //! * [`FlowDef`] / [`SourceSpec`] / [`ServiceSpec`] — declarative
@@ -24,11 +23,10 @@
 //!   retired and the flow torn down, both slots recycling once drained;
 //!   [`Sim::drain_churn`] at the end withdraws what is left, setups still
 //!   in flight included),
-//! * [`MeasurementPlan`] / [`ScenarioReport`] — select the statistics to
-//!   collect and get them back as a structured, serializable report:
-//!   per-flow and per-link summaries, plus per-service-class pooled delay
-//!   distributions (selected quantiles, optional histograms) and
-//!   per-discipline link groups,
+//! * [`ScenarioReport`] — the run's structured, serializable report:
+//!   per-flow and per-link summaries, per-service-class pooled delay
+//!   distributions, per-discipline link groups and the signaling record,
+//!   plus engine telemetry when a [`MeasurementPlan`] opts in,
 //! * [`ScenarioSet`] / [`SweepRunner`] — parameterize any scenario over
 //!   named axes (cartesian [`by`](ScenarioSet::by) or element-wise
 //!   [`zip`](ScenarioSet::zip)) and fan the points across a thread pool;
@@ -90,8 +88,8 @@ pub use discipline::{DisciplineMatrix, DisciplineSpec};
 pub use error::BuildError;
 pub use render::{axis_names, SweepTable};
 pub use report::{
-    ClassSummary, DisciplineSummary, FlowSummary, HistogramSpec, HistogramSummary, LinkSummary,
-    MeasurementPlan, RunTelemetry, ScenarioReport, SignalingSummary,
+    ClassSummary, DisciplineSummary, FlowSummary, LinkSummary, MeasurementPlan, RunTelemetry,
+    ScenarioReport, SignalingSummary,
 };
 pub use sim::{ChurnFlowRecord, ChurnFlowReport, Sim};
 pub use sweep::dist::{Await, DistRunner, SweepExec, WorkerCommand, WorkerTransport};

@@ -1,19 +1,15 @@
-//! Measurement plans and the structured scenario report.
+//! The structured scenario report.
 //!
-//! A [`MeasurementPlan`] selects what to collect; [`ScenarioReport`] is the
-//! structured result, serializable to JSON (hand-rolled — this workspace
-//! builds offline, so no serde) and renderable as text for quick reading.
-//!
-//! Beyond the original per-flow and per-link summaries, a plan can select
+//! [`ScenarioReport`] is the one report shape every run produces,
+//! serializable to JSON (hand-rolled — this workspace builds offline, so no
+//! serde): per-flow and per-link summaries, a signaling summary, links
+//! grouped by the queueing discipline they run ([`DisciplineSummary`]), and
 //! **per-class aggregation** ([`ClassSummary`]): every flow registered in
 //! the network — declared, TCP-installed or dynamically admitted — is
 //! grouped by its [`ServiceClass`](ispn_core::ServiceClass), and the
-//! class's pooled delay samples yield a real distribution (selected
-//! quantiles via [`MeasurementPlan::class_quantiles`], optionally a fixed-
-//! bin delay histogram via [`MeasurementPlan::delay_histogram`]) instead of
-//! just per-flow means.  Links can likewise be grouped by the queueing
-//! discipline they run ([`DisciplineSummary`]), which is what discipline-
-//! axis sweeps read out.
+//! class's pooled delay samples yield the median, 90th, 99th and 99.9th
+//! percentiles instead of just per-flow means.  A [`MeasurementPlan`] adds
+//! only the opt-in [`RunTelemetry`] block.
 //!
 //! # What collecting costs, and what pins its bytes
 //!
@@ -39,73 +35,23 @@
 use ispn_core::{FlowId, ServiceClass};
 use ispn_net::{FlowCounters, Network};
 use ispn_signal::Signaling;
-use ispn_stats::{merge_runs, Histogram, StreamingStats, TextTable};
+use ispn_stats::{merge_runs, StreamingStats};
 
 use crate::sweep::wire::WireResult;
 use crate::wire_record;
 
-/// A fixed-bin histogram selection for per-class delay distributions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistogramSpec {
-    /// Lower edge of the histogram range, in seconds of queueing delay.
-    pub lo_s: f64,
-    /// Upper edge (exclusive), in seconds.
-    pub hi_s: f64,
-    /// Number of uniform bins.
-    pub bins: usize,
-}
+/// The delay quantiles every [`ClassSummary`] reports: median, 90th, 99th
+/// and the paper's headline 99.9th percentile.
+const CLASS_QUANTILES: [f64; 4] = [0.5, 0.9, 0.99, 0.999];
 
-impl HistogramSpec {
-    /// Whether the selection can actually be recorded (`hi_s > lo_s` and at
-    /// least one bin).  Invalid specs are skipped at collection time — the
-    /// report carries no histogram rather than panicking after the run.
-    pub fn is_valid(&self) -> bool {
-        self.hi_s > self.lo_s && self.bins > 0
-    }
-}
-
-/// What a scenario run should collect into its report.
-#[derive(Debug, Clone)]
+/// What a scenario run adds to its report.
+#[derive(Debug, Clone, Default)]
 pub struct MeasurementPlan {
-    /// Collect per-flow delay and loss statistics.
-    pub flow_stats: bool,
-    /// Collect per-link utilization and drop statistics.
-    pub link_stats: bool,
-    /// Collect the signaling decision record (accepted/rejected setups).
-    pub signaling_stats: bool,
-    /// Aggregate every registered flow by service class into
-    /// [`ClassSummary`] rows (pooled delay distributions).
-    pub class_stats: bool,
-    /// Group links by the queueing discipline they run into
-    /// [`DisciplineSummary`] rows.
-    pub discipline_stats: bool,
-    /// The delay quantiles each [`ClassSummary`] reports (values in
-    /// `[0, 1]`, reported in the order given).
-    pub class_quantiles: Vec<f64>,
-    /// Optional per-class delay histogram selection.
-    pub delay_histogram: Option<HistogramSpec>,
     /// Attach a [`RunTelemetry`] block (engine counters + wall-clock rate +
     /// memory footprint) to the report.  **Default-off**: when disabled the
     /// report JSON carries no `telemetry` key at all, so every
     /// pre-telemetry golden stays byte-identical.
     pub run_telemetry: bool,
-}
-
-impl Default for MeasurementPlan {
-    /// Everything on (histograms stay opt-in) with the workhorse quantile
-    /// set: median, 90th, 99th and the paper's headline 99.9th percentile.
-    fn default() -> Self {
-        MeasurementPlan {
-            flow_stats: true,
-            link_stats: true,
-            signaling_stats: true,
-            class_stats: true,
-            discipline_stats: true,
-            class_quantiles: vec![0.5, 0.9, 0.99, 0.999],
-            delay_histogram: None,
-            run_telemetry: false,
-        }
-    }
 }
 
 impl MeasurementPlan {
@@ -163,24 +109,6 @@ pub struct LinkSummary {
 
 wire_record! { LinkSummary { link, utilization, realtime_utilization, drops, packets_sent } }
 
-/// A recorded per-class delay histogram (bin edges are uniform over
-/// `[lo_s, hi_s)`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSummary {
-    /// Lower edge of the range, seconds.
-    pub lo_s: f64,
-    /// Upper edge of the range (exclusive), seconds.
-    pub hi_s: f64,
-    /// Per-bin sample counts.
-    pub counts: Vec<u64>,
-    /// Samples below `lo_s`.
-    pub underflow: u64,
-    /// Samples at or above `hi_s`.
-    pub overflow: u64,
-}
-
-wire_record! { HistogramSummary { lo_s, hi_s, counts, underflow, overflow } }
-
 /// Aggregate statistics of one service class, pooled over every registered
 /// flow of that class (delays in seconds).
 #[derive(Debug, Clone)]
@@ -204,17 +132,17 @@ pub struct ClassSummary {
     /// Standard deviation of the pooled queueing delays (the class's
     /// jitter).
     pub jitter_s: f64,
-    /// The selected quantiles of the pooled delay distribution, as
-    /// `(q, delay_s)` pairs in plan order.
+    /// The median, 90th, 99th and 99.9th percentiles of the pooled delay
+    /// distribution, as `(q, delay_s)` pairs in that order.
     pub quantiles: Vec<(f64, f64)>,
-    /// The selected delay histogram, if the plan asked for one.
-    pub histogram: Option<HistogramSummary>,
 }
 
+// `histogram` stays in the format as a constant `null` until the report's
+// goldens are re-blessed: nothing produces a histogram any more.
 wire_record! { ClassSummary {
     class, flows, generated, delivered, dropped_buffer, dropped_at_edge, mean_delay_s, max_delay_s,
-    jitter_s, quantiles, histogram,
-} }
+    jitter_s, quantiles,
+} null: histogram }
 
 /// Aggregate statistics of every link running one queueing discipline.
 #[derive(Debug, Clone)]
@@ -239,7 +167,7 @@ wire_record! { DisciplineSummary {
 } }
 
 /// Signaling summary: the decision record of completed setups.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SignalingSummary {
     /// Setups admitted on every hop.
     pub accepted: usize,
@@ -331,19 +259,18 @@ pub struct ScenarioReport {
     /// End of the measured interval, in seconds of simulated time.
     pub horizon_s: f64,
     /// Per-flow summaries, for the flows the builder declared (in
-    /// declaration order) — empty if the plan skipped flow stats.
+    /// declaration order).
     pub flows: Vec<FlowSummary>,
-    /// Per-link summaries for every link — empty if skipped.
+    /// Per-link summaries for every link.
     pub links: Vec<LinkSummary>,
     /// Per-service-class summaries over every registered flow (guaranteed
     /// first, then predicted by rising priority, then datagram; classes
-    /// with no flows are omitted) — empty if skipped.
+    /// with no flows are omitted).
     pub classes: Vec<ClassSummary>,
-    /// Per-discipline link groups, ordered by first link id — empty if
-    /// skipped.
+    /// Per-discipline link groups, ordered by first link id.
     pub disciplines: Vec<DisciplineSummary>,
-    /// Signaling summary, if the plan asked for one.
-    pub signaling: Option<SignalingSummary>,
+    /// Signaling summary.
+    pub signaling: SignalingSummary,
     /// Run telemetry, if the plan opted in
     /// ([`MeasurementPlan::run_telemetry`]).  When `None` the report JSON
     /// carries **no** `telemetry` key, keeping pre-telemetry goldens
@@ -377,81 +304,57 @@ fn class_order(class: ServiceClass) -> (u8, u8) {
 impl ScenarioReport {
     /// Collect a report from a run network (the facade's
     /// [`Sim::report`](crate::Sim::report) calls this).
-    pub fn collect(
-        plan: &MeasurementPlan,
-        net: &mut Network,
-        sig: &Signaling,
-        flows: &[FlowId],
-    ) -> ScenarioReport {
+    pub fn collect(net: &mut Network, sig: &Signaling, flows: &[FlowId]) -> ScenarioReport {
         let horizon_s = net.monitor().horizon().as_secs_f64();
         // A flow report reads the flow's samples in record order (mean,
-        // jitter) and then sorts them in place, and the class section below
-        // sums in the order it finds them: every declared flow is reported
-        // here — kept or not — so the class summaries do not depend on what
-        // else was selected.
-        let mut flow_summaries = Vec::new();
-        if plan.flow_stats || plan.class_stats {
-            for &f in flows {
+        // jitter) and then sorts them in place; the class section below
+        // sums in the order it finds them, so it runs after this one.
+        let flows = flows
+            .iter()
+            .map(|&f| {
                 let (r, jitter_s) = net.monitor_mut().flow_report_with_jitter(f);
-                if plan.flow_stats {
-                    flow_summaries.push(FlowSummary {
-                        flow: f.0,
-                        generated: r.generated,
-                        delivered: r.delivered,
-                        dropped_buffer: r.dropped_buffer,
-                        dropped_at_edge: r.dropped_at_edge,
-                        dropped_inactive: r.dropped_inactive,
-                        mean_delay_s: r.mean_delay,
-                        p999_delay_s: r.p999_delay,
-                        max_delay_s: r.max_delay,
-                        jitter_s,
-                    });
+                FlowSummary {
+                    flow: f.0,
+                    generated: r.generated,
+                    delivered: r.delivered,
+                    dropped_buffer: r.dropped_buffer,
+                    dropped_at_edge: r.dropped_at_edge,
+                    dropped_inactive: r.dropped_inactive,
+                    mean_delay_s: r.mean_delay,
+                    p999_delay_s: r.p999_delay,
+                    max_delay_s: r.max_delay,
+                    jitter_s,
                 }
-            }
-        }
-        let link_summaries = if plan.link_stats {
-            (0..net.monitor().num_links())
-                .map(|i| {
-                    let r = net.monitor().link_report(i);
-                    LinkSummary {
-                        link: i,
-                        utilization: r.utilization,
-                        realtime_utilization: r.realtime_utilization,
-                        drops: r.drops,
-                        packets_sent: r.packets_sent,
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let class_summaries = if plan.class_stats {
-            Self::collect_classes(plan, net)
-        } else {
-            Vec::new()
-        };
-        let discipline_summaries = if plan.discipline_stats {
-            Self::collect_disciplines(net)
-        } else {
-            Vec::new()
-        };
-        let signaling = plan.signaling_stats.then(|| {
-            let decisions: Vec<bool> = sig.decision_log().iter().map(|&(_, a)| a).collect();
-            let accepted = decisions.iter().filter(|&&a| a).count();
-            SignalingSummary {
+            })
+            .collect();
+        let links = (0..net.monitor().num_links())
+            .map(|i| {
+                let r = net.monitor().link_report(i);
+                LinkSummary {
+                    link: i,
+                    utilization: r.utilization,
+                    realtime_utilization: r.realtime_utilization,
+                    drops: r.drops,
+                    packets_sent: r.packets_sent,
+                }
+            })
+            .collect();
+        let classes = Self::collect_classes(net);
+        let disciplines = Self::collect_disciplines(net);
+        let decisions: Vec<bool> = sig.decision_log().iter().map(|&(_, a)| a).collect();
+        let accepted = decisions.iter().filter(|&&a| a).count();
+        ScenarioReport {
+            horizon_s,
+            flows,
+            links,
+            classes,
+            disciplines,
+            signaling: SignalingSummary {
                 accepted,
                 rejected: decisions.len() - accepted,
                 decisions,
                 pending: sig.pending(),
-            }
-        });
-        ScenarioReport {
-            horizon_s,
-            flows: flow_summaries,
-            links: link_summaries,
-            classes: class_summaries,
-            disciplines: discipline_summaries,
-            signaling,
+            },
             // Filled by `Sim::report` when the plan opts in — only the
             // facade knows the run's wall-clock time.
             telemetry: None,
@@ -475,14 +378,10 @@ impl ScenarioReport {
     }
 
     /// Summarise every registered flow's delay samples by service class.
-    fn collect_classes(plan: &MeasurementPlan, net: &mut Network) -> Vec<ClassSummary> {
+    fn collect_classes(net: &mut Network) -> Vec<ClassSummary> {
         Self::flows_by_class(net)
             .into_iter()
             .map(|(class, flows)| {
-                let mut histogram = plan
-                    .delay_histogram
-                    .filter(HistogramSpec::is_valid)
-                    .map(|spec| (spec, Histogram::new(spec.lo_s, spec.hi_s, spec.bins)));
                 let mut counters = FlowCounters::default();
                 // Class jitter: flows in id order, each as it stands when
                 // read — declared ones ascending (`collect` reported them),
@@ -502,11 +401,6 @@ impl ScenarioReport {
                             spread.record(d);
                         }
                     }
-                    if let Some((_, h)) = histogram.as_mut() {
-                        for &d in delays {
-                            h.record(d);
-                        }
-                    }
                     monitor.sort_flow_delays(flow);
                     let c = monitor.flow_counters(flow);
                     counters.generated += c.generated;
@@ -521,7 +415,7 @@ impl ScenarioReport {
                     .map(|&flow| monitor.flow_delays(flow).samples())
                     .collect();
                 let (mean_delay_s, values) =
-                    merge_runs(&runs, &plan.class_quantiles, split, &mut spread);
+                    merge_runs(&runs, &CLASS_QUANTILES, split, &mut spread);
                 let max_delay_s = runs
                     .iter()
                     .filter_map(|run| run.last().copied())
@@ -537,14 +431,7 @@ impl ScenarioReport {
                     mean_delay_s,
                     max_delay_s,
                     jitter_s: spread.sample_std_dev(),
-                    quantiles: plan.class_quantiles.iter().copied().zip(values).collect(),
-                    histogram: histogram.map(|(spec, h)| HistogramSummary {
-                        lo_s: spec.lo_s,
-                        hi_s: spec.hi_s,
-                        counts: h.bins().to_vec(),
-                        underflow: h.underflow(),
-                        overflow: h.overflow(),
-                    }),
+                    quantiles: CLASS_QUANTILES.into_iter().zip(values).collect(),
                 }
             })
             .collect()
@@ -591,137 +478,6 @@ impl ScenarioReport {
     pub fn to_json(&self) -> String {
         self.to_wire_json()
     }
-
-    /// Render the report as a text table (for bins and quick inspection).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        if !self.flows.is_empty() {
-            let mut table = TextTable::new(format!(
-                "Scenario flows ({:.0} s measured; delays in ms)",
-                self.horizon_s
-            ))
-            .header([
-                "flow",
-                "generated",
-                "delivered",
-                "lost",
-                "mean",
-                "99.9 %ile",
-                "max",
-                "jitter",
-            ]);
-            for f in &self.flows {
-                table.row([
-                    format!("{}", f.flow),
-                    f.generated.to_string(),
-                    f.delivered.to_string(),
-                    (f.dropped_buffer + f.dropped_at_edge).to_string(),
-                    format!("{:.3}", f.mean_delay_s * 1e3),
-                    format!("{:.3}", f.p999_delay_s * 1e3),
-                    format!("{:.3}", f.max_delay_s * 1e3),
-                    format!("{:.3}", f.jitter_s * 1e3),
-                ]);
-            }
-            out.push_str(&table.render());
-        }
-        if !self.links.is_empty() {
-            let mut table = TextTable::new("Scenario links").header([
-                "link",
-                "utilization",
-                "real-time",
-                "drops",
-                "packets",
-            ]);
-            for l in &self.links {
-                table.row([
-                    format!("L{}", l.link),
-                    format!("{:.1}%", l.utilization * 100.0),
-                    format!("{:.1}%", l.realtime_utilization * 100.0),
-                    l.drops.to_string(),
-                    l.packets_sent.to_string(),
-                ]);
-            }
-            out.push('\n');
-            out.push_str(&table.render());
-        }
-        if !self.classes.is_empty() {
-            let mut header = vec![
-                "class".to_string(),
-                "flows".to_string(),
-                "delivered".to_string(),
-                "mean".to_string(),
-            ];
-            for &(q, _) in &self.classes[0].quantiles {
-                header.push(format!("{} %ile", q * 100.0));
-            }
-            header.push("max".to_string());
-            header.push("jitter".to_string());
-            let mut table = TextTable::new("Scenario classes (pooled delays in ms)").header(header);
-            for c in &self.classes {
-                let mut row = vec![
-                    c.class.clone(),
-                    c.flows.to_string(),
-                    c.delivered.to_string(),
-                    format!("{:.3}", c.mean_delay_s * 1e3),
-                ];
-                for &(_, v) in &c.quantiles {
-                    row.push(format!("{:.3}", v * 1e3));
-                }
-                row.push(format!("{:.3}", c.max_delay_s * 1e3));
-                row.push(format!("{:.3}", c.jitter_s * 1e3));
-                table.row(row);
-            }
-            out.push('\n');
-            out.push_str(&table.render());
-        }
-        if !self.disciplines.is_empty() {
-            let mut table = TextTable::new("Scenario disciplines").header([
-                "discipline",
-                "links",
-                "utilization",
-                "real-time",
-                "drops",
-                "packets",
-            ]);
-            for d in &self.disciplines {
-                table.row([
-                    d.discipline.clone(),
-                    d.links.to_string(),
-                    format!("{:.1}%", d.mean_utilization * 100.0),
-                    format!("{:.1}%", d.mean_realtime_utilization * 100.0),
-                    d.drops.to_string(),
-                    d.packets_sent.to_string(),
-                ]);
-            }
-            out.push('\n');
-            out.push_str(&table.render());
-        }
-        if let Some(s) = &self.signaling {
-            out.push_str(&format!(
-                "\nsignaling: {} accepted, {} rejected, {} pending\n",
-                s.accepted, s.rejected, s.pending
-            ));
-        }
-        if let Some(t) = &self.telemetry {
-            out.push_str(&format!(
-                "\ntelemetry: {} events ({:.0}/s wall), event-queue peak {}, \
-                 port peak {} pkts, admission {}/{} accept/reject, \
-                 flow table {} B, reservations {} B, \
-                 queue pools {} grows / {} segs peak\n",
-                t.events_processed,
-                t.events_per_sec,
-                t.event_queue_high_water,
-                t.peak_queue_depth,
-                t.admission_accepted,
-                t.admission_rejected,
-                t.flow_table_bytes,
-                t.reservation_state_bytes,
-                t.sched_pool_grow_events,
-                t.sched_pool_segments_high_water,
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -761,13 +517,6 @@ mod tests {
                 max_delay_s: 0.06,
                 jitter_s: 0.004,
                 quantiles: vec![(0.5, 0.002), (0.999, 0.05)],
-                histogram: Some(HistogramSummary {
-                    lo_s: 0.0,
-                    hi_s: 0.1,
-                    counts: vec![90, 8],
-                    underflow: 0,
-                    overflow: 0,
-                }),
             }],
             disciplines: vec![DisciplineSummary {
                 discipline: "WFQ".to_string(),
@@ -777,12 +526,12 @@ mod tests {
                 drops: 2,
                 packets_sent: 98,
             }],
-            signaling: Some(SignalingSummary {
+            signaling: SignalingSummary {
                 accepted: 3,
                 rejected: 1,
                 decisions: vec![true, true, false, true],
                 pending: 0,
-            }),
+            },
             telemetry: None,
         }
     }
@@ -816,7 +565,7 @@ mod tests {
             "\"utilization\":0.83",
             "\"classes\":[{\"class\":\"predicted-0\"",
             "\"quantiles\":[[0.5,0.002],[0.999,0.05]]",
-            "\"histogram\":{\"lo_s\":0.0,\"hi_s\":0.1,\"counts\":[90,8]",
+            "\"histogram\":null",
             "\"disciplines\":[{\"discipline\":\"WFQ\"",
             "\"signaling\":{\"accepted\":3",
             "\"decisions\":[true,true,false,true]",
@@ -833,8 +582,8 @@ mod tests {
     }
 
     /// The report's bytes, pinned here and not only by the benchmark
-    /// goldens: key order, `{:?}` floats, `null` for an absent histogram
-    /// or signaling block, and no `telemetry` key at all when there is none.
+    /// goldens: key order, `{:?}` floats, the class's constant `null`
+    /// histogram, and no `telemetry` key at all when there is none.
     #[test]
     fn json_is_pinned_byte_for_byte_in_every_shape() {
         const HEAD: &str = "{\"horizon_s\":40.0,\"flows\":[{\"flow\":0,\"generated\":100,\
@@ -845,13 +594,9 @@ mod tests {
             \"classes\":[{\"class\":\"predicted-0\",\"flows\":1,\"generated\":100,\
             \"delivered\":98,\"dropped_buffer\":2,\"dropped_at_edge\":0,\"mean_delay_s\":0.003,\
             \"max_delay_s\":0.06,\"jitter_s\":0.004,\"quantiles\":[[0.5,0.002],[0.999,0.05]],\
-            \"histogram\":";
-        const HISTOGRAM: &str = "{\"lo_s\":0.0,\"hi_s\":0.1,\"counts\":[90,8],\
-            \"underflow\":0,\"overflow\":0}";
-        const MIDDLE: &str = "}],\"disciplines\":[{\"discipline\":\"WFQ\",\"links\":1,\
+            \"histogram\":null}],\"disciplines\":[{\"discipline\":\"WFQ\",\"links\":1,\
             \"mean_utilization\":0.83,\"mean_realtime_utilization\":0.8,\"drops\":2,\
-            \"packets_sent\":98}],\"signaling\":";
-        const SIGNALING: &str = "{\"accepted\":3,\"rejected\":1,\"pending\":0,\
+            \"packets_sent\":98}],\"signaling\":{\"accepted\":3,\"rejected\":1,\"pending\":0,\
             \"decisions\":[true,true,false,true]}";
         const TELEMETRY: &str = ",\"telemetry\":{\"events_processed\":1234,\
             \"event_queue_high_water\":17,\"peak_queue_depth\":9,\"admission_accepted\":3,\
@@ -859,21 +604,10 @@ mod tests {
             \"sched_pool_grow_events\":7,\"sched_pool_segments_high_water\":5,\"wall_s\":0.25,\
             \"events_per_sec\":4936.0}";
 
-        let full = sample_report();
-        assert_eq!(
-            full.to_json(),
-            [HEAD, HISTOGRAM, MIDDLE, SIGNALING, "}"].concat()
-        );
-        let mut bare = sample_report();
-        bare.classes[0].histogram = None;
-        bare.signaling = None;
-        assert_eq!(bare.to_json(), [HEAD, "null", MIDDLE, "null", "}"].concat());
+        assert_eq!(sample_report().to_json(), [HEAD, "}"].concat());
         let mut measured = sample_report();
         measured.telemetry = Some(sample_telemetry());
-        assert_eq!(
-            measured.to_json(),
-            [HEAD, HISTOGRAM, MIDDLE, SIGNALING, TELEMETRY, "}"].concat()
-        );
+        assert_eq!(measured.to_json(), [HEAD, TELEMETRY, "}"].concat());
     }
 
     #[test]
@@ -900,15 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_renders_one_line() {
-        let mut r = sample_report();
-        r.telemetry = Some(sample_telemetry());
-        let text = r.render();
-        assert!(text.contains("telemetry: 1234 events"));
-        assert!(text.contains("admission 3/1 accept/reject"));
-    }
-
-    #[test]
     fn run_telemetry_plan_flag_defaults_off() {
         assert!(!MeasurementPlan::default().run_telemetry);
         assert!(
@@ -923,18 +648,6 @@ mod tests {
         let mut r = sample_report();
         r.flows[0].p999_delay_s = f64::NAN;
         assert!(r.to_json().contains("\"p999_delay_s\":null"));
-    }
-
-    #[test]
-    fn render_mentions_every_section() {
-        let text = sample_report().render();
-        assert!(text.contains("Scenario flows"));
-        assert!(text.contains("Scenario links"));
-        assert!(text.contains("Scenario classes"));
-        assert!(text.contains("predicted-0"));
-        assert!(text.contains("Scenario disciplines"));
-        assert!(text.contains("WFQ"));
-        assert!(text.contains("3 accepted, 1 rejected"));
     }
 
     #[test]
@@ -960,49 +673,6 @@ mod tests {
         // No raw control characters or unescaped quotes survive inside the
         // emitted text.
         assert!(!json.chars().any(|c| (c as u32) < 0x20 && c != ' '));
-    }
-
-    #[test]
-    fn invalid_histogram_specs_fail_fast_or_are_skipped() {
-        // An invalid selection is not recordable: collection skips it.
-        let spec = |lo_s, hi_s, bins| HistogramSpec { lo_s, hi_s, bins };
-        assert!(!spec(0.0, 0.1, 0).is_valid());
-        assert!(!spec(0.2, 0.1, 4).is_valid());
-        assert!(spec(0.0, 0.1, 4).is_valid());
-    }
-
-    /// The pooled class jitter sums in the order it is fed, and a flow's
-    /// samples are sorted by the first report that takes a quantile of
-    /// them: the class section pools before it asks for that report, so it
-    /// used to see a declared flow's samples sorted only when the flow
-    /// section had run first (`jitter_s` 0.005662284476872525 against
-    /// 0.0056622844768725224 on this very run).
-    #[test]
-    fn class_summaries_do_not_depend_on_the_flow_section() {
-        use crate::{DisciplineSpec, FlowDef, ScenarioBuilder, SourceSpec};
-        use ispn_sim::SimTime;
-        let classes_block = |plan: &MeasurementPlan| {
-            let mut sim = ScenarioBuilder::chain(2)
-                .discipline(DisciplineSpec::Wfq)
-                .flows((0..10).map(|i| {
-                    FlowDef::best_effort_realtime(0, 1)
-                        .source(SourceSpec::onoff_paper(85.0, 0x1992 + i))
-                }))
-                .build()
-                .expect("valid scenario");
-            sim.run_until(SimTime::from_secs(30));
-            let json = sim.report(plan).to_json();
-            let start = json.find("\"classes\":[").expect("a classes block");
-            let end = json.find("\"disciplines\":[").expect("a disciplines block");
-            json[start..end].to_string()
-        };
-        let with_flows = classes_block(&MeasurementPlan::default());
-        let without_flows = classes_block(&MeasurementPlan {
-            flow_stats: false,
-            ..MeasurementPlan::default()
-        });
-        assert!(with_flows.contains("\"jitter_s\":0.00"), "{with_flows}");
-        assert_eq!(with_flows, without_flows);
     }
 
     /// The flow and class sections as they stood while a report still
@@ -1040,31 +710,14 @@ mod tests {
         }
 
         pub fn flows_and_classes(
-            plan: &MeasurementPlan,
             net: &mut Network,
             flows: &[FlowId],
         ) -> (Vec<FlowSummary>, Vec<ClassSummary>) {
-            let flow_summaries = if plan.flow_stats {
-                flows.iter().map(|&f| flow_summary(net, f)).collect()
-            } else {
-                Vec::new()
-            };
-            if !plan.class_stats {
-                return (flow_summaries, Vec::new());
-            }
-            if !plan.flow_stats {
-                for &f in flows {
-                    flow_summary(net, f);
-                }
-            }
+            let flow_summaries = flows.iter().map(|&f| flow_summary(net, f)).collect();
             let classes = ScenarioReport::flows_by_class(net)
                 .into_iter()
                 .map(|(class, flows)| {
                     let mut pooled = SampleSet::new();
-                    let mut histogram = plan
-                        .delay_histogram
-                        .filter(HistogramSpec::is_valid)
-                        .map(|spec| (spec, Histogram::new(spec.lo_s, spec.hi_s, spec.bins)));
                     let mut generated = 0u64;
                     let mut delivered = 0u64;
                     let mut dropped_buffer = 0u64;
@@ -1072,9 +725,6 @@ mod tests {
                     for &flow in &flows {
                         for &d in net.monitor().flow_delays(flow).samples() {
                             pooled.record(d);
-                            if let Some((_, h)) = histogram.as_mut() {
-                                h.record(d);
-                            }
                         }
                         let r = flow_summary(net, flow);
                         generated += r.generated;
@@ -1083,8 +733,7 @@ mod tests {
                         dropped_at_edge += r.dropped_at_edge;
                     }
                     let jitter_s = pooled.sample_std_dev();
-                    let quantiles = plan
-                        .class_quantiles
+                    let quantiles = CLASS_QUANTILES
                         .iter()
                         .map(|&q| (q, pooled.quantile(q)))
                         .collect();
@@ -1099,13 +748,6 @@ mod tests {
                         max_delay_s: pooled.max(),
                         jitter_s,
                         quantiles,
-                        histogram: histogram.map(|(spec, h)| HistogramSummary {
-                            lo_s: spec.lo_s,
-                            hi_s: spec.hi_s,
-                            counts: h.bins().to_vec(),
-                            underflow: h.underflow(),
-                            overflow: h.overflow(),
-                        }),
                     }
                 })
                 .collect();
@@ -1115,7 +757,7 @@ mod tests {
 
     /// A network nobody simulated: 1–24 flows over 1–3 classes on one link,
     /// their delays and counters recorded straight into the monitor, a
-    /// random subset declared, and a plan to report them under — enough
+    /// random subset declared — enough
     /// flows for a five-level merge tree and for classes whose undeclared
     /// flows (still in record order) sit before, between and after declared
     /// ones.  Delays sit on a coarse grid with zero the likeliest value, so
@@ -1123,7 +765,7 @@ mod tests {
     /// one are common.
     /// (A delay enters a monitor as a `SimTime`, so it is never negative and
     /// never `-0.0`; the merge's own tests in `ispn-stats` cover those.)
-    fn random_run(seed: u64) -> (Network, Vec<FlowId>, MeasurementPlan) {
+    fn random_run(seed: u64) -> (Network, Vec<FlowId>) {
         use ispn_net::{FlowConfig, Topology};
         use ispn_sim::SimTime;
         let mut rng = proptest::TestRng::new(seed);
@@ -1166,24 +808,7 @@ mod tests {
                 monitor.record_inactive_drop(flow, SimTime::SECOND);
             }
         }
-        let selectable = [0.999, 0.5, 0.0, 1.0, 0.9, 0.5, 0.25, -0.5, 1.5, 0.99];
-        let plan = MeasurementPlan {
-            flow_stats: below(3) > 0,
-            class_stats: below(8) > 0,
-            class_quantiles: (0..1 + below(6))
-                .map(|_| selectable[below(10) as usize])
-                .collect(),
-            delay_histogram: (below(2) == 1).then_some(HistogramSpec {
-                lo_s: 0.0,
-                hi_s: 0.005,
-                bins: 4,
-            }),
-            link_stats: false,
-            signaling_stats: false,
-            discipline_stats: false,
-            ..MeasurementPlan::default()
-        };
-        (net, declared, plan)
+        (net, declared)
     }
 
     proptest::proptest! {
@@ -1196,49 +821,24 @@ mod tests {
         #[test]
         fn report_matches_the_nine_pass_reference(seed in proptest::any::<u64>()) {
             let sig = Signaling::default();
-            let (mut net, flows, plan) = random_run(seed);
-            let report = ScenarioReport::collect(&plan, &mut net, &sig, &flows);
-            let (mut reference_net, ..) = random_run(seed);
-            let (flow_summaries, classes) =
-                reference::flows_and_classes(&plan, &mut reference_net, &flows);
+            let (mut net, flows) = random_run(seed);
+            let report = ScenarioReport::collect(&mut net, &sig, &flows);
+            let (mut reference_net, _) = random_run(seed);
+            let (flow_summaries, classes) = reference::flows_and_classes(&mut reference_net, &flows);
             let expected = ScenarioReport {
                 flows: flow_summaries,
                 classes,
                 ..report.clone()
             };
-            assert_eq!(report.to_json(), expected.to_json(), "{plan:?}");
+            assert_eq!(report.to_json(), expected.to_json(), "seed {seed}");
             for i in 0..net.num_flows() {
                 let bits = |net: &Network| -> Vec<u64> {
                     let delays = net.monitor().flow_delays(FlowId(i as u32));
                     delays.samples().iter().map(|d| d.to_bits()).collect()
                 };
-                assert_eq!(bits(&net), bits(&reference_net), "flow {i} under {plan:?}");
+                assert_eq!(bits(&net), bits(&reference_net), "flow {i}, seed {seed}");
             }
         }
-    }
-
-    /// The class mean is the ascending-order sum whatever else the plan
-    /// selects.  (The pooled copy summed in the order it was filled until a
-    /// quantile sorted it, so a plan with no quantiles saw another last
-    /// digit.)
-    #[test]
-    fn class_mean_does_not_depend_on_the_quantile_selection() {
-        let sig = Signaling::default();
-        let means = |quantiles: &[f64]| -> Vec<u64> {
-            (0..64)
-                .flat_map(|seed| {
-                    let (mut net, flows, plan) = random_run(seed);
-                    let plan = MeasurementPlan {
-                        class_stats: true,
-                        class_quantiles: quantiles.to_vec(),
-                        ..plan
-                    };
-                    ScenarioReport::collect(&plan, &mut net, &sig, &flows).classes
-                })
-                .map(|class| class.mean_delay_s.to_bits())
-                .collect()
-        };
-        assert_eq!(means(&[]), means(&[0.5, 0.999]));
     }
 
     #[test]

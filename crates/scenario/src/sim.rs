@@ -627,15 +627,14 @@ impl Sim {
         self.wall += started.elapsed();
     }
 
-    /// Collect a structured report of the statistics the plan selects.
-    /// When the plan opts in with
+    /// Collect the run's structured report.  When the plan opts in with
     /// [`with_run_telemetry`](MeasurementPlan::with_run_telemetry), the
     /// report carries a [`RunTelemetry`] block built from the engine
     /// counters and the wall-clock time accumulated across `run_until`
     /// calls; otherwise the report is byte-identical to a plan without the
     /// flag.
     pub fn report(&mut self, plan: &MeasurementPlan) -> ScenarioReport {
-        let mut report = ScenarioReport::collect(plan, &mut self.net, &self.sig, &self.flows);
+        let mut report = ScenarioReport::collect(&mut self.net, &self.sig, &self.flows);
         if plan.run_telemetry {
             report.telemetry = Some(RunTelemetry::collect(&self.net, self.wall.as_secs_f64()));
         }
@@ -656,9 +655,12 @@ mod tests {
 
     fn simple_sim() -> Sim {
         let (topo, _nodes, links) = Topology::chain(3, MBIT, SimTime::MILLISECOND, 200);
-        let built = crate::topology::TopologySpec::custom(topo.clone())
-            .build(&crate::topology::LinkProfile::default())
-            .unwrap();
+        let built = crate::topology::BuiltTopology {
+            topology: topo.clone(),
+            nodes: Vec::new(),
+            forward: links.clone(),
+            reverse: Vec::new(),
+        };
         let mut net = Network::new(topo);
         for &l in &links {
             net.set_discipline(l, Unified::new(MBIT, 1, Averaging::RunningMean));

@@ -1034,7 +1034,7 @@ mod tests {
             links: Vec::new(),
             classes: Vec::new(),
             disciplines: Vec::new(),
-            signaling: None,
+            signaling: Default::default(),
             telemetry: None,
         });
         let json = sweep_to_json(&out);
@@ -1146,7 +1146,7 @@ mod tests {
             links: Vec::new(),
             classes: Vec::new(),
             disciplines: Vec::new(),
-            signaling: None,
+            signaling: Default::default(),
             telemetry: None,
         };
         let plain = SweepRunner::serial().run(&set, |_| report());

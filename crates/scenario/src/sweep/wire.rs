@@ -607,7 +607,9 @@ pub trait WireResult: Sized {
 /// `&'static str`, written as a string and read back through [`intern`],
 /// so a label outside `POOL: &[&str]` is a [`WireError`] — or
 /// `field: optional` — an `Option` whose key is absent, not `null`, when
-/// it is `None`.
+/// it is `None`.  Keys listed after the braces as `null: key, …` follow the
+/// fields as constant `null`s and are ignored when read: a key the format
+/// still carries after its producer is gone.
 ///
 /// ```
 /// use ispn_scenario::{wire_record, JsonValue, WireResult};
@@ -630,11 +632,15 @@ pub trait WireResult: Sized {
 /// ```
 #[macro_export]
 macro_rules! wire_record {
-    ($record:ident { $($field:ident $(: $how:ident $(($pool:path))?)?),+ $(,)? }) => {
+    (
+        $record:ident { $($field:ident $(: $how:ident $(($pool:path))?)?),+ $(,)? }
+        $(null: $($null:ident),+)?
+    ) => {
         impl $crate::sweep::wire::WireResult for $record {
             fn write_wire(&self, out: &mut String) {
                 let mut object = $crate::sweep::wire::ObjectWriter::new(out);
                 $($crate::wire_record!(@write object, self.$field $(, $how $(($pool))?)?);)+
+                $($(object.member_with(stringify!($null), |out| out.push_str("null"));)+)?
                 object.end();
             }
 
@@ -978,8 +984,8 @@ pub fn parse_worker_frame(line: &str) -> Result<WorkerFrame, WireError> {
 mod tests {
     use super::*;
     use crate::report::{
-        ClassSummary, DisciplineSummary, FlowSummary, HistogramSummary, LinkSummary, RunTelemetry,
-        ScenarioReport, SignalingSummary,
+        ClassSummary, DisciplineSummary, FlowSummary, LinkSummary, RunTelemetry, ScenarioReport,
+        SignalingSummary,
     };
     use crate::sweep::testing::assert_wire_codec;
     use proptest::prelude::*;
@@ -1234,21 +1240,6 @@ mod tests {
             &[&link_json.replace("\"drops\":2", "\"drops\":\"2\"")],
         );
 
-        let histogram = HistogramSummary {
-            lo_s: 0.0,
-            hi_s: 0.1,
-            counts: vec![90, 8],
-            underflow: 0,
-            overflow: 0,
-        };
-        let histogram_json =
-            "{\"lo_s\":0.0,\"hi_s\":0.1,\"counts\":[90,8],\"underflow\":0,\"overflow\":0}";
-        assert_wire_codec(
-            &histogram,
-            histogram_json,
-            &[&histogram_json.replace("[90,8]", "[90,-8]")],
-        );
-
         let class = ClassSummary {
             class: "predicted-0".to_string(),
             flows: 1,
@@ -1260,27 +1251,15 @@ mod tests {
             max_delay_s: 0.06,
             jitter_s: f64::NAN,
             quantiles: vec![(0.5, 0.002), (0.999, 0.05)],
-            histogram: Some(histogram),
         };
-        let class_json = format!(
-            "{{\"class\":\"predicted-0\",\"flows\":1,\"generated\":100,\"delivered\":98,\
-             \"dropped_buffer\":2,\"dropped_at_edge\":0,\"mean_delay_s\":0.003,\
-             \"max_delay_s\":0.06,\"jitter_s\":null,\"quantiles\":[[0.5,0.002],[0.999,0.05]],\
-             \"histogram\":{histogram_json}}}"
-        );
+        let class_json = "{\"class\":\"predicted-0\",\"flows\":1,\"generated\":100,\
+            \"delivered\":98,\"dropped_buffer\":2,\"dropped_at_edge\":0,\"mean_delay_s\":0.003,\
+            \"max_delay_s\":0.06,\"jitter_s\":null,\"quantiles\":[[0.5,0.002],[0.999,0.05]],\
+            \"histogram\":null}";
         assert_wire_codec(
             &class,
-            &class_json,
+            class_json,
             &[&class_json.replace("[0.5,0.002]", "[0.5,0.002,0.1]")],
-        );
-        let plain_class = ClassSummary {
-            histogram: None,
-            ..class.clone()
-        };
-        assert_wire_codec(
-            &plain_class,
-            &class_json.replace(histogram_json, "null"),
-            &[],
         );
 
         let discipline = DisciplineSummary {
@@ -1344,7 +1323,7 @@ mod tests {
             links: vec![link],
             classes: vec![class],
             disciplines: vec![discipline],
-            signaling: Some(signaling),
+            signaling,
             telemetry: None,
         };
         let report_json = format!(
@@ -1369,15 +1348,14 @@ mod tests {
         );
         assert_wire_codec(&measured, &measured_json, &[]);
 
-        // …and a signaling-free report keeps its null.
+        // …and a report with no classes keeps the empty list.
         let bare = ScenarioReport {
-            signaling: None,
             classes: Vec::new(),
             ..report
         };
         let bare_json = format!(
             "{{\"horizon_s\":40.0,\"flows\":[{flow_json}],\"links\":[{link_json}],\
-             \"classes\":[],\"disciplines\":[{discipline_json}],\"signaling\":null}}"
+             \"classes\":[],\"disciplines\":[{discipline_json}],\"signaling\":{signaling_json}}}"
         );
         assert_wire_codec(&bare, &bare_json, &[]);
     }

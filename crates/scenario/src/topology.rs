@@ -1,11 +1,9 @@
 //! Topology presets and the built-topology handle.
 //!
-//! The paper's own evaluations only ever use a chain (Figure 1), but the
-//! scenario API names the shapes larger studies need: chains (optionally
-//! duplex, as Figure 1's reverse acknowledgement path requires), stars
-//! (access links sharing a hub) and rectangular meshes (cross-traffic over
-//! shared interior links).  A custom [`Topology`] passes through untouched
-//! for anything else.
+//! The paper's own evaluations only ever use a chain (Figure 1): chains
+//! (optionally duplex, as Figure 1's reverse acknowledgement path
+//! requires) and, for the cross-traffic study, rectangular meshes
+//! (cross-traffic over shared interior links).
 
 use ispn_net::{LinkId, NodeId, Topology};
 use ispn_sim::SimTime;
@@ -34,7 +32,7 @@ impl Default for LinkProfile {
     }
 }
 
-/// A declarative topology: either a named preset or a custom passthrough.
+/// A declarative topology preset.
 #[derive(Debug, Clone)]
 pub enum TopologySpec {
     /// `nodes` switches in a row.  Forward links (left to right) get ids
@@ -47,12 +45,6 @@ pub enum TopologySpec {
         /// Whether to add the reverse direction of every link.
         duplex: bool,
     },
-    /// A hub (node 0) with `leaves` access switches.  Leaf-to-hub links
-    /// come first (ids `0..leaves`), hub-to-leaf links follow.
-    Star {
-        /// Number of access switches (at least two).
-        leaves: usize,
-    },
     /// A `rows × cols` grid; neighbouring switches are connected in both
     /// directions.  Nodes are numbered row-major; links are added per node
     /// in row-major order (east-bound pair, then south-bound pair), so ids
@@ -63,8 +55,6 @@ pub enum TopologySpec {
         /// Number of columns (at least two).
         cols: usize,
     },
-    /// Use the given topology as-is; the link profile is ignored.
-    Custom(Topology),
 }
 
 impl TopologySpec {
@@ -84,30 +74,22 @@ impl TopologySpec {
         }
     }
 
-    /// A star of `leaves` access switches around a hub.
-    pub fn star(leaves: usize) -> Self {
-        TopologySpec::Star { leaves }
-    }
-
     /// A `rows × cols` duplex grid mesh.
     pub fn mesh(rows: usize, cols: usize) -> Self {
         TopologySpec::Mesh { rows, cols }
     }
 
-    /// A custom topology passthrough.
-    pub fn custom(topology: Topology) -> Self {
-        TopologySpec::Custom(topology)
-    }
-
     /// Build the topology with the given link profile.
     pub fn build(&self, profile: &LinkProfile) -> Result<BuiltTopology, BuildError> {
         // Presets wire every link from the profile: refuse the values
-        // `Topology::add_link` would panic on (`!(r > 0)` also catches NaN).
-        let preset = !matches!(self, TopologySpec::Custom(_));
-        if preset && !(profile.rate_bps > 0.0 && profile.buffer_packets > 0) {
+        // `Topology::add_link` would panic on (`!(r > 0)` also catches NaN),
+        // and the infinite and subnormal rates whose per-flow share in a
+        // WFQ or VirtualClock port is not a positive, finite rate.
+        let rate = profile.rate_bps;
+        if !(rate > 0.0 && rate.is_normal() && profile.buffer_packets > 0) {
             return Err(BuildError::BadTopology {
                 reason: format!(
-                    "preset links need a positive rate and buffer, got {} bit/s and {} packets",
+                    "preset links need a positive, finite rate and a buffer, got {} bit/s and {} packets",
                     profile.rate_bps, profile.buffer_packets
                 ),
             });
@@ -146,44 +128,6 @@ impl TopologySpec {
                 Ok(BuiltTopology {
                     topology,
                     nodes: nodes_v,
-                    forward,
-                    reverse,
-                })
-            }
-            TopologySpec::Star { leaves } => {
-                if *leaves < 2 {
-                    return Err(BuildError::BadTopology {
-                        reason: format!("a star needs at least two leaves, got {leaves}"),
-                    });
-                }
-                let mut topology = Topology::new();
-                let hub = topology.add_node();
-                let leaf_nodes = topology.add_nodes(*leaves);
-                let mut forward = Vec::with_capacity(*leaves);
-                let mut reverse = Vec::with_capacity(*leaves);
-                for &leaf in &leaf_nodes {
-                    forward.push(topology.add_link(
-                        leaf,
-                        hub,
-                        profile.rate_bps,
-                        profile.propagation,
-                        profile.buffer_packets,
-                    ));
-                }
-                for &leaf in &leaf_nodes {
-                    reverse.push(topology.add_link(
-                        hub,
-                        leaf,
-                        profile.rate_bps,
-                        profile.propagation,
-                        profile.buffer_packets,
-                    ));
-                }
-                let mut nodes = vec![hub];
-                nodes.extend(leaf_nodes);
-                Ok(BuiltTopology {
-                    topology,
-                    nodes,
                     forward,
                     reverse,
                 })
@@ -241,16 +185,6 @@ impl TopologySpec {
                     reverse: Vec::new(),
                 })
             }
-            TopologySpec::Custom(topology) => {
-                let nodes = (0..topology.num_nodes()).map(NodeId).collect();
-                let forward = (0..topology.num_links()).map(LinkId).collect();
-                Ok(BuiltTopology {
-                    topology: topology.clone(),
-                    nodes,
-                    forward,
-                    reverse: Vec::new(),
-                })
-            }
         }
     }
 }
@@ -261,14 +195,14 @@ impl TopologySpec {
 pub struct BuiltTopology {
     /// The concrete topology.
     pub topology: Topology,
-    /// All switches, in preset order (chain: left to right; star: hub
-    /// first; mesh: row-major).
+    /// All switches, in preset order (chain: left to right; mesh:
+    /// row-major).
     pub nodes: Vec<NodeId>,
-    /// The preset's "forward" links: chain left-to-right, star leaf-to-hub,
-    /// mesh/custom all links in id order.
+    /// The preset's "forward" links: chain left-to-right, mesh all links in
+    /// id order.
     pub forward: Vec<LinkId>,
-    /// The preset's "reverse" links (duplex chain right-to-left, star
-    /// hub-to-leaf); empty for meshes and custom topologies.
+    /// The preset's "reverse" links (duplex chain right-to-left); empty for
+    /// meshes.
     pub reverse: Vec<LinkId>,
 }
 
@@ -347,19 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn star_routes_cross_the_hub() {
-        let built = TopologySpec::star(4)
-            .build(&LinkProfile::default())
-            .unwrap();
-        assert_eq!(built.nodes.len(), 5);
-        assert_eq!(built.forward.len(), 4);
-        assert_eq!(built.reverse.len(), 4);
-        let route = built.route(built.nodes[1], built.nodes[2]).unwrap();
-        assert_eq!(route.len(), 2, "leaf to leaf crosses the hub");
-        assert!(built.topology.validate_route(&route));
-    }
-
-    #[test]
     fn mesh_has_shared_interior_links() {
         let built = TopologySpec::mesh(3, 3)
             .build(&LinkProfile::default())
@@ -383,22 +304,9 @@ mod tests {
             TopologySpec::chain(1).build(&LinkProfile::default()),
             Err(BuildError::BadTopology { .. })
         ));
-        assert!(TopologySpec::star(1)
-            .build(&LinkProfile::default())
-            .is_err());
         assert!(TopologySpec::mesh(1, 3)
             .build(&LinkProfile::default())
             .is_err());
-    }
-
-    #[test]
-    fn custom_passthrough_preserves_the_topology() {
-        let (topo, _nodes, links) = Topology::chain(3, 2e6, SimTime::MILLISECOND, 50);
-        let built = TopologySpec::custom(topo)
-            .build(&LinkProfile::default())
-            .unwrap();
-        assert_eq!(built.forward, links);
-        assert_eq!(built.topology.link(links[0]).rate_bps, 2e6);
     }
 
     #[test]

@@ -219,6 +219,107 @@ impl FlowDef {
         self.route = route;
         self
     }
+
+    /// Check the numbers the builder hands to `FlowSpec`, the sources and
+    /// their token buckets, whose constructors assert them, and the source
+    /// rates a run could not advance past (the builder calls this).
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        match &self.service {
+            ServiceSpec::Guaranteed { clock_rate_bps }
+                if !(*clock_rate_bps > 0.0 && clock_rate_bps.is_finite()) =>
+            {
+                return Err(format!(
+                    "guaranteed clock rate must be positive and finite, got {clock_rate_bps} bit/s"
+                ));
+            }
+            ServiceSpec::Predicted {
+                bucket, loss_rate, ..
+            } => {
+                check_bucket("declared", bucket)?;
+                // NaN fails `contains` too.
+                if !(0.0..=1.0).contains(loss_rate) {
+                    return Err(format!("loss rate must be within [0, 1], got {loss_rate}"));
+                }
+            }
+            _ => {}
+        }
+        match &self.source {
+            SourceSpec::None => Ok(()),
+            SourceSpec::OnOff(config) => {
+                check_pacing("on/off average", config.avg_rate_pps)?;
+                check_pacing("on/off peak", config.peak_rate_pps)?;
+                if config.peak_rate_pps < config.avg_rate_pps {
+                    return Err(format!(
+                        "on/off peak rate {} is below the average rate {}",
+                        config.peak_rate_pps, config.avg_rate_pps
+                    ));
+                }
+                if !(config.mean_burst_pkts >= 1.0 && config.mean_burst_pkts.is_finite()) {
+                    return Err(format!(
+                        "on/off mean burst must be finite and at least one packet, got {}",
+                        config.mean_burst_pkts
+                    ));
+                }
+                if let Some(policer) = &config.policer {
+                    check_bucket("source policer", policer)?;
+                }
+                check_packet(config.packet_bits)
+            }
+            SourceSpec::Cbr {
+                rate_pps,
+                packet_bits,
+            }
+            | SourceSpec::Poisson {
+                rate_pps,
+                packet_bits,
+                ..
+            } => {
+                check_pacing("source", *rate_pps)?;
+                check_packet(*packet_bits)
+            }
+            SourceSpec::Trace { schedule } => {
+                if schedule.windows(2).all(|w| w[0].0 <= w[1].0) {
+                    Ok(())
+                } else {
+                    Err("trace must be sorted by time".to_string())
+                }
+            }
+        }
+    }
+}
+
+/// A source rate in packets per second whose packet gap, rounded to the
+/// nanosecond, is not zero: zero, negative, NaN and infinite rates have no
+/// such gap, and neither does any rate above 2·10⁹ — a source with a zero
+/// gap re-arms at the same instant forever.
+fn check_pacing(what: &str, rate_pps: f64) -> Result<(), String> {
+    if SimTime::from_secs_f64(1.0 / rate_pps) > SimTime::ZERO {
+        Ok(())
+    } else {
+        Err(format!(
+            "{what} rate must be positive and at most 2e9 packets/s, got {rate_pps}"
+        ))
+    }
+}
+
+/// What `TokenBucketSpec::new` asserts: a positive rate and depth.
+fn check_bucket(what: &str, bucket: &TokenBucketSpec) -> Result<(), String> {
+    if bucket.rate_bps > 0.0 && bucket.depth_bits > 0.0 {
+        Ok(())
+    } else {
+        Err(format!(
+            "{what} token bucket needs a positive rate and depth, got ({}, {})",
+            bucket.rate_bps, bucket.depth_bits
+        ))
+    }
+}
+
+fn check_packet(bits: u64) -> Result<(), String> {
+    if bits > 0 {
+        Ok(())
+    } else {
+        Err("packets must be at least one bit long".to_string())
+    }
 }
 
 /// A dynamic workload process attached to a scenario, driven through the

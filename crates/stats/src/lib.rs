@@ -15,7 +15,6 @@
 //!   99.9th-percentile columns), and [`merge_runs`], a tournament merge
 //!   over several sorted sets that takes their pooled mean and quantiles
 //!   without pooling them and folds a Welford spread in the same loop,
-//! * [`Histogram`] — fixed-width bins for delay distributions,
 //! * [`WindowedMax`] / [`WindowedMean`] — sliding-time-window estimators
 //!   that yield the conservative measurements the admission controller uses,
 //! * [`TextTable`] — plain-text table rendering for the experiment binaries
@@ -24,13 +23,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod histogram;
 pub mod percentile;
 pub mod summary;
 pub mod table;
 pub mod window;
 
-pub use histogram::Histogram;
 pub use percentile::{merge_runs, SampleSet};
 pub use summary::StreamingStats;
 pub use table::TextTable;

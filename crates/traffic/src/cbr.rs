@@ -8,8 +8,6 @@ use ispn_core::{FlowId, Packet};
 use ispn_net::{Agent, AgentApi};
 use ispn_sim::SimTime;
 
-use crate::stats::{shared, SharedSourceStats};
-
 /// A source that emits one fixed-size packet every `interval`.
 pub struct CbrSource {
     flow: FlowId,
@@ -17,7 +15,6 @@ pub struct CbrSource {
     interval: SimTime,
     start_offset: SimTime,
     seq: u64,
-    stats: SharedSourceStats,
 }
 
 impl CbrSource {
@@ -31,7 +28,6 @@ impl CbrSource {
             interval: SimTime::from_secs_f64(1.0 / rate_pps),
             start_offset: SimTime::ZERO,
             seq: 0,
-            stats: shared(),
         }
     }
 
@@ -40,11 +36,6 @@ impl CbrSource {
     pub fn with_start_offset(mut self, offset: SimTime) -> Self {
         self.start_offset = offset;
         self
-    }
-
-    /// Shared counter handle.
-    pub fn stats(&self) -> SharedSourceStats {
-        self.stats.clone()
     }
 }
 
@@ -57,12 +48,6 @@ impl Agent for CbrSource {
         let now = api.now();
         api.send(Packet::data(self.flow, self.seq, self.packet_bits, now));
         self.seq += 1;
-        {
-            let mut st = self.stats.borrow_mut();
-            st.generated += 1;
-            st.submitted += 1;
-            st.bits_submitted += self.packet_bits;
-        }
         api.set_timer(self.interval, 0);
     }
 }
@@ -70,21 +55,14 @@ impl Agent for CbrSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ispn_net::{FlowConfig, Network, Topology};
+    use crate::testing::run_alone;
 
     #[test]
     fn emits_at_the_configured_rate() {
-        let (topo, _nodes, links) = Topology::chain(2, 1_000_000.0, SimTime::ZERO, 200);
-        let mut net = Network::new(topo);
-        let flow = net.add_flow(FlowConfig::datagram(vec![links[0]]));
-        let src = CbrSource::new(flow, 100.0, 1000);
-        let stats = src.stats();
-        net.add_agent(Box::new(src));
-        net.run_until(SimTime::from_secs(10));
+        let (report, _) = run_alone(1e6, 10, |flow| CbrSource::new(flow, 100.0, 1000));
         // 100 pps for 10 s = roughly 1000 packets (first at t=0).
-        let n = stats.borrow().submitted;
+        let n = report.generated;
         assert!((990..=1001).contains(&n), "submitted {n}");
-        let report = net.monitor_mut().flow_report(flow);
         assert_eq!(report.delivered, n);
         // A lone CBR source sees no queueing at all.
         assert!(report.max_delay < 1e-9);
@@ -92,14 +70,10 @@ mod tests {
 
     #[test]
     fn start_offset_shifts_the_first_packet() {
-        let (topo, _nodes, links) = Topology::chain(2, 1_000_000.0, SimTime::ZERO, 200);
-        let mut net = Network::new(topo);
-        let flow = net.add_flow(FlowConfig::datagram(vec![links[0]]));
-        let src = CbrSource::new(flow, 10.0, 1000).with_start_offset(SimTime::from_millis(950));
-        let stats = src.stats();
-        net.add_agent(Box::new(src));
-        net.run_until(SimTime::from_secs(1));
-        assert_eq!(stats.borrow().submitted, 1);
+        let (report, _) = run_alone(1e6, 1, |flow| {
+            CbrSource::new(flow, 10.0, 1000).with_start_offset(SimTime::from_millis(950))
+        });
+        assert_eq!(report.generated, 1);
     }
 
     #[test]

@@ -16,8 +16,6 @@ use ispn_core::{FlowId, Packet, TokenBucket, TokenBucketSpec};
 use ispn_net::{Agent, AgentApi};
 use ispn_sim::{Pcg64, SimTime};
 
-use crate::stats::{shared, SharedSourceStats};
-
 /// Parameters of an on/off source.
 #[derive(Debug, Clone)]
 pub struct OnOffConfig {
@@ -93,7 +91,6 @@ pub struct OnOffSource {
     /// Packets remaining in the current burst (0 = idle).
     remaining_in_burst: u64,
     seq: u64,
-    stats: SharedSourceStats,
 }
 
 impl OnOffSource {
@@ -110,14 +107,7 @@ impl OnOffSource {
             config,
             remaining_in_burst: 0,
             seq: 0,
-            stats: shared(),
         }
-    }
-
-    /// A shared handle to this source's counters (keep a clone before
-    /// handing the source to the network).
-    pub fn stats(&self) -> SharedSourceStats {
-        self.stats.clone()
     }
 
     /// The flow this source feeds.
@@ -127,25 +117,20 @@ impl OnOffSource {
 
     fn emit_one(&mut self, api: &mut AgentApi) {
         let now = api.now();
-        let mut st = self.stats.borrow_mut();
-        st.generated += 1;
         let conforms = match self.policer.as_mut() {
             Some(tb) => tb.offer(now, self.config.packet_bits),
             None => true,
         };
         if conforms {
-            st.submitted += 1;
-            st.bits_submitted += self.config.packet_bits;
-            drop(st);
             api.send(Packet::data(
                 self.flow,
                 self.seq,
                 self.config.packet_bits,
                 now,
             ));
-        } else {
-            st.policer_drops += 1;
         }
+        // A policer drop still takes its sequence number: the gap is how
+        // a receiver sees it.
         self.seq += 1;
     }
 }
@@ -159,7 +144,6 @@ impl Agent for OnOffSource {
         if self.remaining_in_burst == 0 {
             // A new burst begins now.
             self.remaining_in_burst = self.rng.geometric(self.config.mean_burst_pkts);
-            self.stats.borrow_mut().bursts += 1;
         }
         self.emit_one(api);
         self.remaining_in_burst -= 1;
@@ -167,8 +151,11 @@ impl Agent for OnOffSource {
             self.peak_gap
         } else {
             // The burst is over: idle for an exponential period (measured
-            // after the last packet's peak-rate slot).
-            self.peak_gap + SimTime::from_secs_f64(self.rng.exponential(self.mean_idle_secs))
+            // after the last packet's peak-rate slot; a draw past
+            // `SimTime::MAX` saturates).
+            self.peak_gap.saturating_add(SimTime::from_secs_f64(
+                self.rng.exponential(self.mean_idle_secs),
+            ))
         };
         api.set_timer(next, 0);
     }
@@ -177,23 +164,44 @@ impl Agent for OnOffSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ispn_net::{FlowConfig, Network, Topology};
+    use crate::testing::run_alone;
 
     const PKT: u64 = 1000;
 
-    /// Run one on/off source alone over a fast link for `secs` seconds and
-    /// return (its shared stats, the delivered-packet count).
-    fn run_alone(config: OnOffConfig, secs: u64) -> (SharedSourceStats, u64) {
-        // A 10 Mbit/s link so the source is never the bottleneck.
-        let (topo, _nodes, links) = Topology::chain(2, 10_000_000.0, SimTime::ZERO, 1000);
-        let mut net = Network::new(topo);
-        let flow = net.add_flow(FlowConfig::datagram(vec![links[0]]));
-        let src = OnOffSource::new(flow, config);
-        let stats = src.stats();
-        net.add_agent(Box::new(src));
-        net.run_until(SimTime::from_secs(secs));
-        let delivered = net.monitor_mut().flow_report(flow).delivered;
-        (stats, delivered)
+    /// What one on/off source did over `secs` seconds alone on a 10 Mbit/s
+    /// link (never the bottleneck), read through the network.
+    struct Run {
+        /// Packets generated: one past the last delivered `seq` (a policer
+        /// drop after the last delivery is not seen).
+        generated: u64,
+        /// Packets submitted, as the monitor counted them.
+        submitted: u64,
+        /// Packets delivered end to end.
+        delivered: u64,
+        /// Bursts started: a delivered packet whose generation time is later
+        /// than its predecessor's by more than their `seq` distance at the
+        /// peak-rate spacing opens a new burst.
+        bursts: u64,
+    }
+
+    fn run_alone_onoff(config: OnOffConfig, secs: u64) -> Run {
+        let peak_gap = SimTime::from_secs_f64(1.0 / config.peak_rate_pps);
+        let (report, received) =
+            run_alone(10_000_000.0, secs, |flow| OnOffSource::new(flow, config));
+        let bursts = received
+            .windows(2)
+            .filter(|w| {
+                let spacing = peak_gap.saturating_mul(w[1].seq - w[0].seq);
+                w[1].created_at - w[0].created_at > spacing
+            })
+            .count() as u64
+            + u64::from(!received.is_empty());
+        Run {
+            generated: received.last().map_or(0, |p| p.seq + 1),
+            submitted: report.generated,
+            delivered: report.delivered,
+            bursts,
+        }
     }
 
     #[test]
@@ -215,8 +223,7 @@ mod tests {
     fn average_rate_close_to_configured_a() {
         // 300 simulated seconds of the paper's A = 85 source: the carried
         // rate should be around 0.98·A (the policer removes ≈2 %).
-        let (stats, delivered) = run_alone(OnOffConfig::paper(85.0, 42), 300);
-        let st = stats.borrow();
+        let st = run_alone_onoff(OnOffConfig::paper(85.0, 42), 300);
         let gen_rate = st.generated as f64 / 300.0;
         let sub_rate = st.submitted as f64 / 300.0;
         assert!(
@@ -228,48 +235,40 @@ mod tests {
             "submitted rate {sub_rate}"
         );
         // Policer drop rate in the low single-digit percent.
-        assert!(st.drop_rate() < 0.08, "drop rate {}", st.drop_rate());
-        assert!(
-            st.drop_rate() > 0.0,
-            "the (A,50) policer should drop something"
-        );
-        assert_eq!(delivered, st.submitted);
+        let drop_rate = (st.generated - st.submitted) as f64 / st.generated as f64;
+        assert!(drop_rate < 0.08, "drop rate {drop_rate}");
+        assert!(drop_rate > 0.0, "the (A,50) policer should drop something");
+        assert_eq!(st.delivered, st.submitted);
     }
 
     #[test]
     fn burst_lengths_have_mean_about_five() {
-        let (stats, _) = run_alone(OnOffConfig::paper(85.0, 7), 300);
-        let st = stats.borrow();
-        assert!(
-            (st.mean_burst() - 5.0).abs() < 0.5,
-            "mean burst {}",
-            st.mean_burst()
-        );
+        let st = run_alone_onoff(OnOffConfig::paper(85.0, 7), 300);
+        let mean_burst = st.generated as f64 / st.bursts as f64;
+        assert!((mean_burst - 5.0).abs() < 0.5, "mean burst {mean_burst}");
     }
 
     #[test]
     fn unpoliced_source_submits_everything() {
         let mut c = OnOffConfig::paper(85.0, 3);
         c.policer = None;
-        let (stats, _) = run_alone(c, 100);
-        let st = stats.borrow();
-        assert_eq!(st.policer_drops, 0);
+        let st = run_alone_onoff(c, 100);
         assert_eq!(st.generated, st.submitted);
     }
 
     #[test]
     fn different_seeds_give_different_processes() {
-        let (a, _) = run_alone(OnOffConfig::paper(85.0, 1), 50);
-        let (b, _) = run_alone(OnOffConfig::paper(85.0, 2), 50);
-        assert_ne!(a.borrow().generated, b.borrow().generated);
+        let a = run_alone_onoff(OnOffConfig::paper(85.0, 1), 50);
+        let b = run_alone_onoff(OnOffConfig::paper(85.0, 2), 50);
+        assert_ne!(a.generated, b.generated);
     }
 
     #[test]
     fn same_seed_is_reproducible() {
-        let (a, _) = run_alone(OnOffConfig::paper(85.0, 9), 50);
-        let (b, _) = run_alone(OnOffConfig::paper(85.0, 9), 50);
-        assert_eq!(a.borrow().generated, b.borrow().generated);
-        assert_eq!(a.borrow().submitted, b.borrow().submitted);
+        let a = run_alone_onoff(OnOffConfig::paper(85.0, 9), 50);
+        let b = run_alone_onoff(OnOffConfig::paper(85.0, 9), 50);
+        assert_eq!(a.generated, b.generated);
+        assert_eq!(a.submitted, b.submitted);
     }
 
     #[test]
@@ -283,8 +282,8 @@ mod tests {
             start_offset: SimTime::ZERO,
             seed: 5,
         };
-        let (stats, delivered) = run_alone(c, 10);
-        assert_eq!(stats.borrow().generated, delivered);
+        let st = run_alone_onoff(c, 10);
+        assert_eq!(st.generated, st.delivered);
     }
 
     #[test]

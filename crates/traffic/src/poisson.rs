@@ -7,8 +7,6 @@ use ispn_core::{FlowId, Packet};
 use ispn_net::{Agent, AgentApi};
 use ispn_sim::{Pcg64, SimTime};
 
-use crate::stats::{shared, SharedSourceStats};
-
 /// A source whose packet inter-arrival times are i.i.d. exponential.
 pub struct PoissonSource {
     flow: FlowId,
@@ -16,7 +14,6 @@ pub struct PoissonSource {
     mean_gap_secs: f64,
     rng: Pcg64,
     seq: u64,
-    stats: SharedSourceStats,
 }
 
 impl PoissonSource {
@@ -30,13 +27,7 @@ impl PoissonSource {
             mean_gap_secs: 1.0 / rate_pps,
             rng: Pcg64::new(seed),
             seq: 0,
-            stats: shared(),
         }
-    }
-
-    /// Shared counter handle.
-    pub fn stats(&self) -> SharedSourceStats {
-        self.stats.clone()
     }
 }
 
@@ -50,12 +41,6 @@ impl Agent for PoissonSource {
         let now = api.now();
         api.send(Packet::data(self.flow, self.seq, self.packet_bits, now));
         self.seq += 1;
-        {
-            let mut st = self.stats.borrow_mut();
-            st.generated += 1;
-            st.submitted += 1;
-            st.bits_submitted += self.packet_bits;
-        }
         let gap = self.rng.exponential(self.mean_gap_secs);
         api.set_timer(SimTime::from_secs_f64(gap), 0);
     }
@@ -64,33 +49,20 @@ impl Agent for PoissonSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ispn_net::{FlowConfig, Network, Topology};
+    use crate::testing::run_alone;
 
     #[test]
     fn long_run_rate_matches_configuration() {
-        let (topo, _nodes, links) = Topology::chain(2, 10_000_000.0, SimTime::ZERO, 1000);
-        let mut net = Network::new(topo);
-        let flow = net.add_flow(FlowConfig::datagram(vec![links[0]]));
-        let src = PoissonSource::new(flow, 200.0, 1000, 11);
-        let stats = src.stats();
-        net.add_agent(Box::new(src));
-        net.run_until(SimTime::from_secs(100));
-        let rate = stats.borrow().submitted as f64 / 100.0;
+        let (report, _) = run_alone(1e7, 100, |flow| PoissonSource::new(flow, 200.0, 1000, 11));
+        let rate = report.generated as f64 / 100.0;
         assert!((rate - 200.0).abs() / 200.0 < 0.05, "rate {rate}");
     }
 
     #[test]
     fn deterministic_per_seed() {
         let run = |seed| {
-            let (topo, _nodes, links) = Topology::chain(2, 10_000_000.0, SimTime::ZERO, 1000);
-            let mut net = Network::new(topo);
-            let flow = net.add_flow(FlowConfig::datagram(vec![links[0]]));
-            let src = PoissonSource::new(flow, 50.0, 1000, seed);
-            let stats = src.stats();
-            net.add_agent(Box::new(src));
-            net.run_until(SimTime::from_secs(20));
-            let submitted = stats.borrow().submitted;
-            submitted
+            let (report, _) = run_alone(1e7, 20, |flow| PoissonSource::new(flow, 50.0, 1000, seed));
+            report.generated
         };
         assert_eq!(run(4), run(4));
         assert_ne!(run(4), run(5));

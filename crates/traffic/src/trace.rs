@@ -8,15 +8,12 @@ use ispn_core::{FlowId, Packet};
 use ispn_net::{Agent, AgentApi};
 use ispn_sim::SimTime;
 
-use crate::stats::{shared, SharedSourceStats};
-
 /// A source that replays a fixed schedule of `(time, size_bits)` packets.
 pub struct TraceSource {
     flow: FlowId,
     schedule: Vec<(SimTime, u64)>,
     next: usize,
     seq: u64,
-    stats: SharedSourceStats,
 }
 
 impl TraceSource {
@@ -31,13 +28,7 @@ impl TraceSource {
             schedule,
             next: 0,
             seq: 0,
-            stats: shared(),
         }
-    }
-
-    /// Shared counter handle.
-    pub fn stats(&self) -> SharedSourceStats {
-        self.stats.clone()
     }
 
     fn arm(&self, api: &mut AgentApi) {
@@ -62,10 +53,6 @@ impl Agent for TraceSource {
             api.send(Packet::data(self.flow, self.seq, bits, now));
             self.seq += 1;
             self.next += 1;
-            let mut st = self.stats.borrow_mut();
-            st.generated += 1;
-            st.submitted += 1;
-            st.bits_submitted += bits;
         }
         self.arm(api);
     }
@@ -74,24 +61,17 @@ impl Agent for TraceSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ispn_net::{FlowConfig, Network, Topology};
+    use crate::testing::run_alone;
 
     #[test]
     fn replays_exact_schedule() {
-        let (topo, _nodes, links) = Topology::chain(2, 1_000_000.0, SimTime::ZERO, 200);
-        let mut net = Network::new(topo);
-        let flow = net.add_flow(FlowConfig::datagram(vec![links[0]]));
         let times = vec![
             (SimTime::from_millis(1), 1000),
             (SimTime::from_millis(1), 1000),
             (SimTime::from_millis(50), 1000),
         ];
-        let src = TraceSource::new(flow, times);
-        let stats = src.stats();
-        net.add_agent(Box::new(src));
-        net.run_until(SimTime::from_secs(1));
-        assert_eq!(stats.borrow().submitted, 3);
-        let r = net.monitor_mut().flow_report(flow);
+        let (r, _) = run_alone(1e6, 1, |flow| TraceSource::new(flow, times));
+        assert_eq!(r.generated, 3);
         assert_eq!(r.delivered, 3);
         // Two simultaneous packets: the second one waits one packet time.
         assert!((r.max_delay - 0.001).abs() < 1e-9);
@@ -99,17 +79,14 @@ mod tests {
 
     #[test]
     fn mixed_sizes_supported() {
-        let (topo, _nodes, links) = Topology::chain(2, 1_000_000.0, SimTime::ZERO, 200);
-        let mut net = Network::new(topo);
-        let flow = net.add_flow(FlowConfig::datagram(vec![links[0]]));
-        let src = TraceSource::new(
-            flow,
-            vec![(SimTime::ZERO, 500), (SimTime::from_millis(10), 2000)],
-        );
-        let stats = src.stats();
-        net.add_agent(Box::new(src));
-        net.run_until(SimTime::from_secs(1));
-        assert_eq!(stats.borrow().bits_submitted, 2500);
+        let (_, received) = run_alone(1e6, 1, |flow| {
+            TraceSource::new(
+                flow,
+                vec![(SimTime::ZERO, 500), (SimTime::from_millis(10), 2000)],
+            )
+        });
+        let sizes: Vec<u64> = received.iter().map(|p| p.size_bits).collect();
+        assert_eq!(sizes, [500, 2000]);
     }
 
     #[test]

@@ -17,9 +17,8 @@ use ispn_experiments::{
     churn, hetmix, mesh, run, serve, table1, table2, table3, Experiment, PaperConfig, Serve,
 };
 use ispn_scenario::{
-    DisciplineSpec, FlowDef, HistogramSpec, MeasurementPlan, NullObserver, PointResult,
-    ScenarioBuilder, ScenarioReport, ScenarioSet, SourceSpec, SweepExec, SweepReport, SweepRunner,
-    WireResult,
+    DisciplineSpec, FlowDef, MeasurementPlan, NullObserver, PointResult, ScenarioBuilder,
+    ScenarioReport, ScenarioSet, SourceSpec, SweepExec, SweepReport, SweepRunner, WireResult,
 };
 use ispn_sim::SimTime;
 
@@ -138,8 +137,8 @@ pub fn square_point(&(i,): &(usize,)) -> u64 {
 }
 
 /// The generic `scenario` sweep: three load levels of a small two-switch
-/// mix, reported as full `ScenarioReport`s (per-class distributions and a
-/// histogram included), so the whole report schema crosses the wire.
+/// mix, reported as full `ScenarioReport`s (per-class distributions
+/// included), so the whole report schema crosses the wire.
 pub fn scenario_set() -> ScenarioSet<(usize,)> {
     ScenarioSet::over("level", vec![1usize, 2, 3])
 }
@@ -158,14 +157,7 @@ pub fn scenario_point(&(level,): &(usize,)) -> ScenarioReport {
     }
     let mut sim = builder.build().expect("valid scenario suite point");
     sim.run_until(SimTime::from_secs(3));
-    sim.report(&MeasurementPlan {
-        delay_histogram: Some(HistogramSpec {
-            lo_s: 0.0,
-            hi_s: 0.2,
-            bins: 16,
-        }),
-        ..MeasurementPlan::default()
-    })
+    sim.report(&MeasurementPlan::default())
 }
 
 /// Serve one named suite over stdin/stdout or a TCP listener (the
