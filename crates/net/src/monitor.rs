@@ -291,11 +291,6 @@ impl Monitor {
         self.links[link].realtime_bits_sent
     }
 
-    /// Number of flows the monitor knows about.
-    pub fn num_flows(&self) -> usize {
-        self.flows.len()
-    }
-
     /// Number of links the monitor knows about.
     pub fn num_links(&self) -> usize {
         self.links.len()
@@ -361,7 +356,7 @@ mod tests {
     fn ensure_flows_grows_the_table() {
         let mut m = Monitor::new(1, 0);
         m.ensure_flows(3);
-        assert_eq!(m.num_flows(), 3);
+        assert_eq!(m.flows.len(), 3);
         m.record_generated(FlowId(2), SimTime::ZERO);
         assert_eq!(m.flow_report(FlowId(2)).generated, 1);
         assert_eq!(m.num_links(), 0);

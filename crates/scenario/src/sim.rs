@@ -519,12 +519,6 @@ impl Sim {
         self.sig.renegotiate_bucket(&mut self.net, flow, new_bucket)
     }
 
-    /// Begin renegotiating a guaranteed flow's clock rate.
-    pub fn renegotiate_clock_rate(&mut self, flow: FlowId, new_rate_bps: f64) -> RequestId {
-        self.sig
-            .renegotiate_clock_rate(&mut self.net, flow, new_rate_bps)
-    }
-
     fn dispatch(&mut self, mut events: Vec<SignalEvent>) {
         for event in events.drain(..) {
             // The churn driver observes completions before any user

@@ -630,13 +630,6 @@ impl SweepTelemetry {
         self.points
     }
 
-    /// Total wall-clock seconds across the reporting points (note this
-    /// sums *per-point* time: parallel execution can make it exceed the
-    /// sweep's elapsed time).
-    pub fn total_wall_s(&self) -> f64 {
-        self.total_wall_s
-    }
-
     /// Mean per-point wall-clock seconds (0 before any point reported).
     pub fn mean_wall_s(&self) -> f64 {
         if self.points == 0 {
@@ -649,12 +642,6 @@ impl SweepTelemetry {
     /// The slowest point's `(index, wall seconds)`, if any reported.
     pub fn slowest(&self) -> Option<(usize, f64)> {
         (self.points > 0).then_some((self.max_index, self.max_wall_s))
-    }
-
-    /// Number of points that reported a parent-side round-trip time
-    /// (distributed sweeps only; 0 for in-process runs).
-    pub fn rtt_points(&self) -> usize {
-        self.rtt_points
     }
 
     /// Total round-trip overhead seconds across the reporting points:
@@ -1224,10 +1211,10 @@ mod tests {
             rtt_s: Some(0.9),
         });
         assert_eq!(agg.points(), 3);
-        assert_eq!(agg.total_wall_s(), 6.0);
+        assert_eq!(agg.total_wall_s, 6.0);
         assert_eq!(agg.mean_wall_s(), 2.0);
         assert_eq!(agg.slowest(), Some((3, 4.0)));
-        assert_eq!(agg.rtt_points(), 2);
+        assert_eq!(agg.rtt_points, 2);
         assert_eq!(agg.total_overhead_s(), 0.5);
         assert_eq!(agg.mean_overhead_s(), 0.25);
         assert!(agg.render().contains("slowest point 3"));

@@ -151,11 +151,6 @@ impl WorkerCommand {
         self
     }
 
-    /// The program path (for diagnostics).
-    pub fn program(&self) -> &PathBuf {
-        &self.program
-    }
-
     fn spawn(&self, worker_id: usize) -> std::io::Result<Child> {
         let mut cmd = Command::new(&self.program);
         cmd.args(&self.args)

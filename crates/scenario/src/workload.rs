@@ -403,12 +403,6 @@ pub struct ChurnWorkload {
 }
 
 impl ChurnWorkload {
-    /// Offered load in erlangs: the mean number of flows that would be in
-    /// the system if none were blocked (λ/μ).
-    pub fn offered_erlangs(&self) -> f64 {
-        self.arrivals_per_sec * self.mean_holding_secs
-    }
-
     /// Validate the declaration (the builder calls this).
     pub(crate) fn validate(&self) -> Result<(), String> {
         // A NaN rate fails the positivity checks too: `is_positive_finite`

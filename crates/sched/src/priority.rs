@@ -50,12 +50,6 @@ impl<D: QueueDiscipline, L: QueueDiscipline> StrictPriority<D, L> {
         }
     }
 
-    /// Number of predicted priority levels (not counting the datagram
-    /// queue).
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
-    }
-
     fn level_for(&self, class: ServiceClass) -> Option<usize> {
         match class {
             ServiceClass::Predicted { priority } if !self.levels.is_empty() => {
@@ -199,7 +193,7 @@ mod tests {
         q.enqueue(t, pkt(2, 0), predicted(1, t));
         let first = q.dequeue(SimTime::from_millis(2)).unwrap();
         assert_eq!(first.packet.flow, FlowId(1));
-        assert_eq!(q.num_levels(), 2);
+        assert_eq!(q.levels.len(), 2);
         assert_eq!(q.name(), "Priority");
     }
 

@@ -153,11 +153,6 @@ impl Unified {
         self.lanes.slot(flow)?;
         self.gps.rate(flow.0 as u64)
     }
-
-    /// Number of predicted priority classes.
-    pub fn num_priorities(&self) -> usize {
-        self.flow0.num_levels()
-    }
 }
 
 impl QueueDiscipline for Unified {
@@ -290,7 +285,6 @@ mod tests {
         assert_eq!(u.guaranteed_rate(FlowId(1)), Some(170_000.0));
         assert_eq!(u.guaranteed_rate(FlowId(2)), Some(85_000.0));
         assert_eq!(u.guaranteed_rate(FlowId(9)), None);
-        assert_eq!(u.num_priorities(), 2);
     }
 
     #[test]

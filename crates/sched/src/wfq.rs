@@ -88,11 +88,6 @@ impl Wfq {
         self.lanes.revive(flow);
     }
 
-    /// The clock rate currently assigned to `flow`, if registered.
-    pub fn rate(&self, flow: FlowId) -> Option<f64> {
-        self.gps.rate(flow.0 as u64)
-    }
-
     /// Deregister a flow (reservation teardown), returning its clock rate.
     ///
     /// Any packets of the flow still queued are served at their existing
@@ -104,12 +99,6 @@ impl Wfq {
         }
         self.lanes.retire(flow);
         self.gps.remove(flow.0 as u64)
-    }
-
-    /// Access the underlying GPS clock (used by tests and by the fluid
-    /// reference comparison).
-    pub fn gps(&self) -> &GpsClock {
-        &self.gps
     }
 }
 
@@ -328,7 +317,7 @@ mod tests {
         let mut q = Wfq::new(MBIT, 100_000.0);
         q.set_rate(FlowId(1), 400_000.0);
         assert_eq!(q.remove_flow_rate(FlowId(1)), Some(400_000.0));
-        assert_eq!(q.rate(FlowId(1)), None);
+        assert_eq!(q.gps.rate(1), None);
         assert_eq!(q.remove_flow_rate(FlowId(1)), None);
         // Via the trait: install then remove.
         let d: &mut dyn QueueDiscipline = &mut q;
@@ -359,7 +348,7 @@ mod tests {
         backlog(&mut q, 2, 3);
         assert_eq!(q.remove_flow_rate(FlowId(1)), Some(MBIT / 2.0));
         // The rate is gone at once, and a second removal finds none…
-        assert_eq!(q.rate(FlowId(1)), None);
+        assert_eq!(q.gps.rate(1), None);
         assert_eq!(q.remove_flow_rate(FlowId(1)), None);
         // …but the backlog is served at its existing stamps, and only then
         // does the lane go (the table's tests cover the recycling).
@@ -387,7 +376,7 @@ mod tests {
             backlog(&mut q, 1, 2);
             assert!(q.remove_flow_rate(FlowId(1)).is_some());
             register(&mut q);
-            assert!(q.rate(FlowId(1)).is_some(), "way {way}");
+            assert!(q.gps.rate(1).is_some(), "way {way}");
             assert!(drain(&mut q).iter().all(|&f| f == 1), "way {way}");
             // The flow has a rate again, so the drain must not have torn
             // its lane down.
@@ -407,7 +396,7 @@ mod tests {
             q.install_guaranteed(FlowId(2), 400_000.0),
             GuaranteedInstall::Refused
         );
-        assert_eq!(q.rate(FlowId(2)), None);
+        assert_eq!(q.gps.rate(2), None);
         // Updating an existing reservation accounts for its old rate.
         assert_eq!(
             q.install_guaranteed(FlowId(1), 500_000.0),
@@ -436,9 +425,9 @@ mod tests {
     fn default_rate_applies_to_unregistered_flows() {
         let mut q = Wfq::new(MBIT, 123_456.0);
         q.enqueue(SimTime::ZERO, pkt(7, 0), ctx(SimTime::ZERO));
-        assert_eq!(q.rate(FlowId(7)), Some(123_456.0));
-        assert_eq!(q.rate(FlowId(8)), None);
+        assert_eq!(q.gps.rate(7), Some(123_456.0));
+        assert_eq!(q.gps.rate(8), None);
         assert_eq!(q.name(), "WFQ");
-        assert!(q.gps().busy());
+        assert!(q.gps.busy());
     }
 }

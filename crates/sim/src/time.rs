@@ -99,12 +99,6 @@ impl SimTime {
         SimTime(self.0.saturating_sub(other.0))
     }
 
-    /// Checked subtraction.
-    #[inline]
-    pub fn checked_sub(self, other: SimTime) -> Option<SimTime> {
-        self.0.checked_sub(other.0).map(SimTime)
-    }
-
     /// Saturating addition.
     #[inline]
     pub fn saturating_add(self, other: SimTime) -> SimTime {
@@ -122,32 +116,6 @@ impl SimTime {
     #[inline]
     pub fn mul_f64(self, k: f64) -> SimTime {
         SimTime::from_secs_f64(self.as_secs_f64() * k)
-    }
-
-    /// The later of two times.
-    #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The earlier of two times.
-    #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Is this time zero?
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 }
 

@@ -101,14 +101,6 @@ impl SampleSet {
         }
     }
 
-    /// Create an empty sample set with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        SampleSet {
-            samples: Vec::with_capacity(cap),
-            sorted: true,
-        }
-    }
-
     /// Add one sample.
     ///
     /// NaN samples are rejected at the door: a NaN carries no ordering
@@ -197,11 +189,6 @@ impl SampleSet {
     /// Convenience: the 99.9th percentile.
     pub fn p999(&mut self) -> f64 {
         self.quantile(0.999)
-    }
-
-    /// Convenience: the median.
-    pub fn median(&mut self) -> f64 {
-        self.quantile(0.5)
     }
 
     /// Mean and sample (`n − 1`) standard deviation — the "jitter"
@@ -364,12 +351,12 @@ mod tests {
 
     #[test]
     fn exact_quantiles_of_known_data() {
-        let mut s = SampleSet::with_capacity(101);
+        let mut s = SampleSet::new();
         for i in 0..=100 {
             s.record(i as f64);
         }
         assert_eq!(s.len(), 101);
-        assert_eq!(s.median(), 50.0);
+        assert_eq!(s.quantile(0.5), 50.0);
         assert_eq!(s.quantile(0.0), 0.0);
         assert_eq!(s.quantile(1.0), 100.0);
         assert!((s.quantile(0.25) - 25.0).abs() < 1e-9);
@@ -443,10 +430,10 @@ mod tests {
         for x in [5.0, 1.0, 3.0] {
             s.record(x);
         }
-        assert_eq!(s.median(), 3.0);
+        assert_eq!(s.quantile(0.5), 3.0);
         s.record(10.0);
         s.record(0.0);
-        assert_eq!(s.median(), 3.0);
+        assert_eq!(s.quantile(0.5), 3.0);
         assert_eq!(s.quantile(1.0), 10.0);
     }
 

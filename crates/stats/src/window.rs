@@ -92,11 +92,6 @@ impl WindowedMax {
         self.expire(now);
         self.deque.front().map(|&(_, v)| v).unwrap_or(default)
     }
-
-    /// The configured window length in seconds.
-    pub fn window(&self) -> f64 {
-        self.window
-    }
 }
 
 /// Windowed mean of timestamped samples, with every retained sample stored
@@ -158,17 +153,6 @@ impl WindowedMean {
         } else {
             self.sum / self.deque.len() as f64
         }
-    }
-
-    /// Number of samples currently inside the window (after expiring
-    /// against the last recorded timestamp).
-    pub fn len(&self) -> usize {
-        self.deque.len()
-    }
-
-    /// `true` if no samples are inside the window.
-    pub fn is_empty(&self) -> bool {
-        self.deque.is_empty()
     }
 }
 
@@ -251,10 +235,10 @@ mod tests {
         // mean is over {4, 6} and the running sum stays consistent.
         w.record(1.0, 6.0);
         assert!((w.current(10.0, 0.0) - 5.0).abs() < 1e-12);
-        assert_eq!(w.len(), 2);
+        assert_eq!(w.deque.len(), 2);
         // The clamped sample expires with the t=10 cohort.
         assert!((w.current(16.0, 9.9) - 9.9).abs() < 1e-12);
-        assert!(w.is_empty());
+        assert!(w.deque.is_empty());
     }
 
     #[test]
@@ -263,11 +247,11 @@ mod tests {
         w.record(0.0, 2.0);
         w.record(1.0, 4.0);
         assert!((w.current(1.0, 0.0) - 3.0).abs() < 1e-12);
-        assert_eq!(w.len(), 2);
+        assert_eq!(w.deque.len(), 2);
         // First sample expires.
         assert!((w.current(10.5, 0.0) - 4.0).abs() < 1e-12);
         assert!((w.current(100.0, 9.9) - 9.9).abs() < 1e-12);
-        assert!(w.is_empty());
+        assert!(w.deque.is_empty());
     }
 }
 

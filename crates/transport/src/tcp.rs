@@ -132,11 +132,6 @@ impl TcpSender {
         self.stats.clone()
     }
 
-    /// Current congestion window in segments (for tests and reporting).
-    pub fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
     fn flight(&self) -> u64 {
         self.next_seq - self.snd_una
     }
@@ -320,11 +315,6 @@ impl TcpReceiver {
             stats,
         }
     }
-
-    /// Next in-order sequence number the receiver expects.
-    pub fn rcv_next(&self) -> u64 {
-        self.rcv_next
-    }
 }
 
 impl Agent for TcpReceiver {
@@ -503,8 +493,8 @@ mod tests {
     #[test]
     fn sender_window_accessors() {
         let s = TcpSender::new(FlowId(0), TcpConfig::default());
-        assert_eq!(s.cwnd(), 1.0);
+        assert_eq!(s.cwnd, 1.0);
         let r = TcpReceiver::new(FlowId(1), 320, s.stats());
-        assert_eq!(r.rcv_next(), 0);
+        assert_eq!(r.rcv_next, 0);
     }
 }
