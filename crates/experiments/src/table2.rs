@@ -35,17 +35,6 @@ pub struct Table2Cell {
 
 wire_record! { Table2Cell { scheduler: label(DISCIPLINE_LABELS), path_length, mean, p999 } }
 
-/// The full Table-2 result, folded from the sweep's [`Table2Point`]s:
-/// cells for every (discipline, path length) pair plus each discipline's
-/// measured mean link utilization.
-#[derive(Debug, Clone)]
-pub struct Table2 {
-    /// All cells, ordered by discipline then path length.
-    pub cells: Vec<Table2Cell>,
-    /// Mean utilization over the four inter-switch links (per discipline).
-    pub utilization: Vec<(&'static str, f64)>,
-}
-
 /// One discipline's sweep point: its four path-length cells plus the mean
 /// inter-switch link utilization of the run.
 #[derive(Debug, Clone)]
@@ -59,28 +48,6 @@ pub struct Table2Point {
 }
 
 wire_record! { Table2Point { scheduler: label(DISCIPLINE_LABELS), cells, utilization } }
-
-impl FromIterator<Table2Point> for Table2 {
-    /// Fold the sweep's points, in the paper's discipline order.
-    fn from_iter<I: IntoIterator<Item = Table2Point>>(points: I) -> Self {
-        let mut cells = Vec::new();
-        let mut utilization = Vec::new();
-        for point in points {
-            cells.extend(point.cells);
-            utilization.push((point.scheduler, point.utilization));
-        }
-        Table2 { cells, utilization }
-    }
-}
-
-impl Table2 {
-    /// Look up a cell.
-    pub fn cell(&self, scheduler: &str, path_length: usize) -> Option<&Table2Cell> {
-        self.cells
-            .iter()
-            .find(|c| c.scheduler == scheduler && c.path_length == path_length)
-    }
-}
 
 /// Build the Figure-1 network with 22 identically distributed on/off flows
 /// (Table 2 ignores the Table-3 class assignment) under one discipline,
@@ -179,31 +146,34 @@ mod tests {
 
     #[test]
     fn shortened_run_reproduces_the_tables_shape() {
-        let t: Table2 = rows(&Sweep {
+        let points = rows(&Sweep {
             cfg: PaperConfig::fast(),
-        })
-        .into_iter()
-        .collect();
-        assert_eq!(t.cells.len(), 12);
+        });
+        let cell = |d: &str, h: usize| {
+            let point = points.iter().find(|p| p.scheduler == d).unwrap();
+            &point.cells[h - 1]
+        };
+        assert_eq!(points.iter().map(|p| p.cells.len()).sum::<usize>(), 12);
         // Every discipline ran at roughly 83.5 % utilization.
-        for (name, util) in &t.utilization {
+        for p in &points {
+            let (name, util) = (p.scheduler, p.utilization);
             assert!((util - 0.835).abs() < 0.06, "{name} utilization {util}");
         }
         // Delays grow with path length for every discipline (means).
         for d in ["WFQ", "FIFO", "FIFO+"] {
-            let m1 = t.cell(d, 1).unwrap().mean;
-            let m4 = t.cell(d, 4).unwrap().mean;
+            let m1 = cell(d, 1).mean;
+            let m4 = cell(d, 4).mean;
             assert!(m4 > m1, "{d}: mean at 4 hops {m4} vs 1 hop {m1}");
             for h in 1..=4 {
-                let c = t.cell(d, h).unwrap();
+                let c = cell(d, h);
                 assert!(c.p999 >= c.mean);
             }
         }
         // FIFO+ controls the long-path tail at least as well as FIFO, which
         // in turn beats WFQ (a 40-second run is noisy, so allow 15 % slack).
-        let f4 = t.cell("FIFO", 4).unwrap().p999;
-        let fp4 = t.cell("FIFO+", 4).unwrap().p999;
-        let w4 = t.cell("WFQ", 4).unwrap().p999;
+        let f4 = cell("FIFO", 4).p999;
+        let fp4 = cell("FIFO+", 4).p999;
+        let w4 = cell("WFQ", 4).p999;
         assert!(fp4 <= f4 * 1.15, "FIFO+ {fp4} vs FIFO {f4}");
         assert!(fp4 <= w4 * 1.15, "FIFO+ {fp4} vs WFQ {w4}");
     }

@@ -172,7 +172,12 @@ pub const RULES: &[Rule] = &[
               `examples/` or `benchmark/src` (comments, `#[cfg(test)]` regions and `pub use` \
               lists do not count). Delete it with the tests that exercise only it, or baseline \
               it as a test oracle for an invariant production maintains, or with the ROADMAP \
-              item that will call it. A name match is not a call, so this is a lower bound.",
+              item that will call it. A name match is not a call, so this is a lower bound \
+              with two blind spots: a method counts as used wherever any identifier of its \
+              name appears (another type's method, a field or a local: a `render`, `stats` or \
+              `star` hides behind a namesake), and a type counts as used by its own `impl` \
+              blocks and signatures. A by-hand pass — rename one declaration and check that \
+              every non-test target still compiles — finds those.",
         scope: Scope {
             include: &["crates/"],
             exclude: &[

@@ -66,11 +66,9 @@ fn table1_reproduces_pre_migration_outputs_bit_identically() {
 
 #[test]
 fn table2_reproduces_pre_migration_outputs_bit_identically() {
-    let t: table2::Table2 = rows(&table2::Sweep {
+    let points = rows(&table2::Sweep {
         cfg: PaperConfig::fast(),
-    })
-    .into_iter()
-    .collect();
+    });
     // (scheduler, path, mean, p999)
     let golden = [
         ("WFQ", 1, 3.0057837605462834, 35.6406106580001),
@@ -86,9 +84,10 @@ fn table2_reproduces_pre_migration_outputs_bit_identically() {
         ("FIFO+", 3, 6.998426910023445, 41.585382132999925),
         ("FIFO+", 4, 9.7269636483783, 46.323052805999794),
     ];
-    assert_eq!(t.cells.len(), golden.len());
-    for (scheduler, path, mean, p999) in golden {
-        let c = t.cell(scheduler, path).expect("cell exists");
+    let cells: Vec<_> = points.iter().flat_map(|p| &p.cells).collect();
+    assert_eq!(cells.len(), golden.len());
+    for (c, (scheduler, path, mean, p999)) in cells.into_iter().zip(golden) {
+        assert_eq!((c.scheduler, c.path_length), (scheduler, path));
         assert_eq!(c.mean, mean, "{scheduler}/{path} mean");
         assert_eq!(c.p999, p999, "{scheduler}/{path} p999");
     }
@@ -97,9 +96,9 @@ fn table2_reproduces_pre_migration_outputs_bit_identically() {
         ("FIFO", 0.8297943850492079),
         ("FIFO+", 0.8297943850492079),
     ];
-    for ((name, util), (gname, gutil)) in t.utilization.iter().zip(golden_util) {
-        assert_eq!(*name, gname);
-        assert_eq!(*util, gutil, "{gname} utilization");
+    for (p, (gname, gutil)) in points.iter().zip(golden_util) {
+        assert_eq!(p.scheduler, gname);
+        assert_eq!(p.utilization, gutil, "{gname} utilization");
     }
 }
 
