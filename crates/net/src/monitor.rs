@@ -257,7 +257,7 @@ impl Monitor {
     }
 
     /// Direct access to a flow's raw delay samples (seconds), e.g. for
-    /// histograms or quantiles other than the 99.9th.
+    /// pooled class quantiles.
     pub fn flow_delays(&self, flow: FlowId) -> &SampleSet {
         &self.flows[flow.index()].delays
     }

@@ -147,7 +147,7 @@ fn churn_distributed_reproduces_the_decision_sequence() {
 
 /// The generic `ScenarioReport` sweep is byte-identical to the serial
 /// runner's JSON for every worker count 1..=4 — the full report schema
-/// (flows, links, classes, quantiles, histograms, disciplines, signaling)
+/// (flows, links, classes, quantiles, disciplines, signaling)
 /// crosses the pipe losslessly.
 #[test]
 fn scenario_json_is_byte_identical_for_one_through_four_workers() {
