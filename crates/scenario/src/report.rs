@@ -675,6 +675,49 @@ mod tests {
         assert!(!json.chars().any(|c| (c as u32) < 0x20 && c != ' '));
     }
 
+    /// The pooled class jitter sums in the order it is fed, and the flow
+    /// section reads a declared flow's samples in the order it finds them
+    /// before sorting them: the class section must see the same sorted
+    /// samples whatever order the flow section found (it once saw them
+    /// sorted only when the flow section had run first, `jitter_s`
+    /// 0.005662284476872525 against 0.0056622844768725224 on this run).
+    #[test]
+    fn class_summaries_do_not_depend_on_the_flow_section() {
+        use crate::{DisciplineSpec, FlowDef, ScenarioBuilder, SourceSpec};
+        use ispn_sim::SimTime;
+        let blocks = |presort: bool| {
+            let mut sim = ScenarioBuilder::chain(2)
+                .discipline(DisciplineSpec::Wfq)
+                .flows((0..10).map(|i| {
+                    FlowDef::best_effort_realtime(0, 1)
+                        .source(SourceSpec::onoff_paper(85.0, 0x1992 + i))
+                }))
+                .build()
+                .expect("valid scenario");
+            sim.run_until(SimTime::from_secs(30));
+            if presort {
+                for f in sim.flows().to_vec() {
+                    sim.network_mut().monitor_mut().sort_flow_delays(f);
+                }
+            }
+            let json = sim.report(&MeasurementPlan::default()).to_json();
+            let classes = json.find("\"classes\":[").expect("a classes block");
+            let disciplines = json.find("\"disciplines\":[").expect("a disciplines block");
+            (
+                json[..classes].to_string(),
+                json[classes..disciplines].to_string(),
+            )
+        };
+        let (flows_as_recorded, classes) = blocks(false);
+        let (flows_presorted, classes_presorted) = blocks(true);
+        assert_ne!(
+            flows_as_recorded, flows_presorted,
+            "the flow section sums in found order"
+        );
+        assert!(classes.contains("\"jitter_s\":0.00"), "{classes}");
+        assert_eq!(classes, classes_presorted);
+    }
+
     /// The flow and class sections as they stood while a report still
     /// walked a declared flow's samples nine times: per flow a jitter pass,
     /// a mean pass, a sort and a max pass; per class a pooled copy with its
