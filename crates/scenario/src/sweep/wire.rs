@@ -607,8 +607,8 @@ pub trait WireResult: Sized {
 /// `&'static str`, written as a string and read back through [`intern`],
 /// so a label outside `POOL: &[&str]` is a [`WireError`] — or
 /// `field: optional` — an `Option` whose key is absent, not `null`, when
-/// it is `None`.  Keys listed after the braces as `null: key, …` follow the
-/// fields as constant `null`s and are ignored when read: a key the format
+/// it is `None`.  A key named after the braces as `null: key` follows the
+/// fields as a constant `null` and is ignored when read: a key the format
 /// still carries after its producer is gone.
 ///
 /// ```
@@ -634,13 +634,13 @@ pub trait WireResult: Sized {
 macro_rules! wire_record {
     (
         $record:ident { $($field:ident $(: $how:ident $(($pool:path))?)?),+ $(,)? }
-        $(null: $($null:ident),+)?
+        $(null: $null:ident)?
     ) => {
         impl $crate::sweep::wire::WireResult for $record {
             fn write_wire(&self, out: &mut String) {
                 let mut object = $crate::sweep::wire::ObjectWriter::new(out);
                 $($crate::wire_record!(@write object, self.$field $(, $how $(($pool))?)?);)+
-                $($(object.member_with(stringify!($null), |out| out.push_str("null"));)+)?
+                $(object.member_with(stringify!($null), |out| out.push_str("null"));)?
                 object.end();
             }
 
