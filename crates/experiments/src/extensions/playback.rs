@@ -65,9 +65,8 @@ pub fn run(cfg: &PaperConfig) -> PlaybackComparison {
     let mut rigid = RigidPlayback::new(advertised);
     let mut adaptive = AdaptivePlayback::new(advertised, 200, 0.999, 1.3);
     let sample = sim.flows()[0];
-    let samples = sim.network().monitor().flow_delays(sample).samples();
-    for &d in samples {
-        let delay = SimTime::from_secs_f64(d);
+    let samples = sim.network().monitor().flow_delays(sample);
+    for delay in samples.nanos().map(SimTime::from_nanos) {
         rigid.on_packet(delay);
         adaptive.on_packet(delay);
     }

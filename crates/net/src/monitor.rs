@@ -6,16 +6,25 @@
 //! end-to-end queueing-delay sample (so the 99.9th percentile is exact) plus
 //! packet counters, and per link the busy time, the bits sent and the drop
 //! counters that the admission-control experiments need.
+//!
+//! A delay sample is stored as the integer nanoseconds it was measured in,
+//! in a [`NanoSamples`]: four bytes while the flow's delays stay below
+//! 2³² ns (4.29 s), eight after.  Seconds are computed only when a report
+//! reads a sample, as [`SimTime::as_secs_f64`] computes them, so the
+//! reported floats are those of a store of `as_secs_f64` values.  A
+//! report reads a flow's samples twice and sorts them once: one pass in
+//! stored order for the mean and the jitter, then an integer sort for the
+//! percentile and the maximum, with no conversion pass around it.
 
 use ispn_core::{FlowId, ServiceClass};
 use ispn_sim::SimTime;
-use ispn_stats::SampleSet;
+use ispn_stats::NanoSamples;
 
 /// Per-flow measurement state.
 #[derive(Debug, Default)]
 struct FlowStats {
-    /// End-to-end queueing delays, in seconds.
-    delays: SampleSet,
+    /// End-to-end queueing delays, in nanoseconds.
+    delays: NanoSamples,
     counters: FlowCounters,
 }
 
@@ -161,7 +170,7 @@ impl Monitor {
         self.note_time(now);
         let f = &mut self.flows[flow.index()];
         f.counters.delivered += 1;
-        f.delays.record(queueing_delay.as_secs_f64());
+        f.delays.record(queueing_delay.as_nanos());
     }
 
     /// Record one packet transmission on a link: how long the link was busy
@@ -256,9 +265,10 @@ impl Monitor {
         self.flows[flow.index()].delays.sort();
     }
 
-    /// Direct access to a flow's raw delay samples (seconds), e.g. for
-    /// pooled class quantiles.
-    pub fn flow_delays(&self, flow: FlowId) -> &SampleSet {
+    /// Direct access to a flow's raw delay samples (nanoseconds; the
+    /// store reads them out in seconds too), e.g. for pooled class
+    /// quantiles.
+    pub fn flow_delays(&self, flow: FlowId) -> &NanoSamples {
         &self.flows[flow.index()].delays
     }
 
@@ -360,6 +370,63 @@ mod tests {
         m.record_generated(FlowId(2), SimTime::ZERO);
         assert_eq!(m.flow_report(FlowId(2)).generated, 1);
         assert_eq!(m.num_links(), 0);
+    }
+
+    /// The store reads a sample back in seconds exactly as
+    /// `SimTime::as_secs_f64` computes them, at the width edges, past
+    /// 2⁵³ ns (where `as f64` rounds) and at random.
+    #[test]
+    fn stored_delays_read_back_as_sim_time_seconds() {
+        let mut rng = proptest::TestRng::new(0x5eed);
+        let edges = [
+            0,
+            1,
+            999_999_999,
+            (1 << 32) - 1,
+            1 << 32,
+            (1 << 53) + 1,
+            u64::MAX,
+        ];
+        let delays: Vec<u64> = edges
+            .into_iter()
+            .chain((0..2000).map(|i| rng.next_u64() >> (i % 64)))
+            .collect();
+        let mut m = Monitor::new(1, 0);
+        for &ns in &delays {
+            m.record_delivery(FlowId(0), SimTime::from_nanos(ns), SimTime::ZERO);
+        }
+        let read: Vec<u64> = m.flow_delays(FlowId(0)).secs().map(f64::to_bits).collect();
+        let expected: Vec<u64> = delays
+            .iter()
+            .map(|&ns| SimTime::from_nanos(ns).as_secs_f64().to_bits())
+            .collect();
+        assert_eq!(read, expected);
+    }
+
+    /// A flow whose delay crosses 2³² ns partway through the run (its store
+    /// widens there) reports what a `SampleSet` of `as_secs_f64` delays
+    /// reports, bit for bit, mean and jitter in record order included.
+    #[test]
+    fn a_flow_whose_delay_crosses_four_seconds_reports_like_the_f64_oracle() {
+        let mut m = Monitor::new(1, 0);
+        let mut oracle = ispn_stats::SampleSet::new();
+        let f = FlowId(0);
+        // A queue building up over ~5 s of delay and draining again.
+        for i in 0..6000u64 {
+            let delay = SimTime::from_nanos(i.min(8000 - i) * 1_234_567 + i % 7);
+            m.record_generated(f, SimTime::from_millis(i));
+            m.record_delivery(f, delay, SimTime::from_millis(i));
+            oracle.record(delay.as_secs_f64());
+        }
+        assert!(oracle.max() > 4.294967296, "the run must cross 2^32 ns");
+        let (mean, jitter) = oracle.mean_and_std_dev();
+        let (r, got_jitter) = m.flow_report_with_jitter(f);
+        let bits = |xs: [f64; 4]| xs.map(f64::to_bits);
+        assert_eq!(
+            bits([r.mean_delay, got_jitter, r.p999_delay, r.max_delay]),
+            bits([mean, jitter, oracle.quantile(0.999), oracle.max()])
+        );
+        assert_eq!((r.generated, r.delivered), (6000, 6000));
     }
 
     #[test]

@@ -16,9 +16,11 @@
 //! A report reads each stored delay sample twice and sorts it once.  Per
 //! flow, [`Monitor::flow_report_with_jitter`](ispn_net::Monitor::flow_report_with_jitter)
 //! takes the mean and the jitter from one pass in stored order and then
-//! sorts the flow in place for its percentile and maximum.  Per class, the
-//! mean and quantiles come from a tournament merge over the per-flow sorted
-//! runs ([`merge_runs`]) — a class's samples are never pooled into a copy —
+//! sorts the flow's integer nanoseconds in place for its percentile and
+//! maximum.  Per class, the mean and quantiles come from a tournament merge
+//! over the per-flow sorted runs ([`merge_runs`]), comparing the integers
+//! and converting each to seconds as it pops — a class's samples are never
+//! pooled into a copy —
 //! and one Welford accumulator, the class jitter, is fed from each flow's
 //! samples where they lie: the flows after the class's last one not yet
 //! ascending inside the merge loop, one sample beside each pop, and the
@@ -395,9 +397,8 @@ impl ScenarioReport {
                     .rposition(|&flow| !monitor.flow_delays(flow).is_sorted())
                     .map_or(0, |last| last + 1);
                 for (i, &flow) in flows.iter().enumerate() {
-                    let delays = monitor.flow_delays(flow).samples();
                     if i < split {
-                        for &d in delays {
+                        for d in monitor.flow_delays(flow).secs() {
                             spread.record(d);
                         }
                     }
@@ -410,17 +411,13 @@ impl ScenarioReport {
                 }
                 // Mean and quantiles read the class in ascending order: a
                 // merge over the per-flow sorted runs, not a pooled copy.
-                let runs: Vec<&[f64]> = flows
+                let runs: Vec<_> = flows
                     .iter()
-                    .map(|&flow| monitor.flow_delays(flow).samples())
+                    .map(|&flow| monitor.flow_delays(flow))
                     .collect();
                 let (mean_delay_s, values) =
                     merge_runs(&runs, &CLASS_QUANTILES, split, &mut spread);
-                let max_delay_s = runs
-                    .iter()
-                    .filter_map(|run| run.last().copied())
-                    .max_by(f64::total_cmp)
-                    .unwrap_or(0.0);
+                let max_delay_s = runs.iter().map(|run| run.max()).fold(0.0, f64::max);
                 ClassSummary {
                     class: class_label(class),
                     flows: flows.len(),
@@ -731,7 +728,7 @@ mod tests {
         /// took before calling it; leaves the flow sorted, as its quantile
         /// did.
         fn flow_summary(net: &mut Network, f: FlowId) -> FlowSummary {
-            let delays = net.monitor().flow_delays(f);
+            let delays = seconds(net, f);
             let jitter_s = delays.sample_std_dev();
             let mean_delay_s = delays.mean();
             let mut sorted = delays.clone();
@@ -752,6 +749,16 @@ mod tests {
             }
         }
 
+        /// A flow's delays as they stand, each `SimTime::as_secs_f64` of
+        /// its stored nanoseconds.
+        fn seconds(net: &Network, f: FlowId) -> SampleSet {
+            let mut set = SampleSet::new();
+            for ns in net.monitor().flow_delays(f).nanos() {
+                set.record(ispn_sim::SimTime::from_nanos(ns).as_secs_f64());
+            }
+            set
+        }
+
         pub fn flows_and_classes(
             net: &mut Network,
             flows: &[FlowId],
@@ -766,7 +773,7 @@ mod tests {
                     let mut dropped_buffer = 0u64;
                     let mut dropped_at_edge = 0u64;
                     for &flow in &flows {
-                        for &d in net.monitor().flow_delays(flow).samples() {
+                        for &d in seconds(net, flow).samples() {
                             pooled.record(d);
                         }
                         let r = flow_summary(net, flow);
@@ -876,8 +883,7 @@ mod tests {
             assert_eq!(report.to_json(), expected.to_json(), "seed {seed}");
             for i in 0..net.num_flows() {
                 let bits = |net: &Network| -> Vec<u64> {
-                    let delays = net.monitor().flow_delays(FlowId(i as u32));
-                    delays.samples().iter().map(|d| d.to_bits()).collect()
+                    net.monitor().flow_delays(FlowId(i as u32)).nanos().collect()
                 };
                 assert_eq!(bits(&net), bits(&reference_net), "flow {i}, seed {seed}");
             }

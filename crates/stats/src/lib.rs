@@ -11,10 +11,13 @@
 //!
 //! * [`StreamingStats`] — count / mean / variance / min / max without
 //!   storing samples (Welford's algorithm),
-//! * [`SampleSet`] — stored samples with exact percentiles (used for the
+//! * [`NanoSamples`] — a flow's stored delays in integer nanoseconds, four
+//!   bytes each, with exact percentiles in seconds (used for the
 //!   99.9th-percentile columns), and [`merge_runs`], a tournament merge
-//!   over several sorted sets that takes their pooled mean and quantiles
+//!   over several sorted stores that takes their pooled mean and quantiles
 //!   without pooling them and folds a Welford spread in the same loop,
+//! * [`SampleSet`] — stored `f64` samples with exact percentiles, the
+//!   oracle the integer store is tested against,
 //! * [`WindowedMax`] / [`WindowedMean`] — sliding-time-window estimators
 //!   that yield the conservative measurements the admission controller uses,
 //! * [`TextTable`] — plain-text table rendering for the experiment binaries
@@ -28,7 +31,7 @@ pub mod summary;
 pub mod table;
 pub mod window;
 
-pub use percentile::{merge_runs, SampleSet};
+pub use percentile::{merge_runs, NanoSamples, SampleSet};
 pub use summary::StreamingStats;
 pub use table::TextTable;
 pub use window::{WindowedMax, WindowedMean};

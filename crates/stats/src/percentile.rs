@@ -3,62 +3,49 @@
 //! The paper's headline jitter metric is the 99.9th-percentile queueing
 //! delay of a flow over a ten-minute run — a deep-tail quantile, so the
 //! table-generating experiments store every end-to-end delay sample and
-//! compute it exactly with [`SampleSet`].
+//! compute it exactly.  [`NanoSamples`] stores a flow's delays as the
+//! integer nanoseconds the simulator measures them in; [`SampleSet`] stores
+//! any `f64` samples, and is the oracle the integer store is tested
+//! against.
+//!
+//! # What a sample costs
+//!
+//! Four bytes while every delay of the flow is below 2³² ns (4.29 s): the
+//! store is a `Vec<u32>`, and widens once, to a `Vec<u64>`, when the flow
+//! records a delay at or above that.  A sample becomes seconds only when it
+//! is read, as `ns as f64 / 1e9` — the expression of
+//! `SimTime::as_secs_f64`, so a reader sees the floats a store of
+//! `as_secs_f64` values would have held.
 //!
 //! # What a report costs
 //!
 //! A scenario report reads each stored sample twice and sorts it once.
-//! [`SampleSet::mean_and_std_dev`] is the one pass in stored order (sum,
-//! Welford spread); [`SampleSet::sort`] then orders the set in place on the
-//! integer image of its floats — [`f64::total_cmp`]'s order exactly, so the
-//! same sequence to the bit, but compared as plain `i64`s; and
-//! [`merge_runs`] takes a class's mean and quantiles from a tournament
-//! (loser-tree) merge over the per-flow sorted runs, so the union of a
-//! class's samples is never copied or re-sorted.  The class spread rides in
-//! the same loop: its Welford fold reads the runs front to back beside the
-//! merge, so the fold's divide chain runs under the tree's compare chain
-//! instead of as a pass of its own.
+//! [`NanoSamples::mean_and_std_dev`] is the one pass in stored order (sum,
+//! Welford spread); [`NanoSamples::sort`] then sorts the integers in place;
+//! and [`merge_runs`] takes a class's mean and quantiles from a tournament
+//! (loser-tree) merge over the per-flow sorted runs, comparing the integers
+//! themselves, so the union of a class's samples is never copied or
+//! re-sorted.  Dividing by 10⁹ is monotone, so an integer-sorted run reads
+//! as exactly the float sequence a float sort of the converted samples
+//! gives.  The class spread rides in the same loop: its Welford fold reads
+//! the runs front to back beside the merge, so the fold's divide chain runs
+//! under the tree's compare chain instead of as a pass of its own.
 
 use std::hint::select_unpredictable;
 
 use crate::StreamingStats;
 
-/// The order-preserving integer image of a float's bit pattern: the images
-/// of two floats compare as `i64` exactly as [`f64::total_cmp`] compares
-/// the floats (−∞ < negatives < −0.0 < +0.0 < positives < +∞).  It flips
-/// the magnitude bits of negative patterns and leaves the sign bit alone,
-/// so it is its own inverse.
-fn total_order_image(bits: u64) -> u64 {
-    bits ^ ((((bits as i64) >> 63) as u64) >> 1)
+/// A stored delay in seconds: `SimTime::as_secs_f64`'s expression.
+fn secs(ns: u64) -> f64 {
+    ns as f64 / 1e9
 }
 
-/// The sign bit of an `f64` pattern.
-const SIGN: u64 = 1 << 63;
-
-/// The key of an exhausted run in [`merge_runs`]'s tree: above every
-/// sample's [`merge_key`].  Only a NaN pattern has this key, and
-/// [`SampleSet::record`] rejects NaN.
+/// The key of an exhausted run in [`merge_runs`]'s tree: no sample sorts
+/// above it.  A sample of `u64::MAX` ns ties it, which cannot show: once
+/// the smaller samples are popped, every remaining pop reads `u64::MAX`,
+/// whichever run it comes from, and the merge pops exactly as many samples
+/// as the runs hold.
 const EXHAUSTED: u64 = u64::MAX;
-
-/// [`total_order_image`] with the sign bit flipped: the images order as
-/// `u64` exactly as [`f64::total_cmp`] orders the floats.
-fn merge_key(x: f64) -> u64 {
-    total_order_image(x.to_bits()) ^ SIGN
-}
-
-/// The float whose [`merge_key`] is `key`.
-fn from_merge_key(key: u64) -> f64 {
-    f64::from_bits(total_order_image(key ^ SIGN))
-}
-
-/// Replace every float by the float whose bits are its integer image (and,
-/// applied again, put the originals back).  Plain moves of an `f64` keep
-/// its bits, NaN patterns included, so the images survive the sort.
-fn swap_with_images(samples: &mut [f64]) {
-    for x in samples {
-        *x = f64::from_bits(total_order_image(x.to_bits()));
-    }
-}
 
 /// Where the `q`-quantile of `n ≥ 1` ascending samples sits: the ranks of
 /// the two order statistics it interpolates between and the weight of the
@@ -127,12 +114,6 @@ impl SampleSet {
         self.samples.is_empty()
     }
 
-    /// `true` while the stored samples are known to be ascending: nothing
-    /// recorded yet, or nothing recorded since the last [`sort`](SampleSet::sort).
-    pub fn is_sorted(&self) -> bool {
-        self.sorted
-    }
-
     /// Arithmetic mean, or 0.0 if empty: the samples summed in stored
     /// order from `+0.0`, the same fold [`StreamingStats::sum`] keeps, so
     /// this and [`mean_and_std_dev`](SampleSet::mean_and_std_dev) agree to
@@ -160,14 +141,10 @@ impl SampleSet {
 
     /// Sort the stored samples in place, ascending in
     /// [`f64::total_cmp`]'s order (`record` rejects NaN, so that is the
-    /// numeric order plus `-0.0 < +0.0`).  The sort compares the floats'
-    /// integer images, which is the same order — hence the same sequence —
-    /// without a float comparison in the loop.
+    /// numeric order plus `-0.0 < +0.0`).
     pub fn sort(&mut self) {
         if !self.sorted {
-            swap_with_images(&mut self.samples);
-            self.samples.sort_unstable_by_key(|x| x.to_bits() as i64);
-            swap_with_images(&mut self.samples);
+            self.samples.sort_unstable_by(f64::total_cmp);
             self.sorted = true;
         }
     }
@@ -198,15 +175,9 @@ impl SampleSet {
     /// [`mean`](SampleSet::mean)), the deviation its Welford spread (one
     /// shared variance implementation, numerically stable for long runs of
     /// near-identical delays).  `(0.0, 0.0)` if empty, and a deviation of
-    /// 0.0 for fewer than two samples.  A report takes both from a flow
-    /// before it sorts the flow.
+    /// 0.0 for fewer than two samples.
     pub fn mean_and_std_dev(&self) -> (f64, f64) {
-        let mut acc = crate::StreamingStats::new();
-        for &x in &self.samples {
-            acc.record(x);
-        }
-        let n = self.samples.len().max(1) as f64;
-        (acc.sum() / n, acc.sample_std_dev())
+        mean_and_std_dev(self.samples.iter().copied())
     }
 
     /// The deviation half of [`mean_and_std_dev`](SampleSet::mean_and_std_dev).
@@ -231,27 +202,215 @@ impl SampleSet {
     }
 }
 
-/// The mean and the `quantiles` of the union of `runs`, each run ascending
-/// (a sorted [`SampleSet::samples`]), from one tournament merge that never
-/// materialises the union — and, in the same loop, every sample of
-/// `runs[spread_from..]` recorded into `spread`, run after run, each run
-/// front to back.
+/// One pass of a [`StreamingStats`] over `samples`: their sum over the
+/// count and their Welford spread, `(0.0, 0.0)` for none.
+fn mean_and_std_dev(samples: impl Iterator<Item = f64>) -> (f64, f64) {
+    let mut acc = StreamingStats::new();
+    for x in samples {
+        acc.record(x);
+    }
+    (acc.sum() / acc.count().max(1) as f64, acc.sample_std_dev())
+}
+
+/// One flow's delay samples in integer nanoseconds, reported in seconds.
 ///
-/// Returns `(mean, values)`, `values[i]` being the `quantiles[i]`-quantile:
-/// bit for bit what recording every run into one [`SampleSet`], sorting it
-/// and asking it for its mean and those quantiles gives.  The mean is the sum in
-/// ascending order over the count (samples that tie under the total order
-/// are the same bits, so the tie-break between runs cannot show), and the
-/// quantiles interpolate the same ranks.  An empty union reports 0.0
-/// throughout.  `spread` ends bit for bit as if the caller had recorded
-/// `runs[spread_from..]` into it itself, so a caller that fed it the runs
-/// before `spread_from` in another order keeps one running fold.
+/// Four bytes a sample while every sample is below 2³² ns, eight after the
+/// first one at or above it (see the module docs).  The statistics are bit
+/// for bit those of a [`SampleSet`] fed each sample's `ns as f64 / 1e9` in
+/// the same order.
+#[derive(Debug, Clone)]
+pub struct NanoSamples {
+    store: Store,
+    sorted: bool,
+}
+
+/// The samples of a [`NanoSamples`], at the narrowest width that holds
+/// them all.
+#[derive(Debug, Clone)]
+enum Store {
+    /// Every sample below 2³² ns.
+    Narrow(Vec<u32>),
+    /// Some sample at or above 2³² ns.
+    Wide(Vec<u64>),
+}
+
+impl Default for NanoSamples {
+    fn default() -> Self {
+        NanoSamples::new()
+    }
+}
+
+impl NanoSamples {
+    /// Create an empty store.
+    pub fn new() -> Self {
+        NanoSamples {
+            store: Store::Narrow(Vec::new()),
+            sorted: true,
+        }
+    }
+
+    /// Add one sample of `ns` nanoseconds.  The first sample of 2³² ns or
+    /// more copies the store to eight-byte samples, once.
+    pub fn record(&mut self, ns: u64) {
+        match &mut self.store {
+            Store::Narrow(narrow) => match u32::try_from(ns) {
+                Ok(ns) => narrow.push(ns),
+                Err(_) => {
+                    let mut wide: Vec<u64> = narrow.iter().map(|&x| u64::from(x)).collect();
+                    wide.push(ns);
+                    self.store = Store::Wide(wide);
+                }
+            },
+            Store::Wide(wide) => wide.push(ns),
+        }
+        self.sorted = false;
+    }
+
+    /// The samples as a run, in stored order.
+    fn run(&self) -> Run<'_> {
+        match &self.store {
+            Store::Narrow(narrow) => Run::Narrow(narrow),
+            Store::Wide(wide) => Run::Wide(wide),
+        }
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.run().len()
+    }
+
+    /// `true` if no samples are stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// `true` while the stored samples are known to be ascending: nothing
+    /// recorded yet, or nothing recorded since the last
+    /// [`sort`](NanoSamples::sort).
+    pub fn is_sorted(&self) -> bool {
+        self.sorted
+    }
+
+    /// Sort the stored samples in place, ascending.
+    pub fn sort(&mut self) {
+        if !self.sorted {
+            match &mut self.store {
+                Store::Narrow(narrow) => narrow.sort_unstable(),
+                Store::Wide(wide) => wide.sort_unstable(),
+            }
+            self.sorted = true;
+        }
+    }
+
+    /// The samples in nanoseconds, in stored order (ascending once
+    /// sorted).
+    pub fn nanos(&self) -> impl Iterator<Item = u64> + '_ {
+        self.run()
+    }
+
+    /// The samples in seconds, in stored order (ascending once sorted).
+    pub fn secs(&self) -> impl Iterator<Item = f64> + '_ {
+        self.run().map(secs)
+    }
+
+    /// Mean and sample (`n − 1`) standard deviation in seconds, from one
+    /// pass in stored order: [`SampleSet::mean_and_std_dev`]'s fold.
+    pub fn mean_and_std_dev(&self) -> (f64, f64) {
+        mean_and_std_dev(self.secs())
+    }
+
+    /// The `q`-quantile in seconds, interpolated as
+    /// [`SampleSet::quantile`] does; 0.0 if empty.  Sorts the store in
+    /// place.
+    pub fn quantile(&mut self, q: f64) -> f64 {
+        if self.is_empty() {
+            return 0.0;
+        }
+        self.sort();
+        let run = self.run();
+        interpolate(quantile_span(q, run.len()), |rank| secs(run.at(rank)))
+    }
+
+    /// Largest sample in seconds, or 0.0 if empty.  O(1) once sorted.
+    pub fn max(&self) -> f64 {
+        let run = self.run();
+        let max = if self.sorted {
+            run.len().checked_sub(1).map(|last| run.at(last))
+        } else {
+            run.max()
+        };
+        max.map_or(0.0, secs)
+    }
+}
+
+/// The unread part of a [`NanoSamples`]' store: an iterator of its
+/// samples widened to `u64`.
+#[derive(Debug, Clone, Copy)]
+enum Run<'a> {
+    Narrow(&'a [u32]),
+    Wide(&'a [u64]),
+}
+
+impl Run<'_> {
+    /// The sample at `rank`.
+    fn at(self, rank: usize) -> u64 {
+        match self {
+            Run::Narrow(narrow) => u64::from(narrow[rank]),
+            Run::Wide(wide) => wide[rank],
+        }
+    }
+}
+
+impl Iterator for Run<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        match self {
+            Run::Narrow(narrow) => {
+                let (&x, rest) = narrow.split_first()?;
+                *narrow = rest;
+                Some(u64::from(x))
+            }
+            Run::Wide(wide) => {
+                let (&x, rest) = wide.split_first()?;
+                *wide = rest;
+                Some(x)
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = match self {
+            Run::Narrow(narrow) => narrow.len(),
+            Run::Wide(wide) => wide.len(),
+        };
+        (len, Some(len))
+    }
+}
+
+impl ExactSizeIterator for Run<'_> {}
+
+/// The mean and the `quantiles` of the union of `runs`, each run sorted,
+/// from one tournament merge that never materialises the union — and, in
+/// the same loop, every sample of `runs[spread_from..]` recorded into
+/// `spread` in seconds, run after run, each run front to back.
+///
+/// Returns `(mean, values)` in seconds, `values[i]` being the
+/// `quantiles[i]`-quantile: bit for bit what recording every run's seconds
+/// into one [`SampleSet`], sorting it and asking it for its mean and those
+/// quantiles gives.  The mean is the sum in ascending order over the count
+/// (samples that tie are equal integers, so the tie-break between runs
+/// cannot show), and the quantiles interpolate the same ranks.  An empty
+/// union reports 0.0 throughout.  `spread` ends bit for bit as if the
+/// caller had recorded `runs[spread_from..]` into it itself, so a caller
+/// that fed it the runs before `spread_from` in another order keeps one
+/// running fold.
 ///
 /// # Panics
 ///
 /// If `spread_from > runs.len()`.
 pub fn merge_runs(
-    runs: &[&[f64]],
+    runs: &[&NanoSamples],
     quantiles: &[f64],
     spread_from: usize,
     spread: &mut StreamingStats,
@@ -279,11 +438,11 @@ pub fn merge_runs(
     // levels and the loop's exit is predicted (leaves at two depths made
     // it mispredict, ~10 % of the merge with ten runs).
     let k = runs.len().next_power_of_two();
-    let mut unread = runs.to_vec();
-    unread.resize(k, &[]);
+    let mut unread: Vec<Run> = runs.iter().map(|run| run.run()).collect();
+    unread.resize(k, Run::Narrow(&[]));
     let mut winners = vec![(EXHAUSTED, 0); 2 * k];
     for (r, run) in unread.iter_mut().enumerate() {
-        winners[k + r] = (take_key(run), r);
+        winners[k + r] = (run.next().unwrap_or(EXHAUSTED), r);
     }
     let mut losers = vec![(EXHAUSTED, 0); k];
     for p in (1..k).rev() {
@@ -295,21 +454,21 @@ pub fn merge_runs(
     // The spread's runs front to back, one sample beside each pop (a local
     // copy of the fold stays in registers).
     let mut acc = spread.clone();
-    let mut spread_samples = spread_runs.iter().copied().flatten();
+    let mut spread_samples = spread_runs.iter().flat_map(|run| run.run());
     for rank in 0..n {
-        let x = from_merge_key(key);
+        let x = secs(key);
         sum += x;
         if rank == next_wanted {
             found[filled] = x;
             filled += 1;
             next_wanted = wanted.get(filled).copied().unwrap_or(usize::MAX);
         }
-        if let Some(&y) = spread_samples.next() {
-            acc.record(y);
+        if let Some(y) = spread_samples.next() {
+            acc.record(secs(y));
         }
         // The winner's run offers its next sample and replays the matches
         // on its leaf's path; the lesser side goes on up, without a branch.
-        key = take_key(&mut unread[run]);
+        key = unread[run].next().unwrap_or(EXHAUSTED);
         let mut node = (k + run) / 2;
         while node > 0 {
             let held = losers[node];
@@ -323,18 +482,6 @@ pub fn merge_runs(
     let at = |rank: usize| found[wanted.partition_point(|&w| w < rank)];
     let values = spans.iter().map(|&span| interpolate(span, at)).collect();
     (sum / n as f64, values)
-}
-
-/// Take the first sample off `run`: its [`merge_key`], or [`EXHAUSTED`]
-/// once the run is empty.
-fn take_key(run: &mut &[f64]) -> u64 {
-    match run.split_first() {
-        Some((&x, rest)) => {
-            *run = rest;
-            merge_key(x)
-        }
-        None => EXHAUSTED,
-    }
 }
 
 #[cfg(test)]
@@ -490,23 +637,6 @@ mod tests {
     ];
 
     #[test]
-    fn integer_image_orders_like_total_cmp_and_round_trips() {
-        let images: Vec<i64> = LADDER
-            .iter()
-            .map(|x| total_order_image(x.to_bits()) as i64)
-            .collect();
-        assert!(images.windows(2).all(|w| w[0] < w[1]), "{images:?}");
-        for bits in LADDER.iter().map(|x| x.to_bits()).chain([
-            f64::NAN.to_bits(),
-            u64::MAX,
-            0x7ff0_0000_0000_0001,
-            1 << 63,
-        ]) {
-            assert_eq!(total_order_image(total_order_image(bits)), bits);
-        }
-    }
-
-    #[test]
     fn sort_is_the_total_cmp_sort_bit_for_bit() {
         // Every ladder rung three times over, dealt out of order.
         let dealt: Vec<f64> = (0..33).map(|i| LADDER[(i * 7) % LADDER.len()]).collect();
@@ -523,25 +653,124 @@ mod tests {
         assert_eq!(s.quantile(1.0), f64::INFINITY);
     }
 
-    /// What the merge replaces: pool every run into one set, sort it, and
-    /// ask that for the quantiles and the mean.
-    fn pooled(runs: &[&[f64]], quantiles: &[f64]) -> (f64, Vec<f64>) {
-        let mut pool = SampleSet::new();
-        for &x in runs.iter().copied().flatten() {
-            pool.record(x);
+    /// Delays at every edge, ascending: zero, one second, the narrow
+    /// store's largest and the first that widens it, 2⁵³ (where `as f64`
+    /// starts rounding) and the largest a `SimTime` holds.
+    const NS_LADDER: [u64; 9] = [
+        0,
+        1,
+        999_999_999,
+        1_000_000_000,
+        (1 << 32) - 1,
+        1 << 32,
+        1 << 53,
+        (1 << 53) + 1,
+        u64::MAX,
+    ];
+
+    /// A store of `ns`, recorded in that order.
+    fn store(ns: &[u64]) -> NanoSamples {
+        let mut s = NanoSamples::new();
+        for &x in ns {
+            s.record(x);
         }
+        s
+    }
+
+    /// The oracle of a store: the same samples as seconds in a `SampleSet`.
+    fn oracle(ns: &[u64]) -> SampleSet {
+        let mut s = SampleSet::new();
+        for &x in ns {
+            s.record(x as f64 / 1e9);
+        }
+        s
+    }
+
+    /// The quantiles [`assert_store_is_the_oracle`] compares: the four a
+    /// class reports, and both ends.
+    const QS: [f64; 6] = [0.5, 0.9, 0.99, 0.999, 0.0, 1.0];
+
+    /// A store reports what its `SampleSet` oracle reports, to the bit,
+    /// and holds its samples in record order until sorted.
+    pub(super) fn assert_store_is_the_oracle(ns: &[u64]) {
+        let mut s = store(ns);
+        let mut o = oracle(ns);
+        assert_eq!(s.len(), ns.len());
+        assert_eq!(s.nanos().collect::<Vec<_>>(), ns);
+        assert_eq!(s.max().to_bits(), o.max().to_bits(), "unsorted max, {ns:?}");
+        // Mean and jitter from the stored-order pass, then (sorting) the
+        // quantiles and the maximum.
+        let (mean, jitter) = o.mean_and_std_dev();
+        let expected = [mean, jitter].into_iter().chain(QS.map(|q| o.quantile(q)));
+        let expected: Vec<u64> = expected.chain([o.max()]).map(f64::to_bits).collect();
+        let (mean, jitter) = s.mean_and_std_dev();
+        let stats = [mean, jitter].into_iter().chain(QS.map(|q| s.quantile(q)));
+        let stats: Vec<u64> = stats.chain([s.max()]).map(f64::to_bits).collect();
+        assert_eq!(stats, expected, "{ns:?}");
+        assert!(s.is_sorted());
+        let mut sorted = ns.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(s.nanos().collect::<Vec<_>>(), sorted);
+    }
+
+    #[test]
+    fn nano_store_widens_once_and_keeps_every_sample() {
+        let mut s = NanoSamples::new();
+        assert!(s.is_empty() && s.is_sorted());
+        assert_eq!((s.quantile(0.5), s.max()), (0.0, 0.0));
+        assert_eq!(s.mean_and_std_dev(), (0.0, 0.0));
+        s.record(7);
+        s.record(u64::from(u32::MAX));
+        assert!(matches!(s.store, Store::Narrow(_)));
+        s.record(1 << 32);
+        s.record(3);
+        assert!(matches!(s.store, Store::Wide(_)));
+        assert_eq!(
+            s.nanos().collect::<Vec<_>>(),
+            [7, u64::from(u32::MAX), 1 << 32, 3]
+        );
+        assert_eq!(s.max(), 4.294967296);
+        assert_eq!(s.quantile(0.0), 3e-9);
+        // Every ladder rung, one at a time, alone, dealt out of order and
+        // with the widening one partway through.
+        for &x in &NS_LADDER {
+            assert_store_is_the_oracle(&[x]);
+        }
+        let dealt: Vec<u64> = (0..27)
+            .map(|i| NS_LADDER[(i * 4) % NS_LADDER.len()])
+            .collect();
+        assert_store_is_the_oracle(&dealt);
+        assert_store_is_the_oracle(&[5, 2, (1 << 32) - 1, 1 << 32, 4, 0]);
+    }
+
+    /// What the merge replaces: pool every run's seconds into one set, sort
+    /// it, and ask that for the quantiles and the mean.
+    fn pooled(runs: &[&[u64]], quantiles: &[f64]) -> (f64, Vec<f64>) {
+        let mut pool = oracle(&runs.concat());
         pool.sort();
         let values = quantiles.iter().map(|&q| pool.quantile(q)).collect();
         (pool.mean(), values)
+    }
+
+    /// Each run as a sorted store.
+    fn sorted_stores(runs: &[&[u64]]) -> Vec<NanoSamples> {
+        runs.iter()
+            .map(|run| {
+                let mut s = store(run);
+                s.sort();
+                s
+            })
+            .collect()
     }
 
     /// The merge against the pool, at every split of the runs between a
     /// caller's own spread pass and the merge's: the mean and quantiles are
     /// the pool's to the bit, and the spread is a plain fold over
     /// `runs[spread_from..]` to the bit (compared through `{:?}`, which
-    /// prints the count and every float field's round-trip digits, signed
-    /// zeros included).
-    pub(super) fn assert_merge_is_the_pool(runs: &[&[f64]], quantiles: &[f64]) {
+    /// prints the count and every float field's round-trip digits).  The
+    /// runs are given ascending; each one that holds a sample of 2³² ns or
+    /// more is a wide store, the others narrow.
+    pub(super) fn assert_merge_is_the_pool(runs: &[&[u64]], quantiles: &[f64]) {
         let bits = |(mean, values): (f64, Vec<f64>)| {
             (
                 mean.to_bits(),
@@ -549,13 +778,15 @@ mod tests {
             )
         };
         let expected = bits(pooled(runs, quantiles));
+        let stores = sorted_stores(runs);
+        let stores: Vec<&NanoSamples> = stores.iter().collect();
         for spread_from in 0..=runs.len() {
             let mut spread = StreamingStats::new();
-            let merged = merge_runs(runs, quantiles, spread_from, &mut spread);
+            let merged = merge_runs(&stores, quantiles, spread_from, &mut spread);
             assert_eq!(bits(merged), expected, "{runs:?} at {quantiles:?}");
             let mut fold = StreamingStats::new();
             for &x in runs[spread_from..].iter().copied().flatten() {
-                fold.record(x);
+                fold.record(x as f64 / 1e9);
             }
             assert_eq!(
                 format!("{spread:?}"),
@@ -566,28 +797,33 @@ mod tests {
     }
 
     /// The merge with no spread to fold.
-    fn merged(runs: &[&[f64]], quantiles: &[f64]) -> (f64, Vec<f64>) {
-        merge_runs(runs, quantiles, runs.len(), &mut StreamingStats::new())
+    fn merged(runs: &[&[u64]], quantiles: &[f64]) -> (f64, Vec<f64>) {
+        let stores = sorted_stores(runs);
+        let stores: Vec<&NanoSamples> = stores.iter().collect();
+        merge_runs(&stores, quantiles, runs.len(), &mut StreamingStats::new())
     }
+
+    /// `s` seconds in nanoseconds.
+    const S: u64 = 1_000_000_000;
 
     #[test]
     fn merge_of_one_run_is_that_run() {
         let qs = [0.0, 0.25, 0.5, 0.999, 1.0];
-        assert_merge_is_the_pool(&[&[0.1, 0.2, 0.2, 0.7, 1.9]], &qs);
-        let (mean, values) = merged(&[&[1.0, 2.0, 3.0]], &[0.5, 0.75]);
+        assert_merge_is_the_pool(&[&[100, 200, 200, 700, 1900]], &qs);
+        let (mean, values) = merged(&[&[S, 2 * S, 3 * S]], &[0.5, 0.75]);
         assert_eq!((mean, values), (2.0, vec![2.0, 2.5]));
     }
 
     #[test]
     fn merge_skips_empty_runs_and_reads_every_last_element() {
         let qs = [0.5, 0.9, 0.99, 0.999, 1.0];
-        let (a, b, c) = ([0.1, 0.4, 0.9, 0.9], [0.4, 0.4, 2.5, 2.5], [0.3]);
+        let (a, b, c) = ([1, 4, 9, 9], [4, 4, 25 * S, 25 * S], [3]);
         assert_merge_is_the_pool(&[&a, &[], &b, &[], &c], &qs);
         // The union's maximum is the last element of the middle run, then
         // of the first: a merge that drops a run's tail loses it.
         assert_merge_is_the_pool(&[&b, &a], &[1.0]);
         assert_merge_is_the_pool(&[&a, &b], &[1.0]);
-        assert_eq!(merged(&[&a, &b], &[1.0]).1, [2.5]);
+        assert_eq!(merged(&[&a, &b], &[1.0]).1, [25.0]);
     }
 
     #[test]
@@ -601,7 +837,7 @@ mod tests {
 
     #[test]
     fn merge_of_a_single_sample_reports_it_at_every_quantile() {
-        let runs: [&[f64]; 3] = [&[], &[0.042], &[]];
+        let runs: [&[u64]; 3] = [&[], &[42_000_000], &[]];
         assert_merge_is_the_pool(&runs, &[0.0, 0.1, 0.999, 1.0, f64::NAN]);
         assert_eq!(merged(&runs, &[0.3]), (0.042, vec![0.042]));
     }
@@ -610,7 +846,7 @@ mod tests {
     fn merge_serves_a_rank_to_every_quantile_that_reads_it() {
         // Five samples: 0.5 and 0.75 both read rank 2 or 3, 0.5 is asked
         // for twice, and the selection is out of order and out of range.
-        let (a, b) = ([1.0, 3.0, 5.0], [2.0, 4.0]);
+        let (a, b) = ([S, 3 * S, 5 * S], [2 * S, 4 * S]);
         let qs = [0.75, 0.5, 1.0, 0.5, 0.0, 0.625, -1.0, 7.0];
         assert_merge_is_the_pool(&[&a, &b], &qs);
         assert_eq!(
@@ -620,32 +856,31 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_in_ascending_order_across_signed_zeros_and_infinities() {
-        let sorted = |xs: &[f64]| {
-            let mut xs = xs.to_vec();
-            xs.sort_by(f64::total_cmp);
-            xs
-        };
-        let a = sorted(&[0.0, -0.0, 1e-3, -2.5, 1e16, 0.1]);
-        let b = sorted(&[-0.0, 0.0, 0.1, 0.1, -1e16, 0.3]);
+    fn merge_sums_in_ascending_order_across_widths_and_extremes() {
+        // Narrow and wide runs side by side, both holding zeros; a
+        // `u64::MAX` sample ties the exhausted-run key, alone and in
+        // several runs at once.
+        let a = [0, 0, 1_000_000, 10 * S, (1 << 32) - 1];
+        let b = [0, 100_000_000, 100_000_000, 1 << 32, 1 << 53];
         assert_merge_is_the_pool(&[&a, &b], &[0.0, 0.5, 0.9, 1.0]);
-        assert_merge_is_the_pool(&[&[-0.0], &[-0.0]], &[0.5]);
-        let c = [f64::NEG_INFINITY, 1.0];
-        assert_merge_is_the_pool(&[&c, &a], &[0.0, 0.5, 1.0]);
+        assert_merge_is_the_pool(&[&[u64::MAX], &[u64::MAX]], &[0.5, 1.0]);
+        let c = [3, u64::MAX];
+        assert_merge_is_the_pool(&[&c, &a, &[], &c], &[0.0, 0.5, 0.9, 1.0]);
+        assert_eq!(merged(&[&c, &a], &[1.0]).1, [u64::MAX as f64 / 1e9]);
         // Every run count from 1 to 40 — most of them padded, the largest
         // to a six-level tree — with empty and one-sample runs among them
         // and every ladder rung shared between runs.
-        let dealt: Vec<Vec<f64>> = (0..40)
+        let dealt: Vec<Vec<u64>> = (0..40)
             .map(|r| {
-                sorted(
-                    &(0..r % 5)
-                        .map(|i| LADDER[(3 * r + 7 * i) % LADDER.len()])
-                        .collect::<Vec<_>>(),
-                )
+                let mut run: Vec<u64> = (0..r % 5)
+                    .map(|i| NS_LADDER[(3 * r + 7 * i) % NS_LADDER.len()])
+                    .collect();
+                run.sort_unstable();
+                run
             })
             .collect();
         for k in 1..=dealt.len() {
-            let runs: Vec<&[f64]> = dealt[..k].iter().map(Vec::as_slice).collect();
+            let runs: Vec<&[u64]> = dealt[..k].iter().map(Vec::as_slice).collect();
             assert_merge_is_the_pool(&runs, &[0.0, 0.3, 0.5, 0.999, 1.0]);
         }
     }
@@ -655,6 +890,21 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// A delay drawn by [`delay`]: a grid code and a raw draw.
+    fn delays(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u32, u64)>> {
+        proptest::collection::vec((0u32..120, any::<u64>()), len)
+    }
+
+    /// Mostly a coarse grid (so samples tie), with the width edges and the
+    /// extremes common and an unconstrained value now and then.
+    fn delay((g, raw): (u32, u64)) -> u64 {
+        match g {
+            0..=99 => u64::from(g % 40) * 700_000,
+            100..=103 => [0, (1 << 32) - 1, 1 << 32, u64::MAX][g as usize - 100],
+            _ => raw,
+        }
+    }
 
     proptest! {
         /// Quantiles are monotone in q and bounded by the sample extremes.
@@ -673,33 +923,42 @@ mod proptests {
             prop_assert!(q99 <= max + 1e-9);
         }
 
+        /// An integer store reports what a `SampleSet` of the same samples
+        /// in seconds reports, to the bit: mean and jitter in record order,
+        /// quantiles and maximum — for streams that stay narrow, that start
+        /// wide, and that widen partway through (a narrow prefix, then a
+        /// wide sample, then anything).
+        #[test]
+        fn nano_store_matches_the_sample_set(
+            prefix in proptest::collection::vec(0u64..1 << 32, 0..200),
+            widen in (0u8..3, (1u64 << 32)..u64::MAX),
+            rest in delays(0..100),
+        ) {
+            let widen = (widen.0 > 0).then_some(widen.1);
+            let rest = rest.into_iter().map(delay);
+            let stream: Vec<u64> = prefix.into_iter().chain(widen).chain(rest).collect();
+            super::tests::assert_store_is_the_oracle(&stream);
+        }
+
         /// Merging sorted runs gives the pooled set's mean and quantiles to
         /// the bit and folds every run suffix's spread to the bit, ties and
-        /// all (samples on a coarse grid with both zeros and both
-        /// infinities, so runs share values), over trees of 1 to 40 runs
-        /// where empty and one-sample runs are common, whatever the
-        /// quantile selection.
+        /// all, over trees of 1 to 40 runs where empty and one-sample runs
+        /// are common, narrow and wide runs mix, and `u64::MAX` samples tie
+        /// the exhausted-run key — whatever the quantile selection.
         #[test]
         fn merge_matches_the_pooled_set(
-            runs in proptest::collection::vec(proptest::collection::vec(0u32..120, 0..12), 1..41),
+            runs in proptest::collection::vec(delays(0..12), 1..41),
             qs in proptest::collection::vec(-0.1f64..1.1, 0..6),
         ) {
-            let grid = |g: u32| match g {
-                116 => -0.0,
-                117 => 0.0,
-                118 => f64::INFINITY,
-                119 => f64::NEG_INFINITY,
-                _ => f64::from(g % 40) * 0.7e-3 - 5e-3,
-            };
-            let runs: Vec<Vec<f64>> = runs
-                .iter()
+            let runs: Vec<Vec<u64>> = runs
+                .into_iter()
                 .map(|run| {
-                    let mut run: Vec<f64> = run.iter().map(|&g| grid(g)).collect();
-                    run.sort_by(f64::total_cmp);
+                    let mut run: Vec<u64> = run.into_iter().map(delay).collect();
+                    run.sort_unstable();
                     run
                 })
                 .collect();
-            let runs: Vec<&[f64]> = runs.iter().map(Vec::as_slice).collect();
+            let runs: Vec<&[u64]> = runs.iter().map(Vec::as_slice).collect();
             super::tests::assert_merge_is_the_pool(&runs, &qs);
         }
     }

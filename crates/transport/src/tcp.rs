@@ -1,7 +1,7 @@
 //! A simplified TCP Reno sender/receiver pair.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use ispn_core::{FlowId, Packet, PacketKind};
@@ -99,9 +99,9 @@ pub struct TcpSender {
     srtt: Option<f64>,
     rttvar: f64,
     rto: SimTime,
-    /// Send times of segments eligible for RTT sampling (removed when
-    /// retransmitted — Karn's rule).
-    send_times: BTreeMap<u64, SimTime>,
+    /// Send times of segments eligible for RTT sampling, by rising
+    /// sequence number (removed when retransmitted — Karn's rule).
+    send_times: VecDeque<(u64, SimTime)>,
     stats: SharedTcpStats,
 }
 
@@ -121,7 +121,7 @@ impl TcpSender {
             srtt: None,
             rttvar: 0.0,
             rto,
-            send_times: BTreeMap::new(),
+            send_times: VecDeque::new(),
             stats: Rc::new(RefCell::new(TcpStats::default())),
             config,
         }
@@ -147,9 +147,12 @@ impl TcpSender {
         st.segments_sent += 1;
         if is_retransmission {
             st.retransmissions += 1;
-            self.send_times.remove(&seq);
+            if let Ok(i) = self.send_times.binary_search_by_key(&seq, |&(s, _)| s) {
+                self.send_times.remove(i);
+            }
         } else {
-            self.send_times.insert(seq, api.now());
+            // New segments go out in sequence order.
+            self.send_times.push_back((seq, api.now()));
         }
     }
 
@@ -194,11 +197,13 @@ impl TcpSender {
         let newly_acked = ack - self.snd_una;
         // RTT sample from the highest newly acked, never-retransmitted
         // segment (Karn's rule is enforced by removal on retransmission).
-        let unacked = self.send_times.split_off(&ack);
-        if let Some((_, &sent)) = self.send_times.last_key_value() {
+        let mut newest = None;
+        while self.send_times.front().is_some_and(|&(seq, _)| seq < ack) {
+            newest = self.send_times.pop_front();
+        }
+        if let Some((_, sent)) = newest {
             self.update_rtt(api.now().saturating_sub(sent).as_secs_f64());
         }
-        self.send_times = unacked;
         self.snd_una = ack;
         self.dup_acks = 0;
         self.stats.borrow_mut().acked = ack;
@@ -479,6 +484,52 @@ mod tests {
         net.run_until(SimTime::from_secs(30));
         let stats = tcp.stats.borrow();
         assert!(stats.acked > 100, "acked {}", stats.acked);
+    }
+
+    /// The RTT sample of a cumulative ACK comes from the newest segment it
+    /// acknowledges, and never from a retransmitted one (Karn's rule).
+    #[test]
+    fn rtt_samples_the_newest_acked_segment_that_was_sent_once() {
+        let config = TcpConfig {
+            initial_cwnd: 2.0,
+            ..TcpConfig::default()
+        };
+        let mut tcp = TcpSender::new(FlowId(0), config);
+        let ms = SimTime::from_millis;
+        let ack = |tcp: &mut TcpSender, ack: u64, at: u64| {
+            let packet = Packet::ack(FlowId(1), 0, ack, 320, ms(at));
+            let (queueing_delay, total_delay) = (SimTime::ZERO, SimTime::ZERO);
+            let delivery = Delivery {
+                packet,
+                queueing_delay,
+                total_delay,
+            };
+            tcp.on_packet(delivery, &mut AgentApi::new(ms(at)));
+        };
+        // Segments 0 and 1 go out at 0 ms; the ACK of 0 at 10 ms sends 2
+        // and 3; the ACK of 1 at 20 ms sends 4 and 5.
+        let smoothed = |srtt: f64, sample: f64| srtt + 0.125 * (sample - srtt);
+        tcp.start(&mut AgentApi::new(SimTime::ZERO));
+        ack(&mut tcp, 1, 10);
+        assert_eq!(tcp.srtt, Some(0.010));
+        ack(&mut tcp, 2, 20);
+        assert_eq!(tcp.srtt, Some(smoothed(0.010, 0.020)));
+        // One ACK for 2–4 at 50 ms: 4 was sent at 20 ms, so 30 ms (2 and
+        // 3, sent at 10 ms, would read 40).
+        ack(&mut tcp, 5, 50);
+        let srtt = Some(smoothed(smoothed(0.010, 0.020), 0.030));
+        assert_eq!(tcp.srtt, srtt);
+        // Three duplicate ACKs of 5 retransmit 5 at 60 ms; an ACK that
+        // covers only 5 then takes no sample.
+        for _ in 0..3 {
+            ack(&mut tcp, 5, 60);
+        }
+        assert_eq!(tcp.stats.borrow().retransmissions, 1);
+        ack(&mut tcp, 6, 70);
+        assert_eq!(tcp.srtt, srtt);
+        // Acknowledged entries are gone; 6 was retransmitted on the
+        // partial ACK, so 7 onwards are left.
+        assert_eq!(tcp.send_times.len() as u64, tcp.next_seq - 7);
     }
 
     #[test]
