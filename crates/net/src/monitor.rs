@@ -233,8 +233,8 @@ impl Monitor {
     /// [`flow_report`](Monitor::flow_report) and, from its stored-order
     /// pass, the flow's delay jitter in seconds: the sample (`n − 1`)
     /// standard deviation of the end-to-end queueing delays.  (Beside the
-    /// report rather than in it: the churn driver keeps a `FlowReport` for
-    /// every flow it ever admitted.)
+    /// report rather than in it: the churn driver keeps the report of every
+    /// flow it ever admitted, and no jitter.)
     pub fn flow_report_with_jitter(&mut self, flow: FlowId) -> (FlowReport, f64) {
         let f = &mut self.flows[flow.index()];
         let (mean_delay, jitter) = f.delays.mean_and_std_dev();
