@@ -10,7 +10,9 @@ use crate::discipline::{DisciplineMatrix, DisciplineSpec};
 use crate::error::BuildError;
 use crate::sim::Sim;
 use crate::topology::{BuiltTopology, LinkProfile, TopologySpec};
-use crate::workload::{AdmissionSpec, FlowDef, RouteSpec, SourceSpec, TcpDef, WorkloadSpec};
+use crate::workload::{
+    AdmissionSpec, FlowDef, RouteSpec, ServiceSpec, SourceSpec, TcpDef, WorkloadSpec,
+};
 
 /// Which links an [`AdmissionSpec`] applies to.
 #[derive(Debug, Clone)]
@@ -204,6 +206,32 @@ impl ScenarioBuilder {
                 .iter()
                 .filter_map(|&i| self.flows[i].service.clock_rate_bps().map(|rate| (i, rate)))
                 .collect();
+            // A priority level the link lacks would be served in its
+            // lowest predicted one; the other disciplines have no levels,
+            // and to them a predicted class is bookkeeping only.
+            let classes = match spec {
+                DisciplineSpec::Unified {
+                    priority_classes, ..
+                } => priority_classes,
+                DisciplineSpec::StrictPriority { classes } => classes,
+                _ => usize::MAX,
+            };
+            for &flow in &crossing {
+                let (ServiceSpec::Predicted { priority, .. }
+                | ServiceSpec::RealtimeBestEffort { priority }) = self.flows[flow].service
+                else {
+                    continue;
+                };
+                if usize::from(priority) >= classes {
+                    return Err(BuildError::BadFlow {
+                        flow,
+                        reason: format!(
+                            "predicted priority {priority} on link {link_idx}, which has \
+                             {classes} predicted classes"
+                        ),
+                    });
+                }
+            }
             let params = *built.topology.link(link);
             // `Unified` asserts its guaranteed rates stay below the link's.
             if let DisciplineSpec::Unified { .. } = spec {
@@ -500,6 +528,63 @@ mod tests {
                 .unwrap_or_else(|| panic!("clock rate {rate} built"));
             assert!(matches!(err, BuildError::BadFlow { flow: 0, .. }), "{err}");
             assert!(err.to_string().contains("clock rate"), "{err}");
+        }
+    }
+
+    /// A predicted priority the route's `Unified` or `StrictPriority`
+    /// link has no class for used to build, and the link silently served
+    /// it in its lowest predicted class.
+    #[test]
+    fn predicted_priorities_beyond_the_link_classes_are_build_errors() {
+        let predicted = |priority| ServiceSpec::Predicted {
+            priority,
+            bucket: ispn_core::TokenBucketSpec::per_packets(85.0, 50.0, 1000),
+            target_delay: SimTime::from_millis(100),
+            loss_rate: 0.001,
+            police: ispn_net::PoliceAction::Drop,
+        };
+        let disciplines = [
+            DisciplineSpec::StrictPriority { classes: 2 },
+            DisciplineSpec::Unified {
+                priority_classes: 2,
+                averaging: ispn_sched::Averaging::RunningMean,
+            },
+        ];
+        for spec in disciplines {
+            // The second link alone carries the discipline with classes.
+            let matrix =
+                DisciplineMatrix::global(DisciplineSpec::Fifo).with_links(&[LinkId(1)], spec);
+            let build = |service: ServiceSpec| {
+                ScenarioBuilder::chain(3)
+                    .disciplines(matrix.clone())
+                    .flow(FlowDef::datagram(0, 2))
+                    .flow(FlowDef::new(RouteSpec::Span { first: 0, hops: 2 }, service))
+                    .build()
+            };
+            for service in [
+                predicted(1),
+                ServiceSpec::RealtimeBestEffort { priority: 1 },
+            ] {
+                assert!(build(service).is_ok(), "{spec:?}");
+            }
+            for service in [
+                predicted(2),
+                predicted(u8::MAX),
+                ServiceSpec::RealtimeBestEffort { priority: 2 },
+            ] {
+                let err = build(service).expect_err("priority beyond the classes built");
+                assert!(matches!(err, BuildError::BadFlow { flow: 1, .. }), "{err}");
+                assert!(err.to_string().contains("link 1"), "{err}");
+            }
+            // A route that avoids the link with classes is not its business.
+            let first_link_only = ScenarioBuilder::chain(3)
+                .disciplines(matrix)
+                .flow(FlowDef::new(
+                    RouteSpec::Span { first: 0, hops: 1 },
+                    predicted(2),
+                ))
+                .build();
+            assert!(first_link_only.is_ok());
         }
     }
 

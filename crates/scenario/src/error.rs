@@ -21,7 +21,9 @@ pub enum BuildError {
     /// A flow declared a number its service or source cannot run with: a
     /// rate that is zero, negative, NaN or infinite, a source too fast to
     /// pace at nanosecond resolution, an empty packet, a non-positive token
-    /// bucket, a loss rate outside `[0, 1]` or an unsorted trace.
+    /// bucket, a loss rate outside `[0, 1]`, an unsorted trace, or a
+    /// predicted priority a `Unified` or `StrictPriority` link on its route
+    /// has no class for.
     BadFlow {
         /// Index of the offending flow in declaration order.
         flow: usize,
