@@ -104,9 +104,8 @@ struct ChurnDriver {
     /// one [`encode_reclaimed`] record each, in reclaim order (sorted by
     /// admission index on read-out).  A record is nine varints, plus 24
     /// bytes of delays when the flow delivered a packet: 27.4 B per
-    /// reclaimed admission on `churn-signal` (1.97 MB for 71 998 records
-    /// over 600 s, 22 180 of them silent), where a kept `FlowReport` took
-    /// 88.
+    /// reclaimed admission on `churn-signal` at seed 7 (1.97 MB for
+    /// 71 998 records over 600 s, 22 180 of them silent).
     completed: Vec<u8>,
     /// Set by [`Sim::drain_churn`]: in-flight completions must no longer
     /// spawn sources or departures.
@@ -476,11 +475,11 @@ impl Sim {
     /// packet left the network), flows still live are queried from the
     /// monitor now.  Empty without a churn workload.
     ///
-    /// A snapshot is kept as a compact record, not a `FlowReport`: its
-    /// integers as varints, its delays as raw `f64` bits, which decode to
-    /// the very values the monitor reported.  A flow that delivered
-    /// nothing keeps no delays at all; it reads back the `+0.0` an empty
-    /// sample store reports for all three.
+    /// A snapshot is kept as a compact record: its integers as varints,
+    /// its delays as raw `f64` bits, which decode to the very values the
+    /// monitor reported.  A flow that delivered nothing keeps no delays at
+    /// all; it reads back the `+0.0` an empty sample store reports for all
+    /// three.
     pub fn churn_flow_reports(&mut self) -> Vec<ChurnFlowReport> {
         let Some(d) = &self.churn else {
             return Vec::new();
