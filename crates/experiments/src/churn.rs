@@ -264,12 +264,7 @@ pub fn run(cfg: &ChurnConfig) -> ChurnOutcome {
         })
         .sum();
 
-    let decisions: Vec<bool> = sim
-        .signaling()
-        .decision_log()
-        .iter()
-        .map(|&(_, a)| a)
-        .collect();
+    let decisions: Vec<bool> = sim.signaling().decisions().map(|(_, a)| a).collect();
     let accepted = decisions.iter().filter(|&&a| a).count();
     let rejected = decisions.len() - accepted;
     ChurnOutcome {

@@ -103,9 +103,10 @@ pub fn run(cfg: &PaperConfig, controlled: bool, offered_flows: usize) -> Admissi
     });
     sim.run_until(cfg.duration);
 
-    let decisions = sim.signaling().decision_log();
-    let accepted = decisions.iter().filter(|&&(_, accepted)| accepted).count();
-    let rejected = decisions.len() - accepted;
+    let decisions = sim.signaling().decisions();
+    let offered = decisions.len();
+    let accepted = decisions.filter(|&(_, accepted)| accepted).count();
+    let rejected = offered - accepted;
     let (mut violations, mut worst) = (0, [0.0f64; 2]);
     let net = sim.network_mut();
     for flow in (0..offered_flows as u32).map(FlowId) {

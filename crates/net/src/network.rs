@@ -38,7 +38,8 @@ pub enum PoliceAction {
 /// Static description of one flow offered to the network.
 #[derive(Debug, Clone)]
 pub struct FlowConfig {
-    /// The sequence of links the flow traverses (must be a contiguous path).
+    /// The sequence of links the flow traverses (must be a loop-free
+    /// contiguous path).
     pub route: Vec<LinkId>,
     /// The service interface parameters the flow declared (Section 8).
     pub spec: FlowSpec,
@@ -595,8 +596,9 @@ impl Network {
     /// (static provisioning — no admission control is consulted).
     ///
     /// # Panics
-    /// Panics if the route is not a contiguous path in the topology, or if
-    /// the configured sink is not a live agent ([`SinkError`]).
+    /// Panics if the route is not a loop-free contiguous path in the
+    /// topology ([`Topology::validate_route`]), or if the configured sink
+    /// is not a live agent ([`SinkError`]).
     pub fn add_flow(&mut self, config: FlowConfig) -> FlowId {
         self.register_flow(config, true)
     }
@@ -614,23 +616,12 @@ impl Network {
     fn register_flow(&mut self, config: FlowConfig, active: bool) -> FlowId {
         assert!(
             self.topo.validate_route(&config.route),
-            "flow route is not a contiguous path"
+            "flow route is not a loop-free contiguous path"
         );
-        assert!(!config.route.is_empty(), "non-empty route");
-        // Forwarding is hop-indexed (the packet carries its position on the
-        // route), so no per-node table is kept — but a route that visited a
-        // switch twice would have been ambiguous under node-keyed
-        // forwarding, and rejecting it keeps the two models equivalent.
-        // Routes are a handful of hops: comparing each hop's switch with
-        // the ones before it needs no container.
         let mut secs_per_bit = 0.0;
         let mut total_propagation = SimTime::ZERO;
-        for (i, link) in config.route.iter().enumerate() {
+        for link in &config.route {
             let params = self.topo.link(*link);
-            let revisited = config.route[..i]
-                .iter()
-                .any(|earlier| self.topo.link(*earlier).from == params.from);
-            assert!(!revisited, "route visits switch {:?} twice", params.from);
             secs_per_bit += 1.0 / params.rate_bps;
             total_propagation += params.propagation;
         }

@@ -148,18 +148,25 @@ impl Topology {
         None
     }
 
-    /// Verify that a route is a contiguous path (each link starts where the
-    /// previous one ended).
+    /// Verify that a route is a loop-free contiguous path: each link exists
+    /// and starts where the previous one ended, and no switch feeds two of
+    /// its links.  Forwarding is hop-indexed (the packet carries its
+    /// position on the route), but a route that visited a switch twice
+    /// would be ambiguous under node-keyed forwarding; refusing it keeps
+    /// the two models equivalent.  Routes are a handful of hops, so each
+    /// hop's switch is compared with the ones before it.
     pub fn validate_route(&self, route: &[LinkId]) -> bool {
-        if route.is_empty() {
+        if route.is_empty() || route.iter().any(|l| l.0 >= self.links.len()) {
             return false;
         }
-        for w in route.windows(2) {
-            if self.link(w[0]).to != self.link(w[1]).from {
-                return false;
-            }
-        }
-        route.iter().all(|l| l.0 < self.links.len())
+        let contiguous = route
+            .windows(2)
+            .all(|w| self.link(w[0]).to == self.link(w[1]).from);
+        let loop_free = (1..route.len()).all(|i| {
+            let from = self.link(route[i]).from;
+            route[..i].iter().all(|&l| self.link(l).from != from)
+        });
+        contiguous && loop_free
     }
 
     /// Build a chain of `n` switches connected left-to-right by links with
@@ -236,6 +243,23 @@ mod tests {
         assert!(t.validate_route(&[links[1]]));
         assert!(!t.validate_route(&[links[0], links[2]]));
         assert!(!t.validate_route(&[]));
+        // A link the topology lacks, alone or behind a real one.
+        assert!(!t.validate_route(&[LinkId(9)]));
+        assert!(!t.validate_route(&[links[0], LinkId(9)]));
+    }
+
+    #[test]
+    fn validate_route_refuses_a_switch_visited_twice() {
+        let mut t = Topology::new();
+        let n = t.add_nodes(3);
+        let ab = t.add_link(n[0], n[1], MBIT, SimTime::ZERO, 10);
+        let ba = t.add_link(n[1], n[0], MBIT, SimTime::ZERO, 10);
+        let bc = t.add_link(n[1], n[2], MBIT, SimTime::ZERO, 10);
+        // Out and back ends where it started but feeds each switch once.
+        assert!(t.validate_route(&[ab, ba]));
+        assert!(t.validate_route(&[ba, ab]));
+        assert!(!t.validate_route(&[ab, ba, ab]));
+        assert!(!t.validate_route(&[ba, ab, bc]));
     }
 
     #[test]

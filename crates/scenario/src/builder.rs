@@ -11,7 +11,7 @@ use crate::error::BuildError;
 use crate::sim::Sim;
 use crate::topology::{BuiltTopology, LinkProfile, TopologySpec};
 use crate::workload::{
-    AdmissionSpec, FlowDef, RouteSpec, ServiceSpec, SourceSpec, TcpDef, WorkloadSpec,
+    AdmissionSpec, ChurnClass, FlowDef, RouteSpec, ServiceSpec, SourceSpec, TcpDef, WorkloadSpec,
 };
 
 /// Which links an [`AdmissionSpec`] applies to.
@@ -232,6 +232,21 @@ impl ScenarioBuilder {
                     });
                 }
             }
+            // Churn arrivals request spans of the forward links.
+            let churn_classes = match &self.workload {
+                WorkloadSpec::Churn(churn) if built.forward.contains(&link) => &churn.classes[..],
+                _ => &[],
+            };
+            let too_high = |c: &ChurnClass| usize::from(c.priority) >= classes;
+            if let Some(class) = churn_classes.iter().position(too_high) {
+                let priority = churn_classes[class].priority;
+                return Err(BuildError::BadWorkload {
+                    reason: format!(
+                        "churn class {class}'s predicted priority {priority} on link {link_idx}, \
+                         which has {classes} predicted classes"
+                    ),
+                });
+            }
             let params = *built.topology.link(link);
             // `Unified` asserts its guaranteed rates stay below the link's.
             if let DisciplineSpec::Unified { .. } = spec {
@@ -394,6 +409,45 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, BuildError::EmptyRoute { .. }));
+    }
+
+    /// A route that revisits a switch is contiguous, so it used to pass
+    /// the builder and panic when the network registered the flow; a link
+    /// the topology lacks, behind a real one, panicked in the contiguity
+    /// check itself.
+    #[test]
+    fn looping_routes_are_build_errors_not_panics() {
+        // chain_duplex(3): forward L0 (0→1), L1 (1→2); reverse L2 (1→0).
+        let looping = || RouteSpec::Links(vec![LinkId(0), LinkId(2), LinkId(0)]);
+        for route in [looping(), RouteSpec::Links(vec![LinkId(0), LinkId(99)])] {
+            let err = ScenarioBuilder::new(TopologySpec::chain_duplex(3))
+                .flow(FlowDef::new(route, ServiceSpec::Datagram))
+                .build()
+                .expect_err("a looping or unknown route built");
+            assert_eq!(err, BuildError::InvalidRoute { flow: 0 });
+        }
+        // TCP connections count after the plain flows, either direction.
+        for (forward, reverse) in [
+            (looping(), RouteSpec::ReverseSpan { first: 0, hops: 1 }),
+            (RouteSpec::Span { first: 0, hops: 1 }, looping()),
+        ] {
+            let err = ScenarioBuilder::new(TopologySpec::chain_duplex(3))
+                .flow(FlowDef::datagram(0, 1))
+                .tcp(TcpDef {
+                    forward,
+                    reverse,
+                    config: Default::default(),
+                })
+                .build()
+                .expect_err("a looping TCP route built");
+            assert_eq!(err, BuildError::InvalidRoute { flow: 1 });
+        }
+        // Out and back feeds each switch once, and stays buildable.
+        let out_and_back = RouteSpec::Links(vec![LinkId(0), LinkId(2)]);
+        assert!(ScenarioBuilder::new(TopologySpec::chain_duplex(3))
+            .flow(FlowDef::new(out_and_back, ServiceSpec::Datagram))
+            .build()
+            .is_ok());
     }
 
     #[test]
@@ -588,10 +642,69 @@ mod tests {
         }
     }
 
+    /// A churn class's priority used to pass the builder whatever the
+    /// links' class count: a link without admission control then served
+    /// it in its lowest predicted level, and admission-controlled links
+    /// refused every request at setup as `UnknownPriority`.
+    #[test]
+    fn churn_priorities_beyond_the_link_classes_are_build_errors() {
+        use crate::workload::{ChurnSourceSpec, ChurnWorkload};
+        let class = |priority| ChurnClass {
+            priority,
+            bucket: ispn_core::TokenBucketSpec::per_packets(85.0, 50.0, 1000),
+            per_hop_target: SimTime::from_millis(30),
+            loss_rate: 0.001,
+            police: ispn_net::PoliceAction::Drop,
+        };
+        let churn = |priorities: &[u8]| {
+            WorkloadSpec::Churn(ChurnWorkload {
+                arrivals_per_sec: 1.0,
+                mean_holding_secs: 5.0,
+                seed: 1,
+                guaranteed_fraction: 0.5,
+                guaranteed_rate_bps: 100_000.0,
+                classes: priorities.iter().map(|&p| class(p)).collect(),
+                source: ChurnSourceSpec {
+                    avg_rate_pps: 85.0,
+                    seed_base: 1,
+                },
+            })
+        };
+        let disciplines = [
+            DisciplineSpec::StrictPriority { classes: 2 },
+            DisciplineSpec::Unified {
+                priority_classes: 2,
+                averaging: ispn_sched::Averaging::RunningMean,
+            },
+        ];
+        for spec in disciplines {
+            // chain_duplex(3): forward links 0 and 1, reverse 2 and 3.
+            let build = |links: &[LinkId], priorities: &[u8]| {
+                let matrix = DisciplineMatrix::global(DisciplineSpec::Fifo).with_links(links, spec);
+                ScenarioBuilder::new(TopologySpec::chain_duplex(3))
+                    .disciplines(matrix)
+                    .workload(churn(priorities))
+                    .build()
+            };
+            assert!(build(&[LinkId(0), LinkId(1)], &[0, 1]).is_ok(), "{spec:?}");
+            for priorities in [&[0, 2][..], &[u8::MAX, 0]] {
+                let err = build(&[LinkId(1)], priorities).expect_err("priority beyond the classes");
+                assert!(matches!(err, BuildError::BadWorkload { .. }), "{err}");
+                let class = priorities.iter().position(|&p| p >= 2).unwrap();
+                let named = format!("churn class {class}'s predicted priority");
+                assert!(err.to_string().contains(&named), "{err}");
+                assert!(err.to_string().contains("link 1"), "{err}");
+            }
+            // Churn requests only the forward links.
+            assert!(build(&[LinkId(2), LinkId(3)], &[0, 2]).is_ok(), "{spec:?}");
+        }
+    }
+
     /// One scenario drawn from `seed`: one to three flows on a two- or
-    /// three-switch chain, every number drawn half the time from a hostile
-    /// palette (NaN, ±∞, zero, negative, tiny, huge) and half the time
-    /// from a workable value.
+    /// three-switch duplex chain, every number drawn half the time from a
+    /// hostile palette (NaN, ±∞, zero, negative, tiny, huge) and half the
+    /// time from a workable value; one route in eight loops back through
+    /// its first switch.
     fn hostile_scenario(seed: u64) -> ScenarioBuilder {
         use ispn_core::TokenBucketSpec;
         use ispn_traffic::OnOffConfig;
@@ -626,7 +739,7 @@ mod tests {
                 averaging: ispn_sched::Averaging::RunningMean,
             },
         ][below(5) as usize];
-        let mut builder = ScenarioBuilder::chain(nodes)
+        let mut builder = ScenarioBuilder::new(TopologySpec::chain_duplex(nodes))
             .link_profile(LinkProfile {
                 rate_bps: number(1e6),
                 propagation: SimTime::from_micros(below(2) * 500),
@@ -635,6 +748,11 @@ mod tests {
             .discipline(discipline);
         for _ in 0..1 + below(3) {
             let hops = 1 + below(nodes as u64 - 1) as usize;
+            // Out, back and out again: contiguous, but switch 0 feeds twice.
+            let route = match below(8) {
+                0 => RouteSpec::Links(vec![LinkId(0), LinkId(nodes - 1), LinkId(0)]),
+                _ => RouteSpec::Span { first: 0, hops },
+            };
             let service = match below(4) {
                 0 => ServiceSpec::Datagram,
                 1 => ServiceSpec::RealtimeBestEffort {
@@ -676,8 +794,7 @@ mod tests {
                         .collect(),
                 },
             };
-            builder = builder
-                .flow(FlowDef::new(RouteSpec::Span { first: 0, hops }, service).source(source));
+            builder = builder.flow(FlowDef::new(route, service).source(source));
         }
         builder
     }

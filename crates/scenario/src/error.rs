@@ -36,7 +36,7 @@ pub enum BuildError {
         flow: usize,
     },
     /// A flow declared an explicit route that is not a contiguous path in
-    /// the built topology.
+    /// the built topology, or one that visits a switch twice.
     InvalidRoute {
         /// Index of the offending flow in declaration order.
         flow: usize,
@@ -79,7 +79,7 @@ impl std::fmt::Display for BuildError {
             BuildError::BadFlow { flow, reason } => write!(f, "flow #{flow}: {reason}"),
             BuildError::EmptyRoute { flow } => write!(f, "flow #{flow} has an empty route"),
             BuildError::InvalidRoute { flow } => {
-                write!(f, "flow #{flow}'s route is not a contiguous path")
+                write!(f, "flow #{flow}'s route is not a loop-free contiguous path")
             }
             BuildError::NoPath { flow, from, to } => {
                 write!(f, "flow #{flow}: no path from {from:?} to {to:?}")

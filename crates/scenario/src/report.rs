@@ -343,7 +343,7 @@ impl ScenarioReport {
             .collect();
         let classes = Self::collect_classes(net);
         let disciplines = Self::collect_disciplines(net);
-        let decisions: Vec<bool> = sig.decision_log().iter().map(|&(_, a)| a).collect();
+        let decisions: Vec<bool> = sig.decisions().map(|(_, a)| a).collect();
         let accepted = decisions.iter().filter(|&&a| a).count();
         ScenarioReport {
             horizon_s,

@@ -21,7 +21,7 @@
 use ispn_core::{FlowId, TokenBucketSpec};
 use ispn_net::{AgentId, FlowConfig, FlowReport, Network};
 use ispn_signal::{RequestId, SignalEvent, Signaling};
-use ispn_sim::{EventQueue, Pcg64, SimTime};
+use ispn_sim::{varint, EventQueue, Pcg64, SimTime};
 use ispn_traffic::{OnOffConfig, OnOffSource};
 use ispn_transport::TcpHandles;
 
@@ -171,7 +171,7 @@ fn encode_reclaimed(log: &mut Vec<u8>, order: u32, row: &ChurnFlowReport) {
         r.dropped_buffer,
         r.dropped_inactive,
     ] {
-        put_varint(log, n);
+        varint::put(log, n);
     }
     let delays = [r.mean_delay, r.p999_delay, r.max_delay];
     if r.delivered > 0 {
@@ -189,7 +189,7 @@ fn encode_reclaimed(log: &mut Vec<u8>, order: u32, row: &ChurnFlowReport) {
 /// Read back the record [`encode_reclaimed`] wrote at the front of `log`
 /// and advance past it.
 fn decode_reclaimed(log: &mut &[u8]) -> (u32, ChurnFlowReport) {
-    let mut next = || get_varint(log);
+    let mut next = || -> u64 { varint::get(log).expect("a churn record is whole") };
     let order = next() as u32;
     let flow = FlowId(next() as u32);
     let priority = next().checked_sub(1).map(|p| p as u8);
@@ -221,31 +221,6 @@ fn decode_reclaimed(log: &mut &[u8]) -> (u32, ChurnFlowReport) {
         report,
     };
     (order, row)
-}
-
-/// Append `n` as an LEB128 varint: seven bits a byte, low bits first, the
-/// top bit set on every byte but the last.
-fn put_varint(out: &mut Vec<u8>, mut n: u64) {
-    while n >= 0x80 {
-        out.push(n as u8 | 0x80);
-        n >>= 7;
-    }
-    out.push(n as u8);
-}
-
-/// Read the LEB128 varint at the front of `bytes` and advance past it.
-fn get_varint(bytes: &mut &[u8]) -> u64 {
-    let mut n = 0;
-    let mut shift = 0;
-    loop {
-        let (&b, rest) = bytes.split_first().expect("a churn record is whole");
-        *bytes = rest;
-        n |= u64::from(b & 0x7f) << shift;
-        if b < 0x80 {
-            return n;
-        }
-        shift += 7;
-    }
 }
 
 /// The scenario simulation: network, signaling engine, scheduled actions
@@ -941,7 +916,7 @@ mod tests {
         sim.submit(FlowConfig::guaranteed(vec![links[0]], 200_000.0));
         sim.submit(FlowConfig::guaranteed(vec![links[1]], 200_000.0));
         sim.run_until(SimTime::from_secs(1));
-        assert_eq!(sim.signaling().decision_log().len(), 2, "both completed");
+        assert_eq!(sim.signaling().decisions().len(), 2, "both completed");
         assert_eq!(
             *calls.borrow(),
             1,

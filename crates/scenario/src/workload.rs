@@ -10,7 +10,7 @@ use ispn_transport::TcpConfig;
 /// How a flow's path through the topology is described.
 #[derive(Debug, Clone)]
 pub enum RouteSpec {
-    /// An explicit list of links (must form a contiguous path).
+    /// An explicit list of links (must form a loop-free contiguous path).
     Links(Vec<LinkId>),
     /// The forward-link span `[first, first + hops)` of a chain preset.
     Span {

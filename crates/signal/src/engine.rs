@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use ispn_core::admission::AdmissionDecision;
 use ispn_core::{FlowId, FlowSpec, TokenBucketSpec};
 use ispn_net::{FlowConfig, LinkId, Network};
-use ispn_sim::{EventQueue, SimTime};
+use ispn_sim::{varint, EventQueue, SimTime};
 
 use crate::messages::{RequestId, SignalEvent};
 
@@ -108,9 +108,48 @@ pub struct Signaling {
     renegs: BTreeMap<RequestId, PendingReneg>,
     events: Vec<SignalEvent>,
     /// Chronological accept/reject record of every completed setup, kept
-    /// for blocking-probability accounting and determinism checks.
-    decision_log: Vec<(RequestId, bool)>,
+    /// for blocking-probability accounting and determinism checks: about a
+    /// byte a request ([`DecisionLog`]), the signalling state that
+    /// grows with the run's length.
+    decision_log: DecisionLog,
     next_id: u64,
+}
+
+/// The decision log: one varint per completed setup, in completion order.
+/// Each holds the zigzag difference from the previously logged request id
+/// shifted left by one, with the outcome in the low bit.  Ids are drawn in
+/// submission order and setups complete within a few hops of each other,
+/// so a decision costs one byte (1.00 B a request on `churn-signal`, where
+/// a `(RequestId, bool)` pair took 16), yet any `u64` id sequence reads
+/// back exactly.
+#[derive(Default)]
+struct DecisionLog {
+    bytes: Vec<u8>,
+    len: usize,
+    last: u64,
+}
+
+impl DecisionLog {
+    fn push(&mut self, req: RequestId, accepted: bool) {
+        let delta = req.0.wrapping_sub(self.last) as i64;
+        let zigzag = ((delta << 1) ^ (delta >> 63)) as u64;
+        varint::put(
+            &mut self.bytes,
+            u128::from(zigzag) << 1 | u128::from(accepted),
+        );
+        self.last = req.0;
+        self.len += 1;
+    }
+
+    fn iter(&self) -> impl ExactSizeIterator<Item = (RequestId, bool)> + '_ {
+        let (mut bytes, mut id) = (&self.bytes[..], 0u64);
+        (0..self.len).map(move |_| {
+            let word: u128 = varint::get(&mut bytes).expect("the decision log is whole");
+            let zigzag = (word >> 1) as u64;
+            id = id.wrapping_add((zigzag >> 1) ^ (zigzag & 1).wrapping_neg());
+            (RequestId(id), word & 1 == 1)
+        })
+    }
 }
 
 impl Signaling {
@@ -130,9 +169,23 @@ impl Signaling {
         self.setups_pending + self.renegs.len()
     }
 
-    /// The chronological accept/reject record of completed setups.
-    pub fn decision_log(&self) -> &[(RequestId, bool)] {
-        &self.decision_log
+    /// The chronological accept/reject record of completed setups, decoded
+    /// from the one-byte-a-request log as it is read.
+    pub fn decisions(&self) -> impl ExactSizeIterator<Item = (RequestId, bool)> + '_ {
+        self.decision_log.iter()
+    }
+
+    /// The bytes the decision log's entries take: about one a request.
+    pub fn decision_log_bytes(&self) -> usize {
+        self.decision_log.bytes.len()
+    }
+
+    /// [`decisions`](Signaling::decisions) collected into a `Vec`, 16 bytes
+    /// a request.  It exists only because the `benchmark/` package's traced
+    /// pass calls it by this name and takes `.len()` and `.iter()` of the
+    /// result; everything else reads `decisions()`.
+    pub fn decision_log(&self) -> Vec<(RequestId, bool)> {
+        self.decisions().collect()
     }
 
     /// Begin a hop-by-hop flow setup.  The flow is registered immediately
@@ -362,7 +415,7 @@ impl Signaling {
                         self.queue.push(next_at, next);
                     }
                     AdmissionDecision::Reject { reason } => {
-                        self.decision_log.push((req, false));
+                        self.decision_log.push(req, false);
                         self.events.push(SignalEvent::Rejected {
                             request: req,
                             flow,
@@ -420,7 +473,7 @@ impl Signaling {
                     return;
                 }
                 net.activate_flow(flow);
-                self.decision_log.push((s.req, true));
+                self.decision_log.push(s.req, true);
                 self.events.push(SignalEvent::Accepted {
                     request: s.req,
                     flow,
@@ -667,7 +720,7 @@ mod tests {
         }
         assert!(net.flow_active(flow));
         assert_eq!(sig.pending(), 0);
-        assert_eq!(sig.decision_log(), &[(req, true)]);
+        assert!(sig.decisions().eq([(req, true)]));
         for &l in &links {
             assert!((net.admission(l).unwrap().reserved_guaranteed_bps() - 300_000.0).abs() < 1e-6);
         }
@@ -906,7 +959,7 @@ mod tests {
         }
         assert_eq!(sig.pending(), 0);
         // The withdrawn setup never completed, so it is not in the log.
-        assert!(sig.decision_log().is_empty());
+        assert_eq!(sig.decisions().len(), 0);
     }
 
     #[test]
@@ -932,7 +985,7 @@ mod tests {
             assert_eq!(net.admission(l).unwrap().reserved_guaranteed_bps(), 0.0);
         }
         assert_eq!(sig.pending(), 0);
-        assert!(sig.decision_log().is_empty());
+        assert_eq!(sig.decisions().len(), 0);
     }
 
     #[test]
@@ -962,7 +1015,7 @@ mod tests {
         let (rd, fd) = sig.submit(&mut net, FlowConfig::guaranteed(vec![links[1]], 100_000.0));
         assert_eq!((fd, sig.pending()), (fb, 3));
         sig.process_until(&mut net, SimTime::from_secs(1));
-        assert_eq!(sig.decision_log(), &[(ra, true), (rc, true), (rd, true)]);
+        assert!(sig.decisions().eq([(ra, true), (rc, true), (rd, true)]));
         assert_eq!(sig.pending(), 0);
         assert!(net.flow_active(fd));
     }
@@ -1108,12 +1161,83 @@ mod tests {
         let (rb, fb) = sig.submit(&mut net, FlowConfig::guaranteed(vec![links[0]], 500_000.0));
         let events = sig.process_until(&mut net, SimTime::from_secs(1));
         assert_eq!(events.len(), 2);
-        assert_eq!(sig.decision_log().len(), 2);
-        let accepted: Vec<_> = sig.decision_log().iter().filter(|(_, a)| *a).collect();
-        assert_eq!(accepted, vec![&(ra, true)]);
+        assert_eq!(sig.decisions().len(), 2);
+        let accepted: Vec<_> = sig.decisions().filter(|(_, a)| *a).collect();
+        assert_eq!(accepted, vec![(ra, true)]);
         assert!(net.flow_active(fa));
         assert!(!net.flow_active(fb));
         let _ = rb;
+    }
+
+    /// Log `entries` and check they read back exactly, in order, with the
+    /// iterator's length equal to the count; returns the log's bytes.
+    fn assert_decisions_round_trip(entries: &[(RequestId, bool)]) -> usize {
+        let mut sig = Signaling::default();
+        for &(req, accepted) in entries {
+            sig.decision_log.push(req, accepted);
+        }
+        let read = sig.decisions();
+        assert_eq!(read.len(), entries.len());
+        assert_eq!(read.collect::<Vec<_>>(), entries);
+        assert_eq!(sig.decision_log(), entries);
+        sig.decision_log.bytes.len()
+    }
+
+    #[test]
+    fn decision_log_lengths_are_pinned_at_the_edges() {
+        let ids = |ids: &[u64]| -> Vec<(RequestId, bool)> {
+            let outcomes = [true, false].into_iter().cycle();
+            ids.iter().map(|&id| RequestId(id)).zip(outcomes).collect()
+        };
+        // The log starts from id 0; the zigzag delta sits above the
+        // outcome bit, so one byte carries a step of -32..=31.
+        for (sequence, bytes) in [
+            (&[][..], 0),
+            (&[1, 2, 3, 5, 4][..], 5),
+            (&[0, u64::MAX, 0][..], 3),
+            (&[31, 0][..], 2),
+            (&[32][..], 2),
+            (&[u64::MAX - 31][..], 1),
+            (&[u64::MAX - 32][..], 2),
+            (&[1 << 63][..], 10),
+            (&[i64::MAX as u64][..], 10),
+            (&[u64::MAX >> 1, u64::MAX, 0, 1 << 63][..], 10 + 10 + 1 + 10),
+        ] {
+            assert_eq!(
+                assert_decisions_round_trip(&ids(sequence)),
+                bytes,
+                "{sequence:?}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// Ascending ids with small and arbitrary gaps, setups completing
+        /// after later ones, `0` and `u64::MAX` side by side, both outcomes.
+        #[test]
+        fn decision_logs_read_back_exactly(
+            start in proptest::prelude::any::<u64>(),
+            steps in proptest::collection::vec(
+                (0u8..6, proptest::prelude::any::<u64>(), proptest::prelude::any::<bool>()),
+                0..64,
+            ),
+        ) {
+            let mut id = start;
+            let entries: Vec<_> = steps
+                .into_iter()
+                .map(|(kind, x, accepted)| {
+                    id = match kind {
+                        0 | 1 => id.wrapping_add(1 + x % 4),
+                        2 => id.wrapping_add(x >> (x % 64)),
+                        3 => id.wrapping_sub(x % 40),
+                        4 => [0, u64::MAX][(x & 1) as usize],
+                        _ => x,
+                    };
+                    (RequestId(id), accepted)
+                })
+                .collect();
+            assert_decisions_round_trip(&entries);
+        }
     }
 }
 
@@ -1479,7 +1603,7 @@ mod proptests {
         }
         d.drain();
         (
-            d.sig.decision_log().to_vec(),
+            d.sig.decisions().collect(),
             d.net.events_processed(),
             d.net.num_flows(),
             d.net.num_agents(),

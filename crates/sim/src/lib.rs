@@ -15,7 +15,9 @@
 //!   popped as one `(time, seq)` order,
 //! * [`rng`] — a small, self-contained PCG-64 random number generator plus
 //!   the inverse-CDF samplers (exponential, geometric, …) needed by the
-//!   paper's two-state Markov traffic sources.
+//!   paper's two-state Markov traffic sources,
+//! * [`varint`] — the LEB128 codec of the byte logs that grow with a run's
+//!   length.
 //!
 //! Everything is single-threaded and allocation-light by design: the
 //! evaluation scenarios of the paper involve a handful of switches and a few
@@ -28,6 +30,7 @@
 pub mod event;
 pub mod rng;
 pub mod time;
+pub mod varint;
 
 pub use event::EventQueue;
 pub use rng::{Pcg64, SplitMix64};

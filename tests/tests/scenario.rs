@@ -306,13 +306,8 @@ fn churn_flow_table_is_bounded_by_concurrent_flows_not_total_requests() {
         sim.run_until(SimTime::from_secs(s));
         peak_concurrent = peak_concurrent.max(sim.churn_admitted().len());
     }
-    let decisions = sim.signaling().decision_log().len();
-    let accepted = sim
-        .signaling()
-        .decision_log()
-        .iter()
-        .filter(|&&(_, a)| a)
-        .count();
+    let decisions = sim.signaling().decisions().len();
+    let accepted = sim.signaling().decisions().filter(|&(_, a)| a).count();
     let slots = sim.network().num_flows();
     assert!(
         decisions >= 100,
@@ -402,6 +397,27 @@ fn churn_flow_reports_are_pinned_across_slot_recycling() {
     );
 }
 
+/// The signalling decision log on the same 20-s `churn-signal` shape: the
+/// compact log reads back as the `Vec` the benchmark's traced pass takes,
+/// and stays near one byte a request while flow ids recycle.
+#[test]
+fn churn_decision_log_keeps_about_one_byte_a_request() {
+    let paper = PaperConfig {
+        duration: SimTime::from_secs(20),
+        ..PaperConfig::paper()
+    };
+    let mut sim = churn::build_sim(&churn::ChurnConfig::new(paper.clone(), 200.0, 0.075));
+    sim.run_until(paper.duration);
+    let sig = sim.signaling();
+    let (decisions, bytes) = (sig.decisions().len(), sig.decision_log_bytes());
+    assert_eq!(sig.decision_log(), sig.decisions().collect::<Vec<_>>());
+    assert!(decisions > 3_000, "20 s at 200/s: {decisions}");
+    assert!(
+        bytes as f64 <= 1.25 * decisions as f64,
+        "{bytes} B for {decisions} decisions"
+    );
+}
+
 /// The agent-slot counterpart: every admitted flow gets a source agent,
 /// and a departed source's slot is reused once its last timer has fired —
 /// the agent table tracks the **concurrent** population, not the number of
@@ -415,8 +431,7 @@ fn churn_agent_table_is_bounded_by_concurrent_sources_not_total_admissions() {
         sim.run_until(SimTime::from_secs(s));
         peak_concurrent = peak_concurrent.max(sim.churn_admitted().len());
     }
-    let log = sim.signaling().decision_log();
-    let accepted = log.iter().filter(|&&(_, a)| a).count();
+    let accepted = sim.signaling().decisions().filter(|&(_, a)| a).count();
     let slots = sim.network().num_agents();
     assert!(accepted >= 30, "90 s at 2/s must admit plenty: {accepted}");
     // `churn_admitted` also counts departed flows whose teardown is still
@@ -520,9 +535,8 @@ fn mini_churn(step: Option<SimTime>) -> (Vec<(SimTime, bool)>, String, u64, f64)
     }
     let decisions: String = sim
         .signaling()
-        .decision_log()
-        .iter()
-        .map(|&(_, a)| if a { 'A' } else { 'R' })
+        .decisions()
+        .map(|(_, a)| if a { 'A' } else { 'R' })
         .collect();
     // The second admitted flow's traffic: delivered count and mean delay
     // must also be step-width independent.
