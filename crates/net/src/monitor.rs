@@ -80,6 +80,9 @@ pub struct FlowReport {
 }
 
 impl FlowReport {
+    /// The quantile [`p999_delay`](FlowReport::p999_delay) reports.
+    pub const P999: f64 = 0.999;
+
     /// Fraction of generated packets that never reached the destination.
     pub fn loss_rate(&self) -> f64 {
         if self.generated == 0 {
@@ -242,7 +245,7 @@ impl Monitor {
         let report = FlowReport {
             flow,
             mean_delay,
-            p999_delay: f.delays.quantile(0.999),
+            p999_delay: f.delays.quantile(FlowReport::P999),
             max_delay: f.delays.max(),
             generated: c.generated,
             delivered: c.delivered,

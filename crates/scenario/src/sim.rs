@@ -22,6 +22,7 @@ use ispn_core::{FlowId, TokenBucketSpec};
 use ispn_net::{AgentId, FlowConfig, FlowReport, Network};
 use ispn_signal::{RequestId, SignalEvent, Signaling};
 use ispn_sim::{varint, EventQueue, Pcg64, SimTime};
+use ispn_stats::{quantile_between, NanoSamples};
 use ispn_traffic::{OnOffConfig, OnOffSource};
 use ispn_transport::TcpHandles;
 
@@ -102,11 +103,17 @@ struct ChurnDriver {
     source_seq: u32,
     /// The measurement snapshots of flows whose id slots were reclaimed,
     /// one [`encode_reclaimed`] record each, in reclaim order (sorted by
-    /// admission index on read-out).  A record is nine varints, plus 24
-    /// bytes of delays when the flow delivered a packet: 27.4 B per
-    /// reclaimed admission on `churn-signal` at seed 7 (1.97 MB for
-    /// 71 998 records over 600 s, 22 180 of them silent).
+    /// admission index on read-out).  A record is eight varints, plus three
+    /// more (and the mean's eight bytes when it is not the maximum) when
+    /// the flow delivered a packet: 15.0 B per reclaimed admission on
+    /// `churn-signal` at seed 7 (1.08 MB for 71 998 records over 600 s,
+    /// 22 180 of them silent).  `generated` is not stored: a reclaimed flow
+    /// has no packet in flight, so it generated `delivered +
+    /// dropped_at_edge + dropped_buffer`.
     completed: Vec<u8>,
+    /// The admission index of the last record in `completed`, which the
+    /// next record's index is stored as a step from.
+    last_reclaimed: u32,
     /// Set by [`Sim::drain_churn`]: in-flight completions must no longer
     /// spawn sources or departures.
     draining: bool,
@@ -132,7 +139,9 @@ impl ChurnDriver {
                     hops: entry.hops,
                     report: net.monitor_mut().flow_report(flow),
                 };
-                encode_reclaimed(&mut self.completed, entry.order, &row);
+                let last = &mut self.last_reclaimed;
+                let delays = net.monitor().flow_delays(flow);
+                encode_reclaimed(&mut self.completed, last, entry.order, &row, delays);
             }
             net.recycle_flow_slot(flow);
         }
@@ -149,23 +158,49 @@ impl ChurnDriver {
     }
 }
 
-/// Append one reclaimed admission to the churn driver's log: the admission
-/// index, the flow id, the priority (0 for guaranteed, `p + 1` for
-/// predicted), the hop count and the five packet counters as LEB128
-/// varints, then the three delay statistics as raw `f64` bits — only when
-/// the flow delivered a packet.  A flow that delivered nothing has an
-/// empty sample store, whose mean, 99.9th percentile and maximum are all
-/// `+0.0`, so leaving them out loses nothing.
-fn encode_reclaimed(log: &mut Vec<u8>, order: u32, row: &ChurnFlowReport) {
+/// Append one reclaimed admission to the churn driver's log, its admission
+/// index stored as the [zigzag](varint::zigzag) step from `last` (reclaim
+/// order follows admission order to within a few holding times), which
+/// then becomes `order`.
+///
+/// The record is LEB128 varints: the step, the flow id, the priority (0
+/// for guaranteed, `p + 1` for predicted), the hop count, and the
+/// delivered, edge-drop, buffer-drop and inactive-drop counters.  No
+/// `generated`: a flow is reclaimed only once no packet of it is in
+/// flight, so every packet it generated was delivered or dropped at the
+/// edge or in a buffer, and the decoder adds them up.  When the flow
+/// delivered a packet, its sorted `delays` follow as integers: the maximum
+/// in ns, then `(max − hi) << 1` with "the mean is the maximum's seconds"
+/// in the low bit, then `hi − lo`, where `lo` and `hi` are the
+/// [`order_statistics`](ispn_stats::NanoSamples::order_statistics) the
+/// 99.9th percentile reads, and last the mean's eight `f64` bytes when it
+/// is not the maximum.  A flow that delivered nothing has an empty store,
+/// whose three statistics are `+0.0`, so its record stops after the
+/// counters.  A silent flow with small counters takes eight bytes; the
+/// average on `churn-signal` is 15.0 B.
+fn encode_reclaimed(
+    log: &mut Vec<u8>,
+    last: &mut u32,
+    order: u32,
+    row: &ChurnFlowReport,
+    delays: &NanoSamples,
+) {
     let r = &row.report;
     debug_assert_eq!(r.flow, row.flow);
+    debug_assert_eq!(
+        r.generated,
+        r.delivered + r.dropped_at_edge + r.dropped_buffer,
+        "a reclaimed flow has no packet in flight"
+    );
+    debug_assert_eq!(r.delivered, delays.len() as u64);
+    let step = varint::zigzag(i64::from(order) - i64::from(*last));
+    *last = order;
     let priority = row.priority.map_or(0, |p| u64::from(p) + 1);
     for n in [
-        u64::from(order),
+        step,
         u64::from(row.flow.0),
         priority,
         row.hops as u64,
-        r.generated,
         r.delivered,
         r.dropped_at_edge,
         r.dropped_buffer,
@@ -173,42 +208,69 @@ fn encode_reclaimed(log: &mut Vec<u8>, order: u32, row: &ChurnFlowReport) {
     ] {
         varint::put(log, n);
     }
-    let delays = [r.mean_delay, r.p999_delay, r.max_delay];
-    if r.delivered > 0 {
-        for x in delays {
-            log.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-    } else {
+    let (Some((lo, hi)), Some((max, _))) = (
+        delays.order_statistics(FlowReport::P999),
+        delays.order_statistics(1.0),
+    ) else {
+        let stats = [r.mean_delay, r.p999_delay, r.max_delay];
         debug_assert!(
-            delays.iter().all(|x| x.to_bits() == 0),
-            "a flow that delivered nothing reports +0.0 delays: {delays:?}"
+            stats.iter().all(|x| x.to_bits() == 0),
+            "a flow that delivered nothing reports +0.0 delays: {stats:?}"
         );
+        return;
+    };
+    let n = delays.len();
+    debug_assert_eq!(
+        r.p999_delay.to_bits(),
+        quantile_between(FlowReport::P999, n, (lo, hi)).to_bits()
+    );
+    let max_secs = quantile_between(1.0, n, (max, max));
+    debug_assert_eq!(r.max_delay.to_bits(), max_secs.to_bits());
+    let mean_is_max = r.mean_delay.to_bits() == max_secs.to_bits();
+    varint::put(log, max);
+    varint::put(log, u128::from(max - hi) << 1 | u128::from(mean_is_max));
+    varint::put(log, hi - lo);
+    if !mean_is_max {
+        log.extend_from_slice(&r.mean_delay.to_bits().to_le_bytes());
     }
 }
 
-/// Read back the record [`encode_reclaimed`] wrote at the front of `log`
+/// Read back the record [`encode_reclaimed`] wrote at the front of `log`,
+/// its admission index a step from `last`, which then becomes that index,
 /// and advance past it.
-fn decode_reclaimed(log: &mut &[u8]) -> (u32, ChurnFlowReport) {
-    let mut next = || -> u64 { varint::get(log).expect("a churn record is whole") };
-    let order = next() as u32;
-    let flow = FlowId(next() as u32);
-    let priority = next().checked_sub(1).map(|p| p as u8);
-    let [hops, generated, delivered, dropped_at_edge, dropped_buffer, dropped_inactive] =
-        std::array::from_fn(|_| next());
-    let mut delay = || match delivered {
-        0 => 0.0,
-        _ => {
+fn decode_reclaimed(log: &mut &[u8], last: &mut u32) -> (u32, ChurnFlowReport) {
+    fn next<T: TryFrom<u128>>(log: &mut &[u8]) -> T {
+        varint::get(log).expect("a churn record is whole")
+    }
+    let order = (i64::from(*last) + varint::unzigzag(next(log))) as u32;
+    *last = order;
+    let flow = FlowId(next(log));
+    let priority = next::<u16>(log).checked_sub(1).map(|p| p as u8);
+    let [hops, delivered, dropped_at_edge, dropped_buffer, dropped_inactive] =
+        std::array::from_fn(|_| next::<u64>(log));
+    let (mut mean_delay, mut p999_delay, mut max_delay) = (0.0, 0.0, 0.0);
+    if delivered > 0 {
+        let max: u64 = next(log);
+        let word: u128 = next(log);
+        let hi = max - (word >> 1) as u64;
+        let lo = hi - next::<u64>(log);
+        let n = delivered as usize;
+        max_delay = quantile_between(1.0, n, (max, max));
+        p999_delay = quantile_between(FlowReport::P999, n, (lo, hi));
+        mean_delay = if word & 1 == 1 {
+            max_delay
+        } else {
             let (bits, rest) = log.split_first_chunk().expect("a churn record is whole");
             *log = rest;
             f64::from_bits(u64::from_le_bytes(*bits))
-        }
-    };
+        };
+    }
     let report = FlowReport {
         flow,
-        mean_delay: delay(),
-        p999_delay: delay(),
-        max_delay: delay(),
-        generated,
+        mean_delay,
+        p999_delay,
+        max_delay,
+        generated: delivered + dropped_at_edge + dropped_buffer,
         delivered,
         dropped_at_edge,
         dropped_buffer,
@@ -292,6 +354,7 @@ impl Sim {
             slots: Vec::new(),
             source_seq: 0,
             completed: Vec::new(),
+            last_reclaimed: 0,
             draining: false,
         });
         self.schedule_at(gap, Sim::churn_arrival);
@@ -450,19 +513,21 @@ impl Sim {
     /// packet left the network), flows still live are queried from the
     /// monitor now.  Empty without a churn workload.
     ///
-    /// A snapshot is kept as a compact record: its integers as varints,
-    /// its delays as raw `f64` bits, which decode to the very values the
-    /// monitor reported.  A flow that delivered nothing keeps no delays at
-    /// all; it reads back the `+0.0` an empty sample store reports for all
-    /// three.
+    /// A snapshot is kept as a compact record of integers: the counters,
+    /// and the delay samples the maximum and the 99.9th percentile read,
+    /// which decode through `ispn_stats`' own interpolation to the very
+    /// values the monitor reported (the mean travels as `f64` bits unless
+    /// it is the maximum).  A flow that delivered nothing keeps no delays
+    /// at all; it reads back the `+0.0` an empty sample store reports for
+    /// all three.
     pub fn churn_flow_reports(&mut self) -> Vec<ChurnFlowReport> {
         let Some(d) = &self.churn else {
             return Vec::new();
         };
         let mut rows: Vec<(u32, ChurnFlowReport)> = Vec::new();
-        let mut log = &d.completed[..];
+        let (mut log, mut last) = (&d.completed[..], 0);
         while !log.is_empty() {
-            rows.push(decode_reclaimed(&mut log));
+            rows.push(decode_reclaimed(&mut log, &mut last));
         }
         for (flow, e) in d.admitted() {
             rows.push((
@@ -955,51 +1020,70 @@ mod tests {
     }
 
     /// The churn log's edge values: counters across the one- and two-byte
-    /// varint boundary and at the top of the range; delays that only a
-    /// bit-exact codec keeps (signed zero, a subnormal, the infinities and
-    /// NaNs with payloads).
+    /// varint boundary and at the top of the range, and delay samples (ns)
+    /// at the varint boundary, on both sides of the narrow store's 2³² ns
+    /// and at the top of the wide store's range.
     const COUNTS: [u64; 5] = [0, 127, 128, 1 << 63, u64::MAX];
-    const DELAYS: [u64; 7] = [
-        0x8000_0000_0000_0000, // -0.0
-        0x0000_0000_0000_0001, // the smallest subnormal
-        0x7ff0_0000_0000_0000, // +inf
-        0xfff0_0000_0000_0000, // -inf
-        0x7ff8_0000_0000_0001, // a quiet NaN with a payload
-        0x7ff0_0000_0000_0001, // a signalling NaN
-        0xfff8_dead_beef_cafe, // a negative NaN
+    const SAMPLES: [u64; 8] = [
+        0,
+        1,
+        127,
+        128,
+        (1 << 32) - 1,
+        1 << 32,
+        u64::MAX - 1,
+        u64::MAX,
     ];
     const PRIORITIES: [Option<u8>; 3] = [None, Some(0), Some(255)];
 
-    fn churn_row(
+    /// One reclaimed admission as the churn driver holds it at reclaim
+    /// time: the admission index, the row carrying the monitor's own report
+    /// of a flow that delivered the samples, and the flow's sorted store.
+    struct Reclaimed {
+        order: u32,
+        row: ChurnFlowReport,
+        delays: NanoSamples,
+    }
+
+    /// A drained flow that delivered `samples` (ns, in this order) and
+    /// dropped `[edge, buffer, inactive]` packets.  The drop counters are
+    /// set on the monitor's report, not recorded one by one, so they can
+    /// reach the top of their range; `generated` is then what a drained
+    /// flow generated: its deliveries and its edge and buffer drops.
+    fn reclaimed(
+        order: u32,
         flow: u32,
         priority: Option<u8>,
         hops: usize,
-        counts: [u64; 5],
-    ) -> ChurnFlowReport {
-        let [generated, delivered, dropped_at_edge, dropped_buffer, dropped_inactive] = counts;
-        ChurnFlowReport {
+        samples: &[u64],
+        [edge, buffer, inactive]: [u64; 3],
+    ) -> Reclaimed {
+        let mut monitor = ispn_net::Monitor::new(1, 0);
+        let f = FlowId(0);
+        for &ns in samples {
+            monitor.record_delivery(f, SimTime::from_nanos(ns), SimTime::ZERO);
+        }
+        let mut report = monitor.flow_report(f);
+        report.flow = FlowId(flow);
+        report.dropped_at_edge = edge;
+        report.dropped_buffer = buffer;
+        report.dropped_inactive = inactive;
+        report.generated = report.delivered + edge + buffer;
+        let row = ChurnFlowReport {
             flow: FlowId(flow),
             priority,
             hops,
-            report: FlowReport {
-                flow: FlowId(flow),
-                mean_delay: 0.0,
-                p999_delay: 0.0,
-                max_delay: 0.0,
-                generated,
-                delivered,
-                dropped_at_edge,
-                dropped_buffer,
-                dropped_inactive,
-            },
-        }
+            report,
+        };
+        let delays = monitor.flow_delays(f).clone();
+        Reclaimed { order, row, delays }
     }
 
     /// Every field of an admission's row, the delays as bits.
-    fn row_bits((order, row): &(u32, ChurnFlowReport)) -> [u64; 13] {
+    fn row_bits(order: u32, row: &ChurnFlowReport) -> [u64; 13] {
         let r = &row.report;
         [
-            u64::from(*order),
+            u64::from(order),
             u64::from(row.flow.0),
             row.priority.map_or(256, u64::from),
             row.hops as u64,
@@ -1016,72 +1100,105 @@ mod tests {
     }
 
     /// Encode `rows` into one log, decode it back, and check that every
-    /// record decodes bit-exactly, in order, ending exactly where its
-    /// encoding ended — the last one at the log's last byte.
-    fn assert_log_round_trips(rows: &[(u32, ChurnFlowReport)]) -> Vec<u8> {
-        let mut log = Vec::new();
+    /// record decodes to the monitor's report bit for bit, in order,
+    /// ending exactly where its encoding ended — the last one at the log's
+    /// last byte.
+    fn assert_log_round_trips(rows: &[Reclaimed]) -> Vec<u8> {
+        let (mut log, mut last) = (Vec::new(), 0);
         let mut ends = Vec::new();
-        for (order, row) in rows {
-            encode_reclaimed(&mut log, *order, row);
+        for r in rows {
+            encode_reclaimed(&mut log, &mut last, r.order, &r.row, &r.delays);
             ends.push(log.len());
         }
-        let mut rest = &log[..];
-        for (row, end) in rows.iter().zip(ends) {
-            let decoded = decode_reclaimed(&mut rest);
-            assert_eq!(row_bits(&decoded), row_bits(row));
+        let (mut rest, mut last) = (&log[..], 0);
+        for (r, end) in rows.iter().zip(ends) {
+            let (order, row) = decode_reclaimed(&mut rest, &mut last);
+            assert_eq!(row_bits(order, &row), row_bits(r.order, &r.row));
             assert_eq!(log.len() - rest.len(), end);
         }
         assert!(rest.is_empty());
         log
     }
 
+    /// Sample stores at the codec's edges: empty, one sample, two equal
+    /// and two different ones, repeated maxima, all-zero stores at the
+    /// sizes where the 99.9th percentile moves to a lower rank (1000,
+    /// 1001, 1002), a lone maximum above 1001 zeros, and every edge sample
+    /// beside every other.
+    fn edge_stores() -> Vec<Vec<u64>> {
+        let mut stores = vec![vec![], vec![5, 9, 9, 9], vec![9, 5, 9]];
+        for n in [1000, 1001, 1002] {
+            stores.push(vec![0; n]);
+            stores.push((0..n as u64).rev().collect());
+        }
+        let mut lone_max = vec![0; 1001];
+        lone_max.push(u64::MAX);
+        stores.push(lone_max);
+        for x in SAMPLES {
+            stores.push(vec![x]);
+            stores.extend(SAMPLES.map(|y| vec![x, y]));
+        }
+        stores
+    }
+
     #[test]
     fn reclaimed_churn_records_keep_every_edge_value_bit_exact() {
         let mut rows = Vec::new();
-        for (i, count) in COUNTS.into_iter().enumerate() {
-            // The count in each counter position in turn, delivered > 0.
-            for pos in 0..5 {
-                let mut counts = [1; 5];
-                counts[pos] = count;
-                if counts[1] > 0 {
-                    let mut row = churn_row(i as u32, PRIORITIES[pos % 3], pos, counts);
-                    row.report.mean_delay = f64::from_bits(DELAYS[pos]);
-                    row.report.p999_delay = f64::from_bits(DELAYS[(pos + 1) % 7]);
-                    row.report.max_delay = f64::from_bits(DELAYS[(pos + i) % 7]);
-                    rows.push((count as u32, row));
+        for (i, samples) in edge_stores().iter().enumerate() {
+            // Each edge count in each drop counter, as far as the flow's
+            // deliveries leave room under u64::MAX for what it generated.
+            let room = u64::MAX - samples.len() as u64;
+            for (j, count) in COUNTS.into_iter().enumerate() {
+                for pos in 0..3 {
+                    let mut drops = [1; 3];
+                    drops[pos] = count.min(room - 1);
+                    let order = if (i + j) % 2 == 0 { 0 } else { u32::MAX };
+                    let flow = (count as u32).wrapping_add(i as u32);
+                    let (priority, hops) = (PRIORITIES[pos], [0, 1, usize::MAX][j % 3]);
+                    rows.push(reclaimed(order, flow, priority, hops, samples, drops));
                 }
             }
         }
-        for (i, &bits) in DELAYS.iter().enumerate() {
-            let mut row = churn_row(u32::MAX, PRIORITIES[i % 3], usize::MAX, [1; 5]);
-            row.report.mean_delay = f64::from_bits(bits);
-            row.report.p999_delay = f64::from_bits(bits);
-            row.report.max_delay = f64::from_bits(bits);
-            rows.push((u32::MAX, row));
-        }
-        for priority in PRIORITIES {
-            rows.push((7, churn_row(3, priority, 0, [u64::MAX, 0, u64::MAX, 0, 0])));
-        }
         assert_log_round_trips(&rows);
 
-        // Nine one-byte varints, then the delays only if a packet arrived.
-        let silent = churn_row(2, None, 1, [5, 0, 5, 0, 0]);
-        assert_eq!(assert_log_round_trips(&[(0, silent.clone())]).len(), 9);
-        let mut heard = silent;
-        heard.report.delivered = 1;
-        assert_eq!(assert_log_round_trips(&[(0, heard)]).len(), 9 + 24);
-        // Ten bytes carry a u64::MAX, five a u32::MAX.
-        let wide = churn_row(u32::MAX, Some(255), usize::MAX, [u64::MAX, 0, 0, 0, 0]);
+        // Eight one-byte varints, then the delays only if a packet arrived:
+        // three more varints, and the mean only when it is not the maximum.
+        let len = |samples: &[u64], drops| {
+            let row = reclaimed(0, 2, None, 1, samples, drops);
+            assert_log_round_trips(&[row]).len()
+        };
+        assert_eq!(len(&[], [5, 0, 0]), 8);
+        assert_eq!(len(&[100], [0, 0, 0]), 8 + 3);
+        assert_eq!(len(&[100, 100], [0, 0, 0]), 8 + 3);
+        assert_eq!(len(&[100, 120], [0, 0, 0]), 8 + 3 + 8);
+        // `max − hi` and `hi − lo` each up to u64::MAX: ten bytes, the
+        // first with the mean's bit above it (and 1 002 deliveries take
+        // two bytes).
+        let mut lone_max = vec![0; 1001];
+        lone_max.push(u64::MAX);
+        assert_eq!(len(&lone_max, [0, 0, 0]), 9 + 10 + 10 + 1 + 8);
+        assert_eq!(len(&[0, u64::MAX], [0, 0, 0]), 8 + 10 + 1 + 10 + 8);
+        // Five bytes carry a step of u32::MAX, ten a u64::MAX.
+        let wide = reclaimed(
+            u32::MAX,
+            u32::MAX,
+            Some(255),
+            usize::MAX,
+            &[u64::MAX],
+            [u64::MAX - 1, 0, u64::MAX],
+        );
         assert_eq!(
-            assert_log_round_trips(&[(u32::MAX, wide)]).len(),
-            5 + 5 + 2 + 10 + 10 + 4
+            assert_log_round_trips(&[wide]).len(),
+            5 + 5 + 2 + 10 + 1 + 10 + 1 + 10 + 10 + 1 + 1
         );
     }
 
-    /// A row drawn from `seed`: each field one of the edge values or an
-    /// arbitrary one, with the empty store's +0.0 delays when nothing was
-    /// delivered (what [`encode_reclaimed`] relies on).
-    fn drawn_row(seed: u64) -> (u32, ChurnFlowReport) {
+    /// A reclaimed flow drawn from `seed`: a sample store of one of the
+    /// sizes where the 99.9th percentile changes rank (or a few thousand),
+    /// all zero, with repeated maxima, narrow, or reaching into the wide
+    /// store; drop counters that leave its `generated` in range; and the
+    /// other fields each an edge value or an arbitrary one.
+    fn drawn_row(seed: u64) -> Reclaimed {
         let mut rng = Pcg64::new(seed);
         let mut pick = |edges: &[u64]| match rng.next_below(3) {
             0 => rng.next_u64(),
@@ -1095,23 +1212,46 @@ mod tests {
             p => Some((p - 1) as u8),
         };
         let hops = pick(&[0, 1, usize::MAX as u64]) as usize;
-        let counts = std::array::from_fn(|_| pick(&COUNTS));
-        let mut row = churn_row(flow, priority, hops, counts);
-        if row.report.delivered > 0 {
-            let r = &mut row.report;
-            r.mean_delay = f64::from_bits(pick(&DELAYS));
-            r.p999_delay = f64::from_bits(pick(&DELAYS));
-            r.max_delay = f64::from_bits(pick(&DELAYS));
+        let n = match pick(&[0, 1, 2, 1000, 1001, 1002]) {
+            n @ (0 | 1 | 2 | 1000 | 1001 | 1002) => n as usize,
+            n => 2000 + (n % 3000) as usize,
+        };
+        let shape = pick(&[0, 1, 2, 3]) % 4;
+        let mut samples: Vec<u64> = (0..n)
+            .map(|_| match shape {
+                0 => 0,
+                1 => pick(&[0, 127, 128]) % 4,
+                2 => pick(&SAMPLES[..5]) >> 32,
+                _ => pick(&SAMPLES),
+            })
+            .collect();
+        let room = u64::MAX - n as u64;
+        let edge = pick(&COUNTS).min(room);
+        let buffer = pick(&COUNTS).min(room - edge);
+        let inactive = pick(&COUNTS);
+        // A repeated maximum: a few copies of the largest sample.
+        if let Some(&max) = samples.iter().max() {
+            for i in 0..samples.len().min(pick(&[0, 2, 3]) as usize % 4) {
+                samples[i * 7 % n] = max;
+            }
         }
-        (order, row)
+        reclaimed(
+            order,
+            flow,
+            priority,
+            hops,
+            &samples,
+            [edge, buffer, inactive],
+        )
     }
 
     proptest::proptest! {
         /// A log of mixed records — silent and measured flows, small and
-        /// huge fields — decodes in order and ends at its last byte.
+        /// huge fields, narrow and wide stores — decodes in order to the
+        /// monitor's reports and ends at its last byte.
         #[test]
         fn reclaimed_churn_logs_round_trip(
-            seeds in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..24),
+            seeds in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..16),
         ) {
             let rows: Vec<_> = seeds.into_iter().map(drawn_row).collect();
             assert_log_round_trips(&rows);

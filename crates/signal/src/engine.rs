@@ -131,8 +131,7 @@ struct DecisionLog {
 
 impl DecisionLog {
     fn push(&mut self, req: RequestId, accepted: bool) {
-        let delta = req.0.wrapping_sub(self.last) as i64;
-        let zigzag = ((delta << 1) ^ (delta >> 63)) as u64;
+        let zigzag = varint::zigzag(req.0.wrapping_sub(self.last) as i64);
         varint::put(
             &mut self.bytes,
             u128::from(zigzag) << 1 | u128::from(accepted),
@@ -145,8 +144,7 @@ impl DecisionLog {
         let (mut bytes, mut id) = (&self.bytes[..], 0u64);
         (0..self.len).map(move |_| {
             let word: u128 = varint::get(&mut bytes).expect("the decision log is whole");
-            let zigzag = (word >> 1) as u64;
-            id = id.wrapping_add((zigzag >> 1) ^ (zigzag & 1).wrapping_neg());
+            id = id.wrapping_add(varint::unzigzag((word >> 1) as u64) as u64);
             (RequestId(id), word & 1 == 1)
         })
     }

@@ -33,6 +33,17 @@ pub fn get<T: TryFrom<u128>>(bytes: &mut &[u8]) -> Option<T> {
     None
 }
 
+/// A signed step as an unsigned varint payload: 0, −1, 1, −2, 2, … map
+/// to 0, 1, 2, 3, 4, …, so a small step either way takes one byte.
+pub fn zigzag(step: i64) -> u64 {
+    ((step << 1) ^ (step >> 63)) as u64
+}
+
+/// The step a [`zigzag`] payload came from.
+pub fn unzigzag(z: u64) -> i64 {
+    ((z >> 1) ^ (z & 1).wrapping_neg()) as i64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,6 +68,17 @@ mod tests {
             let mut bytes = &out[..];
             assert_eq!(get::<u128>(&mut bytes), Some(n));
             assert!(bytes.is_empty(), "{n:#x} read to its last byte");
+        }
+    }
+
+    #[test]
+    fn zigzag_interleaves_signs_and_round_trips_the_extremes() {
+        for (step, z) in [(0, 0), (-1, 1), (1, 2), (-2, 3), (i64::MAX, u64::MAX - 1)] {
+            assert_eq!(zigzag(step), z);
+        }
+        assert_eq!(zigzag(i64::MIN), u64::MAX);
+        for step in [0, 1, -1, 63, -64, i64::MAX, i64::MIN] {
+            assert_eq!(unzigzag(zigzag(step)), step);
         }
     }
 

@@ -13,9 +13,11 @@
 //!   storing samples (Welford's algorithm),
 //! * [`NanoSamples`] — a flow's stored delays in integer nanoseconds, four
 //!   bytes each, with exact percentiles in seconds (used for the
-//!   99.9th-percentile columns), and [`merge_runs`], a tournament merge
-//!   over several sorted stores that takes their pooled mean and quantiles
-//!   without pooling them and folds a Welford spread in the same loop,
+//!   99.9th-percentile columns; [`quantile_between`] re-reads one from
+//!   the two samples it interpolates between), and [`merge_runs`], a
+//!   tournament merge over several sorted stores that takes their pooled
+//!   mean and quantiles without pooling them and folds a Welford spread in
+//!   the same loop,
 //! * [`SampleSet`] — stored `f64` samples with exact percentiles, the
 //!   oracle the integer store is tested against,
 //! * [`WindowedMax`] / [`WindowedMean`] — sliding-time-window estimators
@@ -31,7 +33,7 @@ pub mod summary;
 pub mod table;
 pub mod window;
 
-pub use percentile::{merge_runs, NanoSamples, SampleSet};
+pub use percentile::{merge_runs, quantile_between, NanoSamples, SampleSet};
 pub use summary::StreamingStats;
 pub use table::TextTable;
 pub use window::{WindowedMax, WindowedMean};

@@ -66,6 +66,18 @@ fn interpolate((lo, hi, frac): (usize, usize, f64), at: impl Fn(usize) -> f64) -
     }
 }
 
+/// The `q`-quantile in seconds of `n ≥ 1` ascending samples whose
+/// [`order_statistics`](NanoSamples::order_statistics) are `(lo_ns, hi_ns)`:
+/// [`NanoSamples::quantile`]'s interpolation, for a reader that kept only
+/// those two samples and the count.  `q = 1` reads the last rank alone, so
+/// `(max, max)` gives [`NanoSamples::max`].
+pub fn quantile_between(q: f64, n: usize, (lo_ns, hi_ns): (u64, u64)) -> f64 {
+    let span = quantile_span(q, n);
+    interpolate(span, |rank| {
+        secs(if rank == span.0 { lo_ns } else { hi_ns })
+    })
+}
+
 /// A bag of stored samples with exact order statistics.
 #[derive(Debug, Clone)]
 pub struct SampleSet {
@@ -323,12 +335,26 @@ impl NanoSamples {
     /// [`SampleSet::quantile`] does; 0.0 if empty.  Sorts the store in
     /// place.
     pub fn quantile(&mut self, q: f64) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
         self.sort();
+        match self.order_statistics(q) {
+            Some(pair) => quantile_between(q, self.len(), pair),
+            None => 0.0,
+        }
+    }
+
+    /// The two samples, in nanoseconds and ascending, that the
+    /// `q`-quantile interpolates between (the same one twice when it sits
+    /// on a rank); `None` if empty.  [`quantile_between`] of them is
+    /// [`quantile`](NanoSamples::quantile).
+    ///
+    /// # Panics
+    ///
+    /// If a sample was recorded since the last [`sort`](NanoSamples::sort).
+    pub fn order_statistics(&self, q: f64) -> Option<(u64, u64)> {
+        assert!(self.sorted, "order statistics of an unsorted store");
         let run = self.run();
-        interpolate(quantile_span(q, run.len()), |rank| secs(run.at(rank)))
+        let (lo, hi, _) = quantile_span(q, run.len().checked_sub(1)? + 1);
+        Some((run.at(lo), run.at(hi)))
     }
 
     /// Largest sample in seconds, or 0.0 if empty.  O(1) once sorted.
@@ -711,6 +737,29 @@ mod tests {
         let mut sorted = ns.to_vec();
         sorted.sort_unstable();
         assert_eq!(s.nanos().collect::<Vec<_>>(), sorted);
+        // The two samples a quantile reads are enough to read it again,
+        // and the maximum twice reads as the maximum.
+        for q in QS {
+            let again = s
+                .order_statistics(q)
+                .map(|pair| quantile_between(q, ns.len(), pair));
+            let again = again.unwrap_or(0.0);
+            assert_eq!(again.to_bits(), o.quantile(q).to_bits(), "q = {q}, {ns:?}");
+        }
+        if let Some(&max) = sorted.last() {
+            let again = quantile_between(1.0, ns.len(), (max, max));
+            assert_eq!(again.to_bits(), s.max().to_bits(), "{ns:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unsorted")]
+    fn order_statistics_of_an_unsorted_store_panic() {
+        let mut s = store(&[3, 1, 2]);
+        assert_eq!(s.quantile(0.5), secs(2));
+        assert_eq!(s.order_statistics(0.5), Some((2, 2)));
+        s.record(0);
+        s.order_statistics(0.5);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!    `run_until` — the property the old manual interleave violated.
 
 use ispn_experiments::{churn, fig1, rows, table1, table2, table3, PaperConfig};
-use ispn_net::FlowConfig;
+use ispn_net::{FlowConfig, FlowReport};
 use ispn_scenario::{AdmissionSpec, DisciplineSpec, ScenarioBuilder, Sim};
 use ispn_sched::Averaging;
 use ispn_signal::SignalEvent;
@@ -339,37 +339,20 @@ fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// `churn_flow_reports` pinned whole on the `churn-signal` shape (200
-/// setups/s, 75 ms mean holding) at a 20-s horizon, where flow id slots
-/// recycle hundreds of times: the row count, and an FNV-1a digest over
-/// every field's bits in admission order.  Of the 2 455 rows, 2 442 are
-/// reclaimed flows' snapshots and 13 are live; 735 of the reclaimed
-/// delivered nothing (a flow departed before its first packet arrived),
-/// so the snapshots of silent and of measured flows are both covered.
-/// Nothing is dropped in this run, so the three drop counters are zero in
-/// every reclaimed row; `ispn-scenario`'s codec tests cover their values.
-#[test]
-fn churn_flow_reports_are_pinned_across_slot_recycling() {
-    let paper = PaperConfig {
-        duration: SimTime::from_secs(20),
-        ..PaperConfig::paper()
-    };
-    let mut sim = churn::build_sim(&churn::ChurnConfig::new(paper.clone(), 200.0, 0.075));
-    sim.run_until(paper.duration);
+/// A churn run's `churn_flow_reports` at the end of its configured
+/// duration: how many rows there are, the reports of the reclaimed flows'
+/// snapshots among them (a live flow is the last admission under its id;
+/// every other row was reclaimed), and an FNV-1a digest over every field's
+/// bits in admission order.
+fn churn_rows(cfg: &churn::ChurnConfig) -> (usize, Vec<FlowReport>, u64) {
+    let mut sim = churn::build_sim(cfg);
+    sim.run_until(cfg.paper.duration);
     let live: Vec<_> = sim.churn_admitted().iter().map(|r| r.flow).collect();
     let rows = sim.churn_flow_reports();
-
-    // A live flow is the last admission under its id; every other row is
-    // a reclaimed flow's snapshot.
-    let mut reclaimed = 0;
-    let mut reclaimed_silent = 0;
-    for (i, row) in rows.iter().enumerate() {
-        let later = rows[i + 1..].iter().any(|r| r.flow == row.flow);
-        if later || !live.contains(&row.flow) {
-            reclaimed += 1;
-            reclaimed_silent += usize::from(row.report.delivered == 0);
-        }
-    }
+    let reclaimed = rows.iter().enumerate().filter(|(i, row)| {
+        rows[i + 1..].iter().any(|r| r.flow == row.flow) || !live.contains(&row.flow)
+    });
+    let reclaimed = reclaimed.map(|(_, row)| row.report.clone()).collect();
 
     let mut h = 0xcbf2_9ce4_8422_2325;
     for row in &rows {
@@ -391,9 +374,49 @@ fn churn_flow_reports_are_pinned_across_slot_recycling() {
             h = fnv1a64(h, &n.to_le_bytes());
         }
     }
+    (rows.len(), reclaimed, h)
+}
+
+/// `churn_flow_reports` pinned whole on the `churn-signal` shape (200
+/// setups/s, 75 ms mean holding) at a 20-s horizon, where flow id slots
+/// recycle hundreds of times: the row count, and an FNV-1a digest over
+/// every field's bits in admission order.  Of the 2 455 rows, 2 442 are
+/// reclaimed flows' snapshots and 13 are live; 735 of the reclaimed
+/// delivered nothing (a flow departed before its first packet arrived),
+/// so the snapshots of silent and of measured flows are both covered.
+/// Nothing is dropped in this run and no flow lives past 1 001 packets, so
+/// every drop counter is zero and every 99.9th percentile reads the top
+/// two samples; the long-holding pin below covers both.
+#[test]
+fn churn_flow_reports_are_pinned_across_slot_recycling() {
+    let paper = PaperConfig {
+        duration: SimTime::from_secs(20),
+        ..PaperConfig::paper()
+    };
+    let (rows, reclaimed, h) = churn_rows(&churn::ChurnConfig::new(paper, 200.0, 0.075));
+    let silent = reclaimed.iter().filter(|r| r.delivered == 0).count();
     assert_eq!(
-        (rows.len(), reclaimed, reclaimed_silent, h),
+        (rows, reclaimed.len(), silent, h),
         (2455, 2442, 735, 0xaf65_86bf_7c84_6688)
+    );
+}
+
+/// `churn_flow_reports` pinned on the `churn` bin's shape (1 setup/s,
+/// 15-s mean holding) over `PaperConfig::fast()`'s 40 s: 29 rows, 9 of
+/// them live.  Of the 20 reclaimed flows, 5 lived long enough to deliver
+/// more than 1 001 packets, so their 99.9th percentile interpolates below
+/// the top two samples, and 4 lost packets to edge policing, so their
+/// drop counters are not zero.  (No flow of this shape overflows a buffer,
+/// even over 200 s; `ispn-scenario`'s codec tests cover that counter.)
+#[test]
+fn churn_flow_reports_are_pinned_with_long_holding() {
+    let cfg = churn::ChurnConfig::new(PaperConfig::fast(), 1.0, 15.0);
+    let (rows, reclaimed, h) = churn_rows(&cfg);
+    let long = reclaimed.iter().filter(|r| r.delivered > 1001).count();
+    let policed = reclaimed.iter().filter(|r| r.dropped_at_edge > 0).count();
+    assert_eq!(
+        (rows, reclaimed.len(), long, policed, h),
+        (29, 20, 5, 4, 0x59bd_3289_38aa_483a)
     );
 }
 
