@@ -467,16 +467,21 @@ impl Parser<'_> {
         }
     }
 
+    /// The four ASCII hex digits of a `\u` escape, and nothing else: not
+    /// the sign `u32::from_str_radix` would take.
     fn hex4(&mut self) -> Result<u32, WireError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(WireError::new("truncated \\u escape"));
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| WireError::new("truncated \\u escape"))?;
+        let mut unit = 0;
+        for &b in digits {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| WireError::new("bad \\u escape digits"))?;
+            unit = unit << 4 | digit;
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| WireError::new("non-ASCII in \\u escape"))?;
-        let unit =
-            u32::from_str_radix(hex, 16).map_err(|_| WireError::new("bad \\u escape digits"))?;
-        self.pos = end;
+        self.pos += 4;
         Ok(unit)
     }
 }
@@ -1358,6 +1363,171 @@ mod tests {
              \"classes\":[],\"disciplines\":[{discipline_json}],\"signaling\":{signaling_json}}}"
         );
         assert_wire_codec(&bare, &bare_json, &[]);
+    }
+
+    #[test]
+    fn unicode_escapes_take_four_hex_digits_and_no_sign() {
+        for bad in [
+            "\"\\u+0e9\"",
+            "\"\\u-0e9\"",
+            "\"\\u 0e9\"",
+            "\"\\u0e9\"",
+            "\"\\u0e\"",
+            "\"\\u00é\"",
+            "\"\\ud83e\\u+d80\"",
+        ] {
+            assert!(JsonValue::parse(bad).is_err(), "{bad:?} should not parse");
+        }
+        let ok = JsonValue::parse("\"\\u00E9\\u00e9x\"").unwrap();
+        assert_eq!(ok.as_str().unwrap(), "ééx");
+    }
+
+    /// Real frames of every kind the wire carries, a scenario report
+    /// from a short run among them.
+    fn real_frames() -> Vec<String> {
+        use crate::workload::{FlowDef, SourceSpec};
+        let mut sim = crate::ScenarioBuilder::chain(2)
+            .discipline(crate::DisciplineSpec::Wfq)
+            .flow(FlowDef::best_effort_realtime(0, 1).source(SourceSpec::cbr(100.0, 1000)))
+            .flow(FlowDef::best_effort_realtime(0, 1).source(SourceSpec::cbr(50.0, 1000)))
+            .build()
+            .expect("valid scenario");
+        sim.run_until(ispn_sim::SimTime::from_millis(200));
+        let report = sim.report(&Default::default());
+        let tags = vec![
+            ("load".to_string(), "1.0".to_string()),
+            ("disc\"ipline".to_string(), "WFQ\n é 🦀".to_string()),
+        ];
+        vec![
+            encode_hello(8),
+            encode_request(3, &tags),
+            encode_batch_request(&[(0, &tags), (1, &[])]),
+            encode_report_frame(5, &report),
+            encode_error_frame(2, "boom \"\\\n é 🦀 \u{1}"),
+            encode_telemetry_frame(4, 0.25),
+        ]
+    }
+
+    /// Text the writer never emits but a garbled or hostile peer could
+    /// send: signed `\u` digits, lone and reversed surrogates, numbers out
+    /// of range, duplicate keys.
+    const HOSTILE: [&str; 16] = [
+        "\\u+0e9",
+        "\\u-0e9",
+        "\\ud800",
+        "\\udc00",
+        "\\udc00\\ud800",
+        "\\ud800\\ud800",
+        "\\ud800\\n",
+        "1e999",
+        "-1e999",
+        "18446744073709551616",
+        "-1",
+        "1e-400",
+        "99999999999999999999999999",
+        "{\"point\":1,\"point\":2,\"error\":\"a\",\"error\":\"b\"}",
+        "{\"hello\":{\"protocol\":1,\"protocol\":2,\"points\":3,\"points\":-4}}",
+        "{\"batch\":[],\"batch\":[{\"point\":1,\"axes\":[],\"axes\":[[\"a\",\"b\"]]}]}",
+    ];
+
+    /// Characters a flip writes: JSON's structure, digits, escapes and
+    /// multi-byte UTF-8, so every flip leaves the text valid UTF-8.
+    const FLIPS: [char; 24] = [
+        '"', '\\', '{', '}', '[', ']', ',', ':', '0', '9', '-', '+', 'e', '.', 'u', 'd', '8', 'n',
+        't', ' ', 'é', '🦀', '\n', '\u{0}',
+    ];
+
+    /// Both parsers on `input`, each under `catch_unwind`: the input goes
+    /// into `panics` if either panicked instead of returning.
+    fn feed(input: &str, panics: &mut Vec<String>) {
+        let json = std::panic::catch_unwind(|| JsonValue::parse(input).is_ok());
+        let frame = std::panic::catch_unwind(|| parse_worker_frame(input).is_ok());
+        if json.is_err() || frame.is_err() {
+            panics.push(input.to_string());
+        }
+    }
+
+    /// The char boundaries of `s`, both ends included.
+    fn cuts(s: &str) -> Vec<usize> {
+        s.char_indices().map(|(i, _)| i).chain([s.len()]).collect()
+    }
+
+    /// Both wire parsers end every input in `Ok` or `Err`, never a panic:
+    /// every prefix of every real frame, then 12 000 drawn mutants —
+    /// splices of two frames, flips of a few characters, hostile text
+    /// inserted at a char boundary, and prefixes of those.
+    #[test]
+    fn wire_parsers_never_panic_on_mangled_frames() {
+        let frames = real_frames();
+        let mut docs = frames.clone();
+        docs.extend(
+            HOSTILE
+                .iter()
+                .map(|h| format!("{{\"point\":1,\"error\":\"{h}\"}}")),
+        );
+        docs.extend(
+            HOSTILE
+                .iter()
+                .map(|h| format!("{{\"point\":{h},\"telemetry\":{{\"wall_s\":{h}}}}}")),
+        );
+        docs.extend(HOSTILE.map(str::to_string));
+        let mut panics = Vec::new();
+        let mut cases = 0;
+        for frame in &frames {
+            for cut in cuts(frame) {
+                feed(&frame[..cut], &mut panics);
+                cases += 1;
+            }
+        }
+        let mut rng = ispn_sim::Pcg64::new(0x7769_7265);
+        let mut below = |n: usize| rng.next_below(n as u64) as usize;
+        for _ in 0..12_000 {
+            let (a, b) = (&docs[below(docs.len())], &docs[below(docs.len())]);
+            let (ca, cb) = (cuts(a), cuts(b));
+            let mut text = match below(4) {
+                0 => format!("{}{}", &a[..ca[below(ca.len())]], &b[cb[below(cb.len())]..]),
+                1 => {
+                    let mut chars: Vec<char> = a.chars().collect();
+                    for _ in 0..1 + below(4) {
+                        if !chars.is_empty() {
+                            let at = below(chars.len());
+                            chars[at] = FLIPS[below(FLIPS.len())];
+                        }
+                    }
+                    chars.into_iter().collect()
+                }
+                2 => {
+                    let at = ca[below(ca.len())];
+                    format!("{}{}{}", &a[..at], HOSTILE[below(HOSTILE.len())], &a[at..])
+                }
+                _ => a.clone(),
+            };
+            if below(4) == 0 {
+                let c = cuts(&text);
+                text.truncate(c[below(c.len())]);
+            }
+            feed(&text, &mut panics);
+            cases += 1;
+        }
+        assert!(cases >= 10_000, "{cases} cases");
+        assert!(
+            panics.is_empty(),
+            "{} inputs panicked: {:?}",
+            panics.len(),
+            &panics[..panics.len().min(5)]
+        );
+    }
+
+    #[test]
+    fn nesting_at_the_depth_bound_parses_and_one_level_past_it_does_not() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nest(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.detail.contains("nesting deeper"), "{err}");
+        // A report body inside its frame: the frame object is one level.
+        let frame = |depth: usize| format!("{{\"point\":1,\"report\":{}}}", nest(depth));
+        assert!(parse_worker_frame(&frame(MAX_DEPTH - 1)).is_ok());
+        assert!(parse_worker_frame(&frame(MAX_DEPTH)).is_err());
     }
 
     proptest! {
