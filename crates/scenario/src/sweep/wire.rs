@@ -1489,10 +1489,8 @@ mod tests {
                 1 => {
                     let mut chars: Vec<char> = a.chars().collect();
                     for _ in 0..1 + below(4) {
-                        if !chars.is_empty() {
-                            let at = below(chars.len());
-                            chars[at] = FLIPS[below(FLIPS.len())];
-                        }
+                        let at = below(chars.len());
+                        chars[at] = FLIPS[below(FLIPS.len())];
                     }
                     chars.into_iter().collect()
                 }

@@ -353,8 +353,10 @@ impl NanoSamples {
     pub fn order_statistics(&self, q: f64) -> Option<(u64, u64)> {
         assert!(self.sorted, "order statistics of an unsorted store");
         let run = self.run();
-        let (lo, hi, _) = quantile_span(q, run.len().checked_sub(1)? + 1);
-        Some((run.at(lo), run.at(hi)))
+        (run.len() > 0).then(|| {
+            let (lo, hi, _) = quantile_span(q, run.len());
+            (run.at(lo), run.at(hi))
+        })
     }
 
     /// Largest sample in seconds, or 0.0 if empty.  O(1) once sorted.
@@ -740,10 +742,8 @@ mod tests {
         // The two samples a quantile reads are enough to read it again,
         // and the maximum twice reads as the maximum.
         for q in QS {
-            let again = s
-                .order_statistics(q)
-                .map(|pair| quantile_between(q, ns.len(), pair));
-            let again = again.unwrap_or(0.0);
+            let pair = s.order_statistics(q);
+            let again = pair.map_or(0.0, |pair| quantile_between(q, ns.len(), pair));
             assert_eq!(again.to_bits(), o.quantile(q).to_bits(), "q = {q}, {ns:?}");
         }
         if let Some(&max) = sorted.last() {
