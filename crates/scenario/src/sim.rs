@@ -1251,7 +1251,7 @@ mod tests {
         /// monitor's reports and ends at its last byte.
         #[test]
         fn reclaimed_churn_logs_round_trip(
-            seeds in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..16),
+            seeds in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..24),
         ) {
             let rows: Vec<_> = seeds.into_iter().map(drawn_row).collect();
             assert_log_round_trips(&rows);
