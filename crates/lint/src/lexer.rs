@@ -4,9 +4,9 @@
 //!
 //! This is deliberately **not** a full Rust parser (the workspace builds
 //! offline, so `syn` is not available).  The rules only need to see token
-//! *sequences* (`Instant :: now`, `.` `unwrap` `(`) with strings and
-//! comments correctly skipped, so the lexer's one hard job is to never
-//! mistake literal or comment content for code.  It therefore handles the
+//! *sequences* (`pub` `fn` `name`, a string literal's content) with strings
+//! and comments correctly told apart, so the lexer's one hard job is to
+//! never mistake literal or comment content for code.  It therefore handles the
 //! full literal syntax: escapes, multi-line strings, raw strings with any
 //! number of `#`s, byte/C-string prefixes, char-vs-lifetime after `'`, and
 //! nested block comments.

@@ -1,31 +1,31 @@
-//! `ispn-lint` — the workspace determinism & safety analyzer.
+//! `ispn-lint` — the two workspace rules clippy has no equivalent for.
 //!
 //! This reproduction's guarantees — tables 1–3 bit-identity, the churn
 //! decision-sequence golden, serial vs `--workers` vs `--hosts`
-//! byte-identity — rest on coding conventions that no compiler checks: no
-//! sim-visible wall-clock reads, no iteration over randomized-hasher maps,
-//! floats crossing the wire only through the exact `{:?}` codec, panics in
-//! worker paths staying per-point poisons.  `ispn-lint` turns those
-//! conventions into a compile-time gate: a dependency-free static analyzer
-//! (hand-rolled lexer, no `syn` — the workspace builds offline) that walks
-//! every workspace `.rs` file, enforces the rule set in
-//! [`rules::RULES`], and fails CI on any unwaived finding.
+//! byte-identity — rest on conventions no compiler checks by itself.
+//! Clippy carries the ones it can express: `clippy.toml` bans wall-clock
+//! reads and hash-ordered collections, the workspace lints table denies
+//! lint attributes without a `reason`, and `sweep::{worker,net,dist}` deny
+//! the panic lints in their request paths.  This dependency-free analyzer
+//! (hand-rolled lexer, no `syn` — the workspace builds offline) enforces
+//! the rest, listed in [`rules::RULES`]: floats cross the wire only
+//! through the exact `{:?}` codec (`float-wire`), and no `pub` item is
+//! named by tests alone (`unreached-pub`).
 //!
 //! Sanctioned exceptions are machine-checkable waivers (see [`waiver`]):
 //! inline comments in the form `ispn-lint: allow(<rule>) -- <reason>` right
 //! above (or trailing) the excused line, plus the committed
-//! `lint-allow.toml` baseline for grandfathered sites.  Waivers without
-//! reasons, waivers that no longer match a finding, and stale baseline
-//! entries are themselves findings, so the gate only ever ratchets.
+//! `lint-allow.toml` baseline of `unreached-pub` items, keyed by name.
+//! Waivers without reasons, waivers that no longer match a finding, and
+//! stale baseline entries are themselves findings, so the gate only ever
+//! ratchets.
 //!
 //! Run it from the workspace root:
 //!
 //! ```text
 //! cargo run -p ispn-lint                     # report findings
 //! cargo run -p ispn-lint -- --deny           # CI gate: exit 1 on findings
-//! cargo run -p ispn-lint -- --json           # machine-readable output
 //! cargo run -p ispn-lint -- --rules          # print the rule catalog
-//! cargo run -p ispn-lint -- --update-baseline
 //! ```
 
 #![forbid(unsafe_code)]
@@ -43,12 +43,14 @@ use std::path::{Path, PathBuf};
 use rules::Finding;
 use waiver::BaselineEntry;
 
-/// Directory names never descended into during the workspace walk.
-const SKIP_DIRS: &[&str] = &["target", ".git", ".github"];
+/// The directories the walk reads: `crates/` is linted and declares the
+/// `pub` items; `examples/` and `benchmark/src` are read only as
+/// `unreached-pub` callers.
+const WALK_ROOTS: &[&str] = &["crates", "examples", "benchmark/src"];
 
-/// Path prefixes excluded from the walk: the lint's own fixture corpus is
-/// deliberately full of violations.
-const SKIP_PREFIXES: &[&str] = &["crates/lint/tests/fixtures"];
+/// Excluded from the walk: the lint's own fixture corpus is deliberately
+/// full of violations.
+const FIXTURES: &str = "crates/lint/tests/fixtures";
 
 /// The outcome of linting a workspace.
 #[derive(Debug, Default)]
@@ -97,21 +99,22 @@ fn analyze(path: &str, src: &str, lex: &lexer::LexFile, mut hits: Vec<rules::Hit
 
     let mut out = FileAnalysis::default();
     let mut used = vec![false; waivers.len()];
-    for (rule, line, col, message) in hits {
+    for hit in hits {
         let covered = waivers.iter().enumerate().find(|(_, w)| {
-            w.malformed.is_none() && w.target == line && w.rules.iter().any(|r| r == rule)
+            w.malformed.is_none() && w.target == hit.line && w.rules.iter().any(|r| r == hit.rule)
         });
         if let Some((i, _)) = covered {
             used[i] = true;
             out.waived += 1;
         } else {
             out.findings.push(Finding {
-                rule,
+                rule: hit.rule,
                 path: path.to_string(),
-                line,
-                col,
-                message,
-                snippet: snippet(line),
+                line: hit.line,
+                col: hit.col,
+                item: hit.item,
+                message: hit.message,
+                snippet: snippet(hit.line),
             });
         }
     }
@@ -122,6 +125,7 @@ fn analyze(path: &str, src: &str, lex: &lexer::LexFile, mut hits: Vec<rules::Hit
                 path: path.to_string(),
                 line: w.line,
                 col: w.col,
+                item: String::new(),
                 message: format!("malformed waiver: {why}"),
                 snippet: snippet(w.line),
             });
@@ -131,6 +135,7 @@ fn analyze(path: &str, src: &str, lex: &lexer::LexFile, mut hits: Vec<rules::Hit
                 path: path.to_string(),
                 line: w.line,
                 col: w.col,
+                item: String::new(),
                 message: format!(
                     "waiver for `{}` suppresses nothing (target line {}): the code it \
                      excused moved or was fixed — delete or re-anchor it",
@@ -146,11 +151,17 @@ fn analyze(path: &str, src: &str, lex: &lexer::LexFile, mut hits: Vec<rules::Hit
     out
 }
 
-/// Collect every workspace `.rs` file under `root`, workspace-relative and
-/// sorted (the lint's own output must be deterministic).
-pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
+/// Collect every `.rs` file under the [`WALK_ROOTS`] of `root`,
+/// workspace-relative and sorted (the lint's own output must be
+/// deterministic).
+fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
-    walk(root, root, &mut files)?;
+    for dir in WALK_ROOTS {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            walk(root, &dir, &mut files)?;
+        }
+    }
     files.sort();
     Ok(files)
 }
@@ -162,14 +173,9 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') {
-                continue;
+            if !name.starts_with('.') && rel_str(root, &path) != FIXTURES {
+                walk(root, &path, out)?;
             }
-            let rel = rel_str(root, &path);
-            if SKIP_PREFIXES.iter().any(|p| rel.starts_with(p)) {
-                continue;
-            }
-            walk(root, &path, out)?;
         } else if name.ends_with(".rs") {
             out.push(path.strip_prefix(root).unwrap_or(&path).to_path_buf());
         }
@@ -187,7 +193,7 @@ fn rel_str(root: &Path, path: &Path) -> String {
 /// Load and parse `lint-allow.toml` at the workspace root.  A missing file
 /// is an empty baseline; a malformed one is an error (the baseline is part
 /// of the gate, it must always parse).
-pub fn load_baseline(root: &Path) -> Result<Vec<BaselineEntry>, String> {
+fn load_baseline(root: &Path) -> Result<Vec<BaselineEntry>, String> {
     let path = root.join("lint-allow.toml");
     if !path.exists() {
         return Ok(Vec::new());
@@ -196,32 +202,25 @@ pub fn load_baseline(root: &Path) -> Result<Vec<BaselineEntry>, String> {
     waiver::parse_baseline(&text)
 }
 
-/// Lint the whole workspace rooted at `root`.
+/// Lint the whole workspace rooted at `root` against its `lint-allow.toml`.
 pub fn run_workspace(root: &Path) -> Result<Report, String> {
     let baseline = load_baseline(root)?;
     let files = workspace_files(root).map_err(|e| format!("walking {root:?}: {e}"))?;
-    run_files(root, &files, &baseline)
-}
-
-/// Lint the given workspace-relative files against a baseline.
-pub fn run_files(
-    root: &Path,
-    files: &[PathBuf],
-    baseline: &[BaselineEntry],
-) -> Result<Report, String> {
     let mut sources = Vec::with_capacity(files.len());
-    for file in files {
+    for file in &files {
         let src =
             fs::read_to_string(root.join(file)).map_err(|e| format!("reading {file:?}: {e}"))?;
         sources.push((rel_str(Path::new(""), file), src));
     }
-    Ok(run_sources(&sources, baseline))
+    Ok(run_sources(&sources, &baseline))
 }
 
 /// Lint a workspace given as `(workspace-relative path, source)` pairs —
-/// the in-memory core of [`run_files`], which the workspace-wide
+/// the in-memory core of [`run_workspace`], which the workspace-wide
 /// `unreached-pub` rule needs whole.  Tests feed it known-bad sources
-/// under pretend paths (rule scoping is path-based).
+/// under pretend paths (rule scoping is path-based).  Only files under
+/// `crates/` are linted and have their waivers read; the others count
+/// only as `unreached-pub` callers.
 pub fn run_sources(sources: &[(String, String)], baseline: &[BaselineEntry]) -> Report {
     let lexed: Vec<_> = sources.iter().map(|(_, s)| lexer::tokenize(s)).collect();
     let files: Vec<_> = sources
@@ -231,13 +230,12 @@ pub fn run_sources(sources: &[(String, String)], baseline: &[BaselineEntry]) -> 
         .collect();
     let cross = rules::check_unreached(&files);
 
-    // Index baseline entries by (path, rule, line) for exact matching.  A
-    // site with several findings of one rule on one line (say, indexing and
-    // an `expect` in one expression) is one entry; it covers them all.
-    let mut by_site: BTreeMap<(&str, &str, u32), Vec<usize>> = BTreeMap::new();
+    // Index baseline entries by (path, rule, item).  Several declarations
+    // of one name in one file are one entry; it covers them all.
+    let mut by_item: BTreeMap<(&str, &str, &str), Vec<usize>> = BTreeMap::new();
     for (i, e) in baseline.iter().enumerate() {
-        by_site
-            .entry((e.path.as_str(), e.rule.as_str(), e.line))
+        by_item
+            .entry((e.path.as_str(), e.rule.as_str(), e.item.as_str()))
             .or_default()
             .push(i);
     }
@@ -245,11 +243,14 @@ pub fn run_sources(sources: &[(String, String)], baseline: &[BaselineEntry]) -> 
 
     let mut report = Report::default();
     for (((path, src), lex), hits) in sources.iter().zip(&lexed).zip(cross) {
-        let analysis = analyze(path, src, lex, hits);
         report.files += 1;
+        if !path.starts_with("crates/") {
+            continue;
+        }
+        let analysis = analyze(path, src, lex, hits);
         report.waived += analysis.waived;
         for f in analysis.findings {
-            if let Some(indices) = by_site.get(&(f.path.as_str(), f.rule, f.line)) {
+            if let Some(indices) = by_item.get(&(f.path.as_str(), f.rule, f.item.as_str())) {
                 for &i in indices {
                     entry_used[i] = true;
                 }
@@ -266,14 +267,15 @@ pub fn run_sources(sources: &[(String, String)], baseline: &[BaselineEntry]) -> 
                 path: "lint-allow.toml".to_string(),
                 line: e.src_line,
                 col: 1,
+                item: String::new(),
                 message: format!(
-                    "baseline entry `{}` at {}:{} matches no current finding: the site \
-                     moved or was fixed — run `--update-baseline` and re-justify",
-                    e.rule, e.path, e.line
+                    "baseline entry `{}` for `{}` in {} matches no current finding: the \
+                     item gained a caller, was renamed or was deleted — remove the entry",
+                    e.rule, e.item, e.path
                 ),
                 snippet: format!(
-                    "rule = \"{}\", path = \"{}\", line = {}",
-                    e.rule, e.path, e.line
+                    "rule = \"{}\", path = \"{}\", item = \"{}\"",
+                    e.rule, e.path, e.item
                 ),
             });
         }
@@ -307,32 +309,6 @@ pub fn render_text(report: &Report) -> String {
     out
 }
 
-/// Render the report as a single JSON document (`--json`).
-pub fn render_json(report: &Report) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!(
-        "\"files\":{},\"waived\":{},\"baselined\":{},\"findings\":[",
-        report.files, report.waived, report.baselined
-    ));
-    for (i, f) in report.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"col\":{},\
-             \"message\":\"{}\",\"snippet\":\"{}\"}}",
-            json_escape(f.rule),
-            json_escape(&f.path),
-            f.line,
-            f.col,
-            json_escape(&f.message),
-            json_escape(&f.snippet),
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
 /// Render the rule catalog (`--rules`).
 pub fn render_rules() -> String {
     let mut out = String::from("ispn-lint rule catalog\n");
@@ -344,22 +320,6 @@ pub fn render_rules() -> String {
         }
         if !r.scope.exclude.is_empty() {
             out.push_str(&format!("    exempt: {}\n", r.scope.exclude.join(", ")));
-        }
-    }
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
         }
     }
     out

@@ -8,33 +8,25 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ispn_lint::waiver::BaselineEntry;
-
 const USAGE: &str = "\
-usage: ispn-lint [--deny] [--json] [--rules] [--update-baseline] [ROOT]
+usage: ispn-lint [--deny] [--rules] [ROOT]
 
-  --deny             exit non-zero on any finding (CI gate)
-  --json             emit findings as one JSON document
-  --rules            print the rule catalog and exit
-  --update-baseline  rewrite lint-allow.toml from current findings
-  ROOT               workspace root (default: nearest ancestor with a
-                     [workspace] Cargo.toml)";
+  --deny   exit non-zero on any finding (CI gate)
+  --rules  print the rule catalog and exit
+  ROOT     workspace root (default: nearest ancestor with a
+           [workspace] Cargo.toml)";
 
 fn main() -> ExitCode {
     let mut deny = false;
-    let mut json = false;
     let mut rules = false;
-    let mut update_baseline = false;
     let mut root: Option<PathBuf> = None;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--deny" => deny = true,
-            "--json" => json = true,
             "--rules" => rules = true,
-            "--update-baseline" => update_baseline = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -59,18 +51,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if update_baseline {
-        return match rewrite_baseline(&root) {
-            Ok(n) => {
-                eprintln!("ispn-lint: wrote lint-allow.toml with {n} entries");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("ispn-lint: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
     let report = match ispn_lint::run_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
@@ -78,11 +58,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if json {
-        println!("{}", ispn_lint::render_json(&report));
-    } else {
-        print!("{}", ispn_lint::render_text(&report));
-    }
+    print!("{}", ispn_lint::render_text(&report));
     if deny && !report.is_clean() {
         return ExitCode::FAILURE;
     }
@@ -110,44 +86,4 @@ fn find_workspace_root() -> Result<PathBuf, String> {
             );
         }
     }
-}
-
-/// Regenerate `lint-allow.toml` from the current unwaived findings,
-/// preserving reasons of entries that still match exactly.
-fn rewrite_baseline(root: &Path) -> Result<usize, String> {
-    let old = ispn_lint::load_baseline(root)?;
-    let files = ispn_lint::workspace_files(root).map_err(|e| format!("walk: {e}"))?;
-    // Run against an empty baseline so every grandfathered site surfaces.
-    let report = ispn_lint::run_files(root, &files, &[])?;
-    let mut entries: Vec<BaselineEntry> = Vec::new();
-    for f in &report.findings {
-        if ispn_lint::rules::META_RULES.contains(&f.rule) {
-            continue;
-        }
-        // One entry covers every same-rule finding on its line.
-        if entries
-            .iter()
-            .any(|e| e.rule == f.rule && e.path == f.path && e.line == f.line)
-        {
-            continue;
-        }
-        let reason = old
-            .iter()
-            .find(|e| e.rule == f.rule && e.path == f.path && e.line == f.line)
-            .map(|e| e.reason.clone())
-            .unwrap_or_else(|| {
-                "grandfathered pre-ispn-lint site; justify or fix before touching".to_string()
-            });
-        entries.push(BaselineEntry {
-            rule: f.rule.to_string(),
-            path: f.path.clone(),
-            line: f.line,
-            reason,
-            src_line: 0,
-        });
-    }
-    let text = ispn_lint::waiver::render_baseline(&entries);
-    std::fs::write(root.join("lint-allow.toml"), text)
-        .map_err(|e| format!("writing lint-allow.toml: {e}"))?;
-    Ok(entries.len())
 }

@@ -1,12 +1,13 @@
 //! The rule registry: stable IDs, per-rule documentation, path scoping and
 //! the token-level checkers.
 //!
-//! Every rule exists to protect one concrete invariant of this workspace's
-//! byte-identity discipline (tables 1–3 goldens, the churn decision
-//! sequence, serial vs `--workers` vs `--hosts` identity).  Rules are
-//! heuristic token scans, not type-checked analyses — they over-approximate
-//! on purpose and rely on the waiver mechanism
-//! (see [`waiver`](crate::waiver)) for the sanctioned exceptions.
+//! Each rule protects one concrete invariant clippy cannot express:
+//! `float-wire` the serial vs `--workers` vs `--hosts` byte-identity of
+//! floats on the wire, `unreached-pub` a public surface that something
+//! other than a test acts on.  Rules are heuristic token scans, not
+//! type-checked analyses — they over-approximate on purpose and rely on the
+//! waiver mechanism (see [`waiver`](crate::waiver)) for the sanctioned
+//! exceptions.
 
 use crate::lexer::{LexFile, TokKind, Token};
 
@@ -21,13 +22,17 @@ pub struct Finding {
     pub line: u32,
     /// 1-based column.
     pub col: u32,
+    /// The declared name an `unreached-pub` finding reports (what a
+    /// `lint-allow.toml` entry is keyed by); empty for other rules.
+    pub item: String,
     /// What is wrong and what to do instead.
     pub message: String,
     /// The offending source line, trimmed.
     pub snippet: String,
 }
 
-/// Where a rule applies.
+/// Where a rule applies.  Both checkers skip `#[cfg(test)]`-gated items:
+/// test-only code reaches neither the wire nor a production caller.
 #[derive(Debug, Clone, Copy)]
 pub struct Scope {
     /// Workspace-relative path prefixes the rule applies to; empty = all
@@ -35,9 +40,6 @@ pub struct Scope {
     pub include: &'static [&'static str],
     /// Path prefixes exempt from the rule (checked after `include`).
     pub exclude: &'static [&'static str],
-    /// Skip `#[cfg(test)]`-gated items: test-only code cannot reach
-    /// sim-visible output.
-    pub skip_tests: bool,
 }
 
 /// One lint rule: a stable ID plus its rationale and scope.
@@ -58,108 +60,28 @@ pub struct Rule {
 const ALL: Scope = Scope {
     include: &[],
     exclude: &[],
-    skip_tests: false,
 };
 
-/// Sim-visible crates: anything here can feed scheduling order or report
-/// bytes, so hasher-order nondeterminism is golden-breaking.
-const SIM_VISIBLE: &[&str] = &[
-    "crates/core/",
-    "crates/sched/",
-    "crates/net/",
-    "crates/signal/",
-    "crates/sim/",
-    "crates/scenario/",
-    "crates/traffic/",
-    "crates/transport/",
-    "crates/experiments/",
-];
-
 /// The rule registry.  IDs are stable: waivers and baseline entries refer
-/// to them, so renaming one is a breaking change to every waiver.
+/// to them, so renaming one is a breaking change to every waiver.  The
+/// determinism and panic-path rules clippy can express (wall-clock reads,
+/// hash-ordered collections, lint attributes without a reason, panics in
+/// the worker request path) live in `clippy.toml`, the workspace lints
+/// table and the `#![deny]` heads of `sweep::{worker,net,dist}`.
 pub const RULES: &[Rule] = &[
     Rule {
-        id: "wall-clock",
-        summary: "wall-clock read (`Instant::now`/`SystemTime::now`) outside a telemetry site",
-        doc: "Simulation results must be a function of the scenario and its seeds alone. A \
-              wall-clock read anywhere sim-visible makes output depend on host load and breaks \
-              byte-identity across runs, workers and hosts. Simulated time comes from \
-              `ispn_sim::SimTime`; wall-clock reads are legitimate only in telemetry (events/sec \
-              measurement, progress pacing, round-trip overhead), and every such site carries an \
-              inline waiver naming why its value never reaches a report body. The offline \
-              stand-ins for third-party crates (`crates/shims`) are never sim-visible and are \
-              exempt by scope.",
-        scope: Scope {
-            include: &[],
-            exclude: &["crates/shims/"],
-            skip_tests: true,
-        },
-    },
-    Rule {
-        id: "hash-order",
-        summary: "std `HashMap`/`HashSet` in a sim-visible crate",
-        doc: "`std::collections::HashMap`/`HashSet` iterate in `RandomState` order: different \
-              every process, so any iteration that reaches scheduling decisions or report bytes \
-              silently breaks replayability and serial-vs-distributed identity. In sim-visible \
-              crates use `BTreeMap`/`BTreeSet`, or collect-and-sort (a sorted drain) before the \
-              order can matter. Lookup-only maps are still flagged — the next edit may iterate; \
-              convert or waive with the invariant that keeps iteration unreachable.",
-        scope: Scope {
-            include: SIM_VISIBLE,
-            exclude: &[],
-            skip_tests: true,
-        },
-    },
-    Rule {
         id: "float-wire",
-        summary: "lossy float formatting (`{:e}`, `{:.N}`) in wire-adjacent code",
+        summary: "lossy float formatting (a precision or `e`/`E` spec) in wire-adjacent code",
         doc: "Distributed byte-identity hinges on `f64` crossing the worker protocol exactly: \
               values are encoded with `{:?}` (shortest round-trip representation) and decoded \
-              with `str::parse::<f64>`. A `{:e}` or precision spec in wire-adjacent code is \
-              either a lossy value encoding (a real bug) or a human-facing message (waive it, \
-              naming which). Scope: `crates/scenario/src/sweep/` — the protocol files.",
+              with `str::parse::<f64>`. A format spec with a precision (`{:.3}`, `{x:10.3}`, \
+              `{:.*}`) or an `e`/`E` type (`{:e}`, `{0:+E}`) in wire-adjacent code is either a \
+              lossy value encoding (a real bug) or a human-facing message (waive it, naming \
+              which). `{{` is literal text, not a spec. Scope: `crates/scenario/src/sweep/` — \
+              the protocol files.",
         scope: Scope {
             include: &["crates/scenario/src/sweep/"],
             exclude: &[],
-            skip_tests: true,
-        },
-    },
-    Rule {
-        id: "unsafe-safety",
-        summary: "`unsafe` without an adjacent `// SAFETY:` comment",
-        doc: "Every `unsafe` block, fn or impl must carry a `// SAFETY:` comment immediately \
-              above (or trailing on the same line) stating the invariant that makes it sound. \
-              Most crates forbid `unsafe_code` outright (enforced via the workspace lints \
-              table); this rule polices the few places that genuinely need it.",
-        scope: ALL,
-    },
-    Rule {
-        id: "allow-justify",
-        summary: "`#[allow(…)]` without a justification comment",
-        doc: "Silencing a compiler or clippy lint is a determinism-relevant decision in this \
-              workspace (the clippy `disallowed_methods`/`disallowed_types` backstop is how \
-              wall-clock and hasher rules reach CI). Every `#[allow(…)]`/`#![allow(…)]` must \
-              have a comment on the same line or directly above saying why the lint does not \
-              apply.",
-        scope: ALL,
-    },
-    Rule {
-        id: "panic-path",
-        summary: "bare `unwrap()`/`expect()`/indexing in a worker request path",
-        doc: "A panic while serving or supervising sweep points must stay a per-point poison \
-              (`SweepError` with the point's tags) and never abort the supervisor or the serve \
-              loop. In `sweep::{worker,net,dist}` request-handling code, bare `unwrap()`, \
-              `expect(…)` and `[…]` indexing are flagged: convert to per-point error frames, or \
-              waive/baseline with the invariant that makes the panic unreachable. Scope: the \
-              three protocol files; `catch_unwind` already fences the per-point closures.",
-        scope: Scope {
-            include: &[
-                "crates/scenario/src/sweep/worker.rs",
-                "crates/scenario/src/sweep/net.rs",
-                "crates/scenario/src/sweep/dist.rs",
-            ],
-            exclude: &[],
-            skip_tests: true,
         },
     },
     Rule {
@@ -185,7 +107,6 @@ pub const RULES: &[Rule] = &[
                 "crates/sched/src/conformance.rs",
                 "crates/scenario/src/sweep/testing.rs",
             ],
-            skip_tests: true,
         },
     },
     Rule {
@@ -207,10 +128,10 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "stale-baseline",
         summary: "`lint-allow.toml` entry that matches no current finding",
-        doc: "Baseline entries grandfather pre-lint sites by exact rule+file+line. When the \
-              site moves or is fixed the entry goes stale and must be updated or removed \
-              (`--update-baseline` rewrites the file from current findings). This is the \
-              drift guard: a stale baseline fails `--deny` runs. Not itself waivable.",
+        doc: "Baseline entries sanction `unreached-pub` sites by rule, file and item name, so \
+              moving code within a file never touches them. When the item gains a caller, is \
+              renamed or is deleted, the entry goes stale and must be removed: a stale \
+              baseline fails `--deny` runs. Not itself waivable.",
         scope: ALL,
     },
 ];
@@ -320,32 +241,30 @@ fn in_regions(regions: &[(u32, u32)], line: u32) -> bool {
     regions.iter().any(|&(s, e)| line >= s && line <= e)
 }
 
-/// A raw hit before waiver/baseline filtering: `(rule, line, col, message)`.
-pub type Hit = (&'static str, u32, u32, String);
+/// A raw hit before waiver/baseline filtering.
+#[derive(Debug, Clone)]
+pub struct Hit {
+    /// Rule ID.
+    pub rule: &'static str,
+    /// 1-based line.
+    pub line: u32,
+    /// 1-based column.
+    pub col: u32,
+    /// The declared name the hit reports (see [`Finding::item`]).
+    pub item: String,
+    /// What is wrong and what to do instead.
+    pub message: String,
+}
 
-/// Run every applicable rule over one lexed file.
+/// Run the per-file rules (`float-wire`) over one lexed file.
 pub fn check_file(path: &str, lex: &LexFile) -> Vec<Hit> {
-    let regions = test_regions(lex);
-    let mut hits = Vec::new();
-    for r in RULES {
-        if META_RULES.contains(&r.id) || !applies(r, path) {
-            continue;
-        }
-        let mut rule_hits = match r.id {
-            "wall-clock" => check_wall_clock(lex),
-            "hash-order" => check_hash_order(lex),
-            "float-wire" => check_float_wire(lex),
-            "unsafe-safety" => check_unsafe_safety(lex),
-            "allow-justify" => check_allow_justify(lex),
-            "panic-path" => check_panic_path(lex),
-            _ => Vec::new(),
-        };
-        if r.scope.skip_tests {
-            rule_hits.retain(|h| !in_regions(&regions, h.1));
-        }
-        hits.extend(rule_hits);
+    let float_wire = rule("float-wire").expect("registered");
+    if !applies(float_wire, path) {
+        return Vec::new();
     }
-    hits.sort_by_key(|h| (h.1, h.2, h.0));
+    let regions = test_regions(lex);
+    let mut hits = check_float_wire(lex);
+    hits.retain(|h| !in_regions(&regions, h.line));
     hits
 }
 
@@ -409,17 +328,18 @@ pub fn check_unreached(files: &[(&str, &LexFile)]) -> Vec<Vec<Hit>> {
     let mut hits = vec![Vec::new(); files.len()];
     for (k, kind, name) in decls {
         if !used.contains(name.text.as_str()) {
-            hits[k].push((
-                "unreached-pub",
-                name.line,
-                name.col,
-                format!(
+            hits[k].push(Hit {
+                rule: "unreached-pub",
+                line: name.line,
+                col: name.col,
+                item: name.text.clone(),
+                message: format!(
                     "`pub {kind} {}` is named by no non-test code in crates/*/src, examples/ \
                      or benchmark/src: delete it with the tests that exercise only it, or \
                      baseline it as a test oracle or with the ROADMAP item that will call it",
                     name.text
                 ),
-            ));
+            });
         }
     }
     hits
@@ -456,184 +376,63 @@ fn item_after_pub(toks: &[Token], mut i: usize) -> (&'static str, usize) {
     ("", i)
 }
 
-fn check_wall_clock(lex: &LexFile) -> Vec<Hit> {
-    let toks = &lex.tokens;
-    let mut hits = Vec::new();
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if !(t.is_ident("Instant") || t.is_ident("SystemTime")) {
-            continue;
-        }
-        let path_now = matches!(toks.get(i + 1), Some(a) if a.is_punct(':'))
-            && matches!(toks.get(i + 2), Some(b) if b.is_punct(':'))
-            && matches!(toks.get(i + 3), Some(c) if c.is_ident("now"));
-        if path_now {
-            hits.push((
-                "wall-clock",
-                t.line,
-                t.col,
-                format!(
-                    "`{}::now()` is a wall-clock read: sim-visible code must use simulated \
-                     time (`SimTime`); waive only telemetry sites whose value never reaches \
-                     a report body",
-                    t.text
-                ),
-            ));
-        }
-    }
-    hits
-}
-
-fn check_hash_order(lex: &LexFile) -> Vec<Hit> {
-    let mut hits = Vec::new();
-    for t in &lex.tokens {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let (name, fix) = match t.text.as_str() {
-            "HashMap" => ("HashMap", "BTreeMap"),
-            "HashSet" => ("HashSet", "BTreeSet"),
-            _ => continue,
-        };
-        hits.push((
-            "hash-order",
-            t.line,
-            t.col,
-            format!(
-                "std `{name}` iterates in per-process `RandomState` order — in a sim-visible \
-                 crate that silently breaks byte-identity; use `{fix}` or a sorted drain"
-            ),
-        ));
-    }
-    hits
-}
-
 fn check_float_wire(lex: &LexFile) -> Vec<Hit> {
     let mut hits = Vec::new();
     for t in &lex.tokens {
         if t.kind != TokKind::Str {
             continue;
         }
-        let lossy = ["{:e}", "{:E}", "{:."]
-            .iter()
-            .find(|pat| t.text.contains(**pat));
-        if let Some(pat) = lossy {
-            hits.push((
-                "float-wire",
-                t.line,
-                t.col,
-                format!(
-                    "`{pat}` formatting in wire-adjacent code: floats cross the worker \
+        if let Some(spec) = lossy_spec(&t.text) {
+            hits.push(Hit {
+                rule: "float-wire",
+                line: t.line,
+                col: t.col,
+                item: String::new(),
+                message: format!(
+                    "`{{{spec}}}` formatting in wire-adjacent code: floats cross the worker \
                      protocol only through the exact `{{:?}}` round-trip codec; waive \
                      human-facing supervision messages explicitly"
                 ),
-            ));
+            });
         }
     }
     hits
 }
 
-fn check_unsafe_safety(lex: &LexFile) -> Vec<Hit> {
-    let mut hits = Vec::new();
-    for t in &lex.tokens {
-        if !t.is_ident("unsafe") {
+/// The first `{arg:spec}` placeholder of a format string whose spec carries
+/// a precision or an `e`/`E` type, returned as written between the braces.
+/// `{{` and `}}` are literal text, and a brace pair whose argument is not
+/// empty, an index or an identifier (JSON in a plain string) is no
+/// placeholder.
+fn lossy_spec(text: &str) -> Option<&str> {
+    let mut rest = text;
+    while let Some(open) = rest.find('{') {
+        let after = &rest[open + 1..];
+        if let Some(escaped) = after.strip_prefix('{') {
+            rest = escaped;
             continue;
         }
-        let documented = lex.comments.iter().any(|c| {
-            c.text.contains("SAFETY:") && c.end_line <= t.line && t.line - c.end_line <= 1
-        });
-        if !documented {
-            hits.push((
-                "unsafe-safety",
-                t.line,
-                t.col,
-                "`unsafe` without an adjacent `// SAFETY:` comment stating the invariant \
-                 that makes it sound"
-                    .to_string(),
-            ));
+        let close = after.find('}')?;
+        let inner = &after[..close];
+        rest = &after[close + 1..];
+        let Some((arg, spec)) = inner.split_once(':') else {
+            continue;
+        };
+        if !arg.chars().all(|c| c.is_alphanumeric() || c == '_') {
+            continue;
+        }
+        // `[[fill]align]` first: a fill character may itself be `.` or `e`.
+        let mut chars = spec.chars();
+        let body = match (chars.next(), chars.next()) {
+            (Some(_), Some('<' | '^' | '>')) => chars.as_str(),
+            (Some('<' | '^' | '>'), _) => &spec[1..],
+            _ => spec,
+        };
+        if body.contains('.') || body.ends_with(['e', 'E']) {
+            return Some(inner);
         }
     }
-    hits
-}
-
-fn check_allow_justify(lex: &LexFile) -> Vec<Hit> {
-    let toks = &lex.tokens;
-    let mut hits = Vec::new();
-    for i in 0..toks.len() {
-        if !toks[i].is_punct('#') {
-            continue;
-        }
-        let mut j = i + 1;
-        if j < toks.len() && toks[j].is_punct('!') {
-            j += 1;
-        }
-        let is_allow = matches!(toks.get(j), Some(b) if b.is_punct('['))
-            && matches!(toks.get(j + 1), Some(a) if a.is_ident("allow"));
-        if !is_allow {
-            continue;
-        }
-        let line = toks[i].line;
-        let justified = lex
-            .comments
-            .iter()
-            .any(|c| c.end_line == line || c.end_line + 1 == line);
-        if !justified {
-            hits.push((
-                "allow-justify",
-                line,
-                toks[i].col,
-                "`#[allow(…)]` without a justification comment on the same line or \
-                 directly above"
-                    .to_string(),
-            ));
-        }
-    }
-    hits
-}
-
-fn check_panic_path(lex: &LexFile) -> Vec<Hit> {
-    let toks = &lex.tokens;
-    let mut hits = Vec::new();
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        // `.unwrap(` / `.expect(`
-        if t.is_punct('.') {
-            if let (Some(name), Some(paren)) = (toks.get(i + 1), toks.get(i + 2)) {
-                if (name.is_ident("unwrap") || name.is_ident("expect")) && paren.is_punct('(') {
-                    hits.push((
-                        "panic-path",
-                        name.line,
-                        name.col,
-                        format!(
-                            "bare `{}()` in a worker request path: a panic here must stay a \
-                             per-point poison, never a supervisor abort — return a per-point \
-                             error, or waive with the invariant that makes it unreachable",
-                            name.text
-                        ),
-                    ));
-                }
-            }
-            continue;
-        }
-        // `ident[` indexing (attribute brackets never follow an identifier).
-        if t.kind == TokKind::Ident {
-            if let Some(br) = toks.get(i + 1) {
-                if br.is_punct('[') {
-                    hits.push((
-                        "panic-path",
-                        br.line,
-                        br.col,
-                        format!(
-                            "`{}[…]` indexing in a worker request path can panic: use `get` \
-                             with a per-point error, or waive with the bound that holds",
-                            t.text
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    hits
+    None
 }
 
 #[cfg(test)]
@@ -670,14 +469,42 @@ mod tests {
 
     #[test]
     fn scope_prefix_and_exact_file_matching() {
-        let wall = rule("wall-clock").unwrap();
-        assert!(applies(wall, "crates/net/src/network.rs"));
-        assert!(!applies(wall, "crates/shims/proptest/src/lib.rs"));
-        let panic = rule("panic-path").unwrap();
-        assert!(applies(panic, "crates/scenario/src/sweep/dist.rs"));
-        assert!(!applies(panic, "crates/scenario/src/sweep/wire.rs"));
         let fw = rule("float-wire").unwrap();
         assert!(applies(fw, "crates/scenario/src/sweep/wire.rs"));
         assert!(!applies(fw, "crates/scenario/src/sweep.rs"));
+        let pubs = rule("unreached-pub").unwrap();
+        assert!(applies(pubs, "crates/net/src/network.rs"));
+        assert!(!applies(pubs, "crates/shims/proptest/src/lib.rs"));
+        assert!(!applies(pubs, "crates/sched/src/conformance.rs"));
+    }
+
+    #[test]
+    fn lossy_specs_are_parsed_not_matched() {
+        for lossy in [
+            "{:.3}",
+            "{x:.3}",
+            "{0:e}",
+            "{:E}",
+            "{:+e}",
+            "{:10.3}",
+            "{:.*}",
+            "{:.<8.2}",
+            "a {} b {:e}",
+        ] {
+            assert!(lossy_spec(lossy).is_some(), "{lossy}");
+        }
+        for exact in [
+            "{:?}",
+            "{x:?}",
+            "{{:.3}}",
+            "{{:e}}",
+            "{:.>8}",
+            "{:e<8}",
+            "{:width$}",
+            "{\\\"a\\\":1.5}",
+            "{}",
+        ] {
+            assert_eq!(lossy_spec(exact), None, "{exact}");
+        }
     }
 }

@@ -2,10 +2,11 @@
 //! comments and the committed `lint-allow.toml` baseline.
 //!
 //! Both mechanisms are ratchets, not escape hatches: every waiver names the
-//! rule it silences **and** carries a reason, a waiver that stops matching a
-//! finding becomes a finding itself (`stale-waiver` / `stale-baseline`), and
-//! the baseline exists only so the lint could land green over grandfathered
-//! sites — new code waives inline or not at all.
+//! rule it silences **and** carries a reason, and a waiver that stops
+//! matching a finding becomes a finding itself (`stale-waiver` /
+//! `stale-baseline`).  Inline waivers excuse a line; baseline entries
+//! excuse an `unreached-pub` item by name, so they survive code moving
+//! around them.
 
 use crate::lexer::{Comment, LexFile};
 
@@ -141,10 +142,10 @@ fn resolve_target(lex: &LexFile, c: &Comment) -> u32 {
 pub struct BaselineEntry {
     /// Rule ID being baselined.
     pub rule: String,
-    /// Workspace-relative path of the grandfathered site.
+    /// Workspace-relative path of the sanctioned item.
     pub path: String,
-    /// Exact 1-based line of the finding (drift-guarded).
-    pub line: u32,
+    /// The item's declared name (see [`Finding::item`](crate::rules::Finding::item)).
+    pub item: String,
     /// Why the site is sanctioned.
     pub reason: String,
     /// Line of the entry inside `lint-allow.toml`, for diagnostics.
@@ -152,7 +153,7 @@ pub struct BaselineEntry {
 }
 
 /// Parse the `lint-allow.toml` baseline (a strict subset of TOML:
-/// `[[allow]]` tables with `rule`/`path`/`line`/`reason` keys).
+/// `[[allow]]` tables with `rule`/`path`/`item`/`reason` keys).
 pub fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, String> {
     let mut entries: Vec<BaselineEntry> = Vec::new();
     let mut current: Option<BaselineEntry> = None;
@@ -169,7 +170,7 @@ pub fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, String> {
             current = Some(BaselineEntry {
                 rule: String::new(),
                 path: String::new(),
-                line: 0,
+                item: String::new(),
                 reason: String::new(),
                 src_line: lineno,
             });
@@ -188,12 +189,8 @@ pub fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, String> {
         match key.trim() {
             "rule" => e.rule = unquote(value, lineno)?,
             "path" => e.path = unquote(value, lineno)?,
+            "item" => e.item = unquote(value, lineno)?,
             "reason" => e.reason = unquote(value, lineno)?,
-            "line" => {
-                e.line = value
-                    .parse()
-                    .map_err(|_| format!("lint-allow.toml:{lineno}: `line` must be an integer"))?;
-            }
             other => {
                 return Err(format!("lint-allow.toml:{lineno}: unknown key `{other}`"));
             }
@@ -213,8 +210,8 @@ fn validated(e: BaselineEntry) -> Result<BaselineEntry, String> {
     if crate::rules::META_RULES.contains(&e.rule.as_str()) {
         return Err(at(&format!("cannot baseline meta-rule `{}`", e.rule)));
     }
-    if e.path.is_empty() || e.line == 0 {
-        return Err(at("needs `path` and a non-zero `line`"));
+    if e.path.is_empty() || e.item.is_empty() {
+        return Err(at("needs `path` and `item`"));
     }
     if e.reason.trim().is_empty() {
         return Err(at("has no `reason`: every waiver carries a reason"));
@@ -230,30 +227,6 @@ fn unquote(v: &str, lineno: u32) -> Result<String, String> {
     Ok(inner.replace("\\\"", "\"").replace("\\\\", "\\"))
 }
 
-/// Render baseline entries back to `lint-allow.toml` text (used by
-/// `--update-baseline`).  Entries are sorted for stable diffs.
-pub fn render_baseline(entries: &[BaselineEntry]) -> String {
-    let mut entries: Vec<&BaselineEntry> = entries.iter().collect();
-    entries.sort_by(|a, b| (&a.path, a.line, &a.rule).cmp(&(&b.path, b.line, &b.rule)));
-    let mut out = String::from(
-        "# ispn-lint baseline: grandfathered findings, matched by exact rule+path+line.\n\
-         # A stale entry (no longer matching a finding) fails `--deny` runs; regenerate\n\
-         # with `cargo run -p ispn-lint -- --update-baseline` and re-justify the reasons.\n",
-    );
-    for e in entries {
-        out.push_str("\n[[allow]]\n");
-        out.push_str(&format!("rule = \"{}\"\n", escape(&e.rule)));
-        out.push_str(&format!("path = \"{}\"\n", escape(&e.path)));
-        out.push_str(&format!("line = {}\n", e.line));
-        out.push_str(&format!("reason = \"{}\"\n", escape(&e.reason)));
-    }
-    out
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,9 +235,9 @@ mod tests {
     #[test]
     fn trailing_and_standalone_waivers_resolve_targets() {
         let src = "\
-let a = 1; // ispn-lint: allow(wall-clock) -- trailing form\n\
-// ispn-lint: allow(hash-order) -- standalone form\n\
-#[allow(dead_code)]\n\
+let a = 1; // ispn-lint: allow(float-wire) -- trailing form\n\
+// ispn-lint: allow(float-wire) -- standalone form\n\
+#[expect(dead_code, reason = \"fixture\")]\n\
 let b = 2;\n";
         let ws = collect(&tokenize(src));
         assert_eq!(ws.len(), 2);
@@ -279,13 +252,14 @@ let b = 2;\n";
     #[test]
     fn waivers_without_reasons_are_malformed() {
         for bad in [
-            "// ispn-lint: allow(wall-clock)",
-            "// ispn-lint: allow(wall-clock) --",
-            "// ispn-lint: allow(wall-clock) --   ",
+            "// ispn-lint: allow(float-wire)",
+            "// ispn-lint: allow(float-wire) --",
+            "// ispn-lint: allow(float-wire) --   ",
             "// ispn-lint: allow() -- reason",
             "// ispn-lint: allow(no-such-rule) -- reason",
+            "// ispn-lint: allow(wall-clock) -- a rule clippy carries now",
             "// ispn-lint: allow(stale-waiver) -- meta",
-            "// ispn-lint: deny(wall-clock) -- reason",
+            "// ispn-lint: deny(float-wire) -- reason",
         ] {
             let ws = collect(&tokenize(bad));
             assert_eq!(ws.len(), 1, "{bad}");
@@ -296,37 +270,40 @@ let b = 2;\n";
     #[test]
     fn multi_rule_waivers_parse() {
         let ws = collect(&tokenize(
-            "// ispn-lint: allow(wall-clock, hash-order) -- both excused here\nlet x = 1;\n",
+            "// ispn-lint: allow(float-wire, unreached-pub) -- both excused here\nlet x = 1;\n",
         ));
-        assert_eq!(ws[0].rules, ["wall-clock", "hash-order"]);
+        assert_eq!(ws[0].rules, ["float-wire", "unreached-pub"]);
         assert_eq!(ws[0].reason, "both excused here");
     }
 
     #[test]
-    fn baseline_round_trips_through_render_and_parse() {
-        let entries = vec![BaselineEntry {
-            rule: "panic-path".to_string(),
-            path: "crates/scenario/src/sweep/dist.rs".to_string(),
-            line: 42,
-            reason: "invariant: \"worker present\" after ensure".to_string(),
-            src_line: 0,
-        }];
-        let text = render_baseline(&entries);
-        let back = parse_baseline(&text).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].rule, entries[0].rule);
-        assert_eq!(back[0].path, entries[0].path);
-        assert_eq!(back[0].line, entries[0].line);
-        assert_eq!(back[0].reason, entries[0].reason);
+    fn baseline_parses_item_keyed_entries() {
+        let text = "# header\n\n[[allow]]\nrule = \"unreached-pub\"\n\
+                    path = \"crates/core/src/lib.rs\"\nitem = \"oracle\"\n\
+                    reason = \"invariant: \\\"test oracle\\\" for the drift test\"\n";
+        let back = parse_baseline(text).unwrap();
+        assert_eq!(
+            back,
+            [BaselineEntry {
+                rule: "unreached-pub".to_string(),
+                path: "crates/core/src/lib.rs".to_string(),
+                item: "oracle".to_string(),
+                reason: "invariant: \"test oracle\" for the drift test".to_string(),
+                src_line: 3,
+            }]
+        );
     }
 
     #[test]
     fn baseline_rejects_missing_reasons_and_unknown_rules() {
-        let no_reason = "[[allow]]\nrule = \"wall-clock\"\npath = \"a.rs\"\nline = 1\n";
+        let no_reason = "[[allow]]\nrule = \"unreached-pub\"\npath = \"a.rs\"\nitem = \"f\"\n";
         assert!(parse_baseline(no_reason).is_err());
-        let unknown = "[[allow]]\nrule = \"nope\"\npath = \"a.rs\"\nline = 1\nreason = \"r\"\n";
+        let unknown = "[[allow]]\nrule = \"nope\"\npath = \"a.rs\"\nitem = \"f\"\nreason = \"r\"\n";
         assert!(parse_baseline(unknown).is_err());
-        let loose_key = "rule = \"wall-clock\"\n";
+        let line_keyed =
+            "[[allow]]\nrule = \"unreached-pub\"\npath = \"a.rs\"\nline = 1\nreason = \"r\"\n";
+        assert!(parse_baseline(line_keyed).is_err());
+        let loose_key = "rule = \"unreached-pub\"\n";
         assert!(parse_baseline(loose_key).is_err());
     }
 }

@@ -4,6 +4,14 @@ fn encode(v: f64) -> String {
     format!("{:?}", v)
 }
 
+fn encode_named(x: f64) -> String {
+    format!("{x:?}")
+}
+
+fn escaped_braces() -> String {
+    format!("{{:.3}}")
+}
+
 fn decode(s: &str) -> f64 {
     s.parse::<f64>().unwrap_or(0.0)
 }

@@ -290,9 +290,11 @@ pub struct Network {
     /// Boxed so a callback hands over a pointer: the buffer itself (the
     /// clock, a `Vec` header and the timer, 56 bytes) stays where it was
     /// allocated instead of being moved pool → callback → pool.
-    // The indirection clippy objects to is the point: what is popped and
-    // pushed per callback is the element, not the `Vec`.
-    #[allow(clippy::vec_box)]
+    #[expect(
+        clippy::vec_box,
+        reason = "the indirection is the point: what is popped and pushed per callback is \
+                  the element, not the `Vec`"
+    )]
     api_pool: Vec<Box<AgentApi>>,
     monitor: Monitor,
     telemetry: NetTelemetry,

@@ -706,10 +706,12 @@ impl Sim {
              or signal handler"
         );
         self.running = true;
-        // ispn-lint: allow(wall-clock) -- events/sec telemetry: measures the
-        // host's wall time around the run; reported only when RunTelemetry
-        // is opted in, never part of a golden report body.
-        #[allow(clippy::disallowed_methods)]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "events/sec telemetry: measures the host's wall time around the run; \
+                      reported only when RunTelemetry is opted in, never part of a golden \
+                      report body"
+        )]
         let started = std::time::Instant::now();
         let draining = horizon == SimTime::MAX;
         let due = |t: SimTime| t < horizon || (t == horizon && draining);

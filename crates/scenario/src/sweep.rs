@@ -562,9 +562,11 @@ impl<R> SweepObserver<R> for ProgressObserver {
         // restarts with it.
         self.done.store(0, Ordering::SeqCst);
         self.total.store(total, Ordering::SeqCst);
-        // ispn-lint: allow(wall-clock) -- progress pacing (pts/s, ETA) on
-        // stderr only; stdout and report bytes never see this clock.
-        #[allow(clippy::disallowed_methods)]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "progress pacing (pts/s, ETA) on stderr only; stdout and report bytes \
+                      never see this clock"
+        )]
         let now = std::time::Instant::now();
         *self.started.lock().expect("progress clock poisoned") = Some(now);
     }
@@ -861,9 +863,11 @@ impl SweepRunner {
         // part of the report.
         let run_one = |index: usize| -> (SweepReport<PointResult<R>>, PointTelemetry) {
             let point = &set.points[index];
-            // ispn-lint: allow(wall-clock) -- per-point wall-time telemetry,
-            // carried out-of-band (PointTelemetry), never in the report.
-            #[allow(clippy::disallowed_methods)]
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-point wall-time telemetry, carried out-of-band (PointTelemetry), \
+                          never in the report"
+            )]
             let started = std::time::Instant::now();
             let result = std::panic::catch_unwind(AssertUnwindSafe(|| run_point(&point.params)))
                 .map_err(|payload| SweepError {
@@ -1260,8 +1264,10 @@ mod tests {
         let set = ScenarioSet::over("i", [0usize]);
         let reports = SweepRunner::serial().try_run(&set, |_| {
             std::panic::panic_any(42usize);
-            // The closure must still name its return type for inference.
-            #[allow(unreachable_code)]
+            #[expect(
+                unreachable_code,
+                reason = "the closure must still name its return type for inference"
+            )]
             ()
         });
         let err = reports[0].result.as_ref().unwrap_err();

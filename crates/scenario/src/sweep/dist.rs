@@ -79,6 +79,14 @@
 //! all six experiments, under worker counts 1..=4, over subprocess pipes
 //! and loopback TCP alike.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::string_slice
+)]
+
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
@@ -128,6 +136,11 @@ impl WorkerCommand {
     ///
     /// # Panics
     /// Panics if the current executable's path cannot be determined.
+    #[expect(
+        clippy::expect_used,
+        reason = "worker-command construction, before any point is claimed: a current_exe \
+                  failure is a spawn-time config error, not a point poison"
+    )]
     pub fn current_exe() -> Self {
         WorkerCommand::new(std::env::current_exe().expect("current executable path"))
     }
@@ -266,7 +279,9 @@ impl ChildTransport {
         let mut child = command
             .spawn(worker_id)
             .map_err(|e| format!("could not spawn worker {:?}: {e}", command.program))?;
+        #[expect(clippy::expect_used, reason = "spawn() pipes stdin")]
         let stdin = child.stdin.take().expect("stdin was piped");
+        #[expect(clippy::expect_used, reason = "spawn() pipes stdout")]
         let stdout = child.stdout.take().expect("stdout was piped");
         Ok(ChildTransport {
             child,
@@ -278,6 +293,11 @@ impl ChildTransport {
 
 impl WorkerTransport for ChildTransport {
     fn send_line(&mut self, line: &str) -> std::io::Result<()> {
+        #[expect(
+            clippy::expect_used,
+            reason = "the stdin slot is Some until shutdown() by the transport contract; a \
+                      violation is a harness bug worth a loud abort"
+        )]
         let stdin = self
             .stdin
             .as_mut()
@@ -308,9 +328,10 @@ impl WorkerTransport for ChildTransport {
 
     fn shutdown(&mut self) {
         drop(self.stdin.take());
-        // ispn-lint: allow(wall-clock) -- shutdown grace timer, after the
-        // last point's result was recorded.
-        #[allow(clippy::disallowed_methods)]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "shutdown grace timer, after the last point's result was recorded"
+        )]
         let started = Instant::now();
         let left = || SHUTDOWN_GRACE.saturating_sub(started.elapsed());
         // A worker that honours EOF closes its stdout on the way out, which
@@ -583,14 +604,20 @@ impl DistRunner {
                 });
             }
         });
-        slots
+        #[expect(
+            clippy::expect_used,
+            reason = "infallible run() documents its panic contract: faults were already caught \
+                      per point, so an empty slot here is a harness bug"
+        )]
+        let reports = slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
                     .expect("result slot poisoned")
                     .expect("every point produced a report (faults are caught per point)")
             })
-            .collect()
+            .collect();
+        reports
     }
 
     /// Run every point of one claim on the supervisor's worker, filling
@@ -618,11 +645,17 @@ impl DistRunner {
         // worker (0 = the front point still needs dispatching).
         let mut dispatched = 0usize;
         while let Some(&index) = claim.front() {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "claims are drawn from 0..set.len(), so index < point count"
+            )]
             let tags = &set.points()[index].tags;
             let mut wall_s = None;
-            // ispn-lint: allow(wall-clock) -- round-trip-overhead telemetry
-            // (rtt_s); aggregated behind --telemetry, never in report bytes.
-            #[allow(clippy::disallowed_methods)]
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "round-trip-overhead telemetry (rtt_s); aggregated behind --telemetry, \
+                          never in report bytes"
+            )]
             let started = Instant::now();
             let result: Result<R, String> = if let Some(payload) = sup.fatal.clone() {
                 Err(payload)
@@ -667,7 +700,14 @@ impl DistRunner {
                 });
             }
             observer.point_completed(&report);
-            *slots[index].lock().expect("result slot poisoned") = Some(report);
+            #[expect(
+                clippy::indexing_slicing,
+                clippy::expect_used,
+                reason = "index < point count (one slot a point), and the slot mutex is poisoned \
+                          only if a sibling already panicked"
+            )]
+            let slot = &mut *slots[index].lock().expect("result slot poisoned");
+            *slot = Some(report);
         }
     }
 
@@ -729,7 +769,12 @@ impl DistRunner {
                 return Err(payload.clone());
             }
             self.ensure_worker(sup, worker_id, total_points)?;
+            #[expect(clippy::expect_used, reason = "ensure_worker() installed sup.live")]
             let worker = sup.live.as_mut().expect("worker just ensured");
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "claims are drawn from 0..set.len(), so every index < point count"
+            )]
             let items: Vec<(usize, &[(String, String)])> = claim
                 .iter()
                 .map(|&i| (i, set.points()[i].tags.as_slice()))
@@ -742,12 +787,12 @@ impl DistRunner {
                 Ok(()) => return Ok(claim.len()),
                 Err(_) if attempt == 0 => {
                     // Died between points: replace and retry the send.
-                    let mut worker = sup.live.take().expect("worker present");
                     let _ = worker.terminate();
+                    sup.live = None;
                 }
                 Err(_) => {
-                    let mut worker = sup.live.take().expect("worker present");
                     let status = worker.terminate();
+                    sup.live = None;
                     return Err(format!(
                         "worker exited ({status}) before accepting the point"
                     ));
@@ -767,13 +812,20 @@ impl DistRunner {
         index: usize,
         telemetry: &mut Option<f64>,
     ) -> Result<R, String> {
+        // An arm that loses the worker empties the slot as it reaps it.
         let live = &mut sup.live;
         loop {
+            #[expect(
+                clippy::expect_used,
+                reason = "request acceptance (the enclosing call) installed the live worker"
+            )]
             let worker = live.as_mut().expect("request was accepted");
             match worker.recv_line(self.deadline) {
                 Await::TimedOut => {
+                    #[expect(clippy::expect_used, reason = "TimedOut implies Some(deadline)")]
                     let deadline = self.deadline.expect("timeout implies a deadline");
-                    let status = live.take().expect("worker present").terminate();
+                    let status = worker.terminate();
+                    *live = None;
                     return Err(format!(
                         // ispn-lint: allow(float-wire) -- human-facing poison payload, not a round-tripped value
                         "worker exceeded the {:.3}s point deadline (killed: {status})",
@@ -781,12 +833,14 @@ impl DistRunner {
                     ));
                 }
                 Await::Eof => {
-                    let status = live.take().expect("worker present").finish();
+                    let status = worker.finish();
+                    *live = None;
                     return Err(format!("worker exited ({status}) while running the point"));
                 }
                 Await::Line(line) => match wire::parse_worker_frame(&line) {
                     Err(e) => {
-                        let status = live.take().expect("worker present").terminate();
+                        let status = worker.terminate();
+                        *live = None;
                         return Err(format!(
                             "malformed frame from worker ({e}; killed: {status}): {}",
                             truncate_for_log(&line)
@@ -802,7 +856,8 @@ impl DistRunner {
                         return match R::from_wire_json(&body) {
                             Ok(result) => Ok(result),
                             Err(e) => {
-                                let status = live.take().expect("worker present").terminate();
+                                let status = worker.terminate();
+                                *live = None;
                                 Err(format!(
                                     "undecodable report body from worker ({e}; killed: {status})"
                                 ))
@@ -810,7 +865,8 @@ impl DistRunner {
                         };
                     }
                     Ok(frame) => {
-                        let status = live.take().expect("worker present").terminate();
+                        let status = worker.terminate();
+                        *live = None;
                         return Err(format!(
                             "protocol violation: worker answered {frame:?} while point {index} \
                              was in flight (killed: {status})"
@@ -832,6 +888,11 @@ impl DistRunner {
         let mut transport: Box<dyn WorkerTransport> = match &self.launch {
             Launch::Spawn(command) => Box::new(ChildTransport::spawn(command, worker_id)?),
             Launch::Connect(slots) => {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "slots is non-empty by HostSpec::parse_list contract and modulo \
+                              bounds the index"
+                )]
                 let addr = &slots[worker_id % slots.len()];
                 Box::new(net::SocketTransport::connect(addr, hello_wait)?)
             }
@@ -904,14 +965,9 @@ fn check_hello(protocol: u64, points: usize, total_points: usize) -> Result<(), 
 /// Clip a hostile line for inclusion in an error payload.
 fn truncate_for_log(line: &str) -> String {
     const MAX: usize = 120;
-    if line.len() <= MAX {
-        line.to_string()
-    } else {
-        let mut end = MAX;
-        while !line.is_char_boundary(end) {
-            end -= 1;
-        }
-        format!("{}… ({} bytes)", &line[..end], line.len())
+    match line.get(..line.floor_char_boundary(MAX)) {
+        Some(head) if head.len() < line.len() => format!("{head}… ({} bytes)", line.len()),
+        _ => line.to_string(),
     }
 }
 
@@ -1033,8 +1089,10 @@ mod tests {
     fn shutdown_reaps_a_worker_that_exits_on_eof() {
         let mut t = ChildTransport::spawn(&WorkerCommand::new("cat"), 0).expect("cat spawns");
         t.send_line("late frame").expect("cat reads stdin");
-        // Times the harness's own shutdown path, nothing simulated.
-        #[allow(clippy::disallowed_methods)]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "times the harness's own shutdown path, nothing simulated"
+        )]
         let started = Instant::now();
         t.shutdown();
         assert!(started.elapsed() < SHUTDOWN_GRACE, "waited out the grace");
@@ -1050,8 +1108,10 @@ mod tests {
         use std::os::unix::process::ExitStatusExt;
         let command = WorkerCommand::new("sleep").arg("30");
         let mut t = ChildTransport::spawn(&command, 0).expect("sleep spawns");
-        // Times the harness's own shutdown path, nothing simulated.
-        #[allow(clippy::disallowed_methods)]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "times the harness's own shutdown path, nothing simulated"
+        )]
         let started = Instant::now();
         t.shutdown();
         assert!(

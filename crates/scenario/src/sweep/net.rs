@@ -32,6 +32,14 @@
 //! or trusted-network interfaces only; for anything else, tunnel the
 //! connection (e.g. ssh port forwarding).
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::string_slice
+)]
+
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -38,6 +38,14 @@
 //! its handshake on demand; production runs simply have no
 //! `ISPN_SWEEP_FAULT` in their environment.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::string_slice
+)]
+
 use std::io::{self, BufRead, Write};
 use std::panic::AssertUnwindSafe;
 
@@ -148,82 +156,87 @@ where
         };
         for request in requests {
             let index = request.index;
-            let frame = if index >= set.len() {
-                wire::encode_error_frame(
+            let frame = match set.points().get(index) {
+                None => wire::encode_error_frame(
                     index,
                     &format!(
                         "point {index} out of range: this worker's sweep has {} points \
                          (parent/worker configuration mismatch)",
                         set.len()
                     ),
-                )
-            } else if request.tags != set.points()[index].tags {
-                wire::encode_error_frame(
+                ),
+                Some(point) if request.tags != point.tags => wire::encode_error_frame(
                     index,
                     &format!(
                         "axis tags mismatch at point {index}: parent sent {:?}, worker built {:?} \
                          (parent/worker configuration mismatch)",
-                        request.tags,
-                        set.points()[index].tags
+                        request.tags, point.tags
                     ),
-                )
-            } else {
-                if let Some(fault) = fault.filter(|f| f.applies(me, index)) {
-                    match fault.mode {
-                        // Panic is injected *inside* the catch_unwind below, so
-                        // it exercises the same path a real scenario panic takes.
-                        FaultMode::Panic => {}
-                        FaultMode::Exit => {
-                            output.flush()?;
-                            std::process::exit(FAULT_EXIT_CODE);
-                        }
-                        FaultMode::Garbage => {
-                            // A truncated frame: cut mid-key, no closing brace.
-                            write!(output, "{{\"point\":{index},\"repo")?;
-                            writeln!(output)?;
-                            output.flush()?;
-                            continue;
-                        }
-                        FaultMode::Hang => loop {
-                            std::thread::sleep(HANG_NAP);
-                        },
-                        FaultMode::Disconnect => {
-                            // End the serve loop mid-point: the transport
-                            // closes (connection drop / clean process
-                            // exit) and the parent sees EOF.
-                            output.flush()?;
-                            return Ok(());
-                        }
-                        // Session faults fired before the hello; `applies`
-                        // never selects them per point.
-                        FaultMode::HelloHang => {}
-                    }
-                }
-                let point = &set.points()[index];
-                // ispn-lint: allow(wall-clock) -- per-point wall-time
-                // telemetry frame; out-of-band, never in the result stream.
-                #[allow(clippy::disallowed_methods)]
-                let started = std::time::Instant::now();
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                ),
+                Some(point) => {
                     if let Some(fault) = fault.filter(|f| f.applies(me, index)) {
-                        if fault.mode == FaultMode::Panic {
-                            panic!("injected fault: worker {me} panicked at point {index}");
+                        match fault.mode {
+                            // Panic is injected *inside* the catch_unwind below, so
+                            // it exercises the same path a real scenario panic takes.
+                            FaultMode::Panic => {}
+                            FaultMode::Exit => {
+                                output.flush()?;
+                                std::process::exit(FAULT_EXIT_CODE);
+                            }
+                            FaultMode::Garbage => {
+                                // A truncated frame: cut mid-key, no closing brace.
+                                write!(output, "{{\"point\":{index},\"repo")?;
+                                writeln!(output)?;
+                                output.flush()?;
+                                continue;
+                            }
+                            FaultMode::Hang => loop {
+                                std::thread::sleep(HANG_NAP);
+                            },
+                            FaultMode::Disconnect => {
+                                // End the serve loop mid-point: the transport
+                                // closes (connection drop / clean process
+                                // exit) and the parent sees EOF.
+                                output.flush()?;
+                                return Ok(());
+                            }
+                            // Session faults fired before the hello; `applies`
+                            // never selects them per point.
+                            FaultMode::HelloHang => {}
                         }
                     }
-                    run_point(&point.params)
-                }));
-                // Out-of-band stats precede the result so the parent can
-                // attribute them before the point completes; panicked points
-                // report their wall time too.
-                writeln!(
-                    output,
-                    "{}",
-                    wire::encode_telemetry_frame(index, started.elapsed().as_secs_f64())
-                )?;
-                match result {
-                    Ok(r) => wire::encode_report_frame(index, &r),
-                    Err(payload) => {
-                        wire::encode_error_frame(index, &panic_payload_text(payload.as_ref()))
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "per-point wall-time telemetry frame; out-of-band, never in \
+                                  the result stream"
+                    )]
+                    let started = std::time::Instant::now();
+                    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        #[expect(
+                            clippy::panic,
+                            reason = "the injected fault must take the path a real scenario \
+                                      panic takes: inside this catch_unwind"
+                        )]
+                        if let Some(fault) = fault.filter(|f| f.applies(me, index)) {
+                            if fault.mode == FaultMode::Panic {
+                                panic!("injected fault: worker {me} panicked at point {index}");
+                            }
+                        }
+                        run_point(&point.params)
+                    }));
+                    // Out-of-band stats precede the result so the parent can
+                    // attribute them before the point completes; panicked points
+                    // report their wall time too.
+                    writeln!(
+                        output,
+                        "{}",
+                        wire::encode_telemetry_frame(index, started.elapsed().as_secs_f64())
+                    )?;
+                    match result {
+                        Ok(r) => wire::encode_report_frame(index, &r),
+                        Err(payload) => {
+                            wire::encode_error_frame(index, &panic_payload_text(payload.as_ref()))
+                        }
                     }
                 }
             };

@@ -91,8 +91,10 @@ impl Strategy for Range<f64> {
 
 macro_rules! tuple_strategy {
     ($(($($name:ident),+))*) => {$(
-        // The macro reuses the type parameters as binding names.
-        #[allow(non_snake_case)]
+        #[expect(
+            non_snake_case,
+            reason = "the macro reuses the type parameters as binding names"
+        )]
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
             fn sample(&self, rng: &mut TestRng) -> Self::Value {
