@@ -8,14 +8,17 @@
 //! * `--workers N` — fan sweep points across `N` supervised worker
 //!   subprocesses ([`DistRunner`]), each the same binary re-invoked with
 //!   `--sweep-worker` plus every argument of the parent run except the
-//!   parent-only ones (`--workers N`, `--hosts LIST`, `--batch N`,
-//!   `--stream`, `--telemetry[=FILE]`), so a bin's own configuration
-//!   flags reach its workers without the bin listing them;
+//!   parent-only ones (`--workers N`, `--hosts LIST`, `--stream`,
+//!   `--telemetry[=FILE]`), so a bin's own configuration flags reach its
+//!   workers without the bin listing them;
 //! * `--hosts LIST` — fan sweep points across already-listening worker
 //!   hosts over TCP ([`DistRunner::over_hosts`]); `LIST` is
-//!   comma-separated `host:port[=limit]` entries ([`HostSpec`]);
-//! * `--batch N` (with either) — pipeline up to `N` point requests per
-//!   worker dispatch;
+//!   comma-separated `host:port[=limit]` entries ([`HostSpec`]).
+//!
+//! Either distributed level sends one point request per round trip.
+//!
+//! Worker-side flags:
+//!
 //! * `--sweep-worker` — serve sweep points over stdin/stdout for a
 //!   distributed parent; nothing else is written to stdout, which belongs
 //!   to the frame stream in this mode;
@@ -116,8 +119,8 @@ pub fn parse_serve(args: &[String]) -> Option<String> {
     }
 }
 
-/// The value of a positive-integer flag (`--workers N`, `--batch N`, a
-/// bin's own `--seeds N`), if present.
+/// The value of a positive-integer flag (`--workers N`, a bin's own
+/// `--seeds N`), if present.
 ///
 /// Exits with status 2 on a malformed value — the same convention the
 /// bins' other flags use.
@@ -154,14 +157,14 @@ fn parse_hosts(args: &[String]) -> Option<Vec<HostSpec>> {
 
 /// The arguments a `--workers` parent hands its worker subprocesses:
 /// everything it was given itself except the flags that only concern the
-/// parent — how to dispatch (`--workers N`, `--hosts LIST`, `--batch N`)
-/// and what to report (`--stream`, `--telemetry[=FILE]`).
+/// parent — how to dispatch (`--workers N`, `--hosts LIST`) and what to
+/// report (`--stream`, `--telemetry[=FILE]`).
 fn worker_args(args: &[String]) -> Vec<String> {
     let mut forwarded = Vec::new();
     let mut rest = args.iter().skip(1);
     while let Some(arg) = rest.next() {
         match arg.as_str() {
-            "--workers" | "--hosts" | "--batch" => {
+            "--workers" | "--hosts" => {
                 rest.next();
             }
             "--stream" | "--telemetry" => {}
@@ -177,7 +180,7 @@ fn worker_args(args: &[String]) -> Vec<String> {
 /// executable with `--sweep-worker` plus `worker_args` (so both sides
 /// build the same sweep); `--hosts LIST` connects to already-listening
 /// `--serve` workers over TCP instead; otherwise points fan across
-/// in-process threads.  `--batch N` applies to either distributed mode.
+/// in-process threads.
 ///
 /// `--workers` and `--hosts` are mutually exclusive (exit 2): one names
 /// subprocesses to spawn, the other machines that already run.
@@ -188,16 +191,15 @@ fn sweep_exec(args: &[String]) -> SweepExec {
         eprintln!("--workers and --hosts are mutually exclusive: pick subprocesses or sockets");
         std::process::exit(2);
     }
-    let batch = parse_count(args, "--batch").unwrap_or(1);
     if let Some(hosts) = hosts {
-        return SweepExec::Distributed(DistRunner::over_hosts(&hosts).batch(batch));
+        return SweepExec::Distributed(DistRunner::over_hosts(&hosts));
     }
     match workers {
         Some(n) => {
             let command = WorkerCommand::current_exe()
                 .arg(WORKER_FLAG)
                 .args(worker_args(args));
-            SweepExec::Distributed(DistRunner::new(n, command).batch(batch))
+            SweepExec::Distributed(DistRunner::new(n, command))
         }
         None => {
             let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -301,7 +303,7 @@ mod tests {
 
     #[test]
     fn workers_are_forwarded_everything_but_the_parent_only_flags() {
-        let parent = "bin --workers 2 --seeds 3 --stream --telemetry=x --batch 4";
+        let parent = "bin --workers 2 --seeds 3 --stream --telemetry=x";
         assert_eq!(worker_args(&args(parent)), args("--seeds 3"));
         assert!(worker_args(&args("bin --telemetry --hosts a:1")).is_empty());
     }
@@ -316,14 +318,14 @@ mod tests {
             SweepExec::Distributed(d) => assert_eq!(d.workers(), 2),
             other => panic!("expected distributed exec, got {other:?}"),
         }
-        match sweep_exec(&args("bin --hosts a:1=2,b:1 --batch 4")) {
+        match sweep_exec(&args("bin --hosts a:1=2,b:1")) {
             SweepExec::Distributed(d) => assert_eq!(d.workers(), 3, "one slot per host connection"),
             other => panic!("expected socket exec, got {other:?}"),
         }
     }
 
     #[test]
-    fn serve_and_hosts_and_batch_flags_parse() {
+    fn serve_and_hosts_flags_parse() {
         assert_eq!(parse_serve(&args("bin")), None);
         assert_eq!(
             parse_serve(&args("bin --serve 127.0.0.1:0")),
@@ -334,7 +336,5 @@ mod tests {
             parse_hosts(&args("bin --hosts a:1=2")),
             Some(vec![HostSpec::new("a:1", 2)])
         );
-        assert_eq!(parse_count(&args("bin"), "--batch"), None);
-        assert_eq!(parse_count(&args("bin --batch 8"), "--batch"), Some(8));
     }
 }

@@ -67,7 +67,7 @@ pub fn run<E: Experiment>(
     exec: &SweepExec,
     observer: &dyn SweepObserver<E::Row>,
 ) -> Vec<SweepReport<PointResult<E::Row>>> {
-    exec.run_streaming(&e.set(), |params| e.point(params), observer)
+    exec.run(&e.set(), |params| e.point(params), observer)
 }
 
 /// Run the sweep serially in this process and return the bare rows.

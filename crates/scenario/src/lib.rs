@@ -28,14 +28,13 @@
 //!   distributions, per-discipline link groups and the signaling record,
 //!   plus engine telemetry when a [`MeasurementPlan`] opts in,
 //! * [`ScenarioSet`] / [`SweepRunner`] — parameterize any scenario over
-//!   named axes (cartesian [`by`](ScenarioSet::by) or element-wise
-//!   [`zip`](ScenarioSet::zip)) and fan the points across a thread pool;
+//!   one or two named axes ([`over`](ScenarioSet::over), cartesian
+//!   [`by`](ScenarioSet::by)) and fan the points across a thread pool;
 //!   results come back axis-tagged **in point order**, byte-identical to a
-//!   serial run whatever the thread count.  The streaming core
-//!   ([`SweepRunner::run_streaming`] + [`SweepObserver`]) emits every
-//!   point's report the moment it completes, and per-point
-//!   `catch_unwind` turns a panicking point into a structured
-//!   [`SweepError`] instead of aborting its siblings.  [`DistRunner`]
+//!   serial run whatever the thread count.  [`SweepRunner::run`] streams
+//!   every point's report to a [`SweepObserver`] the moment it completes,
+//!   and per-point `catch_unwind` turns a panicking point into a
+//!   structured [`SweepError`] instead of aborting its siblings.  [`DistRunner`]
 //!   scales the same contract past one process: points fan across
 //!   supervised `--sweep-worker` subprocesses — or, via
 //!   [`sweep::net`] ([`HostSpec`] lists, [`serve_listener`]), across
@@ -46,8 +45,7 @@
 //!   redistributed ([`SweepExec`] lets callers pick the level per run),
 //! * [`SweepTable`] — axis-aware report rendering: tables whose leading
 //!   columns come straight from the sweep's axis tags (plus the matching
-//!   checked JSON in [`sweep_to_json_checked`]), replacing per-experiment
-//!   formatting glue,
+//!   JSON in [`sweep_to_json`]), replacing per-experiment formatting glue,
 //! * [`ScenarioBuilder`] — assembles all of the above and returns a
 //! * [`Sim`] — a facade owning both `Network` and `Signaling` that steps
 //!   data-plane events, control messages and user-scheduled actions in
@@ -92,15 +90,15 @@ pub use report::{
     ScenarioReport, SignalingSummary,
 };
 pub use sim::{ChurnFlowRecord, ChurnFlowReport, Sim};
-pub use sweep::dist::{Await, DistRunner, SweepExec, WorkerCommand, WorkerTransport};
+pub use sweep::dist::{DistRunner, SweepExec, WorkerCommand};
 pub use sweep::net::{serve_listener, HostSpec, LISTENING_BANNER};
 pub use sweep::testing::{assert_wire_codec, FaultMode, FaultPlan};
 pub use sweep::wire::{json_escape, JsonValue, WireError, WireResult};
-pub use sweep::worker::{serve_connection, serve_worker, SessionInfo, WORKER_FLAG};
+pub use sweep::worker::{serve_worker, WORKER_FLAG};
 pub use sweep::{
-    failed_points, sweep_to_json, sweep_to_json_checked, AxisValue, NullObserver, PointResult,
-    PointTelemetry, ProgressObserver, ScenarioSet, SweepError, SweepObserver, SweepPoint,
-    SweepReport, SweepRunner, SweepTelemetry, TelemetryCollector,
+    failed_points, sweep_to_json, AxisValue, NullObserver, PointResult, PointTelemetry,
+    ProgressObserver, ScenarioSet, SweepError, SweepObserver, SweepPoint, SweepReport, SweepRunner,
+    SweepTelemetry, TelemetryCollector,
 };
 pub use topology::{BuiltTopology, LinkProfile, TopologySpec};
 pub use workload::{

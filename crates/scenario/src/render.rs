@@ -14,15 +14,15 @@
 //! still prints everything it measured.
 //!
 //! The JSON side of the same idea lives in
-//! [`sweep_to_json_checked`](crate::sweep::sweep_to_json_checked): arrays
+//! [`sweep_to_json`](crate::sweep::sweep_to_json): arrays
 //! of points keyed by their axis tags, with `"report"` bodies for results
 //! and `"error"` bodies for panics.
 //!
 //! ```
-//! use ispn_scenario::{ScenarioSet, SweepRunner, SweepTable};
+//! use ispn_scenario::{NullObserver, ScenarioSet, SweepRunner, SweepTable};
 //!
 //! let set = ScenarioSet::over("load", [1usize, 2]).by("flows", [10usize]);
-//! let reports = SweepRunner::serial().try_run(&set, |&(load, flows)| load * flows);
+//! let reports = SweepRunner::serial().run(&set, |&(load, flows)| load * flows, &NullObserver);
 //! let text = SweepTable::new("delivered packets")
 //!     .columns(["delivered"])
 //!     .render(&reports, |&total| vec![vec![total.to_string()]]);
@@ -123,7 +123,7 @@ impl SweepTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{ScenarioSet, SweepError, SweepRunner};
+    use crate::sweep::{NullObserver, ScenarioSet, SweepError, SweepRunner};
 
     fn checked(reports: Vec<SweepReport<usize>>) -> Vec<SweepReport<PointResult<usize>>> {
         reports
@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn axis_columns_come_from_tags_in_declaration_order() {
         let set = ScenarioSet::over("discipline", ["WFQ", "FIFO"]).by("level", [1usize, 2]);
-        let reports = SweepRunner::serial().try_run(&set, |&(_, level)| level * 7);
+        let reports = SweepRunner::serial().run(&set, |&(_, level)| level * 7, &NullObserver);
         assert_eq!(axis_names(&reports), vec!["discipline", "level"]);
         let text = SweepTable::new("demo")
             .columns(["value"])

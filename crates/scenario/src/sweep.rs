@@ -6,12 +6,12 @@
 //! API:
 //!
 //! * [`ScenarioSet`] — a set of scenario points built from named axes.
-//!   [`ScenarioSet::over`] opens the first axis, [`by`](ScenarioSet::by)
-//!   cartesian-extends (the new axis becomes the inner loop), and
-//!   [`zip`](ScenarioSet::zip) pairs a new axis element-wise with the
-//!   existing points.  Point parameters are plain tuples, so the run
-//!   closure destructures them without any stringly-typed lookups; each
-//!   point also carries `(axis name, value label)` tags for reports.
+//!   [`ScenarioSet::over`] opens the first axis and
+//!   [`by`](ScenarioSet::by) cartesian-extends it with a second (the new
+//!   axis becomes the inner loop).  Point parameters are plain tuples, so
+//!   the run closure destructures them without any stringly-typed
+//!   lookups; each point also carries `(axis name, value label)` tags for
+//!   reports.
 //! * [`SweepRunner`] — runs every point through a caller-supplied closure,
 //!   either serially ([`SweepRunner::serial`]) or fanned across `N`
 //!   OS threads ([`SweepRunner::parallel`];
@@ -31,21 +31,19 @@
 //!
 //! # Streaming and fault isolation
 //!
-//! [`SweepRunner::run_streaming`] is the primitive the other entry points
-//! wrap: it emits every point's report to a [`SweepObserver`] the moment
-//! the point completes (completion order, from whichever worker thread
-//! finished it) while still returning the full `Vec` in point order.
-//! Observers are ordinary `Sync` values — the stderr
-//! [`ProgressObserver`], or any closure (one that sends each report into
-//! an `mpsc` channel turns the stream into a receiver).
+//! [`SweepRunner::run`] emits every point's report to a [`SweepObserver`]
+//! the moment the point completes (completion order, from whichever
+//! worker thread finished it) while still returning the full `Vec` in
+//! point order.  Observers are ordinary `Sync` values — the stderr
+//! [`ProgressObserver`], [`NullObserver`] to stream nowhere, or any
+//! closure (one that sends each report into an `mpsc` channel turns the
+//! stream into a receiver).
 //!
 //! Every point runs under [`std::panic::catch_unwind`], so one exploding
 //! scenario no longer takes the whole sweep down: the point's slot carries
 //! a structured [`SweepError`] (index, axis tags, panic payload) and every
-//! sibling point still runs to completion.  [`SweepRunner::try_run`]
-//! surfaces those per-point `Result`s; [`SweepRunner::run`] keeps the
-//! historical infallible signature by unwrapping them (panicking with the
-//! failing point's tags — after the whole sweep finished).
+//! sibling point still runs to completion.  [`SweepReport::expect_ok`]
+//! unwraps one checked report, panicking with the failing point's tags.
 //!
 //! # Determinism
 //!
@@ -59,7 +57,7 @@
 //! the CI `sweep-smoke` job.
 //!
 //! ```
-//! use ispn_scenario::{ScenarioSet, SweepRunner};
+//! use ispn_scenario::{NullObserver, ScenarioSet, SweepRunner};
 //!
 //! let set = ScenarioSet::over("load", [0.5f64, 0.8])
 //!     .by("flows", [5usize, 10]);
@@ -67,8 +65,8 @@
 //! let reports = SweepRunner::parallel(2).run(&set, |&(load, flows)| {
 //!     // build a ScenarioBuilder from (load, flows), run it, report…
 //!     format!("{load}:{flows}")
-//! });
-//! assert_eq!(reports[3].result, "0.8:10");
+//! }, &NullObserver);
+//! assert_eq!(reports[3].result.as_deref(), Ok("0.8:10"));
 //! assert_eq!(reports[3].tag("flows"), Some("10"));
 //! ```
 
@@ -140,45 +138,6 @@ impl AxisValue for SimTime {
     }
 }
 
-/// Tuple types that can grow by one element — the machinery behind
-/// [`ScenarioSet::by`] / [`ScenarioSet::zip`] keeping point parameters as
-/// plain destructurable tuples.  Implemented for arities 0–3 (a sweep with
-/// more than four axes wants a purpose-built parameter struct anyway).
-pub trait TupleAppend<T> {
-    /// The tuple with `T` appended.
-    type Out;
-    /// Append `value`.
-    fn append(self, value: T) -> Self::Out;
-}
-
-impl<T> TupleAppend<T> for () {
-    type Out = (T,);
-    fn append(self, value: T) -> (T,) {
-        (value,)
-    }
-}
-
-impl<A, T> TupleAppend<T> for (A,) {
-    type Out = (A, T);
-    fn append(self, value: T) -> (A, T) {
-        (self.0, value)
-    }
-}
-
-impl<A, B, T> TupleAppend<T> for (A, B) {
-    type Out = (A, B, T);
-    fn append(self, value: T) -> (A, B, T) {
-        (self.0, self.1, value)
-    }
-}
-
-impl<A, B, C, T> TupleAppend<T> for (A, B, C) {
-    type Out = (A, B, C, T);
-    fn append(self, value: T) -> (A, B, C, T) {
-        (self.0, self.1, self.2, value)
-    }
-}
-
 /// One scenario point: axis tags plus the typed parameters the run closure
 /// receives.
 #[derive(Debug, Clone)]
@@ -214,24 +173,21 @@ impl ScenarioSet<()> {
     }
 }
 
-impl<P: Clone> ScenarioSet<P> {
-    /// Cartesian-extend with another axis: every existing point is repeated
-    /// once per value, with the new axis as the **inner** loop (the order a
-    /// hand-written nested `for` produces).
+impl<A: Clone> ScenarioSet<(A,)> {
+    /// Cartesian-extend with a second axis: every existing point is
+    /// repeated once per value, with the new axis as the **inner** loop
+    /// (the order a hand-written nested `for` produces).
     ///
     /// # Panics
     /// Panics if `values` is empty — a cartesian product with an empty axis
     /// would silently discard every existing point.
-    pub fn by<A: AxisValue>(
+    pub fn by<B: AxisValue>(
         self,
         name: impl Into<String>,
-        values: impl IntoIterator<Item = A>,
-    ) -> ScenarioSet<P::Out>
-    where
-        P: TupleAppend<A>,
-    {
+        values: impl IntoIterator<Item = B>,
+    ) -> ScenarioSet<(A, B)> {
         let name = name.into();
-        let values: Vec<A> = values.into_iter().collect();
+        let values: Vec<B> = values.into_iter().collect();
         assert!(
             !values.is_empty(),
             "axis {name:?} has no values; a cartesian product with an empty \
@@ -244,48 +200,11 @@ impl<P: Clone> ScenarioSet<P> {
                 tags.push((name.clone(), v.axis_label()));
                 points.push(SweepPoint {
                     tags,
-                    params: point.params.clone().append(v.clone()),
+                    params: (point.params.0.clone(), v.clone()),
                 });
             }
         }
         ScenarioSet { points }
-    }
-
-    /// Zip another axis element-wise against the existing points (the
-    /// non-cartesian companion of [`by`](ScenarioSet::by) for axes that
-    /// vary together, e.g. a load level and its matching horizon).
-    ///
-    /// # Panics
-    /// Panics unless `values` has exactly one value per existing point.
-    pub fn zip<A: AxisValue>(
-        self,
-        name: impl Into<String>,
-        values: impl IntoIterator<Item = A>,
-    ) -> ScenarioSet<P::Out>
-    where
-        P: TupleAppend<A>,
-    {
-        let name = name.into();
-        let values: Vec<A> = values.into_iter().collect();
-        assert_eq!(
-            values.len(),
-            self.points.len(),
-            "zipped axis {name:?} must provide exactly one value per point"
-        );
-        ScenarioSet {
-            points: self
-                .points
-                .into_iter()
-                .zip(values)
-                .map(|(mut point, v)| {
-                    point.tags.push((name.clone(), v.axis_label()));
-                    SweepPoint {
-                        tags: point.tags,
-                        params: point.params.append(v),
-                    }
-                })
-                .collect(),
-        }
     }
 }
 
@@ -364,25 +283,6 @@ pub struct SweepReport<R> {
     pub result: R,
 }
 
-/// The shared point serializer: `index`, `axes`, then one keyed body —
-/// `"report"` for results, `"error"` for panics — so the checked and
-/// unchecked JSON surfaces are byte-identical wherever both succeed.
-fn write_point<R>(
-    point: &SweepReport<R>,
-    body: Result<&ScenarioReport, &SweepError>,
-    out: &mut String,
-) {
-    let mut object = ObjectWriter::new(out);
-    object
-        .member("index", &point.index)
-        .member("axes", &point.tags);
-    match body {
-        Ok(report) => object.member("report", report),
-        Err(e) => object.member("error", &e.payload),
-    };
-    object.end();
-}
-
 impl<R> SweepReport<R> {
     /// The label of one axis, if the point has it.
     pub fn tag(&self, axis: &str) -> Option<&str> {
@@ -394,7 +294,7 @@ impl<R> SweepReport<R> {
 }
 
 impl<R> SweepReport<PointResult<R>> {
-    /// Unwrap a checked report into the historical infallible shape.
+    /// Unwrap a checked report into its bare result.
     ///
     /// # Panics
     /// Panics with the failing point's tags and panic payload if the point
@@ -413,18 +313,20 @@ impl<R> SweepReport<PointResult<R>> {
 
 /// Serialize a whole sweep of scenario reports as one JSON array — the
 /// byte-identity surface the serial-vs-parallel acceptance check diffs.
-pub fn sweep_to_json(reports: &[SweepReport<ScenarioReport>]) -> String {
-    wire::encoded(|out| wire::write_seq(reports, out, |r, out| write_point(r, Ok(&r.result), out)))
-}
-
-/// Serialize a checked sweep ([`SweepRunner::try_run`] /
-/// [`SweepRunner::run_streaming`]) as one JSON array.  When every point
-/// succeeded the output is byte-identical to [`sweep_to_json`] on the
-/// unchecked reports.
-pub fn sweep_to_json_checked(reports: &[SweepReport<PointResult<ScenarioReport>>]) -> String {
+/// Each point is `index`, `axes`, then one keyed body: `"report"` for a
+/// result, `"error"` for a panic.
+pub fn sweep_to_json(reports: &[SweepReport<PointResult<ScenarioReport>>]) -> String {
     wire::encoded(|out| {
-        wire::write_seq(reports, out, |r, out| {
-            write_point(r, r.result.as_ref(), out)
+        wire::write_seq(reports, out, |point, out| {
+            let mut object = ObjectWriter::new(out);
+            object
+                .member("index", &point.index)
+                .member("axes", &point.tags);
+            match &point.result {
+                Ok(report) => object.member("report", report),
+                Err(e) => object.member("error", &e.payload),
+            };
+            object.end();
         })
     })
 }
@@ -449,11 +351,10 @@ pub struct PointTelemetry {
     /// Wall-clock seconds spent running the point's closure.
     pub wall_s: f64,
     /// Parent-measured round-trip seconds for the point in a
-    /// *distributed* sweep: from dispatching the point's request (or, for
-    /// the later points of a batch, from the previous point's completion)
-    /// to receiving its final frame.  `rtt_s − wall_s` is the wire and
-    /// supervision overhead the batched-request mode exists to amortize.
-    /// `None` for in-process runners, where there is no wire to measure.
+    /// *distributed* sweep: from dispatching the point's request to
+    /// receiving its final frame.  `rtt_s − wall_s` is the wire and
+    /// supervision overhead of the point.  `None` for in-process runners,
+    /// where there is no wire to measure.
     pub rtt_s: Option<f64>,
 }
 
@@ -494,7 +395,7 @@ where
     }
 }
 
-/// The do-nothing observer ([`SweepRunner::try_run`] streams into it).
+/// The do-nothing observer: pass it to a runner's `run` to stream nowhere.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullObserver;
 
@@ -506,7 +407,7 @@ impl<R> SweepObserver<R> for NullObserver {
 /// completed point (`[done/total] axis=value … done (r.r pts/s, ETA Ns)`,
 /// or the panic payload for a failed point).  This is what the experiment
 /// bins wire up under `--stream`; stdout stays untouched, so the final
-/// rendered report is byte-identical to a batch run.  The pace and ETA are
+/// rendered report is byte-identical to an unobserved run.  The pace and ETA are
 /// wall-clock measured *outside* the sim — they exist only on stderr and
 /// never influence any result.
 #[derive(Debug, Default)]
@@ -592,7 +493,7 @@ impl<R> SweepObserver<R> for ProgressObserver {
 /// reported, total/mean wall time, the slowest point — and, for
 /// distributed sweeps, the per-point round-trip overhead (time the parent
 /// spent on the wire and in supervision beyond the worker's own wall
-/// time), which is what request batching amortizes.
+/// time).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SweepTelemetry {
     points: usize,
@@ -654,7 +555,7 @@ impl SweepTelemetry {
     }
 
     /// Mean per-point round-trip overhead seconds (0 before any
-    /// round-trip reported).  Batched dispatch exists to shrink this.
+    /// round-trip reported).
     pub fn mean_overhead_s(&self) -> f64 {
         if self.rtt_points == 0 {
             0.0
@@ -791,59 +692,19 @@ impl SweepRunner {
         self.threads
     }
 
-    /// Run every point of `set` through `run_point`, returning one
-    /// [`SweepReport`] per point **in sweep order** regardless of which
-    /// worker finished first.  `run_point` builds, runs and summarizes one
-    /// self-contained scenario; it is called exactly once per point.
+    /// Run every point of `set` through `run_point`, handing each
+    /// completed point's report to `observer` **the moment it completes**
+    /// (completion order, from the finishing worker thread), then return
+    /// one checked [`SweepReport`] per point **in sweep order** —
+    /// byte-identical to a serial or unobserved run.  `run_point` builds,
+    /// runs and summarizes one self-contained scenario; it is called
+    /// exactly once per point, and a panic inside it becomes that point's
+    /// [`SweepError`] while every sibling point still runs.
     ///
     /// # Panics
-    /// A panic inside `run_point` is caught per point ([`try_run`] exposes
-    /// it as a [`SweepError`]); this infallible wrapper re-panics with the
-    /// failing point's index, tags and payload — but only after every
-    /// sibling point ran to completion.
-    ///
-    /// [`try_run`]: SweepRunner::try_run
-    pub fn run<P, R, F>(&self, set: &ScenarioSet<P>, run_point: F) -> Vec<SweepReport<R>>
-    where
-        P: Sync,
-        R: Send,
-        F: Fn(&P) -> R + Sync,
-    {
-        self.try_run(set, run_point)
-            .into_iter()
-            .map(SweepReport::expect_ok)
-            .collect()
-    }
-
-    /// [`run`](SweepRunner::run) with per-point fault isolation and no
-    /// observer: every point's slot carries `Ok(result)` or the
-    /// [`SweepError`] describing its panic, and a poisoned point never
-    /// aborts its siblings.
-    pub fn try_run<P, R, F>(
-        &self,
-        set: &ScenarioSet<P>,
-        run_point: F,
-    ) -> Vec<SweepReport<PointResult<R>>>
-    where
-        P: Sync,
-        R: Send,
-        F: Fn(&P) -> R + Sync,
-    {
-        self.run_streaming(set, run_point, &NullObserver)
-    }
-
-    /// The streaming core: run every point of `set` through `run_point`,
-    /// handing each completed point's report to `observer` **the moment it
-    /// completes** (completion order, from the finishing worker thread),
-    /// then return the full checked report list in sweep order — with the
-    /// same per-point fault isolation as [`try_run`](SweepRunner::try_run),
-    /// and byte-identical results to a serial or unobserved run.
-    ///
-    /// # Panics
-    /// Never from `run_point` (point panics are caught into
-    /// [`SweepError`]s); a panic inside the observer itself still
+    /// Never from `run_point`; a panic inside the observer itself still
     /// propagates.
-    pub fn run_streaming<P, R, F, O>(
+    pub fn run<P, R, F, O>(
         &self,
         set: &ScenarioSet<P>,
         run_point: F,
@@ -967,21 +828,6 @@ mod tests {
     }
 
     #[test]
-    fn zipped_axes_pair_elementwise() {
-        let set = ScenarioSet::over("load", [0.5f64, 1.0, 2.0]).zip("seed", [7u64, 8, 9]);
-        assert_eq!(set.len(), 3);
-        assert_eq!(set.points()[1].params, (1.0, 8));
-        assert_eq!(set.points()[2].tags[0].1, "2.0");
-        assert_eq!(set.points()[2].tags[1].1, "9");
-    }
-
-    #[test]
-    #[should_panic(expected = "exactly one value per point")]
-    fn zip_length_mismatch_panics() {
-        let _ = ScenarioSet::over("load", [1usize, 2]).zip("seed", [1u64]);
-    }
-
-    #[test]
     #[should_panic(expected = "has no values")]
     fn empty_cartesian_axis_panics() {
         let _ = ScenarioSet::over("load", [1usize]).by("d", Vec::<&'static str>::new());
@@ -990,9 +836,9 @@ mod tests {
     #[test]
     fn single_point_sets_run_through_the_same_machinery() {
         let set = ScenarioSet::over("only", [7usize]);
-        let out = SweepRunner::parallel(4).run(&set, |&(x,)| x * 6);
+        let out = SweepRunner::parallel(4).run(&set, |&(x,)| x * 6, &NullObserver);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].result, 42);
+        assert_eq!(out[0].result, Ok(42));
         assert_eq!(out[0].tag("only"), Some("7"));
     }
 
@@ -1006,12 +852,12 @@ mod tests {
             }
             i * i
         };
-        let serial = SweepRunner::serial().run(&set, f);
-        let parallel = SweepRunner::parallel(8).run(&set, f);
+        let serial = SweepRunner::serial().run(&set, f, &NullObserver);
+        let parallel = SweepRunner::parallel(8).run(&set, f, &NullObserver);
         assert_eq!(serial, parallel);
         for (i, r) in parallel.iter().enumerate() {
             assert_eq!(r.index, i);
-            assert_eq!(r.result, i * i);
+            assert_eq!(r.result, Ok(i * i));
             assert_eq!(r.tag("i"), Some(i.to_string().as_str()));
         }
     }
@@ -1019,15 +865,7 @@ mod tests {
     #[test]
     fn sweep_json_tags_every_point_and_escapes_labels() {
         let set = ScenarioSet::over("d", ["evil\"quote"]);
-        let out = SweepRunner::serial().run(&set, |_| crate::ScenarioReport {
-            horizon_s: 1.0,
-            flows: Vec::new(),
-            links: Vec::new(),
-            classes: Vec::new(),
-            disciplines: Vec::new(),
-            signaling: Default::default(),
-            telemetry: None,
-        });
+        let out = SweepRunner::serial().run(&set, |_| empty_report(), &NullObserver);
         let json = sweep_to_json(&out);
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert!(
@@ -1053,7 +891,7 @@ mod tests {
             load * 10
         };
         for runner in [SweepRunner::serial(), SweepRunner::parallel(4)] {
-            let reports = runner.try_run(&set, f);
+            let reports = runner.run(&set, f, &NullObserver);
             assert_eq!(reports.len(), 4);
             assert_eq!(failed_points(&reports), 1);
             // Sibling points all completed…
@@ -1069,14 +907,23 @@ mod tests {
         }
     }
 
+    /// `expect_ok` unwraps a healthy point and names a poisoned one's
+    /// tags when it panics.
     #[test]
     #[should_panic(expected = "load=3")]
     fn infallible_run_names_the_failing_point() {
         let set = ScenarioSet::over("load", [1usize, 3]);
-        let _ = SweepRunner::serial().run(&set, |&(load,): &(usize,)| {
-            assert!(load != 3, "boom");
-            load
-        });
+        let reports = SweepRunner::serial().run(
+            &set,
+            |&(load,): &(usize,)| {
+                assert!(load != 3, "boom");
+                load
+            },
+            &NullObserver,
+        );
+        let mut reports = reports.into_iter();
+        assert_eq!(reports.next().map(|r| r.expect_ok().result), Some(1));
+        let _ = reports.next().map(SweepReport::expect_ok);
     }
 
     #[test]
@@ -1094,14 +941,14 @@ mod tests {
                 .unwrap()
                 .push((report.index, *report.result.as_ref().unwrap()));
         };
-        let streamed = SweepRunner::parallel(8).run_streaming(&set, f, &observer);
+        let streamed = SweepRunner::parallel(8).run(&set, f, &observer);
         // Every point was emitted exactly once before the sweep returned…
         let mut seen = seen.into_inner().unwrap();
         assert_eq!(seen.len(), 32);
         seen.sort();
         assert_eq!(seen, (0..32usize).map(|i| (i, i + 100)).collect::<Vec<_>>());
         // …and the returned reports are in point order, matching serial.
-        let serial = SweepRunner::serial().try_run(&set, f);
+        let serial = SweepRunner::serial().run(&set, f, &NullObserver);
         assert_eq!(streamed, serial);
         for (i, r) in streamed.iter().enumerate() {
             assert_eq!(r.index, i);
@@ -1117,7 +964,7 @@ mod tests {
         let observer = |report: &SweepReport<PointResult<u64>>| {
             let _ = tx.send(report.clone());
         };
-        let reports = SweepRunner::parallel(2).run_streaming(&set, |&(x,)| x * x, &observer);
+        let reports = SweepRunner::parallel(2).run(&set, |&(x,)| x * x, &observer);
         drop(tx);
         let mut streamed: Vec<u64> = rx
             .into_iter()
@@ -1128,10 +975,9 @@ mod tests {
         assert_eq!(reports.len(), 3);
     }
 
-    #[test]
-    fn checked_json_matches_unchecked_on_success_and_carries_errors() {
-        let set = ScenarioSet::over("d", ["ok"]);
-        let report = || crate::ScenarioReport {
+    /// A report with no flows, links or classes.
+    fn empty_report() -> ScenarioReport {
+        ScenarioReport {
             horizon_s: 1.0,
             flows: Vec::new(),
             links: Vec::new(),
@@ -1139,13 +985,25 @@ mod tests {
             disciplines: Vec::new(),
             signaling: Default::default(),
             telemetry: None,
-        };
-        let plain = SweepRunner::serial().run(&set, |_| report());
-        let checked = SweepRunner::serial().try_run(&set, |_| report());
-        assert_eq!(sweep_to_json(&plain), sweep_to_json_checked(&checked));
+        }
+    }
+
+    /// A healthy point serializes as `index`, `axes` and its `report`, the
+    /// bytes an all-success sweep has always produced; a poisoned one
+    /// carries its payload under `error` instead.
+    #[test]
+    fn checked_json_matches_unchecked_on_success_and_carries_errors() {
+        let set = ScenarioSet::over("d", ["ok"]);
+        let checked = SweepRunner::serial().run(&set, |_| empty_report(), &NullObserver);
+        assert_eq!(
+            sweep_to_json(&checked),
+            "[{\"index\":0,\"axes\":[[\"d\",\"ok\"]],\"report\":{\"horizon_s\":1.0,\
+             \"flows\":[],\"links\":[],\"classes\":[],\"disciplines\":[],\"signaling\":\
+             {\"accepted\":0,\"rejected\":0,\"pending\":0,\"decisions\":[]}}}]"
+        );
 
         // A panicked point serializes its payload under "error" (escaped).
-        let poisoned: SweepReport<PointResult<crate::ScenarioReport>> = SweepReport {
+        let poisoned: SweepReport<PointResult<ScenarioReport>> = SweepReport {
             index: 1,
             tags: vec![("d".to_string(), "bad".to_string())],
             result: Err(SweepError {
@@ -1154,7 +1012,7 @@ mod tests {
                 payload: "evil \"quote\"".to_string(),
             }),
         };
-        let json = sweep_to_json_checked(&[poisoned]);
+        let json = sweep_to_json(&[poisoned]);
         assert!(json.contains("\"error\":\"evil \\\"quote\\\"\""), "{json}");
         assert!(!json.contains("\"report\""), "{json}");
     }
@@ -1164,10 +1022,10 @@ mod tests {
         let observer = ProgressObserver::new();
         let small = ScenarioSet::over("i", [1usize, 2]);
         let big = ScenarioSet::over("i", (0..5usize).collect::<Vec<_>>());
-        let _ = SweepRunner::serial().run_streaming(&big, |&(i,)| i, &observer);
+        let _ = SweepRunner::serial().run(&big, |&(i,)| i, &observer);
         assert_eq!(observer.completed(), 5);
         // Reusing the observer must restart from zero, not keep counting.
-        let _ = SweepRunner::serial().run_streaming(&small, |&(i,)| i, &observer);
+        let _ = SweepRunner::serial().run(&small, |&(i,)| i, &observer);
         assert_eq!(observer.completed(), 2);
     }
 
@@ -1184,7 +1042,7 @@ mod tests {
         }
         for runner in [SweepRunner::serial(), SweepRunner::parallel(4)] {
             seen.lock().unwrap().clear();
-            let _ = runner.run_streaming(&set, |&(i,)| i, &Capture(&seen));
+            let _ = runner.run(&set, |&(i,)| i, &Capture(&seen));
             let mut indices: Vec<usize> = seen.lock().unwrap().iter().map(|t| t.index).collect();
             indices.sort_unstable();
             assert_eq!(indices, (0..8).collect::<Vec<_>>());
@@ -1239,11 +1097,11 @@ mod tests {
         let set = ScenarioSet::over("i", [1usize, 2, 3]);
         let inner = ProgressObserver::new();
         let collector = TelemetryCollector::new(&inner);
-        let _ = SweepRunner::parallel(2).run_streaming(&set, |&(i,)| i, &collector);
+        let _ = SweepRunner::parallel(2).run(&set, |&(i,)| i, &collector);
         assert_eq!(collector.summary().points(), 3);
         assert_eq!(inner.completed(), 3);
         let pair = ScenarioSet::over("i", [1usize, 2]);
-        let _ = SweepRunner::serial().run_streaming(&pair, |&(i,)| i, &collector);
+        let _ = SweepRunner::serial().run(&pair, |&(i,)| i, &collector);
         assert_eq!(collector.summary().points(), 2);
     }
 
@@ -1262,14 +1120,18 @@ mod tests {
     #[test]
     fn non_string_panic_payloads_get_a_placeholder() {
         let set = ScenarioSet::over("i", [0usize]);
-        let reports = SweepRunner::serial().try_run(&set, |_| {
-            std::panic::panic_any(42usize);
-            #[expect(
-                unreachable_code,
-                reason = "the closure must still name its return type for inference"
-            )]
-            ()
-        });
+        let reports = SweepRunner::serial().run(
+            &set,
+            |_| {
+                std::panic::panic_any(42usize);
+                #[expect(
+                    unreachable_code,
+                    reason = "the closure must still name its return type for inference"
+                )]
+                ()
+            },
+            &NullObserver,
+        );
         let err = reports[0].result.as_ref().unwrap_err();
         assert_eq!(err.payload, "non-string panic payload");
     }

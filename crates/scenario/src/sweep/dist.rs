@@ -18,7 +18,7 @@
 //!
 //! # Transports
 //!
-//! Each supervisor slot drives its worker through the [`WorkerTransport`]
+//! Each supervisor slot drives its worker through the `WorkerTransport`
 //! seam: send a request line, await a frame line (with an optional
 //! deadline), tear the worker down, describe how it ended.  Two
 //! transports exist — the subprocess pipes this module owns, and the TCP
@@ -31,9 +31,9 @@
 //! # Supervision
 //!
 //! Workers are expendable.  Each of the `N` supervisor threads owns one
-//! worker at a time and pulls claims off a shared work-stealing
-//! counter, so a dead worker's **remaining** points are automatically
-//! redistributed to whichever workers survive.  Whatever goes wrong while
+//! worker at a time and claims one point at a time off a shared
+//! work-stealing counter, so a dead worker's **remaining** points are
+//! automatically redistributed to whichever workers survive.  Whatever goes wrong while
 //! a point is in flight — the worker exits or is killed, the connection
 //! drops, it emits a malformed frame, overruns the per-point
 //! [`deadline`](DistRunner::deadline), or cannot even be spawned —
@@ -58,16 +58,6 @@
 //! fails: the sweep degrades to one structured error per point rather
 //! than hanging or aborting.
 //!
-//! # Batching
-//!
-//! [`batch`](DistRunner::batch) makes each claim a contiguous chunk of
-//! points dispatched as one `{"batch":[…]}` request, amortizing
-//! per-point round-trips on high-latency links.  Faults still poison
-//! only the in-flight point — the unanswered remainder of a claim
-//! is re-dispatched to the slot's replacement worker, which cannot
-//! double-run anything because an unanswered point never completed
-//! anywhere.
-//!
 //! # Byte identity
 //!
 //! A scenario point is a pure function of its parameters, so running it
@@ -84,10 +74,10 @@
     clippy::expect_used,
     clippy::unwrap_used,
     clippy::panic,
-    clippy::string_slice
+    clippy::string_slice,
+    clippy::unreachable
 )]
 
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
@@ -99,8 +89,7 @@ use super::net::{self, HostSpec};
 use super::wire::{self, WireResult, WorkerFrame};
 use super::worker::WORKER_ID_ENV;
 use super::{
-    NullObserver, PointResult, PointTelemetry, ScenarioSet, SweepError, SweepObserver, SweepReport,
-    SweepRunner,
+    PointResult, PointTelemetry, ScenarioSet, SweepError, SweepObserver, SweepReport, SweepRunner,
 };
 
 /// How a [`DistRunner`] launches one worker subprocess: program, fixed
@@ -180,7 +169,7 @@ impl WorkerCommand {
 
 /// What awaiting one worker frame line produced.
 #[derive(Debug)]
-pub enum Await {
+pub(crate) enum Await {
     /// A frame line arrived.
     Line(String),
     /// The stream ended: the process exited / the peer closed the
@@ -196,7 +185,7 @@ pub enum Await {
 /// [`net::SocketTransport`](super::net) — presents the same operations,
 /// so [`DistRunner`] supervision (respawn/reconnect, teardown, deadline
 /// awaits, per-point poisoning) is transport-agnostic.
-pub trait WorkerTransport: Send {
+pub(crate) trait WorkerTransport: Send {
     /// Send one request line (the implementation appends the terminator)
     /// and flush it to the worker.
     fn send_line(&mut self, line: &str) -> std::io::Result<()>;
@@ -376,10 +365,13 @@ const FATAL_SPAWN_FAILURES: u32 = 3;
 /// [`DistRunner::hello_deadline`]).
 pub const DEFAULT_HELLO_DEADLINE: Duration = Duration::from_secs(30);
 
-/// One supervisor thread's state: its current worker plus the bookkeeping
-/// that turns a *deterministic* spawn/handshake failure into a fast
-/// structured failure instead of one spawn cycle per remaining point.
+/// One supervisor thread's state: which slot it is, the sweep's point
+/// count its workers must hello with, its current worker, and the
+/// bookkeeping that turns a *deterministic* spawn/handshake failure into a
+/// fast structured failure instead of one spawn cycle per remaining point.
 struct Supervisor {
+    id: usize,
+    points: usize,
     live: Option<Box<dyn WorkerTransport>>,
     consecutive_spawn_failures: u32,
     fatal: Option<String>,
@@ -403,7 +395,6 @@ pub struct DistRunner {
     launch: Launch,
     deadline: Option<Duration>,
     hello_deadline: Duration,
-    batch: usize,
 }
 
 impl DistRunner {
@@ -415,7 +406,6 @@ impl DistRunner {
             launch: Launch::Spawn(command),
             deadline: None,
             hello_deadline: DEFAULT_HELLO_DEADLINE,
-            batch: 1,
         }
     }
 
@@ -437,7 +427,6 @@ impl DistRunner {
             launch: Launch::Connect(slots),
             deadline: None,
             hello_deadline: DEFAULT_HELLO_DEADLINE,
-            batch: 1,
         }
     }
 
@@ -464,16 +453,6 @@ impl DistRunner {
         self
     }
 
-    /// Dispatch claims as batches of up to `points` requests per wire
-    /// round-trip (default 1).  Batching amortizes request/response
-    /// latency on real networks.  Larger batches also coarsen work
-    /// stealing — a claim is redistributed only as a whole — so keep the
-    /// batch small relative to `points / workers`.
-    pub fn batch(mut self, points: usize) -> Self {
-        self.batch = points.max(1);
-        self
-    }
-
     /// The configured worker count (subprocesses or socket connections).
     pub fn workers(&self) -> usize {
         self.workers
@@ -497,44 +476,14 @@ impl DistRunner {
         }
     }
 
-    /// Distributed [`SweepRunner::run`](super::SweepRunner::run): results
-    /// in point order, infallible signature.
-    ///
-    /// # Panics
-    /// Panics with the failing point's index, tags and fault description
-    /// if any point was poisoned — after the whole sweep finished.  Use
-    /// [`try_run`](DistRunner::try_run) (or
-    /// [`failed_points`](super::failed_points) on the streaming results)
-    /// for checked exits.
-    pub fn run<P, R>(&self, set: &ScenarioSet<P>) -> Vec<SweepReport<R>>
-    where
-        P: Sync,
-        R: WireResult + Send,
-    {
-        self.try_run(set)
-            .into_iter()
-            .map(SweepReport::expect_ok)
-            .collect()
-    }
-
-    /// Distributed [`SweepRunner::try_run`](super::SweepRunner::try_run):
-    /// every point's slot carries `Ok(result)` or the [`SweepError`]
-    /// describing its fault; a dead worker never kills the sweep.
-    pub fn try_run<P, R>(&self, set: &ScenarioSet<P>) -> Vec<SweepReport<PointResult<R>>>
-    where
-        P: Sync,
-        R: WireResult + Send,
-    {
-        self.run_streaming(set, &NullObserver)
-    }
-
-    /// The streaming core: run every point on a worker, handing each
-    /// completed point's report to `observer` the moment its frame
-    /// arrives (completion order, from the supervising thread), then
-    /// return the full checked report list in sweep order.  Each point's
-    /// final outcome is reported **exactly once**, even when worker deaths
-    /// force redistribution.
-    pub fn run_streaming<P, R, O>(
+    /// Distributed [`SweepRunner::run`]: run every point on a worker,
+    /// handing each completed point's report to `observer` the moment its
+    /// frame arrives (completion order, from the supervising thread), then
+    /// return the full checked report list in sweep order.  Every point's
+    /// slot carries `Ok(result)` or the [`SweepError`] describing its
+    /// fault, and each point's final outcome is reported **exactly once**,
+    /// even when worker deaths force redistribution.
+    pub fn run<P, R, O>(
         &self,
         set: &ScenarioSet<P>,
         observer: &O,
@@ -561,31 +510,27 @@ impl DistRunner {
         // filled.
         let active = AtomicUsize::new(workers);
         std::thread::scope(|scope| {
-            for worker_id in 0..workers {
+            for id in 0..workers {
                 let slots = &slots;
                 let next = &next;
                 let active = &active;
                 scope.spawn(move || {
                     let mut sup = Supervisor {
+                        id,
+                        points: n,
                         live: None,
                         consecutive_spawn_failures: 0,
                         fatal: None,
                     };
                     let mut counted_out = false;
                     loop {
-                        // Claim a contiguous chunk (the batch size; 1 by
-                        // default, which preserves per-point stealing).
-                        let start = next.fetch_add(self.batch, Ordering::Relaxed);
-                        if start >= n {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(point) = set.points().get(index) else {
                             break;
-                        }
-                        let mut claim: VecDeque<usize> =
-                            (start..(start + self.batch).min(n)).collect();
-                        // The whole claim is drained before checking for a
-                        // fatal slot: a claimed point must always get a
-                        // report, and the fatal fast path fills the
-                        // remainder with the memoized error.
-                        self.run_claim(&mut sup, worker_id, set, &mut claim, observer, slots);
+                        };
+                        // A claimed point always gets a report: the fatal
+                        // fast path fills it with the memoized error.
+                        self.run_point(&mut sup, index, &point.tags, observer, slots);
                         if sup.fatal.is_some() && !counted_out {
                             counted_out = true;
                             if active.fetch_sub(1, Ordering::SeqCst) > 1 {
@@ -606,8 +551,8 @@ impl DistRunner {
         });
         #[expect(
             clippy::expect_used,
-            reason = "infallible run() documents its panic contract: faults were already caught \
-                      per point, so an empty slot here is a harness bug"
+            reason = "faults were already caught per point, so an empty slot here is a harness \
+                      bug worth a loud abort"
         )]
         let reports = slots
             .into_iter()
@@ -620,186 +565,128 @@ impl DistRunner {
         reports
     }
 
-    /// Run every point of one claim on the supervisor's worker, filling
-    /// the result slots and streaming completions as they land.  The
-    /// claim is dispatched as a single batched request; a fault poisons
-    /// only the in-flight point, and the unanswered remainder is
-    /// re-dispatched to the slot's replacement worker (points are pure and
-    /// an unanswered point never ran to completion anywhere, so the retry
-    /// cannot double-run work).
-    fn run_claim<P, R, O>(
+    /// Run point `index` on the supervisor's worker, fill its result slot
+    /// and stream its completion.  A fault poisons only this point; the
+    /// worker is torn down and the slot launches a replacement for its
+    /// next claim.
+    fn run_point<R, O>(
         &self,
         sup: &mut Supervisor,
-        worker_id: usize,
-        set: &ScenarioSet<P>,
-        claim: &mut VecDeque<usize>,
+        index: usize,
+        tags: &[(String, String)],
         observer: &O,
         slots: &[Mutex<Option<SweepReport<PointResult<R>>>>],
     ) where
-        P: Sync,
         R: WireResult + Send,
         O: SweepObserver<R> + ?Sized,
     {
-        let total = set.points().len();
-        // Claim points already covered by requests sent to the live
-        // worker (0 = the front point still needs dispatching).
-        let mut dispatched = 0usize;
-        while let Some(&index) = claim.front() {
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "claims are drawn from 0..set.len(), so index < point count"
-            )]
-            let tags = &set.points()[index].tags;
-            let mut wall_s = None;
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "round-trip-overhead telemetry (rtt_s); aggregated behind --telemetry, \
-                          never in report bytes"
-            )]
-            let started = Instant::now();
-            let result: Result<R, String> = if let Some(payload) = sup.fatal.clone() {
-                Err(payload)
-            } else {
-                let covered = if dispatched == 0 {
-                    self.dispatch(sup, worker_id, total, set, claim)
-                } else {
-                    Ok(dispatched)
-                };
-                covered.and_then(|covered| {
-                    dispatched = covered;
-                    self.await_point(sup, index, &mut wall_s)
-                })
-            };
-            // A surviving worker consumed exactly one dispatched request;
-            // a lost one takes every undelivered answer with it.
-            dispatched = if sup.live.is_some() {
-                dispatched.saturating_sub(1)
-            } else {
-                0
-            };
-            let rtt_s = started.elapsed().as_secs_f64();
-            claim.pop_front();
-            let report = SweepReport {
+        let mut wall_s = None;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "round-trip-overhead telemetry (rtt_s); aggregated behind --telemetry, \
+                      never in report bytes"
+        )]
+        let started = Instant::now();
+        let result: Result<R, String> = self
+            .dispatch(sup, &wire::encode_request(index, tags))
+            .and_then(|()| self.await_point(sup, index, &mut wall_s));
+        let rtt_s = started.elapsed().as_secs_f64();
+        let report = SweepReport {
+            index,
+            tags: tags.to_vec(),
+            result: result.map_err(|payload| SweepError {
                 index,
-                tags: tags.clone(),
-                result: result.map_err(|payload| SweepError {
-                    index,
-                    tags: tags.clone(),
-                    payload,
-                }),
-            };
-            // The worker's out-of-band stats frame, when one arrived (a
-            // worker lost mid-point reports none).  The round-trip time is
-            // measured on this side of the wire, so the overhead over the
-            // worker's own wall time is visible to telemetry consumers.
-            if let Some(wall_s) = wall_s {
-                observer.point_telemetry(&PointTelemetry {
-                    index,
-                    wall_s,
-                    rtt_s: Some(rtt_s),
-                });
-            }
-            observer.point_completed(&report);
-            #[expect(
-                clippy::indexing_slicing,
-                clippy::expect_used,
-                reason = "index < point count (one slot a point), and the slot mutex is poisoned \
-                          only if a sibling already panicked"
-            )]
-            let slot = &mut *slots[index].lock().expect("result slot poisoned");
-            *slot = Some(report);
+                tags: tags.to_vec(),
+                payload,
+            }),
+        };
+        // The worker's out-of-band stats frame, when one arrived (a
+        // worker lost mid-point reports none).  The round-trip time is
+        // measured on this side of the wire, so the overhead over the
+        // worker's own wall time is visible to telemetry consumers.
+        if let Some(wall_s) = wall_s {
+            observer.point_telemetry(&PointTelemetry {
+                index,
+                wall_s,
+                rtt_s: Some(rtt_s),
+            });
         }
+        observer.point_completed(&report);
+        #[expect(
+            clippy::indexing_slicing,
+            clippy::expect_used,
+            reason = "index < point count (one slot a point), and the slot mutex is poisoned \
+                      only if a sibling already panicked"
+        )]
+        let slot = &mut *slots[index].lock().expect("result slot poisoned");
+        *slot = Some(report);
     }
 
-    /// Ensure the supervisor has a live, handshaken worker, launching one
-    /// if needed and applying the 3-strike fatal rule to deterministic
-    /// launch failures.
-    fn ensure_worker(
+    /// The supervisor's live, handshaken worker, launching one if needed
+    /// and applying the 3-strike fatal rule to deterministic launch
+    /// failures.
+    fn ensure_worker<'s>(
         &self,
-        sup: &mut Supervisor,
-        worker_id: usize,
-        total_points: usize,
-    ) -> Result<(), String> {
-        if sup.live.is_some() {
-            return Ok(());
-        }
-        match self.launch_worker(worker_id, total_points) {
-            Ok(worker) => {
-                sup.consecutive_spawn_failures = 0;
-                sup.live = Some(worker);
-                Ok(())
-            }
-            Err(payload) => {
-                // A spawn, connect or handshake failure is usually
-                // deterministic (bad command, dead host, configuration
-                // skew); after a few consecutive ones, stop burning a
-                // launch cycle per remaining point and fail the
-                // supervisor's future claims with the memoized payload.
-                sup.consecutive_spawn_failures += 1;
-                if sup.consecutive_spawn_failures >= FATAL_SPAWN_FAILURES {
-                    sup.fatal = Some(format!(
-                        "{payload} (giving up on this worker slot after \
-                         {FATAL_SPAWN_FAILURES} consecutive spawn/handshake failures)"
-                    ));
+        sup: &'s mut Supervisor,
+    ) -> Result<&'s mut dyn WorkerTransport, String> {
+        let worker = match sup.live.take() {
+            Some(worker) => worker,
+            None => match self.launch_worker(sup.id, sup.points) {
+                Ok(worker) => {
+                    sup.consecutive_spawn_failures = 0;
+                    worker
                 }
-                Err(payload)
-            }
-        }
+                Err(payload) => {
+                    // A spawn, connect or handshake failure is usually
+                    // deterministic (bad command, dead host, configuration
+                    // skew); after a few consecutive ones, stop burning a
+                    // launch cycle per remaining point and fail the
+                    // supervisor's future claims with the memoized payload.
+                    sup.consecutive_spawn_failures += 1;
+                    if sup.consecutive_spawn_failures >= FATAL_SPAWN_FAILURES {
+                        sup.fatal = Some(format!(
+                            "{payload} (giving up on this worker slot after \
+                             {FATAL_SPAWN_FAILURES} consecutive spawn/handshake failures)"
+                        ));
+                    }
+                    return Err(payload);
+                }
+            },
+        };
+        Ok(sup.live.insert(worker).as_mut())
     }
 
-    /// Send the claim's request(s) to a live worker, launching or
-    /// replacing it as needed.  Returns how many claim points the sent
-    /// request covers.
+    /// Send one point's request line to a live worker, launching or
+    /// replacing it as needed.
     ///
-    /// A worker found dead at *request* time (the write fails before any
+    /// A worker found dead at *request* time (the write fails before the
     /// point was accepted) is replaced and the send retried once: points
     /// are pure, and a point that never started cannot have side effects,
     /// so the retry cannot double-run anything — it only stops an
     /// idle-worker death from poisoning a point that no process touched.
-    fn dispatch<P>(
-        &self,
-        sup: &mut Supervisor,
-        worker_id: usize,
-        total_points: usize,
-        set: &ScenarioSet<P>,
-        claim: &VecDeque<usize>,
-    ) -> Result<usize, String> {
-        for attempt in 0.. {
-            if let Some(payload) = &sup.fatal {
-                return Err(payload.clone());
-            }
-            self.ensure_worker(sup, worker_id, total_points)?;
-            #[expect(clippy::expect_used, reason = "ensure_worker() installed sup.live")]
-            let worker = sup.live.as_mut().expect("worker just ensured");
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "claims are drawn from 0..set.len(), so every index < point count"
-            )]
-            let items: Vec<(usize, &[(String, String)])> = claim
-                .iter()
-                .map(|&i| (i, set.points()[i].tags.as_slice()))
-                .collect();
-            let request = match items.as_slice() {
-                [(index, tags)] => wire::encode_request(*index, tags),
-                _ => wire::encode_batch_request(&items),
-            };
-            match worker.send_line(&request) {
-                Ok(()) => return Ok(claim.len()),
-                Err(_) if attempt == 0 => {
-                    // Died between points: replace and retry the send.
-                    let _ = worker.terminate();
-                    sup.live = None;
-                }
-                Err(_) => {
-                    let status = worker.terminate();
-                    sup.live = None;
-                    return Err(format!(
-                        "worker exited ({status}) before accepting the point"
-                    ));
-                }
-            }
+    fn dispatch(&self, sup: &mut Supervisor, request: &str) -> Result<(), String> {
+        if self.send(sup, request)?.is_ok() {
+            return Ok(());
         }
-        unreachable!("the dispatch loop returns")
+        // Died between points: the retry goes to a replacement.
+        self.send(sup, request)?
+            .map_err(|status| format!("worker exited ({status}) before accepting the point"))
+    }
+
+    /// One send of `request`.  `Err` is the payload of a launch failure or
+    /// of the slot's memoized fatal one; `Ok(Err(status))` is a worker
+    /// whose stream refused the write, torn down and cleared from the slot.
+    fn send(&self, sup: &mut Supervisor, request: &str) -> Result<Result<(), String>, String> {
+        if let Some(payload) = &sup.fatal {
+            return Err(payload.clone());
+        }
+        let worker = self.ensure_worker(sup)?;
+        if worker.send_line(request).is_ok() {
+            return Ok(Ok(()));
+        }
+        let status = worker.terminate();
+        sup.live = None;
+        Ok(Err(status))
     }
 
     /// Await the frames that end `index`: any number of telemetry frames
@@ -817,7 +704,7 @@ impl DistRunner {
         loop {
             #[expect(
                 clippy::expect_used,
-                reason = "request acceptance (the enclosing call) installed the live worker"
+                reason = "dispatch() installed the live worker the request went to"
             )]
             let worker = live.as_mut().expect("request was accepted");
             match worker.recv_line(self.deadline) {
@@ -998,11 +885,11 @@ impl SweepExec {
 
     /// Run the sweep, streaming completions to `observer`; results come
     /// back checked, in point order, byte-identical across execution
-    /// strategies.  In the distributed case `run_point` is **not called in
+    /// strategies (see [`SweepRunner::run`] and [`DistRunner::run`]).  In the distributed case `run_point` is **not called in
     /// this process** — the workers run their own copy of it — but taking
     /// it here keeps the two strategies interchangeable at every call
     /// site.
-    pub fn run_streaming<P, R, F, O>(
+    pub fn run<P, R, F, O>(
         &self,
         set: &ScenarioSet<P>,
         run_point: F,
@@ -1015,8 +902,8 @@ impl SweepExec {
         O: SweepObserver<R> + ?Sized,
     {
         match self {
-            SweepExec::InProcess(runner) => runner.run_streaming(set, run_point, observer),
-            SweepExec::Distributed(runner) => runner.run_streaming(set, observer),
+            SweepExec::InProcess(runner) => runner.run(set, run_point, observer),
+            SweepExec::Distributed(runner) => runner.run(set, observer),
         }
     }
 }
@@ -1024,20 +911,13 @@ impl SweepExec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::NullObserver;
 
     #[test]
     fn worker_counts_clamp_to_one() {
         let cmd = WorkerCommand::new("/bin/false");
         assert_eq!(DistRunner::new(0, cmd.clone()).workers(), 1);
         assert_eq!(DistRunner::new(5, cmd).workers(), 5);
-    }
-
-    #[test]
-    fn batch_sizes_clamp_to_one() {
-        let runner = DistRunner::new(2, WorkerCommand::new("w"));
-        assert_eq!(runner.batch, 1);
-        assert_eq!(runner.clone().batch(0).batch, 1);
-        assert_eq!(runner.batch(16).batch, 16);
     }
 
     #[test]
@@ -1128,7 +1008,7 @@ mod tests {
     fn unspawnable_workers_poison_every_point_structurally() {
         let set = ScenarioSet::over("i", [1usize, 2, 3]);
         let runner = DistRunner::new(2, WorkerCommand::new("/nonexistent/ispn-worker"));
-        let reports: Vec<SweepReport<PointResult<u64>>> = runner.try_run(&set);
+        let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
         assert_eq!(reports.len(), 3);
         for (i, report) in reports.iter().enumerate() {
             assert_eq!(report.index, i);
@@ -1150,7 +1030,7 @@ mod tests {
         // refused or fail fast, never served.
         let runner = DistRunner::over_hosts(&[HostSpec::new("127.0.0.1:1", 1)])
             .hello_deadline(Duration::from_millis(500));
-        let reports: Vec<SweepReport<PointResult<u64>>> = runner.try_run(&set);
+        let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
         assert_eq!(reports.len(), 4);
         assert_eq!(super::super::failed_points(&reports), 4);
         for report in &reports {

@@ -16,8 +16,7 @@
 //! * **Client transport** ([`SocketTransport`], selected through
 //!   [`DistRunner::over_hosts`](super::dist::DistRunner::over_hosts) with
 //!   a [`HostSpec`] list): each supervisor slot connects to its host and
-//!   drives the session through the
-//!   [`WorkerTransport`](super::dist::WorkerTransport) seam.  Connection
+//!   drives the session through the `WorkerTransport` seam.  Connection
 //!   loss maps onto the existing supervision semantics — the in-flight
 //!   point is poisoned and the slot *reconnects as its respawn*; a host
 //!   that keeps refusing connections trips the same 3-strike fatal-slot
@@ -37,7 +36,8 @@
     clippy::expect_used,
     clippy::unwrap_used,
     clippy::panic,
-    clippy::string_slice
+    clippy::string_slice,
+    clippy::unreachable
 )]
 
 use std::io::{self, BufReader, Write};

@@ -11,12 +11,9 @@
 //!   The worker rebuilds the same [`ScenarioSet`](super::ScenarioSet) from
 //!   its own command line, so the request carries only the point's index;
 //!   the axis tags ride along so the worker can *verify* both sides built
-//!   the same sweep before running anything.  The parent may batch
-//!   several requests into one line — `{"batch":[{"point":3,…},
-//!   {"point":4,…}]}` — which the worker answers point by point, in
-//!   order, exactly as if the requests had arrived on separate lines.
-//!   Batching amortizes per-point round-trips on high-latency links.
-//! * worker → parent: a [`WorkerFrame`] — a `{"hello":{"protocol":3,
+//!   the same sweep before running anything.  One line is one request:
+//!   anything else is unreadable, and the worker ends the session.
+//! * worker → parent: a [`WorkerFrame`] — a `{"hello":{"protocol":4,
 //!   "points":8}}` handshake on startup, then per point a
 //!   `{"point":3,"telemetry":{"wall_s":1.25}}` stats frame followed by
 //!   either `{"point":3,"report":<body>}` (the result encoded through
@@ -75,8 +72,10 @@ use std::fmt::{self, Write as _};
 /// parent's own binary re-invoked, or the same binary started with
 /// `--serve` — so the parent accepts exactly this revision and refuses
 /// any other hello as a configuration mismatch instead of negotiating a
-/// dialect.
-pub const PROTOCOL_VERSION: u64 = 3;
+/// dialect.  It moves whenever either direction's grammar changes, so a
+/// parent and worker that frame lines differently part at the hello
+/// rather than mid-session.
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// A malformed or schema-violating wire document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -809,55 +808,20 @@ pub struct PointRequest {
     pub tags: Vec<(String, String)>,
 }
 
-/// Append one request object, `{"point":3,"axes":[["load","1.0"],…]}`.
-fn write_request(index: usize, tags: &[(String, String)], out: &mut String) {
-    ObjectWriter::new(out)
-        .member("point", &index)
-        .member_with("axes", |out| write_seq(tags, out, WireResult::write_wire))
-        .end();
-}
-
-/// Encode a point request as one line-framed JSON document (no newline).
+/// Encode a point request, `{"point":3,"axes":[["load","1.0"],…]}`, as one
+/// line-framed JSON document (no newline).
 pub fn encode_request(index: usize, tags: &[(String, String)]) -> String {
-    encoded(|out| write_request(index, tags, out))
-}
-
-/// Encode several point requests as one batched line-framed document
-/// (no newline); the worker answers the points in order, exactly as if
-/// each had arrived on its own line.
-pub fn encode_batch_request(items: &[(usize, &[(String, String)])]) -> String {
     encoded(|out| {
         ObjectWriter::new(out)
-            .member_with("batch", |out| {
-                write_seq(items, out, |&(index, tags), out| {
-                    write_request(index, tags, out)
-                })
-            })
+            .member("point", &index)
+            .member_with("axes", |out| write_seq(tags, out, WireResult::write_wire))
             .end()
     })
 }
 
-/// Parse a request line: either one [`PointRequest`] or a
-/// `{"batch":[…]}` of several.  A single request comes back as a
-/// one-element vector; an empty batch is a schema error (a parent with
-/// nothing to ask must not send anything).
-pub fn parse_requests(line: &str) -> Result<Vec<PointRequest>, WireError> {
+/// Parse one request line.
+pub fn parse_request(line: &str) -> Result<PointRequest, WireError> {
     let v = JsonValue::parse(line)?;
-    match v.get("batch") {
-        None => Ok(vec![request_from_value(&v)?]),
-        Some(batch) => {
-            let items = batch.as_array()?;
-            if items.is_empty() {
-                return Err(WireError::new("empty batch request"));
-            }
-            items.iter().map(request_from_value).collect()
-        }
-    }
-}
-
-/// Decode one request object (the body of a single request line or one
-/// element of a batch).
-fn request_from_value(v: &JsonValue) -> Result<PointRequest, WireError> {
     Ok(PointRequest {
         index: usize::from_wire_json(v.field("point")?)?,
         tags: Vec::from_wire_json(v.field("axes")?)?,
@@ -1123,8 +1087,8 @@ mod tests {
             ("load".to_string(), "1.0".to_string()),
             ("disc\"ipline".to_string(), "WFQ\n".to_string()),
         ];
-        let req = parse_requests(&encode_request(3, &tags)).unwrap();
-        assert_eq!(req, vec![PointRequest { index: 3, tags }]);
+        let req = parse_request(&encode_request(3, &tags)).unwrap();
+        assert_eq!(req, PointRequest { index: 3, tags });
 
         assert_eq!(
             parse_worker_frame(&encode_hello(8)).unwrap(),
@@ -1156,40 +1120,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_requests_round_trip() {
-        let tags_a = vec![("load".to_string(), "1.0".to_string())];
-        let tags_b = vec![("load".to_string(), "2.0".to_string())];
-        let line = encode_batch_request(&[(3, &tags_a), (4, &tags_b)]);
-        assert!(!line.contains('\n'));
-        let parsed = parse_requests(&line).unwrap();
-        assert_eq!(
-            parsed,
-            vec![
-                PointRequest {
-                    index: 3,
-                    tags: tags_a.clone()
-                },
-                PointRequest {
-                    index: 4,
-                    tags: tags_b
-                },
-            ]
-        );
-        // A plain single request parses as a one-element batch.
-        let single = encode_request(7, &tags_a);
-        assert_eq!(parse_requests(&single).unwrap().len(), 1);
-        // An empty batch is a schema error, not an empty answer.
-        assert!(parse_requests("{\"batch\":[]}").is_err());
-    }
-
     /// The framing contract (module docs): a trailing `\r` — a CRLF peer's
     /// leftover after `\n`-splitting — must not poison the document.
     #[test]
     fn frames_tolerate_crlf_terminators() {
         let tags = vec![("load".to_string(), "1.0".to_string())];
         let req = format!("{}\r", encode_request(3, &tags));
-        assert_eq!(parse_requests(&req).unwrap()[0].index, 3);
+        assert_eq!(parse_request(&req).unwrap().index, 3);
         let hello = format!("{}\r", encode_hello(8));
         assert!(matches!(
             parse_worker_frame(&hello).unwrap(),
@@ -1382,8 +1319,8 @@ mod tests {
         assert_eq!(ok.as_str().unwrap(), "ééx");
     }
 
-    /// Real frames of every kind the wire carries, a scenario report
-    /// from a short run among them.
+    /// Real lines of every kind the wire carries, both ways: requests with
+    /// hostile tags and a scenario report from a short run among them.
     fn real_frames() -> Vec<String> {
         use crate::workload::{FlowDef, SourceSpec};
         let mut sim = crate::ScenarioBuilder::chain(2)
@@ -1398,10 +1335,15 @@ mod tests {
             ("load".to_string(), "1.0".to_string()),
             ("disc\"ipline".to_string(), "WFQ\n é 🦀".to_string()),
         ];
+        let hostile_tags: Vec<(String, String)> = HOSTILE
+            .iter()
+            .map(|h| (h.to_string(), format!("\"{h}\\")))
+            .collect();
         vec![
             encode_hello(8),
             encode_request(3, &tags),
-            encode_batch_request(&[(0, &tags), (1, &[])]),
+            encode_request(0, &[]),
+            encode_request(usize::MAX, &hostile_tags),
             encode_report_frame(5, &report),
             encode_error_frame(2, "boom \"\\\n é 🦀 \u{1}"),
             encode_telemetry_frame(4, 0.25),
@@ -1437,12 +1379,13 @@ mod tests {
         't', ' ', 'é', '🦀', '\n', '\u{0}',
     ];
 
-    /// Both parsers on `input`, each under `catch_unwind`: the input goes
-    /// into `panics` if either panicked instead of returning.
+    /// The three parsers on `input`, each under `catch_unwind`: the input
+    /// goes into `panics` if any panicked instead of returning.
     fn feed(input: &str, panics: &mut Vec<String>) {
         let json = std::panic::catch_unwind(|| JsonValue::parse(input).is_ok());
         let frame = std::panic::catch_unwind(|| parse_worker_frame(input).is_ok());
-        if json.is_err() || frame.is_err() {
+        let request = std::panic::catch_unwind(|| parse_request(input).is_ok());
+        if json.is_err() || frame.is_err() || request.is_err() {
             panics.push(input.to_string());
         }
     }
@@ -1452,10 +1395,11 @@ mod tests {
         s.char_indices().map(|(i, _)| i).chain([s.len()]).collect()
     }
 
-    /// Both wire parsers end every input in `Ok` or `Err`, never a panic:
-    /// every prefix of every real frame, then 12 000 drawn mutants —
-    /// splices of two frames, flips of a few characters, hostile text
-    /// inserted at a char boundary, and prefixes of those.
+    /// The wire parsers — frames one way, requests the other — end every
+    /// input in `Ok` or `Err`, never a panic: every prefix of every real
+    /// line, then 12 000 drawn mutants — splices of two lines, flips of a
+    /// few characters, hostile text inserted at a char boundary, and
+    /// prefixes of those.
     #[test]
     fn wire_parsers_never_panic_on_mangled_frames() {
         let frames = real_frames();
@@ -1469,6 +1413,11 @@ mod tests {
             HOSTILE
                 .iter()
                 .map(|h| format!("{{\"point\":{h},\"telemetry\":{{\"wall_s\":{h}}}}}")),
+        );
+        docs.extend(
+            HOSTILE
+                .iter()
+                .map(|h| format!("{{\"point\":{h},\"axes\":[[\"{h}\",\"{h}\"],{h}]}}")),
         );
         docs.extend(HOSTILE.map(str::to_string));
         let mut panics = Vec::new();
@@ -1539,8 +1488,8 @@ mod tests {
         ) {
             let line = encode_request(index, &tags);
             prop_assert!(!line.contains('\n'), "frames must stay one line: {line:?}");
-            let parsed = parse_requests(&line).expect("encoded request must parse");
-            prop_assert_eq!(parsed, vec![PointRequest { index, tags }]);
+            let parsed = parse_request(&line).expect("encoded request must parse");
+            prop_assert_eq!(parsed, PointRequest { index, tags });
         }
 
         /// `SweepError` payloads survive the error frame, whatever bytes

@@ -10,19 +10,18 @@
 //! supervision all live in the parent's
 //! [`DistRunner`](super::dist::DistRunner).
 //!
-//! The loop itself is transport-agnostic: [`serve_connection`] speaks the
+//! The loop itself is transport-agnostic: `serve_connection` speaks the
 //! protocol over any buffered reader/writer pair.  [`serve_worker`] is the
 //! stdio binding the `--sweep-worker` flag uses; the socket listener in
 //! [`net`](super::net) runs the same function once per accepted
-//! connection.  The parent may batch several requests into one line; the
-//! worker answers them in order, frame by frame, exactly as if they had
-//! arrived separately.
+//! connection.  Each request line names one point, and the worker answers
+//! it before reading the next.
 //!
 //! Safety properties mirror the in-process runner:
 //!
 //! * every point runs under `catch_unwind`, so a panicking scenario
 //!   becomes a structured error frame (and the worker keeps serving its
-//!   siblings) exactly like [`SweepRunner::try_run`](super::SweepRunner)
+//!   siblings) exactly like [`SweepRunner::run`](super::SweepRunner::run)
 //!   would record it;
 //! * each request's axis tags are checked against the worker's own sweep
 //!   before anything runs — a parent/worker configuration skew yields a
@@ -43,7 +42,8 @@
     clippy::expect_used,
     clippy::unwrap_used,
     clippy::panic,
-    clippy::string_slice
+    clippy::string_slice,
+    clippy::unreachable
 )]
 
 use std::io::{self, BufRead, Write};
@@ -73,15 +73,15 @@ pub fn worker_id() -> Option<usize> {
 /// connection is (a stdio worker serves exactly one session, number 0; a
 /// socket listener numbers accepted connections from 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionInfo {
+pub(crate) struct SessionInfo {
     /// The worker id ([`worker_id`], defaulting to 0).
-    pub worker: usize,
+    pub(crate) worker: usize,
     /// The session ordinal within this worker process.
-    pub session: usize,
+    pub(crate) session: usize,
 }
 
 /// Serve sweep points over stdin/stdout until the parent closes stdin —
-/// the `--sweep-worker` binding of [`serve_connection`].
+/// the `--sweep-worker` binding of the transport-agnostic serve loop.
 ///
 /// `run_point` is the same closure an in-process
 /// [`SweepRunner`](super::SweepRunner) would receive; it is called at most
@@ -108,10 +108,10 @@ where
 ///
 /// This is the single protocol implementation every transport shares —
 /// [`serve_worker`] binds it to stdin/stdout, the TCP listener in
-/// [`net`](super::net) runs it once per accepted connection.  Requests
-/// may be batched; the points of a batch are answered in order, each
-/// with its own frames, flushed as they complete.
-pub fn serve_connection<P, R, F, In, Out>(
+/// [`net`](super::net) runs it once per accepted connection.  Each
+/// request line is one point, answered with its own frames and flushed
+/// before the next line is read.
+pub(crate) fn serve_connection<P, R, F, In, Out>(
     set: &ScenarioSet<P>,
     run_point: &F,
     input: In,
@@ -145,8 +145,8 @@ where
         if line.trim().is_empty() {
             continue;
         }
-        let requests = match wire::parse_requests(&line) {
-            Ok(requests) => requests,
+        let request = match wire::parse_request(&line) {
+            Ok(request) => request,
             Err(e) => {
                 // A parent that cannot frame a request cannot be trusted
                 // with anything else either; bail out loudly.
@@ -154,95 +154,93 @@ where
                 return Err(io::Error::new(io::ErrorKind::InvalidData, e));
             }
         };
-        for request in requests {
-            let index = request.index;
-            let frame = match set.points().get(index) {
-                None => wire::encode_error_frame(
-                    index,
-                    &format!(
-                        "point {index} out of range: this worker's sweep has {} points \
-                         (parent/worker configuration mismatch)",
-                        set.len()
-                    ),
+        let index = request.index;
+        let frame = match set.points().get(index) {
+            None => wire::encode_error_frame(
+                index,
+                &format!(
+                    "point {index} out of range: this worker's sweep has {} points \
+                     (parent/worker configuration mismatch)",
+                    set.len()
                 ),
-                Some(point) if request.tags != point.tags => wire::encode_error_frame(
-                    index,
-                    &format!(
-                        "axis tags mismatch at point {index}: parent sent {:?}, worker built {:?} \
-                         (parent/worker configuration mismatch)",
-                        request.tags, point.tags
-                    ),
+            ),
+            Some(point) if request.tags != point.tags => wire::encode_error_frame(
+                index,
+                &format!(
+                    "axis tags mismatch at point {index}: parent sent {:?}, worker built {:?} \
+                     (parent/worker configuration mismatch)",
+                    request.tags, point.tags
                 ),
-                Some(point) => {
-                    if let Some(fault) = fault.filter(|f| f.applies(me, index)) {
-                        match fault.mode {
-                            // Panic is injected *inside* the catch_unwind below, so
-                            // it exercises the same path a real scenario panic takes.
-                            FaultMode::Panic => {}
-                            FaultMode::Exit => {
-                                output.flush()?;
-                                std::process::exit(FAULT_EXIT_CODE);
-                            }
-                            FaultMode::Garbage => {
-                                // A truncated frame: cut mid-key, no closing brace.
-                                write!(output, "{{\"point\":{index},\"repo")?;
-                                writeln!(output)?;
-                                output.flush()?;
-                                continue;
-                            }
-                            FaultMode::Hang => loop {
-                                std::thread::sleep(HANG_NAP);
-                            },
-                            FaultMode::Disconnect => {
-                                // End the serve loop mid-point: the transport
-                                // closes (connection drop / clean process
-                                // exit) and the parent sees EOF.
-                                output.flush()?;
-                                return Ok(());
-                            }
-                            // Session faults fired before the hello; `applies`
-                            // never selects them per point.
-                            FaultMode::HelloHang => {}
+            ),
+            Some(point) => {
+                if let Some(fault) = fault.filter(|f| f.applies(me, index)) {
+                    match fault.mode {
+                        // Panic is injected *inside* the catch_unwind below, so
+                        // it exercises the same path a real scenario panic takes.
+                        FaultMode::Panic => {}
+                        FaultMode::Exit => {
+                            output.flush()?;
+                            std::process::exit(FAULT_EXIT_CODE);
                         }
-                    }
-                    #[expect(
-                        clippy::disallowed_methods,
-                        reason = "per-point wall-time telemetry frame; out-of-band, never in \
-                                  the result stream"
-                    )]
-                    let started = std::time::Instant::now();
-                    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        #[expect(
-                            clippy::panic,
-                            reason = "the injected fault must take the path a real scenario \
-                                      panic takes: inside this catch_unwind"
-                        )]
-                        if let Some(fault) = fault.filter(|f| f.applies(me, index)) {
-                            if fault.mode == FaultMode::Panic {
-                                panic!("injected fault: worker {me} panicked at point {index}");
-                            }
+                        FaultMode::Garbage => {
+                            // A truncated frame: cut mid-key, no closing brace.
+                            write!(output, "{{\"point\":{index},\"repo")?;
+                            writeln!(output)?;
+                            output.flush()?;
+                            continue;
                         }
-                        run_point(&point.params)
-                    }));
-                    // Out-of-band stats precede the result so the parent can
-                    // attribute them before the point completes; panicked points
-                    // report their wall time too.
-                    writeln!(
-                        output,
-                        "{}",
-                        wire::encode_telemetry_frame(index, started.elapsed().as_secs_f64())
-                    )?;
-                    match result {
-                        Ok(r) => wire::encode_report_frame(index, &r),
-                        Err(payload) => {
-                            wire::encode_error_frame(index, &panic_payload_text(payload.as_ref()))
+                        FaultMode::Hang => loop {
+                            std::thread::sleep(HANG_NAP);
+                        },
+                        FaultMode::Disconnect => {
+                            // End the serve loop mid-point: the transport
+                            // closes (connection drop / clean process
+                            // exit) and the parent sees EOF.
+                            output.flush()?;
+                            return Ok(());
                         }
+                        // Session faults fired before the hello; `applies`
+                        // never selects them per point.
+                        FaultMode::HelloHang => {}
                     }
                 }
-            };
-            writeln!(output, "{frame}")?;
-            output.flush()?;
-        }
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "per-point wall-time telemetry frame; out-of-band, never in the \
+                              result stream"
+                )]
+                let started = std::time::Instant::now();
+                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    #[expect(
+                        clippy::panic,
+                        reason = "the injected fault must take the path a real scenario panic \
+                                  takes: inside this catch_unwind"
+                    )]
+                    if let Some(fault) = fault.filter(|f| f.applies(me, index)) {
+                        if fault.mode == FaultMode::Panic {
+                            panic!("injected fault: worker {me} panicked at point {index}");
+                        }
+                    }
+                    run_point(&point.params)
+                }));
+                // Out-of-band stats precede the result so the parent can
+                // attribute them before the point completes; panicked points
+                // report their wall time too.
+                writeln!(
+                    output,
+                    "{}",
+                    wire::encode_telemetry_frame(index, started.elapsed().as_secs_f64())
+                )?;
+                match result {
+                    Ok(r) => wire::encode_report_frame(index, &r),
+                    Err(payload) => {
+                        wire::encode_error_frame(index, &panic_payload_text(payload.as_ref()))
+                    }
+                }
+            }
+        };
+        writeln!(output, "{frame}")?;
+        output.flush()?;
     }
     Ok(())
 }
@@ -280,32 +278,48 @@ mod tests {
             .collect()
     }
 
-    /// The serve loop over in-memory streams: hello, then telemetry +
-    /// report per point — and a batched request answers its points in
-    /// order, exactly like separate lines would.
+    /// One request per line: a `{"batch":[…]}` line is not a request, so a
+    /// parent sending one loses the session with `InvalidData` right after
+    /// the hello, before any point runs.
     #[test]
-    fn serve_connection_answers_batches_in_order() {
+    fn serve_connection_refuses_a_batch_line() {
         let set = ScenarioSet::over("i", [10u64, 20, 30]);
-        let separate = serve_lines(&format!(
+        let batch = format!(
+            "{{\"batch\":[{},{}]}}\n",
+            wire::encode_request(2, &set.points()[2].tags),
+            wire::encode_request(0, &set.points()[0].tags),
+        );
+        let mut out: Vec<u8> = Vec::new();
+        let err = serve_connection(
+            &set,
+            &|&(i,)| i * i,
+            batch.as_bytes(),
+            &mut out,
+            SessionInfo {
+                worker: 0,
+                session: 0,
+            },
+        )
+        .expect_err("a batch line ends the session");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let frames = String::from_utf8(out).expect("frames are UTF-8");
+        assert_eq!(frames, format!("{}\n", wire::encode_hello(3)));
+    }
+
+    /// Request lines are answered in arrival order, each with its own
+    /// telemetry and report frames.
+    #[test]
+    fn serve_connection_answers_each_line_in_order() {
+        let set = ScenarioSet::over("i", [10u64, 20, 30]);
+        let lines = serve_lines(&format!(
             "{}\n{}\n",
             wire::encode_request(2, &set.points()[2].tags),
             wire::encode_request(0, &set.points()[0].tags),
         ));
-        let batched = serve_lines(&format!(
-            "{}\n",
-            wire::encode_batch_request(&[
-                (2, set.points()[2].tags.as_slice()),
-                (0, set.points()[0].tags.as_slice()),
-            ])
-        ));
-        assert_eq!(separate.len(), 5, "hello + 2×(telemetry, result)");
-        assert_eq!(batched.len(), 5);
-        // Frames match pairwise except the wall-clock fields.
-        assert_eq!(batched[0], separate[0], "hello frames match");
-        assert_eq!(batched[2], separate[2], "report for point 2");
-        assert_eq!(batched[4], separate[4], "report for point 0");
-        assert!(batched[2].contains("\"report\":900"), "{}", batched[2]);
-        assert!(batched[4].contains("\"report\":100"), "{}", batched[4]);
+        assert_eq!(lines.len(), 5, "hello + 2×(telemetry, result)");
+        assert!(lines[1].contains("\"telemetry\""), "{}", lines[1]);
+        assert_eq!(lines[2], "{\"point\":2,\"report\":900}");
+        assert_eq!(lines[4], "{\"point\":0,\"report\":100}");
     }
 
     /// The framing contract: CRLF-terminated request lines parse cleanly

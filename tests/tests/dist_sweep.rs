@@ -12,8 +12,8 @@
 //! * **Supervision** — a worker that panics, exits, emits garbage or
 //!   hangs poisons exactly its in-flight point (a structured `SweepError`
 //!   naming the point's tags) while every sibling point completes on the
-//!   surviving workers; only the checked (`try_run`-style) paths report
-//!   the failure, and each point's final outcome is observed exactly once.
+//!   surviving workers; only `SweepReport::expect_ok` turns the failure
+//!   into a panic, and each point's final outcome is observed exactly once.
 //!
 //! Both halves are exercised over **both transports**: stdio subprocess
 //! workers (`--sweep-worker`) and loopback-TCP listeners (`--serve`,
@@ -21,8 +21,7 @@
 //! `tcp_` name prefix so CI can select them as a group; the socket fault
 //! tests add the socket-only failure modes (mid-point disconnect,
 //! pre-hello hang, stream garbage), each poisoning exactly one point
-//! while its siblings survive on a reconnected session.  Batched
-//! dispatch is proven byte-identical too.
+//! while its siblings survive on a reconnected session.
 //!
 //! The workers are the `dist_worker` bin of this package; the suites it
 //! serves are pinned in `ispn_integration_tests::dist_fixtures`, which
@@ -35,9 +34,9 @@ use std::time::Duration;
 
 use ispn_integration_tests::dist_fixtures as fx;
 use ispn_scenario::{
-    failed_points, sweep_to_json, sweep_to_json_checked, DistRunner, FaultPlan, HostSpec,
-    NullObserver, PointResult, ProgressObserver, SweepExec, SweepReport, SweepRunner,
-    TelemetryCollector, WorkerCommand, LISTENING_BANNER,
+    failed_points, sweep_to_json, DistRunner, FaultPlan, HostSpec, NullObserver, PointResult,
+    ProgressObserver, SweepExec, SweepReport, SweepRunner, TelemetryCollector, WorkerCommand,
+    LISTENING_BANNER,
 };
 
 /// The worker command serving one fixture suite.
@@ -152,12 +151,12 @@ fn churn_distributed_reproduces_the_decision_sequence() {
 #[test]
 fn scenario_json_is_byte_identical_for_one_through_four_workers() {
     let set = fx::scenario_set();
-    let serial = SweepRunner::serial().run(&set, fx::scenario_point);
+    let serial = SweepRunner::serial().run(&set, fx::scenario_point, &NullObserver);
     let serial_json = sweep_to_json(&serial);
     for workers in 1..=4 {
-        let reports = dist("scenario", workers).try_run(&set);
+        let reports = dist("scenario", workers).run(&set, &NullObserver);
         assert_eq!(
-            sweep_to_json_checked(&reports),
+            sweep_to_json(&reports),
             serial_json,
             "{workers} workers diverged from serial"
         );
@@ -174,7 +173,7 @@ fn panicking_point_is_isolated_and_named() {
         2,
         worker("square").env(FaultPlan::ENV, FaultPlan::panic_at(3).env_value()),
     );
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.try_run(&set);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
     assert_eq!(failed_points(&reports), 1);
     let err = reports[3].result.as_ref().unwrap_err();
     assert_eq!(err.index, 3);
@@ -196,7 +195,7 @@ fn killed_worker_poisons_only_its_in_flight_point() {
         2,
         worker("square").env(FaultPlan::ENV, FaultPlan::exit_at(2).env_value()),
     );
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.try_run(&set);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
     assert_eq!(failed_points(&reports), 1);
     let err = reports[2].result.as_ref().unwrap_err();
     assert_eq!(err.tags, vec![("i".to_string(), "2".to_string())]);
@@ -217,7 +216,7 @@ fn garbage_frame_poisons_the_point_and_names_it() {
         2,
         worker("square").env(FaultPlan::ENV, FaultPlan::garbage_at(4).env_value()),
     );
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.try_run(&set);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
     assert_eq!(failed_points(&reports), 1);
     let err = reports[4].result.as_ref().unwrap_err();
     assert_eq!(err.tags, vec![("i".to_string(), "4".to_string())]);
@@ -239,7 +238,7 @@ fn hanging_worker_trips_the_deadline() {
         worker("square").env(FaultPlan::ENV, FaultPlan::hang_at(1).env_value()),
     )
     .deadline(Duration::from_secs(5));
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.try_run(&set);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
     assert_eq!(failed_points(&reports), 1);
     let err = reports[1].result.as_ref().unwrap_err();
     assert_eq!(err.tags, vec![("i".to_string(), "1".to_string())]);
@@ -251,8 +250,8 @@ fn hanging_worker_trips_the_deadline() {
     }
 }
 
-/// The infallible `run` surface is the only one that panics on a fault —
-/// and it names the poisoned point's tags when it does.
+/// `expect_ok` is the only surface that panics on a fault — and it names
+/// the poisoned point's tags when it does.
 #[test]
 fn infallible_run_panics_naming_the_faulted_point() {
     let set = fx::square_set(fx::SQUARE_POINTS);
@@ -260,18 +259,20 @@ fn infallible_run_panics_naming_the_faulted_point() {
         2,
         worker("square").env(FaultPlan::ENV, FaultPlan::exit_at(5).env_value()),
     );
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _: Vec<SweepReport<u64>> = runner.run(&set);
-    }));
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
+    assert_eq!(failed_points(&reports), 1);
+    let outcome = std::panic::catch_unwind(|| {
+        reports
+            .into_iter()
+            .map(SweepReport::expect_ok)
+            .collect::<Vec<_>>()
+    });
     let payload = outcome.expect_err("a faulted sweep must fail the infallible surface");
     let text = payload
         .downcast_ref::<String>()
         .cloned()
         .unwrap_or_default();
     assert!(text.contains("i=5"), "panic must name the tags: {text}");
-    // The checked path reports the same sweep without panicking.
-    let checked: Vec<SweepReport<PointResult<u64>>> = runner.try_run(&set);
-    assert_eq!(failed_points(&checked), 1);
 }
 
 /// Regression (PR-5 satellite): the streamed completion count equals the
@@ -286,7 +287,7 @@ fn progress_observer_counts_each_point_exactly_once_under_redistribution() {
         worker("square").env(FaultPlan::ENV, FaultPlan::exit_at(1).env_value()),
     );
     let progress = ProgressObserver::new();
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run_streaming(&set, &progress);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &progress);
     assert_eq!(reports.len(), fx::SQUARE_POINTS);
     assert_eq!(
         progress.completed(),
@@ -296,7 +297,7 @@ fn progress_observer_counts_each_point_exactly_once_under_redistribution() {
     assert_eq!(failed_points(&reports), 1);
     // Reusing the observer for a fresh sweep must not double-count.
     let clean = DistRunner::new(2, worker("square"));
-    let reports: Vec<SweepReport<PointResult<u64>>> = clean.run_streaming(&set, &progress);
+    let reports: Vec<SweepReport<PointResult<u64>>> = clean.run(&set, &progress);
     assert_eq!(progress.completed(), fx::SQUARE_POINTS);
     assert_eq!(failed_points(&reports), 0);
 }
@@ -308,7 +309,7 @@ fn progress_observer_counts_each_point_exactly_once_under_redistribution() {
 fn configuration_mismatch_is_refused_at_the_handshake() {
     let set = fx::square_set(fx::SQUARE_POINTS);
     let runner = DistRunner::new(2, worker("square5"));
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.try_run(&set);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
     assert_eq!(failed_points(&reports), fx::SQUARE_POINTS);
     for r in &reports {
         let err = r.result.as_ref().unwrap_err();
@@ -326,7 +327,7 @@ fn pre_hello_hang_trips_the_handshake_deadline() {
     let set = fx::square_set(4);
     let runner =
         DistRunner::new(1, worker("hang-hello")).hello_deadline(Duration::from_millis(300));
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.try_run(&set);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
     assert_eq!(failed_points(&reports), 4);
     let first = reports[0].result.as_ref().unwrap_err();
     assert!(first.payload.contains("handshake"), "{first}");
@@ -375,15 +376,15 @@ fn tcp_churn_reproduces_the_decision_sequence() {
 #[test]
 fn tcp_scenario_json_is_byte_identical_and_measures_round_trips() {
     let set = fx::scenario_set();
-    let serial = SweepRunner::serial().run(&set, fx::scenario_point);
+    let serial = SweepRunner::serial().run(&set, fx::scenario_point, &NullObserver);
     let serial_json = sweep_to_json(&serial);
     let listener = Listener::spawn("scenario");
     let runner = DistRunner::over_hosts(&listener.hosts(2));
     let base = NullObserver;
     let collector = TelemetryCollector::new(&base);
-    let reports = runner.run_streaming(&set, &collector);
+    let reports = runner.run(&set, &collector);
     assert_eq!(failed_points(&reports), 0);
-    assert_eq!(sweep_to_json_checked(&reports), serial_json);
+    assert_eq!(sweep_to_json(&reports), serial_json);
     let summary = collector.summary();
     let json = summary.to_json(None);
     assert!(
@@ -398,44 +399,6 @@ fn tcp_scenario_json_is_byte_identical_and_measures_round_trips() {
     );
 }
 
-/// Batched dispatch is byte-identical to unbatched: the same sweep,
-/// claimed four points at a time over TCP, produces the serial results.
-#[test]
-fn tcp_batched_sweep_is_byte_identical() {
-    let set = fx::square_set(fx::SQUARE_POINTS);
-    let listener = Listener::spawn("square");
-    let runner = DistRunner::over_hosts(&listener.hosts(2)).batch(4);
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.try_run(&set);
-    assert_eq!(failed_points(&reports), 0);
-    assert_eq!(reports.len(), fx::SQUARE_POINTS);
-    for (i, r) in reports.iter().enumerate() {
-        assert_eq!(r.index, i, "point order must match");
-        assert_eq!(r.tags, vec![("i".to_string(), i.to_string())]);
-        assert_eq!(r.result, Ok((i * i) as u64));
-    }
-}
-
-/// A worker that dies mid-batch poisons only the point it was running;
-/// the rest of its claimed batch is re-dispatched and completes.
-#[test]
-fn batched_claims_survive_a_mid_batch_death() {
-    let set = fx::square_set(fx::SQUARE_POINTS);
-    let runner = DistRunner::new(
-        2,
-        worker("square").env(FaultPlan::ENV, FaultPlan::exit_at(4).env_value()),
-    )
-    .batch(4);
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.try_run(&set);
-    assert_eq!(failed_points(&reports), 1);
-    let err = reports[4].result.as_ref().unwrap_err();
-    assert_eq!(err.tags, vec![("i".to_string(), "4".to_string())]);
-    for (i, r) in reports.iter().enumerate() {
-        if i != 4 {
-            assert_eq!(r.result, Ok((i * i) as u64), "sibling {i} must survive");
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Socket fault injection: the failure modes only a network transport has.
 // ---------------------------------------------------------------------------
@@ -448,7 +411,7 @@ fn tcp_disconnect_poisons_only_the_in_flight_point() {
     let set = fx::square_set(fx::SQUARE_POINTS);
     let listener = Listener::spawn_with_fault("square", FaultPlan::disconnect_at(2));
     let runner = DistRunner::over_hosts(&listener.hosts(2));
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.try_run(&set);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
     assert_eq!(failed_points(&reports), 1);
     let err = reports[2].result.as_ref().unwrap_err();
     assert_eq!(err.tags, vec![("i".to_string(), "2".to_string())]);
@@ -469,7 +432,7 @@ fn tcp_pre_hello_hang_poisons_one_point_then_reconnects() {
     let listener = Listener::spawn_with_fault("square", FaultPlan::hello_hang_at(0));
     let runner =
         DistRunner::over_hosts(&listener.hosts(1)).hello_deadline(Duration::from_millis(500));
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.try_run(&set);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
     assert_eq!(failed_points(&reports), 1);
     let err = reports[0].result.as_ref().unwrap_err();
     assert_eq!(err.tags, vec![("i".to_string(), "0".to_string())]);
@@ -486,7 +449,7 @@ fn tcp_garbage_frame_poisons_the_point_and_reconnects() {
     let set = fx::square_set(fx::SQUARE_POINTS);
     let listener = Listener::spawn_with_fault("square", FaultPlan::garbage_at(5));
     let runner = DistRunner::over_hosts(&listener.hosts(2));
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.try_run(&set);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
     assert_eq!(failed_points(&reports), 1);
     let err = reports[5].result.as_ref().unwrap_err();
     assert_eq!(err.tags, vec![("i".to_string(), "5".to_string())]);
@@ -506,7 +469,7 @@ fn tcp_configuration_mismatch_is_refused_at_the_handshake() {
     let set = fx::square_set(fx::SQUARE_POINTS);
     let listener = Listener::spawn("square5");
     let runner = DistRunner::over_hosts(&listener.hosts(2));
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.try_run(&set);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
     assert_eq!(failed_points(&reports), fx::SQUARE_POINTS);
     for r in &reports {
         let err = r.result.as_ref().unwrap_err();

@@ -15,9 +15,9 @@ use ispn_experiments::Experiment;
 use ispn_integration_tests::dist_fixtures as fx;
 use ispn_net::PoliceAction;
 use ispn_scenario::{
-    sweep_to_json, sweep_to_json_checked, AdmissionSpec, ChurnClass, ChurnSourceSpec,
-    ChurnWorkload, DisciplineSpec, FlowDef, MeasurementPlan, PointResult, ScenarioBuilder,
-    ScenarioSet, SourceSpec, SweepExec, SweepReport, SweepRunner, TopologySpec, WorkloadSpec,
+    sweep_to_json, AdmissionSpec, ChurnClass, ChurnSourceSpec, ChurnWorkload, DisciplineSpec,
+    FlowDef, MeasurementPlan, NullObserver, PointResult, ScenarioBuilder, ScenarioSet, SourceSpec,
+    SweepExec, SweepReport, SweepRunner, TopologySpec, WorkloadSpec,
 };
 use ispn_sched::Averaging;
 use ispn_sim::SimTime;
@@ -60,8 +60,8 @@ fn eight_point_parallel_sweep_is_byte_identical_to_serial() {
     let set = ScenarioSet::over("discipline", disciplines()).by("level", [1usize, 3]);
     assert_eq!(set.len(), 8);
     let f = |&(spec, level): &(DisciplineSpec, usize)| run_point(spec, level);
-    let serial = SweepRunner::serial().run(&set, f);
-    let parallel = SweepRunner::parallel(4).run(&set, f);
+    let serial = SweepRunner::serial().run(&set, f, &NullObserver);
+    let parallel = SweepRunner::parallel(4).run(&set, f, &NullObserver);
     let serial_json = sweep_to_json(&serial);
     let parallel_json = sweep_to_json(&parallel);
     assert!(
@@ -86,8 +86,8 @@ fn oversubscribed_thread_pool_changes_nothing() {
     let set = ScenarioSet::over("discipline", disciplines()).by("level", [1usize, 2, 4]);
     assert_eq!(set.len(), 12);
     let f = |&(spec, level): &(DisciplineSpec, usize)| run_point(spec, level).to_json();
-    let serial = SweepRunner::serial().run(&set, f);
-    let wide = SweepRunner::parallel(32).run(&set, f);
+    let serial = SweepRunner::serial().run(&set, f, &NullObserver);
+    let wide = SweepRunner::parallel(32).run(&set, f, &NullObserver);
     assert_eq!(serial, wide);
 }
 
@@ -125,27 +125,6 @@ fn mesh_parallel_sweep_matches_serial() {
 #[test]
 fn churn_parallel_sweep_matches_serial_decisions() {
     fx::assert_churn_matches_serial(&threads());
-}
-
-#[test]
-fn zipped_axes_drive_paired_parameters() {
-    // A load axis zipped with a matching per-point seed: three points, not
-    // nine.
-    let set = ScenarioSet::over("rate", [50.0f64, 100.0, 200.0]).zip("seed", [1u64, 2, 3]);
-    assert_eq!(set.len(), 3);
-    let reports = SweepRunner::parallel(2).run(&set, |&(rate, seed)| {
-        let mut sim = ScenarioBuilder::chain(2)
-            .discipline(DisciplineSpec::Wfq)
-            .flow(FlowDef::best_effort_realtime(0, 1).source(SourceSpec::poisson(rate, 1000, seed)))
-            .build()
-            .expect("valid zipped point");
-        sim.run_until(SimTime::from_secs(3));
-        sim.report(&MeasurementPlan::default()).flows[0].delivered
-    });
-    // Faster sources deliver more, and the tags identify each pairing.
-    assert!(reports[0].result < reports[2].result);
-    assert_eq!(reports[1].tag("rate"), Some("100.0"));
-    assert_eq!(reports[1].tag("seed"), Some("2"));
 }
 
 /// A churn workload declared straight through the scenario API (no
@@ -357,16 +336,20 @@ fn invalid_churn_workloads_are_refused() {
 #[test]
 fn sweep_points_are_isolated() {
     let set = ScenarioSet::over("flows", [1usize, 2, 3, 4]);
-    let reports = SweepRunner::parallel(4).run(&set, |&(n,)| {
-        let mut builder = ScenarioBuilder::chain(2).discipline(DisciplineSpec::Fifo);
-        for _ in 0..n {
-            builder = builder.flow(FlowDef::datagram(0, 1).source(SourceSpec::cbr(10.0, 1000)));
-        }
-        let mut sim = builder.build().unwrap();
-        sim.run_until(SimTime::from_secs(1));
-        sim.network().num_flows()
-    });
-    let flows: Vec<usize> = reports.into_iter().map(|r| r.result).collect();
+    let reports = SweepRunner::parallel(4).run(
+        &set,
+        |&(n,)| {
+            let mut builder = ScenarioBuilder::chain(2).discipline(DisciplineSpec::Fifo);
+            for _ in 0..n {
+                builder = builder.flow(FlowDef::datagram(0, 1).source(SourceSpec::cbr(10.0, 1000)));
+            }
+            let mut sim = builder.build().unwrap();
+            sim.run_until(SimTime::from_secs(1));
+            sim.network().num_flows()
+        },
+        &NullObserver,
+    );
+    let flows: Vec<usize> = reports.into_iter().map(|r| r.expect_ok().result).collect();
     assert_eq!(flows, vec![1, 2, 3, 4]);
 }
 
@@ -387,7 +370,7 @@ fn poisoned_point_keeps_sibling_reports_and_names_its_tags() {
         run_point(spec, level)
     };
     for runner in [SweepRunner::serial(), SweepRunner::parallel(4)] {
-        let reports = runner.try_run(&set, f);
+        let reports = runner.run(&set, f, &NullObserver);
         assert_eq!(reports.len(), 8, "every point has a slot");
         let failures: Vec<_> = reports
             .iter()
@@ -405,7 +388,7 @@ fn poisoned_point_keeps_sibling_reports_and_names_its_tags() {
             "sibling points ran to completion"
         );
         // The error serializes into the checked JSON stream in place.
-        let json = sweep_to_json_checked(&reports);
+        let json = sweep_to_json(&reports);
         assert!(json.contains("\"error\":\""), "{json}");
         assert_eq!(json.matches("\"report\":").count(), 7);
     }
@@ -413,29 +396,29 @@ fn poisoned_point_keeps_sibling_reports_and_names_its_tags() {
 
 /// The tentpole's streaming contract: every point's report reaches the
 /// observer before the sweep returns, in completion order, while the
-/// returned reports stay in point order with JSON byte-identical to a
-/// serial batch run.
+/// returned reports stay in point order with JSON byte-identical to an
+/// unobserved serial run.
 #[test]
 fn streaming_emits_every_point_and_stays_byte_identical() {
     let set = ScenarioSet::over("discipline", disciplines()).by("level", [1usize, 3]);
     let f = |&(spec, level): &(DisciplineSpec, usize)| run_point(spec, level);
-    let serial_batch = SweepRunner::serial().run(&set, f);
+    let serial = SweepRunner::serial().run(&set, f, &NullObserver);
 
     let seen: Mutex<Vec<usize>> = Mutex::new(Vec::new());
     let observer = |report: &SweepReport<PointResult<ispn_scenario::ScenarioReport>>| {
         assert!(report.result.is_ok(), "no faults injected here");
         seen.lock().unwrap().push(report.index);
     };
-    let streamed = SweepRunner::parallel(4).run_streaming(&set, f, &observer);
+    let streamed = SweepRunner::parallel(4).run(&set, f, &observer);
 
     // Every point was emitted exactly once before the sweep returned.
     let mut seen = seen.into_inner().unwrap();
     seen.sort_unstable();
     assert_eq!(seen, (0..8).collect::<Vec<_>>());
-    // The final reports are in point order and byte-identical to batch.
+    // The final reports are in point order and byte-identical to serial.
     assert_eq!(
-        sweep_to_json_checked(&streamed),
-        sweep_to_json(&serial_batch),
+        sweep_to_json(&streamed),
+        sweep_to_json(&serial),
         "streaming must not change the final JSON"
     );
 }
@@ -447,35 +430,26 @@ fn edge_shaped_sweeps_match_serial_json() {
     let f = |&(spec, level): &(DisciplineSpec, usize)| run_point(spec, level);
 
     // More workers (16) than points (3).
-    let three = ScenarioSet::over("level", [1usize, 2, 3]).zip(
-        "discipline",
-        [
-            DisciplineSpec::Fifo,
-            DisciplineSpec::Wfq,
-            DisciplineSpec::Fifo,
-        ],
-    );
-    let g = |&(level, spec): &(usize, DisciplineSpec)| run_point(spec, level);
+    let three = ScenarioSet::over("discipline", [DisciplineSpec::Wfq]).by("level", [1usize, 2, 3]);
     assert_eq!(three.len(), 3);
-    let serial = SweepRunner::serial().run(&three, g);
-    let wide = SweepRunner::parallel(16).run(&three, g);
+    let serial = SweepRunner::serial().run(&three, f, &NullObserver);
+    let wide = SweepRunner::parallel(16).run(&three, f, &NullObserver);
     assert_eq!(sweep_to_json(&serial), sweep_to_json(&wide));
 
     // An empty set: no points, no panic, an empty JSON array — from both
     // runners.
     let empty = ScenarioSet::over("level", Vec::<usize>::new());
     assert!(empty.is_empty());
-    let serial_empty =
-        SweepRunner::serial().run(&empty, |&(level,)| run_point(DisciplineSpec::Fifo, level));
-    let parallel_empty =
-        SweepRunner::parallel(8).run(&empty, |&(level,)| run_point(DisciplineSpec::Fifo, level));
+    let g = |&(level,): &(usize,)| run_point(DisciplineSpec::Fifo, level);
+    let serial_empty = SweepRunner::serial().run(&empty, g, &NullObserver);
+    let parallel_empty = SweepRunner::parallel(8).run(&empty, g, &NullObserver);
     assert_eq!(sweep_to_json(&serial_empty), "[]");
     assert_eq!(sweep_to_json(&parallel_empty), "[]");
 
     // A single-point set through the same machinery.
     let single = ScenarioSet::over("discipline", [DisciplineSpec::Wfq]).by("level", [1usize]);
-    let serial_single = SweepRunner::serial().run(&single, f);
-    let parallel_single = SweepRunner::parallel(8).run(&single, f);
+    let serial_single = SweepRunner::serial().run(&single, f, &NullObserver);
+    let parallel_single = SweepRunner::parallel(8).run(&single, f, &NullObserver);
     assert_eq!(serial_single.len(), 1);
     assert_eq!(
         sweep_to_json(&serial_single),
