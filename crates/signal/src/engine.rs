@@ -1128,6 +1128,43 @@ mod tests {
     }
 
     #[test]
+    fn a_renegotiation_racing_a_rejected_setup_leaves_no_reservation_behind() {
+        let (mut net, links) = net();
+        hog(&mut net, links[1], 800_000.0);
+        let only_the_hog = net.reservation_state_bytes();
+        let mut sig = Signaling::default();
+        let (_req, flow) = sig.submit(&mut net, FlowConfig::guaranteed(links.clone(), 200_000.0));
+        // Trails the setup hop by hop: grows link 0 to 250k, then meets the
+        // setup's rejection on link 1, and its undo follows the rollback
+        // that has already released link 0.
+        sig.renegotiate_clock_rate(&mut net, flow, 250_000.0);
+        let events = sig.process_until(&mut net, SimTime::from_secs(1));
+        assert!(
+            matches!(
+                events[..],
+                [
+                    SignalEvent::Rejected { hop: 1, .. },
+                    SignalEvent::RenegotiationRejected { hop: 1, .. }
+                ]
+            ),
+            "{events:?}"
+        );
+        assert_eq!(net.reservation_state_bytes(), only_the_hog);
+        assert_eq!(
+            net.admission(links[0]).unwrap().reserved_guaranteed_bps(),
+            0.0
+        );
+        // The rejected flow is not recycled, and link 0 holds nothing for
+        // it: a flow that needs nearly all of link 0 fits.
+        let (_req, wide) = sig.submit(&mut net, FlowConfig::guaranteed(vec![links[0]], 850_000.0));
+        let events = sig.process_until(&mut net, SimTime::from_secs(2));
+        assert!(
+            matches!(events[..], [SignalEvent::Accepted { flow, .. }] if flow == wide),
+            "{events:?}"
+        );
+    }
+
+    #[test]
     fn scheduler_refusal_vetoes_admission_without_a_controller() {
         // No admission controller at all: the quota says yes to anything,
         // but the unified scheduler cannot reserve the whole link, and that
@@ -1241,7 +1278,8 @@ mod tests {
 
 /// The first slice of ROADMAP's model-based control-plane test: random
 /// interleavings of the whole request lifecycle — submit, teardown (also
-/// mid-setup), source/sink attach, agent retirement, slot reclamation —
+/// mid-setup), renegotiation (mid-setup, racing a teardown or a
+/// rejection), source/sink attach, agent retirement, slot reclamation —
 /// driven the way the churn driver drives them, against agents that panic
 /// on anything that was not meant for them.
 #[cfg(test)]
@@ -1333,6 +1371,8 @@ mod proptests {
         state: State,
         source: Option<AgentId>,
         sink: Option<AgentId>,
+        /// Renegotiations of this request not yet answered or cancelled.
+        renegs: Vec<RequestId>,
     }
 
     struct Driver {
@@ -1342,6 +1382,8 @@ mod proptests {
         recs: Vec<Rec>,
         live: Vec<AgentId>,
         next_token: u64,
+        /// `reservation_state_bytes()` of the network before any request.
+        no_reservations: u64,
     }
 
     impl Driver {
@@ -1358,6 +1400,7 @@ mod proptests {
                 );
             }
             Driver {
+                no_reservations: net.reservation_state_bytes(),
                 net,
                 sig: Signaling::default(),
                 links,
@@ -1406,6 +1449,17 @@ mod proptests {
                 .expect("an event for a flow nobody submitted")
         }
 
+        /// The record renegotiation `req` of `flow` was answered for: the
+        /// request must be one that record made and has not seen answered —
+        /// never one of the slot's previous tenant.
+        fn answer(&mut self, flow: FlowId, req: RequestId) -> &mut Rec {
+            let rec = self.rec(flow);
+            let at = rec.renegs.iter().position(|&r| r == req);
+            let at = at.unwrap_or_else(|| panic!("{req} answered for {flow}, which never asked"));
+            rec.renegs.swap_remove(at);
+            rec
+        }
+
         /// The `pick`-th record in one of `states`, if any.  A rejected
         /// request counts as `Pending` until its rollback has come home
         /// (until then it holds the hops before the rejection).
@@ -1450,16 +1504,49 @@ mod proptests {
                 state: State::Pending,
                 source: None,
                 sink: sink.map(|(id, _)| id),
+                renegs: Vec::new(),
             });
         }
 
         fn teardown(&mut self, i: usize, retire_source: bool) {
             self.recs[i].state = State::Leaving;
+            // A teardown cancels the flow's renegotiations in flight.
+            self.recs[i].renegs.clear();
             let Rec { flow, source, .. } = self.recs[i];
             if let (true, Some(source)) = (retire_source, source) {
                 self.retire(source);
             }
             self.sig.teardown(&mut self.net, flow);
+        }
+
+        /// Renegotiate a flow whose setup is in flight (or rolling back) or
+        /// admitted — up or down for a guaranteed flow, to a bucket that
+        /// may fail the criterion for a predicted one — and maybe tear it
+        /// down just before or just after.
+        fn renegotiate(&mut self, a: usize, b: u64) {
+            let Some(i) = self.pick(&[State::Pending, State::Accepted], a) else {
+                return;
+            };
+            let flow = self.recs[i].flow;
+            if b % 3 == 1 {
+                self.teardown(i, false);
+            }
+            let step = (b / 3 % 5) as usize;
+            let req = match self.net.flow_config(flow).spec {
+                FlowSpec::Guaranteed { .. } => {
+                    let rate = [100_000.0, 200_000.0, 300_000.0, 450_000.0, 600_000.0][step];
+                    self.sig.renegotiate_clock_rate(&mut self.net, flow, rate)
+                }
+                _ => {
+                    let rate = [40.0, 85.0, 120.0, 200.0, 950.0][step];
+                    let bucket = TokenBucketSpec::per_packets(rate, 50.0, 1000);
+                    self.sig.renegotiate_bucket(&mut self.net, flow, bucket)
+                }
+            };
+            self.recs[i].renegs.push(req);
+            if b % 3 == 2 {
+                self.teardown(i, false);
+            }
         }
 
         fn reclaim(&mut self) {
@@ -1492,7 +1579,13 @@ mod proptests {
                     SignalEvent::TornDown { flow, .. } => {
                         assert_eq!(self.rec(flow).state, State::Leaving);
                     }
-                    other => panic!("nobody renegotiates here: {other:?}"),
+                    SignalEvent::Renegotiated { request, flow, .. } => {
+                        let rec = self.answer(flow, request);
+                        assert_eq!(rec.state, State::Accepted, "{flow} renegotiated");
+                    }
+                    SignalEvent::RenegotiationRejected { request, flow, .. } => {
+                        self.answer(flow, request);
+                    }
                 }
             }
             for &l in &self.links {
@@ -1549,6 +1642,7 @@ mod proptests {
                         }
                     }
                 }
+                9 | 10 => self.renegotiate(a, b),
                 _ => self.advance(SimTime::from_micros([0, 300, 1000, 2500][b as usize % 4])),
             }
         }
@@ -1574,6 +1668,11 @@ mod proptests {
                     0.0
                 );
             }
+            assert_eq!(
+                self.net.reservation_state_bytes(),
+                self.no_reservations,
+                "a scheduler kept a reservation"
+            );
             for flow in (0..self.net.num_flows()).map(|i| FlowId(i as u32)) {
                 assert!(
                     self.net.installed_links(flow).is_empty(),
@@ -1611,7 +1710,7 @@ mod proptests {
     proptest! {
         #[test]
         fn request_lifecycle_leaks_nothing_and_misdelivers_nothing(
-            ops in proptest::collection::vec((0u8..14, 0usize..64, 0u64..1000), 10..120),
+            ops in proptest::collection::vec((0u8..16, 0usize..64, 0u64..1000), 10..120),
         ) {
             let first = run(&ops);
             prop_assert!(first.2 <= ops.len() + 1 && first.3 <= 2 * ops.len());
