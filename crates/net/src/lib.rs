@@ -22,6 +22,17 @@
 //!   delivered packet — total delay minus the fixed transmission and
 //!   propagation components — which is exactly the quantity the paper's
 //!   tables report in units of the packet transmission time.
+//!
+//! Files: `agent.rs` (the [`Agent`] trait and its command buffer),
+//! `topology.rs`, `monitor.rs` (per-flow and per-link measurement),
+//! `telemetry.rs`, and [`Network`] itself, one file per kind of state it
+//! owns — `network.rs` (the struct, its two timelines and the event loop),
+//! `network/port.rs` (ports, wires, forwarding and transmission),
+//! `network/flows.rs` (flow slots, injection and delivery),
+//! `network/agents.rs` (agent and timer slots, callback dispatch) and
+//! `network/admission.rs` (admission sampling and the per-hop reservation
+//! ledger: the rate each flow holds on each link, which setup,
+//! renegotiation and release change there alone).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,9 +44,6 @@ pub mod telemetry;
 pub mod topology;
 
 pub use agent::{Agent, AgentApi, AgentId, Delivery};
-// Part of `Network`'s public surface (`install_guaranteed_rate` returns it),
-// re-exported so callers need not depend on `ispn-sched` directly.
-pub use ispn_sched::GuaranteedInstall;
 pub use monitor::{FlowCounters, FlowReport, LinkReport, Monitor};
 pub use network::{FlowConfig, Network, PoliceAction, SinkError};
 pub use telemetry::NetTelemetry;

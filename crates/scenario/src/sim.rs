@@ -2,11 +2,14 @@
 //! scheduled driver actions, stepped in global event-time order.
 //!
 //! Control messages, data-plane events and user-scheduled actions are
-//! merged into one global timeline, handlers run at the exact simulated
+//! merged into one global timeline: the control plane steps one instant at
+//! a time ([`Signaling::process_next`]), the data plane runs up to each
+//! next control message or action ([`Network::run_through`]) and on to the
+//! horizon ([`Network::run_until`]).  Handlers run at the exact simulated
 //! instant their event completes, and stepping granularity (`run_until`
-//! called once or a thousand times) cannot change any outcome, whereas
-//! interleaving [`Signaling::process_until`] with [`Network::run_until`] by
-//! hand, in slices, observes completions at slice boundaries only.
+//! called once or a thousand times) cannot change any outcome, whereas a
+//! driver stepping [`Signaling::process_until`] by hand, in slices,
+//! observes completions at slice boundaries only.
 //!
 //! Ordering at equal timestamps is deterministic and documented:
 //! **data ≺ control ≺ action**.  Data-plane events settle first (so
@@ -733,12 +736,11 @@ impl Sim {
             } else {
                 let ta = next_action.expect("action branch has an action");
                 if !draining || ta < SimTime::MAX {
-                    // No control message due at or before the action's
-                    // instant: bring both planes through it — data events
-                    // at exactly `ta` included (data ≺ action) — then run
-                    // the action.
-                    let events = self.sig.process_until(&mut self.net, ta);
-                    self.dispatch(events);
+                    // Control wins ties, so no control message is due at or
+                    // before the action's instant: bring the data plane
+                    // through it — events at exactly `ta` included
+                    // (data ≺ action) — then run the action.
+                    debug_assert!(self.sig.peek_time().is_none_or(|t| t > ta));
                     self.net.run_through(ta);
                 }
                 // An end-of-time action runs without driving the planes to
@@ -749,8 +751,9 @@ impl Sim {
             }
         }
         if !draining {
-            let events = self.sig.process_until(&mut self.net, horizon);
-            self.dispatch(events);
+            // Every control message due before the horizon has run.
+            debug_assert!(self.sig.peek_time().is_none_or(|t| t >= horizon));
+            self.net.run_until(horizon);
         }
         self.running = false;
         self.wall += started.elapsed();

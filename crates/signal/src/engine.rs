@@ -19,7 +19,10 @@
 //! changes, so nothing is copied per request or per hop — and a refusal
 //! carries the controller's typed
 //! [`RejectReason`](ispn_core::admission::RejectReason), which nobody
-//! formats unless a driver prints it.
+//! formats unless a driver prints it.  A renegotiation in flight is its
+//! flow and the declaration it asks for; it ends with the flow — a teardown
+//! or the flow's retirement drops it — so no message reaches a slot's next
+//! tenant.
 
 use std::collections::BTreeMap;
 
@@ -33,16 +36,6 @@ use crate::messages::{RequestId, SignalEvent};
 /// Size of a control packet in bits: setup, release and renegotiate all
 /// use it, and the paper's data packets are 1000 bits too.
 const CONTROL_PACKET_BITS: u64 = 1000;
-
-#[derive(Debug, Clone, Copy)]
-enum RenegKind {
-    /// Re-run the Section-9 criterion for a new `(r, b)` declaration.
-    Predicted { new_bucket: TokenBucketSpec },
-    /// Change a guaranteed clock rate.  Increases are admitted (and
-    /// installed) hop by hop; decreases commit only at confirmation so a
-    /// failed renegotiation never loses the old reservation.
-    Guaranteed { old_rate: f64, new_rate: f64 },
-}
 
 #[derive(Debug, Clone, Copy)]
 struct PendingSetup {
@@ -63,15 +56,11 @@ struct PendingSetup {
     released: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
 struct PendingReneg {
     flow: FlowId,
-    priority: u8,
-    kind: RenegKind,
-    /// Hops on which a guaranteed rate *increase* has been reserved so far
-    /// (so a teardown that cancels the renegotiation can give the deltas
-    /// back).
-    applied_hops: usize,
+    /// The flow's spec with the new bucket or clock rate; what each hop
+    /// reserves for it is [`Network::renegotiate_on_link`]'s business.
+    to: FlowSpec,
 }
 
 enum ControlEvent {
@@ -156,10 +145,13 @@ impl Signaling {
         RequestId(self.next_id)
     }
 
-    /// One hop's control-message latency across `link`.
-    fn hop_delay(&self, net: &Network, link: LinkId) -> SimTime {
+    /// Send `event`, a control message leaving at `at`, across `link`: it
+    /// arrives one control-packet transmission plus the propagation later.
+    fn send(&mut self, net: &Network, at: SimTime, link: LinkId, event: ControlEvent) {
         let params = net.topology().link(link);
-        ispn_sim::time::transmission_time(CONTROL_PACKET_BITS, params.rate_bps) + params.propagation
+        let hop = ispn_sim::time::transmission_time(CONTROL_PACKET_BITS, params.rate_bps)
+            + params.propagation;
+        self.queue.push(at.saturating_add(hop), event);
     }
 
     /// Number of signaling transactions still in flight.
@@ -215,9 +207,12 @@ impl Signaling {
     /// Begin a teardown: the source is silenced immediately (its packets
     /// stop entering the network) and each hop's reservation is released
     /// when the release message reaches it — or, if the flow's setup was
-    /// rejected and is still rolling back, by that rollback alone.
+    /// rejected and is still rolling back, by that rollback alone.  The
+    /// flow's renegotiations in flight are cancelled: whatever they
+    /// reserved is part of what those releases give back.
     pub fn teardown(&mut self, net: &mut Network, flow: FlowId) {
         net.deactivate_flow(flow);
+        self.renegs.retain(|_, r| r.flow != flow);
         // Cancel any setup still in flight for this flow: it stops
         // installing further hops and its confirmation will not activate.
         // (Such a setup never reaches the decision log — the caller
@@ -231,29 +226,6 @@ impl Signaling {
                 return;
             }
             setup.cancelled = true;
-        }
-        // Cancel in-flight renegotiations, returning any rate increases
-        // they had already reserved (the teardown wave releases the *old*
-        // per-hop reservation, so the deltas would otherwise leak).
-        let cancelled: Vec<RequestId> = self
-            .renegs
-            .iter()
-            .filter(|(_, r)| r.flow == flow)
-            .map(|(&req, _)| req)
-            .collect();
-        for req in cancelled {
-            let r = self.renegs.remove(&req).expect("collected above");
-            if let RenegKind::Guaranteed { old_rate, new_rate } = r.kind {
-                let delta = new_rate - old_rate;
-                if delta > 0.0 {
-                    for hop in 0..r.applied_hops {
-                        let link = route_link(net, flow, hop);
-                        if let Some(ctl) = net.admission_mut(link) {
-                            ctl.release_guaranteed(delta);
-                        }
-                    }
-                }
-            }
         }
         self.queue
             .push(net.now(), ControlEvent::Teardown { flow, hop: 0 });
@@ -272,22 +244,12 @@ impl Signaling {
         flow: FlowId,
         new_bucket: TokenBucketSpec,
     ) -> RequestId {
-        let config = net.flow_config(flow);
-        assert!(
-            matches!(config.spec, FlowSpec::Predicted { .. }),
-            "renegotiate_bucket needs a predicted flow"
-        );
-        let req = self.fresh_id();
-        let pending = PendingReneg {
-            flow,
-            priority: config.class.priority().unwrap_or(0),
-            kind: RenegKind::Predicted { new_bucket },
-            applied_hops: 0,
+        let mut to = net.flow_config(flow).spec.clone();
+        let FlowSpec::Predicted { bucket, .. } = &mut to else {
+            panic!("renegotiate_bucket needs a predicted flow");
         };
-        self.renegs.insert(req, pending);
-        self.queue
-            .push(net.now(), ControlEvent::Renegotiate { req, hop: 0 });
-        req
+        *bucket = new_bucket;
+        self.renegotiate(net, flow, to)
     }
 
     /// Begin renegotiating a guaranteed flow's clock rate.  Rate increases
@@ -304,22 +266,17 @@ impl Signaling {
         flow: FlowId,
         new_rate_bps: f64,
     ) -> RequestId {
-        assert!(new_rate_bps > 0.0);
-        let config = net.flow_config(flow);
-        let FlowSpec::Guaranteed { clock_rate_bps } = config.spec else {
-            panic!("renegotiate_clock_rate needs a guaranteed flow");
-        };
+        assert!(
+            matches!(net.flow_config(flow).spec, FlowSpec::Guaranteed { .. }),
+            "renegotiate_clock_rate needs a guaranteed flow"
+        );
+        self.renegotiate(net, flow, FlowSpec::guaranteed(new_rate_bps))
+    }
+
+    /// Send a renegotiate message for `flow`'s declaration `to` on its way.
+    fn renegotiate(&mut self, net: &Network, flow: FlowId, to: FlowSpec) -> RequestId {
         let req = self.fresh_id();
-        let pending = PendingReneg {
-            flow,
-            priority: 0,
-            kind: RenegKind::Guaranteed {
-                old_rate: clock_rate_bps,
-                new_rate: new_rate_bps,
-            },
-            applied_hops: 0,
-        };
-        self.renegs.insert(req, pending);
+        self.renegs.insert(req, PendingReneg { flow, to });
         self.queue
             .push(net.now(), ControlEvent::Renegotiate { req, hop: 0 });
         req
@@ -404,13 +361,12 @@ impl Signaling {
                 let (link, last_hop) = (route[hop], hop + 1 == route.len());
                 match net.admit_flow_on_link(flow, link) {
                     AdmissionDecision::Accept => {
-                        let next_at = at.saturating_add(self.hop_delay(net, link));
                         let next = if last_hop {
                             ControlEvent::Confirm { flow }
                         } else {
                             ControlEvent::Setup { flow, hop: hop + 1 }
                         };
-                        self.queue.push(next_at, next);
+                        self.send(net, at, link, next);
                     }
                     AdmissionDecision::Reject { reason } => {
                         self.decision_log.push(req, false);
@@ -426,10 +382,7 @@ impl Signaling {
                             // The rejection travels back over the upstream
                             // link, releasing reservations as it goes.
                             let back = route_link(net, flow, hop - 1);
-                            self.queue.push(
-                                at.saturating_add(self.hop_delay(net, back)),
-                                ControlEvent::Rollback { flow, hop: hop - 1 },
-                            );
+                            self.send(net, at, back, ControlEvent::Rollback { flow, hop: hop - 1 });
                             self.setups[flow.index()]
                                 .as_mut()
                                 .expect("read above")
@@ -439,7 +392,7 @@ impl Signaling {
                             // Rejected at the very first hop: nothing was
                             // installed, so the flow's id slot can be
                             // reclaimed (a retry would re-activate it).
-                            net.retire_flow(flow);
+                            self.retire(net, flow);
                         }
                     }
                 }
@@ -448,15 +401,12 @@ impl Signaling {
                 net.release_flow_on_link(flow, route_link(net, flow, hop));
                 if hop > 0 {
                     let back = route_link(net, flow, hop - 1);
-                    self.queue.push(
-                        at.saturating_add(self.hop_delay(net, back)),
-                        ControlEvent::Rollback { flow, hop: hop - 1 },
-                    );
+                    self.send(net, at, back, ControlEvent::Rollback { flow, hop: hop - 1 });
                 } else {
                     self.vacate(flow);
                     // The rollback reached the first hop: every installed
                     // reservation is released, the slot can be reclaimed.
-                    net.retire_flow(flow);
+                    self.retire(net, flow);
                 }
             }
             ControlEvent::Confirm { flow } => {
@@ -466,7 +416,7 @@ impl Signaling {
                     // whatever was installed, and the flow must not come
                     // back to life; a wave already done left retiring it here.
                     if s.released {
-                        net.retire_flow(flow);
+                        self.retire(net, flow);
                     }
                     return;
                 }
@@ -483,10 +433,7 @@ impl Signaling {
                 let (link, last_hop) = (route[hop], hop + 1 == route.len());
                 net.release_flow_on_link(flow, link);
                 if !last_hop {
-                    self.queue.push(
-                        at.saturating_add(self.hop_delay(net, link)),
-                        ControlEvent::Teardown { flow, hop: hop + 1 },
-                    );
+                    self.send(net, at, link, ControlEvent::Teardown { flow, hop: hop + 1 });
                 } else {
                     self.events.push(SignalEvent::TornDown { flow, at });
                     // Teardown complete on every hop.  This also covers
@@ -498,36 +445,21 @@ impl Signaling {
                     // withdrawn setup's confirmation, if still in flight, lands.
                     match self.setups.get_mut(flow.index()) {
                         Some(Some(setup)) => setup.released = true,
-                        _ => net.retire_flow(flow),
+                        _ => self.retire(net, flow),
                     }
                 }
             }
             ControlEvent::Renegotiate { req, hop } => self.reneg_at(net, at, req, hop),
             ControlEvent::RenegotiateRollback { req, hop } => {
-                let Some(r) = self.renegs.get_mut(&req) else {
-                    return; // cancelled by a teardown
+                let Some(r) = self.renegs.get(&req) else {
+                    return; // cancelled by a teardown or the flow's retirement
                 };
-                // Hops ≥ `hop` are rolled back below; keep the applied count
-                // in step so a teardown that cancels the rest of this
-                // rollback does not release the same hops again.
-                r.applied_hops = hop;
                 let flow = r.flow;
-                let link = route_link(net, flow, hop);
-                if let RenegKind::Guaranteed { old_rate, new_rate } = r.kind {
-                    let delta = new_rate - old_rate;
-                    if delta > 0.0 {
-                        if let Some(ctl) = net.admission_mut(link) {
-                            ctl.release_guaranteed(delta);
-                        }
-                        net.install_guaranteed_rate(link, flow, old_rate);
-                    }
-                }
+                net.undo_renegotiation_on_link(flow, route_link(net, flow, hop));
                 if hop > 0 {
                     let back = route_link(net, flow, hop - 1);
-                    self.queue.push(
-                        at.saturating_add(self.hop_delay(net, back)),
-                        ControlEvent::RenegotiateRollback { req, hop: hop - 1 },
-                    );
+                    let undo = ControlEvent::RenegotiateRollback { req, hop: hop - 1 };
+                    self.send(net, at, back, undo);
                 } else {
                     self.renegs.remove(&req);
                 }
@@ -536,25 +468,7 @@ impl Signaling {
                 let Some(r) = self.renegs.remove(&req) else {
                     return; // cancelled by a teardown
                 };
-                match r.kind {
-                    RenegKind::Predicted { new_bucket } => {
-                        net.update_flow_bucket(r.flow, new_bucket);
-                    }
-                    RenegKind::Guaranteed { old_rate, new_rate } => {
-                        // Commit deferred decreases (increases were already
-                        // installed on the way out).
-                        if new_rate < old_rate {
-                            for hop in 0..net.flow_config(r.flow).route.len() {
-                                let link = route_link(net, r.flow, hop);
-                                if let Some(ctl) = net.admission_mut(link) {
-                                    ctl.release_guaranteed(old_rate - new_rate);
-                                }
-                                net.install_guaranteed_rate(link, r.flow, new_rate);
-                            }
-                        }
-                        net.update_flow_clock_rate(r.flow, new_rate);
-                    }
-                }
+                net.commit_renegotiation(r.flow, &r.to);
                 self.events.push(SignalEvent::Renegotiated {
                     request: req,
                     flow: r.flow,
@@ -562,6 +476,14 @@ impl Signaling {
                 });
             }
         }
+    }
+
+    /// `flow` holds nothing any more: its slot is reclaimed once drained.
+    /// Its renegotiations still in flight are dropped, so none reaches the
+    /// slot's next tenant.
+    fn retire(&mut self, net: &mut Network, flow: FlowId) {
+        self.renegs.retain(|_, r| r.flow != flow);
+        net.retire_flow(flow);
     }
 
     /// Take `flow`'s finished setup out of its slot.
@@ -572,61 +494,20 @@ impl Signaling {
     }
 
     fn reneg_at(&mut self, net: &mut Network, at: SimTime, req: RequestId, hop: usize) {
-        let Some(&PendingReneg {
-            flow,
-            priority,
-            kind,
-            ..
-        }) = self.renegs.get(&req)
-        else {
-            return; // cancelled by a teardown
+        let Some(PendingReneg { flow, to }) = self.renegs.get(&req) else {
+            return; // cancelled by a teardown or the flow's retirement
         };
+        let flow = *flow;
         let route = &net.flow_config(flow).route;
         let (link, last_hop) = (route[hop], hop + 1 == route.len());
-        let decision = match kind {
-            RenegKind::Predicted { new_bucket } => match net.admission_mut(link) {
-                // The new declaration faces the same criterion a fresh
-                // request would; predicted service holds no controller-side
-                // reservation, so nothing needs installing here.
-                Some(ctl) => ctl.request_predicted(at, new_bucket, priority),
-                None => AdmissionDecision::Accept,
-            },
-            RenegKind::Guaranteed { old_rate, new_rate } => {
-                let delta = new_rate - old_rate;
-                if delta > 0.0 {
-                    let mut d = match net.admission_mut(link) {
-                        Some(ctl) => ctl.request_guaranteed(delta),
-                        None => AdmissionDecision::Accept,
-                    };
-                    if d.is_accept() {
-                        // The scheduler can refuse the larger reservation
-                        // even when the quota said yes; the veto gives the
-                        // controller its delta back so accounting stays in
-                        // step.
-                        d = net.install_guaranteed_or_veto(link, flow, new_rate, delta);
-                        if d.is_accept() {
-                            self.renegs
-                                .get_mut(&req)
-                                .expect("pending reneg exists while its message is in flight")
-                                .applied_hops = hop + 1;
-                        }
-                    }
-                    d
-                } else {
-                    // Shrinking always fits; committed at confirmation.
-                    AdmissionDecision::Accept
-                }
-            }
-        };
-        match decision {
+        match net.renegotiate_on_link(flow, link, to) {
             AdmissionDecision::Accept => {
-                let next_at = at.saturating_add(self.hop_delay(net, link));
                 let next = if last_hop {
                     ControlEvent::RenegotiateCommit { req }
                 } else {
                     ControlEvent::Renegotiate { req, hop: hop + 1 }
                 };
-                self.queue.push(next_at, next);
+                self.send(net, at, link, next);
             }
             AdmissionDecision::Reject { reason } => {
                 self.events.push(SignalEvent::RenegotiationRejected {
@@ -638,10 +519,8 @@ impl Signaling {
                 });
                 if hop > 0 {
                     let back = route_link(net, flow, hop - 1);
-                    self.queue.push(
-                        at.saturating_add(self.hop_delay(net, back)),
-                        ControlEvent::RenegotiateRollback { req, hop: hop - 1 },
-                    );
+                    let undo = ControlEvent::RenegotiateRollback { req, hop: hop - 1 };
+                    self.send(net, at, back, undo);
                 } else {
                     self.renegs.remove(&req);
                 }
@@ -1160,6 +1039,81 @@ mod tests {
         let events = sig.process_until(&mut net, SimTime::from_secs(2));
         assert!(
             matches!(events[..], [SignalEvent::Accepted { flow, .. }] if flow == wide),
+            "{events:?}"
+        );
+    }
+
+    #[test]
+    fn a_renegotiation_of_a_rejected_setup_never_commits() {
+        for tear_down in [false, true] {
+            let (mut net, links) = net();
+            hog(&mut net, links[1], 800_000.0);
+            let mut sig = Signaling::default();
+            let (_req, flow) =
+                sig.submit(&mut net, FlowConfig::guaranteed(links.clone(), 200_000.0));
+            // Rejected at hop 1 (t = 2 ms); the rollback reaches hop 0 at 4 ms.
+            sig.process_until(&mut net, SimTime::from_micros(2500));
+            sig.renegotiate_clock_rate(&mut net, flow, 100_000.0);
+            if tear_down {
+                sig.teardown(&mut net, flow);
+            }
+            // Cancelled by the teardown, or dropped when the rollback
+            // retires the flow: never committed to a flow that was refused.
+            let events = sig.process_until(&mut net, SimTime::from_secs(1));
+            assert!(events.is_empty(), "{events:?}");
+            assert_eq!(net.flow_config(flow).spec.clock_rate_bps(), Some(200_000.0));
+            assert_eq!(sig.pending(), 0);
+        }
+    }
+
+    #[test]
+    fn a_stale_renegotiation_undo_never_reaches_the_slots_next_tenant() {
+        // No controller on link 0: its scheduler alone keeps its books.
+        let (topo, _nodes, links) = Topology::chain(3, MBIT, SimTime::MILLISECOND, 200);
+        let mut net = Network::new(topo);
+        for &l in &links {
+            net.set_discipline(l, Unified::new(MBIT, 1, Averaging::RunningMean));
+        }
+        net.enable_admission(links[1], controller(), SimTime::SECOND);
+        hog(&mut net, links[1], 800_000.0);
+        let mut sig = Signaling::default();
+        let (_req, a) = sig.submit(&mut net, FlowConfig::guaranteed(links.clone(), 200_000.0));
+        // A renegotiation 1 ms behind the setup grows link 0 and meets the
+        // setup's rejection on link 1 at 3 ms; its undo is due on link 0 at
+        // 5 ms, 1 ms after the rollback retired the flow.
+        sig.process_until(&mut net, SimTime::MILLISECOND);
+        sig.renegotiate_clock_rate(&mut net, a, 250_000.0);
+        sig.process_until(&mut net, SimTime::from_micros(4500));
+        assert_eq!(net.take_drained_flows(), vec![a]);
+        net.recycle_flow_slot(a);
+        // The slot's next tenant comes to hold 400k on link 0.
+        let (_req, b) = sig.submit(&mut net, FlowConfig::guaranteed(vec![links[0]], 300_000.0));
+        assert_eq!(b, a);
+        sig.renegotiate_clock_rate(&mut net, b, 400_000.0);
+        let events = sig.process_until(&mut net, SimTime::from_secs(1));
+        assert!(
+            matches!(
+                events[..],
+                [
+                    SignalEvent::Accepted { .. },
+                    SignalEvent::Renegotiated { .. }
+                ]
+            ),
+            "{events:?}"
+        );
+        // Link 0 has 600k left, not the 800k an undo of the tenant's
+        // increase would leave it.
+        let (_req, c) = sig.submit(&mut net, FlowConfig::guaranteed(vec![links[0]], 650_000.0));
+        let events = sig.process_until(&mut net, SimTime::from_secs(2));
+        assert!(
+            matches!(
+                events[..],
+                [SignalEvent::Rejected {
+                    flow,
+                    reason: ispn_core::admission::RejectReason::SchedulerRefused { .. },
+                    ..
+                }] if flow == c
+            ),
             "{events:?}"
         );
     }

@@ -26,10 +26,16 @@
 //!   failure; decreases commit only once the whole path has agreed, so a
 //!   failed renegotiation always leaves the old reservation intact).
 //!
-//! This is the only way a reservation is set up or torn down; `ispn-net`
-//! keeps just the per-link primitives the engine drives.  A torn-down
-//! flow's source is ended by its driver with `Network::retire_agent`,
-//! which drops the agent and recycles its slot.
+//! This is the only way a reservation is set up, renegotiated or torn
+//! down, but the engine keeps only hops, delays and outcomes: what a link
+//! reserves for a flow — controller quota, scheduler rate and the rate held
+//! there — is `ispn-net`'s reservation ledger's decision alone, made by the
+//! per-link operations each message calls (`admit_flow_on_link`,
+//! `renegotiate_on_link`, `undo_renegotiation_on_link`,
+//! `release_flow_on_link`, and `commit_renegotiation` once a renegotiation
+//! has cleared every hop).  A torn-down flow's source is ended by its
+//! driver with `Network::retire_agent`, which drops the agent and recycles
+//! its slot.
 //!
 //! Everything is deterministic: outcomes are a pure function of the
 //! simulation seed, which the churn experiments rely on.

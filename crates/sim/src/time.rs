@@ -12,9 +12,12 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 
 /// A point in simulated time, in nanoseconds since simulation start.
 ///
-/// `SimTime` is also used for durations (the paper never needs dates); the
-/// arithmetic operators saturate at zero rather than wrapping so that a
-/// spurious negative duration cannot silently corrupt the event queue.
+/// `SimTime` is also used for durations (the paper never needs dates).  The
+/// arithmetic operators are plain `u64` arithmetic: a `+` / `+=` past
+/// [`SimTime::MAX`] or a `-` / `-=` below zero panics in debug builds and
+/// wraps in release.  Where operands may legitimately overflow or come out
+/// of order, use [`SimTime::saturating_add`] / [`SimTime::saturating_sub`]
+/// (ROADMAP item 13 plans to make the end of time absorbing by type).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
