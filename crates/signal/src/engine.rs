@@ -466,7 +466,7 @@ impl Signaling {
             }
             ControlEvent::RenegotiateCommit { req } => {
                 let Some(r) = self.renegs.remove(&req) else {
-                    return; // cancelled by a teardown
+                    return; // cancelled by a teardown or the flow's retirement
                 };
                 net.commit_renegotiation(r.flow, &r.to);
                 self.events.push(SignalEvent::Renegotiated {
