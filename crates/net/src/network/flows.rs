@@ -116,7 +116,7 @@ pub(super) struct FlowState {
     /// installed for this flow and must be released on teardown.
     pub(super) installed_links: Vec<LinkId>,
     /// The guaranteed rate held on each of `installed_links` (0 for a
-    /// predicted or datagram flow); only `admission.rs` writes either.
+    /// predicted or datagram flow); only `admission.rs` changes either.
     pub(super) held_bps: Vec<f64>,
 }
 
