@@ -91,9 +91,6 @@ pub enum RejectReason {
         /// The guaranteed clock rate the scheduler was asked to install.
         rate_bps: f64,
     },
-    /// A renegotiation reached a link the flow holds no reservation on:
-    /// its setup never got there, or a rollback or teardown released it.
-    NotInstalled,
 }
 
 impl std::fmt::Display for RejectReason {
@@ -145,9 +142,6 @@ impl std::fmt::Display for RejectReason {
                 "scheduler refused guaranteed rate {rate_bps:.0} bps \
                  (per-flow reservations exhausted)"
             ),
-            RejectReason::NotInstalled => {
-                write!(f, "no reservation of the flow is installed on the link")
-            }
         }
     }
 }

@@ -28,7 +28,8 @@
 //! `telemetry.rs`, and [`Network`] itself, one file per kind of state it
 //! owns — `network.rs` (the struct, its two timelines and the event loop),
 //! `network/port.rs` (ports, wires, forwarding and transmission),
-//! `network/flows.rs` (flow slots, injection and delivery),
+//! `network/flows.rs` (flow slots and their phases, injection and
+//! delivery),
 //! `network/agents.rs` (agent and timer slots, callback dispatch) and
 //! `network/admission.rs` (admission sampling and the per-hop reservation
 //! ledger: the rate each flow holds on each link, which setup,
@@ -45,6 +46,6 @@ pub mod topology;
 
 pub use agent::{Agent, AgentApi, AgentId, Delivery};
 pub use monitor::{FlowCounters, FlowReport, LinkReport, Monitor};
-pub use network::{FlowConfig, Network, PoliceAction, SinkError};
+pub use network::{FlowConfig, FlowPhase, Network, PoliceAction, RequestId, SinkError};
 pub use telemetry::NetTelemetry;
 pub use topology::{LinkId, LinkParams, NodeId, Topology};

@@ -32,7 +32,7 @@ mod port;
 use agents::AgentSlot;
 pub use agents::SinkError;
 use flows::FlowState;
-pub use flows::{FlowConfig, PoliceAction};
+pub use flows::{FlowConfig, FlowPhase, PoliceAction, RequestId};
 use port::Port;
 
 /// What [`Network::queue`] holds: 16-byte notices that name an agent or a
@@ -321,9 +321,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::agent::{Agent, Delivery};
-    use ispn_core::admission::{
-        AdmissionConfig, AdmissionController, AdmissionDecision, RejectReason,
-    };
+    use ispn_core::admission::{AdmissionConfig, AdmissionController};
     use ispn_core::{Conformance, FlowId, FlowSpec, Packet, ServiceClass, TokenBucketSpec};
     use ispn_sched::{Averaging, Discipline, Fifo, FifoPlus, StrictPriority, Unified, Wfq};
 

@@ -102,18 +102,15 @@ impl Network {
 
     /// Ask one link to admit `flow` at the current simulated time, and on
     /// acceptance install the reservation state (admission-controller
-    /// bookkeeping plus per-flow scheduler state for guaranteed flows).
-    ///
-    /// Links without an admission controller accept everything — but still
-    /// receive scheduler installs, so statically over-provisioned setups
-    /// keep working.
+    /// bookkeeping plus per-flow scheduler state for guaranteed flows): a
+    /// [`renegotiate_on_link`](Network::renegotiate_on_link) to the flow's
+    /// own spec.  Links without an admission controller accept everything
+    /// — but still receive scheduler installs, so statically
+    /// over-provisioned setups keep working.
     pub fn admit_flow_on_link(&mut self, flow: FlowId, link: LinkId) -> AdmissionDecision {
         let spec = self.flows[flow.index()].config.spec.clone();
-        let decision = self.reserve(flow, link, &spec, 0.0);
+        let decision = self.renegotiate_on_link(flow, link, &spec);
         if decision.is_accept() {
-            let f = &mut self.flows[flow.index()];
-            f.installed_links.push(link);
-            f.held_bps.push(spec.clock_rate_bps().unwrap_or(0.0));
             self.telemetry.record_admission_accept();
         } else {
             self.telemetry.record_admission_reject();
@@ -141,9 +138,9 @@ impl Network {
         true
     }
 
-    /// Re-run admission on one link for `flow`'s renegotiated declaration
-    /// `to`: a new token bucket for a predicted flow, a new clock rate for
-    /// a guaranteed one.
+    /// Re-run admission on one link for `flow`'s declaration `to`: a new
+    /// token bucket for a predicted flow, a new clock rate for a guaranteed
+    /// one.
     ///
     /// A new bucket faces the criterion a fresh request would; predicted
     /// service holds no rate, so nothing changes.  A clock-rate increase is
@@ -152,8 +149,8 @@ impl Network {
     /// is held; a decrease always fits and waits for
     /// [`commit_renegotiation`](Network::commit_renegotiation), so a
     /// renegotiation refused further along never loses the old
-    /// reservation.  A link the flow holds nothing on refuses with
-    /// [`RejectReason::NotInstalled`].
+    /// reservation.  A link that holds nothing for the flow yet reserves
+    /// `to` from nothing and joins its installed links.
     pub fn renegotiate_on_link(
         &mut self,
         flow: FlowId,
@@ -161,15 +158,19 @@ impl Network {
         to: &FlowSpec,
     ) -> AdmissionDecision {
         let f = &self.flows[flow.index()];
-        let Some(at) = f.installed_links.iter().position(|&l| l == link) else {
-            return AdmissionDecision::Reject {
-                reason: RejectReason::NotInstalled,
-            };
-        };
-        let decision = self.reserve(flow, link, to, f.held_bps[at]);
-        if let (true, Some(rate)) = (decision.is_accept(), to.clock_rate_bps()) {
-            let held = &mut self.flows[flow.index()].held_bps[at];
-            *held = held.max(rate);
+        let at = f.installed_links.iter().position(|&l| l == link);
+        let held = at.map_or(0.0, |at| f.held_bps[at]);
+        let decision = self.reserve(flow, link, to, held);
+        if decision.is_accept() {
+            let f = &mut self.flows[flow.index()];
+            let rate = to.clock_rate_bps().unwrap_or(0.0);
+            match at {
+                Some(at) => f.held_bps[at] = held.max(rate),
+                None => {
+                    f.installed_links.push(link);
+                    f.held_bps.push(rate);
+                }
+            }
         }
         decision
     }
@@ -300,7 +301,7 @@ macro_rules! tests {
             for &l in &links {
                 assert!(net.admit_flow_on_link(flow, l).is_accept(), "empty network");
             }
-            net.activate_flow(flow);
+            net.set_flow_phase(flow, FlowPhase::Admitted);
             assert!(net.flow_active(flow));
             assert_eq!(net.installed_links(flow).len(), 2);
             for &l in &links {
@@ -311,7 +312,7 @@ macro_rules! tests {
             for &l in &links {
                 assert!(net.release_flow_on_link(flow, l));
             }
-            net.deactivate_flow(flow);
+            net.set_flow_phase(flow, FlowPhase::Idle);
             assert!(!net.flow_active(flow));
             assert!(net.installed_links(flow).is_empty());
             for &l in &links {
@@ -421,10 +422,6 @@ macro_rules! tests {
             assert!(net.release_flow_on_link(flow, links[0]));
             net.undo_renegotiation_on_link(flow, links[0]);
             assert_eq!(reserved(&net, links[0]), 0.0);
-            let not_held = AdmissionDecision::Reject {
-                reason: RejectReason::NotInstalled,
-            };
-            assert_eq!(net.renegotiate_on_link(flow, links[0], &up), not_held);
             // A decrease committed now narrows link 1 alone.
             net.commit_renegotiation(flow, &FlowSpec::guaranteed(150_000.0));
             assert_eq!(

@@ -446,8 +446,7 @@ macro_rules! tests {
             net.run_until(SimTime::from_millis(10));
             assert_eq!(net.monitor_mut().flow_report(flow).delivered, 1);
             // Once the flow's slot is recycled nothing names the agent slot.
-            net.deactivate_flow(flow);
-            net.retire_flow(flow);
+            net.set_flow_phase(flow, FlowPhase::Retired);
             assert_eq!(net.take_drained_flows(), vec![flow]);
             net.recycle_flow_slot(flow);
             assert_eq!(probe(&mut net, &log, "next", 0, None), sink);

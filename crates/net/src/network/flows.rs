@@ -1,6 +1,7 @@
-//! Flow slots: registration, activation, the in-flight count a retired
-//! flow drains by, slot recycling, and a packet's two ends — injection at
-//! its first switch and delivery past its last.
+//! Flow slots: registration, each slot's phase (whether the flow sends,
+//! and the one control transaction it may have in flight), the in-flight
+//! count a retired flow drains by, slot recycling, and a packet's two ends
+//! — injection at its first switch and delivery past its last.
 
 use ispn_core::{FlowId, FlowSpec, Packet, ServiceClass, TokenBucket, TokenBucketSpec};
 use ispn_sched::QueueDiscipline;
@@ -86,6 +87,61 @@ impl FlowConfig {
     }
 }
 
+/// Identity of one signalling transaction: a flow's setup or one of its
+/// renegotiations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct RequestId(pub u64);
+
+/// Where a flow slot stands: whether its flow sends, and the one control
+/// transaction — a setup or a renegotiation — it has in flight, like
+/// RSVP's one reservation state per session.  The signalling engine moves
+/// a slot with [`Network::set_flow_phase`] up to `Retired`; the recycle
+/// makes it `Vacant`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FlowPhase {
+    /// Registered ([`Network::add_flow_inactive`]), nothing in flight.
+    Idle,
+    /// Provisioned without signalling ([`Network::add_flow`]): sends.
+    Static,
+    /// This setup is admitting hop by hop.
+    SettingUp(RequestId),
+    /// This setup was refused past its first hop; its rollback releases
+    /// the hops behind and retires the flow at the first.
+    RollingBack(RequestId),
+    /// Admitted on every hop: sends.
+    Admitted,
+    /// Admitted, with renegotiation `req` to the spec `to` in flight.
+    Renegotiating {
+        /// The renegotiation.
+        req: RequestId,
+        /// The flow's spec with the new bucket or clock rate.
+        to: FlowSpec,
+    },
+    /// Torn down while this setup was in flight: the setup admits no
+    /// further hop and its confirmation activates nothing.
+    Withdrawn(RequestId),
+    /// Withdrawn, and the release wave is done: the confirmation still
+    /// on the last link retires the flow.
+    Released(RequestId),
+    /// A release wave is walking the route; the flow retires at its end.
+    TearingDown,
+    /// Reported by [`Network::take_drained_flows`] once its last packet
+    /// has left; [`Network::recycle_flow_slot`] may then free it.
+    Retired,
+    /// Free, awaiting its next tenant.
+    Vacant,
+}
+
+impl FlowPhase {
+    /// Whether a flow in this phase may inject packets.
+    fn sends(&self) -> bool {
+        matches!(
+            self,
+            FlowPhase::Static | FlowPhase::Admitted | FlowPhase::Renegotiating { .. }
+        )
+    }
+}
+
 pub(super) struct FlowState {
     pub(super) config: FlowConfig,
     pub(super) policer: Option<TokenBucket>,
@@ -99,15 +155,7 @@ pub(super) struct FlowState {
     /// delay.  `(0, total_propagation)` at registration, which is what
     /// [`Network::fixed_delay`] returns for zero bits.
     last_fixed: (u64, SimTime),
-    /// Whether the flow may currently inject packets.  Statically
-    /// provisioned flows are born active; dynamically signalled flows stay
-    /// inactive until every hop has admitted them, and return to inactive
-    /// on release.
-    active: bool,
-    /// The flow has been marked for slot reclamation ([`Network::retire_flow`]):
-    /// once its last in-flight packet leaves the network it is reported by
-    /// [`Network::take_drained_flows`].  Cleared if the flow is reactivated.
-    retired: bool,
+    phase: FlowPhase,
     /// Packets of this flow currently inside the network (injected but not
     /// yet delivered or dropped).  A retired flow's id may only be recycled
     /// when this reaches zero.
@@ -129,20 +177,18 @@ impl Network {
     /// topology ([`validate_route`](crate::Topology::validate_route)), or if
     /// the configured sink is not a live agent ([`SinkError`]).
     pub fn add_flow(&mut self, config: FlowConfig) -> FlowId {
-        self.register_flow(config, true)
+        self.register_flow(config, FlowPhase::Static)
     }
 
-    /// Register a flow without activating it: packets injected for it are
-    /// discarded (and counted) until [`activate_flow`] is called.  This is
-    /// the first step of dynamic flow setup — the signaling layer allocates
-    /// the identity, then installs per-hop reservations, then activates.
-    ///
-    /// [`activate_flow`]: Network::activate_flow
+    /// Register a flow [`Idle`](FlowPhase::Idle): packets injected for it
+    /// are discarded (and counted) until it is admitted.  This is the first
+    /// step of dynamic flow setup — the signaling layer allocates the
+    /// identity, then installs per-hop reservations, then activates.
     pub fn add_flow_inactive(&mut self, config: FlowConfig) -> FlowId {
-        self.register_flow(config, false)
+        self.register_flow(config, FlowPhase::Idle)
     }
 
-    fn register_flow(&mut self, config: FlowConfig, active: bool) -> FlowId {
+    fn register_flow(&mut self, config: FlowConfig, phase: FlowPhase) -> FlowId {
         assert!(
             self.topo.validate_route(&config.route),
             "flow route is not a loop-free contiguous path"
@@ -164,8 +210,7 @@ impl Network {
             secs_per_bit,
             total_propagation,
             last_fixed: (0, total_propagation),
-            active,
-            retired: false,
+            phase,
             in_flight: 0,
             installed_links: Vec::new(),
             held_bps: Vec::new(),
@@ -175,7 +220,7 @@ impl Network {
                 // The slot's ledger buffers outlive their tenant.
                 let slot = &mut self.flows[id.index()];
                 let old = std::mem::replace(slot, state);
-                debug_assert!(old.installed_links.is_empty());
+                debug_assert!(old.phase == FlowPhase::Vacant && old.installed_links.is_empty());
                 (slot.installed_links, slot.held_bps) = (old.installed_links, old.held_bps);
                 id
             }
@@ -218,41 +263,34 @@ impl Network {
 
     /// Whether a flow is currently allowed to inject packets.
     pub fn flow_active(&self, flow: FlowId) -> bool {
-        self.flows[flow.index()].active
+        self.flows[flow.index()].phase.sends()
     }
 
-    /// Activate a flow whose per-hop reservations are in place.
-    pub fn activate_flow(&mut self, flow: FlowId) {
-        let f = &mut self.flows[flow.index()];
-        f.active = true;
-        // A retry that revives a flow marked for reclamation wins the race:
-        // the slot stays live.
-        f.retired = false;
+    /// The phase of `flow`'s slot, or `None` for an id never minted.
+    pub fn flow_phase(&self, flow: FlowId) -> Option<&FlowPhase> {
+        self.flows.get(flow.index()).map(|f| &f.phase)
     }
 
-    /// Deactivate a flow without touching its reservations (used by the
-    /// signaling layer when a teardown starts: the source is silenced at
-    /// once while the release message still travels hop by hop).
-    pub fn deactivate_flow(&mut self, flow: FlowId) {
-        self.flows[flow.index()].active = false;
-    }
-
-    /// Mark a torn-down flow's id slot for reclamation.  The flow must
-    /// already be inactive with its reservations released; once its last
-    /// in-flight packet leaves the network the flow is reported by
-    /// [`take_drained_flows`](Network::take_drained_flows), after which the
-    /// driver may snapshot its final statistics and call
-    /// [`recycle_flow_slot`](Network::recycle_flow_slot).  Never calling
-    /// these hooks is always safe — the flow table then simply grows
-    /// monotonically, as it did before reclamation existed.
-    pub fn retire_flow(&mut self, flow: FlowId) {
-        self.flows[flow.index()].retired = true;
-        self.note_if_drained(flow);
+    /// Move `flow`'s slot to `phase`, which decides whether the flow sends.
+    /// Once a [`Retired`](FlowPhase::Retired) flow's last in-flight packet
+    /// has left it is reported by
+    /// [`take_drained_flows`](Network::take_drained_flows); the driver may
+    /// then snapshot its statistics and call
+    /// [`recycle_flow_slot`](Network::recycle_flow_slot), or never (the
+    /// table then just grows).  Does nothing to an id never minted or a
+    /// vacant slot, or when asked for `Vacant`.
+    pub fn set_flow_phase(&mut self, flow: FlowId, phase: FlowPhase) {
+        let Some(f) = self.flows.get_mut(flow.index()) else {
+            return;
+        };
+        if f.phase != FlowPhase::Vacant && phase != FlowPhase::Vacant {
+            f.phase = phase;
+            self.note_if_drained(flow);
+        }
     }
 
     /// Retired flows whose last in-flight packet has left the network since
-    /// the previous call.  Each flow appears exactly once (unless retired
-    /// again after a revival).
+    /// the previous call.  Each flow appears once per retirement.
     pub fn take_drained_flows(&mut self) -> Vec<FlowId> {
         std::mem::take(&mut self.drained)
     }
@@ -278,20 +316,23 @@ impl Network {
     /// future [`add_flow`](Network::add_flow) /
     /// [`add_flow_inactive`](Network::add_flow_inactive).  The flow's monitor
     /// statistics are reset, so callers that need its final report must
-    /// snapshot it first.  A no-op if the flow came back to life (active,
-    /// packets in flight, or reservations re-installed) since it drained.
+    /// snapshot it first.  A no-op unless the flow is
+    /// [`Retired`](FlowPhase::Retired) and drained, with no reservation
+    /// installed: an id never minted, a slot already freed, and a flow
+    /// that came back to life since it drained all keep their slot.
     pub fn recycle_flow_slot(&mut self, flow: FlowId) {
-        let f = &self.flows[flow.index()];
-        if f.active || f.in_flight > 0 || !f.installed_links.is_empty() {
+        let Some(f) = self.flows.get_mut(flow.index()) else {
+            return;
+        };
+        if f.phase != FlowPhase::Retired || f.in_flight > 0 || !f.installed_links.is_empty() {
             return;
         }
-        if self.free_flow_slots.contains(&flow) {
-            return; // already recycled (idempotence under double retire)
-        }
+        f.phase = FlowPhase::Vacant;
+        let sink = f.config.sink.take();
         self.monitor.reset_flow(flow);
         self.free_flow_slots.push(flow);
         // No longer a registered flow: it stops holding its sink's slot.
-        if let Some(sink) = self.flows[flow.index()].config.sink.take() {
+        if let Some(sink) = sink {
             self.unhold_agent(sink);
         }
     }
@@ -306,9 +347,8 @@ impl Network {
 
     /// Stage `flow` for the driver if it is retired and fully drained.
     fn note_if_drained(&mut self, flow: FlowId) {
-        let f = &mut self.flows[flow.index()];
-        if f.retired && !f.active && f.in_flight == 0 {
-            f.retired = false;
+        let f = &self.flows[flow.index()];
+        if f.in_flight == 0 && matches!(f.phase, FlowPhase::Retired) {
             self.drained.push(flow);
         }
     }
@@ -329,7 +369,7 @@ impl Network {
             "packet for unregistered flow {}",
             packet.flow
         );
-        if !self.flows[packet.flow.index()].active {
+        if !self.flows[packet.flow.index()].phase.sends() {
             // The flow has no (or no longer any) reservation: its packets
             // never enter the network.  Tracked separately from loss so a
             // torn-down flow's delay statistics stay clean.
@@ -504,7 +544,7 @@ macro_rules! tests {
             assert_eq!(r.delivered, 0);
             assert_eq!(r.dropped_inactive, 2);
             // Activation opens the gate.
-            net.activate_flow(flow);
+            net.set_flow_phase(flow, FlowPhase::Admitted);
             net.add_agent(Box::new(ScheduledSender::new(
                 flow,
                 vec![SimTime::from_millis(60)],
@@ -524,8 +564,7 @@ macro_rules! tests {
             net.run_until(SimTime::from_millis(2));
             // Packets are still on the wire: retiring now must not report the
             // flow as drained yet.
-            net.deactivate_flow(flow);
-            net.retire_flow(flow);
+            net.set_flow_phase(flow, FlowPhase::Retired);
             assert!(net.flow_in_flight(flow) > 0);
             assert!(net.take_drained_flows().is_empty());
             net.run_until(SimTime::from_millis(50));
@@ -550,13 +589,12 @@ macro_rules! tests {
         fn revived_flow_is_not_recycled() {
             let (mut net, link) = two_switch_net();
             let flow = net.add_flow(FlowConfig::datagram(vec![link]));
-            net.deactivate_flow(flow);
-            net.retire_flow(flow);
+            net.set_flow_phase(flow, FlowPhase::Retired);
             // The retire drains immediately (nothing in flight) …
             assert_eq!(net.take_drained_flows(), vec![flow]);
             // … but the flow is re-activated before the driver recycles it:
             // the safety valve keeps the slot live.
-            net.activate_flow(flow);
+            net.set_flow_phase(flow, FlowPhase::Admitted);
             net.recycle_flow_slot(flow);
             let fresh = net.add_flow(FlowConfig::datagram(vec![link]));
             assert_ne!(fresh, flow, "live slot must not be handed out again");

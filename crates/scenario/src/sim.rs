@@ -23,7 +23,7 @@
 
 use ispn_core::{FlowId, TokenBucketSpec};
 use ispn_net::{AgentId, FlowConfig, FlowReport, Network};
-use ispn_signal::{RequestId, SignalEvent, Signaling};
+use ispn_signal::{Refusal, RequestId, SignalEvent, Signaling};
 use ispn_sim::{varint, EventQueue, Pcg64, SimTime};
 use ispn_stats::{quantile_between, NanoSamples};
 use ispn_traffic::{OnOffConfig, OnOffSource};
@@ -650,8 +650,16 @@ impl Sim {
         self.sig.teardown(&mut self.net, flow);
     }
 
-    /// Begin renegotiating a predicted flow's `(r, b)` declaration.
-    pub fn renegotiate_bucket(&mut self, flow: FlowId, new_bucket: TokenBucketSpec) -> RequestId {
+    /// Begin renegotiating a predicted flow's `(r, b)` declaration (see
+    /// [`Signaling::renegotiate_bucket`]).
+    ///
+    /// # Errors
+    /// A [`Refusal`] unless the flow is admitted, predicted and idle.
+    pub fn renegotiate_bucket(
+        &mut self,
+        flow: FlowId,
+        new_bucket: TokenBucketSpec,
+    ) -> Result<RequestId, Refusal> {
         self.sig.renegotiate_bucket(&mut self.net, flow, new_bucket)
     }
 

@@ -7,77 +7,53 @@
 //! messages and interleaves them with the network's data-plane events, so
 //! admission decisions at each hop see exactly the measurement state of that
 //! simulated instant.
-//! That queue is an [`EventQueue`] of its own: a transaction has one message
-//! in flight, so even 200 setups a second keep it a handful deep.
+//! That queue is an [`EventQueue`] of its own: a flow has one transaction
+//! in flight and a transaction one message, so even 200 setups a second
+//! keep it a handful deep.
 //!
-//! A setup in flight is a request id and a few flags in the slot its flow
-//! id indexes: a flow has one setup in flight at most, its messages follow
-//! one another, and the entry is vacated before the flow is retired, so a
-//! message always finds its own entry.  The route is read
-//! in place from the network's flow table (`net.flow_config(flow).route`)
-//! by each message as it is handled — a registered flow's route never
-//! changes, so nothing is copied per request or per hop — and a refusal
-//! carries the controller's typed
-//! [`RejectReason`](ispn_core::admission::RejectReason), which nobody
-//! formats unless a driver prints it.  A renegotiation in flight is its
-//! flow and the declaration it asks for; it ends with the flow — a teardown
-//! or the flow's retirement drops it — so no message reaches a slot's next
-//! tenant.
-
-use std::collections::BTreeMap;
+//! The engine keeps no table of its own: a flow's one transaction — its
+//! setup, or one renegotiation — and its teardown mark are the
+//! [`FlowPhase`] of the flow's slot in the network.  A transaction's
+//! messages name it and act only while the slot holds it, so one a
+//! teardown overtook does nothing, even once the slot has a new tenant,
+//! and a second teardown sends no second release wave.  A renegotiation
+//! is begun only for an admitted flow with nothing in flight (anything
+//! else is a typed [`Refusal`], no message sent).  Each message reads the
+//! route in place (`net.flow_config(flow).route` never changes), and a
+//! refusal on the way carries the controller's typed
+//! [`RejectReason`](ispn_core::admission::RejectReason).
 
 use ispn_core::admission::AdmissionDecision;
 use ispn_core::{FlowId, FlowSpec, TokenBucketSpec};
-use ispn_net::{FlowConfig, LinkId, Network};
+use ispn_net::{FlowConfig, FlowPhase, LinkId, Network, RequestId};
 use ispn_sim::{varint, EventQueue, SimTime};
 
-use crate::messages::{RequestId, SignalEvent};
+use crate::messages::{Refusal, SignalEvent};
 
 /// Size of a control packet in bits: setup, release and renegotiate all
 /// use it, and the paper's data packets are 1000 bits too.
 const CONTROL_PACKET_BITS: u64 = 1000;
 
-#[derive(Debug, Clone, Copy)]
-struct PendingSetup {
-    req: RequestId,
-    /// Set when a teardown arrives while the setup is still in flight: the
-    /// setup stops installing further hops and its confirmation must not
-    /// activate the flow (the teardown wave, always behind the setup wave,
-    /// releases whatever was installed).
-    cancelled: bool,
-    /// Set when a hop past the first rejects the setup: a rollback wave is
-    /// releasing the hops behind the rejection and retires the flow when
-    /// it reaches the first.
-    rolling_back: bool,
-    /// Set when the cancelling teardown's release wave finishes while the
-    /// confirmation is still on the last link (the wave trails every `Setup`
-    /// but, on one hop, not the `Confirm`): that confirmation then retires
-    /// the flow, so the slot is vacant before the id is handed out again.
-    released: bool,
-}
-
-struct PendingReneg {
-    flow: FlowId,
-    /// The flow's spec with the new bucket or clock rate; what each hop
-    /// reserves for it is [`Network::renegotiate_on_link`]'s business.
-    to: FlowSpec,
-}
-
+/// A control message.  A setup and a renegotiation travel alike — out hop
+/// by hop, back on a refusal, done at the far end — as transaction `req`,
+/// which acts only while `flow`'s slot holds it.
 enum ControlEvent {
-    /// A setup message arrives at the switch feeding `route[hop]`.
-    Setup { flow: FlowId, hop: usize },
-    /// A rejection travels upstream, releasing `route[hop]`.
-    Rollback { flow: FlowId, hop: usize },
-    /// The setup message reached the destination: activate.
-    Confirm { flow: FlowId },
+    /// Transaction `req` reaches the switch feeding `route[hop]`.
+    Forward {
+        flow: FlowId,
+        req: RequestId,
+        hop: usize,
+    },
+    /// Refused further along, transaction `req` gives back `route[hop]`.
+    Back {
+        flow: FlowId,
+        req: RequestId,
+        hop: usize,
+    },
+    /// Transaction `req` cleared every hop.
+    Done { flow: FlowId, req: RequestId },
     /// A release message arrives at the switch feeding `route[hop]`.
     Teardown { flow: FlowId, hop: usize },
-    /// A renegotiate message arrives at the switch feeding `route[hop]`.
-    Renegotiate { req: RequestId, hop: usize },
-    /// A renegotiation rejection travels upstream, undoing `route[hop]`.
-    RenegotiateRollback { req: RequestId, hop: usize },
-    /// The renegotiate message cleared every hop: commit.
-    RenegotiateCommit { req: RequestId },
 }
 
 /// The signaling engine: owns all in-flight control messages for one
@@ -90,11 +66,9 @@ enum ControlEvent {
 #[derive(Default)]
 pub struct Signaling {
     queue: EventQueue<ControlEvent>,
-    /// The setup in flight for each flow, indexed by `FlowId::index()`.
-    setups: Vec<Option<PendingSetup>>,
-    /// Occupied entries of `setups`.
-    setups_pending: usize,
-    renegs: BTreeMap<RequestId, PendingReneg>,
+    /// Transactions begun and not yet ended: setups (a withdrawn one until
+    /// its last message has landed) and renegotiations.
+    pending: usize,
     events: Vec<SignalEvent>,
     /// Chronological accept/reject record of every completed setup, kept
     /// for blocking-probability accounting and determinism checks: about a
@@ -156,7 +130,7 @@ impl Signaling {
 
     /// Number of signaling transactions still in flight.
     pub fn pending(&self) -> usize {
-        self.setups_pending + self.renegs.len()
+        self.pending
     }
 
     /// The chronological accept/reject record of completed setups, decoded
@@ -186,47 +160,35 @@ impl Signaling {
         let req = self.fresh_id();
         assert!(!config.route.is_empty(), "a setup needs a route");
         let flow = net.add_flow_inactive(config);
-        if self.setups.len() <= flow.index() {
-            self.setups.resize(flow.index() + 1, None);
-        }
-        let stale = self.setups[flow.index()].replace(PendingSetup {
-            req,
-            cancelled: false,
-            rolling_back: false,
-            released: false,
-        });
-        debug_assert!(stale.is_none(), "{flow} recycled with a setup pending");
-        self.setups_pending += 1;
+        net.set_flow_phase(flow, FlowPhase::SettingUp(req));
+        self.pending += 1;
         // The source's host-to-switch link is infinitely fast (Appendix), so
         // the setup message is at the first switch at once.
-        self.queue
-            .push(net.now(), ControlEvent::Setup { flow, hop: 0 });
+        let setup = ControlEvent::Forward { flow, req, hop: 0 };
+        self.queue.push(net.now(), setup);
         (req, flow)
     }
 
     /// Begin a teardown: the source is silenced immediately (its packets
     /// stop entering the network) and each hop's reservation is released
-    /// when the release message reaches it — or, if the flow's setup was
-    /// rejected and is still rolling back, by that rollback alone.  The
-    /// flow's renegotiations in flight are cancelled: whatever they
-    /// reserved is part of what those releases give back.
+    /// when the release message reaches it.  A setup in flight is
+    /// withdrawn (it admits no further hop and never reaches the decision
+    /// log); a renegotiation in flight ends, the releases giving back what
+    /// it reserved.  Does nothing to a flow already tearing down or gone,
+    /// or to a refused setup, whose rollback releases and retires it.
     pub fn teardown(&mut self, net: &mut Network, flow: FlowId) {
-        net.deactivate_flow(flow);
-        self.renegs.retain(|_, r| r.flow != flow);
-        // Cancel any setup still in flight for this flow: it stops
-        // installing further hops and its confirmation will not activate.
-        // (Such a setup never reaches the decision log — the caller
-        // withdrew it before the network finished answering.)
-        if let Some(Some(setup)) = self.setups.get_mut(flow.index()) {
-            if setup.rolling_back {
-                // Already rejected: the rollback in flight releases every
-                // installed hop and retires the flow.  A release wave of
-                // our own would retire it a second time — by then,
-                // possibly, the slot's next occupant.
-                return;
+        let next = match net.flow_phase(flow) {
+            Some(FlowPhase::Idle | FlowPhase::Static | FlowPhase::Admitted) => {
+                FlowPhase::TearingDown
             }
-            setup.cancelled = true;
-        }
+            Some(FlowPhase::Renegotiating { .. }) => {
+                self.pending -= 1;
+                FlowPhase::TearingDown
+            }
+            Some(&FlowPhase::SettingUp(req)) => FlowPhase::Withdrawn(req),
+            _ => return,
+        };
+        net.set_flow_phase(flow, next);
         self.queue
             .push(net.now(), ControlEvent::Teardown { flow, hop: 0 });
     }
@@ -236,20 +198,23 @@ impl Signaling {
     /// re-runs the Section-9 criterion against the new declaration, and on
     /// success the flow's spec and edge policer switch over.
     ///
-    /// # Panics
-    /// Panics if the flow is not predicted-service.
+    /// # Errors
+    /// A [`Refusal`], given at once with no message sent, unless `flow` is
+    /// an admitted predicted-service flow with nothing else in flight.
     pub fn renegotiate_bucket(
         &mut self,
         net: &mut Network,
         flow: FlowId,
         new_bucket: TokenBucketSpec,
-    ) -> RequestId {
-        let mut to = net.flow_config(flow).spec.clone();
-        let FlowSpec::Predicted { bucket, .. } = &mut to else {
-            panic!("renegotiate_bucket needs a predicted flow");
-        };
-        *bucket = new_bucket;
-        self.renegotiate(net, flow, to)
+    ) -> Result<RequestId, Refusal> {
+        self.renegotiate(net, flow, |spec| {
+            let mut to = spec.clone();
+            let FlowSpec::Predicted { bucket, .. } = &mut to else {
+                return None;
+            };
+            *bucket = new_bucket;
+            Some(to)
+        })
     }
 
     /// Begin renegotiating a guaranteed flow's clock rate.  Rate increases
@@ -257,29 +222,47 @@ impl Signaling {
     /// refuses); decreases are applied only once every hop has agreed, so
     /// the old reservation survives a failed request.
     ///
-    /// # Panics
-    /// Panics if the flow is not guaranteed-service or `new_rate_bps` is
-    /// not positive.
+    /// # Errors
+    /// A [`Refusal`], given at once with no message sent, unless `flow` is
+    /// an admitted guaranteed-service flow with nothing else in flight and
+    /// `new_rate_bps` is positive and finite.
     pub fn renegotiate_clock_rate(
         &mut self,
         net: &mut Network,
         flow: FlowId,
         new_rate_bps: f64,
-    ) -> RequestId {
-        assert!(
-            matches!(net.flow_config(flow).spec, FlowSpec::Guaranteed { .. }),
-            "renegotiate_clock_rate needs a guaranteed flow"
-        );
-        self.renegotiate(net, flow, FlowSpec::guaranteed(new_rate_bps))
+    ) -> Result<RequestId, Refusal> {
+        let valid = new_rate_bps > 0.0 && new_rate_bps.is_finite();
+        self.renegotiate(net, flow, |spec| {
+            let guaranteed = matches!(spec, FlowSpec::Guaranteed { .. });
+            (guaranteed && valid).then(|| FlowSpec::guaranteed(new_rate_bps))
+        })
     }
 
-    /// Send a renegotiate message for `flow`'s declaration `to` on its way.
-    fn renegotiate(&mut self, net: &Network, flow: FlowId, to: FlowSpec) -> RequestId {
+    /// Send a renegotiate message for `flow` on its way, asking for the
+    /// declaration `to` makes of its spec — if the flow is admitted and
+    /// idle, and `to` can make one.
+    fn renegotiate(
+        &mut self,
+        net: &mut Network,
+        flow: FlowId,
+        to: impl FnOnce(&FlowSpec) -> Option<FlowSpec>,
+    ) -> Result<RequestId, Refusal> {
+        match net.flow_phase(flow) {
+            Some(FlowPhase::Admitted) => {}
+            Some(FlowPhase::Renegotiating { .. }) => return Err(Refusal::Busy),
+            Some(FlowPhase::Withdrawn(_) | FlowPhase::Released(_) | FlowPhase::TearingDown) => {
+                return Err(Refusal::TearingDown)
+            }
+            _ => return Err(Refusal::NotAdmitted),
+        }
+        let to = to(&net.flow_config(flow).spec).ok_or(Refusal::BadRequest)?;
         let req = self.fresh_id();
-        self.renegs.insert(req, PendingReneg { flow, to });
-        self.queue
-            .push(net.now(), ControlEvent::Renegotiate { req, hop: 0 });
-        req
+        net.set_flow_phase(flow, FlowPhase::Renegotiating { req, to });
+        self.pending += 1;
+        let renegotiate = ControlEvent::Forward { flow, req, hop: 0 };
+        self.queue.push(net.now(), renegotiate);
+        Ok(req)
     }
 
     /// The timestamp of the earliest in-flight control message, if any.
@@ -347,87 +330,94 @@ impl Signaling {
 
     fn handle(&mut self, net: &mut Network, at: SimTime, ev: ControlEvent) {
         match ev {
-            ControlEvent::Setup { flow, hop } => {
-                let PendingSetup { req, cancelled, .. } =
-                    self.setups[flow.index()].expect("a setup message finds its entry");
-                if cancelled {
-                    // Withdrawn mid-setup: stop here; the teardown wave
-                    // (always behind this message) releases the hops
-                    // already installed.
-                    self.vacate(flow);
-                    return;
-                }
+            ControlEvent::Forward { flow, req, hop } => {
                 let route = &net.flow_config(flow).route;
                 let (link, last_hop) = (route[hop], hop + 1 == route.len());
-                match net.admit_flow_on_link(flow, link) {
-                    AdmissionDecision::Accept => {
-                        let next = if last_hop {
-                            ControlEvent::Confirm { flow }
-                        } else {
-                            ControlEvent::Setup { flow, hop: hop + 1 }
-                        };
-                        self.send(net, at, link, next);
+                let decision = match net.flow_phase(flow) {
+                    Some(&FlowPhase::SettingUp(r)) if r == req => {
+                        net.admit_flow_on_link(flow, link)
                     }
-                    AdmissionDecision::Reject { reason } => {
-                        self.decision_log.push(req, false);
-                        self.events.push(SignalEvent::Rejected {
-                            request: req,
-                            flow,
-                            hop,
-                            link,
-                            reason,
-                            at,
-                        });
-                        if hop > 0 {
-                            // The rejection travels back over the upstream
-                            // link, releasing reservations as it goes.
-                            let back = route_link(net, flow, hop - 1);
-                            self.send(net, at, back, ControlEvent::Rollback { flow, hop: hop - 1 });
-                            self.setups[flow.index()]
-                                .as_mut()
-                                .expect("read above")
-                                .rolling_back = true;
-                        } else {
-                            self.vacate(flow);
-                            // Rejected at the very first hop: nothing was
-                            // installed, so the flow's id slot can be
-                            // reclaimed (a retry would re-activate it).
-                            self.retire(net, flow);
-                        }
+                    Some(FlowPhase::Renegotiating { req: r, to }) if *r == req => {
+                        let to = to.clone();
+                        net.renegotiate_on_link(flow, link, &to)
                     }
-                }
-            }
-            ControlEvent::Rollback { flow, hop } => {
-                net.release_flow_on_link(flow, route_link(net, flow, hop));
-                if hop > 0 {
-                    let back = route_link(net, flow, hop - 1);
-                    self.send(net, at, back, ControlEvent::Rollback { flow, hop: hop - 1 });
+                    // Withdrawn: the release wave behind gives back the hops.
+                    Some(&FlowPhase::Withdrawn(r)) if r == req => {
+                        return self.end(net, flow, FlowPhase::TearingDown)
+                    }
+                    _ => return, // a renegotiation a teardown ended
+                };
+                let AdmissionDecision::Reject { reason } = decision else {
+                    let next = match hop + 1 {
+                        _ if last_hop => ControlEvent::Done { flow, req },
+                        hop => ControlEvent::Forward { flow, req, hop },
+                    };
+                    return self.send(net, at, link, next);
+                };
+                let request = req;
+                if let Some(FlowPhase::SettingUp(_)) = net.flow_phase(flow) {
+                    self.decision_log.push(req, false);
+                    self.events.push(SignalEvent::Rejected {
+                        request,
+                        flow,
+                        hop,
+                        link,
+                        reason,
+                        at,
+                    });
+                    if hop > 0 {
+                        net.set_flow_phase(flow, FlowPhase::RollingBack(req));
+                    }
                 } else {
-                    self.vacate(flow);
-                    // The rollback reached the first hop: every installed
-                    // reservation is released, the slot can be reclaimed.
-                    self.retire(net, flow);
+                    self.events.push(SignalEvent::RenegotiationRejected {
+                        request,
+                        flow,
+                        hop,
+                        reason,
+                        at,
+                    });
                 }
+                self.back_from(net, at, flow, req, hop);
             }
-            ControlEvent::Confirm { flow } => {
-                let s = self.vacate(flow);
-                if s.cancelled {
-                    // Withdrawn mid-setup: the teardown wave releases
-                    // whatever was installed, and the flow must not come
-                    // back to life; a wave already done left retiring it here.
-                    if s.released {
-                        self.retire(net, flow);
+            ControlEvent::Back { flow, req, hop } => {
+                let link = route_link(net, flow, hop);
+                match net.flow_phase(flow) {
+                    Some(&FlowPhase::RollingBack(r)) if r == req => {
+                        net.release_flow_on_link(flow, link);
                     }
-                    return;
+                    Some(FlowPhase::Renegotiating { req: r, .. }) if *r == req => {
+                        net.undo_renegotiation_on_link(flow, link);
+                    }
+                    _ => return, // a renegotiation a teardown ended
                 }
-                net.activate_flow(flow);
-                self.decision_log.push(s.req, true);
-                self.events.push(SignalEvent::Accepted {
-                    request: s.req,
-                    flow,
-                    at,
-                });
+                self.back_from(net, at, flow, req, hop);
             }
+            ControlEvent::Done { flow, req } => match net.flow_phase(flow) {
+                Some(&FlowPhase::SettingUp(r)) if r == req => {
+                    self.end(net, flow, FlowPhase::Admitted);
+                    self.decision_log.push(req, true);
+                    let request = req;
+                    self.events
+                        .push(SignalEvent::Accepted { request, flow, at });
+                }
+                Some(FlowPhase::Renegotiating { req: r, to }) if *r == req => {
+                    let to = to.clone();
+                    net.commit_renegotiation(flow, &to);
+                    self.end(net, flow, FlowPhase::Admitted);
+                    let request = req;
+                    self.events
+                        .push(SignalEvent::Renegotiated { request, flow, at });
+                }
+                // Withdrawn, the flow stays down: the release wave retires
+                // it, or, done already, left that to this confirmation.
+                Some(&FlowPhase::Withdrawn(r)) if r == req => {
+                    self.end(net, flow, FlowPhase::TearingDown)
+                }
+                Some(&FlowPhase::Released(r)) if r == req => {
+                    self.end(net, flow, FlowPhase::Retired)
+                }
+                _ => {} // a renegotiation a teardown ended
+            },
             ControlEvent::Teardown { flow, hop } => {
                 let route = &net.flow_config(flow).route;
                 let (link, last_hop) = (route[hop], hop + 1 == route.len());
@@ -436,96 +426,46 @@ impl Signaling {
                     self.send(net, at, link, ControlEvent::Teardown { flow, hop: hop + 1 });
                 } else {
                     self.events.push(SignalEvent::TornDown { flow, at });
-                    // Teardown complete on every hop.  This also covers
-                    // setups withdrawn mid-flight (their cancelled Setup /
-                    // Confirm messages release nothing themselves — the
-                    // teardown wave behind them does, and it always ends
-                    // here).  The flow is reported drained once its last
-                    // in-flight packet leaves the network — and once the
-                    // withdrawn setup's confirmation, if still in flight, lands.
-                    match self.setups.get_mut(flow.index()) {
-                        Some(Some(setup)) => setup.released = true,
-                        _ => self.retire(net, flow),
-                    }
-                }
-            }
-            ControlEvent::Renegotiate { req, hop } => self.reneg_at(net, at, req, hop),
-            ControlEvent::RenegotiateRollback { req, hop } => {
-                let Some(r) = self.renegs.get(&req) else {
-                    return; // cancelled by a teardown or the flow's retirement
-                };
-                let flow = r.flow;
-                net.undo_renegotiation_on_link(flow, route_link(net, flow, hop));
-                if hop > 0 {
-                    let back = route_link(net, flow, hop - 1);
-                    let undo = ControlEvent::RenegotiateRollback { req, hop: hop - 1 };
-                    self.send(net, at, back, undo);
-                } else {
-                    self.renegs.remove(&req);
-                }
-            }
-            ControlEvent::RenegotiateCommit { req } => {
-                let Some(r) = self.renegs.remove(&req) else {
-                    return; // cancelled by a teardown or the flow's retirement
-                };
-                net.commit_renegotiation(r.flow, &r.to);
-                self.events.push(SignalEvent::Renegotiated {
-                    request: req,
-                    flow: r.flow,
-                    at,
-                });
-            }
-        }
-    }
-
-    /// `flow` holds nothing any more: its slot is reclaimed once drained.
-    /// Its renegotiations still in flight are dropped, so none reaches the
-    /// slot's next tenant.
-    fn retire(&mut self, net: &mut Network, flow: FlowId) {
-        self.renegs.retain(|_, r| r.flow != flow);
-        net.retire_flow(flow);
-    }
-
-    /// Take `flow`'s finished setup out of its slot.
-    fn vacate(&mut self, flow: FlowId) -> PendingSetup {
-        self.setups_pending -= 1;
-        let setup = self.setups[flow.index()].take();
-        setup.expect("a setup message finds its entry")
-    }
-
-    fn reneg_at(&mut self, net: &mut Network, at: SimTime, req: RequestId, hop: usize) {
-        let Some(PendingReneg { flow, to }) = self.renegs.get(&req) else {
-            return; // cancelled by a teardown or the flow's retirement
-        };
-        let flow = *flow;
-        let route = &net.flow_config(flow).route;
-        let (link, last_hop) = (route[hop], hop + 1 == route.len());
-        match net.renegotiate_on_link(flow, link, to) {
-            AdmissionDecision::Accept => {
-                let next = if last_hop {
-                    ControlEvent::RenegotiateCommit { req }
-                } else {
-                    ControlEvent::Renegotiate { req, hop: hop + 1 }
-                };
-                self.send(net, at, link, next);
-            }
-            AdmissionDecision::Reject { reason } => {
-                self.events.push(SignalEvent::RenegotiationRejected {
-                    request: req,
-                    flow,
-                    hop,
-                    reason,
-                    at,
-                });
-                if hop > 0 {
-                    let back = route_link(net, flow, hop - 1);
-                    let undo = ControlEvent::RenegotiateRollback { req, hop: hop - 1 };
-                    self.send(net, at, back, undo);
-                } else {
-                    self.renegs.remove(&req);
+                    // Released on every hop: the flow is reported drained
+                    // once its last in-flight packet leaves the network —
+                    // and once a withdrawn setup's confirmation, if still
+                    // on the wire, has landed.
+                    let next = match net.flow_phase(flow) {
+                        Some(&FlowPhase::Withdrawn(req)) => FlowPhase::Released(req),
+                        _ => FlowPhase::Retired,
+                    };
+                    net.set_flow_phase(flow, next);
                 }
             }
         }
+    }
+
+    /// Transaction `req` of `flow` is refused or given back at
+    /// `route[hop]`: it travels back to the hop upstream or, from the
+    /// first, ends — a refused setup retires the flow, a refused
+    /// renegotiation leaves it admitted as it was.
+    fn back_from(
+        &mut self,
+        net: &mut Network,
+        at: SimTime,
+        flow: FlowId,
+        req: RequestId,
+        hop: usize,
+    ) {
+        if let Some(hop) = hop.checked_sub(1) {
+            let back = route_link(net, flow, hop);
+            self.send(net, at, back, ControlEvent::Back { flow, req, hop });
+        } else if let Some(FlowPhase::Renegotiating { .. }) = net.flow_phase(flow) {
+            self.end(net, flow, FlowPhase::Admitted);
+        } else {
+            self.end(net, flow, FlowPhase::Retired);
+        }
+    }
+
+    /// `flow`'s transaction has ended, leaving its slot in `phase`.
+    fn end(&mut self, net: &mut Network, flow: FlowId, phase: FlowPhase) {
+        self.pending -= 1;
+        net.set_flow_phase(flow, phase);
     }
 }
 
@@ -553,7 +493,12 @@ mod tests {
     /// Three switches, two 1 Mbit/s links with 1 ms propagation, Unified
     /// scheduling and admission control on both links.
     fn net() -> (Network, Vec<LinkId>) {
-        let (topo, _nodes, links) = Topology::chain(3, MBIT, SimTime::MILLISECOND, 200);
+        chain(3)
+    }
+
+    /// [`net`] with `switches` switches.
+    fn chain(switches: usize) -> (Network, Vec<LinkId>) {
+        let (topo, _nodes, links) = Topology::chain(switches, MBIT, SimTime::MILLISECOND, 200);
         let mut net = Network::new(topo);
         for &l in &links {
             net.set_discipline(l, Unified::new(MBIT, 1, Averaging::RunningMean));
@@ -567,8 +512,12 @@ mod tests {
     fn hog(net: &mut Network, link: LinkId, rate: f64) -> FlowId {
         let flow = net.add_flow_inactive(FlowConfig::guaranteed(vec![link], rate));
         assert!(net.admit_flow_on_link(flow, link).is_accept());
-        net.activate_flow(flow);
+        net.set_flow_phase(flow, FlowPhase::Admitted);
         flow
+    }
+
+    fn reserved(net: &Network, link: LinkId) -> f64 {
+        net.admission(link).unwrap().reserved_guaranteed_bps()
     }
 
     #[test]
@@ -720,7 +669,7 @@ mod tests {
         assert!(net.flow_active(flow));
 
         let bigger = TokenBucketSpec::per_packets(120.0, 60.0, 1000);
-        let req = sig.renegotiate_bucket(&mut net, flow, bigger);
+        let req = sig.renegotiate_bucket(&mut net, flow, bigger).unwrap();
         let events = sig.process_until(&mut net, SimTime::from_secs(2));
         assert_eq!(events.len(), 1);
         assert!(matches!(&events[0], SignalEvent::Renegotiated { request, .. } if *request == req));
@@ -748,7 +697,7 @@ mod tests {
 
         // An absurd request: more than the real-time quota.
         let absurd = TokenBucketSpec::new(950_000.0, 50_000.0);
-        let req = sig.renegotiate_bucket(&mut net, flow, absurd);
+        let req = sig.renegotiate_bucket(&mut net, flow, absurd).unwrap();
         let events = sig.process_until(&mut net, SimTime::from_secs(2));
         assert_eq!(events.len(), 1);
         assert!(matches!(
@@ -767,7 +716,8 @@ mod tests {
         sig.process_until(&mut net, SimTime::from_secs(1));
 
         // Up: 200k -> 500k.
-        sig.renegotiate_clock_rate(&mut net, flow, 500_000.0);
+        sig.renegotiate_clock_rate(&mut net, flow, 500_000.0)
+            .unwrap();
         let events = sig.process_until(&mut net, SimTime::from_secs(2));
         assert!(matches!(events[0], SignalEvent::Renegotiated { .. }));
         assert_eq!(net.flow_config(flow).spec.clock_rate_bps(), Some(500_000.0));
@@ -776,7 +726,8 @@ mod tests {
         }
 
         // Down: 500k -> 100k.
-        sig.renegotiate_clock_rate(&mut net, flow, 100_000.0);
+        sig.renegotiate_clock_rate(&mut net, flow, 100_000.0)
+            .unwrap();
         let events = sig.process_until(&mut net, SimTime::from_secs(3));
         assert!(matches!(events[0], SignalEvent::Renegotiated { .. }));
         for &l in &links {
@@ -801,7 +752,9 @@ mod tests {
         sig.process_until(&mut net, SimTime::from_secs(1));
 
         // 200k -> 400k: fits on link 0, not on link 1 (600k + 400k > 900k).
-        let req = sig.renegotiate_clock_rate(&mut net, flow, 400_000.0);
+        let req = sig
+            .renegotiate_clock_rate(&mut net, flow, 400_000.0)
+            .unwrap();
         let events = sig.process_until(&mut net, SimTime::from_secs(2));
         assert_eq!(events.len(), 1);
         assert!(matches!(
@@ -906,7 +859,8 @@ mod tests {
         // Grow 200k -> 500k; both hops accept and the commit message is
         // queued (t = 1 s + 4 ms).  Tear down before it lands: the commit
         // must be a no-op, not a panic or a spec change.
-        sig.renegotiate_clock_rate(&mut net, flow, 500_000.0);
+        sig.renegotiate_clock_rate(&mut net, flow, 500_000.0)
+            .unwrap();
         sig.process_until(&mut net, SimTime::from_secs(1) + SimTime::from_millis(3));
         sig.teardown(&mut net, flow);
         let events = sig.process_until(&mut net, SimTime::from_secs(2));
@@ -939,7 +893,9 @@ mod tests {
         sig.process_until(&mut net, SimTime::from_secs(1));
         assert!(net.flow_active(flow));
 
-        let req = sig.renegotiate_clock_rate(&mut net, flow, 1_200_000.0);
+        let req = sig
+            .renegotiate_clock_rate(&mut net, flow, 1_200_000.0)
+            .unwrap();
         let events = sig.process_until(&mut net, SimTime::from_secs(2));
         assert_eq!(events.len(), 1);
         assert!(matches!(
@@ -970,7 +926,9 @@ mod tests {
         let (_r, flow) = sig.submit(&mut net, FlowConfig::guaranteed(vec![links[0]], 600_000.0));
         sig.process_until(&mut net, SimTime::from_secs(1));
 
-        let req = sig.renegotiate_clock_rate(&mut net, flow, 1_000_000.0);
+        let req = sig
+            .renegotiate_clock_rate(&mut net, flow, 1_000_000.0)
+            .unwrap();
         let events = sig.process_until(&mut net, SimTime::from_secs(2));
         assert_eq!(events.len(), 1);
         assert!(matches!(
@@ -992,7 +950,8 @@ mod tests {
         sig.process_until(&mut net, SimTime::from_secs(1));
         // Start growing 200k -> 500k, then tear down while the increase has
         // been applied on hop 0 but the message is still in flight.
-        sig.renegotiate_clock_rate(&mut net, flow, 500_000.0);
+        sig.renegotiate_clock_rate(&mut net, flow, 500_000.0)
+            .unwrap();
         sig.process_until(&mut net, SimTime::from_secs(1) + SimTime::MILLISECOND);
         sig.teardown(&mut net, flow);
         sig.process_until(&mut net, SimTime::from_secs(2));
@@ -1013,28 +972,21 @@ mod tests {
         let only_the_hog = net.reservation_state_bytes();
         let mut sig = Signaling::default();
         let (_req, flow) = sig.submit(&mut net, FlowConfig::guaranteed(links.clone(), 200_000.0));
-        // Trails the setup hop by hop: grows link 0 to 250k, then meets the
-        // setup's rejection on link 1, and its undo follows the rollback
-        // that has already released link 0.
-        sig.renegotiate_clock_rate(&mut net, flow, 250_000.0);
+        // The setup is in flight: nothing to renegotiate yet, and no
+        // message follows the setup to meet its rejection on link 1.
+        assert_eq!(
+            sig.renegotiate_clock_rate(&mut net, flow, 250_000.0),
+            Err(Refusal::NotAdmitted)
+        );
         let events = sig.process_until(&mut net, SimTime::from_secs(1));
         assert!(
-            matches!(
-                events[..],
-                [
-                    SignalEvent::Rejected { hop: 1, .. },
-                    SignalEvent::RenegotiationRejected { hop: 1, .. }
-                ]
-            ),
+            matches!(events[..], [SignalEvent::Rejected { hop: 1, .. }]),
             "{events:?}"
         );
         assert_eq!(net.reservation_state_bytes(), only_the_hog);
-        assert_eq!(
-            net.admission(links[0]).unwrap().reserved_guaranteed_bps(),
-            0.0
-        );
-        // The rejected flow is not recycled, and link 0 holds nothing for
-        // it: a flow that needs nearly all of link 0 fits.
+        assert_eq!(reserved(&net, links[0]), 0.0);
+        // Link 0 holds nothing for the rejected flow: a flow that needs
+        // nearly all of it fits.
         let (_req, wide) = sig.submit(&mut net, FlowConfig::guaranteed(vec![links[0]], 850_000.0));
         let events = sig.process_until(&mut net, SimTime::from_secs(2));
         assert!(
@@ -1049,73 +1001,137 @@ mod tests {
             let (mut net, links) = net();
             hog(&mut net, links[1], 800_000.0);
             let mut sig = Signaling::default();
-            let (_req, flow) =
+            let (req, flow) =
                 sig.submit(&mut net, FlowConfig::guaranteed(links.clone(), 200_000.0));
             // Rejected at hop 1 (t = 2 ms); the rollback reaches hop 0 at 4 ms.
             sig.process_until(&mut net, SimTime::from_micros(2500));
-            sig.renegotiate_clock_rate(&mut net, flow, 100_000.0);
+            assert_eq!(net.flow_phase(flow), Some(&FlowPhase::RollingBack(req)));
             if tear_down {
                 sig.teardown(&mut net, flow);
             }
-            // Cancelled by the teardown, or dropped when the rollback
-            // retires the flow: never committed to a flow that was refused.
+            // Refused at once, torn down or not: the rollback alone
+            // retires the flow.
+            assert_eq!(
+                sig.renegotiate_clock_rate(&mut net, flow, 100_000.0),
+                Err(Refusal::NotAdmitted)
+            );
             let events = sig.process_until(&mut net, SimTime::from_secs(1));
             assert!(events.is_empty(), "{events:?}");
             assert_eq!(net.flow_config(flow).spec.clock_rate_bps(), Some(200_000.0));
             assert_eq!(sig.pending(), 0);
+            assert_eq!(net.take_drained_flows(), vec![flow]);
         }
     }
 
     #[test]
-    fn a_stale_renegotiation_undo_never_reaches_the_slots_next_tenant() {
-        // No controller on link 0: its scheduler alone keeps its books.
-        let (topo, _nodes, links) = Topology::chain(3, MBIT, SimTime::MILLISECOND, 200);
+    fn a_stale_renegotiation_commit_never_reaches_the_slots_next_tenant() {
+        // An 11-ms link for the first tenant, a 1-ms one for the next; no
+        // admission control, so only the messages' effects show.
+        let mut topo = Topology::new();
+        let (x, y) = (topo.add_node(), topo.add_node());
+        let slow = topo.add_link(x, y, MBIT, SimTime::from_millis(10), 200);
+        let fast = topo.add_link(y, x, MBIT, SimTime::ZERO, 200);
         let mut net = Network::new(topo);
-        for &l in &links {
-            net.set_discipline(l, Unified::new(MBIT, 1, Averaging::RunningMean));
-        }
-        net.enable_admission(links[1], controller(), SimTime::SECOND);
-        hog(&mut net, links[1], 800_000.0);
         let mut sig = Signaling::default();
-        let (_req, a) = sig.submit(&mut net, FlowConfig::guaranteed(links.clone(), 200_000.0));
-        // A renegotiation 1 ms behind the setup grows link 0 and meets the
-        // setup's rejection on link 1 at 3 ms; its undo is due on link 0 at
-        // 5 ms, 1 ms after the rollback retired the flow.
-        sig.process_until(&mut net, SimTime::MILLISECOND);
-        sig.renegotiate_clock_rate(&mut net, a, 250_000.0);
-        sig.process_until(&mut net, SimTime::from_micros(4500));
+        let (_req, a) = sig.submit(&mut net, FlowConfig::guaranteed(vec![slow], 300_000.0));
+        sig.process_until(&mut net, SimTime::from_millis(20));
+        // Granted on its one hop at once; the commit is due at 31 ms.
+        sig.renegotiate_clock_rate(&mut net, a, 400_000.0).unwrap();
+        sig.process_until(&mut net, SimTime::from_millis(21));
+        // Torn down first: the one-hop release wave is done at once, and
+        // the drained slot goes to a flow on the fast link.
+        sig.teardown(&mut net, a);
+        sig.process_until(&mut net, SimTime::from_micros(21_500));
         assert_eq!(net.take_drained_flows(), vec![a]);
         net.recycle_flow_slot(a);
-        // The slot's next tenant comes to hold 400k on link 0.
-        let (_req, b) = sig.submit(&mut net, FlowConfig::guaranteed(vec![links[0]], 300_000.0));
+        let (_req, b) = sig.submit(&mut net, FlowConfig::guaranteed(vec![fast], 300_000.0));
         assert_eq!(b, a);
-        sig.renegotiate_clock_rate(&mut net, b, 400_000.0);
+        sig.process_until(&mut net, SimTime::from_micros(30_500));
+        // The newcomer renegotiates too; its commit is due at 31.5 ms, just
+        // after the stale one, which finds another request in the slot.
+        let rb = sig.renegotiate_clock_rate(&mut net, b, 200_000.0).unwrap();
         let events = sig.process_until(&mut net, SimTime::from_secs(1));
         assert!(
             matches!(
                 events[..],
-                [
-                    SignalEvent::Accepted { .. },
-                    SignalEvent::Renegotiated { .. }
-                ]
+                [SignalEvent::Renegotiated { request, at, .. }]
+                    if request == rb && at == SimTime::from_micros(31_500)
             ),
             "{events:?}"
         );
-        // Link 0 has 600k left, not the 800k an undo of the tenant's
-        // increase would leave it.
-        let (_req, c) = sig.submit(&mut net, FlowConfig::guaranteed(vec![links[0]], 650_000.0));
+        assert_eq!(net.flow_config(b).spec.clock_rate_bps(), Some(200_000.0));
+        assert_eq!(sig.pending(), 0);
+    }
+
+    #[test]
+    fn a_second_increase_in_flight_is_refused_at_once() {
+        let (mut net, links) = chain(4);
+        hog(&mut net, links[1], 550_000.0);
+        let mut sig = Signaling::default();
+        let (_r, flow) = sig.submit(&mut net, FlowConfig::guaranteed(links.clone(), 200_000.0));
+        sig.process_until(&mut net, SimTime::from_secs(1));
+        // 200k -> 300k fits every link; 300k -> 500k would not fit link 1
+        // (550k + 500k > 900k), and its undo would bring link 0 back to the
+        // declared 200k after the first had reserved 300k there.
+        let first = sig
+            .renegotiate_clock_rate(&mut net, flow, 300_000.0)
+            .unwrap();
+        assert_eq!(
+            sig.renegotiate_clock_rate(&mut net, flow, 500_000.0),
+            Err(Refusal::Busy)
+        );
         let events = sig.process_until(&mut net, SimTime::from_secs(2));
         assert!(
-            matches!(
-                events[..],
-                [SignalEvent::Rejected {
-                    flow,
-                    reason: ispn_core::admission::RejectReason::SchedulerRefused { .. },
-                    ..
-                }] if flow == c
-            ),
+            matches!(events[..], [SignalEvent::Renegotiated { request, .. }] if request == first),
             "{events:?}"
         );
+        assert_eq!(net.flow_config(flow).spec.clock_rate_bps(), Some(300_000.0));
+        // Every link reserves exactly the committed rate (beside the hog).
+        assert_eq!(reserved(&net, links[0]), 300_000.0);
+        assert_eq!(reserved(&net, links[1]), 850_000.0);
+        assert_eq!(reserved(&net, links[2]), 300_000.0);
+    }
+
+    #[test]
+    fn a_second_teardown_does_nothing_and_the_flow_drains_once() {
+        for recycle in [true, false] {
+            let (mut net, links) = chain(4);
+            let mut sig = Signaling::default();
+            let (_r, flow) = sig.submit(&mut net, FlowConfig::guaranteed(links.clone(), 200_000.0));
+            sig.process_until(&mut net, SimTime::from_secs(1));
+            // A release wave reaches the three hops 0, 2 and 4 ms after
+            // its teardown; the second teardown comes 1 ms after the first.
+            sig.teardown(&mut net, flow);
+            sig.process_until(&mut net, SimTime::from_secs(1) + SimTime::MILLISECOND);
+            sig.teardown(&mut net, flow);
+            sig.process_until(&mut net, SimTime::from_secs(1) + SimTime::from_micros(4500));
+            assert_eq!(net.take_drained_flows(), vec![flow]);
+            if recycle {
+                // The slot's next tenant has a one-hop route: a second wave
+                // would walk it past its end.
+                net.recycle_flow_slot(flow);
+                let one_hop = FlowConfig::guaranteed(vec![links[1]], 100_000.0);
+                assert_eq!(sig.submit(&mut net, one_hop).1, flow);
+            }
+            let events = sig.process_until(&mut net, SimTime::from_secs(2));
+            assert!(net.take_drained_flows().is_empty());
+            assert_eq!(sig.pending(), 0);
+            if recycle {
+                assert!(
+                    matches!(events[..], [SignalEvent::Accepted { flow: f, .. }] if f == flow),
+                    "{events:?}"
+                );
+                let held = [0.0, 100_000.0, 0.0];
+                for (&l, held) in links.iter().zip(held) {
+                    assert_eq!(reserved(&net, l), held);
+                }
+            } else {
+                assert!(events.is_empty(), "{events:?}");
+                for &l in &links {
+                    assert_eq!(reserved(&net, l), 0.0);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1325,8 +1341,8 @@ mod proptests {
         state: State,
         source: Option<AgentId>,
         sink: Option<AgentId>,
-        /// Renegotiations of this request not yet answered or cancelled.
-        renegs: Vec<RequestId>,
+        /// The renegotiation of this request not yet answered or cancelled.
+        reneg: Option<RequestId>,
     }
 
     struct Driver {
@@ -1404,13 +1420,16 @@ mod proptests {
         }
 
         /// The record renegotiation `req` of `flow` was answered for: the
-        /// request must be one that record made and has not seen answered —
-        /// never one of the slot's previous tenant.
+        /// request must be the one that record made and has not seen
+        /// answered — never one of the slot's previous tenant.
         fn answer(&mut self, flow: FlowId, req: RequestId) -> &mut Rec {
             let rec = self.rec(flow);
-            let at = rec.renegs.iter().position(|&r| r == req);
-            let at = at.unwrap_or_else(|| panic!("{req} answered for {flow}, which never asked"));
-            rec.renegs.swap_remove(at);
+            let asked = rec.reneg.take();
+            assert_eq!(
+                asked,
+                Some(req),
+                "{req:?} answered for {flow}, which never asked"
+            );
             rec
         }
 
@@ -1458,14 +1477,14 @@ mod proptests {
                 state: State::Pending,
                 source: None,
                 sink: sink.map(|(id, _)| id),
-                renegs: Vec::new(),
+                reneg: None,
             });
         }
 
         fn teardown(&mut self, i: usize, retire_source: bool) {
             self.recs[i].state = State::Leaving;
-            // A teardown cancels the flow's renegotiations in flight.
-            self.recs[i].renegs.clear();
+            // A teardown cancels the flow's renegotiation in flight.
+            self.recs[i].reneg = None;
             let Rec { flow, source, .. } = self.recs[i];
             if let (true, Some(source)) = (retire_source, source) {
                 self.retire(source);
@@ -1476,7 +1495,9 @@ mod proptests {
         /// Renegotiate a flow whose setup is in flight (or rolling back) or
         /// admitted — up or down for a guaranteed flow, to a bucket that
         /// may fail the criterion for a predicted one — and maybe tear it
-        /// down just before or just after.
+        /// down just before or just after.  Only an admitted flow with no
+        /// renegotiation outstanding may be granted one; a refusal sends
+        /// nothing and reports nothing.
         fn renegotiate(&mut self, a: usize, b: u64) {
             let Some(i) = self.pick(&[State::Pending, State::Accepted], a) else {
                 return;
@@ -1486,7 +1507,14 @@ mod proptests {
                 self.teardown(i, false);
             }
             let step = (b / 3 % 5) as usize;
-            let req = match self.net.flow_config(flow).spec {
+            let sig = &self.sig;
+            let before = (
+                sig.peek_time(),
+                sig.pending(),
+                sig.queue.len(),
+                sig.events.len(),
+            );
+            let asked = match self.net.flow_config(flow).spec {
                 FlowSpec::Guaranteed { .. } => {
                     let rate = [100_000.0, 200_000.0, 300_000.0, 450_000.0, 600_000.0][step];
                     self.sig.renegotiate_clock_rate(&mut self.net, flow, rate)
@@ -1497,7 +1525,22 @@ mod proptests {
                     self.sig.renegotiate_bucket(&mut self.net, flow, bucket)
                 }
             };
-            self.recs[i].renegs.push(req);
+            let sig = &self.sig;
+            let after = (
+                sig.peek_time(),
+                sig.pending(),
+                sig.queue.len(),
+                sig.events.len(),
+            );
+            let rec = &mut self.recs[i];
+            match asked {
+                Ok(req) => assert!(
+                    rec.state == State::Accepted && rec.reneg.replace(req).is_none(),
+                    "{flow} granted {req:?} while {:?}",
+                    rec.state
+                ),
+                Err(refusal) => assert_eq!(before, after, "{flow} refused ({refusal}) noisily"),
+            }
             if b % 3 == 2 {
                 self.teardown(i, false);
             }
@@ -1547,6 +1590,17 @@ mod proptests {
                 assert!(
                     reserved <= 0.9 * MBIT + 1e-6,
                     "{l:?} oversubscribed: {reserved}"
+                );
+                // Whatever is in flight, a link never reserves less than
+                // the admitted flows holding it have declared.
+                let declared: f64 = (self.recs.iter())
+                    .filter(|r| r.state == State::Accepted)
+                    .filter(|r| self.net.installed_links(r.flow).contains(&l))
+                    .filter_map(|r| self.net.flow_config(r.flow).spec.clock_rate_bps())
+                    .sum();
+                assert!(
+                    reserved >= declared - 1e-6,
+                    "{l:?} reserves {reserved}, below the {declared} its flows declare"
                 );
             }
         }
@@ -1659,6 +1713,88 @@ mod proptests {
             d.net.num_flows(),
             d.net.num_agents(),
         )
+    }
+
+    /// One drawn script against a fresh Fig-1-like chain: each op names a
+    /// flow id past the table's end, one freed by a recycle or any other,
+    /// and the script ends by tearing every id down; nothing may be left.
+    fn fuzz_script(script: &[(u64, u64, u64)]) {
+        let Driver { mut net, links, .. } = Driver::new();
+        let mut sig = Signaling::default();
+        let mut freed = Vec::new();
+        for &(op, a, b) in script {
+            let minted = net.num_flows() as u64;
+            let id = FlowId(match b % 3 {
+                0 => minted + a % 4,
+                1 if !freed.is_empty() => freed[a as usize % freed.len()],
+                _ => a % (minted + 1),
+            } as u32);
+            match op {
+                0 => {
+                    let first = (a % 3) as usize;
+                    let route = links[first..=first + (b as usize % (3 - first))].to_vec();
+                    sig.submit(
+                        &mut net,
+                        FlowConfig::guaranteed(route, 150_000.0 * (1 + b % 4) as f64),
+                    );
+                }
+                1 => sig.teardown(&mut net, id),
+                2 => {
+                    let rate = [-1.0, 0.0, f64::NAN, f64::INFINITY, 1e5, 4e5, 8e5][b as usize % 7];
+                    let _ = sig.renegotiate_clock_rate(&mut net, id, rate);
+                }
+                3 => {
+                    let bucket = TokenBucketSpec::per_packets(1.0 + (b % 200) as f64, 50.0, 1000);
+                    let _ = sig.renegotiate_bucket(&mut net, id, bucket);
+                }
+                4 => {
+                    let dt = SimTime::from_micros([0, 300, 1000, 2500][b as usize % 4]);
+                    let horizon = net.now() + dt;
+                    sig.process_until(&mut net, horizon);
+                }
+                _ => {
+                    for flow in net.take_drained_flows() {
+                        net.recycle_flow_slot(flow);
+                        freed.push(flow.0 as u64);
+                    }
+                    net.recycle_flow_slot(id);
+                }
+            }
+        }
+        for i in 0..net.num_flows() {
+            sig.teardown(&mut net, FlowId(i as u32));
+        }
+        let horizon = net.now() + SimTime::SECOND;
+        sig.process_until(&mut net, horizon);
+        assert_eq!(sig.pending(), 0);
+        for &l in &links {
+            assert_eq!(net.admission(l).unwrap().reserved_guaranteed_bps(), 0.0);
+        }
+    }
+
+    /// Setup, teardown, both renegotiations and slot recycling answer any
+    /// id — never minted, freed, rejected, torn down — and any rate with
+    /// an event, a typed refusal or nothing, never a panic: 10 000 drawn
+    /// scripts of up to 24 ops, each under `catch_unwind`.
+    #[test]
+    fn control_entry_points_never_panic_on_any_flow_id() {
+        let mut rng = ispn_sim::Pcg64::new(0x7369_676e);
+        let mut panicked = Vec::new();
+        for _ in 0..10_000 {
+            let len = 1 + rng.next_below(24);
+            let script: Vec<_> = (0..len)
+                .map(|_| (rng.next_below(6), rng.next_below(64), rng.next_below(1000)))
+                .collect();
+            if std::panic::catch_unwind(|| fuzz_script(&script)).is_err() {
+                panicked.push(script);
+            }
+        }
+        assert!(
+            panicked.is_empty(),
+            "{} panicked, first {:?}",
+            panicked.len(),
+            panicked[0]
+        );
     }
 
     proptest! {

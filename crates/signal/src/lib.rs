@@ -24,13 +24,16 @@
 //!   [`Signaling::renegotiate_clock_rate`] grows or shrinks a guaranteed
 //!   reservation (increases are admitted hop by hop and rolled back on
 //!   failure; decreases commit only once the whole path has agreed, so a
-//!   failed renegotiation always leaves the old reservation intact).
+//!   failed renegotiation always leaves the old reservation intact).  Only
+//!   an admitted, idle flow may renegotiate; any other request is a typed
+//!   [`Refusal`] at once.
 //!
 //! This is the only way a reservation is set up, renegotiated or torn
-//! down, but the engine keeps only hops, delays and outcomes: what a link
-//! reserves for a flow — controller quota, scheduler rate and the rate held
-//! there — is `ispn-net`'s reservation ledger's decision alone, made by the
-//! per-link operations each message calls (`admit_flow_on_link`,
+//! down, but the engine keeps only messages, delays and outcomes: a flow's
+//! transaction is its slot's [`FlowPhase`](ispn_net::FlowPhase), and what
+//! a link reserves for a flow — controller quota, scheduler rate and the
+//! rate held there — is `ispn-net`'s reservation ledger's decision alone,
+//! made by the per-link operations each message calls (`admit_flow_on_link`,
 //! `renegotiate_on_link`, `undo_renegotiation_on_link`,
 //! `release_flow_on_link`, and `commit_renegotiation` once a renegotiation
 //! has cleared every hop).  A torn-down flow's source is ended by its
@@ -68,4 +71,4 @@ pub mod engine;
 pub mod messages;
 
 pub use engine::Signaling;
-pub use messages::{RequestId, SignalEvent};
+pub use messages::{Refusal, RequestId, SignalEvent};

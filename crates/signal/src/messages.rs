@@ -1,20 +1,42 @@
-//! The vocabulary of the signaling protocol: request identities and the
-//! events the engine reports back to its driver.
+//! The vocabulary of the signaling protocol: the events the engine reports
+//! back to its driver, and why it refuses a renegotiation at once.
 
 use ispn_core::admission::RejectReason;
 use ispn_core::FlowId;
 use ispn_net::LinkId;
+pub use ispn_net::RequestId;
 use ispn_sim::SimTime;
 
-/// Identity of one signaling transaction (a setup or a renegotiation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct RequestId(pub u64);
+/// Why a renegotiation was refused at once, with no control message sent:
+/// a flow renegotiates only once admitted, one request at a time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// No admitted flow holds the id: it was never minted or is free, the
+    /// flow's setup is in flight or was refused, or it was provisioned
+    /// without signalling.
+    NotAdmitted,
+    /// The flow already has a renegotiation in flight.
+    Busy,
+    /// The flow's teardown has begun.
+    TearingDown,
+    /// A bucket for a flow that is not predicted-service, or a clock rate
+    /// for one that is not guaranteed-service or that is not positive
+    /// and finite.
+    BadRequest,
+}
 
-impl std::fmt::Display for RequestId {
+impl std::fmt::Display for Refusal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "req{}", self.0)
+        f.write_str(match self {
+            Refusal::NotAdmitted => "no admitted flow holds this id",
+            Refusal::Busy => "a renegotiation of the flow is already in flight",
+            Refusal::TearingDown => "the flow is being torn down",
+            Refusal::BadRequest => "the flow's service cannot take this declaration",
+        })
     }
 }
+
+impl std::error::Error for Refusal {}
 
 /// A completed signaling transaction, reported by
 /// [`Signaling::process_until`](crate::Signaling::process_until) in event
@@ -82,17 +104,6 @@ pub enum SignalEvent {
 }
 
 impl SignalEvent {
-    /// The flow the event concerns.
-    pub fn flow(&self) -> FlowId {
-        match self {
-            SignalEvent::Accepted { flow, .. }
-            | SignalEvent::Rejected { flow, .. }
-            | SignalEvent::TornDown { flow, .. }
-            | SignalEvent::Renegotiated { flow, .. }
-            | SignalEvent::RenegotiationRejected { flow, .. } => *flow,
-        }
-    }
-
     /// When the event happened.
     pub fn at(&self) -> SimTime {
         match self {

@@ -75,7 +75,12 @@ fn main() {
     // paper's (85 pkt/s, 50 pkt) — every hop re-runs the criterion.
     sim.schedule_at(SimTime::from_secs(5), move |sim: &mut Sim| {
         let roomy = TokenBucketSpec::per_packets(85.0, 50.0, 1000);
-        sim.renegotiate_bucket(voice, roomy);
+        if let Err(refusal) = sim.renegotiate_bucket(voice, roomy) {
+            println!(
+                "[{}] {voice} renegotiation refused at once: {refusal}",
+                sim.now()
+            );
+        }
     });
 
     // t = 10 s: a greedy 600 kbit/s guaranteed request must be refused —

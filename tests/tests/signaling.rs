@@ -159,7 +159,7 @@ fn renegotiation_switches_the_edge_policer() {
     assert!(net.flow_active(flow));
 
     let roomy = TokenBucketSpec::per_packets(85.0, 50.0, 1000);
-    sig.renegotiate_bucket(&mut net, flow, roomy);
+    sig.renegotiate_bucket(&mut net, flow, roomy).unwrap();
     let events = sig.process_until(&mut net, SimTime::from_secs(2));
     assert!(
         events
