@@ -19,6 +19,7 @@
 use ispn_core::{FlowId, ServiceClass};
 use ispn_sim::SimTime;
 use ispn_stats::NanoSamples;
+use std::num::Saturating;
 
 /// Per-flow measurement state.
 #[derive(Debug, Default)]
@@ -49,8 +50,9 @@ pub struct FlowCounters {
 #[derive(Debug, Default)]
 struct LinkStats {
     busy: SimTime,
-    bits_sent: u64,
-    realtime_bits_sent: u64,
+    /// Saturating, like `busy`: a packet of `u64::MAX` bits is legal input.
+    bits_sent: Saturating<u64>,
+    realtime_bits_sent: Saturating<u64>,
     drops: u64,
 }
 
@@ -189,15 +191,12 @@ impl Monitor {
         bits: u64,
         now: SimTime,
     ) {
-        self.note_time(now.saturating_add(tx_time));
-        // Saturating, like the event times: a packet of `u64::MAX` bits,
-        // or one on a link too slow to send it before `SimTime::MAX`, is
-        // legal input.
+        self.note_time(now + tx_time);
         let l = &mut self.links[link];
-        l.busy = l.busy.saturating_add(tx_time);
-        l.bits_sent = l.bits_sent.saturating_add(bits);
+        l.busy += tx_time;
+        l.bits_sent += bits;
         if class.is_realtime() {
-            l.realtime_bits_sent = l.realtime_bits_sent.saturating_add(bits);
+            l.realtime_bits_sent += bits;
         }
         self.link_packets[link] += 1;
     }
@@ -281,8 +280,8 @@ impl Monitor {
         let span = self.last_event.as_secs_f64();
         let (utilization, realtime_utilization) = if span > 0.0 {
             let busy = l.busy.as_secs_f64() / span;
-            let rt = if l.bits_sent > 0 {
-                busy * l.realtime_bits_sent as f64 / l.bits_sent as f64
+            let rt = if l.bits_sent.0 > 0 {
+                busy * l.realtime_bits_sent.0 as f64 / l.bits_sent.0 as f64
             } else {
                 0.0
             };
@@ -301,7 +300,7 @@ impl Monitor {
     /// Cumulative bits of real-time (guaranteed or predicted) traffic
     /// transmitted on a link.
     pub fn link_realtime_bits_sent(&self, link: usize) -> u64 {
-        self.links[link].realtime_bits_sent
+        self.links[link].realtime_bits_sent.0
     }
 
     /// Number of links the monitor knows about.

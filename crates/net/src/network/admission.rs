@@ -47,7 +47,7 @@ impl Network {
         });
         let link = port.id;
         self.schedule(
-            self.now.saturating_add(sample_interval),
+            self.now + sample_interval,
             NetEvent::AdmissionSample { link },
         );
     }
@@ -74,7 +74,7 @@ impl Network {
         }
         ad.last_rt_bits = rt_bits;
         ad.last_sample = now;
-        let next = now.saturating_add(ad.sample_interval);
+        let next = now + ad.sample_interval;
         let link = port.id;
         self.schedule(next, NetEvent::AdmissionSample { link });
     }

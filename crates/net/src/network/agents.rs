@@ -212,9 +212,7 @@ impl Network {
             self.inject(p);
         }
         if let Some((delay, token)) = api.timer.take() {
-            // Saturating, like every sum that mints an event time: past
-            // `SimTime::MAX` a wrapped stamp would pop "from the past".
-            self.arm_timer(agent, self.now.saturating_add(delay), token);
+            self.arm_timer(agent, self.now + delay, token);
         }
         self.api_pool.push(api);
     }

@@ -513,6 +513,16 @@ macro_rules! tests {
         }
 
         #[test]
+        fn fixed_delay_over_links_that_never_deliver_is_the_end_of_time() {
+            // Two hops of `SimTime::MAX` propagation: the route's sum
+            // absorbs at the end of time instead of wrapping to 2 ms − 2 ns.
+            let (topo, _nodes, links) = Topology::chain(3, MBIT, SimTime::MAX, 200);
+            let mut net = Network::new(topo);
+            let flow = net.add_flow(FlowConfig::datagram(links));
+            assert_eq!(net.fixed_delay(flow, PKT), SimTime::MAX);
+        }
+
+        #[test]
         fn sink_agent_sees_correct_delay_decomposition() {
             let (mut net, link) = two_switch_net();
             let record = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));

@@ -229,13 +229,10 @@ impl Network {
         packet.hop += 1;
         port.wire.push_back(packet);
         let id = port.id;
-        let done = self.now.saturating_add(tx_time);
+        let done = self.now + tx_time;
         self.schedule_completion(done, id);
         if params.propagation > SimTime::ZERO {
-            self.schedule(
-                done.saturating_add(params.propagation),
-                NetEvent::Arrival { link: id },
-            );
+            self.schedule(done + params.propagation, NetEvent::Arrival { link: id });
         }
     }
 

@@ -704,7 +704,8 @@ mod tests {
     /// three-switch duplex chain, every number drawn half the time from a
     /// hostile palette (NaN, ±∞, zero, negative, tiny, huge) and half the
     /// time from a workable value; one route in eight loops back through
-    /// its first switch.
+    /// its first switch.  Half the link profiles and half the on/off start
+    /// offsets sit within 2¹⁰ ns of the end of time.
     fn hostile_scenario(seed: u64) -> ScenarioBuilder {
         use ispn_core::TokenBucketSpec;
         use ispn_traffic::OnOffConfig;
@@ -728,6 +729,7 @@ mod tests {
         let mut rng = proptest::TestRng::new(seed ^ 0x5EED);
         let mut below = |n: u64| rng.below(n);
         let size = |i: u64| [0, 1, 1000, 12_000, u64::MAX][i as usize];
+        let end_of_time = |below_max: u64| SimTime::MAX - SimTime::from_nanos(below_max);
         let nodes = 2 + below(2) as usize;
         let discipline = [
             DisciplineSpec::Fifo,
@@ -742,7 +744,11 @@ mod tests {
         let mut builder = ScenarioBuilder::new(TopologySpec::chain_duplex(nodes))
             .link_profile(LinkProfile {
                 rate_bps: number(1e6),
-                propagation: SimTime::from_micros(below(2) * 500),
+                propagation: match below(4) {
+                    0 | 1 => SimTime::from_micros(below(2) * 500),
+                    2 => end_of_time(below(1 << 10)),
+                    _ => SimTime::MAX,
+                },
                 buffer_packets: [1, 200][below(2) as usize],
             })
             .discipline(discipline);
@@ -785,7 +791,10 @@ mod tests {
                         rate_bps: number(85_000.0),
                         depth_bits: number(50_000.0),
                     }),
-                    start_offset: SimTime::from_micros(below(1000)),
+                    start_offset: match below(2) {
+                        0 => SimTime::from_micros(below(1000)),
+                        _ => end_of_time(below(1 << 10)),
+                    },
                     seed: below(1 << 20),
                 }),
                 _ => SourceSpec::Trace {

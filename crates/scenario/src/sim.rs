@@ -473,9 +473,7 @@ impl Sim {
                     hops,
                     source: Some(source),
                 });
-                self.schedule_at(at.saturating_add(hold), move |sim| {
-                    sim.churn_departure(flow)
-                });
+                self.schedule_at(at + hold, move |sim| sim.churn_departure(flow));
             }
             SignalEvent::Rejected { flow, .. } => {
                 if let Some(slot @ ChurnSlot::Requested { .. }) = d.slots.get_mut(flow.index()) {
@@ -637,7 +635,7 @@ impl Sim {
     /// Schedule an action `delay` from now (`SimTime::MAX` saturates: the
     /// end of time, never a wrapped instant in the past).
     pub fn schedule_in(&mut self, delay: SimTime, action: impl FnOnce(&mut Sim) + 'static) {
-        self.schedule_at(self.now().saturating_add(delay), action);
+        self.schedule_at(self.now() + delay, action);
     }
 
     /// Begin a hop-by-hop flow setup (see [`Signaling::submit`]).

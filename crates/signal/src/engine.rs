@@ -125,7 +125,7 @@ impl Signaling {
         let params = net.topology().link(link);
         let hop = ispn_sim::time::transmission_time(CONTROL_PACKET_BITS, params.rate_bps)
             + params.propagation;
-        self.queue.push(at.saturating_add(hop), event);
+        self.queue.push(at + hop, event);
     }
 
     /// Number of signaling transactions still in flight.
@@ -550,6 +550,20 @@ mod tests {
         for &l in &links {
             assert!((net.admission(l).unwrap().reserved_guaranteed_bps() - 300_000.0).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn a_control_hop_over_a_link_that_never_delivers_lands_at_the_end_of_time() {
+        let (topo, _nodes, links) = Topology::chain(2, MBIT, SimTime::MAX, 200);
+        let mut net = Network::new(topo);
+        net.set_discipline(links[0], Unified::new(MBIT, 1, Averaging::RunningMean));
+        let mut sig = Signaling::default();
+        sig.submit(&mut net, FlowConfig::guaranteed(links, 300_000.0));
+        assert!(sig.process_next(&mut net).is_empty());
+        // The first hop admitted the flow and sent the setup on: one
+        // control-packet time plus the propagation absorbs at the end of
+        // time instead of wrapping to 1 ms − 1 ns.
+        assert_eq!(sig.peek_time(), Some(SimTime::MAX));
     }
 
     #[test]
@@ -1492,21 +1506,35 @@ mod proptests {
             self.sig.teardown(&mut self.net, flow);
         }
 
-        /// Renegotiate a flow whose setup is in flight (or rolling back) or
-        /// admitted — up or down for a guaranteed flow, to a bucket that
-        /// may fail the criterion for a predicted one — and maybe tear it
-        /// down just before or just after.  Only an admitted flow with no
-        /// renegotiation outstanding may be granted one; a refusal sends
-        /// nothing and reports nothing.
+        /// Renegotiate a flow — up or down for a guaranteed flow, to a
+        /// bucket that may fail the criterion for a predicted one — and on
+        /// one draw in six tear it down, half the time just before the
+        /// call and half just after.  An admitted flow with no
+        /// renegotiation outstanding is drawn first, then one with, and a
+        /// setup in flight (or rolling back) only when no flow is
+        /// admitted.  Only an admitted flow with no renegotiation
+        /// outstanding may be granted one; a refusal sends nothing and
+        /// reports nothing.
         fn renegotiate(&mut self, a: usize, b: u64) {
-            let Some(i) = self.pick(&[State::Pending, State::Accepted], a) else {
+            let admitted: Vec<usize> = (0..self.recs.len())
+                .filter(|&i| self.recs[i].state == State::Accepted)
+                .collect();
+            let idle: Vec<usize> = (admitted.iter().copied())
+                .filter(|&i| self.recs[i].reneg.is_none())
+                .collect();
+            let Some(i) = [idle, admitted]
+                .into_iter()
+                .find(|found| !found.is_empty())
+                .map(|found| found[a % found.len()])
+                .or_else(|| self.pick(&[State::Pending], a))
+            else {
                 return;
             };
             let flow = self.recs[i].flow;
-            if b % 3 == 1 {
+            if b % 12 == 1 {
                 self.teardown(i, false);
             }
-            let step = (b / 3 % 5) as usize;
+            let step = (b / 12 % 5) as usize;
             let sig = &self.sig;
             let before = (
                 sig.peek_time(),
@@ -1541,7 +1569,7 @@ mod proptests {
                 ),
                 Err(refusal) => assert_eq!(before, after, "{flow} refused ({refusal}) noisily"),
             }
-            if b % 3 == 2 {
+            if b % 12 == 7 {
                 self.teardown(i, false);
             }
         }

@@ -107,6 +107,10 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule `event` to fire at absolute simulated time `time`.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the sequence counter: 2^64 pushes outlast any run at any event rate"
+    )]
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;

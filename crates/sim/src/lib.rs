@@ -26,6 +26,10 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// The lib, not its unit tests, denies raw integer arithmetic: `SimTime`'s
+// `+` saturates by type, and each operation left carries an `#[expect]`
+// saying why it cannot overflow or must panic.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 
 pub mod event;
 pub mod rng;

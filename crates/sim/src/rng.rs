@@ -90,6 +90,10 @@ impl Pcg64 {
             let x = self.next_u64();
             let m = (x as u128).wrapping_mul(bound as u128);
             let low = m as u64;
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "bound > 0 was asserted, so neither the sum nor the remainder can overflow"
+            )]
             if low >= bound || low >= (u64::MAX - bound + 1) % bound {
                 return (m >> 64) as u64;
             }

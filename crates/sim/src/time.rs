@@ -13,11 +13,12 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// A point in simulated time, in nanoseconds since simulation start.
 ///
 /// `SimTime` is also used for durations (the paper never needs dates).  The
-/// arithmetic operators are plain `u64` arithmetic: a `+` / `+=` past
-/// [`SimTime::MAX`] or a `-` / `-=` below zero panics in debug builds and
-/// wraps in release.  Where operands may legitimately overflow or come out
-/// of order, use [`SimTime::saturating_add`] / [`SimTime::saturating_sub`]
-/// (ROADMAP item 13 plans to make the end of time absorbing by type).
+/// end of time absorbs: `+`, `+=` and the `from_micros` / `from_millis` /
+/// `from_secs` constructors saturate at [`SimTime::MAX`] in every build, so
+/// a sum that mints an event time can never wrap into the past.  A `-` /
+/// `-=` below zero is a logic error and panics in debug builds; where the
+/// operands may legitimately be out of order, use
+/// [`SimTime::saturating_sub`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
@@ -40,22 +41,22 @@ impl SimTime {
         SimTime(ns)
     }
 
-    /// Construct from microseconds.
+    /// Construct from microseconds (saturating).
     #[inline]
     pub const fn from_micros(us: u64) -> Self {
-        SimTime(us * 1_000)
+        SimTime(us.saturating_mul(1_000))
     }
 
-    /// Construct from milliseconds.
+    /// Construct from milliseconds (saturating).
     #[inline]
     pub const fn from_millis(ms: u64) -> Self {
-        SimTime(ms * 1_000_000)
+        SimTime(ms.saturating_mul(1_000_000))
     }
 
-    /// Construct from whole seconds.
+    /// Construct from whole seconds (saturating).
     #[inline]
     pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000)
+        SimTime(s.saturating_mul(1_000_000_000))
     }
 
     /// Construct from fractional seconds, rounding to the nearest
@@ -102,12 +103,6 @@ impl SimTime {
         SimTime(self.0.saturating_sub(other.0))
     }
 
-    /// Saturating addition.
-    #[inline]
-    pub fn saturating_add(self, other: SimTime) -> SimTime {
-        SimTime(self.0.saturating_add(other.0))
-    }
-
     /// Multiply a duration by an integer factor (saturating).
     #[inline]
     pub fn saturating_mul(self, k: u64) -> SimTime {
@@ -124,16 +119,17 @@ impl SimTime {
 
 impl Add for SimTime {
     type Output = SimTime;
+    /// Saturates at [`SimTime::MAX`]: the end of time absorbs.
     #[inline]
     fn add(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimTime {
     #[inline]
     fn add_assign(&mut self, rhs: SimTime) {
-        self.0 += rhs.0;
+        self.0 = self.0.saturating_add(rhs.0);
     }
 }
 
@@ -142,6 +138,10 @@ impl Sub for SimTime {
     /// Panics in debug builds on underflow; use [`SimTime::saturating_sub`]
     /// when the operands may legitimately be out of order.
     #[inline]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "a negative duration is a logic error, so underflow panics in debug"
+    )]
     fn sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0 - rhs.0)
     }
@@ -149,6 +149,10 @@ impl Sub for SimTime {
 
 impl SubAssign for SimTime {
     #[inline]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "a negative duration is a logic error, so underflow panics in debug"
+    )]
     fn sub_assign(&mut self, rhs: SimTime) {
         self.0 -= rhs.0;
     }
@@ -206,6 +210,38 @@ mod tests {
         assert_eq!(a.saturating_mul(3), SimTime::from_millis(15));
         assert_eq!(a.max(b), a);
         assert_eq!(a.min(b), b);
+    }
+
+    #[test]
+    fn the_end_of_time_absorbs_every_sum_and_constructor() {
+        let one = SimTime::from_nanos(1);
+        assert_eq!(SimTime::MAX + one, SimTime::MAX);
+        assert_eq!(SimTime::MAX + SimTime::MAX, SimTime::MAX);
+        assert_eq!(SimTime(u64::MAX - 1) + one, SimTime::MAX);
+        let mut t = SimTime(u64::MAX - 1);
+        t += one;
+        assert_eq!(t, SimTime::MAX);
+        t += one;
+        assert_eq!(t, SimTime::MAX);
+        // Each constructor is exact up to its last representable whole
+        // unit and saturates one unit past it.
+        for (from, unit) in [
+            (SimTime::from_micros as fn(u64) -> SimTime, 1_000),
+            (SimTime::from_millis, 1_000_000),
+            (SimTime::from_secs, 1_000_000_000),
+        ] {
+            let last = u64::MAX / unit;
+            assert_eq!(from(last), SimTime(last * unit));
+            assert_eq!(from(last + 1), SimTime::MAX);
+            assert_eq!(from(u64::MAX), SimTime::MAX);
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "attempt to subtract with overflow")]
+    fn a_negative_duration_panics_in_debug() {
+        let _ = SimTime::ZERO - SimTime::from_nanos(1);
     }
 
     #[test]

@@ -153,9 +153,7 @@ impl Agent for OnOffSource {
             // The burst is over: idle for an exponential period (measured
             // after the last packet's peak-rate slot; a draw past
             // `SimTime::MAX` saturates).
-            self.peak_gap.saturating_add(SimTime::from_secs_f64(
-                self.rng.exponential(self.mean_idle_secs),
-            ))
+            self.peak_gap + SimTime::from_secs_f64(self.rng.exponential(self.mean_idle_secs))
         };
         api.set_timer(next, 0);
     }
