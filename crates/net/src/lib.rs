@@ -33,7 +33,9 @@
 //! `network/agents.rs` (agent and timer slots, callback dispatch) and
 //! `network/admission.rs` (admission sampling and the per-hop reservation
 //! ledger: the rate each flow holds on each link, which setup,
-//! renegotiation and release change there alone).
+//! renegotiation and release change there alone — for declared and
+//! signalled flows alike, since a scheduler takes rates only through
+//! `install_guaranteed` / `remove_flow`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -323,7 +323,9 @@ mod tests {
     use crate::agent::{Agent, Delivery};
     use ispn_core::admission::{AdmissionConfig, AdmissionController};
     use ispn_core::{Conformance, FlowId, FlowSpec, Packet, ServiceClass, TokenBucketSpec};
-    use ispn_sched::{Averaging, Discipline, Fifo, FifoPlus, StrictPriority, Unified, Wfq};
+    use ispn_sched::{
+        Averaging, Discipline, Fifo, FifoPlus, QueueDiscipline, StrictPriority, Unified, Wfq,
+    };
 
     const MBIT: f64 = 1_000_000.0;
     const PKT: u64 = 1000;

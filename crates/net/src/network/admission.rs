@@ -80,9 +80,17 @@ impl Network {
     }
 
     /// The links on which reservation state is currently installed for a
-    /// flow (in installation order).
-    pub fn installed_links(&self, flow: FlowId) -> &[LinkId] {
-        &self.flows[flow.index()].installed_links
+    /// flow (in installation order), each with the guaranteed rate held
+    /// there (0 for predicted service).
+    pub fn installed_links(
+        &self,
+        flow: FlowId,
+    ) -> impl ExactSizeIterator<Item = (LinkId, f64)> + '_ {
+        let f = &self.flows[flow.index()];
+        f.installed_links
+            .iter()
+            .copied()
+            .zip(f.held_bps.iter().copied())
     }
 
     /// Structural size of the per-link reservation state in bytes: the
@@ -303,7 +311,8 @@ macro_rules! tests {
             }
             net.set_flow_phase(flow, FlowPhase::Admitted);
             assert!(net.flow_active(flow));
-            assert_eq!(net.installed_links(flow).len(), 2);
+            let held: Vec<_> = net.installed_links(flow).collect();
+            assert_eq!(held, [(links[0], 400_000.0), (links[1], 400_000.0)]);
             for &l in &links {
                 let ad = net.admission(l).unwrap();
                 assert!((ad.reserved_guaranteed_bps() - 400_000.0).abs() < 1e-6);
@@ -314,7 +323,7 @@ macro_rules! tests {
             }
             net.set_flow_phase(flow, FlowPhase::Idle);
             assert!(!net.flow_active(flow));
-            assert!(net.installed_links(flow).is_empty());
+            assert_eq!(net.installed_links(flow).next(), None);
             for &l in &links {
                 assert_eq!(net.admission(l).unwrap().reserved_guaranteed_bps(), 0.0);
             }

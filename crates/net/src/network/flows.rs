@@ -170,7 +170,10 @@ pub(super) struct FlowState {
 
 impl Network {
     /// Register a flow and return its id.  The flow is immediately active
-    /// (static provisioning — no admission control is consulted).
+    /// (static provisioning — no admission control is consulted); a rate
+    /// it is to hold is reserved on each hop with
+    /// [`renegotiate_on_link`](Network::renegotiate_on_link), as
+    /// `ScenarioBuilder` does.
     ///
     /// # Panics
     /// Panics if the route is not a loop-free contiguous path in the

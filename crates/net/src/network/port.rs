@@ -407,14 +407,14 @@ macro_rules! tests {
                     0 => Wfq::equal_share(MBIT, 2).into(),
                     1 => FifoPlus::new(Averaging::RunningMean).into(),
                     2 => StrictPriority::<Fifo>::new(2).into(),
-                    _ => {
-                        let mut u = Unified::new(MBIT, 2, Averaging::RunningMean);
-                        u.add_guaranteed_flow(FlowId(0), 200_000.0);
-                        u.into()
-                    }
+                    _ => Unified::new(MBIT, 2, Averaging::RunningMean).into(),
                 };
                 net.set_discipline(links[0], disc);
                 let f0 = net.add_flow(FlowConfig::guaranteed(links.clone(), 200_000.0));
+                for &l in &links {
+                    let spec = FlowSpec::guaranteed(200_000.0);
+                    assert!(net.renegotiate_on_link(f0, l, &spec).is_accept());
+                }
                 let f1 = net.add_flow(FlowConfig {
                     route: links.clone(),
                     spec: FlowSpec::Datagram,
@@ -622,7 +622,7 @@ macro_rules! tests {
             let cross = net.add_flow(FlowConfig::datagram(links[..1].to_vec()).with_sink(sink));
             for &link in &links {
                 let mut wfq = Wfq::new(MBIT, MBIT / 4.0);
-                wfq.set_rate(trace, 600_000.0);
+                wfq.install_guaranteed(trace, 600_000.0);
                 net.set_discipline(link, wfq);
             }
             let script: Script = (0..150u64)

@@ -1,7 +1,7 @@
 //! The scenario builder: topology + disciplines + workload + admission in,
 //! a ready-to-run [`Sim`] out.
 
-use ispn_core::admission::{AdmissionConfig, AdmissionController};
+use ispn_core::admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
 use ispn_net::{LinkId, Network};
 use ispn_traffic::{CbrSource, OnOffSource, PoissonSource, TraceSource};
 use ispn_transport::install_tcp;
@@ -158,9 +158,13 @@ impl ScenarioBuilder {
     /// simulation facade.
     ///
     /// Construction order is fixed (flows, then disciplines, then sources,
-    /// then transports, then admission) so that identical declarations
-    /// always produce identical simulations — flow ids, agent ids and
-    /// event-queue seeding included.
+    /// then transports, then admission, then the declared guaranteed
+    /// flows' reservations) so that identical declarations always produce
+    /// identical simulations — flow ids, agent ids and event-queue seeding
+    /// included.  Each declared guaranteed flow reserves its clock rate hop
+    /// by hop through the network's ledger, as a signalled setup does, so
+    /// the admission controllers count it and a teardown gives it back; a
+    /// link that refuses it is [`BuildError::BadFlow`].
     pub fn build(self) -> Result<Sim, BuildError> {
         // Numbers first: the constructors below assert what these check.
         for (flow, def) in self.flows.iter().enumerate() {
@@ -201,10 +205,6 @@ impl ScenarioBuilder {
                 .enumerate()
                 .filter(|(_, r)| r.contains(&link))
                 .map(|(i, _)| i)
-                .collect();
-            let guaranteed: Vec<(usize, f64)> = crossing
-                .iter()
-                .filter_map(|&i| self.flows[i].service.clock_rate_bps().map(|rate| (i, rate)))
                 .collect();
             // A priority level the link lacks would be served in its
             // lowest predicted one; the other disciplines have no levels,
@@ -247,28 +247,8 @@ impl ScenarioBuilder {
                     ),
                 });
             }
-            let params = *built.topology.link(link);
-            // `Unified` asserts its guaranteed rates stay below the link's.
-            if let DisciplineSpec::Unified { .. } = spec {
-                let mut sum = 0.0;
-                for &(flow, rate) in &guaranteed {
-                    sum += rate;
-                    if sum >= params.rate_bps {
-                        return Err(BuildError::BadFlow {
-                            flow,
-                            reason: format!(
-                                "guaranteed clock rates on link {link_idx} reach its rate of {} bit/s",
-                                params.rate_bps
-                            ),
-                        });
-                    }
-                }
-            }
-            let guaranteed: Vec<(ispn_core::FlowId, f64)> = guaranteed
-                .into_iter()
-                .map(|(i, rate)| (flow_ids[i], rate))
-                .collect();
-            net.set_discipline(link, spec.build(&params, crossing.len(), &guaranteed));
+            let params = built.topology.link(link);
+            net.set_discipline(link, spec.build(params, crossing.len(), &[]));
         }
 
         // 3. Attach the traffic sources (agent ids follow flow declaration
@@ -332,9 +312,27 @@ impl ScenarioBuilder {
             }
         }
 
+        // 6. Reserve the declared guaranteed flows through the ledger.
+        for (i, (&flow, route)) in flow_ids.iter().zip(&routes).enumerate() {
+            let spec = net.flow_config(flow).spec.clone();
+            if spec.clock_rate_bps().is_none() {
+                continue;
+            }
+            for &link in route {
+                if let AdmissionDecision::Reject { reason } =
+                    net.renegotiate_on_link(flow, link, &spec)
+                {
+                    return Err(BuildError::BadFlow {
+                        flow: i,
+                        reason: format!("link {} refused its clock rate: {reason}", link.0),
+                    });
+                }
+            }
+        }
+
         let mut sim = Sim::from_parts(net, flow_ids, tcp, built);
 
-        // 6. Attach the dynamic workload.
+        // 7. Attach the dynamic workload.
         if let WorkloadSpec::Churn(churn) = self.workload {
             churn
                 .validate()
@@ -363,7 +361,10 @@ mod tests {
     use super::*;
     use crate::report::MeasurementPlan;
     use crate::workload::{ServiceSpec, SourceSpec};
+    use ispn_core::admission::RejectReason;
+    use ispn_net::FlowConfig;
     use ispn_net::NodeId;
+    use ispn_signal::SignalEvent;
     use ispn_sim::SimTime;
 
     #[test]
@@ -848,6 +849,245 @@ mod tests {
             accepted > 1_000,
             "only {accepted} of 10 000 scenarios built"
         );
+    }
+
+    /// A one-link chain running `spec`, holding a declared 600 kbit/s
+    /// guaranteed flow, under the paper's admission control if `admission`.
+    fn declared_600k(spec: DisciplineSpec, admission: bool) -> Sim {
+        let mut builder = ScenarioBuilder::chain(2)
+            .discipline(spec)
+            .flow(FlowDef::guaranteed(0, 1, 600_000.0));
+        if admission {
+            builder = builder.admission(AdmissionSpec::paper(vec![SimTime::from_millis(100)]));
+        }
+        builder.build().expect("600 kbit/s fits a 1 Mbit/s link")
+    }
+
+    /// Signal a guaranteed setup of `rate_bps` over link 0 and run until it
+    /// completes: `Ok` if admitted, else why not.
+    fn signal(sim: &mut Sim, rate_bps: f64) -> Result<(), RejectReason> {
+        let outcome = std::rc::Rc::new(std::cell::Cell::new(None));
+        let seen = outcome.clone();
+        sim.on_signal(move |event, _| match *event {
+            SignalEvent::Accepted { .. } => seen.set(Some(Ok(()))),
+            SignalEvent::Rejected { reason, .. } => seen.set(Some(Err(reason))),
+            _ => {}
+        });
+        sim.submit(FlowConfig::guaranteed(vec![LinkId(0)], rate_bps));
+        sim.run_until(sim.now() + SimTime::from_millis(10));
+        outcome.take().expect("the setup completed")
+    }
+
+    const UNIFIED: DisciplineSpec = DisciplineSpec::Unified {
+        priority_classes: 2,
+        averaging: ispn_sched::Averaging::RunningMean,
+    };
+
+    /// The four disciplines whose installs differ: class-based, WFQ,
+    /// VirtualClock and the unified scheduler.
+    const FOUR: [DisciplineSpec; 4] = [
+        DisciplineSpec::Fifo,
+        DisciplineSpec::Wfq,
+        DisciplineSpec::VirtualClock,
+        UNIFIED,
+    ];
+
+    /// A declared flow's rate went straight into the scheduler, beside the
+    /// ledger: WFQ never counted it, and admitted a signalled 600 kbit/s
+    /// beside it — 1.2 Mbit/s reserved on a 1 Mbit/s link.
+    #[test]
+    fn a_signalled_rate_cannot_oversubscribe_a_declared_one() {
+        for spec in [DisciplineSpec::Wfq, UNIFIED] {
+            let mut sim = declared_600k(spec, false);
+            let refused = RejectReason::SchedulerRefused {
+                rate_bps: 600_000.0,
+            };
+            assert_eq!(signal(&mut sim, 600_000.0), Err(refused), "{spec:?}");
+        }
+    }
+
+    /// Admission control never heard of a declared flow: a signalled
+    /// 350 kbit/s was admitted beside a declared 600, 950 kbit/s against a
+    /// 900 kbit/s quota.
+    #[test]
+    fn admission_control_counts_declared_guaranteed_flows() {
+        for spec in FOUR {
+            let mut sim = declared_600k(spec, true);
+            let refused = RejectReason::GuaranteedQuota {
+                reserved_bps: 600_000.0,
+                requested_bps: 350_000.0,
+                quota_bps: 900_000.0,
+            };
+            assert_eq!(signal(&mut sim, 350_000.0), Err(refused), "{spec:?}");
+        }
+    }
+
+    /// A declared flow held no links, so its teardown gave nothing back
+    /// and the scheduler kept its 600 kbit/s for good.
+    #[test]
+    fn tearing_a_declared_flow_down_gives_its_rate_back() {
+        for spec in [DisciplineSpec::Wfq, UNIFIED] {
+            let mut sim = declared_600k(spec, false);
+            let declared = sim.flows()[0];
+            sim.teardown(declared);
+            sim.run_until(SimTime::from_millis(10));
+            assert_eq!(sim.network().installed_links(declared).next(), None);
+            assert_eq!(signal(&mut sim, 350_000.0), Ok(()), "{spec:?}");
+            assert_eq!(signal(&mut sim, 500_000.0), Ok(()), "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn declared_rates_a_link_cannot_hold_do_not_build() {
+        for spec in [DisciplineSpec::Wfq, UNIFIED] {
+            let err = ScenarioBuilder::chain(2)
+                .discipline(spec)
+                .flow(FlowDef::guaranteed(0, 1, 600_000.0))
+                .flow(FlowDef::guaranteed(0, 1, 600_000.0))
+                .build()
+                .err()
+                .unwrap_or_else(|| panic!("1.2 Mbit/s built on a 1 Mbit/s {spec:?} link"));
+            assert!(matches!(err, BuildError::BadFlow { flow: 1, .. }), "{err}");
+            assert!(err.to_string().contains("link 0"), "{err}");
+        }
+        // Within the link but over the admission quota.
+        let err = ScenarioBuilder::chain(2)
+            .discipline(DisciplineSpec::Fifo)
+            .admission(AdmissionSpec::paper(vec![SimTime::from_millis(100)]))
+            .flow(FlowDef::guaranteed(0, 1, 600_000.0))
+            .flow(FlowDef::guaranteed(0, 1, 350_000.0))
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, BuildError::BadFlow { flow: 1, .. }), "{err}");
+    }
+
+    #[test]
+    fn a_declared_guaranteed_flow_holds_its_whole_route() {
+        for spec in FOUR {
+            let sim = ScenarioBuilder::chain(4)
+                .discipline(spec)
+                .flow(FlowDef::datagram(0, 3))
+                .flow(FlowDef::guaranteed(0, 3, 200_000.0))
+                .build()
+                .unwrap();
+            let net = sim.network();
+            let held: Vec<_> = net.installed_links(sim.flows()[1]).collect();
+            let route = &net.flow_config(sim.flows()[1]).route;
+            assert_eq!(
+                held,
+                route.iter().map(|&l| (l, 200_000.0)).collect::<Vec<_>>()
+            );
+            assert_eq!(net.installed_links(sim.flows()[0]).next(), None);
+        }
+    }
+
+    /// On every link of `sim`, the guaranteed rates its flows hold sum to
+    /// what its controller reserves and, on a WFQ or unified link, stay
+    /// below the link's rate.
+    fn assert_ledger_balances(sim: &Sim, spec: DisciplineSpec) {
+        let net = sim.network();
+        for &link in &sim.built().forward {
+            let held: f64 = (0..net.num_flows())
+                .flat_map(|i| net.installed_links(ispn_core::FlowId(i as u32)))
+                .filter(|&(at, _)| at == link)
+                .map(|(_, rate)| rate)
+                .sum();
+            if let Some(ad) = net.admission(link) {
+                assert_eq!(held, ad.reserved_guaranteed_bps(), "{link:?}");
+            }
+            if matches!(spec, DisciplineSpec::Wfq | DisciplineSpec::Unified { .. }) {
+                assert!(
+                    held < net.topology().link(link).rate_bps,
+                    "{link:?} holds {held}"
+                );
+            }
+        }
+    }
+
+    /// Spans of the three-link chain, drawn from `a`.
+    fn span(a: usize) -> (usize, usize) {
+        let first = a % 3;
+        (first, 1 + (a / 3) % (3 - first))
+    }
+
+    /// One drawn mix: `declared` guaranteed flows of `150 kbit/s × k` on
+    /// spans of a three-link chain, then `signalled` steps — a setup, or a
+    /// teardown of any flow — each followed by 0, 1 or 5 ms of run.
+    fn check_mix(
+        spec: DisciplineSpec,
+        admission: bool,
+        declared: &[(usize, u64)],
+        signalled: &[(usize, u64, u8)],
+    ) {
+        let paper = AdmissionSpec::paper(vec![SimTime::from_millis(100)]);
+        let chain = || {
+            let builder = ScenarioBuilder::chain(4).discipline(spec);
+            match admission {
+                true => builder.admission(paper.clone()),
+                false => builder,
+            }
+        };
+        let fresh = chain().build().unwrap().network().reservation_state_bytes();
+        let mut builder = chain();
+        for &(a, k) in declared {
+            let (first, hops) = span(a);
+            builder = builder.flow(FlowDef::guaranteed(first, hops, 150_000.0 * k as f64));
+        }
+        let mut sim = match builder.build() {
+            Ok(sim) => sim,
+            Err(BuildError::BadFlow { .. }) => return,
+            Err(err) => panic!("{err}"),
+        };
+        assert_ledger_balances(&sim, spec);
+        let links = sim.built().forward.clone();
+        for &(a, k, step) in signalled {
+            match step {
+                0 => match sim.network().num_flows() as u64 {
+                    0 => {}
+                    flows => sim.teardown(ispn_core::FlowId((k % flows) as u32)),
+                },
+                _ => {
+                    let (first, hops) = span(a);
+                    let route = links[first..first + hops].to_vec();
+                    sim.submit(FlowConfig::guaranteed(route, 150_000.0 * k as f64));
+                }
+            }
+            let run = SimTime::from_millis([0, 1, 5][a % 3]);
+            sim.run_until(sim.now() + run);
+            assert_ledger_balances(&sim, spec);
+        }
+        for i in 0..sim.network().num_flows() {
+            sim.teardown(ispn_core::FlowId(i as u32));
+        }
+        sim.run_until(sim.now() + SimTime::SECOND);
+        assert_ledger_balances(&sim, spec);
+        for &link in &links {
+            if let Some(ad) = sim.network().admission(link) {
+                assert_eq!(ad.reserved_guaranteed_bps(), 0.0, "{link:?}");
+            }
+        }
+        // VirtualClock counts its lane records at their high-water, freed
+        // ones included, so its reservation bytes never come back down.
+        if spec != DisciplineSpec::VirtualClock {
+            assert_eq!(sim.network().reservation_state_bytes(), fresh);
+        }
+    }
+
+    proptest::proptest! {
+        /// Declared and signalled guaranteed flows share one ledger on
+        /// FIFO, WFQ, VirtualClock and the unified scheduler, with and
+        /// without admission control: a mix builds only if every link can
+        /// hold its declared rates, then never oversubscribes, and a drain
+        /// leaves every link as it was built.
+        #[test]
+        fn declared_and_signalled_reservations_share_one_ledger(
+            choice in 0usize..4,
+            admission in proptest::prelude::any::<bool>(),
+            declared in proptest::collection::vec((0usize..64, 1u64..5), 0..4),
+            signalled in proptest::collection::vec((0usize..64, 1u64..5, 0u8..4), 0..10),
+        ) {
+            check_mix(FOUR[choice], admission, &declared, &signalled);
+        }
     }
 
     #[test]

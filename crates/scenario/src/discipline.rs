@@ -1,15 +1,15 @@
 //! The discipline matrix: which queueing discipline runs on which link.
 //!
 //! A [`DisciplineSpec`] is a *recipe*, not an instance: the builder
-//! instantiates it per link once it knows the link's rate, how many
+//! instantiates it per link once it knows the link's rate and how many
 //! declared flows cross it (WFQ's equal share and VirtualClock's default
-//! rate depend on that) and which guaranteed flows need clock rates
-//! installed (the unified scheduler's per-flow state).
+//! rate depend on that).
 
 use ispn_core::FlowId;
 use ispn_net::LinkParams;
 use ispn_sched::{
-    Averaging, Discipline, Fifo, FifoPlus, StrictPriority, Unified, VirtualClock, Wfq,
+    Averaging, Discipline, Fifo, FifoPlus, QueueDiscipline, StrictPriority, Unified, VirtualClock,
+    Wfq,
 };
 
 /// A declarative queueing-discipline choice for one link.
@@ -55,26 +55,22 @@ impl DisciplineSpec {
     /// Instantiate the discipline for one link.
     ///
     /// `flows_on_link` is the number of declared flows whose route crosses
-    /// the link; `guaranteed` lists the guaranteed flows among them (in
-    /// declaration order) with their clock rates, which per-flow
-    /// disciplines install up front exactly as a static provisioning run
-    /// would.
+    /// the link; `guaranteed` lists clock rates to install, in order,
+    /// through [`QueueDiscipline::install_guaranteed`] — rates the
+    /// network's reservation ledger already holds for those flows, when a
+    /// link's scheduler is rebuilt.  `ScenarioBuilder` passes none: it
+    /// reserves every declared guaranteed flow through the ledger
+    /// (`Network::renegotiate_on_link`) once the link is built.
     pub fn build(
         &self,
         link: &LinkParams,
         flows_on_link: usize,
         guaranteed: &[(FlowId, f64)],
     ) -> Discipline {
-        match self {
+        let mut discipline: Discipline = match self {
             DisciplineSpec::Fifo => Fifo::new().into(),
             DisciplineSpec::FifoPlus(avg) => FifoPlus::new(*avg).into(),
-            DisciplineSpec::Wfq => {
-                let mut wfq = Wfq::equal_share(link.rate_bps, flows_on_link);
-                for &(flow, rate) in guaranteed {
-                    wfq.set_rate(flow, rate);
-                }
-                wfq.into()
-            }
+            DisciplineSpec::Wfq => Wfq::equal_share(link.rate_bps, flows_on_link).into(),
             DisciplineSpec::VirtualClock => {
                 VirtualClock::new(link.rate_bps / flows_on_link.max(1) as f64).into()
             }
@@ -84,14 +80,12 @@ impl DisciplineSpec {
             DisciplineSpec::Unified {
                 priority_classes,
                 averaging,
-            } => {
-                let mut unified = Unified::new(link.rate_bps, *priority_classes, *averaging);
-                for &(flow, rate) in guaranteed {
-                    unified.add_guaranteed_flow(flow, rate);
-                }
-                unified.into()
-            }
+            } => Unified::new(link.rate_bps, *priority_classes, *averaging).into(),
+        };
+        for &(flow, rate) in guaranteed {
+            discipline.install_guaranteed(flow, rate);
         }
+        discipline
     }
 }
 

@@ -169,8 +169,8 @@ mod tests {
     #[test]
     fn unified_conforms() {
         let mut u = Unified::new(MBIT, 2, Averaging::RunningMean);
-        u.add_guaranteed_flow(FlowId(0), 100_000.0);
-        u.add_guaranteed_flow(FlowId(1), 100_000.0);
+        u.install_guaranteed(FlowId(0), 100_000.0);
+        u.install_guaranteed(FlowId(1), 100_000.0);
         check_discipline(u);
     }
 

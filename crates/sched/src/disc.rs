@@ -28,7 +28,8 @@ impl SchedContext {
     }
 
     /// A datagram-class context (used widely in tests).
-    pub fn datagram(arrival: SimTime) -> Self {
+    #[cfg(test)]
+    pub(crate) fn datagram(arrival: SimTime) -> Self {
         SchedContext {
             class: ServiceClass::Datagram,
             arrival,

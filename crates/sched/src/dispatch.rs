@@ -239,7 +239,7 @@ mod tests {
                 4 => StrictPriority::<Fifo>::new(2).into(),
                 _ => {
                     let mut u = Unified::new(MBIT, 2, Averaging::RunningMean);
-                    u.add_guaranteed_flow(FlowId(0), 120_000.0);
+                    u.install_guaranteed(FlowId(0), 120_000.0);
                     u.into()
                 }
             };
@@ -251,7 +251,7 @@ mod tests {
                 4 => Discipline::custom(StrictPriority::<Fifo>::new(2)),
                 _ => {
                     let mut u = Unified::new(MBIT, 2, Averaging::RunningMean);
-                    u.add_guaranteed_flow(FlowId(0), 120_000.0);
+                    u.install_guaranteed(FlowId(0), 120_000.0);
                     Discipline::custom(u)
                 }
             };

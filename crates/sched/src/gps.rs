@@ -191,7 +191,8 @@ impl GpsClock {
     }
 
     /// Number of registered flows (pseudo-flows included).
-    pub fn num_flows(&self) -> usize {
+    #[cfg(test)]
+    fn num_flows(&self) -> usize {
         self.flows.len()
     }
 
@@ -203,19 +204,22 @@ impl GpsClock {
     }
 
     /// The link rate this clock was built for.
-    pub fn link_rate_bps(&self) -> f64 {
+    #[cfg(test)]
+    fn link_rate_bps(&self) -> f64 {
         self.link_rate_bps
     }
 
     /// The current virtual time (after the most recent [`advance`]).
     ///
     /// [`advance`]: GpsClock::advance
-    pub fn virtual_time(&self) -> f64 {
+    #[cfg(test)]
+    fn virtual_time(&self) -> f64 {
         self.virtual_time
     }
 
     /// `true` if the fluid system currently has backlog.
-    pub fn busy(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn busy(&self) -> bool {
         self.backlogged
             .iter()
             .any(|&p| self.flows[p as usize].1.last_finish > self.virtual_time + 1e-15)

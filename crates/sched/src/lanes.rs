@@ -101,6 +101,7 @@ impl<X> LaneTable<X> {
         slot
     }
 
+    #[cfg(test)]
     pub(crate) fn state(&self, slot: usize) -> &X {
         &self.lanes[slot].state
     }

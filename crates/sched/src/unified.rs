@@ -40,8 +40,11 @@ pub struct Unified {
     /// Sum of guaranteed clock rates; flow 0 gets the remainder.
     guaranteed_rate_sum: f64,
     /// One lane per guaranteed flow.  Lane occupancy *is* the
-    /// registration: [`Unified::add_guaranteed_flow`] creates the lane and
-    /// [`Unified::remove_guaranteed_flow`] evicts it.
+    /// registration: [`install_guaranteed`] creates the lane and
+    /// [`remove_flow`] evicts it.
+    ///
+    /// [`install_guaranteed`]: QueueDiscipline::install_guaranteed
+    /// [`remove_flow`]: QueueDiscipline::remove_flow
     lanes: LaneTable<()>,
     /// Virtual finish stamps of flow-0 packets, in arrival order.
     flow0_stamps: VecDeque<f64>,
@@ -79,77 +82,8 @@ impl Unified {
         }
     }
 
-    /// Register a guaranteed flow with clock rate `rate_bps`, shrinking the
-    /// pseudo-flow-0 rate accordingly (r₀ = μ − Σ rα).  A flow that is
-    /// already registered is re-rated (the Section-8 renegotiation path).
-    ///
-    /// # Panics
-    /// Panics if the guaranteed reservations would exceed the link rate —
-    /// admission control must prevent that situation before it reaches the
-    /// scheduler.
-    pub fn add_guaranteed_flow(&mut self, flow: FlowId, rate_bps: f64) {
-        assert!(rate_bps > 0.0);
-        assert!(
-            self.reserve(flow, rate_bps),
-            "guaranteed reservations ({} + {} bps) exceed the link rate {}",
-            self.guaranteed_rate_sum,
-            rate_bps,
-            self.link_rate_bps
-        );
-    }
-
-    /// Give `flow` the clock rate `rate_bps` and flow 0 the remainder,
-    /// registering the flow if it is new and returning its old rate to the
-    /// sum if it is not.  Returns `false`, with nothing changed, if the
-    /// guaranteed rates would then reach the link rate.
-    fn reserve(&mut self, flow: FlowId, rate_bps: f64) -> bool {
-        let old = self.guaranteed_rate(flow).unwrap_or(0.0);
-        let new_sum = self.guaranteed_rate_sum - old + rate_bps;
-        if new_sum >= self.link_rate_bps {
-            return false;
-        }
-        self.guaranteed_rate_sum = new_sum;
-        self.gps.set_rate(flow.0 as u64, rate_bps);
-        self.gps
-            .set_rate(GpsClock::PSEUDO_FLOW, self.link_rate_bps - new_sum);
-        self.lanes.slot_or_insert(flow, ());
-        true
-    }
-
-    /// Tear down a guaranteed flow's reservation, returning its pseudo-flow-0
-    /// rate to the shared pool (r₀ = μ − Σ rα).
-    ///
-    /// Packets of the flow still queued lose their reserved service and are
-    /// re-queued at the tail of flow 0 (they are carried, like any traffic
-    /// without a matching reservation, in the datagram class).  Returns
-    /// `false` if the flow was not registered.
-    pub fn remove_guaranteed_flow(&mut self, flow: FlowId, now: SimTime) -> bool {
-        let Some(slot) = self.lanes.slot(flow) else {
-            return false;
-        };
-        let rate = self
-            .gps
-            .remove(flow.0 as u64)
-            .expect("registered guaranteed flow has a GPS rate");
-        self.guaranteed_rate_sum -= rate;
-        self.gps.set_rate(
-            GpsClock::PSEUDO_FLOW,
-            self.link_rate_bps - self.guaranteed_rate_sum,
-        );
-        self.lanes.evict(slot, |packet, ctx| {
-            // Demote to flow 0; the packet keeps its original arrival time
-            // but is stamped (and therefore served) like a fresh datagram
-            // arrival, matching its now-unreserved status.
-            let finish = self.gps.stamp(GpsClock::PSEUDO_FLOW, packet.size_bits, now);
-            push_counted(&mut self.flow0_stamps, &mut self.flow0_stamps_grown, finish);
-            let demoted = SchedContext::new(ServiceClass::Datagram, ctx.arrival);
-            self.flow0.enqueue(now, packet, demoted);
-        });
-        true
-    }
-
     /// The clock rate of a registered guaranteed flow.
-    pub fn guaranteed_rate(&self, flow: FlowId) -> Option<f64> {
+    fn guaranteed_rate(&self, flow: FlowId) -> Option<f64> {
         self.lanes.slot(flow)?;
         self.gps.rate(flow.0 as u64)
     }
@@ -211,19 +145,53 @@ impl QueueDiscipline for Unified {
         "Unified"
     }
 
+    /// Give `flow` the clock rate `rate_bps` and flow 0 the remainder
+    /// (r₀ = μ − Σ rα), registering the flow if it is new and returning its
+    /// old rate to the sum if it is not (the Section-8 renegotiation path).
+    /// Refused, with nothing changed, if the guaranteed rates would then
+    /// reach the link rate.
     fn install_guaranteed(&mut self, flow: FlowId, rate_bps: f64) -> GuaranteedInstall {
-        if rate_bps <= 0.0 {
+        let old = self.guaranteed_rate(flow).unwrap_or(0.0);
+        let new_sum = self.guaranteed_rate_sum - old + rate_bps;
+        if rate_bps <= 0.0 || new_sum >= self.link_rate_bps {
             return GuaranteedInstall::Refused;
         }
-        if self.reserve(flow, rate_bps) {
-            GuaranteedInstall::Installed
-        } else {
-            GuaranteedInstall::Refused
-        }
+        self.guaranteed_rate_sum = new_sum;
+        self.gps.set_rate(flow.0 as u64, rate_bps);
+        self.gps
+            .set_rate(GpsClock::PSEUDO_FLOW, self.link_rate_bps - new_sum);
+        self.lanes.slot_or_insert(flow, ());
+        GuaranteedInstall::Installed
     }
 
+    /// Tear down a guaranteed flow's reservation, returning its rate to
+    /// pseudo-flow 0 (r₀ = μ − Σ rα).  Packets of the flow still queued
+    /// lose their reserved service and are re-queued at the tail of flow 0
+    /// (they are carried, like any traffic without a matching reservation,
+    /// in the datagram class).
     fn remove_flow(&mut self, now: SimTime, flow: FlowId) -> bool {
-        self.remove_guaranteed_flow(flow, now)
+        let Some(slot) = self.lanes.slot(flow) else {
+            return false;
+        };
+        let rate = self
+            .gps
+            .remove(flow.0 as u64)
+            .expect("registered guaranteed flow has a GPS rate");
+        self.guaranteed_rate_sum -= rate;
+        self.gps.set_rate(
+            GpsClock::PSEUDO_FLOW,
+            self.link_rate_bps - self.guaranteed_rate_sum,
+        );
+        self.lanes.evict(slot, |packet, ctx| {
+            // Demote to flow 0; the packet keeps its original arrival time
+            // but is stamped (and therefore served) like a fresh datagram
+            // arrival, matching its now-unreserved status.
+            let finish = self.gps.stamp(GpsClock::PSEUDO_FLOW, packet.size_bits, now);
+            push_counted(&mut self.flow0_stamps, &mut self.flow0_stamps_grown, finish);
+            let demoted = SchedContext::new(ServiceClass::Datagram, ctx.arrival);
+            self.flow0.enqueue(now, packet, demoted);
+        });
+        true
     }
 
     fn state_bytes(&self) -> u64 {
@@ -271,10 +239,16 @@ mod tests {
         u.gps.rate(GpsClock::PSEUDO_FLOW).unwrap()
     }
 
+    /// Register a guaranteed flow, which must fit.
+    fn add(u: &mut Unified, flow: u32, rate_bps: f64) {
+        let installed = u.install_guaranteed(FlowId(flow), rate_bps);
+        assert_eq!(installed, GuaranteedInstall::Installed);
+    }
+
     fn make() -> Unified {
         let mut u = Unified::new(MBIT, 2, Averaging::RunningMean);
-        u.add_guaranteed_flow(FlowId(1), 170_000.0);
-        u.add_guaranteed_flow(FlowId(2), 85_000.0);
+        add(&mut u, 1, 170_000.0);
+        add(&mut u, 2, 85_000.0);
         u
     }
 
@@ -285,14 +259,6 @@ mod tests {
         assert_eq!(u.guaranteed_rate(FlowId(1)), Some(170_000.0));
         assert_eq!(u.guaranteed_rate(FlowId(2)), Some(85_000.0));
         assert_eq!(u.guaranteed_rate(FlowId(9)), None);
-    }
-
-    #[test]
-    #[should_panic]
-    fn over_reservation_panics() {
-        let mut u = Unified::new(MBIT, 1, Averaging::RunningMean);
-        u.add_guaranteed_flow(FlowId(1), 600_000.0);
-        u.add_guaranteed_flow(FlowId(2), 600_000.0);
     }
 
     #[test]
@@ -377,8 +343,8 @@ mod tests {
     #[test]
     fn guaranteed_flows_share_by_clock_rate_between_themselves() {
         let mut u = Unified::new(MBIT, 1, Averaging::RunningMean);
-        u.add_guaranteed_flow(FlowId(1), 400_000.0);
-        u.add_guaranteed_flow(FlowId(2), 200_000.0);
+        add(&mut u, 1, 400_000.0);
+        add(&mut u, 2, 200_000.0);
         let t = SimTime::ZERO;
         for s in 0..30 {
             u.enqueue(t, pkt(1, s), guaranteed(t));
@@ -397,21 +363,21 @@ mod tests {
     fn remove_guaranteed_flow_returns_rate_to_flow0() {
         let mut u = make();
         assert!((flow0_rate(&u) - 745_000.0).abs() < 1e-6);
-        assert!(u.remove_guaranteed_flow(FlowId(1), SimTime::ZERO));
+        assert!(u.remove_flow(SimTime::ZERO, FlowId(1)));
         assert!((flow0_rate(&u) - 915_000.0).abs() < 1e-6);
         assert_eq!(u.guaranteed_rate(FlowId(1)), None);
         // Removing again is a no-op.
-        assert!(!u.remove_guaranteed_flow(FlowId(1), SimTime::ZERO));
+        assert!(!u.remove_flow(SimTime::ZERO, FlowId(1)));
     }
 
     #[test]
     fn adding_a_registered_flow_again_replaces_its_rate() {
         let mut u = Unified::new(MBIT, 1, Averaging::RunningMean);
-        u.add_guaranteed_flow(FlowId(1), 100_000.0);
-        u.add_guaranteed_flow(FlowId(1), 200_000.0);
+        add(&mut u, 1, 100_000.0);
+        add(&mut u, 1, 200_000.0);
         assert_eq!(u.guaranteed_rate(FlowId(1)), Some(200_000.0));
         assert_eq!(flow0_rate(&u), 800_000.0);
-        assert!(u.remove_guaranteed_flow(FlowId(1), SimTime::ZERO));
+        assert!(u.remove_flow(SimTime::ZERO, FlowId(1)));
         assert_eq!(flow0_rate(&u), MBIT);
     }
 
@@ -422,7 +388,7 @@ mod tests {
         u.enqueue(t, pkt(1, 0), guaranteed(t));
         u.enqueue(t, pkt(1, 1), guaranteed(t));
         assert_eq!(u.len(), 2);
-        assert!(u.remove_guaranteed_flow(FlowId(1), t));
+        assert!(u.remove_flow(t, FlowId(1)));
         // The packets are still carried (now in flow 0) and drain fully.
         assert_eq!(u.len(), 2);
         let a = u.dequeue(t).unwrap();

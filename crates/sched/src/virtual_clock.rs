@@ -18,7 +18,7 @@
 use ispn_core::{FlowId, Packet};
 use ispn_sim::SimTime;
 
-use crate::disc::{Dequeued, QueueDiscipline, SchedContext};
+use crate::disc::{Dequeued, GuaranteedInstall, QueueDiscipline, SchedContext};
 use crate::lanes::LaneTable;
 
 /// What VirtualClock keeps per flow beside the lane's queue.
@@ -65,20 +65,6 @@ impl VirtualClock {
         };
         self.lanes.slot_or_insert(flow, fresh)
     }
-
-    /// Assign a flow its reserved average rate.
-    pub fn set_rate(&mut self, flow: FlowId, rate_bps: f64) {
-        assert!(rate_bps > 0.0);
-        let slot = self.slot_or_insert(flow);
-        self.lanes.state_mut(slot).rate_bps = rate_bps;
-        self.lanes.revive(flow);
-    }
-
-    /// The rate assigned to a flow, if it has been seen or registered.
-    pub fn rate(&self, flow: FlowId) -> Option<f64> {
-        let slot = self.lanes.slot(flow)?;
-        Some(self.lanes.state(slot).rate_bps)
-    }
 }
 
 impl QueueDiscipline for VirtualClock {
@@ -104,6 +90,20 @@ impl QueueDiscipline for VirtualClock {
 
     fn name(&self) -> &'static str {
         "VirtualClock"
+    }
+
+    /// Assign a flow its reserved average rate.  VirtualClock was
+    /// "expressly designed for a context where resources were
+    /// preapportioned", so it leaves refusing an oversubscription to
+    /// admission control.
+    fn install_guaranteed(&mut self, flow: FlowId, rate_bps: f64) -> GuaranteedInstall {
+        if rate_bps <= 0.0 {
+            return GuaranteedInstall::Refused;
+        }
+        let slot = self.slot_or_insert(flow);
+        self.lanes.state_mut(slot).rate_bps = rate_bps;
+        self.lanes.revive(flow);
+        GuaranteedInstall::Installed
     }
 
     fn remove_flow(&mut self, _now: SimTime, flow: FlowId) -> bool {
@@ -143,6 +143,18 @@ mod tests {
         SchedContext::new(ServiceClass::Guaranteed, t)
     }
 
+    /// The rate assigned to a flow, if it has been seen or registered.
+    fn rate(q: &VirtualClock, flow: u32) -> Option<f64> {
+        let slot = q.lanes.slot(FlowId(flow))?;
+        Some(q.lanes.state(slot).rate_bps)
+    }
+
+    /// Install `rate_bps` for `flow`, which VirtualClock always does.
+    fn install(q: &mut VirtualClock, flow: u32, rate_bps: f64) {
+        let installed = q.install_guaranteed(FlowId(flow), rate_bps);
+        assert_eq!(installed, GuaranteedInstall::Installed);
+    }
+
     #[test]
     fn equal_rates_interleave() {
         let mut q = VirtualClock::new(100_000.0);
@@ -161,8 +173,8 @@ mod tests {
     #[test]
     fn higher_rate_flow_gets_more_service() {
         let mut q = VirtualClock::new(100_000.0);
-        q.set_rate(FlowId(1), 300_000.0);
-        q.set_rate(FlowId(2), 100_000.0);
+        install(&mut q, 1, 300_000.0);
+        install(&mut q, 2, 100_000.0);
         let t = SimTime::ZERO;
         for s in 0..20 {
             q.enqueue(t, pkt(1, s), ctx(t));
@@ -204,11 +216,11 @@ mod tests {
     #[test]
     fn accessors() {
         let mut q = VirtualClock::new(50_000.0);
-        assert_eq!(q.rate(FlowId(1)), None);
+        assert_eq!(rate(&q, 1), None);
         q.enqueue(SimTime::ZERO, pkt(1, 0), ctx(SimTime::ZERO));
-        assert_eq!(q.rate(FlowId(1)), Some(50_000.0));
-        q.set_rate(FlowId(1), 80_000.0);
-        assert_eq!(q.rate(FlowId(1)), Some(80_000.0));
+        assert_eq!(rate(&q, 1), Some(50_000.0));
+        install(&mut q, 1, 80_000.0);
+        assert_eq!(rate(&q, 1), Some(80_000.0));
         assert_eq!(q.name(), "VirtualClock");
         assert_eq!(q.len(), 1);
     }
@@ -217,20 +229,20 @@ mod tests {
     fn remove_flow_recycles_lane_and_resets_clock() {
         let mut q = VirtualClock::new(100_000.0);
         let t = SimTime::ZERO;
-        q.set_rate(FlowId(1), 400_000.0);
+        install(&mut q, 1, 400_000.0);
         // Ten packets push flow 1's auxiliary clock 25 ms ahead.
         for s in 0..10 {
             q.enqueue(t, pkt(1, s), ctx(t));
         }
         while q.dequeue(t).is_some() {}
         assert!(q.remove_flow(t, FlowId(1)));
-        assert_eq!(q.rate(FlowId(1)), None);
+        assert_eq!(rate(&q, 1), None);
         assert!(!q.remove_flow(t, FlowId(1)));
         // Back after teardown: the default rate and a fresh clock, so its
         // 10 ms stamp ties with newcomer flow 2's instead of trailing it.
         q.enqueue(t, pkt(1, 10), ctx(t));
         q.enqueue(t, pkt(2, 0), ctx(t));
-        assert_eq!(q.rate(FlowId(1)), Some(100_000.0));
+        assert_eq!(rate(&q, 1), Some(100_000.0));
         assert_eq!(q.dequeue(t).unwrap().packet.flow, FlowId(1));
     }
 
@@ -238,28 +250,28 @@ mod tests {
     fn remove_backlogged_flow_drains_then_frees() {
         let mut q = VirtualClock::new(100_000.0);
         let t = SimTime::ZERO;
-        q.set_rate(FlowId(1), 400_000.0);
+        install(&mut q, 1, 400_000.0);
         q.enqueue(t, pkt(1, 0), ctx(t));
         q.enqueue(t, pkt(1, 1), ctx(t));
         assert!(q.remove_flow(t, FlowId(1)));
         // Still drains in order at the original stamps and rate…
         assert_eq!(q.dequeue(t).unwrap().packet.seq, 0);
-        assert_eq!(q.rate(FlowId(1)), Some(400_000.0));
+        assert_eq!(rate(&q, 1), Some(400_000.0));
         assert_eq!(q.dequeue(t).unwrap().packet.seq, 1);
         // …and the registration is gone once the backlog is served.
-        assert_eq!(q.rate(FlowId(1)), None);
+        assert_eq!(rate(&q, 1), None);
     }
 
     #[test]
     fn set_rate_on_a_draining_flow_keeps_the_new_rate() {
         let mut q = VirtualClock::new(100_000.0);
         let t = SimTime::ZERO;
-        q.set_rate(FlowId(1), 500_000.0);
+        install(&mut q, 1, 500_000.0);
         q.enqueue(t, pkt(1, 0), ctx(t));
         assert!(q.remove_flow(t, FlowId(1)));
         // Registered again before the backlog drained: the retire is off.
-        q.set_rate(FlowId(1), 300_000.0);
+        install(&mut q, 1, 300_000.0);
         assert!(q.dequeue(t).is_some());
-        assert_eq!(q.rate(FlowId(1)), Some(300_000.0));
+        assert_eq!(rate(&q, 1), Some(300_000.0));
     }
 }

@@ -36,14 +36,11 @@ pub struct Wfq {
     /// rate itself lives in `gps`.  A lane is retired when its flow's rate
     /// is removed.
     lanes: LaneTable<()>,
-    /// Clock rates installed through the reservation path
-    /// ([`install_guaranteed`]): their sum must stay below the link rate so
-    /// a link without an admission controller still refuses oversubscribed
-    /// guaranteed reservations, like [`Unified`](crate::Unified) does.
-    /// Rates assigned directly with [`set_rate`](Wfq::set_rate) (the static
-    /// relative-share path) are not counted.
-    ///
-    /// [`install_guaranteed`]: crate::QueueDiscipline::install_guaranteed
+    /// Clock rates installed with
+    /// [`install_guaranteed`](QueueDiscipline::install_guaranteed): their
+    /// sum must stay below the link rate so a link without an admission
+    /// controller still refuses oversubscribed reservations, like
+    /// [`Unified`](crate::Unified) does.
     guaranteed: BTreeMap<FlowId, f64>,
     /// Running Σ of `guaranteed` values (kept in step on install/remove,
     /// like `Unified::guaranteed_rate_sum`).
@@ -54,12 +51,11 @@ pub struct Wfq {
 impl Wfq {
     /// Create a WFQ scheduler for a link of `link_rate_bps`.
     ///
-    /// Flows that are not registered with [`set_rate`] before their first
-    /// packet arrives are given `default_rate_bps`.  For the plain Fair
-    /// Queueing of the paper's Tables 1 and 2 ("equal clock rates") simply
-    /// leave every flow on the same default.
-    ///
-    /// [`set_rate`]: Wfq::set_rate
+    /// Flows that are not given a rate with
+    /// [`install_guaranteed`](QueueDiscipline::install_guaranteed) before
+    /// their first packet arrives are given `default_rate_bps`.  For the
+    /// plain Fair Queueing of the paper's Tables 1 and 2 ("equal clock
+    /// rates") simply leave every flow on the same default.
     pub fn new(link_rate_bps: f64, default_rate_bps: f64) -> Self {
         assert!(default_rate_bps > 0.0);
         Wfq {
@@ -78,27 +74,6 @@ impl Wfq {
     pub fn equal_share(link_rate_bps: f64, expected_flows: usize) -> Self {
         let n = expected_flows.max(1) as f64;
         Wfq::new(link_rate_bps, link_rate_bps / n)
-    }
-
-    /// Assign flow `flow` the clock rate `rate_bps` (Section 4: "the clock
-    /// rate of a flow represents the relative share of the link bandwidth
-    /// this flow is entitled to").
-    pub fn set_rate(&mut self, flow: FlowId, rate_bps: f64) {
-        self.gps.set_rate(flow.0 as u64, rate_bps);
-        self.lanes.revive(flow);
-    }
-
-    /// Deregister a flow (reservation teardown), returning its clock rate.
-    ///
-    /// Any packets of the flow still queued are served at their existing
-    /// virtual-time stamps; if the flow sends again later it is treated as
-    /// unregistered (and re-enters at the default clock rate).
-    pub fn remove_flow_rate(&mut self, flow: FlowId) -> Option<f64> {
-        if let Some(rate) = self.guaranteed.remove(&flow) {
-            self.guaranteed_rate_sum -= rate;
-        }
-        self.lanes.retire(flow);
-        self.gps.remove(flow.0 as u64)
     }
 }
 
@@ -151,12 +126,20 @@ impl QueueDiscipline for Wfq {
         }
         self.guaranteed_rate_sum = new_sum;
         self.guaranteed.insert(flow, rate_bps);
-        self.set_rate(flow, rate_bps);
+        self.gps.set_rate(flow.0 as u64, rate_bps);
+        self.lanes.revive(flow);
         GuaranteedInstall::Installed
     }
 
+    /// Any packets of the flow still queued are served at their existing
+    /// virtual-time stamps; if the flow sends again later it re-enters at
+    /// the default clock rate.
     fn remove_flow(&mut self, _now: SimTime, flow: FlowId) -> bool {
-        self.remove_flow_rate(flow).is_some()
+        if let Some(rate) = self.guaranteed.remove(&flow) {
+            self.guaranteed_rate_sum -= rate;
+        }
+        self.lanes.retire(flow);
+        self.gps.remove(flow.0 as u64).is_some()
     }
 
     fn state_bytes(&self) -> u64 {
@@ -228,8 +211,8 @@ mod tests {
         // Flow 1 has 3x the clock rate of flow 2; over a long backlog it
         // should receive roughly 3x the service.
         let mut q = Wfq::new(MBIT, 100_000.0);
-        q.set_rate(FlowId(1), 750_000.0);
-        q.set_rate(FlowId(2), 250_000.0);
+        q.install_guaranteed(FlowId(1), 600_000.0);
+        q.install_guaranteed(FlowId(2), 200_000.0);
         let t = SimTime::ZERO;
         for seq in 0..40 {
             q.enqueue(t, pkt(1, seq), ctx(t));
@@ -315,17 +298,15 @@ mod tests {
     #[test]
     fn remove_flow_rate_deregisters() {
         let mut q = Wfq::new(MBIT, 100_000.0);
-        q.set_rate(FlowId(1), 400_000.0);
-        assert_eq!(q.remove_flow_rate(FlowId(1)), Some(400_000.0));
-        assert_eq!(q.gps.rate(1), None);
-        assert_eq!(q.remove_flow_rate(FlowId(1)), None);
-        // Via the trait: install then remove.
         let d: &mut dyn QueueDiscipline = &mut q;
         assert_eq!(
-            d.install_guaranteed(FlowId(2), 250_000.0),
+            d.install_guaranteed(FlowId(1), 400_000.0),
             GuaranteedInstall::Installed
         );
-        assert!(d.remove_flow(SimTime::ZERO, FlowId(2)));
+        assert!(d.remove_flow(SimTime::ZERO, FlowId(1)));
+        assert!(!d.remove_flow(SimTime::ZERO, FlowId(1)));
+        assert_eq!(q.gps.rate(1), None);
+        assert_eq!((q.guaranteed.len(), q.guaranteed_rate_sum), (0, 0.0));
     }
 
     /// Enqueue `n` packets of `flow` at t = 0.
@@ -346,10 +327,10 @@ mod tests {
         let mut q = Wfq::equal_share(MBIT, 2);
         backlog(&mut q, 1, 3);
         backlog(&mut q, 2, 3);
-        assert_eq!(q.remove_flow_rate(FlowId(1)), Some(MBIT / 2.0));
+        assert!(q.remove_flow(SimTime::ZERO, FlowId(1)));
         // The rate is gone at once, and a second removal finds none…
         assert_eq!(q.gps.rate(1), None);
-        assert_eq!(q.remove_flow_rate(FlowId(1)), None);
+        assert!(!q.remove_flow(SimTime::ZERO, FlowId(1)));
         // …but the backlog is served at its existing stamps, and only then
         // does the lane go (the table's tests cover the recycling).
         assert!(q.lanes.slot(FlowId(1)).is_some());
@@ -360,12 +341,11 @@ mod tests {
 
     #[test]
     fn lane_reregistered_while_backlogged_survives_the_drain() {
-        let ways: [fn(&mut Wfq); 3] = [
-            |q| q.set_rate(FlowId(1), 300_000.0),
+        let ways: [fn(&mut Wfq); 2] = [
             |q| {
-                assert_ne!(
+                assert_eq!(
                     q.install_guaranteed(FlowId(1), 300_000.0),
-                    GuaranteedInstall::Refused
+                    GuaranteedInstall::Installed
                 )
             },
             // A fresh packet re-enters at the default rate.
@@ -374,7 +354,7 @@ mod tests {
         for (way, register) in ways.into_iter().enumerate() {
             let mut q = Wfq::equal_share(MBIT, 2);
             backlog(&mut q, 1, 2);
-            assert!(q.remove_flow_rate(FlowId(1)).is_some());
+            assert!(q.remove_flow(SimTime::ZERO, FlowId(1)));
             register(&mut q);
             assert!(q.gps.rate(1).is_some(), "way {way}");
             assert!(drain(&mut q).iter().all(|&f| f == 1), "way {way}");
@@ -410,13 +390,6 @@ mod tests {
         assert!(q.remove_flow(SimTime::ZERO, FlowId(2)));
         assert_eq!(
             q.install_guaranteed(FlowId(3), 400_000.0),
-            GuaranteedInstall::Installed
-        );
-        // Rates set directly (static shares) are not counted against the
-        // reservation budget.
-        q.set_rate(FlowId(9), 900_000.0);
-        assert_eq!(
-            q.install_guaranteed(FlowId(3), 450_000.0),
             GuaranteedInstall::Installed
         );
     }

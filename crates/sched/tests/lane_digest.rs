@@ -131,14 +131,7 @@ fn wfq_op_streams_keep_their_digest() {
 
 #[test]
 fn virtual_clock_op_streams_keep_their_digest() {
-    // VirtualClock registers rates through `set_rate` only.
-    let h = digest(
-        || VirtualClock::new(100_000.0),
-        |q, flow, rate_bps| {
-            q.set_rate(flow, rate_bps);
-            1
-        },
-    );
+    let h = digest(|| VirtualClock::new(100_000.0), install_guaranteed);
     assert_eq!(h, 0x4692_34be_afa8_a16f, "{h:#018x}");
 }
 

@@ -596,7 +596,7 @@ mod tests {
             (net.admission(links[1]).unwrap().reserved_guaranteed_bps() - 800_000.0).abs() < 1e-6
         );
         assert!(!net.flow_active(flow));
-        assert!(net.installed_links(flow).is_empty());
+        assert!(net.installed_links(flow).next().is_none());
     }
 
     #[test]
@@ -660,7 +660,7 @@ mod tests {
         for &l in &links {
             assert_eq!(net.admission(l).unwrap().reserved_guaranteed_bps(), 0.0);
         }
-        assert!(net.installed_links(flow).is_empty());
+        assert!(net.installed_links(flow).next().is_none());
     }
 
     #[test]
@@ -797,7 +797,7 @@ mod tests {
         sig.teardown(&mut net, flow);
         sig.process_until(&mut net, SimTime::from_secs(1));
         assert!(!net.flow_active(flow), "cancelled setup must not activate");
-        assert!(net.installed_links(flow).is_empty());
+        assert!(net.installed_links(flow).next().is_none());
         for &l in &links {
             assert_eq!(net.admission(l).unwrap().reserved_guaranteed_bps(), 0.0);
         }
@@ -824,7 +824,7 @@ mod tests {
                 .any(|e| matches!(e, SignalEvent::Accepted { .. })),
             "a withdrawn setup must not report acceptance"
         );
-        assert!(net.installed_links(flow).is_empty());
+        assert!(net.installed_links(flow).next().is_none());
         for &l in &links {
             assert_eq!(net.admission(l).unwrap().reserved_guaranteed_bps(), 0.0);
         }
@@ -1165,7 +1165,7 @@ mod tests {
                 panic!("the scheduler cannot hold a full-link reservation")
             }
         }
-        assert!(net.installed_links(flow).is_empty());
+        assert!(net.installed_links(flow).next().is_none());
         // A sane rate still goes through.
         hog(&mut net, links[0], 500_000.0);
     }
@@ -1343,6 +1343,9 @@ mod proptests {
 
     #[derive(Clone, Copy, PartialEq, Debug)]
     enum State {
+        /// Declared before the run and reserved through the ledger, as
+        /// `ScenarioBuilder` does: never renegotiated, torn down like any.
+        Declared,
         Pending,
         Accepted,
         Rejected,
@@ -1370,8 +1373,34 @@ mod proptests {
         no_reservations: u64,
     }
 
+    /// The first `1 + (a / 3) % (3 - a % 3)` of the chain's links from
+    /// link `a % 3` on.
+    fn span(links: &[LinkId], a: usize) -> Vec<LinkId> {
+        let first = a % 3;
+        let hops = 1 + (a / 3) % (3 - first);
+        links[first..first + hops].to_vec()
+    }
+
+    /// On every link, the rates the flows hold there sum to what its
+    /// controller has reserved.  Each rate is a whole number of bit/s far
+    /// below 2⁵³, so both sums are exact.
+    fn assert_ledger_balances(net: &Network, links: &[LinkId]) {
+        for &l in links {
+            let held: f64 = (0..net.num_flows())
+                .flat_map(|i| net.installed_links(FlowId(i as u32)))
+                .filter(|&(at, _)| at == l)
+                .map(|(_, rate)| rate)
+                .sum();
+            let reserved = net.admission(l).unwrap().reserved_guaranteed_bps();
+            assert_eq!(held, reserved, "{l:?} holds {held}, reserves {reserved}");
+        }
+    }
+
     impl Driver {
-        fn new() -> Driver {
+        /// A three-link chain under admission control, holding one
+        /// declared guaranteed flow of `150 kbit/s × (1 + b % 3)` over
+        /// [`span`]`(a)` per `(a, b)` in `declared` (two fit anywhere).
+        fn new(declared: &[(usize, u64)]) -> Driver {
             let (topo, _nodes, links) = Topology::chain(4, MBIT, SimTime::MILLISECOND, 200);
             let mut net = Network::new(topo);
             for &l in &links {
@@ -1383,12 +1412,30 @@ mod proptests {
                     SimTime::from_millis(100),
                 );
             }
+            let no_reservations = net.reservation_state_bytes();
+            let mut recs = Vec::new();
+            for &(a, b) in declared {
+                let config =
+                    FlowConfig::guaranteed(span(&links, a), 150_000.0 * (1 + b % 3) as f64);
+                let flow = net.add_flow(config.clone());
+                for link in config.route {
+                    let decision = net.renegotiate_on_link(flow, link, &config.spec);
+                    assert!(decision.is_accept(), "{flow} refused: {decision:?}");
+                }
+                recs.push(Rec {
+                    flow,
+                    state: State::Declared,
+                    source: None,
+                    sink: None,
+                    reneg: None,
+                });
+            }
             Driver {
-                no_reservations: net.reservation_state_bytes(),
+                no_reservations,
                 net,
                 sig: Signaling::default(),
                 links,
-                recs: Vec::new(),
+                recs,
                 live: Vec::new(),
                 next_token: 0,
             }
@@ -1452,7 +1499,9 @@ mod proptests {
         /// (until then it holds the hops before the rejection).
         fn pick(&self, states: &[State], pick: usize) -> Option<usize> {
             let state = |r: &Rec| match r.state {
-                State::Rejected if !self.net.installed_links(r.flow).is_empty() => State::Pending,
+                State::Rejected if self.net.installed_links(r.flow).next().is_some() => {
+                    State::Pending
+                }
                 state => state,
             };
             let found: Vec<usize> = (0..self.recs.len())
@@ -1462,9 +1511,7 @@ mod proptests {
         }
 
         fn submit(&mut self, a: usize, b: u64) {
-            let first = a % 3;
-            let hops = 1 + (a / 3) % (3 - first);
-            let route = self.links[first..first + hops].to_vec();
+            let route = span(&self.links, a);
             let mut config = match b % 4 {
                 0 => FlowConfig::predicted(
                     route,
@@ -1622,8 +1669,8 @@ mod proptests {
                 // Whatever is in flight, a link never reserves less than
                 // the admitted flows holding it have declared.
                 let declared: f64 = (self.recs.iter())
-                    .filter(|r| r.state == State::Accepted)
-                    .filter(|r| self.net.installed_links(r.flow).contains(&l))
+                    .filter(|r| matches!(r.state, State::Accepted | State::Declared))
+                    .filter(|r| self.net.installed_links(r.flow).any(|(at, _)| at == l))
                     .filter_map(|r| self.net.flow_config(r.flow).spec.clock_rate_bps())
                     .sum();
                 assert!(
@@ -1637,7 +1684,7 @@ mod proptests {
             match op {
                 0..=2 => self.submit(a, b),
                 3 => {
-                    if let Some(i) = self.pick(&[State::Accepted], a) {
+                    if let Some(i) = self.pick(&[State::Accepted, State::Declared], a) {
                         if self.recs[i].source.is_none() {
                             let (flow, token) = (self.recs[i].flow, self.token());
                             self.recs[i].source =
@@ -1646,7 +1693,8 @@ mod proptests {
                     }
                 }
                 4 => {
-                    if let Some(i) = self.pick(&[State::Pending, State::Accepted], a) {
+                    let states = [State::Pending, State::Accepted, State::Declared];
+                    if let Some(i) = self.pick(&states, a) {
                         self.teardown(i, b.is_multiple_of(2));
                     }
                 }
@@ -1666,7 +1714,8 @@ mod proptests {
                 7 => self.reclaim(),
                 8 => {
                     // A flow changes sinks; the old one leaves.
-                    if let Some(i) = self.pick(&[State::Pending, State::Accepted], a) {
+                    let states = [State::Pending, State::Accepted, State::Declared];
+                    if let Some(i) = self.pick(&states, a) {
                         let flow = self.recs[i].flow;
                         let cell = Rc::new(Cell::new(Some(flow)));
                         let new = self.add_agent(Box::new(Sink { flow: cell }));
@@ -1685,7 +1734,8 @@ mod proptests {
 
         /// Tear everything down, let it drain, and check nothing is left.
         fn drain(&mut self) {
-            while let Some(i) = self.pick(&[State::Pending, State::Accepted], 0) {
+            let states = [State::Pending, State::Accepted, State::Declared];
+            while let Some(i) = self.pick(&states, 0) {
                 self.teardown(i, true);
             }
             for id in self.live.clone() {
@@ -1711,7 +1761,7 @@ mod proptests {
             );
             for flow in (0..self.net.num_flows()).map(|i| FlowId(i as u32)) {
                 assert!(
-                    self.net.installed_links(flow).is_empty(),
+                    self.net.installed_links(flow).next().is_none(),
                     "{flow} left state"
                 );
                 assert_eq!(self.net.flow_in_flight(flow), 0);
@@ -1729,12 +1779,18 @@ mod proptests {
 
     /// Run one interleaving to the end; what two same-seed runs must agree
     /// on.
-    fn run(ops: &[(u8, usize, u64)]) -> (Vec<(RequestId, bool)>, u64, usize, usize) {
-        let mut d = Driver::new();
+    fn run(
+        declared: &[(usize, u64)],
+        ops: &[(u8, usize, u64)],
+    ) -> (Vec<(RequestId, bool)>, u64, usize, usize) {
+        let mut d = Driver::new(declared);
+        assert_ledger_balances(&d.net, &d.links);
         for &op in ops {
             d.apply(op);
+            assert_ledger_balances(&d.net, &d.links);
         }
         d.drain();
+        assert_ledger_balances(&d.net, &d.links);
         (
             d.sig.decisions().collect(),
             d.net.events_processed(),
@@ -1743,11 +1799,13 @@ mod proptests {
         )
     }
 
-    /// One drawn script against a fresh Fig-1-like chain: each op names a
-    /// flow id past the table's end, one freed by a recycle or any other,
-    /// and the script ends by tearing every id down; nothing may be left.
-    fn fuzz_script(script: &[(u64, u64, u64)]) {
-        let Driver { mut net, links, .. } = Driver::new();
+    /// One drawn script against a fresh Fig-1-like chain holding the
+    /// `declared` flows: each op names a flow id past the table's end, one
+    /// freed by a recycle or any other, and the script ends by tearing
+    /// every id down; nothing may be left, and after every op each link's
+    /// held rates sum to its controller's.
+    fn fuzz_script(declared: &[(usize, u64)], script: &[(u64, u64, u64)]) {
+        let Driver { mut net, links, .. } = Driver::new(declared);
         let mut sig = Signaling::default();
         let mut freed = Vec::new();
         for &(op, a, b) in script {
@@ -1788,6 +1846,7 @@ mod proptests {
                     net.recycle_flow_slot(id);
                 }
             }
+            assert_ledger_balances(&net, &links);
         }
         for i in 0..net.num_flows() {
             sig.teardown(&mut net, FlowId(i as u32));
@@ -1801,9 +1860,10 @@ mod proptests {
     }
 
     /// Setup, teardown, both renegotiations and slot recycling answer any
-    /// id — never minted, freed, rejected, torn down — and any rate with
-    /// an event, a typed refusal or nothing, never a panic: 10 000 drawn
-    /// scripts of up to 24 ops, each under `catch_unwind`.
+    /// id — never minted, freed, rejected, torn down, declared — and any
+    /// rate with an event, a typed refusal or nothing, never a panic:
+    /// 10 000 drawn scripts of up to 24 ops over zero to two declared
+    /// flows, each under `catch_unwind`.
     #[test]
     fn control_entry_points_never_panic_on_any_flow_id() {
         let mut rng = ispn_sim::Pcg64::new(0x7369_676e);
@@ -1813,8 +1873,11 @@ mod proptests {
             let script: Vec<_> = (0..len)
                 .map(|_| (rng.next_below(6), rng.next_below(64), rng.next_below(1000)))
                 .collect();
-            if std::panic::catch_unwind(|| fuzz_script(&script)).is_err() {
-                panicked.push(script);
+            let declared: Vec<_> = (0..rng.next_below(3))
+                .map(|_| (rng.next_below(64) as usize, rng.next_below(3)))
+                .collect();
+            if std::panic::catch_unwind(|| fuzz_script(&declared, &script)).is_err() {
+                panicked.push((declared, script));
             }
         }
         assert!(
@@ -1829,10 +1892,12 @@ mod proptests {
         #[test]
         fn request_lifecycle_leaks_nothing_and_misdelivers_nothing(
             ops in proptest::collection::vec((0u8..16, 0usize..64, 0u64..1000), 10..120),
+            declared in proptest::collection::vec((0usize..64, 0u64..3), 0..3),
         ) {
-            let first = run(&ops);
-            prop_assert!(first.2 <= ops.len() + 1 && first.3 <= 2 * ops.len());
-            prop_assert_eq!(first, run(&ops));
+            let first = run(&declared, &ops);
+            let flows = ops.len() + 1 + declared.len();
+            prop_assert!(first.2 <= flows && first.3 <= 2 * ops.len());
+            prop_assert_eq!(first, run(&declared, &ops));
         }
     }
 }

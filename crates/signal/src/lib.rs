@@ -28,8 +28,10 @@
 //!   an admitted, idle flow may renegotiate; any other request is a typed
 //!   [`Refusal`] at once.
 //!
-//! This is the only way a reservation is set up, renegotiated or torn
-//! down, but the engine keeps only messages, delays and outcomes: a flow's
+//! This is the only way a reservation is set up at run time, renegotiated
+//! or torn down (a flow declared to `ScenarioBuilder` is reserved at build
+//! time by the same ledger call a setup's messages make), but the engine
+//! keeps only messages, delays and outcomes: a flow's
 //! transaction is its slot's [`FlowPhase`](ispn_net::FlowPhase), and what
 //! a link reserves for a flow — controller quota, scheduler rate and the
 //! rate held there — is `ispn-net`'s reservation ledger's decision alone,

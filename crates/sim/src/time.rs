@@ -158,9 +158,13 @@ impl SubAssign for SimTime {
     }
 }
 
+/// Exact to the nanosecond, so two times an `assert_eq!` tells apart
+/// never print alike (`Display` rounds to the microsecond).
 impl fmt::Debug for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.6}s", self.as_secs_f64())
+        const NANOS_PER_SEC: u64 = 1_000_000_000;
+        let (secs, nanos) = (self.0 / NANOS_PER_SEC, self.0 % NANOS_PER_SEC);
+        write!(f, "{secs}.{nanos:09}s")
     }
 }
 
@@ -184,6 +188,16 @@ pub fn transmission_time(bits: u64, rate_bps: f64) -> SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn debug_prints_every_nanosecond_and_display_rounds_to_the_microsecond() {
+        let almost = SimTime::from_nanos(1_999_998);
+        let two_ms = SimTime::from_millis(2);
+        assert_eq!(format!("{almost:?}"), "0.001999998s");
+        assert_eq!(format!("{two_ms:?}"), "0.002000000s");
+        assert_eq!(format!("{:?}", SimTime::MAX), "18446744073.709551615s");
+        assert_eq!(format!("{almost} {two_ms}"), "0.002000s 0.002000s");
+    }
 
     #[test]
     fn constructors_and_accessors_round_trip() {

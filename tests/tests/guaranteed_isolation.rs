@@ -7,7 +7,7 @@
 //! and check the measured worst-case delay against the advertised bound.
 
 use ispn_core::bounds::pg_queueing_bound;
-use ispn_core::{FlowSpec, ServiceClass, TokenBucketSpec};
+use ispn_core::{FlowId, FlowSpec, ServiceClass, TokenBucketSpec};
 use ispn_integration_tests::{chain, LINK_RATE, PACKET_BITS};
 use ispn_net::{FlowConfig, Network};
 use ispn_sched::{Averaging, Unified};
@@ -15,6 +15,19 @@ use ispn_sim::SimTime;
 use ispn_traffic::{CbrSource, PoissonSource, TraceSource};
 
 const DURATION: SimTime = SimTime::from_secs(30);
+
+/// Reserve a guaranteed flow's declared rate on every link of its route,
+/// through the network's reservation ledger.
+fn reserve(net: &mut Network, flow: FlowId) {
+    let config = net.flow_config(flow).clone();
+    for link in config.route {
+        let decision = net.renegotiate_on_link(flow, link, &config.spec);
+        assert!(
+            decision.is_accept(),
+            "{flow} refused on {link:?}: {decision:?}"
+        );
+    }
+}
 
 /// A CBR flow reserved at twice its rate, crossing `hops` flooded links,
 /// never exceeds its P-G bound.
@@ -38,10 +51,9 @@ fn check_isolation_over(hops: usize) {
         floods.push(net.add_flow(FlowConfig::datagram(vec![l])));
     }
     for &l in &links {
-        let mut u = Unified::new(LINK_RATE, 1, Averaging::RunningMean);
-        u.add_guaranteed_flow(protected, clock_rate);
-        net.set_discipline(l, u);
+        net.set_discipline(l, Unified::new(LINK_RATE, 1, Averaging::RunningMean));
     }
+    reserve(&mut net, protected);
     net.add_agent(Box::new(CbrSource::new(
         protected,
         cbr_rate_pps,
@@ -133,10 +145,9 @@ fn guaranteed_flows_share_between_themselves_by_clock_rate() {
     let mut net = Network::new(topo);
     let fast = net.add_flow(FlowConfig::guaranteed(vec![links[0]], 600_000.0));
     let slow = net.add_flow(FlowConfig::guaranteed(vec![links[0]], 300_000.0));
-    let mut u = Unified::new(LINK_RATE, 1, Averaging::RunningMean);
-    u.add_guaranteed_flow(fast, 600_000.0);
-    u.add_guaranteed_flow(slow, 300_000.0);
-    net.set_discipline(links[0], u);
+    net.set_discipline(links[0], Unified::new(LINK_RATE, 1, Averaging::RunningMean));
+    reserve(&mut net, fast);
+    reserve(&mut net, slow);
     let schedule: Vec<(SimTime, u64)> = (0..90u64)
         .map(|i| (SimTime::from_nanos(10 * i), PACKET_BITS))
         .collect();
@@ -176,9 +187,8 @@ fn predicted_class_does_not_destroy_guaranteed_service_class_isolation() {
         sink: None,
     });
     let d = net.add_flow(FlowConfig::datagram(vec![links[0]]));
-    let mut u = Unified::new(LINK_RATE, 1, Averaging::RunningMean);
-    u.add_guaranteed_flow(g, 200_000.0);
-    net.set_discipline(links[0], u);
+    net.set_discipline(links[0], Unified::new(LINK_RATE, 1, Averaging::RunningMean));
+    reserve(&mut net, g);
     net.add_agent(Box::new(CbrSource::new(g, 150.0, PACKET_BITS)));
     net.add_agent(Box::new(CbrSource::new(p, 300.0, PACKET_BITS)));
     net.add_agent(Box::new(PoissonSource::new(d, 400.0, PACKET_BITS, 3)));

@@ -119,7 +119,7 @@ fn rejections_under_live_traffic_leave_no_residue() {
         "{events:?}"
     );
     assert!(!net.flow_active(wide));
-    assert!(net.installed_links(wide).is_empty());
+    assert!(net.installed_links(wide).next().is_none());
     assert_eq!(
         net.admission(links[0]).unwrap().reserved_guaranteed_bps(),
         0.0
