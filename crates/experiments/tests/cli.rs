@@ -46,15 +46,70 @@ fn stdout_is_byte_identical_in_every_mode() {
     }
 }
 
+/// The point count a parent run announces on stderr before its sweep
+/// (`running N sweep points on …`).
+fn announced_points(stderr: &str) -> usize {
+    stderr
+        .lines()
+        .find_map(|line| {
+            let (n, _) = line
+                .strip_prefix("running ")?
+                .split_once(" sweep points on ")?;
+            n.parse().ok()
+        })
+        .unwrap_or_else(|| panic!("no `running N sweep points` banner: {stderr}"))
+}
+
+/// The `k` and `N` of a `[k/N] tags done…` progress line, or `None` for a
+/// line that is not one.
+fn progress_line(line: &str) -> Option<(usize, usize)> {
+    let (count, rest) = line.strip_prefix('[')?.split_once("] ")?;
+    let (k, n) = count.split_once('/')?;
+    assert!(rest.contains(" done"), "not a completion line: {line:?}");
+    Some((k.parse().ok()?, n.parse().ok()?))
+}
+
+/// The side channels leave the table alone and count every point once:
+/// with threads and with worker processes, `--stream` prints one
+/// completion line per point, each count `k` once (completion order is
+/// free), and the `--telemetry=FILE` summary counts every point — with a
+/// measured round trip per point under worker processes and none under
+/// threads.
 #[test]
 fn telemetry_file_leaves_stdout_alone_and_holds_the_summary() {
     for (i, bin) in BINS.into_iter().enumerate() {
-        let file = std::env::temp_dir().join(format!("ispn-cli-{}-{i}.json", std::process::id()));
-        let flag = format!("--telemetry={}", file.display());
-        assert_eq!(table(bin, &["--workers", "2", &flag]), table(bin, &[]));
-        let json = std::fs::read_to_string(&file).expect("telemetry file was written");
-        let _ = std::fs::remove_file(&file);
-        assert!(json.contains("\"points\":"), "{json}");
+        let batch = table(bin, &[]);
+        for (mode, workers) in [("threads", &[][..]), ("workers", &["--workers", "2"][..])] {
+            let file = std::env::temp_dir()
+                .join(format!("ispn-cli-{}-{i}-{mode}.json", std::process::id()));
+            let flag = format!("--telemetry={}", file.display());
+            let out = run(bin, &[workers, &["--stream", &flag]].concat());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{bin} {mode} failed: {stderr}");
+            assert_eq!(String::from_utf8_lossy(&out.stdout), batch, "{bin} {mode}");
+            let n = announced_points(&stderr);
+            let mut done: Vec<usize> = stderr
+                .lines()
+                .filter_map(progress_line)
+                .map(|(k, total)| {
+                    assert_eq!(total, n, "{bin} {mode}: {stderr}");
+                    k
+                })
+                .collect();
+            done.sort_unstable();
+            assert_eq!(done, (1..=n).collect::<Vec<_>>(), "{bin} {mode}: {stderr}");
+            let json = std::fs::read_to_string(&file).expect("telemetry file was written");
+            let _ = std::fs::remove_file(&file);
+            let rtt = if workers.is_empty() { 0 } else { n };
+            assert!(
+                json.contains(&format!("\"points\":{n},")),
+                "{bin} {mode}: {json}"
+            );
+            assert!(
+                json.contains(&format!("\"rtt_points\":{rtt},")),
+                "{bin} {mode}: {json}"
+            );
+        }
     }
 }
 
