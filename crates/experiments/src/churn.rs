@@ -397,7 +397,7 @@ mod tests {
     #[test]
     fn parallel_sweep_equals_serial_sweep() {
         use crate::experiment::{rows, run};
-        use ispn_scenario::{NullObserver, SweepExec, SweepRunner};
+        use ispn_scenario::{SweepExec, SweepProgress, SweepRunner};
         let sweep = Sweep {
             paper: PaperConfig {
                 duration: SimTime::from_secs(20),
@@ -408,7 +408,7 @@ mod tests {
         };
         let serial = rows(&sweep);
         let threads = SweepExec::InProcess(SweepRunner::parallel(2));
-        let parallel = run(&sweep, &threads, &NullObserver);
+        let parallel = run(&sweep, &threads, &SweepProgress::default());
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             let p = p.result.as_ref().expect("no point panicked");

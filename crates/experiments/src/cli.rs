@@ -29,10 +29,12 @@
 //!
 //! Reporting flags, parent side only and never forwarded to workers:
 //!
-//! * `--stream` — one stderr progress line per completed point;
-//! * `--telemetry[=FILE]` — collect the sweep's per-point wall-time stream
-//!   (worker-measured in distributed runs) and render the
-//!   [`SweepTelemetry`] summary to stderr, or write its JSON to `FILE`.
+//! * `--stream` — one stderr progress line per completed point (a
+//!   streaming [`SweepProgress`]; without the flag it stays quiet);
+//! * `--telemetry[=FILE]` — render the [`SweepTelemetry`] summary the
+//!   sweep's [`SweepProgress`] folded from the points' wall times
+//!   (worker-measured in distributed runs) to stderr, or write its JSON to
+//!   `FILE`.
 //!
 //! Stdout is the rendered table — byte-identical in every mode — followed
 //! by the experiment's check line, if it has one.  Exit status: 0, 1 when
@@ -42,8 +44,8 @@
 use std::path::PathBuf;
 
 use ispn_scenario::{
-    failed_points, DistRunner, HostSpec, NullObserver, ProgressObserver, RunTelemetry, SweepExec,
-    SweepObserver, SweepRunner, SweepTelemetry, TelemetryCollector, WorkerCommand, WORKER_FLAG,
+    failed_points, DistRunner, HostSpec, RunTelemetry, SweepExec, SweepProgress, SweepRunner,
+    SweepTelemetry, WorkerCommand, WORKER_FLAG,
 };
 
 use crate::experiment::{run, serve, Experiment, Serve};
@@ -66,17 +68,11 @@ pub fn main<E: Experiment>(e: &E, args: &[String]) {
     let exec = sweep_exec(args);
     let points = e.set().len();
     eprintln!("running {points} sweep points on {} …", exec.description());
-    let progress = ProgressObserver::new();
-    let base: &dyn SweepObserver<E::Row> = if args.iter().any(|a| a == "--stream") {
-        &progress
-    } else {
-        &NullObserver
-    };
-    let collector = TelemetryCollector::new(base);
-    let reports = run(e, &exec, &collector);
+    let progress = SweepProgress::new(args.iter().any(|a| a == "--stream"));
+    let reports = run(e, &exec, &progress);
     println!("{}", e.render(&reports));
     if let Some(sink) = &telemetry {
-        emit_telemetry(sink, &collector.summary(), e.footprint().as_ref());
+        emit_telemetry(sink, &progress.telemetry(), e.footprint().as_ref());
     }
     let failures = failed_points(&reports);
     if failures > 0 {

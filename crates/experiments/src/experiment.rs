@@ -20,8 +20,8 @@
 //! [`cli::main`](crate::cli::main) — is all a sweep bin's `main` holds.
 
 use ispn_scenario::{
-    NullObserver, PointResult, RunTelemetry, ScenarioSet, SweepExec, SweepObserver, SweepReport,
-    SweepRunner, WireResult,
+    PointResult, RunTelemetry, ScenarioSet, SweepExec, SweepProgress, SweepReport, SweepRunner,
+    WireResult,
 };
 
 /// A sweep-shaped experiment: a configuration-holding value that can span
@@ -59,15 +59,15 @@ pub trait Experiment: Sync {
     }
 }
 
-/// Run the sweep on `exec`, streaming each completed point to `observer`;
+/// Run the sweep on `exec`, reporting each completed point to `progress`;
 /// the checked, axis-tagged reports come back in point order whatever the
 /// execution level.
 pub fn run<E: Experiment>(
     e: &E,
     exec: &SweepExec,
-    observer: &dyn SweepObserver<E::Row>,
+    progress: &SweepProgress,
 ) -> Vec<SweepReport<PointResult<E::Row>>> {
-    exec.run(&e.set(), |params| e.point(params), observer)
+    exec.run(&e.set(), |params| e.point(params), progress)
 }
 
 /// Run the sweep serially in this process and return the bare rows.
@@ -78,7 +78,7 @@ pub fn rows<E: Experiment>(e: &E) -> Vec<E::Row> {
     run(
         e,
         &SweepExec::InProcess(SweepRunner::serial()),
-        &NullObserver,
+        &SweepProgress::default(),
     )
     .into_iter()
     .map(|report| report.expect_ok().result)

@@ -1,8 +1,8 @@
 //! Admission control and the per-hop reservation ledger: for each link a
 //! flow holds, the guaranteed rate its controller and scheduler reserve
-//! (`FlowState::held_bps`).  Setup, renegotiation and release move the
-//! three together, here alone, so a release returns exactly what is held —
-//! whatever order the control messages reached the link in.
+//! (`FlowState::installed_links`).  Setup, renegotiation and release move
+//! the three together, here alone, so a release returns exactly what is
+//! held — whatever order the control messages reached the link in.
 
 use ispn_core::admission::{AdmissionController, AdmissionDecision, RejectReason};
 use ispn_core::{FlowId, FlowSpec};
@@ -86,11 +86,7 @@ impl Network {
         &self,
         flow: FlowId,
     ) -> impl ExactSizeIterator<Item = (LinkId, f64)> + '_ {
-        let f = &self.flows[flow.index()];
-        f.installed_links
-            .iter()
-            .copied()
-            .zip(f.held_bps.iter().copied())
+        self.flows[flow.index()].installed_links.iter().copied()
     }
 
     /// Structural size of the per-link reservation state in bytes: the
@@ -131,11 +127,10 @@ impl Network {
     /// the flow.  Returns `false` if nothing was installed there.
     pub fn release_flow_on_link(&mut self, flow: FlowId, link: LinkId) -> bool {
         let f = &mut self.flows[flow.index()];
-        let Some(at) = f.installed_links.iter().position(|&l| l == link) else {
+        let Some(at) = f.installed_links.iter().position(|&(l, _)| l == link) else {
             return false;
         };
-        f.installed_links.swap_remove(at);
-        let held = f.held_bps.swap_remove(at);
+        let (_, held) = f.installed_links.swap_remove(at);
         if held > 0.0 {
             let port = &mut self.ports[link.index()];
             if let Some(ad) = port.admission.as_mut() {
@@ -166,18 +161,15 @@ impl Network {
         to: &FlowSpec,
     ) -> AdmissionDecision {
         let f = &self.flows[flow.index()];
-        let at = f.installed_links.iter().position(|&l| l == link);
-        let held = at.map_or(0.0, |at| f.held_bps[at]);
+        let at = f.installed_links.iter().position(|&(l, _)| l == link);
+        let held = at.map_or(0.0, |at| f.installed_links[at].1);
         let decision = self.reserve(flow, link, to, held);
         if decision.is_accept() {
             let f = &mut self.flows[flow.index()];
             let rate = to.clock_rate_bps().unwrap_or(0.0);
             match at {
-                Some(at) => f.held_bps[at] = held.max(rate),
-                None => {
-                    f.installed_links.push(link);
-                    f.held_bps.push(rate);
-                }
+                Some(at) => f.installed_links[at].1 = held.max(rate),
+                None => f.installed_links.push((link, rate)),
             }
         }
         decision
@@ -189,7 +181,7 @@ impl Network {
     /// rollback or teardown got there first and released it all.
     pub fn undo_renegotiation_on_link(&mut self, flow: FlowId, link: LinkId) {
         let f = &self.flows[flow.index()];
-        let at = f.installed_links.iter().position(|&l| l == link);
+        let at = f.installed_links.iter().position(|&(l, _)| l == link);
         if let (Some(at), Some(rate)) = (at, f.config.spec.clock_rate_bps()) {
             self.hold_at_most(flow, at, rate);
         }
@@ -271,10 +263,9 @@ impl Network {
     /// `rate`, if it holds more: the controller gets the difference back
     /// and the scheduler narrows the flow's reservation, which always fits.
     fn hold_at_most(&mut self, flow: FlowId, at: usize, rate: f64) {
-        let f = &mut self.flows[flow.index()];
-        let held = &mut f.held_bps[at];
+        let (link, held) = &mut self.flows[flow.index()].installed_links[at];
         if *held > rate {
-            let port = &mut self.ports[f.installed_links[at].index()];
+            let port = &mut self.ports[link.index()];
             if let Some(ad) = port.admission.as_mut() {
                 ad.controller.release_guaranteed(*held - rate);
             }

@@ -161,11 +161,10 @@ pub(super) struct FlowState {
     /// when this reaches zero.
     in_flight: u32,
     /// Links where reservation state (admission and/or scheduler) has been
-    /// installed for this flow and must be released on teardown.
-    pub(super) installed_links: Vec<LinkId>,
-    /// The guaranteed rate held on each of `installed_links` (0 for a
-    /// predicted or datagram flow); only `admission.rs` changes either.
-    pub(super) held_bps: Vec<f64>,
+    /// installed for this flow and must be released on teardown, each with
+    /// the guaranteed rate held there (0 for a predicted or datagram
+    /// flow); only `admission.rs` changes it.
+    pub(super) installed_links: Vec<(LinkId, f64)>,
 }
 
 impl Network {
@@ -216,15 +215,14 @@ impl Network {
             phase,
             in_flight: 0,
             installed_links: Vec::new(),
-            held_bps: Vec::new(),
         };
         let id = match self.free_flow_slots.pop() {
             Some(id) => {
-                // The slot's ledger buffers outlive their tenant.
+                // The slot's ledger buffer outlives its tenant.
                 let slot = &mut self.flows[id.index()];
                 let old = std::mem::replace(slot, state);
                 debug_assert!(old.phase == FlowPhase::Vacant && old.installed_links.is_empty());
-                (slot.installed_links, slot.held_bps) = (old.installed_links, old.held_bps);
+                slot.installed_links = old.installed_links;
                 id
             }
             None => {
@@ -425,8 +423,7 @@ impl Network {
         let mut bytes = self.flows.len() * std::mem::size_of::<FlowState>();
         for f in &self.flows {
             bytes += f.config.route.len() * std::mem::size_of::<LinkId>();
-            bytes += f.installed_links.len() * std::mem::size_of::<LinkId>();
-            bytes += f.held_bps.len() * std::mem::size_of::<f64>();
+            bytes += f.installed_links.len() * std::mem::size_of::<(LinkId, f64)>();
         }
         bytes as u64
             + self

@@ -1066,11 +1066,7 @@ mod tests {
                 assert_eq!(ad.reserved_guaranteed_bps(), 0.0, "{link:?}");
             }
         }
-        // VirtualClock counts its lane records at their high-water, freed
-        // ones included, so its reservation bytes never come back down.
-        if spec != DisciplineSpec::VirtualClock {
-            assert_eq!(sim.network().reservation_state_bytes(), fresh);
-        }
+        assert_eq!(sim.network().reservation_state_bytes(), fresh);
     }
 
     proptest::proptest! {

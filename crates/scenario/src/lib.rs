@@ -31,10 +31,11 @@
 //!   one or two named axes ([`over`](ScenarioSet::over), cartesian
 //!   [`by`](ScenarioSet::by)) and fan the points across a thread pool;
 //!   results come back axis-tagged **in point order**, byte-identical to a
-//!   serial run whatever the thread count.  [`SweepRunner::run`] streams
-//!   every point's report to a [`SweepObserver`] the moment it completes,
-//!   and per-point `catch_unwind` turns a panicking point into a
-//!   structured [`SweepError`] instead of aborting its siblings.  [`DistRunner`]
+//!   serial run whatever the thread count.  [`SweepRunner::run`] reports
+//!   every completed point to a [`SweepProgress`] (stderr progress lines
+//!   and the [`SweepTelemetry`] wall-time summary), and per-point
+//!   `catch_unwind` turns a panicking point into a structured
+//!   [`SweepError`] instead of aborting its siblings.  [`DistRunner`]
 //!   scales the same contract past one process: points fan across
 //!   supervised `--sweep-worker` subprocesses — or, via
 //!   [`sweep::net`] ([`HostSpec`] lists, [`serve_listener`]), across
@@ -96,9 +97,8 @@ pub use sweep::testing::{assert_wire_codec, FaultMode, FaultPlan};
 pub use sweep::wire::{json_escape, JsonValue, WireError, WireResult};
 pub use sweep::worker::{serve_worker, WORKER_FLAG};
 pub use sweep::{
-    failed_points, sweep_to_json, AxisValue, NullObserver, PointResult, PointTelemetry,
-    ProgressObserver, ScenarioSet, SweepError, SweepObserver, SweepPoint, SweepReport, SweepRunner,
-    SweepTelemetry, TelemetryCollector,
+    failed_points, sweep_to_json, AxisValue, PointResult, ScenarioSet, SweepError, SweepPoint,
+    SweepProgress, SweepReport, SweepRunner, SweepTelemetry,
 };
 pub use topology::{BuiltTopology, LinkProfile, TopologySpec};
 pub use workload::{

@@ -19,10 +19,10 @@
 //! and `"error"` bodies for panics.
 //!
 //! ```
-//! use ispn_scenario::{NullObserver, ScenarioSet, SweepRunner, SweepTable};
+//! use ispn_scenario::{ScenarioSet, SweepProgress, SweepRunner, SweepTable};
 //!
 //! let set = ScenarioSet::over("load", [1usize, 2]).by("flows", [10usize]);
-//! let reports = SweepRunner::serial().run(&set, |&(load, flows)| load * flows, &NullObserver);
+//! let reports = SweepRunner::serial().run(&set, |&(load, flows)| load * flows, &SweepProgress::default());
 //! let text = SweepTable::new("delivered packets")
 //!     .columns(["delivered"])
 //!     .render(&reports, |&total| vec![vec![total.to_string()]]);
@@ -123,7 +123,7 @@ impl SweepTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{NullObserver, ScenarioSet, SweepError, SweepRunner};
+    use crate::sweep::{ScenarioSet, SweepError, SweepProgress, SweepRunner};
 
     fn checked(reports: Vec<SweepReport<usize>>) -> Vec<SweepReport<PointResult<usize>>> {
         reports
@@ -139,7 +139,8 @@ mod tests {
     #[test]
     fn axis_columns_come_from_tags_in_declaration_order() {
         let set = ScenarioSet::over("discipline", ["WFQ", "FIFO"]).by("level", [1usize, 2]);
-        let reports = SweepRunner::serial().run(&set, |&(_, level)| level * 7, &NullObserver);
+        let reports =
+            SweepRunner::serial().run(&set, |&(_, level)| level * 7, &SweepProgress::default());
         assert_eq!(axis_names(&reports), vec!["discipline", "level"]);
         let text = SweepTable::new("demo")
             .columns(["value"])

@@ -29,15 +29,15 @@
 //!   [`testing::FaultPlan`] injects worker faults for the supervision
 //!   tests.
 //!
-//! # Streaming and fault isolation
+//! # Progress and fault isolation
 //!
-//! [`SweepRunner::run`] emits every point's report to a [`SweepObserver`]
-//! the moment the point completes (completion order, from whichever
-//! worker thread finished it) while still returning the full `Vec` in
-//! point order.  Observers are ordinary `Sync` values — the stderr
-//! [`ProgressObserver`], [`NullObserver`] to stream nowhere, or any
-//! closure (one that sends each report into an `mpsc` channel turns the
-//! stream into a receiver).
+//! [`SweepRunner::run`] reports every completed point to a
+//! [`SweepProgress`] the moment the point completes (completion order,
+//! from whichever worker thread finished it) while still returning the
+//! full `Vec` in point order.  The sink counts completions, aggregates the
+//! points' wall times into a [`SweepTelemetry`] and, when built to stream,
+//! prints one stderr line per point; a quiet one
+//! ([`SweepProgress::default`]) only counts.
 //!
 //! Every point runs under [`std::panic::catch_unwind`], so one exploding
 //! scenario no longer takes the whole sweep down: the point's slot carries
@@ -53,11 +53,11 @@
 //! pure function of its parameters and seeds (each `Sim` owns its
 //! `Network` + `Signaling` and a private RNG stream), a sweep produces
 //! byte-identical [`SweepReport`]s whatever the thread count — and
-//! whatever observer was streaming — pinned by `tests/tests/sweep.rs` and
-//! the CI `sweep-smoke` job.
+//! whether or not progress was streaming — pinned by
+//! `tests/tests/sweep.rs` and the CI `sweep-smoke` job.
 //!
 //! ```
-//! use ispn_scenario::{NullObserver, ScenarioSet, SweepRunner};
+//! use ispn_scenario::{ScenarioSet, SweepProgress, SweepRunner};
 //!
 //! let set = ScenarioSet::over("load", [0.5f64, 0.8])
 //!     .by("flows", [5usize, 10]);
@@ -65,7 +65,7 @@
 //! let reports = SweepRunner::parallel(2).run(&set, |&(load, flows)| {
 //!     // build a ScenarioBuilder from (load, flows), run it, report…
 //!     format!("{load}:{flows}")
-//! }, &NullObserver);
+//! }, &SweepProgress::default());
 //! assert_eq!(reports[3].result.as_deref(), Ok("0.8:10"));
 //! assert_eq!(reports[3].tag("flows"), Some("10"));
 //! ```
@@ -79,7 +79,7 @@ pub mod worker;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use ispn_sim::SimTime;
 
@@ -339,149 +339,134 @@ pub fn failed_points<R>(reports: &[SweepReport<PointResult<R>>]) -> usize {
 }
 
 /// Out-of-band per-point run stats: wall-clock data measured around one
-/// point's execution, streamed to the observer **separately** from the
-/// point's result so it can never leak into the byte-identity surface.
-/// For a distributed sweep the wall time is the one the *worker process*
-/// measured around the point's closure (shipped in a telemetry wire
-/// frame); in-process runners measure around the same closure directly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PointTelemetry {
+/// point's execution, folded into the sweep's [`SweepTelemetry`]
+/// **separately** from the point's result so it can never leak into the
+/// byte-identity surface.  For a distributed sweep the wall time is the one
+/// the *worker process* measured around the point's closure (shipped in a
+/// telemetry wire frame); in-process runners measure around the same
+/// closure directly.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PointTelemetry {
     /// The point's position in sweep order.
-    pub index: usize,
+    pub(crate) index: usize,
     /// Wall-clock seconds spent running the point's closure.
-    pub wall_s: f64,
+    pub(crate) wall_s: f64,
     /// Parent-measured round-trip seconds for the point in a
     /// *distributed* sweep: from dispatching the point's request to
     /// receiving its final frame.  `rtt_s − wall_s` is the wire and
     /// supervision overhead of the point.  `None` for in-process runners,
     /// where there is no wire to measure.
-    pub rtt_s: Option<f64>,
+    pub(crate) rtt_s: Option<f64>,
 }
 
-/// Receives each point's report the moment the point completes.
+/// A sweep's progress sink: counts completed points, folds each point's
+/// wall time into a [`SweepTelemetry`], and — when built to stream —
+/// prints one stderr line per completed point (`[done/total] axis=value …
+/// done (r.r pts/s, ETA Ns)`, or the panic payload for a failed point).
+/// The bins build one from `--stream` and read its telemetry for
+/// `--telemetry`; stdout stays untouched, so the rendered report is
+/// byte-identical whether or not anything streamed.  The pace, ETA and
+/// wall times are wall-clock measured *outside* the sim and never
+/// influence any result.
 ///
-/// Implementations must be `Sync`: a parallel runner calls
-/// [`point_completed`](SweepObserver::point_completed) from whichever
-/// worker thread finished the point, so calls arrive in **completion
-/// order** and may be concurrent.  The runner still returns the full
-/// result `Vec` in point order afterwards, byte-identical to an unobserved
-/// run.  Any `Fn(&SweepReport<PointResult<R>>) + Sync` closure is an
-/// observer.
-pub trait SweepObserver<R>: Sync {
-    /// Called once, before any point runs, with the number of points.
-    fn sweep_started(&self, _total: usize) {}
-
-    /// Called with a point's out-of-band run stats, just before that
-    /// point's [`point_completed`](SweepObserver::point_completed) (same
-    /// thread, same ordering caveats).  Default: ignore — telemetry is
-    /// opt-in for observers exactly as it is for reports.  A distributed
-    /// runner whose worker died mid-point may complete a point without
-    /// ever delivering its telemetry.
-    fn point_telemetry(&self, _telemetry: &PointTelemetry) {}
-
-    /// Called as each point completes (completion order; possibly from a
-    /// worker thread).  Panicked points arrive as `Err` — streaming
-    /// consumers see the failure as soon as it happens, not after the
-    /// sweep returns.
-    fn point_completed(&self, report: &SweepReport<PointResult<R>>);
-}
-
-impl<R, F> SweepObserver<R> for F
-where
-    F: Fn(&SweepReport<PointResult<R>>) + Sync,
-{
-    fn point_completed(&self, report: &SweepReport<PointResult<R>>) {
-        self(report)
-    }
-}
-
-/// The do-nothing observer: pass it to a runner's `run` to stream nowhere.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullObserver;
-
-impl<R> SweepObserver<R> for NullObserver {
-    fn point_completed(&self, _report: &SweepReport<PointResult<R>>) {}
-}
-
-/// A progress observer for command-line sweeps: one stderr line per
-/// completed point (`[done/total] axis=value … done (r.r pts/s, ETA Ns)`,
-/// or the panic payload for a failed point).  This is what the experiment
-/// bins wire up under `--stream`; stdout stays untouched, so the final
-/// rendered report is byte-identical to an unobserved run.  The pace and ETA are
-/// wall-clock measured *outside* the sim — they exist only on stderr and
-/// never influence any result.
+/// A runner reports each point from whichever thread finished it, so
+/// lines arrive in **completion order**.  Every point is counted **exactly
+/// once**, whether it ran in-thread or in a worker process and whether it
+/// succeeded or was poisoned — a distributed runner reports each point's
+/// final outcome once, even when a worker death forced its siblings onto
+/// other workers.  Each sweep run through the sink starts it afresh.
 #[derive(Debug, Default)]
-pub struct ProgressObserver {
-    done: AtomicUsize,
-    total: AtomicUsize,
-    /// When the current sweep started (reset by `sweep_started`), for the
-    /// pts/sec + ETA suffix.
-    started: Mutex<Option<std::time::Instant>>,
+pub struct SweepProgress {
+    stream: bool,
+    state: Mutex<Progress>,
 }
 
-impl ProgressObserver {
-    /// A fresh progress observer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Completions counted so far.  Every point is counted **exactly
-    /// once**, whether it ran in-thread or in a worker process and whether
-    /// it succeeded or was poisoned — a distributed runner reports each
-    /// point's final outcome once, even when a worker death forced its
-    /// siblings onto other workers.
-    pub fn completed(&self) -> usize {
-        self.done.load(Ordering::SeqCst)
-    }
+/// What a [`SweepProgress`] has seen of the current sweep.
+#[derive(Debug, Default)]
+struct Progress {
+    done: usize,
+    total: usize,
+    /// When the sweep started, for the pts/s + ETA suffix.
+    started: Option<std::time::Instant>,
+    telemetry: SweepTelemetry,
 }
 
-impl ProgressObserver {
-    /// The ` (r.r pts/s, ETA Ns)` suffix, empty until a measurable amount
-    /// of wall time has passed.
-    fn pace_suffix(&self, done: usize, total: usize) -> String {
-        let elapsed = self
-            .started
-            .lock()
-            .expect("progress clock poisoned")
-            .map(|t0| t0.elapsed().as_secs_f64());
-        match elapsed {
-            Some(elapsed) if elapsed > 0.0 && done > 0 => {
-                let rate = done as f64 / elapsed;
-                let remaining = total.saturating_sub(done);
-                format!(" ({rate:.1} pts/s, ETA {:.0}s)", remaining as f64 / rate)
-            }
-            _ => String::new(),
+impl SweepProgress {
+    /// A sink that prints a stderr line per completed point when `stream`
+    /// is set and prints nothing otherwise; it counts and aggregates
+    /// either way.  [`SweepProgress::default`] is the quiet one.
+    pub fn new(stream: bool) -> Self {
+        SweepProgress {
+            stream,
+            state: Mutex::default(),
         }
     }
-}
 
-impl<R> SweepObserver<R> for ProgressObserver {
-    fn sweep_started(&self, total: usize) {
-        // Reset the completion count: an observer reused across runs used
-        // to keep counting from the previous sweep's total, so `[done/total]`
-        // overflowed and `completed()` double-counted.  The pace clock
-        // restarts with it.
-        self.done.store(0, Ordering::SeqCst);
-        self.total.store(total, Ordering::SeqCst);
+    /// Completions counted so far in the current sweep.
+    pub fn completed(&self) -> usize {
+        self.state().done
+    }
+
+    /// The current sweep's telemetry aggregate (a copy).
+    pub fn telemetry(&self) -> SweepTelemetry {
+        self.state().telemetry
+    }
+
+    fn state(&self) -> MutexGuard<'_, Progress> {
+        self.state.lock().expect("sweep progress poisoned")
+    }
+
+    /// Start a sweep of `total` points: the count, the pace clock and the
+    /// aggregate restart, so a sink reused across sweeps never counts past
+    /// the new total.
+    fn start(&self, total: usize) {
         #[expect(
             clippy::disallowed_methods,
             reason = "progress pacing (pts/s, ETA) on stderr only; stdout and report bytes \
                       never see this clock"
         )]
         let now = std::time::Instant::now();
-        *self.started.lock().expect("progress clock poisoned") = Some(now);
+        *self.state() = Progress {
+            total,
+            started: Some(now),
+            ..Progress::default()
+        };
     }
 
-    fn point_completed(&self, report: &SweepReport<PointResult<R>>) {
-        let done = self.done.fetch_add(1, Ordering::SeqCst) + 1;
-        let total = self.total.load(Ordering::SeqCst);
+    /// Count one completed point, fold in its out-of-band stats when it
+    /// has any (a distributed runner whose worker died mid-point has
+    /// none), and print its line when streaming.
+    fn point_done<R>(
+        &self,
+        report: &SweepReport<PointResult<R>>,
+        telemetry: Option<PointTelemetry>,
+    ) {
+        let mut state = self.state();
+        state.done += 1;
+        if let Some(telemetry) = telemetry {
+            state.telemetry.record(&telemetry);
+        }
+        if !self.stream {
+            return;
+        }
+        let (done, total) = (state.done, state.total);
         let tags: Vec<String> = report
             .tags
             .iter()
             .map(|(name, label)| format!("{name}={label}"))
             .collect();
         let tags = tags.join(" ");
-        let pace = self.pace_suffix(done, total);
+        // The ` (r.r pts/s, ETA Ns)` suffix, empty until a measurable
+        // amount of wall time has passed.
+        let pace = match state.started.map(|t0| t0.elapsed().as_secs_f64()) {
+            Some(elapsed) if elapsed > 0.0 => {
+                let rate = done as f64 / elapsed;
+                let remaining = total.saturating_sub(done);
+                format!(" ({rate:.1} pts/s, ETA {:.0}s)", remaining as f64 / rate)
+            }
+            _ => String::new(),
+        };
+        // Printed under the lock, so the lines appear in count order.
         match &report.result {
             Ok(_) => eprintln!("[{done}/{total}] {tags} done{pace}"),
             Err(e) => eprintln!("[{done}/{total}] {tags} PANICKED: {}{pace}", e.payload),
@@ -489,11 +474,10 @@ impl<R> SweepObserver<R> for ProgressObserver {
     }
 }
 
-/// Aggregate of a sweep's [`PointTelemetry`] stream: how many points
-/// reported, total/mean wall time, the slowest point — and, for
-/// distributed sweeps, the per-point round-trip overhead (time the parent
-/// spent on the wire and in supervision beyond the worker's own wall
-/// time).
+/// Aggregate of a sweep's per-point stats: how many points reported,
+/// total/mean wall time, the slowest point — and, for distributed sweeps,
+/// the per-point round-trip overhead (time the parent spent on the wire
+/// and in supervision beyond the worker's own wall time).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SweepTelemetry {
     points: usize,
@@ -505,13 +489,8 @@ pub struct SweepTelemetry {
 }
 
 impl SweepTelemetry {
-    /// An empty aggregate.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Fold one point's stats in.
-    pub fn record(&mut self, t: &PointTelemetry) {
+    pub(crate) fn record(&mut self, t: &PointTelemetry) {
         self.points += 1;
         self.total_wall_s += t.wall_s;
         if self.points == 1 || t.wall_s > self.max_wall_s {
@@ -614,60 +593,6 @@ impl SweepTelemetry {
     }
 }
 
-/// An observer wrapper that aggregates the telemetry stream into a
-/// [`SweepTelemetry`] while forwarding every callback to an inner
-/// observer.  This is what the bins' `--telemetry` flag wires around their
-/// usual observer: the inner one keeps rendering progress, the collector
-/// accumulates the summary to print after the sweep.
-pub struct TelemetryCollector<'a, R> {
-    inner: &'a dyn SweepObserver<R>,
-    aggregate: Mutex<SweepTelemetry>,
-}
-
-impl<'a, R> TelemetryCollector<'a, R> {
-    /// Wrap `inner`, starting from an empty aggregate.
-    pub fn new(inner: &'a dyn SweepObserver<R>) -> Self {
-        TelemetryCollector {
-            inner,
-            aggregate: Mutex::new(SweepTelemetry::new()),
-        }
-    }
-
-    /// The aggregate so far (a copy; the collector keeps accumulating).
-    pub fn summary(&self) -> SweepTelemetry {
-        *self.aggregate.lock().expect("telemetry aggregate poisoned")
-    }
-}
-
-impl<R> std::fmt::Debug for TelemetryCollector<'_, R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TelemetryCollector")
-            .field("aggregate", &self.summary())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<R> SweepObserver<R> for TelemetryCollector<'_, R> {
-    fn sweep_started(&self, total: usize) {
-        // A collector reused across sweeps restarts its aggregate, like
-        // ProgressObserver restarts its counters.
-        *self.aggregate.lock().expect("telemetry aggregate poisoned") = SweepTelemetry::new();
-        self.inner.sweep_started(total);
-    }
-
-    fn point_telemetry(&self, telemetry: &PointTelemetry) {
-        self.aggregate
-            .lock()
-            .expect("telemetry aggregate poisoned")
-            .record(telemetry);
-        self.inner.point_telemetry(telemetry);
-    }
-
-    fn point_completed(&self, report: &SweepReport<PointResult<R>>) {
-        self.inner.point_completed(report);
-    }
-}
-
 /// Fans the points of a [`ScenarioSet`] across a thread pool.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepRunner {
@@ -692,32 +617,27 @@ impl SweepRunner {
         self.threads
     }
 
-    /// Run every point of `set` through `run_point`, handing each
-    /// completed point's report to `observer` **the moment it completes**
+    /// Run every point of `set` through `run_point`, reporting each
+    /// completed point to `progress` **the moment it completes**
     /// (completion order, from the finishing worker thread), then return
     /// one checked [`SweepReport`] per point **in sweep order** —
-    /// byte-identical to a serial or unobserved run.  `run_point` builds,
-    /// runs and summarizes one self-contained scenario; it is called
-    /// exactly once per point, and a panic inside it becomes that point's
+    /// byte-identical to a serial run.  `run_point` builds, runs and
+    /// summarizes one self-contained scenario; it is called exactly once
+    /// per point, and a panic inside it becomes that point's
     /// [`SweepError`] while every sibling point still runs.
-    ///
-    /// # Panics
-    /// Never from `run_point`; a panic inside the observer itself still
-    /// propagates.
-    pub fn run<P, R, F, O>(
+    pub fn run<P, R, F>(
         &self,
         set: &ScenarioSet<P>,
         run_point: F,
-        observer: &O,
+        progress: &SweepProgress,
     ) -> Vec<SweepReport<PointResult<R>>>
     where
         P: Sync,
         R: Send,
         F: Fn(&P) -> R + Sync,
-        O: SweepObserver<R> + ?Sized,
     {
         let n = set.points.len();
-        observer.sweep_started(n);
+        progress.start(n);
         // One point, fault-isolated: a panic in `run_point` becomes the
         // point's `SweepError` instead of unwinding through the sweep.
         // The wall time rides back separately — out-of-band stats, never
@@ -756,8 +676,7 @@ impl SweepRunner {
             let mut out = Vec::with_capacity(n);
             for index in 0..n {
                 let (report, telemetry) = run_one(index);
-                observer.point_telemetry(&telemetry);
-                observer.point_completed(&report);
+                progress.point_done(&report, Some(telemetry));
                 out.push(report);
             }
             return out;
@@ -765,7 +684,7 @@ impl SweepRunner {
         // Work-stealing by atomic counter: each worker claims the next
         // unclaimed point and writes the report into that point's slot, so
         // completion order cannot leak into the output (only into the
-        // observer, which is its contract).
+        // progress lines, which is their contract).
         let slots: Vec<Mutex<Option<SweepReport<PointResult<R>>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
@@ -777,8 +696,7 @@ impl SweepRunner {
                         break;
                     }
                     let (report, telemetry) = run_one(i);
-                    observer.point_telemetry(&telemetry);
-                    observer.point_completed(&report);
+                    progress.point_done(&report, Some(telemetry));
                     *slots[i].lock().expect("result slot poisoned") = Some(report);
                 });
             }
@@ -836,7 +754,7 @@ mod tests {
     #[test]
     fn single_point_sets_run_through_the_same_machinery() {
         let set = ScenarioSet::over("only", [7usize]);
-        let out = SweepRunner::parallel(4).run(&set, |&(x,)| x * 6, &NullObserver);
+        let out = SweepRunner::parallel(4).run(&set, |&(x,)| x * 6, &SweepProgress::default());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].result, Ok(42));
         assert_eq!(out[0].tag("only"), Some("7"));
@@ -852,8 +770,8 @@ mod tests {
             }
             i * i
         };
-        let serial = SweepRunner::serial().run(&set, f, &NullObserver);
-        let parallel = SweepRunner::parallel(8).run(&set, f, &NullObserver);
+        let serial = SweepRunner::serial().run(&set, f, &SweepProgress::default());
+        let parallel = SweepRunner::parallel(8).run(&set, f, &SweepProgress::default());
         assert_eq!(serial, parallel);
         for (i, r) in parallel.iter().enumerate() {
             assert_eq!(r.index, i);
@@ -865,7 +783,7 @@ mod tests {
     #[test]
     fn sweep_json_tags_every_point_and_escapes_labels() {
         let set = ScenarioSet::over("d", ["evil\"quote"]);
-        let out = SweepRunner::serial().run(&set, |_| empty_report(), &NullObserver);
+        let out = SweepRunner::serial().run(&set, |_| empty_report(), &SweepProgress::default());
         let json = sweep_to_json(&out);
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert!(
@@ -891,7 +809,7 @@ mod tests {
             load * 10
         };
         for runner in [SweepRunner::serial(), SweepRunner::parallel(4)] {
-            let reports = runner.run(&set, f, &NullObserver);
+            let reports = runner.run(&set, f, &SweepProgress::default());
             assert_eq!(reports.len(), 4);
             assert_eq!(failed_points(&reports), 1);
             // Sibling points all completed…
@@ -919,7 +837,7 @@ mod tests {
                 assert!(load != 3, "boom");
                 load
             },
-            &NullObserver,
+            &SweepProgress::default(),
         );
         let mut reports = reports.into_iter();
         assert_eq!(reports.next().map(|r| r.expect_ok().result), Some(1));
@@ -935,44 +853,19 @@ mod tests {
             }
             i + 100
         };
-        let seen = Mutex::new(Vec::new());
-        let observer = |report: &SweepReport<PointResult<usize>>| {
-            seen.lock()
-                .unwrap()
-                .push((report.index, *report.result.as_ref().unwrap()));
-        };
-        let streamed = SweepRunner::parallel(8).run(&set, f, &observer);
-        // Every point was emitted exactly once before the sweep returned…
-        let mut seen = seen.into_inner().unwrap();
-        assert_eq!(seen.len(), 32);
-        seen.sort();
-        assert_eq!(seen, (0..32usize).map(|i| (i, i + 100)).collect::<Vec<_>>());
+        let progress = SweepProgress::new(true);
+        let streamed = SweepRunner::parallel(8).run(&set, f, &progress);
+        // Every point was counted and timed exactly once before the sweep
+        // returned…
+        assert_eq!(progress.completed(), 32);
+        assert_eq!(progress.telemetry().points(), 32);
         // …and the returned reports are in point order, matching serial.
-        let serial = SweepRunner::serial().run(&set, f, &NullObserver);
+        let serial = SweepRunner::serial().run(&set, f, &SweepProgress::default());
         assert_eq!(streamed, serial);
         for (i, r) in streamed.iter().enumerate() {
             assert_eq!(r.index, i);
+            assert_eq!(r.result, Ok(i + 100));
         }
-    }
-
-    /// Streaming into a channel needs no dedicated observer type: a
-    /// closure that sends each report is one.
-    #[test]
-    fn channel_observer_streams_completions() {
-        let set = ScenarioSet::over("x", [1u64, 2, 3]);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let observer = |report: &SweepReport<PointResult<u64>>| {
-            let _ = tx.send(report.clone());
-        };
-        let reports = SweepRunner::parallel(2).run(&set, |&(x,)| x * x, &observer);
-        drop(tx);
-        let mut streamed: Vec<u64> = rx
-            .into_iter()
-            .map(|r| r.result.expect("no panics here"))
-            .collect();
-        streamed.sort();
-        assert_eq!(streamed, vec![1, 4, 9]);
-        assert_eq!(reports.len(), 3);
     }
 
     /// A report with no flows, links or classes.
@@ -994,7 +887,8 @@ mod tests {
     #[test]
     fn checked_json_matches_unchecked_on_success_and_carries_errors() {
         let set = ScenarioSet::over("d", ["ok"]);
-        let checked = SweepRunner::serial().run(&set, |_| empty_report(), &NullObserver);
+        let checked =
+            SweepRunner::serial().run(&set, |_| empty_report(), &SweepProgress::default());
         assert_eq!(
             sweep_to_json(&checked),
             "[{\"index\":0,\"axes\":[[\"d\",\"ok\"]],\"report\":{\"horizon_s\":1.0,\
@@ -1017,42 +911,38 @@ mod tests {
         assert!(!json.contains("\"report\""), "{json}");
     }
 
+    /// A sink reused for a second sweep restarts its count and its
+    /// aggregate instead of adding the new sweep to the old one.
     #[test]
-    fn progress_observer_resets_its_counter_per_sweep() {
-        let observer = ProgressObserver::new();
+    fn sweep_progress_restarts_its_count_and_aggregate_per_sweep() {
+        let progress = SweepProgress::default();
         let small = ScenarioSet::over("i", [1usize, 2]);
         let big = ScenarioSet::over("i", (0..5usize).collect::<Vec<_>>());
-        let _ = SweepRunner::serial().run(&big, |&(i,)| i, &observer);
-        assert_eq!(observer.completed(), 5);
-        // Reusing the observer must restart from zero, not keep counting.
-        let _ = SweepRunner::serial().run(&small, |&(i,)| i, &observer);
-        assert_eq!(observer.completed(), 2);
+        let _ = SweepRunner::parallel(2).run(&big, |&(i,)| i, &progress);
+        assert_eq!(progress.completed(), 5);
+        assert_eq!(progress.telemetry().points(), 5);
+        let _ = SweepRunner::serial().run(&small, |&(i,)| i, &progress);
+        assert_eq!(progress.completed(), 2);
+        assert_eq!(progress.telemetry().points(), 2);
     }
 
     #[test]
     fn every_point_streams_telemetry_with_positive_wall_time() {
         let set = ScenarioSet::over("i", (0..8usize).collect::<Vec<_>>());
-        let seen: Mutex<Vec<PointTelemetry>> = Mutex::new(Vec::new());
-        struct Capture<'a>(&'a Mutex<Vec<PointTelemetry>>);
-        impl<R> SweepObserver<R> for Capture<'_> {
-            fn point_telemetry(&self, t: &PointTelemetry) {
-                self.0.lock().unwrap().push(*t);
-            }
-            fn point_completed(&self, _report: &SweepReport<PointResult<R>>) {}
-        }
         for runner in [SweepRunner::serial(), SweepRunner::parallel(4)] {
-            seen.lock().unwrap().clear();
-            let _ = runner.run(&set, |&(i,)| i, &Capture(&seen));
-            let mut indices: Vec<usize> = seen.lock().unwrap().iter().map(|t| t.index).collect();
-            indices.sort_unstable();
-            assert_eq!(indices, (0..8).collect::<Vec<_>>());
-            assert!(seen.lock().unwrap().iter().all(|t| t.wall_s >= 0.0));
+            let progress = SweepProgress::default();
+            let _ = runner.run(&set, |&(i,)| i, &progress);
+            let telemetry = progress.telemetry();
+            assert_eq!(telemetry.points(), 8);
+            assert_eq!(telemetry.rtt_points, 0, "no wire, no round trip");
+            let (slowest, wall_s) = telemetry.slowest().expect("points reported");
+            assert!(slowest < 8 && wall_s >= 0.0);
         }
     }
 
     #[test]
-    fn telemetry_collector_aggregates_and_resets_per_sweep() {
-        let mut agg = SweepTelemetry::new();
+    fn sweep_telemetry_aggregates_point_stats() {
+        let mut agg = SweepTelemetry::default();
         assert_eq!(agg.points(), 0);
         assert_eq!(agg.slowest(), None);
         agg.record(&PointTelemetry {
@@ -1091,23 +981,11 @@ mod tests {
              \"max_wall_s\":4.0,\"max_index\":3,\"rtt_points\":2,\
              \"total_overhead_s\":0.5,\"mean_overhead_s\":0.25}"
         );
-
-        // The collector wrapper accumulates the stream and forwards to the
-        // inner observer; a new sweep restarts its aggregate.
-        let set = ScenarioSet::over("i", [1usize, 2, 3]);
-        let inner = ProgressObserver::new();
-        let collector = TelemetryCollector::new(&inner);
-        let _ = SweepRunner::parallel(2).run(&set, |&(i,)| i, &collector);
-        assert_eq!(collector.summary().points(), 3);
-        assert_eq!(inner.completed(), 3);
-        let pair = ScenarioSet::over("i", [1usize, 2]);
-        let _ = SweepRunner::serial().run(&pair, |&(i,)| i, &collector);
-        assert_eq!(collector.summary().points(), 2);
     }
 
     #[test]
     fn empty_sweep_telemetry_serializes_null_slowest() {
-        let agg = SweepTelemetry::new();
+        let agg = SweepTelemetry::default();
         assert!(agg.render().contains("no points reported"));
         assert_eq!(
             agg.to_json(None),
@@ -1130,7 +1008,7 @@ mod tests {
                 )]
                 ()
             },
-            &NullObserver,
+            &SweepProgress::default(),
         );
         let err = reports[0].result.as_ref().unwrap_err();
         assert_eq!(err.payload, "non-string panic payload");

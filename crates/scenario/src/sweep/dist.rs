@@ -5,8 +5,8 @@
 //! [`DistRunner`] implements the same contract as
 //! [`SweepRunner`](super::SweepRunner) — results in point order, each
 //! point's slot carrying `Ok(result)` or a structured
-//! [`SweepError`](super::SweepError), every completion streamed to the
-//! [`SweepObserver`](super::SweepObserver) the moment it happens — but
+//! [`SweepError`](super::SweepError), every completion reported to the
+//! [`SweepProgress`](super::SweepProgress) the moment it happens — but
 //! runs each point in a **worker process** speaking the line-framed
 //! JSON protocol of [`wire`](super::wire).  The worker is the same
 //! experiment binary re-invoked with `--sweep-worker` (see
@@ -89,7 +89,7 @@ use super::net::{self, HostSpec};
 use super::wire::{self, WireResult, WorkerFrame};
 use super::worker::WORKER_ID_ENV;
 use super::{
-    PointResult, PointTelemetry, ScenarioSet, SweepError, SweepObserver, SweepReport, SweepRunner,
+    PointResult, PointTelemetry, ScenarioSet, SweepError, SweepProgress, SweepReport, SweepRunner,
 };
 
 /// How a [`DistRunner`] launches one worker subprocess: program, fixed
@@ -477,24 +477,23 @@ impl DistRunner {
     }
 
     /// Distributed [`SweepRunner::run`]: run every point on a worker,
-    /// handing each completed point's report to `observer` the moment its
+    /// reporting each completed point to `progress` the moment its final
     /// frame arrives (completion order, from the supervising thread), then
     /// return the full checked report list in sweep order.  Every point's
     /// slot carries `Ok(result)` or the [`SweepError`] describing its
     /// fault, and each point's final outcome is reported **exactly once**,
     /// even when worker deaths force redistribution.
-    pub fn run<P, R, O>(
+    pub fn run<P, R>(
         &self,
         set: &ScenarioSet<P>,
-        observer: &O,
+        progress: &SweepProgress,
     ) -> Vec<SweepReport<PointResult<R>>>
     where
         P: Sync,
         R: WireResult + Send,
-        O: SweepObserver<R> + ?Sized,
     {
         let n = set.points().len();
-        observer.sweep_started(n);
+        progress.start(n);
         if n == 0 {
             return Vec::new();
         }
@@ -530,7 +529,7 @@ impl DistRunner {
                         };
                         // A claimed point always gets a report: the fatal
                         // fast path fills it with the memoized error.
-                        self.run_point(&mut sup, index, &point.tags, observer, slots);
+                        self.run_point(&mut sup, index, &point.tags, progress, slots);
                         if sup.fatal.is_some() && !counted_out {
                             counted_out = true;
                             if active.fetch_sub(1, Ordering::SeqCst) > 1 {
@@ -566,20 +565,17 @@ impl DistRunner {
     }
 
     /// Run point `index` on the supervisor's worker, fill its result slot
-    /// and stream its completion.  A fault poisons only this point; the
+    /// and report its completion.  A fault poisons only this point; the
     /// worker is torn down and the slot launches a replacement for its
     /// next claim.
-    fn run_point<R, O>(
+    fn run_point<R: WireResult + Send>(
         &self,
         sup: &mut Supervisor,
         index: usize,
         tags: &[(String, String)],
-        observer: &O,
+        progress: &SweepProgress,
         slots: &[Mutex<Option<SweepReport<PointResult<R>>>>],
-    ) where
-        R: WireResult + Send,
-        O: SweepObserver<R> + ?Sized,
-    {
+    ) {
         let mut wall_s = None;
         #[expect(
             clippy::disallowed_methods,
@@ -603,15 +599,13 @@ impl DistRunner {
         // The worker's out-of-band stats frame, when one arrived (a
         // worker lost mid-point reports none).  The round-trip time is
         // measured on this side of the wire, so the overhead over the
-        // worker's own wall time is visible to telemetry consumers.
-        if let Some(wall_s) = wall_s {
-            observer.point_telemetry(&PointTelemetry {
-                index,
-                wall_s,
-                rtt_s: Some(rtt_s),
-            });
-        }
-        observer.point_completed(&report);
+        // worker's own wall time shows in the sweep's telemetry.
+        let telemetry = wall_s.map(|wall_s| PointTelemetry {
+            index,
+            wall_s,
+            rtt_s: Some(rtt_s),
+        });
+        progress.point_done(&report, telemetry);
         #[expect(
             clippy::indexing_slicing,
             clippy::expect_used,
@@ -883,27 +877,26 @@ impl SweepExec {
         }
     }
 
-    /// Run the sweep, streaming completions to `observer`; results come
+    /// Run the sweep, reporting completions to `progress`; results come
     /// back checked, in point order, byte-identical across execution
     /// strategies (see [`SweepRunner::run`] and [`DistRunner::run`]).  In the distributed case `run_point` is **not called in
     /// this process** — the workers run their own copy of it — but taking
     /// it here keeps the two strategies interchangeable at every call
     /// site.
-    pub fn run<P, R, F, O>(
+    pub fn run<P, R, F>(
         &self,
         set: &ScenarioSet<P>,
         run_point: F,
-        observer: &O,
+        progress: &SweepProgress,
     ) -> Vec<SweepReport<PointResult<R>>>
     where
         P: Sync,
         R: WireResult + Send,
         F: Fn(&P) -> R + Sync,
-        O: SweepObserver<R> + ?Sized,
     {
         match self {
-            SweepExec::InProcess(runner) => runner.run(set, run_point, observer),
-            SweepExec::Distributed(runner) => runner.run(set, observer),
+            SweepExec::InProcess(runner) => runner.run(set, run_point, progress),
+            SweepExec::Distributed(runner) => runner.run(set, progress),
         }
     }
 }
@@ -911,7 +904,6 @@ impl SweepExec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::NullObserver;
 
     #[test]
     fn worker_counts_clamp_to_one() {
@@ -1008,7 +1000,8 @@ mod tests {
     fn unspawnable_workers_poison_every_point_structurally() {
         let set = ScenarioSet::over("i", [1usize, 2, 3]);
         let runner = DistRunner::new(2, WorkerCommand::new("/nonexistent/ispn-worker"));
-        let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
+        let reports: Vec<SweepReport<PointResult<u64>>> =
+            runner.run(&set, &SweepProgress::default());
         assert_eq!(reports.len(), 3);
         for (i, report) in reports.iter().enumerate() {
             assert_eq!(report.index, i);
@@ -1030,7 +1023,8 @@ mod tests {
         // refused or fail fast, never served.
         let runner = DistRunner::over_hosts(&[HostSpec::new("127.0.0.1:1", 1)])
             .hello_deadline(Duration::from_millis(500));
-        let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
+        let reports: Vec<SweepReport<PointResult<u64>>> =
+            runner.run(&set, &SweepProgress::default());
         assert_eq!(reports.len(), 4);
         assert_eq!(super::super::failed_points(&reports), 4);
         for report in &reports {

@@ -201,9 +201,9 @@ impl<X> LaneTable<X> {
         self.free.push(slot as u32);
     }
 
-    /// Number of lane slots, live and recycled.
-    pub(crate) fn slots(&self) -> usize {
-        self.lanes.len()
+    /// Number of lanes in use: every slot but the recycled ones.
+    pub(crate) fn live(&self) -> usize {
+        self.lanes.len() - self.free.len()
     }
 
     /// Slot map + lane records + every lane's queue at full capacity (the
@@ -265,10 +265,11 @@ mod tests {
         assert_eq!(t.grow_events(), grown);
         t.retire(FlowId(1));
         assert_eq!(slot(&t, 1), None);
-        assert_eq!(t.free.as_slice(), &[0]);
+        assert_eq!((t.free.as_slice(), t.live()), (&[0][..], 0));
         push(&mut t, 7, 0, 1.0);
         assert_eq!(slot(&t, 7), Some(0));
-        assert_eq!((t.slots(), t.free.as_slice()), (1, &[][..]));
+        assert_eq!((t.lanes.len(), t.live()), (1, 1));
+        assert!(t.free.is_empty());
         assert_eq!(t.grow_events(), grown);
     }
 

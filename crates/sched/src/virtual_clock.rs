@@ -115,8 +115,9 @@ impl QueueDiscipline for VirtualClock {
     }
 
     fn reservation_bytes(&self) -> u64 {
-        // Per-flow rate + auxiliary clock live inside the lane table.
-        (self.lanes.slots() * std::mem::size_of::<VcFlow>()) as u64
+        // Per-flow rate + auxiliary clock live inside the lane table; a
+        // freed lane's record is spare capacity, not a reservation.
+        (self.lanes.live() * std::mem::size_of::<VcFlow>()) as u64
     }
 
     fn pool_grow_events(&self) -> u64 {

@@ -132,7 +132,7 @@ fn wfq_op_streams_keep_their_digest() {
 #[test]
 fn virtual_clock_op_streams_keep_their_digest() {
     let h = digest(|| VirtualClock::new(100_000.0), install_guaranteed);
-    assert_eq!(h, 0x4692_34be_afa8_a16f, "{h:#018x}");
+    assert_eq!(h, 0xc3ca_5db9_c298_163f, "{h:#018x}");
 }
 
 #[test]

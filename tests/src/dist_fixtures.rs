@@ -17,8 +17,8 @@ use ispn_experiments::{
     churn, hetmix, mesh, run, serve, table1, table2, table3, Experiment, PaperConfig, Serve,
 };
 use ispn_scenario::{
-    DisciplineSpec, FlowDef, MeasurementPlan, NullObserver, PointResult, ScenarioBuilder,
-    ScenarioReport, ScenarioSet, SourceSpec, SweepExec, SweepReport, SweepRunner, WireResult,
+    DisciplineSpec, FlowDef, MeasurementPlan, PointResult, ScenarioBuilder, ScenarioReport,
+    ScenarioSet, SourceSpec, SweepExec, SweepProgress, SweepReport, SweepRunner, WireResult,
 };
 use ispn_sim::SimTime;
 
@@ -86,8 +86,8 @@ pub fn assert_exec_matches_serial<E: Experiment>(
     exec: &SweepExec,
 ) -> (Vec<E::Row>, Vec<E::Row>) {
     let in_process = SweepExec::InProcess(SweepRunner::serial());
-    let serial = run(e, &in_process, &NullObserver);
-    let other = run(e, exec, &NullObserver);
+    let serial = run(e, &in_process, &SweepProgress::default());
+    let other = run(e, exec, &SweepProgress::default());
     assert_eq!(serial.len(), other.len(), "same point count");
     for (s, o) in serial.iter().zip(&other) {
         assert_eq!(s.index, o.index, "point order must match");

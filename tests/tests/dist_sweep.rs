@@ -34,9 +34,8 @@ use std::time::Duration;
 
 use ispn_integration_tests::dist_fixtures as fx;
 use ispn_scenario::{
-    failed_points, sweep_to_json, DistRunner, FaultPlan, HostSpec, NullObserver, PointResult,
-    ProgressObserver, SweepExec, SweepReport, SweepRunner, TelemetryCollector, WorkerCommand,
-    LISTENING_BANNER,
+    failed_points, sweep_to_json, DistRunner, FaultPlan, HostSpec, PointResult, SweepExec,
+    SweepProgress, SweepReport, SweepRunner, WorkerCommand, LISTENING_BANNER,
 };
 
 /// The worker command serving one fixture suite.
@@ -151,10 +150,10 @@ fn churn_distributed_reproduces_the_decision_sequence() {
 #[test]
 fn scenario_json_is_byte_identical_for_one_through_four_workers() {
     let set = fx::scenario_set();
-    let serial = SweepRunner::serial().run(&set, fx::scenario_point, &NullObserver);
+    let serial = SweepRunner::serial().run(&set, fx::scenario_point, &SweepProgress::default());
     let serial_json = sweep_to_json(&serial);
     for workers in 1..=4 {
-        let reports = dist("scenario", workers).run(&set, &NullObserver);
+        let reports = dist("scenario", workers).run(&set, &SweepProgress::default());
         assert_eq!(
             sweep_to_json(&reports),
             serial_json,
@@ -173,7 +172,7 @@ fn panicking_point_is_isolated_and_named() {
         2,
         worker("square").env(FaultPlan::ENV, FaultPlan::panic_at(3).env_value()),
     );
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &SweepProgress::default());
     assert_eq!(failed_points(&reports), 1);
     let err = reports[3].result.as_ref().unwrap_err();
     assert_eq!(err.index, 3);
@@ -195,7 +194,7 @@ fn killed_worker_poisons_only_its_in_flight_point() {
         2,
         worker("square").env(FaultPlan::ENV, FaultPlan::exit_at(2).env_value()),
     );
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &SweepProgress::default());
     assert_eq!(failed_points(&reports), 1);
     let err = reports[2].result.as_ref().unwrap_err();
     assert_eq!(err.tags, vec![("i".to_string(), "2".to_string())]);
@@ -216,7 +215,7 @@ fn garbage_frame_poisons_the_point_and_names_it() {
         2,
         worker("square").env(FaultPlan::ENV, FaultPlan::garbage_at(4).env_value()),
     );
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &SweepProgress::default());
     assert_eq!(failed_points(&reports), 1);
     let err = reports[4].result.as_ref().unwrap_err();
     assert_eq!(err.tags, vec![("i".to_string(), "4".to_string())]);
@@ -238,7 +237,7 @@ fn hanging_worker_trips_the_deadline() {
         worker("square").env(FaultPlan::ENV, FaultPlan::hang_at(1).env_value()),
     )
     .deadline(Duration::from_secs(5));
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &SweepProgress::default());
     assert_eq!(failed_points(&reports), 1);
     let err = reports[1].result.as_ref().unwrap_err();
     assert_eq!(err.tags, vec![("i".to_string(), "1".to_string())]);
@@ -259,7 +258,7 @@ fn infallible_run_panics_naming_the_faulted_point() {
         2,
         worker("square").env(FaultPlan::ENV, FaultPlan::exit_at(5).env_value()),
     );
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &SweepProgress::default());
     assert_eq!(failed_points(&reports), 1);
     let outcome = std::panic::catch_unwind(|| {
         reports
@@ -277,7 +276,7 @@ fn infallible_run_panics_naming_the_faulted_point() {
 
 /// Regression (PR-5 satellite): the streamed completion count equals the
 /// point count even when a worker death forces redistribution — each
-/// point's final outcome is observed exactly once, and `ProgressObserver`
+/// point's final outcome is counted exactly once, and `SweepProgress`
 /// resets correctly when reused for a second sweep.
 #[test]
 fn progress_observer_counts_each_point_exactly_once_under_redistribution() {
@@ -286,7 +285,7 @@ fn progress_observer_counts_each_point_exactly_once_under_redistribution() {
         2,
         worker("square").env(FaultPlan::ENV, FaultPlan::exit_at(1).env_value()),
     );
-    let progress = ProgressObserver::new();
+    let progress = SweepProgress::default();
     let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &progress);
     assert_eq!(reports.len(), fx::SQUARE_POINTS);
     assert_eq!(
@@ -295,7 +294,7 @@ fn progress_observer_counts_each_point_exactly_once_under_redistribution() {
         "every point's final outcome is observed exactly once"
     );
     assert_eq!(failed_points(&reports), 1);
-    // Reusing the observer for a fresh sweep must not double-count.
+    // Reusing the sink for a fresh sweep must not double-count.
     let clean = DistRunner::new(2, worker("square"));
     let reports: Vec<SweepReport<PointResult<u64>>> = clean.run(&set, &progress);
     assert_eq!(progress.completed(), fx::SQUARE_POINTS);
@@ -309,7 +308,7 @@ fn progress_observer_counts_each_point_exactly_once_under_redistribution() {
 fn configuration_mismatch_is_refused_at_the_handshake() {
     let set = fx::square_set(fx::SQUARE_POINTS);
     let runner = DistRunner::new(2, worker("square5"));
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &SweepProgress::default());
     assert_eq!(failed_points(&reports), fx::SQUARE_POINTS);
     for r in &reports {
         let err = r.result.as_ref().unwrap_err();
@@ -327,7 +326,7 @@ fn pre_hello_hang_trips_the_handshake_deadline() {
     let set = fx::square_set(4);
     let runner =
         DistRunner::new(1, worker("hang-hello")).hello_deadline(Duration::from_millis(300));
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &SweepProgress::default());
     assert_eq!(failed_points(&reports), 4);
     let first = reports[0].result.as_ref().unwrap_err();
     assert!(first.payload.contains("handshake"), "{first}");
@@ -376,16 +375,15 @@ fn tcp_churn_reproduces_the_decision_sequence() {
 #[test]
 fn tcp_scenario_json_is_byte_identical_and_measures_round_trips() {
     let set = fx::scenario_set();
-    let serial = SweepRunner::serial().run(&set, fx::scenario_point, &NullObserver);
+    let serial = SweepRunner::serial().run(&set, fx::scenario_point, &SweepProgress::default());
     let serial_json = sweep_to_json(&serial);
     let listener = Listener::spawn("scenario");
     let runner = DistRunner::over_hosts(&listener.hosts(2));
-    let base = NullObserver;
-    let collector = TelemetryCollector::new(&base);
-    let reports = runner.run(&set, &collector);
+    let progress = SweepProgress::default();
+    let reports = runner.run(&set, &progress);
     assert_eq!(failed_points(&reports), 0);
     assert_eq!(sweep_to_json(&reports), serial_json);
-    let summary = collector.summary();
+    let summary = progress.telemetry();
     let json = summary.to_json(None);
     assert!(
         json.contains(&format!("\"rtt_points\":{}", set.len())),
@@ -411,7 +409,7 @@ fn tcp_disconnect_poisons_only_the_in_flight_point() {
     let set = fx::square_set(fx::SQUARE_POINTS);
     let listener = Listener::spawn_with_fault("square", FaultPlan::disconnect_at(2));
     let runner = DistRunner::over_hosts(&listener.hosts(2));
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &SweepProgress::default());
     assert_eq!(failed_points(&reports), 1);
     let err = reports[2].result.as_ref().unwrap_err();
     assert_eq!(err.tags, vec![("i".to_string(), "2".to_string())]);
@@ -432,7 +430,7 @@ fn tcp_pre_hello_hang_poisons_one_point_then_reconnects() {
     let listener = Listener::spawn_with_fault("square", FaultPlan::hello_hang_at(0));
     let runner =
         DistRunner::over_hosts(&listener.hosts(1)).hello_deadline(Duration::from_millis(500));
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &SweepProgress::default());
     assert_eq!(failed_points(&reports), 1);
     let err = reports[0].result.as_ref().unwrap_err();
     assert_eq!(err.tags, vec![("i".to_string(), "0".to_string())]);
@@ -449,7 +447,7 @@ fn tcp_garbage_frame_poisons_the_point_and_reconnects() {
     let set = fx::square_set(fx::SQUARE_POINTS);
     let listener = Listener::spawn_with_fault("square", FaultPlan::garbage_at(5));
     let runner = DistRunner::over_hosts(&listener.hosts(2));
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &SweepProgress::default());
     assert_eq!(failed_points(&reports), 1);
     let err = reports[5].result.as_ref().unwrap_err();
     assert_eq!(err.tags, vec![("i".to_string(), "5".to_string())]);
@@ -469,7 +467,7 @@ fn tcp_configuration_mismatch_is_refused_at_the_handshake() {
     let set = fx::square_set(fx::SQUARE_POINTS);
     let listener = Listener::spawn("square5");
     let runner = DistRunner::over_hosts(&listener.hosts(2));
-    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &NullObserver);
+    let reports: Vec<SweepReport<PointResult<u64>>> = runner.run(&set, &SweepProgress::default());
     assert_eq!(failed_points(&reports), fx::SQUARE_POINTS);
     for r in &reports {
         let err = r.result.as_ref().unwrap_err();

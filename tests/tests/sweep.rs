@@ -9,15 +9,13 @@
 //! (`fx::assert_exec_matches_serial`) — completion order must never leak
 //! into results.
 
-use std::sync::Mutex;
-
 use ispn_experiments::Experiment;
 use ispn_integration_tests::dist_fixtures as fx;
 use ispn_net::PoliceAction;
 use ispn_scenario::{
-    sweep_to_json, AdmissionSpec, ChurnClass, ChurnSourceSpec, ChurnWorkload, DisciplineSpec,
-    FlowDef, MeasurementPlan, NullObserver, PointResult, ScenarioBuilder, ScenarioSet, SourceSpec,
-    SweepExec, SweepReport, SweepRunner, TopologySpec, WorkloadSpec,
+    failed_points, sweep_to_json, AdmissionSpec, ChurnClass, ChurnSourceSpec, ChurnWorkload,
+    DisciplineSpec, FlowDef, MeasurementPlan, ScenarioBuilder, ScenarioSet, SourceSpec, SweepExec,
+    SweepProgress, SweepRunner, TopologySpec, WorkloadSpec,
 };
 use ispn_sched::Averaging;
 use ispn_sim::SimTime;
@@ -60,8 +58,8 @@ fn eight_point_parallel_sweep_is_byte_identical_to_serial() {
     let set = ScenarioSet::over("discipline", disciplines()).by("level", [1usize, 3]);
     assert_eq!(set.len(), 8);
     let f = |&(spec, level): &(DisciplineSpec, usize)| run_point(spec, level);
-    let serial = SweepRunner::serial().run(&set, f, &NullObserver);
-    let parallel = SweepRunner::parallel(4).run(&set, f, &NullObserver);
+    let serial = SweepRunner::serial().run(&set, f, &SweepProgress::default());
+    let parallel = SweepRunner::parallel(4).run(&set, f, &SweepProgress::default());
     let serial_json = sweep_to_json(&serial);
     let parallel_json = sweep_to_json(&parallel);
     assert!(
@@ -86,8 +84,8 @@ fn oversubscribed_thread_pool_changes_nothing() {
     let set = ScenarioSet::over("discipline", disciplines()).by("level", [1usize, 2, 4]);
     assert_eq!(set.len(), 12);
     let f = |&(spec, level): &(DisciplineSpec, usize)| run_point(spec, level).to_json();
-    let serial = SweepRunner::serial().run(&set, f, &NullObserver);
-    let wide = SweepRunner::parallel(32).run(&set, f, &NullObserver);
+    let serial = SweepRunner::serial().run(&set, f, &SweepProgress::default());
+    let wide = SweepRunner::parallel(32).run(&set, f, &SweepProgress::default());
     assert_eq!(serial, wide);
 }
 
@@ -347,7 +345,7 @@ fn sweep_points_are_isolated() {
             sim.run_until(SimTime::from_secs(1));
             sim.network().num_flows()
         },
-        &NullObserver,
+        &SweepProgress::default(),
     );
     let flows: Vec<usize> = reports.into_iter().map(|r| r.expect_ok().result).collect();
     assert_eq!(flows, vec![1, 2, 3, 4]);
@@ -370,7 +368,7 @@ fn poisoned_point_keeps_sibling_reports_and_names_its_tags() {
         run_point(spec, level)
     };
     for runner in [SweepRunner::serial(), SweepRunner::parallel(4)] {
-        let reports = runner.run(&set, f, &NullObserver);
+        let reports = runner.run(&set, f, &SweepProgress::default());
         assert_eq!(reports.len(), 8, "every point has a slot");
         let failures: Vec<_> = reports
             .iter()
@@ -394,27 +392,23 @@ fn poisoned_point_keeps_sibling_reports_and_names_its_tags() {
     }
 }
 
-/// The tentpole's streaming contract: every point's report reaches the
-/// observer before the sweep returns, in completion order, while the
-/// returned reports stay in point order with JSON byte-identical to an
-/// unobserved serial run.
+/// The streaming contract: every point reaches a streaming
+/// [`SweepProgress`] before the sweep returns — counted and timed once —
+/// while the returned reports stay in point order with JSON
+/// byte-identical to a quiet serial run.
 #[test]
 fn streaming_emits_every_point_and_stays_byte_identical() {
     let set = ScenarioSet::over("discipline", disciplines()).by("level", [1usize, 3]);
     let f = |&(spec, level): &(DisciplineSpec, usize)| run_point(spec, level);
-    let serial = SweepRunner::serial().run(&set, f, &NullObserver);
+    let serial = SweepRunner::serial().run(&set, f, &SweepProgress::default());
 
-    let seen: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-    let observer = |report: &SweepReport<PointResult<ispn_scenario::ScenarioReport>>| {
-        assert!(report.result.is_ok(), "no faults injected here");
-        seen.lock().unwrap().push(report.index);
-    };
-    let streamed = SweepRunner::parallel(4).run(&set, f, &observer);
+    let progress = SweepProgress::new(true);
+    let streamed = SweepRunner::parallel(4).run(&set, f, &progress);
 
-    // Every point was emitted exactly once before the sweep returned.
-    let mut seen = seen.into_inner().unwrap();
-    seen.sort_unstable();
-    assert_eq!(seen, (0..8).collect::<Vec<_>>());
+    // Every point was counted exactly once before the sweep returned.
+    assert_eq!(progress.completed(), 8);
+    assert_eq!(progress.telemetry().points(), 8);
+    assert_eq!(failed_points(&streamed), 0, "no faults injected here");
     // The final reports are in point order and byte-identical to serial.
     assert_eq!(
         sweep_to_json(&streamed),
@@ -432,8 +426,8 @@ fn edge_shaped_sweeps_match_serial_json() {
     // More workers (16) than points (3).
     let three = ScenarioSet::over("discipline", [DisciplineSpec::Wfq]).by("level", [1usize, 2, 3]);
     assert_eq!(three.len(), 3);
-    let serial = SweepRunner::serial().run(&three, f, &NullObserver);
-    let wide = SweepRunner::parallel(16).run(&three, f, &NullObserver);
+    let serial = SweepRunner::serial().run(&three, f, &SweepProgress::default());
+    let wide = SweepRunner::parallel(16).run(&three, f, &SweepProgress::default());
     assert_eq!(sweep_to_json(&serial), sweep_to_json(&wide));
 
     // An empty set: no points, no panic, an empty JSON array — from both
@@ -441,15 +435,15 @@ fn edge_shaped_sweeps_match_serial_json() {
     let empty = ScenarioSet::over("level", Vec::<usize>::new());
     assert!(empty.is_empty());
     let g = |&(level,): &(usize,)| run_point(DisciplineSpec::Fifo, level);
-    let serial_empty = SweepRunner::serial().run(&empty, g, &NullObserver);
-    let parallel_empty = SweepRunner::parallel(8).run(&empty, g, &NullObserver);
+    let serial_empty = SweepRunner::serial().run(&empty, g, &SweepProgress::default());
+    let parallel_empty = SweepRunner::parallel(8).run(&empty, g, &SweepProgress::default());
     assert_eq!(sweep_to_json(&serial_empty), "[]");
     assert_eq!(sweep_to_json(&parallel_empty), "[]");
 
     // A single-point set through the same machinery.
     let single = ScenarioSet::over("discipline", [DisciplineSpec::Wfq]).by("level", [1usize]);
-    let serial_single = SweepRunner::serial().run(&single, f, &NullObserver);
-    let parallel_single = SweepRunner::parallel(8).run(&single, f, &NullObserver);
+    let serial_single = SweepRunner::serial().run(&single, f, &SweepProgress::default());
+    let parallel_single = SweepRunner::parallel(8).run(&single, f, &SweepProgress::default());
     assert_eq!(serial_single.len(), 1);
     assert_eq!(
         sweep_to_json(&serial_single),
