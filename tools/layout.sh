@@ -18,10 +18,12 @@ usage: tools/layout.sh <tree> <out-dir> [crate=sched]
              are reversed (default sched)
 
 The copy builds the same program with one crate's modules declared in the
-opposite order, which moves code in the binary and nothing else.  A
-wall_vs_ref difference under 2 % needs this control beside it (ROADMAP,
-standing guardrails): run `tools/paired.sh <tree> <out-dir> <workload> <pairs>`
-with the same pairs and seconds as the claim, and report both rows.
+opposite order, which moves code in the binary and nothing else.  The
+tree's release profile (.cargo/config.toml) travels with the copy, so both
+are built with the same LTO and codegen-unit settings.  A wall_vs_ref
+difference under 2 % needs this control beside it (ROADMAP, standing
+guardrails): run `tools/paired.sh <tree> <out-dir> <workload> <pairs>` with
+the same pairs and seconds as the claim, and report both rows.
 EOF
 }
 
@@ -55,6 +57,11 @@ git -C "$tree" ls-files -z --cached --others --exclude-standard |
         [ -e "$f" ] && printf '%s\0' "$f"
     done | tar --null -T - -cf -) |
     tar -C "$out" -xf -
+config=.cargo/config.toml
+if [ -f "$tree/$config" ] && ! cmp -s "$tree/$config" "$out/$config"; then
+    echo "layout.sh: the copy lacks $tree/$config (is it ignored?)" >&2
+    exit 1
+fi
 
 # A top-level module declaration: `mod m;`, `pub mod m;`, `pub(crate) mod m;`.
 decl='^(pub([(][a-z]+[)])? )?mod [A-Za-z0-9_]+;$'

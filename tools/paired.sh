@@ -19,10 +19,13 @@ usage: tools/paired.sh <parent-tree> <change-tree> <workload> <pairs> [seconds=8
                                 even pairs parent first, odd pairs change first
   [seconds]                     length of one pass (--seconds of the harness)
 
-Builds both trees' benchmark/ packages (release, offline), runs each pass as
-the driver does (`--workload W --seed S --seconds T --trace 0`, from the
-tree's root), reads wall_vs_ref, peak_rss_bytes, setup_s and failed from the
-pass's last stdout line, and stops at the first pass with failed != 0.
+Builds both trees' benchmark/ packages (release, offline), each from the
+tree's own root, so each tree's release profile (its .cargo/config.toml)
+travels with it: a parent without LTO is measured without LTO, whatever
+directory the script is started from.  Runs each pass as the driver does
+(`--workload W --seed S --seconds T --trace 0`, from the tree's root), reads
+wall_vs_ref, peak_rss_bytes, setup_s and failed from the pass's last stdout
+line, and stops at the first pass with failed != 0.
 Prints every pair, then per metric: each side's median and quartiles, the
 change in the median, in how many pairs the change read lower, and the gap
 between the medians in units of the parent's interquartile range.  A claim
@@ -50,8 +53,10 @@ seconds=${5:-8}
 first_seed=${6:-6400}
 metrics="wall_vs_ref peak_rss_bytes setup_s"
 
+# Cargo reads .cargo/config.toml from the directory it starts in, not from
+# the manifest's: started here, both trees would get this directory's profile.
 for tree in "$parent" "$change"; do
-    cargo build --release --offline --quiet --manifest-path "$tree/benchmark/Cargo.toml"
+    (cd "$tree" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
 done
 
 # One pass in <tree> at <seed>: prints "wall_vs_ref peak_rss_bytes setup_s".

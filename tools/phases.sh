@@ -18,13 +18,15 @@ usage: tools/phases.sh <tree-a> <tree-b> <workload> <reps> [first-seed=7]
   <reps>              reps per tree; rep i runs at seed first-seed + i, even
                       reps tree a first, odd reps tree b first
 
-Builds both trees' benchmark/ packages (release, offline), runs each rep as
-the harness does (`ispn-benchmark rep --workload W --seed S --horizon-s 600`,
-from the tree's root), and reads run_s, report_s and vm_hwm_bytes from the
-`ispn-benchmark-rep` line the child writes to stderr.  Stops with exit 1 at
-the first seed where the two trees' stdout (the report JSON) differs or a
-rep fails.  Prints every rep, then per metric each tree's median and
-quartiles and the change of b's median against a's.
+Builds both trees' benchmark/ packages (release, offline), each from the
+tree's own root, so each tree's release profile (its .cargo/config.toml)
+travels with it.  Runs each rep as the harness does (`ispn-benchmark rep
+--workload W --seed S --horizon-s 600`, from the tree's root), and reads
+run_s, report_s and vm_hwm_bytes from the `ispn-benchmark-rep` line the
+child writes to stderr.  Stops with exit 1 at the first seed where the two
+trees' stdout (the report JSON) differs or a rep fails.  Prints every rep,
+then per metric each tree's median and quartiles and the change of b's
+median against a's.
 EOF
 }
 
@@ -52,8 +54,10 @@ fi
 horizon_s=600
 metrics="run_s report_s vm_hwm_bytes"
 
+# Cargo reads .cargo/config.toml from the directory it starts in, not from
+# the manifest's: started here, both trees would get this directory's profile.
 for tree in "$tree_a" "$tree_b"; do
-    cargo build --release --offline --quiet --manifest-path "$tree/benchmark/Cargo.toml"
+    (cd "$tree" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
 done
 
 scratch=$(mktemp -d)
