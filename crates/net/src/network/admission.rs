@@ -1,6 +1,6 @@
 //! Admission control and the per-hop reservation ledger: for each link a
 //! flow holds, the guaranteed rate its controller and scheduler reserve
-//! (`FlowState::installed_links`).  Setup, renegotiation and release move
+//! (`FlowState::held`).  Setup, renegotiation and release move
 //! the three together, here alone, so a release returns exactly what is
 //! held — whatever order the control messages reached the link in.
 
@@ -86,7 +86,7 @@ impl Network {
         &self,
         flow: FlowId,
     ) -> impl ExactSizeIterator<Item = (LinkId, f64)> + '_ {
-        self.flows[flow.index()].installed_links.iter().copied()
+        self.flows[flow.index()].held.iter().copied()
     }
 
     /// Structural size of the per-link reservation state in bytes: the
@@ -127,10 +127,10 @@ impl Network {
     /// the flow.  Returns `false` if nothing was installed there.
     pub fn release_flow_on_link(&mut self, flow: FlowId, link: LinkId) -> bool {
         let f = &mut self.flows[flow.index()];
-        let Some(at) = f.installed_links.iter().position(|&(l, _)| l == link) else {
+        let Some(at) = f.held.iter().position(|&(l, _)| l == link) else {
             return false;
         };
-        let (_, held) = f.installed_links.swap_remove(at);
+        let (_, held) = f.held.swap_remove(at);
         if held > 0.0 {
             let port = &mut self.ports[link.index()];
             if let Some(ad) = port.admission.as_mut() {
@@ -161,15 +161,15 @@ impl Network {
         to: &FlowSpec,
     ) -> AdmissionDecision {
         let f = &self.flows[flow.index()];
-        let at = f.installed_links.iter().position(|&(l, _)| l == link);
-        let held = at.map_or(0.0, |at| f.installed_links[at].1);
+        let at = f.held.iter().position(|&(l, _)| l == link);
+        let held = at.map_or(0.0, |at| f.held[at].1);
         let decision = self.reserve(flow, link, to, held);
         if decision.is_accept() {
             let f = &mut self.flows[flow.index()];
             let rate = to.clock_rate_bps().unwrap_or(0.0);
             match at {
-                Some(at) => f.installed_links[at].1 = held.max(rate),
-                None => f.installed_links.push((link, rate)),
+                Some(at) => f.held[at].1 = held.max(rate),
+                None => f.held.push((link, rate)),
             }
         }
         decision
@@ -181,7 +181,7 @@ impl Network {
     /// rollback or teardown got there first and released it all.
     pub fn undo_renegotiation_on_link(&mut self, flow: FlowId, link: LinkId) {
         let f = &self.flows[flow.index()];
-        let at = f.installed_links.iter().position(|&(l, _)| l == link);
+        let at = f.held.iter().position(|&(l, _)| l == link);
         if let (Some(at), Some(rate)) = (at, f.config.spec.clock_rate_bps()) {
             self.hold_at_most(flow, at, rate);
         }
@@ -211,7 +211,7 @@ impl Network {
             policer.reconfigure(now, bucket);
         }
         if let Some(rate) = to.clock_rate_bps() {
-            for at in 0..f.installed_links.len() {
+            for at in 0..f.held.len() {
                 self.hold_at_most(flow, at, rate);
             }
         }
@@ -263,7 +263,7 @@ impl Network {
     /// `rate`, if it holds more: the controller gets the difference back
     /// and the scheduler narrows the flow's reservation, which always fits.
     fn hold_at_most(&mut self, flow: FlowId, at: usize, rate: f64) {
-        let (link, held) = &mut self.flows[flow.index()].installed_links[at];
+        let (link, held) = &mut self.flows[flow.index()].held[at];
         if *held > rate {
             let port = &mut self.ports[link.index()];
             if let Some(ad) = port.admission.as_mut() {

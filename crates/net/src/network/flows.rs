@@ -164,7 +164,7 @@ pub(super) struct FlowState {
     /// installed for this flow and must be released on teardown, each with
     /// the guaranteed rate held there (0 for a predicted or datagram
     /// flow); only `admission.rs` changes it.
-    pub(super) installed_links: Vec<(LinkId, f64)>,
+    pub(super) held: Vec<(LinkId, f64)>,
 }
 
 impl Network {
@@ -214,15 +214,15 @@ impl Network {
             last_fixed: (0, total_propagation),
             phase,
             in_flight: 0,
-            installed_links: Vec::new(),
+            held: Vec::new(),
         };
         let id = match self.free_flow_slots.pop() {
             Some(id) => {
                 // The slot's ledger buffer outlives its tenant.
                 let slot = &mut self.flows[id.index()];
                 let old = std::mem::replace(slot, state);
-                debug_assert!(old.phase == FlowPhase::Vacant && old.installed_links.is_empty());
-                slot.installed_links = old.installed_links;
+                debug_assert!(old.phase == FlowPhase::Vacant && old.held.is_empty());
+                slot.held = old.held;
                 id
             }
             None => {
@@ -325,7 +325,7 @@ impl Network {
         let Some(f) = self.flows.get_mut(flow.index()) else {
             return;
         };
-        if f.phase != FlowPhase::Retired || f.in_flight > 0 || !f.installed_links.is_empty() {
+        if f.phase != FlowPhase::Retired || f.in_flight > 0 || !f.held.is_empty() {
             return;
         }
         f.phase = FlowPhase::Vacant;
@@ -423,7 +423,7 @@ impl Network {
         let mut bytes = self.flows.len() * std::mem::size_of::<FlowState>();
         for f in &self.flows {
             bytes += f.config.route.len() * std::mem::size_of::<LinkId>();
-            bytes += f.installed_links.len() * std::mem::size_of::<(LinkId, f64)>();
+            bytes += f.held.len() * std::mem::size_of::<(LinkId, f64)>();
         }
         bytes as u64
             + self
