@@ -46,8 +46,8 @@ impl Agent for CbrSource {
 
     fn on_timer(&mut self, _token: u64, api: &mut AgentApi) {
         let now = api.now();
-        api.send(Packet::data(self.flow, self.seq, self.packet_bits, now));
-        self.seq += 1;
+        let seq = crate::take_seq(&mut self.seq);
+        api.send(Packet::data(self.flow, seq, self.packet_bits, now));
         api.set_timer(self.interval, 0);
     }
 }

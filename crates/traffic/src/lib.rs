@@ -18,6 +18,10 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// The lib, not its unit tests, denies raw integer arithmetic, as ispn-sim's
+// does: each operation left carries an `#[expect]` saying why it cannot
+// overflow.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 
 pub mod cbr;
 pub mod onoff;
@@ -28,6 +32,17 @@ pub use cbr::CbrSource;
 pub use onoff::{OnOffConfig, OnOffSource};
 pub use poisson::PoissonSource;
 pub use trace::TraceSource;
+
+/// Take a source's next packet sequence number and advance its counter.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "the sequence counter: 2^64 packets outlast any run at any rate"
+)]
+fn take_seq(seq: &mut u64) -> u64 {
+    let taken = *seq;
+    *seq += 1;
+    taken
+}
 
 #[cfg(test)]
 mod testing {

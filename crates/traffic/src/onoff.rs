@@ -117,21 +117,16 @@ impl OnOffSource {
 
     fn emit_one(&mut self, api: &mut AgentApi) {
         let now = api.now();
+        // A policer drop still takes its sequence number: the gap is how
+        // a receiver sees it.
+        let seq = crate::take_seq(&mut self.seq);
         let conforms = match self.policer.as_mut() {
             Some(tb) => tb.offer(now, self.config.packet_bits),
             None => true,
         };
         if conforms {
-            api.send(Packet::data(
-                self.flow,
-                self.seq,
-                self.config.packet_bits,
-                now,
-            ));
+            api.send(Packet::data(self.flow, seq, self.config.packet_bits, now));
         }
-        // A policer drop still takes its sequence number: the gap is how
-        // a receiver sees it.
-        self.seq += 1;
     }
 }
 
@@ -146,8 +141,17 @@ impl Agent for OnOffSource {
             self.remaining_in_burst = self.rng.geometric(self.config.mean_burst_pkts);
         }
         self.emit_one(api);
-        self.remaining_in_burst -= 1;
-        let next = if self.remaining_in_burst > 0 {
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "a burst draws at least one packet, so the count is positive before this packet's decrement"
+        )]
+        let left = self.remaining_in_burst - 1;
+        self.remaining_in_burst = left;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "`SimTime`'s `+` saturates at the end of time, by type"
+        )]
+        let next = if left > 0 {
             self.peak_gap
         } else {
             // The burst is over: idle for an exponential period (measured

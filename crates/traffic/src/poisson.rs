@@ -39,8 +39,8 @@ impl Agent for PoissonSource {
 
     fn on_timer(&mut self, _token: u64, api: &mut AgentApi) {
         let now = api.now();
-        api.send(Packet::data(self.flow, self.seq, self.packet_bits, now));
-        self.seq += 1;
+        let seq = crate::take_seq(&mut self.seq);
+        api.send(Packet::data(self.flow, seq, self.packet_bits, now));
         let gap = self.rng.exponential(self.mean_gap_secs);
         api.set_timer(SimTime::from_secs_f64(gap), 0);
     }

@@ -4,6 +4,9 @@
 //! recorded generation process through different disciplines, and for the
 //! `b(r)` traffic-characterization examples.
 
+use std::iter::{Enumerate, Peekable};
+use std::vec;
+
 use ispn_core::{FlowId, Packet};
 use ispn_net::{Agent, AgentApi};
 use ispn_sim::SimTime;
@@ -11,9 +14,9 @@ use ispn_sim::SimTime;
 /// A source that replays a fixed schedule of `(time, size_bits)` packets.
 pub struct TraceSource {
     flow: FlowId,
-    schedule: Vec<(SimTime, u64)>,
-    next: usize,
-    seq: u64,
+    /// The packets not yet sent, each numbered by its place in the schedule
+    /// (its `seq`).
+    schedule: Peekable<Enumerate<vec::IntoIter<(SimTime, u64)>>>,
 }
 
 impl TraceSource {
@@ -25,14 +28,12 @@ impl TraceSource {
         );
         TraceSource {
             flow,
-            schedule,
-            next: 0,
-            seq: 0,
+            schedule: schedule.into_iter().enumerate().peekable(),
         }
     }
 
-    fn arm(&self, api: &mut AgentApi) {
-        if let Some(&(t, _)) = self.schedule.get(self.next) {
+    fn arm(&mut self, api: &mut AgentApi) {
+        if let Some(&(_, (t, _))) = self.schedule.peek() {
             api.set_timer(t.saturating_sub(api.now()), 0);
         }
     }
@@ -46,13 +47,8 @@ impl Agent for TraceSource {
     fn on_timer(&mut self, _token: u64, api: &mut AgentApi) {
         // Emit every packet scheduled at (or before) the current time.
         let now = api.now();
-        while let Some(&(t, bits)) = self.schedule.get(self.next) {
-            if t > now {
-                break;
-            }
-            api.send(Packet::data(self.flow, self.seq, bits, now));
-            self.seq += 1;
-            self.next += 1;
+        while let Some((seq, (_, bits))) = self.schedule.next_if(|&(_, (t, _))| t <= now) {
+            api.send(Packet::data(self.flow, seq as u64, bits, now));
         }
         self.arm(api);
     }
