@@ -16,7 +16,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// end of time absorbs: `+`, `+=` and the `from_micros` / `from_millis` /
 /// `from_secs` constructors saturate at [`SimTime::MAX`] in every build, so
 /// a sum that mints an event time can never wrap into the past.  A `-` /
-/// `-=` below zero is a logic error and panics in debug builds; where the
+/// `-=` below zero is a logic error and panics in every build; where the
 /// operands may legitimately be out of order, use
 /// [`SimTime::saturating_sub`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -135,26 +135,21 @@ impl AddAssign for SimTime {
 
 impl Sub for SimTime {
     type Output = SimTime;
-    /// Panics in debug builds on underflow; use [`SimTime::saturating_sub`]
+    /// Panics on underflow in every build; use [`SimTime::saturating_sub`]
     /// when the operands may legitimately be out of order.
     #[inline]
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "a negative duration is a logic error, so underflow panics in debug"
-    )]
     fn sub(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0 - rhs.0)
+        match self.0.checked_sub(rhs.0) {
+            Some(ns) => SimTime(ns),
+            None => panic!("negative duration: {self:?} - {rhs:?}"),
+        }
     }
 }
 
 impl SubAssign for SimTime {
     #[inline]
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "a negative duration is a logic error, so underflow panics in debug"
-    )]
     fn sub_assign(&mut self, rhs: SimTime) {
-        self.0 -= rhs.0;
+        *self = Sub::sub(*self, rhs);
     }
 }
 
@@ -252,10 +247,16 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "attempt to subtract with overflow")]
-    fn a_negative_duration_panics_in_debug() {
+    #[should_panic(expected = "negative duration: 0.000000000s - 0.000000001s")]
+    fn a_negative_duration_panics_in_every_profile() {
         let _ = SimTime::ZERO - SimTime::from_nanos(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "negative duration: 1.000000000s - 2.000000000s")]
+    fn a_negative_duration_panics_on_sub_assign_too() {
+        let mut t = SimTime::SECOND;
+        t -= SimTime::from_secs(2);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Phase attribution beside tools/paired.sh: interleaved single reps of two
 # trees' unmodified benchmark/ harness, read through the phase line each rep
-# child leaves on stderr, so a change in wall time can be pinned on the run,
-# the report or the memory high-water mark.  The two trees must print the
-# same report at every seed.
+# child leaves on stderr, so a change in wall time can be pinned on the
+# process start-up, the run, the report or the memory high-water mark.  The
+# two trees must print the same report at every seed.
 
 set -euo pipefail
 
@@ -23,10 +23,13 @@ tree's own root, so each tree's release profile (its .cargo/config.toml)
 travels with it.  Runs each rep as the harness does (`ispn-benchmark rep
 --workload W --seed S --horizon-s 600`, from the tree's root), and reads
 run_s, report_s and vm_hwm_bytes from the `ispn-benchmark-rep` line the
-child writes to stderr.  Stops with exit 1 at the first seed where the two
-trees' stdout (the report JSON) differs or a rep fails.  Prints every rep,
-then per metric each tree's median and quartiles and the change of b's
-median against a's.
+child writes to stderr.  startup_s is the harness's setup_s for that one
+rep: the child's built_at_ns (end of scenario construction) less the wall
+clock (`date +%s%N`) read in the rep's shell just before it execs the
+child, so it holds process start-up, loading and the scenario build.
+Stops with exit 1 at the first seed where the two trees' stdout (the
+report JSON) differs or a rep fails.  Prints every rep, then per metric
+each tree's median and quartiles and the change of b's median against a's.
 EOF
 }
 
@@ -52,7 +55,7 @@ if ! [[ $reps =~ ^[1-9][0-9]*$ && $first_seed =~ ^[0-9]+$ ]]; then
 fi
 # The paper's ten-minute run, as the harness runs every simulation rep.
 horizon_s=600
-metrics="run_s report_s vm_hwm_bytes"
+metrics="startup_s run_s report_s vm_hwm_bytes"
 
 # Cargo reads .cargo/config.toml from the directory it starts in, not from
 # the manifest's: started here, both trees would get this directory's profile.
@@ -64,11 +67,15 @@ scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 
 # One rep in <tree> at <seed>, its report JSON to <out>: prints
-# "run_s report_s vm_hwm_bytes".
+# "startup_s run_s report_s vm_hwm_bytes".
 rep() {
-    local tree=$1 seed=$2 out=$3 line name
-    if ! (cd "$tree" && benchmark/target/release/ispn-benchmark rep \
-        --workload "$workload" --seed "$seed" --horizon-s "$horizon_s" >"$out" 2>"$out.err"); then
+    local tree=$1 seed=$2 out=$3 line name spawned built
+    # The spawn stamp is taken in the subshell just before it execs the rep,
+    # as the harness stamps its spawn: same clock (time since the epoch) as
+    # the child's built_at_ns.
+    if ! (cd "$tree" && date +%s%N >"$out.spawned" &&
+        exec benchmark/target/release/ispn-benchmark rep \
+            --workload "$workload" --seed "$seed" --horizon-s "$horizon_s" >"$out" 2>"$out.err"); then
         echo "phases.sh: $tree, seed $seed: rep failed: $(tail -n 3 "$out.err")" >&2
         exit 1
     fi
@@ -77,14 +84,20 @@ rep() {
         echo "phases.sh: $tree, seed $seed: no ispn-benchmark-rep line on stderr" >&2
         exit 1
     fi
-    for name in $metrics; do
-        sed -n "s/.* $name=\([^ ]*\).*/\1/p" <<<"$line"
-    done | paste -sd' '
+    spawned=$(<"$out.spawned")
+    built=$(sed -n 's/.* built_at_ns=\([0-9]*\).*/\1/p' <<<"$line")
+    {
+        # Integer nanoseconds first: awk's doubles cannot hold the epoch to 1 ns.
+        awk -v ns=$((built - spawned)) 'BEGIN { printf "%.9f\n", ns / 1e9 }'
+        for name in run_s report_s vm_hwm_bytes; do
+            sed -n "s/.* $name=\([^ ]*\).*/\1/p" <<<"$line"
+        done
+    } | paste -sd' '
 }
 
 rows="$scratch/rows"
-printf '%-4s %-6s %10s %10s %10s %10s %13s %13s\n' \
-    rep seed 'run a' 'run b' 'report a' 'report b' 'hwm a' 'hwm b'
+printf '%-4s %-6s %10s %10s %10s %10s %10s %10s %13s %13s\n' \
+    rep seed 'startup a' 'startup b' 'run a' 'run b' 'report a' 'report b' 'hwm a' 'hwm b'
 for ((i = 0; i < reps; i++)); do
     seed=$((first_seed + i))
     if ((i % 2 == 0)); then
@@ -101,10 +114,11 @@ for ((i = 0; i < reps; i++)); do
     echo "$a $b" >>"$rows"
     # shellcheck disable=SC2086
     set -- $a $b
-    printf '%-4s %-6s %10.6f %10.6f %10.6f %10.6f %13.0f %13.0f\n' "$i" "$seed" "$1" "$4" "$2" "$5" "$3" "$6"
+    printf '%-4s %-6s %10.6f %10.6f %10.6f %10.6f %10.6f %10.6f %13.0f %13.0f\n' \
+        "$i" "$seed" "$1" "$5" "$2" "$6" "$3" "$7" "$4" "$8"
 done
 
-# Columns of $rows: tree a's three metrics, then tree b's three.
+# Columns of $rows: tree a's four metrics, then tree b's four.
 awk -v workload="$workload" -v names="$metrics" '
 function quantile(a, n, q,    h, lo) {
     h = (n - 1) * q + 1; lo = int(h)
