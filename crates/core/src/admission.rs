@@ -85,10 +85,11 @@ pub enum RejectReason {
         /// The capacity headroom `μ − ν̂ − r` in bits per second.
         capacity_bps: f64,
     },
-    /// The controller (if any) agreed, but the link's scheduler could not
-    /// hold a per-flow reservation of `rate_bps`.
+    /// The controller (if any) agreed, but `rate_bps` would take the link's
+    /// Σ held to its scheduler's guaranteed capacity (the network ledger's
+    /// check, made before anything is installed).
     SchedulerRefused {
-        /// The guaranteed clock rate the scheduler was asked to install.
+        /// The guaranteed clock rate the flow asked to hold.
         rate_bps: f64,
     },
 }

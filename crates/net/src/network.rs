@@ -146,6 +146,7 @@ impl Network {
                 probe: ProbeStats::default(),
                 busy: false,
                 admission: None,
+                held_bps: 0.0,
                 wire: VecDeque::new(),
                 last_tx: (0, SimTime::ZERO),
             })

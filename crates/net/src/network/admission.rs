@@ -1,12 +1,13 @@
 //! Admission control and the per-hop reservation ledger: for each link a
 //! flow holds, the guaranteed rate its controller and scheduler reserve
-//! (`FlowState::held`).  Setup, renegotiation and release move
-//! the three together, here alone, so a release returns exactly what is
-//! held — whatever order the control messages reached the link in.
+//! (`FlowState::held`, summed per link in `Port::held_bps`).  Setup,
+//! renegotiation and release move them together, here alone, so a release
+//! returns exactly what is held — whatever order the control messages
+//! reached the link in — and only here is a rate refused for lack of room.
 
 use ispn_core::admission::{AdmissionController, AdmissionDecision, RejectReason};
 use ispn_core::{FlowId, FlowSpec};
-use ispn_sched::{GuaranteedInstall, QueueDiscipline};
+use ispn_sched::QueueDiscipline;
 use ispn_sim::SimTime;
 
 use super::{NetEvent, Network};
@@ -89,10 +90,15 @@ impl Network {
         self.flows[flow.index()].held.iter().copied()
     }
 
+    /// Σ of the guaranteed rates the flows hold on `link`.
+    pub fn held_bps(&self, link: LinkId) -> f64 {
+        self.ports[link.index()].held_bps
+    }
+
     /// Structural size of the per-link reservation state in bytes: the
     /// admission-control records installed on ports plus the per-flow
-    /// reservation entries the schedulers keep (guaranteed rate maps, GPS
-    /// clock state).  Same estimation rules as
+    /// reservation entries the schedulers keep (GPS clock state, VirtualClock
+    /// rates).  Same estimation rules as
     /// [`flow_table_bytes`](Network::flow_table_bytes).
     pub fn reservation_state_bytes(&self) -> u64 {
         (self.ports.iter().filter(|p| p.admission.is_some()).count()
@@ -137,6 +143,7 @@ impl Network {
                 ad.controller.release_guaranteed(held);
             }
             port.discipline.remove_flow(self.now, flow);
+            port.held_bps -= held;
         }
         true
     }
@@ -148,8 +155,8 @@ impl Network {
     /// A new bucket faces the criterion a fresh request would; predicted
     /// service holds no rate, so nothing changes.  A clock-rate increase is
     /// reserved at once — the controller takes the difference from the rate
-    /// held here, the scheduler may veto the new rate — and becomes what
-    /// is held; a decrease always fits and waits for
+    /// held here, the link's capacity may still veto the new rate — and
+    /// becomes what is held; a decrease always fits and waits for
     /// [`commit_renegotiation`](Network::commit_renegotiation), so a
     /// renegotiation refused further along never loses the old
     /// reservation.  A link that holds nothing for the flow yet reserves
@@ -219,9 +226,10 @@ impl Network {
 
     /// Reserve `to` for `flow` on `link`, which holds `held` for it now: the
     /// controller, if any, takes what `to` adds (its bucket, or the rate
-    /// above `held`) and the scheduler the new rate.  A refusing scheduler
-    /// overrides the controller (or its absence) — the flow would run with
-    /// no isolation at all — and hands the controller its share back.
+    /// above `held`) and the scheduler the new rate.  A rate that would take
+    /// the link's Σ held to its scheduler's guaranteed capacity is refused
+    /// whatever the controller (or its absence) said — the flow would run
+    /// with no isolation at all — and the controller gets its share back.
     fn reserve(
         &mut self,
         flow: FlowId,
@@ -248,7 +256,8 @@ impl Network {
             }
             _ => return AdmissionDecision::Accept,
         };
-        if port.discipline.install_guaranteed(flow, rate) == GuaranteedInstall::Refused {
+        let capacity = port.discipline.guaranteed_capacity_bps();
+        if capacity.is_some_and(|mu| port.held_bps - held + rate >= mu) {
             if let Some(ad) = port.admission.as_mut() {
                 ad.controller.release_guaranteed(rate - held);
             }
@@ -256,6 +265,8 @@ impl Network {
                 reason: RejectReason::SchedulerRefused { rate_bps: rate },
             };
         }
+        port.discipline.install_guaranteed(flow, rate);
+        port.held_bps += rate - held;
         AdmissionDecision::Accept
     }
 
@@ -270,6 +281,7 @@ impl Network {
                 ad.controller.release_guaranteed(*held - rate);
             }
             port.discipline.install_guaranteed(flow, rate);
+            port.held_bps -= *held - rate;
             *held = rate;
         }
     }

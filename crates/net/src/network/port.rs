@@ -25,6 +25,8 @@ pub(super) struct Port {
     /// what bounds [`Network::completions`] at one entry per port.
     pub(super) busy: bool,
     pub(super) admission: Option<AdmissionState>,
+    /// Σ of the guaranteed rates flows hold here ([`Network::held_bps`]).
+    pub(super) held_bps: f64,
     /// The packets this port has put on its link that have not yet reached
     /// the far end, in transmission order (the one being serialized
     /// included).  The events that complete their journey (a

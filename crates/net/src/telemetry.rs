@@ -25,7 +25,7 @@ pub struct NetTelemetry {
     /// Flow admissions accepted, summed over links
     /// ([`admit_flow_on_link`](crate::Network::admit_flow_on_link) outcomes).
     admission_accepted: Counter,
-    /// Flow admissions rejected (controller refusals and scheduler vetoes).
+    /// Flow admissions rejected (controller and link-capacity refusals).
     admission_rejected: Counter,
 }
 

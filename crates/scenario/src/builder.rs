@@ -982,8 +982,9 @@ mod tests {
     }
 
     /// On every link of `sim`, the guaranteed rates its flows hold sum to
-    /// what its controller reserves and, on a WFQ or unified link, stay
-    /// below the link's rate.
+    /// the ledger's per-link sum and to what its controller reserves and,
+    /// on a WFQ or unified link, stay below the link's rate.  Every rate
+    /// is a whole number of bit/s, so every sum is exact.
     fn assert_ledger_balances(sim: &Sim, spec: DisciplineSpec) {
         let net = sim.network();
         for &link in &sim.built().forward {
@@ -992,6 +993,7 @@ mod tests {
                 .filter(|&(at, _)| at == link)
                 .map(|(_, rate)| rate)
                 .sum();
+            assert_eq!(net.held_bps(link), held, "{link:?}");
             if let Some(ad) = net.admission(link) {
                 assert_eq!(held, ad.reserved_guaranteed_bps(), "{link:?}");
             }

@@ -46,10 +46,6 @@ pub enum GuaranteedInstall {
     /// disciplines like FIFO and FIFO+); nothing needed doing.  The switch
     /// may still carry the flow, it just cannot isolate it.
     Unsupported,
-    /// The discipline refused: installing this rate would break its
-    /// invariants (e.g. guaranteed reservations reaching the link rate).
-    /// Callers must treat this as an admission failure.
-    Refused,
 }
 
 /// A packet handed back by [`QueueDiscipline::dequeue`].
@@ -105,17 +101,10 @@ pub trait QueueDiscipline {
     /// given WFQ clock rate (Section 8: a guaranteed flow "only needs to
     /// specify the needed clock rate r").
     ///
-    /// The default (for class-based disciplines, which have no per-flow
-    /// state) reports [`GuaranteedInstall::Unsupported`]; disciplines that
-    /// do track per-flow rates answer `Installed` or `Refused`, and a
-    /// refusal must fail the admission that requested it.
-    ///
-    /// A refusal must also leave any rate previously installed for the
-    /// flow fully intact: renegotiation re-installs an already-reserved
-    /// flow at a new rate, and on `Refused` the caller keeps running the
-    /// flow against its old reservation.  A discipline that cleared or
-    /// partially applied state before refusing would desynchronize the
-    /// flow's spec from the scheduler.
+    /// Never refuses: the caller (the network's reservation ledger) has
+    /// checked that the rate is positive and fits the link.  Installing a
+    /// flow again replaces its rate.  The default (for class-based
+    /// disciplines) reports [`GuaranteedInstall::Unsupported`].
     fn install_guaranteed(&mut self, flow: ispn_core::FlowId, rate_bps: f64) -> GuaranteedInstall {
         let _ = (flow, rate_bps);
         GuaranteedInstall::Unsupported

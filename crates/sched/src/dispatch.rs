@@ -48,7 +48,8 @@ pub enum Discipline {
     Priority(StrictPriority<Fifo>),
     /// The full Section-7 unified scheduler.
     Unified(Unified),
-    /// Escape hatch for disciplines the enum does not know about.
+    /// Escape hatch for disciplines the enum does not know about; the
+    /// ledger applies no capacity check to a custom discipline.
     Custom(Box<dyn QueueDiscipline>),
 }
 
@@ -56,6 +57,16 @@ impl Discipline {
     /// Wrap an arbitrary discipline in the [`Discipline::Custom`] variant.
     pub fn custom(disc: impl QueueDiscipline + 'static) -> Self {
         Discipline::Custom(Box::new(disc))
+    }
+
+    /// What a link's guaranteed clock rates must sum below: μ for WFQ and
+    /// the unified scheduler (Σ rα < μ), no bound for the rest.
+    pub fn guaranteed_capacity_bps(&self) -> Option<f64> {
+        match self {
+            Discipline::Wfq(Wfq { link_rate_bps, .. })
+            | Discipline::Unified(Unified { link_rate_bps, .. }) => Some(*link_rate_bps),
+            _ => None,
+        }
     }
 }
 

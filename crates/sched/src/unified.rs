@@ -36,7 +36,7 @@ use crate::priority::StrictPriority;
 /// The unified scheduler: WFQ isolation around priority + FIFO+ sharing.
 pub struct Unified {
     gps: GpsClock,
-    link_rate_bps: f64,
+    pub(crate) link_rate_bps: f64,
     /// Sum of guaranteed clock rates; flow 0 gets the remainder.
     guaranteed_rate_sum: f64,
     /// One lane per guaranteed flow.  Lane occupancy *is* the
@@ -82,10 +82,14 @@ impl Unified {
         }
     }
 
-    /// The clock rate of a registered guaranteed flow.
-    fn guaranteed_rate(&self, flow: FlowId) -> Option<f64> {
-        self.lanes.slot(flow)?;
-        self.gps.rate(flow.0 as u64)
+    /// Give flow 0 what the guaranteed flows leave, r₀ = μ − Σ rα.  A caller
+    /// that takes Σ rα to μ (the network's ledger never does; a replay of a
+    /// recorded install stream may) leaves flow 0 at its last positive rate.
+    fn set_flow0_rate(&mut self) {
+        let flow0_rate = self.link_rate_bps - self.guaranteed_rate_sum;
+        if flow0_rate > 0.0 {
+            self.gps.set_rate(GpsClock::PSEUDO_FLOW, flow0_rate);
+        }
     }
 }
 
@@ -148,18 +152,11 @@ impl QueueDiscipline for Unified {
     /// Give `flow` the clock rate `rate_bps` and flow 0 the remainder
     /// (r₀ = μ − Σ rα), registering the flow if it is new and returning its
     /// old rate to the sum if it is not (the Section-8 renegotiation path).
-    /// Refused, with nothing changed, if the guaranteed rates would then
-    /// reach the link rate.
     fn install_guaranteed(&mut self, flow: FlowId, rate_bps: f64) -> GuaranteedInstall {
-        let old = self.guaranteed_rate(flow).unwrap_or(0.0);
-        let new_sum = self.guaranteed_rate_sum - old + rate_bps;
-        if rate_bps <= 0.0 || new_sum >= self.link_rate_bps {
-            return GuaranteedInstall::Refused;
-        }
-        self.guaranteed_rate_sum = new_sum;
+        let old = self.gps.rate(flow.0 as u64).unwrap_or(0.0);
+        self.guaranteed_rate_sum = self.guaranteed_rate_sum - old + rate_bps;
         self.gps.set_rate(flow.0 as u64, rate_bps);
-        self.gps
-            .set_rate(GpsClock::PSEUDO_FLOW, self.link_rate_bps - new_sum);
+        self.set_flow0_rate();
         self.lanes.slot_or_insert(flow, ());
         GuaranteedInstall::Installed
     }
@@ -178,10 +175,7 @@ impl QueueDiscipline for Unified {
             .remove(flow.0 as u64)
             .expect("registered guaranteed flow has a GPS rate");
         self.guaranteed_rate_sum -= rate;
-        self.gps.set_rate(
-            GpsClock::PSEUDO_FLOW,
-            self.link_rate_bps - self.guaranteed_rate_sum,
-        );
+        self.set_flow0_rate();
         self.lanes.evict(slot, |packet, ctx| {
             // Demote to flow 0; the packet keeps its original arrival time
             // but is stamped (and therefore served) like a fresh datagram
@@ -234,6 +228,12 @@ mod tests {
         SchedContext::new(ServiceClass::Predicted { priority: p }, t)
     }
 
+    /// The clock rate of a registered guaranteed flow.
+    fn guaranteed_rate(u: &Unified, flow: FlowId) -> Option<f64> {
+        u.lanes.slot(flow)?;
+        u.gps.rate(flow.0 as u64)
+    }
+
     /// The clock rate pseudo-flow 0 holds in the GPS clock (r₀ = μ − Σ rα).
     fn flow0_rate(u: &Unified) -> f64 {
         u.gps.rate(GpsClock::PSEUDO_FLOW).unwrap()
@@ -256,9 +256,9 @@ mod tests {
     fn flow0_rate_is_link_minus_guaranteed_reservations() {
         let u = make();
         assert!((flow0_rate(&u) - 745_000.0).abs() < 1e-6);
-        assert_eq!(u.guaranteed_rate(FlowId(1)), Some(170_000.0));
-        assert_eq!(u.guaranteed_rate(FlowId(2)), Some(85_000.0));
-        assert_eq!(u.guaranteed_rate(FlowId(9)), None);
+        assert_eq!(guaranteed_rate(&u, FlowId(1)), Some(170_000.0));
+        assert_eq!(guaranteed_rate(&u, FlowId(2)), Some(85_000.0));
+        assert_eq!(guaranteed_rate(&u, FlowId(9)), None);
     }
 
     #[test]
@@ -365,7 +365,7 @@ mod tests {
         assert!((flow0_rate(&u) - 745_000.0).abs() < 1e-6);
         assert!(u.remove_flow(SimTime::ZERO, FlowId(1)));
         assert!((flow0_rate(&u) - 915_000.0).abs() < 1e-6);
-        assert_eq!(u.guaranteed_rate(FlowId(1)), None);
+        assert_eq!(guaranteed_rate(&u, FlowId(1)), None);
         // Removing again is a no-op.
         assert!(!u.remove_flow(SimTime::ZERO, FlowId(1)));
     }
@@ -375,7 +375,7 @@ mod tests {
         let mut u = Unified::new(MBIT, 1, Averaging::RunningMean);
         add(&mut u, 1, 100_000.0);
         add(&mut u, 1, 200_000.0);
-        assert_eq!(u.guaranteed_rate(FlowId(1)), Some(200_000.0));
+        assert_eq!(guaranteed_rate(&u, FlowId(1)), Some(200_000.0));
         assert_eq!(flow0_rate(&u), 800_000.0);
         assert!(u.remove_flow(SimTime::ZERO, FlowId(1)));
         assert_eq!(flow0_rate(&u), MBIT);
@@ -403,11 +403,14 @@ mod tests {
         let mut u = make();
         let re_rate = |u: &mut Unified, rate| u.install_guaranteed(FlowId(1), rate);
         assert_eq!(re_rate(&mut u, 300_000.0), GuaranteedInstall::Installed);
-        assert_eq!(u.guaranteed_rate(FlowId(1)), Some(300_000.0));
+        assert_eq!(guaranteed_rate(&u, FlowId(1)), Some(300_000.0));
         assert!((flow0_rate(&u) - 615_000.0).abs() < 1e-6);
-        // An over-reservation is refused and leaves the old rate in force.
-        assert_eq!(re_rate(&mut u, 1_000_000.0), GuaranteedInstall::Refused);
-        assert_eq!(u.guaranteed_rate(FlowId(1)), Some(300_000.0));
+        // An over-reservation (the ledger would refuse it) is installed and
+        // leaves flow 0 at its last rate, until Σ rα is below μ again.
+        assert_eq!(re_rate(&mut u, 1_000_000.0), GuaranteedInstall::Installed);
+        assert!((flow0_rate(&u) - 615_000.0).abs() < 1e-6);
+        re_rate(&mut u, 100_000.0);
+        assert!((flow0_rate(&u) - 815_000.0).abs() < 1e-6);
     }
 
     #[test]
@@ -421,10 +424,6 @@ mod tests {
         assert_eq!(
             d.install_guaranteed(FlowId(5), 250_000.0), // update
             GuaranteedInstall::Installed
-        );
-        assert_eq!(
-            d.install_guaranteed(FlowId(6), 900_000.0), // would overflow
-            GuaranteedInstall::Refused
         );
         assert!(d.remove_flow(SimTime::ZERO, FlowId(5)));
         assert!(!d.remove_flow(SimTime::ZERO, FlowId(5)));

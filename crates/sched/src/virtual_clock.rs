@@ -97,9 +97,6 @@ impl QueueDiscipline for VirtualClock {
     /// preapportioned", so it leaves refusing an oversubscription to
     /// admission control.
     fn install_guaranteed(&mut self, flow: FlowId, rate_bps: f64) -> GuaranteedInstall {
-        if rate_bps <= 0.0 {
-            return GuaranteedInstall::Refused;
-        }
         let slot = self.slot_or_insert(flow);
         self.lanes.state_mut(slot).rate_bps = rate_bps;
         self.lanes.revive(flow);

@@ -16,8 +16,6 @@
 //! flows' head packets (per-flow stamps are non-decreasing so only heads
 //! need to be compared).
 
-use std::collections::BTreeMap;
-
 use ispn_core::{FlowId, Packet};
 use ispn_sim::SimTime;
 
@@ -29,22 +27,13 @@ use crate::lanes::LaneTable;
 #[derive(Debug)]
 pub struct Wfq {
     gps: GpsClock,
-    link_rate_bps: f64,
+    pub(crate) link_rate_bps: f64,
     /// Clock rate assigned to flows that were never explicitly registered.
     default_rate_bps: f64,
     /// One lane per flow that has sent or been given a rate; the clock
     /// rate itself lives in `gps`.  A lane is retired when its flow's rate
     /// is removed.
     lanes: LaneTable<()>,
-    /// Clock rates installed with
-    /// [`install_guaranteed`](QueueDiscipline::install_guaranteed): their
-    /// sum must stay below the link rate so a link without an admission
-    /// controller still refuses oversubscribed reservations, like
-    /// [`Unified`](crate::Unified) does.
-    guaranteed: BTreeMap<FlowId, f64>,
-    /// Running Σ of `guaranteed` values (kept in step on install/remove,
-    /// like `Unified::guaranteed_rate_sum`).
-    guaranteed_rate_sum: f64,
     len: usize,
 }
 
@@ -63,8 +52,6 @@ impl Wfq {
             link_rate_bps,
             default_rate_bps,
             lanes: LaneTable::new(),
-            guaranteed: BTreeMap::new(),
-            guaranteed_rate_sum: 0.0,
             len: 0,
         }
     }
@@ -112,20 +99,6 @@ impl QueueDiscipline for Wfq {
     }
 
     fn install_guaranteed(&mut self, flow: FlowId, rate_bps: f64) -> GuaranteedInstall {
-        if rate_bps <= 0.0 {
-            return GuaranteedInstall::Refused;
-        }
-        // Parekh–Gallager needs the guaranteed clock rates to sum below the
-        // link speed; refuse reservations that would break that, so the
-        // admission veto in `Network::admit_flow_on_link` holds on WFQ
-        // links with no admission controller too.
-        let old = self.guaranteed.get(&flow).copied().unwrap_or(0.0);
-        let new_sum = self.guaranteed_rate_sum - old + rate_bps;
-        if new_sum >= self.link_rate_bps {
-            return GuaranteedInstall::Refused;
-        }
-        self.guaranteed_rate_sum = new_sum;
-        self.guaranteed.insert(flow, rate_bps);
         self.gps.set_rate(flow.0 as u64, rate_bps);
         self.lanes.revive(flow);
         GuaranteedInstall::Installed
@@ -135,9 +108,6 @@ impl QueueDiscipline for Wfq {
     /// virtual-time stamps; if the flow sends again later it re-enters at
     /// the default clock rate.
     fn remove_flow(&mut self, _now: SimTime, flow: FlowId) -> bool {
-        if let Some(rate) = self.guaranteed.remove(&flow) {
-            self.guaranteed_rate_sum -= rate;
-        }
         self.lanes.retire(flow);
         self.gps.remove(flow.0 as u64).is_some()
     }
@@ -147,8 +117,7 @@ impl QueueDiscipline for Wfq {
     }
 
     fn reservation_bytes(&self) -> u64 {
-        (self.guaranteed.len() * std::mem::size_of::<(FlowId, f64)>()) as u64
-            + self.gps.state_bytes()
+        self.gps.state_bytes()
     }
 
     fn pool_grow_events(&self) -> u64 {
@@ -306,7 +275,6 @@ mod tests {
         assert!(d.remove_flow(SimTime::ZERO, FlowId(1)));
         assert!(!d.remove_flow(SimTime::ZERO, FlowId(1)));
         assert_eq!(q.gps.rate(1), None);
-        assert_eq!((q.guaranteed.len(), q.guaranteed_rate_sum), (0, 0.0));
     }
 
     /// Enqueue `n` packets of `flow` at t = 0.
@@ -362,36 +330,6 @@ mod tests {
             // its lane down.
             assert!(q.lanes.slot(FlowId(1)).is_some(), "way {way}");
         }
-    }
-
-    #[test]
-    fn install_guaranteed_refuses_oversubscription() {
-        let mut q = Wfq::new(MBIT, 100_000.0);
-        assert_eq!(
-            q.install_guaranteed(FlowId(1), 600_000.0),
-            GuaranteedInstall::Installed
-        );
-        // 600k + 400k would reach the link rate: refused, rate untouched.
-        assert_eq!(
-            q.install_guaranteed(FlowId(2), 400_000.0),
-            GuaranteedInstall::Refused
-        );
-        assert_eq!(q.gps.rate(2), None);
-        // Updating an existing reservation accounts for its old rate.
-        assert_eq!(
-            q.install_guaranteed(FlowId(1), 500_000.0),
-            GuaranteedInstall::Installed
-        );
-        assert_eq!(
-            q.install_guaranteed(FlowId(2), 400_000.0),
-            GuaranteedInstall::Installed
-        );
-        // Removal returns headroom.
-        assert!(q.remove_flow(SimTime::ZERO, FlowId(2)));
-        assert_eq!(
-            q.install_guaranteed(FlowId(3), 400_000.0),
-            GuaranteedInstall::Installed
-        );
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Pins what the three per-flow stamped-queue disciplines do over seeded
 //! random op streams: an FNV-1a digest of the *service* — the served order,
 //! every install / remove result and, after every call, `len` and
-//! `reservation_bytes`.  The streams tear lanes down while backlogged and
+//! `reservation_bytes`.  Installs follow the network ledger's rule: on WFQ
+//! and the unified scheduler an install that would take the stream's Σ of
+//! installed rates to the link rate is refused (folded as 3) and never
+//! reaches the discipline.  The streams tear lanes down while backlogged and
 //! register them again before the drain, so lane lifecycle is covered as
 //! well as service order.  `VirtualClock` is run by no benchmark workload
 //! and no golden; this digest is its byte-identity evidence.  A change that
@@ -61,13 +64,16 @@ fn burst_and_drain(q: &mut impl QueueDiscipline, now: SimTime) {
 }
 
 /// Service digest of `SEEDS` op streams over a discipline built by `make`,
-/// asserting the storage properties on the way; `install` is the
-/// discipline's way of registering a flow at a rate.
-fn digest<D: QueueDiscipline>(make: fn() -> D, install: fn(&mut D, FlowId, f64) -> u64) -> u64 {
+/// asserting the storage properties on the way; installs must keep the
+/// installed rates' sum below `capacity`, if there is one.
+fn digest<D: QueueDiscipline>(make: fn() -> D, capacity: Option<f64>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325;
     for seed in 0..SEEDS {
         let mut q = make();
         let mut rng = Pcg64::new(seed);
+        // The rate each flow (1 to 12) holds: every one a whole number of
+        // bit/s, so the sum is exact in any order.
+        let mut held = [0.0; 13];
         let mut now = SimTime::ZERO;
         let mut grown = 0;
         for seq in 0..OPS as u64 {
@@ -89,9 +95,18 @@ fn digest<D: QueueDiscipline>(make: fn() -> D, install: fn(&mut D, FlowId, f64) 
                 }
                 8 => {
                     let rate = 50_000.0 * (1 + rng.next_below(6)) as f64;
-                    fold(&mut h, install(&mut q, flow, rate));
+                    let others = held.iter().sum::<f64>() - held[flow.0 as usize];
+                    if capacity.is_some_and(|mu| others + rate >= mu) {
+                        fold(&mut h, 3);
+                    } else {
+                        held[flow.0 as usize] = rate;
+                        fold(&mut h, install(&mut q, flow, rate));
+                    }
                 }
-                _ => fold(&mut h, u64::from(q.remove_flow(now, flow))),
+                _ => {
+                    held[flow.0 as usize] = 0.0;
+                    fold(&mut h, u64::from(q.remove_flow(now, flow)));
+                }
             }
             fold(&mut h, q.len() as u64);
             fold(&mut h, q.reservation_bytes());
@@ -115,31 +130,27 @@ fn digest<D: QueueDiscipline>(make: fn() -> D, install: fn(&mut D, FlowId, f64) 
     h
 }
 
-fn install_guaranteed<D: QueueDiscipline>(q: &mut D, flow: FlowId, rate_bps: f64) -> u64 {
+fn install(q: &mut impl QueueDiscipline, flow: FlowId, rate_bps: f64) -> u64 {
     match q.install_guaranteed(flow, rate_bps) {
         GuaranteedInstall::Installed => 1,
         GuaranteedInstall::Unsupported => 2,
-        GuaranteedInstall::Refused => 3,
     }
 }
 
 #[test]
 fn wfq_op_streams_keep_their_digest() {
-    let h = digest(|| Wfq::new(MBIT, 100_000.0), install_guaranteed);
-    assert_eq!(h, 0x6639_3dbf_475e_5a47, "{h:#018x}");
+    let h = digest(|| Wfq::new(MBIT, 100_000.0), Some(MBIT));
+    assert_eq!(h, 0x26ac_fbfd_30af_51af, "{h:#018x}");
 }
 
 #[test]
 fn virtual_clock_op_streams_keep_their_digest() {
-    let h = digest(|| VirtualClock::new(100_000.0), install_guaranteed);
+    let h = digest(|| VirtualClock::new(100_000.0), None);
     assert_eq!(h, 0xc3ca_5db9_c298_163f, "{h:#018x}");
 }
 
 #[test]
 fn unified_op_streams_keep_their_digest() {
-    let h = digest(
-        || Unified::new(MBIT, 2, Averaging::RunningMean),
-        install_guaranteed,
-    );
+    let h = digest(|| Unified::new(MBIT, 2, Averaging::RunningMean), Some(MBIT));
     assert_eq!(h, 0x96e6_17d3_3cf4_dfc9, "{h:#018x}");
 }

@@ -477,9 +477,9 @@ fn route_link(net: &Network, flow: FlowId, hop: usize) -> LinkId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ispn_core::admission::{AdmissionConfig, AdmissionController};
+    use ispn_core::admission::{AdmissionConfig, AdmissionController, RejectReason};
     use ispn_net::Topology;
-    use ispn_sched::{Averaging, Unified};
+    use ispn_sched::{Averaging, Unified, Wfq};
 
     const MBIT: f64 = 1_000_000.0;
 
@@ -897,8 +897,9 @@ mod tests {
     #[test]
     fn guaranteed_increase_vetoed_by_scheduler() {
         // One link, Unified scheduling, no admission controller: only the
-        // scheduler can refuse the increase, and that refusal must fail the
-        // renegotiation instead of desynchronizing spec and scheduler.
+        // link's capacity can refuse the increase, and that refusal must
+        // fail the renegotiation instead of desynchronizing spec and
+        // scheduler.
         let (topo, _nodes, links) = Topology::chain(2, MBIT, SimTime::MILLISECOND, 200);
         let mut net = Network::new(topo);
         net.set_discipline(links[0], Unified::new(MBIT, 1, Averaging::RunningMean));
@@ -923,8 +924,8 @@ mod tests {
     #[test]
     fn scheduler_veto_during_reneg_undoes_controller_delta() {
         // A controller with a 100 % quota says yes to a full-link rate, but
-        // the Unified scheduler refuses (Σ rates must stay strictly below
-        // the link speed); the controller's delta must be given back.
+        // the ledger refuses it (a Unified link's Σ rates must stay strictly
+        // below the link speed); the controller's delta must be given back.
         let (topo, _nodes, links) = Topology::chain(2, MBIT, SimTime::MILLISECOND, 200);
         let mut net = Network::new(topo);
         net.set_discipline(links[0], Unified::new(MBIT, 1, Averaging::RunningMean));
@@ -1151,7 +1152,7 @@ mod tests {
     #[test]
     fn scheduler_refusal_vetoes_admission_without_a_controller() {
         // No admission controller at all: the quota says yes to anything,
-        // but the unified scheduler cannot reserve the whole link, and that
+        // but a unified link cannot reserve its whole rate, and that
         // refusal must surface as a rejection, not a silent no-op.
         let (topo, _nodes, links) = Topology::chain(2, MBIT, SimTime::ZERO, 200);
         let mut net = Network::new(topo);
@@ -1168,6 +1169,39 @@ mod tests {
         assert!(net.installed_links(flow).next().is_none());
         // A sane rate still goes through.
         hog(&mut net, links[0], 500_000.0);
+    }
+
+    #[test]
+    fn link_capacity_vetoes_wfq_admission_without_a_controller() {
+        // The WFQ twin of the test above: with no controller, the ledger
+        // alone keeps the link's guaranteed rates below μ, for a setup and
+        // for a renegotiated increase, and a refusal changes nothing.
+        let (topo, _nodes, links) = Topology::chain(2, MBIT, SimTime::ZERO, 200);
+        let mut net = Network::new(topo);
+        net.set_discipline(links[0], Wfq::new(MBIT, 100_000.0));
+        let empty = net.reservation_state_bytes();
+        let refused = |rate_bps| AdmissionDecision::Reject {
+            reason: RejectReason::SchedulerRefused { rate_bps },
+        };
+        let flow = net.add_flow_inactive(FlowConfig::guaranteed(vec![links[0]], MBIT));
+        assert_eq!(net.admit_flow_on_link(flow, links[0]), refused(MBIT));
+        assert!(net.installed_links(flow).next().is_none());
+        assert_eq!(net.reservation_state_bytes(), empty);
+
+        let flow = hog(&mut net, links[0], 600_000.0);
+        let installed = net.reservation_state_bytes();
+        let up = FlowSpec::guaranteed(MBIT);
+        assert_eq!(net.renegotiate_on_link(flow, links[0], &up), refused(MBIT));
+        assert!(net.installed_links(flow).eq([(links[0], 600_000.0)]));
+        assert_eq!(net.held_bps(links[0]), 600_000.0);
+        assert_eq!(net.reservation_state_bytes(), installed);
+        // Just below μ still fits.
+        let up = FlowSpec::guaranteed(MBIT - 1.0);
+        assert!(net.renegotiate_on_link(flow, links[0], &up).is_accept());
+        assert_eq!(net.held_bps(links[0]), MBIT - 1.0);
+        assert!(net.release_flow_on_link(flow, links[0]));
+        assert_eq!(net.held_bps(links[0]), 0.0);
+        assert_eq!(net.reservation_state_bytes(), empty);
     }
 
     #[test]
@@ -1381,9 +1415,10 @@ mod proptests {
         links[first..first + hops].to_vec()
     }
 
-    /// On every link, the rates the flows hold there sum to what its
-    /// controller has reserved.  Each rate is a whole number of bit/s far
-    /// below 2⁵³, so both sums are exact.
+    /// On every link, the rates the flows hold there sum to the ledger's
+    /// per-link sum and to what its controller has reserved, and stay
+    /// below the link rate (every link is unified).  Each rate is a whole
+    /// number of bit/s far below 2⁵³, so every sum is exact.
     fn assert_ledger_balances(net: &Network, links: &[LinkId]) {
         for &l in links {
             let held: f64 = (0..net.num_flows())
@@ -1393,6 +1428,8 @@ mod proptests {
                 .sum();
             let reserved = net.admission(l).unwrap().reserved_guaranteed_bps();
             assert_eq!(held, reserved, "{l:?} holds {held}, reserves {reserved}");
+            assert_eq!(net.held_bps(l), held, "{l:?}'s sum");
+            assert!(held < net.topology().link(l).rate_bps, "{l:?} holds {held}");
         }
     }
 

@@ -12,8 +12,8 @@ usage() {
 usage: tools/paired.sh <parent-tree> <change-tree> <workload> <pairs> [seconds=8] [first-seed=6400]
 
   <parent-tree>, <change-tree>  two checkouts of this repository (e.g. a
-                                `git clone` of the parent commit under
-                                /root/scratch and the working tree)
+                                `git clone` of the parent commit and the
+                                working tree)
   <workload>                    link-wfq | chain-unified | churn-signal | sweep-pipes
   <pairs>                       pairs of passes; pair i runs at seed first-seed + i,
                                 even pairs parent first, odd pairs change first

@@ -29,7 +29,10 @@ clock (`date +%s%N`) read in the rep's shell just before it execs the
 child, so it holds process start-up, loading and the scenario build.
 Stops with exit 1 at the first seed where the two trees' stdout (the
 report JSON) differs or a rep fails.  Prints every rep, then per metric
-each tree's median and quartiles and the change of b's median against a's.
+each tree's median, quartiles and lowest decile (p10), and the change of
+b's median and p10 against a's.  A single rep's run_s is noisy (quartiles
+about +-15 % apart on link-wfq), and noise only ever adds time, so a
+run-phase change is read on the p10, as the harness reads setup_s.
 EOF
 }
 
@@ -137,7 +140,8 @@ END {
         sorted(k, a); sorted(k + m, b)
         am = quantile(a, NR, 0.5); a1 = quantile(a, NR, 0.25); a3 = quantile(a, NR, 0.75)
         bm = quantile(b, NR, 0.5); b1 = quantile(b, NR, 0.25); b3 = quantile(b, NR, 0.75)
-        printf("%-13s a %.6g (%.6g-%.6g)  b %.6g (%.6g-%.6g)  %+.1f %%\n",
-            name[k], am, a1, a3, bm, b1, b3, 100 * (bm - am) / am)
+        ap = quantile(a, NR, 0.1); bp = quantile(b, NR, 0.1)
+        printf("%-13s a %.6g (%.6g-%.6g) p10 %.6g  b %.6g (%.6g-%.6g) p10 %.6g  %+.1f %% (p10 %+.1f %%)\n",
+            name[k], am, a1, a3, ap, bm, b1, b3, bp, 100 * (bm - am) / am, 100 * (bp - ap) / ap)
     }
 }' "$rows"
