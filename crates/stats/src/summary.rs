@@ -30,6 +30,10 @@ impl StreamingStats {
     }
 
     /// Add one sample.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the sample counter: 2^64 samples outlast any run"
+    )]
     pub fn record(&mut self, x: f64) {
         self.count += 1;
         self.sum += x;
@@ -67,10 +71,9 @@ impl StreamingStats {
     /// fewer than two samples — the estimator the jitter columns of the
     /// scenario reports use.
     pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
+        match self.count.checked_sub(1) {
+            Some(df) if df > 0 => self.m2 / df as f64,
+            _ => 0.0,
         }
     }
 

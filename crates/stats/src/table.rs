@@ -89,7 +89,7 @@ impl TextTable {
             render_row(&self.header, &widths, &mut out);
             let total: usize = widths
                 .iter()
-                .map(|w| w + 2)
+                .map(|w| w.saturating_add(2))
                 .sum::<usize>()
                 .saturating_sub(2);
             let _ = writeln!(out, "{}", "-".repeat(total));

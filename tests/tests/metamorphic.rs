@@ -14,6 +14,19 @@
 //! and a 3-hop chain carrying two guaranteed end-to-end flows over eight
 //! one-hop flows per link — under FIFO, FIFO+, WFQ, VirtualClock and
 //! Unified, with the sources' token-bucket policers on and off.
+//!
+//! Three more relations pair two disciplines that must send every packet
+//! at the same instant, policers on and off:
+//!
+//! - **R4, FIFO+ on one hop.**  A packet enters its first hop with a zero
+//!   FIFO+ offset, so FIFO+ serves Table 1's single link in arrival order,
+//!   as FIFO does.
+//! - **R5, Unified without guarantees.**  With no guaranteed flow, the
+//!   unified scheduler's pseudo-flow 0 holds the whole link, and with one
+//!   predicted class it is one FIFO+ queue: FIFO+ on the single link and
+//!   on a 3-hop chain of real-time flows alike.
+//! - **R6, WFQ with one sender.**  A work-conserving scheduler with one
+//!   flow to serve serves it in arrival order, as FIFO does.
 
 use ispn_core::TokenBucketSpec;
 use ispn_scenario::{
@@ -24,7 +37,7 @@ use ispn_sim::SimTime;
 use ispn_traffic::OnOffConfig;
 
 /// Long enough for every flow to queue behind bursts of the others, short
-/// enough that this file's 124 runs stay within a few seconds in debug.
+/// enough that this file's 144 runs stay within a few seconds in debug.
 const HORIZON: SimTime = SimTime::from_secs(5);
 /// The paper's average source rate, packets per second (85 % load on a
 /// link with ten flows).
@@ -38,6 +51,12 @@ enum Shape {
     SingleLink,
     /// Two guaranteed flows over three hops, eight one-hop flows per hop.
     GuaranteedChain,
+    /// [`Shape::GuaranteedChain`] with its two end-to-end flows real-time
+    /// best effort, in the one predicted class the one-hop flows are in.
+    RealtimeChain,
+    /// One flow on one link, averaging 85 % of it and sending at 1.7
+    /// times its rate in a burst.
+    OneFlowLink,
 }
 
 /// What a relation changes about a run: every bit quantity multiplied by
@@ -53,9 +72,11 @@ const IDENTITY: Transform = Transform {
     delay: SimTime::ZERO,
 };
 
+const FIFO_PLUS: DisciplineSpec = DisciplineSpec::FifoPlus(Averaging::RunningMean);
+
 const DISCIPLINES: [DisciplineSpec; 5] = [
     DisciplineSpec::Fifo,
-    DisciplineSpec::FifoPlus(Averaging::RunningMean),
+    FIFO_PLUS,
     DisciplineSpec::Wfq,
     DisciplineSpec::VirtualClock,
     DisciplineSpec::Unified {
@@ -66,10 +87,15 @@ const DISCIPLINES: [DisciplineSpec; 5] = [
 
 /// The paper's on/off source with seed `seed`, transformed by `t`.
 fn onoff(seed: u64, policed: bool, t: Transform) -> SourceSpec {
-    let mut config = OnOffConfig::paper(AVG_RATE_PPS, seed);
+    onoff_at(AVG_RATE_PPS, seed, policed, t)
+}
+
+/// [`onoff`] averaging `avg_rate_pps` packets per second.
+fn onoff_at(avg_rate_pps: f64, seed: u64, policed: bool, t: Transform) -> SourceSpec {
+    let mut config = OnOffConfig::paper(avg_rate_pps, seed);
     config.packet_bits *= t.scale;
     config.policer = policed.then(|| {
-        TokenBucketSpec::per_packets(AVG_RATE_PPS, POLICER_DEPTH_PKTS, config.packet_bits)
+        TokenBucketSpec::per_packets(avg_rate_pps, POLICER_DEPTH_PKTS, config.packet_bits)
     });
     config.start_offset += t.delay;
     SourceSpec::OnOff(config)
@@ -84,15 +110,23 @@ fn flow_reports(
     t: Transform,
 ) -> Vec<FlowSummary> {
     let k = t.scale as f64;
+    let end_to_end = |i| {
+        match shape {
+            Shape::RealtimeChain => FlowDef::best_effort_realtime(0, 3),
+            _ => FlowDef::guaranteed(0, 3, 2.0 * AVG_RATE_PPS * 1000.0 * k),
+        }
+        .source(onoff(i, policed, t))
+    };
     let builder = match shape {
         Shape::SingleLink => ScenarioBuilder::chain(2).flows(
             (0..10).map(|i| FlowDef::best_effort_realtime(0, 1).source(onoff(i, policed, t))),
         ),
-        Shape::GuaranteedChain => ScenarioBuilder::chain(4)
-            .flows((0..2).map(|i| {
-                FlowDef::guaranteed(0, 3, 2.0 * AVG_RATE_PPS * 1000.0 * k)
-                    .source(onoff(i, policed, t))
-            }))
+        Shape::OneFlowLink => ScenarioBuilder::chain(2).flows([FlowDef::best_effort_realtime(
+            0, 1,
+        )
+        .source(onoff_at(10.0 * AVG_RATE_PPS, 0, policed, t))]),
+        Shape::GuaranteedChain | Shape::RealtimeChain => ScenarioBuilder::chain(4)
+            .flows((0..2).map(end_to_end))
             .flows((0..3).flat_map(|link| {
                 (0..8).map(move |j| {
                     FlowDef::best_effort_realtime(link, 1).source(onoff(
@@ -131,6 +165,21 @@ fn bits(f: &FlowSummary) -> [u64; 10] {
     ]
 }
 
+/// [`flow_reports`] untransformed, each as its [`bits`], after checking
+/// that every flow queued: a relation says nothing about flows that never
+/// did.
+fn queued_bits(shape: Shape, discipline: DisciplineSpec, policed: bool) -> Vec<[u64; 10]> {
+    let reports = flow_reports(shape, discipline, policed, IDENTITY);
+    assert!(
+        reports
+            .iter()
+            .all(|f| f.delivered > 0 && f.max_delay_s > 0.0),
+        "{shape:?} under {}: a flow never queued",
+        discipline.label()
+    );
+    reports.iter().map(bits).collect()
+}
+
 /// Run every shape, discipline and policing choice untransformed and under
 /// each of `variants`, and assert that every flow report is bit-identical.
 fn holds_for(variants: &[Transform]) {
@@ -138,14 +187,7 @@ fn holds_for(variants: &[Transform]) {
     for shape in [Shape::SingleLink, Shape::GuaranteedChain] {
         for discipline in DISCIPLINES {
             for policed in [false, true] {
-                let base = flow_reports(shape, discipline, policed, IDENTITY);
-                // The relation says nothing about flows that never queued.
-                assert!(
-                    base.iter().all(|f| f.delivered > 0 && f.max_delay_s > 0.0),
-                    "{shape:?} under {}: a flow never queued",
-                    discipline.label()
-                );
-                let base: Vec<_> = base.iter().map(bits).collect();
+                let base = queued_bits(shape, discipline, policed);
                 for &t in variants {
                     let moved: Vec<_> = flow_reports(shape, discipline, policed, t)
                         .iter()
@@ -179,9 +221,53 @@ fn r2_delaying_every_source_and_the_horizon_moves_no_flow_report() {
     );
 }
 
+/// Assert that every flow report of `shape` is bit-identical under `a` and
+/// `b`, with the policers on and off.
+fn departs_alike(shape: Shape, a: DisciplineSpec, b: DisciplineSpec) {
+    for policed in [false, true] {
+        assert_eq!(
+            queued_bits(shape, a, policed),
+            queued_bits(shape, b, policed),
+            "{shape:?}, policed {policed}: {} and {} differ",
+            a.label(),
+            b.label()
+        );
+    }
+}
+
 #[test]
-fn the_policer_drops_bursts_in_both_shapes() {
-    for shape in [Shape::SingleLink, Shape::GuaranteedChain] {
+fn r4_fifo_plus_on_one_hop_departs_like_fifo() {
+    departs_alike(Shape::SingleLink, FIFO_PLUS, DisciplineSpec::Fifo);
+}
+
+#[test]
+fn r5_unified_with_one_predicted_class_and_no_guarantee_departs_like_fifo_plus() {
+    let unified = DisciplineSpec::Unified {
+        priority_classes: 1,
+        averaging: Averaging::RunningMean,
+    };
+    for shape in [Shape::SingleLink, Shape::RealtimeChain] {
+        departs_alike(shape, unified, FIFO_PLUS);
+    }
+}
+
+#[test]
+fn r6_wfq_with_one_sender_departs_like_fifo() {
+    departs_alike(
+        Shape::OneFlowLink,
+        DisciplineSpec::Wfq,
+        DisciplineSpec::Fifo,
+    );
+}
+
+#[test]
+fn the_policer_drops_bursts_in_every_shape() {
+    for shape in [
+        Shape::SingleLink,
+        Shape::GuaranteedChain,
+        Shape::RealtimeChain,
+        Shape::OneFlowLink,
+    ] {
         let generated = |policed| -> u64 {
             flow_reports(shape, DisciplineSpec::Fifo, policed, IDENTITY)
                 .iter()
