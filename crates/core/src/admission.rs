@@ -21,6 +21,8 @@
 //! flows count as higher priority than every predicted class for check (2),
 //! and their own admission is the worst-case rate check.
 
+use std::num::Saturating;
+
 use ispn_sim::SimTime;
 use ispn_stats::{WindowedMax, WindowedMean};
 
@@ -220,8 +222,9 @@ pub struct AdmissionController {
     /// Windowed maximum of per-class queueing delays (seconds), one per
     /// priority level.
     delay_estimates: Vec<WindowedMax>,
-    accepted: u64,
-    rejected: u64,
+    /// Decision counters; saturating, like every counter of a run.
+    accepted: Saturating<u64>,
+    rejected: Saturating<u64>,
 }
 
 impl AdmissionController {
@@ -238,8 +241,8 @@ impl AdmissionController {
             util_estimate: WindowedMean::new(measurement_window_secs),
             util_safety_factor: 1.2,
             delay_estimates,
-            accepted: 0,
-            rejected: 0,
+            accepted: Saturating(0),
+            rejected: Saturating(0),
         }
     }
 
@@ -297,12 +300,12 @@ impl AdmissionController {
 
     /// Number of requests accepted so far.
     pub fn accepted(&self) -> u64 {
-        self.accepted
+        self.accepted.0
     }
 
     /// Number of requests rejected so far.
     pub fn rejected(&self) -> u64 {
-        self.rejected
+        self.rejected.0
     }
 
     /// Sum of clock rates currently reserved by guaranteed flows.

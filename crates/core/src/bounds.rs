@@ -62,7 +62,12 @@ pub fn pg_total_bound(
         assert!(c > 0.0, "link rates must be positive");
         tx += max_packet_bits as f64 / c;
     }
-    queueing + SimTime::from_secs_f64(tx)
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`SimTime`'s `+` saturates at the end of time, by type"
+    )]
+    let bound = queueing + SimTime::from_secs_f64(tx);
+    bound
 }
 
 #[cfg(test)]

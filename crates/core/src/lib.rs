@@ -23,6 +23,10 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// The lib, not its unit tests, denies raw integer arithmetic, as ispn-sim's
+// does: each operation left carries an `#[expect]` saying why it cannot
+// overflow.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 
 pub mod admission;
 pub mod bounds;

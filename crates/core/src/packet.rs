@@ -129,6 +129,10 @@ impl Packet {
     /// been unlucky so far (positive offset) is scheduled as if it had
     /// arrived earlier.
     pub fn expected_arrival(&self, actual_arrival: SimTime) -> SimTime {
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "a u64 less an i64 lies well inside an i128"
+        )]
         let ns = actual_arrival.as_nanos() as i128 - self.jitter_offset_ns as i128;
         if ns <= 0 {
             SimTime::ZERO

@@ -18,6 +18,7 @@
 //! and lower play-back delay than guaranteed service with rigid clients.
 
 use std::collections::VecDeque;
+use std::num::Saturating;
 
 use ispn_sim::SimTime;
 use ispn_stats::StreamingStats;
@@ -34,8 +35,9 @@ pub enum PlaybackOutcome {
 /// Statistics common to both application kinds.
 #[derive(Debug, Clone, Default)]
 pub struct PlaybackStats {
-    played: u64,
-    late: u64,
+    /// Saturating, like every counter of a run.
+    played: Saturating<u64>,
+    late: Saturating<u64>,
     delay: StreamingStats,
     playback_point: StreamingStats,
 }
@@ -43,21 +45,21 @@ pub struct PlaybackStats {
 impl PlaybackStats {
     /// Packets that made their play-back point.
     pub fn played(&self) -> u64 {
-        self.played
+        self.played.0
     }
 
     /// Packets that missed their play-back point.
     pub fn late(&self) -> u64 {
-        self.late
+        self.late.0
     }
 
     /// Fraction of packets that missed the play-back point.
     pub fn loss_rate(&self) -> f64 {
-        let total = self.played + self.late;
+        let total = (self.played + self.late).0;
         if total == 0 {
             0.0
         } else {
-            self.late as f64 / total as f64
+            self.late.0 as f64 / total as f64
         }
     }
 
@@ -135,7 +137,7 @@ pub struct AdaptivePlayback {
     /// The play-back point currently in force.
     current_point: SimTime,
     stats: PlaybackStats,
-    readjustments: u64,
+    readjustments: Saturating<u64>,
 }
 
 impl AdaptivePlayback {
@@ -164,7 +166,7 @@ impl AdaptivePlayback {
             margin,
             current_point: initial_point,
             stats: PlaybackStats::default(),
-            readjustments: 0,
+            readjustments: Saturating(0),
         }
     }
 
@@ -175,7 +177,7 @@ impl AdaptivePlayback {
 
     /// Number of times the play-back point has been re-computed.
     pub fn readjustments(&self) -> u64 {
-        self.readjustments
+        self.readjustments.0
     }
 
     /// Accumulated statistics.
@@ -203,8 +205,13 @@ impl AdaptivePlayback {
         }
         let mut delays: Vec<SimTime> = self.window.iter().copied().collect();
         delays.sort_unstable();
-        let pos = (self.target_quantile * (delays.len() - 1) as f64).round() as usize;
-        let q = delays[pos.min(delays.len() - 1)];
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "the window holds at least two delays here"
+        )]
+        let last = delays.len() - 1;
+        let pos = (self.target_quantile * last as f64).round() as usize;
+        let q = delays[pos.min(last)];
         // One packet time floors the point, so it cannot collapse to zero
         // during an idle period.
         let new_point = q.mul_f64(self.margin).max(SimTime::MILLISECOND);

@@ -81,6 +81,10 @@ impl TokenBucket {
 
     fn refill(&mut self, now: SimTime) {
         if now > self.last_update {
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "now > last_update, checked just above"
+            )]
             let dt = (now - self.last_update).as_secs_f64();
             self.tokens = (self.tokens + dt * self.spec.rate_bps).min(self.spec.depth_bits);
             self.last_update = now;
@@ -142,7 +146,12 @@ pub fn sequence_conforms(packets: &[(SimTime, u64)], spec: TokenBucketSpec) -> b
             None => 0.0,
             Some(prev) => {
                 assert!(t >= prev, "packet times must be non-decreasing");
-                (t - prev).as_secs_f64()
+                #[expect(
+                    clippy::arithmetic_side_effects,
+                    reason = "t ≥ prev, asserted just above"
+                )]
+                let dt = (t - prev).as_secs_f64();
+                dt
             }
         };
         n = (n + dt * spec.rate_bps - p as f64).min(spec.depth_bits);
@@ -172,7 +181,12 @@ pub fn minimal_depth_for_rate(packets: &[(SimTime, u64)], rate_bps: f64) -> f64 
     for &(t, p) in packets {
         if let Some(prev) = last_t {
             assert!(t >= prev, "packet times must be non-decreasing");
-            backlog = (backlog - (t - prev).as_secs_f64() * rate_bps).max(0.0);
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "t ≥ prev, asserted just above"
+            )]
+            let dt = (t - prev).as_secs_f64();
+            backlog = (backlog - dt * rate_bps).max(0.0);
         }
         backlog += p as f64;
         if backlog > worst {

@@ -246,11 +246,12 @@ fn emit_telemetry(sink: &TelemetrySink, summary: &SweepTelemetry, run: Option<&R
             if let Some(run) = run {
                 eprintln!(
                     "run telemetry: flow table {} B, reservations {} B, \
-                     queue pools {} grows / {} segs peak",
+                     queue pools {} grows / {} segs peak, delay samples {} B",
                     run.flow_table_bytes,
                     run.reservation_state_bytes,
                     run.sched_pool_grow_events,
-                    run.sched_pool_segments_high_water
+                    run.sched_pool_segments_high_water,
+                    run.delay_sample_bytes
                 );
             }
         }

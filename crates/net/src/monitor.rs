@@ -8,17 +8,21 @@
 //! counters that the admission-control experiments need.
 //!
 //! A delay sample is stored as the integer nanoseconds it was measured in,
-//! in a [`NanoSamples`]: four bytes while the flow's delays stay below
-//! 2³² ns (4.29 s), eight after.  Seconds are computed only when a report
-//! reads a sample, as [`SimTime::as_secs_f64`] computes them, so the
-//! reported floats are those of a store of `as_secs_f64` values.  A
-//! report reads a flow's samples twice and sorts them once: one pass in
-//! stored order for the mean and the jitter, then an integer sort for the
-//! percentile and the maximum, with no conversion pass around it.
+//! in a [`NanoSamples`]: record order, packed 128 to a block, each block
+//! as wide as its own spread needs — 2.80 B a sample on the Table-3 chain
+//! and 3.12 on Table 1's link, where a `Vec<u32>` took four
+//! ([`Monitor::delay_sample_bytes`] counts them).  Seconds are computed
+//! only when a report reads a sample, as [`SimTime::as_secs_f64`] computes
+//! them, so the reported floats are those of a store of `as_secs_f64`
+//! values.  A report decodes a flow's samples once to sort them: the pass
+//! in stored order that folds the mean and the jitter fills the sort
+//! buffer (one, the monitor's, for every flow), and the integers are
+//! packed back ascending for the percentile, with no conversion pass
+//! around it; the maximum is kept as samples arrive.
 
 use ispn_core::{FlowId, ServiceClass};
 use ispn_sim::SimTime;
-use ispn_stats::NanoSamples;
+use ispn_stats::{NanoSamples, StreamingStats};
 use std::num::Saturating;
 
 /// Per-flow measurement state.
@@ -113,6 +117,9 @@ pub struct LinkReport {
 #[derive(Debug)]
 pub struct Monitor {
     flows: Vec<FlowStats>,
+    /// The buffer every flow's delays are sorted through, grown to the
+    /// largest flow and kept for the next.
+    sort_scratch: Vec<u32>,
     links: Vec<LinkStats>,
     link_packets: Vec<u64>,
     /// End of the measured interval (last event seen).
@@ -124,6 +131,7 @@ impl Monitor {
     pub fn new(num_flows: usize, num_links: usize) -> Self {
         Monitor {
             flows: (0..num_flows).map(|_| FlowStats::default()).collect(),
+            sort_scratch: Vec::new(),
             links: (0..num_links).map(|_| LinkStats::default()).collect(),
             link_packets: vec![0; num_links],
             last_event: SimTime::ZERO,
@@ -223,11 +231,11 @@ impl Monitor {
     /// Per-flow summary.
     ///
     /// Delay statistics are reported in seconds; experiments convert to the
-    /// paper's packet-time unit.  The flow's samples are read twice: one
-    /// pass in stored order gives the mean (`sum / n`) and the Welford
-    /// jitter, then the set is sorted in place for the percentile and the
-    /// maximum — so the first report of a run sums in record order and
-    /// leaves the samples ascending.
+    /// paper's packet-time unit.  The flow's samples are decoded once: the
+    /// pass in stored order that gives the mean (`sum / n`) and the
+    /// Welford jitter also fills the sort, and the percentile then reads
+    /// the two samples it interpolates — so the first report of a run
+    /// sums in record order and leaves the samples ascending.
     pub fn flow_report(&mut self, flow: FlowId) -> FlowReport {
         self.flow_report_with_jitter(flow).0
     }
@@ -239,7 +247,7 @@ impl Monitor {
     /// flow it ever admitted, and no jitter.)
     pub fn flow_report_with_jitter(&mut self, flow: FlowId) -> (FlowReport, f64) {
         let f = &mut self.flows[flow.index()];
-        let (mean_delay, jitter) = f.delays.mean_and_std_dev();
+        let (mean_delay, jitter) = f.delays.mean_and_std_dev_then_sort(&mut self.sort_scratch);
         let c = f.counters;
         let report = FlowReport {
             flow,
@@ -260,11 +268,24 @@ impl Monitor {
         self.flows[flow.index()].counters
     }
 
-    /// Sort a flow's delay samples in place, ascending — what the first
-    /// [`flow_report`](Monitor::flow_report) does to them, without the
-    /// report.
-    pub fn sort_flow_delays(&mut self, flow: FlowId) {
-        self.flows[flow.index()].delays.sort();
+    /// Record a flow's delay samples into `fold`, in seconds and in
+    /// stored order, then sort them ascending — what the first
+    /// [`flow_report`](Monitor::flow_report) does to them, in one pass,
+    /// without the report.
+    pub fn sort_flow_delays(&mut self, flow: FlowId, fold: &mut StreamingStats) {
+        self.flows[flow.index()]
+            .delays
+            .fold_then_sort(fold, &mut self.sort_scratch);
+    }
+
+    /// The bytes every flow's delay samples take
+    /// ([`NanoSamples::stored_bytes`]): a deterministic count, not the
+    /// capacity around it.
+    pub fn delay_sample_bytes(&self) -> u64 {
+        self.flows
+            .iter()
+            .map(|f| f.delays.stored_bytes() as u64)
+            .sum()
     }
 
     /// Direct access to a flow's raw delay samples (nanoseconds; the

@@ -13,18 +13,20 @@
 //!
 //! # What collecting costs, and what pins its bytes
 //!
-//! A report reads each stored delay sample twice and sorts it once.  Per
+//! A report decodes each stored delay sample twice and sorts it once.  Per
 //! flow, [`Monitor::flow_report_with_jitter`](ispn_net::Monitor::flow_report_with_jitter)
-//! takes the mean and the jitter from one pass in stored order and then
-//! sorts the flow's integer nanoseconds in place for its percentile and
-//! maximum.  Per class, the mean and quantiles come from a tournament merge
-//! over the per-flow sorted runs ([`merge_runs`]), comparing the integers
-//! and converting each to seconds as it pops — a class's samples are never
-//! pooled into a copy —
+//! takes the mean and the jitter from the one pass in stored order that
+//! also fills the monitor's sort buffer, and packs the flow's integer
+//! nanoseconds back ascending for its percentile (the maximum is kept as
+//! samples arrive).  Per class, the mean and quantiles come from a
+//! tournament merge over the per-flow sorted runs ([`merge_runs`]),
+//! comparing the integers and converting each to seconds as it pops — a
+//! class's samples are never pooled into a copy —
 //! and one Welford accumulator, the class jitter, is fed from each flow's
 //! samples where they lie: the flows after the class's last one not yet
 //! ascending inside the merge loop, one sample beside each pop, and the
-//! rest in a pass of their own just before they are sorted.  Floating-point
+//! rest in the pass that sorts them
+//! ([`Monitor::sort_flow_delays`](ispn_net::Monitor::sort_flow_delays)).  Floating-point
 //! sums depend on their order, so the orders are part of the format: a
 //! flow's mean and jitter run in the order the samples stand in when the
 //! flow is first reported (record order, for a run's first report); the
@@ -216,6 +218,10 @@ pub struct RunTelemetry {
     /// Scheduler queue capacity in 32-slot units, summed over every port
     /// (queues never shrink, so this is the peak).
     pub sched_pool_segments_high_water: u64,
+    /// Bytes every flow's stored delay samples take
+    /// ([`Monitor::delay_sample_bytes`](ispn_net::Monitor::delay_sample_bytes)),
+    /// read before the report sorts them: the stores as the run left them.
+    pub delay_sample_bytes: u64,
     /// Wall-clock seconds spent inside `run_until` (not simulated time).
     pub wall_s: f64,
     /// `events_processed / wall_s` (0 when no wall time was recorded).
@@ -225,7 +231,7 @@ pub struct RunTelemetry {
 wire_record! { RunTelemetry {
     events_processed, event_queue_high_water, peak_queue_depth, admission_accepted,
     admission_rejected, flow_table_bytes, reservation_state_bytes, sched_pool_grow_events,
-    sched_pool_segments_high_water, wall_s, events_per_sec,
+    sched_pool_segments_high_water, delay_sample_bytes, wall_s, events_per_sec,
 } }
 
 impl RunTelemetry {
@@ -249,6 +255,7 @@ impl RunTelemetry {
             reservation_state_bytes: net.reservation_state_bytes(),
             sched_pool_grow_events: net.sched_pool_grow_events(),
             sched_pool_segments_high_water: net.sched_pool_segments_high_water(),
+            delay_sample_bytes: net.monitor().delay_sample_bytes(),
             wall_s,
             events_per_sec,
         }
@@ -398,11 +405,8 @@ impl ScenarioReport {
                     .map_or(0, |last| last + 1);
                 for (i, &flow) in flows.iter().enumerate() {
                     if i < split {
-                        for d in monitor.flow_delays(flow).secs() {
-                            spread.record(d);
-                        }
+                        monitor.sort_flow_delays(flow, &mut spread);
                     }
-                    monitor.sort_flow_delays(flow);
                     let c = monitor.flow_counters(flow);
                     counters.generated += c.generated;
                     counters.delivered += c.delivered;
@@ -544,6 +548,7 @@ mod tests {
             reservation_state_bytes: 512,
             sched_pool_grow_events: 7,
             sched_pool_segments_high_water: 5,
+            delay_sample_bytes: 40_960,
             wall_s: 0.25,
             events_per_sec: 4936.0,
         }
@@ -598,7 +603,8 @@ mod tests {
         const TELEMETRY: &str = ",\"telemetry\":{\"events_processed\":1234,\
             \"event_queue_high_water\":17,\"peak_queue_depth\":9,\"admission_accepted\":3,\
             \"admission_rejected\":1,\"flow_table_bytes\":2048,\"reservation_state_bytes\":512,\
-            \"sched_pool_grow_events\":7,\"sched_pool_segments_high_water\":5,\"wall_s\":0.25,\
+            \"sched_pool_grow_events\":7,\"sched_pool_segments_high_water\":5,\"delay_sample_bytes\":40960,\
+            \"wall_s\":0.25,\
             \"events_per_sec\":4936.0}";
 
         assert_eq!(sample_report().to_json(), [HEAD, "}"].concat());
@@ -625,7 +631,7 @@ mod tests {
              \"peak_queue_depth\":9,\"admission_accepted\":3,\"admission_rejected\":1,\
              \"flow_table_bytes\":2048,\"reservation_state_bytes\":512,\
              \"sched_pool_grow_events\":7,\"sched_pool_segments_high_water\":5,\
-             \"wall_s\":0.25,\"events_per_sec\":4936.0}"
+             \"delay_sample_bytes\":40960,\"wall_s\":0.25,\"events_per_sec\":4936.0}"
         ));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
@@ -694,7 +700,8 @@ mod tests {
             sim.run_until(SimTime::from_secs(30));
             if presort {
                 for f in sim.flows().to_vec() {
-                    sim.network_mut().monitor_mut().sort_flow_delays(f);
+                    let fold = &mut StreamingStats::new();
+                    sim.network_mut().monitor_mut().sort_flow_delays(f, fold);
                 }
             }
             let json = sim.report(&MeasurementPlan::default()).to_json();
@@ -734,7 +741,8 @@ mod tests {
             let mut sorted = delays.clone();
             let p999_delay_s = sorted.quantile(0.999);
             let c = net.monitor().flow_counters(f);
-            net.monitor_mut().sort_flow_delays(f);
+            net.monitor_mut()
+                .sort_flow_delays(f, &mut StreamingStats::new());
             FlowSummary {
                 flow: f.0,
                 generated: c.generated,

@@ -772,11 +772,15 @@ impl Sim {
     /// calls; otherwise the report is byte-identical to a plan without the
     /// flag.
     pub fn report(&mut self, plan: &MeasurementPlan) -> ScenarioReport {
-        let mut report = ScenarioReport::collect(&mut self.net, &self.sig, &self.flows);
-        if plan.run_telemetry {
-            report.telemetry = Some(RunTelemetry::collect(&self.net, self.wall.as_secs_f64()));
+        // Before the report sorts the delay stores, so the telemetry
+        // counts them as the run left them.
+        let telemetry = plan
+            .run_telemetry
+            .then(|| RunTelemetry::collect(&self.net, self.wall.as_secs_f64()));
+        ScenarioReport {
+            telemetry,
+            ..ScenarioReport::collect(&mut self.net, &self.sig, &self.flows)
         }
-        report
     }
 }
 

@@ -13,7 +13,7 @@
 //!   the axis tags ride along so the worker can *verify* both sides built
 //!   the same sweep before running anything.  One line is one request:
 //!   anything else is unreadable, and the worker ends the session.
-//! * worker → parent: a [`WorkerFrame`] — a `{"hello":{"protocol":4,
+//! * worker → parent: a [`WorkerFrame`] — a `{"hello":{"protocol":5,
 //!   "points":8}}` handshake on startup, then per point a
 //!   `{"point":3,"telemetry":{"wall_s":1.25}}` stats frame followed by
 //!   either `{"point":3,"report":<body>}` (the result encoded through
@@ -75,7 +75,7 @@ use std::fmt::{self, Write as _};
 /// dialect.  It moves whenever either direction's grammar changes, so a
 /// parent and worker that frame lines differently part at the hello
 /// rather than mid-session.
-pub const PROTOCOL_VERSION: u64 = 4;
+pub const PROTOCOL_VERSION: u64 = 5;
 
 /// A malformed or schema-violating wire document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1245,13 +1245,15 @@ mod tests {
             reservation_state_bytes: 512,
             sched_pool_grow_events: 7,
             sched_pool_segments_high_water: 5,
+            delay_sample_bytes: 40_960,
             wall_s: 0.25,
             events_per_sec: f64::NAN,
         };
         let telemetry_json = "{\"events_processed\":1234,\"event_queue_high_water\":17,\
             \"peak_queue_depth\":9,\"admission_accepted\":3,\"admission_rejected\":1,\
             \"flow_table_bytes\":2048,\"reservation_state_bytes\":512,\
-            \"sched_pool_grow_events\":7,\"sched_pool_segments_high_water\":5,\"wall_s\":0.25,\
+            \"sched_pool_grow_events\":7,\"sched_pool_segments_high_water\":5,\"delay_sample_bytes\":40960,\
+            \"wall_s\":0.25,\
             \"events_per_sec\":null}";
         assert_wire_codec(
             &telemetry,

@@ -11,8 +11,9 @@
 //!
 //! * [`StreamingStats`] — count / mean / variance / min / max without
 //!   storing samples (Welford's algorithm),
-//! * [`NanoSamples`] — a flow's stored delays in integer nanoseconds, four
-//!   bytes each, with exact percentiles in seconds (used for the
+//! * [`NanoSamples`] — a flow's stored delays in integer nanoseconds,
+//!   packed in record order 128 to a frame-of-reference block (about
+//!   three bytes a sample), with exact percentiles in seconds (used for the
 //!   99.9th-percentile columns; [`quantile_between`] re-reads one from
 //!   the two samples it interpolates between), and [`merge_runs`], a
 //!   tournament merge over several sorted stores that takes their pooled

@@ -10,26 +10,41 @@
 //!
 //! # What a sample costs
 //!
-//! Four bytes while every delay of the flow is below 2³² ns (4.29 s): the
-//! store is a `Vec<u32>`, and widens once, to a `Vec<u64>`, when the flow
-//! records a delay at or above that.  A sample becomes seconds only when it
-//! is read, as `ns as f64 / 1e9` — the expression of
-//! `SimTime::as_secs_f64`, so a reader sees the floats a store of
-//! `as_secs_f64` values would have held.
+//! A store keeps its samples in record order, packed 128 to a
+//! block, each block coded against its own frame of reference: its least
+//! sample as an eight-byte base, one byte giving the bit length `w` of its
+//! greatest less its least, then every sample less the base in `w` bits,
+//! least significant bit first — `16·w` bytes, `9 + 16·w` in all.  A block
+//! is as wide as its own spread: a run of equal delays packs at width 0
+//! (nine bytes for 128 samples; a TCP flow's acknowledgements all wait
+//! 0 ns), and a sample of 2³² ns or more widens only the block it lands
+//! in.  The newest samples, fewer than a block, stay raw in a tail, eight
+//! bytes each, and the 128th packs them.  [`NanoSamples::stored_bytes`]
+//! counts the packed bytes and the tail; over seed 7's 600-second runs it
+//! reads 2.80 B a sample on the Table-3 chain (3.12 for its 22 declared
+//! flows, 1.87 for its four TCP flows) and 3.12 on Table 1's WFQ link,
+//! against four for the `Vec<u32>` this replaced.  A churn admission
+//! rarely fills a block: its few samples stay raw, at eight bytes each.
+//! A sample becomes seconds only when it is read, as `ns as f64 / 1e9` —
+//! the expression of `SimTime::as_secs_f64`, so a reader sees the floats
+//! a store of `as_secs_f64` values would have held.
 //!
-//! A store grows by one rule at either width.  Below 4 KiB it doubles, as
-//! `Vec::push` grows it.  When it fills 4 KiB (1 024 narrow or 512 wide
-//! samples) it moves once into a fresh block of 128 KiB, and doubles from
-//! there.  128 KiB is glibc's default `M_MMAP_THRESHOLD`: `malloc` maps a
-//! block that large instead of carving it from the heap, so its pages are
-//! faulted in only as samples reach them, and glibc's `realloc` grows it
-//! with `mremap`, which copies nothing and leaves no old block behind.
-//! Plain doubling instead leaves each long-lived flow's 8–64 KiB buffers in
-//! the heap as free chunks the next store rarely fits in: 34–43 KB of
-//! resident memory per flow, about a tenth of the Table-3 chain's peak.
-//! The move waits for 4 KiB so that a short flow — a signalled admission
-//! delivers far fewer than 1 024 packets — keeps its small heap buffer
-//! instead of mapping (and later unmapping) 128 KiB of its own.
+//! The packed buffer grows by one rule.  Below 4 KiB its capacity is a
+//! power of two from 256 bytes (so a freed buffer fits the next store's).
+//! When it fills 4 KiB it moves once into a fresh block of 128 KiB, and
+//! doubles from there.  128 KiB is glibc's default `M_MMAP_THRESHOLD`:
+//! `malloc` maps a block that large instead of carving it from the heap,
+//! so its pages are faulted in only as samples reach them, and glibc's
+//! `realloc` grows it with `mremap`, which copies nothing and leaves no old
+//! block behind.  Plain doubling instead leaves each long-lived flow's
+//! 8–64 KiB buffers in the heap as free chunks the next store rarely fits
+//! in: 34–43 KB of resident memory per flow, about a tenth of the Table-3
+//! chain's peak.  The move waits for 4 KiB so that a short flow — a
+//! signalled admission delivers far fewer packets — keeps its small heap
+//! buffer instead of mapping (and later unmapping) 128 KiB of its own.  A
+//! moved buffer never moves again, not even when a sort packs it anew:
+//! that would free a mapped block, and glibc raises its threshold past
+//! every mapped block a process frees.
 //!
 //! The rule leans on glibc.  Another allocator, or a glibc whose dynamic
 //! mapping threshold has risen above 128 KiB (it rises to the size of each
@@ -40,17 +55,23 @@
 //!
 //! # What a report costs
 //!
-//! A scenario report reads each stored sample twice and sorts it once.
-//! [`NanoSamples::mean_and_std_dev`] is the one pass in stored order (sum,
-//! Welford spread); [`NanoSamples::sort`] then sorts the integers in place;
-//! and [`merge_runs`] takes a class's mean and quantiles from a tournament
-//! (loser-tree) merge over the per-flow sorted runs, comparing the integers
-//! themselves, so the union of a class's samples is never copied or
-//! re-sorted.  Dividing by 10⁹ is monotone, so an integer-sorted run reads
-//! as exactly the float sequence a float sort of the converted samples
-//! gives.  The class spread rides in the same loop: its Welford fold reads
-//! the runs front to back beside the merge, so the fold's divide chain runs
-//! under the tree's compare chain instead of as a pass of its own.
+//! A scenario report decodes each stored sample twice and sorts it once.
+//! [`NanoSamples::fold_then_sort`] is the one pass in stored order: it
+//! loads each block's words onto the stack, hands every sample to a
+//! Welford fold (sum, spread) and to a sort buffer of `u32` that the
+//! caller keeps for all its stores, sorts that and packs it back — sorted
+//! samples pack tighter, 1.75 B a sample on the Table-3 chain.  A store
+//! that never filled a block (most churn admissions) sorts its tail in
+//! place.  [`merge_runs`] then takes a class's mean and quantiles from a
+//! tournament (loser-tree) merge over the per-flow sorted runs, comparing
+//! the integers themselves, so the union of a class's samples is never
+//! copied or re-sorted; each run is read through a cursor that decodes a
+//! sample one pop before it is needed, off the tree's compare chain.
+//! Dividing by 10⁹ is monotone, so an integer-sorted run reads as exactly
+//! the float sequence a float sort of the converted samples gives.  The
+//! class spread rides in the same loop: its Welford fold reads the runs
+//! front to back beside the merge, so the fold's divide chain runs under
+//! the tree's compare chain instead of as a pass of its own.
 
 use std::hint::select_unpredictable;
 
@@ -68,23 +89,216 @@ fn secs(ns: u64) -> f64 {
 /// as the runs hold.
 const EXHAUSTED: u64 = u64::MAX;
 
-/// A full store of at least this many bytes, and less than
+/// Samples a packed block holds.
+const BLOCK: usize = 128;
+
+/// The bytes of a block before its offsets: the base, eight little-endian
+/// bytes, then the width, one.
+const HEADER: usize = 9;
+
+/// The least capacity a buffer of packed blocks takes.  Capacities are
+/// powers of two, so a freed buffer fits the next one of its size.
+const FIRST_BYTES: usize = 256;
+
+/// A full buffer that would pass this many bytes, and holds less than
 /// [`MAPPED_BYTES`], moves into a block of `MAPPED_BYTES` (module docs).
 const MOVE_AT_BYTES: usize = 4 << 10;
 
-/// The block a store moves to: glibc's default `M_MMAP_THRESHOLD`, so
+/// The block a buffer moves to: glibc's default `M_MMAP_THRESHOLD`, so
 /// `malloc` maps it and `realloc` grows it in place.
 const MAPPED_BYTES: usize = 128 << 10;
 
-/// Make room for one more sample in a full store: one of
-/// [`MOVE_AT_BYTES`] up to [`MAPPED_BYTES`] moves into a fresh block of
-/// `MAPPED_BYTES`; any other is left for `Vec::push` to double.
+/// What [`NanoSamples::sort`] decodes into: `u32` while every sample
+/// fits, `u64` once one does not.
+trait Sample: Copy + Ord + Into<u64> {
+    /// `ns`, which the caller has checked fits.
+    fn from_ns(ns: u64) -> Self;
+}
+
+impl Sample for u32 {
+    fn from_ns(ns: u64) -> u32 {
+        // The caller checked that the store's largest sample fits.
+        ns as u32
+    }
+}
+
+impl Sample for u64 {
+    fn from_ns(ns: u64) -> u64 {
+        ns
+    }
+}
+
+/// Make room for `more` bytes at the end of `packed`: a buffer that would
+/// pass [`MOVE_AT_BYTES`] and has not moved yet moves into a fresh block of
+/// [`MAPPED_BYTES`], once; any other grows to the next power of two, at
+/// least [`FIRST_BYTES`], which `realloc` serves.
+fn reserve(packed: &mut Vec<u8>, more: usize) {
+    if more > packed.capacity().saturating_sub(packed.len()) {
+        grow(packed, more);
+    }
+}
+
 #[cold]
-fn make_room<T: Copy>(samples: &mut Vec<T>) {
-    if (MOVE_AT_BYTES..MAPPED_BYTES).contains(&size_of_val(samples.as_slice())) {
-        let mut moved = Vec::with_capacity(const { MAPPED_BYTES / size_of::<T>() });
-        moved.extend_from_slice(samples);
-        *samples = moved;
+fn grow(packed: &mut Vec<u8>, more: usize) {
+    let needed = packed.len().saturating_add(more);
+    if moves(packed.capacity(), needed) {
+        #[cfg(test)]
+        tests::MOVED.set(tests::MOVED.get().saturating_add(1));
+        let mut moved = Vec::with_capacity(MAPPED_BYTES);
+        moved.extend_from_slice(packed);
+        *packed = moved;
+    } else {
+        let capacity = needed.next_power_of_two().max(FIRST_BYTES);
+        packed.reserve_exact(capacity.saturating_sub(packed.len()));
+    }
+}
+
+/// Whether a buffer of `capacity` bytes that must hold `needed` moves into
+/// its mapped block: only one that has not yet reached [`MAPPED_BYTES`]
+/// (moving a mapped buffer again would free a mapped block, and glibc
+/// raises its mapping threshold past every block it frees).
+fn moves(capacity: usize, needed: usize) -> bool {
+    needed > MOVE_AT_BYTES && capacity < MAPPED_BYTES
+}
+
+/// The span of no samples: [`span`]'s start.
+const EMPTY_SPAN: (u64, u64) = (u64::MAX, 0);
+
+/// The least and the greatest of `block`.
+fn span<T: Sample>(block: &[T]) -> (u64, u64) {
+    block.iter().fold(EMPTY_SPAN, |(lo, hi), &ns| {
+        let ns = ns.into();
+        (lo.min(ns), hi.max(ns))
+    })
+}
+
+/// Append `block`, [`BLOCK`] samples from `min` to `max`, to `packed` as
+/// one frame-of-reference block: `min`, the bit length `w` of
+/// `max − min`, and each sample less `min` in `w` bits, least significant
+/// first — `16·w` bytes.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "min ≤ max, and w ≤ 64, so a block is at most 1 033 bytes"
+)]
+fn pack<T: Sample>(packed: &mut Vec<u8>, block: &[T], (min, max): (u64, u64)) {
+    debug_assert_eq!(block.len(), BLOCK);
+    debug_assert_eq!(span(block), (min, max));
+    let width = u64::BITS - (max - min).leading_zeros();
+    let mut words = [0u64; BLOCK];
+    match width {
+        0 => {}
+        1..=8 => stream::<T, 8>(&mut words, block, min, width),
+        9..=16 => stream::<T, 4>(&mut words, block, min, width),
+        17..=32 => stream::<T, 2>(&mut words, block, min, width),
+        _ => stream::<T, 1>(&mut words, block, min, width),
+    }
+    let words = &words[..BLOCK / 64 * width as usize];
+    let start = packed.len();
+    let end = start + HEADER + size_of_val(words);
+    reserve(packed, end - start);
+    packed.extend_from_slice(&min.to_le_bytes());
+    packed.push(width as u8);
+    packed.resize(end, 0);
+    for (bytes, word) in packed[start + HEADER..].chunks_exact_mut(8).zip(words) {
+        bytes.copy_from_slice(&word.to_le_bytes());
+    }
+}
+
+/// Stream the offsets of `block` from `min`, `width` bits each, into
+/// `words`, `G` offsets (as many as fit a word) joined into one value a
+/// step: the same bits as one offset a step, in a `G`th of the steps.
+/// Each value streams into `word`, which is stored at every step (the
+/// same word again until it fills); a full word starts the next one with
+/// what spilled past its end.  No branch: a block of any width packs at
+/// the same pace.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "min ≤ every sample and G·w ≤ 64, so each group fits a word; \
+              `filled` stays below 64 and `at` below BLOCK"
+)]
+fn stream<T: Sample, const G: usize>(words: &mut [u64; BLOCK], block: &[T], min: u64, width: u32) {
+    let step = G as u32 * width;
+    let (mut word, mut filled, mut at) = (0u64, 0, 0);
+    for group in block.as_chunks::<G>().0 {
+        let mut value = 0;
+        for (j, &ns) in group.iter().enumerate() {
+            value |= (ns.into() - min) << (j as u32 * width);
+        }
+        // The value shifted into place, and what spills past the word.
+        let shifted = u128::from(value) << (filled % u64::BITS);
+        word |= shifted as u64;
+        words[at % BLOCK] = word;
+        let full = filled + step >= u64::BITS;
+        word = select_unpredictable(full, (shifted >> 64) as u64, word);
+        at += usize::from(full);
+        filled = (filled + step) % u64::BITS;
+    }
+}
+
+/// The block at the front of `packed`: its least sample, its width, its
+/// packed offsets, and the bytes after it.
+fn split_block(packed: &[u8]) -> (u64, u32, &[u8], &[u8]) {
+    let (base, rest) = packed.split_first_chunk().expect("a block has a base");
+    let (&width, rest) = rest.split_first().expect("a block has a width");
+    let (offsets, rest) = rest.split_at(BLOCK / 8 * usize::from(width));
+    (u64::from_le_bytes(*base), u32::from(width), offsets, rest)
+}
+
+/// The packed offsets of a block as little-endian words.
+fn words(offsets: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    offsets
+        .chunks_exact(8)
+        .map(|word| u64::from_le_bytes(word.try_into().expect("eight bytes")))
+}
+
+/// The low `width` bits.
+fn mask(width: u32) -> u64 {
+    u64::MAX
+        .checked_shr(u64::BITS.saturating_sub(width))
+        .unwrap_or(0)
+}
+
+/// Sample `i` of a block of `width` whose offsets are the words `word(0)`,
+/// `word(1)`, … (and a zero word after them): its offset, `width` bits
+/// from bit `i·width` on, added to `base`.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "i < BLOCK and w ≤ 64, so the bit index is below 8 192; 63 − \
+              shift cannot wrap; base + offset is a sample that was packed"
+)]
+fn sample(word: impl Fn(usize) -> u64, (base, width, mask): (u64, u32, u64), i: usize) -> u64 {
+    let bit = i * width as usize;
+    // The word is below BLOCK already; saying so lets an array of BLOCK + 1
+    // words drop the bounds checks of the word and the one after it.
+    let (at, shift) = ((bit / 64) % BLOCK, bit % 64);
+    // The next word's share: nothing when `shift` is 0.
+    let spill = word(at + 1) << 1 << (63 - shift);
+    base + ((word(at) >> shift | spill) & mask)
+}
+
+/// A packed block with its offsets loaded into words, on the stack.
+struct Block {
+    /// The base, width and mask [`sample`] reads it with.
+    frame: (u64, u32, u64),
+    /// The offsets, and a zero word after them.
+    words: [u64; BLOCK + 1],
+}
+
+impl Block {
+    /// The block at the front of `packed`, and the bytes after it.
+    fn load(packed: &[u8]) -> (Block, &[u8]) {
+        let (base, width, offsets, rest) = split_block(packed);
+        let mut words = [0; BLOCK + 1];
+        for (word, offset) in words.iter_mut().zip(self::words(offsets)) {
+            *word = offset;
+        }
+        let frame = (base, width, mask(width));
+        (Block { frame, words }, rest)
+    }
+
+    /// Sample `i`.
+    fn get(&self, i: usize) -> u64 {
+        sample(|at| self.words[at], self.frame, i)
     }
 }
 
@@ -263,29 +477,35 @@ fn mean_and_std_dev(samples: impl Iterator<Item = f64>) -> (f64, f64) {
     for x in samples {
         acc.record(x);
     }
+    mean_and_std_dev_of(&acc)
+}
+
+/// The sum over the count and the Welford spread of `acc`, `(0.0, 0.0)`
+/// for no samples.
+fn mean_and_std_dev_of(acc: &StreamingStats) -> (f64, f64) {
     (acc.sum() / acc.count().max(1) as f64, acc.sample_std_dev())
 }
 
 /// One flow's delay samples in integer nanoseconds, reported in seconds.
 ///
-/// Four bytes a sample while every sample is below 2³² ns, eight after the
-/// first one at or above it (see the module docs).  The statistics are bit
-/// for bit those of a [`SampleSet`] fed each sample's `ns as f64 / 1e9` in
-/// the same order.
+/// Packed in record order in blocks of 128 samples, each as wide as its
+/// own spread needs, the newest samples raw in a short tail (see the
+/// module docs).  The statistics are bit for bit those of a [`SampleSet`]
+/// fed each sample's `ns as f64 / 1e9` in the same order.
 #[derive(Debug, Clone)]
 pub struct NanoSamples {
-    store: Store,
+    /// Every full block of [`BLOCK`] samples, in stored order, packed.
+    packed: Vec<u8>,
+    /// How many blocks `packed` holds.
+    blocks: usize,
+    /// The samples after the last block, fewer than [`BLOCK`], raw.
+    tail: Vec<u64>,
+    /// The least and the greatest sample of the tail, kept as it fills
+    /// (a pass over the full tail would branch on every new extreme).
+    tail_span: (u64, u64),
+    /// The largest sample, 0 if none.
+    max: u64,
     sorted: bool,
-}
-
-/// The samples of a [`NanoSamples`], at the narrowest width that holds
-/// them all.
-#[derive(Debug, Clone)]
-enum Store {
-    /// Every sample below 2³² ns.
-    Narrow(Vec<u32>),
-    /// Some sample at or above 2³² ns.
-    Wide(Vec<u64>),
 }
 
 impl Default for NanoSamples {
@@ -298,58 +518,66 @@ impl NanoSamples {
     /// Create an empty store.
     pub fn new() -> Self {
         NanoSamples {
-            store: Store::Narrow(Vec::new()),
+            packed: Vec::new(),
+            blocks: 0,
+            tail: Vec::new(),
+            tail_span: EMPTY_SPAN,
+            max: 0,
             sorted: true,
         }
     }
 
-    /// Add one sample of `ns` nanoseconds.  The first sample of 2³² ns or
-    /// more copies the store to eight-byte samples, once.  A full store
-    /// grows by the rule of the module docs.
+    /// Add one sample of `ns` nanoseconds.  Every 128th sample packs
+    /// the tail into a block, and a full buffer grows by the rule of the
+    /// module docs.
     pub fn record(&mut self, ns: u64) {
-        match &mut self.store {
-            Store::Narrow(narrow) => match u32::try_from(ns) {
-                Ok(ns) => {
-                    if narrow.len() == narrow.capacity() {
-                        make_room(narrow);
-                    }
-                    narrow.push(ns);
-                }
-                Err(_) => {
-                    // A copy of just the samples: full, so it grows by the
-                    // same rule.
-                    let mut wide: Vec<u64> = narrow.iter().map(|&x| u64::from(x)).collect();
-                    make_room(&mut wide);
-                    wide.push(ns);
-                    self.store = Store::Wide(wide);
-                }
-            },
-            Store::Wide(wide) => {
-                if wide.len() == wide.capacity() {
-                    make_room(wide);
-                }
-                wide.push(ns);
-            }
+        self.max = self.max.max(ns);
+        let (lo, hi) = self.tail_span;
+        self.tail_span = (lo.min(ns), hi.max(ns));
+        self.tail.push(ns);
+        if self.tail.len() == BLOCK {
+            self.pack_tail();
         }
         self.sorted = false;
     }
 
-    /// The samples as a run, in stored order.
-    fn run(&self) -> Run<'_> {
-        match &self.store {
-            Store::Narrow(narrow) => Run::Narrow(narrow),
-            Store::Wide(wide) => Run::Wide(wide),
+    /// Pack the full tail into a block.
+    #[inline(never)]
+    fn pack_tail(&mut self) {
+        pack(&mut self.packed, &self.tail, self.tail_span);
+        self.tail.clear();
+        self.tail_span = EMPTY_SPAN;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "each block holds BLOCK samples in memory, so the count fits"
+        )]
+        {
+            self.blocks += 1;
         }
     }
 
     /// Number of samples.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the samples are in memory, so their count fits a usize"
+    )]
     pub fn len(&self) -> usize {
-        self.run().len()
+        self.blocks * BLOCK + self.tail.len()
     }
 
     /// `true` if no samples are stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The bytes the samples take: the packed blocks and eight for each
+    /// sample of the tail.  Deterministic, unlike the capacity around it.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "both terms are sizes of buffers in memory"
+    )]
+    pub fn stored_bytes(&self) -> usize {
+        self.packed.len() + size_of_val(self.tail.as_slice())
     }
 
     /// `true` while the stored samples are known to be ascending: nothing
@@ -359,37 +587,125 @@ impl NanoSamples {
         self.sorted
     }
 
-    /// Sort the stored samples in place, ascending.
+    /// Sort the stored samples, ascending.
     pub fn sort(&mut self) {
         if !self.sorted {
-            match &mut self.store {
-                Store::Narrow(narrow) => narrow.sort_unstable(),
-                Store::Wide(wide) => wide.sort_unstable(),
-            }
-            self.sorted = true;
+            self.fold_then_sort(&mut StreamingStats::new(), &mut Vec::new());
         }
+    }
+
+    /// Record every sample into `fold`, in seconds and in stored order,
+    /// then [`sort`](NanoSamples::sort) the store: one decoding pass for
+    /// both.  A store that never filled a block sorts its tail in place;
+    /// any other decodes into `scratch`, sorts that and packs it again
+    /// (a store holding a sample of 2³² ns or more uses a buffer of its
+    /// own), so a caller sorting many stores hands each the same buffer.
+    pub fn fold_then_sort(&mut self, fold: &mut StreamingStats, scratch: &mut Vec<u32>) {
+        // The fold travels by value, so that it stays in registers.
+        let mut acc = fold.clone();
+        if self.sorted {
+            self.for_each(|ns| acc.record(secs(ns)));
+        } else if self.blocks == 0 {
+            self.tail.iter().for_each(|&ns| acc.record(secs(ns)));
+            self.tail.sort_unstable();
+        } else if u32::try_from(self.max).is_ok() {
+            acc = self.repack_sorted(scratch, acc);
+        } else {
+            acc = self.repack_sorted(&mut Vec::<u64>::new(), acc);
+        }
+        *fold = acc;
+        self.sorted = true;
+    }
+
+    /// [`mean_and_std_dev`](NanoSamples::mean_and_std_dev), then
+    /// [`sort`](NanoSamples::sort): [`fold_then_sort`]'s one decoding pass
+    /// for both.
+    ///
+    /// [`fold_then_sort`]: NanoSamples::fold_then_sort
+    pub fn mean_and_std_dev_then_sort(&mut self, scratch: &mut Vec<u32>) -> (f64, f64) {
+        let mut acc = StreamingStats::new();
+        self.fold_then_sort(&mut acc, scratch);
+        mean_and_std_dev_of(&acc)
+    }
+
+    /// Decode every sample into `scratch` (recording each into `fold`,
+    /// which is returned), sort it and pack it back, the last
+    /// `len % BLOCK` samples as the tail.
+    fn repack_sorted<T: Sample>(
+        &mut self,
+        scratch: &mut Vec<T>,
+        mut fold: StreamingStats,
+    ) -> StreamingStats {
+        scratch.clear();
+        scratch.reserve(self.len());
+        // A block's samples fill `scratch` through `extend`, which knows
+        // their count: no capacity check a sample.
+        let mut record = |ns| {
+            fold.record(secs(ns));
+            T::from_ns(ns)
+        };
+        self.for_each_block(|block| scratch.extend((0..BLOCK).map(|i| record(block.get(i)))));
+        scratch.extend(self.tail.iter().map(|&ns| record(ns)));
+        scratch.sort_unstable();
+        self.packed.clear();
+        self.blocks = 0;
+        self.tail.clear();
+        let mut blocks = scratch.chunks_exact(BLOCK);
+        for block in &mut blocks {
+            let (first, last) = (block[0].into(), block[BLOCK - 1].into());
+            pack(&mut self.packed, block, (first, last));
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "no more blocks than the store held before"
+            )]
+            {
+                self.blocks += 1;
+            }
+        }
+        self.tail
+            .extend(blocks.remainder().iter().map(|&ns| ns.into()));
+        self.tail_span = span(&self.tail);
+        fold
+    }
+
+    /// Hand `each` every packed block, in stored order, loaded onto the
+    /// stack.
+    fn for_each_block(&self, mut each: impl FnMut(&Block)) {
+        let mut packed = self.packed.as_slice();
+        while !packed.is_empty() {
+            let (block, rest) = Block::load(packed);
+            each(&block);
+            packed = rest;
+        }
+    }
+
+    /// Hand `each` every sample, in stored order.
+    fn for_each(&self, mut each: impl FnMut(u64)) {
+        self.for_each_block(|block| (0..BLOCK).for_each(|i| each(block.get(i))));
+        self.tail.iter().for_each(|&ns| each(ns));
     }
 
     /// The samples in nanoseconds, in stored order (ascending once
     /// sorted).
     pub fn nanos(&self) -> impl Iterator<Item = u64> + '_ {
-        self.run()
+        Cursor::new(self)
     }
 
     /// The samples in seconds, in stored order (ascending once sorted).
     pub fn secs(&self) -> impl Iterator<Item = f64> + '_ {
-        self.run().map(secs)
+        Cursor::new(self).map(secs)
     }
 
     /// Mean and sample (`n − 1`) standard deviation in seconds, from one
     /// pass in stored order: [`SampleSet::mean_and_std_dev`]'s fold.
     pub fn mean_and_std_dev(&self) -> (f64, f64) {
-        mean_and_std_dev(self.secs())
+        let mut acc = StreamingStats::new();
+        self.for_each(|ns| acc.record(secs(ns)));
+        mean_and_std_dev_of(&acc)
     }
 
     /// The `q`-quantile in seconds, interpolated as
-    /// [`SampleSet::quantile`] does; 0.0 if empty.  Sorts the store in
-    /// place.
+    /// [`SampleSet::quantile`] does; 0.0 if empty.  Sorts the store.
     pub fn quantile(&mut self, q: f64) -> f64 {
         self.sort();
         match self.order_statistics(q) {
@@ -408,69 +724,119 @@ impl NanoSamples {
     /// If a sample was recorded since the last [`sort`](NanoSamples::sort).
     pub fn order_statistics(&self, q: f64) -> Option<(u64, u64)> {
         assert!(self.sorted, "order statistics of an unsorted store");
-        let run = self.run();
-        let (lo, hi, _) = quantile_span(q, run.len().checked_sub(1)?);
-        Some((run.at(lo), run.at(hi)))
+        let (lo, hi, _) = quantile_span(q, self.len().checked_sub(1)?);
+        Some((self.at(lo), self.at(hi)))
     }
 
-    /// Largest sample in seconds, or 0.0 if empty.  O(1) once sorted.
-    pub fn max(&self) -> f64 {
-        let run = self.run();
-        let max = if self.sorted {
-            run.len().checked_sub(1).map(|last| run.at(last))
+    /// The sample at `rank` in stored order: in the tail, or found by a
+    /// walk over the headers of the blocks before its own and decoded
+    /// alone.
+    fn at(&self, rank: usize) -> u64 {
+        let block = rank / BLOCK;
+        if block < self.blocks {
+            self.packed_at(block, rank % BLOCK)
         } else {
-            run.max()
-        };
-        max.map_or(0.0, secs)
-    }
-}
-
-/// The unread part of a [`NanoSamples`]' store: an iterator of its
-/// samples widened to `u64`.
-#[derive(Debug, Clone, Copy)]
-enum Run<'a> {
-    Narrow(&'a [u32]),
-    Wide(&'a [u64]),
-}
-
-impl Run<'_> {
-    /// The sample at `rank`.
-    fn at(self, rank: usize) -> u64 {
-        match self {
-            Run::Narrow(narrow) => u64::from(narrow[rank]),
-            Run::Wide(wide) => wide[rank],
+            self.tail[rank % BLOCK]
         }
     }
+
+    /// Sample `i` of packed block `block`.
+    #[inline(never)]
+    fn packed_at(&self, block: usize, i: usize) -> u64 {
+        let packed = (0..block).fold(self.packed.as_slice(), |rest, _| split_block(rest).3);
+        let (base, width, offsets, _) = split_block(packed);
+        let word = |at: usize| words(offsets).nth(at).unwrap_or(0);
+        sample(word, (base, width, mask(width)), i)
+    }
+
+    /// Largest sample in seconds, or 0.0 if empty.
+    pub fn max(&self) -> f64 {
+        secs(self.max)
+    }
 }
 
-impl Iterator for Run<'_> {
+/// A store's samples in stored order, each decoded one call before it is
+/// returned, so that a reader waiting on it (a merge's compare chain)
+/// finds it ready.
+#[derive(Debug, Default)]
+struct Cursor<'a> {
+    /// The base, width and mask of the block being read.
+    frame: (u64, u32, u64),
+    /// Its offsets and a zero word — or, once the blocks are read, the
+    /// tail itself: a block of width 64 on base 0.
+    words: Vec<u64>,
+    /// The samples in `words`, and how many are decoded.
+    len: usize,
+    decoded: usize,
+    /// What the next call returns.
+    ahead: Option<u64>,
+    /// The blocks not yet loaded.
+    packed: &'a [u8],
+    /// The tail, until it is loaded.
+    tail: Option<&'a [u64]>,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(store: &'a NanoSamples) -> Self {
+        let mut cursor = Cursor {
+            packed: &store.packed,
+            tail: Some(&store.tail),
+            ..Cursor::default()
+        };
+        cursor.ahead = cursor.decode();
+        cursor
+    }
+
+    /// The first sample not yet decoded, if any.
+    fn decode(&mut self) -> Option<u64> {
+        if self.decoded == self.len && !self.load() {
+            return None;
+        }
+        let ns = sample(|at| self.words[at], self.frame, self.decoded);
+        #[expect(clippy::arithmetic_side_effects, reason = "decoded < len")]
+        {
+            self.decoded += 1;
+        }
+        Some(ns)
+    }
+
+    /// Load the next block, or else the tail; `false` once nothing is
+    /// left.
+    #[inline(never)]
+    fn load(&mut self) -> bool {
+        self.words.clear();
+        let (frame, len) = if self.packed.is_empty() {
+            match self.tail.take() {
+                Some(tail) if !tail.is_empty() => {
+                    self.words.extend_from_slice(tail);
+                    ((0, u64::BITS, u64::MAX), tail.len())
+                }
+                _ => return false,
+            }
+        } else {
+            let (base, width, offsets, rest) = split_block(self.packed);
+            self.words.extend(words(offsets));
+            self.packed = rest;
+            ((base, width, mask(width)), BLOCK)
+        };
+        // The zero word after the offsets; a block of width 0 has no
+        // offsets, and its sample 0 reads words 0 and 1.
+        self.words
+            .resize(self.words.len().max(1).saturating_add(1), 0);
+        (self.frame, self.len, self.decoded) = (frame, len, 0);
+        true
+    }
+}
+
+impl Iterator for Cursor<'_> {
     type Item = u64;
 
     fn next(&mut self) -> Option<u64> {
-        match self {
-            Run::Narrow(narrow) => {
-                let (&x, rest) = narrow.split_first()?;
-                *narrow = rest;
-                Some(u64::from(x))
-            }
-            Run::Wide(wide) => {
-                let (&x, rest) = wide.split_first()?;
-                *wide = rest;
-                Some(x)
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let len = match self {
-            Run::Narrow(narrow) => narrow.len(),
-            Run::Wide(wide) => wide.len(),
-        };
-        (len, Some(len))
+        let ns = self.ahead?;
+        self.ahead = self.decode();
+        Some(ns)
     }
 }
-
-impl ExactSizeIterator for Run<'_> {}
 
 /// The mean and the `quantiles` of the union of `runs`, each run sorted,
 /// from one tournament merge that never materialises the union — and, in
@@ -520,8 +886,8 @@ pub fn merge_runs(
     // levels and the loop's exit is predicted (leaves at two depths made
     // it mispredict, ~10 % of the merge with ten runs).
     let k = runs.len().next_power_of_two();
-    let mut unread: Vec<Run> = runs.iter().map(|run| run.run()).collect();
-    unread.resize(k, Run::Narrow(&[]));
+    let mut unread: Vec<Cursor> = runs.iter().map(|run| Cursor::new(run)).collect();
+    unread.resize_with(k, Cursor::default);
     #[expect(
         clippy::arithmetic_side_effects,
         reason = "`unread` holds k runs of several bytes each, so 2k fits a usize"
@@ -543,7 +909,7 @@ pub fn merge_runs(
     // The spread's runs front to back, one sample beside each pop (a local
     // copy of the fold stays in registers).
     let mut acc = spread.clone();
-    let mut spread_samples = spread_runs.iter().flat_map(|run| run.run());
+    let mut spread_samples = spread_runs.iter().flat_map(|run| Cursor::new(run));
     for rank in 0..n {
         let x = secs(key);
         sum += x;
@@ -583,6 +949,12 @@ pub fn merge_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// How many buffers of this thread moved into a mapped block.
+        pub(super) static MOVED: Cell<usize> = const { Cell::new(0) };
+    }
 
     #[test]
     fn empty_set_is_zero() {
@@ -789,17 +1161,23 @@ mod tests {
     /// A store reports what its `SampleSet` oracle reports, to the bit,
     /// and holds its samples in record order until sorted.
     pub(super) fn assert_store_is_the_oracle(ns: &[u64]) {
-        let mut s = store(ns);
+        assert_is_the_oracle(store(ns), ns);
+    }
+
+    /// `s`, whose samples stand in the order of `ns`, reports what the
+    /// `SampleSet` oracle of `ns` reports, to the bit.
+    fn assert_is_the_oracle(mut s: NanoSamples, ns: &[u64]) {
         let mut o = oracle(ns);
         assert_eq!(s.len(), ns.len());
         assert_eq!(s.nanos().collect::<Vec<_>>(), ns);
         assert_eq!(s.max().to_bits(), o.max().to_bits(), "unsorted max, {ns:?}");
-        // Mean and jitter from the stored-order pass, then (sorting) the
-        // quantiles and the maximum.
+        assert_eq!(s.mean_and_std_dev(), o.mean_and_std_dev(), "{ns:?}");
+        // Mean and jitter from the pass that sorts, then the quantiles and
+        // the maximum.
         let (mean, jitter) = o.mean_and_std_dev();
         let expected = [mean, jitter].into_iter().chain(QS.map(|q| o.quantile(q)));
         let expected: Vec<u64> = expected.chain([o.max()]).map(f64::to_bits).collect();
-        let (mean, jitter) = s.mean_and_std_dev();
+        let (mean, jitter) = s.mean_and_std_dev_then_sort(&mut Vec::new());
         let stats = [mean, jitter].into_iter().chain(QS.map(|q| s.quantile(q)));
         let stats: Vec<u64> = stats.chain([s.max()]).map(f64::to_bits).collect();
         assert_eq!(stats, expected, "{ns:?}");
@@ -807,6 +1185,11 @@ mod tests {
         let mut sorted = ns.to_vec();
         sorted.sort_unstable();
         assert_eq!(s.nanos().collect::<Vec<_>>(), sorted);
+        // A sorted store folds in its sorted order, and stays sorted.
+        let (mut acc, mut fold) = (StreamingStats::new(), StreamingStats::new());
+        s.fold_then_sort(&mut acc, &mut Vec::new());
+        sorted.iter().for_each(|&x| fold.record(secs(x)));
+        assert_eq!(format!("{acc:?}"), format!("{fold:?}"));
         // The two samples a quantile reads are enough to read it again,
         // and the maximum twice reads as the maximum.
         for q in QS {
@@ -836,75 +1219,195 @@ mod tests {
         assert!(s.is_empty() && s.is_sorted());
         assert_eq!((s.quantile(0.5), s.max()), (0.0, 0.0));
         assert_eq!(s.mean_and_std_dev(), (0.0, 0.0));
-        s.record(7);
-        s.record(u64::from(u32::MAX));
-        assert!(matches!(s.store, Store::Narrow(_)));
-        s.record(1 << 32);
-        s.record(3);
-        assert!(matches!(s.store, Store::Wide(_)));
-        assert_eq!(
-            s.nanos().collect::<Vec<_>>(),
-            [7, u64::from(u32::MAX), 1 << 32, 3]
-        );
-        assert_eq!(s.max(), 4.294967296);
-        assert_eq!(s.quantile(0.0), 3e-9);
+        assert_eq!(s.stored_bytes(), 0);
+        // A sample of 2³² ns or more widens only the block it lands in:
+        // blocks of width 9, the middle one's sample 60 at 2³² ns.
+        let narrow = |i: usize| 1_000 + (i % BLOCK) as u64 * 3;
+        let wide_at = BLOCK + 60;
+        let ns: Vec<u64> = (0..3 * BLOCK + 5)
+            .map(|i| if i == wide_at { 1 << 32 } else { narrow(i) })
+            .collect();
+        let s = store(&ns);
+        assert_eq!(widths(&s), [9, 32, 9]);
+        assert_eq!(s.stored_bytes(), 3 * HEADER + 16 * (9 + 32 + 9) + 5 * 8);
+        assert_store_is_the_oracle(&ns);
+        // One arriving in the tail stays raw there, and widens the block
+        // the tail becomes.
+        let mut ns: Vec<u64> = (0..2 * BLOCK + 3).map(narrow).collect();
+        ns.extend([1 << 32, 9]);
+        let mut s = store(&ns);
+        assert_eq!(widths(&s), [9, 9]);
+        assert_eq!(s.tail, ns[2 * BLOCK..]);
+        assert_store_is_the_oracle(&ns);
+        while s.len() < 3 * BLOCK {
+            s.record(1_000);
+        }
+        assert_eq!(widths(&s), [9, 9, 32]);
         // Every ladder rung, one at a time, alone, dealt out of order and
-        // with the widening one partway through.
+        // with the wide ones partway through.
         for &x in &NS_LADDER {
             assert_store_is_the_oracle(&[x]);
         }
-        let dealt: Vec<u64> = (0..27)
+        let dealt: Vec<u64> = (0..400)
             .map(|i| NS_LADDER[(i * 4) % NS_LADDER.len()])
             .collect();
         assert_store_is_the_oracle(&dealt);
         assert_store_is_the_oracle(&[5, 2, (1 << 32) - 1, 1 << 32, 4, 0]);
     }
 
-    /// The capacity of a store's vector, at whichever width.
-    fn capacity(s: &NanoSamples) -> usize {
-        match &s.store {
-            Store::Narrow(narrow) => narrow.capacity(),
-            Store::Wide(wide) => wide.capacity(),
+    /// The width of each packed block of `s`, in stored order.
+    fn widths(s: &NanoSamples) -> Vec<u32> {
+        let mut packed = s.packed.as_slice();
+        let mut widths = Vec::new();
+        while !packed.is_empty() {
+            let (_, width, _, rest) = split_block(packed);
+            widths.push(width);
+            packed = rest;
+        }
+        assert_eq!(widths.len(), s.blocks);
+        widths
+    }
+
+    #[test]
+    fn a_block_is_as_wide_as_its_spread() {
+        // Each block alternates its two ends: all equal, 0 and 1, then the
+        // widest spreads below and at 2³² ns, and 0 beside `u64::MAX`.
+        for (lo, hi, width) in [
+            (5, 5, 0),
+            (0, 1, 1),
+            (0, u64::from(u32::MAX), 32),
+            (0, 1 << 32, 33),
+            (7, 7 + (1 << 40), 41),
+            (0, u64::MAX, 64),
+        ] {
+            let ns: Vec<u64> = (0..BLOCK + 3)
+                .map(|i| if i % 3 == 1 { hi } else { lo })
+                .collect();
+            let s = store(&ns);
+            assert_eq!(widths(&s), [width], "{lo}..={hi}");
+            assert_eq!(s.stored_bytes(), HEADER + 16 * width as usize + 3 * 8);
+            assert_store_is_the_oracle(&ns);
+        }
+    }
+
+    #[test]
+    fn stores_on_either_side_of_a_block_edge_are_the_oracle() {
+        // A tail's worth is BLOCK − 1 samples: the BLOCK-th packs them.
+        let stream = |n: usize| -> Vec<u64> {
+            (0..n as u64)
+                .map(|i| (i * 7_919) % 1_000_003 * 1_000 + i % 3)
+                .collect()
+        };
+        for n in [
+            0,
+            1,
+            BLOCK - 1,
+            BLOCK,
+            BLOCK + 1,
+            2 * BLOCK - 1,
+            2 * BLOCK,
+            2 * BLOCK + 1,
+        ] {
+            let ns = stream(n);
+            let s = store(&ns);
+            assert_eq!((s.blocks, s.tail.len()), (n / BLOCK, n % BLOCK), "{n}");
+            assert_store_is_the_oracle(&ns);
+        }
+    }
+
+    #[test]
+    fn records_after_a_sort_and_clones_are_the_oracle() {
+        let ns: Vec<u64> = (0..3 * BLOCK as u64 + 40)
+            .map(|i| (i * 104_729) % 99_991)
+            .collect();
+        let mut s = store(&ns[..300]);
+        let copy = s.clone();
+        assert_is_the_oracle(copy, &ns[..300]);
+        s.sort();
+        let mut stored = ns[..300].to_vec();
+        stored.sort_unstable();
+        // Sorted data packs tighter than record order.
+        assert!(s.stored_bytes() < store(&ns[..300]).stored_bytes());
+        for &x in &ns[300..] {
+            s.record(x);
+        }
+        stored.extend_from_slice(&ns[300..]);
+        assert!(!s.is_sorted());
+        assert_is_the_oracle(s.clone(), &stored);
+        assert_is_the_oracle(s, &stored);
+    }
+
+    #[test]
+    fn order_statistics_read_every_rank_of_a_three_block_store() {
+        let ns: Vec<u64> = (0..3 * BLOCK as u64 + 17)
+            .map(|i| {
+                if i == 200 {
+                    1 << 40
+                } else {
+                    (i * 7_919) % 4_099
+                }
+            })
+            .collect();
+        let mut s = store(&ns);
+        for (rank, &x) in ns.iter().enumerate() {
+            assert_eq!(s.at(rank), x, "stored rank {rank}");
+        }
+        s.sort();
+        let mut sorted = ns.clone();
+        sorted.sort_unstable();
+        let last = ns.len() - 1;
+        for (rank, &x) in sorted.iter().enumerate() {
+            assert_eq!(s.at(rank), x, "sorted rank {rank}");
+            let q = rank as f64 / last as f64;
+            let (lo, hi, _) = quantile_span(q, last);
+            assert_eq!(
+                s.order_statistics(q),
+                Some((sorted[lo], sorted[hi])),
+                "q = {q}"
+            );
         }
     }
 
     #[test]
     fn a_store_moves_once_into_its_mapped_block_when_it_fills_four_kib() {
-        // Below 4 KiB a store doubles as a `Vec` does; the 1 025th narrow
-        // sample moves it into 128 KiB, and it doubles from there.
-        let ns: Vec<u64> = (0..70_000).map(|i| (i * 7_919) % 1_000_003).collect();
+        // Blocks of width 9 take 153 bytes: the buffer doubles from 256
+        // bytes while it stays within 4 KiB, moves into 128 KiB at the
+        // block that would take it past, and doubles from there by
+        // `realloc` — never moving again, not even when a sort packs it
+        // anew.
+        MOVED.set(0);
+        let ns: Vec<u64> = (0..2_000 * BLOCK as u64)
+            .map(|i| 1_000 + i % 128 * 3)
+            .collect();
         let mut s = NanoSamples::new();
+        let mut capacities = vec![0];
         for (i, &x) in ns.iter().enumerate() {
             s.record(x);
-            let expected = match i + 1 {
-                n @ ..=1_024 => n.next_power_of_two().max(4),
-                n => n.next_power_of_two().max(32_768),
-            };
-            assert_eq!(capacity(&s), expected, "after {} samples", i + 1);
+            if capacities.last() != Some(&s.packed.capacity()) {
+                capacities.push(s.packed.capacity());
+                if s.packed.capacity() == MAPPED_BYTES {
+                    assert_eq!(s.packed.len(), 27 * 153, "moved after {} samples", i + 1);
+                }
+            }
         }
-        assert!(matches!(s.store, Store::Narrow(_)));
-        assert_eq!(s.nanos().collect::<Vec<_>>(), ns);
-        // A moved store that widens keeps its samples in record order and
-        // takes the wide store's 128 KiB block, 16 384 samples.
-        let mut s = store(&ns[..1_025]);
-        s.record(1 << 32);
-        s.record(9);
-        assert!(matches!(s.store, Store::Wide(_)));
-        assert_eq!(capacity(&s), 16_384);
-        let widened: Vec<u64> = ns[..1_025].iter().copied().chain([1 << 32, 9]).collect();
-        assert_eq!(s.nanos().collect::<Vec<_>>(), widened);
-        // A wide store moves when it fills 4 KiB, at its 513th sample.
-        let mut s = store(&[1 << 32]);
-        for i in 1..512 {
-            s.record(i);
-        }
-        assert_eq!(capacity(&s), 512);
-        s.record(512);
-        assert_eq!(capacity(&s), 16_384);
         assert_eq!(
-            s.nanos().skip(1).collect::<Vec<_>>(),
-            (1..=512).collect::<Vec<_>>()
+            capacities,
+            [0, 256, 512, 1_024, 2_048, 4_096, 131_072, 262_144, 524_288]
         );
+        assert_eq!(MOVED.get(), 1);
+        assert_eq!(s.nanos().collect::<Vec<_>>(), ns);
+        s.sort();
+        assert_eq!(s.packed.capacity(), 524_288);
+        assert_eq!(MOVED.get(), 1);
+        // A store within 4 KiB never moves.
+        MOVED.set(0);
+        let mut s = store(&ns[..26 * BLOCK]);
+        s.sort();
+        assert_eq!((s.packed.capacity(), MOVED.get()), (4_096, 0));
+        // The rule itself: only a buffer short of its mapped block moves.
+        assert!(moves(4_096, 4_097) && moves(MAPPED_BYTES - 1, MAPPED_BYTES + 1));
+        assert!(!moves(MAPPED_BYTES, MAPPED_BYTES + 1) && !moves(1 << 30, 1 << 31));
+        assert!(!moves(2_048, 4_096));
     }
 
     #[test]
@@ -1065,19 +1568,37 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// A delay drawn by [`delay`]: a grid code and a raw draw.
-    fn delays(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u32, u64)>> {
-        proptest::collection::vec((0u32..120, any::<u64>()), len)
+    /// A delay drawn by [`delay`]: a grid code, a raw draw and how many
+    /// more times it repeats (mostly none).
+    fn delays(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u32, u64, u16)>> {
+        proptest::collection::vec((0u32..120, any::<u64>(), any::<u16>()), len)
     }
 
     /// Mostly a coarse grid (so samples tie), with the width edges and the
     /// extremes common and an unconstrained value now and then.
-    fn delay((g, raw): (u32, u64)) -> u64 {
+    fn delay(g: u32, raw: u64) -> u64 {
         match g {
             0..=99 => u64::from(g % 40) * 700_000,
             100..=103 => [0, (1 << 32) - 1, 1 << 32, u64::MAX][g as usize - 100],
             _ => raw,
         }
+    }
+
+    /// The drawn delays in order, one in eight repeated into a run of up
+    /// to 400 equal samples — runs that cover whole blocks (width 0) and
+    /// runs that straddle block edges.
+    fn stream(draws: Vec<(u32, u64, u16)>) -> Vec<u64> {
+        draws
+            .into_iter()
+            .flat_map(|(g, raw, repeat)| {
+                let times = if repeat % 8 == 0 {
+                    1 + usize::from(repeat >> 3) % 400
+                } else {
+                    1
+                };
+                std::iter::repeat_n(delay(g, raw), times)
+            })
+            .collect()
     }
 
     proptest! {
@@ -1099,12 +1620,13 @@ mod proptests {
 
         /// An integer store reports what a `SampleSet` of the same samples
         /// in seconds reports, to the bit: mean and jitter in record order,
-        /// quantiles and maximum — for streams that stay narrow, that start
-        /// wide, and that widen partway through (a narrow prefix, then a
-        /// wide sample, then anything).  Streams run past the 1 024
-        /// samples that move a narrow store (and the 512 that move a wide
-        /// one), and the merge of the sorted stream with a sorted prefix
-        /// of it is the pool of the two, across the move too.
+        /// quantiles and maximum — for streams that stay below 2³² ns,
+        /// that start above, and that cross partway through (a narrow
+        /// prefix, then a wide sample, then anything, with runs of equal
+        /// samples).  Streams span up to a few dozen blocks, past the
+        /// 4 KiB that move a buffer into its mapped block, and the merge of
+        /// the sorted stream with a sorted prefix of it is the pool of the
+        /// two.
         #[test]
         fn nano_store_matches_the_sample_set(
             prefix in proptest::collection::vec(0u64..1 << 32, 0..1_400),
@@ -1112,8 +1634,7 @@ mod proptests {
             rest in delays(0..700),
         ) {
             let widen = (widen.0 > 0).then_some(widen.1);
-            let rest = rest.into_iter().map(delay);
-            let stream: Vec<u64> = prefix.into_iter().chain(widen).chain(rest).collect();
+            let stream: Vec<u64> = prefix.into_iter().chain(widen).chain(stream(rest)).collect();
             super::tests::assert_store_is_the_oracle(&stream);
             let mut whole = stream.clone();
             whole.sort_unstable();
@@ -1125,8 +1646,9 @@ mod proptests {
         /// Merging sorted runs gives the pooled set's mean and quantiles to
         /// the bit and folds every run suffix's spread to the bit, ties and
         /// all, over trees of 1 to 40 runs where empty and one-sample runs
-        /// are common, narrow and wide runs mix, and `u64::MAX` samples tie
-        /// the exhausted-run key — whatever the quantile selection.
+        /// are common, runs of several blocks are not rare, narrow and wide
+        /// runs mix, and `u64::MAX` samples tie the exhausted-run key —
+        /// whatever the quantile selection.
         #[test]
         fn merge_matches_the_pooled_set(
             runs in proptest::collection::vec(delays(0..12), 1..41),
@@ -1135,7 +1657,7 @@ mod proptests {
             let runs: Vec<Vec<u64>> = runs
                 .into_iter()
                 .map(|run| {
-                    let mut run: Vec<u64> = run.into_iter().map(delay).collect();
+                    let mut run = stream(run);
                     run.sort_unstable();
                     run
                 })

@@ -27,6 +27,14 @@
 //!   on a 3-hop chain of real-time flows alike.
 //! - **R6, WFQ with one sender.**  A work-conserving scheduler with one
 //!   flow to serve serves it in arrival order, as FIFO does.
+//!
+//! And one that pairs two sources:
+//!
+//! - **R9, a policer the source cannot exceed.**  An on/off source never
+//!   sends faster than its peak rate, so a bucket filled at that rate and
+//!   two packets deep always holds a packet's tokens when one arrives:
+//!   policing it that way drops nothing and moves no departure, on both
+//!   shapes under every discipline.
 
 use ispn_core::TokenBucketSpec;
 use ispn_scenario::{
@@ -37,13 +45,24 @@ use ispn_sim::SimTime;
 use ispn_traffic::OnOffConfig;
 
 /// Long enough for every flow to queue behind bursts of the others, short
-/// enough that this file's 144 runs stay within a few seconds in debug.
+/// enough that this file's 164 runs stay within a few seconds in debug.
 const HORIZON: SimTime = SimTime::from_secs(5);
 /// The paper's average source rate, packets per second (85 % load on a
 /// link with ten flows).
 const AVG_RATE_PPS: f64 = 85.0;
 /// The policer's depth in packets: shallow enough that bursts are dropped.
 const POLICER_DEPTH_PKTS: f64 = 10.0;
+
+/// The token-bucket policer a run's sources carry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Policer {
+    Off,
+    /// At the average rate, [`POLICER_DEPTH_PKTS`] deep: bursts overflow.
+    Shallow,
+    /// At the source's peak rate, two packets deep: never empty when a
+    /// packet arrives (R9).
+    Roomy,
+}
 
 #[derive(Debug, Clone, Copy)]
 enum Shape {
@@ -86,17 +105,28 @@ const DISCIPLINES: [DisciplineSpec; 5] = [
 ];
 
 /// The paper's on/off source with seed `seed`, transformed by `t`.
-fn onoff(seed: u64, policed: bool, t: Transform) -> SourceSpec {
-    onoff_at(AVG_RATE_PPS, seed, policed, t)
+fn onoff(seed: u64, policer: Policer, t: Transform) -> SourceSpec {
+    onoff_at(AVG_RATE_PPS, seed, policer, t)
 }
 
 /// [`onoff`] averaging `avg_rate_pps` packets per second.
-fn onoff_at(avg_rate_pps: f64, seed: u64, policed: bool, t: Transform) -> SourceSpec {
+fn onoff_at(avg_rate_pps: f64, seed: u64, policer: Policer, t: Transform) -> SourceSpec {
     let mut config = OnOffConfig::paper(avg_rate_pps, seed);
     config.packet_bits *= t.scale;
-    config.policer = policed.then(|| {
-        TokenBucketSpec::per_packets(avg_rate_pps, POLICER_DEPTH_PKTS, config.packet_bits)
-    });
+    let bits = config.packet_bits;
+    config.policer = match policer {
+        Policer::Off => None,
+        Policer::Shallow => Some(TokenBucketSpec::per_packets(
+            avg_rate_pps,
+            POLICER_DEPTH_PKTS,
+            bits,
+        )),
+        Policer::Roomy => Some(TokenBucketSpec::per_packets(
+            config.peak_rate_pps,
+            2.0,
+            bits,
+        )),
+    };
     config.start_offset += t.delay;
     SourceSpec::OnOff(config)
 }
@@ -106,7 +136,7 @@ fn onoff_at(avg_rate_pps: f64, seed: u64, policed: bool, t: Transform) -> Source
 fn flow_reports(
     shape: Shape,
     discipline: DisciplineSpec,
-    policed: bool,
+    policer: Policer,
     t: Transform,
 ) -> Vec<FlowSummary> {
     let k = t.scale as f64;
@@ -115,23 +145,23 @@ fn flow_reports(
             Shape::RealtimeChain => FlowDef::best_effort_realtime(0, 3),
             _ => FlowDef::guaranteed(0, 3, 2.0 * AVG_RATE_PPS * 1000.0 * k),
         }
-        .source(onoff(i, policed, t))
+        .source(onoff(i, policer, t))
     };
     let builder = match shape {
         Shape::SingleLink => ScenarioBuilder::chain(2).flows(
-            (0..10).map(|i| FlowDef::best_effort_realtime(0, 1).source(onoff(i, policed, t))),
+            (0..10).map(|i| FlowDef::best_effort_realtime(0, 1).source(onoff(i, policer, t))),
         ),
         Shape::OneFlowLink => ScenarioBuilder::chain(2).flows([FlowDef::best_effort_realtime(
             0, 1,
         )
-        .source(onoff_at(10.0 * AVG_RATE_PPS, 0, policed, t))]),
+        .source(onoff_at(10.0 * AVG_RATE_PPS, 0, policer, t))]),
         Shape::GuaranteedChain | Shape::RealtimeChain => ScenarioBuilder::chain(4)
             .flows((0..2).map(end_to_end))
             .flows((0..3).flat_map(|link| {
                 (0..8).map(move |j| {
                     FlowDef::best_effort_realtime(link, 1).source(onoff(
                         2 + 8 * link as u64 + j,
-                        policed,
+                        policer,
                         t,
                     ))
                 })
@@ -168,8 +198,8 @@ fn bits(f: &FlowSummary) -> [u64; 10] {
 /// [`flow_reports`] untransformed, each as its [`bits`], after checking
 /// that every flow queued: a relation says nothing about flows that never
 /// did.
-fn queued_bits(shape: Shape, discipline: DisciplineSpec, policed: bool) -> Vec<[u64; 10]> {
-    let reports = flow_reports(shape, discipline, policed, IDENTITY);
+fn queued_bits(shape: Shape, discipline: DisciplineSpec, policer: Policer) -> Vec<[u64; 10]> {
+    let reports = flow_reports(shape, discipline, policer, IDENTITY);
     assert!(
         reports
             .iter()
@@ -180,22 +210,25 @@ fn queued_bits(shape: Shape, discipline: DisciplineSpec, policed: bool) -> Vec<[
     reports.iter().map(bits).collect()
 }
 
+/// The policers R1, R2 and R4–R6 hold with: none, and one that drops.
+const POLICERS: [Policer; 2] = [Policer::Off, Policer::Shallow];
+
 /// Run every shape, discipline and policing choice untransformed and under
 /// each of `variants`, and assert that every flow report is bit-identical.
 fn holds_for(variants: &[Transform]) {
     let mut broken = Vec::new();
     for shape in [Shape::SingleLink, Shape::GuaranteedChain] {
         for discipline in DISCIPLINES {
-            for policed in [false, true] {
-                let base = queued_bits(shape, discipline, policed);
+            for policer in POLICERS {
+                let base = queued_bits(shape, discipline, policer);
                 for &t in variants {
-                    let moved: Vec<_> = flow_reports(shape, discipline, policed, t)
+                    let moved: Vec<_> = flow_reports(shape, discipline, policer, t)
                         .iter()
                         .map(bits)
                         .collect();
                     if moved != base {
                         broken.push(format!(
-                            "{shape:?} under {}, policed {policed}, {t:?}",
+                            "{shape:?} under {}, {policer:?} policer, {t:?}",
                             discipline.label()
                         ));
                     }
@@ -224,11 +257,11 @@ fn r2_delaying_every_source_and_the_horizon_moves_no_flow_report() {
 /// Assert that every flow report of `shape` is bit-identical under `a` and
 /// `b`, with the policers on and off.
 fn departs_alike(shape: Shape, a: DisciplineSpec, b: DisciplineSpec) {
-    for policed in [false, true] {
+    for policer in POLICERS {
         assert_eq!(
-            queued_bits(shape, a, policed),
-            queued_bits(shape, b, policed),
-            "{shape:?}, policed {policed}: {} and {} differ",
+            queued_bits(shape, a, policer),
+            queued_bits(shape, b, policer),
+            "{shape:?}, {policer:?} policer: {} and {} differ",
             a.label(),
             b.label()
         );
@@ -261,6 +294,20 @@ fn r6_wfq_with_one_sender_departs_like_fifo() {
 }
 
 #[test]
+fn r9_a_policer_the_source_cannot_exceed_moves_no_flow_report() {
+    let mut broken = Vec::new();
+    for shape in [Shape::SingleLink, Shape::GuaranteedChain] {
+        for discipline in DISCIPLINES {
+            let unpoliced = queued_bits(shape, discipline, Policer::Off);
+            if queued_bits(shape, discipline, Policer::Roomy) != unpoliced {
+                broken.push(format!("{shape:?} under {}", discipline.label()));
+            }
+        }
+    }
+    assert!(broken.is_empty(), "flow reports moved: {broken:#?}");
+}
+
+#[test]
 fn the_policer_drops_bursts_in_every_shape() {
     for shape in [
         Shape::SingleLink,
@@ -268,12 +315,15 @@ fn the_policer_drops_bursts_in_every_shape() {
         Shape::RealtimeChain,
         Shape::OneFlowLink,
     ] {
-        let generated = |policed| -> u64 {
-            flow_reports(shape, DisciplineSpec::Fifo, policed, IDENTITY)
+        let generated = |policer| -> u64 {
+            flow_reports(shape, DisciplineSpec::Fifo, policer, IDENTITY)
                 .iter()
                 .map(|f| f.generated)
                 .sum()
         };
-        assert!(generated(true) < generated(false), "{shape:?}");
+        assert!(
+            generated(Policer::Shallow) < generated(Policer::Off),
+            "{shape:?}"
+        );
     }
 }

@@ -3,6 +3,7 @@
 //! report except the one appended `telemetry` key — the golden tables
 //! cannot move.
 
+use ispn_core::FlowId;
 use ispn_experiments::churn::{self, ChurnConfig};
 use ispn_experiments::config::PaperConfig;
 use ispn_experiments::table3;
@@ -20,6 +21,7 @@ fn assert_deterministic_counters_match(a: &RunTelemetry, b: &RunTelemetry) {
     assert_eq!(a.admission_rejected, b.admission_rejected);
     assert_eq!(a.flow_table_bytes, b.flow_table_bytes);
     assert_eq!(a.reservation_state_bytes, b.reservation_state_bytes);
+    assert_eq!(a.delay_sample_bytes, b.delay_sample_bytes);
 }
 
 fn small_sim() -> Sim {
@@ -63,6 +65,28 @@ fn table3_probe_counts_the_full_unified_scenario() {
     assert_deterministic_counters_match(&a, &b);
     // 22 classed flows plus TCP: a busier event loop than the single link.
     assert!(a.events_processed > telemetry_of(small_sim(), cfg.duration).events_processed);
+}
+
+/// Table 3's fast run stores its delays in a byte count pinned here: the
+/// packed blocks and raw tails of every flow as the run left them, a
+/// deterministic function of the delays and their order (a `Vec<u32>` a
+/// flow took four bytes a sample).  A change to the store's layout moves
+/// it, and must say so.
+#[test]
+fn table3_fast_run_stores_its_delays_in_a_pinned_byte_count() {
+    let cfg = PaperConfig::fast();
+    let mut sim = table3::build(&cfg).sim;
+    sim.run_until(cfg.duration);
+    let net = sim.network();
+    let samples: u64 = (0..net.num_flows())
+        .map(|i| net.monitor().flow_counters(FlowId(i as u32)).delivered)
+        .sum();
+    let t = sim
+        .report(&MeasurementPlan::default().with_run_telemetry())
+        .telemetry
+        .expect("run telemetry was requested");
+    // 2.88 bytes a sample.
+    assert_eq!((t.delay_sample_bytes, samples), (282_969, 98_120));
 }
 
 #[test]
