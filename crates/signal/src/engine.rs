@@ -100,7 +100,12 @@ impl DecisionLog {
             u128::from(zigzag) << 1 | u128::from(accepted),
         );
         self.last = req.0;
-        self.len += 1;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "each entry adds a byte to `bytes`, so `len` ≤ `bytes.len()` ≤ isize::MAX"
+        )]
+        let len = self.len + 1;
+        self.len = len;
     }
 
     fn iter(&self) -> impl ExactSizeIterator<Item = (RequestId, bool)> + '_ {
@@ -115,17 +120,43 @@ impl DecisionLog {
 
 impl Signaling {
     fn fresh_id(&mut self) -> RequestId {
-        self.next_id += 1;
-        RequestId(self.next_id)
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "one id a request: 2^64 requests take longer than any run"
+        )]
+        let id = self.next_id + 1;
+        self.next_id = id;
+        RequestId(id)
     }
 
     /// Send `event`, a control message leaving at `at`, across `link`: it
     /// arrives one control-packet transmission plus the propagation later.
     fn send(&mut self, net: &Network, at: SimTime, link: LinkId, event: ControlEvent) {
         let params = net.topology().link(link);
-        let hop = ispn_sim::time::transmission_time(CONTROL_PACKET_BITS, params.rate_bps)
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "`SimTime`'s `+` saturates at the end of time, by type"
+        )]
+        let arrival = at
+            + ispn_sim::time::transmission_time(CONTROL_PACKET_BITS, params.rate_bps)
             + params.propagation;
-        self.queue.push(at + hop, event);
+        self.queue.push(arrival, event);
+    }
+
+    /// Begin transaction `req` of `flow`, leaving its slot in `phase`: its
+    /// first message is at the first switch at once (the source's
+    /// host-to-switch link is infinitely fast, Appendix).
+    fn begin(&mut self, net: &mut Network, flow: FlowId, req: RequestId, phase: FlowPhase) {
+        net.set_flow_phase(flow, phase);
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "each transaction in flight holds one of `net`'s flows, \
+                      and no `Vec` holds usize::MAX of them"
+        )]
+        let pending = self.pending + 1;
+        self.pending = pending;
+        self.queue
+            .push(net.now(), ControlEvent::Forward { flow, req, hop: 0 });
     }
 
     /// Number of signaling transactions still in flight.
@@ -160,12 +191,7 @@ impl Signaling {
         let req = self.fresh_id();
         assert!(!config.route.is_empty(), "a setup needs a route");
         let flow = net.add_flow_inactive(config);
-        net.set_flow_phase(flow, FlowPhase::SettingUp(req));
-        self.pending += 1;
-        // The source's host-to-switch link is infinitely fast (Appendix), so
-        // the setup message is at the first switch at once.
-        let setup = ControlEvent::Forward { flow, req, hop: 0 };
-        self.queue.push(net.now(), setup);
+        self.begin(net, flow, req, FlowPhase::SettingUp(req));
         (req, flow)
     }
 
@@ -177,18 +203,14 @@ impl Signaling {
     /// it reserved.  Does nothing to a flow already tearing down or gone,
     /// or to a refused setup, whose rollback releases and retires it.
     pub fn teardown(&mut self, net: &mut Network, flow: FlowId) {
-        let next = match net.flow_phase(flow) {
+        match net.flow_phase(flow) {
             Some(FlowPhase::Idle | FlowPhase::Static | FlowPhase::Admitted) => {
-                FlowPhase::TearingDown
+                net.set_flow_phase(flow, FlowPhase::TearingDown);
             }
-            Some(FlowPhase::Renegotiating { .. }) => {
-                self.pending -= 1;
-                FlowPhase::TearingDown
-            }
-            Some(&FlowPhase::SettingUp(req)) => FlowPhase::Withdrawn(req),
+            Some(FlowPhase::Renegotiating { .. }) => self.end(net, flow, FlowPhase::TearingDown),
+            Some(&FlowPhase::SettingUp(req)) => net.set_flow_phase(flow, FlowPhase::Withdrawn(req)),
             _ => return,
-        };
-        net.set_flow_phase(flow, next);
+        }
         self.queue
             .push(net.now(), ControlEvent::Teardown { flow, hop: 0 });
     }
@@ -258,10 +280,7 @@ impl Signaling {
         }
         let to = to(&net.flow_config(flow).spec).ok_or(Refusal::BadRequest)?;
         let req = self.fresh_id();
-        net.set_flow_phase(flow, FlowPhase::Renegotiating { req, to });
-        self.pending += 1;
-        let renegotiate = ControlEvent::Forward { flow, req, hop: 0 };
-        self.queue.push(net.now(), renegotiate);
+        self.begin(net, flow, req, FlowPhase::Renegotiating { req, to });
         Ok(req)
     }
 
@@ -332,7 +351,12 @@ impl Signaling {
         match ev {
             ControlEvent::Forward { flow, req, hop } => {
                 let route = &net.flow_config(flow).route;
-                let (link, last_hop) = (route[hop], hop + 1 == route.len());
+                #[expect(
+                    clippy::arithmetic_side_effects,
+                    reason = "`route[hop]` is read, so hop + 1 ≤ route.len() ≤ isize::MAX"
+                )]
+                let (link, next) = (route[hop], hop + 1);
+                let last_hop = next == route.len();
                 let decision = match net.flow_phase(flow) {
                     Some(&FlowPhase::SettingUp(r)) if r == req => {
                         net.admit_flow_on_link(flow, link)
@@ -348,9 +372,14 @@ impl Signaling {
                     _ => return, // a renegotiation a teardown ended
                 };
                 let AdmissionDecision::Reject { reason } = decision else {
-                    let next = match hop + 1 {
-                        _ if last_hop => ControlEvent::Done { flow, req },
-                        hop => ControlEvent::Forward { flow, req, hop },
+                    let next = if last_hop {
+                        ControlEvent::Done { flow, req }
+                    } else {
+                        ControlEvent::Forward {
+                            flow,
+                            req,
+                            hop: next,
+                        }
                     };
                     return self.send(net, at, link, next);
                 };
@@ -420,10 +449,15 @@ impl Signaling {
             },
             ControlEvent::Teardown { flow, hop } => {
                 let route = &net.flow_config(flow).route;
-                let (link, last_hop) = (route[hop], hop + 1 == route.len());
+                #[expect(
+                    clippy::arithmetic_side_effects,
+                    reason = "`route[hop]` is read, so hop + 1 ≤ route.len() ≤ isize::MAX"
+                )]
+                let (link, next) = (route[hop], hop + 1);
+                let last_hop = next == route.len();
                 net.release_flow_on_link(flow, link);
                 if !last_hop {
-                    self.send(net, at, link, ControlEvent::Teardown { flow, hop: hop + 1 });
+                    self.send(net, at, link, ControlEvent::Teardown { flow, hop: next });
                 } else {
                     self.events.push(SignalEvent::TornDown { flow, at });
                     // Released on every hop: the flow is reported drained
@@ -464,7 +498,12 @@ impl Signaling {
 
     /// `flow`'s transaction has ended, leaving its slot in `phase`.
     fn end(&mut self, net: &mut Network, flow: FlowId, phase: FlowPhase) {
-        self.pending -= 1;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "a transaction ends once, from a phase its `begin` counted"
+        )]
+        let pending = self.pending - 1;
+        self.pending = pending;
         net.set_flow_phase(flow, phase);
     }
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The layout control beside tools/paired.sh: a copy of a tree whose only
-# difference is the order one crate declares its modules in.  Same source,
-# different code placement in the binary — so a paired reading between the
-# tree and its copy is what layout alone moves wall time by.
+# differences are the order one crate declares its modules in and the order
+# the text-order list names Rust functions in.  Same source, different code
+# placement in the binary — so a paired reading between the tree and its
+# copy is what layout alone moves wall time by.
 
 set -euo pipefail
 
@@ -18,12 +19,16 @@ usage: tools/layout.sh <tree> <out-dir> [crate=sched]
              are reversed (default sched)
 
 The copy builds the same program with one crate's modules declared in the
-opposite order, which moves code in the binary and nothing else.  The
-tree's release profile (.cargo/config.toml) travels with the copy, so both
-are built with the same LTO and codegen-unit settings.  A wall_vs_ref
-difference under 2 % needs this control beside it (ROADMAP, standing
-guardrails): run `tools/paired.sh <tree> <out-dir> <workload> <pairs>` with
-the same pairs and seconds as the claim, and report both rows.
+opposite order and the Rust entries of tools/text-order.txt reversed in
+their slots (the C entries stay put), which moves code in the binary and
+nothing else.  The list pins the functions the workloads run at the head
+of .text, so reversing the `mod` lines alone would leave the hot code
+where it was.  The tree's release profile and linker (.cargo/config.toml)
+travel with the copy, so both are built with the same LTO and codegen-unit
+settings.  A wall_vs_ref difference under 2 % needs this control beside it
+(ROADMAP, standing guardrails): run `tools/paired.sh <tree> <out-dir>
+<workload> <pairs>` with the same pairs and seconds as the claim, and
+report both rows.
 EOF
 }
 
@@ -63,6 +68,17 @@ if [ -f "$tree/$config" ] && ! cmp -s "$tree/$config" "$out/$config"; then
     exit 1
 fi
 
+# Write the lines of <file> that match <regex> back into the same lines in
+# the opposite order (two passes: collect them, then place them).
+reverse_matching() {
+    awk -v pattern="$2" '
+        NR == FNR { if ($0 ~ pattern) lines[++n] = $0; next }
+        $0 ~ pattern { print lines[n - k++]; next }
+        { print }
+    ' "$1" "$1" >"$1.reversed"
+    mv "$1.reversed" "$1"
+}
+
 # A top-level module declaration: `mod m;`, `pub mod m;`, `pub(crate) mod m;`.
 decl='^(pub([(][a-z]+[)])? )?mod [A-Za-z0-9_]+;$'
 mods=$(grep -cE "$decl" "$out/$lib" || true)
@@ -70,13 +86,11 @@ if [ "$mods" -lt 2 ]; then
     echo "layout.sh: $lib declares $mods top-level modules; nothing to reorder" >&2
     exit 1
 fi
-# Two passes over the file: collect the declarations, then write them back
-# into the same lines in the opposite order.
-awk -v decl="$decl" '
-    NR == FNR { if ($0 ~ decl) mods[++n] = $0; next }
-    $0 ~ decl { print mods[n - k++]; next }
-    { print }
-' "$out/$lib" "$out/$lib" >"$out/$lib.reversed"
-mv "$out/$lib.reversed" "$out/$lib"
+reverse_matching "$out/$lib" "$decl"
 echo "layout.sh: $out is $tree with the $mods module declarations of $lib reversed:"
 grep -E "$decl" "$out/$lib" | paste -sd' '
+order=tools/text-order.txt
+if [ -f "$out/$order" ]; then
+    reverse_matching "$out/$order" '^_(ZN|R)'
+    echo "layout.sh: and with the $(grep -cE '^_(ZN|R)' "$out/$order") Rust entries of $order reversed"
+fi
