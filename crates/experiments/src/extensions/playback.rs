@@ -58,13 +58,17 @@ pub const ADVERTISED_PER_HOP_PKT: f64 = 60.0;
 pub fn run(cfg: &PaperConfig) -> PlaybackComparison {
     let fifo_plus = DisciplineSpec::FifoPlus(Averaging::RunningMean);
     let mut sim = single_link(cfg, fifo_plus, NUM_FLOWS);
+    let sample = sim.flows()[0];
+    // The play-back clients replay the flow's delays in arrival order.
+    sim.network_mut()
+        .monitor_mut()
+        .set_order_free(sample, false);
     sim.run_until(cfg.duration);
 
     let pt = cfg.packet_time();
     let advertised = pt.mul_f64(ADVERTISED_PER_HOP_PKT);
     let mut rigid = RigidPlayback::new(advertised);
     let mut adaptive = AdaptivePlayback::new(advertised, 200, 0.999, 1.3);
-    let sample = sim.flows()[0];
     let samples = sim.network().monitor().flow_delays(sample);
     for delay in samples.nanos().map(SimTime::from_nanos) {
         rigid.on_packet(delay);

@@ -8,22 +8,27 @@
 //! counters that the admission-control experiments need.
 //!
 //! A delay sample is stored as the integer nanoseconds it was measured in,
-//! in a [`NanoSamples`]: record order, packed 128 to a block, each block
-//! as wide as its own spread needs — 2.80 B a sample on the Table-3 chain
-//! and 3.12 on Table 1's link, where a `Vec<u32>` took four
+//! in a [`NanoSamples`]: packed 128 to a block, each block as wide as its
+//! own spread needs, in record order — or, for a flow marked order-free
+//! ([`Monitor::set_order_free`]), sealed into sorted runs of 4 096 as they
+//! arrive.  That is 1.88 B a sample on the Table-3 chain and 1.61 on
+//! Table 1's link (3.12 in record order), where a `Vec<u32>` took four
 //! ([`Monitor::delay_sample_bytes`] counts them).  Seconds are computed
 //! only when a report reads a sample, as [`SimTime::as_secs_f64`] computes
 //! them, so the reported floats are those of a store of `as_secs_f64`
-//! values.  A report decodes a flow's samples once to sort them: the pass
-//! in stored order that folds the mean and the jitter fills the sort
-//! buffer (one, the monitor's, for every flow), and the integers are
-//! packed back ascending for the percentile, with no conversion pass
-//! around it; the maximum is kept as samples arrive.
+//! values.  The mean, the jitter and the maximum are kept as samples
+//! arrive; a report sorts a flow's samples once for the percentile, through
+//! one sort buffer (the monitor's, which the seals share) for every flow.
 
 use ispn_core::{FlowId, ServiceClass};
 use ispn_sim::SimTime;
 use ispn_stats::{NanoSamples, StreamingStats};
 use std::num::Saturating;
+
+/// Count one more event: 2⁶⁴ of them outlast any run.
+fn bump(count: &mut u64) {
+    *count = count.saturating_add(1);
+}
 
 /// Per-flow measurement state.
 #[derive(Debug, Default)]
@@ -117,8 +122,9 @@ pub struct LinkReport {
 #[derive(Debug)]
 pub struct Monitor {
     flows: Vec<FlowStats>,
-    /// The buffer every flow's delays are sorted through, grown to the
-    /// largest flow and kept for the next.
+    /// The buffer every flow's delays are sorted through, as they are
+    /// sealed and when they are reported, grown to the largest flow and
+    /// kept for the next.
     sort_scratch: Vec<u32>,
     links: Vec<LinkStats>,
     link_packets: Vec<u64>,
@@ -155,35 +161,36 @@ impl Monitor {
     /// Record that a source generated (and actually submitted) a packet.
     pub fn record_generated(&mut self, flow: FlowId, now: SimTime) {
         self.note_time(now);
-        self.flows[flow.index()].counters.generated += 1;
+        bump(&mut self.flows[flow.index()].counters.generated);
     }
 
     /// Record a packet dropped by edge policing.
     pub fn record_edge_drop(&mut self, flow: FlowId, now: SimTime) {
         self.note_time(now);
-        self.flows[flow.index()].counters.dropped_at_edge += 1;
+        bump(&mut self.flows[flow.index()].counters.dropped_at_edge);
     }
 
     /// Record a packet submitted to an inactive (torn-down or never
     /// activated) flow and discarded at the entry switch.
     pub fn record_inactive_drop(&mut self, flow: FlowId, now: SimTime) {
         self.note_time(now);
-        self.flows[flow.index()].counters.dropped_inactive += 1;
+        bump(&mut self.flows[flow.index()].counters.dropped_inactive);
     }
 
     /// Record a packet dropped because an output buffer was full.
     pub fn record_buffer_drop(&mut self, flow: FlowId, link: usize, now: SimTime) {
         self.note_time(now);
-        self.flows[flow.index()].counters.dropped_buffer += 1;
-        self.links[link].drops += 1;
+        bump(&mut self.flows[flow.index()].counters.dropped_buffer);
+        bump(&mut self.links[link].drops);
     }
 
     /// Record a delivered packet and its end-to-end queueing delay.
     pub fn record_delivery(&mut self, flow: FlowId, queueing_delay: SimTime, now: SimTime) {
         self.note_time(now);
         let f = &mut self.flows[flow.index()];
-        f.counters.delivered += 1;
-        f.delays.record(queueing_delay.as_nanos());
+        bump(&mut f.counters.delivered);
+        f.delays
+            .record(queueing_delay.as_nanos(), &mut self.sort_scratch);
     }
 
     /// Record one packet transmission on a link: how long the link was busy
@@ -199,14 +206,21 @@ impl Monitor {
         bits: u64,
         now: SimTime,
     ) {
-        self.note_time(now + tx_time);
         let l = &mut self.links[link];
-        l.busy += tx_time;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "`SimTime`'s `+` saturates at the end of time, by type"
+        )]
+        let end = {
+            l.busy += tx_time;
+            now + tx_time
+        };
         l.bits_sent += bits;
         if class.is_realtime() {
             l.realtime_bits_sent += bits;
         }
-        self.link_packets[link] += 1;
+        bump(&mut self.link_packets[link]);
+        self.note_time(end);
     }
 
     /// The end of the measured interval (time of the last recorded event).
@@ -223,31 +237,44 @@ impl Monitor {
 
     /// Reset one flow's statistics to a fresh state (called when a torn-down
     /// flow's id slot is recycled for a new flow, so the newcomer does not
-    /// inherit the previous occupant's samples).
+    /// inherit the previous occupant's samples); the fresh store keeps
+    /// record order.
     pub fn reset_flow(&mut self, flow: FlowId) {
         self.flows[flow.index()] = FlowStats::default();
+    }
+
+    /// Let a flow's delay store give up record order (`true`), or keep it
+    /// (every store's default): an order-free store seals its samples into
+    /// sorted runs as they arrive, which take about half the bytes and
+    /// leave its first report a merge instead of a sort
+    /// ([`NanoSamples::set_order_free`]).  Mean and jitter keep record
+    /// order either way; [`flow_delays`](Monitor::flow_delays) reads an
+    /// order-free store's samples only once a report has sorted them.
+    pub fn set_order_free(&mut self, flow: FlowId, free: bool) {
+        self.flows[flow.index()].delays.set_order_free(free);
     }
 
     /// Per-flow summary.
     ///
     /// Delay statistics are reported in seconds; experiments convert to the
-    /// paper's packet-time unit.  The flow's samples are decoded once: the
-    /// pass in stored order that gives the mean (`sum / n`) and the
-    /// Welford jitter also fills the sort, and the percentile then reads
-    /// the two samples it interpolates — so the first report of a run
-    /// sums in record order and leaves the samples ascending.
+    /// paper's packet-time unit.  The mean (`sum / n`) and the Welford
+    /// jitter come from the store's fold, kept in record order as samples
+    /// arrive, so every report of a flow reads the same bits; the report
+    /// sorts the samples (a merge of an order-free store's runs), and the
+    /// percentile then reads the two samples it interpolates.
     pub fn flow_report(&mut self, flow: FlowId) -> FlowReport {
         self.flow_report_with_jitter(flow).0
     }
 
-    /// [`flow_report`](Monitor::flow_report) and, from its stored-order
-    /// pass, the flow's delay jitter in seconds: the sample (`n − 1`)
-    /// standard deviation of the end-to-end queueing delays.  (Beside the
+    /// [`flow_report`](Monitor::flow_report) and the flow's delay jitter in
+    /// seconds: the sample (`n − 1`) standard deviation of the end-to-end
+    /// queueing delays, in record order.  (Beside the
     /// report rather than in it: the churn driver keeps the report of every
     /// flow it ever admitted, and no jitter.)
     pub fn flow_report_with_jitter(&mut self, flow: FlowId) -> (FlowReport, f64) {
         let f = &mut self.flows[flow.index()];
-        let (mean_delay, jitter) = f.delays.mean_and_std_dev_then_sort(&mut self.sort_scratch);
+        f.delays.sort(&mut self.sort_scratch);
+        let (mean_delay, jitter) = f.delays.mean_and_std_dev();
         let c = f.counters;
         let report = FlowReport {
             flow,
@@ -269,9 +296,9 @@ impl Monitor {
     }
 
     /// Record a flow's delay samples into `fold`, in seconds and in
-    /// stored order, then sort them ascending — what the first
-    /// [`flow_report`](Monitor::flow_report) does to them, in one pass,
-    /// without the report.
+    /// stored order, then sort them ascending as
+    /// [`flow_report`](Monitor::flow_report) does — in one pass for an
+    /// order-kept store reported for the first time.
     pub fn sort_flow_delays(&mut self, flow: FlowId, fold: &mut StreamingStats) {
         self.flows[flow.index()]
             .delays
@@ -288,9 +315,12 @@ impl Monitor {
             .sum()
     }
 
-    /// Direct access to a flow's raw delay samples (nanoseconds; the
-    /// store reads them out in seconds too), e.g. for pooled class
-    /// quantiles.
+    /// Direct access to a flow's delay samples (nanoseconds; the store
+    /// reads them out in seconds too), e.g. for pooled class quantiles.
+    /// An order-kept store reads them in arrival order until a report
+    /// sorts it; an order-free one ([`set_order_free`](Monitor::set_order_free),
+    /// a declared flow's under the scenario facade) reads them only once
+    /// a report has sorted it ([`NanoSamples::nanos`]).
     pub fn flow_delays(&self, flow: FlowId) -> &NanoSamples {
         &self.flows[flow.index()].delays
     }
@@ -450,6 +480,81 @@ mod tests {
             bits([mean, jitter, oracle.quantile(0.999), oracle.max()])
         );
         assert_eq!((r.generated, r.delivered), (6000, 6000));
+    }
+
+    /// Three and a half runs of a queue that builds and drains, so that
+    /// record order is far from sorted order.
+    fn sawtooth() -> Vec<u64> {
+        (0..14_500u64).map(|i| (i % 997) * 31_000 + i % 5).collect()
+    }
+
+    /// An order-kept store (a TCP connection's, a churn admission's) never
+    /// seals: it reads back in record order however long it grows.  An
+    /// order-free one (a declared flow's) seals its runs into fewer bytes,
+    /// and reads back only once a report has sorted it.
+    #[test]
+    fn only_an_order_free_store_seals_its_samples_into_sorted_runs() {
+        let delays = sawtooth();
+        let mut m = Monitor::new(2, 0);
+        let (kept, free) = (FlowId(0), FlowId(1));
+        m.set_order_free(free, true);
+        for &ns in &delays {
+            for f in [kept, free] {
+                m.record_delivery(f, SimTime::from_nanos(ns), SimTime::ZERO);
+            }
+        }
+        let stored = |m: &Monitor, f| m.flow_delays(f).nanos().collect::<Vec<_>>();
+        assert_eq!(stored(&m, kept), delays);
+        // Sorted runs pack tighter than record order.
+        let bytes = |f| m.flow_delays(f).stored_bytes();
+        assert!(bytes(free) < bytes(kept), "{} {}", bytes(free), bytes(kept));
+        m.flow_report(free);
+        let mut sorted = delays.clone();
+        sorted.sort_unstable();
+        assert_eq!(stored(&m, free), sorted);
+        // A recycled slot starts order-kept.
+        m.reset_flow(free);
+        for &ns in &delays {
+            m.record_delivery(free, SimTime::from_nanos(ns), SimTime::ZERO);
+        }
+        assert_eq!(stored(&m, free), delays);
+    }
+
+    /// Every report of a flow reads the same mean and jitter: the bits a
+    /// `SampleSet` of its delays in record order gives, whether the store
+    /// keeps that order or not, reported twice, and reported again after
+    /// more samples.
+    #[test]
+    fn a_flow_reports_its_record_order_mean_and_jitter_every_time() {
+        let delays = sawtooth();
+        let (head, rest) = delays.split_at(9_000);
+        for free in [false, true] {
+            let mut m = Monitor::new(1, 0);
+            let f = FlowId(0);
+            m.set_order_free(f, free);
+            let mut oracle = ispn_stats::SampleSet::new();
+            let mut record = |m: &mut Monitor, delays: &[u64]| {
+                for &ns in delays {
+                    let delay = SimTime::from_nanos(ns);
+                    m.record_delivery(f, delay, SimTime::ZERO);
+                    oracle.record(delay.as_secs_f64());
+                }
+                // A copy sorts for the percentile; the oracle keeps record
+                // order.
+                let (mean, jitter) = oracle.mean_and_std_dev();
+                let p999 = oracle.clone().quantile(0.999);
+                [mean, jitter, p999, oracle.max()].map(f64::to_bits)
+            };
+            let bits = |(r, jitter): (FlowReport, f64)| {
+                [r.mean_delay, jitter, r.p999_delay, r.max_delay].map(f64::to_bits)
+            };
+            let expected = record(&mut m, head);
+            assert_eq!(bits(m.flow_report_with_jitter(f)), expected, "{free}");
+            assert_eq!(bits(m.flow_report_with_jitter(f)), expected, "{free}");
+            let expected = record(&mut m, rest);
+            assert_eq!(bits(m.flow_report_with_jitter(f)), expected, "{free}");
+            assert_eq!(bits(m.flow_report_with_jitter(f)), expected, "{free}");
+        }
     }
 
     #[test]

@@ -250,7 +250,13 @@ impl Network {
             }
             debug_assert!(t >= self.now, "event from the past");
             self.now = t;
-            self.dispatched += 1;
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "one count an event: 2^64 events outlast any run"
+            )]
+            {
+                self.dispatched += 1;
+            }
             if link_first {
                 let (_, link) = self.completions.pop().expect("peeked event exists");
                 self.on_tx_done(LinkId(link as usize));
@@ -306,13 +312,23 @@ impl Network {
     /// a single queue would push at, whether or not something is pushed.
     fn draw_seq(&mut self) -> u64 {
         let seq = self.next_seq;
-        self.next_seq += 1;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "one number a push: 2^64 pushes outlast any run"
+        )]
+        {
+            self.next_seq += 1;
+        }
         seq
     }
 
     /// After a push to either timeline: the pending set's high-water mark
     /// is taken.
     fn pushed(&mut self) {
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "the lengths of two queues in memory"
+        )]
         let pending = (self.queue.len() + self.completions.len()) as u64;
         self.pending_high_water = self.pending_high_water.max(pending);
     }

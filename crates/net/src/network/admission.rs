@@ -47,10 +47,12 @@ impl Network {
             last_rt_bits: self.monitor.link_realtime_bits_sent(link.index()),
         });
         let link = port.id;
-        self.schedule(
-            self.now + sample_interval,
-            NetEvent::AdmissionSample { link },
-        );
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "`SimTime`'s `+` saturates at the end of time, by type"
+        )]
+        let next = self.now + sample_interval;
+        self.schedule(next, NetEvent::AdmissionSample { link });
     }
 
     /// The admission controller of a link, if one was installed.
@@ -75,6 +77,10 @@ impl Network {
         }
         ad.last_rt_bits = rt_bits;
         ad.last_sample = now;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "`SimTime`'s `+` saturates at the end of time, by type"
+        )]
         let next = now + ad.sample_interval;
         let link = port.id;
         self.schedule(next, NetEvent::AdmissionSample { link });
@@ -100,6 +106,10 @@ impl Network {
     /// reservation entries the schedulers keep (GPS clock state, VirtualClock
     /// rates).  Same estimation rules as
     /// [`flow_table_bytes`](Network::flow_table_bytes).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "counts and sizes of structures in memory"
+    )]
     pub fn reservation_state_bytes(&self) -> u64 {
         (self.ports.iter().filter(|p| p.admission.is_some()).count()
             * std::mem::size_of::<AdmissionState>()) as u64

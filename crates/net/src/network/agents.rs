@@ -141,7 +141,13 @@ impl Network {
         if !slot.live {
             return Err(SinkError::Retired(sink));
         }
-        slot.refs += 1;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "each reference is a flow or an event in memory"
+        )]
+        {
+            slot.refs += 1;
+        }
         Ok(())
     }
 
@@ -149,7 +155,13 @@ impl Network {
     /// flow — is gone; a retired slot joins the free list with the last.
     pub(super) fn unhold_agent(&mut self, id: AgentId) {
         let slot = &mut self.agents[id.0];
-        slot.refs -= 1;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "each release follows the hold it gives back"
+        )]
+        {
+            slot.refs -= 1;
+        }
         if slot.refs == 0 && !slot.live {
             self.free_agent_slots.push(id);
         }
@@ -173,7 +185,13 @@ impl Network {
                     carrier_at: at,
                     carrier_seq: seq,
                 });
-                slot.refs += 1;
+                #[expect(
+                    clippy::arithmetic_side_effects,
+                    reason = "each reference is a flow or an event in memory"
+                )]
+                {
+                    slot.refs += 1;
+                }
                 let agent = slot.id;
                 self.schedule_as(at, seq, NetEvent::Timer { agent, seq });
             }
@@ -212,7 +230,12 @@ impl Network {
             self.inject(p);
         }
         if let Some((delay, token)) = api.timer.take() {
-            self.arm_timer(agent, self.now + delay, token);
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "`SimTime`'s `+` saturates at the end of time, by type"
+            )]
+            let at = self.now + delay;
+            self.arm_timer(agent, at, token);
         }
         self.api_pool.push(api);
     }

@@ -200,7 +200,13 @@ impl Network {
         for link in &config.route {
             let params = self.topo.link(*link);
             secs_per_bit += 1.0 / params.rate_bps;
-            total_propagation += params.propagation;
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "`SimTime`'s `+` saturates at the end of time, by type"
+            )]
+            {
+                total_propagation += params.propagation;
+            }
         }
         if let Some(sink) = config.sink {
             self.hold_agent(sink).unwrap_or_else(|e| panic!("{e}"));
@@ -358,7 +364,12 @@ impl Network {
     /// this flow's route: serialization at every hop plus propagation.
     pub fn fixed_delay(&self, flow: FlowId, size_bits: u64) -> SimTime {
         let f = &self.flows[flow.index()];
-        SimTime::from_secs_f64(size_bits as f64 * f.secs_per_bit) + f.total_propagation
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "`SimTime`'s `+` saturates at the end of time, by type"
+        )]
+        let delay = SimTime::from_secs_f64(size_bits as f64 * f.secs_per_bit) + f.total_propagation;
+        delay
     }
 
     /// Inject a packet directly (used by tests and by agent outboxes).  The
@@ -378,7 +389,13 @@ impl Network {
             return;
         }
         self.monitor.record_generated(packet.flow, self.now);
-        self.flows[packet.flow.index()].in_flight += 1;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "every packet in flight is in memory"
+        )]
+        {
+            self.flows[packet.flow.index()].in_flight += 1;
+        }
         debug_assert_eq!(packet.hop, 0, "injected packet already on its way");
         self.forward(packet);
     }
@@ -419,6 +436,10 @@ impl Network {
     /// estimate (element counts × element sizes), not an allocator
     /// measurement — so two same-seed runs agree and growth is
     /// attributable to flow count, not allocator policy.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "counts and sizes of structures in memory"
+    )]
     pub fn flow_table_bytes(&self) -> u64 {
         let mut bytes = self.flows.len() * std::mem::size_of::<FlowState>();
         for f in &self.flows {

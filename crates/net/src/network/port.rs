@@ -115,7 +115,7 @@ impl Network {
     pub(super) fn packets_held(&self) -> u64 {
         self.ports
             .iter()
-            .map(|p| (p.discipline.len() + p.wire.len()) as u64)
+            .map(|p| p.discipline.len().saturating_add(p.wire.len()) as u64)
             .sum()
     }
 
@@ -228,13 +228,26 @@ impl Network {
         // index so the arrival at the far end forwards onto the next
         // route entry.
         let mut packet = d.packet;
-        packet.hop += 1;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "the hop indexes the packet's route, which is in memory"
+        )]
+        {
+            packet.hop += 1;
+        }
         port.wire.push_back(packet);
         let id = port.id;
-        let done = self.now + tx_time;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "`SimTime`'s `+` saturates at the end of time, by type"
+        )]
+        let (done, arrival) = {
+            let done = self.now + tx_time;
+            (done, done + params.propagation)
+        };
         self.schedule_completion(done, id);
         if params.propagation > SimTime::ZERO {
-            self.schedule(done + params.propagation, NetEvent::Arrival { link: id });
+            self.schedule(arrival, NetEvent::Arrival { link: id });
         }
     }
 

@@ -54,7 +54,13 @@ impl Topology {
     /// Add a switch and return its id.
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId(self.num_nodes);
-        self.num_nodes += 1;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "each node costs a call, so there are fewer than usize::MAX"
+        )]
+        {
+            self.num_nodes += 1;
+        }
         id
     }
 
@@ -182,14 +188,8 @@ impl Topology {
         let mut topo = Topology::new();
         let nodes = topo.add_nodes(n);
         let mut links = Vec::new();
-        for i in 0..n - 1 {
-            links.push(topo.add_link(
-                nodes[i],
-                nodes[i + 1],
-                rate_bps,
-                propagation,
-                buffer_packets,
-            ));
+        for pair in nodes.windows(2) {
+            links.push(topo.add_link(pair[0], pair[1], rate_bps, propagation, buffer_packets));
         }
         (topo, nodes, links)
     }

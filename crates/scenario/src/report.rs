@@ -13,12 +13,12 @@
 //!
 //! # What collecting costs, and what pins its bytes
 //!
-//! A report decodes each stored delay sample twice and sorts it once.  Per
-//! flow, [`Monitor::flow_report_with_jitter`](ispn_net::Monitor::flow_report_with_jitter)
-//! takes the mean and the jitter from the one pass in stored order that
-//! also fills the monitor's sort buffer, and packs the flow's integer
-//! nanoseconds back ascending for its percentile (the maximum is kept as
-//! samples arrive).  Per class, the mean and quantiles come from a
+//! A report sorts each stored delay sample once.  Per flow,
+//! [`Monitor::flow_report_with_jitter`](ispn_net::Monitor::flow_report_with_jitter)
+//! reads the mean, the jitter and the maximum the store kept as samples
+//! arrived, and sorts the flow's integer nanoseconds through the monitor's
+//! sort buffer for its percentile: a declared flow's store, sealed into
+//! sorted runs during the run, is merged.  Per class, the mean and quantiles come from a
 //! tournament merge over the per-flow sorted runs ([`merge_runs`]),
 //! comparing the integers and converting each to seconds as it pops — a
 //! class's samples are never pooled into a copy —
@@ -28,8 +28,7 @@
 //! rest in the pass that sorts them
 //! ([`Monitor::sort_flow_delays`](ispn_net::Monitor::sort_flow_delays)).  Floating-point
 //! sums depend on their order, so the orders are part of the format: a
-//! flow's mean and jitter run in the order the samples stand in when the
-//! flow is first reported (record order, for a run's first report); the
+//! flow's mean and jitter run in record order, at every report; the
 //! class jitter runs over the class's flows by rising id, declared flows
 //! already sorted, the others in record order and sorted only afterwards;
 //! the class mean is the ascending-order sum.
@@ -678,12 +677,49 @@ mod tests {
         assert!(!json.chars().any(|c| (c as u32) < 0x20 && c != ' '));
     }
 
-    /// The pooled class jitter sums in the order it is fed, and the flow
-    /// section reads a declared flow's samples in the order it finds them
-    /// before sorting them: the class section must see the same sorted
-    /// samples whatever order the flow section found (it once saw them
-    /// sorted only when the flow section had run first, `jitter_s`
-    /// 0.005662284476872525 against 0.0056622844768725224 on this run).
+    /// A second report of a run repeats the first's flow section byte for
+    /// byte: each flow's mean and jitter are its record-order fold, however
+    /// its samples stand (sealed into sorted runs as they arrived, then
+    /// merged by the first report).  Only the class section may move, and
+    /// only where it pools a flow the flow section does not report — a TCP
+    /// connection's samples, which the first report folds in record order
+    /// and the second sorted; a run of declared flows alone repeats whole.
+    #[test]
+    fn a_second_report_repeats_the_flow_section() {
+        use crate::{DisciplineSpec, FlowDef, ScenarioBuilder, SourceSpec, TcpDef, TopologySpec};
+        use ispn_sim::SimTime;
+        for tcp in [false, true] {
+            let mut builder = ScenarioBuilder::new(TopologySpec::chain_duplex(2))
+                .discipline(DisciplineSpec::Wfq)
+                .flows((0..4).map(|i| {
+                    FlowDef::best_effort_realtime(0, 1)
+                        .source(SourceSpec::onoff_paper(85.0, 0x1992 + i))
+                }));
+            if tcp {
+                builder = builder.tcp(TcpDef::over_span(0, 1));
+            }
+            let mut sim = builder.build().expect("valid scenario");
+            sim.run_until(SimTime::from_secs(120));
+            let flow = sim.flows()[0];
+            let delivered = sim.network().monitor().flow_counters(flow).delivered;
+            assert!(delivered > 2 * 4_096, "{delivered} samples seal twice");
+            let report = |sim: &mut crate::Sim| sim.report(&MeasurementPlan::default()).to_json();
+            let (first, second) = (report(&mut sim), report(&mut sim));
+            let classes = first.find("\"classes\":[").expect("a classes block");
+            assert_eq!(second[..classes], first[..classes], "tcp: {tcp}");
+            if !tcp {
+                assert_eq!(second, first);
+            }
+        }
+    }
+
+    /// The pooled class jitter sums in the order it is fed: the class
+    /// section must see the same sorted samples whatever order the flow
+    /// section found (it once saw them sorted only when the flow section
+    /// had run first, `jitter_s` 0.005662284476872525 against
+    /// 0.0056622844768725224 on this run).  The flow section reads each
+    /// flow's record-order fold, so sorting the samples first moves
+    /// neither section.
     #[test]
     fn class_summaries_do_not_depend_on_the_flow_section() {
         use crate::{DisciplineSpec, FlowDef, ScenarioBuilder, SourceSpec};
@@ -714,9 +750,9 @@ mod tests {
         };
         let (flows_as_recorded, classes) = blocks(false);
         let (flows_presorted, classes_presorted) = blocks(true);
-        assert_ne!(
+        assert_eq!(
             flows_as_recorded, flows_presorted,
-            "the flow section sums in found order"
+            "the flow section sums in record order"
         );
         assert!(classes.contains("\"jitter_s\":0.00"), "{classes}");
         assert_eq!(classes, classes_presorted);

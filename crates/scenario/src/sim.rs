@@ -324,13 +324,20 @@ impl std::fmt::Debug for Sim {
 
 impl Sim {
     /// Assemble a simulation from already-wired parts (the builder's job;
-    /// prefer [`ScenarioBuilder`](crate::ScenarioBuilder)).
+    /// prefer [`ScenarioBuilder`](crate::ScenarioBuilder)).  The declared
+    /// `flows`' delay stores give up record order
+    /// ([`Monitor::set_order_free`](ispn_net::Monitor::set_order_free)):
+    /// [`report`](Sim::report) reads them sorted, and their mean and jitter
+    /// keep record order regardless.
     pub fn from_parts(
-        net: Network,
+        mut net: Network,
         flows: Vec<FlowId>,
         tcp: Vec<TcpHandles>,
         built: BuiltTopology,
     ) -> Self {
+        for &flow in &flows {
+            net.monitor_mut().set_order_free(flow, true);
+        }
         Sim {
             net,
             sig: Signaling::default(),

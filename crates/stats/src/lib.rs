@@ -12,10 +12,11 @@
 //! * [`StreamingStats`] — count / mean / variance / min / max without
 //!   storing samples (Welford's algorithm),
 //! * [`NanoSamples`] — a flow's stored delays in integer nanoseconds,
-//!   packed in record order 128 to a frame-of-reference block (about
-//!   three bytes a sample), with exact percentiles in seconds (used for the
-//!   99.9th-percentile columns; [`quantile_between`] re-reads one from
-//!   the two samples it interpolates between), and [`merge_runs`], a
+//!   packed 128 to a block, in record order (about three bytes a sample)
+//!   or sealed into sorted, gap-coded runs as they arrive (about 1.6), with
+//!   its mean and jitter folded on arrival and exact percentiles in seconds
+//!   (used for the 99.9th-percentile columns; [`quantile_between`] re-reads
+//!   one from the two samples it interpolates between), and [`merge_runs`], a
 //!   tournament merge over several sorted stores that takes their pooled
 //!   mean and quantiles without pooling them and folds a Welford spread in
 //!   the same loop,

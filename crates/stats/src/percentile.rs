@@ -10,24 +10,40 @@
 //!
 //! # What a sample costs
 //!
-//! A store keeps its samples in record order, packed 128 to a
-//! block, each block coded against its own frame of reference: its least
-//! sample as an eight-byte base, one byte giving the bit length `w` of its
-//! greatest less its least, then every sample less the base in `w` bits,
-//! least significant bit first — `16·w` bytes, `9 + 16·w` in all.  A block
-//! is as wide as its own spread: a run of equal delays packs at width 0
-//! (nine bytes for 128 samples; a TCP flow's acknowledgements all wait
-//! 0 ns), and a sample of 2³² ns or more widens only the block it lands
-//! in.  The newest samples, fewer than a block, stay raw in a tail, eight
-//! bytes each, and the 128th packs them.  [`NanoSamples::stored_bytes`]
-//! counts the packed bytes and the tail; over seed 7's 600-second runs it
-//! reads 2.80 B a sample on the Table-3 chain (3.12 for its 22 declared
-//! flows, 1.87 for its four TCP flows) and 3.12 on Table 1's WFQ link,
-//! against four for the `Vec<u32>` this replaced.  A churn admission
-//! rarely fills a block: its few samples stay raw, at eight bytes each.
-//! A sample becomes seconds only when it is read, as `ns as f64 / 1e9` —
-//! the expression of `SimTime::as_secs_f64`, so a reader sees the floats
-//! a store of `as_secs_f64` values would have held.
+//! A store keeps its samples packed 128 to a block.  A block in record
+//! order is coded against its own frame of reference: its least sample as
+//! an eight-byte base, one byte giving the bit length `w` of its greatest
+//! less its least, then every sample less the base in `w` bits, least
+//! significant bit first — `16·w` bytes, `9 + 16·w` in all.  A block is as
+//! wide as its own spread: a run of equal delays packs at width 0 (nine
+//! bytes for 128 samples; a TCP flow's acknowledgements all wait 0 ns), and
+//! a sample of 2³² ns or more widens only the block it lands in.  The
+//! newest samples, fewer than a block, stay raw in a tail, eight bytes
+//! each, and the 128th packs them.
+//!
+//! Record order is the costly part: a queue's delays wander over most of
+//! their range within 128 packets.  A store marked order-free
+//! ([`NanoSamples::set_order_free`]; the scenario facade marks the flows
+//! its report reads) gives that order up.  Each time its record-order
+//! blocks reach 4 096 samples it decodes them into the caller's sort
+//! buffer, sorts them and packs them back in their place as one sealed
+//! run; one byte offset separates the sealed runs from the record-order
+//! blocks after them.  A sealed block is gap-coded: its
+//! first sample is the base, and its offsets are the gaps from each sample
+//! to the one before (0 for the first), as wide as the widest gap.  Mean
+//! and jitter need no order: every store folds each sample into them as
+//! it arrives.
+//!
+//! [`NanoSamples::stored_bytes`] counts the packed bytes and the tail.
+//! Over seed 7's 600-second runs it reads 1.61 B a sample on Table 1's WFQ
+//! link (its ten flows sealed; 3.12 in record order) and 1.88 on the
+//! Table-3 chain: 1.89 for its 22 sealed flows (3.12 in record order),
+//! 1.87 for its four TCP flows, which keep it.  The `Vec<u32>` this
+//! replaced took four.  A churn admission keeps record order, and rarely
+//! fills a block: its few samples stay raw, at eight bytes each.  A sample
+//! becomes seconds only when it is read, as `ns as f64 / 1e9` — the
+//! expression of `SimTime::as_secs_f64`, so a reader sees the floats a
+//! store of `as_secs_f64` values would have held.
 //!
 //! The packed buffer grows by one rule.  Below 4 KiB its capacity is a
 //! power of two from 256 bytes (so a freed buffer fits the next store's).
@@ -42,9 +58,9 @@
 //! chain's peak.  The move waits for 4 KiB so that a short flow — a
 //! signalled admission delivers far fewer packets — keeps its small heap
 //! buffer instead of mapping (and later unmapping) 128 KiB of its own.  A
-//! moved buffer never moves again, not even when a sort packs it anew:
-//! that would free a mapped block, and glibc raises its threshold past
-//! every mapped block a process frees.
+//! moved buffer never moves again, not even when a seal or a sort packs
+//! it anew in place: that would free a mapped block, and glibc raises its
+//! threshold past every mapped block a process frees.
 //!
 //! The rule leans on glibc.  Another allocator, or a glibc whose dynamic
 //! mapping threshold has risen above 128 KiB (it rises to the size of each
@@ -55,14 +71,19 @@
 //!
 //! # What a report costs
 //!
-//! A scenario report decodes each stored sample twice and sorts it once.
-//! [`NanoSamples::fold_then_sort`] is the one pass in stored order: it
-//! loads each block's words onto the stack, hands every sample to a
-//! Welford fold (sum, spread) and to a sort buffer of `u32` that the
-//! caller keeps for all its stores, sorts that and packs it back — sorted
-//! samples pack tighter, 1.75 B a sample on the Table-3 chain.  A store
-//! that never filled a block (most churn admissions) sorts its tail in
-//! place.  [`merge_runs`] then takes a class's mean and quantiles from a
+//! A flow's mean and jitter are the store's own fold, so a report reads
+//! them without decoding a sample, and every report of a flow reads the
+//! same bits.  For its percentile a report sorts the store once, into one
+//! sealed run and a sorted tail, through a buffer of `u32` that the caller
+//! keeps for all its stores.  A store without a sealed run (an order-kept
+//! store's first report) decodes every sample into the buffer, sorts it and
+//! packs it back.  An order-free store seals its record-order blocks as one
+//! more, shorter run and sorts its tail; then a tournament merge of the
+//! runs and the tail fills the buffer, and that is packed back.  A caller
+//! that folds the samples in stored order as well
+//! ([`NanoSamples::fold_then_sort`], the class spread of an order-kept
+//! flow) gets the fold from the decoding pass of the first kind.
+//! [`merge_runs`] then takes a class's mean and quantiles from a
 //! tournament (loser-tree) merge over the per-flow sorted runs, comparing
 //! the integers themselves, so the union of a class's samples is never
 //! copied or re-sorted; each run is read through a cursor that decodes a
@@ -82,7 +103,7 @@ fn secs(ns: u64) -> f64 {
     ns as f64 / 1e9
 }
 
-/// The key of an exhausted run in [`merge_runs`]'s tree: no sample sorts
+/// The key of an exhausted run in [`merge`]'s tree: no sample sorts
 /// above it.  A sample of `u64::MAX` ns ties it, which cannot show: once
 /// the smaller samples are popped, every remaining pop reads `u64::MAX`,
 /// whichever run it comes from, and the merge pops exactly as many samples
@@ -91,6 +112,9 @@ const EXHAUSTED: u64 = u64::MAX;
 
 /// Samples a packed block holds.
 const BLOCK: usize = 128;
+
+/// Samples an order-free store seals into one sorted run.
+const RUN: usize = 4_096;
 
 /// The bytes of a block before its offsets: the base, eight little-endian
 /// bytes, then the width, one.
@@ -108,8 +132,8 @@ const MOVE_AT_BYTES: usize = 4 << 10;
 /// `malloc` maps it and `realloc` grows it in place.
 const MAPPED_BYTES: usize = 128 << 10;
 
-/// What [`NanoSamples::sort`] decodes into: `u32` while every sample
-/// fits, `u64` once one does not.
+/// What a store sorts through: `u32` while every sample fits, `u64` once
+/// one does not.
 trait Sample: Copy + Ord + Into<u64> {
     /// `ns`, which the caller has checked fits.
     fn from_ns(ns: u64) -> Self;
@@ -172,15 +196,17 @@ fn span<T: Sample>(block: &[T]) -> (u64, u64) {
     })
 }
 
-/// Append `block`, [`BLOCK`] samples from `min` to `max`, to `packed` as
-/// one frame-of-reference block: `min`, the bit length `w` of
-/// `max − min`, and each sample less `min` in `w` bits, least significant
-/// first — `16·w` bytes.
+/// Append a block headed by `base` to `packed`: `base`, the bit length `w`
+/// of `max − min`, and each of the [`BLOCK`] values of `block`, which run
+/// from `min` to `max`, less `min` in `w` bits, least significant first —
+/// `16·w` bytes.  A record-order block is headed by its least sample; a
+/// sorted one by its first, and its values are its gaps
+/// ([`pack_gaps`]).
 #[expect(
     clippy::arithmetic_side_effects,
     reason = "min ≤ max, and w ≤ 64, so a block is at most 1 033 bytes"
 )]
-fn pack<T: Sample>(packed: &mut Vec<u8>, block: &[T], (min, max): (u64, u64)) {
+fn pack<T: Sample>(packed: &mut Vec<u8>, base: u64, block: &[T], (min, max): (u64, u64)) {
     debug_assert_eq!(block.len(), BLOCK);
     debug_assert_eq!(span(block), (min, max));
     let width = u64::BITS - (max - min).leading_zeros();
@@ -196,12 +222,30 @@ fn pack<T: Sample>(packed: &mut Vec<u8>, block: &[T], (min, max): (u64, u64)) {
     let start = packed.len();
     let end = start + HEADER + size_of_val(words);
     reserve(packed, end - start);
-    packed.extend_from_slice(&min.to_le_bytes());
+    packed.extend_from_slice(&base.to_le_bytes());
     packed.push(width as u8);
     packed.resize(end, 0);
     for (bytes, word) in packed[start + HEADER..].chunks_exact_mut(8).zip(words) {
         bytes.copy_from_slice(&word.to_le_bytes());
     }
+}
+
+/// Append `block`, [`BLOCK`] ascending samples, to `packed` as one
+/// gap-coded block: headed by its first sample, its values the gap from
+/// each sample to the one before (0 for the first), as wide as the widest
+/// gap.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "the block ascends, so no gap is negative"
+)]
+fn pack_gaps<T: Sample>(packed: &mut Vec<u8>, block: &[T]) {
+    debug_assert!(block.is_sorted());
+    let mut gaps = [0u64; BLOCK];
+    for (gap, pair) in gaps[1..].iter_mut().zip(block.windows(2)) {
+        *gap = pair[1].into() - pair[0].into();
+    }
+    let widest = gaps.iter().copied().max().unwrap_or(0);
+    pack(packed, block[0].into(), &gaps, (0, widest));
 }
 
 /// Stream the offsets of `block` from `min`, `width` bits each, into
@@ -235,8 +279,8 @@ fn stream<T: Sample, const G: usize>(words: &mut [u64; BLOCK], block: &[T], min:
     }
 }
 
-/// The block at the front of `packed`: its least sample, its width, its
-/// packed offsets, and the bytes after it.
+/// The block at the front of `packed`: its base, its width, its packed
+/// offsets, and the bytes after it.
 fn split_block(packed: &[u8]) -> (u64, u32, &[u8], &[u8]) {
     let (base, rest) = packed.split_first_chunk().expect("a block has a base");
     let (&width, rest) = rest.split_first().expect("a block has a width");
@@ -276,7 +320,9 @@ fn sample(word: impl Fn(usize) -> u64, (base, width, mask): (u64, u32, u64), i: 
     base + ((word(at) >> shift | spill) & mask)
 }
 
-/// A packed block with its offsets loaded into words, on the stack.
+/// A block's samples, loaded onto the stack: the offsets of a
+/// record-order block, or the samples themselves.
+#[derive(Debug)]
 struct Block {
     /// The base, width and mask [`sample`] reads it with.
     frame: (u64, u32, u64),
@@ -284,21 +330,67 @@ struct Block {
     words: [u64; BLOCK + 1],
 }
 
+impl Default for Block {
+    fn default() -> Self {
+        Block::raw(&[])
+    }
+}
+
 impl Block {
-    /// The block at the front of `packed`, and the bytes after it.
-    fn load(packed: &[u8]) -> (Block, &[u8]) {
+    /// The block at the front of `packed`, gap-coded or not, and the bytes
+    /// after it.
+    fn load(packed: &[u8], gapped: bool) -> (Block, &[u8]) {
         let (base, width, offsets, rest) = split_block(packed);
         let mut words = [0; BLOCK + 1];
         for (word, offset) in words.iter_mut().zip(self::words(offsets)) {
             *word = offset;
         }
-        let frame = (base, width, mask(width));
-        (Block { frame, words }, rest)
+        let block = Block {
+            frame: (base, width, mask(width)),
+            words,
+        };
+        (if gapped { block.summed() } else { block }, rest)
+    }
+
+    /// A gap-coded block's samples: each the base plus every gap up to it.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "each partial sum is a sample that was packed"
+    )]
+    fn summed(&self) -> Block {
+        let (base, width, mask) = self.frame;
+        let mut samples = [0; BLOCK];
+        let mut ns = base;
+        for (i, sum) in samples.iter_mut().enumerate() {
+            ns += sample(|at| self.words[at], (0, width, mask), i);
+            *sum = ns;
+        }
+        Block::raw(&samples)
+    }
+
+    /// `samples`, at most [`BLOCK`], as a block of width 64 on base 0.
+    fn raw(samples: &[u64]) -> Block {
+        let mut words = [0; BLOCK + 1];
+        words[..samples.len()].copy_from_slice(samples);
+        Block {
+            frame: (0, u64::BITS, u64::MAX),
+            words,
+        }
     }
 
     /// Sample `i`.
     fn get(&self, i: usize) -> u64 {
         sample(|at| self.words[at], self.frame, i)
+    }
+}
+
+/// Hand `each` every block of `packed`, gap-coded or not, in stored
+/// order, loaded onto the stack.
+fn for_each_block(mut packed: &[u8], gapped: bool, mut each: impl FnMut(&Block)) {
+    while !packed.is_empty() {
+        let (block, rest) = Block::load(packed, gapped);
+        each(&block);
+        packed = rest;
     }
 }
 
@@ -335,7 +427,6 @@ pub fn quantile_between(q: f64, n: usize, (lo_ns, hi_ns): (u64, u64)) -> f64 {
         })
     })
 }
-
 /// A bag of stored samples with exact order statistics.
 #[derive(Debug, Clone)]
 pub struct SampleSet {
@@ -488,16 +579,24 @@ fn mean_and_std_dev_of(acc: &StreamingStats) -> (f64, f64) {
 
 /// One flow's delay samples in integer nanoseconds, reported in seconds.
 ///
-/// Packed in record order in blocks of 128 samples, each as wide as its
-/// own spread needs, the newest samples raw in a short tail (see the
-/// module docs).  The statistics are bit for bit those of a [`SampleSet`]
-/// fed each sample's `ns as f64 / 1e9` in the same order.
+/// Packed in blocks of 128 samples, each as wide as its own spread needs,
+/// the newest samples raw in a short tail; an order-free store seals its
+/// record-order blocks into sorted runs as they fill (see the module
+/// docs).  The statistics are bit for bit those of a [`SampleSet`] fed
+/// each sample's `ns as f64 / 1e9` in record order.
 #[derive(Debug, Clone)]
 pub struct NanoSamples {
-    /// Every full block of [`BLOCK`] samples, in stored order, packed.
+    /// The sealed runs, gap-coded, then the record-order blocks, every
+    /// block [`BLOCK`] samples.
     packed: Vec<u8>,
-    /// How many blocks `packed` holds.
+    /// The bytes of `packed` the sealed runs take.
+    sealed: usize,
+    /// How many blocks `packed` holds, and how many of them are sealed.
     blocks: usize,
+    sealed_blocks: usize,
+    /// The blocks of the run the last sort packed, which come first; the
+    /// sealed blocks after them are runs of [`RUN`] samples.
+    sorted_blocks: usize,
     /// The samples after the last block, fewer than [`BLOCK`], raw.
     tail: Vec<u64>,
     /// The least and the greatest sample of the tail, kept as it fills
@@ -505,7 +604,11 @@ pub struct NanoSamples {
     tail_span: (u64, u64),
     /// The largest sample, 0 if none.
     max: u64,
+    /// Every sample in seconds, in record order.
+    fold: StreamingStats,
     sorted: bool,
+    /// Whether the store may give up record order.
+    order_free: bool,
 }
 
 impl Default for NanoSamples {
@@ -515,45 +618,101 @@ impl Default for NanoSamples {
 }
 
 impl NanoSamples {
-    /// Create an empty store.
+    /// Create an empty store, which keeps record order.
     pub fn new() -> Self {
         NanoSamples {
             packed: Vec::new(),
+            sealed: 0,
             blocks: 0,
+            sealed_blocks: 0,
+            sorted_blocks: 0,
             tail: Vec::new(),
             tail_span: EMPTY_SPAN,
             max: 0,
+            fold: StreamingStats::new(),
             sorted: true,
+            order_free: false,
         }
     }
 
-    /// Add one sample of `ns` nanoseconds.  Every 128th sample packs
-    /// the tail into a block, and a full buffer grows by the rule of the
-    /// module docs.
-    pub fn record(&mut self, ns: u64) {
+    /// Let the store give up record order (`true`), or keep it.  From then
+    /// on an order-free store seals its record-order blocks into one sorted
+    /// run at each block that finds them holding 4 096 samples or more (so
+    /// a store marked late seals at its next block); what was sealed stays
+    /// sealed.  Mean and jitter keep record order either way, but
+    /// [`nanos`](NanoSamples::nanos) no longer does.
+    pub fn set_order_free(&mut self, free: bool) {
+        self.order_free = free;
+    }
+
+    /// Add one sample of `ns` nanoseconds and fold its seconds into the
+    /// mean and the jitter.  Every 128th sample packs the tail into a
+    /// block, and a full buffer grows by the rule of the module docs; the
+    /// block that brings an order-free store's record-order blocks to
+    /// 4 096 samples seals them, sorting them through `scratch` (as
+    /// [`sort`](NanoSamples::sort) does).
+    pub fn record(&mut self, ns: u64, scratch: &mut Vec<u32>) {
+        self.fold.record(secs(ns));
         self.max = self.max.max(ns);
         let (lo, hi) = self.tail_span;
         self.tail_span = (lo.min(ns), hi.max(ns));
         self.tail.push(ns);
         if self.tail.len() == BLOCK {
-            self.pack_tail();
+            self.pack_tail(scratch);
         }
         self.sorted = false;
     }
 
-    /// Pack the full tail into a block.
+    /// Pack the full tail into a block, and seal an order-free store's
+    /// record-order blocks once they hold [`RUN`] samples.
     #[inline(never)]
-    fn pack_tail(&mut self) {
-        pack(&mut self.packed, &self.tail, self.tail_span);
+    fn pack_tail(&mut self, scratch: &mut Vec<u32>) {
+        pack(
+            &mut self.packed,
+            self.tail_span.0,
+            &self.tail,
+            self.tail_span,
+        );
         self.tail.clear();
         self.tail_span = EMPTY_SPAN;
         #[expect(
             clippy::arithmetic_side_effects,
-            reason = "each block holds BLOCK samples in memory, so the count fits"
+            reason = "each block holds BLOCK samples in memory, so the count fits; \
+                      no more blocks are sealed than stored"
         )]
-        {
+        let run_full = {
             self.blocks += 1;
+            self.blocks - self.sealed_blocks >= RUN / BLOCK
+        };
+        if self.order_free && run_full {
+            if self.narrow() {
+                self.seal(scratch);
+            } else {
+                self.seal(&mut Vec::<u64>::new());
+            }
         }
+    }
+
+    /// Whether every sample fits a `u32`, and so sorts through the
+    /// caller's buffer.
+    fn narrow(&self) -> bool {
+        u32::try_from(self.max).is_ok()
+    }
+
+    /// Decode the record-order blocks into `scratch`, sort them and pack
+    /// them back in their place as one sealed run, gap-coded.
+    fn seal<T: Sample>(&mut self, scratch: &mut Vec<T>) {
+        scratch.clear();
+        for_each_block(&self.packed[self.sealed..], false, |block| {
+            scratch.extend((0..BLOCK).map(|i| T::from_ns(block.get(i))));
+        });
+        scratch.sort_unstable();
+        self.packed.truncate(self.sealed);
+        for block in scratch.chunks_exact(BLOCK) {
+            pack_gaps(&mut self.packed, block);
+        }
+        self.sealed = self.packed.len();
+        self.sealed_blocks = self.blocks;
     }
 
     /// Number of samples.
@@ -587,127 +746,173 @@ impl NanoSamples {
         self.sorted
     }
 
-    /// Sort the stored samples, ascending.
-    pub fn sort(&mut self) {
-        if !self.sorted {
-            self.fold_then_sort(&mut StreamingStats::new(), &mut Vec::new());
+    /// Sort the stored samples, ascending, through `scratch` (a store
+    /// holding a sample of 2³² ns or more uses a buffer of its own), so
+    /// that a caller sorting many stores hands each the same buffer.  A
+    /// store without a sealed run decodes its samples, sorts them and packs
+    /// them back as one sealed run; any other seals its record-order blocks
+    /// as one more run, sorts its tail and merges the runs and the tail.
+    pub fn sort(&mut self, scratch: &mut Vec<u32>) {
+        if self.sorted {
+        } else if self.sealed_blocks == 0 {
+            self.sort_with(scratch, |_| {});
+        } else if self.narrow() {
+            self.merge_sealed(scratch);
+        } else {
+            self.merge_sealed(&mut Vec::<u64>::new());
         }
     }
 
     /// Record every sample into `fold`, in seconds and in stored order,
     /// then [`sort`](NanoSamples::sort) the store: one decoding pass for
-    /// both.  A store that never filled a block sorts its tail in place;
-    /// any other decodes into `scratch`, sorts that and packs it again
-    /// (a store holding a sample of 2³² ns or more uses a buffer of its
-    /// own), so a caller sorting many stores hands each the same buffer.
+    /// both when the store holds no sealed run (an order-kept store's
+    /// first sort).
     pub fn fold_then_sort(&mut self, fold: &mut StreamingStats, scratch: &mut Vec<u32>) {
         // The fold travels by value, so that it stays in registers.
         let mut acc = fold.clone();
-        if self.sorted {
+        if self.sorted || self.sealed_blocks > 0 {
             self.for_each(|ns| acc.record(secs(ns)));
-        } else if self.blocks == 0 {
-            self.tail.iter().for_each(|&ns| acc.record(secs(ns)));
-            self.tail.sort_unstable();
-        } else if u32::try_from(self.max).is_ok() {
-            acc = self.repack_sorted(scratch, acc);
+            self.sort(scratch);
         } else {
-            acc = self.repack_sorted(&mut Vec::<u64>::new(), acc);
+            self.sort_with(scratch, |ns| acc.record(secs(ns)));
         }
         *fold = acc;
-        self.sorted = true;
     }
 
-    /// [`mean_and_std_dev`](NanoSamples::mean_and_std_dev), then
-    /// [`sort`](NanoSamples::sort): [`fold_then_sort`]'s one decoding pass
-    /// for both.
-    ///
-    /// [`fold_then_sort`]: NanoSamples::fold_then_sort
-    pub fn mean_and_std_dev_then_sort(&mut self, scratch: &mut Vec<u32>) -> (f64, f64) {
-        let mut acc = StreamingStats::new();
-        self.fold_then_sort(&mut acc, scratch);
-        mean_and_std_dev_of(&acc)
+    /// Sort a store that holds no sealed run, handing `each` every sample
+    /// in stored order as it is decoded.  A store that never filled a block
+    /// sorts its tail in place.
+    fn sort_with(&mut self, scratch: &mut Vec<u32>, mut each: impl FnMut(u64)) {
+        debug_assert!(!self.sorted && self.sealed_blocks == 0);
+        if self.blocks == 0 {
+            self.tail.iter().for_each(|&ns| each(ns));
+            self.tail.sort_unstable();
+            self.sorted = true;
+        } else if self.narrow() {
+            self.sort_staged(scratch, each);
+        } else {
+            self.sort_staged(&mut Vec::<u64>::new(), each);
+        }
     }
 
-    /// Decode every sample into `scratch` (recording each into `fold`,
-    /// which is returned), sort it and pack it back, the last
-    /// `len % BLOCK` samples as the tail.
-    fn repack_sorted<T: Sample>(
-        &mut self,
-        scratch: &mut Vec<T>,
-        mut fold: StreamingStats,
-    ) -> StreamingStats {
+    /// Decode every sample into `scratch`, handing each to `each`, sort
+    /// them and pack them back.
+    fn sort_staged<T: Sample>(&mut self, scratch: &mut Vec<T>, mut each: impl FnMut(u64)) {
         scratch.clear();
         scratch.reserve(self.len());
-        // A block's samples fill `scratch` through `extend`, which knows
-        // their count: no capacity check a sample.
-        let mut record = |ns| {
-            fold.record(secs(ns));
+        let mut take = |ns| {
+            each(ns);
             T::from_ns(ns)
         };
-        self.for_each_block(|block| scratch.extend((0..BLOCK).map(|i| record(block.get(i)))));
-        scratch.extend(self.tail.iter().map(|&ns| record(ns)));
+        // A block's samples fill `scratch` through `extend`, which knows
+        // their count: no capacity check a sample.
+        for_each_block(&self.packed, false, |block| {
+            scratch.extend((0..BLOCK).map(|i| take(block.get(i))));
+        });
+        scratch.extend(self.tail.iter().map(|&ns| take(ns)));
         scratch.sort_unstable();
+        self.repack(scratch);
+    }
+
+    /// Seal the record-order blocks as one more run, sort the tail, merge
+    /// the runs and the tail into `scratch` and pack that back.
+    fn merge_sealed<T: Sample>(&mut self, scratch: &mut Vec<T>) {
+        self.seal(scratch);
+        self.tail.sort_unstable();
+        let runs = self
+            .runs()
+            .into_iter()
+            .map(|run| Cursor::start(run, &[], &[]));
+        let runs: Vec<_> = runs.chain([Cursor::start(&[], &[], &self.tail)]).collect();
+        scratch.clear();
+        scratch.reserve(self.len());
+        merge(runs, self.len(), |ns| scratch.push(T::from_ns(ns)));
+        self.repack(scratch);
+    }
+
+    /// The bytes of each sealed run: the run the last sort packed, then
+    /// the runs sealed since, [`RUN`] samples each but the last, which a
+    /// sort may have sealed short (or long: an order-kept store's, read
+    /// as several runs of `RUN`).
+    fn runs(&self) -> Vec<&[u8]> {
+        const RUN_BLOCKS: usize = RUN / BLOCK;
+        let first = (self.sorted_blocks > 0).then_some(self.sorted_blocks);
+        let later = (self.sorted_blocks..self.sealed_blocks).step_by(RUN_BLOCKS);
+        let later = later.map(|block| RUN_BLOCKS.min(self.sealed_blocks.saturating_sub(block)));
+        let mut rest = &self.packed[..self.sealed];
+        first
+            .into_iter()
+            .chain(later)
+            .map(|blocks| {
+                let run = rest;
+                rest = (0..blocks).fold(rest, |rest, _| split_block(rest).3);
+                &run[..run.len().saturating_sub(rest.len())]
+            })
+            .collect()
+    }
+
+    /// Pack `sorted`, every sample ascending, back as the store's one
+    /// sealed run, the last `len % BLOCK` samples as the tail.
+    fn repack<T: Sample>(&mut self, sorted: &[T]) {
         self.packed.clear();
-        self.blocks = 0;
-        self.tail.clear();
-        let mut blocks = scratch.chunks_exact(BLOCK);
+        let mut blocks = sorted.chunks_exact(BLOCK);
         for block in &mut blocks {
-            let (first, last) = (block[0].into(), block[BLOCK - 1].into());
-            pack(&mut self.packed, block, (first, last));
-            #[expect(
-                clippy::arithmetic_side_effects,
-                reason = "no more blocks than the store held before"
-            )]
-            {
-                self.blocks += 1;
-            }
+            pack_gaps(&mut self.packed, block);
         }
+        self.tail.clear();
         self.tail
             .extend(blocks.remainder().iter().map(|&ns| ns.into()));
         self.tail_span = span(&self.tail);
-        fold
-    }
-
-    /// Hand `each` every packed block, in stored order, loaded onto the
-    /// stack.
-    fn for_each_block(&self, mut each: impl FnMut(&Block)) {
-        let mut packed = self.packed.as_slice();
-        while !packed.is_empty() {
-            let (block, rest) = Block::load(packed);
-            each(&block);
-            packed = rest;
-        }
+        self.blocks = sorted.len() / BLOCK;
+        self.sealed = self.packed.len();
+        self.sealed_blocks = self.blocks;
+        self.sorted_blocks = self.blocks;
+        self.sorted = true;
     }
 
     /// Hand `each` every sample, in stored order.
     fn for_each(&self, mut each: impl FnMut(u64)) {
-        self.for_each_block(|block| (0..BLOCK).for_each(|i| each(block.get(i))));
+        let (sealed, staged) = self.packed.split_at(self.sealed);
+        for_each_block(sealed, true, |block| {
+            (0..BLOCK).for_each(|i| each(block.get(i)))
+        });
+        for_each_block(staged, false, |block| {
+            (0..BLOCK).for_each(|i| each(block.get(i)))
+        });
         self.tail.iter().for_each(|&ns| each(ns));
     }
 
-    /// The samples in nanoseconds, in stored order (ascending once
-    /// sorted).
+    /// The samples in nanoseconds: in record order until the first
+    /// [`sort`](NanoSamples::sort), then ascending, then the samples
+    /// recorded since the sort in record order.
+    ///
+    /// An order-free store that has sealed a run since its last sort no
+    /// longer holds record order, and a debug build panics here rather
+    /// than read its samples in stored order; sort it first.
     pub fn nanos(&self) -> impl Iterator<Item = u64> + '_ {
+        debug_assert_eq!(
+            self.sealed_blocks, self.sorted_blocks,
+            "an order-free store's samples read back out of record order"
+        );
         Cursor::new(self)
     }
 
-    /// The samples in seconds, in stored order (ascending once sorted).
+    /// The samples in seconds, in [`nanos`](NanoSamples::nanos)' order.
     pub fn secs(&self) -> impl Iterator<Item = f64> + '_ {
-        Cursor::new(self).map(secs)
+        self.nanos().map(secs)
     }
 
-    /// Mean and sample (`n − 1`) standard deviation in seconds, from one
-    /// pass in stored order: [`SampleSet::mean_and_std_dev`]'s fold.
+    /// Mean and sample (`n − 1`) standard deviation in seconds, in record
+    /// order whatever the stored order: [`SampleSet::mean_and_std_dev`]'s
+    /// fold, kept as the samples arrive.
     pub fn mean_and_std_dev(&self) -> (f64, f64) {
-        let mut acc = StreamingStats::new();
-        self.for_each(|ns| acc.record(secs(ns)));
-        mean_and_std_dev_of(&acc)
+        mean_and_std_dev_of(&self.fold)
     }
 
     /// The `q`-quantile in seconds, interpolated as
     /// [`SampleSet::quantile`] does; 0.0 if empty.  Sorts the store.
     pub fn quantile(&mut self, q: f64) -> f64 {
-        self.sort();
+        self.sort(&mut Vec::new());
         match self.order_statistics(q) {
             Some(pair) => quantile_between(q, self.len(), pair),
             None => 0.0,
@@ -744,9 +949,7 @@ impl NanoSamples {
     #[inline(never)]
     fn packed_at(&self, block: usize, i: usize) -> u64 {
         let packed = (0..block).fold(self.packed.as_slice(), |rest, _| split_block(rest).3);
-        let (base, width, offsets, _) = split_block(packed);
-        let word = |at: usize| words(offsets).nth(at).unwrap_or(0);
-        sample(word, (base, width, mask(width)), i)
+        Block::load(packed, block < self.sealed_blocks).0.get(i)
     }
 
     /// Largest sample in seconds, or 0.0 if empty.
@@ -755,32 +958,38 @@ impl NanoSamples {
     }
 }
 
-/// A store's samples in stored order, each decoded one call before it is
-/// returned, so that a reader waiting on it (a merge's compare chain)
-/// finds it ready.
+/// Samples in stored order, each decoded one call before it is returned,
+/// so that a reader waiting on it (a merge's compare chain) finds it
+/// ready.
 #[derive(Debug, Default)]
 struct Cursor<'a> {
-    /// The base, width and mask of the block being read.
-    frame: (u64, u32, u64),
-    /// Its offsets and a zero word — or, once the blocks are read, the
-    /// tail itself: a block of width 64 on base 0.
-    words: Vec<u64>,
-    /// The samples in `words`, and how many are decoded.
+    /// The block being read.
+    block: Block,
+    /// The samples in `block`, and how many are decoded.
     len: usize,
     decoded: usize,
     /// What the next call returns.
     ahead: Option<u64>,
-    /// The blocks not yet loaded.
+    /// The gap-coded blocks not yet loaded, then the record-order ones.
+    gapped: &'a [u8],
     packed: &'a [u8],
     /// The tail, until it is loaded.
     tail: Option<&'a [u64]>,
 }
 
 impl<'a> Cursor<'a> {
+    /// A store's samples.
     fn new(store: &'a NanoSamples) -> Self {
+        let (gapped, packed) = store.packed.split_at(store.sealed);
+        Cursor::start(gapped, packed, &store.tail)
+    }
+
+    /// The samples of `gapped` blocks, then of `packed` ones, then `tail`.
+    fn start(gapped: &'a [u8], packed: &'a [u8], tail: &'a [u64]) -> Self {
         let mut cursor = Cursor {
-            packed: &store.packed,
-            tail: Some(&store.tail),
+            gapped,
+            packed,
+            tail: Some(tail),
             ..Cursor::default()
         };
         cursor.ahead = cursor.decode();
@@ -792,7 +1001,7 @@ impl<'a> Cursor<'a> {
         if self.decoded == self.len && !self.load() {
             return None;
         }
-        let ns = sample(|at| self.words[at], self.frame, self.decoded);
+        let ns = self.block.get(self.decoded);
         #[expect(clippy::arithmetic_side_effects, reason = "decoded < len")]
         {
             self.decoded += 1;
@@ -804,26 +1013,21 @@ impl<'a> Cursor<'a> {
     /// left.
     #[inline(never)]
     fn load(&mut self) -> bool {
-        self.words.clear();
-        let (frame, len) = if self.packed.is_empty() {
+        let (block, len) = if !self.gapped.is_empty() {
+            let (block, rest) = Block::load(self.gapped, true);
+            self.gapped = rest;
+            (block, BLOCK)
+        } else if !self.packed.is_empty() {
+            let (block, rest) = Block::load(self.packed, false);
+            self.packed = rest;
+            (block, BLOCK)
+        } else {
             match self.tail.take() {
-                Some(tail) if !tail.is_empty() => {
-                    self.words.extend_from_slice(tail);
-                    ((0, u64::BITS, u64::MAX), tail.len())
-                }
+                Some(tail) if !tail.is_empty() => (Block::raw(tail), tail.len()),
                 _ => return false,
             }
-        } else {
-            let (base, width, offsets, rest) = split_block(self.packed);
-            self.words.extend(words(offsets));
-            self.packed = rest;
-            ((base, width, mask(width)), BLOCK)
         };
-        // The zero word after the offsets; a block of width 0 has no
-        // offsets, and its sample 0 reads words 0 and 1.
-        self.words
-            .resize(self.words.len().max(1).saturating_add(1), 0);
-        (self.frame, self.len, self.decoded) = (frame, len, 0);
+        (self.block, self.len, self.decoded) = (block, len, 0);
         true
     }
 }
@@ -835,6 +1039,52 @@ impl Iterator for Cursor<'_> {
         let ns = self.ahead?;
         self.ahead = self.decode();
         Some(ns)
+    }
+}
+
+/// Hand `pop` the `n` samples of `runs`, every run ascending, least first:
+/// a tournament (loser-tree) merge that compares the integers themselves.
+fn merge(mut unread: Vec<Cursor<'_>>, n: usize, mut pop: impl FnMut(u64)) {
+    // The tournament: leaf `k + r` is run `r`'s least unread sample, node
+    // `p`'s children are `2p` and `2p + 1`, and every node `1 ≤ p < k`
+    // holds the loser of the match played there as `(key, run)`.  The
+    // winner of the whole tree is kept aside in `(key, run)`.  Empty runs
+    // pad `k` to a power of two, so every replay climbs the same number of
+    // levels and the loop's exit is predicted (leaves at two depths made
+    // it mispredict, ~10 % of the merge with ten runs).
+    let k = unread.len().next_power_of_two();
+    unread.resize_with(k, Cursor::default);
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`unread` holds k cursors of a kilobyte each, so 2k fits a usize"
+    )]
+    let mut winners = vec![(EXHAUSTED, 0); 2 * k];
+    for (r, run) in unread.iter_mut().enumerate() {
+        #[expect(clippy::arithmetic_side_effects, reason = "r < k, so k + r < 2k")]
+        let leaf = k + r;
+        winners[leaf] = (run.next().unwrap_or(EXHAUSTED), r);
+    }
+    let mut losers = vec![(EXHAUSTED, 0); k];
+    for p in (1..k).rev() {
+        #[expect(clippy::arithmetic_side_effects, reason = "p < k, so 2p + 1 < 2k")]
+        let (a, b) = (winners[2 * p], winners[2 * p + 1]);
+        (winners[p], losers[p]) = if b.0 < a.0 { (b, a) } else { (a, b) };
+    }
+    let (mut key, mut run) = winners[1];
+    for _ in 0..n {
+        pop(key);
+        // The winner's run offers its next sample and replays the matches
+        // on its leaf's path; the lesser side goes on up, without a branch.
+        key = unread[run].next().unwrap_or(EXHAUSTED);
+        #[expect(clippy::arithmetic_side_effects, reason = "run < k, so k + run < 2k")]
+        let mut node = (k + run) / 2;
+        while node > 0 {
+            let held = losers[node];
+            let held_wins = held.0 < key;
+            losers[node] = select_unpredictable(held_wins, (key, run), held);
+            (key, run) = select_unpredictable(held_wins, held, (key, run));
+            node /= 2;
+        }
     }
 }
 
@@ -877,40 +1127,14 @@ pub fn merge_runs(
     let mut found = vec![0.0; wanted.len()];
     let mut filled = 0;
     let mut next_wanted = wanted.first().copied().unwrap_or(usize::MAX);
-
-    // The tournament: leaf `k + r` is run `r`'s least unread sample, node
-    // `p`'s children are `2p` and `2p + 1`, and every node `1 ≤ p < k`
-    // holds the loser of the match played there as `(key, run)`.  The
-    // winner of the whole tree is kept aside in `(key, run)`.  Empty runs
-    // pad `k` to a power of two, so every replay climbs the same number of
-    // levels and the loop's exit is predicted (leaves at two depths made
-    // it mispredict, ~10 % of the merge with ten runs).
-    let k = runs.len().next_power_of_two();
-    let mut unread: Vec<Cursor> = runs.iter().map(|run| Cursor::new(run)).collect();
-    unread.resize_with(k, Cursor::default);
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "`unread` holds k runs of several bytes each, so 2k fits a usize"
-    )]
-    let mut winners = vec![(EXHAUSTED, 0); 2 * k];
-    for (r, run) in unread.iter_mut().enumerate() {
-        #[expect(clippy::arithmetic_side_effects, reason = "r < k, so k + r < 2k")]
-        let leaf = k + r;
-        winners[leaf] = (run.next().unwrap_or(EXHAUSTED), r);
-    }
-    let mut losers = vec![(EXHAUSTED, 0); k];
-    for p in (1..k).rev() {
-        #[expect(clippy::arithmetic_side_effects, reason = "p < k, so 2p + 1 < 2k")]
-        let (a, b) = (winners[2 * p], winners[2 * p + 1]);
-        (winners[p], losers[p]) = if b.0 < a.0 { (b, a) } else { (a, b) };
-    }
-    let (mut key, mut run) = winners[1];
+    let mut rank = 0;
     let mut sum = 0.0;
     // The spread's runs front to back, one sample beside each pop (a local
     // copy of the fold stays in registers).
     let mut acc = spread.clone();
     let mut spread_samples = spread_runs.iter().flat_map(|run| Cursor::new(run));
-    for rank in 0..n {
+    let unread = runs.iter().map(|run| Cursor::new(run)).collect();
+    merge(unread, n, |key| {
         let x = secs(key);
         sum += x;
         if rank == next_wanted {
@@ -924,22 +1148,14 @@ pub fn merge_runs(
             }
             next_wanted = wanted.get(filled).copied().unwrap_or(usize::MAX);
         }
+        #[expect(clippy::arithmetic_side_effects, reason = "one step a pop, so below n")]
+        {
+            rank += 1;
+        }
         if let Some(y) = spread_samples.next() {
             acc.record(secs(y));
         }
-        // The winner's run offers its next sample and replays the matches
-        // on its leaf's path; the lesser side goes on up, without a branch.
-        key = unread[run].next().unwrap_or(EXHAUSTED);
-        #[expect(clippy::arithmetic_side_effects, reason = "run < k, so k + run < 2k")]
-        let mut node = (k + run) / 2;
-        while node > 0 {
-            let held = losers[node];
-            let held_wins = held.0 < key;
-            losers[node] = select_unpredictable(held_wins, (key, run), held);
-            (key, run) = select_unpredictable(held_wins, held, (key, run));
-            node /= 2;
-        }
-    }
+    });
     *spread = acc;
     let at = |rank: usize| found[wanted.partition_point(|&w| w < rank)];
     let values = spans.iter().map(|&span| interpolate(span, at)).collect();
@@ -1136,13 +1352,31 @@ mod tests {
         u64::MAX,
     ];
 
-    /// A store of `ns`, recorded in that order.
-    fn store(ns: &[u64]) -> NanoSamples {
+    /// A store of `ns`, recorded in that order, order-free or not.
+    fn store_of(ns: &[u64], free: bool) -> NanoSamples {
         let mut s = NanoSamples::new();
+        s.set_order_free(free);
+        let mut scratch = Vec::new();
         for &x in ns {
-            s.record(x);
+            s.record(x, &mut scratch);
         }
         s
+    }
+
+    /// An order-kept store of `ns`, recorded in that order.
+    fn store(ns: &[u64]) -> NanoSamples {
+        store_of(ns, false)
+    }
+
+    /// Where an order-free store that recorded `ns` and was never sorted
+    /// holds them: each whole [`RUN`] ascending, the rest in record order.
+    fn sealed_order(ns: &[u64]) -> Vec<u64> {
+        let mut order = ns.to_vec();
+        let sealed = ns.len() / RUN * RUN;
+        order[..sealed]
+            .chunks_mut(RUN)
+            .for_each(<[u64]>::sort_unstable);
+        order
     }
 
     /// The oracle of a store: the same samples as seconds in a `SampleSet`.
@@ -1159,32 +1393,44 @@ mod tests {
     pub(super) const QS: [f64; 6] = [0.5, 0.9, 0.99, 0.999, 0.0, 1.0];
 
     /// A store reports what its `SampleSet` oracle reports, to the bit,
-    /// and holds its samples in record order until sorted.
+    /// order-kept or order-free, and holds its samples in record order
+    /// (order-kept) or in sealed runs (order-free) until sorted.
     pub(super) fn assert_store_is_the_oracle(ns: &[u64]) {
-        assert_is_the_oracle(store(ns), ns);
+        assert_is_the_oracle(store(ns), ns, ns);
+        assert_is_the_oracle(store_of(ns, true), &sealed_order(ns), ns);
     }
 
-    /// `s`, whose samples stand in the order of `ns`, reports what the
-    /// `SampleSet` oracle of `ns` reports, to the bit.
-    fn assert_is_the_oracle(mut s: NanoSamples, ns: &[u64]) {
-        let mut o = oracle(ns);
-        assert_eq!(s.len(), ns.len());
-        assert_eq!(s.nanos().collect::<Vec<_>>(), ns);
-        assert_eq!(s.max().to_bits(), o.max().to_bits(), "unsorted max, {ns:?}");
-        assert_eq!(s.mean_and_std_dev(), o.mean_and_std_dev(), "{ns:?}");
-        // Mean and jitter from the pass that sorts, then the quantiles and
-        // the maximum.
+    /// `s`, which recorded `recorded` and holds them in the order
+    /// `stored`, reports what the `SampleSet` oracle of `recorded`
+    /// reports, to the bit.
+    fn assert_is_the_oracle(mut s: NanoSamples, stored: &[u64], recorded: &[u64]) {
+        let n = recorded.len();
+        let mut o = oracle(recorded);
+        assert_eq!(s.len(), n);
+        assert_eq!(Cursor::new(&s).collect::<Vec<_>>(), stored, "{n} samples");
+        assert_eq!(s.max().to_bits(), o.max().to_bits(), "unsorted max, {n}");
         let (mean, jitter) = o.mean_and_std_dev();
+        assert_eq!(s.mean_and_std_dev(), (mean, jitter), "{n} samples");
+        // A fold in stored order, on a copy, that sorts it.
+        let (mut acc, mut fold) = (StreamingStats::new(), StreamingStats::new());
+        let mut copy = s.clone();
+        copy.fold_then_sort(&mut acc, &mut Vec::new());
+        stored.iter().for_each(|&x| fold.record(secs(x)));
+        assert_eq!(format!("{acc:?}"), format!("{fold:?}"), "{n} samples");
+        // Mean and jitter in record order after the sort, then the
+        // quantiles and the maximum.
         let expected = [mean, jitter].into_iter().chain(QS.map(|q| o.quantile(q)));
         let expected: Vec<u64> = expected.chain([o.max()]).map(f64::to_bits).collect();
-        let (mean, jitter) = s.mean_and_std_dev_then_sort(&mut Vec::new());
+        s.sort(&mut Vec::new());
+        let (mean, jitter) = s.mean_and_std_dev();
         let stats = [mean, jitter].into_iter().chain(QS.map(|q| s.quantile(q)));
         let stats: Vec<u64> = stats.chain([s.max()]).map(f64::to_bits).collect();
-        assert_eq!(stats, expected, "{ns:?}");
-        assert!(s.is_sorted());
-        let mut sorted = ns.to_vec();
+        assert_eq!(stats, expected, "{n} samples");
+        assert!(s.is_sorted() && copy.is_sorted());
+        let mut sorted = recorded.to_vec();
         sorted.sort_unstable();
         assert_eq!(s.nanos().collect::<Vec<_>>(), sorted);
+        assert_eq!(copy.nanos().collect::<Vec<_>>(), sorted);
         // A sorted store folds in its sorted order, and stays sorted.
         let (mut acc, mut fold) = (StreamingStats::new(), StreamingStats::new());
         s.fold_then_sort(&mut acc, &mut Vec::new());
@@ -1194,12 +1440,12 @@ mod tests {
         // and the maximum twice reads as the maximum.
         for q in QS {
             let pair = s.order_statistics(q);
-            let again = pair.map_or(0.0, |pair| quantile_between(q, ns.len(), pair));
-            assert_eq!(again.to_bits(), o.quantile(q).to_bits(), "q = {q}, {ns:?}");
+            let again = pair.map_or(0.0, |pair| quantile_between(q, n, pair));
+            assert_eq!(again.to_bits(), o.quantile(q).to_bits(), "q = {q}, {n}");
         }
         if let Some(&max) = sorted.last() {
-            let again = quantile_between(1.0, ns.len(), (max, max));
-            assert_eq!(again.to_bits(), s.max().to_bits(), "{ns:?}");
+            let again = quantile_between(1.0, n, (max, max));
+            assert_eq!(again.to_bits(), s.max().to_bits(), "{n} samples");
         }
     }
 
@@ -1209,8 +1455,21 @@ mod tests {
         let mut s = store(&[3, 1, 2]);
         assert_eq!(s.quantile(0.5), secs(2));
         assert_eq!(s.order_statistics(0.5), Some((2, 2)));
-        s.record(0);
+        s.record(0, &mut Vec::new());
         s.order_statistics(0.5);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "out of record order")]
+    fn a_sealed_store_refuses_to_read_back_unsorted() {
+        let ns: Vec<u64> = (0..RUN as u64).rev().collect();
+        let mut s = store_of(&ns, true);
+        s.sort(&mut Vec::new());
+        assert!(s.nanos().eq(0..RUN as u64));
+        s.record(7, &mut Vec::new());
+        assert_eq!(s.nanos().last(), Some(7));
+        store_of(&ns, true).nanos().count();
     }
 
     #[test]
@@ -1240,7 +1499,7 @@ mod tests {
         assert_eq!(s.tail, ns[2 * BLOCK..]);
         assert_store_is_the_oracle(&ns);
         while s.len() < 3 * BLOCK {
-            s.record(1_000);
+            s.record(1_000, &mut Vec::new());
         }
         assert_eq!(widths(&s), [9, 9, 32]);
         // Every ladder rung, one at a time, alone, dealt out of order and
@@ -1322,19 +1581,87 @@ mod tests {
             .collect();
         let mut s = store(&ns[..300]);
         let copy = s.clone();
-        assert_is_the_oracle(copy, &ns[..300]);
-        s.sort();
+        assert_is_the_oracle(copy, &ns[..300], &ns[..300]);
+        s.sort(&mut Vec::new());
         let mut stored = ns[..300].to_vec();
         stored.sort_unstable();
         // Sorted data packs tighter than record order.
         assert!(s.stored_bytes() < store(&ns[..300]).stored_bytes());
+        let mut scratch = Vec::new();
         for &x in &ns[300..] {
-            s.record(x);
+            s.record(x, &mut scratch);
         }
         stored.extend_from_slice(&ns[300..]);
         assert!(!s.is_sorted());
-        assert_is_the_oracle(s.clone(), &stored);
-        assert_is_the_oracle(s, &stored);
+        // The samples stand sorted, then as recorded; mean and jitter stay
+        // in record order.
+        assert_is_the_oracle(s.clone(), &stored, &ns);
+        assert_is_the_oracle(s, &stored, &ns);
+    }
+
+    #[test]
+    fn order_free_stores_across_seal_boundaries_are_the_oracle() {
+        // Delays on a coarse grid, so that samples tie.
+        let grid = |i: usize| (i * 7_919 % 613) as u64 * 1_000;
+        for n in [RUN - 1, RUN, RUN + 1, 2 * RUN, 3 * RUN + 127] {
+            let ns: Vec<u64> = (0..n).map(grid).collect();
+            let s = store_of(&ns, true);
+            assert_eq!(s.sealed_blocks, n / RUN * (RUN / BLOCK), "{n}");
+            assert_eq!(store(&ns).sealed_blocks, 0, "{n}");
+            assert_store_is_the_oracle(&ns);
+        }
+        // Equal samples seal into blocks of width 0, nine bytes each.
+        let same = vec![5_000; 2 * RUN + 3];
+        let s = store_of(&same, true);
+        assert!(widths(&s).iter().all(|&w| w == 0));
+        assert_eq!(s.stored_bytes(), 2 * RUN / BLOCK * HEADER + 3 * 8);
+        assert_store_is_the_oracle(&same);
+        // Samples of 2³² ns or more in a sealed run and in the record-order
+        // blocks after it (then every seal sorts through a `u64` buffer),
+        // and one in the blocks after two narrow seals.
+        let mut wide: Vec<u64> = (0..3 * RUN + 127).map(grid).collect();
+        wide[100] = 1 << 32;
+        wide[RUN + 7] = u64::MAX;
+        wide[3 * RUN + 50] = (1 << 40) + 3;
+        assert_store_is_the_oracle(&wide);
+        let mut late: Vec<u64> = (0..2 * RUN + 300).map(grid).collect();
+        late[2 * RUN + 200] = 1 << 33;
+        assert_store_is_the_oracle(&late);
+        // A report, then more records: the sorted run, then new runs sealed
+        // from its tail and the samples after it.
+        for ns in [&wide, &late] {
+            let (head, rest) = ns.split_at(RUN + 500);
+            let mut s = store_of(head, true);
+            s.sort(&mut Vec::new());
+            let mut scratch = Vec::new();
+            for &x in rest {
+                s.record(x, &mut scratch);
+            }
+            let mut stored = head.to_vec();
+            stored.sort_unstable();
+            let staged: Vec<u64> = stored.split_off(head.len() / BLOCK * BLOCK);
+            stored.extend(sealed_order(&[staged.as_slice(), rest].concat()));
+            assert_is_the_oracle(s, &stored, ns);
+        }
+        // A store marked order-free late seals at its next block, however
+        // many record-order blocks it holds by then.
+        let ns: Vec<u64> = (0..41 * BLOCK + 5).map(grid).collect();
+        let mut s = store(&ns[..40 * BLOCK]);
+        s.set_order_free(true);
+        let mut scratch = Vec::new();
+        for &x in &ns[40 * BLOCK..] {
+            s.record(x, &mut scratch);
+        }
+        assert_eq!(s.sealed_blocks, 41);
+        let mut stored = ns.clone();
+        stored[..41 * BLOCK].sort_unstable();
+        assert_is_the_oracle(s, &stored, &ns);
+        // A sorted order-free store is one run to a class merge.
+        let mut sorted_wide = wide.clone();
+        sorted_wide.sort_unstable();
+        let mut sorted_late = late.clone();
+        sorted_late.sort_unstable();
+        assert_merge_is_the_pool(&[&sorted_wide, &same, &sorted_late], &QS);
     }
 
     #[test]
@@ -1352,7 +1679,7 @@ mod tests {
         for (rank, &x) in ns.iter().enumerate() {
             assert_eq!(s.at(rank), x, "stored rank {rank}");
         }
-        s.sort();
+        s.sort(&mut Vec::new());
         let mut sorted = ns.clone();
         sorted.sort_unstable();
         let last = ns.len() - 1;
@@ -1381,8 +1708,9 @@ mod tests {
             .collect();
         let mut s = NanoSamples::new();
         let mut capacities = vec![0];
+        let mut scratch = Vec::new();
         for (i, &x) in ns.iter().enumerate() {
-            s.record(x);
+            s.record(x, &mut scratch);
             if capacities.last() != Some(&s.packed.capacity()) {
                 capacities.push(s.packed.capacity());
                 if s.packed.capacity() == MAPPED_BYTES {
@@ -1396,13 +1724,13 @@ mod tests {
         );
         assert_eq!(MOVED.get(), 1);
         assert_eq!(s.nanos().collect::<Vec<_>>(), ns);
-        s.sort();
+        s.sort(&mut Vec::new());
         assert_eq!(s.packed.capacity(), 524_288);
         assert_eq!(MOVED.get(), 1);
         // A store within 4 KiB never moves.
         MOVED.set(0);
         let mut s = store(&ns[..26 * BLOCK]);
-        s.sort();
+        s.sort(&mut Vec::new());
         assert_eq!((s.packed.capacity(), MOVED.get()), (4_096, 0));
         // The rule itself: only a buffer short of its mapped block moves.
         assert!(moves(4_096, 4_097) && moves(MAPPED_BYTES - 1, MAPPED_BYTES + 1));
@@ -1430,11 +1758,11 @@ mod tests {
     }
 
     /// Each run as a sorted store.
-    fn sorted_stores(runs: &[&[u64]]) -> Vec<NanoSamples> {
+    fn sorted_stores(runs: &[&[u64]], free: bool) -> Vec<NanoSamples> {
         runs.iter()
             .map(|run| {
-                let mut s = store(run);
-                s.sort();
+                let mut s = store_of(run, free);
+                s.sort(&mut Vec::new());
                 s
             })
             .collect()
@@ -1455,12 +1783,31 @@ mod tests {
             )
         };
         let expected = bits(pooled(runs, quantiles));
-        let stores = sorted_stores(runs);
-        let stores: Vec<&NanoSamples> = stores.iter().collect();
+        for free in [false, true] {
+            let stores = sorted_stores(runs, free);
+            let stores: Vec<&NanoSamples> = stores.iter().collect();
+            assert_merge_of_stores_is_the_pool(runs, &stores, quantiles, &expected);
+        }
+    }
+
+    /// [`assert_merge_is_the_pool`] for one set of sorted `stores` of
+    /// `runs`, `expected` being the pool's mean and quantiles as bits.
+    fn assert_merge_of_stores_is_the_pool(
+        runs: &[&[u64]],
+        stores: &[&NanoSamples],
+        quantiles: &[f64],
+        expected: &(u64, Vec<u64>),
+    ) {
+        let bits = |(mean, values): (f64, Vec<f64>)| {
+            (
+                mean.to_bits(),
+                values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            )
+        };
         for spread_from in 0..=runs.len() {
             let mut spread = StreamingStats::new();
-            let merged = merge_runs(&stores, quantiles, spread_from, &mut spread);
-            assert_eq!(bits(merged), expected, "{runs:?} at {quantiles:?}");
+            let merged = merge_runs(stores, quantiles, spread_from, &mut spread);
+            assert_eq!(&bits(merged), expected, "{runs:?} at {quantiles:?}");
             let mut fold = StreamingStats::new();
             for &x in runs[spread_from..].iter().copied().flatten() {
                 fold.record(x as f64 / 1e9);
@@ -1475,7 +1822,7 @@ mod tests {
 
     /// The merge with no spread to fold.
     fn merged(runs: &[&[u64]], quantiles: &[f64]) -> (f64, Vec<f64>) {
-        let stores = sorted_stores(runs);
+        let stores = sorted_stores(runs, false);
         let stores: Vec<&NanoSamples> = stores.iter().collect();
         merge_runs(&stores, quantiles, runs.len(), &mut StreamingStats::new())
     }

@@ -67,15 +67,11 @@ fn table3_probe_counts_the_full_unified_scenario() {
     assert!(a.events_processed > telemetry_of(small_sim(), cfg.duration).events_processed);
 }
 
-/// Table 3's fast run stores its delays in a byte count pinned here: the
-/// packed blocks and raw tails of every flow as the run left them, a
-/// deterministic function of the delays and their order (a `Vec<u32>` a
-/// flow took four bytes a sample).  A change to the store's layout moves
-/// it, and must say so.
-#[test]
-fn table3_fast_run_stores_its_delays_in_a_pinned_byte_count() {
-    let cfg = PaperConfig::fast();
-    let mut sim = table3::build(&cfg).sim;
+/// Table 3's stored delays as the run left them, and the samples they hold:
+/// the packed blocks and raw tails of every flow, a deterministic function
+/// of the delays and their order.
+fn table3_store(cfg: &PaperConfig) -> (u64, u64) {
+    let mut sim = table3::build(cfg).sim;
     sim.run_until(cfg.duration);
     let net = sim.network();
     let samples: u64 = (0..net.num_flows())
@@ -85,8 +81,26 @@ fn table3_fast_run_stores_its_delays_in_a_pinned_byte_count() {
         .report(&MeasurementPlan::default().with_run_telemetry())
         .telemetry
         .expect("run telemetry was requested");
+    (t.delay_sample_bytes, samples)
+}
+
+/// Table 3's fast run stores its delays in a byte count pinned here (a
+/// `Vec<u32>` a flow took four bytes a sample).  A change to the store's
+/// layout moves it, and must say so.  No store of the 40-second run
+/// reaches 4 096 samples, so every one stands in record order.
+#[test]
+fn table3_fast_run_stores_its_delays_in_a_pinned_byte_count() {
     // 2.88 bytes a sample.
-    assert_eq!((t.delay_sample_bytes, samples), (282_969, 98_120));
+    assert_eq!(table3_store(&PaperConfig::fast()), (282_969, 98_120));
+}
+
+/// Over 150 seconds each declared flow's store seals its samples into
+/// sorted runs of 4 096 as they arrive; the four TCP connections' keep
+/// record order.
+#[test]
+fn table3_medium_run_seals_its_declared_stores_into_a_pinned_byte_count() {
+    // 1.95 bytes a sample.
+    assert_eq!(table3_store(&PaperConfig::medium()), (717_509, 368_839));
 }
 
 #[test]
