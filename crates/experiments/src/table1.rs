@@ -9,8 +9,8 @@
 //! the FIFO algorithm."  The link runs at 83.5 % utilization.
 
 use ispn_scenario::{
-    wire_record, DisciplineSpec, FlowDef, PointResult, ScenarioBuilder, ScenarioSet, Sim,
-    SourceSpec, SweepReport,
+    wire_record, DisciplineSpec, FlowDef, MeasurementPlan, PointResult, RunTelemetry,
+    ScenarioBuilder, ScenarioSet, Sim, SourceSpec, SweepReport,
 };
 
 use crate::config::PaperConfig;
@@ -111,6 +111,15 @@ impl Experiment for Sweep {
 
     fn render(&self, reports: &[SweepReport<PointResult<Table1Row>>]) -> String {
         crate::report::render_table1(reports)
+    }
+
+    /// The WFQ point's run: its ten flows' delay stores are the sample
+    /// bytes a single-link run keeps.
+    fn footprint(&self) -> Option<RunTelemetry> {
+        let mut sim = single_link(&self.cfg, DisciplineSpec::Wfq, NUM_FLOWS);
+        sim.run_until(self.cfg.duration);
+        sim.report(&MeasurementPlan::default().with_run_telemetry())
+            .telemetry
     }
 }
 

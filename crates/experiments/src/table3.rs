@@ -16,8 +16,9 @@ use ispn_core::bounds::pg_queueing_bound;
 use ispn_core::{FlowId, TokenBucketSpec};
 use ispn_net::{LinkId, PoliceAction};
 use ispn_scenario::{
-    wire_record, DisciplineMatrix, DisciplineSpec, FlowDef, PointResult, RouteSpec,
-    ScenarioBuilder, ScenarioSet, ServiceSpec, Sim, SourceSpec, SweepReport, TcpDef, TopologySpec,
+    wire_record, DisciplineMatrix, DisciplineSpec, FlowDef, MeasurementPlan, PointResult,
+    RouteSpec, RunTelemetry, ScenarioBuilder, ScenarioSet, ServiceSpec, Sim, SourceSpec,
+    SweepReport, TcpDef, TopologySpec,
 };
 use ispn_sched::Averaging;
 use ispn_transport::SharedTcpStats;
@@ -240,6 +241,20 @@ impl Experiment for Sweep {
     fn render(&self, reports: &[SweepReport<PointResult<(u64, Table3)>>]) -> String {
         crate::report::render_table3_seeds(reports)
     }
+
+    /// The first seed's run: 22 declared flows and two TCP connections,
+    /// the report's largest mix of sealed and record-order stores.
+    fn footprint(&self) -> Option<RunTelemetry> {
+        let seed = self.seeds.first().copied().unwrap_or(self.cfg.seed);
+        let cfg = PaperConfig {
+            seed,
+            ..self.cfg.clone()
+        };
+        let mut scenario = build(&cfg);
+        scenario.sim.run_until(cfg.duration);
+        let plan = MeasurementPlan::default().with_run_telemetry();
+        scenario.sim.report(&plan).telemetry
+    }
 }
 
 /// Summarize an already-run scenario.
@@ -375,6 +390,53 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Three reports of one run.  The flow section and every class that
+    /// pools declared flows alone repeat byte for byte, and the second and
+    /// third reports repeat whole.  The class that pools the TCP flows
+    /// moves between the first and the second: the first report reads a
+    /// connection's samples in record order and seals them, the later ones
+    /// read them ascending (the first-report asymmetry of ROADMAP item
+    /// 3(b), pinned here until that item removes it).
+    #[test]
+    fn reports_after_the_first_repeat_it_and_each_other() {
+        use ispn_scenario::{ClassSummary, MeasurementPlan};
+        let cfg = PaperConfig::fast();
+        let mut scenario = build(&cfg);
+        scenario.sim.run_until(cfg.duration);
+        let reports: Vec<_> = (0..3)
+            .map(|_| scenario.sim.report(&MeasurementPlan::default()))
+            .collect();
+        let net = scenario.sim.network();
+        let undeclared: Vec<ServiceClass> = (0..net.num_flows() as u32)
+            .map(FlowId)
+            .filter(|f| !scenario.sim.flows().contains(f))
+            .map(|f| net.flow_config(f).class)
+            .collect();
+        assert_eq!(undeclared, [ServiceClass::Datagram; 4]);
+        let debug = |x: &dyn std::fmt::Debug| format!("{x:?}");
+        for later in &reports[1..] {
+            assert_eq!(debug(&later.flows), debug(&reports[0].flows));
+            assert_eq!(later.classes.len(), reports[0].classes.len());
+            for (first, again) in reports[0].classes.iter().zip(&later.classes) {
+                if first.class == "datagram" {
+                    // Only the jitter, which sums in the order it reads.
+                    assert_ne!(first.jitter_s.to_bits(), again.jitter_s.to_bits());
+                    let jitter_s = first.jitter_s;
+                    assert_eq!(
+                        debug(first),
+                        debug(&ClassSummary {
+                            jitter_s,
+                            ..again.clone()
+                        })
+                    );
+                } else {
+                    assert_eq!(debug(first), debug(again));
+                }
+            }
+        }
+        assert_eq!(reports[1].to_json(), reports[2].to_json());
     }
 
     #[test]

@@ -113,6 +113,31 @@ fn telemetry_file_leaves_stdout_alone_and_holds_the_summary() {
     }
 }
 
+/// Table 1 and Table 3 append a representative run's footprint to the
+/// `--telemetry=FILE` summary, as `churn` does: a `run` block whose delay
+/// samples took bytes.
+#[test]
+fn table_bins_write_a_run_block_with_their_sample_bytes() {
+    for bin in [env!("CARGO_BIN_EXE_table1"), env!("CARGO_BIN_EXE_table3")] {
+        let file = std::env::temp_dir().join(format!("ispn-cli-run-{}.json", std::process::id()));
+        let flag = format!("--telemetry={}", file.display());
+        let out = run(bin, &[&flag]);
+        assert!(
+            out.status.success(),
+            "{bin}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let json = std::fs::read_to_string(&file).expect("telemetry file was written");
+        let _ = std::fs::remove_file(&file);
+        let (_, run) = json.split_once("\"run\":{").expect("a run block");
+        let bytes = run
+            .split_once("\"delay_sample_bytes\":")
+            .and_then(|(_, rest)| rest.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|digits| digits.parse::<u64>().ok());
+        assert!(bytes.is_some_and(|b| b > 0), "{bin}: {json}");
+    }
+}
+
 #[test]
 fn a_worker_with_no_requests_says_hello_and_exits_cleanly() {
     for bin in BINS {

@@ -17,12 +17,15 @@
 //! only when a report reads a sample, as [`SimTime::as_secs_f64`] computes
 //! them, so the reported floats are those of a store of `as_secs_f64`
 //! values.  The mean, the jitter and the maximum are kept as samples
-//! arrive; a report sorts a flow's samples once for the percentile, through
-//! one sort buffer (the monitor's, which the seals share) for every flow.
+//! arrive.  For the percentile a report seals the flow's store
+//! ([`Monitor::seal_flow`]: what is left in record order is sorted into
+//! runs of at most 4 096, through the monitor's one sort buffer, which the
+//! seals during the run share) and reads it where it lies, through a merge
+//! of its runs.
 
 use ispn_core::{FlowId, ServiceClass};
 use ispn_sim::SimTime;
-use ispn_stats::{NanoSamples, StreamingStats};
+use ispn_stats::{quantile_between, NanoSamples};
 use std::num::Saturating;
 
 /// Count one more event: 2⁶⁴ of them outlast any run.
@@ -122,9 +125,9 @@ pub struct LinkReport {
 #[derive(Debug)]
 pub struct Monitor {
     flows: Vec<FlowStats>,
-    /// The buffer every flow's delays are sorted through, as they are
-    /// sealed and when they are reported, grown to the largest flow and
-    /// kept for the next.
+    /// The buffer every flow's delays are sorted through, one run of at
+    /// most 4 096 at a time, as they are sealed during the run and when
+    /// they are reported; kept for the next.
     sort_scratch: Vec<u32>,
     links: Vec<LinkStats>,
     link_packets: Vec<u64>,
@@ -246,10 +249,10 @@ impl Monitor {
     /// Let a flow's delay store give up record order (`true`), or keep it
     /// (every store's default): an order-free store seals its samples into
     /// sorted runs as they arrive, which take about half the bytes and
-    /// leave its first report a merge instead of a sort
+    /// leave its first report at most one short run to seal
     /// ([`NanoSamples::set_order_free`]).  Mean and jitter keep record
     /// order either way; [`flow_delays`](Monitor::flow_delays) reads an
-    /// order-free store's samples only once a report has sorted them.
+    /// order-free store's samples only once a report has sealed them.
     pub fn set_order_free(&mut self, flow: FlowId, free: bool) {
         self.flows[flow.index()].delays.set_order_free(free);
     }
@@ -260,26 +263,41 @@ impl Monitor {
     /// paper's packet-time unit.  The mean (`sum / n`) and the Welford
     /// jitter come from the store's fold, kept in record order as samples
     /// arrive, so every report of a flow reads the same bits; the report
-    /// sorts the samples (a merge of an order-free store's runs), and the
-    /// percentile then reads the two samples it interpolates.
+    /// seals the samples ([`seal_flow`](Monitor::seal_flow)), and the
+    /// percentile then reads the two samples it interpolates from a merge
+    /// of the store's runs.
     pub fn flow_report(&mut self, flow: FlowId) -> FlowReport {
-        self.flow_report_with_jitter(flow).0
+        self.seal_flow(flow);
+        let delays = &self.flows[flow.index()].delays;
+        let p999 = delays.order_statistics(FlowReport::P999);
+        self.sealed_flow_report(flow, p999).0
     }
 
-    /// [`flow_report`](Monitor::flow_report) and the flow's delay jitter in
-    /// seconds: the sample (`n − 1`) standard deviation of the end-to-end
-    /// queueing delays, in record order.  (Beside the
-    /// report rather than in it: the churn driver keeps the report of every
-    /// flow it ever admitted, and no jitter.)
-    pub fn flow_report_with_jitter(&mut self, flow: FlowId) -> (FlowReport, f64) {
-        let f = &mut self.flows[flow.index()];
-        f.delays.sort(&mut self.sort_scratch);
+    /// Seal a flow's delay store for a report ([`NanoSamples::seal`]),
+    /// through the monitor's sort buffer: the samples left in record order
+    /// are sorted into runs where they lie, a run at a time, and a store
+    /// sealed since its last sample is left as it is.
+    pub fn seal_flow(&mut self, flow: FlowId) {
+        self.flows[flow.index()].delays.seal(&mut self.sort_scratch);
+    }
+
+    /// [`flow_report`](Monitor::flow_report) of a sealed flow whose
+    /// 99.9th-percentile order statistics the caller has read already (a
+    /// class pass notes them, [`NanoSamples::fold_as_read`]), and the
+    /// flow's delay jitter in seconds: the sample (`n − 1`) standard
+    /// deviation of the end-to-end queueing delays, in record order.
+    /// (Beside the report rather than in it: the churn driver keeps the
+    /// report of every flow it ever admitted, and no jitter.)
+    pub fn sealed_flow_report(&self, flow: FlowId, p999: Option<(u64, u64)>) -> (FlowReport, f64) {
+        let f = &self.flows[flow.index()];
+        debug_assert_eq!(p999, f.delays.order_statistics(FlowReport::P999));
         let (mean_delay, jitter) = f.delays.mean_and_std_dev();
         let c = f.counters;
+        let n = f.delays.len();
         let report = FlowReport {
             flow,
             mean_delay,
-            p999_delay: f.delays.quantile(FlowReport::P999),
+            p999_delay: p999.map_or(0.0, |pair| quantile_between(FlowReport::P999, n, pair)),
             max_delay: f.delays.max(),
             generated: c.generated,
             delivered: c.delivered,
@@ -295,16 +313,6 @@ impl Monitor {
         self.flows[flow.index()].counters
     }
 
-    /// Record a flow's delay samples into `fold`, in seconds and in
-    /// stored order, then sort them ascending as
-    /// [`flow_report`](Monitor::flow_report) does — in one pass for an
-    /// order-kept store reported for the first time.
-    pub fn sort_flow_delays(&mut self, flow: FlowId, fold: &mut StreamingStats) {
-        self.flows[flow.index()]
-            .delays
-            .fold_then_sort(fold, &mut self.sort_scratch);
-    }
-
     /// The bytes every flow's delay samples take
     /// ([`NanoSamples::stored_bytes`]): a deterministic count, not the
     /// capacity around it.
@@ -317,10 +325,12 @@ impl Monitor {
 
     /// Direct access to a flow's delay samples (nanoseconds; the store
     /// reads them out in seconds too), e.g. for pooled class quantiles.
-    /// An order-kept store reads them in arrival order until a report
-    /// sorts it; an order-free one ([`set_order_free`](Monitor::set_order_free),
-    /// a declared flow's under the scenario facade) reads them only once
-    /// a report has sorted it ([`NanoSamples::nanos`]).
+    /// An order-kept store reads them in arrival order until its first
+    /// report; after a report, a store reads back as the sorted runs the
+    /// report sealed it into, one after another, then its tail, sorted.
+    /// An order-free store ([`set_order_free`](Monitor::set_order_free), a
+    /// declared flow's under the scenario facade) reads back only once a
+    /// report has sealed it ([`NanoSamples::nanos`]).
     pub fn flow_delays(&self, flow: FlowId) -> &NanoSamples {
         &self.flows[flow.index()].delays
     }
@@ -363,6 +373,16 @@ impl Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ispn_stats::StreamingStats;
+
+    /// A flow's report and jitter as a class pass takes them: sealed, its
+    /// percentile's samples read, then reported.
+    fn report_with_jitter(m: &mut Monitor, f: FlowId) -> (FlowReport, f64) {
+        m.seal_flow(f);
+        let mut fold = StreamingStats::new();
+        let p999 = m.flow_delays(f).fold_as_read(&mut fold, FlowReport::P999);
+        m.sealed_flow_report(f, p999)
+    }
 
     #[test]
     fn flow_accounting() {
@@ -473,7 +493,8 @@ mod tests {
         }
         assert!(oracle.max() > 4.294967296, "the run must cross 2^32 ns");
         let (mean, jitter) = oracle.mean_and_std_dev();
-        let (r, got_jitter) = m.flow_report_with_jitter(f);
+        let (r, got_jitter) = report_with_jitter(&mut m, f);
+        assert_eq!(format!("{r:?}"), format!("{:?}", m.flow_report(f)));
         let bits = |xs: [f64; 4]| xs.map(f64::to_bits);
         assert_eq!(
             bits([r.mean_delay, got_jitter, r.p999_delay, r.max_delay]),
@@ -489,9 +510,10 @@ mod tests {
     }
 
     /// An order-kept store (a TCP connection's, a churn admission's) never
-    /// seals: it reads back in record order however long it grows.  An
-    /// order-free one (a declared flow's) seals its runs into fewer bytes,
-    /// and reads back only once a report has sorted it.
+    /// seals as it records: it reads back in record order however long it
+    /// grows.  An order-free one (a declared flow's) seals its runs into
+    /// fewer bytes.  A report seals either kind, and each then reads back
+    /// as its sorted runs.
     #[test]
     fn only_an_order_free_store_seals_its_samples_into_sorted_runs() {
         let delays = sawtooth();
@@ -508,10 +530,15 @@ mod tests {
         // Sorted runs pack tighter than record order.
         let bytes = |f| m.flow_delays(f).stored_bytes();
         assert!(bytes(free) < bytes(kept), "{} {}", bytes(free), bytes(kept));
-        m.flow_report(free);
         let mut sorted = delays.clone();
         sorted.sort_unstable();
-        assert_eq!(stored(&m, free), sorted);
+        for f in [kept, free] {
+            m.flow_report(f);
+            let mut runs = stored(&m, f);
+            assert!(runs[..4_096].is_sorted() && runs[4_096..8_192].is_sorted());
+            runs.sort_unstable();
+            assert_eq!(runs, sorted);
+        }
         // A recycled slot starts order-kept.
         m.reset_flow(free);
         for &ns in &delays {
@@ -549,12 +576,45 @@ mod tests {
                 [r.mean_delay, jitter, r.p999_delay, r.max_delay].map(f64::to_bits)
             };
             let expected = record(&mut m, head);
-            assert_eq!(bits(m.flow_report_with_jitter(f)), expected, "{free}");
-            assert_eq!(bits(m.flow_report_with_jitter(f)), expected, "{free}");
+            assert_eq!(bits(report_with_jitter(&mut m, f)), expected, "{free}");
+            assert_eq!(bits(report_with_jitter(&mut m, f)), expected, "{free}");
             let expected = record(&mut m, rest);
-            assert_eq!(bits(m.flow_report_with_jitter(f)), expected, "{free}");
-            assert_eq!(bits(m.flow_report_with_jitter(f)), expected, "{free}");
+            assert_eq!(bits(report_with_jitter(&mut m, f)), expected, "{free}");
+            assert_eq!(bits(report_with_jitter(&mut m, f)), expected, "{free}");
         }
+    }
+
+    /// A report reads the stores where they lie: the sort buffer holds one
+    /// seal's samples at most (4 096, or the 4 096 and a block's worth
+    /// rounded up by `Vec`'s doubling), however long the flows, through
+    /// the seals of the run, every flow report and a class pass.
+    #[test]
+    fn the_sort_buffer_never_holds_more_than_one_seal() {
+        const ONE_SEAL: usize = (4_096 + 128_usize).next_power_of_two();
+        let delays = sawtooth();
+        assert!(delays.len() > 3 * 4_096);
+        let mut m = Monitor::new(2, 0);
+        let (kept, free) = (FlowId(0), FlowId(1));
+        m.set_order_free(free, true);
+        for &ns in &delays {
+            for f in [kept, free] {
+                m.record_delivery(f, SimTime::from_nanos(ns), SimTime::ZERO);
+            }
+        }
+        assert!(m.sort_scratch.capacity() <= ONE_SEAL);
+        let reports = [kept, free].map(|f| m.flow_report(f));
+        assert!(
+            m.sort_scratch.capacity() <= ONE_SEAL,
+            "{}",
+            m.sort_scratch.capacity()
+        );
+        let stores = [kept, free].map(|f| m.flow_delays(f));
+        let mut pairs = [None; 2];
+        let spread = &mut StreamingStats::new();
+        let (mean, _) = ispn_stats::merge_runs(&stores, &[0.999], 0, spread, 0.999, &mut pairs);
+        assert_eq!(pairs.map(|pair| pair.is_some()), [true; 2]);
+        assert!(mean > 0.0 && reports.iter().all(|r| r.delivered == delays.len() as u64));
+        assert!(m.sort_scratch.capacity() <= ONE_SEAL);
     }
 
     #[test]

@@ -13,32 +13,38 @@
 //!
 //! # What collecting costs, and what pins its bytes
 //!
-//! A report sorts each stored delay sample once.  Per flow,
-//! [`Monitor::flow_report_with_jitter`](ispn_net::Monitor::flow_report_with_jitter)
-//! reads the mean, the jitter and the maximum the store kept as samples
-//! arrived, and sorts the flow's integer nanoseconds through the monitor's
-//! sort buffer for its percentile: a declared flow's store, sealed into
-//! sorted runs during the run, is merged.  Per class, the mean and quantiles come from a
-//! tournament merge over the per-flow sorted runs ([`merge_runs`]),
-//! comparing the integers and converting each to seconds as it pops — a
-//! class's samples are never pooled into a copy —
-//! and one Welford accumulator, the class jitter, is fed from each flow's
-//! samples where they lie: the flows after the class's last one not yet
-//! ascending inside the merge loop, one sample beside each pop, and the
-//! rest in the pass that sorts them
-//! ([`Monitor::sort_flow_delays`](ispn_net::Monitor::sort_flow_delays)).  Floating-point
-//! sums depend on their order, so the orders are part of the format: a
-//! flow's mean and jitter run in record order, at every report; the
-//! class jitter runs over the class's flows by rising id, declared flows
-//! already sorted, the others in record order and sorted only afterwards;
-//! the class mean is the ascending-order sum.
+//! A report reads each flow's delay store where it lies, and writes only
+//! what it must seal.  It first seals the declared flows
+//! ([`Monitor::seal_flow`](ispn_net::Monitor::seal_flow)): a declared
+//! flow's store was sealed into sorted runs of 4 096 as the run went, so
+//! at most its last short run is sorted, through the monitor's sort
+//! buffer, and its tail.  Then each class walks its flows by rising id
+//! once, feeding one Welford accumulator, the class jitter, from each
+//! flow's samples: a sealed store through a tournament merge of its own
+//! runs, ascending; a store still in record order (a TCP connection or a
+//! churn admission at its first report) as it was recorded, after which it
+//! is sealed in place.  The flows after the class's last one still in
+//! record order are read inside the class merge loop ([`merge_runs`]), one
+//! sample beside each pop of the one tournament merge over every run of
+//! the class that gives the class mean and quantiles — comparing the
+//! integers and converting each to seconds as it pops, so a class's
+//! samples are never pooled into a copy.  Each sealed store's own merge
+//! notes, as they pass, the two samples its 99.9th percentile reads, and
+//! the flow section reads them from there
+//! ([`Monitor::sealed_flow_report`](ispn_net::Monitor::sealed_flow_report)),
+//! with the mean, the jitter and the maximum the store kept as samples
+//! arrived.  Floating-point sums depend on their order, so the orders are
+//! part of the format: a flow's mean and jitter run in record order, at
+//! every report; the class jitter runs over the class's flows by rising
+//! id, declared flows ascending, the others in record order at their first
+//! report and ascending after; the class mean is the ascending-order sum.
 //! The `reference` module among this file's tests is the older, many-pass
 //! formulation, held to the same JSON bytes by a property test.
 
 use ispn_core::{FlowId, ServiceClass};
-use ispn_net::{FlowCounters, Network};
+use ispn_net::{FlowCounters, FlowReport, Network};
 use ispn_signal::Signaling;
-use ispn_stats::{merge_runs, StreamingStats};
+use ispn_stats::{merge_runs, NanoSamples, StreamingStats};
 
 use crate::sweep::wire::WireResult;
 use crate::wire_record;
@@ -219,7 +225,7 @@ pub struct RunTelemetry {
     pub sched_pool_segments_high_water: u64,
     /// Bytes every flow's stored delay samples take
     /// ([`Monitor::delay_sample_bytes`](ispn_net::Monitor::delay_sample_bytes)),
-    /// read before the report sorts them: the stores as the run left them.
+    /// read before the report seals them: the stores as the run left them.
     pub delay_sample_bytes: u64,
     /// Wall-clock seconds spent inside `run_until` (not simulated time).
     pub wall_s: f64,
@@ -314,13 +320,16 @@ impl ScenarioReport {
     /// [`Sim::report`](crate::Sim::report) calls this).
     pub fn collect(net: &mut Network, sig: &Signaling, flows: &[FlowId]) -> ScenarioReport {
         let horizon_s = net.monitor().horizon().as_secs_f64();
-        // A flow report reads the flow's samples in record order (mean,
-        // jitter) and then sorts them in place; the class section below
-        // sums in the order it finds them, so it runs after this one.
+        // The class section reads a declared flow ascending, so it is
+        // sealed first; the class pass notes each flow's percentile.
+        for &f in flows {
+            net.monitor_mut().seal_flow(f);
+        }
+        let (classes, p999) = Self::collect_classes(net);
         let flows = flows
             .iter()
             .map(|&f| {
-                let (r, jitter_s) = net.monitor_mut().flow_report_with_jitter(f);
+                let (r, jitter_s) = net.monitor().sealed_flow_report(f, p999[f.index()]);
                 FlowSummary {
                     flow: f.0,
                     generated: r.generated,
@@ -347,7 +356,6 @@ impl ScenarioReport {
                 }
             })
             .collect();
-        let classes = Self::collect_classes(net);
         let disciplines = Self::collect_disciplines(net);
         let decisions: Vec<bool> = sig.decisions().map(|(_, a)| a).collect();
         let accepted = decisions.iter().filter(|&&a| a).count();
@@ -385,26 +393,33 @@ impl ScenarioReport {
         groups
     }
 
-    /// Summarise every registered flow's delay samples by service class.
-    fn collect_classes(net: &mut Network) -> Vec<ClassSummary> {
-        Self::flows_by_class(net)
+    /// Summarise every registered flow's delay samples by service class,
+    /// sealing each store on the way; beside the summaries, each flow's
+    /// 99.9th-percentile order statistics, by flow id, as the pass read
+    /// them (`None` for a flow read in record order, and an empty one).
+    fn collect_classes(net: &mut Network) -> (Vec<ClassSummary>, Vec<Option<(u64, u64)>>) {
+        let mut p999 = vec![None; net.num_flows()];
+        let classes = Self::flows_by_class(net)
             .into_iter()
             .map(|(class, flows)| {
                 let mut counters = FlowCounters::default();
                 // Class jitter: flows in id order, each as it stands when
-                // read — declared ones ascending (`collect` reported them),
-                // the others in record order, sorted only afterwards.  So
-                // the flows up to the last one not yet ascending are read
-                // here before their sort, and the rest inside the merge.
+                // read — sealed ones ascending, the others in record order,
+                // sealed only afterwards.  So the flows up to the last one
+                // not yet sealed are read here before their seal, and the
+                // rest inside the merge.
                 let mut spread = StreamingStats::new();
+                let mut pairs = vec![None; flows.len()];
                 let monitor = net.monitor_mut();
                 let split = flows
                     .iter()
-                    .rposition(|&flow| !monitor.flow_delays(flow).is_sorted())
+                    .rposition(|&flow| !monitor.flow_delays(flow).is_sealed())
                     .map_or(0, |last| last + 1);
                 for (i, &flow) in flows.iter().enumerate() {
                     if i < split {
-                        monitor.sort_flow_delays(flow, &mut spread);
+                        let delays = monitor.flow_delays(flow);
+                        pairs[i] = delays.fold_as_read(&mut spread, FlowReport::P999);
+                        monitor.seal_flow(flow);
                     }
                     let c = monitor.flow_counters(flow);
                     counters.generated += c.generated;
@@ -413,14 +428,23 @@ impl ScenarioReport {
                     counters.dropped_at_edge += c.dropped_at_edge;
                 }
                 // Mean and quantiles read the class in ascending order: a
-                // merge over the per-flow sorted runs, not a pooled copy.
-                let runs: Vec<_> = flows
+                // merge over every run of the class, not a pooled copy.
+                let stores: Vec<&NanoSamples> = flows
                     .iter()
                     .map(|&flow| monitor.flow_delays(flow))
                     .collect();
-                let (mean_delay_s, values) =
-                    merge_runs(&runs, &CLASS_QUANTILES, split, &mut spread);
-                let max_delay_s = runs.iter().map(|run| run.max()).fold(0.0, f64::max);
+                let (mean_delay_s, values) = merge_runs(
+                    &stores,
+                    &CLASS_QUANTILES,
+                    split,
+                    &mut spread,
+                    FlowReport::P999,
+                    &mut pairs,
+                );
+                for (&flow, pair) in flows.iter().zip(pairs) {
+                    p999[flow.index()] = pair;
+                }
+                let max_delay_s = stores.iter().map(|s| s.max()).fold(0.0, f64::max);
                 ClassSummary {
                     class: class_label(class),
                     flows: flows.len(),
@@ -434,7 +458,8 @@ impl ScenarioReport {
                     quantiles: CLASS_QUANTILES.into_iter().zip(values).collect(),
                 }
             })
-            .collect()
+            .collect();
+        (classes, p999)
     }
 
     /// Group links by the discipline they run, ordered by first link id.
@@ -718,8 +743,8 @@ mod tests {
     /// section found (it once saw them sorted only when the flow section
     /// had run first, `jitter_s` 0.005662284476872525 against
     /// 0.0056622844768725224 on this run).  The flow section reads each
-    /// flow's record-order fold, so sorting the samples first moves
-    /// neither section.
+    /// flow's record-order fold, so reporting every flow first, which seals
+    /// its samples, moves neither section.
     #[test]
     fn class_summaries_do_not_depend_on_the_flow_section() {
         use crate::{DisciplineSpec, FlowDef, ScenarioBuilder, SourceSpec};
@@ -736,8 +761,7 @@ mod tests {
             sim.run_until(SimTime::from_secs(30));
             if presort {
                 for f in sim.flows().to_vec() {
-                    let fold = &mut StreamingStats::new();
-                    sim.network_mut().monitor_mut().sort_flow_delays(f, fold);
+                    sim.network_mut().monitor_mut().flow_report(f);
                 }
             }
             let json = sim.report(&MeasurementPlan::default()).to_json();
@@ -768,8 +792,8 @@ mod tests {
         use ispn_stats::SampleSet;
 
         /// The old `Monitor::flow_report`, plus the jitter the flow section
-        /// took before calling it; leaves the flow sorted, as its quantile
-        /// did.
+        /// took before calling it; leaves the flow sealed, as the report
+        /// does.
         fn flow_summary(net: &mut Network, f: FlowId) -> FlowSummary {
             let delays = seconds(net, f);
             let jitter_s = delays.sample_std_dev();
@@ -777,8 +801,7 @@ mod tests {
             let mut sorted = delays.clone();
             let p999_delay_s = sorted.quantile(0.999);
             let c = net.monitor().flow_counters(f);
-            net.monitor_mut()
-                .sort_flow_delays(f, &mut StreamingStats::new());
+            net.monitor_mut().seal_flow(f);
             FlowSummary {
                 flow: f.0,
                 generated: c.generated,
@@ -794,11 +817,16 @@ mod tests {
         }
 
         /// A flow's delays as they stand, each `SimTime::as_secs_f64` of
-        /// its stored nanoseconds.
+        /// its stored nanoseconds: in record order, or ascending once the
+        /// store is sealed.
         fn seconds(net: &Network, f: FlowId) -> SampleSet {
+            let delays = net.monitor().flow_delays(f);
             let mut set = SampleSet::new();
-            for ns in net.monitor().flow_delays(f).nanos() {
+            for ns in delays.nanos() {
                 set.record(ispn_sim::SimTime::from_nanos(ns).as_secs_f64());
+            }
+            if delays.is_sealed() {
+                set.sort();
             }
             set
         }
@@ -856,7 +884,8 @@ mod tests {
     /// flows (still in record order) sit before, between and after declared
     /// ones.  Delays sit on a coarse grid with zero the likeliest value, so
     /// flows tie within and across each other, and flows with no sample or
-    /// one are common.
+    /// one are common; a few hold several blocks, or runs enough for the
+    /// report to seal more than one.
     /// (A delay enters a monitor as a `SimTime`, so it is never negative and
     /// never `-0.0`; the merge's own tests in `ispn-stats` cover those.)
     fn random_run(seed: u64) -> (Network, Vec<FlowId>) {
@@ -884,7 +913,7 @@ mod tests {
             if below(3) > 0 {
                 declared.push(flow);
             }
-            let samples = [0, 0, 1, 1, 2, 3, 7, 40][below(8) as usize];
+            let samples = [0, 0, 1, 1, 2, 3, 7, 40, 300, 9_000][below(10) as usize];
             let spread = [1, 3, 12][below(3) as usize];
             let monitor = net.monitor_mut();
             for i in 0..samples {

@@ -327,7 +327,7 @@ impl Sim {
     /// prefer [`ScenarioBuilder`](crate::ScenarioBuilder)).  The declared
     /// `flows`' delay stores give up record order
     /// ([`Monitor::set_order_free`](ispn_net::Monitor::set_order_free)):
-    /// [`report`](Sim::report) reads them sorted, and their mean and jitter
+    /// [`report`](Sim::report) reads them sealed into sorted runs, and their mean and jitter
     /// keep record order regardless.
     pub fn from_parts(
         mut net: Network,
@@ -779,7 +779,7 @@ impl Sim {
     /// calls; otherwise the report is byte-identical to a plan without the
     /// flag.
     pub fn report(&mut self, plan: &MeasurementPlan) -> ScenarioReport {
-        // Before the report sorts the delay stores, so the telemetry
+        // Before the report seals the delay stores, so the telemetry
         // counts them as the run left them.
         let telemetry = plan
             .run_telemetry
@@ -1060,7 +1060,7 @@ mod tests {
 
     /// One reclaimed admission as the churn driver holds it at reclaim
     /// time: the admission index, the row carrying the monitor's own report
-    /// of a flow that delivered the samples, and the flow's sorted store.
+    /// of a flow that delivered the samples, and the flow's sealed store.
     struct Reclaimed {
         order: u32,
         row: ChurnFlowReport,

@@ -17,9 +17,9 @@
 //!   its mean and jitter folded on arrival and exact percentiles in seconds
 //!   (used for the 99.9th-percentile columns; [`quantile_between`] re-reads
 //!   one from the two samples it interpolates between), and [`merge_runs`], a
-//!   tournament merge over several sorted stores that takes their pooled
-//!   mean and quantiles without pooling them and folds a Welford spread in
-//!   the same loop,
+//!   tournament merge over every sorted run of several sealed stores that
+//!   takes their pooled mean and quantiles without pooling them, and folds
+//!   a Welford spread and notes each store's percentile in the same loop,
 //! * [`SampleSet`] — stored `f64` samples with exact percentiles, the
 //!   oracle the integer store is tested against,
 //! * [`WindowedMax`] / [`WindowedMean`] — sliding-time-window estimators

@@ -30,7 +30,8 @@
 //! run; one byte offset separates the sealed runs from the record-order
 //! blocks after them.  A sealed block is gap-coded: its
 //! first sample is the base, and its offsets are the gaps from each sample
-//! to the one before (0 for the first), as wide as the widest gap.  Mean
+//! to the one before (0 for the first), as wide as the widest gap; the top
+//! bit of its width byte marks the first block of a run.  Mean
 //! and jitter need no order: every store folds each sample into them as
 //! it arrives.
 //!
@@ -58,9 +59,9 @@
 //! chain's peak.  The move waits for 4 KiB so that a short flow — a
 //! signalled admission delivers far fewer packets — keeps its small heap
 //! buffer instead of mapping (and later unmapping) 128 KiB of its own.  A
-//! moved buffer never moves again, not even when a seal or a sort packs
-//! it anew in place: that would free a mapped block, and glibc raises its
-//! threshold past every mapped block a process frees.
+//! moved buffer never moves again, not even when a seal packs it anew in
+//! place: that would free a mapped block, and glibc raises its threshold
+//! past every mapped block a process frees.
 //!
 //! The rule leans on glibc.  Another allocator, or a glibc whose dynamic
 //! mapping threshold has risen above 128 KiB (it rises to the size of each
@@ -73,26 +74,32 @@
 //!
 //! A flow's mean and jitter are the store's own fold, so a report reads
 //! them without decoding a sample, and every report of a flow reads the
-//! same bits.  For its percentile a report sorts the store once, into one
-//! sealed run and a sorted tail, through a buffer of `u32` that the caller
-//! keeps for all its stores.  A store without a sealed run (an order-kept
-//! store's first report) decodes every sample into the buffer, sorts it and
-//! packs it back.  An order-free store seals its record-order blocks as one
-//! more, shorter run and sorts its tail; then a tournament merge of the
-//! runs and the tail fills the buffer, and that is packed back.  A caller
-//! that folds the samples in stored order as well
-//! ([`NanoSamples::fold_then_sort`], the class spread of an order-kept
-//! flow) gets the fold from the decoding pass of the first kind.
-//! [`merge_runs`] then takes a class's mean and quantiles from a
-//! tournament (loser-tree) merge over the per-flow sorted runs, comparing
-//! the integers themselves, so the union of a class's samples is never
-//! copied or re-sorted; each run is read through a cursor that decodes a
-//! sample one pop before it is needed, off the tree's compare chain.
+//! same bits.  For its order statistics a report first seals the store
+//! ([`NanoSamples::seal`]): the record-order blocks, if any, are sealed in
+//! place into runs of at most 4 096 samples, one run at a time through the
+//! caller's sort buffer, the last run together with the tail, whose
+//! greatest samples then stay raw as a sorted tail that continues that run.
+//! That is the only write a report makes, and a store sealed since its
+//! last sample is not touched again: a declared flow's store holds at most
+//! one short run and its tail to seal, an order-kept store (a TCP
+//! connection's) seals whole at its first report.  The sort buffer never
+//! holds more than one run and a tail; nothing is decoded into a buffer as
+//! long as the flow, and nothing is packed twice.
+//!
+//! A sealed store is then read where it lies, through a tournament
+//! (loser-tree) merge over its runs.  Each run is read through a cursor
+//! that decodes its gap-coded blocks straight from the packed bytes, one
+//! sample ahead of the tree, so the decode stays off the tree's compare
+//! chain; a match compares a sample and its run packed into one integer
+//! (`u64` while every sample fits 32 bits).  [`merge_runs`] takes a class's
+//! mean and quantiles from one merge over every run of the class — ten
+//! flows of 50 000 samples are 130 runs — and folds the class spread in the
+//! same loop from each store's own merge, one sample beside each pop, so
+//! the fold's divide chain runs under the trees' compare chains instead of
+//! as a pass of its own; each store's own merge also notes the two samples
+//! its percentile reads, so a report needs no pass of its own for them.
 //! Dividing by 10⁹ is monotone, so an integer-sorted run reads as exactly
-//! the float sequence a float sort of the converted samples gives.  The
-//! class spread rides in the same loop: its Welford fold reads the runs
-//! front to back beside the merge, so the fold's divide chain runs under
-//! the tree's compare chain instead of as a pass of its own.
+//! the float sequence a float sort of the converted samples gives.
 
 use std::hint::select_unpredictable;
 
@@ -103,22 +110,18 @@ fn secs(ns: u64) -> f64 {
     ns as f64 / 1e9
 }
 
-/// The key of an exhausted run in [`merge`]'s tree: no sample sorts
-/// above it.  A sample of `u64::MAX` ns ties it, which cannot show: once
-/// the smaller samples are popped, every remaining pop reads `u64::MAX`,
-/// whichever run it comes from, and the merge pops exactly as many samples
-/// as the runs hold.
-const EXHAUSTED: u64 = u64::MAX;
-
 /// Samples a packed block holds.
 const BLOCK: usize = 128;
 
-/// Samples an order-free store seals into one sorted run.
+/// Samples a sealed run holds at most.
 const RUN: usize = 4_096;
 
 /// The bytes of a block before its offsets: the base, eight little-endian
 /// bytes, then the width, one.
 const HEADER: usize = 9;
+
+/// The bit of a width byte that marks the first block of a sealed run.
+const RUN_START: u8 = 0x80;
 
 /// The least capacity a buffer of packed blocks takes.  Capacities are
 /// powers of two, so a freed buffer fits the next one of its size.
@@ -185,67 +188,70 @@ fn moves(capacity: usize, needed: usize) -> bool {
     needed > MOVE_AT_BYTES && capacity < MAPPED_BYTES
 }
 
-/// The span of no samples: [`span`]'s start.
+/// The span of no samples: a tail's span before its first sample.
 const EMPTY_SPAN: (u64, u64) = (u64::MAX, 0);
 
-/// The least and the greatest of `block`.
-fn span<T: Sample>(block: &[T]) -> (u64, u64) {
-    block.iter().fold(EMPTY_SPAN, |(lo, hi), &ns| {
-        let ns = ns.into();
-        (lo.min(ns), hi.max(ns))
-    })
+/// The bit length of `max − min`: the width of a block of that spread.
+#[expect(clippy::arithmetic_side_effects, reason = "min ≤ max")]
+fn width_of((min, max): (u64, u64)) -> u32 {
+    u64::BITS - (max - min).leading_zeros()
 }
 
-/// Append a block headed by `base` to `packed`: `base`, the bit length `w`
-/// of `max − min`, and each of the [`BLOCK`] values of `block`, which run
-/// from `min` to `max`, less `min` in `w` bits, least significant first —
-/// `16·w` bytes.  A record-order block is headed by its least sample; a
-/// sorted one by its first, and its values are its gaps
-/// ([`pack_gaps`]).
+/// The bytes a block of `width` takes: its header and `16·width` bytes of
+/// offsets.
 #[expect(
     clippy::arithmetic_side_effects,
-    reason = "min ≤ max, and w ≤ 64, so a block is at most 1 033 bytes"
+    reason = "width ≤ 64, so a block is at most 1 033 bytes"
 )]
-fn pack<T: Sample>(packed: &mut Vec<u8>, base: u64, block: &[T], (min, max): (u64, u64)) {
-    debug_assert_eq!(block.len(), BLOCK);
-    debug_assert_eq!(span(block), (min, max));
-    let width = u64::BITS - (max - min).leading_zeros();
-    let mut words = [0u64; BLOCK];
-    match width {
-        0 => {}
-        1..=8 => stream::<T, 8>(&mut words, block, min, width),
-        9..=16 => stream::<T, 4>(&mut words, block, min, width),
-        17..=32 => stream::<T, 2>(&mut words, block, min, width),
-        _ => stream::<T, 1>(&mut words, block, min, width),
-    }
-    let words = &words[..BLOCK / 64 * width as usize];
-    let start = packed.len();
-    let end = start + HEADER + size_of_val(words);
-    reserve(packed, end - start);
-    packed.extend_from_slice(&base.to_le_bytes());
-    packed.push(width as u8);
-    packed.resize(end, 0);
-    for (bytes, word) in packed[start + HEADER..].chunks_exact_mut(8).zip(words) {
-        bytes.copy_from_slice(&word.to_le_bytes());
-    }
+fn block_bytes(width: u32) -> usize {
+    HEADER + BLOCK / 8 * width as usize
 }
 
-/// Append `block`, [`BLOCK`] ascending samples, to `packed` as one
-/// gap-coded block: headed by its first sample, its values the gap from
-/// each sample to the one before (0 for the first), as wide as the widest
-/// gap.
+/// The gaps of `block`, [`BLOCK`] ascending samples: each sample less the
+/// one before, 0 for the first.
 #[expect(
     clippy::arithmetic_side_effects,
     reason = "the block ascends, so no gap is negative"
 )]
-fn pack_gaps<T: Sample>(packed: &mut Vec<u8>, block: &[T]) {
-    debug_assert!(block.is_sorted());
+fn gaps<T: Sample>(block: &[T]) -> [u64; BLOCK] {
+    debug_assert!(block.len() == BLOCK && block.is_sorted());
     let mut gaps = [0u64; BLOCK];
     for (gap, pair) in gaps[1..].iter_mut().zip(block.windows(2)) {
         *gap = pair[1].into() - pair[0].into();
     }
-    let widest = gaps.iter().copied().max().unwrap_or(0);
-    pack(packed, block[0].into(), &gaps, (0, widest));
+    gaps
+}
+
+/// The width `block`, [`BLOCK`] ascending samples, packs at gap-coded:
+/// that of its widest gap.
+fn gap_width<T: Sample>(block: &[T]) -> u32 {
+    width_of((0, gaps(block).into_iter().max().unwrap_or(0)))
+}
+
+/// Write one block into `out`, exactly [`block_bytes`]`(width)` long:
+/// `base`, the width byte (`width`, with `flag` set in its top bit on a
+/// run's first block), and each of the [`BLOCK`] `values`, which run from
+/// `min` up within `width` bits, less `min`, least significant bit first.
+/// A record-order block is headed by its least sample and its values are
+/// its samples; a gap-coded one is headed by its first sample and its
+/// values are its [`gaps`], from 0.
+fn encode<T: Sample>(out: &mut [u8], base: u64, values: &[T], min: u64, width: u32, flag: u8) {
+    debug_assert_eq!(values.len(), BLOCK);
+    debug_assert_eq!(out.len(), block_bytes(width));
+    let mut words = [0u64; BLOCK];
+    match width {
+        0 => {}
+        1..=8 => stream::<T, 8>(&mut words, values, min, width),
+        9..=16 => stream::<T, 4>(&mut words, values, min, width),
+        17..=32 => stream::<T, 2>(&mut words, values, min, width),
+        _ => stream::<T, 1>(&mut words, values, min, width),
+    }
+    let (header, offsets) = out.split_at_mut(HEADER);
+    header[..HEADER - 1].copy_from_slice(&base.to_le_bytes());
+    header[HEADER - 1] = width as u8 | flag;
+    for (bytes, word) in offsets.chunks_exact_mut(8).zip(words) {
+        bytes.copy_from_slice(&word.to_le_bytes());
+    }
 }
 
 /// Stream the offsets of `block` from `min`, `width` bits each, into
@@ -268,7 +274,7 @@ fn stream<T: Sample, const G: usize>(words: &mut [u64; BLOCK], block: &[T], min:
         for (j, &ns) in group.iter().enumerate() {
             value |= (ns.into() - min) << (j as u32 * width);
         }
-        // The value shifted into place, and what spills past the word.
+        // The value shifted into place, and what spilled past the word.
         let shifted = u128::from(value) << (filled % u64::BITS);
         word |= shifted as u64;
         words[at % BLOCK] = word;
@@ -279,119 +285,111 @@ fn stream<T: Sample, const G: usize>(words: &mut [u64; BLOCK], block: &[T], min:
     }
 }
 
-/// The block at the front of `packed`: its base, its width, its packed
-/// offsets, and the bytes after it.
-fn split_block(packed: &[u8]) -> (u64, u32, &[u8], &[u8]) {
-    let (base, rest) = packed.split_first_chunk().expect("a block has a base");
-    let (&width, rest) = rest.split_first().expect("a block has a width");
-    let (offsets, rest) = rest.split_at(BLOCK / 8 * usize::from(width));
-    (u64::from_le_bytes(*base), u32::from(width), offsets, rest)
+/// A packed block's header, read: its base, whether it starts a sealed
+/// run, and its offsets.
+#[derive(Debug, Clone, Copy)]
+struct Header<'a> {
+    base: u64,
+    starts_run: bool,
+    offsets: Offsets<'a>,
 }
 
-/// The packed offsets of a block as little-endian words.
-fn words(offsets: &[u8]) -> impl Iterator<Item = u64> + '_ {
-    offsets
-        .chunks_exact(8)
-        .map(|word| u64::from_le_bytes(word.try_into().expect("eight bytes")))
+/// A packed block's offsets, read in place: little-endian words of
+/// `width` bits an offset, least significant first.
+#[derive(Debug, Clone, Copy)]
+struct Offsets<'a> {
+    /// The words, two at least: a block of width 0 reads [`ZERO_WORDS`].
+    words: &'a [[u8; 8]],
+    width: u32,
+    /// The low `width` bits.
+    mask: u64,
 }
 
-/// The low `width` bits.
-fn mask(width: u32) -> u64 {
-    u64::MAX
-        .checked_shr(u64::BITS.saturating_sub(width))
-        .unwrap_or(0)
-}
+/// The offsets of a block of width 0.
+static ZERO_WORDS: [[u8; 8]; 2] = [[0; 8]; 2];
 
-/// Sample `i` of a block of `width` whose offsets are the words `word(0)`,
-/// `word(1)`, … (and a zero word after them): its offset, `width` bits
-/// from bit `i·width` on, added to `base`.
-#[expect(
-    clippy::arithmetic_side_effects,
-    reason = "i < BLOCK and w ≤ 64, so the bit index is below 8 192; 63 − \
-              shift cannot wrap; base + offset is a sample that was packed"
-)]
-fn sample(word: impl Fn(usize) -> u64, (base, width, mask): (u64, u32, u64), i: usize) -> u64 {
-    let bit = i * width as usize;
-    // The word is below BLOCK already; saying so lets an array of BLOCK + 1
-    // words drop the bounds checks of the word and the one after it.
-    let (at, shift) = ((bit / 64) % BLOCK, bit % 64);
-    // The next word's share: nothing when `shift` is 0.
-    let spill = word(at + 1) << 1 << (63 - shift);
-    base + ((word(at) >> shift | spill) & mask)
-}
-
-/// A block's samples, loaded onto the stack: the offsets of a
-/// record-order block, or the samples themselves.
-#[derive(Debug)]
-struct Block {
-    /// The base, width and mask [`sample`] reads it with.
-    frame: (u64, u32, u64),
-    /// The offsets, and a zero word after them.
-    words: [u64; BLOCK + 1],
-}
-
-impl Default for Block {
+impl Default for Offsets<'_> {
     fn default() -> Self {
-        Block::raw(&[])
+        Offsets {
+            words: &ZERO_WORDS,
+            width: 0,
+            mask: 0,
+        }
     }
 }
 
-impl Block {
-    /// The block at the front of `packed`, gap-coded or not, and the bytes
-    /// after it.
-    fn load(packed: &[u8], gapped: bool) -> (Block, &[u8]) {
-        let (base, width, offsets, rest) = split_block(packed);
-        let mut words = [0; BLOCK + 1];
-        for (word, offset) in words.iter_mut().zip(self::words(offsets)) {
-            *word = offset;
-        }
-        let block = Block {
-            frame: (base, width, mask(width)),
-            words,
-        };
-        (if gapped { block.summed() } else { block }, rest)
-    }
-
-    /// A gap-coded block's samples: each the base plus every gap up to it.
+impl Offsets<'_> {
+    /// Offset `i`: `width` bits from bit `i·width` on.
+    #[inline]
     #[expect(
         clippy::arithmetic_side_effects,
-        reason = "each partial sum is a sample that was packed"
+        reason = "i < BLOCK and w ≤ 64, so the bit index is below 8 192; 63 − \
+                  shift cannot wrap; a block of width w ≥ 1 has 2w words"
     )]
-    fn summed(&self) -> Block {
-        let (base, width, mask) = self.frame;
-        let mut samples = [0; BLOCK];
-        let mut ns = base;
-        for (i, sum) in samples.iter_mut().enumerate() {
-            ns += sample(|at| self.words[at], (0, width, mask), i);
-            *sum = ns;
-        }
-        Block::raw(&samples)
-    }
-
-    /// `samples`, at most [`BLOCK`], as a block of width 64 on base 0.
-    fn raw(samples: &[u64]) -> Block {
-        let mut words = [0; BLOCK + 1];
-        words[..samples.len()].copy_from_slice(samples);
-        Block {
-            frame: (0, u64::BITS, u64::MAX),
-            words,
-        }
-    }
-
-    /// Sample `i`.
     fn get(&self, i: usize) -> u64 {
-        sample(|at| self.words[at], self.frame, i)
+        let bit = i * self.width as usize;
+        let (at, shift) = (bit / 64, bit % 64);
+        let word = |at: usize| u64::from_le_bytes(self.words[at]);
+        // The next word's share: nothing when `shift` is 0.  Past the last
+        // word it is read only for bits above the width, which the mask
+        // drops, so the last word stands in for it.
+        let spill = word((at + 1).min(self.words.len() - 1)) << 1 << (63 - shift);
+        (word(at) >> shift | spill) & self.mask
+    }
+
+    /// Every offset, in order: the words loaded onto the stack once, and
+    /// each offset read as [`get`](Offsets::get) reads it, without a
+    /// bounds check (the word index is taken modulo [`BLOCK`], which it
+    /// never reaches, and a zero word follows the last).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "i < BLOCK and w ≤ 64, so the bit index is below 8 192; 63 − \
+                  shift cannot wrap"
+    )]
+    fn all(&self) -> [u64; BLOCK] {
+        let mut words = [0u64; BLOCK + 1];
+        for (word, bytes) in words.iter_mut().zip(self.words) {
+            *word = u64::from_le_bytes(*bytes);
+        }
+        std::array::from_fn(|i| {
+            let bit = i * self.width as usize;
+            let (at, shift) = ((bit / 64) % BLOCK, bit % 64);
+            (words[at] >> shift | words[at + 1] << 1 << (63 - shift)) & self.mask
+        })
     }
 }
 
-/// Hand `each` every block of `packed`, gap-coded or not, in stored
-/// order, loaded onto the stack.
-fn for_each_block(mut packed: &[u8], gapped: bool, mut each: impl FnMut(&Block)) {
-    while !packed.is_empty() {
-        let (block, rest) = Block::load(packed, gapped);
-        each(&block);
-        packed = rest;
-    }
+/// The block at the front of `packed`: its header and the bytes after it.
+fn split_block(packed: &[u8]) -> (Header<'_>, &[u8]) {
+    let (base, rest) = packed.split_first_chunk().expect("a block has a base");
+    let (&byte, rest) = rest.split_first().expect("a block has a width");
+    let width = u32::from(byte & !RUN_START);
+    let (offsets, rest) = rest.split_at(block_bytes(width).saturating_sub(HEADER));
+    let words = offsets.as_chunks().0;
+    let offsets = Offsets {
+        words: if words.is_empty() { &ZERO_WORDS } else { words },
+        width,
+        mask: u64::MAX
+            .checked_shr(u64::BITS.saturating_sub(width))
+            .unwrap_or(0),
+    };
+    let header = Header {
+        base: u64::from_le_bytes(*base),
+        starts_run: byte & RUN_START != 0,
+        offsets,
+    };
+    (header, rest)
+}
+
+/// The last sample of the gap-coded block at the front of `packed`: its
+/// base plus every gap.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "each partial sum is a sample that was packed"
+)]
+fn last_gapped(packed: &[u8]) -> u64 {
+    let (header, _) = split_block(packed);
+    header.base + header.offsets.all().iter().sum::<u64>()
 }
 
 /// Where the `q`-quantile of ascending samples ranked `0..=last` sits: the
@@ -581,9 +579,10 @@ fn mean_and_std_dev_of(acc: &StreamingStats) -> (f64, f64) {
 ///
 /// Packed in blocks of 128 samples, each as wide as its own spread needs,
 /// the newest samples raw in a short tail; an order-free store seals its
-/// record-order blocks into sorted runs as they fill (see the module
-/// docs).  The statistics are bit for bit those of a [`SampleSet`] fed
-/// each sample's `ns as f64 / 1e9` in record order.
+/// record-order blocks into sorted runs as they fill, and a report seals
+/// what is left (see the module docs).  The statistics are bit for bit
+/// those of a [`SampleSet`] fed each sample's `ns as f64 / 1e9` in record
+/// order.
 #[derive(Debug, Clone)]
 pub struct NanoSamples {
     /// The sealed runs, gap-coded, then the record-order blocks, every
@@ -594,9 +593,6 @@ pub struct NanoSamples {
     /// How many blocks `packed` holds, and how many of them are sealed.
     blocks: usize,
     sealed_blocks: usize,
-    /// The blocks of the run the last sort packed, which come first; the
-    /// sealed blocks after them are runs of [`RUN`] samples.
-    sorted_blocks: usize,
     /// The samples after the last block, fewer than [`BLOCK`], raw.
     tail: Vec<u64>,
     /// The least and the greatest sample of the tail, kept as it fills
@@ -606,7 +602,9 @@ pub struct NanoSamples {
     max: u64,
     /// Every sample in seconds, in record order.
     fold: StreamingStats,
-    sorted: bool,
+    /// Whether nothing was recorded since the last [`seal`](NanoSamples::seal):
+    /// every block sealed and the tail sorted.
+    whole: bool,
     /// Whether the store may give up record order.
     order_free: bool,
 }
@@ -625,22 +623,21 @@ impl NanoSamples {
             sealed: 0,
             blocks: 0,
             sealed_blocks: 0,
-            sorted_blocks: 0,
             tail: Vec::new(),
             tail_span: EMPTY_SPAN,
             max: 0,
             fold: StreamingStats::new(),
-            sorted: true,
+            whole: true,
             order_free: false,
         }
     }
 
     /// Let the store give up record order (`true`), or keep it.  From then
-    /// on an order-free store seals its record-order blocks into one sorted
-    /// run at each block that finds them holding 4 096 samples or more (so
-    /// a store marked late seals at its next block); what was sealed stays
-    /// sealed.  Mean and jitter keep record order either way, but
-    /// [`nanos`](NanoSamples::nanos) no longer does.
+    /// on an order-free store seals its record-order blocks into sorted
+    /// runs of 4 096 samples at each block that finds them holding 4 096
+    /// samples or more (so a store marked late seals at its next block);
+    /// what was sealed stays sealed.  Mean and jitter keep record order
+    /// either way, but [`nanos`](NanoSamples::nanos) no longer does.
     pub fn set_order_free(&mut self, free: bool) {
         self.order_free = free;
     }
@@ -650,7 +647,7 @@ impl NanoSamples {
     /// block, and a full buffer grows by the rule of the module docs; the
     /// block that brings an order-free store's record-order blocks to
     /// 4 096 samples seals them, sorting them through `scratch` (as
-    /// [`sort`](NanoSamples::sort) does).
+    /// [`seal`](NanoSamples::seal) does).
     pub fn record(&mut self, ns: u64, scratch: &mut Vec<u32>) {
         self.fold.record(secs(ns));
         self.max = self.max.max(ns);
@@ -660,19 +657,19 @@ impl NanoSamples {
         if self.tail.len() == BLOCK {
             self.pack_tail(scratch);
         }
-        self.sorted = false;
+        self.whole = false;
     }
 
     /// Pack the full tail into a block, and seal an order-free store's
     /// record-order blocks once they hold [`RUN`] samples.
     #[inline(never)]
     fn pack_tail(&mut self, scratch: &mut Vec<u32>) {
-        pack(
-            &mut self.packed,
-            self.tail_span.0,
-            &self.tail,
-            self.tail_span,
-        );
+        let (min, width) = (self.tail_span.0, width_of(self.tail_span));
+        let start = self.packed.len();
+        reserve(&mut self.packed, block_bytes(width));
+        self.packed
+            .resize(start.saturating_add(block_bytes(width)), 0);
+        encode(&mut self.packed[start..], min, &self.tail, min, width, 0);
         self.tail.clear();
         self.tail_span = EMPTY_SPAN;
         #[expect(
@@ -685,34 +682,105 @@ impl NanoSamples {
             self.blocks - self.sealed_blocks >= RUN / BLOCK
         };
         if self.order_free && run_full {
-            if self.narrow() {
-                self.seal(scratch);
-            } else {
-                self.seal(&mut Vec::<u64>::new());
+            self.seal_blocks(scratch, false);
+        }
+    }
+
+    /// Seal every record-order block into runs — and with `tail`, the
+    /// tail too — through `scratch` while every sample fits a `u32`, else
+    /// through a buffer of the store's own.
+    fn seal_blocks(&mut self, scratch: &mut Vec<u32>, tail: bool) {
+        if self.narrow() {
+            self.seal_runs(scratch, tail);
+        } else {
+            self.seal_runs(&mut Vec::<u64>::new(), tail);
+        }
+    }
+
+    /// Decode the record-order blocks a run at a time, at most [`RUN`]
+    /// samples, into `scratch`, sort them and pack them back gap-coded
+    /// where they lay.  A run that packs wider than the blocks it was read
+    /// from first moves the blocks not yet read out of its way.  With
+    /// `with_tail` the last run takes the tail along: its greatest samples,
+    /// fewer than a block, stay raw as the tail, which then continues the
+    /// run; a store without record-order blocks sorts its tail alone.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`write` ≤ `read` ≤ the buffer's length, and `count` ≤ the \
+                  blocks not yet sealed"
+    )]
+    fn seal_runs<T: Sample>(&mut self, scratch: &mut Vec<T>, with_tail: bool) {
+        let (mut write, mut read) = (self.sealed, self.sealed);
+        while self.sealed_blocks < self.blocks {
+            let count = (self.blocks - self.sealed_blocks).min(RUN / BLOCK);
+            let last = with_tail && self.sealed_blocks + count == self.blocks;
+            scratch.clear();
+            for _ in 0..count {
+                let (header, rest) = split_block(&self.packed[read..]);
+                let samples = header.offsets.all().map(|offset| header.base + offset);
+                scratch.extend(samples.map(T::from_ns));
+                read = self.packed.len() - rest.len();
             }
+            if last {
+                scratch.extend(self.tail.drain(..).map(T::from_ns));
+            }
+            scratch.sort_unstable();
+            let (run, rest) = scratch.split_at(count * BLOCK);
+            if last {
+                self.tail.extend(rest.iter().map(|&ns| ns.into()));
+                self.tail_span = match (self.tail.first(), self.tail.last()) {
+                    (Some(&lo), Some(&hi)) => (lo, hi),
+                    _ => EMPTY_SPAN,
+                };
+            }
+            let run = run.chunks_exact(BLOCK);
+            let mut widths = [0; RUN / BLOCK];
+            for (width, block) in widths.iter_mut().zip(run.clone()) {
+                *width = gap_width(block);
+            }
+            let bytes: usize = widths.iter().map(|&width| block_bytes(width)).sum();
+            let bytes = bytes - (RUN / BLOCK - count) * HEADER;
+            if write + bytes > read {
+                let more = write + bytes - read;
+                reserve(&mut self.packed, more);
+                self.packed.splice(read..read, std::iter::repeat_n(0, more));
+                read += more;
+            }
+            for (i, (block, &width)) in run.zip(&widths).enumerate() {
+                let end = write + block_bytes(width);
+                let flag = if i == 0 { RUN_START } else { 0 };
+                let out = &mut self.packed[write..end];
+                encode(out, block[0].into(), &gaps(block), 0, width, flag);
+                write = end;
+            }
+            self.sealed_blocks += count;
+        }
+        self.packed.truncate(write);
+        self.sealed = write;
+        if with_tail {
+            self.tail.sort_unstable();
         }
     }
 
-    /// Whether every sample fits a `u32`, and so sorts through the
-    /// caller's buffer.
-    fn narrow(&self) -> bool {
-        u32::try_from(self.max).is_ok()
+    /// Seal the store for a report: its record-order blocks into runs of at
+    /// most 4 096 samples, one run at a time through `scratch` (a store
+    /// holding a sample of 2³² ns or more uses a buffer of its own), the
+    /// last run with the tail, whose greatest samples stay raw as the sorted
+    /// tail — so that a caller sealing many stores hands each the same
+    /// buffer, which never holds more than one run and a tail.  A store
+    /// that recorded nothing since its last seal is left as it is.
+    pub fn seal(&mut self, scratch: &mut Vec<u32>) {
+        if !self.whole {
+            self.seal_blocks(scratch, true);
+            self.whole = true;
+        }
     }
 
-    /// Decode the record-order blocks into `scratch`, sort them and pack
-    /// them back in their place as one sealed run, gap-coded.
-    fn seal<T: Sample>(&mut self, scratch: &mut Vec<T>) {
-        scratch.clear();
-        for_each_block(&self.packed[self.sealed..], false, |block| {
-            scratch.extend((0..BLOCK).map(|i| T::from_ns(block.get(i))));
-        });
-        scratch.sort_unstable();
-        self.packed.truncate(self.sealed);
-        for block in scratch.chunks_exact(BLOCK) {
-            pack_gaps(&mut self.packed, block);
-        }
-        self.sealed = self.packed.len();
-        self.sealed_blocks = self.blocks;
+    /// `true` while nothing was recorded since the last
+    /// [`seal`](NanoSamples::seal) (or at all): the store is read where it
+    /// lies, through a merge of its sealed runs and its tail.
+    pub fn is_sealed(&self) -> bool {
+        self.whole
     }
 
     /// Number of samples.
@@ -739,160 +807,71 @@ impl NanoSamples {
         self.packed.len() + size_of_val(self.tail.as_slice())
     }
 
-    /// `true` while the stored samples are known to be ascending: nothing
-    /// recorded yet, or nothing recorded since the last
-    /// [`sort`](NanoSamples::sort).
-    pub fn is_sorted(&self) -> bool {
-        self.sorted
-    }
-
-    /// Sort the stored samples, ascending, through `scratch` (a store
-    /// holding a sample of 2³² ns or more uses a buffer of its own), so
-    /// that a caller sorting many stores hands each the same buffer.  A
-    /// store without a sealed run decodes its samples, sorts them and packs
-    /// them back as one sealed run; any other seals its record-order blocks
-    /// as one more run, sorts its tail and merges the runs and the tail.
-    pub fn sort(&mut self, scratch: &mut Vec<u32>) {
-        if self.sorted {
-        } else if self.sealed_blocks == 0 {
-            self.sort_with(scratch, |_| {});
-        } else if self.narrow() {
-            self.merge_sealed(scratch);
-        } else {
-            self.merge_sealed(&mut Vec::<u64>::new());
+    /// A cursor over each sealed run, the tail read after the last one
+    /// when it continues it (a report sealed them together), else on its
+    /// own: the runs a sealed store's samples merge from.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`at` walks the sealed bytes, and `rest` is their suffix"
+    )]
+    fn runs(&self) -> Vec<Cursor<'_>> {
+        let sealed = &self.packed[..self.sealed];
+        let mut cursors = Vec::new();
+        let (mut start, mut at, mut last_block) = (0, 0, 0);
+        while at < sealed.len() {
+            let (header, rest) = split_block(&sealed[at..]);
+            if header.starts_run && at > start {
+                cursors.push(Cursor::start(&sealed[start..at], &[], &[]));
+                start = at;
+            }
+            last_block = at;
+            at = sealed.len() - rest.len();
         }
-    }
-
-    /// Record every sample into `fold`, in seconds and in stored order,
-    /// then [`sort`](NanoSamples::sort) the store: one decoding pass for
-    /// both when the store holds no sealed run (an order-kept store's
-    /// first sort).
-    pub fn fold_then_sort(&mut self, fold: &mut StreamingStats, scratch: &mut Vec<u32>) {
-        // The fold travels by value, so that it stays in registers.
-        let mut acc = fold.clone();
-        if self.sorted || self.sealed_blocks > 0 {
-            self.for_each(|ns| acc.record(secs(ns)));
-            self.sort(scratch);
-        } else {
-            self.sort_with(scratch, |ns| acc.record(secs(ns)));
+        let tail = self.tail.as_slice();
+        if at > start {
+            let continues = tail
+                .first()
+                .is_none_or(|&first| first >= last_gapped(&sealed[last_block..]));
+            let with = if continues { tail } else { &[] };
+            cursors.push(Cursor::start(&sealed[start..], &[], with));
+            if continues {
+                return cursors;
+            }
         }
-        *fold = acc;
-    }
-
-    /// Sort a store that holds no sealed run, handing `each` every sample
-    /// in stored order as it is decoded.  A store that never filled a block
-    /// sorts its tail in place.
-    fn sort_with(&mut self, scratch: &mut Vec<u32>, mut each: impl FnMut(u64)) {
-        debug_assert!(!self.sorted && self.sealed_blocks == 0);
-        if self.blocks == 0 {
-            self.tail.iter().for_each(|&ns| each(ns));
-            self.tail.sort_unstable();
-            self.sorted = true;
-        } else if self.narrow() {
-            self.sort_staged(scratch, each);
-        } else {
-            self.sort_staged(&mut Vec::<u64>::new(), each);
+        if !tail.is_empty() {
+            cursors.push(Cursor::start(&[], &[], tail));
         }
+        cursors
     }
 
-    /// Decode every sample into `scratch`, handing each to `each`, sort
-    /// them and pack them back.
-    fn sort_staged<T: Sample>(&mut self, scratch: &mut Vec<T>, mut each: impl FnMut(u64)) {
-        scratch.clear();
-        scratch.reserve(self.len());
-        let mut take = |ns| {
-            each(ns);
-            T::from_ns(ns)
-        };
-        // A block's samples fill `scratch` through `extend`, which knows
-        // their count: no capacity check a sample.
-        for_each_block(&self.packed, false, |block| {
-            scratch.extend((0..BLOCK).map(|i| take(block.get(i))));
-        });
-        scratch.extend(self.tail.iter().map(|&ns| take(ns)));
-        scratch.sort_unstable();
-        self.repack(scratch);
+    /// The samples ascending: a merge of the runs, through keys of `K`.
+    fn ascending<K: Key>(&self) -> Merge<'_, K> {
+        debug_assert!(self.whole, "only a sealed store merges its runs");
+        Merge::new(self.runs())
     }
 
-    /// Seal the record-order blocks as one more run, sort the tail, merge
-    /// the runs and the tail into `scratch` and pack that back.
-    fn merge_sealed<T: Sample>(&mut self, scratch: &mut Vec<T>) {
-        self.seal(scratch);
-        self.tail.sort_unstable();
-        let runs = self
-            .runs()
-            .into_iter()
-            .map(|run| Cursor::start(run, &[], &[]));
-        let runs: Vec<_> = runs.chain([Cursor::start(&[], &[], &self.tail)]).collect();
-        scratch.clear();
-        scratch.reserve(self.len());
-        merge(runs, self.len(), |ns| scratch.push(T::from_ns(ns)));
-        self.repack(scratch);
+    /// Whether every sample fits 32 bits: the store sorts through the
+    /// caller's `u32` buffer, and merges through `u64` keys.
+    fn narrow(&self) -> bool {
+        u32::try_from(self.max).is_ok()
     }
 
-    /// The bytes of each sealed run: the run the last sort packed, then
-    /// the runs sealed since, [`RUN`] samples each but the last, which a
-    /// sort may have sealed short (or long: an order-kept store's, read
-    /// as several runs of `RUN`).
-    fn runs(&self) -> Vec<&[u8]> {
-        const RUN_BLOCKS: usize = RUN / BLOCK;
-        let first = (self.sorted_blocks > 0).then_some(self.sorted_blocks);
-        let later = (self.sorted_blocks..self.sealed_blocks).step_by(RUN_BLOCKS);
-        let later = later.map(|block| RUN_BLOCKS.min(self.sealed_blocks.saturating_sub(block)));
-        let mut rest = &self.packed[..self.sealed];
-        first
-            .into_iter()
-            .chain(later)
-            .map(|blocks| {
-                let run = rest;
-                rest = (0..blocks).fold(rest, |rest, _| split_block(rest).3);
-                &run[..run.len().saturating_sub(rest.len())]
-            })
-            .collect()
-    }
-
-    /// Pack `sorted`, every sample ascending, back as the store's one
-    /// sealed run, the last `len % BLOCK` samples as the tail.
-    fn repack<T: Sample>(&mut self, sorted: &[T]) {
-        self.packed.clear();
-        let mut blocks = sorted.chunks_exact(BLOCK);
-        for block in &mut blocks {
-            pack_gaps(&mut self.packed, block);
-        }
-        self.tail.clear();
-        self.tail
-            .extend(blocks.remainder().iter().map(|&ns| ns.into()));
-        self.tail_span = span(&self.tail);
-        self.blocks = sorted.len() / BLOCK;
-        self.sealed = self.packed.len();
-        self.sealed_blocks = self.blocks;
-        self.sorted_blocks = self.blocks;
-        self.sorted = true;
-    }
-
-    /// Hand `each` every sample, in stored order.
-    fn for_each(&self, mut each: impl FnMut(u64)) {
-        let (sealed, staged) = self.packed.split_at(self.sealed);
-        for_each_block(sealed, true, |block| {
-            (0..BLOCK).for_each(|i| each(block.get(i)))
-        });
-        for_each_block(staged, false, |block| {
-            (0..BLOCK).for_each(|i| each(block.get(i)))
-        });
-        self.tail.iter().for_each(|&ns| each(ns));
-    }
-
-    /// The samples in nanoseconds: in record order until the first
-    /// [`sort`](NanoSamples::sort), then ascending, then the samples
-    /// recorded since the sort in record order.
+    /// The samples in nanoseconds as stored: in record order until the
+    /// store first seals a run (an order-free store as it records, any
+    /// store at its first report).  Once [sealed](NanoSamples::seal) — after
+    /// a report — each sealed run ascending, one after another, then the
+    /// sorted tail, which continues the last run when the report sealed
+    /// them together; ascending only for a store of one run.  Samples
+    /// recorded after a report follow in record order.
     ///
-    /// An order-free store that has sealed a run since its last sort no
-    /// longer holds record order, and a debug build panics here rather
-    /// than read its samples in stored order; sort it first.
+    /// A store that holds a sealed run and recorded since its last seal
+    /// (an order-free store before its report, or any store recorded into
+    /// after one) holds neither order, and a debug build panics here
+    /// rather than read it.
     pub fn nanos(&self) -> impl Iterator<Item = u64> + '_ {
-        debug_assert_eq!(
-            self.sealed_blocks, self.sorted_blocks,
-            "an order-free store's samples read back out of record order"
+        debug_assert!(
+            self.sealed_blocks == 0 || self.whole,
+            "a store with sealed runs reads back out of record order"
         );
         Cursor::new(self)
     }
@@ -900,6 +879,27 @@ impl NanoSamples {
     /// The samples in seconds, in [`nanos`](NanoSamples::nanos)' order.
     pub fn secs(&self) -> impl Iterator<Item = f64> + '_ {
         self.nanos().map(secs)
+    }
+
+    /// Record every sample into `fold`, in seconds, in the order a class
+    /// pass reads the store: ascending (a merge of its runs) when it is
+    /// sealed, and as stored otherwise — in record order for a store that
+    /// never sealed a run.  A sealed store also returns the two samples its
+    /// `q`-quantile interpolates between, noted as they pass (`None` when
+    /// empty, and from an unsealed store).
+    pub fn fold_as_read(&self, fold: &mut StreamingStats, q: f64) -> Option<(u64, u64)> {
+        // The fold travels by value, so that it stays in registers.
+        let mut acc = fold.clone();
+        let mut pair = None;
+        if self.whole && self.narrow() {
+            Ranked::<u64>::new(self, q, &mut pair).for_each(|ns| acc.record(secs(ns)));
+        } else if self.whole {
+            Ranked::<u128>::new(self, q, &mut pair).for_each(|ns| acc.record(secs(ns)));
+        } else {
+            Cursor::new(self).for_each(|ns| acc.record(secs(ns)));
+        }
+        *fold = acc;
+        pair
     }
 
     /// Mean and sample (`n − 1`) standard deviation in seconds, in record
@@ -910,9 +910,9 @@ impl NanoSamples {
     }
 
     /// The `q`-quantile in seconds, interpolated as
-    /// [`SampleSet::quantile`] does; 0.0 if empty.  Sorts the store.
+    /// [`SampleSet::quantile`] does; 0.0 if empty.  Seals the store.
     pub fn quantile(&mut self, q: f64) -> f64 {
-        self.sort(&mut Vec::new());
+        self.seal(&mut Vec::new());
         match self.order_statistics(q) {
             Some(pair) => quantile_between(q, self.len(), pair),
             None => 0.0,
@@ -922,34 +922,31 @@ impl NanoSamples {
     /// The two samples, in nanoseconds and ascending, that the
     /// `q`-quantile interpolates between (the same one twice when it sits
     /// on a rank); `None` if empty.  [`quantile_between`] of them is
-    /// [`quantile`](NanoSamples::quantile).
+    /// [`quantile`](NanoSamples::quantile).  The last rank is the maximum
+    /// the store keeps; any other is read by a merge of the runs that stops
+    /// there.
     ///
     /// # Panics
     ///
-    /// If a sample was recorded since the last [`sort`](NanoSamples::sort).
+    /// If a sample was recorded since the last [`seal`](NanoSamples::seal).
     pub fn order_statistics(&self, q: f64) -> Option<(u64, u64)> {
-        assert!(self.sorted, "order statistics of an unsorted store");
-        let (lo, hi, _) = quantile_span(q, self.len().checked_sub(1)?);
-        Some((self.at(lo), self.at(hi)))
-    }
-
-    /// The sample at `rank` in stored order: in the tail, or found by a
-    /// walk over the headers of the blocks before its own and decoded
-    /// alone.
-    fn at(&self, rank: usize) -> u64 {
-        let block = rank / BLOCK;
-        if block < self.blocks {
-            self.packed_at(block, rank % BLOCK)
-        } else {
-            self.tail[rank % BLOCK]
+        assert!(self.whole, "order statistics of an unsealed store");
+        let last = self.len().checked_sub(1)?;
+        let (lo, hi, _) = quantile_span(q, last);
+        if lo == last {
+            return Some((self.max, self.max));
         }
-    }
-
-    /// Sample `i` of packed block `block`.
-    #[inline(never)]
-    fn packed_at(&self, block: usize, i: usize) -> u64 {
-        let packed = (0..block).fold(self.packed.as_slice(), |rest, _| split_block(rest).3);
-        Block::load(packed, block < self.sealed_blocks).0.get(i)
+        let mut pair = None;
+        if self.narrow() {
+            Ranked::<u64>::new(self, q, &mut pair)
+                .take(hi.saturating_add(1))
+                .count();
+        } else {
+            Ranked::<u128>::new(self, q, &mut pair)
+                .take(hi.saturating_add(1))
+                .count();
+        }
+        pair
     }
 
     /// Largest sample in seconds, or 0.0 if empty.
@@ -960,21 +957,28 @@ impl NanoSamples {
 
 /// Samples in stored order, each decoded one call before it is returned,
 /// so that a reader waiting on it (a merge's compare chain) finds it
-/// ready.
+/// ready.  A packed block is decoded straight from its bytes, a sample at
+/// a time.
 #[derive(Debug, Default)]
 struct Cursor<'a> {
-    /// The block being read.
-    block: Block,
-    /// The samples in `block`, and how many are decoded.
+    /// The packed block being read: its offsets, and what the next offset
+    /// adds to — the block's base in record order, the sample before in a
+    /// gap-coded block.
+    offsets: Offsets<'a>,
+    base: u64,
+    gapped: bool,
+    /// The tail's samples instead, once it is being read.
+    raw: &'a [u64],
+    /// The next sample of the block, and how many it holds.
+    at: usize,
     len: usize,
-    decoded: usize,
     /// What the next call returns.
     ahead: Option<u64>,
-    /// The gap-coded blocks not yet loaded, then the record-order ones.
-    gapped: &'a [u8],
-    packed: &'a [u8],
-    /// The tail, until it is loaded.
-    tail: Option<&'a [u64]>,
+    /// The gap-coded blocks not yet loaded, then the record-order ones,
+    /// then the tail.
+    gapped_rest: &'a [u8],
+    packed_rest: &'a [u8],
+    tail: &'a [u64],
 }
 
 impl<'a> Cursor<'a> {
@@ -987,9 +991,9 @@ impl<'a> Cursor<'a> {
     /// The samples of `gapped` blocks, then of `packed` ones, then `tail`.
     fn start(gapped: &'a [u8], packed: &'a [u8], tail: &'a [u64]) -> Self {
         let mut cursor = Cursor {
-            gapped,
-            packed,
-            tail: Some(tail),
+            gapped_rest: gapped,
+            packed_rest: packed,
+            tail,
             ..Cursor::default()
         };
         cursor.ahead = cursor.decode();
@@ -997,15 +1001,23 @@ impl<'a> Cursor<'a> {
     }
 
     /// The first sample not yet decoded, if any.
+    #[inline]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "at < len; base + offset is a sample that was packed"
+    )]
     fn decode(&mut self) -> Option<u64> {
-        if self.decoded == self.len && !self.load() {
+        if self.at == self.len && !self.load() {
             return None;
         }
-        let ns = self.block.get(self.decoded);
-        #[expect(clippy::arithmetic_side_effects, reason = "decoded < len")]
-        {
-            self.decoded += 1;
-        }
+        let ns = if self.raw.is_empty() {
+            let ns = self.base + self.offsets.get(self.at);
+            self.base = select_unpredictable(self.gapped, ns, self.base);
+            ns
+        } else {
+            self.raw[self.at]
+        };
+        self.at += 1;
         Some(ns)
     }
 
@@ -1013,21 +1025,24 @@ impl<'a> Cursor<'a> {
     /// left.
     #[inline(never)]
     fn load(&mut self) -> bool {
-        let (block, len) = if !self.gapped.is_empty() {
-            let (block, rest) = Block::load(self.gapped, true);
-            self.gapped = rest;
-            (block, BLOCK)
-        } else if !self.packed.is_empty() {
-            let (block, rest) = Block::load(self.packed, false);
-            self.packed = rest;
-            (block, BLOCK)
+        let gapped = !self.gapped_rest.is_empty();
+        let blocks = if gapped {
+            &mut self.gapped_rest
         } else {
-            match self.tail.take() {
-                Some(tail) if !tail.is_empty() => (Block::raw(tail), tail.len()),
-                _ => return false,
-            }
+            &mut self.packed_rest
         };
-        (self.block, self.len, self.decoded) = (block, len, 0);
+        if blocks.is_empty() {
+            if self.tail.is_empty() {
+                return false;
+            }
+            self.raw = std::mem::take(&mut self.tail);
+            (self.at, self.len) = (0, self.raw.len());
+            return true;
+        }
+        let (header, rest) = split_block(blocks);
+        *blocks = rest;
+        (self.offsets, self.base, self.gapped) = (header.offsets, header.base, gapped);
+        (self.at, self.len) = (0, BLOCK);
         true
     }
 }
@@ -1042,79 +1057,240 @@ impl Iterator for Cursor<'_> {
     }
 }
 
-/// Hand `pop` the `n` samples of `runs`, every run ascending, least first:
-/// a tournament (loser-tree) merge that compares the integers themselves.
-fn merge(mut unread: Vec<Cursor<'_>>, n: usize, mut pop: impl FnMut(u64)) {
-    // The tournament: leaf `k + r` is run `r`'s least unread sample, node
-    // `p`'s children are `2p` and `2p + 1`, and every node `1 ≤ p < k`
-    // holds the loser of the match played there as `(key, run)`.  The
-    // winner of the whole tree is kept aside in `(key, run)`.  Empty runs
-    // pad `k` to a power of two, so every replay climbs the same number of
-    // levels and the loop's exit is predicted (leaves at two depths made
-    // it mispredict, ~10 % of the merge with ten runs).
-    let k = unread.len().next_power_of_two();
-    unread.resize_with(k, Cursor::default);
+/// A sample and its run, packed into one integer that orders as the pair
+/// does, so that a match in a [`Merge`]'s tree is one compare and a move
+/// one register: `u64` while every sample fits 32 bits, `u128` otherwise.
+trait Key: Copy + Ord + std::fmt::Debug {
+    /// The key of an exhausted run: above every sample's, whatever its
+    /// run, so a merge ends when its winner is this one.
+    const EXHAUSTED: Self;
+
+    /// `ns` of run `run`.
+    fn new(ns: u64, run: usize) -> Self;
+
+    /// The sample.
+    fn ns(self) -> u64;
+
+    /// The run.
+    fn run(self) -> usize;
+}
+
+impl Key for u64 {
+    const EXHAUSTED: u64 = u64::MAX;
+
+    fn new(ns: u64, run: usize) -> u64 {
+        // The caller checked that every sample fits 32 bits, and fewer than
+        // 2³² − 1 runs fit in memory.
+        debug_assert!(ns <= u64::from(u32::MAX) && run < u32::MAX as usize);
+        ns << 32 | run as u64
+    }
+
+    fn ns(self) -> u64 {
+        self >> 32
+    }
+
+    fn run(self) -> usize {
+        self as u32 as usize
+    }
+}
+
+impl Key for u128 {
+    const EXHAUSTED: u128 = u128::MAX;
+
+    fn new(ns: u64, run: usize) -> u128 {
+        u128::from(ns) << 64 | run as u128
+    }
+
+    fn ns(self) -> u64 {
+        (self >> 64) as u64
+    }
+
+    fn run(self) -> usize {
+        self as u64 as usize
+    }
+}
+
+/// The samples of ascending runs, least first: a tournament (loser-tree)
+/// merge that compares the packed [`Key`]s.  Samples that tie pop in run
+/// order; they are equal integers, so the order cannot show.
+#[derive(Debug)]
+struct Merge<'a, K> {
+    /// The `k` runs: leaf `k + r` of the tree is run `r`'s least unread
+    /// sample, and node `p`'s children are `2p` and `2p + 1`.  Empty runs
+    /// pad `k` to a power of two unless nearly every leaf sits at one depth
+    /// already: a replay's loop exit mispredicts when the winners' leaves
+    /// change depth (~10 % of the merge with ten runs, whose leaves sit at
+    /// two depths), and a padded tree climbs a level more for every pop
+    /// (a class merge of 130 runs has four leaves a level deeper).
+    runs: Vec<Cursor<'a>>,
+    /// Node `p` (`1 ≤ p < k`) holds the loser of the match played there.
+    losers: Vec<K>,
+    /// The winner of the whole tree: the next sample and its run.
+    winner: K,
+}
+
+impl<'a, K: Key> Merge<'a, K> {
+    /// A merge of `runs`.
     #[expect(
         clippy::arithmetic_side_effects,
-        reason = "`unread` holds k cursors of a kilobyte each, so 2k fits a usize"
+        reason = "`runs` holds k cursors in memory, so 2k fits a usize; r, p < k"
     )]
-    let mut winners = vec![(EXHAUSTED, 0); 2 * k];
-    for (r, run) in unread.iter_mut().enumerate() {
-        #[expect(clippy::arithmetic_side_effects, reason = "r < k, so k + r < 2k")]
-        let leaf = k + r;
-        winners[leaf] = (run.next().unwrap_or(EXHAUSTED), r);
-    }
-    let mut losers = vec![(EXHAUSTED, 0); k];
-    for p in (1..k).rev() {
-        #[expect(clippy::arithmetic_side_effects, reason = "p < k, so 2p + 1 < 2k")]
-        let (a, b) = (winners[2 * p], winners[2 * p + 1]);
-        (winners[p], losers[p]) = if b.0 < a.0 { (b, a) } else { (a, b) };
-    }
-    let (mut key, mut run) = winners[1];
-    for _ in 0..n {
-        pop(key);
-        // The winner's run offers its next sample and replays the matches
-        // on its leaf's path; the lesser side goes on up, without a branch.
-        key = unread[run].next().unwrap_or(EXHAUSTED);
-        #[expect(clippy::arithmetic_side_effects, reason = "run < k, so k + run < 2k")]
-        let mut node = (k + run) / 2;
-        while node > 0 {
-            let held = losers[node];
-            let held_wins = held.0 < key;
-            losers[node] = select_unpredictable(held_wins, (key, run), held);
-            (key, run) = select_unpredictable(held_wins, held, (key, run));
-            node /= 2;
+    fn new(mut runs: Vec<Cursor<'a>>) -> Self {
+        let (n_runs, padded) = (runs.len(), runs.len().next_power_of_two());
+        // Pad when more than an eighth of the leaves would sit deeper.
+        let k = if 15 * n_runs > 8 * padded {
+            padded
+        } else {
+            n_runs
+        };
+        let k = k.max(1);
+        runs.resize_with(k, Cursor::default);
+        let mut winners = vec![K::EXHAUSTED; 2 * k];
+        for (r, run) in runs.iter_mut().enumerate() {
+            winners[k + r] = run.next().map_or(K::EXHAUSTED, |ns| K::new(ns, r));
+        }
+        let mut losers = vec![K::EXHAUSTED; k];
+        for p in (1..k).rev() {
+            let (a, b) = (winners[2 * p], winners[2 * p + 1]);
+            (winners[p], losers[p]) = (a.min(b), a.max(b));
+        }
+        Merge {
+            runs,
+            losers,
+            winner: winners[1],
         }
     }
 }
 
-/// The mean and the `quantiles` of the union of `runs`, each run sorted,
-/// from one tournament merge that never materialises the union — and, in
-/// the same loop, every sample of `runs[spread_from..]` recorded into
-/// `spread` in seconds, run after run, each run front to back.
+impl<K: Key> Iterator for Merge<'_, K> {
+    type Item = u64;
+
+    #[inline]
+    #[expect(clippy::arithmetic_side_effects, reason = "run < k, so k + run < 2k")]
+    fn next(&mut self) -> Option<u64> {
+        let popped = self.winner;
+        if popped == K::EXHAUSTED {
+            return None;
+        }
+        // The winner's run offers its next sample and replays the matches
+        // on its leaf's path; the lesser side goes on up, without a branch.
+        let run = popped.run();
+        let mut key = self.runs[run]
+            .next()
+            .map_or(K::EXHAUSTED, |ns| K::new(ns, run));
+        let mut node = (self.runs.len() + run) / 2;
+        while node > 0 {
+            let held = self.losers[node];
+            let held_wins = held < key;
+            self.losers[node] = select_unpredictable(held_wins, key, held);
+            key = select_unpredictable(held_wins, held, key);
+            node /= 2;
+        }
+        self.winner = key;
+        Some(popped.ns())
+    }
+}
+
+/// A sealed store's samples ascending, noting in `pair` the two its
+/// `q`-quantile interpolates between as they pass.
+struct Ranked<'a, 'p, K> {
+    samples: Merge<'a, K>,
+    /// The rank of the next sample, and the two ranks the quantile reads.
+    rank: usize,
+    ranks: (usize, usize),
+    /// The sample at the lower rank, once passed.
+    lo: u64,
+    pair: &'p mut Option<(u64, u64)>,
+}
+
+impl<'a, 'p, K: Key> Ranked<'a, 'p, K> {
+    fn new(store: &'a NanoSamples, q: f64, pair: &'p mut Option<(u64, u64)>) -> Self {
+        let ranks = store.len().checked_sub(1).map_or((0, 0), |last| {
+            let (lo, hi, _) = quantile_span(q, last);
+            (lo, hi)
+        });
+        Ranked {
+            samples: store.ascending(),
+            rank: 0,
+            ranks,
+            lo: 0,
+            pair,
+        }
+    }
+}
+
+impl<K: Key> Iterator for Ranked<'_, '_, K> {
+    type Item = u64;
+
+    #[inline]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "one step a sample, so below n"
+    )]
+    fn next(&mut self) -> Option<u64> {
+        let ns = self.samples.next()?;
+        if self.rank == self.ranks.0 {
+            self.lo = ns;
+        }
+        if self.rank == self.ranks.1 {
+            *self.pair = Some((self.lo, ns));
+        }
+        self.rank += 1;
+        Some(ns)
+    }
+}
+
+/// The mean and the `quantiles` of the union of `stores`, every store
+/// sealed, from one tournament merge over all their runs that never
+/// materialises the union — and, in the same loop, every sample of
+/// `stores[spread_from..]` recorded into `spread` in seconds, store after
+/// store, each ascending ([`NanoSamples::fold_as_read`]'s order), with
+/// `pairs[i]` set to the two samples the `each`-quantile of `stores[i]`
+/// interpolates between ([`NanoSamples::order_statistics`]) as they pass.
 ///
 /// Returns `(mean, values)` in seconds, `values[i]` being the
-/// `quantiles[i]`-quantile: bit for bit what recording every run's seconds
-/// into one [`SampleSet`], sorting it and asking it for its mean and those
-/// quantiles gives.  The mean is the sum in ascending order over the count
-/// (samples that tie are equal integers, so the tie-break between runs
-/// cannot show), and the quantiles interpolate the same ranks.  An empty
-/// union reports 0.0 throughout.  `spread` ends bit for bit as if the
-/// caller had recorded `runs[spread_from..]` into it itself, so a caller
-/// that fed it the runs before `spread_from` in another order keeps one
-/// running fold.
+/// `quantiles[i]`-quantile: bit for bit what recording every store's
+/// seconds into one [`SampleSet`], sorting it and asking it for its mean
+/// and those quantiles gives.  The mean is the sum in ascending order over
+/// the count (samples that tie are equal integers, so the tie-break between
+/// runs cannot show), and the quantiles interpolate the same ranks.  An
+/// empty union reports 0.0 throughout.  `spread` ends bit for bit as if the
+/// caller had folded `stores[spread_from..]` into it itself with
+/// [`NanoSamples::fold_as_read`], so a caller that folded the stores before
+/// `spread_from` in their own order keeps one running fold.
 ///
 /// # Panics
 ///
-/// If `spread_from > runs.len()`.
+/// If a store is not sealed, if `spread_from > stores.len()`, or if
+/// `pairs` is not as long as `stores`.
 pub fn merge_runs(
-    runs: &[&NanoSamples],
+    stores: &[&NanoSamples],
     quantiles: &[f64],
     spread_from: usize,
     spread: &mut StreamingStats,
+    each: f64,
+    pairs: &mut [Option<(u64, u64)>],
 ) -> (f64, Vec<f64>) {
-    let spread_runs = &runs[spread_from..];
-    let n: usize = runs.iter().map(|run| run.len()).sum();
+    assert!(stores.iter().all(|store| store.whole), "unsealed store");
+    assert_eq!(pairs.len(), stores.len(), "one pair for each store");
+    if stores.iter().all(|store| store.narrow()) {
+        class_pass::<u64>(stores, quantiles, spread_from, spread, each, pairs)
+    } else {
+        class_pass::<u128>(stores, quantiles, spread_from, spread, each, pairs)
+    }
+}
+
+/// [`merge_runs`] through keys of `K`.
+fn class_pass<K: Key>(
+    stores: &[&NanoSamples],
+    quantiles: &[f64],
+    spread_from: usize,
+    spread: &mut StreamingStats,
+    each: f64,
+    pairs: &mut [Option<(u64, u64)>],
+) -> (f64, Vec<f64>) {
+    let spread_stores = stores[spread_from..].iter().zip(&mut pairs[spread_from..]);
+    let n: usize = stores.iter().map(|store| store.len()).sum();
     let Some(last) = n.checked_sub(1) else {
         return (0.0, vec![0.0; quantiles.len()]);
     };
@@ -1127,14 +1303,14 @@ pub fn merge_runs(
     let mut found = vec![0.0; wanted.len()];
     let mut filled = 0;
     let mut next_wanted = wanted.first().copied().unwrap_or(usize::MAX);
-    let mut rank = 0;
     let mut sum = 0.0;
-    // The spread's runs front to back, one sample beside each pop (a local
-    // copy of the fold stays in registers).
+    // The spread's stores one after another, one sample beside each pop (a
+    // local copy of the fold stays in registers).
     let mut acc = spread.clone();
-    let mut spread_samples = spread_runs.iter().flat_map(|run| Cursor::new(run));
-    let unread = runs.iter().map(|run| Cursor::new(run)).collect();
-    merge(unread, n, |key| {
+    let mut spread_samples =
+        spread_stores.flat_map(|(store, pair)| Ranked::<K>::new(store, each, pair));
+    let runs = stores.iter().flat_map(|store| store.runs()).collect();
+    for (rank, key) in Merge::<K>::new(runs).enumerate() {
         let x = secs(key);
         sum += x;
         if rank == next_wanted {
@@ -1148,14 +1324,10 @@ pub fn merge_runs(
             }
             next_wanted = wanted.get(filled).copied().unwrap_or(usize::MAX);
         }
-        #[expect(clippy::arithmetic_side_effects, reason = "one step a pop, so below n")]
-        {
-            rank += 1;
-        }
         if let Some(y) = spread_samples.next() {
             acc.record(secs(y));
         }
-    });
+    }
     *spread = acc;
     let at = |rank: usize| found[wanted.partition_point(|&w| w < rank)];
     let values = spans.iter().map(|&span| interpolate(span, at)).collect();
@@ -1379,6 +1551,22 @@ mod tests {
         order
     }
 
+    /// Where a store holding `stored`, its first `sealed_blocks` blocks
+    /// sealed, holds them once [`NanoSamples::seal`] ran: each [`RUN`] of
+    /// the blocks after those ascending, the last run shorter and sorted
+    /// together with the tail.
+    fn seal_order(stored: &[u64], sealed_blocks: usize) -> Vec<u64> {
+        let mut order = stored.to_vec();
+        let rest = &mut order[sealed_blocks * BLOCK..];
+        let blocks = rest.len() / BLOCK * BLOCK;
+        let last = blocks.saturating_sub(1) / RUN * RUN;
+        rest[..last]
+            .chunks_mut(RUN)
+            .for_each(<[u64]>::sort_unstable);
+        rest[last..].sort_unstable();
+        order
+    }
+
     /// The oracle of a store: the same samples as seconds in a `SampleSet`.
     fn oracle(ns: &[u64]) -> SampleSet {
         let mut s = SampleSet::new();
@@ -1408,34 +1596,47 @@ mod tests {
         let mut o = oracle(recorded);
         assert_eq!(s.len(), n);
         assert_eq!(Cursor::new(&s).collect::<Vec<_>>(), stored, "{n} samples");
-        assert_eq!(s.max().to_bits(), o.max().to_bits(), "unsorted max, {n}");
+        assert_eq!(s.max().to_bits(), o.max().to_bits(), "unsealed max, {n}");
         let (mean, jitter) = o.mean_and_std_dev();
         assert_eq!(s.mean_and_std_dev(), (mean, jitter), "{n} samples");
-        // A fold in stored order, on a copy, that sorts it.
+        // An unsealed store folds as stored.
         let (mut acc, mut fold) = (StreamingStats::new(), StreamingStats::new());
-        let mut copy = s.clone();
-        copy.fold_then_sort(&mut acc, &mut Vec::new());
+        let pair = s.fold_as_read(&mut acc, 0.999);
         stored.iter().for_each(|&x| fold.record(secs(x)));
         assert_eq!(format!("{acc:?}"), format!("{fold:?}"), "{n} samples");
-        // Mean and jitter in record order after the sort, then the
+        assert!(pair.is_none() || n == 0);
+        // Mean and jitter in record order after the seal, then the
         // quantiles and the maximum.
         let expected = [mean, jitter].into_iter().chain(QS.map(|q| o.quantile(q)));
         let expected: Vec<u64> = expected.chain([o.max()]).map(f64::to_bits).collect();
-        s.sort(&mut Vec::new());
+        let sealed_blocks = s.sealed_blocks;
+        let mut scratch = Vec::new();
+        s.seal(&mut scratch);
+        assert!(s.is_sealed() && scratch.len() < RUN + BLOCK, "{n} samples");
+        assert_eq!(
+            Cursor::new(&s).collect::<Vec<_>>(),
+            seal_order(stored, sealed_blocks)
+        );
         let (mean, jitter) = s.mean_and_std_dev();
         let stats = [mean, jitter].into_iter().chain(QS.map(|q| s.quantile(q)));
         let stats: Vec<u64> = stats.chain([s.max()]).map(f64::to_bits).collect();
         assert_eq!(stats, expected, "{n} samples");
-        assert!(s.is_sorted() && copy.is_sorted());
         let mut sorted = recorded.to_vec();
         sorted.sort_unstable();
-        assert_eq!(s.nanos().collect::<Vec<_>>(), sorted);
-        assert_eq!(copy.nanos().collect::<Vec<_>>(), sorted);
-        // A sorted store folds in its sorted order, and stays sorted.
+        assert_eq!(s.ascending::<u128>().collect::<Vec<_>>(), sorted);
+        if s.narrow() {
+            assert_eq!(s.ascending::<u64>().collect::<Vec<_>>(), sorted);
+        }
+        // A sealed store folds ascending, noting the quantile's two samples
+        // on the way, and a second seal leaves it as it is.
+        let copy = s.clone();
+        s.seal(&mut Vec::new());
+        assert_eq!((&s.packed, &s.tail), (&copy.packed, &copy.tail));
         let (mut acc, mut fold) = (StreamingStats::new(), StreamingStats::new());
-        s.fold_then_sort(&mut acc, &mut Vec::new());
+        let pair = s.fold_as_read(&mut acc, 0.999);
         sorted.iter().for_each(|&x| fold.record(secs(x)));
         assert_eq!(format!("{acc:?}"), format!("{fold:?}"));
+        assert_eq!(pair, s.order_statistics(0.999));
         // The two samples a quantile reads are enough to read it again,
         // and the maximum twice reads as the maximum.
         for q in QS {
@@ -1450,7 +1651,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unsorted")]
+    #[should_panic(expected = "unsealed")]
     fn order_statistics_of_an_unsorted_store_panic() {
         let mut s = store(&[3, 1, 2]);
         assert_eq!(s.quantile(0.5), secs(2));
@@ -1465,17 +1666,16 @@ mod tests {
     fn a_sealed_store_refuses_to_read_back_unsorted() {
         let ns: Vec<u64> = (0..RUN as u64).rev().collect();
         let mut s = store_of(&ns, true);
-        s.sort(&mut Vec::new());
+        s.seal(&mut Vec::new());
         assert!(s.nanos().eq(0..RUN as u64));
         s.record(7, &mut Vec::new());
-        assert_eq!(s.nanos().last(), Some(7));
-        store_of(&ns, true).nanos().count();
+        s.nanos().count();
     }
 
     #[test]
     fn nano_store_widens_once_and_keeps_every_sample() {
         let mut s = NanoSamples::new();
-        assert!(s.is_empty() && s.is_sorted());
+        assert!(s.is_empty() && s.is_sealed());
         assert_eq!((s.quantile(0.5), s.max()), (0.0, 0.0));
         assert_eq!(s.mean_and_std_dev(), (0.0, 0.0));
         assert_eq!(s.stored_bytes(), 0);
@@ -1519,8 +1719,8 @@ mod tests {
         let mut packed = s.packed.as_slice();
         let mut widths = Vec::new();
         while !packed.is_empty() {
-            let (_, width, _, rest) = split_block(packed);
-            widths.push(width);
+            let (header, rest) = split_block(packed);
+            widths.push(header.offsets.width);
             packed = rest;
         }
         assert_eq!(widths.len(), s.blocks);
@@ -1582,9 +1782,8 @@ mod tests {
         let mut s = store(&ns[..300]);
         let copy = s.clone();
         assert_is_the_oracle(copy, &ns[..300], &ns[..300]);
-        s.sort(&mut Vec::new());
-        let mut stored = ns[..300].to_vec();
-        stored.sort_unstable();
+        s.seal(&mut Vec::new());
+        let mut stored = seal_order(&ns[..300], 0);
         // Sorted data packs tighter than record order.
         assert!(s.stored_bytes() < store(&ns[..300]).stored_bytes());
         let mut scratch = Vec::new();
@@ -1592,8 +1791,8 @@ mod tests {
             s.record(x, &mut scratch);
         }
         stored.extend_from_slice(&ns[300..]);
-        assert!(!s.is_sorted());
-        // The samples stand sorted, then as recorded; mean and jitter stay
+        assert!(!s.is_sealed());
+        // The samples stand sealed, then as recorded; mean and jitter stay
         // in record order.
         assert_is_the_oracle(s.clone(), &stored, &ns);
         assert_is_the_oracle(s, &stored, &ns);
@@ -1627,24 +1826,24 @@ mod tests {
         let mut late: Vec<u64> = (0..2 * RUN + 300).map(grid).collect();
         late[2 * RUN + 200] = 1 << 33;
         assert_store_is_the_oracle(&late);
-        // A report, then more records: the sorted run, then new runs sealed
-        // from its tail and the samples after it.
+        // A report, then more records: the runs it found and the one it
+        // sealed, then new runs sealed from its sorted tail and the samples
+        // after it.
         for ns in [&wide, &late] {
             let (head, rest) = ns.split_at(RUN + 500);
             let mut s = store_of(head, true);
-            s.sort(&mut Vec::new());
+            s.seal(&mut Vec::new());
             let mut scratch = Vec::new();
             for &x in rest {
                 s.record(x, &mut scratch);
             }
-            let mut stored = head.to_vec();
-            stored.sort_unstable();
+            let mut stored = seal_order(&sealed_order(head), RUN / BLOCK);
             let staged: Vec<u64> = stored.split_off(head.len() / BLOCK * BLOCK);
             stored.extend(sealed_order(&[staged.as_slice(), rest].concat()));
             assert_is_the_oracle(s, &stored, ns);
         }
         // A store marked order-free late seals at its next block, however
-        // many record-order blocks it holds by then.
+        // many record-order blocks it holds by then, in runs of RUN.
         let ns: Vec<u64> = (0..41 * BLOCK + 5).map(grid).collect();
         let mut s = store(&ns[..40 * BLOCK]);
         s.set_order_free(true);
@@ -1652,9 +1851,10 @@ mod tests {
         for &x in &ns[40 * BLOCK..] {
             s.record(x, &mut scratch);
         }
-        assert_eq!(s.sealed_blocks, 41);
+        assert_eq!((s.sealed_blocks, scratch.len()), (41, 9 * BLOCK));
         let mut stored = ns.clone();
-        stored[..41 * BLOCK].sort_unstable();
+        stored[..RUN].sort_unstable();
+        stored[RUN..41 * BLOCK].sort_unstable();
         assert_is_the_oracle(s, &stored, &ns);
         // A sorted order-free store is one run to a class merge.
         let mut sorted_wide = wide.clone();
@@ -1662,6 +1862,27 @@ mod tests {
         let mut sorted_late = late.clone();
         sorted_late.sort_unstable();
         assert_merge_is_the_pool(&[&sorted_wide, &same, &sorted_late], &QS);
+    }
+
+    #[test]
+    fn a_run_that_packs_wider_than_its_blocks_moves_the_rest_aside() {
+        // One block spread thinly over 2²⁷ ns, then 31 of equal samples,
+        // each just above one of the first block's: nine bytes each in
+        // record order, but once sorted nearly every block holds a gap of
+        // 2²⁰ ns.  Ten more blocks and a tail follow, so the first run's
+        // seal must move them before it packs.
+        let step = 1u64 << 20;
+        let mut ns: Vec<u64> = (0..BLOCK as u64).map(|k| k * step).collect();
+        for k in 0..31 {
+            ns.extend(std::iter::repeat_n(k * step + 1, BLOCK));
+        }
+        ns.extend((0..10 * BLOCK as u64 + 77).map(|i| (i * 7_919) % 613 * 1_000));
+        let mut s = store(&ns);
+        let before = s.stored_bytes();
+        assert_store_is_the_oracle(&ns);
+        s.seal(&mut Vec::new());
+        assert!(s.stored_bytes() > before, "{} {before}", s.stored_bytes());
+        assert_eq!(Cursor::new(&s).collect::<Vec<_>>(), seal_order(&ns, 0));
     }
 
     #[test]
@@ -1676,15 +1897,12 @@ mod tests {
             })
             .collect();
         let mut s = store(&ns);
-        for (rank, &x) in ns.iter().enumerate() {
-            assert_eq!(s.at(rank), x, "stored rank {rank}");
-        }
-        s.sort(&mut Vec::new());
+        assert!(s.nanos().eq(ns.iter().copied()));
+        s.seal(&mut Vec::new());
         let mut sorted = ns.clone();
         sorted.sort_unstable();
         let last = ns.len() - 1;
-        for (rank, &x) in sorted.iter().enumerate() {
-            assert_eq!(s.at(rank), x, "sorted rank {rank}");
+        for rank in 0..=last {
             let q = rank as f64 / last as f64;
             let (lo, hi, _) = quantile_span(q, last);
             assert_eq!(
@@ -1700,7 +1918,7 @@ mod tests {
         // Blocks of width 9 take 153 bytes: the buffer doubles from 256
         // bytes while it stays within 4 KiB, moves into 128 KiB at the
         // block that would take it past, and doubles from there by
-        // `realloc` — never moving again, not even when a sort packs it
+        // `realloc` — never moving again, not even when a seal packs it
         // anew.
         MOVED.set(0);
         let ns: Vec<u64> = (0..2_000 * BLOCK as u64)
@@ -1724,13 +1942,13 @@ mod tests {
         );
         assert_eq!(MOVED.get(), 1);
         assert_eq!(s.nanos().collect::<Vec<_>>(), ns);
-        s.sort(&mut Vec::new());
+        s.seal(&mut Vec::new());
         assert_eq!(s.packed.capacity(), 524_288);
         assert_eq!(MOVED.get(), 1);
         // A store within 4 KiB never moves.
         MOVED.set(0);
         let mut s = store(&ns[..26 * BLOCK]);
-        s.sort(&mut Vec::new());
+        s.seal(&mut Vec::new());
         assert_eq!((s.packed.capacity(), MOVED.get()), (4_096, 0));
         // The rule itself: only a buffer short of its mapped block moves.
         assert!(moves(4_096, 4_097) && moves(MAPPED_BYTES - 1, MAPPED_BYTES + 1));
@@ -1757,12 +1975,12 @@ mod tests {
         (pool.mean(), values)
     }
 
-    /// Each run as a sorted store.
+    /// Each run as a sealed store.
     fn sorted_stores(runs: &[&[u64]], free: bool) -> Vec<NanoSamples> {
         runs.iter()
             .map(|run| {
                 let mut s = store_of(run, free);
-                s.sort(&mut Vec::new());
+                s.seal(&mut Vec::new());
                 s
             })
             .collect()
@@ -1806,8 +2024,19 @@ mod tests {
         };
         for spread_from in 0..=runs.len() {
             let mut spread = StreamingStats::new();
-            let merged = merge_runs(stores, quantiles, spread_from, &mut spread);
+            let mut pairs = vec![None; runs.len()];
+            let merged = merge_runs(
+                stores,
+                quantiles,
+                spread_from,
+                &mut spread,
+                0.999,
+                &mut pairs,
+            );
             assert_eq!(&bits(merged), expected, "{runs:?} at {quantiles:?}");
+            let read: Vec<_> = stores.iter().map(|s| s.order_statistics(0.999)).collect();
+            assert_eq!(pairs[..spread_from], vec![None; spread_from]);
+            assert_eq!(pairs[spread_from..], read[spread_from..], "{runs:?}");
             let mut fold = StreamingStats::new();
             for &x in runs[spread_from..].iter().copied().flatten() {
                 fold.record(x as f64 / 1e9);
@@ -1824,7 +2053,9 @@ mod tests {
     fn merged(runs: &[&[u64]], quantiles: &[f64]) -> (f64, Vec<f64>) {
         let stores = sorted_stores(runs, false);
         let stores: Vec<&NanoSamples> = stores.iter().collect();
-        merge_runs(&stores, quantiles, runs.len(), &mut StreamingStats::new())
+        let mut pairs = vec![None; runs.len()];
+        let spread = &mut StreamingStats::new();
+        merge_runs(&stores, quantiles, runs.len(), spread, 0.999, &mut pairs)
     }
 
     /// `s` seconds in nanoseconds.
