@@ -923,7 +923,8 @@ impl NanoSamples {
     /// `q`-quantile interpolates between (the same one twice when it sits
     /// on a rank); `None` if empty.  [`quantile_between`] of them is
     /// [`quantile`](NanoSamples::quantile).  The last rank is the maximum
-    /// the store keeps; any other is read by a merge of the runs that stops
+    /// the store keeps, a store of fewer than 128 samples is its sorted
+    /// tail, and any other rank is read by a merge of the runs that stops
     /// there.
     ///
     /// # Panics
@@ -935,6 +936,11 @@ impl NanoSamples {
         let (lo, hi, _) = quantile_span(q, last);
         if lo == last {
             return Some((self.max, self.max));
+        }
+        if self.blocks == 0 {
+            // A store that never filled a block is its sorted tail (a churn
+            // admission's, mostly): no merge to build.
+            return Some((self.tail[lo], self.tail[hi]));
         }
         let mut pair = None;
         if self.narrow() {
