@@ -326,11 +326,12 @@ impl Monitor {
     /// Direct access to a flow's delay samples (nanoseconds; the store
     /// reads them out in seconds too), e.g. for pooled class quantiles.
     /// An order-kept store reads them in arrival order until its first
-    /// report; after a report, a store reads back as the sorted runs the
-    /// report sealed it into, one after another, then its tail, sorted.
-    /// An order-free store ([`set_order_free`](Monitor::set_order_free), a
-    /// declared flow's under the scenario facade) reads back only once a
-    /// report has sealed it ([`NanoSamples::nanos`]).
+    /// report; after a report, ascending up to that report, then those
+    /// recorded since in arrival order — the order a class report reads
+    /// them in.  An order-free store ([`set_order_free`](Monitor::set_order_free),
+    /// a declared flow's under the scenario facade) reads back only once a
+    /// report has sealed it, and until it seals a run again
+    /// ([`NanoSamples::nanos`]).
     pub fn flow_delays(&self, flow: FlowId) -> &NanoSamples {
         &self.flows[flow.index()].delays
     }

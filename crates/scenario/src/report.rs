@@ -37,7 +37,9 @@
 //! part of the format: a flow's mean and jitter run in record order, at
 //! every report; the class jitter runs over the class's flows by rising
 //! id, declared flows ascending, the others in record order at their first
-//! report and ascending after; the class mean is the ascending-order sum.
+//! report, and at a later one ascending up to the report before, then in
+//! record order ([`NanoSamples::nanos`]); the class mean is the
+//! ascending-order sum.
 //! The `reference` module among this file's tests is the older, many-pass
 //! formulation, held to the same JSON bytes by a property test.
 
@@ -738,6 +740,71 @@ mod tests {
         }
     }
 
+    /// A report, more run time, and a report again: the class jitter reads
+    /// each flow by rising id, a declared flow ascending, and a TCP
+    /// connection — which a report seals into several sorted runs — in
+    /// ascending order up to the first report, then as recorded since: the
+    /// order a report that sorted the connection's samples in one piece
+    /// left them in.
+    #[test]
+    fn a_report_after_more_run_time_reads_a_tcp_flow_sorted_then_as_recorded() {
+        use crate::{DisciplineSpec, FlowDef, ScenarioBuilder, SourceSpec, TcpDef, TopologySpec};
+        use ispn_sim::SimTime;
+        let build = || {
+            ScenarioBuilder::new(TopologySpec::chain_duplex(2))
+                .discipline(DisciplineSpec::Wfq)
+                .flows((0..3).map(|i| {
+                    FlowDef::best_effort_realtime(0, 1)
+                        .source(SourceSpec::onoff_paper(85.0, 0x1992 + i))
+                }))
+                .tcp(TcpDef::over_span(0, 1))
+                .build()
+                .expect("valid scenario")
+        };
+        let (mut sim, mut unreported) = (build(), build());
+        sim.run_until(SimTime::from_secs(60));
+        sim.report(&MeasurementPlan::default());
+        let at_first: Vec<usize> = (0..sim.network().num_flows())
+            .map(|i| sim.network().monitor().flow_delays(FlowId(i as u32)).len())
+            .collect();
+        sim.run_until(SimTime::from_secs(120));
+        unreported.run_until(SimTime::from_secs(120));
+        let report = sim.report(&MeasurementPlan::default());
+        let declared = sim.flows().to_vec();
+        let groups = ScenarioReport::flows_by_class(sim.network());
+        assert_eq!(groups.len(), report.classes.len());
+        let mut tcp_runs = 0;
+        for ((_, flows), summary) in groups.iter().zip(&report.classes) {
+            let mut pooled = ispn_stats::SampleSet::new();
+            for &flow in flows {
+                let read: Vec<u64> = if declared.contains(&flow) {
+                    sim.network().monitor().flow_delays(flow).nanos().collect()
+                } else {
+                    let n = at_first[flow.index()];
+                    tcp_runs = tcp_runs.max(n.div_ceil(4_096));
+                    let delays = unreported.network().monitor().flow_delays(flow);
+                    let mut order: Vec<u64> = delays.nanos().collect();
+                    order[..n].sort_unstable();
+                    order
+                };
+                for ns in read {
+                    pooled.record(SimTime::from_nanos(ns).as_secs_f64());
+                }
+            }
+            let expected = pooled.sample_std_dev();
+            assert_eq!(
+                summary.jitter_s.to_bits(),
+                expected.to_bits(),
+                "{}",
+                summary.class
+            );
+        }
+        assert!(
+            tcp_runs >= 3,
+            "the first report seals {tcp_runs} runs of the TCP flow"
+        );
+    }
+
     /// The pooled class jitter sums in the order it is fed: the class
     /// section must see the same sorted samples whatever order the flow
     /// section found (it once saw them sorted only when the flow section
@@ -934,9 +1001,28 @@ mod tests {
         (net, declared)
     }
 
+    /// More delays for every flow of a [`random_run`] after its report —
+    /// none, a few, or more than a block — on the same grid.
+    fn more_records(net: &mut Network, seed: u64) {
+        use ispn_sim::SimTime;
+        let mut rng = proptest::TestRng::new(seed ^ 0x5eed);
+        for i in 0..net.num_flows() {
+            let samples = [0, 2, 50, 300][rng.below(4) as usize];
+            for k in 0..samples {
+                let delay = SimTime::from_micros(700 * rng.below(12));
+                let now = SimTime::from_millis(10_000 + k);
+                net.monitor_mut()
+                    .record_delivery(FlowId(i as u32), delay, now);
+            }
+        }
+    }
+
     proptest::proptest! {
         /// The two-pass report is the nine-pass report: the same JSON to
-        /// the byte, and every flow's samples left in the same order.
+        /// the byte, and every flow's samples left in the same order.  A
+        /// second report after more records repeats the reference's class
+        /// section too (its flow section reads each flow's record-order
+        /// fold, which the reference does not keep).
         ///
         /// Fails (checked by hand) when the class Welford is fed after the
         /// flow is sorted instead of before, and when the merge drops a
@@ -960,6 +1046,12 @@ mod tests {
                 };
                 assert_eq!(bits(&net), bits(&reference_net), "flow {i}, seed {seed}");
             }
+            more_records(&mut net, seed);
+            more_records(&mut reference_net, seed);
+            let report = ScenarioReport::collect(&mut net, &sig, &flows);
+            let (_, classes) = reference::flows_and_classes(&mut reference_net, &flows);
+            let expected = ScenarioReport { classes, ..report.clone() };
+            assert_eq!(report.to_json(), expected.to_json(), "second report, seed {seed}");
         }
     }
 

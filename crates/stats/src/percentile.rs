@@ -87,10 +87,13 @@
 //! long as the flow, and nothing is packed twice.
 //!
 //! A sealed store is then read where it lies, through a tournament
-//! (loser-tree) merge over its runs.  Each run is read through a cursor
-//! that decodes its gap-coded blocks straight from the packed bytes, one
-//! sample ahead of the tree, so the decode stays off the tree's compare
-//! chain; a match compares a sample and its run packed into one integer
+//! (loser-tree) merge over its runs and its sorted tail.  Samples recorded
+//! after a report follow the merge in record order, until the next report
+//! seals them: so a store reads ascending up to its last report, then as
+//! recorded since, the order the class jitter folds it in.  Each run is
+//! read through a cursor that decodes its gap-coded blocks straight from
+//! the packed bytes, one sample ahead of the tree, so the decode stays off
+//! the tree's compare chain; a match compares a sample and its run packed into one integer
 //! (`u64` while every sample fits 32 bits).  [`merge_runs`] takes a class's
 //! mean and quantiles from one merge over every run of the class — ten
 //! flows of 50 000 samples are 130 runs — and folds the class spread in the
@@ -593,6 +596,14 @@ pub struct NanoSamples {
     /// How many blocks `packed` holds, and how many of them are sealed.
     blocks: usize,
     sealed_blocks: usize,
+    /// How many were sealed at the last [`seal`](NanoSamples::seal): an
+    /// order-free store that has sealed more since holds no order it can
+    /// read back.
+    settled_blocks: usize,
+    /// How many samples after the sealed runs the last seal left sorted
+    /// (its tail then; the first block after the runs once 128 samples
+    /// have arrived since).
+    head: usize,
     /// The samples after the last block, fewer than [`BLOCK`], raw.
     tail: Vec<u64>,
     /// The least and the greatest sample of the tail, kept as it fills
@@ -623,6 +634,8 @@ impl NanoSamples {
             sealed: 0,
             blocks: 0,
             sealed_blocks: 0,
+            settled_blocks: 0,
+            head: 0,
             tail: Vec::new(),
             tail_span: EMPTY_SPAN,
             max: 0,
@@ -760,6 +773,7 @@ impl NanoSamples {
         if with_tail {
             self.tail.sort_unstable();
         }
+        self.head = if with_tail { self.tail.len() } else { 0 };
     }
 
     /// Seal the store for a report: its record-order blocks into runs of at
@@ -773,6 +787,7 @@ impl NanoSamples {
         if !self.whole {
             self.seal_blocks(scratch, true);
             self.whole = true;
+            self.settled_blocks = self.sealed_blocks;
         }
     }
 
@@ -807,15 +822,18 @@ impl NanoSamples {
         self.packed.len() + size_of_val(self.tail.as_slice())
     }
 
-    /// A cursor over each sealed run, the tail read after the last one
-    /// when it continues it (a report sealed them together), else on its
-    /// own: the runs a sealed store's samples merge from.
+    /// What a report reads the samples from: a cursor over each sealed run
+    /// and one over the samples the last seal left sorted after them, whose
+    /// merge is ascending; and a cursor over the samples recorded since, in
+    /// record order (empty once the store is sealed).  A sealed store's
+    /// tail is read after its last run when it continues it (a report
+    /// sealed them together).
     #[expect(
         clippy::arithmetic_side_effects,
         reason = "`at` walks the sealed bytes, and `rest` is their suffix"
     )]
-    fn runs(&self) -> Vec<Cursor<'_>> {
-        let sealed = &self.packed[..self.sealed];
+    fn runs(&self) -> (Vec<Cursor<'_>>, Cursor<'_>) {
+        let (sealed, recorded) = self.packed.split_at(self.sealed);
         let mut cursors = Vec::new();
         let (mut start, mut at, mut last_block) = (0, 0, 0);
         while at < sealed.len() {
@@ -827,27 +845,37 @@ impl NanoSamples {
             last_block = at;
             at = sealed.len() - rest.len();
         }
-        let tail = self.tail.as_slice();
         if at > start {
-            let continues = tail
-                .first()
-                .is_none_or(|&first| first >= last_gapped(&sealed[last_block..]));
+            let tail = self.tail.as_slice();
+            let continues = self.whole
+                && tail
+                    .first()
+                    .is_none_or(|&first| first >= last_gapped(&sealed[last_block..]));
             let with = if continues { tail } else { &[] };
             cursors.push(Cursor::start(&sealed[start..], &[], with));
             if continues {
-                return cursors;
+                return (cursors, Cursor::default());
             }
         }
-        if !tail.is_empty() {
-            cursors.push(Cursor::start(&[], &[], tail));
+        let mut rest = Cursor::start(&[], recorded, &self.tail);
+        if self.head > 0 {
+            cursors.push(rest.split_off(self.head));
         }
-        cursors
+        (cursors, rest)
     }
 
-    /// The samples ascending: a merge of the runs, through keys of `K`.
+    /// A sealed store's samples ascending: a merge of its runs, through
+    /// keys of `K`.
     fn ascending<K: Key>(&self) -> Merge<'_, K> {
-        debug_assert!(self.whole, "only a sealed store merges its runs");
-        Merge::new(self.runs())
+        debug_assert!(self.whole, "only a sealed store reads ascending");
+        Merge::new(self.runs().0)
+    }
+
+    /// The samples in the order a report reads them: ascending up to the
+    /// last seal, then those recorded since in record order.
+    fn as_read<K: Key>(&self) -> std::iter::Chain<Merge<'_, K>, Cursor<'_>> {
+        let (runs, rest) = self.runs();
+        Merge::new(runs).chain(rest)
     }
 
     /// Whether every sample fits 32 bits: the store sorts through the
@@ -856,24 +884,19 @@ impl NanoSamples {
         u32::try_from(self.max).is_ok()
     }
 
-    /// The samples in nanoseconds as stored: in record order until the
-    /// store first seals a run (an order-free store as it records, any
-    /// store at its first report).  Once [sealed](NanoSamples::seal) — after
-    /// a report — each sealed run ascending, one after another, then the
-    /// sorted tail, which continues the last run when the report sealed
-    /// them together; ascending only for a store of one run.  Samples
-    /// recorded after a report follow in record order.
+    /// The samples in nanoseconds: in record order until the store's first
+    /// [`seal`](NanoSamples::seal) (a report's), then ascending, then the
+    /// samples recorded since the seal, in record order.
     ///
-    /// A store that holds a sealed run and recorded since its last seal
-    /// (an order-free store before its report, or any store recorded into
-    /// after one) holds neither order, and a debug build panics here
-    /// rather than read it.
+    /// An order-free store that has sealed a run since its last seal (one
+    /// not yet reported, most often) holds neither order, and a debug build
+    /// panics here rather than read it.
     pub fn nanos(&self) -> impl Iterator<Item = u64> + '_ {
         debug_assert!(
-            self.sealed_blocks == 0 || self.whole,
-            "a store with sealed runs reads back out of record order"
+            self.sealed_blocks == self.settled_blocks,
+            "an order-free store's samples read back out of record order"
         );
-        Cursor::new(self)
+        self.as_read::<u128>()
     }
 
     /// The samples in seconds, in [`nanos`](NanoSamples::nanos)' order.
@@ -882,11 +905,10 @@ impl NanoSamples {
     }
 
     /// Record every sample into `fold`, in seconds, in the order a class
-    /// pass reads the store: ascending (a merge of its runs) when it is
-    /// sealed, and as stored otherwise — in record order for a store that
-    /// never sealed a run.  A sealed store also returns the two samples its
-    /// `q`-quantile interpolates between, noted as they pass (`None` when
-    /// empty, and from an unsealed store).
+    /// pass reads the store, [`nanos`](NanoSamples::nanos)': ascending when
+    /// it is sealed, in record order when it never was.  A sealed store
+    /// also returns the two samples its `q`-quantile interpolates between,
+    /// noted as they pass (`None` when empty, and from an unsealed store).
     pub fn fold_as_read(&self, fold: &mut StreamingStats, q: f64) -> Option<(u64, u64)> {
         // The fold travels by value, so that it stays in registers.
         let mut acc = fold.clone();
@@ -896,7 +918,9 @@ impl NanoSamples {
         } else if self.whole {
             Ranked::<u128>::new(self, q, &mut pair).for_each(|ns| acc.record(secs(ns)));
         } else {
-            Cursor::new(self).for_each(|ns| acc.record(secs(ns)));
+            // Only a later report merges here (a first one finds no run),
+            // so the key width does not weigh on the benchmark's reports.
+            self.as_read::<u128>().for_each(|ns| acc.record(secs(ns)));
         }
         *fold = acc;
         pair
@@ -965,7 +989,7 @@ impl NanoSamples {
 /// so that a reader waiting on it (a merge's compare chain) finds it
 /// ready.  A packed block is decoded straight from its bytes, a sample at
 /// a time.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Cursor<'a> {
     /// The packed block being read: its offsets, and what the next offset
     /// adds to — the block's base in record order, the sample before in a
@@ -988,12 +1012,6 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    /// A store's samples.
-    fn new(store: &'a NanoSamples) -> Self {
-        let (gapped, packed) = store.packed.split_at(store.sealed);
-        Cursor::start(gapped, packed, &store.tail)
-    }
-
     /// The samples of `gapped` blocks, then of `packed` ones, then `tail`.
     fn start(gapped: &'a [u8], packed: &'a [u8], tail: &'a [u64]) -> Self {
         let mut cursor = Cursor {
@@ -1004,6 +1022,21 @@ impl<'a> Cursor<'a> {
         };
         cursor.ahead = cursor.decode();
         cursor
+    }
+
+    /// A cursor over the first `n` samples of a cursor just started, which
+    /// lie in its first block (or its tail), and this one moved past them.
+    fn split_off(&mut self, n: usize) -> Cursor<'a> {
+        debug_assert!(self.at == 1 && n <= self.len);
+        let head = Cursor {
+            len: n,
+            gapped_rest: &[],
+            packed_rest: &[],
+            tail: &[],
+            ..self.clone()
+        };
+        self.by_ref().take(n).for_each(drop);
+        head
     }
 
     /// The first sample not yet decoded, if any.
@@ -1066,6 +1099,8 @@ impl Iterator for Cursor<'_> {
 /// A sample and its run, packed into one integer that orders as the pair
 /// does, so that a match in a [`Merge`]'s tree is one compare and a move
 /// one register: `u64` while every sample fits 32 bits, `u128` otherwise.
+/// (`u128` keys for every store took `link-wfq`'s report from 13.4 to
+/// 47.9 ms, `tools/phases.sh` medians on a 2-vCPU VM.)
 trait Key: Copy + Ord + std::fmt::Debug {
     /// The key of an exhausted run: above every sample's, whatever its
     /// run, so a merge ends when its winner is this one.
@@ -1123,11 +1158,8 @@ impl Key for u128 {
 struct Merge<'a, K> {
     /// The `k` runs: leaf `k + r` of the tree is run `r`'s least unread
     /// sample, and node `p`'s children are `2p` and `2p + 1`.  Empty runs
-    /// pad `k` to a power of two unless nearly every leaf sits at one depth
-    /// already: a replay's loop exit mispredicts when the winners' leaves
-    /// change depth (~10 % of the merge with ten runs, whose leaves sit at
-    /// two depths), and a padded tree climbs a level more for every pop
-    /// (a class merge of 130 runs has four leaves a level deeper).
+    /// pad `k` to a power of two, so every leaf sits at one depth and a
+    /// replay's loop exit never mispredicts.
     runs: Vec<Cursor<'a>>,
     /// Node `p` (`1 ≤ p < k`) holds the loser of the match played there.
     losers: Vec<K>,
@@ -1142,14 +1174,7 @@ impl<'a, K: Key> Merge<'a, K> {
         reason = "`runs` holds k cursors in memory, so 2k fits a usize; r, p < k"
     )]
     fn new(mut runs: Vec<Cursor<'a>>) -> Self {
-        let (n_runs, padded) = (runs.len(), runs.len().next_power_of_two());
-        // Pad when more than an eighth of the leaves would sit deeper.
-        let k = if 15 * n_runs > 8 * padded {
-            padded
-        } else {
-            n_runs
-        };
-        let k = k.max(1);
+        let k = runs.len().next_power_of_two();
         runs.resize_with(k, Cursor::default);
         let mut winners = vec![K::EXHAUSTED; 2 * k];
         for (r, run) in runs.iter_mut().enumerate() {
@@ -1315,7 +1340,7 @@ fn class_pass<K: Key>(
     let mut acc = spread.clone();
     let mut spread_samples =
         spread_stores.flat_map(|(store, pair)| Ranked::<K>::new(store, each, pair));
-    let runs = stores.iter().flat_map(|store| store.runs()).collect();
+    let runs = stores.iter().flat_map(|store| store.runs().0).collect();
     for (rank, key) in Merge::<K>::new(runs).enumerate() {
         let x = secs(key);
         sum += x;
@@ -1573,6 +1598,21 @@ mod tests {
         order
     }
 
+    /// A store's samples in the order it holds them.
+    fn stored_order(s: &NanoSamples) -> Vec<u64> {
+        let (gapped, packed) = s.packed.split_at(s.sealed);
+        Cursor::start(gapped, packed, &s.tail).collect()
+    }
+
+    /// The order a report reads a store holding `stored` in: its sealed
+    /// runs and the samples the last seal left sorted after them
+    /// ascending, then the rest as stored.
+    fn read_order(s: &NanoSamples, stored: &[u64]) -> Vec<u64> {
+        let mut order = stored.to_vec();
+        order[..s.sealed_blocks * BLOCK + s.head].sort_unstable();
+        order
+    }
+
     /// The oracle of a store: the same samples as seconds in a `SampleSet`.
     fn oracle(ns: &[u64]) -> SampleSet {
         let mut s = SampleSet::new();
@@ -1601,14 +1641,19 @@ mod tests {
         let n = recorded.len();
         let mut o = oracle(recorded);
         assert_eq!(s.len(), n);
-        assert_eq!(Cursor::new(&s).collect::<Vec<_>>(), stored, "{n} samples");
+        assert_eq!(stored_order(&s), stored, "{n} samples");
         assert_eq!(s.max().to_bits(), o.max().to_bits(), "unsealed max, {n}");
         let (mean, jitter) = o.mean_and_std_dev();
         assert_eq!(s.mean_and_std_dev(), (mean, jitter), "{n} samples");
-        // An unsealed store folds as stored.
+        // An unsealed store folds as a report reads it, and reads back so
+        // unless it sealed a run since its last seal.
+        let read = read_order(&s, stored);
+        if s.sealed_blocks == s.settled_blocks {
+            assert_eq!(s.nanos().collect::<Vec<_>>(), read, "{n} samples");
+        }
         let (mut acc, mut fold) = (StreamingStats::new(), StreamingStats::new());
         let pair = s.fold_as_read(&mut acc, 0.999);
-        stored.iter().for_each(|&x| fold.record(secs(x)));
+        read.iter().for_each(|&x| fold.record(secs(x)));
         assert_eq!(format!("{acc:?}"), format!("{fold:?}"), "{n} samples");
         assert!(pair.is_none() || n == 0);
         // Mean and jitter in record order after the seal, then the
@@ -1619,16 +1664,14 @@ mod tests {
         let mut scratch = Vec::new();
         s.seal(&mut scratch);
         assert!(s.is_sealed() && scratch.len() < RUN + BLOCK, "{n} samples");
-        assert_eq!(
-            Cursor::new(&s).collect::<Vec<_>>(),
-            seal_order(stored, sealed_blocks)
-        );
+        assert_eq!(stored_order(&s), seal_order(stored, sealed_blocks));
         let (mean, jitter) = s.mean_and_std_dev();
         let stats = [mean, jitter].into_iter().chain(QS.map(|q| s.quantile(q)));
         let stats: Vec<u64> = stats.chain([s.max()]).map(f64::to_bits).collect();
         assert_eq!(stats, expected, "{n} samples");
         let mut sorted = recorded.to_vec();
         sorted.sort_unstable();
+        assert_eq!(s.nanos().collect::<Vec<_>>(), sorted);
         assert_eq!(s.ascending::<u128>().collect::<Vec<_>>(), sorted);
         if s.narrow() {
             assert_eq!(s.ascending::<u64>().collect::<Vec<_>>(), sorted);
@@ -1671,11 +1714,37 @@ mod tests {
     #[should_panic(expected = "out of record order")]
     fn a_sealed_store_refuses_to_read_back_unsorted() {
         let ns: Vec<u64> = (0..RUN as u64).rev().collect();
-        let mut s = store_of(&ns, true);
-        s.seal(&mut Vec::new());
-        assert!(s.nanos().eq(0..RUN as u64));
-        s.record(7, &mut Vec::new());
-        s.nanos().count();
+        store_of(&ns, true).nanos().count();
+    }
+
+    #[test]
+    fn a_reported_store_reads_back_ascending_then_as_recorded() {
+        let grid = |i: usize| (i * 7_919 % 613) as u64 * 1_000;
+        // An order-free store of one run, and order-kept stores whose seal
+        // leaves several runs and a tail that is not the greatest of them,
+        // recorded into after the seal: less than a block (the sorted
+        // samples still in the tail), and more (packed into a block).
+        for (n, free) in [(RUN, true), (2 * RUN + 300, false), (3 * RUN + 5, false)] {
+            let ns: Vec<u64> = (0..n).map(grid).collect();
+            let mut s = store_of(&ns, free);
+            s.seal(&mut Vec::new());
+            let mut sorted = ns.clone();
+            sorted.sort_unstable();
+            assert!(s.nanos().eq(sorted.iter().copied()), "{n}");
+            let mut scratch = Vec::new();
+            let mut read = sorted;
+            for (i, x) in (0..2 * BLOCK).map(|i| grid(i * 31 + 5)).enumerate() {
+                s.record(x, &mut scratch);
+                read.push(x);
+                if [0, BLOCK / 2, 2 * BLOCK - 1].contains(&i) {
+                    assert_eq!(s.nanos().collect::<Vec<_>>(), read, "{n}, {i}");
+                    let (mut acc, mut fold) = (StreamingStats::new(), StreamingStats::new());
+                    assert_eq!(s.fold_as_read(&mut acc, 0.999), None);
+                    read.iter().for_each(|&x| fold.record(secs(x)));
+                    assert_eq!(format!("{acc:?}"), format!("{fold:?}"), "{n}, {i}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1888,7 +1957,7 @@ mod tests {
         assert_store_is_the_oracle(&ns);
         s.seal(&mut Vec::new());
         assert!(s.stored_bytes() > before, "{} {before}", s.stored_bytes());
-        assert_eq!(Cursor::new(&s).collect::<Vec<_>>(), seal_order(&ns, 0));
+        assert_eq!(stored_order(&s), seal_order(&ns, 0));
     }
 
     #[test]
